@@ -7,7 +7,7 @@
 //! already resident on `rank` that falls inside `part` — and solves
 //! it with Kuhn–Munkres, keeping as much load in place as possible.
 
-use partition::max_weight_assignment;
+use partition::max_weight_assignment_sparse;
 
 /// Remap new parts onto ranks with the KM algorithm. Returns the new
 /// owner per cell.
@@ -20,17 +20,19 @@ pub fn remap_km(old_owner: &[u32], new_part: &[u32], load: &[u64], k: usize) -> 
     assert_eq!(old_owner.len(), new_part.len());
     assert_eq!(old_owner.len(), load.len());
 
-    // weight[part][rank] = load of `part` already on `rank`
-    let mut weight = vec![vec![0i64; k]; k];
-    for c in 0..old_owner.len() {
-        weight[new_part[c] as usize][old_owner[c] as usize] += load[c] as i64;
-    }
-    let (assignment, _) = max_weight_assignment(&weight);
-
-    old_owner
+    // weight(part, rank) = load of `part` already on `rank`: one
+    // triplet per cell, summed by the solver — the k×k matrix, which is
+    // almost all zeros, is never built
+    let cells = new_part
         .iter()
-        .zip(new_part)
-        .map(|(_, &p)| assignment[p as usize] as u32)
+        .zip(old_owner)
+        .zip(load)
+        .map(|((&p, &r), &l)| (p as usize, r as usize, l as i64));
+    let assignment = max_weight_assignment_sparse(k, cells);
+
+    new_part
+        .iter()
+        .map(|&p| assignment[p as usize] as u32)
         .collect()
 }
 

@@ -28,7 +28,7 @@ use obs::Observer as _;
 use particles::PACKED_SIZE;
 use partition::Decomposition;
 use partition::{part_graph_kway, Graph, KwayOptions};
-use vmpi::{traffic, Strategy, TrafficSummary};
+use vmpi::{Flows, Strategy, TrafficSummary};
 
 pub use crate::report::StepTrace;
 
@@ -76,6 +76,9 @@ pub struct ModelledBackend {
     total_tx: u64,
     total_bytes: u64,
     uses_mark: [u64; 4],
+    /// Migration byte matrix of the exchange being priced, refilled in
+    /// place (sparse: only the rank pairs that carry bytes).
+    flows: Flows,
     /// Subcycle watermarks: [`StepRecord`] accumulates neutral
     /// transitions and collision candidates across DSMC subcycles, so
     /// each lap must charge only the delta since the previous subcycle
@@ -125,27 +128,25 @@ impl ModelledBackend {
             total_tx: 0,
             total_bytes: 0,
             uses_mark: [0; 4],
+            flows: Flows::new(),
             neutral_mark: 0,
             cand_mark: 0,
         }
     }
 
-    /// The strategy that carries this exchange: the configured one,
-    /// or — under [`Strategy::Auto`] — the cost model's pick for this
-    /// migration matrix. Tallies the choice for the report and returns
-    /// it with its CONCRETE index.
-    fn resolve(&mut self, m: &[Vec<u64>]) -> (Strategy, usize) {
-        let s = if self.strategy == Strategy::Auto {
-            self.cost.pick_strategy(m)
-        } else {
-            self.strategy
-        };
-        let idx = Strategy::CONCRETE
-            .iter()
-            .position(|&c| c == s)
-            .expect("resolved strategy is concrete");
+    /// Price the exchange of `self.flows` once: the strategy that
+    /// carries it — the configured one, or under [`Strategy::Auto`] the
+    /// cost model's pick — with its CONCRETE index and its protocol
+    /// traffic (Hier aggregated over the machine's node map). Tallies
+    /// the choice for the report.
+    fn price(&mut self) -> (Strategy, usize, TrafficSummary) {
+        let traffic = self.cost.traffic(&self.flows);
+        let idx = self
+            .strategy
+            .concrete_index()
+            .unwrap_or_else(|| self.cost.cheapest(&traffic));
         self.strategy_uses[idx] += 1;
-        (s, idx)
+        (Strategy::CONCRETE[idx], idx, traffic[idx])
     }
 
     /// Record one carried exchange's protocol-predicted traffic for
@@ -163,33 +164,17 @@ impl ModelledBackend {
         });
     }
 
-    /// Protocol traffic for `s` over matrix `m`. Hier aggregates over
-    /// the machine's node map (ranks grouped by `cores_per_node`), the
-    /// same grouping [`CostModel::pick_strategy`] evaluated.
-    fn traffic_for(&self, s: Strategy, m: &[Vec<u64>]) -> TrafficSummary {
-        if s == Strategy::Hier {
-            vmpi::traffic_hier(&self.cost.node_map_for(self.ranks), m)
-        } else {
-            traffic(s, m)
-        }
-    }
-
-    /// Migration byte matrix from `(old_cell, new_cell)` transitions.
-    fn migration_matrix(&self, transitions: &[(u32, u32)]) -> Vec<Vec<u64>> {
-        let mut m = vec![vec![0u64; self.ranks]; self.ranks];
-        for &(oc, nc) in transitions {
-            if nc == EXITED {
-                continue;
-            }
-            let (o, n) = (
-                self.owner[oc as usize] as usize,
-                self.owner[nc as usize] as usize,
-            );
-            if o != n {
-                m[o][n] += (PACKED_SIZE as f64 * self.boost) as u64;
-            }
-        }
-        m
+    /// Load the migration byte matrix of `(old_cell, new_cell)`
+    /// transitions into `self.flows`.
+    fn load_migration(&mut self, transitions: &[(u32, u32)]) {
+        let per_particle = (PACKED_SIZE as f64 * self.boost) as u64;
+        let owner = &self.owner;
+        self.flows.assign(
+            transitions
+                .iter()
+                .filter(|&&(_, nc)| nc != EXITED)
+                .map(|&(oc, nc)| (owner[oc as usize], owner[nc as usize], per_particle)),
+        );
     }
 }
 
@@ -251,9 +236,8 @@ impl Backend for ModelledBackend {
                 } else {
                     &rec.charged_transitions[sub]
                 };
-                let m = self.migration_matrix(tr);
-                let (s, idx) = self.resolve(&m);
-                let tf = self.traffic_for(s, &m);
+                self.load_migration(tr);
+                let (s, idx, tf) = self.price();
                 let t = self.cost.exchange_time(s, &tf);
                 for bd in self.per_rank.iter_mut() {
                     bd[phase] += t;
@@ -424,18 +408,19 @@ impl Backend for ModelledBackend {
                 } => {
                     // migration byte matrix: every particle in a cell
                     // changing hands moves once
-                    let k = self.ranks;
-                    let mut m = vec![vec![0u64; k]; k];
-                    for c in 0..self.owner.len() {
-                        let (o, n) = (self.owner[c] as usize, new_owner[c] as usize);
-                        if o != n {
-                            let load = neutral[c] + charged[c];
-                            m[o][n] += (load as f64 * PACKED_SIZE as f64 * self.boost) as u64;
-                        }
-                    }
+                    let boost = self.boost;
+                    self.flows.assign(
+                        self.owner
+                            .iter()
+                            .zip(&new_owner)
+                            .zip(neutral.iter().zip(&charged))
+                            .map(|((&o, &n), (&nl, &ch))| {
+                                let load = (nl + ch) as f64;
+                                (o, n, (load * PACKED_SIZE as f64 * boost) as u64)
+                            }),
+                    );
                     let cells_eff = (self.owner.len() as f64 * self.grid_boost) as usize;
-                    let (s, idx) = self.resolve(&m);
-                    let tf = self.traffic_for(s, &m);
+                    let (s, idx, tf) = self.price();
                     let t_reb = self.cost.rebalance_time(cells_eff, &tf, s, use_km);
                     for bd in self.per_rank.iter_mut() {
                         bd[Phase::Rebalance] += t_reb;

@@ -16,7 +16,7 @@
 //!   reproducing the paper's non-scaling `Poisson_Solve` (Table IV).
 
 use serde::{Deserialize, Serialize};
-use vmpi::{NodeMap, Strategy, TrafficSummary};
+use vmpi::{Flows, NodeMap, Strategy, TrafficSummary};
 
 /// Per-core processing rates and network parameters of one platform.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -125,11 +125,18 @@ impl Placement {
 }
 
 /// The cost model for one run: profile + placement + rank count.
-#[derive(Debug, Clone, Copy)]
+/// `profile` and `ranks` are fixed by [`CostModel::new`] (the node map
+/// is derived from them); only `placement` may be changed afterwards.
+#[derive(Debug, Clone)]
 pub struct CostModel {
     pub profile: MachineProfile,
     pub placement: Placement,
     pub ranks: usize,
+    /// The rank → node grouping this machine implies for the
+    /// hierarchical strategy, built once for (`profile`, `ranks`):
+    /// contiguous blocks of `cores_per_node` ranks per node, the way
+    /// schedulers hand out rank ranges.
+    nodes: NodeMap,
 }
 
 impl CostModel {
@@ -138,6 +145,7 @@ impl CostModel {
             profile,
             placement: Placement::InnerFrame,
             ranks,
+            nodes: NodeMap::grouped(ranks, profile.cores_per_node),
         }
     }
 
@@ -218,39 +226,56 @@ impl CostModel {
         }
     }
 
-    /// The rank → node grouping this machine implies for the
-    /// hierarchical strategy: contiguous blocks of `cores_per_node`
-    /// ranks per node, the way schedulers hand out rank ranges.
-    pub fn node_map_for(&self, ranks: usize) -> NodeMap {
-        NodeMap::grouped(ranks, self.profile.cores_per_node)
+    /// The rank → node grouping the hierarchical strategy is priced
+    /// with (not the wire's two-node default).
+    pub fn node_map(&self) -> &NodeMap {
+        &self.nodes
+    }
+
+    /// Price one exchange once: the protocol traffic of every concrete
+    /// strategy for the migration `flows` between this model's ranks,
+    /// in [`Strategy::CONCRETE`] order, from a single pass over the
+    /// nonzero pairs.
+    pub fn traffic(&self, flows: &Flows) -> [TrafficSummary; 4] {
+        vmpi::traffic_all(&self.nodes, flows)
+    }
+
+    /// The per-step Auto decision rule (§IV-B addendum): charge each
+    /// concrete strategy's traffic with this machine's α/β parameters
+    /// and return the [`Strategy::CONCRETE`] index of the cheapest.
+    /// Ties break toward the earlier entry, so the rule is
+    /// deterministic.
+    pub fn cheapest(&self, traffic: &[TrafficSummary; 4]) -> usize {
+        let mut best = (0, f64::INFINITY);
+        for (idx, (&s, t)) in Strategy::CONCRETE.iter().zip(traffic).enumerate() {
+            let time = self.exchange_time(s, t);
+            if time < best.1 {
+                best = (idx, time);
+            }
+        }
+        best.0
     }
 
     /// Modelled wall time of one exchange of the migration byte matrix
-    /// `m` under `strategy` (traffic prediction + α–β charge). The
-    /// hierarchical strategy is priced with this machine's
-    /// [`CostModel::node_map_for`] grouping, not the two-node default.
+    /// `m` under `strategy` (traffic prediction + α–β charge). Dense
+    /// convenience over [`CostModel::traffic`].
     pub fn exchange_time_for(&self, strategy: Strategy, m: &[Vec<u64>]) -> f64 {
-        let t = match strategy {
-            Strategy::Hier => vmpi::traffic_hier(&self.node_map_for(m.len()), m),
-            _ => vmpi::traffic(strategy, m),
-        };
-        self.exchange_time(strategy, &t)
+        let idx = strategy.concrete_index().expect(
+            "Strategy::Auto has no cost of its own — resolve it with \
+             CostModel::pick_strategy first",
+        );
+        self.exchange_time(strategy, &self.traffic(&self.flows_of(m))[idx])
     }
 
-    /// The per-step Auto decision rule (§IV-B addendum): score the
-    /// concrete strategies on the rank-0-reduced migration byte
-    /// matrix with this machine's α/β parameters and return the
-    /// cheapest. Ties break toward the earlier entry of
-    /// [`Strategy::CONCRETE`], so the rule is deterministic.
+    /// [`CostModel::cheapest`] on the rank-0-reduced migration byte
+    /// matrix `m`. Dense convenience over [`CostModel::traffic`].
     pub fn pick_strategy(&self, m: &[Vec<u64>]) -> Strategy {
-        Strategy::CONCRETE
-            .into_iter()
-            .min_by(|&x, &y| {
-                self.exchange_time_for(x, m)
-                    .partial_cmp(&self.exchange_time_for(y, m))
-                    .expect("exchange times are finite")
-            })
-            .expect("CONCRETE is non-empty")
+        Strategy::CONCRETE[self.cheapest(&self.traffic(&self.flows_of(m)))]
+    }
+
+    fn flows_of(&self, m: &[Vec<u64>]) -> Flows {
+        assert_eq!(m.len(), self.ranks, "matrix sized for another world");
+        Flows::from_matrix(m)
     }
 
     /// Wall time of one distributed Poisson solve: `iters` CG
@@ -295,7 +320,9 @@ impl CostModel {
         let n = self.ranks as f64;
         let partition = cells as f64 * (cells as f64).log2().max(1.0) / self.profile.partition_rate;
         let km = if use_km {
-            // O(k³) Hungarian, tiny next to everything else
+            // the paper's machine runs the textbook O(k³) Hungarian
+            // (Table V): this prices *their* solver, not the sparse
+            // one this repo remaps with
             n.powi(3) * 2e-10
         } else {
             0.0

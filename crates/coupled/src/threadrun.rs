@@ -64,7 +64,7 @@ use vmpi::collectives::{
 };
 use vmpi::{
     exchange_hier_overlapped, exchange_into, run_world, ChaosComm, ChaosWorld, Comm, CommError,
-    CommResult, NodeMap, ReliableComm, ReliableWorld, Strategy,
+    CommResult, Flows, NodeMap, ReliableComm, ReliableWorld, Strategy,
 };
 
 /// Result of a threaded run (as returned by rank 0) — the shared
@@ -438,24 +438,15 @@ fn resolve_strategy<C: Comm>(
         row.extend_from_slice(&(b.len() as u64).to_le_bytes());
     }
     let choice = gather(comm, 0, row)?.map(|rows| {
-        let matrix: Vec<Vec<u64>> = rows
-            .iter()
-            .map(|r| {
-                r.chunks_exact(8)
-                    .map(|c| {
-                        let mut w = [0u8; 8];
-                        w.copy_from_slice(c);
-                        u64::from_le_bytes(w)
-                    })
-                    .collect()
+        let mut flows = Flows::new();
+        flows.assign(rows.iter().enumerate().flat_map(|(src, r)| {
+            r.chunks_exact(8).enumerate().map(move |(dst, c)| {
+                let mut w = [0u8; 8];
+                w.copy_from_slice(c);
+                (src as u32, dst as u32, u64::from_le_bytes(w))
             })
-            .collect();
-        let pick = cost.pick_strategy(&matrix);
-        let idx = Strategy::CONCRETE
-            .iter()
-            .position(|&s| s == pick)
-            .expect("pick is concrete");
-        vec![idx as u8]
+        }));
+        vec![cost.cheapest(&cost.traffic(&flows)) as u8]
     });
     match broadcast(comm, 0, choice)?.first() {
         Some(&i) if (i as usize) < Strategy::CONCRETE.len() => Ok(Strategy::CONCRETE[i as usize]),
@@ -549,10 +540,7 @@ fn migrate<C: Comm>(
 /// Tally one resolved exchange into the CONCRETE-ordered counters,
 /// returning the concrete index.
 fn tally(uses: &mut [u64; 4], s: Strategy) -> usize {
-    let idx = Strategy::CONCRETE
-        .iter()
-        .position(|&c| c == s)
-        .expect("resolved strategy is concrete");
+    let idx = s.concrete_index().expect("resolved strategy is concrete");
     uses[idx] += 1;
     idx
 }

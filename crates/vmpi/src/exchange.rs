@@ -83,6 +83,13 @@ impl Strategy {
         Strategy::Sparse,
         Strategy::Hier,
     ];
+
+    /// This strategy's position in [`Strategy::CONCRETE`] (the index
+    /// into per-strategy tallies and [`traffic_all`]'s result); `None`
+    /// for [`Strategy::Auto`].
+    pub fn concrete_index(self) -> Option<usize> {
+        Self::CONCRETE.iter().position(|&c| c == self)
+    }
 }
 
 /// Grouping of the world's ranks into nodes for [`Strategy::Hier`].
@@ -95,7 +102,12 @@ impl Strategy {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NodeMap {
     node_of: Vec<usize>,
-    nodes: usize,
+    /// `leader[node]`: the node's lowest member rank.
+    leader: Vec<usize>,
+    /// Ranks grouped by node, ascending within a node: node `a` holds
+    /// `members[member_start[a]..member_start[a + 1]]`.
+    members: Vec<usize>,
+    member_start: Vec<usize>,
 }
 
 impl NodeMap {
@@ -105,13 +117,39 @@ impl NodeMap {
     pub fn new(node_of: Vec<usize>) -> Self {
         assert!(!node_of.is_empty(), "a node map needs at least one rank");
         let nodes = node_of.iter().max().copied().unwrap_or(0) + 1;
+        assert!(
+            nodes <= node_of.len(),
+            "node {} has no ranks (node ids must be dense)",
+            nodes - 1
+        );
+        // counting sort of the ranks by node
+        let mut member_start = vec![0usize; nodes + 1];
+        for &node in &node_of {
+            member_start[node + 1] += 1;
+        }
         for node in 0..nodes {
             assert!(
-                node_of.contains(&node),
+                member_start[node + 1] > 0,
                 "node {node} has no ranks (node ids must be dense)"
             );
+            member_start[node + 1] += member_start[node];
         }
-        NodeMap { node_of, nodes }
+        let mut next = member_start.clone();
+        let mut members = vec![0usize; node_of.len()];
+        for (r, &node) in node_of.iter().enumerate() {
+            members[next[node]] = r;
+            next[node] += 1;
+        }
+        let leader = member_start[..nodes]
+            .iter()
+            .map(|&at| members[at])
+            .collect();
+        NodeMap {
+            node_of,
+            leader,
+            members,
+            member_start,
+        }
     }
 
     /// Consecutive blocks of `ranks_per_node` ranks (the last node may
@@ -141,7 +179,7 @@ impl NodeMap {
 
     /// Number of nodes.
     pub fn nodes(&self) -> usize {
-        self.nodes
+        self.leader.len()
     }
 
     /// The node rank `r` lives on.
@@ -151,24 +189,19 @@ impl NodeMap {
 
     /// The leader (lowest member rank) of `node`.
     pub fn leader(&self, node: usize) -> usize {
-        self.node_of
-            .iter()
-            .position(|&x| x == node)
-            .expect("dense node ids: every node has a member")
+        self.leader[node]
     }
 
     /// Whether `r` is its node's leader.
     pub fn is_leader(&self, r: usize) -> bool {
-        self.leader(self.node_of[r]) == r
+        self.leader[self.node_of[r]] == r
     }
 
     /// The member ranks of `node`, ascending.
     pub fn members(&self, node: usize) -> impl Iterator<Item = usize> + '_ {
-        self.node_of
+        self.members[self.member_start[node]..self.member_start[node + 1]]
             .iter()
-            .enumerate()
-            .filter(move |&(_, &x)| x == node)
-            .map(|(r, _)| r)
+            .copied()
     }
 }
 
@@ -643,7 +676,7 @@ fn exchange_centralized_into<C: Comm>(
 /// `matrix[src][dst]` (diagonal ignored). Used by the analytic cluster
 /// performance model so the modelled experiments charge exactly the
 /// traffic the real protocols generate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TrafficSummary {
     /// Total point-to-point messages on the network.
     pub transactions: u64,
@@ -667,178 +700,178 @@ pub struct TrafficSummary {
     pub aggregated_bytes: u64,
 }
 
-/// Predict the traffic of one exchange under `strategy`.
+/// One migration byte matrix in sparse form: its nonzero off-diagonal
+/// `(src, dst, bytes)` entries, every ordered pair at most once, in
+/// `(src, dst)` order — what [`traffic_all`] prices without ever
+/// looking at the `N²` cells that carry nothing.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Flows {
+    entries: Vec<(u32, u32, u64)>,
+}
+
+impl Flows {
+    /// An empty matrix (nothing migrates).
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Replace the contents with the sum of `contributions`; a pair may
+    /// contribute any number of times, `src == dst` and zero-byte
+    /// contributions are dropped. Keeps the allocation, so one `Flows`
+    /// can be refilled exchange after exchange.
+    pub fn assign(&mut self, contributions: impl IntoIterator<Item = (u32, u32, u64)>) {
+        self.entries.clear();
+        self.entries.extend(
+            contributions
+                .into_iter()
+                .filter(|&(s, d, b)| s != d && b > 0),
+        );
+        self.entries.sort_unstable_by_key(|&(s, d, _)| (s, d));
+        self.entries.dedup_by(|next, kept| {
+            let same = (next.0, next.1) == (kept.0, kept.1);
+            if same {
+                kept.2 += next.2;
+            }
+            same
+        });
+    }
+
+    /// The sparse form of the dense square `matrix[src][dst]`
+    /// (diagonal ignored).
+    pub fn from_matrix(matrix: &[Vec<u64>]) -> Self {
+        let n = matrix.len();
+        let mut flows = Flows::new();
+        flows.assign(matrix.iter().enumerate().flat_map(|(s, row)| {
+            assert_eq!(row.len(), n, "migration matrix must be square");
+            row.iter()
+                .enumerate()
+                .map(move |(d, &b)| (s as u32, d as u32, b))
+        }));
+        flows
+    }
+}
+
+/// Predict the traffic of one exchange under `strategy` (the
+/// hierarchical strategy under the two-node default grouping).
 ///
 /// Panics on [`Strategy::Auto`]: the auto marker has no traffic of its
 /// own — resolving it first is a caller precondition, not a runtime
 /// communication fault.
 pub fn traffic(strategy: Strategy, matrix: &[Vec<u64>]) -> TrafficSummary {
-    let n = matrix.len();
-    let mut off_diag = 0u64; // M: bytes that actually change ranks
-    let mut sent = vec![0u64; n];
-    let mut recvd = vec![0u64; n];
-    let mut nz_sent = vec![0u64; n]; // nonzero destinations per source
-    let mut nz_recvd = vec![0u64; n]; // nonzero sources per destination
-    let mut nonzero_pairs = 0u64;
-    for (s, row) in matrix.iter().enumerate() {
-        assert_eq!(row.len(), n);
-        for (d, &b) in row.iter().enumerate() {
-            if s != d && b > 0 {
-                off_diag += b;
-                sent[s] += b;
-                recvd[d] += b;
-                nz_sent[s] += 1;
-                nz_recvd[d] += 1;
-                nonzero_pairs += 1;
-            }
-        }
-    }
-    match strategy {
-        Strategy::Distributed => {
-            // every ordered pair exchanges exactly one message
-            let transactions = (n as u64) * (n as u64 - 1);
-            let max_rank = (0..n).map(|r| sent[r] + recvd[r]).max().unwrap_or(0);
-            TrafficSummary {
-                transactions,
-                total_bytes: off_diag,
-                max_rank_bytes: max_rank,
-                nonzero_pairs,
-                max_rank_msgs: 2 * (n as u64 - 1),
-                node_pairs: 0,
-                aggregated_bytes: 0,
-            }
-        }
-        Strategy::Centralized => {
-            // N-1 gathers + N-1 scatters; every migrated byte crosses
-            // the wire twice unless its source or destination is the
-            // root itself.
-            let root = 0usize;
-            let mut total = 0u64;
-            let mut root_bytes = 0u64;
-            for (s, row) in matrix.iter().enumerate() {
-                for (d, &b) in row.iter().enumerate() {
-                    if s == d {
-                        continue;
-                    }
-                    let hops = u64::from(s != root) + u64::from(d != root);
-                    total += b * hops;
-                    root_bytes += b * hops;
-                }
-            }
-            TrafficSummary {
-                transactions: 2 * (n as u64 - 1),
-                total_bytes: total,
-                max_rank_bytes: root_bytes,
-                nonzero_pairs,
-                max_rank_msgs: 2 * (n as u64 - 1),
-                node_pairs: 0,
-                aggregated_bytes: 0,
-            }
-        }
-        Strategy::Sparse => {
-            // per nonzero pair: one 17-byte tagged count frame (the
-            // sparse alltoall — zero entries cost no message) + one
-            // payload message; barriers are synchronization, not
-            // transactions.
-            let max_rank = (0..n)
-                .map(|r| sent[r] + recvd[r] + 17 * (nz_sent[r] + nz_recvd[r]))
-                .max()
-                .unwrap_or(0);
-            let max_msgs = (0..n)
-                .map(|r| 2 * (nz_sent[r] + nz_recvd[r]))
-                .max()
-                .unwrap_or(0);
-            TrafficSummary {
-                transactions: 2 * nonzero_pairs,
-                total_bytes: off_diag + 17 * nonzero_pairs,
-                max_rank_bytes: max_rank,
-                nonzero_pairs,
-                max_rank_msgs: max_msgs,
-                node_pairs: 0,
-                aggregated_bytes: 0,
-            }
-        }
-        Strategy::Hier => traffic_hier(&NodeMap::default_for(n), matrix),
-        Strategy::Auto => panic!(
-            "Strategy::Auto has no traffic of its own — resolve it to a concrete \
-             strategy first (CostModel::pick_strategy)"
-        ),
-    }
+    let idx = strategy.concrete_index().expect(
+        "Strategy::Auto has no traffic of its own — resolve it to a concrete \
+         strategy first (CostModel::pick_strategy)",
+    );
+    let nodes = NodeMap::default_for(matrix.len());
+    traffic_all(&nodes, &Flows::from_matrix(matrix))[idx]
 }
 
 /// Predict the traffic of one hierarchical exchange under an explicit
-/// node map, mirroring the wire protocol byte for byte: phase-1
-/// frames are `1 + 8 + intra` plus, toward the leader, `16 + payload`
-/// per funneled group; phase-2 trunk frames are `1` plus the
-/// aggregated groups of the node pair; phase-3 scatter frames are `1`
-/// plus `12 + payload` per bundle. Barriers are synchronization, not
-/// transactions.
+/// node map.
 pub fn traffic_hier(nodes: &NodeMap, matrix: &[Vec<u64>]) -> TrafficSummary {
-    let n = matrix.len();
-    assert_eq!(nodes.len(), n, "node map sized for another matrix");
-    let mut sent_b = vec![0u64; n];
-    let mut recvd_b = vec![0u64; n];
-    let mut sent_m = vec![0u64; n];
-    let mut recvd_m = vec![0u64; n];
-    let mut transactions = 0u64;
-    let mut total_bytes = 0u64;
-    let mut nonzero_pairs = 0u64;
-    let mut frame = |from: usize, to: usize, bytes: u64| {
-        transactions += 1;
-        total_bytes += bytes;
-        sent_b[from] += bytes;
-        recvd_b[to] += bytes;
-        sent_m[from] += 1;
-        recvd_m[to] += 1;
+    assert_eq!(
+        nodes.len(),
+        matrix.len(),
+        "node map sized for another matrix"
+    );
+    traffic_all(nodes, &Flows::from_matrix(matrix))[3]
+}
+
+/// Predict the traffic of one exchange of `flows` between
+/// `nodes.len()` ranks under every concrete strategy at once, in
+/// [`Strategy::CONCRETE`] order — one pass over the nonzero pairs,
+/// mirroring each wire protocol byte for byte (barriers are
+/// synchronization, not transactions):
+///
+/// * **Centralized**: N−1 gathers + N−1 scatters through rank 0; a
+///   pair's payload and its 12-byte `(who, len)` group header cross
+///   the wire once per hop — twice unless source or destination is the
+///   root itself.
+/// * **Distributed**: every ordered pair exchanges exactly one
+///   message; bytes move once.
+/// * **Sparse**: per nonzero pair one 17-byte tagged count frame (the
+///   sparse alltoall — zero entries cost no message) + one payload
+///   message.
+/// * **Hier** (grouped by `nodes`): phase-1 frames are `1 + 8 + intra`
+///   plus, toward the leader, `16 + payload` per funneled group;
+///   phase-2 trunk frames are `1` plus the aggregated groups of the
+///   node pair; phase-3 scatter frames are `1` plus `12 + payload` per
+///   bundle.
+pub fn traffic_all(nodes: &NodeMap, flows: &Flows) -> [TrafficSummary; 4] {
+    let n = nodes.len();
+    let nn = nodes.nodes();
+    let all_pairs = 2 * (n as u64 - 1);
+    let nonzero_pairs = flows.entries.len() as u64;
+
+    // flat strategies: bytes sent + received, and nonzero partners in
+    // either direction, per rank
+    let mut off_diag = 0u64; // M: bytes that actually change ranks
+    let mut rank_bytes = vec![0u64; n];
+    let mut rank_pairs = vec![0u64; n];
+    let mut root_bytes = 0u64;
+
+    // hierarchical: per-rank frame tallies, then what the later phases
+    // will carry
+    let mut hier = TrafficSummary {
+        nonzero_pairs,
+        ..TrafficSummary::default()
     };
-    // trunk[a][b]: aggregated group bytes node a sends node b
-    let mut trunk = vec![vec![0u64; nodes.nodes()]; nodes.nodes()];
+    let mut hier_bytes = vec![0u64; n];
+    let mut hier_msgs = vec![0u64; n];
+    let mut frame = |from: usize, to: usize, bytes: u64| {
+        hier.transactions += 1;
+        hier.total_bytes += bytes;
+        hier_bytes[from] += bytes;
+        hier_bytes[to] += bytes;
+        hier_msgs[from] += 1;
+        hier_msgs[to] += 1;
+    };
+    // up[s]: what non-leader s sends its leader in phase 1 (direct
+    // payload + funneled groups; a leader's own funnel stays local)
+    let mut up = vec![0u64; n];
+    // trunk[a·nn + b]: aggregated group bytes node a sends node b
+    let mut trunk = vec![0u64; nn * nn];
     // scatter[q]: bundle bytes q's leader forwards to member q
     let mut scatter = vec![0u64; n];
-    for (s, row) in matrix.iter().enumerate() {
-        assert_eq!(row.len(), n);
-        let node = nodes.node_of(s);
-        let leader = nodes.leader(node);
-        let mut funnel = 0u64;
-        for (d, &b) in row.iter().enumerate() {
-            if s == d || b == 0 {
-                continue;
-            }
-            nonzero_pairs += 1;
-            let to = nodes.node_of(d);
-            if to != node {
-                funnel += 16 + b;
-                trunk[node][to] += 16 + b;
-                if d != nodes.leader(to) {
-                    scatter[d] += 12 + b;
-                }
-            }
+
+    for &(s, d, b) in &flows.entries {
+        let (s, d) = (s as usize, d as usize);
+        off_diag += b;
+        for r in [s, d] {
+            rank_bytes[r] += b;
+            rank_pairs[r] += 1;
         }
-        // phase 1: one frame per same-node peer with anything to carry
-        for q in nodes.members(node) {
-            if q == s {
-                continue;
+        root_bytes += (12 + b) * (u64::from(s != 0) + u64::from(d != 0));
+
+        let (from, to) = (nodes.node_of(s), nodes.node_of(d));
+        let leader = nodes.leader(from);
+        if from != to {
+            if s != leader {
+                up[s] += 16 + b;
             }
-            let intra = row[q];
-            let tail = if q == leader { funnel } else { 0 };
-            if intra == 0 && tail == 0 {
-                continue;
+            trunk[from * nn + to] += 16 + b;
+            if d != nodes.leader(to) {
+                scatter[d] += 12 + b;
             }
-            frame(s, q, 9 + intra + tail);
+        } else if d == leader {
+            up[s] += b;
+        } else {
+            frame(s, d, 9 + b);
         }
-        // a leader's own funnel stays local: no phase-1 self-frame
+    }
+    // phase 1 toward the leader: one frame if there is anything to carry
+    for (s, &bytes) in up.iter().enumerate() {
+        if bytes > 0 {
+            frame(s, nodes.leader(nodes.node_of(s)), 9 + bytes);
+        }
     }
     // phase 2: one frame per active ordered node pair
-    let mut node_pairs = 0u64;
-    let mut aggregated_bytes = 0u64;
-    for (a, row) in trunk.iter().enumerate() {
-        for (b, &groups) in row.iter().enumerate() {
-            if a == b || groups == 0 {
-                continue;
-            }
+    let (mut node_pairs, mut aggregated_bytes) = (0u64, 0u64);
+    for (at, &groups) in trunk.iter().enumerate() {
+        if groups > 0 {
             node_pairs += 1;
             aggregated_bytes += 1 + groups;
-            frame(nodes.leader(a), nodes.leader(b), 1 + groups);
+            frame(nodes.leader(at / nn), nodes.leader(at % nn), 1 + groups);
         }
     }
     // phase 3: one frame per member with inbound inter-node bundles
@@ -847,17 +880,41 @@ pub fn traffic_hier(nodes: &NodeMap, matrix: &[Vec<u64>]) -> TrafficSummary {
             frame(nodes.leader(nodes.node_of(q)), q, 1 + bundles);
         }
     }
-    let max_rank_bytes = (0..n).map(|r| sent_b[r] + recvd_b[r]).max().unwrap_or(0);
-    let max_rank_msgs = (0..n).map(|r| sent_m[r] + recvd_m[r]).max().unwrap_or(0);
-    TrafficSummary {
+    hier.max_rank_bytes = hier_bytes.iter().copied().max().unwrap_or(0);
+    hier.max_rank_msgs = hier_msgs.iter().copied().max().unwrap_or(0);
+    hier.node_pairs = node_pairs;
+    hier.aggregated_bytes = aggregated_bytes;
+
+    let flat = |transactions, total_bytes, max_rank_bytes, max_rank_msgs| TrafficSummary {
         transactions,
         total_bytes,
         max_rank_bytes,
         nonzero_pairs,
         max_rank_msgs,
-        node_pairs,
-        aggregated_bytes,
-    }
+        node_pairs: 0,
+        aggregated_bytes: 0,
+    };
+    let busiest = |per_pair: u64| {
+        rank_bytes
+            .iter()
+            .zip(&rank_pairs)
+            .map(|(&b, &p)| b + per_pair * p)
+            .max()
+            .unwrap_or(0)
+    };
+    let max_pairs = rank_pairs.iter().copied().max().unwrap_or(0);
+    [
+        // the root is the serial bottleneck: everything passes through it
+        flat(all_pairs, root_bytes, root_bytes, all_pairs),
+        flat(n as u64 * (n as u64 - 1), off_diag, busiest(0), all_pairs),
+        flat(
+            2 * nonzero_pairs,
+            off_diag + 17 * nonzero_pairs,
+            busiest(17),
+            2 * max_pairs,
+        ),
+        hier,
+    ]
 }
 
 #[cfg(test)]
@@ -1316,8 +1373,9 @@ mod tests {
         m[0][1] = 50; // source is root: 1 hop
         let t = traffic(Strategy::Centralized, &m);
         assert_eq!(t.transactions, 4);
-        assert_eq!(t.total_bytes, 250);
-        assert_eq!(t.max_rank_bytes, 250);
+        // each hop also carries the group's 12-byte (who, len) header
+        assert_eq!(t.total_bytes, 250 + 12 * 3);
+        assert_eq!(t.max_rank_bytes, 286);
     }
 
     #[test]

@@ -27,8 +27,8 @@ pub use chaos::{ChaosComm, ChaosWorld, FaultAction, FaultPlan, KillEvent, StallE
 pub use comm::{Comm, CommStats, RecvHandle, SendHandle};
 pub use error::{CommError, CommResult};
 pub use exchange::{
-    exchange, exchange_hier_into, exchange_hier_overlapped, exchange_into, traffic, traffic_hier,
-    NodeMap, Strategy, TrafficSummary,
+    exchange, exchange_hier_into, exchange_hier_overlapped, exchange_into, traffic, traffic_all,
+    traffic_hier, Flows, NodeMap, Strategy, TrafficSummary,
 };
 pub use reliable::{ReliableComm, ReliableWorld};
 pub use threaded::{run_world, ThreadComm};

@@ -33,6 +33,9 @@ echo "== bench smoke (quick snapshot must emit every kernel row) =="
 BENCH_QUICK=1 BENCH_OUT=target/bench_smoke.json \
     cargo run --release -q -p bench --bin bench_snapshot
 
+echo "== ledger smoke (every bench_ledger workload, both passes, every row present) =="
+cargo run --release --quiet --offline --manifest-path bench_ledger/Cargo.toml -- --smoke
+
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
