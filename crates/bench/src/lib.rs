@@ -13,7 +13,7 @@
 
 use balance::{CostSourceKind, RebalanceConfig};
 use coupled::{
-    ClusterReport, ClusterSim, Dataset, Decomposition, MachineProfile, Placement, RunConfig,
+    ClusterSim, Dataset, Decomposition, MachineProfile, Placement, RunConfig, RunReport,
 };
 use obs::{MetricsSnapshot, TraceSpec};
 use std::path::PathBuf;
@@ -148,13 +148,13 @@ impl Default for Experiment {
 
 impl Experiment {
     /// Run the modelled cluster simulation and return its report.
-    pub fn run(&self) -> ClusterReport {
+    pub fn run(&self) -> RunReport {
         self.run_with(obs::TraceSpec::Off, None)
     }
 
     /// Like [`Experiment::run`], with an explicit trace sink and
     /// optional metrics registry attached to the run.
-    pub fn run_with(&self, trace: TraceSpec, metrics: Option<obs::Registry>) -> ClusterReport {
+    pub fn run_with(&self, trace: TraceSpec, metrics: Option<obs::Registry>) -> RunReport {
         let mut builder = RunConfig::builder()
             .paper(self.dataset, scale())
             .ranks(self.ranks)

@@ -4,46 +4,37 @@
 //! need restartability. A checkpoint captures every piece of evolving
 //! state the meshes and matrices (deterministic functions of the
 //! [`crate::config::SimConfig`]) do not fix: the step counter, the
-//! RNG stream, the injector's fractional-particle carry, the Poisson
+//! RNG streams, the injector's fractional-particle carry, the Poisson
 //! solver's warm-start potential (which also reconstructs E), the
 //! adaptively ratcheted NTC `sigma_g_max` table, and the particle
-//! population. A run restored from a v2+ checkpoint therefore
-//! finishes **bitwise identical** to the uninterrupted run.
+//! population. A restored run therefore finishes **bitwise identical**
+//! to the uninterrupted run.
 //!
-//! Format (little-endian): magic `DPIC`, version u32, step u64, then
-//! - v4 (current): RNG state 4×u64, injector carry f64, potential
-//!   count u64 + f64s, `sigma_g_max` count u64 + f64s, the two
-//!   auxiliary RNG streams (`rng_dsmc` then `rng_pump`, 4×u64 each —
-//!   in the prelude, before the particle count, because the particle
-//!   section must fill the rest of the blob exactly), particle count
-//!   u64, then the particle population **lane-wise** mirroring the
-//!   SoA buffer: all `px` (f64 bits), `py`, `pz`, `vx`, `vy`, `vz`,
-//!   all cells (u32), species (u8), ids (u64) — checkpointing is a
-//!   straight sweep per lane instead of a per-particle gather;
-//! - v3 (still readable): same, without the auxiliary RNG streams —
-//!   they are re-seeded deterministically on restore, which is sound
-//!   because no pre-v4 run ever consumed them;
-//! - v2 (still readable): v3 prelude, but the particle population
-//!   as consecutive fixed 61-byte wire records of `particles::pack`;
-//! - v1 (still readable): particle count u64, particle records; the
-//!   RNG is re-seeded deterministically from `(seed, step)`, so the
-//!   continuation is reproducible but not bitwise-identical to the
-//!   uninterrupted run.
+//! Checkpoints live only inside a process (the recovery store of
+//! [`crate::threadrun`], the job server's replay), so there is one
+//! format and no reader for any other version.
 //!
-//! v2 and v3 carry identical information (both total
-//! `61·n` particle-section bytes); v3 only changes the byte order to
-//! match the buffer layout, and v4 adds the two aux streams.
+//! Format (little-endian): magic `DPIC`, version u32 (= 4), step u64,
+//! RNG state 4×u64, injector carry f64, potential count u64 + f64s,
+//! `sigma_g_max` count u64 + f64s, the two auxiliary RNG streams
+//! (`rng_dsmc` then `rng_pump`, 4×u64 each — in the prelude, before
+//! the particle count, because the particle section must fill the rest
+//! of the blob exactly), particle count u64, then the particle
+//! population **lane-wise** mirroring the SoA buffer: all `px` (f64
+//! bits), `py`, `pz`, `vx`, `vy`, `vz`, all cells (u32), species (u8),
+//! ids (u64) — checkpointing is a straight sweep per lane instead of a
+//! per-particle gather.
 
-use crate::state::CoupledState;
-use bytes::{Buf, BufMut, BytesMut};
+use crate::engine::RankEngine;
 use dsmc::Injector;
-use particles::{unpack_particle, ParticleBuffer, PACKED_SIZE};
+use particles::{ParticleBuffer, PACKED_SIZE};
 use pic::ElectricField;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 const MAGIC: &[u8; 4] = b"DPIC";
 const VERSION: u32 = 4;
+/// Magic, version and step counter.
+const HEADER_LEN: usize = 4 + 4 + 8;
 
 /// Errors from [`restore`].
 #[derive(Debug, PartialEq, Eq)]
@@ -51,7 +42,7 @@ pub enum CheckpointError {
     BadMagic,
     BadVersion(u32),
     Truncated,
-    /// A v2+ field does not match the simulation it is restored into
+    /// A field does not match the simulation it is restored into
     /// (different mesh resolution or collision table size).
     Mismatch,
 }
@@ -71,77 +62,102 @@ impl std::fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-/// Serialize the restartable state of `sim` (v4, lane-wise).
-pub fn checkpoint(sim: &CoupledState) -> Vec<u8> {
+fn put_u64s(buf: &mut Vec<u8>, words: impl IntoIterator<Item = u64>) {
+    for w in words {
+        buf.extend_from_slice(&w.to_le_bytes());
+    }
+}
+
+fn put_f64s(buf: &mut Vec<u8>, values: &[f64]) {
+    put_u64s(buf, values.iter().map(|v| v.to_bits()));
+}
+
+/// Serialize the restartable state of `sim`.
+pub fn checkpoint(sim: &RankEngine) -> Vec<u8> {
     let n = sim.particles.len();
     let phi = sim.poisson.phi();
     let sigma = sim.collisions.sigma_g_max();
-    let mut buf = BytesMut::with_capacity(
-        4 + 4 + 8 + 32 + 8 + 8 + phi.len() * 8 + 8 + sigma.len() * 8 + 64 + 8 + n * PACKED_SIZE,
+    let mut buf = Vec::with_capacity(
+        HEADER_LEN + 32 + 8 + 8 + phi.len() * 8 + 8 + sigma.len() * 8 + 64 + 8 + n * PACKED_SIZE,
     );
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(VERSION);
-    buf.put_u64_le(sim.step_count as u64);
-    for w in sim.rng.state() {
-        buf.put_u64_le(w);
-    }
-    buf.put_u64_le(
-        sim.injector
-            .as_ref()
-            .map_or(0.0, |inj| inj.carry())
-            .to_bits(),
-    );
-    buf.put_u64_le(phi.len() as u64);
-    for &v in phi {
-        buf.put_u64_le(v.to_bits());
-    }
-    buf.put_u64_le(sigma.len() as u64);
-    for &v in sigma {
-        buf.put_u64_le(v.to_bits());
-    }
-    // v4: aux streams in the prelude — the particle section must fill
-    // the remainder of the blob exactly
-    for w in sim.rng_dsmc.state() {
-        buf.put_u64_le(w);
-    }
-    for w in sim.rng_pump.state() {
-        buf.put_u64_le(w);
-    }
-    buf.put_u64_le(n as u64);
+    buf.extend_from_slice(MAGIC);
+    buf.extend_from_slice(&VERSION.to_le_bytes());
+    put_u64s(&mut buf, [sim.step_count as u64]);
+    put_u64s(&mut buf, sim.rng.state());
+    let carry = sim.injector.as_ref().map_or(0.0, |inj| inj.carry());
+    put_u64s(&mut buf, [carry.to_bits()]);
+    put_u64s(&mut buf, [phi.len() as u64]);
+    put_f64s(&mut buf, phi);
+    put_u64s(&mut buf, [sigma.len() as u64]);
+    put_f64s(&mut buf, sigma);
+    // aux streams in the prelude — the particle section must fill the
+    // remainder of the blob exactly
+    put_u64s(&mut buf, sim.rng_dsmc.state());
+    put_u64s(&mut buf, sim.rng_pump.state());
+    put_u64s(&mut buf, [n as u64]);
     // lane-wise particle body: one contiguous sweep per SoA lane
     let p = &sim.particles;
     for lane in [&p.px, &p.py, &p.pz, &p.vx, &p.vy, &p.vz] {
-        for &v in lane {
-            buf.put_u64_le(v.to_bits());
-        }
+        put_f64s(&mut buf, lane);
     }
     for &c in &p.cell {
-        buf.put_u32_le(c);
+        buf.extend_from_slice(&c.to_le_bytes());
     }
-    buf.put_slice(&p.species);
-    for &id in &p.id {
-        buf.put_u64_le(id);
-    }
-    buf.to_vec()
+    buf.extend_from_slice(&p.species);
+    put_u64s(&mut buf, p.id.iter().copied());
+    buf
 }
 
 /// Serialize one rank of a decomposed run: the coarse-cell ownership
 /// map this rank was running under, followed by the rank engine's full
-/// current-version state. The envelope is what the engine-level recovery loop
+/// state. The envelope is what the engine-level recovery loop
 /// (`coupled::threadrun`) stores each cadence step and replays from
 /// after a rank death — the owner map must travel with the state
 /// because the restored engine's injector is a function of it.
 ///
-/// Format: `[owner_len u64 LE][owner u32 LE…][v2 checkpoint blob]`.
-pub fn checkpoint_rank(sim: &CoupledState, owner: &[u32]) -> Vec<u8> {
-    let mut buf = BytesMut::with_capacity(8 + owner.len() * 4);
-    buf.put_u64_le(owner.len() as u64);
+/// Format: `[owner_len u64 LE][owner u32 LE…][checkpoint blob]`.
+pub fn checkpoint_rank(sim: &RankEngine, owner: &[u32]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(8 + owner.len() * 4);
+    put_u64s(&mut out, [owner.len() as u64]);
     for &o in owner {
-        buf.put_u32_le(o);
+        out.extend_from_slice(&o.to_le_bytes());
     }
-    let mut out = buf.to_vec();
     out.extend_from_slice(&checkpoint(sim));
     out
+}
+
+/// Split `n` fixed-width little-endian words off the front of `buf`.
+/// `n` comes from the blob, so the byte length is overflow-checked.
+fn take_words<'a, const W: usize>(
+    buf: &mut &'a [u8],
+    n: usize,
+) -> Result<&'a [[u8; W]], CheckpointError> {
+    let (head, rest) = n
+        .checked_mul(W)
+        .and_then(|len| buf.split_at_checked(len))
+        .ok_or(CheckpointError::Truncated)?;
+    *buf = rest;
+    Ok(head.as_chunks().0)
+}
+
+fn take_u64(buf: &mut &[u8]) -> Result<u64, CheckpointError> {
+    Ok(u64::from_le_bytes(take_words(buf, 1)?[0]))
+}
+
+fn take_rng_state(buf: &mut &[u8]) -> Result<[u64; 4], CheckpointError> {
+    let mut state = [0u64; 4];
+    for (s, w) in state.iter_mut().zip(take_words(buf, 4)?) {
+        *s = u64::from_le_bytes(*w);
+    }
+    Ok(state)
+}
+
+fn take_f64s<'a>(
+    buf: &mut &'a [u8],
+    n: usize,
+) -> Result<impl Iterator<Item = f64> + 'a, CheckpointError> {
+    let words = take_words(buf, n)?;
+    Ok(words.iter().map(|w| f64::from_bits(u64::from_le_bytes(*w))))
 }
 
 /// Restore a [`checkpoint_rank`] envelope into rank `me`'s engine.
@@ -150,181 +166,90 @@ pub fn checkpoint_rank(sim: &CoupledState, owner: &[u32]) -> Vec<u8> {
 /// injector and the continuation stays bitwise identical. Returns the
 /// ownership map for the caller to resume under.
 pub fn restore_rank(
-    sim: &mut CoupledState,
+    sim: &mut RankEngine,
     me: usize,
     data: &[u8],
 ) -> Result<Vec<u32>, CheckpointError> {
     let mut buf = data;
-    if buf.remaining() < 8 {
-        return Err(CheckpointError::Truncated);
-    }
-    let n = buf.get_u64_le() as usize;
-    if n != sim.nm.num_coarse() {
+    let n = take_u64(&mut buf)?;
+    if n != sim.nm.num_coarse() as u64 {
         return Err(CheckpointError::Mismatch);
     }
-    if buf.remaining() < n * 4 {
-        return Err(CheckpointError::Truncated);
-    }
-    let owner: Vec<u32> = (0..n).map(|_| buf.get_u32_le()).collect();
+    let owner: Vec<u32> = take_words(&mut buf, n as usize)?
+        .iter()
+        .map(|w| u32::from_le_bytes(*w))
+        .collect();
     sim.injector = Injector::with_filter(&sim.nm.coarse, |t| owner[t as usize] == me as u32);
     restore(sim, buf)?;
     Ok(owner)
 }
 
-fn read_f64s(buf: &mut &[u8], n: usize) -> Result<Vec<f64>, CheckpointError> {
-    if buf.remaining() < n * 8 {
-        return Err(CheckpointError::Truncated);
-    }
-    Ok((0..n).map(|_| f64::from_bits(buf.get_u64_le())).collect())
-}
-
 /// Restore a checkpoint into `sim` (which must have been built from
 /// the same `SimConfig`). Replaces the particle population, step
-/// counter and — for v2+ checkpoints — the RNG stream, injector
-/// carry, warm-start potential (reconstructing E) and NTC
-/// `sigma_g_max` table, making the continuation bitwise identical to
-/// the uninterrupted run. Reads all of v1 (record-wise, fresh RNG),
-/// v2 (record-wise), v3 (lane-wise) and v4 (lane-wise plus the
-/// subcycling/pump aux RNG streams; pre-v4 restores re-seed those
-/// streams deterministically, which is exact because no pre-v4 run
-/// ever consumed them).
-pub fn restore(sim: &mut CoupledState, data: &[u8]) -> Result<(), CheckpointError> {
+/// counter, the three RNG streams, injector carry, warm-start
+/// potential (reconstructing E) and NTC `sigma_g_max` table, making
+/// the continuation bitwise identical to the uninterrupted run. On
+/// any error `sim` is left untouched.
+pub fn restore(sim: &mut RankEngine, data: &[u8]) -> Result<(), CheckpointError> {
     let mut buf = data;
-    if buf.remaining() < 24 {
+    if buf.len() < HEADER_LEN {
         return Err(CheckpointError::Truncated);
     }
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
+    if take_words(&mut buf, 1)?[0] != *MAGIC {
         return Err(CheckpointError::BadMagic);
     }
-    let version = buf.get_u32_le();
-    if !(1..=VERSION).contains(&version) {
+    let version = u32::from_le_bytes(take_words(&mut buf, 1)?[0]);
+    if version != VERSION {
         return Err(CheckpointError::BadVersion(version));
     }
-    let step = buf.get_u64_le() as usize;
+    let step = take_u64(&mut buf)? as usize;
 
-    let v2 = if version >= 2 {
-        if buf.remaining() < 32 + 8 + 8 {
-            return Err(CheckpointError::Truncated);
-        }
-        let rng_state = [
-            buf.get_u64_le(),
-            buf.get_u64_le(),
-            buf.get_u64_le(),
-            buf.get_u64_le(),
-        ];
-        let carry = f64::from_bits(buf.get_u64_le());
-        let n_phi = buf.get_u64_le() as usize;
-        if n_phi != sim.poisson.num_nodes() {
-            return Err(CheckpointError::Mismatch);
-        }
-        let phi = read_f64s(&mut buf, n_phi)?;
-        if buf.remaining() < 8 {
-            return Err(CheckpointError::Truncated);
-        }
-        let n_sigma = buf.get_u64_le() as usize;
-        if n_sigma != sim.collisions.sigma_g_max().len() {
-            return Err(CheckpointError::Mismatch);
-        }
-        let sigma = read_f64s(&mut buf, n_sigma)?;
-        Some((rng_state, carry, phi, sigma))
-    } else {
-        None
-    };
+    let rng_state = take_rng_state(&mut buf)?;
+    let carry = f64::from_bits(take_u64(&mut buf)?);
+    if take_u64(&mut buf)? != sim.poisson.num_nodes() as u64 {
+        return Err(CheckpointError::Mismatch);
+    }
+    let phi: Vec<f64> = take_f64s(&mut buf, sim.poisson.num_nodes())?.collect();
+    if take_u64(&mut buf)? != sim.collisions.sigma_g_max().len() as u64 {
+        return Err(CheckpointError::Mismatch);
+    }
+    let sigma: Vec<f64> = take_f64s(&mut buf, sim.collisions.sigma_g_max().len())?.collect();
+    let dsmc_state = take_rng_state(&mut buf)?;
+    let pump_state = take_rng_state(&mut buf)?;
 
-    let aux = if version >= 4 {
-        if buf.remaining() < 64 {
-            return Err(CheckpointError::Truncated);
-        }
-        let read_state = |buf: &mut &[u8]| {
-            [
-                buf.get_u64_le(),
-                buf.get_u64_le(),
-                buf.get_u64_le(),
-                buf.get_u64_le(),
-            ]
-        };
-        Some((read_state(&mut buf), read_state(&mut buf)))
-    } else {
-        None
-    };
-
-    if buf.remaining() < 8 {
+    // the count is untrusted: a wrapped `n * PACKED_SIZE` must not pass
+    // for the true remainder and reach `with_capacity(n)`
+    let n = take_u64(&mut buf)?;
+    if n.checked_mul(PACKED_SIZE as u64) != Some(buf.len() as u64) {
         return Err(CheckpointError::Truncated);
     }
-    let n = buf.get_u64_le() as usize;
-    if buf.remaining() != n * PACKED_SIZE {
-        return Err(CheckpointError::Truncated);
-    }
+    let n = n as usize;
     let mut particles = ParticleBuffer::with_capacity(n);
-    if version >= 3 {
-        // lane-wise body: read each lane as one contiguous run
-        for _ in 0..n {
-            particles.px.push(f64::from_bits(buf.get_u64_le()));
-        }
-        for _ in 0..n {
-            particles.py.push(f64::from_bits(buf.get_u64_le()));
-        }
-        for _ in 0..n {
-            particles.pz.push(f64::from_bits(buf.get_u64_le()));
-        }
-        for _ in 0..n {
-            particles.vx.push(f64::from_bits(buf.get_u64_le()));
-        }
-        for _ in 0..n {
-            particles.vy.push(f64::from_bits(buf.get_u64_le()));
-        }
-        for _ in 0..n {
-            particles.vz.push(f64::from_bits(buf.get_u64_le()));
-        }
-        for _ in 0..n {
-            particles.cell.push(buf.get_u32_le());
-        }
-        for _ in 0..n {
-            particles.species.push(buf.get_u8());
-        }
-        for _ in 0..n {
-            particles.id.push(buf.get_u64_le());
-        }
-        debug_assert!(particles.lanes_consistent());
-    } else {
-        for k in 0..n {
-            particles.push(unpack_particle(buf, k * PACKED_SIZE));
-        }
+    let p = &mut particles;
+    for lane in [
+        &mut p.px, &mut p.py, &mut p.pz, &mut p.vx, &mut p.vy, &mut p.vz,
+    ] {
+        lane.extend(take_f64s(&mut buf, n)?);
     }
+    let cells = take_words(&mut buf, n)?;
+    p.cell.extend(cells.iter().map(|w| u32::from_le_bytes(*w)));
+    p.species
+        .extend_from_slice(take_words::<1>(&mut buf, n)?.as_flattened());
+    let ids = take_words(&mut buf, n)?;
+    p.id.extend(ids.iter().map(|w| u64::from_le_bytes(*w)));
+    debug_assert!(particles.lanes_consistent());
+
     sim.particles = particles;
     sim.step_count = step;
-    match v2 {
-        Some((rng_state, carry, phi, sigma)) => {
-            sim.rng = StdRng::from_state(rng_state);
-            if let Some(inj) = sim.injector.as_mut() {
-                inj.set_carry(carry);
-            }
-            sim.poisson.set_phi(&phi);
-            sim.efield = ElectricField::from_potential(&sim.nm.fine, &phi);
-            sim.collisions.set_sigma_g_max(&sigma);
-        }
-        None => {
-            // legacy v1: deterministic fresh stream, like an MPI
-            // restart with new RNG seeds
-            sim.rng = StdRng::seed_from_u64(
-                sim.config.seed.wrapping_mul(0x9E3779B97F4A7C15) ^ step as u64,
-            );
-        }
+    sim.rng = StdRng::from_state(rng_state);
+    if let Some(inj) = sim.injector.as_mut() {
+        inj.set_carry(carry);
     }
-    match aux {
-        Some((dsmc_state, pump_state)) => {
-            sim.rng_dsmc = StdRng::from_state(dsmc_state);
-            sim.rng_pump = StdRng::from_state(pump_state);
-        }
-        None => {
-            // pre-v4 checkpoints never consumed the aux streams, so a
-            // deterministic re-seed restores the exact stream state
-            sim.rng_dsmc = StdRng::seed_from_u64(crate::engine::dsmc_stream_seed(sim.config.seed));
-            sim.rng_pump = StdRng::seed_from_u64(crate::engine::pump_stream_seed(sim.config.seed));
-        }
-    }
+    sim.poisson.set_phi(&phi);
+    sim.efield = ElectricField::from_potential(&sim.nm.fine, &phi);
+    sim.collisions.set_sigma_g_max(&sigma);
+    sim.rng_dsmc = StdRng::from_state(dsmc_state);
+    sim.rng_pump = StdRng::from_state(pump_state);
     Ok(())
 }
 
@@ -332,12 +257,11 @@ pub fn restore(sim: &mut CoupledState, data: &[u8]) -> Result<(), CheckpointErro
 mod tests {
     use super::*;
     use crate::config::Dataset;
-    use particles::pack_particle;
 
-    fn sim() -> CoupledState {
+    fn sim() -> RankEngine {
         let mut cfg = Dataset::D1.config(0.02);
         cfg.seed = 404;
-        CoupledState::new(cfg)
+        RankEngine::new(cfg)
     }
 
     #[test]
@@ -360,7 +284,7 @@ mod tests {
     #[test]
     fn restored_run_finishes_byte_identical() {
         // interrupt at step 6, restore into a fresh state, finish both
-        // runs: the v2 checkpoint must make the continuation bitwise
+        // runs: the checkpoint must make the continuation bitwise
         // identical through the unified engine — particles, RNG
         // stream, warm-start potential and all.
         let mut a = sim();
@@ -406,96 +330,65 @@ mod tests {
     }
 
     #[test]
-    fn v1_checkpoints_still_restore() {
+    fn other_versions_are_bad_version_and_leave_sim_untouched() {
         let mut a = sim();
         for _ in 0..4 {
             a.dsmc_step();
         }
-        // hand-build a v1 blob: magic, version 1, step, count, records
-        let mut blob = BytesMut::new();
-        blob.put_slice(MAGIC);
-        blob.put_u32_le(1);
-        blob.put_u64_le(a.step_count as u64);
-        blob.put_u64_le(a.particles.len() as u64);
-        for i in 0..a.particles.len() {
-            let mut rec = Vec::new();
-            pack_particle(&a.particles.get(i), &mut rec);
-            blob.put_slice(&rec);
-        }
-        let blob = blob.to_vec();
+        let blob = checkpoint(&a);
+        assert_eq!(blob[4..8], 4u32.to_le_bytes(), "the writer emits v4");
         let mut b = sim();
-        restore(&mut b, &blob).unwrap();
-        assert_eq!(b.step_count, a.step_count);
-        assert_eq!(b.particles.len(), a.particles.len());
-        // legacy restores re-seed deterministically
-        let mut c = sim();
-        restore(&mut c, &blob).unwrap();
-        assert_eq!(b.rng, c.rng);
+        b.dsmc_step();
+        let untouched = checkpoint(&b);
+        for version in [1u32, 2, 3, 5] {
+            let mut other = blob.clone();
+            other[4..8].copy_from_slice(&version.to_le_bytes());
+            assert_eq!(
+                restore(&mut b, &other),
+                Err(CheckpointError::BadVersion(version))
+            );
+            assert_eq!(checkpoint(&b), untouched);
+        }
     }
 
     #[test]
-    fn v2_checkpoints_still_restore_bitwise() {
-        let mut a = sim();
-        for _ in 0..6 {
-            a.dsmc_step();
-        }
-        // hand-build a v2 blob: same state prelude as v3, but the
-        // particle population as consecutive 61-byte wire records
-        let mut blob = BytesMut::new();
-        blob.put_slice(MAGIC);
-        blob.put_u32_le(2);
-        blob.put_u64_le(a.step_count as u64);
-        for w in a.rng.state() {
-            blob.put_u64_le(w);
-        }
-        blob.put_u64_le(a.injector.as_ref().map_or(0.0, |inj| inj.carry()).to_bits());
-        let phi = a.poisson.phi().to_vec();
-        blob.put_u64_le(phi.len() as u64);
-        for &v in &phi {
-            blob.put_u64_le(v.to_bits());
-        }
-        let sigma = a.collisions.sigma_g_max().to_vec();
-        blob.put_u64_le(sigma.len() as u64);
-        for &v in &sigma {
-            blob.put_u64_le(v.to_bits());
-        }
-        blob.put_u64_le(a.particles.len() as u64);
-        for i in 0..a.particles.len() {
-            let mut rec = Vec::new();
-            pack_particle(&a.particles.get(i), &mut rec);
-            blob.put_slice(&rec);
-        }
-        let blob = blob.to_vec();
+    fn overflowing_particle_counts_are_truncated_not_allocated() {
+        // the count field is the last 8 bytes of an empty simulation's
+        // blob; the particle section must be exactly `count * 61` bytes
         let mut b = sim();
-        restore(&mut b, &blob).unwrap();
-        // a v2 restore carries the full state: the continuation must
-        // stay bitwise identical to the uninterrupted run
-        for _ in 0..4 {
-            a.dsmc_step();
-            b.dsmc_step();
+        let mut blob = checkpoint(&b);
+        let at = blob.len() - 8;
+        blob[at..].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert_eq!(restore(&mut b, &blob), Err(CheckpointError::Truncated));
+        // 61 is odd, hence invertible mod 2^64: with one trailing byte
+        // the count 61^-1 makes a wrapping `count * 61` equal the true
+        // remainder (Newton iteration doubles the correct bits)
+        let mut inv = 1u64;
+        for _ in 0..6 {
+            inv = inv.wrapping_mul(2u64.wrapping_sub(inv.wrapping_mul(PACKED_SIZE as u64)));
         }
-        assert_eq!(a.particles.len(), b.particles.len());
-        for i in 0..a.particles.len() {
-            assert_eq!(a.particles.get(i), b.particles.get(i));
-        }
-        assert_eq!(a.rng, b.rng, "RNG streams diverged after v2 restore");
+        assert_eq!(inv.wrapping_mul(PACKED_SIZE as u64), 1);
+        blob[at..].copy_from_slice(&inv.to_le_bytes());
+        blob.push(0);
+        assert_eq!(restore(&mut b, &blob), Err(CheckpointError::Truncated));
+        assert_eq!(b.particles.len(), 0);
     }
 
     #[test]
     fn subcycled_pumped_restore_is_bitwise() {
         // with k_sub_dsmc > 1 and a partial pump both aux streams are
-        // consumed every step: a v4 restore must carry them so the
+        // consumed every step: a restore must carry them so the
         // continuation stays bitwise identical
         let mut cfg = Dataset::D1.config(0.02);
         cfg.seed = 404;
         cfg.k_sub_dsmc = 2;
         cfg.pump_prob = Some(0.6);
-        let mut a = CoupledState::new(cfg.clone());
+        let mut a = RankEngine::new(cfg.clone());
         for _ in 0..6 {
             a.dsmc_step();
         }
         let blob = checkpoint(&a);
-        let mut b = CoupledState::new(cfg);
+        let mut b = RankEngine::new(cfg);
         restore(&mut b, &blob).unwrap();
         for _ in 0..5 {
             a.dsmc_step();

@@ -16,24 +16,20 @@
 
 use crate::config::RunConfig;
 use crate::engine::{
-    Backend, BackendStats, ExchangeInfo, NoProbe, RankEngine, StepComm, StepOutcome, StepPipeline,
+    run_whole_domain, Backend, BackendStats, ExchangeInfo, RankEngine, StepComm, StepOutcome,
+    StepPipeline, StepRecord,
 };
 use crate::machine::{CostModel, MachineProfile, Placement};
-use crate::report::{ReportBuilder, RunReport};
-use crate::state::{CoupledState, StepRecord};
-use crate::timers::{Breakdown, Phase};
+use crate::report::RunReport;
 use balance::{load_imbalance_indicator, CostSample, RebalanceOutcome, Rebalancer};
 use dsmc::EXITED;
-use obs::Observer as _;
+use obs::{Breakdown, NullObserver, Phase};
 use particles::PACKED_SIZE;
 use partition::Decomposition;
 use partition::{part_graph_kway, Graph, KwayOptions};
 use vmpi::{Flows, Strategy, TrafficSummary};
 
 pub use crate::report::StepTrace;
-
-/// Aggregate outcome of a cluster run — the shared [`RunReport`].
-pub type ClusterReport = RunReport;
 
 /// Attribution backend: no real communication, modelled per-rank
 /// costs. Each `lap` charges the phase's work to the virtual rank
@@ -470,7 +466,7 @@ impl Backend for ModelledBackend {
 /// whole-domain [`RankEngine`] plus the [`ModelledBackend`] running
 /// through the shared [`StepPipeline`].
 pub struct ClusterSim {
-    pub state: CoupledState,
+    pub state: RankEngine,
     backend: ModelledBackend,
     pipeline: StepPipeline,
     /// Observability config carried from the [`RunConfig`]; honored
@@ -484,7 +480,7 @@ impl ClusterSim {
     /// "we use METIS to decompose the grid ... solely according to
     /// the number of grid cells").
     pub fn new(run: &RunConfig, profile: MachineProfile) -> Self {
-        let state = CoupledState::new(run.sim.clone());
+        let state = RankEngine::new(run.sim.clone());
         let (xadj, adjncy) = state.nm.coarse.cell_graph();
         let g = Graph::new(xadj.clone(), adjncy.clone(), vec![1; state.nm.num_coarse()]);
         let ncoarse = state.nm.num_coarse();
@@ -519,58 +515,27 @@ impl ClusterSim {
         let idx = self.state.step_count;
         let (_, trace, bd) =
             self.pipeline
-                .run_step(&mut self.state, &mut self.backend, &mut NoProbe, idx);
+                .run_step(&mut self.state, &mut self.backend, &mut NullObserver, idx);
         (trace, bd)
     }
 
     /// Run `steps` DSMC iterations, returning the aggregate report.
-    pub fn run(&mut self, steps: usize) -> ClusterReport {
-        let mut builder = ReportBuilder::new();
-        let sink = self.obs.trace.make_sink().expect("open trace sink");
-        let mut rec = obs::Recorder::new(self.obs.metrics.as_ref(), sink)
-            .with_time_average(self.obs.avg_window);
-        rec.meta(self.backend.ranks, steps);
-        for _ in 0..steps {
-            let idx = self.state.step_count;
-            {
-                let mut observer = obs::Tee(&mut builder, &mut rec);
-                self.pipeline
-                    .run_step(&mut self.state, &mut self.backend, &mut observer, idx);
-            }
-            // read-only diagnostic tap, identical to run_serial's: with
-            // avg_window == 0 no sample is ever computed
-            if self.obs.avg_window > 0 {
-                let (neutral, _) = self.state.counts_per_cell();
-                let counts: Vec<f64> = neutral.iter().map(|&c| c as f64).collect();
-                let density = crate::diag::number_density(
-                    &counts,
-                    &self.state.nm.coarse.volumes,
-                    self.state.species.get(self.state.h_id).weight,
-                );
-                rec.field_sample("density_h", &density);
-                rec.field_sample("phi", self.state.poisson.phi());
-            }
-        }
-        rec.finish();
+    pub fn run(&mut self, steps: usize) -> RunReport {
+        let ranks = self.backend.ranks;
+        let mut report = run_whole_domain(
+            &mut self.state,
+            &mut self.backend,
+            self.pipeline,
+            &self.obs,
+            ranks,
+            steps,
+        );
         let stats = self.backend.stats();
-        let mut report = builder.finish();
-        report.population = self.state.particles.len();
         report.strategy_uses = stats.strategy_uses;
         report.rebalances = stats.rebalances;
         report.rebalance_migrated = stats.rebalance_migrated;
         report.transactions = stats.transactions;
         report.bytes = stats.bytes;
-        let (neutral, _) = self.state.counts_per_cell();
-        let counts: Vec<f64> = neutral.iter().map(|&c| c as f64).collect();
-        report.density_h = crate::diag::number_density(
-            &counts,
-            &self.state.nm.coarse.volumes,
-            self.state.species.get(self.state.h_id).weight,
-        );
-        if let Some(avg) = rec.time_average() {
-            report.density_h_avg = avg.mean("density_h").unwrap_or_default();
-            report.phi_avg = avg.mean("phi").unwrap_or_default();
-        }
         report
     }
 }

@@ -11,11 +11,10 @@ use mesh::NozzleSpec;
 use obs::json::{obj, Json};
 use obs::{Registry, TraceSpec};
 use partition::Decomposition;
-use serde::{Deserialize, Serialize};
 use vmpi::{FaultAction, FaultPlan, Strategy};
 
 /// Physics and numerics of one simulation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimConfig {
     /// Nozzle geometry / mesh resolution.
     pub nozzle: NozzleSpec,
@@ -89,7 +88,7 @@ impl SimConfig {
 }
 
 /// One of the paper's six datasets (Table I), possibly scaled down.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Dataset {
     D1,
     D2,
@@ -601,21 +600,6 @@ impl RunConfig {
     pub fn config_hash_hex(&self) -> String {
         format!("{:016x}", self.config_hash())
     }
-
-    /// Standard paper-experiment setup: dataset at `scale`, with the
-    /// matching work boost for the cost model. Equivalent to
-    /// `RunConfig::builder().paper(dataset, scale).ranks(ranks)`.
-    ///
-    /// # Panics
-    /// If `ranks == 0` (use [`RunConfig::builder`] for fallible
-    /// validation).
-    pub fn paper(dataset: Dataset, scale: f64, ranks: usize) -> Self {
-        RunConfig::builder()
-            .paper(dataset, scale)
-            .ranks(ranks)
-            .build()
-            .expect("ranks >= 1")
-    }
 }
 
 /// Builder for [`RunConfig`] with validation at [`build`] time.
@@ -917,7 +901,7 @@ mod tests {
     }
 
     #[test]
-    fn builder_validates_and_matches_paper_shorthand() {
+    fn builder_validates_and_applies_the_paper_setup() {
         let built = RunConfig::builder()
             .paper(Dataset::D1, 0.02)
             .ranks(3)
@@ -926,9 +910,8 @@ mod tests {
             .steps(12)
             .build()
             .unwrap();
-        let shorthand = RunConfig::paper(Dataset::D1, 0.02, 3);
-        assert_eq!(built.work_boost, shorthand.work_boost);
-        assert_eq!(built.paper_cells, shorthand.paper_cells);
+        assert_eq!(built.work_boost, Dataset::D1.work_boost(0.02));
+        assert_eq!(built.paper_cells, Some(Dataset::D1.paper_pic_cells()));
         assert_eq!(built.ranks, 3);
         assert_eq!(built.strategy, Strategy::Auto);
         assert_eq!(built.threads_per_rank, 4);

@@ -20,21 +20,20 @@
 //!   traffic, rebalances and per-step traces; the default
 //!   implementation is a no-op, and
 //!   [`crate::report::ReportBuilder`] uses it to assemble the shared
-//!   [`crate::report::RunReport`]. The engine-private [`Probe`] hook
-//!   is superseded by that public API; [`ProbeAdapter`] keeps legacy
-//!   probes working.
+//!   [`crate::report::RunReport`].
 
-use crate::config::SimConfig;
-use crate::report::StepTrace;
-use crate::state::StepRecord;
-use crate::timers::{Breakdown, Phase};
+use crate::config::{ObsConfig, SimConfig};
+use crate::report::{ReportBuilder, RunReport, StepTrace};
 use dsmc::{
     move_particles_pooled, ChemistryModel, CollisionEvent, CollisionModel, CrossCollisionModel,
-    Injector, Pump,
+    Injector, Pump, ReactStats,
 };
 use kernels::Pool;
 use mesh::NestedMesh;
-use obs::{ExchangeEvent, Observer, RebalanceEvent, SpanTimer};
+use obs::{
+    Breakdown, ExchangeEvent, NullObserver, Observer, Phase, RebalanceEvent, Recorder, SpanTimer,
+    Tee,
+};
 use particles::{ParticleBuffer, SortScratch, SpeciesTable};
 use pic::{accelerate_charged_pooled, deposit_charge_pooled, ElectricField, PoissonSolver};
 use rand::rngs::StdRng;
@@ -101,15 +100,14 @@ pub struct RankEngine {
 
 /// Seed of the dedicated DSMC subcycle stream for a rank seeded with
 /// `seed` (splitmix64 golden-ratio offset — decorrelated from both
-/// the main stream and the pump stream). Shared with the checkpoint
-/// module: pre-v4 snapshots re-derive the aux streams from this.
-pub(crate) fn dsmc_stream_seed(seed: u64) -> u64 {
+/// the main stream and the pump stream).
+fn dsmc_stream_seed(seed: u64) -> u64 {
     seed.wrapping_add(0x9E37_79B9_7F4A_7C15)
 }
 
 /// Seed of the dedicated pump-decision stream (see
 /// [`dsmc_stream_seed`]).
-pub(crate) fn pump_stream_seed(seed: u64) -> u64 {
+fn pump_stream_seed(seed: u64) -> u64 {
     seed.wrapping_add(0x3C6E_F372_FE94_F82A)
 }
 
@@ -260,7 +258,7 @@ impl RankEngine {
         let (rec, _, _) = StepPipeline::default().run_step(
             self,
             &mut SerialBackend::new(),
-            &mut obs::NullObserver,
+            &mut NullObserver,
             step,
         );
         rec
@@ -470,6 +468,33 @@ impl RankEngine {
     }
 }
 
+/// Work quantities of one DSMC iteration, for timing attribution.
+#[derive(Debug, Clone, Default)]
+pub struct StepRecord {
+    /// Coarse cell of every particle injected this step.
+    pub injected_cells: Vec<u32>,
+    /// `(old_cell, new_cell)` per neutral moved in DSMC_Move
+    /// (`new_cell == dsmc::EXITED` when it left the domain).
+    pub neutral_transitions: Vec<(u32, u32)>,
+    /// Same, per PIC substep, for charged particles.
+    pub charged_transitions: Vec<Vec<(u32, u32)>>,
+    /// NTC candidates examined.
+    pub collision_candidates: usize,
+    /// Accepted collisions.
+    pub collisions: usize,
+    /// Reaction counts.
+    pub reactions: ReactStats,
+    /// CG iterations of each PIC substep's Poisson solve.
+    pub poisson_iters: Vec<usize>,
+    /// Particles removed at the boundaries this step.
+    pub exited: usize,
+    /// Particles absorbed by the partial pump this step (disjoint
+    /// from `exited`; always 0 when `pump_prob` is unset).
+    pub pumped: usize,
+    /// Particle population after the step.
+    pub population: usize,
+}
+
 /// What a rebalance hook decided this step.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StepOutcome {
@@ -622,44 +647,6 @@ pub trait Backend {
     }
 }
 
-/// Legacy observer hook of the pipeline, superseded by the public
-/// [`obs::Observer`] API (which adds per-exchange and per-rebalance
-/// signals). Existing implementations keep working through
-/// [`ProbeAdapter`]; new code should implement [`obs::Observer`]
-/// directly.
-pub trait Probe {
-    /// `phase` took `seconds` this step (called once per phase per
-    /// step, after the step completes).
-    fn phase(&mut self, phase: Phase, seconds: f64) {
-        let _ = (phase, seconds);
-    }
-
-    /// Step `index` finished with this trace.
-    fn step(&mut self, index: usize, trace: &StepTrace) {
-        let _ = (index, trace);
-    }
-}
-
-/// Adapts a legacy [`Probe`] to the [`obs::Observer`] API the
-/// pipeline drives (exchange/rebalance signals are dropped — the
-/// `Probe` trait never had them).
-#[derive(Debug, Default)]
-pub struct ProbeAdapter<P: Probe>(pub P);
-
-impl<P: Probe> Observer for ProbeAdapter<P> {
-    fn phase(&mut self, phase: Phase, seconds: f64) {
-        self.0.phase(phase, seconds);
-    }
-
-    fn step(&mut self, index: usize, trace: &StepTrace) {
-        self.0.step(index, trace);
-    }
-}
-
-/// The do-nothing observer (historical name; now an alias of
-/// [`obs::NullObserver`], which the pipeline accepts directly).
-pub use obs::NullObserver as NoProbe;
-
 /// The coupled timestep's phase sequence (paper Fig. 1), defined
 /// exactly once. Every driver — `run_serial`, `run_threaded`,
 /// `ClusterSim` — iterates this.
@@ -793,6 +780,58 @@ impl StepPipeline {
     }
 }
 
+/// H number density per coarse cell of a whole-domain engine.
+fn density_h(eng: &RankEngine) -> Vec<f64> {
+    let (neutral, _) = eng.counts_per_cell();
+    let counts: Vec<f64> = neutral.iter().map(|&c| c as f64).collect();
+    crate::diag::number_density(
+        &counts,
+        &eng.nm.coarse.volumes,
+        eng.species.get(eng.h_id).weight,
+    )
+}
+
+/// The run loop of the two whole-domain drivers (`run_serial` and
+/// `ClusterSim::run`): `steps` iterations of `pipeline` on the one
+/// engine owning every cell, observed by a [`ReportBuilder`] and an
+/// [`obs::Recorder`] set up from `obs`. The returned report carries
+/// the trace, the breakdown, the final and time-averaged diagnostics
+/// and the population; the caller adds what only its backend knows.
+/// `ranks` labels the trace's metadata record.
+pub(crate) fn run_whole_domain<B: Backend>(
+    eng: &mut RankEngine,
+    be: &mut B,
+    pipeline: StepPipeline,
+    obs: &ObsConfig,
+    ranks: usize,
+    steps: usize,
+) -> RunReport {
+    let mut builder = ReportBuilder::new();
+    let sink = obs.trace.make_sink().expect("open trace sink");
+    let mut rec = Recorder::new(obs.metrics.as_ref(), sink).with_time_average(obs.avg_window);
+    rec.meta(ranks, steps);
+    for _ in 0..steps {
+        let idx = eng.step_count;
+        pipeline.run_step(eng, be, &mut Tee(&mut builder, &mut rec), idx);
+        // time-averaged diagnostics are read-only taps: sampling
+        // never perturbs the physics, and with avg_window == 0 the
+        // samples are dropped before they are even computed
+        if obs.avg_window > 0 {
+            rec.field_sample("density_h", &density_h(eng));
+            rec.field_sample("phi", eng.poisson.phi());
+        }
+    }
+    rec.finish();
+    let mut report = builder.finish();
+    report.density_h = density_h(eng);
+    report.population = eng.particles.len();
+    if let Some(avg) = rec.time_average() {
+        report.density_h_avg = avg.mean("density_h").unwrap_or_default();
+        report.phi_avg = avg.mean("phi").unwrap_or_default();
+    }
+    report
+}
+
 /// The one wall-clock phase-attribution path shared by the serial and
 /// threaded backends: a flat [`SpanTimer`] whose gap-free laps are
 /// charged to the closing phase, so every lap-filled breakdown sums
@@ -903,12 +942,16 @@ mod tests {
     use super::*;
     use crate::config::Dataset;
 
+    fn small_state() -> RankEngine {
+        let mut cfg = Dataset::D1.config(0.02);
+        cfg.seed = 7;
+        RankEngine::new(cfg)
+    }
+
     #[test]
     fn serial_pipeline_matches_monolithic_record() {
         // the pipeline-driven dsmc_step must fill the full record
-        let mut cfg = Dataset::D1.config(0.02);
-        cfg.seed = 7;
-        let mut eng = RankEngine::new(cfg);
+        let mut eng = small_state();
         let rec = eng.dsmc_step();
         assert!(!rec.injected_cells.is_empty());
         assert_eq!(rec.poisson_iters.len(), eng.config.pic_per_dsmc);
@@ -919,12 +962,10 @@ mod tests {
 
     #[test]
     fn serial_backend_breakdown_tiles_the_step() {
-        let mut cfg = Dataset::D1.config(0.02);
-        cfg.seed = 7;
-        let mut eng = RankEngine::new(cfg);
+        let mut eng = small_state();
         let mut be = SerialBackend::new();
         let pipeline = StepPipeline::default();
-        let (_, trace, bd) = pipeline.run_step(&mut eng, &mut be, &mut NoProbe, 0);
+        let (_, trace, bd) = pipeline.run_step(&mut eng, &mut be, &mut NullObserver, 0);
         assert!(bd.total() > 0.0, "laps must measure wall time");
         assert_eq!(trace.step_time, bd.total());
         assert_eq!(trace.share, vec![1.0]);
@@ -932,14 +973,14 @@ mod tests {
     }
 
     #[test]
-    fn legacy_probe_sees_every_phase_and_step_through_adapter() {
+    fn observer_sees_every_phase_and_step() {
         #[derive(Default)]
         struct Counting {
             phases: usize,
             steps: usize,
             time: f64,
         }
-        impl Probe for Counting {
+        impl Observer for Counting {
             fn phase(&mut self, _p: Phase, s: f64) {
                 self.phases += 1;
                 self.time += s;
@@ -950,28 +991,122 @@ mod tests {
                 self.time = 0.0;
             }
         }
-        let mut cfg = Dataset::D1.config(0.02);
-        cfg.seed = 7;
-        let mut eng = RankEngine::new(cfg);
+        let mut eng = small_state();
         let mut be = SerialBackend::new();
-        let mut probe = ProbeAdapter(Counting::default());
+        let mut counting = Counting::default();
         let pipeline = StepPipeline::default();
         for step in 0..3 {
-            pipeline.run_step(&mut eng, &mut be, &mut probe, step);
+            pipeline.run_step(&mut eng, &mut be, &mut counting, step);
         }
-        assert_eq!(probe.0.steps, 3);
-        assert_eq!(probe.0.phases, 3 * Phase::ALL.len());
+        assert_eq!(counting.steps, 3);
+        assert_eq!(counting.phases, 3 * Phase::ALL.len());
     }
 
     #[test]
     fn serial_step_comm_is_zero() {
-        let mut cfg = Dataset::D1.config(0.02);
-        cfg.seed = 7;
-        let mut eng = RankEngine::new(cfg);
+        let mut eng = small_state();
         let mut be = SerialBackend::new();
-        let (_, trace, _) = StepPipeline::default().run_step(&mut eng, &mut be, &mut NoProbe, 0);
+        let (_, trace, _) =
+            StepPipeline::default().run_step(&mut eng, &mut be, &mut NullObserver, 0);
         assert_eq!(trace.transactions, 0);
         assert_eq!(trace.bytes, 0);
         assert_eq!(trace.strategy_uses, [0; 4]);
+    }
+
+    #[test]
+    fn step_injects_and_grows_population() {
+        let mut st = small_state();
+        let rec = st.dsmc_step();
+        assert!(!rec.injected_cells.is_empty(), "must inject particles");
+        assert_eq!(rec.population, st.particles.len());
+        assert!(!st.particles.is_empty());
+        assert_eq!(rec.poisson_iters.len(), st.config.pic_per_dsmc);
+        assert_eq!(rec.charged_transitions.len(), st.config.pic_per_dsmc);
+    }
+
+    #[test]
+    fn population_reaches_quasi_steady_state() {
+        let mut st = small_state();
+        let mut pops = Vec::new();
+        for _ in 0..60 {
+            pops.push(st.dsmc_step().population);
+        }
+        // population grows at first then saturates (injection balanced
+        // by outflow): the last-10 mean must be within 3x of the
+        // mid-run mean and nonzero
+        let mid: f64 = pops[25..35].iter().sum::<usize>() as f64 / 10.0;
+        let end: f64 = pops[50..60].iter().sum::<usize>() as f64 / 10.0;
+        assert!(end > 0.0);
+        assert!(
+            end < 3.0 * mid + 100.0,
+            "population must not diverge: {pops:?}"
+        );
+    }
+
+    #[test]
+    fn particles_track_cells() {
+        let mut st = small_state();
+        for _ in 0..5 {
+            st.dsmc_step();
+        }
+        for p in st.particles.iter() {
+            assert!(
+                st.nm.coarse.contains(p.cell as usize, p.pos, 1e-5),
+                "particle/cell desync"
+            );
+        }
+    }
+
+    #[test]
+    fn transitions_cover_all_moved_neutrals() {
+        let mut st = small_state();
+        st.dsmc_step();
+        let rec = st.dsmc_step();
+        // every neutral present at move time produces one record
+        let exited_neutrals = rec
+            .neutral_transitions
+            .iter()
+            .filter(|&&(_, n)| n == dsmc::EXITED)
+            .count();
+        let survived = rec.neutral_transitions.len() - exited_neutrals;
+        let neutrals_now = st
+            .particles
+            .species
+            .iter()
+            .filter(|&&s| s == st.h_id)
+            .count();
+        // survivors can since have reacted, so allow slack of the
+        // reaction counts
+        let slack =
+            rec.reactions.dissociations + rec.reactions.recombinations + rec.injected_cells.len();
+        assert!(
+            (neutrals_now as i64 - survived as i64).unsigned_abs() as usize <= slack,
+            "{neutrals_now} vs {survived} (slack {slack})"
+        );
+    }
+
+    #[test]
+    fn deterministic_for_same_seed() {
+        let mut a = small_state();
+        let mut b = small_state();
+        for _ in 0..3 {
+            a.dsmc_step();
+            b.dsmc_step();
+        }
+        assert_eq!(a.particles.len(), b.particles.len());
+        for i in 0..a.particles.len() {
+            assert_eq!(a.particles.pos(i), b.particles.pos(i));
+        }
+    }
+
+    #[test]
+    fn counts_per_cell_sum_to_population() {
+        let mut st = small_state();
+        for _ in 0..4 {
+            st.dsmc_step();
+        }
+        let (n, c) = st.counts_per_cell();
+        let total: u64 = n.iter().sum::<u64>() + c.iter().sum::<u64>();
+        assert_eq!(total as usize, st.particles.len());
     }
 }

@@ -15,9 +15,7 @@ pub mod job;
 pub mod machine;
 pub mod report;
 pub mod scenario;
-pub mod state;
 pub mod threadrun;
-pub mod timers;
 pub mod tune;
 
 /// One-stop imports for configuring runs, driving them (directly or
@@ -61,26 +59,22 @@ pub mod prelude {
 
 pub use balance::{CostSample, CostSource, CostSourceKind};
 pub use checkpoint::{checkpoint, checkpoint_rank, restore, restore_rank, CheckpointError};
-pub use cluster::{ClusterReport, ClusterSim, ModelledBackend};
+pub use cluster::{ClusterSim, ModelledBackend};
 pub use config::{
     ConfigError, Dataset, FaultPolicy, ObsConfig, RunConfig, RunConfigBuilder, SimConfig,
     CONFIG_SCHEMA_VERSION,
 };
 pub use engine::{
-    Backend, BackendStats, ExchangeInfo, ExchangeScratch, NoProbe, Probe, ProbeAdapter, RankEngine,
-    SerialBackend, StepComm, StepOutcome, StepPipeline, WallClock,
+    Backend, BackendStats, ExchangeInfo, ExchangeScratch, RankEngine, SerialBackend, StepComm,
+    StepOutcome, StepPipeline, StepRecord, WallClock,
 };
 pub use job::{JobId, JobMeta, JobPriority, JobSpec, JobStatus};
 pub use machine::{CostModel, MachineProfile, Placement};
+pub use obs::{Breakdown, Phase};
 pub use partition::Decomposition;
 pub use report::{ReportBuilder, RunReport, StepTrace};
 pub use scenario::{Scenario, ScenarioError};
-pub use state::{CoupledState, StepRecord};
 pub use threadrun::{
     run_serial, run_threaded, run_threaded_result, EngineSession, RunError, ThreadedBackend,
-    ThreadedRunResult,
 };
-pub use timers::{Breakdown, BreakdownExt, Phase};
-pub use tune::{
-    tune_balancer, tune_strategy, StrategyPoint, StrategyTuneReport, TunePoint, TuneReport,
-};
+pub use tune::{tune_balancer, TunePoint, TuneReport};

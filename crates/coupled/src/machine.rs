@@ -15,11 +15,10 @@
 //!   ranks plus log-depth reduction latency that grows with ranks —
 //!   reproducing the paper's non-scaling `Poisson_Solve` (Table IV).
 
-use serde::{Deserialize, Serialize};
 use vmpi::{Flows, NodeMap, Strategy, TrafficSummary};
 
 /// Per-core processing rates and network parameters of one platform.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct MachineProfile {
     pub name: &'static str,
     /// CPU cores per node (Tianhe-2: 24, BSCC: 96, Tianhe-3: 64).
@@ -94,7 +93,7 @@ impl MachineProfile {
 
 /// MPI rank placement on the fat-tree (paper §VII-D.2): longer routes
 /// cost slightly more latency and bandwidth.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Placement {
     /// All ranks within one 32-node frame.
     InnerFrame,

@@ -3,16 +3,14 @@
 //! in the same layout the paper's tables use).
 
 use crate::job::JobMeta;
-use crate::timers::{Breakdown, Phase};
 use obs::json::{obj, Json};
-use obs::Observer;
+use obs::{Breakdown, Observer, Phase};
 use std::fmt::Write as _;
 
 pub use obs::StepTrace;
 
 /// Unified result of a coupled run. The serial, threaded and
-/// modelled-cluster drivers all return this one type (the old
-/// `ThreadedRunResult` / `ClusterReport` are aliases of it), so every
+/// modelled-cluster drivers all return this one type, so every
 /// consumer gets the same breakdown, traffic and per-step trace
 /// regardless of which backend produced it.
 #[derive(Debug, Clone, Default)]

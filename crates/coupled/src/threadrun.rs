@@ -45,17 +45,15 @@
 use crate::checkpoint::{checkpoint_rank, restore_rank, CheckpointError};
 use crate::config::{FaultPolicy, RunConfig};
 use crate::engine::{
-    Backend, BackendStats, ExchangeInfo, ExchangeScratch, RankEngine, SerialBackend, StepComm,
-    StepOutcome, StepPipeline, WallClock,
+    run_whole_domain, Backend, BackendStats, ExchangeInfo, ExchangeScratch, RankEngine,
+    SerialBackend, StepComm, StepOutcome, StepPipeline, StepRecord, WallClock,
 };
 use crate::machine::{CostModel, MachineProfile};
 use crate::report::{ReportBuilder, RunReport};
-use crate::state::StepRecord;
-use crate::timers::{Breakdown, Phase};
 use balance::{load_imbalance_indicator, CostSample, RankTimes, RebalanceOutcome, Rebalancer};
 use dsmc::Injector;
 use mesh::NestedMesh;
-use obs::{Observer as _, Recorder, Tee};
+use obs::{Breakdown, Phase, Recorder, Tee};
 use particles::{pack_index, unpack_all, ParticleBuffer, SpeciesTable};
 use partition::{block_ranges, Decomposition};
 use std::sync::{Arc, Mutex};
@@ -66,10 +64,6 @@ use vmpi::{
     exchange_hier_overlapped, exchange_into, run_world, ChaosComm, ChaosWorld, Comm, CommError,
     CommResult, Flows, NodeMap, ReliableComm, ReliableWorld, Strategy,
 };
-
-/// Result of a threaded run (as returned by rank 0) — the shared
-/// [`RunReport`].
-pub type ThreadedRunResult = RunReport;
 
 /// Recovery replays attempted before a fault is surfaced to the
 /// caller — a backstop against fault plans (or genuinely broken
@@ -1160,54 +1154,22 @@ fn rank_main<C: Comm>(
 /// same pipeline.
 pub fn run_serial(run: &RunConfig) -> RunReport {
     let mut eng = RankEngine::new(run.sim.clone());
-    let mut be = SerialBackend::new();
     let pipeline = StepPipeline {
         sort_every: run.sort_every,
     };
-    let mut builder = ReportBuilder::new();
-    let sink = run.obs.trace.make_sink().expect("open trace sink");
-    let mut rec =
-        Recorder::new(run.obs.metrics.as_ref(), sink).with_time_average(run.obs.avg_window);
-    rec.meta(1, run.steps);
-    for step in 0..run.steps {
-        {
-            let mut obs = Tee(&mut builder, &mut rec);
-            pipeline.run_step(&mut eng, &mut be, &mut obs, step);
-        }
-        // time-averaged diagnostics are read-only taps: sampling
-        // never perturbs the physics, and with avg_window == 0 the
-        // samples are dropped before they are even computed
-        if run.obs.avg_window > 0 {
-            let (neutral, _) = eng.counts_per_cell();
-            let counts: Vec<f64> = neutral.iter().map(|&c| c as f64).collect();
-            let density = crate::diag::number_density(
-                &counts,
-                &eng.nm.coarse.volumes,
-                eng.species.get(eng.h_id).weight,
-            );
-            rec.field_sample("density_h", &density);
-            rec.field_sample("phi", eng.poisson.phi());
-        }
-    }
-    rec.finish();
+    let report = run_whole_domain(
+        &mut eng,
+        &mut SerialBackend::new(),
+        pipeline,
+        &run.obs,
+        1,
+        run.steps,
+    );
     if let Some(reg) = &run.obs.metrics {
         for (w, b) in eng.pool.busy_seconds().iter().enumerate() {
             reg.gauge(&format!("kernels.rank0.worker{w}.busy_seconds"))
                 .set(*b);
         }
-    }
-    let (neutral, _) = eng.counts_per_cell();
-    let counts: Vec<f64> = neutral.iter().map(|&c| c as f64).collect();
-    let mut report = builder.finish();
-    report.density_h = crate::diag::number_density(
-        &counts,
-        &eng.nm.coarse.volumes,
-        eng.species.get(eng.h_id).weight,
-    );
-    report.population = eng.particles.len();
-    if let Some(avg) = rec.time_average() {
-        report.density_h_avg = avg.mean("density_h").unwrap_or_default();
-        report.phi_avg = avg.mean("phi").unwrap_or_default();
     }
     report
 }

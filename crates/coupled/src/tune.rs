@@ -12,7 +12,6 @@ use crate::cluster::ClusterSim;
 use crate::config::RunConfig;
 use crate::machine::MachineProfile;
 use balance::RebalanceConfig;
-use vmpi::Strategy;
 
 /// One evaluated tuning point.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -74,53 +73,6 @@ pub fn tune_balancer(
     TuneReport { points, best }
 }
 
-/// One evaluated strategy pilot.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StrategyPoint {
-    pub strategy: Strategy,
-    /// Modelled total time of the pilot run (s).
-    pub total_time: f64,
-    /// Exchanges tallied per concrete strategy during the pilot.
-    pub strategy_uses: [u64; 4],
-}
-
-/// Result of a strategy sweep: every concrete strategy plus Auto,
-/// and the fastest of them.
-#[derive(Debug, Clone)]
-pub struct StrategyTuneReport {
-    pub points: Vec<StrategyPoint>,
-    pub best: StrategyPoint,
-}
-
-/// Offline counterpart of [`Strategy::Auto`]: run one pilot per
-/// concrete strategy (plus Auto itself) and report the fastest
-/// whole-run choice. Useful when the production run must commit to a
-/// fixed schedule; the per-step Auto rule adapts within a run instead.
-pub fn tune_strategy(
-    run: &RunConfig,
-    profile: MachineProfile,
-    pilot_steps: usize,
-) -> StrategyTuneReport {
-    let candidates = Strategy::CONCRETE.into_iter().chain([Strategy::Auto]);
-    let mut points = Vec::with_capacity(Strategy::CONCRETE.len() + 1);
-    for strategy in candidates {
-        let mut pilot = run.clone();
-        pilot.strategy = strategy;
-        let mut sim = ClusterSim::new(&pilot, profile);
-        let rep = sim.run(pilot_steps);
-        points.push(StrategyPoint {
-            strategy,
-            total_time: rep.total_time,
-            strategy_uses: rep.strategy_uses,
-        });
-    }
-    let best = *points
-        .iter()
-        .min_by(|a, b| a.total_time.partial_cmp(&b.total_time).unwrap())
-        .unwrap();
-    StrategyTuneReport { points, best }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,33 +93,6 @@ mod tests {
             assert!(report.best.total_time <= p.total_time);
         }
         assert!(report.points.contains(&report.best));
-    }
-
-    #[test]
-    fn strategy_tuner_covers_all_candidates() {
-        let run = RunConfig::builder()
-            .paper(Dataset::D1, 0.02)
-            .ranks(4)
-            .seed(21)
-            .build()
-            .unwrap();
-        let report = tune_strategy(&run, MachineProfile::tianhe2(), 8);
-        assert_eq!(report.points.len(), 5);
-        for p in &report.points {
-            assert!(p.total_time > 0.0, "{:?}", p.strategy);
-            assert!(report.best.total_time <= p.total_time);
-            assert!(p.strategy_uses.iter().sum::<u64>() > 0, "{:?}", p.strategy);
-        }
-        // Auto picks the per-exchange argmin of the same model, so it
-        // can only tie or beat every fixed strategy
-        let auto = report
-            .points
-            .iter()
-            .find(|p| p.strategy == Strategy::Auto)
-            .unwrap();
-        for p in &report.points {
-            assert!(auto.total_time <= p.total_time * (1.0 + 1e-12));
-        }
     }
 
     #[test]

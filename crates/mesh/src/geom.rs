@@ -5,12 +5,11 @@
 //! construction (Kuhn tetrahedra of a regular lattice, see
 //! [`crate::nozzle`]).
 
-use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
 /// A 3-component double-precision vector used for positions,
 /// velocities and fields.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Vec3 {
     pub x: f64,
     pub y: f64,

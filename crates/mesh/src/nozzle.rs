@@ -16,11 +16,10 @@
 
 use crate::geom::Vec3;
 use crate::tet::{BoundaryKind, TetMesh};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Parameters of the cylindrical nozzle mesh.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct NozzleSpec {
     /// Cylinder radius (m).
     pub radius: f64,

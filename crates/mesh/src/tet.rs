@@ -7,11 +7,10 @@
 //! with a physical tag ([`FaceTag::Boundary`]).
 
 use crate::geom::{barycentric, outward_face_normal, tet_centroid, tet_volume_signed, Vec3};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Physical classification of a boundary face.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BoundaryKind {
     /// The particle-injection inlet (plasma source).
     Inlet,
@@ -22,7 +21,7 @@ pub enum BoundaryKind {
 }
 
 /// What lies across face `i` of a tet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaceTag {
     /// Neighbouring tet id.
     Interior(u32),
@@ -35,7 +34,7 @@ pub const FACE_NODES: [[usize; 3]; 4] = [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1,
 
 /// An unstructured tetrahedral mesh with precomputed topology and
 /// per-cell geometry caches.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TetMesh {
     /// Node coordinates.
     pub nodes: Vec<Vec3>,

@@ -1,8 +1,8 @@
 //! Minimal JSON value, writer and parser.
 //!
-//! The build environment vendors `serde` as an API stub (no real
-//! serialization), so the trace sinks and the run-report export write
-//! JSON through this hand-rolled value type instead. The parser
+//! The build environment has no crates.io access, so the trace sinks
+//! and the run-report export write JSON through this hand-rolled
+//! value type rather than an external serialization crate. The parser
 //! exists so tests (and downstream tooling) can round-trip
 //! [`crate::sink::JsonlSink`] output without external crates; it
 //! accepts exactly the JSON this module emits plus ordinary

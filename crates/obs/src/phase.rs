@@ -1,15 +1,13 @@
 //! The solver phases and the per-phase time breakdown, mirroring the
-//! breakdown the paper reports in Table IV. Moved here from
-//! `coupled::timers` so observers, sinks and exporters can speak the
-//! same phase vocabulary without depending on the solver crate;
-//! `coupled::timers` re-exports both types under their old paths.
+//! breakdown the paper reports in Table IV. They live here so
+//! observers, sinks and exporters can speak the same phase vocabulary
+//! without depending on the solver crate; `coupled` re-exports both.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Index, IndexMut};
 
 /// The solver phases of Fig. 1 that we time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
     Inject,
     DsmcMove,
@@ -69,7 +67,7 @@ impl Phase {
 }
 
 /// Seconds per phase.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Breakdown {
     t: [f64; 9],
 }

@@ -5,8 +5,6 @@
 //! *scaling factors*: the number of real particles represented by one
 //! simulation particle (Table I).
 
-use serde::{Deserialize, Serialize};
-
 /// Boltzmann constant (J/K).
 pub const KB: f64 = 1.380_649e-23;
 /// Elementary charge (C).
@@ -17,7 +15,7 @@ pub const MASS_H: f64 = 1.6735575e-27;
 pub const MASS_E: f64 = 9.109_383_701_5e-31;
 
 /// Physical properties of one species.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Species {
     /// Display name ("H", "H+").
     pub name: String,
@@ -91,7 +89,7 @@ impl Species {
 
 /// Indexed registry of all species in a simulation. Species ids are
 /// `u8` (stored per particle).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SpeciesTable {
     list: Vec<Species>,
 }

@@ -53,10 +53,9 @@
 use crate::collectives::{alltoall_u64, drain_tagged};
 use crate::comm::Comm;
 use crate::error::{take_u32, take_u64, CommError, CommResult};
-use serde::{Deserialize, Serialize};
 
 /// Which particle-migration strategy to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Strategy {
     /// Gather/classify/scatter through rank 0.
     Centralized,

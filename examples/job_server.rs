@@ -88,6 +88,8 @@ fn main() {
         stats.completed,
         stats.coalesced + stats.cache_hits,
     );
+    let (cache_hits, cache_misses) = srv.cache_stats();
+    println!("result cache: {cache_hits} hits, {cache_misses} misses");
     let leader_hash = handles[0].wait().unwrap().job.as_ref().unwrap().config_hash;
     println!(
         "the duplicate of seed 1 reused its leader's engine run — identical canonical\n\

@@ -10,7 +10,7 @@
 
 use coupled::diag::{ascii_contour, rz_slice};
 use coupled::prelude::*;
-use coupled::CoupledState;
+use coupled::RankEngine;
 
 fn main() {
     let run = RunConfig::builder()
@@ -19,7 +19,7 @@ fn main() {
         .expect("valid plume config");
     let config = run.sim;
     let steps = 80usize;
-    let mut sim = CoupledState::new(config.clone());
+    let mut sim = RankEngine::new(config.clone());
 
     println!(
         "simulating {} DSMC steps x {} PIC substeps (dt_DSMC = {:.2e} s) ...",

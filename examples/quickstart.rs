@@ -6,7 +6,7 @@
 //! ```
 
 use coupled::prelude::*;
-use coupled::CoupledState;
+use coupled::RankEngine;
 
 fn main() {
     // Dataset 1 is the paper's validation case; scale 0.05 keeps this
@@ -24,7 +24,7 @@ fn main() {
         config.nozzle.nd * config.nozzle.nd * config.nozzle.nz, // upper bound
     );
 
-    let mut sim = CoupledState::new(config);
+    let mut sim = RankEngine::new(config);
     println!(
         "grids: {} coarse (DSMC) cells, {} fine (PIC) cells, {} fine nodes",
         sim.nm.num_coarse(),

@@ -111,7 +111,7 @@ fn modelled_lb_improves_worst_rank_share() {
         let mut cs = cluster(4, true);
         cs.run(45)
     };
-    let worst = |rep: &coupled::ClusterReport| {
+    let worst = |rep: &coupled::RunReport| {
         rep.trace
             .last()
             .unwrap()

@@ -4,13 +4,13 @@
 //! identical, including through the per-rank recovery envelope.
 
 use coupled::{
-    checkpoint, checkpoint_rank, restore, restore_rank, CheckpointError, CoupledState, Dataset,
+    checkpoint, checkpoint_rank, restore, restore_rank, CheckpointError, Dataset, RankEngine,
 };
 
-fn sim() -> CoupledState {
+fn sim() -> RankEngine {
     let mut cfg = Dataset::D1.config(0.02);
     cfg.seed = 777;
-    CoupledState::new(cfg)
+    RankEngine::new(cfg)
 }
 
 #[test]
@@ -54,28 +54,44 @@ fn bad_magic_and_bad_version_are_typed_errors() {
 }
 
 #[test]
-fn v1_restore_reseeds_deterministically() {
-    // hand-build a v1 blob (magic, version 1, step, count, records):
-    // still restorable, and two restores agree on the re-seeded RNG
+fn only_version_4_restores_and_a_rejected_blob_leaves_sim_untouched() {
+    // hand-build a v1 blob (magic, version 1, step, count, records) as
+    // an old build would have written it: a typed BadVersion, not a
+    // misparse
     let mut a = sim();
     for _ in 0..3 {
         a.dsmc_step();
     }
-    let mut blob = Vec::new();
-    blob.extend_from_slice(b"DPIC");
-    blob.extend_from_slice(&1u32.to_le_bytes());
-    blob.extend_from_slice(&(a.step_count as u64).to_le_bytes());
-    blob.extend_from_slice(&(a.particles.len() as u64).to_le_bytes());
+    let mut v1 = Vec::new();
+    v1.extend_from_slice(b"DPIC");
+    v1.extend_from_slice(&1u32.to_le_bytes());
+    v1.extend_from_slice(&(a.step_count as u64).to_le_bytes());
+    v1.extend_from_slice(&(a.particles.len() as u64).to_le_bytes());
     for i in 0..a.particles.len() {
-        particles::pack_particle(&a.particles.get(i), &mut blob);
+        particles::pack_particle(&a.particles.get(i), &mut v1);
     }
+    let current = checkpoint(&a);
+    assert_eq!(current[4..8], 4u32.to_le_bytes(), "the writer emits v4");
+    let relabelled = |version: u32| {
+        let mut blob = current.clone();
+        blob[4..8].copy_from_slice(&version.to_le_bytes());
+        blob
+    };
     let mut b = sim();
-    let mut c = sim();
-    restore(&mut b, &blob).expect("v1 restores");
-    restore(&mut c, &blob).expect("v1 restores");
-    assert_eq!(b.step_count, a.step_count);
-    assert_eq!(b.particles.len(), a.particles.len());
-    assert_eq!(b.rng, c.rng, "v1 re-seed must be deterministic");
+    b.dsmc_step();
+    let untouched = checkpoint(&b);
+    for (version, blob) in [
+        (1, v1),
+        (2, relabelled(2)),
+        (3, relabelled(3)),
+        (5, relabelled(5)),
+    ] {
+        assert_eq!(
+            restore(&mut b, &blob),
+            Err(CheckpointError::BadVersion(version))
+        );
+        assert_eq!(checkpoint(&b), untouched, "rejected v{version} touched sim");
+    }
 }
 
 #[test]

@@ -2,13 +2,13 @@
 //! crates: mesh generation → injection → movement → collisions →
 //! chemistry → deposition → Poisson → push, over many steps.
 
-use coupled::{CoupledState, Dataset};
+use coupled::{Dataset, RankEngine};
 use particles::QE;
 
-fn sim() -> CoupledState {
+fn sim() -> RankEngine {
     let mut cfg = Dataset::D1.config(0.03);
     cfg.seed = 99;
-    CoupledState::new(cfg)
+    RankEngine::new(cfg)
 }
 
 #[test]

@@ -8,7 +8,7 @@
 //! balancer stays off: its trigger is measured wall time, which is
 //! nondeterministic across runs.
 
-use coupled::{run_serial, run_threaded, Dataset, RunConfig};
+use coupled::{run_serial, run_threaded, ClusterSim, Dataset, MachineProfile, RunConfig};
 
 /// FNV-1a over the little-endian bytes of the density field.
 fn fnv1a(values: &[f64]) -> u64 {
@@ -99,4 +99,22 @@ fn serial_density_is_bitwise_pinned() {
         0x9839330415d13fb3,
         "serial density_h no longer bitwise identical to the pinned baseline"
     );
+}
+
+/// The two whole-domain drivers share one run loop: the modelled
+/// driver steps the same whole-domain engine as `run_serial`, so the
+/// final and time-averaged diagnostics agree bitwise whatever the
+/// virtual rank count — only the backend's attribution differs.
+#[test]
+fn serial_and_modelled_drivers_agree_bitwise_on_the_shared_loop() {
+    let mut run = guard_config();
+    run.obs.avg_window = 4;
+    let serial = run_serial(&run);
+    let modelled = ClusterSim::new(&run, MachineProfile::tianhe2()).run(run.steps);
+    assert!(!serial.density_h_avg.is_empty() && !serial.phi_avg.is_empty());
+    assert_eq!(serial.density_h, modelled.density_h);
+    assert_eq!(serial.density_h_avg, modelled.density_h_avg);
+    assert_eq!(serial.phi_avg, modelled.phi_avg);
+    assert_eq!(serial.population, modelled.population);
+    assert_eq!(serial.trace.len(), modelled.trace.len());
 }

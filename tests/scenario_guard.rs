@@ -19,7 +19,7 @@
 //!    bad physics with typed errors — checked property-style.
 
 use coupled::scenario::{self, ScenarioError};
-use coupled::{run_serial, run_threaded, ConfigError, CoupledState, Dataset, RunConfig};
+use coupled::{run_serial, run_threaded, ConfigError, Dataset, RankEngine, RunConfig};
 use proptest::prelude::*;
 
 /// FNV-1a over the little-endian bytes of the density field — the
@@ -145,7 +145,7 @@ fn changing_k_sub_never_perturbs_other_rng_streams() {
         cfg.cross_collisions = false;
         cfg.k_sub_dsmc = k_sub;
         cfg.pump_prob = Some(0.7);
-        let mut eng = CoupledState::new(cfg);
+        let mut eng = RankEngine::new(cfg);
         // neutralize chemistry so neutrals cannot react into ions
         eng.chemistry.p_steric = 0.0;
         eng.chemistry.k_recomb = 0.0;
