@@ -9,13 +9,13 @@
 use coupled::report::table;
 use coupled::{tune_balancer, Dataset, MachineProfile, RunConfig};
 
-fn main() {
+pub fn run() {
     let run = RunConfig::builder()
-        .paper(Dataset::D1, bench::scale().min(0.15))
+        .paper(Dataset::D1, crate::scale().min(0.15))
         .ranks(48)
         .build()
         .expect("valid autotune config");
-    let pilot_steps = bench::steps().min(30);
+    let pilot_steps = crate::steps().min(30);
     let report = tune_balancer(
         &run,
         MachineProfile::tianhe2(),
@@ -39,7 +39,7 @@ fn main() {
     println!("auto-tuning pilot runs ({pilot_steps} steps, 48 ranks, Dataset 1):");
     let headers = ["T", "Threshold", "pilot_total_s", "rebalances"];
     println!("{}", table(&headers, &rows));
-    bench::write_csv("ablation_autotune.csv", &headers, &rows);
+    crate::write_csv("ablation_autotune.csv", &headers, &rows);
     println!(
         "chosen: T = {}, Threshold = {} (paper's sampled defaults: T = 20, Threshold = 2.0)",
         report.best.t_interval, report.best.threshold

@@ -8,7 +8,7 @@
 //! replay the run to the identical result.
 //!
 //! ```text
-//! cargo run --release -p bench --bin chaos_run -- \
+//! cargo run --release -p bench --bin repro -- chaos_run \
 //!     --fault-plan seed=7,drop=30,dup=20,delay=25/4,kill=1@5 \
 //!     --ranks 3 --steps 12 --checkpoint-every 4 --on-fault restart
 //! ```
@@ -18,20 +18,8 @@
 //! `kill=RANK@STEP`, `stall=RANK@STEP/MILLIS`.
 
 use coupled::{run_threaded, run_threaded_result, Dataset, FaultPolicy, RunConfig};
+use obs::fnv1a_f64;
 use vmpi::FaultPlan;
-
-/// FNV-1a over the little-endian bytes of the density field (the
-/// fingerprint the chaos guard tests pin).
-fn fnv1a(values: &[f64]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for v in values {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    }
-    h
-}
 
 struct Cli {
     plan: FaultPlan,
@@ -51,7 +39,8 @@ fn parse_cli() -> Result<Cli, String> {
         on_fault: FaultPolicy::RestartFromCheckpoint,
         seed: 4242,
     };
-    let mut args = std::env::args().skip(1);
+    // argv: the `repro` binary, this experiment's name, then ours
+    let mut args = std::env::args().skip(2);
     while let Some(a) = args.next() {
         let mut val = |name: &str| args.next().ok_or_else(|| format!("{name} needs a value"));
         match a.as_str() {
@@ -77,7 +66,7 @@ fn parse_cli() -> Result<Cli, String> {
     Ok(cli)
 }
 
-fn main() {
+pub fn run() {
     let cli = match parse_cli() {
         Ok(cli) => cli,
         Err(e) => {
@@ -101,7 +90,7 @@ fn main() {
 
     println!("== clean wire ==");
     let clean = run_threaded(&config(None));
-    let clean_hash = fnv1a(&clean.density_h);
+    let clean_hash = fnv1a_f64(&clean.density_h);
     println!(
         "population={} density_h fnv1a={clean_hash:#018x}",
         clean.population
@@ -110,7 +99,7 @@ fn main() {
     println!("== chaotic wire: {:?} ==", cli.plan);
     match run_threaded_result(&config(Some(cli.plan))) {
         Ok(r) => {
-            let hash = fnv1a(&r.density_h);
+            let hash = fnv1a_f64(&r.density_h);
             println!("population={} density_h fnv1a={hash:#018x}", r.population);
             println!(
                 "faults_injected={} comm_retries={} comm_dedup_dropped={} recoveries={}",

@@ -5,10 +5,10 @@
 //! PIC steps and still ~90% at step 200 — the motivating observation
 //! for the dynamic load balancer.
 
-use bench::{steps, write_csv, Experiment};
+use crate::{steps, write_csv, Experiment};
 use coupled::report::table;
 
-fn main() {
+pub fn run() {
     let exp = Experiment {
         ranks: 4,
         load_balance: false,

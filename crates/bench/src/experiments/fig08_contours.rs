@@ -8,12 +8,12 @@
 use coupled::diag::{ascii_contour, mean_relative_error, rz_slice};
 use coupled::prelude::*;
 
-fn main() {
-    let scale = bench::scale().min(0.15); // threaded runs are real work
+pub fn run() {
+    let scale = crate::scale().min(0.15); // threaded runs are real work
     let run = RunConfig::builder()
         .paper(Dataset::D1, scale)
         .ranks(4)
-        .steps(bench::steps())
+        .steps(crate::steps())
         .rebalance(None)
         .build()
         .expect("valid fig08 config");
@@ -26,10 +26,10 @@ fn main() {
     // and its report + metrics land next to the CSV.
     let metrics = Registry::new();
     let mut par_run = run.clone();
-    par_run.obs.trace = bench::trace_spec();
+    par_run.obs.trace = crate::trace_spec();
     par_run.obs.metrics = Some(metrics.clone());
     let par = run_threaded(&par_run);
-    bench::write_report_json(
+    crate::write_report_json(
         "fig08_parallel_report.json",
         &par,
         Some(&metrics.snapshot()),
@@ -76,5 +76,5 @@ fn main() {
         .zip(&b)
         .map(|((i, s), (_, p))| vec![i.to_string(), format!("{s:.4e}"), format!("{p:.4e}")])
         .collect();
-    bench::write_csv("fig08_contours.csv", &["bin", "serial", "parallel"], &rows);
+    crate::write_csv("fig08_contours.csv", &["bin", "serial", "parallel"], &rows);
 }

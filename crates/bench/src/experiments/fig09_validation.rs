@@ -14,9 +14,9 @@
 use coupled::diag::{mean_relative_error, rz_slice};
 use coupled::prelude::*;
 
-fn main() {
-    let scale = bench::scale().min(0.3);
-    let base_steps = bench::steps();
+pub fn run() {
+    let scale = crate::scale().min(0.3);
+    let base_steps = crate::steps();
     // four "time points": quarter, half, three-quarter, full run
     let checkpoints = [
         base_steps / 4,
@@ -30,7 +30,7 @@ fn main() {
         // `--trace-out` traces the full-length parallel run only (the
         // earlier checkpoints would overwrite the same file).
         let trace = if steps == base_steps {
-            bench::trace_spec()
+            crate::trace_spec()
         } else {
             TraceSpec::Off
         };
@@ -79,7 +79,7 @@ fn main() {
             ]);
         }
     }
-    bench::write_csv(
+    crate::write_csv(
         "fig09_validation.csv",
         &["t_us", "z_mm", "serial", "parallel"],
         &csv_rows,

@@ -10,7 +10,7 @@
 //! Auto re-picks per exchange, so it should track the lower envelope
 //! of the fixed strategies.
 
-use bench::{strat_name, write_csv, Experiment};
+use crate::{strat_name, write_csv, Experiment};
 use coupled::report::table;
 use coupled::{Dataset, MachineProfile, Phase};
 use vmpi::Strategy;
@@ -22,7 +22,7 @@ const STRATEGIES: [Strategy; 4] = [
     Strategy::Auto,
 ];
 
-fn main() {
+pub fn run() {
     let ranks_ladder = [96usize, 192, 384, 768];
     let mut rows = Vec::new();
     let mut csv_rows = Vec::new();

@@ -6,14 +6,14 @@
 //! on the large-grid datasets (5, 6) the CC/DC gap is smaller than on
 //! the medium-grid datasets (2, 4).
 
-use bench::{strat_name, write_csv, Experiment};
+use crate::{strat_name, write_csv, Experiment};
 use coupled::report::table;
 use coupled::{Dataset, MachineProfile};
 use vmpi::Strategy;
 
 type ProfileCtor = fn() -> MachineProfile;
 
-fn main() {
+pub fn run() {
     let ranks_ladder = [24usize, 96, 384, 1536];
     let machines: [(ProfileCtor, &str); 2] = [
         (MachineProfile::tianhe2, "Tianhe-2"),

@@ -15,18 +15,12 @@
 //! cost (quadratic in cell occupancy) and settles at a steady-state
 //! lii no worse than the analytic model's.
 
+use crate::{lii_trajectory, steady_state_lii, steps, write_csv, Experiment};
 use balance::CostSourceKind;
-use bench::{steps, write_csv, Experiment};
 use coupled::report::table;
 use coupled::Decomposition;
 
-/// Steady-state lii: mean over the last quarter of the trace.
-fn steady_state_lii(lii: &[f64]) -> f64 {
-    let tail = &lii[lii.len() - (lii.len() / 4).max(1)..];
-    tail.iter().sum::<f64>() / tail.len() as f64
-}
-
-fn main() {
+pub fn run() {
     let modes: [(&str, CostSourceKind, Decomposition); 3] = [
         (
             "paper_wlm",
@@ -59,15 +53,7 @@ fn main() {
             ..Experiment::default()
         }
         .run();
-        let lii: Vec<f64> = rep.trace.iter().map(|tr| tr.lii).collect();
-        for (i, (tr, &l)) in rep.trace.iter().zip(&lii).enumerate() {
-            csv_rows.push(vec![
-                name.to_string(),
-                i.to_string(),
-                format!("{l:.4}"),
-                tr.rebalanced.to_string(),
-            ]);
-        }
+        let lii = lii_trajectory(name, &rep, &mut csv_rows);
         eprintln!(
             "  {name}: steady-state lii {:.3}, {} rebalances, total {:.1}s",
             steady_state_lii(&lii),

@@ -18,7 +18,7 @@
 //! Purely analytic (no simulation), so the full ladder runs in
 //! milliseconds. Writes `fig_hier_crossover.csv`.
 
-use bench::{strat_name, write_csv, RANK_LADDER};
+use crate::{strat_name, write_csv, RANK_LADDER};
 use coupled::report::table;
 use coupled::{CostModel, MachineProfile};
 use vmpi::Strategy;
@@ -38,7 +38,7 @@ fn quiet(n: usize) -> Vec<Vec<u64>> {
     m
 }
 
-fn main() {
+pub fn run() {
     let mut rows = Vec::new();
     let mut csv_rows = Vec::new();
     for (kind, matrix) in [
@@ -50,7 +50,7 @@ fn main() {
             let m = matrix(ranks);
             let times: Vec<(Strategy, f64)> = Strategy::CONCRETE
                 .into_iter()
-                .map(|s| (s, cost.exchange_time_for(s, &m)))
+                .zip(cost.exchange_times(&m))
                 .collect();
             let &(winner, _) = times
                 .iter()

@@ -15,18 +15,12 @@
 //! and is pulled back toward parity by rebalances; the freestream
 //! trajectory stays near 1 throughout.
 
+use crate::{lii_trajectory, steady_state_lii, steps, write_csv};
 use balance::{CostSourceKind, RebalanceConfig};
-use bench::{steps, write_csv};
 use coupled::report::table;
 use coupled::{ClusterSim, MachineProfile};
 
-/// Steady-state lii: mean over the last quarter of the trace.
-fn steady_state_lii(lii: &[f64]) -> f64 {
-    let tail = &lii[lii.len() - (lii.len() / 4).max(1)..];
-    tail.iter().sum::<f64>() / tail.len() as f64
-}
-
-fn main() {
+pub fn run() {
     // scenarios carry a short guard-sized horizon; stretch it so the
     // flows develop and the balancer gets to act
     let horizon = steps().max(40);
@@ -44,15 +38,7 @@ fn main() {
             ..RebalanceConfig::default()
         });
         let rep = ClusterSim::new(&run, MachineProfile::tianhe2()).run(horizon);
-        let lii: Vec<f64> = rep.trace.iter().map(|tr| tr.lii).collect();
-        for (i, (tr, &l)) in rep.trace.iter().zip(&lii).enumerate() {
-            csv_rows.push(vec![
-                name.to_string(),
-                i.to_string(),
-                format!("{l:.4}"),
-                tr.rebalanced.to_string(),
-            ]);
-        }
+        let lii = lii_trajectory(name, &rep, &mut csv_rows);
         let peak = lii.iter().copied().fold(f64::MIN, f64::max);
         summary.push(vec![
             name.to_string(),

@@ -9,11 +9,11 @@
 //!   (~40% at 48 ranks);
 //! * total time flattens (or regresses slightly) at 1536 ranks.
 
-use bench::{strat_name, write_csv, Experiment, RANK_LADDER};
+use crate::{strat_name, write_csv, Experiment, RANK_LADDER};
 use coupled::report::{secs, table};
 use vmpi::Strategy;
 
-fn main() {
+pub fn run() {
     let mut rows = Vec::new();
     let mut csv_rows = Vec::new();
     let variants = [

@@ -5,11 +5,11 @@
 //! exchange costs are small and shrink; Poisson_Solve does NOT scale
 //! (slowly grows with rank count) and becomes the bottleneck.
 
-use bench::{write_csv, Experiment, RANK_LADDER};
+use crate::{write_csv, Experiment, RANK_LADDER};
 use coupled::report::table;
 use coupled::Phase;
 
-fn main() {
+pub fn run() {
     let phases = [
         Phase::DsmcMove,
         Phase::DsmcExchange,

@@ -1,7 +1,8 @@
-//! Experiment harness shared by the table/figure reproduction
-//! binaries (`src/bin/*`). Each binary regenerates one table or
-//! figure of the paper; see EXPERIMENTS.md for the index and the
-//! recorded paper-vs-measured comparison.
+//! Experiment harness and the table/figure reproductions themselves
+//! ([`experiments`], one module each, dispatched by the `repro`
+//! binary). Each experiment regenerates one table or figure of the
+//! paper; see EXPERIMENTS.md for the index and the recorded
+//! paper-vs-measured comparison.
 //!
 //! Environment knobs (all optional):
 //! * `REPRO_SCALE` — dataset scale factor (default 0.35; §5 of
@@ -19,22 +20,31 @@ use obs::{MetricsSnapshot, TraceSpec};
 use std::path::PathBuf;
 use vmpi::Strategy;
 
+/// One module per experiment, each a `pub fn run()`; `src/bin/repro.rs`
+/// holds the table that names them.
+pub mod experiments {
+    pub mod ablation_autotune;
+    pub mod chaos_run;
+    pub mod fig05_imbalance;
+    pub mod fig08_contours;
+    pub mod fig09_validation;
+    pub mod fig11_cc_vs_dc;
+    pub mod fig12_sweep_t;
+    pub mod fig13_sweep_threshold;
+    pub mod fig14_placement;
+    pub mod fig15_portability;
+    pub mod fig_balance_modes;
+    pub mod fig_hier_crossover;
+    pub mod fig_scenario_imbalance;
+    pub mod tab02_strong_scaling;
+    pub mod tab03_move_times;
+    pub mod tab04_breakdown;
+    pub mod tab05_km_overhead;
+    pub mod tab06_sweep_wcell;
+}
+
 /// The paper's strong-scaling rank ladder (Table II).
 pub const RANK_LADDER: [usize; 7] = [24, 48, 96, 192, 384, 768, 1536];
-
-/// FNV-1a over the little-endian bytes of a float series — the same
-/// digest the guard tests pin, so bench output can be compared
-/// against the golden hashes directly.
-pub fn fnv1a(values: &[f64]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for v in values {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    }
-    h
-}
 
 /// Dataset scale for experiments (env `REPRO_SCALE`).
 pub fn scale() -> f64 {
@@ -149,13 +159,7 @@ impl Default for Experiment {
 impl Experiment {
     /// Run the modelled cluster simulation and return its report.
     pub fn run(&self) -> RunReport {
-        self.run_with(obs::TraceSpec::Off, None)
-    }
-
-    /// Like [`Experiment::run`], with an explicit trace sink and
-    /// optional metrics registry attached to the run.
-    pub fn run_with(&self, trace: TraceSpec, metrics: Option<obs::Registry>) -> RunReport {
-        let mut builder = RunConfig::builder()
+        let run = RunConfig::builder()
             .paper(self.dataset, scale())
             .ranks(self.ranks)
             .strategy(self.strategy)
@@ -171,14 +175,91 @@ impl Experiment {
                 ..RebalanceConfig::default()
             }))
             .decomposition(self.decomposition)
-            .trace(trace);
-        if let Some(reg) = metrics {
-            builder = builder.metrics(reg);
-        }
-        let run = builder.build().expect("valid experiment config");
+            .build()
+            .expect("valid experiment config");
         let mut sim = ClusterSim::new(&run, (self.profile)()).with_placement(self.placement);
         sim.run(self.steps.unwrap_or_else(steps))
     }
+}
+
+/// One variant of a [`ladder_sweep`]: its table row label, its CSV key
+/// columns, and the experiment run at every rank count (its `ranks`
+/// is overwritten).
+pub type Variant = (String, Vec<String>, Experiment);
+
+/// The paper-shaped sweep table: run every variant at every rank
+/// count of `ladder`, with `point` turning each report into `(table
+/// cell, CSV value columns, progress note)`. Prints a progress line per
+/// run to stderr and the titled table to stdout, writes the CSV (key
+/// columns, ranks, value columns) and returns the table rows.
+pub fn ladder_sweep(
+    title: &str,
+    ladder: &[usize],
+    (csv_name, csv_headers): (&str, &[&str]),
+    variants: Vec<Variant>,
+    point: impl Fn(&RunReport) -> (String, Vec<String>, String),
+) -> Vec<Vec<String>> {
+    let mut rows = Vec::new();
+    let mut csv_rows = Vec::new();
+    for (label, key, experiment) in variants {
+        let mut row = vec![label.clone()];
+        for &ranks in ladder {
+            let rep = Experiment {
+                ranks,
+                ..experiment
+            }
+            .run();
+            let (cell, values, note) = point(&rep);
+            row.push(cell);
+            csv_rows.push([key.clone(), vec![ranks.to_string()], values].concat());
+            eprintln!("  {label} @ {ranks}: {note}");
+        }
+        rows.push(row);
+    }
+    println!("\n{title}");
+    let ranks: Vec<String> = ladder.iter().map(|r| r.to_string()).collect();
+    let headers: Vec<&str> = std::iter::once("variant")
+        .chain(ranks.iter().map(String::as_str))
+        .collect();
+    println!("{}", coupled::report::table(&headers, &rows));
+    write_csv(csv_name, csv_headers, &csv_rows);
+    rows
+}
+
+/// The [`ladder_sweep`] point of the total-time sweeps: the modelled
+/// total time, one decimal in the table, three in the CSV.
+pub fn total_time_point(rep: &RunReport) -> (String, Vec<String>, String) {
+    let t = rep.total_time;
+    (
+        format!("{t:.1}"),
+        vec![format!("{t:.3}")],
+        format!("{t:.1}s"),
+    )
+}
+
+/// Steady-state lii: mean over the last quarter of a trajectory.
+pub fn steady_state_lii(lii: &[f64]) -> f64 {
+    let tail = &lii[lii.len() - (lii.len() / 4).max(1)..];
+    tail.iter().sum::<f64>() / tail.len() as f64
+}
+
+/// The lii trajectory of `report`, appending one
+/// `(label, step, lii, rebalanced)` CSV row per step to `csv_rows`.
+pub fn lii_trajectory(
+    label: &str,
+    report: &RunReport,
+    csv_rows: &mut Vec<Vec<String>>,
+) -> Vec<f64> {
+    let lii: Vec<f64> = report.trace.iter().map(|tr| tr.lii).collect();
+    for (i, (tr, &l)) in report.trace.iter().zip(&lii).enumerate() {
+        csv_rows.push(vec![
+            label.to_string(),
+            i.to_string(),
+            format!("{l:.4}"),
+            tr.rebalanced.to_string(),
+        ]);
+    }
+    lii
 }
 
 /// Human label for a strategy.

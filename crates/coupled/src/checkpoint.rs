@@ -11,7 +11,7 @@
 //! to the uninterrupted run.
 //!
 //! Checkpoints live only inside a process (the recovery store of
-//! [`crate::threadrun`], the job server's replay), so there is one
+//! [`crate::session`], the job server's replay), so there is one
 //! format and no reader for any other version.
 //!
 //! Format (little-endian): magic `DPIC`, version u32 (= 4), step u64,
@@ -26,7 +26,6 @@
 //! per-particle gather.
 
 use crate::engine::RankEngine;
-use dsmc::Injector;
 use particles::{ParticleBuffer, PACKED_SIZE};
 use pic::ElectricField;
 use rand::rngs::StdRng;
@@ -111,7 +110,7 @@ pub fn checkpoint(sim: &RankEngine) -> Vec<u8> {
 /// Serialize one rank of a decomposed run: the coarse-cell ownership
 /// map this rank was running under, followed by the rank engine's full
 /// state. The envelope is what the engine-level recovery loop
-/// (`coupled::threadrun`) stores each cadence step and replays from
+/// (`coupled::session`) stores each cadence step and replays from
 /// after a rank death — the owner map must travel with the state
 /// because the restored engine's injector is a function of it.
 ///
@@ -179,7 +178,7 @@ pub fn restore_rank(
         .iter()
         .map(|w| u32::from_le_bytes(*w))
         .collect();
-    sim.injector = Injector::with_filter(&sim.nm.coarse, |t| owner[t as usize] == me as u32);
+    sim.claim_inlet(&owner, me);
     restore(sim, buf)?;
     Ok(owner)
 }

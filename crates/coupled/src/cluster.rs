@@ -20,13 +20,16 @@ use crate::engine::{
     StepPipeline, StepRecord,
 };
 use crate::machine::{CostModel, MachineProfile, Placement};
+use crate::rebalance::BalanceHook;
 use crate::report::RunReport;
-use balance::{load_imbalance_indicator, CostSample, RebalanceOutcome, Rebalancer};
+use crate::tally::CommTally;
+use crate::world::World;
+use balance::load_imbalance_indicator;
 use dsmc::EXITED;
 use obs::{Breakdown, NullObserver, Phase};
 use particles::PACKED_SIZE;
 use partition::Decomposition;
-use partition::{part_graph_kway, Graph, KwayOptions};
+use std::sync::Arc;
 use vmpi::{Flows, Strategy, TrafficSummary};
 
 pub use crate::report::StepTrace;
@@ -37,17 +40,15 @@ pub use crate::report::StepTrace;
 /// breakdowns bulk-synchronously (per phase, the slowest rank holds
 /// everyone up).
 pub struct ModelledBackend {
-    /// Coarse-cell ownership: cell → rank.
-    owner: Vec<u32>,
+    /// Decomposition state and rebalancing policy (Algorithm 1).
+    balance: BalanceHook,
+    tally: CommTally,
     strategy: Strategy,
     cost: CostModel,
     /// Unified particle/field ownership (default) or the split
     /// Eulerian/Lagrangian mode (statically block-partitioned field
     /// grid, gather/scatter charge halo priced in the Poisson lap).
     decomp: Decomposition,
-    rebalancer: Option<Rebalancer>,
-    xadj: Vec<u32>,
-    adjncy: Vec<u32>,
     ranks: usize,
     /// Cost-model work multiplier per simulation particle (see
     /// `Dataset::work_boost`).
@@ -57,21 +58,8 @@ pub struct ModelledBackend {
     /// solve and the partitioner (their inputs are mesh-sized, which
     /// the dataset `scale` shrinks).
     grid_boost: f64,
-    /// Exchanges carried per concrete strategy (CONCRETE order).
-    strategy_uses: [u64; 4],
-    rebalance_migrated: u64,
     /// Modelled per-rank phase times of the step in flight.
     per_rank: Vec<Breakdown>,
-    /// Attribution of the exchange in flight (exact — the protocol
-    /// prediction is the modelled backend's ground truth).
-    pending_exchange: Option<ExchangeInfo>,
-    /// Protocol-predicted traffic of the step in flight.
-    step_tx: u64,
-    step_bytes: u64,
-    /// Accumulated per-step traffic = run totals for the report.
-    total_tx: u64,
-    total_bytes: u64,
-    uses_mark: [u64; 4],
     /// Migration byte matrix of the exchange being priced, refilled in
     /// place (sparse: only the rank pairs that carry bytes).
     flows: Flows,
@@ -85,72 +73,42 @@ pub struct ModelledBackend {
 }
 
 impl ModelledBackend {
-    fn new(
-        run: &RunConfig,
-        profile: MachineProfile,
-        ncoarse: usize,
-        owner: Vec<u32>,
-        xadj: Vec<u32>,
-        adjncy: Vec<u32>,
-    ) -> Self {
+    fn new(run: &RunConfig, profile: MachineProfile, world: Arc<World>) -> Self {
+        let ncoarse = world.nm.num_coarse();
+        let owner = world.owner0.clone();
         ModelledBackend {
-            owner,
+            balance: BalanceHook::new(run, world, owner),
+            tally: CommTally::default(),
             strategy: run.strategy,
             cost: CostModel::new(profile, run.ranks),
             decomp: run.decomposition,
-            rebalancer: run.rebalance.map(|mut rc| {
-                if run.decomposition == Decomposition::EulLag {
-                    // the field grid is statically block-partitioned
-                    // under the split mode, so the balancer weighs
-                    // particle work only
-                    rc.wlm.w_cell = 0;
-                }
-                Rebalancer::new(rc)
-            }),
-            xadj,
-            adjncy,
             ranks: run.ranks,
             boost: run.work_boost.max(1.0),
             grid_boost: run
                 .paper_cells
                 .map(|pc| (pc as f64 / (8.0 * ncoarse as f64)).max(1.0))
                 .unwrap_or(1.0),
-            strategy_uses: [0; 4],
-            rebalance_migrated: 0,
             per_rank: Vec::new(),
-            pending_exchange: None,
-            step_tx: 0,
-            step_bytes: 0,
-            total_tx: 0,
-            total_bytes: 0,
-            uses_mark: [0; 4],
             flows: Flows::new(),
             neutral_mark: 0,
             cand_mark: 0,
         }
     }
 
-    /// Price the exchange of `self.flows` once: the strategy that
-    /// carries it — the configured one, or under [`Strategy::Auto`] the
-    /// cost model's pick — with its CONCRETE index and its protocol
-    /// traffic (Hier aggregated over the machine's node map). Tallies
-    /// the choice for the report.
-    fn price(&mut self) -> (Strategy, usize, TrafficSummary) {
+    /// Price the exchange of `self.flows` once, under the strategy
+    /// that carries it — the configured one, or under
+    /// [`Strategy::Auto`] the cost model's pick — and note its protocol
+    /// traffic (Hier aggregated over the machine's node map; exact,
+    /// the protocol prediction is this backend's ground truth) for the
+    /// report, the step trace and the pipeline's exchange events.
+    fn price(&mut self) -> TrafficSummary {
         let traffic = self.cost.traffic(&self.flows);
-        let idx = self
+        let strategy = self
             .strategy
             .concrete_index()
             .unwrap_or_else(|| self.cost.cheapest(&traffic));
-        self.strategy_uses[idx] += 1;
-        (Strategy::CONCRETE[idx], idx, traffic[idx])
-    }
-
-    /// Record one carried exchange's protocol-predicted traffic for
-    /// the step trace and the pipeline's exchange events.
-    fn note_exchange(&mut self, strategy: usize, tf: &TrafficSummary) {
-        self.step_tx += tf.transactions;
-        self.step_bytes += tf.total_bytes;
-        self.pending_exchange = Some(ExchangeInfo {
+        let tf = traffic[strategy];
+        self.tally.note(ExchangeInfo {
             strategy,
             transactions: tf.transactions,
             bytes: tf.total_bytes,
@@ -158,13 +116,25 @@ impl ModelledBackend {
             node_pairs: tf.node_pairs,
             aggregated_bytes: tf.aggregated_bytes,
         });
+        tf
+    }
+
+    /// How many of `cells` (one entry per unit of work, repeats
+    /// allowed) each rank owns.
+    fn per_owner(&self, cells: impl Iterator<Item = u32>) -> Vec<u64> {
+        let owner = self.balance.owner();
+        let mut counts = vec![0u64; self.ranks];
+        for c in cells {
+            counts[owner[c as usize] as usize] += 1;
+        }
+        counts
     }
 
     /// Load the migration byte matrix of `(old_cell, new_cell)`
     /// transitions into `self.flows`.
     fn load_migration(&mut self, transitions: &[(u32, u32)]) {
         let per_particle = (PACKED_SIZE as f64 * self.boost) as u64;
-        let owner = &self.owner;
+        let owner = self.balance.owner();
         self.flows.assign(
             transitions
                 .iter()
@@ -209,16 +179,17 @@ impl Backend for ModelledBackend {
                     bd[Phase::Inject] += t;
                 }
             }
-            // DSMC_Move: each move is charged to the owner of the
-            // particle's start-of-step cell.
-            Phase::DsmcMove => {
-                let mut moves = vec![0u64; k];
-                for &(oc, _) in &rec.neutral_transitions[self.neutral_mark..] {
-                    moves[self.owner[oc as usize] as usize] += 1;
-                }
+            // DSMC_Move / PIC_Move: each move is charged to the owner
+            // of the particle's start-of-step cell.
+            Phase::DsmcMove | Phase::PicMove => {
+                let tr = if phase == Phase::DsmcMove {
+                    &rec.neutral_transitions[self.neutral_mark..]
+                } else {
+                    &rec.charged_transitions[sub]
+                };
+                let moves = self.per_owner(tr.iter().map(|&(oc, _)| oc));
                 for (bd, &mv) in self.per_rank.iter_mut().zip(&moves) {
-                    bd[Phase::DsmcMove] +=
-                        self.cost.compute(mv as f64 * self.boost, prof.move_rate);
+                    bd[phase] += self.cost.compute(mv as f64 * self.boost, prof.move_rate);
                 }
             }
             // Exchanges: synchronized phases, same cost on all ranks,
@@ -233,23 +204,23 @@ impl Backend for ModelledBackend {
                     &rec.charged_transitions[sub]
                 };
                 self.load_migration(tr);
-                let (s, idx, tf) = self.price();
-                let t = self.cost.exchange_time(s, &tf);
+                let tf = self.price();
+                let t = self.cost.exchange_time(&tf);
                 for bd in self.per_rank.iter_mut() {
                     bd[phase] += t;
                 }
-                self.note_exchange(idx, &tf);
             }
             // Colli_React: candidates distributed ∝ n_c(n_c−1) over
             // owned cells. (Neutral counts are stable from here to the
             // end of the step: PIC moves only the charged species.)
             Phase::ColliReact => {
                 let (neutral, _) = eng.counts_per_cell();
+                let owner = self.balance.owner();
                 let mut pairs = vec![0f64; k];
                 let mut total_pairs = 0f64;
                 for (c, &n) in neutral.iter().enumerate() {
                     let w = n as f64 * (n as f64 - 1.0);
-                    pairs[self.owner[c] as usize] += w;
+                    pairs[owner[c] as usize] += w;
                     total_pairs += w;
                 }
                 let cand = rec.collision_candidates - self.cand_mark;
@@ -259,15 +230,6 @@ impl Backend for ModelledBackend {
                         let share = p / total_pairs * cand as f64 * self.boost;
                         bd[Phase::ColliReact] += self.cost.compute(share, prof.collide_rate);
                     }
-                }
-            }
-            Phase::PicMove => {
-                let mut moves = vec![0u64; k];
-                for &(oc, _) in &rec.charged_transitions[sub] {
-                    moves[self.owner[oc as usize] as usize] += 1;
-                }
-                for (bd, &mv) in self.per_rank.iter_mut().zip(&moves) {
-                    bd[Phase::PicMove] += self.cost.compute(mv as f64 * self.boost, prof.move_rate);
                 }
             }
             // Poisson_Solve: grid work at paper scale — more cells
@@ -292,10 +254,7 @@ impl Backend for ModelledBackend {
             }
             // Reindex: prefix-scan of counts + local renumber.
             Phase::Reindex => {
-                let mut owned = vec![0u64; k];
-                for &c in &eng.particles.cell {
-                    owned[self.owner[c as usize] as usize] += 1;
-                }
+                let owned = self.per_owner(eng.particles.cell.iter().copied());
                 let scan_latency = (k as f64).log2().max(1.0) * self.cost.alpha();
                 for (bd, &ow) in self.per_rank.iter_mut().zip(&owned) {
                     bd[Phase::Reindex] +=
@@ -308,39 +267,13 @@ impl Backend for ModelledBackend {
         }
     }
 
-    /// No real decomposition: the one engine owns every particle.
-    fn exchange(&mut self, _eng: &mut RankEngine, _phase: Phase, _sub: usize) {}
-
     fn take_exchange_info(&mut self) -> Option<ExchangeInfo> {
-        self.pending_exchange.take()
+        self.tally.take_exchange_info()
     }
 
     fn step_comm(&mut self) -> StepComm {
-        let tx = std::mem::take(&mut self.step_tx);
-        let bytes = std::mem::take(&mut self.step_bytes);
-        self.total_tx += tx;
-        self.total_bytes += bytes;
-        let mut uses = [0u64; 4];
-        for (u, (&cur, &mark)) in uses
-            .iter_mut()
-            .zip(self.strategy_uses.iter().zip(&self.uses_mark))
-        {
-            *u = cur - mark;
-        }
-        self.uses_mark = self.strategy_uses;
-        StepComm {
-            transactions: tx,
-            bytes,
-            strategy_uses: uses,
-        }
-    }
-
-    fn reduce_charge(&mut self, _eng: &RankEngine, node_charge: Vec<f64>) -> Vec<f64> {
-        node_charge
-    }
-
-    fn reindex_base(&mut self, _eng: &RankEngine) -> u64 {
-        0
+        let priced = self.tally.noted();
+        self.tally.step_comm(priced)
     }
 
     fn rebalance(
@@ -364,72 +297,42 @@ impl Backend for ModelledBackend {
             })
             .collect();
         let lii = load_imbalance_indicator(&times);
-        let mut outcome = StepOutcome {
-            lii,
-            ..StepOutcome::default()
+        if !self.balance.armed() {
+            return StepOutcome::measured(lii);
+        }
+        // the modelled kernel seconds are deterministic, so the
+        // timer-augmented source stays reproducible here
+        let kernel_seconds = if self.balance.wants_samples() {
+            [Phase::DsmcMove, Phase::ColliReact, Phase::PicMove]
+                .map(|p| self.per_rank.iter().map(|bd| bd[p]).sum::<f64>())
+        } else {
+            [0.0; 3]
         };
-        if let Some(rb) = self.rebalancer.as_mut() {
-            let use_km = rb.config.use_km;
-            let (neutral, charged) = eng.counts_per_cell();
-            if rb.wants_samples() {
-                // feed the modelled kernel seconds (deterministic, so
-                // the timer-augmented source stays reproducible here)
-                // and the global work units they covered
-                let sum = |p: Phase| self.per_rank.iter().map(|bd| bd[p]).sum::<f64>();
-                rb.observe(&CostSample {
-                    dsmc_move_seconds: sum(Phase::DsmcMove),
-                    colli_react_seconds: sum(Phase::ColliReact),
-                    pic_move_seconds: sum(Phase::PicMove),
-                    neutral_total: neutral.iter().sum(),
-                    pair_total: neutral.iter().map(|&n| n * n.saturating_sub(1)).sum(),
-                    charged_total: charged.iter().sum(),
-                });
+        let (neutral, charged) = eng.counts_per_cell();
+        let (mut outcome, replaced) = self.balance.step(lii, kernel_seconds, &neutral, &charged);
+        if let Some(old_owner) = replaced {
+            // migration byte matrix: every particle in a cell changing
+            // hands moves once
+            let boost = self.boost;
+            self.flows.assign(
+                old_owner
+                    .iter()
+                    .zip(self.balance.owner())
+                    .zip(neutral.iter().zip(&charged))
+                    .map(|((&o, &n), (&nl, &ch))| {
+                        let load = (nl + ch) as f64;
+                        (o, n, (load * PACKED_SIZE as f64 * boost) as u64)
+                    }),
+            );
+            let cells_eff = (old_owner.len() as f64 * self.grid_boost) as usize;
+            let tf = self.price();
+            let t_reb = self
+                .cost
+                .rebalance_time(cells_eff, &tf, self.balance.use_km());
+            for bd in self.per_rank.iter_mut() {
+                bd[Phase::Rebalance] += t_reb;
             }
-            outcome.cost_source = rb.cost_source_name();
-            outcome.decomposition = self.decomp.name();
-            outcome.cost_rates = rb.cost_rates();
-            match rb.step(
-                lii,
-                &self.xadj,
-                &self.adjncy,
-                &neutral,
-                &charged,
-                &self.owner,
-                self.ranks,
-            ) {
-                RebalanceOutcome::Remapped {
-                    new_owner,
-                    migration_volume,
-                    ..
-                } => {
-                    // migration byte matrix: every particle in a cell
-                    // changing hands moves once
-                    let boost = self.boost;
-                    self.flows.assign(
-                        self.owner
-                            .iter()
-                            .zip(&new_owner)
-                            .zip(neutral.iter().zip(&charged))
-                            .map(|((&o, &n), (&nl, &ch))| {
-                                let load = (nl + ch) as f64;
-                                (o, n, (load * PACKED_SIZE as f64 * boost) as u64)
-                            }),
-                    );
-                    let cells_eff = (self.owner.len() as f64 * self.grid_boost) as usize;
-                    let (s, idx, tf) = self.price();
-                    let t_reb = self.cost.rebalance_time(cells_eff, &tf, s, use_km);
-                    for bd in self.per_rank.iter_mut() {
-                        bd[Phase::Rebalance] += t_reb;
-                    }
-                    self.note_exchange(idx, &tf);
-                    self.owner = new_owner;
-                    self.rebalance_migrated += migration_volume;
-                    outcome.rebalanced = true;
-                    outcome.migrated = migration_volume;
-                    outcome.remap_seconds = t_reb;
-                }
-                RebalanceOutcome::TooSoon | RebalanceOutcome::Balanced { .. } => {}
-            }
+            outcome.remap_seconds = t_reb;
         }
         outcome
     }
@@ -443,22 +346,13 @@ impl Backend for ModelledBackend {
     }
 
     fn share(&self, eng: &RankEngine) -> Vec<f64> {
-        let mut counts = vec![0u64; self.ranks];
-        for &c in &eng.particles.cell {
-            counts[self.owner[c as usize] as usize] += 1;
-        }
+        let counts = self.per_owner(eng.particles.cell.iter().copied());
         let total = eng.particles.len().max(1) as f64;
         counts.iter().map(|&c| c as f64 / total).collect()
     }
 
     fn stats(&self) -> BackendStats {
-        BackendStats {
-            strategy_uses: self.strategy_uses,
-            rebalances: self.rebalancer.as_ref().map_or(0, |r| r.rebalance_count),
-            rebalance_migrated: self.rebalance_migrated,
-            transactions: self.total_tx,
-            bytes: self.total_bytes,
-        }
+        self.tally.stats(&self.balance)
     }
 }
 
@@ -475,20 +369,12 @@ pub struct ClusterSim {
 }
 
 impl ClusterSim {
-    /// Build from a [`RunConfig`] on a machine profile. The initial
-    /// decomposition is unweighted k-way partitioning (paper §V-B:
-    /// "we use METIS to decompose the grid ... solely according to
-    /// the number of grid cells").
+    /// Build from a [`RunConfig`] on a machine profile.
     pub fn new(run: &RunConfig, profile: MachineProfile) -> Self {
-        let state = RankEngine::new(run.sim.clone());
-        let (xadj, adjncy) = state.nm.coarse.cell_graph();
-        let g = Graph::new(xadj.clone(), adjncy.clone(), vec![1; state.nm.num_coarse()]);
-        let ncoarse = state.nm.num_coarse();
-        let owner = part_graph_kway(&g, run.ranks, KwayOptions::default());
-        let backend = ModelledBackend::new(run, profile, ncoarse, owner, xadj, adjncy);
+        let world = Arc::new(World::build(&run.sim, run.ranks));
         ClusterSim {
-            state,
-            backend,
+            state: RankEngine::whole_domain(run.sim.clone(), &world),
+            backend: ModelledBackend::new(run, profile, world),
             pipeline: StepPipeline::default(),
             obs: run.obs.clone(),
         }
@@ -502,7 +388,7 @@ impl ClusterSim {
 
     /// Current coarse-cell ownership: cell → rank.
     pub fn owner(&self) -> &[u32] {
-        &self.backend.owner
+        self.backend.balance.owner()
     }
 
     /// Fraction of the particle population owned by each rank.
@@ -522,21 +408,14 @@ impl ClusterSim {
     /// Run `steps` DSMC iterations, returning the aggregate report.
     pub fn run(&mut self, steps: usize) -> RunReport {
         let ranks = self.backend.ranks;
-        let mut report = run_whole_domain(
+        run_whole_domain(
             &mut self.state,
             &mut self.backend,
             self.pipeline,
             &self.obs,
             ranks,
             steps,
-        );
-        let stats = self.backend.stats();
-        report.strategy_uses = stats.strategy_uses;
-        report.rebalances = stats.rebalances;
-        report.rebalance_migrated = stats.rebalance_migrated;
-        report.transactions = stats.transactions;
-        report.bytes = stats.bytes;
-        report
+        )
     }
 }
 

@@ -376,17 +376,6 @@ pub struct RunConfig {
 /// schema versions can never collide in the result cache.
 pub const CONFIG_SCHEMA_VERSION: u32 = 2;
 
-/// FNV-1a over a byte string — the same hash the guard tests use for
-/// density fields, here over the canonical config text.
-fn fnv1a_bytes(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 /// Stable lowercase name of an exchange strategy for the canonical
 /// serialization (enum `Debug` output is not a schema).
 fn strategy_name(s: Strategy) -> &'static str {
@@ -592,7 +581,7 @@ impl RunConfig {
     /// cache in `jobsrv` keys on exactly this value, which is sound
     /// because the engine is deterministic for a fixed config.
     pub fn config_hash(&self) -> u64 {
-        fnv1a_bytes(self.canonical_string().as_bytes())
+        obs::fnv1a(self.canonical_string().bytes())
     }
 
     /// [`RunConfig::config_hash`] as the 16-digit hex string used in

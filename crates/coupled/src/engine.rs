@@ -12,7 +12,7 @@
 //!   in the crate orders the phases.
 //! * [`Backend`] supplies the execution context between the physics
 //!   phases: [`SerialBackend`] (single rank, no communication, real
-//!   wall clock), the threaded backend in [`crate::threadrun`] (real
+//!   wall clock), the threaded backend in [`crate::threaded`] (real
 //!   `vmpi` messaging, measured timing) and the modelled backend in
 //!   [`crate::cluster`] (cost-model attribution, no real
 //!   communication).
@@ -22,8 +22,9 @@
 //!   [`crate::report::ReportBuilder`] uses it to assemble the shared
 //!   [`crate::report::RunReport`].
 
-use crate::config::{ObsConfig, SimConfig};
+use crate::config::{ObsConfig, RunConfig, SimConfig};
 use crate::report::{ReportBuilder, RunReport, StepTrace};
+use crate::world::World;
 use dsmc::{
     move_particles_pooled, ChemistryModel, CollisionEvent, CollisionModel, CrossCollisionModel,
     Injector, Pump, ReactStats,
@@ -112,71 +113,48 @@ fn pump_stream_seed(seed: u64) -> u64 {
 }
 
 impl RankEngine {
-    /// Build a whole-domain engine (the serial and modelled drivers):
-    /// full injector, serial kernel pool, RNG seeded from
-    /// `config.seed`.
+    /// Build a whole-domain engine and its own single-rank world.
     pub fn new(config: SimConfig) -> Self {
-        let spec = config.nozzle;
-        let coarse = spec.generate();
-        let nm = Arc::new(NestedMesh::from_coarse(coarse, move |c, n| {
-            spec.classify(c, n)
-        }));
-        let (species, h_id, hp_id) =
-            SpeciesTable::hydrogen_plasma(config.weight_h, config.weight_hplus);
-        let injector = Some(Injector::new(&nm.coarse));
+        let world = World::build(&config, 1);
+        Self::whole_domain(config, &world)
+    }
+
+    /// The whole-domain engine of `world` (the serial and modelled
+    /// drivers): full injector, serial kernel pool, RNG seeded from
+    /// `config.seed`.
+    pub(crate) fn whole_domain(config: SimConfig, world: &World) -> Self {
+        let injector = Some(Injector::new(&world.nm.coarse));
         let seed = config.seed;
-        Self::assemble(
-            config,
-            nm,
-            Arc::new(species),
-            h_id,
-            hp_id,
-            injector,
-            seed,
-            Pool::serial(),
-        )
+        Self::assemble(config, world, injector, seed, Pool::serial())
     }
 
-    /// Build the per-rank engine of a decomposed run: shared meshes
-    /// and species table, injector filtered to the inlet cells rank
-    /// `me` owns, and an independent RNG stream (`seed + 1 + me`, the
-    /// paper's per-rank seeding).
-    #[allow(clippy::too_many_arguments)]
-    pub fn for_rank(
-        config: SimConfig,
-        nm: Arc<NestedMesh>,
-        species: Arc<SpeciesTable>,
-        h_id: u8,
-        hp_id: u8,
-        owner: &[u32],
-        me: usize,
-        threads: usize,
-    ) -> Self {
-        let injector = Injector::with_filter(&nm.coarse, |t| owner[t as usize] == me as u32);
+    /// Build the per-rank engine of a decomposed run: the world's
+    /// shared meshes and species table, the inlet cells rank `me` owns
+    /// under the seed decomposition, and an independent RNG stream
+    /// (`seed + 1 + me`, the paper's per-rank seeding).
+    pub(crate) fn for_rank(config: SimConfig, world: &World, me: usize, threads: usize) -> Self {
         let seed = config.seed.wrapping_add(1 + me as u64);
-        Self::assemble(
-            config,
-            nm,
-            species,
-            h_id,
-            hp_id,
-            injector,
-            seed,
-            Pool::new(threads),
-        )
+        let mut eng = Self::assemble(config, world, None, seed, Pool::new(threads));
+        eng.claim_inlet(&world.owner0, me);
+        eng
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Inject over exactly the inlet cells rank `me` owns under
+    /// `owner` (`None` when it owns none). A fresh injector: its
+    /// fractional-particle carry starts at zero.
+    pub(crate) fn claim_inlet(&mut self, owner: &[u32], me: usize) {
+        self.injector = Injector::with_filter(&self.nm.coarse, |t| owner[t as usize] == me as u32);
+    }
+
     fn assemble(
         config: SimConfig,
-        nm: Arc<NestedMesh>,
-        species: Arc<SpeciesTable>,
-        h_id: u8,
-        hp_id: u8,
+        world: &World,
         injector: Option<Injector>,
         seed: u64,
         pool: Pool,
     ) -> Self {
+        let (nm, species) = (world.nm.clone(), world.species.clone());
+        let (h_id, hp_id) = (world.h_id, world.hp_id);
         let collisions = CollisionModel::new(nm.num_coarse(), &species, config.t_inject);
         let poisson = PoissonSolver::new(
             &nm.fine,
@@ -251,6 +229,36 @@ impl RankEngine {
         (neutral, charged)
     }
 
+    /// H number density per coarse cell, given the *global* H count of
+    /// every cell (this engine's own [`RankEngine::counts_per_cell`]
+    /// when it owns the whole domain, their sum over ranks otherwise).
+    pub(crate) fn density_h(&self, h_counts: &[f64]) -> Vec<f64> {
+        crate::diag::number_density(
+            h_counts,
+            &self.nm.coarse.volumes,
+            self.species.get(self.h_id).weight,
+        )
+    }
+
+    /// This engine's H count per coarse cell, as the floats the
+    /// density diagnostic (and its cross-rank sum) works in.
+    pub(crate) fn h_counts(&self) -> Vec<f64> {
+        let (neutral, _) = self.counts_per_cell();
+        neutral.iter().map(|&c| c as f64).collect()
+    }
+
+    /// Export the kernel pool's per-worker busy time as
+    /// `kernels.rank{rank}.worker{w}.busy_seconds` gauges (the registry
+    /// is shared across rank threads, hence the rank-qualified names).
+    pub(crate) fn export_pool_busy(&self, obs: &ObsConfig, rank: usize) {
+        if let Some(reg) = &obs.metrics {
+            for (w, b) in self.pool.busy_seconds().iter().enumerate() {
+                reg.gauge(&format!("kernels.rank{rank}.worker{w}.busy_seconds"))
+                    .set(*b);
+            }
+        }
+    }
+
     /// Execute one full DSMC iteration through the unified pipeline
     /// with the serial backend (no communication, full record).
     pub fn dsmc_step(&mut self) -> StepRecord {
@@ -277,16 +285,9 @@ impl RankEngine {
     /// Inject (only effective on engines owning inlet cells).
     fn inject(&mut self, rec: &mut StepRecord, track: bool) {
         let before = self.particles.len();
+        let (h_rate, ion_rate) = (self.h_rate(), self.ion_rate());
         if let Some(inj) = self.injector.as_mut() {
             let cfg = &self.config;
-            let h_rate =
-                inj.particles_per_step(cfg.density_h, cfg.v_drift, cfg.dt_dsmc, cfg.weight_h);
-            let ion_rate = inj.particles_per_step(
-                cfg.density_hplus,
-                cfg.v_drift,
-                cfg.dt_dsmc,
-                cfg.weight_hplus,
-            );
             let h_sp = self.species.get(self.h_id).clone();
             let ion_sp = self.species.get(self.hp_id).clone();
             inj.inject(
@@ -519,6 +520,16 @@ pub struct StepOutcome {
     pub cost_rates: [f64; 3],
 }
 
+impl StepOutcome {
+    /// `lii` was measured and the decomposition stayed as it was.
+    pub(crate) fn measured(lii: f64) -> Self {
+        StepOutcome {
+            lii,
+            ..StepOutcome::default()
+        }
+    }
+}
+
 /// Traffic attribution of one particle exchange, reported by a
 /// backend for the exchange it just carried (see
 /// [`Backend::take_exchange_info`]).
@@ -604,7 +615,7 @@ pub trait Backend {
 
     /// Migrate emigrant particles to their owning ranks (no-op
     /// without real decomposition).
-    fn exchange(&mut self, eng: &mut RankEngine, phase: Phase, sub: usize);
+    fn exchange(&mut self, _eng: &mut RankEngine, _phase: Phase, _sub: usize) {}
 
     /// Traffic attribution of the most recent exchange, if the
     /// backend measured or modelled one. Called by the pipeline right
@@ -624,19 +635,31 @@ pub trait Backend {
 
     /// Sum the node charge across ranks (paper §IV-C reduction);
     /// identity without real decomposition.
-    fn reduce_charge(&mut self, eng: &RankEngine, node_charge: Vec<f64>) -> Vec<f64>;
+    fn reduce_charge(&mut self, _eng: &RankEngine, node_charge: Vec<f64>) -> Vec<f64> {
+        node_charge
+    }
 
     /// Global base index for Reindex (exclusive scan of per-rank
-    /// populations).
-    fn reindex_base(&mut self, eng: &RankEngine) -> u64;
+    /// populations; 0 without real decomposition).
+    fn reindex_base(&mut self, _eng: &RankEngine) -> u64 {
+        0
+    }
 
     /// The Rebalance phase: measure the load-imbalance indicator and,
-    /// when a rebalancer is armed, possibly re-decompose.
-    fn rebalance(&mut self, eng: &mut RankEngine, bd: &Breakdown, rec: &StepRecord) -> StepOutcome;
+    /// when a rebalancer is armed, possibly re-decompose. A single
+    /// rank has nothing to measure.
+    fn rebalance(
+        &mut self,
+        _eng: &mut RankEngine,
+        _bd: &Breakdown,
+        _rec: &StepRecord,
+    ) -> StepOutcome {
+        StepOutcome::default()
+    }
 
     /// The step is complete; attribution backends collapse their
     /// per-rank costs into `bd` here.
-    fn end_step(&mut self, eng: &RankEngine, bd: &mut Breakdown);
+    fn end_step(&mut self, _eng: &RankEngine, _bd: &mut Breakdown) {}
 
     /// Fraction of the particle population owned by each rank.
     fn share(&self, eng: &RankEngine) -> Vec<f64>;
@@ -648,7 +671,7 @@ pub trait Backend {
 }
 
 /// The coupled timestep's phase sequence (paper Fig. 1), defined
-/// exactly once. Every driver — `run_serial`, `run_threaded`,
+/// exactly once. Every driver — [`run_serial`], `run_threaded`,
 /// `ClusterSim` — iterates this.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StepPipeline {
@@ -780,24 +803,13 @@ impl StepPipeline {
     }
 }
 
-/// H number density per coarse cell of a whole-domain engine.
-fn density_h(eng: &RankEngine) -> Vec<f64> {
-    let (neutral, _) = eng.counts_per_cell();
-    let counts: Vec<f64> = neutral.iter().map(|&c| c as f64).collect();
-    crate::diag::number_density(
-        &counts,
-        &eng.nm.coarse.volumes,
-        eng.species.get(eng.h_id).weight,
-    )
-}
-
 /// The run loop of the two whole-domain drivers (`run_serial` and
 /// `ClusterSim::run`): `steps` iterations of `pipeline` on the one
 /// engine owning every cell, observed by a [`ReportBuilder`] and an
 /// [`obs::Recorder`] set up from `obs`. The returned report carries
-/// the trace, the breakdown, the final and time-averaged diagnostics
-/// and the population; the caller adds what only its backend knows.
-/// `ranks` labels the trace's metadata record.
+/// the trace, the breakdown, the final and time-averaged diagnostics,
+/// the population and the backend's counters. `ranks` labels the
+/// trace's metadata record.
 pub(crate) fn run_whole_domain<B: Backend>(
     eng: &mut RankEngine,
     be: &mut B,
@@ -817,18 +829,40 @@ pub(crate) fn run_whole_domain<B: Backend>(
         // never perturbs the physics, and with avg_window == 0 the
         // samples are dropped before they are even computed
         if obs.avg_window > 0 {
-            rec.field_sample("density_h", &density_h(eng));
+            rec.field_sample("density_h", &eng.density_h(&eng.h_counts()));
             rec.field_sample("phi", eng.poisson.phi());
         }
     }
     rec.finish();
     let mut report = builder.finish();
-    report.density_h = density_h(eng);
+    report.fill_backend_stats(&be.stats());
+    report.density_h = eng.density_h(&eng.h_counts());
     report.population = eng.particles.len();
     if let Some(avg) = rec.time_average() {
         report.density_h_avg = avg.mean("density_h").unwrap_or_default();
         report.phi_avg = avg.mean("phi").unwrap_or_default();
     }
+    report
+}
+
+/// Reference serial run of `run` (the paper's validated serial
+/// baseline): one engine owning the whole domain under the
+/// [`SerialBackend`], reporting the same diagnostics, measured
+/// breakdown and per-step trace as the decomposed drivers.
+pub fn run_serial(run: &RunConfig) -> RunReport {
+    let mut eng = RankEngine::new(run.sim.clone());
+    let pipeline = StepPipeline {
+        sort_every: run.sort_every,
+    };
+    let report = run_whole_domain(
+        &mut eng,
+        &mut SerialBackend::new(),
+        pipeline,
+        &run.obs,
+        1,
+        run.steps,
+    );
+    eng.export_pool_busy(&run.obs, 0);
     report
 }
 
@@ -873,21 +907,14 @@ impl Default for WallClock {
 
 /// Single-rank backend: no communication, full work record, real
 /// wall-clock timing through the shared [`WallClock`].
+#[derive(Default)]
 pub struct SerialBackend {
     clock: WallClock,
 }
 
 impl SerialBackend {
     pub fn new() -> Self {
-        SerialBackend {
-            clock: WallClock::start(),
-        }
-    }
-}
-
-impl Default for SerialBackend {
-    fn default() -> Self {
-        Self::new()
+        Self::default()
     }
 }
 
@@ -910,27 +937,6 @@ impl Backend for SerialBackend {
     ) {
         self.clock.lap(bd, phase);
     }
-
-    fn exchange(&mut self, _eng: &mut RankEngine, _phase: Phase, _sub: usize) {}
-
-    fn reduce_charge(&mut self, _eng: &RankEngine, node_charge: Vec<f64>) -> Vec<f64> {
-        node_charge
-    }
-
-    fn reindex_base(&mut self, _eng: &RankEngine) -> u64 {
-        0
-    }
-
-    fn rebalance(
-        &mut self,
-        _eng: &mut RankEngine,
-        _bd: &Breakdown,
-        _rec: &StepRecord,
-    ) -> StepOutcome {
-        StepOutcome::default()
-    }
-
-    fn end_step(&mut self, _eng: &RankEngine, _bd: &mut Breakdown) {}
 
     fn share(&self, _eng: &RankEngine) -> Vec<f64> {
         vec![1.0]

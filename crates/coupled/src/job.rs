@@ -131,7 +131,7 @@ pub enum JobStatus {
     Failed {
         /// Human-readable cause (the final [`RunError`] or panic).
         ///
-        /// [`RunError`]: crate::threadrun::RunError
+        /// [`RunError`]: crate::session::RunError
         error: String,
     },
 }

@@ -13,10 +13,14 @@ pub mod diag;
 pub mod engine;
 pub mod job;
 pub mod machine;
+mod rebalance;
 pub mod report;
 pub mod scenario;
-pub mod threadrun;
+pub mod session;
+mod tally;
+pub mod threaded;
 pub mod tune;
+pub mod world;
 
 /// One-stop imports for configuring runs, driving them (directly or
 /// as jobs), and consuming their reports and traces:
@@ -41,13 +45,12 @@ pub mod prelude {
         ConfigError, Dataset, FaultPolicy, ObsConfig, RunConfig, RunConfigBuilder, SimConfig,
         CONFIG_SCHEMA_VERSION,
     };
+    pub use crate::engine::run_serial;
     pub use crate::job::{JobId, JobMeta, JobPriority, JobSpec, JobStatus};
     pub use crate::machine::MachineProfile;
     pub use crate::report::{ReportBuilder, RunReport, StepTrace};
     pub use crate::scenario::{Scenario, ScenarioError};
-    pub use crate::threadrun::{
-        run_serial, run_threaded, run_threaded_result, EngineSession, RunError,
-    };
+    pub use crate::session::{run_threaded, run_threaded_result, EngineSession, RunError};
     pub use balance::CostSourceKind;
     pub use obs::{
         FanoutSink, MemorySink, MetricsSnapshot, Observer, Registry, TraceEvent, TraceSpec,
@@ -65,8 +68,8 @@ pub use config::{
     CONFIG_SCHEMA_VERSION,
 };
 pub use engine::{
-    Backend, BackendStats, ExchangeInfo, ExchangeScratch, RankEngine, SerialBackend, StepComm,
-    StepOutcome, StepPipeline, StepRecord, WallClock,
+    run_serial, Backend, BackendStats, ExchangeInfo, ExchangeScratch, RankEngine, SerialBackend,
+    StepComm, StepOutcome, StepPipeline, StepRecord, WallClock,
 };
 pub use job::{JobId, JobMeta, JobPriority, JobSpec, JobStatus};
 pub use machine::{CostModel, MachineProfile, Placement};
@@ -74,7 +77,6 @@ pub use obs::{Breakdown, Phase};
 pub use partition::Decomposition;
 pub use report::{ReportBuilder, RunReport, StepTrace};
 pub use scenario::{Scenario, ScenarioError};
-pub use threadrun::{
-    run_serial, run_threaded, run_threaded_result, EngineSession, RunError, ThreadedBackend,
-};
+pub use session::{run_threaded, run_threaded_result, EngineSession, RunError};
+pub use threaded::ThreadedBackend;
 pub use tune::{tune_balancer, TunePoint, TuneReport};

@@ -164,28 +164,31 @@ impl CostModel {
         units / rate
     }
 
-    /// Wall time of one particle exchange with the given traffic.
+    /// Wall time of one particle exchange with the given protocol
+    /// traffic (one entry of [`CostModel::traffic`]): the protocol's
+    /// log-depth fences, then the busiest rank's point-to-point
+    /// operations at the per-operation latency, then its bytes.
     ///
     /// Distributed: every rank performs 2(N−1) *synchronized*
     /// send/recv rounds (the paper's two-round ordered protocol), so
     /// the latency term grows linearly in N with a synchronization
     /// penalty; bytes move once, bounded by the busiest rank.
     ///
-    /// Centralized: the root serializes 2(N−1) messages and every
-    /// migrated byte crosses the wire twice through it.
+    /// Centralized: the root serializes 2(N−1) eager messages at the
+    /// bare link latency and every migrated byte crosses the wire
+    /// twice through it.
     ///
     /// Sparse: two barrier fences bracket the counts round, then only
     /// the busiest rank's nonzero pairs pay per-operation latency
     /// (one count message + one payload message per partner) — the
     /// latency bill scales with actual migration, not with N².
     ///
-    /// Hier: four log-depth fences (three phases plus the trailing
-    /// one) and the busiest rank — a node leader — pays per-operation
-    /// latency for its funnel fan-in, trunk frames and scatter fan-out
-    /// plus its aggregated bytes. The leader drains members in strict
-    /// rank order, so skew accumulates exactly like the flat ordered
-    /// protocols and the contended `per_op` applies.
-    pub fn exchange_time(&self, strategy: Strategy, t: &TrafficSummary) -> f64 {
+    /// Hier: three phase fences plus the trailing one, and the busiest
+    /// rank — a node leader — pays per-operation latency for its funnel
+    /// fan-in, trunk frames and scatter fan-out plus its aggregated
+    /// bytes. The leader drains members in strict rank order, so skew
+    /// accumulates exactly like the flat ordered protocols.
+    pub fn exchange_time(&self, t: &TrafficSummary) -> f64 {
         let n = self.ranks as f64;
         let a = self.alpha();
         let b = self.beta();
@@ -197,32 +200,13 @@ impl CostModel {
         // ranks on BSCC (Fig. 11) while DC stays ahead on Tianhe-2's
         // particle-heavy runs (Table II).
         let contention = n * self.profile.cores_per_node as f64 / 1536.0;
-        let per_op = a * (2.0 + contention);
-        match strategy {
-            Strategy::Distributed => 2.0 * (n - 1.0) * per_op + t.max_rank_bytes as f64 / b,
-            Strategy::Centralized => {
-                // root serializes 2(N−1) eager messages; all migrated
-                // bytes cross its single link twice
-                2.0 * (n - 1.0) * a + t.max_rank_bytes as f64 / b
-            }
-            Strategy::Sparse => {
-                // log-depth barrier fences + the busiest rank's
-                // serialized nonzero operations + its payload bytes
-                let fences = 2.0 * n.log2().max(1.0) * a;
-                fences + t.max_rank_msgs as f64 * per_op + t.max_rank_bytes as f64 / b
-            }
-            Strategy::Hier => {
-                // three phase fences + the trailing fence, then the
-                // leader's serialized frame operations and its share of
-                // the aggregated inter-node bytes
-                let fences = 8.0 * n.log2().max(1.0) * a;
-                fences + t.max_rank_msgs as f64 * per_op + t.max_rank_bytes as f64 / b
-            }
-            Strategy::Auto => panic!(
-                "Strategy::Auto has no cost of its own — resolve it with \
-                 CostModel::pick_strategy first"
-            ),
-        }
+        let per_op = if t.root_serialized {
+            a
+        } else {
+            a * (2.0 + contention)
+        };
+        let fences = t.fences as f64 * n.log2().max(1.0) * a;
+        fences + t.max_rank_msgs as f64 * per_op + t.max_rank_bytes as f64 / b
     }
 
     /// The rank → node grouping the hierarchical strategy is priced
@@ -246,8 +230,8 @@ impl CostModel {
     /// deterministic.
     pub fn cheapest(&self, traffic: &[TrafficSummary; 4]) -> usize {
         let mut best = (0, f64::INFINITY);
-        for (idx, (&s, t)) in Strategy::CONCRETE.iter().zip(traffic).enumerate() {
-            let time = self.exchange_time(s, t);
+        for (idx, t) in traffic.iter().enumerate() {
+            let time = self.exchange_time(t);
             if time < best.1 {
                 best = (idx, time);
             }
@@ -256,14 +240,12 @@ impl CostModel {
     }
 
     /// Modelled wall time of one exchange of the migration byte matrix
-    /// `m` under `strategy` (traffic prediction + α–β charge). Dense
-    /// convenience over [`CostModel::traffic`].
-    pub fn exchange_time_for(&self, strategy: Strategy, m: &[Vec<u64>]) -> f64 {
-        let idx = strategy.concrete_index().expect(
-            "Strategy::Auto has no cost of its own — resolve it with \
-             CostModel::pick_strategy first",
-        );
-        self.exchange_time(strategy, &self.traffic(&self.flows_of(m))[idx])
+    /// `m` under every concrete strategy, in [`Strategy::CONCRETE`]
+    /// order (traffic prediction + α–β charge). Dense convenience over
+    /// [`CostModel::traffic`].
+    pub fn exchange_times(&self, m: &[Vec<u64>]) -> [f64; 4] {
+        self.traffic(&self.flows_of(m))
+            .map(|t| self.exchange_time(&t))
     }
 
     /// [`CostModel::cheapest`] on the rank-0-reduced migration byte
@@ -308,14 +290,8 @@ impl CostModel {
     }
 
     /// Cost of one rebalance: serial partition on rank 0 + mapping
-    /// broadcast + particle migration under `strategy`.
-    pub fn rebalance_time(
-        &self,
-        cells: usize,
-        migration: &TrafficSummary,
-        strategy: Strategy,
-        use_km: bool,
-    ) -> f64 {
+    /// broadcast + the particle migration's protocol traffic.
+    pub fn rebalance_time(&self, cells: usize, migration: &TrafficSummary, use_km: bool) -> f64 {
         let n = self.ranks as f64;
         let partition = cells as f64 * (cells as f64).log2().max(1.0) / self.profile.partition_rate;
         let km = if use_km {
@@ -327,7 +303,7 @@ impl CostModel {
             0.0
         };
         let bcast = (n.log2().max(1.0)) * self.alpha() + cells as f64 * 4.0 / self.beta();
-        partition + km + bcast + self.exchange_time(strategy, migration)
+        partition + km + bcast + self.exchange_time(migration)
     }
 }
 
@@ -362,27 +338,15 @@ mod tests {
         // many particles, few ranks: distributed faster
         let few = CostModel::new(MachineProfile::tianhe2(), 16);
         let m = uniform_matrix(16, 2_000_000);
-        let dc = few.exchange_time(
-            Strategy::Distributed,
-            &vmpi::traffic(Strategy::Distributed, &m),
-        );
-        let cc = few.exchange_time(
-            Strategy::Centralized,
-            &vmpi::traffic(Strategy::Centralized, &m),
-        );
+        let dc = few.exchange_time(&vmpi::traffic(Strategy::Distributed, &m));
+        let cc = few.exchange_time(&vmpi::traffic(Strategy::Centralized, &m));
         assert!(dc < cc, "dc {dc} cc {cc}");
 
         // few particles, many ranks: centralized faster
         let many = CostModel::new(MachineProfile::bscc(), 768);
         let m = uniform_matrix(768, 20);
-        let dc = many.exchange_time(
-            Strategy::Distributed,
-            &vmpi::traffic(Strategy::Distributed, &m),
-        );
-        let cc = many.exchange_time(
-            Strategy::Centralized,
-            &vmpi::traffic(Strategy::Centralized, &m),
-        );
+        let dc = many.exchange_time(&vmpi::traffic(Strategy::Distributed, &m));
+        let cc = many.exchange_time(&vmpi::traffic(Strategy::Centralized, &m));
         assert!(cc < dc, "cc {cc} dc {dc}");
     }
 
@@ -401,17 +365,14 @@ mod tests {
         // quiet step: two migrating pairs out of 96·95 — the sparse
         // protocol's 4-message bill beats both all-pairs schedules
         let quiet = pair_matrix(96, &[(3, 7, 4_000), (40, 12, 2_000)]);
-        let sp = cm.exchange_time_for(Strategy::Sparse, &quiet);
-        let dc = cm.exchange_time_for(Strategy::Distributed, &quiet);
-        let cc = cm.exchange_time_for(Strategy::Centralized, &quiet);
+        let [cc, dc, sp, _] = cm.exchange_times(&quiet);
         assert!(sp < dc, "sparse {sp} dc {dc}");
         assert!(sp < cc, "sparse {sp} cc {cc}");
 
         // dense step: every pair migrates, so sparse pays the same
         // payload plus count messages and fences — distributed wins
         let dense = uniform_matrix(96, 50_000);
-        let sp = cm.exchange_time_for(Strategy::Sparse, &dense);
-        let dc = cm.exchange_time_for(Strategy::Distributed, &dense);
+        let [_, dc, sp, _] = cm.exchange_times(&dense);
         assert!(dc < sp, "dc {dc} sparse {sp}");
     }
 
@@ -440,10 +401,7 @@ mod tests {
         // records.
         let cm = CostModel::new(MachineProfile::tianhe3(), 1536);
         let dense = uniform_matrix(1536, 1_000);
-        let hier = cm.exchange_time_for(Strategy::Hier, &dense);
-        let cc = cm.exchange_time_for(Strategy::Centralized, &dense);
-        let dc = cm.exchange_time_for(Strategy::Distributed, &dense);
-        let sp = cm.exchange_time_for(Strategy::Sparse, &dense);
+        let [cc, dc, sp, hier] = cm.exchange_times(&dense);
         assert!(hier < cc, "hier {hier} cc {cc}");
         assert!(hier < dc, "hier {hier} dc {dc}");
         assert!(hier < sp, "hier {hier} sparse {sp}");
@@ -453,14 +411,6 @@ mod tests {
         // and the four fences make it lose to Sparse
         let quiet = pair_matrix(1536, &[(3, 1000, 4_000)]);
         assert_eq!(cm.pick_strategy(&quiet), Strategy::Sparse);
-    }
-
-    #[test]
-    #[should_panic(expected = "pick_strategy")]
-    fn auto_has_no_cost_of_its_own() {
-        let cm = CostModel::new(MachineProfile::tianhe2(), 8);
-        let m = uniform_matrix(8, 100);
-        cm.exchange_time(Strategy::Auto, &vmpi::traffic(Strategy::Distributed, &m));
     }
 
     #[test]
@@ -483,10 +433,7 @@ mod tests {
             cm.placement = p;
             let m = uniform_matrix(96, 10_000);
             // a step dominated by compute with some exchange
-            1.0 + cm.exchange_time(
-                Strategy::Distributed,
-                &vmpi::traffic(Strategy::Distributed, &m),
-            )
+            1.0 + cm.exchange_time(&vmpi::traffic(Strategy::Distributed, &m))
         };
         let inner = mk(Placement::InnerFrame);
         let inter = mk(Placement::InterRack);
@@ -503,8 +450,8 @@ mod tests {
         let cm = CostModel::new(MachineProfile::tianhe2(), 96);
         let m = uniform_matrix(96, 1000);
         let tr = vmpi::traffic(Strategy::Distributed, &m);
-        let with = cm.rebalance_time(100_000, &tr, Strategy::Distributed, true);
-        let without = cm.rebalance_time(100_000, &tr, Strategy::Distributed, false);
+        let with = cm.rebalance_time(100_000, &tr, true);
+        let without = cm.rebalance_time(100_000, &tr, false);
         // KM itself adds well under 10% here
         assert!((with - without) / without < 0.1);
     }

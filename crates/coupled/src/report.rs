@@ -76,6 +76,15 @@ pub struct RunReport {
 }
 
 impl RunReport {
+    /// Fold a backend's cumulative counters into the report.
+    pub(crate) fn fill_backend_stats(&mut self, stats: &crate::engine::BackendStats) {
+        self.strategy_uses = stats.strategy_uses;
+        self.rebalances = stats.rebalances;
+        self.rebalance_migrated = stats.rebalance_migrated;
+        self.transactions = stats.transactions;
+        self.bytes = stats.bytes;
+    }
+
     /// Versioned JSON export of the whole report (schema version
     /// [`obs::SCHEMA_VERSION`]); pass a registry snapshot to embed
     /// the run's metrics under a `"metrics"` key.

@@ -1,0 +1,646 @@
+//! The threaded backend: every MPI rank is an OS thread.
+//!
+//! This is the *real* parallel implementation (paper §IV): ranks own
+//! disjoint sets of coarse cells, keep only their own particles,
+//! migrate particles with the configured exchange strategy after
+//! every move phase, sum boundary charge with an all-reduce before
+//! the Poisson solve, and re-decompose with the measured-lii dynamic
+//! load balancer. Used for validation (serial vs parallel, paper
+//! Fig. 8/9) and by the job server.
+//!
+//! The step itself is the one [`crate::engine::StepPipeline`]; this
+//! module supplies [`ThreadedBackend`] — real `vmpi` communication
+//! plus measured [`WallClock`] timing. The run loop around it is the
+//! session's ([`crate::session`]).
+//!
+//! Determinism note: each rank owns an independent RNG stream, so a
+//! k-rank run is statistically — not bitwise — equivalent to the
+//! serial run, exactly like the paper's MPI solver ("minor
+//! differences ... mainly due to random seeds").
+
+use crate::config::RunConfig;
+use crate::engine::{
+    Backend, BackendStats, ExchangeInfo, ExchangeScratch, RankEngine, StepComm, StepOutcome,
+    StepRecord, WallClock,
+};
+use crate::machine::{CostModel, MachineProfile};
+use crate::rebalance::BalanceHook;
+use crate::tally::CommTally;
+use crate::world::World;
+use balance::{load_imbalance_indicator, RankTimes};
+use obs::{Breakdown, Phase};
+use particles::{pack_index, unpack_all, ParticleBuffer};
+use partition::{block_ranges, Decomposition};
+use std::sync::Arc;
+use vmpi::collectives::{
+    allgather_f64, allgather_u64, allreduce_sum_f64, allreduce_sum_u64, broadcast, gather,
+};
+use vmpi::{
+    exchange_hier_overlapped, exchange_into, Comm, CommError, CommResult, Flows, NodeMap, Strategy,
+};
+
+/// Serialise the particles of `buf` that no longer belong to `me`
+/// straight into their destinations' wire buffers, building the keep
+/// mask in the same pass. Compaction is left to the caller — under an
+/// overlapped hierarchical exchange it runs while the sends are in
+/// flight. Returns the emigrant count.
+fn pack_emigrants(
+    buf: &ParticleBuffer,
+    owner: &[u32],
+    me: usize,
+    ranks: usize,
+    scratch: &mut ExchangeScratch,
+) -> usize {
+    scratch.outgoing.resize_with(ranks, Vec::new);
+    for b in scratch.outgoing.iter_mut() {
+        b.clear();
+    }
+    scratch.keep.clear();
+    scratch.keep.resize(buf.len(), true);
+    let mut emigrants = 0usize;
+    for i in 0..buf.len() {
+        let dest = owner[buf.cell[i] as usize] as usize;
+        if dest != me {
+            pack_index(buf, i, &mut scratch.outgoing[dest]);
+            scratch.keep[i] = false;
+            emigrants += 1;
+        }
+    }
+    emigrants
+}
+
+/// Resolve [`Strategy::Auto`] for one exchange: every rank contributes
+/// its per-destination byte counts (8·ranks bytes), rank 0 assembles
+/// the migration byte matrix and scores the concrete strategies with
+/// the cost model, and the 1-byte pick is broadcast. The pick only
+/// changes the message schedule — every strategy delivers identical
+/// buffers — so the machine profile behind `cost` can never affect
+/// physics.
+fn resolve_strategy<C: Comm>(
+    comm: &C,
+    configured: Strategy,
+    outgoing: &[Vec<u8>],
+    cost: &CostModel,
+) -> CommResult<Strategy> {
+    if configured != Strategy::Auto {
+        return Ok(configured);
+    }
+    let mut row = Vec::with_capacity(outgoing.len() * 8);
+    for b in outgoing {
+        row.extend_from_slice(&(b.len() as u64).to_le_bytes());
+    }
+    let choice = gather(comm, 0, row)?.map(|rows| {
+        let mut flows = Flows::new();
+        flows.assign(rows.iter().enumerate().flat_map(|(src, r)| {
+            r.chunks_exact(8).enumerate().map(move |(dst, c)| {
+                let mut w = [0u8; 8];
+                w.copy_from_slice(c);
+                (src as u32, dst as u32, u64::from_le_bytes(w))
+            })
+        }));
+        vec![cost.cheapest(&cost.traffic(&flows)) as u8]
+    });
+    match broadcast(comm, 0, choice)?.first() {
+        Some(&i) if (i as usize) < Strategy::CONCRETE.len() => Ok(Strategy::CONCRETE[i as usize]),
+        _ => Err(CommError::Malformed {
+            what: "auto strategy pick",
+        }),
+    }
+}
+
+/// Real-communication backend: `vmpi` collectives between the phases,
+/// measured [`WallClock`] timing, measured-lii rebalancing
+/// (Algorithm 1).
+///
+/// The [`Backend`] trait is infallible, so communication errors are
+/// *latched*: the first [`CommError`] is stored, the rank aborts its
+/// comm (collapsing peers' blocking operations promptly), and every
+/// later comm-touching backend call short-circuits to a local
+/// fallback. The run harness checks [`ThreadedBackend::fault`] after
+/// each step and discards the poisoned rank state.
+pub struct ThreadedBackend<'a, C: Comm> {
+    comm: &'a C,
+    strategy: Strategy,
+    /// Parameters for the Auto decision rule. The threaded backend
+    /// has no real α/β of its own, so the Tianhe-2 profile is the
+    /// documented default; see [`resolve_strategy`] for why this can
+    /// never change the physics.
+    cost: CostModel,
+    /// Node grouping for [`Strategy::Hier`] (from
+    /// [`RunConfig::ranks_per_node`]; 0 = two equal halves).
+    nodes: NodeMap,
+    /// Overlap compaction/pre-bucketing with the hierarchical
+    /// exchange (from [`RunConfig::overlap`]).
+    overlap: bool,
+    /// Unified particle/field ownership (default) or the split
+    /// Eulerian/Lagrangian mode: the field grid stays statically
+    /// block-partitioned and the charge reduction becomes a per-owner
+    /// gather/scatter (see [`Backend::reduce_charge`]).
+    decomp: Decomposition,
+    /// Decomposition state and rebalancing policy (Algorithm 1).
+    balance: BalanceHook,
+    tally: CommTally,
+    clock: WallClock,
+    /// Per-rank populations from the Reindex allgather (reused for
+    /// the step trace's share).
+    pops: Vec<u64>,
+    /// First communication error observed; once set, comm-touching
+    /// calls short-circuit (the rank's state is already condemned).
+    fault: Option<CommError>,
+}
+
+impl<'a, C: Comm> ThreadedBackend<'a, C> {
+    /// The backend of rank `comm.rank()` for `run`, resuming under the
+    /// ownership map `owner` (the world's seed decomposition, or a
+    /// checkpointed one).
+    pub fn new(comm: &'a C, run: &RunConfig, world: &Arc<World>, owner: Vec<u32>) -> Self {
+        ThreadedBackend {
+            comm,
+            strategy: run.strategy,
+            cost: CostModel::new(MachineProfile::tianhe2(), comm.size()),
+            nodes: if run.ranks_per_node == 0 {
+                NodeMap::default_for(comm.size())
+            } else {
+                NodeMap::grouped(comm.size(), run.ranks_per_node)
+            },
+            overlap: run.overlap,
+            decomp: run.decomposition,
+            balance: BalanceHook::new(run, world.clone(), owner),
+            tally: CommTally::default(),
+            clock: WallClock::start(),
+            pops: Vec::new(),
+            fault: None,
+        }
+    }
+
+    /// The first communication error this backend latched, if any.
+    pub fn fault(&self) -> Option<CommError> {
+        self.fault
+    }
+
+    /// The coarse-cell ownership map the backend is running under
+    /// (changes when the balancer remaps).
+    pub fn owner(&self) -> &[u32] {
+        self.balance.owner()
+    }
+
+    /// Latch the first fault and abort this rank's comm so peers
+    /// blocked on it collapse with [`CommError::PeerDead`] instead of
+    /// waiting out their timeouts.
+    fn latch(&mut self, error: CommError) {
+        if self.fault.is_none() {
+            self.fault = Some(error);
+            self.comm.abort();
+        }
+    }
+
+    /// This world's cumulative (transactions, bytes) counters.
+    fn wire(&self) -> (u64, u64) {
+        let stats = self.comm.stats();
+        (stats.transactions(), stats.bytes())
+    }
+
+    /// `result`'s value, or `None` with its error latched.
+    fn ok_or_latch<T>(&mut self, result: CommResult<T>) -> Option<T> {
+        result.map_err(|e| self.latch(e)).ok()
+    }
+
+    /// One full particle migration: pack emigrants, resolve the
+    /// strategy, run the wire exchange through the reused scratch
+    /// buffers, unpack immigrants. Returns the concrete strategy that
+    /// carried it.
+    ///
+    /// Under [`Strategy::Hier`] with [`RunConfig::overlap`] set, the
+    /// buffer compaction (and, with `prebucket`, the collide
+    /// pre-bucketing) runs inside [`exchange_hier_overlapped`]'s
+    /// window: after the phase-1 nonblocking sends are posted, before
+    /// the first fence-and-drain. Only RNG-free work moves into the
+    /// window, so the delivered state is bitwise identical to the
+    /// sequential path either way (compaction order relative to the
+    /// wire is unobservable, and pre-built collide buckets list the
+    /// same indices in the same order).
+    fn migrate(&self, eng: &mut RankEngine, prebucket: bool) -> CommResult<Strategy> {
+        let comm = self.comm;
+        let RankEngine {
+            particles,
+            exch,
+            collisions,
+            h_id,
+            ..
+        } = eng;
+        let owner = self.balance.owner();
+        let emigrants = pack_emigrants(particles, owner, comm.rank(), comm.size(), exch);
+        let strategy = resolve_strategy(comm, self.strategy, &exch.outgoing, &self.cost)?;
+        let ExchangeScratch {
+            keep,
+            outgoing,
+            incoming,
+        } = exch;
+        let overlapped = strategy == Strategy::Hier && self.overlap;
+        if !overlapped && emigrants > 0 {
+            particles.compact(keep);
+        }
+        if strategy == Strategy::Hier {
+            let do_prebucket = overlapped && prebucket;
+            exchange_hier_overlapped(comm, &self.nodes, outgoing, incoming, || {
+                if overlapped {
+                    if emigrants > 0 {
+                        particles.compact(keep);
+                    }
+                    if do_prebucket {
+                        collisions.prebucket(particles, *h_id);
+                    }
+                }
+            })?;
+            let from = particles.len();
+            for inc in incoming.iter() {
+                unpack_all(inc, particles);
+            }
+            if do_prebucket {
+                collisions.extend_bucket(particles, from, *h_id);
+            }
+        } else {
+            exchange_into(comm, strategy, outgoing, incoming)?;
+            for inc in incoming.iter() {
+                unpack_all(inc, particles);
+            }
+        }
+        Ok(strategy)
+    }
+
+    /// Carry one migration and note its attribution: the strategy
+    /// index plus the world-counter delta observed around it. The
+    /// delta is best-effort per exchange (other ranks may be
+    /// mid-flight); per-*step* deltas are exact. `prebucket` allows
+    /// the overlapped hierarchical path to pre-bucket the collide
+    /// lists (DSMC exchange only — the buckets must be consumed by
+    /// the very next collide pass).
+    fn migrate_and_tally(&mut self, eng: &mut RankEngine, prebucket: bool) {
+        if self.fault.is_some() {
+            return;
+        }
+        let before = self.wire();
+        let carried = self.migrate(eng, prebucket);
+        if let Some(s) = self.ok_or_latch(carried) {
+            let after = self.wire();
+            self.tally.note(ExchangeInfo {
+                strategy: s.concrete_index().expect("resolved strategy is concrete"),
+                transactions: after.0.saturating_sub(before.0),
+                bytes: after.1.saturating_sub(before.1),
+                ..ExchangeInfo::default()
+            });
+        }
+    }
+}
+
+impl<C: Comm> Backend for ThreadedBackend<'_, C> {
+    fn begin_step(&mut self, _eng: &RankEngine) {
+        self.clock.begin_step();
+    }
+
+    fn lap(
+        &mut self,
+        phase: Phase,
+        _sub: usize,
+        _eng: &RankEngine,
+        _rec: &StepRecord,
+        bd: &mut Breakdown,
+    ) {
+        self.clock.lap(bd, phase);
+    }
+
+    fn exchange(&mut self, eng: &mut RankEngine, phase: Phase, _sub: usize) {
+        // only the DSMC exchange is immediately followed by the
+        // collide pass, so only it may pre-bucket under overlap
+        self.migrate_and_tally(eng, phase == Phase::DsmcExchange);
+    }
+
+    fn take_exchange_info(&mut self) -> Option<ExchangeInfo> {
+        self.tally.take_exchange_info()
+    }
+
+    fn step_comm(&mut self) -> StepComm {
+        let now = self.wire();
+        self.tally.step_comm(now)
+    }
+
+    fn reduce_charge(&mut self, _eng: &RankEngine, node_charge: Vec<f64>) -> Vec<f64> {
+        if self.fault.is_some() {
+            return node_charge;
+        }
+        // sum boundary/node charge across ranks (paper §IV-C
+        // reduction); every rank then solves the replicated system.
+        // Under the Eulerian/Lagrangian split each static field owner
+        // reduces its own block and scatters it back — the additions
+        // happen in the same rank order, so the result is bitwise
+        // identical to the allreduce.
+        let reduced = if self.decomp == Decomposition::EulLag {
+            eullag_reduce_charge(self.comm, &node_charge)
+        } else {
+            allreduce_sum_f64(self.comm, &node_charge)
+        };
+        self.ok_or_latch(reduced).unwrap_or(node_charge)
+    }
+
+    fn reindex_base(&mut self, eng: &RankEngine) -> u64 {
+        if self.fault.is_some() {
+            return 0;
+        }
+        let pops = allgather_u64(self.comm, eng.particles.len() as u64);
+        let Some(pops) = self.ok_or_latch(pops) else {
+            return 0;
+        };
+        self.pops = pops;
+        self.pops[..self.comm.rank()].iter().sum()
+    }
+
+    fn rebalance(
+        &mut self,
+        eng: &mut RankEngine,
+        bd: &Breakdown,
+        _rec: &StepRecord,
+    ) -> StepOutcome {
+        if self.fault.is_some() {
+            return StepOutcome::default();
+        }
+        // share measured times: (total, migration, poisson) triples —
+        // extended with the per-phase kernel times when the
+        // timer-augmented cost source wants samples (the wire layout
+        // stays the 3-float triple otherwise, so the default path's
+        // message stream is untouched)
+        let sampling = self.balance.wants_samples();
+        let mine: Vec<f64> = if sampling {
+            vec![
+                bd.total(),
+                bd.migration(),
+                bd.poisson(),
+                bd[Phase::DsmcMove],
+                bd[Phase::ColliReact],
+                bd[Phase::PicMove],
+            ]
+        } else {
+            vec![bd.total(), bd.migration(), bd.poisson()]
+        };
+        let width = mine.len();
+        let all = allgather_f64(self.comm, &mine);
+        let Some(all) = self.ok_or_latch(all) else {
+            return StepOutcome::default();
+        };
+        let times: Vec<RankTimes> = all
+            .chunks_exact(width)
+            .map(|c| RankTimes {
+                total: c[0],
+                migration: c[1],
+                poisson: c[2],
+            })
+            .collect();
+        // world-wide kernel seconds, summed in rank order
+        let mut kernel_seconds = [0.0; 3];
+        if sampling {
+            for c in all.chunks_exact(width) {
+                for (s, &t) in kernel_seconds.iter_mut().zip(&c[3..]) {
+                    *s += t;
+                }
+            }
+        }
+        let lii = load_imbalance_indicator(&times);
+        if !self.balance.armed() {
+            return StepOutcome::measured(lii);
+        }
+        // global per-cell counts (needed by the load model)
+        let (neutral, charged) = eng.counts_per_cell();
+        let global = allreduce_sum_u64(self.comm, &[neutral, charged].concat());
+        let Some(global) = self.ok_or_latch(global) else {
+            return StepOutcome::measured(lii);
+        };
+        let (neutral, charged) = global.split_at(eng.nm.num_coarse());
+
+        // every rank runs the (deterministic) algorithm on the same
+        // inputs => identical new ownership everywhere
+        let remap_started = std::time::Instant::now();
+        let (mut outcome, replaced) = self.balance.step(lii, kernel_seconds, neutral, charged);
+        if replaced.is_some() {
+            eng.claim_inlet(self.balance.owner(), self.comm.rank());
+            self.migrate_and_tally(eng, false);
+            outcome.remap_seconds = remap_started.elapsed().as_secs_f64();
+        }
+        outcome
+    }
+
+    fn share(&self, _eng: &RankEngine) -> Vec<f64> {
+        let total = self.pops.iter().sum::<u64>().max(1) as f64;
+        self.pops.iter().map(|&p| p as f64 / total).collect()
+    }
+
+    fn stats(&self) -> BackendStats {
+        self.tally.stats(&self.balance)
+    }
+}
+
+/// Gather/scatter charge reduction of the Eulerian/Lagrangian split
+/// (DESIGN.md §15): the field grid is statically block-partitioned
+/// over ranks, each owner gathers every rank's contribution to its
+/// block, reduces them in rank order, and broadcasts the reduced
+/// block back so every rank can run the replicated Poisson solve.
+/// Summing per element in rank order makes the result bitwise
+/// identical to [`allreduce_sum_f64`] over the same inputs.
+fn eullag_reduce_charge<C: Comm>(comm: &C, node_charge: &[f64]) -> CommResult<Vec<f64>> {
+    let me = comm.rank();
+    let ranges = block_ranges(node_charge.len(), comm.size());
+    // phase 1: each owner gathers and reduces its block
+    let mut owned: Vec<f64> = Vec::new();
+    for (root, range) in ranges.iter().enumerate() {
+        let bytes: Vec<u8> = node_charge[range.clone()]
+            .iter()
+            .flat_map(|v| v.to_le_bytes())
+            .collect();
+        if let Some(parts) = gather(comm, root, bytes)? {
+            let mut acc = vec![0.0f64; range.len()];
+            for part in &parts {
+                if part.len() != range.len() * 8 {
+                    return Err(CommError::Malformed {
+                        what: "eullag charge block",
+                    });
+                }
+                for (a, chunk) in acc.iter_mut().zip(part.chunks_exact(8)) {
+                    *a += f64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
+                }
+            }
+            owned = acc;
+        }
+    }
+    // phase 2: owners scatter the reduced blocks; every rank
+    // reassembles the full vector
+    let mut out = vec![0.0f64; node_charge.len()];
+    for (root, range) in ranges.iter().enumerate() {
+        let mine = (me == root).then(|| {
+            owned
+                .iter()
+                .flat_map(|v| v.to_le_bytes())
+                .collect::<Vec<u8>>()
+        });
+        let block = broadcast(comm, root, mine)?;
+        if block.len() != range.len() * 8 {
+            return Err(CommError::Malformed {
+                what: "eullag reduced block",
+            });
+        }
+        for (slot, chunk) in out[range.clone()].iter_mut().zip(block.chunks_exact(8)) {
+            *slot = f64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
+        }
+    }
+    Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::{Dataset, RunConfigBuilder};
+    use crate::engine::run_serial;
+    use crate::report::RunReport;
+    use crate::session::run_threaded;
+
+    /// The small fixed-seed run every test here varies.
+    fn quick(ranks: usize, strategy: Strategy) -> RunConfigBuilder {
+        RunConfig::builder()
+            .paper(Dataset::D1, 0.02)
+            .ranks(ranks)
+            .seed(5)
+            .steps(12)
+            .strategy(strategy)
+            .rebalance(None)
+    }
+
+    fn run(config: RunConfigBuilder) -> RunReport {
+        run_threaded(&config.build().expect("valid test config"))
+    }
+
+    #[test]
+    fn threaded_run_produces_particles() {
+        let r = run(quick(3, Strategy::Distributed));
+        assert!(r.population > 0);
+        assert!(r.transactions > 0, "ranks must communicate");
+        assert!(r.density_h.iter().any(|&d| d > 0.0));
+        assert_eq!(r.recoveries, 0, "clean run never recovers");
+        assert_eq!(r.faults_injected, 0, "clean run injects nothing");
+    }
+
+    #[test]
+    fn strategies_agree_statistically() {
+        let dc = run(quick(3, Strategy::Distributed));
+        let cc = run(quick(3, Strategy::Centralized));
+        // same seeds, same physics: populations must be close
+        let diff =
+            (dc.population as f64 - cc.population as f64).abs() / dc.population.max(1) as f64;
+        assert!(diff < 0.15, "dc {} vs cc {}", dc.population, cc.population);
+    }
+
+    #[test]
+    fn parallel_matches_serial_density() {
+        let config = quick(4, Strategy::Distributed)
+            .steps(16)
+            .build()
+            .expect("valid test config");
+        let par = run_threaded(&config);
+        let ser = run_serial(&config);
+        // total inventory within statistical scatter
+        let tot_par: f64 = par.density_h.iter().sum();
+        let tot_ser: f64 = ser.density_h.iter().sum();
+        let rel = (tot_par - tot_ser).abs() / tot_ser.max(1e-300);
+        assert!(rel < 0.2, "parallel {tot_par} vs serial {tot_ser}");
+    }
+
+    #[test]
+    fn rebalancing_fires_in_threaded_mode() {
+        let r = run(
+            quick(4, Strategy::Distributed).rebalance(Some(balance::RebalanceConfig {
+                t_interval: 4,
+                ..Default::default()
+            })),
+        );
+        assert!(r.rebalances >= 1, "threaded balancer never fired");
+        assert!(r.population > 0);
+        let fired: usize = r.trace.iter().filter(|t| t.rebalanced).count();
+        assert_eq!(fired, r.rebalances, "trace must record each rebalance");
+    }
+
+    #[test]
+    fn sparse_matches_distributed_exactly() {
+        // same seeds, and both strategies deliver identical buffers in
+        // identical source order — the full pipeline must agree bit
+        // for bit, not just statistically. (No load balancer here: its
+        // trigger is *measured wall time*, which is nondeterministic
+        // across runs regardless of strategy.)
+        let dc = run(quick(3, Strategy::Distributed));
+        let sp = run(quick(3, Strategy::Sparse));
+        assert_eq!(sp.population, dc.population);
+        assert_eq!(sp.density_h, dc.density_h);
+        let [_, _, sparse_uses, _] = sp.strategy_uses;
+        assert!(sparse_uses > 0, "sparse never carried an exchange");
+    }
+
+    #[test]
+    fn hier_matches_distributed_exactly() {
+        // the hierarchical schedule delivers the same buffers in the
+        // same source order as every flat strategy, with or without
+        // an explicit node map — the full pipeline must agree bitwise
+        let dc = run(quick(4, Strategy::Distributed));
+        let hier = run(quick(4, Strategy::Hier).ranks_per_node(2));
+        assert_eq!(hier.population, dc.population);
+        assert_eq!(hier.density_h, dc.density_h);
+        let [_, _, _, hier_uses] = hier.strategy_uses;
+        assert!(hier_uses > 0, "hier never carried an exchange");
+    }
+
+    #[test]
+    fn overlapped_hier_is_bitwise_identical_to_sequential_hier() {
+        let base = |overlap| run(quick(4, Strategy::Hier).ranks_per_node(2).overlap(overlap));
+        let seq = base(false);
+        let ov = base(true);
+        assert_eq!(ov.population, seq.population);
+        assert_eq!(ov.density_h, seq.density_h, "overlap changed physics");
+        // the wire schedule must be unchanged too: same exchanges, all
+        // hierarchical. (Absolute transaction totals are sampled from
+        // the world-shared counter while other ranks may be mid-flight
+        // in a collective, so they carry a few messages of run-to-run
+        // jitter and are not compared here.)
+        assert_eq!(
+            ov.strategy_uses, seq.strategy_uses,
+            "overlap changed schedule"
+        );
+    }
+
+    #[test]
+    fn auto_resolves_concrete_strategies() {
+        let a = run(quick(3, Strategy::Auto));
+        assert!(a.population > 0);
+        let used: u64 = a.strategy_uses.iter().sum();
+        // one DSMC exchange + one per PIC substep, every step
+        assert!(
+            used >= 12,
+            "expected an exchange tally per step, got {used}"
+        );
+        // same seeds → same physics as any fixed strategy
+        let dc = run(quick(3, Strategy::Distributed));
+        assert_eq!(a.population, dc.population);
+        assert_eq!(a.density_h, dc.density_h);
+    }
+
+    #[test]
+    fn every_driver_reports_a_trace() {
+        let r = run(quick(3, Strategy::Distributed));
+        assert_eq!(r.trace.len(), 12);
+        for t in &r.trace {
+            assert_eq!(t.share.len(), 3);
+            assert!((t.share.iter().sum::<f64>() - 1.0).abs() < 1e-12);
+        }
+        let config = quick(1, Strategy::Distributed)
+            .steps(4)
+            .build()
+            .expect("valid test config");
+        let s = run_serial(&config);
+        assert_eq!(s.trace.len(), 4);
+        assert!(s.breakdown.total() > 0.0, "serial breakdown now measured");
+        assert!((s.total_time - s.breakdown.total()).abs() < 1e-12);
+    }
+}

@@ -5,11 +5,9 @@
 //! Design constraints (see DESIGN.md "Single-node performance"):
 //!
 //! * **No external threading runtime.** rayon is not on the approved
-//!   dependency list and crossbeam is vendored as a channel-only stub,
-//!   so the pool is built directly on `std::thread::scope` (stable
-//!   since 1.63) — the same structured-concurrency primitive
-//!   `crossbeam::scope` provides. Threads are spawned per parallel
-//!   region; at the 10⁴–10⁶-particle workloads of a paper-scale rank
+//!   dependency list, so the pool is built directly on
+//!   `std::thread::scope` (stable since 1.63). Threads are spawned per
+//!   parallel region; at the 10⁴–10⁶-particle workloads of a paper-scale rank
 //!   the ~10 µs spawn cost is noise against ms-scale kernels.
 //! * **Serial fallback is bit-identical.** A [`Pool`] with one worker
 //!   never spawns and callers route through the untouched serial

@@ -42,6 +42,21 @@ pub mod span;
 /// meaning, so v1 readers that look fields up by name keep working.
 pub const SCHEMA_VERSION: u32 = 2;
 
+/// FNV-1a (64-bit) over a byte stream: the one digest the guard tests
+/// pin, the canonical config is keyed by and the experiment binaries
+/// print.
+pub fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// [`fnv1a`] over the little-endian bytes of a float series (a density
+/// field, an lii trajectory).
+pub fn fnv1a_f64(values: &[f64]) -> u64 {
+    fnv1a(values.iter().flat_map(|v| v.to_le_bytes()))
+}
+
 pub use avg::TimeAverage;
 pub use events::{ExchangeEvent, RebalanceEvent, StepTrace, STRATEGY_NAMES};
 pub use json::Json;

@@ -697,6 +697,17 @@ pub struct TrafficSummary {
     /// Bytes of the aggregated leader-to-leader trunk frames, headers
     /// included (zero for the flat strategies).
     pub aggregated_bytes: u64,
+    /// Log-depth barrier sweeps the protocol synchronizes with — a
+    /// latency the cost model charges on top of the messages (barriers
+    /// are not transactions): none for Centralized and Distributed, 2
+    /// for Sparse's fenced counts round, 8 for Hier's three phase
+    /// fences and trailing fence.
+    pub fences: u64,
+    /// Whether the busiest rank's operations queue at one root, one
+    /// eager message after another (Centralized), instead of running
+    /// in the strict source-order rounds whose skew every rank of a
+    /// node contends for (all other protocols).
+    pub root_serialized: bool,
 }
 
 /// One migration byte matrix in sparse form: its nonzero off-diagonal
@@ -813,6 +824,7 @@ pub fn traffic_all(nodes: &NodeMap, flows: &Flows) -> [TrafficSummary; 4] {
     // will carry
     let mut hier = TrafficSummary {
         nonzero_pairs,
+        fences: 8,
         ..TrafficSummary::default()
     };
     let mut hier_bytes = vec![0u64; n];
@@ -884,14 +896,14 @@ pub fn traffic_all(nodes: &NodeMap, flows: &Flows) -> [TrafficSummary; 4] {
     hier.node_pairs = node_pairs;
     hier.aggregated_bytes = aggregated_bytes;
 
-    let flat = |transactions, total_bytes, max_rank_bytes, max_rank_msgs| TrafficSummary {
+    let flat = |transactions, total_bytes, max_rank_bytes, max_rank_msgs, fences| TrafficSummary {
         transactions,
         total_bytes,
         max_rank_bytes,
         nonzero_pairs,
         max_rank_msgs,
-        node_pairs: 0,
-        aggregated_bytes: 0,
+        fences,
+        ..TrafficSummary::default()
     };
     let busiest = |per_pair: u64| {
         rank_bytes
@@ -904,13 +916,23 @@ pub fn traffic_all(nodes: &NodeMap, flows: &Flows) -> [TrafficSummary; 4] {
     let max_pairs = rank_pairs.iter().copied().max().unwrap_or(0);
     [
         // the root is the serial bottleneck: everything passes through it
-        flat(all_pairs, root_bytes, root_bytes, all_pairs),
-        flat(n as u64 * (n as u64 - 1), off_diag, busiest(0), all_pairs),
+        TrafficSummary {
+            root_serialized: true,
+            ..flat(all_pairs, root_bytes, root_bytes, all_pairs, 0)
+        },
+        flat(
+            n as u64 * (n as u64 - 1),
+            off_diag,
+            busiest(0),
+            all_pairs,
+            0,
+        ),
         flat(
             2 * nonzero_pairs,
             off_diag + 17 * nonzero_pairs,
             busiest(17),
             2 * max_pairs,
+            2,
         ),
         hier,
     ]

@@ -1,5 +1,6 @@
 //! Threaded world: each rank is an OS thread, transport is a full
-//! mesh of crossbeam channels.
+//! mesh of `std::sync::mpsc` channels (one per ordered rank pair, so
+//! each endpoint is the only reader of its queues).
 //!
 //! This is the *functional* backend used for real parallel runs
 //! (examples, validation, threaded benches). Large-scale experiments
@@ -17,10 +18,10 @@
 
 use crate::comm::{Comm, CommStats};
 use crate::error::{CommError, CommResult};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -307,26 +308,22 @@ where
     let barrier = FaultBarrier::new(n);
     let control = WorldControl::new(n);
 
-    // channels[i][j] = channel from rank i to rank j
+    // one channel per ordered pair: senders[i][j] sends i → j, and
+    // receivers[j][i] is its reading end (rows fill in source order)
     let mut senders: Vec<Vec<Sender<Vec<u8>>>> = Vec::with_capacity(n);
-    let mut receivers: Vec<Vec<Option<Receiver<Vec<u8>>>>> = vec![Vec::new(); n];
-    for recv_row in receivers.iter_mut() {
-        recv_row.resize_with(n, || None);
-    }
-    for i in 0..n {
+    let mut receivers: Vec<Vec<Receiver<Vec<u8>>>> = (0..n).map(|_| Vec::new()).collect();
+    for _ in 0..n {
         let mut row = Vec::with_capacity(n);
         for recv_row in receivers.iter_mut() {
-            let (s, r) = unbounded();
+            let (s, r) = channel();
             row.push(s);
-            recv_row[i] = Some(r); // rank j receives from i
+            recv_row.push(r);
         }
         senders.push(row);
     }
 
     let mut comms: Vec<ThreadComm> = Vec::with_capacity(n);
-    for (rank, (to, from_opts)) in senders.into_iter().zip(receivers).enumerate() {
-        let from: Vec<_> = from_opts.into_iter().flatten().collect();
-        debug_assert_eq!(from.len(), n);
+    for (rank, (to, from)) in senders.into_iter().zip(receivers).enumerate() {
         comms.push(ThreadComm {
             rank,
             size: n,

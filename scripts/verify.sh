@@ -8,6 +8,11 @@ cd "$(dirname "$0")/.."
 echo "== build (release) =="
 cargo build --release
 
+echo "== repro list == the experiments EXPERIMENTS.md and DESIGN.md §4 cite =="
+diff <(cargo run --release --quiet -p bench --bin repro -- list | cut -f1 | sort) \
+    <( (sed -n '/^## 4\. /,/^## 5\. /p' DESIGN.md; cat EXPERIMENTS.md) |
+        grep -oE '\b(fig|tab|ablation|chaos)[0-9a-z]*_[0-9a-z_]+\b' | sort -u)
+
 echo "== tests (workspace: every unit, guard and golden-hash suite, once) =="
 cargo test --workspace -q
 

@@ -13,18 +13,7 @@
 
 use balance::{CostSourceKind, RebalanceConfig};
 use coupled::{run_threaded, ClusterSim, Dataset, Decomposition, MachineProfile, RunConfig};
-
-/// FNV-1a over the little-endian bytes of a float series.
-fn fnv1a(values: &[f64]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for v in values {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    }
-    h
-}
+use obs::fnv1a_f64;
 
 fn modelled_config(cost_source: CostSourceKind, decomposition: Decomposition) -> RunConfig {
     RunConfig::builder()
@@ -49,7 +38,7 @@ fn modelled_lii(cost_source: CostSourceKind, decomposition: Decomposition) -> (u
     let rep = ClusterSim::new(&run, MachineProfile::tianhe2()).run(12);
     let lii: Vec<f64> = rep.trace.iter().map(|t| t.lii).collect();
     assert_eq!(lii.len(), 12);
-    (fnv1a(&lii), rep.rebalances)
+    (fnv1a_f64(&lii), rep.rebalances)
 }
 
 #[test]
@@ -96,7 +85,7 @@ fn freestream_scenario_timer_augmented_modelled_is_pinned() {
         let rep = ClusterSim::new(&run, MachineProfile::tianhe2()).run(steps);
         let lii: Vec<f64> = rep.trace.iter().map(|t| t.lii).collect();
         assert_eq!(lii.len(), steps);
-        (fnv1a(&lii), rep.rebalances)
+        (fnv1a_f64(&lii), rep.rebalances)
     };
     let (h1, reb1) = lii_of("freestream");
     let (h2, _) = lii_of("freestream");
@@ -128,7 +117,7 @@ fn eullag_threaded_matches_unified_pinned_density() {
     assert_eq!(r.population, 389, "population drifted");
     assert_eq!(r.density_h.len(), 432);
     assert_eq!(
-        fnv1a(&r.density_h),
+        fnv1a_f64(&r.density_h),
         0x8e483db2789e1ad2,
         "eullag charge reduction is not bitwise identical to the unified allreduce"
     );

@@ -15,20 +15,8 @@
 
 use coupled::prelude::*;
 use coupled::{run_threaded_result, FaultPolicy};
+use obs::fnv1a_f64;
 use vmpi::FaultAction;
-
-/// FNV-1a over the little-endian bytes of the density field (the same
-/// fingerprint `engine_guard` pins).
-fn fnv1a(values: &[f64]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for v in values {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    }
-    h
-}
 
 /// The `engine_guard` pinned fingerprint of the clean 3-rank run.
 const PINNED_3RANK_HASH: u64 = 0x8e483db2789e1ad2;
@@ -62,7 +50,7 @@ fn lossy_plan(seed: u64) -> FaultPlan {
 fn every_strategy_matches_the_clean_hash_under_chaos() {
     for &ranks in &[3usize, 4] {
         let clean = run_threaded(&config(ranks, Strategy::Distributed, None));
-        let clean_hash = fnv1a(&clean.density_h);
+        let clean_hash = fnv1a_f64(&clean.density_h);
         if ranks == 3 {
             assert_eq!(clean_hash, PINNED_3RANK_HASH, "clean baseline drifted");
         }
@@ -79,7 +67,7 @@ fn every_strategy_matches_the_clean_hash_under_chaos() {
             let r = run_threaded_result(&config(ranks, strategy, Some(plan)))
                 .expect("reliability layer must absorb a kill-free plan");
             assert_eq!(
-                fnv1a(&r.density_h),
+                fnv1a_f64(&r.density_h),
                 clean_hash,
                 "{strategy:?} at {ranks} ranks diverged under chaos"
             );
@@ -106,7 +94,7 @@ fn a_stalled_rank_changes_nothing_but_time() {
     let plan = FaultPlan::seeded(9).stall(1, 3, 40).stall(2, 7, 40);
     let r = run_threaded_result(&config(3, Strategy::Distributed, Some(plan)))
         .expect("stalls must never fail a run");
-    assert_eq!(fnv1a(&r.density_h), PINNED_3RANK_HASH);
+    assert_eq!(fnv1a_f64(&r.density_h), PINNED_3RANK_HASH);
     assert_eq!(r.recoveries, 0);
 }
 
@@ -128,7 +116,7 @@ fn rank_kill_restarts_from_checkpoint_and_matches_the_pinned_hash() {
     assert_eq!(r.recoveries, 1, "exactly one replay after the kill");
     assert_eq!(r.population, 389, "population drifted under recovery");
     assert_eq!(
-        fnv1a(&r.density_h),
+        fnv1a_f64(&r.density_h),
         PINNED_3RANK_HASH,
         "recovered run no longer bitwise identical to the pinned baseline"
     );
@@ -153,7 +141,7 @@ fn freestream_scenario_kill_recovers_to_the_golden_hash() {
     let r = run_threaded_result(&run).expect("recovery must complete the run");
     assert_eq!(r.recoveries, 1, "exactly one replay after the kill");
     assert_eq!(
-        fnv1a(&r.density_h),
+        fnv1a_f64(&r.density_h),
         GOLDEN_FREESTREAM_3RANK,
         "recovered freestream run diverged from the scenario golden hash"
     );
@@ -177,7 +165,7 @@ fn kill_without_checkpoints_replays_from_scratch() {
     let r = run_threaded_result(&run).expect("scratch replay must complete");
     assert_eq!(r.recoveries, 1);
     assert_eq!(r.trace.len(), 12, "full rerun re-traces every step");
-    assert_eq!(fnv1a(&r.density_h), PINNED_3RANK_HASH);
+    assert_eq!(fnv1a_f64(&r.density_h), PINNED_3RANK_HASH);
 }
 
 #[test]

@@ -8,19 +8,10 @@
 //! balancer stays off: its trigger is measured wall time, which is
 //! nondeterministic across runs.
 
-use coupled::{run_serial, run_threaded, ClusterSim, Dataset, MachineProfile, RunConfig};
-
-/// FNV-1a over the little-endian bytes of the density field.
-fn fnv1a(values: &[f64]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for v in values {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    }
-    h
-}
+use coupled::{
+    run_serial, run_threaded, ClusterSim, Dataset, MachineProfile, RunConfig, RunReport,
+};
+use obs::fnv1a_f64;
 
 fn guard_config() -> RunConfig {
     RunConfig::builder()
@@ -39,7 +30,7 @@ fn threaded_density_is_bitwise_pinned() {
     assert_eq!(r.population, 389, "population drifted");
     assert_eq!(r.density_h.len(), 432);
     assert_eq!(
-        fnv1a(&r.density_h),
+        fnv1a_f64(&r.density_h),
         0x8e483db2789e1ad2,
         "threaded density_h no longer bitwise identical to the pinned baseline"
     );
@@ -77,8 +68,8 @@ fn hier_overlapped_matches_distributed_bitwise() {
     );
     assert_eq!(hier.population, dc.population, "population diverged");
     assert_eq!(
-        fnv1a(&hier.density_h),
-        fnv1a(&dc.density_h),
+        fnv1a_f64(&hier.density_h),
+        fnv1a_f64(&dc.density_h),
         "overlapped Hier density_h is not bitwise identical to DC"
     );
     let [_, dc_uses, _, _] = dc.strategy_uses;
@@ -95,7 +86,7 @@ fn serial_density_is_bitwise_pinned() {
     assert_eq!(r.population, 389, "population drifted");
     assert_eq!(r.density_h.len(), 432);
     assert_eq!(
-        fnv1a(&r.density_h),
+        fnv1a_f64(&r.density_h),
         0x9839330415d13fb3,
         "serial density_h no longer bitwise identical to the pinned baseline"
     );
@@ -117,4 +108,66 @@ fn serial_and_modelled_drivers_agree_bitwise_on_the_shared_loop() {
     assert_eq!(serial.phi_avg, modelled.phi_avg);
     assert_eq!(serial.population, modelled.population);
     assert_eq!(serial.trace.len(), modelled.trace.len());
+}
+
+/// What the balance hook and the comm tally fill for the *threaded*
+/// driver (`tests/model_guard.rs` pins the modelled one): the canned
+/// `jet` on 3 rank threads, paper WLM, threshold 0 at a fixed cadence
+/// `T = 3` — the trigger never depends on measured wall time, so the
+/// run is deterministic. Recorded before the drivers were
+/// consolidated behind one hook and one tally.
+fn balanced_jet(strategy: vmpi::Strategy, decomposition: coupled::Decomposition) -> RunReport {
+    let mut run = coupled::scenario::canned("jet")
+        .expect("canned scenario lowers")
+        .run;
+    run.strategy = strategy;
+    run.decomposition = decomposition;
+    run.rebalance = Some(balance::RebalanceConfig {
+        t_interval: 3,
+        threshold: 0.0,
+        ..balance::RebalanceConfig::default()
+    });
+    let r = run_threaded(&run);
+    // the per-step comm marks telescope: trace sums are the totals
+    // (the transaction and byte totals themselves are read off the
+    // world-shared counter mid-flight and jitter by a few messages)
+    let sum = |f: fn(&coupled::StepTrace) -> u64| r.trace.iter().map(f).sum::<u64>();
+    assert_eq!(sum(|t| t.transactions), r.transactions);
+    assert_eq!(sum(|t| t.bytes), r.bytes);
+    for (s, &uses) in r.strategy_uses.iter().enumerate() {
+        assert_eq!(
+            r.trace.iter().map(|t| t.strategy_uses[s]).sum::<u64>(),
+            uses
+        );
+    }
+    let fired: Vec<usize> = (0..r.trace.len())
+        .filter(|&i| r.trace[i].rebalanced)
+        .collect();
+    assert_eq!(fired, [2, 5, 8, 11], "fixed cadence T = 3");
+    assert_eq!(r.rebalances, 4);
+    r
+}
+
+#[test]
+fn threaded_balance_and_comm_stats_are_pinned() {
+    use coupled::Decomposition::{EulLag, Unified};
+    use vmpi::Strategy::{Auto, Distributed};
+    // per decomposition: rebalance_migrated, population, density_h
+    // digest (the exchange strategy never changes the physics) and
+    // the strategies `Auto` resolved to. The split mode weighs
+    // particles only (`w_cell = 0`), so its balancer cuts elsewhere:
+    // more migration, another owner map, another density.
+    for (decomposition, migrated, population, digest, auto_uses) in [
+        (Unified, 412, 1332, 0x3c98_0260_4fb4_f90d, [17, 0, 35, 0]),
+        (EulLag, 1097, 1329, 0x76f5_5484_2f15_b0e9, [22, 0, 30, 0]),
+    ] {
+        for (strategy, uses) in [(Distributed, [0, 52, 0, 0]), (Auto, auto_uses)] {
+            let r = balanced_jet(strategy, decomposition);
+            let what = format!("{strategy:?}/{decomposition:?}");
+            assert_eq!(r.rebalance_migrated, migrated, "{what}: migration volume");
+            assert_eq!(r.strategy_uses, uses, "{what}: strategy tally");
+            assert_eq!(r.population, population, "{what}: population");
+            assert_eq!(fnv1a_f64(&r.density_h), digest, "{what}: density_h");
+        }
+    }
 }

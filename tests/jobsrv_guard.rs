@@ -14,19 +14,7 @@
 
 use jobsrv::prelude::*;
 use jobsrv::JobPriority;
-
-/// FNV-1a over the little-endian bytes of the density field — the
-/// same digest `engine_guard` pins.
-fn fnv1a(values: &[f64]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for v in values {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    }
-    h
-}
+use obs::fnv1a_f64;
 
 /// `engine_guard`'s pinned threaded baseline for `guard_config`.
 const PINNED_3RANK_HASH: u64 = 0x8e483db2789e1ad2;
@@ -73,7 +61,7 @@ fn served_jobs_are_bitwise_identical_to_solo_runs_and_cache_deduplicates() {
     assert_eq!(ra.population, 389, "population drifted through the server");
     assert_eq!(ra.density_h.len(), 432);
     assert_eq!(
-        fnv1a(&ra.density_h),
+        fnv1a_f64(&ra.density_h),
         PINNED_3RANK_HASH,
         "served report no longer bitwise identical to the solo engine baseline"
     );
@@ -94,7 +82,7 @@ fn served_jobs_are_bitwise_identical_to_solo_runs_and_cache_deduplicates() {
     assert_ne!(ma.job_id, mb.job_id, "each submission keeps its own id");
 
     // The variant config really ran separately.
-    assert_ne!(fnv1a(&rc.density_h), fnv1a(&ra.density_h));
+    assert_ne!(fnv1a_f64(&rc.density_h), fnv1a_f64(&ra.density_h));
     assert_ne!(
         rc.job.as_ref().unwrap().config_hash,
         ma.config_hash,
@@ -143,7 +131,7 @@ fn killed_worker_job_recovers_from_checkpoint_with_the_pinned_hash() {
     assert_eq!(report.recoveries, 1, "exactly one replay after the kill");
     assert_eq!(report.population, 389, "population drifted under recovery");
     assert_eq!(
-        fnv1a(&report.density_h),
+        fnv1a_f64(&report.density_h),
         PINNED_3RANK_HASH,
         "recovered served report no longer matches the pinned baseline"
     );
@@ -193,7 +181,7 @@ fn scenario_name_submissions_share_one_engine_run() {
     let rb = b.wait().expect("duplicate scenario job completes");
 
     assert_eq!(
-        fnv1a(&ra.density_h),
+        fnv1a_f64(&ra.density_h),
         GOLDEN_JET_3RANK,
         "served jet report diverged from the scenario golden hash"
     );

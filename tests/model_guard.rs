@@ -22,18 +22,6 @@ use coupled::{ClusterSim, CostModel, MachineProfile};
 use proptest::prelude::*;
 use vmpi::{Flows, NodeMap, Strategy, TrafficSummary};
 
-/// FNV-1a over the little-endian bytes of the owner map.
-fn fnv1a_u32(values: &[u32]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for v in values {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    }
-    h
-}
-
 const GUARD_STEPS: usize = 10;
 
 /// Everything the model decides in one guard run.
@@ -62,7 +50,7 @@ fn jet_on_384_ranks() -> Decisions {
     let mut sim = ClusterSim::new(&run, MachineProfile::tianhe2());
     let rep = sim.run(GUARD_STEPS);
     Decisions {
-        owner_hash: fnv1a_u32(sim.owner()),
+        owner_hash: obs::fnv1a(sim.owner().iter().flat_map(|v| v.to_le_bytes())),
         total_time_bits: rep.total_time.to_bits(),
         strategy_uses: rep.strategy_uses,
         transactions: rep.transactions,
@@ -101,12 +89,19 @@ fn jet_on_384_ranks_decisions_are_pinned() {
 mod reference {
     use super::*;
 
-    fn flat(transactions: u64, total: u64, max_bytes: u64, max_msgs: u64) -> TrafficSummary {
+    fn flat(
+        transactions: u64,
+        total: u64,
+        max_bytes: u64,
+        max_msgs: u64,
+        fences: u64,
+    ) -> TrafficSummary {
         TrafficSummary {
             transactions,
             total_bytes: total,
             max_rank_bytes: max_bytes,
             max_rank_msgs: max_msgs,
+            fences,
             ..TrafficSummary::default()
         }
     }
@@ -127,7 +122,10 @@ mod reference {
         let through_root: u64 = nonzero(m)
             .map(|(s, d, b)| (b + 12) * (u64::from(s != 0) + u64::from(d != 0)))
             .sum();
-        flat(2 * (n - 1), through_root, through_root, 2 * (n - 1))
+        TrafficSummary {
+            root_serialized: true,
+            ..flat(2 * (n - 1), through_root, through_root, 2 * (n - 1), 0)
+        }
     }
 
     fn distributed(m: &[Vec<u64>]) -> TrafficSummary {
@@ -141,10 +139,12 @@ mod reference {
             nonzero(m).map(|(_, _, b)| b).sum(),
             busiest,
             2 * (n as u64 - 1),
+            0,
         )
     }
 
-    /// A 17-byte count frame plus a payload message per nonzero pair.
+    /// A 17-byte count frame plus a payload message per nonzero pair,
+    /// between the two fences of the counts round.
     fn sparse(m: &[Vec<u64>]) -> TrafficSummary {
         let n = m.len();
         let partners = |r: usize| nonzero(m).filter(|&(s, d, _)| s == r || d == r).count() as u64;
@@ -160,6 +160,7 @@ mod reference {
             nonzero(m).map(|(_, _, b)| b + 17).sum(),
             (0..n).map(bytes).max().unwrap_or(0),
             (0..n).map(|r| 2 * partners(r)).max().unwrap_or(0),
+            2,
         )
     }
 
@@ -218,6 +219,8 @@ mod reference {
             max_rank_msgs: (0..n).map(|r| at(r).count() as u64).max().unwrap_or(0),
             node_pairs,
             aggregated_bytes,
+            fences: 8,
+            root_serialized: false,
         }
     }
 
@@ -251,14 +254,13 @@ fn migration_matrix(n: usize, cells: &[u64], zeros: u64) -> Vec<Vec<u64>> {
 }
 
 fn first_argmin(cost: &CostModel, traffic: &[TrafficSummary; 4]) -> Strategy {
-    let mut best = Strategy::CONCRETE[0];
-    for (&s, t) in Strategy::CONCRETE.iter().zip(traffic).skip(1) {
-        let incumbent = &traffic[best.concrete_index().expect("concrete")];
-        if cost.exchange_time(s, t) < cost.exchange_time(best, incumbent) {
-            best = s;
+    let mut best = 0;
+    for (idx, t) in traffic.iter().enumerate().skip(1) {
+        if cost.exchange_time(t) < cost.exchange_time(&traffic[best]) {
+            best = idx;
         }
     }
-    best
+    Strategy::CONCRETE[best]
 }
 
 proptest! {
@@ -307,8 +309,8 @@ fn exact_ties_break_toward_the_earlier_concrete_entry() {
     for profile in [MachineProfile::tianhe2(), MachineProfile::tianhe3()] {
         let lone = CostModel::new(profile, 1);
         let traffic = lone.traffic(&Flows::new());
-        assert_eq!(lone.exchange_time(Strategy::Centralized, &traffic[0]), 0.0);
-        assert_eq!(lone.exchange_time(Strategy::Distributed, &traffic[1]), 0.0);
+        assert_eq!(lone.exchange_time(&traffic[0]), 0.0);
+        assert_eq!(lone.exchange_time(&traffic[1]), 0.0);
         assert_eq!(lone.cheapest(&traffic), 0);
         assert_eq!(lone.pick_strategy(&[vec![7]]), Strategy::Centralized);
     }

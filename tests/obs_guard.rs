@@ -4,19 +4,7 @@
 //! communication totals exactly.
 
 use coupled::prelude::*;
-
-/// FNV-1a over the little-endian bytes of the density field — the
-/// same hash `engine_guard` pins the unobserved baselines with.
-fn fnv1a(values: &[f64]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for v in values {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    }
-    h
-}
+use obs::fnv1a_f64;
 
 /// The engine_guard configuration, ready for observability add-ons.
 fn guard_builder() -> RunConfigBuilder {
@@ -39,7 +27,7 @@ fn observed_threaded_run_is_bitwise_identical_to_baseline() {
     let r = run_threaded(&run);
     assert_eq!(r.population, 389, "population drifted under observation");
     assert_eq!(
-        fnv1a(&r.density_h),
+        fnv1a_f64(&r.density_h),
         0x8e483db2789e1ad2,
         "metrics/trace observation changed the threaded physics"
     );
@@ -59,7 +47,7 @@ fn observed_serial_run_is_bitwise_identical_to_baseline() {
     let r = run_serial(&run);
     assert_eq!(r.population, 389, "population drifted under observation");
     assert_eq!(
-        fnv1a(&r.density_h),
+        fnv1a_f64(&r.density_h),
         0x9839330415d13fb3,
         "metrics observation changed the serial physics"
     );

@@ -20,20 +20,8 @@
 
 use coupled::scenario::{self, ScenarioError};
 use coupled::{run_serial, run_threaded, ConfigError, Dataset, RankEngine, RunConfig};
+use obs::fnv1a_f64;
 use proptest::prelude::*;
-
-/// FNV-1a over the little-endian bytes of the density field — the
-/// same digest `engine_guard` pins.
-fn fnv1a(values: &[f64]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for v in values {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    }
-    h
-}
 
 /// `engine_guard`'s pinned baselines for its guard config.
 const PINNED_SERIAL_HASH: u64 = 0x9839330415d13fb3;
@@ -57,8 +45,8 @@ fn print_golden_hashes() {
         let threaded = run_threaded(&sc.run);
         println!(
             "    (\"{name}\", {:#018x}, {:#018x}),",
-            fnv1a(&serial.density_h),
-            fnv1a(&threaded.density_h)
+            fnv1a_f64(&serial.density_h),
+            fnv1a_f64(&threaded.density_h)
         );
     }
 }
@@ -70,7 +58,7 @@ fn canned_scenarios_serial_density_is_bitwise_pinned() {
         let r = run_serial(&sc.run);
         assert!(r.population > 0, "{name}: serial run produced no particles");
         assert_eq!(
-            fnv1a(&r.density_h),
+            fnv1a_f64(&r.density_h),
             serial_hash,
             "{name}: serial density_h drifted from the golden digest"
         );
@@ -88,7 +76,7 @@ fn canned_scenarios_threaded_density_is_bitwise_pinned() {
             "{name}: threaded run produced no particles"
         );
         assert_eq!(
-            fnv1a(&r.density_h),
+            fnv1a_f64(&r.density_h),
             threaded_hash,
             "{name}: threaded density_h drifted from the golden digest"
         );
@@ -113,8 +101,8 @@ fn k_sub_one_is_bitwise_identical_to_the_pinned_engine() {
         .k_sub_dsmc(1)
         .build()
         .expect("valid guard config");
-    assert_eq!(fnv1a(&run_serial(&run).density_h), PINNED_SERIAL_HASH);
-    assert_eq!(fnv1a(&run_threaded(&run).density_h), PINNED_3RANK_HASH);
+    assert_eq!(fnv1a_f64(&run_serial(&run).density_h), PINNED_SERIAL_HASH);
+    assert_eq!(fnv1a_f64(&run_threaded(&run).density_h), PINNED_3RANK_HASH);
 }
 
 /// `pump_prob = 1.0` means every wall hit survives; the survival
@@ -127,8 +115,8 @@ fn full_survival_pump_is_bitwise_identical_to_no_pump() {
         .pump_prob(1.0)
         .build()
         .expect("valid guard config");
-    assert_eq!(fnv1a(&run_serial(&run).density_h), PINNED_SERIAL_HASH);
-    assert_eq!(fnv1a(&run_threaded(&run).density_h), PINNED_3RANK_HASH);
+    assert_eq!(fnv1a_f64(&run_serial(&run).density_h), PINNED_SERIAL_HASH);
+    assert_eq!(fnv1a_f64(&run_threaded(&run).density_h), PINNED_3RANK_HASH);
 }
 
 /// Subcycled DSMC must draw from its dedicated stream only: with
