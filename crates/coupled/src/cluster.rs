@@ -362,7 +362,6 @@ impl Backend for ModelledBackend {
 pub struct ClusterSim {
     pub state: RankEngine,
     backend: ModelledBackend,
-    pipeline: StepPipeline,
     /// Observability config carried from the [`RunConfig`]; honored
     /// by [`ClusterSim::run`] exactly like the other drivers.
     obs: crate::config::ObsConfig,
@@ -375,7 +374,6 @@ impl ClusterSim {
         ClusterSim {
             state: RankEngine::whole_domain(run.sim.clone(), &world),
             backend: ModelledBackend::new(run, profile, world),
-            pipeline: StepPipeline::default(),
             obs: run.obs.clone(),
         }
     }
@@ -391,31 +389,18 @@ impl ClusterSim {
         self.backend.balance.owner()
     }
 
-    /// Fraction of the particle population owned by each rank.
-    pub fn particle_share(&self) -> Vec<f64> {
-        self.backend.share(&self.state)
-    }
-
     /// Run one DSMC iteration and return the per-step trace.
     pub fn step(&mut self) -> (StepTrace, Breakdown) {
         let idx = self.state.step_count;
         let (_, trace, bd) =
-            self.pipeline
-                .run_step(&mut self.state, &mut self.backend, &mut NullObserver, idx);
+            StepPipeline::run_step(&mut self.state, &mut self.backend, &mut NullObserver, idx);
         (trace, bd)
     }
 
     /// Run `steps` DSMC iterations, returning the aggregate report.
     pub fn run(&mut self, steps: usize) -> RunReport {
         let ranks = self.backend.ranks;
-        run_whole_domain(
-            &mut self.state,
-            &mut self.backend,
-            self.pipeline,
-            &self.obs,
-            ranks,
-            steps,
-        )
+        run_whole_domain(&mut self.state, &mut self.backend, &self.obs, ranks, steps)
     }
 }
 

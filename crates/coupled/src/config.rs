@@ -6,7 +6,7 @@
 //! shrinks mesh resolution and particle counts *uniformly across all
 //! configurations of an experiment*, preserving relative comparisons.
 
-use balance::{CostSourceKind, RebalanceConfig};
+use balance::RebalanceConfig;
 use mesh::NozzleSpec;
 use obs::json::{obj, Json};
 use obs::{Registry, TraceSpec};
@@ -301,7 +301,7 @@ pub struct RunConfig {
     pub sim: SimConfig,
     /// Communication strategy for every particle exchange (DSMC, PIC
     /// and rebalance migration). Concrete strategies (`Centralized`,
-    /// `Distributed`, `Sparse`) run as configured; [`Strategy::Auto`]
+    /// `Distributed`, `Sparse`, `Hier`) run as configured; [`Strategy::Auto`]
     /// re-picks among them before each exchange from the
     /// rank-0-reduced migration byte matrix and the machine cost
     /// model. The choice only changes the message schedule — every
@@ -327,14 +327,6 @@ pub struct RunConfig {
     /// the strategy itself, the grouping only changes the message
     /// schedule, never the delivered buffers.
     pub ranks_per_node: usize,
-    /// Overlap the hierarchical exchange with interior work: after
-    /// the phase-1 sends are in flight, the rank compacts its
-    /// particle buffer and pre-buckets the survivors for the collide
-    /// phase before draining receives. Only RNG-free work is
-    /// overlapped, so outputs stay bitwise identical to the
-    /// non-overlapped path. Takes effect only under
-    /// [`Strategy::Hier`].
-    pub overlap: bool,
     /// DSMC steps to run.
     pub steps: usize,
     /// Cost-model particle work boost (see [`Dataset::work_boost`]).
@@ -347,11 +339,6 @@ pub struct RunConfig {
     /// through the untouched serial code path with the rank's own RNG,
     /// reproducing pre-existing results bit for bit.
     pub threads_per_rank: usize,
-    /// Re-sort particles into cell order every this many DSMC steps
-    /// (counting sort, amortised scratch); 0 disables. Sorting changes
-    /// particle iteration order — and hence RNG consumption — so the
-    /// default is off to keep default outputs unchanged.
-    pub sort_every: usize,
     /// Observability: metrics registry + trace sink selection.
     pub obs: ObsConfig,
     /// Take an in-memory per-rank checkpoint every this many DSMC
@@ -374,7 +361,7 @@ pub struct RunConfig {
 /// of serialized fields or their encoding changes — the tag is hashed
 /// along with the fields, so configs canonicalized under different
 /// schema versions can never collide in the result cache.
-pub const CONFIG_SCHEMA_VERSION: u32 = 2;
+pub const CONFIG_SCHEMA_VERSION: u32 = 3;
 
 /// Stable lowercase name of an exchange strategy for the canonical
 /// serialization (enum `Debug` output is not a schema).
@@ -542,7 +529,6 @@ impl RunConfig {
             ),
             ("ranks", Json::U64(self.ranks as u64)),
             ("ranks_per_node", Json::U64(self.ranks_per_node as u64)),
-            ("overlap", Json::Bool(self.overlap)),
             ("steps", Json::U64(self.steps as u64)),
             ("work_boost", Json::Num(self.work_boost)),
             (
@@ -550,7 +536,6 @@ impl RunConfig {
                 self.paper_cells.map_or(Json::Null, |c| Json::U64(c as u64)),
             ),
             ("threads_per_rank", Json::U64(self.threads_per_rank as u64)),
-            ("sort_every", Json::U64(self.sort_every as u64)),
             ("checkpoint_every", Json::U64(self.checkpoint_every as u64)),
             (
                 "on_fault",
@@ -595,7 +580,7 @@ impl RunConfig {
 ///
 /// Defaults: [`SimConfig::default`] physics, Distributed strategy,
 /// rebalancing on with default parameters, 1 rank, 100 steps, no cost
-/// boosts, 1 thread per rank, sorting off, no observability.
+/// boosts, 1 thread per rank, no observability.
 ///
 /// [`build`]: RunConfigBuilder::build
 #[derive(Debug, Clone)]
@@ -613,12 +598,10 @@ impl Default for RunConfigBuilder {
                 decomposition: Decomposition::default(),
                 ranks: 1,
                 ranks_per_node: 0,
-                overlap: false,
                 steps: 100,
                 work_boost: 1.0,
                 paper_cells: None,
                 threads_per_rank: 1,
-                sort_every: 0,
                 obs: ObsConfig::default(),
                 checkpoint_every: 0,
                 on_fault: FaultPolicy::default(),
@@ -702,17 +685,6 @@ impl RunConfigBuilder {
         self
     }
 
-    /// Cost source feeding the balancer's partition weights (analytic
-    /// paper wlm or EWMA-smoothed measured timers). Enables balancing
-    /// with defaults if it was disabled.
-    pub fn cost_source(mut self, kind: CostSourceKind) -> Self {
-        self.run
-            .rebalance
-            .get_or_insert_with(Default::default)
-            .cost_source = kind;
-        self
-    }
-
     /// Decomposition mode: unified particle+field partition (default)
     /// or the Eulerian/Lagrangian split.
     pub fn decomposition(mut self, decomposition: Decomposition) -> Self {
@@ -739,40 +711,10 @@ impl RunConfigBuilder {
         self
     }
 
-    /// Overlap the hierarchical exchange with RNG-free interior work
-    /// (compaction + collision pre-bucketing). Bitwise-neutral; only
-    /// effective under [`Strategy::Hier`].
-    pub fn overlap(mut self, overlap: bool) -> Self {
-        self.run.overlap = overlap;
-        self
-    }
-
-    /// Cost-model particle work boost (see [`Dataset::work_boost`]).
-    pub fn work_boost(mut self, boost: f64) -> Self {
-        self.run.work_boost = boost;
-        self
-    }
-
-    /// Paper-scale fine (PIC) cell count for the cost model.
-    pub fn paper_cells(mut self, cells: Option<usize>) -> Self {
-        self.run.paper_cells = cells;
-        self
-    }
-
     /// Intra-rank worker threads for the hot kernels. Must be >= 1
     /// (1 = the bit-identical serial code path).
     pub fn threads_per_rank(mut self, threads: usize) -> Self {
         self.run.threads_per_rank = threads;
-        self
-    }
-
-    /// Re-sort particles into cell order every `n` DSMC steps (0 =
-    /// off). Determinism note: sorting changes particle iteration
-    /// order and hence RNG consumption, so any non-zero value changes
-    /// outputs relative to the default — statistically, not
-    /// physically.
-    pub fn sort_every(mut self, n: usize) -> Self {
-        self.run.sort_every = n;
         self
     }
 
@@ -949,15 +891,12 @@ mod tests {
             .strategy(Strategy::Hier)
             .ranks(4)
             .ranks_per_node(2)
-            .overlap(true)
             .build()
             .unwrap();
         assert_eq!(run.ranks_per_node, 2);
-        assert!(run.overlap);
-        // defaults: auto node map, no overlap
+        // default: auto node map
         let plain = RunConfig::builder().build().unwrap();
         assert_eq!(plain.ranks_per_node, 0);
-        assert!(!plain.overlap);
     }
 
     #[test]
@@ -1012,14 +951,12 @@ mod tests {
         let run = RunConfig::builder()
             .rebalance_every(5)
             .rebalance_threshold(1.3)
-            .cost_source(CostSourceKind::TimerAugmented)
             .decomposition(Decomposition::EulLag)
             .build()
             .unwrap();
         let rb = run.rebalance.expect("balancing enabled");
         assert_eq!(rb.t_interval, 5);
         assert_eq!(rb.threshold, 1.3);
-        assert_eq!(rb.cost_source, CostSourceKind::TimerAugmented);
         assert_eq!(run.decomposition, Decomposition::EulLag);
         // the trigger setters enable balancing even after .rebalance(None)
         let revived = RunConfig::builder()
@@ -1031,7 +968,7 @@ mod tests {
         // defaults: paper wlm + unified, paper trigger values
         let plain = RunConfig::builder().build().unwrap();
         let prb = plain.rebalance.unwrap();
-        assert_eq!(prb.cost_source, CostSourceKind::PaperWlm);
+        assert_eq!(prb.cost_source, balance::CostSourceKind::PaperWlm);
         assert_eq!(prb.t_interval, 20);
         assert_eq!(prb.threshold, 2.0);
         assert_eq!(plain.decomposition, Decomposition::Unified);
@@ -1196,7 +1133,7 @@ mod tests {
 
     /// Pinned canonical hash of the guard config (see
     /// `config_hash_is_pinned_across_releases`). Re-pinned with
-    /// CONFIG_SCHEMA_VERSION 2 (`k_sub_dsmc` / `pump_prob` joined the
+    /// CONFIG_SCHEMA_VERSION 3 (two keys no run ever set left the
     /// canonical serialization).
-    const PINNED_GUARD_CONFIG_HASH: u64 = 0x290ed242c422eff9;
+    const PINNED_GUARD_CONFIG_HASH: u64 = 0xb9b097c4a720c9ce;
 }

@@ -35,7 +35,7 @@ use obs::{
     Breakdown, ExchangeEvent, NullObserver, Observer, Phase, RebalanceEvent, Recorder, SpanTimer,
     Tee,
 };
-use particles::{ParticleBuffer, SortScratch, SpeciesTable};
+use particles::{ParticleBuffer, SpeciesTable};
 use pic::{accelerate_charged_pooled, deposit_charge_pooled, ElectricField, PoissonSolver};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -95,7 +95,6 @@ pub struct RankEngine {
     pub pool: Pool,
     /// Exchange scratch (used by communicating backends).
     pub exch: ExchangeScratch,
-    sort_scratch: SortScratch,
     events: Vec<CollisionEvent>,
 }
 
@@ -183,7 +182,6 @@ impl RankEngine {
             step_count: 0,
             pool,
             exch: ExchangeScratch::default(),
-            sort_scratch: SortScratch::default(),
             events: Vec::new(),
         }
     }
@@ -263,24 +261,12 @@ impl RankEngine {
     /// with the serial backend (no communication, full record).
     pub fn dsmc_step(&mut self) -> StepRecord {
         let step = self.step_count;
-        let (rec, _, _) = StepPipeline::default().run_step(
-            self,
-            &mut SerialBackend::new(),
-            &mut NullObserver,
-            step,
-        );
+        let (rec, _, _) =
+            StepPipeline::run_step(self, &mut SerialBackend::new(), &mut NullObserver, step);
         rec
     }
 
     // --- phase methods, called only by `StepPipeline::run_step` -----
-
-    /// Periodic cell-order sort: restores memory locality for the
-    /// per-cell collide/deposit loops. Off by default (reordering
-    /// shifts RNG consumption order and thus default outputs).
-    fn sort_by_cell(&mut self) {
-        let nc = self.nm.num_coarse();
-        self.particles.sort_by_cell(nc, &mut self.sort_scratch);
-    }
 
     /// Inject (only effective on engines owning inlet cells).
     fn inject(&mut self, rec: &mut StepRecord, track: bool) {
@@ -673,12 +659,7 @@ pub trait Backend {
 /// The coupled timestep's phase sequence (paper Fig. 1), defined
 /// exactly once. Every driver — [`run_serial`], `run_threaded`,
 /// `ClusterSim` — iterates this.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StepPipeline {
-    /// Sort particles into cell order every this many steps (0 = off;
-    /// see [`crate::config::RunConfig::sort_every`]).
-    pub sort_every: usize,
-}
+pub struct StepPipeline;
 
 impl StepPipeline {
     /// Emit the exchange the backend just attributed (if any) to the
@@ -709,7 +690,6 @@ impl StepPipeline {
     /// reporting to `observer`. Returns the work record, the step
     /// trace and the per-phase time breakdown.
     pub fn run_step<B: Backend, O: Observer>(
-        &self,
         eng: &mut RankEngine,
         be: &mut B,
         observer: &mut O,
@@ -719,10 +699,6 @@ impl StepPipeline {
         let mut bd = Breakdown::new();
         let track = be.track();
         be.begin_step(eng);
-
-        if self.sort_every > 0 && step_index > 0 && step_index.is_multiple_of(self.sort_every) {
-            eng.sort_by_cell();
-        }
 
         // --- Inject --------------------------------------------------
         eng.inject(&mut rec, track);
@@ -804,7 +780,7 @@ impl StepPipeline {
 }
 
 /// The run loop of the two whole-domain drivers (`run_serial` and
-/// `ClusterSim::run`): `steps` iterations of `pipeline` on the one
+/// `ClusterSim::run`): `steps` iterations of the pipeline on the one
 /// engine owning every cell, observed by a [`ReportBuilder`] and an
 /// [`obs::Recorder`] set up from `obs`. The returned report carries
 /// the trace, the breakdown, the final and time-averaged diagnostics,
@@ -813,7 +789,6 @@ impl StepPipeline {
 pub(crate) fn run_whole_domain<B: Backend>(
     eng: &mut RankEngine,
     be: &mut B,
-    pipeline: StepPipeline,
     obs: &ObsConfig,
     ranks: usize,
     steps: usize,
@@ -824,7 +799,7 @@ pub(crate) fn run_whole_domain<B: Backend>(
     rec.meta(ranks, steps);
     for _ in 0..steps {
         let idx = eng.step_count;
-        pipeline.run_step(eng, be, &mut Tee(&mut builder, &mut rec), idx);
+        StepPipeline::run_step(eng, be, &mut Tee(&mut builder, &mut rec), idx);
         // time-averaged diagnostics are read-only taps: sampling
         // never perturbs the physics, and with avg_window == 0 the
         // samples are dropped before they are even computed
@@ -851,17 +826,7 @@ pub(crate) fn run_whole_domain<B: Backend>(
 /// breakdown and per-step trace as the decomposed drivers.
 pub fn run_serial(run: &RunConfig) -> RunReport {
     let mut eng = RankEngine::new(run.sim.clone());
-    let pipeline = StepPipeline {
-        sort_every: run.sort_every,
-    };
-    let report = run_whole_domain(
-        &mut eng,
-        &mut SerialBackend::new(),
-        pipeline,
-        &run.obs,
-        1,
-        run.steps,
-    );
+    let report = run_whole_domain(&mut eng, &mut SerialBackend::new(), &run.obs, 1, run.steps);
     eng.export_pool_busy(&run.obs, 0);
     report
 }
@@ -970,8 +935,7 @@ mod tests {
     fn serial_backend_breakdown_tiles_the_step() {
         let mut eng = small_state();
         let mut be = SerialBackend::new();
-        let pipeline = StepPipeline::default();
-        let (_, trace, bd) = pipeline.run_step(&mut eng, &mut be, &mut NullObserver, 0);
+        let (_, trace, bd) = StepPipeline::run_step(&mut eng, &mut be, &mut NullObserver, 0);
         assert!(bd.total() > 0.0, "laps must measure wall time");
         assert_eq!(trace.step_time, bd.total());
         assert_eq!(trace.share, vec![1.0]);
@@ -1000,9 +964,8 @@ mod tests {
         let mut eng = small_state();
         let mut be = SerialBackend::new();
         let mut counting = Counting::default();
-        let pipeline = StepPipeline::default();
         for step in 0..3 {
-            pipeline.run_step(&mut eng, &mut be, &mut counting, step);
+            StepPipeline::run_step(&mut eng, &mut be, &mut counting, step);
         }
         assert_eq!(counting.steps, 3);
         assert_eq!(counting.phases, 3 * Phase::ALL.len());
@@ -1012,8 +975,7 @@ mod tests {
     fn serial_step_comm_is_zero() {
         let mut eng = small_state();
         let mut be = SerialBackend::new();
-        let (_, trace, _) =
-            StepPipeline::default().run_step(&mut eng, &mut be, &mut NullObserver, 0);
+        let (_, trace, _) = StepPipeline::run_step(&mut eng, &mut be, &mut NullObserver, 0);
         assert_eq!(trace.transactions, 0);
         assert_eq!(trace.bytes, 0);
         assert_eq!(trace.strategy_uses, [0; 4]);

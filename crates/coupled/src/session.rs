@@ -151,7 +151,6 @@ pub struct EngineSession {
     reliable: Option<Arc<ReliableWorld>>,
     store: CheckpointStore,
     recoveries: usize,
-    attempts: usize,
 }
 
 impl std::fmt::Debug for EngineSession {
@@ -159,7 +158,6 @@ impl std::fmt::Debug for EngineSession {
         f.debug_struct("EngineSession")
             .field("ranks", &self.run.ranks)
             .field("steps", &self.run.steps)
-            .field("attempts", &self.attempts)
             .field("recoveries", &self.recoveries)
             .finish_non_exhaustive()
     }
@@ -186,7 +184,6 @@ impl EngineSession {
             reliable,
             store: (0..run.ranks).map(|_| Mutex::new(None)).collect(),
             recoveries: 0,
-            attempts: 0,
         }
     }
 
@@ -200,12 +197,6 @@ impl EngineSession {
         self.recoveries
     }
 
-    /// Engine attempts performed so far (1 + recoveries once at least
-    /// one attempt ran).
-    pub fn attempt_count(&self) -> usize {
-        self.attempts
-    }
-
     /// Run one world pass: every rank resumes from its checkpoint slot
     /// (step 0 when empty) and steps to completion. On success returns
     /// rank 0's report; on failure returns the first failing rank's
@@ -213,7 +204,6 @@ impl EngineSession {
     /// stays usable after an error — call [`EngineSession::can_retry_after`]
     /// and [`EngineSession::prepare_retry`] to replay.
     pub fn attempt(&mut self) -> Result<RunReport, RunError> {
-        self.attempts += 1;
         let session = &*self;
         let results = run_world(self.run.ranks, |comm| {
             match (&session.chaos, &session.reliable) {
@@ -304,9 +294,6 @@ fn rank_main<C: Comm>(comm: &C, session: &EngineSession) -> Result<RunReport, Ru
         None => (0, world.owner0.clone()),
     };
     let mut be = ThreadedBackend::new(comm, run, world, owner);
-    let pipeline = StepPipeline {
-        sort_every: run.sort_every,
-    };
     let mut builder = ReportBuilder::new();
     // Rank 0 additionally drives the run's observability: one
     // Recorder taps the shared metrics registry and streams events to
@@ -330,10 +317,10 @@ fn rank_main<C: Comm>(comm: &C, session: &EngineSession) -> Result<RunReport, Ru
         match recorder.as_mut() {
             Some(rec) => {
                 let mut obs = Tee(&mut builder, rec);
-                pipeline.run_step(&mut eng, &mut be, &mut obs, step);
+                StepPipeline::run_step(&mut eng, &mut be, &mut obs, step);
             }
             None => {
-                pipeline.run_step(&mut eng, &mut be, &mut builder, step);
+                StepPipeline::run_step(&mut eng, &mut be, &mut builder, step);
             }
         }
         if let Some(error) = be.fault() {

@@ -35,15 +35,12 @@ use std::sync::Arc;
 use vmpi::collectives::{
     allgather_f64, allgather_u64, allreduce_sum_f64, allreduce_sum_u64, broadcast, gather,
 };
-use vmpi::{
-    exchange_hier_overlapped, exchange_into, Comm, CommError, CommResult, Flows, NodeMap, Strategy,
-};
+use vmpi::{exchange_on_nodes, Comm, CommError, CommResult, Flows, NodeMap, Strategy};
 
 /// Serialise the particles of `buf` that no longer belong to `me`
 /// straight into their destinations' wire buffers, building the keep
-/// mask in the same pass. Compaction is left to the caller — under an
-/// overlapped hierarchical exchange it runs while the sends are in
-/// flight. Returns the emigrant count.
+/// mask in the same pass (the caller compacts). Returns the emigrant
+/// count.
 fn pack_emigrants(
     buf: &ParticleBuffer,
     owner: &[u32],
@@ -129,9 +126,6 @@ pub struct ThreadedBackend<'a, C: Comm> {
     /// Node grouping for [`Strategy::Hier`] (from
     /// [`RunConfig::ranks_per_node`]; 0 = two equal halves).
     nodes: NodeMap,
-    /// Overlap compaction/pre-bucketing with the hierarchical
-    /// exchange (from [`RunConfig::overlap`]).
-    overlap: bool,
     /// Unified particle/field ownership (default) or the split
     /// Eulerian/Lagrangian mode: the field grid stays statically
     /// block-partitioned and the charge reduction becomes a per-owner
@@ -163,7 +157,6 @@ impl<'a, C: Comm> ThreadedBackend<'a, C> {
             } else {
                 NodeMap::grouped(comm.size(), run.ranks_per_node)
             },
-            overlap: run.overlap,
             decomp: run.decomposition,
             balance: BalanceHook::new(run, world.clone(), owner),
             tally: CommTally::default(),
@@ -206,64 +199,29 @@ impl<'a, C: Comm> ThreadedBackend<'a, C> {
     }
 
     /// One full particle migration: pack emigrants, resolve the
-    /// strategy, run the wire exchange through the reused scratch
-    /// buffers, unpack immigrants. Returns the concrete strategy that
-    /// carried it.
-    ///
-    /// Under [`Strategy::Hier`] with [`RunConfig::overlap`] set, the
-    /// buffer compaction (and, with `prebucket`, the collide
-    /// pre-bucketing) runs inside [`exchange_hier_overlapped`]'s
-    /// window: after the phase-1 nonblocking sends are posted, before
-    /// the first fence-and-drain. Only RNG-free work moves into the
-    /// window, so the delivered state is bitwise identical to the
-    /// sequential path either way (compaction order relative to the
-    /// wire is unobservable, and pre-built collide buckets list the
-    /// same indices in the same order).
-    fn migrate(&self, eng: &mut RankEngine, prebucket: bool) -> CommResult<Strategy> {
+    /// strategy, compact, run the wire exchange through the reused
+    /// scratch buffers, unpack immigrants. Returns the concrete
+    /// strategy that carried it.
+    fn migrate(&self, eng: &mut RankEngine) -> CommResult<Strategy> {
         let comm = self.comm;
         let RankEngine {
-            particles,
-            exch,
-            collisions,
-            h_id,
-            ..
+            particles, exch, ..
         } = eng;
         let owner = self.balance.owner();
         let emigrants = pack_emigrants(particles, owner, comm.rank(), comm.size(), exch);
         let strategy = resolve_strategy(comm, self.strategy, &exch.outgoing, &self.cost)?;
-        let ExchangeScratch {
-            keep,
-            outgoing,
-            incoming,
-        } = exch;
-        let overlapped = strategy == Strategy::Hier && self.overlap;
-        if !overlapped && emigrants > 0 {
-            particles.compact(keep);
+        if emigrants > 0 {
+            particles.compact(&exch.keep);
         }
-        if strategy == Strategy::Hier {
-            let do_prebucket = overlapped && prebucket;
-            exchange_hier_overlapped(comm, &self.nodes, outgoing, incoming, || {
-                if overlapped {
-                    if emigrants > 0 {
-                        particles.compact(keep);
-                    }
-                    if do_prebucket {
-                        collisions.prebucket(particles, *h_id);
-                    }
-                }
-            })?;
-            let from = particles.len();
-            for inc in incoming.iter() {
-                unpack_all(inc, particles);
-            }
-            if do_prebucket {
-                collisions.extend_bucket(particles, from, *h_id);
-            }
-        } else {
-            exchange_into(comm, strategy, outgoing, incoming)?;
-            for inc in incoming.iter() {
-                unpack_all(inc, particles);
-            }
+        exchange_on_nodes(
+            comm,
+            strategy,
+            &self.nodes,
+            &mut exch.outgoing,
+            &mut exch.incoming,
+        )?;
+        for inc in exch.incoming.iter() {
+            unpack_all(inc, particles);
         }
         Ok(strategy)
     }
@@ -271,16 +229,13 @@ impl<'a, C: Comm> ThreadedBackend<'a, C> {
     /// Carry one migration and note its attribution: the strategy
     /// index plus the world-counter delta observed around it. The
     /// delta is best-effort per exchange (other ranks may be
-    /// mid-flight); per-*step* deltas are exact. `prebucket` allows
-    /// the overlapped hierarchical path to pre-bucket the collide
-    /// lists (DSMC exchange only — the buckets must be consumed by
-    /// the very next collide pass).
-    fn migrate_and_tally(&mut self, eng: &mut RankEngine, prebucket: bool) {
+    /// mid-flight); per-*step* deltas are exact.
+    fn migrate_and_tally(&mut self, eng: &mut RankEngine) {
         if self.fault.is_some() {
             return;
         }
         let before = self.wire();
-        let carried = self.migrate(eng, prebucket);
+        let carried = self.migrate(eng);
         if let Some(s) = self.ok_or_latch(carried) {
             let after = self.wire();
             self.tally.note(ExchangeInfo {
@@ -309,10 +264,8 @@ impl<C: Comm> Backend for ThreadedBackend<'_, C> {
         self.clock.lap(bd, phase);
     }
 
-    fn exchange(&mut self, eng: &mut RankEngine, phase: Phase, _sub: usize) {
-        // only the DSMC exchange is immediately followed by the
-        // collide pass, so only it may pre-bucket under overlap
-        self.migrate_and_tally(eng, phase == Phase::DsmcExchange);
+    fn exchange(&mut self, eng: &mut RankEngine, _phase: Phase, _sub: usize) {
+        self.migrate_and_tally(eng);
     }
 
     fn take_exchange_info(&mut self) -> Option<ExchangeInfo> {
@@ -421,7 +374,7 @@ impl<C: Comm> Backend for ThreadedBackend<'_, C> {
         let (mut outcome, replaced) = self.balance.step(lii, kernel_seconds, neutral, charged);
         if replaced.is_some() {
             eng.claim_inlet(self.balance.owner(), self.comm.rank());
-            self.migrate_and_tally(eng, false);
+            self.migrate_and_tally(eng);
             outcome.remap_seconds = remap_started.elapsed().as_secs_f64();
         }
         outcome
@@ -590,24 +543,6 @@ mod tests {
         assert_eq!(hier.density_h, dc.density_h);
         let [_, _, _, hier_uses] = hier.strategy_uses;
         assert!(hier_uses > 0, "hier never carried an exchange");
-    }
-
-    #[test]
-    fn overlapped_hier_is_bitwise_identical_to_sequential_hier() {
-        let base = |overlap| run(quick(4, Strategy::Hier).ranks_per_node(2).overlap(overlap));
-        let seq = base(false);
-        let ov = base(true);
-        assert_eq!(ov.population, seq.population);
-        assert_eq!(ov.density_h, seq.density_h, "overlap changed physics");
-        // the wire schedule must be unchanged too: same exchanges, all
-        // hierarchical. (Absolute transaction totals are sampled from
-        // the world-shared counter while other ranks may be mid-flight
-        // in a collective, so they carry a few messages of run-to-run
-        // jitter and are not compared here.)
-        assert_eq!(
-            ov.strategy_uses, seq.strategy_uses,
-            "overlap changed schedule"
-        );
     }
 
     #[test]

@@ -19,10 +19,6 @@ pub struct CollisionModel {
     sigma_g_max: Vec<f64>,
     /// Scratch: particle indices per cell.
     cell_lists: Vec<Vec<u32>>,
-    /// `cell_lists` already holds this step's bucketing (built by
-    /// [`CollisionModel::prebucket`] during an overlapped exchange);
-    /// the next collide pass consumes it instead of re-bucketing.
-    buckets_ready: bool,
 }
 
 /// Outcome of one collision pass.
@@ -56,47 +52,11 @@ impl CollisionModel {
         CollisionModel {
             sigma_g_max: vec![guess; num_cells],
             cell_lists: vec![Vec::new(); num_cells],
-            buckets_ready: false,
         }
     }
 
-    /// Bucket the neutrals of `buf` by cell ahead of the collide pass
-    /// — the RNG-free half of the pass, safe to run while an exchange
-    /// is in flight. Immigrants arriving after this call must be
-    /// appended with [`CollisionModel::extend_bucket`]; the next
-    /// collide pass then skips its own bucketing and consumes the
-    /// prepared lists, bit-identically (buckets hold indices in
-    /// ascending order either way).
-    pub fn prebucket(&mut self, buf: &ParticleBuffer, neutral_id: u8) {
-        for l in self.cell_lists.iter_mut() {
-            l.clear();
-        }
-        for i in 0..buf.len() {
-            if buf.species[i] == neutral_id {
-                self.cell_lists[buf.cell[i] as usize].push(i as u32);
-            }
-        }
-        self.buckets_ready = true;
-    }
-
-    /// Append the neutrals of `buf[from..]` (freshly unpacked
-    /// immigrants) to the buckets prepared by
-    /// [`CollisionModel::prebucket`].
-    pub fn extend_bucket(&mut self, buf: &ParticleBuffer, from: usize, neutral_id: u8) {
-        debug_assert!(self.buckets_ready, "extend_bucket without prebucket");
-        for i in from..buf.len() {
-            if buf.species[i] == neutral_id {
-                self.cell_lists[buf.cell[i] as usize].push(i as u32);
-            }
-        }
-    }
-
-    /// Consume the prepared buckets, or (re)build them from `buf`.
+    /// Bucket the neutrals of `buf` by cell (indices ascending).
     fn bucket(&mut self, buf: &ParticleBuffer, neutral_id: u8) {
-        if self.buckets_ready {
-            self.buckets_ready = false;
-            return;
-        }
         for l in self.cell_lists.iter_mut() {
             l.clear();
         }
@@ -526,33 +486,6 @@ mod tests {
         };
         let (sa, va, ea) = run(false);
         let (sb, vb, eb) = run(true);
-        assert_eq!(sa, sb);
-        assert_eq!(va, vb);
-        assert_eq!(ea, eb);
-    }
-
-    #[test]
-    fn prebucket_then_extend_is_bit_identical_to_plain_collide() {
-        let (m, table, base_buf) = setup(1e12);
-        // simulate an overlapped exchange: 150 residents are bucketed
-        // early, the last 50 "immigrants" are appended afterwards
-        let run = |prebucketed: bool| {
-            let mut buf = base_buf.clone();
-            let mut rng = StdRng::seed_from_u64(13);
-            let mut model = CollisionModel::new(m.num_cells(), &table, 300.0);
-            let mut ev = Vec::new();
-            if prebucketed {
-                let mut residents = base_buf.clone();
-                residents.truncate(150);
-                model.prebucket(&residents, 0);
-                model.extend_bucket(&buf, 150, 0);
-            }
-            let stats = model.collide(&m, &mut buf, &table, 0, 1e-5, &mut rng, &mut ev);
-            (stats, (buf.vx.clone(), buf.vy.clone(), buf.vz.clone()), ev)
-        };
-        let (sa, va, ea) = run(false);
-        let (sb, vb, eb) = run(true);
-        assert!(sa.collisions > 0);
         assert_eq!(sa, sb);
         assert_eq!(va, vb);
         assert_eq!(ea, eb);

@@ -1,20 +1,18 @@
 //! Direct Simulation Monte Carlo on the coarse tetrahedral grid
 //! (paper §III-B): Maxwellian inlet injection, ballistic movement
 //! with exact cell tracking and diffuse walls, Bird NTC collisions
-//! with the VHS model, hydrogen dissociation/recombination chemistry,
-//! and flow-field moments.
+//! with the VHS model, and hydrogen dissociation/recombination
+//! chemistry.
 
 pub mod collide;
 pub mod cross;
 pub mod inject;
-pub mod moments;
 pub mod movepush;
 pub mod react;
 
 pub use collide::{CollideStats, CollisionEvent, CollisionModel};
 pub use cross::{CrossCollisionModel, CrossStats};
 pub use inject::Injector;
-pub use moments::{moments, CellMoments};
 pub use movepush::{
     move_particles, move_particles_filtered, move_particles_pooled, move_particles_tracked,
     MoveStats, Pump, EXITED,

@@ -10,13 +10,11 @@
 //! * nested 1:8 refinement producing the fine PIC grid from the
 //!   coarse DSMC grid ([`refine`]),
 //! * point location and in-cell ray tracing used by the particle
-//!   movers ([`locate`]), and
-//! * quality statistics ([`quality`]).
+//!   movers ([`locate`]).
 
 pub mod geom;
 pub mod locate;
 pub mod nozzle;
-pub mod quality;
 pub mod refine;
 pub mod tet;
 pub mod vtk;

@@ -1,11 +1,9 @@
-//! Krylov subspace solvers: preconditioned Conjugate Gradient and
-//! BiCGStab.
+//! Krylov subspace solver: preconditioned Conjugate Gradient.
 //!
 //! Stand-in for the PETSc KSP solver the paper uses for `K φ = b`
 //! (§IV-C). The FEM stiffness matrix with Dirichlet rows is symmetric
 //! positive definite, so CG with a Jacobi preconditioner is the
-//! canonical choice; BiCGStab is provided for robustness checks on
-//! non-symmetric systems.
+//! canonical choice.
 
 use crate::csr::CsrMatrix;
 use kernels::Pool;
@@ -37,11 +35,6 @@ impl Default for KrylovOptions {
             max_iters: 2000,
         }
     }
-}
-
-#[inline]
-fn dot(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
 /// Fixed block size of [`det_dot`]; boundaries depend only on this
@@ -197,90 +190,6 @@ pub fn cg_with(
     }
 }
 
-/// BiCGStab with Jacobi preconditioning, for non-symmetric systems.
-pub fn bicgstab(a: &CsrMatrix, b: &[f64], x: &mut [f64], opts: KrylovOptions) -> SolveStats {
-    let n = b.len();
-    assert_eq!(a.nrows(), n);
-    let pre = Jacobi::new(a);
-
-    let norm_b = dot(b, b).sqrt();
-    if norm_b == 0.0 {
-        x.fill(0.0);
-        return SolveStats {
-            iterations: 0,
-            rel_residual: 0.0,
-            converged: true,
-        };
-    }
-
-    let mut r = vec![0.0; n];
-    a.spmv(x, &mut r);
-    for i in 0..n {
-        r[i] = b[i] - r[i];
-    }
-    let r0 = r.clone();
-    let mut rho = 1.0f64;
-    let mut alpha = 1.0f64;
-    let mut omega = 1.0f64;
-    let mut v = vec![0.0; n];
-    let mut p = vec![0.0; n];
-    let mut phat = vec![0.0; n];
-    let mut shat = vec![0.0; n];
-    let mut t = vec![0.0; n];
-
-    for it in 0..opts.max_iters {
-        let res = dot(&r, &r).sqrt() / norm_b;
-        if res <= opts.rtol {
-            return SolveStats {
-                iterations: it,
-                rel_residual: res,
-                converged: true,
-            };
-        }
-        let rho_new = dot(&r0, &r);
-        if rho_new.abs() < 1e-300 {
-            return SolveStats {
-                iterations: it,
-                rel_residual: res,
-                converged: false,
-            };
-        }
-        let beta = (rho_new / rho) * (alpha / omega);
-        rho = rho_new;
-        for i in 0..n {
-            p[i] = r[i] + beta * (p[i] - omega * v[i]);
-        }
-        pre.apply(&p, &mut phat);
-        a.spmv(&phat, &mut v);
-        alpha = rho / dot(&r0, &v);
-        let mut s = r.clone();
-        axpy(-alpha, &v, &mut s);
-        pre.apply(&s, &mut shat);
-        a.spmv(&shat, &mut t);
-        let tt = dot(&t, &t);
-        omega = if tt > 0.0 { dot(&t, &s) / tt } else { 0.0 };
-        axpy(alpha, &phat, x);
-        axpy(omega, &shat, x);
-        r.copy_from_slice(&s);
-        axpy(-omega, &t, &mut r);
-        if omega.abs() < 1e-300 {
-            let res = dot(&r, &r).sqrt() / norm_b;
-            return SolveStats {
-                iterations: it + 1,
-                rel_residual: res,
-                converged: res <= opts.rtol,
-            };
-        }
-    }
-
-    let res = dot(&r, &r).sqrt() / norm_b;
-    SolveStats {
-        iterations: opts.max_iters,
-        rel_residual: res,
-        converged: res <= opts.rtol,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -416,28 +325,6 @@ mod tests {
         let mut x = vec![0.0; 2];
         let stats = cg(&a, &[1.0, 1.0], &mut x, KrylovOptions::default());
         assert!(!stats.converged);
-    }
-
-    #[test]
-    fn bicgstab_solves_nonsymmetric() {
-        // upper bidiagonal system
-        let n = 30;
-        let mut bld = CooBuilder::new(n, n);
-        for i in 0..n {
-            bld.add(i, i, 3.0);
-            if i + 1 < n {
-                bld.add(i, i + 1, -1.0);
-            }
-        }
-        let a = bld.build();
-        let xs: Vec<f64> = (0..n).map(|i| i as f64 % 5.0).collect();
-        let b = a.mul_vec(&xs);
-        let mut x = vec![0.0; n];
-        let stats = bicgstab(&a, &b, &mut x, KrylovOptions::default());
-        assert!(stats.converged, "{stats:?}");
-        for (xi, xsi) in x.iter().zip(&xs) {
-            assert!((xi - xsi).abs() < 1e-6, "{xi} vs {xsi}");
-        }
     }
 
     #[test]

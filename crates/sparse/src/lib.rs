@@ -1,6 +1,6 @@
 //! Sparse linear algebra for the PIC Poisson solve (§III-C, §IV-C):
-//! CSR storage, Jacobi-preconditioned CG and BiCGStab (the PETSc KSP
-//! stand-in), and a dense oracle for tests.
+//! CSR storage, Jacobi-preconditioned CG (the PETSc KSP stand-in), and
+//! a dense oracle for tests.
 
 pub mod csr;
 pub mod dense;
@@ -8,6 +8,4 @@ pub mod krylov;
 
 pub use csr::{CooBuilder, CsrMatrix};
 pub use dense::solve_dense;
-pub use krylov::{
-    bicgstab, cg, cg_with, det_dot, Jacobi, KrylovOptions, SolveStats, DET_DOT_BLOCK,
-};
+pub use krylov::{cg, cg_with, det_dot, Jacobi, KrylovOptions, SolveStats, DET_DOT_BLOCK};

@@ -144,11 +144,6 @@ impl FaultPlan {
         self
     }
 
-    /// Does this plan schedule any rank kill?
-    pub fn has_kills(&self) -> bool {
-        !self.kills.is_empty()
-    }
-
     /// The deterministic fate of message number `idx` on `src → dst`.
     pub fn decide(&self, src: usize, dst: usize, idx: u64) -> FaultAction {
         for &(s, d, i, a) in &self.explicit {

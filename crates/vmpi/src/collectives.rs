@@ -1,9 +1,9 @@
 //! Collective operations built on point-to-point messaging.
 //!
 //! The coupled solver needs: barrier (inherited from [`Comm`]),
-//! gather/scatter through a root (the backbone of the centralized
-//! exchange), broadcast, and an all-reduce for charge-density boundary
-//! sums and residual norms in the distributed Poisson solve.
+//! gather through a root, broadcast, and an all-reduce for
+//! charge-density boundary sums and residual norms in the distributed
+//! Poisson solve.
 //!
 //! Every collective is fallible: a communication fault on any hop
 //! propagates as a [`crate::CommError`] so the driver can
@@ -34,27 +34,6 @@ pub fn gather<C: Comm>(comm: &C, root: usize, mine: Vec<u8>) -> CommResult<Optio
     } else {
         comm.send(root, mine)?;
         Ok(None)
-    }
-}
-
-/// Scatter one buffer per rank from `root`. Non-root ranks pass
-/// `None` and receive their slice; root passes `Some(buffers)`.
-///
-/// Panics if the root passes `None` or the wrong number of buffers —
-/// that is API misuse by the caller, not a communication fault.
-pub fn scatter<C: Comm>(comm: &C, root: usize, bufs: Option<Vec<Vec<u8>>>) -> CommResult<Vec<u8>> {
-    if comm.rank() == root {
-        let mut bufs = bufs.expect("root must provide buffers");
-        assert_eq!(bufs.len(), comm.size());
-        let mine = std::mem::take(&mut bufs[root]);
-        for (r, b) in bufs.into_iter().enumerate() {
-            if r != root {
-                comm.send(r, b)?;
-            }
-        }
-        Ok(mine)
-    } else {
-        comm.recv(root)
     }
 }
 
@@ -110,23 +89,6 @@ pub fn allreduce_sum_f64<C: Comm>(comm: &C, mine: &[f64]) -> CommResult<Vec<f64>
     Ok(result)
 }
 
-/// All-reduce a single scalar by max.
-pub fn allreduce_max_f64<C: Comm>(comm: &C, mine: f64) -> CommResult<f64> {
-    let gathered = gather(comm, 0, mine.to_le_bytes().to_vec())?;
-    let reduced = if let Some(bufs) = gathered {
-        let mut m = f64::NEG_INFINITY;
-        for b in &bufs {
-            let mut cur = b.as_slice();
-            m = m.max(take_f64(&mut cur, "allreduce_max_f64 contribution")?);
-        }
-        Some(m.to_le_bytes().to_vec())
-    } else {
-        None
-    };
-    let out = broadcast(comm, 0, reduced)?;
-    take_f64(&mut out.as_slice(), "allreduce_max_f64 result")
-}
-
 /// Wire magic stamped on every [`alltoall_u64`] value frame, so a
 /// fence-and-drain receiver can tell the round's frames from anything
 /// a faster peer posted for a *later* protocol phase.
@@ -162,10 +124,10 @@ pub(crate) fn drain_tagged<C: Comm>(
 /// Sparse all-to-all of one `u64` per destination: rank `d` receives
 /// `mine[d]` of every source, as `out[src]` (the column of the
 /// world-wide matrix addressed to it). **Zero entries cost no
-/// message**: senders post only the nonzero values as nonblocking
-/// sends tagged `[magic][epoch][value]`, one barrier fences the
-/// round, and receivers drain queued frames with the tagged drain —
-/// absence of an acceptable frame *is* the zero. The per-endpoint
+/// message**: senders send only the nonzero values, tagged
+/// `[magic][epoch][value]`, one barrier fences the round, and
+/// receivers drain queued frames with the tagged drain — absence of
+/// an acceptable frame *is* the zero. The per-endpoint
 /// [`Comm::next_epoch`] stamp replaces the old trailing barrier: a
 /// peer that races into the next round posts frames carrying the next
 /// epoch, which the drain pushes back unread instead of mistaking for
@@ -177,18 +139,14 @@ pub fn alltoall_u64<C: Comm>(comm: &C, mine: &[u64]) -> CommResult<Vec<u64>> {
     let n = comm.size();
     assert_eq!(mine.len(), n);
     let epoch = comm.next_epoch();
-    let mut pending = Vec::new();
     for (d, &v) in mine.iter().enumerate() {
         if d != me && v != 0 {
             let mut frame = Vec::with_capacity(17);
             frame.push(ALLTOALL_MAGIC);
             frame.extend_from_slice(&epoch.to_le_bytes());
             frame.extend_from_slice(&v.to_le_bytes());
-            pending.push(comm.isend(d, frame)?);
+            comm.send(d, frame)?;
         }
-    }
-    for h in pending {
-        comm.wait_send(h)?;
     }
     // The only fence: after it, every frame of this round is queued.
     comm.barrier()?;
@@ -310,27 +268,16 @@ mod tests {
     use crate::threaded::run_world;
 
     #[test]
-    fn gather_scatter_roundtrip() {
+    fn gather_collects_in_rank_order_at_the_root() {
         let out = run_world(4, |c| {
-            let mine = vec![c.rank() as u8; c.rank() + 1];
-            let gathered = gather(&c, 0, mine).unwrap();
-            if c.rank() == 0 {
-                let g = gathered.unwrap();
-                assert_eq!(g.len(), 4);
-                for (r, b) in g.iter().enumerate() {
-                    assert_eq!(b.len(), r + 1);
-                    assert!(b.iter().all(|&x| x == r as u8));
-                }
-                // scatter back doubled buffers
-                let bufs: Vec<Vec<u8>> = g.iter().map(|b| b.repeat(2)).collect();
-                scatter(&c, 0, Some(bufs)).unwrap()
-            } else {
-                scatter(&c, 0, None).unwrap()
-            }
+            gather(&c, 0, vec![c.rank() as u8; c.rank() + 1]).unwrap()
         });
-        for (r, b) in out.iter().enumerate() {
-            assert_eq!(b.len(), 2 * (r + 1));
+        let g = out[0].as_ref().expect("root holds the buffers");
+        assert_eq!(g.len(), 4);
+        for (r, b) in g.iter().enumerate() {
+            assert_eq!(b, &vec![r as u8; r + 1]);
         }
+        assert!(out[1..].iter().all(Option::is_none));
     }
 
     #[test]
@@ -355,12 +302,6 @@ mod tests {
         for v in out {
             assert_eq!(v, vec![3.0, 3.0]);
         }
-    }
-
-    #[test]
-    fn allreduce_max() {
-        let out = run_world(4, |c| allreduce_max_f64(&c, c.rank() as f64 * 1.5).unwrap());
-        assert!(out.iter().all(|&v| v == 4.5));
     }
 
     #[test]

@@ -22,39 +22,6 @@ use crate::error::CommResult;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Handle for an in-flight nonblocking send started by
-/// [`Comm::isend`], completed by [`Comm::wait_send`]. The in-process
-/// transports buffer eagerly, so a send completes locally the moment
-/// it is posted; the handle exists so protocols written against the
-/// MPI-style `Isend`/`Wait` shape also run unchanged over a future
-/// rendezvous transport.
-#[derive(Debug)]
-#[must_use = "complete the send with Comm::wait_send"]
-pub struct SendHandle {
-    /// Destination rank of the posted send.
-    pub to: usize,
-}
-
-/// Handle for a pending nonblocking receive started by
-/// [`Comm::irecv`]: polled with [`Comm::test_recv`], completed with
-/// [`Comm::wait_recv`]. A completed payload is parked inside the
-/// handle until the caller collects it.
-#[derive(Debug)]
-#[must_use = "poll with Comm::test_recv or complete with Comm::wait_recv"]
-pub struct RecvHandle {
-    /// Source rank the receive is matched against.
-    pub from: usize,
-    pub(crate) buf: Option<Vec<u8>>,
-}
-
-impl RecvHandle {
-    /// Whether a payload has already been captured by a successful
-    /// [`Comm::test_recv`] poll.
-    pub fn ready(&self) -> bool {
-        self.buf.is_some()
-    }
-}
-
 /// Point-to-point message transport for one rank.
 ///
 /// `recv(from)` is *matched by source*, mirroring
@@ -62,16 +29,6 @@ impl RecvHandle {
 /// message MPI; the protocols implemented on top still follow the
 /// paper's deadlock-avoidance ordering so they would also be correct
 /// over a rendezvous transport.
-///
-/// # Nonblocking operations
-///
-/// [`Comm::isend`]/[`Comm::irecv`] mirror `MPI_Isend`/`MPI_Irecv`:
-/// they return handles that are polled ([`Comm::test_recv`]) or waited
-/// on ([`Comm::wait_recv`], [`Comm::wait_send`]). The default
-/// implementations are written in terms of `send`/`try_recv`/`recv`,
-/// so wrapper transports ([`crate::ChaosComm`], [`crate::ReliableComm`])
-/// inherit nonblocking semantics — fault injection, sequencing and
-/// retransmission included — without any wrapper-side code.
 pub trait Comm {
     /// This rank's id, `0..size`.
     fn rank(&self) -> usize;
@@ -123,51 +80,6 @@ pub trait Comm {
     fn abort(&self) {}
     /// Shared traffic statistics for the whole world.
     fn stats(&self) -> &CommStats;
-
-    // --- nonblocking surface ----------------------------------------
-
-    /// Post a nonblocking send of `msg` to rank `to` (MPI `Isend`).
-    /// The in-process transports buffer eagerly, so the default posts
-    /// via [`Comm::send`] and the returned handle is already complete.
-    fn isend(&self, to: usize, msg: Vec<u8>) -> CommResult<SendHandle> {
-        self.send(to, msg)?;
-        Ok(SendHandle { to })
-    }
-
-    /// Complete a posted send (MPI `Wait` on a send request). Eager
-    /// transports have nothing left to do.
-    fn wait_send(&self, handle: SendHandle) -> CommResult<()> {
-        let _ = handle;
-        Ok(())
-    }
-
-    /// Post a nonblocking receive matched against rank `from` (MPI
-    /// `Irecv`). Never fails by itself: matching happens at poll/wait
-    /// time.
-    fn irecv(&self, from: usize) -> RecvHandle {
-        RecvHandle { from, buf: None }
-    }
-
-    /// Poll a pending receive (MPI `Test`): captures the next queued
-    /// message from the handle's source, if any. Returns whether the
-    /// handle now holds a payload.
-    fn test_recv(&self, handle: &mut RecvHandle) -> CommResult<bool> {
-        if handle.buf.is_none() {
-            handle.buf = self.try_recv(handle.from)?;
-        }
-        Ok(handle.buf.is_some())
-    }
-
-    /// Complete a pending receive (MPI `Wait`): the captured payload
-    /// if a poll already matched one, otherwise a blocking
-    /// [`Comm::recv`] — so a stalled receive surfaces the transport's
-    /// enriched [`CommError::Timeout`] (pending source and sequence).
-    fn wait_recv(&self, mut handle: RecvHandle) -> CommResult<Vec<u8>> {
-        match handle.buf.take() {
-            Some(msg) => Ok(msg),
-            None => self.recv(handle.from),
-        }
-    }
 
     /// Return an already-received message to the *front* of the
     /// receive queue for `from` (MPI's unexpected-message queue): the

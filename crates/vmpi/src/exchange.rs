@@ -27,9 +27,7 @@
 //!   node pair**, trunked leader-to-leader, and scattered to their
 //!   destination ranks. Message count scales with node pairs instead
 //!   of rank pairs, which is the two-level aggregation of Bogdanov et
-//!   al. The phase-1 sends are nonblocking, so
-//!   [`exchange_hier_overlapped`] can run caller-supplied interior
-//!   work between posting the sends and draining the receives.
+//!   al.
 //! * [`Strategy::Auto`]: a marker resolved per step by the caller
 //!   (`coupled::machine::CostModel::pick_strategy`) from the measured
 //!   migration byte matrix — it never reaches the wire itself
@@ -39,11 +37,12 @@
 //! from lower ranks then sends to higher ranks; round 2 receives from
 //! higher ranks then sends to lower ranks.
 //!
-//! [`exchange_into`] is the allocation-free core: outgoing buffers are
-//! sent from borrowed slices ([`Comm::send_from`]) and incoming
-//! buffers are refilled in place ([`Comm::recv_into`]), so a steady
-//! state reuses the same capacity step after step. [`exchange`] is the
-//! owned-buffer convenience wrapper.
+//! [`exchange_on_nodes`] is the one entry point, and it is
+//! allocation-free for the flat strategies: outgoing buffers are sent
+//! from borrowed slices ([`Comm::send_from`]) and incoming buffers are
+//! refilled in place ([`Comm::recv_into`]), so a steady state reuses
+//! the same capacity step after step. [`exchange_into`] is the same
+//! call under the default two-node grouping.
 //!
 //! Every strategy is fallible end to end: a dead peer, a timed-out
 //! receive or a malformed gathered frame surfaces as a
@@ -204,29 +203,33 @@ impl NodeMap {
     }
 }
 
-/// Exchange `outgoing[dest]` buffers between all ranks; returns
-/// `incoming[src]` buffers. `outgoing[comm.rank()]` is delivered
-/// straight to `incoming[comm.rank()]` without touching the network.
-pub fn exchange<C: Comm>(
-    comm: &C,
-    strategy: Strategy,
-    mut outgoing: Vec<Vec<u8>>,
-) -> CommResult<Vec<Vec<u8>>> {
-    let mut incoming = Vec::new();
-    exchange_into(comm, strategy, &mut outgoing, &mut incoming)?;
-    Ok(incoming)
-}
-
-/// Allocation-free exchange: fills `incoming[src]` (resized to world
-/// size, buffers cleared and refilled in place) from `outgoing[dest]`,
-/// which is only borrowed — its buffers keep their contents and
-/// capacity, ready to be cleared and repacked next step.
+/// Exchange under the default node grouping
+/// ([`NodeMap::default_for`]); see [`exchange_on_nodes`].
 pub fn exchange_into<C: Comm>(
     comm: &C,
     strategy: Strategy,
     outgoing: &mut [Vec<u8>],
     incoming: &mut Vec<Vec<u8>>,
 ) -> CommResult<()> {
+    let nodes = NodeMap::default_for(comm.size());
+    exchange_on_nodes(comm, strategy, &nodes, outgoing, incoming)
+}
+
+/// Exchange `outgoing[dest]` buffers between all ranks: fills
+/// `incoming[src]` (resized to world size, buffers cleared and
+/// refilled in place) from `outgoing[dest]`, which is only borrowed —
+/// its buffers keep their contents and capacity, ready to be cleared
+/// and repacked next step. `outgoing[comm.rank()]` is delivered
+/// straight to `incoming[comm.rank()]` without touching the network.
+/// `nodes` groups the ranks for [`Strategy::Hier`]; the flat
+/// strategies ignore it.
+pub fn exchange_on_nodes<C: Comm>(
+    comm: &C,
+    strategy: Strategy,
+    nodes: &NodeMap,
+    outgoing: &mut [Vec<u8>],
+    incoming: &mut Vec<Vec<u8>>,
+) -> CommResult<()> {
     let n = comm.size();
     let me = comm.rank();
     assert_eq!(outgoing.len(), n);
@@ -234,53 +237,14 @@ pub fn exchange_into<C: Comm>(
     for buf in incoming.iter_mut() {
         buf.clear();
     }
-    // local delivery without touching the network
     incoming[me].extend_from_slice(&outgoing[me]);
     match strategy {
         Strategy::Centralized => exchange_centralized_into(comm, outgoing, incoming),
         Strategy::Distributed => exchange_distributed_into(comm, outgoing, incoming),
         Strategy::Sparse => exchange_sparse_into(comm, outgoing, incoming),
-        Strategy::Hier => {
-            exchange_hier_core(comm, &NodeMap::default_for(n), outgoing, incoming, || ())
-        }
+        Strategy::Hier => exchange_hier(comm, nodes, outgoing, incoming),
         Strategy::Auto => Err(CommError::AutoUnresolved),
     }
-}
-
-/// Hierarchical exchange with an explicit node map. Same contract as
-/// [`exchange_into`] restricted to [`Strategy::Hier`]: fills
-/// `incoming[src]` in place, borrows `outgoing`.
-pub fn exchange_hier_into<C: Comm>(
-    comm: &C,
-    nodes: &NodeMap,
-    outgoing: &mut [Vec<u8>],
-    incoming: &mut Vec<Vec<u8>>,
-) -> CommResult<()> {
-    exchange_hier_overlapped(comm, nodes, outgoing, incoming, || ())
-}
-
-/// Hierarchical exchange overlapping `work` with the communication:
-/// `work` runs after the phase-1 nonblocking sends are posted and
-/// before the first fence-and-drain, i.e. inside the window where the
-/// paper's overlapped variant advances interior cells. `work` must not
-/// touch `outgoing`/`incoming` (the borrow checker enforces it) and
-/// must not communicate on `comm`.
-pub fn exchange_hier_overlapped<C: Comm>(
-    comm: &C,
-    nodes: &NodeMap,
-    outgoing: &mut [Vec<u8>],
-    incoming: &mut Vec<Vec<u8>>,
-    work: impl FnOnce(),
-) -> CommResult<()> {
-    let n = comm.size();
-    let me = comm.rank();
-    assert_eq!(outgoing.len(), n);
-    incoming.resize_with(n, Vec::new);
-    for buf in incoming.iter_mut() {
-        buf.clear();
-    }
-    incoming[me].extend_from_slice(&outgoing[me]);
-    exchange_hier_core(comm, nodes, outgoing, incoming, work)
 }
 
 /// Wire magics for the three hierarchical phases. Distinct per phase
@@ -332,12 +296,11 @@ fn for_each_group<'a>(
 /// round, so [`crate::ReliableComm`]'s journal truth applies and the
 /// protocol survives chaos). A trailing barrier keeps a fast rank's
 /// post-exchange traffic out of a slow peer's final drain.
-fn exchange_hier_core<C: Comm>(
+fn exchange_hier<C: Comm>(
     comm: &C,
     nodes: &NodeMap,
     outgoing: &[Vec<u8>],
     incoming: &mut [Vec<u8>],
-    work: impl FnOnce(),
 ) -> CommResult<()> {
     let n = comm.size();
     let me = comm.rank();
@@ -355,7 +318,6 @@ fn exchange_hier_core<C: Comm>(
             funnel.extend_from_slice(payload);
         }
     }
-    let mut pending = Vec::new();
     for q in nodes.members(my_node) {
         if q == me {
             continue;
@@ -370,12 +332,7 @@ fn exchange_hier_core<C: Comm>(
         frame.extend_from_slice(&(intra.len() as u64).to_le_bytes());
         frame.extend_from_slice(intra);
         frame.extend_from_slice(tail);
-        pending.push(comm.isend(q, frame)?);
-    }
-    // the overlap window: sends are in flight, receives not yet fenced
-    work();
-    for h in pending {
-        comm.wait_send(h)?;
+        comm.send(q, frame)?;
     }
     comm.barrier()?;
 
@@ -423,7 +380,6 @@ fn exchange_hier_core<C: Comm>(
 
     // --- phase 2: one aggregated frame per active node pair ---------
     if me == my_leader {
-        let mut pending = Vec::new();
         for (b, groups) in trunk.iter().enumerate() {
             if b == my_node || groups.is_empty() {
                 continue;
@@ -431,10 +387,7 @@ fn exchange_hier_core<C: Comm>(
             let mut frame = Vec::with_capacity(1 + groups.len());
             frame.push(HIER_TRUNK);
             frame.extend_from_slice(groups);
-            pending.push(comm.isend(nodes.leader(b), frame)?);
-        }
-        for h in pending {
-            comm.wait_send(h)?;
+            comm.send(nodes.leader(b), frame)?;
         }
     }
     comm.barrier()?;
@@ -467,7 +420,6 @@ fn exchange_hier_core<C: Comm>(
                 })?;
             }
         }
-        let mut pending = Vec::new();
         for (q, bundles) in scatter.iter().enumerate() {
             if bundles.is_empty() {
                 continue;
@@ -475,10 +427,7 @@ fn exchange_hier_core<C: Comm>(
             let mut frame = Vec::with_capacity(1 + bundles.len());
             frame.push(HIER_SCATTER);
             frame.extend_from_slice(bundles);
-            pending.push(comm.isend(q, frame)?);
-        }
-        for h in pending {
-            comm.wait_send(h)?;
+            comm.send(q, frame)?;
         }
     }
     comm.barrier()?;
@@ -776,17 +725,6 @@ pub fn traffic(strategy: Strategy, matrix: &[Vec<u64>]) -> TrafficSummary {
     traffic_all(&nodes, &Flows::from_matrix(matrix))[idx]
 }
 
-/// Predict the traffic of one hierarchical exchange under an explicit
-/// node map.
-pub fn traffic_hier(nodes: &NodeMap, matrix: &[Vec<u64>]) -> TrafficSummary {
-    assert_eq!(
-        nodes.len(),
-        matrix.len(),
-        "node map sized for another matrix"
-    );
-    traffic_all(nodes, &Flows::from_matrix(matrix))[3]
-}
-
 /// Predict the traffic of one exchange of `flows` between
 /// `nodes.len()` ranks under every concrete strategy at once, in
 /// [`Strategy::CONCRETE`] order — one pass over the nonzero pairs,
@@ -948,6 +886,17 @@ mod tests {
         vec![(src * 16 + dst) as u8; (src + 1) * (dst + 2)]
     }
 
+    /// Owned-buffer form of [`exchange_into`] for one-shot test worlds.
+    fn exchange<C: Comm>(
+        comm: &C,
+        strategy: Strategy,
+        mut outgoing: Vec<Vec<u8>>,
+    ) -> CommResult<Vec<Vec<u8>>> {
+        let mut incoming = Vec::new();
+        exchange_into(comm, strategy, &mut outgoing, &mut incoming)?;
+        Ok(incoming)
+    }
+
     fn check_all_to_all(strategy: Strategy, n: usize) {
         let results = run_world(n, |c| {
             let outgoing: Vec<Vec<u8>> = (0..c.size()).map(|dst| payload(c.rank(), dst)).collect();
@@ -1000,7 +949,8 @@ mod tests {
                 let mut outgoing: Vec<Vec<u8>> =
                     (0..c.size()).map(|dst| payload(c.rank(), dst)).collect();
                 let mut incoming = Vec::new();
-                exchange_hier_into(&c, &nodes, &mut outgoing, &mut incoming).unwrap();
+                exchange_on_nodes(&c, Strategy::Hier, &nodes, &mut outgoing, &mut incoming)
+                    .unwrap();
                 incoming
             });
             for (dst, incoming) in results.iter().enumerate() {
@@ -1048,8 +998,9 @@ mod tests {
         }
     }
 
-    /// `traffic_hier` must agree with what CommStats measures on the
-    /// threaded backend for the same migration matrix and node map.
+    /// The Hier entry of `traffic_all` must agree with what CommStats
+    /// measures on the threaded backend for the same migration matrix
+    /// and node map.
     #[test]
     fn hier_traffic_model_matches_measurement() {
         let n = 6usize;
@@ -1062,7 +1013,7 @@ mod tests {
         m[4][1] = 1; // cross, from a leader
         m[5][4] = 9; // intra toward the leader
         let nodes = NodeMap::grouped(n, rpn);
-        let model = traffic_hier(&nodes, &m);
+        let model = traffic_all(&nodes, &Flows::from_matrix(&m))[3];
         let m2 = m.clone();
         let (tx, bytes) = {
             let out = run_world(n, move |c| {
@@ -1073,7 +1024,8 @@ mod tests {
                     .map(|d| vec![0xBBu8; m2[c.rank()][d] as usize])
                     .collect();
                 let mut incoming = Vec::new();
-                exchange_hier_into(&c, &nodes, &mut outgoing, &mut incoming).unwrap();
+                exchange_on_nodes(&c, Strategy::Hier, &nodes, &mut outgoing, &mut incoming)
+                    .unwrap();
                 // deliveries must match the matrix
                 for (src, buf) in incoming.iter().enumerate() {
                     assert_eq!(buf.len() as u64, m2[src][c.rank()], "{src}->{}", c.rank());
@@ -1087,28 +1039,6 @@ mod tests {
         assert_eq!(model.total_bytes, bytes, "frame bytes");
         assert_eq!(model.nonzero_pairs, 6);
         assert!(model.node_pairs > 0 && model.aggregated_bytes > 0);
-    }
-
-    #[test]
-    fn hier_overlap_work_runs_inside_the_exchange() {
-        let results = run_world(4, |c| {
-            let nodes = NodeMap::grouped(c.size(), 2);
-            let mut outgoing: Vec<Vec<u8>> =
-                (0..c.size()).map(|dst| payload(c.rank(), dst)).collect();
-            let mut incoming = Vec::new();
-            let mut ran = false;
-            exchange_hier_overlapped(&c, &nodes, &mut outgoing, &mut incoming, || {
-                ran = true;
-            })
-            .unwrap();
-            assert!(ran, "overlap work must run exactly once");
-            incoming
-        });
-        for (dst, incoming) in results.iter().enumerate() {
-            for (src, buf) in incoming.iter().enumerate() {
-                assert_eq!(buf, &payload(src, dst), "{src} -> {dst}");
-            }
-        }
     }
 
     #[test]

@@ -24,11 +24,11 @@ pub mod reliable;
 pub mod threaded;
 
 pub use chaos::{ChaosComm, ChaosWorld, FaultAction, FaultPlan, KillEvent, StallEvent};
-pub use comm::{Comm, CommStats, RecvHandle, SendHandle};
+pub use comm::{Comm, CommStats};
 pub use error::{CommError, CommResult};
 pub use exchange::{
-    exchange, exchange_hier_into, exchange_hier_overlapped, exchange_into, traffic, traffic_all,
-    traffic_hier, Flows, NodeMap, Strategy, TrafficSummary,
+    exchange_into, exchange_on_nodes, traffic, traffic_all, Flows, NodeMap, Strategy,
+    TrafficSummary,
 };
 pub use reliable::{ReliableComm, ReliableWorld};
 pub use threaded::{run_world, ThreadComm};

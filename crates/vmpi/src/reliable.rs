@@ -344,7 +344,7 @@ impl<C: Comm> Comm for ReliableComm<C> {
 mod tests {
     use super::*;
     use crate::chaos::{ChaosComm, ChaosWorld, FaultAction, FaultPlan};
-    use crate::exchange::{exchange, Strategy};
+    use crate::exchange::{exchange_into, Strategy};
     use crate::threaded::run_world;
 
     fn lossy_pair_world(plan: FaultPlan) -> (Arc<ChaosWorld>, Arc<ReliableWorld>) {
@@ -538,9 +538,10 @@ mod tests {
                 let (cw2, rw2) = (cw.clone(), rw.clone());
                 let results = run_world(n, move |c| {
                     let c = ReliableComm::new(ChaosComm::new(c, cw2.clone()), rw2.clone());
-                    let outgoing: Vec<Vec<u8>> =
+                    let mut outgoing: Vec<Vec<u8>> =
                         (0..c.size()).map(|dst| payload(c.rank(), dst)).collect();
-                    let inc = exchange(&c, strategy, outgoing).unwrap();
+                    let mut inc = Vec::new();
+                    exchange_into(&c, strategy, &mut outgoing, &mut inc).unwrap();
                     c.barrier().unwrap();
                     inc
                 });

@@ -491,30 +491,6 @@ mod tests {
     }
 
     #[test]
-    fn isend_irecv_roundtrip_with_poll_and_wait() {
-        let got = run_world(2, |c| {
-            if c.rank() == 0 {
-                let h1 = c.isend(1, vec![10]).unwrap();
-                let h2 = c.isend(1, vec![20]).unwrap();
-                c.wait_send(h1).unwrap();
-                c.wait_send(h2).unwrap();
-                (0, 0)
-            } else {
-                // poll the first, block on the second
-                let mut h1 = c.irecv(0);
-                while !c.test_recv(&mut h1).unwrap() {
-                    std::thread::yield_now();
-                }
-                assert!(h1.ready());
-                let a = c.wait_recv(h1).unwrap();
-                let b = c.wait_recv(c.irecv(0)).unwrap();
-                (a[0], b[0])
-            }
-        });
-        assert_eq!(got[1], (10, 20));
-    }
-
-    #[test]
     fn pushback_requeues_at_the_front() {
         let got = run_world(2, |c| {
             if c.rank() == 0 {

@@ -18,6 +18,25 @@ cargo test --workspace -q
 
 echo "== ledger smoke (every bench_ledger workload, both passes, every row present) =="
 cargo run --release --quiet --offline --manifest-path bench_ledger/Cargo.toml -- --smoke
+# cargo prunes the lock file's stale entries on every build; nothing
+# under bench_ledger/ (nor BENCHMARK.json) may differ from HEAD
+git checkout -- bench_ledger/Cargo.lock
+if [ -n "$(git status --porcelain -- bench_ledger BENCHMARK.json)" ]; then
+    git status --porcelain -- bench_ledger BENCHMARK.json
+    echo "verify: the benchmark's files changed" >&2
+    exit 1
+fi
+
+echo "== unset-option lint (every RunConfigBuilder setter has a caller outside config.rs) =="
+config=crates/coupled/src/config.rs
+for setter in $(sed -nE '/^impl RunConfigBuilder \{/,/^\}/s/^    pub fn ([a-z0-9_]+)\(mut self.*/\1/p' "$config"); do
+    callers=$(grep -rlE "\.$setter\(" --include='*.rs' crates src tests examples bench_ledger/src |
+        grep -vx "$config" || true)
+    if [ -z "$callers" ]; then
+        echo "verify: RunConfigBuilder::$setter has no caller outside $config" >&2
+        exit 1
+    fi
+done
 
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings

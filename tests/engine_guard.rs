@@ -36,13 +36,12 @@ fn threaded_density_is_bitwise_pinned() {
     );
 }
 
-/// The overlapped hierarchical exchange (DESIGN.md §14) must be a pure
-/// transport change: Hier with node grouping, RNG-free overlap enabled
-/// and pooled intra-rank workers has to reproduce the plain distributed
-/// run bit for bit. Any RNG draw or particle reorder smuggled into the
-/// overlap window shows up here.
+/// The hierarchical exchange (DESIGN.md §14) must be a pure transport
+/// change: Hier with node grouping and pooled intra-rank workers has to
+/// reproduce the plain distributed run bit for bit. Any RNG draw or
+/// particle reorder smuggled into the exchange shows up here.
 #[test]
-fn hier_overlapped_matches_distributed_bitwise() {
+fn hier_matches_distributed_bitwise() {
     use vmpi::Strategy;
     let base = RunConfig::builder()
         .paper(Dataset::D1, 0.02)
@@ -62,7 +61,6 @@ fn hier_overlapped_matches_distributed_bitwise() {
         &base
             .strategy(Strategy::Hier)
             .ranks_per_node(2)
-            .overlap(true)
             .build()
             .expect("valid Hier guard config"),
     );
@@ -70,7 +68,7 @@ fn hier_overlapped_matches_distributed_bitwise() {
     assert_eq!(
         fnv1a_f64(&hier.density_h),
         fnv1a_f64(&dc.density_h),
-        "overlapped Hier density_h is not bitwise identical to DC"
+        "Hier density_h is not bitwise identical to DC"
     );
     let [_, dc_uses, _, _] = dc.strategy_uses;
     let [_, _, _, hier_uses] = hier.strategy_uses;

@@ -164,7 +164,7 @@ mod reference {
         )
     }
 
-    /// Frame by frame, the way `exchange_hier_core` sends them.
+    /// Frame by frame, the way `exchange_hier` sends them.
     fn hier(nodes: &NodeMap, m: &[Vec<u64>]) -> TrafficSummary {
         let n = m.len();
         let mut frames: Vec<(usize, usize, u64)> = Vec::new();
@@ -275,8 +275,7 @@ proptest! {
         let nodes = NodeMap::grouped(n, ranks_per_node);
         let want = reference::traffic_all(&nodes, &m);
         prop_assert_eq!(vmpi::traffic_all(&nodes, &Flows::from_matrix(&m)), want);
-        // the dense front-ends are the same core
-        prop_assert_eq!(vmpi::traffic_hier(&nodes, &m), want[3]);
+        // the dense front-end is the same core
         let two_nodes = reference::traffic_all(&NodeMap::default_for(n), &m);
         for (s, want) in Strategy::CONCRETE.into_iter().zip(two_nodes) {
             prop_assert_eq!(vmpi::traffic(s, &m), want);

@@ -1,8 +1,9 @@
-//! Property tests for the nonblocking point-to-point surface
-//! (DESIGN.md §14): however isend postings and irecv completions are
-//! interleaved, and however a chaotic wire reorders frames, each
-//! ordered (source, destination) pair must deliver its messages in
-//! send order. The hierarchical exchange's funnel/trunk/scatter phases
+//! Property tests for per-pair FIFO delivery on the point-to-point
+//! surface (`send` / `try_recv` / `recv`): however receive polls and
+//! blocking receives are interleaved across sources, and however a
+//! chaotic wire reorders frames, each ordered (source, destination)
+//! pair must deliver its messages in send order. The hierarchical
+//! exchange's funnel/trunk/scatter drains and the sparse counts round
 //! are built directly on this guarantee.
 
 use proptest::prelude::*;
@@ -14,29 +15,27 @@ fn payload(src: usize, dst: usize, k: usize) -> Vec<u8> {
     vec![0xF1, src as u8, dst as u8, k as u8]
 }
 
-/// Every rank isends `msgs` numbered messages to every peer (postings
-/// interleaved across peers), then completes one irecv per expected
-/// message with a proptest-driven mix of test_recv polling and
-/// blocking wait_recv. Returns, per rank, the sequence numbers seen
-/// from each source in completion order.
+/// Every rank sends `msgs` numbered messages to every peer (sends
+/// interleaved across peers), then receives each expected message
+/// with a proptest-driven mix of `try_recv` polling and blocking
+/// `recv`. Returns, per rank, the sequence numbers seen from each
+/// source in completion order.
 fn world_run<C: Comm>(comm: &C, msgs: usize, polls: &[u32]) -> vmpi::CommResult<Vec<Vec<u8>>> {
     let me = comm.rank();
     let n = comm.size();
-    let mut sends = Vec::new();
     for k in 0..msgs {
         for d in 0..n {
             if d != me {
-                sends.push(comm.isend(d, payload(me, d, k))?);
+                comm.send(d, payload(me, d, k))?;
             }
         }
     }
     // Per-pair FIFO is a statement about one source's stream, so the
     // interleaving freedom under test is *across* sources: the poll
-    // pattern decides, round by round, which peer's next handle gets
-    // polled versus force-completed.
+    // pattern decides, round by round, which peer's next message gets
+    // polled for versus blocked on.
     let mut seen: Vec<Vec<u8>> = vec![Vec::new(); n];
     let mut pending: Vec<usize> = (0..n).map(|s| if s == me { 0 } else { msgs }).collect();
-    let mut outstanding: Vec<Option<vmpi::RecvHandle>> = (0..n).map(|_| None).collect();
     let mut turn = 0usize;
     while pending.iter().any(|&p| p > 0) {
         let src = (0..n)
@@ -44,29 +43,22 @@ fn world_run<C: Comm>(comm: &C, msgs: usize, polls: &[u32]) -> vmpi::CommResult<
             .skip(turn % n)
             .find(|&s| pending[s] > 0)
             .expect("some pair still pending");
-        let handle = outstanding[src].take().unwrap_or_else(|| comm.irecv(src));
         // polling alone cannot force a dropped frame's journal replay,
-        // so an all-poll pattern gets a budget after which completions
+        // so an all-poll pattern gets a budget after which receives
         // fall through to the blocking path
         let poll = polls[turn % polls.len()] == 1 && turn < 64 * n * msgs;
         turn += 1;
-        if poll {
-            let mut h = handle;
-            if comm.test_recv(&mut h)? {
-                seen[src].push(comm.wait_recv(h)?[3]);
-                pending[src] -= 1;
-            } else {
-                // not ready: keep the handle posted, move to the next
-                // source — this is the completion interleaving
-                outstanding[src] = Some(h);
-            }
+        let msg = if poll {
+            // not ready: move to the next source — this is the
+            // completion interleaving
+            comm.try_recv(src)?
         } else {
-            seen[src].push(comm.wait_recv(handle)?[3]);
+            Some(comm.recv(src)?)
+        };
+        if let Some(msg) = msg {
+            seen[src].push(msg[3]);
             pending[src] -= 1;
         }
-    }
-    for s in sends {
-        comm.wait_send(s)?;
     }
     comm.barrier()?;
     Ok(seen)
@@ -74,7 +66,7 @@ fn world_run<C: Comm>(comm: &C, msgs: usize, polls: &[u32]) -> vmpi::CommResult<
 
 proptest! {
     /// Bare `ThreadComm`: the transport itself is FIFO per pair, and
-    /// no interleaving of postings and completions can reorder it.
+    /// no interleaving of polls and blocking receives can reorder it.
     #[test]
     fn interleaved_completions_preserve_pair_fifo(
         n in 2usize..5,
@@ -99,8 +91,7 @@ proptest! {
     /// The full engine stack — `ReliableComm` over `ChaosComm` — under
     /// reorder plans: delays hold frames past their successors, dups
     /// replay them, drops force retransmission, and the seq layer must
-    /// still hand every pair's stream to irecv completions in send
-    /// order.
+    /// still hand every pair's stream to the receiver in send order.
     #[test]
     fn chaotic_reorder_cannot_break_pair_fifo(
         n in 2usize..4,

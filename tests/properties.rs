@@ -13,9 +13,20 @@ use particles::{
 use proptest::prelude::*;
 use sparse::{cg, solve_dense, CooBuilder, KrylovOptions};
 use vmpi::{
-    exchange, run_world, traffic, ChaosComm, ChaosWorld, Comm, FaultPlan, ReliableComm,
-    ReliableWorld, Strategy as CommStrategy,
+    exchange_into, run_world, traffic, ChaosComm, ChaosWorld, Comm, CommResult, FaultPlan,
+    ReliableComm, ReliableWorld, Strategy as CommStrategy,
 };
+
+/// One exchange of owned buffers: what every rank received, by source.
+fn exchange<C: Comm>(
+    comm: &C,
+    strategy: CommStrategy,
+    mut outgoing: Vec<Vec<u8>>,
+) -> CommResult<Vec<Vec<u8>>> {
+    let mut incoming = Vec::new();
+    exchange_into(comm, strategy, &mut outgoing, &mut incoming)?;
+    Ok(incoming)
+}
 
 fn vec3() -> impl Strategy<Value = Vec3> {
     (-1e3f64..1e3, -1e3f64..1e3, -1e3f64..1e3).prop_map(|(x, y, z)| Vec3::new(x, y, z))
