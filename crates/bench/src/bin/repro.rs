@@ -34,10 +34,10 @@ const EXPERIMENTS: [(&str, &str, fn()); 18] = experiments![
     fig13_sweep_threshold: "Fig. 13",
     fig14_placement: "Fig. 14",
     fig15_portability: "Fig. 15",
-    fig_hier_crossover: "extension, DESIGN.md §14",
+    fig_hier_crossover: "extension, DESIGN.md §11",
     ablation_autotune: "§V-A",
-    fig_balance_modes: "extension, DESIGN.md §15",
-    fig_scenario_imbalance: "extension, DESIGN.md §17",
+    fig_balance_modes: "extension, DESIGN.md §13",
+    fig_scenario_imbalance: "extension, DESIGN.md §15",
     chaos_run: "DESIGN.md §12",
 ];
 

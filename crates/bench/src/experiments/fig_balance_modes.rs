@@ -1,4 +1,4 @@
-//! Balance-mode comparison (DESIGN.md §15): lii trajectories of the
+//! Balance-mode comparison (DESIGN.md §13): lii trajectories of the
 //! pluggable balancing pipeline on the high-imbalance injection jet
 //! (the inlet rank starts with nearly all particles, fig. 5).
 //!

@@ -1,5 +1,5 @@
 //! Modelled exchange-strategy crossover over the paper's rank ladder,
-//! extended to the hierarchical protocol (DESIGN.md §14). Evaluates
+//! extended to the hierarchical protocol (DESIGN.md §11). Evaluates
 //! the α–β `CostModel` on the Tianhe-3 profile for every concrete
 //! strategy against two migration shapes per rank count:
 //!

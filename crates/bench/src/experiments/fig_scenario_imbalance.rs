@@ -1,4 +1,4 @@
-//! Scenario imbalance comparison (DESIGN.md §17): lii trajectories of
+//! Scenario imbalance comparison (DESIGN.md §15): lii trajectories of
 //! the three canned scenarios on the modelled cluster driver, with
 //! the timer-augmented balancer active.
 //!

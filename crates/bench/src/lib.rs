@@ -10,7 +10,7 @@
 //! * `REPRO_STEPS` — DSMC steps per run (default 50; paper uses 100).
 //! * `REPRO_OUT` — directory for CSV output (default `results/`).
 //! * `REPRO_TRACE` / `--trace-out <path>` — structured JSONL trace of
-//!   the designated run (see [`trace_spec`] and DESIGN.md §11).
+//!   the designated run (see [`trace_spec`] and DESIGN.md §10).
 
 use balance::{CostSourceKind, RebalanceConfig};
 use coupled::{

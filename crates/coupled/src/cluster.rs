@@ -9,24 +9,20 @@
 //! This reproduces the paper's scaling experiments (Tables II–VI,
 //! Figs 10–15) at rank counts far beyond the local core count.
 //!
-//! The step itself is the one [`StepPipeline`]; this module only
+//! The step itself is the one [`run_step`]; this module only
 //! supplies [`ModelledBackend`] — cost-model attribution in the `lap`
 //! hooks instead of a stopwatch, no real communication — and the
 //! [`ClusterSim`] wrapper around a whole-domain [`RankEngine`].
 
 use crate::config::RunConfig;
-use crate::engine::{
-    run_whole_domain, Backend, BackendStats, ExchangeInfo, RankEngine, StepComm, StepOutcome,
-    StepPipeline, StepRecord,
-};
+use crate::engine::{run_step, run_whole_domain, Backend, RankEngine, StepRecord};
 use crate::machine::{CostModel, MachineProfile, Placement};
 use crate::rebalance::BalanceHook;
 use crate::report::RunReport;
-use crate::tally::CommTally;
 use crate::world::World;
 use balance::load_imbalance_indicator;
 use dsmc::EXITED;
-use obs::{Breakdown, NullObserver, Phase};
+use obs::{Breakdown, ExchangeEvent, NullObserver, Phase, RebalanceEvent};
 use particles::PACKED_SIZE;
 use partition::Decomposition;
 use std::sync::Arc;
@@ -42,7 +38,6 @@ pub use crate::report::StepTrace;
 pub struct ModelledBackend {
     /// Decomposition state and rebalancing policy (Algorithm 1).
     balance: BalanceHook,
-    tally: CommTally,
     strategy: Strategy,
     cost: CostModel,
     /// Unified particle/field ownership (default) or the split
@@ -63,6 +58,9 @@ pub struct ModelledBackend {
     /// Migration byte matrix of the exchange being priced, refilled in
     /// place (sparse: only the rank pairs that carry bytes).
     flows: Flows,
+    /// Modelled seconds of the exchange priced in [`Backend::exchange`],
+    /// charged to every rank by the phase's `lap`.
+    exchange_seconds: f64,
     /// Subcycle watermarks: [`StepRecord`] accumulates neutral
     /// transitions and collision candidates across DSMC subcycles, so
     /// each lap must charge only the delta since the previous subcycle
@@ -78,7 +76,6 @@ impl ModelledBackend {
         let owner = world.owner0.clone();
         ModelledBackend {
             balance: BalanceHook::new(run, world, owner),
-            tally: CommTally::default(),
             strategy: run.strategy,
             cost: CostModel::new(profile, run.ranks),
             decomp: run.decomposition,
@@ -90,6 +87,7 @@ impl ModelledBackend {
                 .unwrap_or(1.0),
             per_rank: Vec::new(),
             flows: Flows::new(),
+            exchange_seconds: 0.0,
             neutral_mark: 0,
             cand_mark: 0,
         }
@@ -97,26 +95,29 @@ impl ModelledBackend {
 
     /// Price the exchange of `self.flows` once, under the strategy
     /// that carries it — the configured one, or under
-    /// [`Strategy::Auto`] the cost model's pick — and note its protocol
-    /// traffic (Hier aggregated over the machine's node map; exact,
-    /// the protocol prediction is this backend's ground truth) for the
-    /// report, the step trace and the pipeline's exchange events.
-    fn price(&mut self) -> TrafficSummary {
+    /// [`Strategy::Auto`] the cost model's pick — and report its
+    /// protocol traffic (Hier aggregated over the machine's node map;
+    /// exact, the protocol prediction is this backend's ground truth)
+    /// as the event of `phase` / `sub` in step `step`.
+    fn price(&self, step: usize, phase: Phase, sub: usize) -> (TrafficSummary, ExchangeEvent) {
         let traffic = self.cost.traffic(&self.flows);
         let strategy = self
             .strategy
             .concrete_index()
             .unwrap_or_else(|| self.cost.cheapest(&traffic));
         let tf = traffic[strategy];
-        self.tally.note(ExchangeInfo {
+        let event = ExchangeEvent {
+            step,
+            phase,
+            sub,
             strategy,
             transactions: tf.transactions,
             bytes: tf.total_bytes,
             max_rank_msgs: tf.max_rank_msgs,
             node_pairs: tf.node_pairs,
             aggregated_bytes: tf.aggregated_bytes,
-        });
-        tf
+        };
+        (tf, event)
     }
 
     /// How many of `cells` (one entry per unit of work, repeats
@@ -192,22 +193,11 @@ impl Backend for ModelledBackend {
                     bd[phase] += self.cost.compute(mv as f64 * self.boost, prof.move_rate);
                 }
             }
-            // Exchanges: synchronized phases, same cost on all ranks,
-            // charged from the exact byte matrix the protocol would
-            // move.
+            // Exchanges: synchronized phases, same cost on all ranks
+            // (priced in `exchange`, which just ran).
             Phase::DsmcExchange | Phase::PicExchange => {
-                let tr: &[(u32, u32)] = if phase == Phase::DsmcExchange {
-                    let mark = self.neutral_mark;
-                    self.neutral_mark = rec.neutral_transitions.len();
-                    &rec.neutral_transitions[mark..]
-                } else {
-                    &rec.charged_transitions[sub]
-                };
-                self.load_migration(tr);
-                let tf = self.price();
-                let t = self.cost.exchange_time(&tf);
                 for bd in self.per_rank.iter_mut() {
-                    bd[phase] += t;
+                    bd[phase] += self.exchange_seconds;
                 }
             }
             // Colli_React: candidates distributed ∝ n_c(n_c−1) over
@@ -267,13 +257,26 @@ impl Backend for ModelledBackend {
         }
     }
 
-    fn take_exchange_info(&mut self) -> Option<ExchangeInfo> {
-        self.tally.take_exchange_info()
-    }
-
-    fn step_comm(&mut self) -> StepComm {
-        let priced = self.tally.noted();
-        self.tally.step_comm(priced)
+    /// Price the exchange from the exact byte matrix the protocol
+    /// would move for this phase's transitions.
+    fn exchange(
+        &mut self,
+        eng: &mut RankEngine,
+        phase: Phase,
+        sub: usize,
+        rec: &StepRecord,
+    ) -> Option<ExchangeEvent> {
+        let tr: &[(u32, u32)] = if phase == Phase::DsmcExchange {
+            let mark = self.neutral_mark;
+            self.neutral_mark = rec.neutral_transitions.len();
+            &rec.neutral_transitions[mark..]
+        } else {
+            &rec.charged_transitions[sub]
+        };
+        self.load_migration(tr);
+        let (tf, event) = self.price(eng.step_count, phase, sub);
+        self.exchange_seconds = self.cost.exchange_time(&tf);
+        Some(event)
     }
 
     fn rebalance(
@@ -281,7 +284,7 @@ impl Backend for ModelledBackend {
         eng: &mut RankEngine,
         _bd: &Breakdown,
         _rec: &StepRecord,
-    ) -> StepOutcome {
+    ) -> (f64, Option<RebalanceEvent>, Option<ExchangeEvent>) {
         // lii (paper eq. 6) subtracts the components that are "largely
         // constant" across ranks. In this model Inject is cooperative
         // and rank-constant (like the exchanges and the Poisson
@@ -298,7 +301,7 @@ impl Backend for ModelledBackend {
             .collect();
         let lii = load_imbalance_indicator(&times);
         if !self.balance.armed() {
-            return StepOutcome::measured(lii);
+            return (lii, None, None);
         }
         // the modelled kernel seconds are deterministic, so the
         // timer-augmented source stays reproducible here
@@ -309,56 +312,52 @@ impl Backend for ModelledBackend {
             [0.0; 3]
         };
         let (neutral, charged) = eng.counts_per_cell();
-        let (mut outcome, replaced) = self.balance.step(lii, kernel_seconds, &neutral, &charged);
-        if let Some(old_owner) = replaced {
-            // migration byte matrix: every particle in a cell changing
-            // hands moves once
-            let boost = self.boost;
-            self.flows.assign(
-                old_owner
-                    .iter()
-                    .zip(self.balance.owner())
-                    .zip(neutral.iter().zip(&charged))
-                    .map(|((&o, &n), (&nl, &ch))| {
-                        let load = (nl + ch) as f64;
-                        (o, n, (load * PACKED_SIZE as f64 * boost) as u64)
-                    }),
-            );
-            let cells_eff = (old_owner.len() as f64 * self.grid_boost) as usize;
-            let tf = self.price();
-            let t_reb = self
-                .cost
-                .rebalance_time(cells_eff, &tf, self.balance.use_km());
-            for bd in self.per_rank.iter_mut() {
-                bd[Phase::Rebalance] += t_reb;
-            }
-            outcome.remap_seconds = t_reb;
+        let remapped = self
+            .balance
+            .step(eng.step_count, lii, kernel_seconds, &neutral, &charged);
+        let Some((mut event, old_owner)) = remapped else {
+            return (lii, None, None);
+        };
+        // migration byte matrix: every particle in a cell changing
+        // hands moves once
+        let boost = self.boost;
+        self.flows.assign(
+            old_owner
+                .iter()
+                .zip(self.balance.owner())
+                .zip(neutral.iter().zip(&charged))
+                .map(|((&o, &n), (&nl, &ch))| {
+                    let load = (nl + ch) as f64;
+                    (o, n, (load * PACKED_SIZE as f64 * boost) as u64)
+                }),
+        );
+        let cells_eff = (old_owner.len() as f64 * self.grid_boost) as usize;
+        let (tf, migration) = self.price(eng.step_count, Phase::Rebalance, 0);
+        let t_reb = self
+            .cost
+            .rebalance_time(cells_eff, &tf, self.balance.use_km());
+        for bd in self.per_rank.iter_mut() {
+            bd[Phase::Rebalance] += t_reb;
         }
-        outcome
+        event.remap_seconds = t_reb;
+        (lii, Some(event), Some(migration))
     }
 
     /// Step wall time: per phase, the slowest rank holds everyone up
-    /// (bulk-synchronous execution).
-    fn end_step(&mut self, _eng: &RankEngine, bd: &mut Breakdown) {
+    /// (bulk-synchronous execution). Share: particles per owning rank.
+    fn end_step(&mut self, eng: &RankEngine, bd: &mut Breakdown, trace: &mut StepTrace) {
         for p in Phase::ALL {
             bd[p] = self.per_rank.iter().map(|r| r[p]).fold(0.0f64, f64::max);
         }
-    }
-
-    fn share(&self, eng: &RankEngine) -> Vec<f64> {
         let counts = self.per_owner(eng.particles.cell.iter().copied());
         let total = eng.particles.len().max(1) as f64;
-        counts.iter().map(|&c| c as f64 / total).collect()
-    }
-
-    fn stats(&self) -> BackendStats {
-        self.tally.stats(&self.balance)
+        trace.share = counts.iter().map(|&c| c as f64 / total).collect();
     }
 }
 
 /// Domain-decomposed coupled simulation with modelled timing: one
 /// whole-domain [`RankEngine`] plus the [`ModelledBackend`] running
-/// through the shared [`StepPipeline`].
+/// through the shared [`run_step`].
 pub struct ClusterSim {
     pub state: RankEngine,
     backend: ModelledBackend,
@@ -391,9 +390,7 @@ impl ClusterSim {
 
     /// Run one DSMC iteration and return the per-step trace.
     pub fn step(&mut self) -> (StepTrace, Breakdown) {
-        let idx = self.state.step_count;
-        let (_, trace, bd) =
-            StepPipeline::run_step(&mut self.state, &mut self.backend, &mut NullObserver, idx);
+        let (_, trace, bd) = run_step(&mut self.state, &mut self.backend, &mut NullObserver);
         (trace, bd)
     }
 

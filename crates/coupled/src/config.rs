@@ -214,7 +214,7 @@ impl Dataset {
 }
 
 /// Observability settings of a run (see the `obs` crate and
-/// DESIGN.md §11). The default observes nothing and is bit-identical
+/// DESIGN.md §10). The default observes nothing and is bit-identical
 /// to an unobserved run: the drivers' physics never reads either
 /// field.
 #[derive(Debug, Clone, Default)]

@@ -8,19 +8,21 @@
 //! * [`RankEngine`] owns all per-rank simulation state — particle
 //!   buffer, RNG stream, (filtered) injector, field solver, exchange
 //!   scratch, kernel pool — with one method per physics phase.
-//! * [`StepPipeline::run_step`] is the phase sequence. Nothing else
-//!   in the crate orders the phases.
+//! * [`run_step`] is the phase sequence. Nothing else in the crate
+//!   orders the phases.
 //! * [`Backend`] supplies the execution context between the physics
 //!   phases: [`SerialBackend`] (single rank, no communication, real
 //!   wall clock), the threaded backend in [`crate::threaded`] (real
 //!   `vmpi` messaging, measured timing) and the modelled backend in
 //!   [`crate::cluster`] (cost-model attribution, no real
 //!   communication).
-//! * [`obs::Observer`] observes per-phase times, per-exchange
-//!   traffic, rebalances and per-step traces; the default
-//!   implementation is a no-op, and
-//!   [`crate::report::ReportBuilder`] uses it to assemble the shared
-//!   [`crate::report::RunReport`].
+//! * [`obs::Observer`] is the only way a step reports: backends hand
+//!   the pipeline the observer's own [`ExchangeEvent`] /
+//!   [`RebalanceEvent`] for what they carried, the pipeline forwards
+//!   them and sums them into the [`StepTrace`], and
+//!   [`crate::report::ReportBuilder`] folds those signals into the
+//!   shared [`crate::report::RunReport`] — so the trace sums equal the
+//!   report totals by construction.
 
 use crate::config::{ObsConfig, RunConfig, SimConfig};
 use crate::report::{ReportBuilder, RunReport, StepTrace};
@@ -32,7 +34,7 @@ use dsmc::{
 use kernels::Pool;
 use mesh::NestedMesh;
 use obs::{
-    Breakdown, ExchangeEvent, NullObserver, Observer, Phase, RebalanceEvent, Recorder, SpanTimer,
+    Breakdown, ExchangeEvent, LapTimer, NullObserver, Observer, Phase, RebalanceEvent, Recorder,
     Tee,
 };
 use particles::{ParticleBuffer, SpeciesTable};
@@ -260,13 +262,11 @@ impl RankEngine {
     /// Execute one full DSMC iteration through the unified pipeline
     /// with the serial backend (no communication, full record).
     pub fn dsmc_step(&mut self) -> StepRecord {
-        let step = self.step_count;
-        let (rec, _, _) =
-            StepPipeline::run_step(self, &mut SerialBackend::new(), &mut NullObserver, step);
+        let (rec, _, _) = run_step(self, &mut SerialBackend::new(), &mut NullObserver);
         rec
     }
 
-    // --- phase methods, called only by `StepPipeline::run_step` -----
+    // --- phase methods, called only by `run_step` --------------------
 
     /// Inject (only effective on engines owning inlet cells).
     fn inject(&mut self, rec: &mut StepRecord, track: bool) {
@@ -446,6 +446,7 @@ impl RankEngine {
         let (phi, stats) = self.poisson.solve_with(node_charge, &self.pool, None);
         self.efield = ElectricField::from_potential(&self.nm.fine, phi);
         rec.poisson_iters.push(stats.iterations);
+        rec.poisson_unconverged += usize::from(!stats.converged);
     }
 
     /// Reindex: renumber owned particles from this rank's global
@@ -473,6 +474,8 @@ pub struct StepRecord {
     pub reactions: ReactStats,
     /// CG iterations of each PIC substep's Poisson solve.
     pub poisson_iters: Vec<usize>,
+    /// Poisson solves that hit the iteration cap before converging.
+    pub poisson_unconverged: usize,
     /// Particles removed at the boundaries this step.
     pub exited: usize,
     /// Particles absorbed by the partial pump this step (disjoint
@@ -480,95 +483,6 @@ pub struct StepRecord {
     pub pumped: usize,
     /// Particle population after the step.
     pub population: usize,
-}
-
-/// What a rebalance hook decided this step.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StepOutcome {
-    /// Load-imbalance indicator (paper eq. 6) measured this step.
-    pub lii: f64,
-    /// Whether the decomposition changed.
-    pub rebalanced: bool,
-    /// Particles migrated by the re-decomposition.
-    pub migrated: u64,
-    /// Seconds spent re-decomposing (WLM + partition + KM remap +
-    /// migration) — measured for real backends, modelled for the
-    /// cluster; 0 when no rebalance happened.
-    pub remap_seconds: f64,
-    /// Stable name of the cost source that produced the partition
-    /// weights (`""` when balancing is off).
-    pub cost_source: &'static str,
-    /// Stable name of the active decomposition mode.
-    pub decomposition: &'static str,
-    /// Smoothed per-unit cost rates of the active cost source
-    /// (seconds per neutral move / collision pair / charged move);
-    /// zeros for analytic sources.
-    pub cost_rates: [f64; 3],
-}
-
-impl StepOutcome {
-    /// `lii` was measured and the decomposition stayed as it was.
-    pub(crate) fn measured(lii: f64) -> Self {
-        StepOutcome {
-            lii,
-            ..StepOutcome::default()
-        }
-    }
-}
-
-/// Traffic attribution of one particle exchange, reported by a
-/// backend for the exchange it just carried (see
-/// [`Backend::take_exchange_info`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ExchangeInfo {
-    /// Concrete strategy index ([`vmpi::Strategy::CONCRETE`] order).
-    pub strategy: usize,
-    /// Messages attributed to the exchange (exact protocol prediction
-    /// for the modelled backend; a world-counter delta, best-effort,
-    /// for the threaded one).
-    pub transactions: u64,
-    /// Bytes attributed to the exchange (same provenance).
-    pub bytes: u64,
-    /// Worst per-rank message count (0 when unknown).
-    pub max_rank_msgs: u64,
-    /// Ordered node pairs carrying an aggregated trunk frame (Hier
-    /// only; 0 for the flat strategies).
-    pub node_pairs: u64,
-    /// Bytes of the aggregated leader-to-leader frames (Hier only).
-    pub aggregated_bytes: u64,
-}
-
-/// Communication carried during one step, as attributed by the
-/// backend (see [`Backend::step_comm`]). Per-step values telescope:
-/// summed over a run they equal the backend's cumulative totals
-/// exactly.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StepComm {
-    /// Messages sent in the world this step.
-    pub transactions: u64,
-    /// Bytes sent in the world this step.
-    pub bytes: u64,
-    /// Exchanges carried this step per concrete strategy
-    /// ([`vmpi::Strategy::CONCRETE`] order).
-    pub strategy_uses: [u64; 4],
-}
-
-/// Cumulative backend-side counters a driver folds into its report.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BackendStats {
-    /// Exchanges carried per concrete strategy
-    /// ([`vmpi::Strategy::CONCRETE`] order: CC, DC, Sparse, Hier).
-    pub strategy_uses: [u64; 4],
-    /// Re-decompositions performed.
-    pub rebalances: usize,
-    /// Total particles migrated by rebalancing.
-    pub rebalance_migrated: u64,
-    /// Total messages over all steps (sum of the per-step
-    /// [`StepComm::transactions`], so trace sums match exactly).
-    pub transactions: u64,
-    /// Total bytes over all steps (sum of the per-step
-    /// [`StepComm::bytes`]).
-    pub bytes: u64,
 }
 
 /// Execution context of the pipeline: where time is accounted, how
@@ -599,24 +513,21 @@ pub trait Backend {
         bd: &mut Breakdown,
     );
 
-    /// Migrate emigrant particles to their owning ranks (no-op
-    /// without real decomposition).
-    fn exchange(&mut self, _eng: &mut RankEngine, _phase: Phase, _sub: usize) {}
-
-    /// Traffic attribution of the most recent exchange, if the
-    /// backend measured or modelled one. Called by the pipeline right
-    /// after each exchange's `lap` (the modelled backend only knows
-    /// the traffic once the lap has attributed it); the returned
-    /// record is consumed.
-    fn take_exchange_info(&mut self) -> Option<ExchangeInfo> {
+    /// Migrate emigrant particles to their owning ranks and return
+    /// the event describing what was carried, stamped with `phase`,
+    /// `sub` and `eng.step_count` (`None` without real decomposition).
+    /// The pipeline laps the exchange's phase right after, so an
+    /// attribution backend prices the exchange here — `rec` holds the
+    /// transitions it is priced from — and its `lap` only charges the
+    /// time.
+    fn exchange(
+        &mut self,
+        _eng: &mut RankEngine,
+        _phase: Phase,
+        _sub: usize,
+        _rec: &StepRecord,
+    ) -> Option<ExchangeEvent> {
         None
-    }
-
-    /// Communication attributed to the step that just ended; resets
-    /// the per-step accumulation. Backends without communication
-    /// return zeros.
-    fn step_comm(&mut self) -> StepComm {
-        StepComm::default()
     }
 
     /// Sum the node charge across ranks (paper §IV-C reduction);
@@ -631,160 +542,132 @@ pub trait Backend {
         0
     }
 
-    /// The Rebalance phase: measure the load-imbalance indicator and,
-    /// when a rebalancer is armed, possibly re-decompose. A single
+    /// The Rebalance phase: measure the load-imbalance indicator
+    /// (paper eq. 6) and, when a rebalancer is armed, possibly
+    /// re-decompose. Returns `lii`, the rebalance that happened (if
+    /// one did) and the exchange that carried its migration. A single
     /// rank has nothing to measure.
     fn rebalance(
         &mut self,
         _eng: &mut RankEngine,
         _bd: &Breakdown,
         _rec: &StepRecord,
-    ) -> StepOutcome {
-        StepOutcome::default()
+    ) -> (f64, Option<RebalanceEvent>, Option<ExchangeEvent>) {
+        (0.0, None, None)
     }
 
-    /// The step is complete; attribution backends collapse their
-    /// per-rank costs into `bd` here.
-    fn end_step(&mut self, _eng: &RankEngine, _bd: &mut Breakdown) {}
+    /// The step is complete: write the per-rank particle `share` into
+    /// `trace`; attribution backends collapse their per-rank costs
+    /// into `bd` here, and a backend with a real wire overwrites the
+    /// trace's `transactions` / `bytes` (the pipeline's sum over the
+    /// step's exchange events) with its world-counter delta, which
+    /// also sees the collectives between the exchanges.
+    fn end_step(&mut self, eng: &RankEngine, bd: &mut Breakdown, trace: &mut StepTrace);
+}
 
-    /// Fraction of the particle population owned by each rank.
-    fn share(&self, eng: &RankEngine) -> Vec<f64>;
-
-    /// Cumulative counters for the run report.
-    fn stats(&self) -> BackendStats {
-        BackendStats::default()
+/// Forward a carried exchange to the observer and count it into the
+/// step's trace.
+fn forward_exchange<O: Observer>(
+    ev: Option<ExchangeEvent>,
+    trace: &mut StepTrace,
+    observer: &mut O,
+) {
+    if let Some(ev) = ev {
+        trace.transactions += ev.transactions;
+        trace.bytes += ev.bytes;
+        trace.strategy_uses[ev.strategy] += 1;
+        observer.exchange(&ev);
     }
 }
 
-/// The coupled timestep's phase sequence (paper Fig. 1), defined
-/// exactly once. Every driver — [`run_serial`], `run_threaded`,
-/// `ClusterSim` — iterates this.
-pub struct StepPipeline;
+/// Execute one coupled DSMC/PIC timestep of `eng` (paper Fig. 1; its
+/// index is `eng.step_count`) under `be`, reporting to `observer`.
+/// The phase sequence is defined here exactly once: every driver —
+/// [`run_serial`], `run_threaded`, `ClusterSim` — iterates this.
+/// Returns the work record, the step trace and the per-phase time
+/// breakdown.
+pub fn run_step<B: Backend, O: Observer>(
+    eng: &mut RankEngine,
+    be: &mut B,
+    observer: &mut O,
+) -> (StepRecord, StepTrace, Breakdown) {
+    let step = eng.step_count;
+    let mut rec = StepRecord::default();
+    let mut bd = Breakdown::new();
+    let mut trace = StepTrace::default();
+    let track = be.track();
+    be.begin_step(eng);
 
-impl StepPipeline {
-    /// Emit the exchange the backend just attributed (if any) to the
-    /// observer.
-    fn emit_exchange<B: Backend, O: Observer>(
-        be: &mut B,
-        observer: &mut O,
-        step: usize,
-        phase: Phase,
-        sub: usize,
-    ) {
-        if let Some(info) = be.take_exchange_info() {
-            observer.exchange(&ExchangeEvent {
-                step,
-                phase,
-                sub,
-                strategy: info.strategy,
-                transactions: info.transactions,
-                bytes: info.bytes,
-                max_rank_msgs: info.max_rank_msgs,
-                node_pairs: info.node_pairs,
-                aggregated_bytes: info.aggregated_bytes,
-            });
-        }
+    // --- Inject ------------------------------------------------------
+    eng.inject(&mut rec, track);
+    be.lap(Phase::Inject, 0, eng, &rec, &mut bd);
+
+    // --- k_sub × (DSMC_Move + DSMC_Exchange + Colli_React) ------------
+    // One DSMC subcycle at k_sub == 1 reproduces the original
+    // unrolled sequence exactly: `dt_dsmc / 1` is bitwise `dt_dsmc`
+    // and the subcycle index passed as `sub` is 0, so every
+    // existing guard hash is preserved.
+    let k_sub = eng.config.k_sub_dsmc;
+    let dt_sub = eng.config.dt_dsmc / k_sub as f64;
+    for sc in 0..k_sub {
+        eng.dsmc_move(&mut rec, track, dt_sub);
+        be.lap(Phase::DsmcMove, sc, eng, &rec, &mut bd);
+        let carried = be.exchange(eng, Phase::DsmcExchange, sc, &rec);
+        be.lap(Phase::DsmcExchange, sc, eng, &rec, &mut bd);
+        forward_exchange(carried, &mut trace, observer);
+
+        eng.colli_react(&mut rec, dt_sub);
+        be.lap(Phase::ColliReact, sc, eng, &rec, &mut bd);
     }
 
-    /// Execute one coupled DSMC/PIC timestep of `eng` under `be`,
-    /// reporting to `observer`. Returns the work record, the step
-    /// trace and the per-phase time breakdown.
-    pub fn run_step<B: Backend, O: Observer>(
-        eng: &mut RankEngine,
-        be: &mut B,
-        observer: &mut O,
-        step_index: usize,
-    ) -> (StepRecord, StepTrace, Breakdown) {
-        let mut rec = StepRecord::default();
-        let mut bd = Breakdown::new();
-        let track = be.track();
-        be.begin_step(eng);
-
-        // --- Inject --------------------------------------------------
-        eng.inject(&mut rec, track);
-        be.lap(Phase::Inject, 0, eng, &rec, &mut bd);
-
-        // --- k_sub × (DSMC_Move + DSMC_Exchange + Colli_React) --------
-        // One DSMC subcycle at k_sub == 1 reproduces the original
-        // unrolled sequence exactly: `dt_dsmc / 1` is bitwise `dt_dsmc`
-        // and the subcycle index passed as `sub` is 0, so every
-        // existing guard hash is preserved.
-        let k_sub = eng.config.k_sub_dsmc;
-        let dt_sub = eng.config.dt_dsmc / k_sub as f64;
-        for sc in 0..k_sub {
-            eng.dsmc_move(&mut rec, track, dt_sub);
-            be.lap(Phase::DsmcMove, sc, eng, &rec, &mut bd);
-            be.exchange(eng, Phase::DsmcExchange, sc);
-            be.lap(Phase::DsmcExchange, sc, eng, &rec, &mut bd);
-            Self::emit_exchange(be, observer, step_index, Phase::DsmcExchange, sc);
-
-            eng.colli_react(&mut rec, dt_sub);
-            be.lap(Phase::ColliReact, sc, eng, &rec, &mut bd);
-        }
-
-        // --- R × (PIC_Move + PIC_Exchange + Poisson_Solve) ------------
-        for sub in 0..eng.config.pic_per_dsmc {
-            eng.pic_move(&mut rec, track);
-            be.lap(Phase::PicMove, sub, eng, &rec, &mut bd);
-            be.exchange(eng, Phase::PicExchange, sub);
-            be.lap(Phase::PicExchange, sub, eng, &rec, &mut bd);
-            Self::emit_exchange(be, observer, step_index, Phase::PicExchange, sub);
-            let local = eng.deposit();
-            let node_charge = be.reduce_charge(eng, local);
-            eng.field_solve(&node_charge, &mut rec);
-            be.lap(Phase::PoissonSolve, sub, eng, &rec, &mut bd);
-        }
-
-        // --- Reindex --------------------------------------------------
-        let base = be.reindex_base(eng);
-        eng.reindex(base);
-        be.lap(Phase::Reindex, 0, eng, &rec, &mut bd);
-
-        // --- Rebalance (Algorithm 1) ----------------------------------
-        let outcome = be.rebalance(eng, &bd, &rec);
-        be.lap(Phase::Rebalance, 0, eng, &rec, &mut bd);
-        // rebalance migration is also an exchange
-        Self::emit_exchange(be, observer, step_index, Phase::Rebalance, 0);
-        if outcome.rebalanced {
-            observer.rebalance(&RebalanceEvent {
-                step: step_index,
-                lii: outcome.lii,
-                migrated: outcome.migrated,
-                remap_seconds: outcome.remap_seconds,
-                cost_source: outcome.cost_source,
-                decomposition: outcome.decomposition,
-                cost_rates: outcome.cost_rates,
-            });
-        }
-
-        be.end_step(eng, &mut bd);
-        eng.step_count += 1;
-        rec.population = eng.particles.len();
-
-        let comm = be.step_comm();
-        let trace = StepTrace {
-            step_time: bd.total(),
-            lii: outcome.lii,
-            share: be.share(eng),
-            rebalanced: outcome.rebalanced,
-            transactions: comm.transactions,
-            bytes: comm.bytes,
-            strategy_uses: comm.strategy_uses,
-        };
-        for p in Phase::ALL {
-            observer.phase(p, bd[p]);
-        }
-        observer.step(step_index, &trace);
-        (rec, trace, bd)
+    // --- R × (PIC_Move + PIC_Exchange + Poisson_Solve) ----------------
+    for sub in 0..eng.config.pic_per_dsmc {
+        eng.pic_move(&mut rec, track);
+        be.lap(Phase::PicMove, sub, eng, &rec, &mut bd);
+        let carried = be.exchange(eng, Phase::PicExchange, sub, &rec);
+        be.lap(Phase::PicExchange, sub, eng, &rec, &mut bd);
+        forward_exchange(carried, &mut trace, observer);
+        let local = eng.deposit();
+        let node_charge = be.reduce_charge(eng, local);
+        eng.field_solve(&node_charge, &mut rec);
+        be.lap(Phase::PoissonSolve, sub, eng, &rec, &mut bd);
     }
+
+    // --- Reindex ------------------------------------------------------
+    let base = be.reindex_base(eng);
+    eng.reindex(base);
+    be.lap(Phase::Reindex, 0, eng, &rec, &mut bd);
+
+    // --- Rebalance (Algorithm 1) --------------------------------------
+    let (lii, rebalanced, migration) = be.rebalance(eng, &bd, &rec);
+    be.lap(Phase::Rebalance, 0, eng, &rec, &mut bd);
+    // rebalance migration is also an exchange
+    forward_exchange(migration, &mut trace, observer);
+    if let Some(ev) = &rebalanced {
+        observer.rebalance(ev);
+    }
+
+    trace.lii = lii;
+    trace.rebalanced = rebalanced.is_some();
+    trace.poisson_unconverged = rec.poisson_unconverged as u64;
+    be.end_step(eng, &mut bd, &mut trace);
+    trace.step_time = bd.total();
+    eng.step_count += 1;
+    rec.population = eng.particles.len();
+
+    for p in Phase::ALL {
+        observer.phase(p, bd[p]);
+    }
+    observer.step(step, &trace);
+    (rec, trace, bd)
 }
 
 /// The run loop of the two whole-domain drivers (`run_serial` and
 /// `ClusterSim::run`): `steps` iterations of the pipeline on the one
 /// engine owning every cell, observed by a [`ReportBuilder`] and an
 /// [`obs::Recorder`] set up from `obs`. The returned report carries
-/// the trace, the breakdown, the final and time-averaged diagnostics,
-/// the population and the backend's counters. `ranks` labels the
+/// the trace, the breakdown, the folded totals, the final and
+/// time-averaged diagnostics and the population. `ranks` labels the
 /// trace's metadata record.
 pub(crate) fn run_whole_domain<B: Backend>(
     eng: &mut RankEngine,
@@ -798,8 +681,7 @@ pub(crate) fn run_whole_domain<B: Backend>(
     let mut rec = Recorder::new(obs.metrics.as_ref(), sink).with_time_average(obs.avg_window);
     rec.meta(ranks, steps);
     for _ in 0..steps {
-        let idx = eng.step_count;
-        StepPipeline::run_step(eng, be, &mut Tee(&mut builder, &mut rec), idx);
+        run_step(eng, be, &mut Tee(&mut builder, &mut rec));
         // time-averaged diagnostics are read-only taps: sampling
         // never perturbs the physics, and with avg_window == 0 the
         // samples are dropped before they are even computed
@@ -810,7 +692,6 @@ pub(crate) fn run_whole_domain<B: Backend>(
     }
     rec.finish();
     let mut report = builder.finish();
-    report.fill_backend_stats(&be.stats());
     report.density_h = eng.density_h(&eng.h_counts());
     report.population = eng.particles.len();
     if let Some(avg) = rec.time_average() {
@@ -831,55 +712,23 @@ pub fn run_serial(run: &RunConfig) -> RunReport {
     report
 }
 
-/// The one wall-clock phase-attribution path shared by the serial and
-/// threaded backends: a flat [`SpanTimer`] whose gap-free laps are
-/// charged to the closing phase, so every lap-filled breakdown sums
-/// to exactly the origin-to-last-lap wall time.
-#[derive(Debug)]
-pub struct WallClock {
-    timer: SpanTimer,
-}
-
-impl WallClock {
-    pub fn start() -> Self {
-        WallClock {
-            timer: SpanTimer::start(),
-        }
-    }
-
-    /// Begin a step: discard time since the last lap (inter-step gaps
-    /// belong to no phase).
-    pub fn begin_step(&mut self) {
-        self.timer.lap();
-    }
-
-    /// Charge the time since the previous lap to `bd[phase]`.
-    pub fn lap(&mut self, bd: &mut Breakdown, phase: Phase) {
-        bd[phase] += self.timer.lap();
-    }
-
-    /// Seconds since the previous lap, without restarting it.
-    pub fn elapsed(&self) -> f64 {
-        self.timer.elapsed()
-    }
-}
-
-impl Default for WallClock {
-    fn default() -> Self {
-        WallClock::start()
-    }
-}
-
 /// Single-rank backend: no communication, full work record, real
-/// wall-clock timing through the shared [`WallClock`].
-#[derive(Default)]
+/// wall-clock timing through the shared gap-free [`LapTimer`].
 pub struct SerialBackend {
-    clock: WallClock,
+    clock: LapTimer,
 }
 
 impl SerialBackend {
     pub fn new() -> Self {
-        Self::default()
+        SerialBackend {
+            clock: LapTimer::start(),
+        }
+    }
+}
+
+impl Default for SerialBackend {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -888,8 +737,10 @@ impl Backend for SerialBackend {
         true
     }
 
+    /// Discard the time since the last lap (inter-step gaps belong to
+    /// no phase).
     fn begin_step(&mut self, _eng: &RankEngine) {
-        self.clock.begin_step();
+        self.clock.lap();
     }
 
     fn lap(
@@ -900,11 +751,11 @@ impl Backend for SerialBackend {
         _rec: &StepRecord,
         bd: &mut Breakdown,
     ) {
-        self.clock.lap(bd, phase);
+        bd[phase] += self.clock.lap();
     }
 
-    fn share(&self, _eng: &RankEngine) -> Vec<f64> {
-        vec![1.0]
+    fn end_step(&mut self, _eng: &RankEngine, _bd: &mut Breakdown, trace: &mut StepTrace) {
+        trace.share = vec![1.0];
     }
 }
 
@@ -935,7 +786,7 @@ mod tests {
     fn serial_backend_breakdown_tiles_the_step() {
         let mut eng = small_state();
         let mut be = SerialBackend::new();
-        let (_, trace, bd) = StepPipeline::run_step(&mut eng, &mut be, &mut NullObserver, 0);
+        let (_, trace, bd) = run_step(&mut eng, &mut be, &mut NullObserver);
         assert!(bd.total() > 0.0, "laps must measure wall time");
         assert_eq!(trace.step_time, bd.total());
         assert_eq!(trace.share, vec![1.0]);
@@ -964,21 +815,40 @@ mod tests {
         let mut eng = small_state();
         let mut be = SerialBackend::new();
         let mut counting = Counting::default();
-        for step in 0..3 {
-            StepPipeline::run_step(&mut eng, &mut be, &mut counting, step);
+        for _ in 0..3 {
+            run_step(&mut eng, &mut be, &mut counting);
         }
         assert_eq!(counting.steps, 3);
         assert_eq!(counting.phases, 3 * Phase::ALL.len());
     }
 
     #[test]
-    fn serial_step_comm_is_zero() {
+    fn serial_trace_carries_no_traffic() {
         let mut eng = small_state();
         let mut be = SerialBackend::new();
-        let (_, trace, _) = StepPipeline::run_step(&mut eng, &mut be, &mut NullObserver, 0);
+        let (_, trace, _) = run_step(&mut eng, &mut be, &mut NullObserver);
         assert_eq!(trace.transactions, 0);
         assert_eq!(trace.bytes, 0);
         assert_eq!(trace.strategy_uses, [0; 4]);
+    }
+
+    #[test]
+    fn unconverged_poisson_solves_reach_record_trace_and_report() {
+        let mut eng = small_state();
+        // one CG iteration can never reach rtol on a charged plume
+        let capped = KrylovOptions {
+            rtol: 1e-6,
+            max_iters: 1,
+        };
+        eng.poisson = PoissonSolver::new(&eng.nm.fine, capped);
+        let mut builder = ReportBuilder::new();
+        let (rec, trace, _) = run_step(&mut eng, &mut SerialBackend::new(), &mut builder);
+        let solves = eng.config.pic_per_dsmc;
+        assert_eq!(rec.poisson_unconverged, solves);
+        assert_eq!(trace.poisson_unconverged, solves as u64);
+        assert_eq!(builder.finish().poisson_unconverged, solves as u64);
+        // the default solver converges on the same step
+        assert_eq!(small_state().dsmc_step().poisson_unconverged, 0);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The typed job vocabulary of the simulation-as-a-service surface
-//! (DESIGN.md §16): what a submission looks like ([`JobSpec`]), how
+//! (DESIGN.md §14): what a submission looks like ([`JobSpec`]), how
 //! it is addressed ([`JobId`]), where it is in its lifecycle
 //! ([`JobStatus`]), and the provenance stamp a served report carries
 //! ([`JobMeta`]).

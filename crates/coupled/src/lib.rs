@@ -1,9 +1,9 @@
 //! The coupled DSMC/PIC solver and experiment rig (paper §III, §VI).
 //!
-//! Observability (metrics registry, hierarchical span timing,
-//! structured trace sinks) lives in the `obs` crate; every driver
-//! here feeds the same [`obs::Observer`] signals through the one
-//! [`StepPipeline`]. See DESIGN.md §11 and [`prelude`] for the
+//! Observability (metrics registry, gap-free lap timing, structured
+//! trace sinks) lives in the `obs` crate; every driver here reports
+//! through the same [`obs::Observer`] signals from the one
+//! [`run_step`]. See DESIGN.md §10 and [`prelude`] for the
 //! recommended imports.
 
 pub mod checkpoint;
@@ -17,7 +17,6 @@ mod rebalance;
 pub mod report;
 pub mod scenario;
 pub mod session;
-mod tally;
 pub mod threaded;
 pub mod tune;
 pub mod world;
@@ -68,8 +67,7 @@ pub use config::{
     CONFIG_SCHEMA_VERSION,
 };
 pub use engine::{
-    run_serial, Backend, BackendStats, ExchangeInfo, ExchangeScratch, RankEngine, SerialBackend,
-    StepComm, StepOutcome, StepPipeline, StepRecord, WallClock,
+    run_serial, run_step, Backend, ExchangeScratch, RankEngine, SerialBackend, StepRecord,
 };
 pub use job::{JobId, JobMeta, JobPriority, JobSpec, JobStatus};
 pub use machine::{CostModel, MachineProfile, Placement};

@@ -279,7 +279,7 @@ impl CostModel {
     }
 
     /// Wall time of the Eulerian/Lagrangian gather/scatter charge
-    /// reduction (DESIGN.md §15): each static field owner gathers
+    /// reduction (DESIGN.md §13): each static field owner gathers
     /// every rank's contribution to its `nodes/k` block, reduces it,
     /// and broadcasts the reduced block back. Both rounds serialize
     /// k−1 block-sized messages through each owner.

@@ -7,13 +7,13 @@
 //! ([`crate::cluster`]) — and carries or prices the migration the hook
 //! decides on. Everything else about a rebalance lives here: the
 //! [`Rebalancer`], the ownership map, the split mode's "weigh
-//! particles only" rule, what a cost sample is made of, and how a
-//! remap lands in the [`StepOutcome`] and the run totals.
+//! particles only" rule, what a cost sample is made of, and the
+//! [`RebalanceEvent`] a remap is reported as.
 
 use crate::config::RunConfig;
-use crate::engine::StepOutcome;
 use crate::world::World;
 use balance::{CostSample, RebalanceOutcome, Rebalancer};
+use obs::RebalanceEvent;
 use partition::Decomposition;
 use std::sync::Arc;
 
@@ -28,8 +28,6 @@ pub(crate) struct BalanceHook {
     rebalancer: Option<Rebalancer>,
     /// Current coarse-cell ownership: cell → rank.
     owner: Vec<u32>,
-    /// Particles migrated by every rebalance so far.
-    migrated: u64,
 }
 
 impl BalanceHook {
@@ -51,7 +49,6 @@ impl BalanceHook {
             decomp: run.decomposition,
             rebalancer,
             owner,
-            migrated: 0,
         }
     }
 
@@ -81,34 +78,23 @@ impl BalanceHook {
         self.rebalancer.as_ref().is_some_and(|rb| rb.config.use_km)
     }
 
-    /// Re-decompositions performed.
-    pub fn rebalances(&self) -> usize {
-        self.rebalancer.as_ref().map_or(0, |rb| rb.rebalance_count)
-    }
-
-    /// Particles migrated by every rebalance so far.
-    pub fn migrated(&self) -> u64 {
-        self.migrated
-    }
-
-    /// One step of Algorithm 1 on the world-wide measurements: `lii`,
-    /// the seconds the DSMC_Move / Colli_React / PIC_Move kernels took
-    /// summed over ranks (read only when [`Self::wants_samples`]) and
-    /// the global neutral / charged counts per coarse cell. On a remap
-    /// the hook switches to the new ownership and also returns the map
-    /// it replaced; carrying the migration — and timing it into
-    /// `remap_seconds` — is the backend's.
+    /// One step of Algorithm 1 (DSMC step `step`) on the world-wide
+    /// measurements: `lii`, the seconds the DSMC_Move / Colli_React /
+    /// PIC_Move kernels took summed over ranks (read only when
+    /// [`Self::wants_samples`]) and the global neutral / charged counts
+    /// per coarse cell. On a remap the hook switches to the new
+    /// ownership and returns the event describing it with the map it
+    /// replaced; carrying the migration — and timing it into the
+    /// event's `remap_seconds` — is the backend's.
     pub fn step(
         &mut self,
+        step: usize,
         lii: f64,
         kernel_seconds: [f64; 3],
         neutral: &[u64],
         charged: &[u64],
-    ) -> (StepOutcome, Option<Vec<u32>>) {
-        let mut outcome = StepOutcome::measured(lii);
-        let Some(rb) = self.rebalancer.as_mut() else {
-            return (outcome, None);
-        };
+    ) -> Option<(RebalanceEvent, Vec<u32>)> {
+        let rb = self.rebalancer.as_mut()?;
         if rb.wants_samples() {
             // a McDoniel–Bientinesi timer sample: kernel seconds and
             // the global work units they covered
@@ -122,9 +108,6 @@ impl BalanceHook {
                 charged_total: charged.iter().sum(),
             });
         }
-        outcome.cost_source = rb.cost_source_name();
-        outcome.decomposition = self.decomp.name();
-        outcome.cost_rates = rb.cost_rates();
         let RebalanceOutcome::Remapped {
             new_owner,
             migration_volume,
@@ -139,12 +122,17 @@ impl BalanceHook {
             self.ranks,
         )
         else {
-            return (outcome, None);
+            return None;
         };
-        self.migrated += migration_volume;
-        outcome.rebalanced = true;
-        outcome.migrated = migration_volume;
-        let replaced = std::mem::replace(&mut self.owner, new_owner);
-        (outcome, Some(replaced))
+        let event = RebalanceEvent {
+            step,
+            lii,
+            migrated: migration_volume,
+            remap_seconds: 0.0,
+            cost_source: rb.cost_source_name(),
+            decomposition: self.decomp.name(),
+            cost_rates: rb.cost_rates(),
+        };
+        Some((event, std::mem::replace(&mut self.owner, new_owner)))
     }
 }

@@ -4,7 +4,7 @@
 
 use crate::job::JobMeta;
 use obs::json::{obj, Json};
-use obs::{Breakdown, Observer, Phase};
+use obs::{Breakdown, Observer, Phase, RebalanceEvent};
 use std::fmt::Write as _;
 
 pub use obs::StepTrace;
@@ -34,12 +34,12 @@ pub struct RunReport {
     pub breakdown: Breakdown,
     /// Total messages sent in the world during the stepped run —
     /// measured for the threaded backend, protocol-predicted for the
-    /// modelled one, 0 for serial. Always equals the sum of the
-    /// per-step [`StepTrace::transactions`] exactly (end-of-run
-    /// diagnostics collectives are not counted).
+    /// modelled one, 0 for serial. The sum of the per-step
+    /// [`StepTrace::transactions`] (end-of-run diagnostics collectives
+    /// are not counted).
     pub transactions: u64,
-    /// Total bytes sent in the world during the stepped run (same
-    /// provenance and exact-sum property as `transactions`).
+    /// Total bytes sent in the world during the stepped run (the sum
+    /// of the per-step [`StepTrace::bytes`]).
     pub bytes: u64,
     /// Number of rebalances performed.
     pub rebalances: usize,
@@ -50,6 +50,8 @@ pub struct RunReport {
     /// Under [`vmpi::Strategy::Auto`] the per-exchange decision rule
     /// fills whichever buckets it picks; a fixed strategy fills one.
     pub strategy_uses: [u64; 4],
+    /// Poisson solves that hit the iteration cap before converging.
+    pub poisson_unconverged: u64,
     /// Times the run restored from a checkpoint and replayed after a
     /// detected rank death
     /// ([`crate::config::FaultPolicy::RestartFromCheckpoint`]); 0 on a
@@ -76,15 +78,6 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// Fold a backend's cumulative counters into the report.
-    pub(crate) fn fill_backend_stats(&mut self, stats: &crate::engine::BackendStats) {
-        self.strategy_uses = stats.strategy_uses;
-        self.rebalances = stats.rebalances;
-        self.rebalance_migrated = stats.rebalance_migrated;
-        self.transactions = stats.transactions;
-        self.bytes = stats.bytes;
-    }
-
     /// Versioned JSON export of the whole report (schema version
     /// [`obs::SCHEMA_VERSION`]); pass a registry snapshot to embed
     /// the run's metrics under a `"metrics"` key.
@@ -112,6 +105,7 @@ impl RunReport {
                     .map(|(&n, u)| (n, Json::U64(u)))
                     .collect()),
             ),
+            ("poisson_unconverged", Json::U64(self.poisson_unconverged)),
             ("recoveries", Json::U64(self.recoveries as u64)),
             ("comm_retries", Json::U64(self.comm_retries)),
             ("comm_dedup_dropped", Json::U64(self.comm_dedup_dropped)),
@@ -138,10 +132,12 @@ impl RunReport {
     }
 }
 
-/// An [`Observer`] that accumulates phase times and step traces into
-/// a [`RunReport`]; the driver fills in the end-of-run fields
-/// (diagnostics, traffic, backend counters) and calls
-/// [`ReportBuilder::finish`].
+/// An [`Observer`] that folds the pipeline's signals into a
+/// [`RunReport`]: phase times, the step traces and — summed from those
+/// traces and the rebalance events — every traffic, strategy and
+/// balance total, so the trace sums equal the totals by construction.
+/// The driver fills in the end-of-run fields (diagnostics, fault
+/// counters) after [`ReportBuilder::finish`].
 #[derive(Debug, Default)]
 pub struct ReportBuilder {
     report: RunReport,
@@ -163,8 +159,20 @@ impl Observer for ReportBuilder {
         self.report.total_time += seconds;
     }
 
+    fn rebalance(&mut self, ev: &RebalanceEvent) {
+        self.report.rebalances += 1;
+        self.report.rebalance_migrated += ev.migrated;
+    }
+
     fn step(&mut self, _index: usize, trace: &StepTrace) {
-        self.report.trace.push(trace.clone());
+        let report = &mut self.report;
+        report.transactions += trace.transactions;
+        report.bytes += trace.bytes;
+        for (total, uses) in report.strategy_uses.iter_mut().zip(trace.strategy_uses) {
+            *total += uses;
+        }
+        report.poisson_unconverged += trace.poisson_unconverged;
+        report.trace.push(trace.clone());
     }
 }
 
@@ -254,6 +262,68 @@ mod tests {
     #[should_panic(expected = "ragged")]
     fn ragged_rows_rejected() {
         table(&["a"], &[vec!["1".into(), "2".into()]]);
+    }
+
+    #[test]
+    fn builder_folds_every_total_from_the_signals() {
+        // two steps, three exchanges over two strategies, one rebalance
+        let exchange = |step, strategy, transactions, bytes| obs::ExchangeEvent {
+            step,
+            phase: Phase::DsmcExchange,
+            sub: 0,
+            strategy,
+            transactions,
+            bytes,
+            max_rank_msgs: 0,
+            node_pairs: 0,
+            aggregated_bytes: 0,
+        };
+        let mut b = ReportBuilder::new();
+        b.exchange(&exchange(0, 1, 6, 600));
+        b.exchange(&exchange(0, 2, 2, 80));
+        b.phase(Phase::DsmcExchange, 0.5);
+        b.step(
+            0,
+            &StepTrace {
+                transactions: 8,
+                bytes: 680,
+                strategy_uses: [0, 1, 1, 0],
+                poisson_unconverged: 2,
+                ..StepTrace::default()
+            },
+        );
+        b.exchange(&exchange(1, 1, 4, 400));
+        b.rebalance(&RebalanceEvent {
+            step: 1,
+            lii: 1.7,
+            migrated: 42,
+            remap_seconds: 0.01,
+            cost_source: "paper_wlm",
+            decomposition: "unified",
+            cost_rates: [0.0; 3],
+        });
+        b.phase(Phase::Rebalance, 0.25);
+        b.step(
+            1,
+            &StepTrace {
+                rebalanced: true,
+                // a real wire also counts the collectives between the
+                // exchanges: the step's own numbers are what is summed
+                transactions: 9,
+                bytes: 450,
+                strategy_uses: [0, 1, 0, 0],
+                ..StepTrace::default()
+            },
+        );
+        let r = b.finish();
+        assert_eq!(r.trace.len(), 2);
+        assert_eq!(r.transactions, 17);
+        assert_eq!(r.bytes, 1130);
+        assert_eq!(r.strategy_uses, [0, 2, 1, 0]);
+        assert_eq!((r.rebalances, r.rebalance_migrated), (1, 42));
+        assert_eq!(r.poisson_unconverged, 2);
+        assert_eq!(r.total_time, 0.75);
+        assert_eq!(r.breakdown[Phase::Rebalance], 0.25);
     }
 
     #[test]

@@ -29,7 +29,7 @@
 
 use crate::checkpoint::{checkpoint_rank, restore_rank, CheckpointError};
 use crate::config::{FaultPolicy, RunConfig};
-use crate::engine::{Backend, RankEngine, StepPipeline};
+use crate::engine::{run_step, RankEngine};
 use crate::report::{ReportBuilder, RunReport};
 use crate::threaded::ThreadedBackend;
 use crate::world::World;
@@ -315,14 +315,9 @@ fn rank_main<C: Comm>(comm: &C, session: &EngineSession) -> Result<RunReport, Ru
             return Err(fail(step, error));
         }
         match recorder.as_mut() {
-            Some(rec) => {
-                let mut obs = Tee(&mut builder, rec);
-                StepPipeline::run_step(&mut eng, &mut be, &mut obs, step);
-            }
-            None => {
-                StepPipeline::run_step(&mut eng, &mut be, &mut builder, step);
-            }
-        }
+            Some(rec) => run_step(&mut eng, &mut be, &mut Tee(&mut builder, rec)),
+            None => run_step(&mut eng, &mut be, &mut builder),
+        };
         if let Some(error) = be.fault() {
             return Err(fail(step, error));
         }
@@ -366,7 +361,6 @@ fn rank_main<C: Comm>(comm: &C, session: &EngineSession) -> Result<RunReport, Ru
     }
 
     let mut report = builder.finish();
-    report.fill_backend_stats(&be.stats());
     report.density_h = eng.density_h(&h_counts);
     report.population = pops.iter().sum::<u64>() as usize;
     report.recoveries = session.recoveries;

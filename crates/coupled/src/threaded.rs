@@ -8,9 +8,9 @@
 //! load balancer. Used for validation (serial vs parallel, paper
 //! Fig. 8/9) and by the job server.
 //!
-//! The step itself is the one [`crate::engine::StepPipeline`]; this
+//! The step itself is the one [`crate::engine::run_step`]; this
 //! module supplies [`ThreadedBackend`] — real `vmpi` communication
-//! plus measured [`WallClock`] timing. The run loop around it is the
+//! plus measured [`LapTimer`] timing. The run loop around it is the
 //! session's ([`crate::session`]).
 //!
 //! Determinism note: each rank owns an independent RNG stream, so a
@@ -19,21 +19,18 @@
 //! differences ... mainly due to random seeds").
 
 use crate::config::RunConfig;
-use crate::engine::{
-    Backend, BackendStats, ExchangeInfo, ExchangeScratch, RankEngine, StepComm, StepOutcome,
-    StepRecord, WallClock,
-};
+use crate::engine::{Backend, ExchangeScratch, RankEngine, StepRecord};
 use crate::machine::{CostModel, MachineProfile};
 use crate::rebalance::BalanceHook;
-use crate::tally::CommTally;
 use crate::world::World;
 use balance::{load_imbalance_indicator, RankTimes};
-use obs::{Breakdown, Phase};
+use obs::{Breakdown, ExchangeEvent, LapTimer, Phase, RebalanceEvent, StepTrace};
 use particles::{pack_index, unpack_all, ParticleBuffer};
 use partition::{block_ranges, Decomposition};
 use std::sync::Arc;
 use vmpi::collectives::{
-    allgather_f64, allgather_u64, allreduce_sum_f64, allreduce_sum_u64, broadcast, gather,
+    allgather_f64, allgather_u64, allreduce_sum_f64, allreduce_sum_u64, broadcast, decode_words,
+    encode_words, gather,
 };
 use vmpi::{exchange_on_nodes, Comm, CommError, CommResult, Flows, NodeMap, Strategy};
 
@@ -106,7 +103,7 @@ fn resolve_strategy<C: Comm>(
 }
 
 /// Real-communication backend: `vmpi` collectives between the phases,
-/// measured [`WallClock`] timing, measured-lii rebalancing
+/// measured [`LapTimer`] timing, measured-lii rebalancing
 /// (Algorithm 1).
 ///
 /// The [`Backend`] trait is infallible, so communication errors are
@@ -133,8 +130,10 @@ pub struct ThreadedBackend<'a, C: Comm> {
     decomp: Decomposition,
     /// Decomposition state and rebalancing policy (Algorithm 1).
     balance: BalanceHook,
-    tally: CommTally,
-    clock: WallClock,
+    /// The world's cumulative (transactions, bytes) at the last step
+    /// boundary: per-step traffic is the counter delta since.
+    wire_mark: (u64, u64),
+    clock: LapTimer,
     /// Per-rank populations from the Reindex allgather (reused for
     /// the step trace's share).
     pops: Vec<u64>,
@@ -159,8 +158,8 @@ impl<'a, C: Comm> ThreadedBackend<'a, C> {
             },
             decomp: run.decomposition,
             balance: BalanceHook::new(run, world.clone(), owner),
-            tally: CommTally::default(),
-            clock: WallClock::start(),
+            wire_mark: (0, 0),
+            clock: LapTimer::start(),
             pops: Vec::new(),
             fault: None,
         }
@@ -225,32 +224,13 @@ impl<'a, C: Comm> ThreadedBackend<'a, C> {
         }
         Ok(strategy)
     }
-
-    /// Carry one migration and note its attribution: the strategy
-    /// index plus the world-counter delta observed around it. The
-    /// delta is best-effort per exchange (other ranks may be
-    /// mid-flight); per-*step* deltas are exact.
-    fn migrate_and_tally(&mut self, eng: &mut RankEngine) {
-        if self.fault.is_some() {
-            return;
-        }
-        let before = self.wire();
-        let carried = self.migrate(eng);
-        if let Some(s) = self.ok_or_latch(carried) {
-            let after = self.wire();
-            self.tally.note(ExchangeInfo {
-                strategy: s.concrete_index().expect("resolved strategy is concrete"),
-                transactions: after.0.saturating_sub(before.0),
-                bytes: after.1.saturating_sub(before.1),
-                ..ExchangeInfo::default()
-            });
-        }
-    }
 }
 
 impl<C: Comm> Backend for ThreadedBackend<'_, C> {
+    /// Discard the time since the last lap (inter-step gaps belong to
+    /// no phase).
     fn begin_step(&mut self, _eng: &RankEngine) {
-        self.clock.begin_step();
+        self.clock.lap();
     }
 
     fn lap(
@@ -261,20 +241,41 @@ impl<C: Comm> Backend for ThreadedBackend<'_, C> {
         _rec: &StepRecord,
         bd: &mut Breakdown,
     ) {
-        self.clock.lap(bd, phase);
+        bd[phase] += self.clock.lap();
     }
 
-    fn exchange(&mut self, eng: &mut RankEngine, _phase: Phase, _sub: usize) {
-        self.migrate_and_tally(eng);
-    }
-
-    fn take_exchange_info(&mut self) -> Option<ExchangeInfo> {
-        self.tally.take_exchange_info()
-    }
-
-    fn step_comm(&mut self) -> StepComm {
-        let now = self.wire();
-        self.tally.step_comm(now)
+    /// Carry one migration and report it: the strategy that carried
+    /// it plus the world-counter delta observed around it. The delta
+    /// is best-effort per exchange (other ranks may be mid-flight);
+    /// per-*step* deltas are exact.
+    fn exchange(
+        &mut self,
+        eng: &mut RankEngine,
+        phase: Phase,
+        sub: usize,
+        _rec: &StepRecord,
+    ) -> Option<ExchangeEvent> {
+        if self.fault.is_some() {
+            return None;
+        }
+        let before = self.wire();
+        let carried = self.migrate(eng);
+        let strategy = self.ok_or_latch(carried)?;
+        let after = self.wire();
+        Some(ExchangeEvent {
+            step: eng.step_count,
+            phase,
+            sub,
+            strategy: strategy
+                .concrete_index()
+                .expect("resolved strategy is concrete"),
+            transactions: after.0.saturating_sub(before.0),
+            bytes: after.1.saturating_sub(before.1),
+            // protocol predictions, unknown on a measured wire
+            max_rank_msgs: 0,
+            node_pairs: 0,
+            aggregated_bytes: 0,
+        })
     }
 
     fn reduce_charge(&mut self, _eng: &RankEngine, node_charge: Vec<f64>) -> Vec<f64> {
@@ -311,10 +312,10 @@ impl<C: Comm> Backend for ThreadedBackend<'_, C> {
         &mut self,
         eng: &mut RankEngine,
         bd: &Breakdown,
-        _rec: &StepRecord,
-    ) -> StepOutcome {
+        rec: &StepRecord,
+    ) -> (f64, Option<RebalanceEvent>, Option<ExchangeEvent>) {
         if self.fault.is_some() {
-            return StepOutcome::default();
+            return (0.0, None, None);
         }
         // share measured times: (total, migration, poisson) triples —
         // extended with the per-phase kernel times when the
@@ -337,7 +338,7 @@ impl<C: Comm> Backend for ThreadedBackend<'_, C> {
         let width = mine.len();
         let all = allgather_f64(self.comm, &mine);
         let Some(all) = self.ok_or_latch(all) else {
-            return StepOutcome::default();
+            return (0.0, None, None);
         };
         let times: Vec<RankTimes> = all
             .chunks_exact(width)
@@ -358,40 +359,48 @@ impl<C: Comm> Backend for ThreadedBackend<'_, C> {
         }
         let lii = load_imbalance_indicator(&times);
         if !self.balance.armed() {
-            return StepOutcome::measured(lii);
+            return (lii, None, None);
         }
         // global per-cell counts (needed by the load model)
         let (neutral, charged) = eng.counts_per_cell();
         let global = allreduce_sum_u64(self.comm, &[neutral, charged].concat());
         let Some(global) = self.ok_or_latch(global) else {
-            return StepOutcome::measured(lii);
+            return (lii, None, None);
         };
         let (neutral, charged) = global.split_at(eng.nm.num_coarse());
 
         // every rank runs the (deterministic) algorithm on the same
         // inputs => identical new ownership everywhere
         let remap_started = std::time::Instant::now();
-        let (mut outcome, replaced) = self.balance.step(lii, kernel_seconds, neutral, charged);
-        if replaced.is_some() {
-            eng.claim_inlet(self.balance.owner(), self.comm.rank());
-            self.migrate_and_tally(eng);
-            outcome.remap_seconds = remap_started.elapsed().as_secs_f64();
-        }
-        outcome
+        let remapped = self
+            .balance
+            .step(eng.step_count, lii, kernel_seconds, neutral, charged);
+        let Some((mut event, _)) = remapped else {
+            return (lii, None, None);
+        };
+        eng.claim_inlet(self.balance.owner(), self.comm.rank());
+        let migration = self.exchange(eng, Phase::Rebalance, 0, rec);
+        event.remap_seconds = remap_started.elapsed().as_secs_f64();
+        (lii, Some(event), migration)
     }
 
-    fn share(&self, _eng: &RankEngine) -> Vec<f64> {
+    /// Share from the Reindex allgather's populations; traffic from
+    /// the world counters, which also see the collectives between the
+    /// exchanges. Deltas between step boundaries telescope, and
+    /// whatever runs after the last step (end-of-run diagnostics
+    /// collectives) is never counted.
+    fn end_step(&mut self, _eng: &RankEngine, _bd: &mut Breakdown, trace: &mut StepTrace) {
         let total = self.pops.iter().sum::<u64>().max(1) as f64;
-        self.pops.iter().map(|&p| p as f64 / total).collect()
-    }
-
-    fn stats(&self) -> BackendStats {
-        self.tally.stats(&self.balance)
+        trace.share = self.pops.iter().map(|&p| p as f64 / total).collect();
+        let now = self.wire();
+        trace.transactions = now.0.saturating_sub(self.wire_mark.0);
+        trace.bytes = now.1.saturating_sub(self.wire_mark.1);
+        self.wire_mark = now;
     }
 }
 
 /// Gather/scatter charge reduction of the Eulerian/Lagrangian split
-/// (DESIGN.md §15): the field grid is statically block-partitioned
+/// (DESIGN.md §13): the field grid is statically block-partitioned
 /// over ranks, each owner gathers every rank's contribution to its
 /// block, reduces them in rank order, and broadcasts the reduced
 /// block back so every rank can run the replicated Poisson solve.
@@ -403,20 +412,14 @@ fn eullag_reduce_charge<C: Comm>(comm: &C, node_charge: &[f64]) -> CommResult<Ve
     // phase 1: each owner gathers and reduces its block
     let mut owned: Vec<f64> = Vec::new();
     for (root, range) in ranges.iter().enumerate() {
-        let bytes: Vec<u8> = node_charge[range.clone()]
-            .iter()
-            .flat_map(|v| v.to_le_bytes())
-            .collect();
-        if let Some(parts) = gather(comm, root, bytes)? {
+        let mine = encode_words(&node_charge[range.clone()], f64::to_le_bytes);
+        if let Some(parts) = gather(comm, root, mine)? {
             let mut acc = vec![0.0f64; range.len()];
             for part in &parts {
-                if part.len() != range.len() * 8 {
-                    return Err(CommError::Malformed {
-                        what: "eullag charge block",
-                    });
-                }
-                for (a, chunk) in acc.iter_mut().zip(part.chunks_exact(8)) {
-                    *a += f64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
+                let block =
+                    decode_words(part, range.len(), f64::from_le_bytes, "eullag charge block")?;
+                for (a, v) in acc.iter_mut().zip(block) {
+                    *a += v;
                 }
             }
             owned = acc;
@@ -424,23 +427,12 @@ fn eullag_reduce_charge<C: Comm>(comm: &C, node_charge: &[f64]) -> CommResult<Ve
     }
     // phase 2: owners scatter the reduced blocks; every rank
     // reassembles the full vector
-    let mut out = vec![0.0f64; node_charge.len()];
+    let mut out = Vec::with_capacity(node_charge.len());
     for (root, range) in ranges.iter().enumerate() {
-        let mine = (me == root).then(|| {
-            owned
-                .iter()
-                .flat_map(|v| v.to_le_bytes())
-                .collect::<Vec<u8>>()
-        });
+        let mine = (me == root).then(|| encode_words(&owned, f64::to_le_bytes));
         let block = broadcast(comm, root, mine)?;
-        if block.len() != range.len() * 8 {
-            return Err(CommError::Malformed {
-                what: "eullag reduced block",
-            });
-        }
-        for (slot, chunk) in out[range.clone()].iter_mut().zip(block.chunks_exact(8)) {
-            *slot = f64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
-        }
+        let what = "eullag reduced block";
+        out.extend(decode_words(&block, range.len(), f64::from_le_bytes, what)?);
     }
     Ok(out)
 }

@@ -8,7 +8,7 @@
 
 use kernels::{fork_rng, Pool};
 use mesh::TetMesh;
-use particles::{ParticleBuffer, SpeciesTable};
+use particles::{ParticleBuffer, Species, SpeciesTable};
 use rand::Rng;
 
 /// Persistent per-cell state of the NTC scheme (the running
@@ -38,6 +38,116 @@ pub struct CollisionEvent {
     pub j: u32,
     /// Relative speed at impact (m/s).
     pub rel_speed: f64,
+}
+
+/// Per-cell scratch of the NTC kernel: the cell's velocities gathered
+/// into three contiguous scalar lanes, so the relative-speed /
+/// scattering arithmetic runs on dense local arrays instead of
+/// striding through the whole buffer, plus which entries a collision
+/// rewrote.
+#[derive(Default)]
+struct CellScratch {
+    vx: Vec<f64>,
+    vy: Vec<f64>,
+    vz: Vec<f64>,
+    dirty: Vec<bool>,
+}
+
+impl CellScratch {
+    /// The NTC kernel on one cell of `list.len() >= 2` neutrals
+    /// (buffer indices into the `vel` lanes): draw the candidate
+    /// count, pick pairs, accept against the pre-pass `sgm` snapshot
+    /// and VHS-scatter the accepted ones in the gathered lanes.
+    /// Returns the adaptive `(σg)_max` (`sgm` unless a pair exceeded
+    /// it; committing it late is value-identical — the ratchet only
+    /// grows); the caller writes the `dirty` lanes back. The candidate
+    /// draw compares list *positions* instead of buffer indices —
+    /// equivalent (the cell lists hold distinct indices) and identical
+    /// RNG consumption.
+    #[allow(clippy::too_many_arguments)]
+    fn collide<R: Rng>(
+        &mut self,
+        list: &[u32],
+        vel: [&[f64]; 3],
+        sp: &Species,
+        sgm: f64,
+        dt: f64,
+        volume: f64,
+        rng: &mut R,
+        stats: &mut CollideStats,
+        events: &mut Vec<CollisionEvent>,
+    ) -> f64 {
+        let CellScratch {
+            vx: lvx,
+            vy: lvy,
+            vz: lvz,
+            dirty,
+        } = self;
+        dirty.clear();
+        let n = list.len();
+        let mut sgm_adapt = sgm;
+        let n_cand = 0.5 * n as f64 * (n as f64 - 1.0) * sp.weight * sgm * dt / volume;
+        // probabilistic rounding of the fractional candidate count
+        let n_cand = n_cand.floor() as usize + usize::from(rng.gen::<f64>() < n_cand.fract());
+        if n_cand == 0 {
+            return sgm;
+        }
+
+        for (lane, src) in [&mut *lvx, &mut *lvy, &mut *lvz].into_iter().zip(vel) {
+            lane.clear();
+            lane.extend(list.iter().map(|&i| src[i as usize]));
+        }
+        dirty.resize(n, false);
+
+        stats.candidates += n_cand;
+        for _ in 0..n_cand {
+            let a = rng.gen_range(0..n);
+            let b = loop {
+                let b = rng.gen_range(0..n);
+                if b != a {
+                    break b;
+                }
+            };
+            let gx = lvx[a] - lvx[b];
+            let gy = lvy[a] - lvy[b];
+            let gz = lvz[a] - lvz[b];
+            let g = (gx * gx + gy * gy + gz * gz).sqrt();
+            let sigma_g = sp.vhs_cross_section(g) * g;
+            if sigma_g > sgm_adapt {
+                sgm_adapt = sigma_g; // adaptive max
+            }
+            if rng.gen::<f64>() * sgm < sigma_g {
+                stats.collisions += 1;
+                // VHS isotropic scattering, equal masses here but
+                // written for the general two-mass case
+                let m1 = sp.mass;
+                let m2 = sp.mass;
+                let cmx = (lvx[a] * m1 + lvx[b] * m2) / (m1 + m2);
+                let cmy = (lvy[a] * m1 + lvy[b] * m2) / (m1 + m2);
+                let cmz = (lvz[a] * m1 + lvz[b] * m2) / (m1 + m2);
+                let cos_t = 2.0 * rng.gen::<f64>() - 1.0;
+                let sin_t = (1.0 - cos_t * cos_t).sqrt();
+                let phi = 2.0 * std::f64::consts::PI * rng.gen::<f64>();
+                let (dx, dy, dz) = (sin_t * phi.cos(), sin_t * phi.sin(), cos_t);
+                let fa = g * m2 / (m1 + m2);
+                let fb = g * m1 / (m1 + m2);
+                lvx[a] = cmx + dx * fa;
+                lvy[a] = cmy + dy * fa;
+                lvz[a] = cmz + dz * fa;
+                lvx[b] = cmx - dx * fb;
+                lvy[b] = cmy - dy * fb;
+                lvz[b] = cmz - dz * fb;
+                dirty[a] = true;
+                dirty[b] = true;
+                events.push(CollisionEvent {
+                    i: list[a],
+                    j: list[b],
+                    rel_speed: g,
+                });
+            }
+        }
+        sgm_adapt
+    }
 }
 
 impl CollisionModel {
@@ -95,105 +205,25 @@ impl CollisionModel {
         events: &mut Vec<CollisionEvent>,
     ) -> CollideStats {
         let sp = species.get(neutral_id);
-        let f_n = sp.weight;
-        let mass = sp.mass;
-
-        // Bucket neutral particles by cell (or consume the buckets an
-        // overlapped exchange already prepared).
         self.bucket(buf, neutral_id);
 
         let mut stats = CollideStats::default();
-        // Per-cell scratch: the cell's velocities gathered into three
-        // contiguous scalar lanes so the relative-speed / scattering
-        // arithmetic runs on dense local arrays instead of striding
-        // through the whole buffer. The candidate draw compares list
-        // *positions* instead of buffer indices — equivalent (the cell
-        // lists hold distinct indices) and identical RNG consumption.
-        let mut lvx: Vec<f64> = Vec::new();
-        let mut lvy: Vec<f64> = Vec::new();
-        let mut lvz: Vec<f64> = Vec::new();
-        let mut dirty: Vec<bool> = Vec::new();
+        let mut cell = CellScratch::default();
         for (c, list) in self.cell_lists.iter().enumerate() {
-            let n = list.len();
-            if n < 2 {
+            if list.len() < 2 {
                 continue;
             }
-            let vc = mesh.volumes[c];
             let sgm = self.sigma_g_max[c];
-            let mut sgm_adapt = sgm;
-            let n_cand = 0.5 * n as f64 * (n as f64 - 1.0) * f_n * sgm * dt / vc;
-            // probabilistic rounding of the fractional candidate count
-            let n_cand = n_cand.floor() as usize + usize::from(rng.gen::<f64>() < n_cand.fract());
-            if n_cand == 0 {
-                continue;
-            }
-
-            lvx.clear();
-            lvx.extend(list.iter().map(|&i| buf.vx[i as usize]));
-            lvy.clear();
-            lvy.extend(list.iter().map(|&i| buf.vy[i as usize]));
-            lvz.clear();
-            lvz.extend(list.iter().map(|&i| buf.vz[i as usize]));
-            dirty.clear();
-            dirty.resize(n, false);
-
-            for _ in 0..n_cand {
-                stats.candidates += 1;
-                let a = rng.gen_range(0..n);
-                let b = loop {
-                    let b = rng.gen_range(0..n);
-                    if b != a {
-                        break b;
-                    }
-                };
-                let gx = lvx[a] - lvx[b];
-                let gy = lvy[a] - lvy[b];
-                let gz = lvz[a] - lvz[b];
-                let g = (gx * gx + gy * gy + gz * gz).sqrt();
-                let sigma_g = sp.vhs_cross_section(g) * g;
-                if sigma_g > sgm_adapt {
-                    sgm_adapt = sigma_g; // adaptive max
-                }
-                if rng.gen::<f64>() * sgm < sigma_g {
-                    stats.collisions += 1;
-                    // VHS isotropic scattering, equal masses here but
-                    // written for the general two-mass case
-                    let m1 = mass;
-                    let m2 = mass;
-                    let cmx = (lvx[a] * m1 + lvx[b] * m2) / (m1 + m2);
-                    let cmy = (lvy[a] * m1 + lvy[b] * m2) / (m1 + m2);
-                    let cmz = (lvz[a] * m1 + lvz[b] * m2) / (m1 + m2);
-                    let cos_t = 2.0 * rng.gen::<f64>() - 1.0;
-                    let sin_t = (1.0 - cos_t * cos_t).sqrt();
-                    let phi = 2.0 * std::f64::consts::PI * rng.gen::<f64>();
-                    let (dx, dy, dz) = (sin_t * phi.cos(), sin_t * phi.sin(), cos_t);
-                    let fa = g * m2 / (m1 + m2);
-                    let fb = g * m1 / (m1 + m2);
-                    lvx[a] = cmx + dx * fa;
-                    lvy[a] = cmy + dy * fa;
-                    lvz[a] = cmz + dz * fa;
-                    lvx[b] = cmx - dx * fb;
-                    lvy[b] = cmy - dy * fb;
-                    lvz[b] = cmz - dz * fb;
-                    dirty[a] = true;
-                    dirty[b] = true;
-                    events.push(CollisionEvent {
-                        i: list[a],
-                        j: list[b],
-                        rel_speed: g,
-                    });
-                }
-            }
-
-            // Scatter modified velocities back and commit the ratchet
-            // (deferral is value-identical: acceptance compares against
-            // the pre-pass `sgm` snapshot, the ratchet only grows).
-            for (k, &d) in dirty.iter().enumerate() {
+            let vel = [&buf.vx[..], &buf.vy[..], &buf.vz[..]];
+            let volume = mesh.volumes[c];
+            let sgm_adapt = cell.collide(list, vel, sp, sgm, dt, volume, rng, &mut stats, events);
+            // scatter modified velocities back and commit the ratchet
+            for (k, &d) in cell.dirty.iter().enumerate() {
                 if d {
                     let i = list[k] as usize;
-                    buf.vx[i] = lvx[k];
-                    buf.vy[i] = lvy[k];
-                    buf.vz[i] = lvz[k];
+                    buf.vx[i] = cell.vx[k];
+                    buf.vy[i] = cell.vy[k];
+                    buf.vz[i] = cell.vz[k];
                 }
             }
             if sgm_adapt > sgm {
@@ -231,11 +261,7 @@ impl CollisionModel {
         }
         let base: u64 = rng.gen();
         let sp = species.get(neutral_id);
-        let f_n = sp.weight;
-        let mass = sp.mass;
-
-        // Bucket neutral particles by cell (serial: O(n) with no
-        // contention worth parallelising), or consume prepared buckets.
+        // serial: O(n) with no contention worth parallelising
         self.bucket(buf, neutral_id);
 
         let workers = pool.workers();
@@ -249,7 +275,7 @@ impl CollisionModel {
             .collect();
         let cell_lists = &self.cell_lists;
         let sigma_g_max = &self.sigma_g_max;
-        let (bvx, bvy, bvz) = (&buf.vx, &buf.vy, &buf.vz);
+        let vel = [&buf.vx[..], &buf.vy[..], &buf.vz[..]];
 
         type LaneOut = (
             CollideStats,
@@ -263,78 +289,16 @@ impl CollisionModel {
             let mut ev: Vec<CollisionEvent> = Vec::new();
             let mut vel_updates: Vec<(u32, mesh::Vec3)> = Vec::new();
             let mut sigma_updates: Vec<(usize, f64)> = Vec::new();
-            let mut lvx: Vec<f64> = Vec::new();
-            let mut lvy: Vec<f64> = Vec::new();
-            let mut lvz: Vec<f64> = Vec::new();
-            let mut dirty: Vec<bool> = Vec::new();
+            let mut cell = CellScratch::default();
             for c in cells {
-                let list = &cell_lists[c];
-                let n = list.len();
-                let vc = mesh.volumes[c];
-                let sgm = sigma_g_max[c];
-                let mut sgm_adapt = sgm;
-                let n_cand = 0.5 * n as f64 * (n as f64 - 1.0) * f_n * sgm * dt / vc;
-                let n_cand =
-                    n_cand.floor() as usize + usize::from(rng.gen::<f64>() < n_cand.fract());
-                if n_cand == 0 {
-                    continue;
-                }
-                lvx.clear();
-                lvx.extend(list.iter().map(|&i| bvx[i as usize]));
-                lvy.clear();
-                lvy.extend(list.iter().map(|&i| bvy[i as usize]));
-                lvz.clear();
-                lvz.extend(list.iter().map(|&i| bvz[i as usize]));
-                dirty.clear();
-                dirty.resize(n, false);
-                for _ in 0..n_cand {
-                    stats.candidates += 1;
-                    let a = rng.gen_range(0..n);
-                    let b = loop {
-                        let b = rng.gen_range(0..n);
-                        if b != a {
-                            break b;
-                        }
-                    };
-                    let gx = lvx[a] - lvx[b];
-                    let gy = lvy[a] - lvy[b];
-                    let gz = lvz[a] - lvz[b];
-                    let g = (gx * gx + gy * gy + gz * gz).sqrt();
-                    let sigma_g = sp.vhs_cross_section(g) * g;
-                    if sigma_g > sgm_adapt {
-                        sgm_adapt = sigma_g; // adaptive max
-                    }
-                    if rng.gen::<f64>() * sgm < sigma_g {
-                        stats.collisions += 1;
-                        let m1 = mass;
-                        let m2 = mass;
-                        let cmx = (lvx[a] * m1 + lvx[b] * m2) / (m1 + m2);
-                        let cmy = (lvy[a] * m1 + lvy[b] * m2) / (m1 + m2);
-                        let cmz = (lvz[a] * m1 + lvz[b] * m2) / (m1 + m2);
-                        let cos_t = 2.0 * rng.gen::<f64>() - 1.0;
-                        let sin_t = (1.0 - cos_t * cos_t).sqrt();
-                        let phi = 2.0 * std::f64::consts::PI * rng.gen::<f64>();
-                        let (dx, dy, dz) = (sin_t * phi.cos(), sin_t * phi.sin(), cos_t);
-                        let fa = g * m2 / (m1 + m2);
-                        let fb = g * m1 / (m1 + m2);
-                        lvx[a] = cmx + dx * fa;
-                        lvy[a] = cmy + dy * fa;
-                        lvz[a] = cmz + dz * fa;
-                        lvx[b] = cmx - dx * fb;
-                        lvy[b] = cmy - dy * fb;
-                        lvz[b] = cmz - dz * fb;
-                        dirty[a] = true;
-                        dirty[b] = true;
-                        ev.push(CollisionEvent {
-                            i: list[a],
-                            j: list[b],
-                            rel_speed: g,
-                        });
-                    }
-                }
-                for (k, &d) in dirty.iter().enumerate() {
+                let (list, sgm, volume) = (&cell_lists[c], sigma_g_max[c], mesh.volumes[c]);
+                let sgm_adapt = cell.collide(
+                    list, vel, sp, sgm, dt, volume, &mut rng, &mut stats, &mut ev,
+                );
+                for (k, &d) in cell.dirty.iter().enumerate() {
                     if d {
-                        vel_updates.push((list[k], mesh::Vec3::new(lvx[k], lvy[k], lvz[k])));
+                        let v = mesh::Vec3::new(cell.vx[k], cell.vy[k], cell.vz[k]);
+                        vel_updates.push((list[k], v));
                     }
                 }
                 if sgm_adapt > sgm {

@@ -1,5 +1,5 @@
 //! Simulation-as-a-service job server over the coupled DSMC/PIC
-//! engine (DESIGN.md §16).
+//! engine (DESIGN.md §14).
 //!
 //! Submit a [`coupled::RunConfig`] wrapped in a [`JobSpec`], get a
 //! [`JobHandle`] back; the server queues it with tenant fair share and

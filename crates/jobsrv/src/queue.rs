@@ -1,7 +1,7 @@
 //! Fair-share job queue: round-robin across tenants, priority with
 //! anti-starvation aging within a tenant, and budget-aware popping so
 //! wide jobs wait for kernel-pool capacity without blocking narrow
-//! ones (DESIGN.md §16).
+//! ones (DESIGN.md §14).
 
 use coupled::job::{JobId, JobPriority};
 

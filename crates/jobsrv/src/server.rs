@@ -3,7 +3,7 @@
 //! with result caching by canonical config hash, in-flight
 //! coalescing of identical submissions, live trace fan-out to
 //! subscribers, and checkpoint-replay recovery when a worker dies
-//! mid-job (DESIGN.md §16).
+//! mid-job (DESIGN.md §14).
 
 use crate::cache::ResultCache;
 use crate::queue::FairQueue;

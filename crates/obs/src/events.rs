@@ -30,6 +30,9 @@ pub struct StepTrace {
     /// Exchanges carried this step per concrete strategy, in
     /// [`STRATEGY_NAMES`] order.
     pub strategy_uses: [u64; 4],
+    /// Poisson solves of this step that hit the iteration cap before
+    /// reaching the residual tolerance.
+    pub poisson_unconverged: u64,
 }
 
 impl StepTrace {
@@ -51,6 +54,7 @@ impl StepTrace {
                 "strategy_uses",
                 Json::Arr(self.strategy_uses.iter().map(|&u| Json::U64(u)).collect()),
             ),
+            ("poisson_unconverged", Json::U64(self.poisson_unconverged)),
         ])
     }
 }
@@ -162,12 +166,14 @@ mod tests {
             transactions: 12,
             bytes: 3456,
             strategy_uses: [0, 10, 2, 0],
+            poisson_unconverged: 1,
         };
         let v = parse(&t.to_json(7).to_string()).unwrap();
         assert_eq!(v.get("type").unwrap().as_str(), Some("step"));
         assert_eq!(v.get("step").unwrap().as_u64(), Some(7));
         assert_eq!(v.get("transactions").unwrap().as_u64(), Some(12));
         assert_eq!(v.get("bytes").unwrap().as_u64(), Some(3456));
+        assert_eq!(v.get("poisson_unconverged").unwrap().as_u64(), Some(1));
         assert_eq!(v.get("share").unwrap().as_array().unwrap().len(), 2);
     }
 

@@ -7,8 +7,8 @@
 //! * [`Registry`] — typed metrics (counters, gauges, time
 //!   histograms) behind cheap atomic handles; clones share state, so
 //!   every rank thread taps the same registry.
-//! * [`SpanTimer`] — hierarchical gap-free lap timers; the one code
-//!   path phase attribution goes through in every backend.
+//! * [`LapTimer`] — the flat gap-free lap timer; the one code path
+//!   wall-clock phase attribution goes through.
 //! * [`Observer`] — the public hook the step pipeline drives:
 //!   per-phase times, per-exchange traffic, rebalances, per-step
 //!   traces. All methods default to no-ops.
@@ -25,12 +25,12 @@
 pub mod avg;
 pub mod events;
 pub mod json;
+pub mod lap;
 pub mod metrics;
 pub mod observer;
 pub mod phase;
 pub mod recorder;
 pub mod sink;
-pub mod span;
 
 /// Version tag stamped into every exported JSON artifact (trace meta
 /// records and run reports). Bump on incompatible schema changes.
@@ -60,6 +60,7 @@ pub fn fnv1a_f64(values: &[f64]) -> u64 {
 pub use avg::TimeAverage;
 pub use events::{ExchangeEvent, RebalanceEvent, StepTrace, STRATEGY_NAMES};
 pub use json::Json;
+pub use lap::LapTimer;
 pub use metrics::{
     Counter, Gauge, HistSnapshot, MetricKind, MetricValue, MetricsSnapshot, Registry, TimeHist,
 };
@@ -67,4 +68,3 @@ pub use observer::{NullObserver, Observer, Tee};
 pub use phase::{Breakdown, Phase};
 pub use recorder::Recorder;
 pub use sink::{FanoutSink, JsonlSink, MemorySink, NullSink, TraceEvent, TraceSink, TraceSpec};
-pub use span::SpanTimer;

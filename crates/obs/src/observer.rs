@@ -3,9 +3,7 @@
 //! An [`Observer`] receives everything the engine measures while a
 //! run is in flight: per-phase times, per-exchange traffic, rebalance
 //! decisions and the per-step trace. All methods default to no-ops,
-//! so an implementation opts into exactly the signals it needs. This
-//! trait supersedes the engine-private `Probe` hook; the solver crate
-//! keeps an adapter for legacy probes.
+//! so an implementation opts into exactly the signals it needs.
 
 use crate::events::{ExchangeEvent, RebalanceEvent, StepTrace};
 use crate::phase::Phase;

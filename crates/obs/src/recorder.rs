@@ -27,6 +27,7 @@ struct Taps {
     steps: Counter,
     step_time: TimeHist,
     lii: Gauge,
+    poisson_unconverged: Counter,
     rebalances: Counter,
     rebalance_migrated: Counter,
     remap_time: TimeHist,
@@ -66,6 +67,7 @@ impl Taps {
             steps: reg.counter("engine.steps"),
             step_time: reg.time_hist("engine.step.seconds"),
             lii: reg.gauge("balance.lii"),
+            poisson_unconverged: reg.counter("pic.poisson.unconverged"),
             rebalances: reg.counter("balance.rebalances"),
             rebalance_migrated: reg.counter("balance.migrated_particles"),
             remap_time: reg.time_hist("balance.remap.seconds"),
@@ -210,6 +212,7 @@ impl Observer for Recorder {
             taps.steps.inc();
             taps.step_time.record(trace.step_time);
             taps.lii.set(trace.lii);
+            taps.poisson_unconverged.add(trace.poisson_unconverged);
         }
         self.sink.emit(&TraceEvent::Step {
             index,

@@ -12,10 +12,29 @@
 
 use crate::comm::Comm;
 use crate::error::{take_u64, CommError, CommResult};
+use std::ops::AddAssign;
 
-/// Read one little-endian `f64` off the front of `buf`.
-fn take_f64(buf: &mut &[u8], what: &'static str) -> CommResult<f64> {
-    Ok(f64::from_bits(take_u64(buf, what)?))
+/// Wire bytes of a slice of 8-byte little-endian words; `to_le` is
+/// `f64::to_le_bytes` or `u64::to_le_bytes`.
+pub fn encode_words<T: Copy>(words: &[T], to_le: fn(T) -> [u8; 8]) -> Vec<u8> {
+    words.iter().flat_map(|&w| to_le(w)).collect()
+}
+
+/// The `len` words [`encode_words`] wrote into `bytes`
+/// ([`CommError::Malformed`] naming `what` on any other length).
+pub fn decode_words<T>(
+    bytes: &[u8],
+    len: usize,
+    from_le: fn([u8; 8]) -> T,
+    what: &'static str,
+) -> CommResult<Vec<T>> {
+    if bytes.len() != len * 8 {
+        return Err(CommError::Malformed { what });
+    }
+    let words = bytes.chunks_exact(8);
+    Ok(words
+        .map(|c| from_le(c.try_into().expect("8-byte chunk")))
+        .collect())
 }
 
 /// Gather each rank's buffer at `root`. Returns `Some(buffers)` (in
@@ -55,38 +74,70 @@ pub fn broadcast<C: Comm>(comm: &C, root: usize, msg: Option<Vec<u8>>) -> CommRe
     }
 }
 
-/// All-reduce a vector of f64 by element-wise summation. Every rank
-/// receives the full sum. (Gather-reduce-broadcast through rank 0 —
-/// the topology-oblivious scheme, adequate for the rank counts the
-/// threaded backend runs at.)
-pub fn allreduce_sum_f64<C: Comm>(comm: &C, mine: &[f64]) -> CommResult<Vec<f64>> {
+/// All-reduce a vector of words by element-wise summation, in rank
+/// order; every rank receives the full sum. (Gather-reduce-broadcast
+/// through rank 0 — the topology-oblivious scheme, adequate for the
+/// rank counts the threaded backend runs at.) `what` names a
+/// malformed contribution and a malformed result.
+fn allreduce_sum<C: Comm, T: Copy + Default + AddAssign>(
+    comm: &C,
+    mine: &[T],
+    to_le: fn(T) -> [u8; 8],
+    from_le: fn([u8; 8]) -> T,
+    what: [&'static str; 2],
+) -> CommResult<Vec<T>> {
     let len = mine.len();
-    let bytes: Vec<u8> = mine.iter().flat_map(|v| v.to_le_bytes()).collect();
-    let gathered = gather(comm, 0, bytes)?;
-    let reduced = if let Some(bufs) = gathered {
-        let mut acc = vec![0.0f64; len];
-        for buf in bufs {
-            if buf.len() != len * 8 {
-                return Err(CommError::Malformed {
-                    what: "allreduce_sum_f64 contribution",
-                });
+    let reduced = match gather(comm, 0, encode_words(mine, to_le))? {
+        Some(bufs) => {
+            let mut acc = vec![T::default(); len];
+            for buf in bufs {
+                for (a, v) in acc
+                    .iter_mut()
+                    .zip(decode_words(&buf, len, from_le, what[0])?)
+                {
+                    *a += v;
+                }
             }
-            let mut cur = buf.as_slice();
-            for a in acc.iter_mut() {
-                *a += take_f64(&mut cur, "allreduce_sum_f64 element")?;
-            }
+            Some(encode_words(&acc, to_le))
         }
-        Some(acc.iter().flat_map(|v| v.to_le_bytes()).collect())
-    } else {
-        None
+        None => None,
     };
-    let out = broadcast(comm, 0, reduced)?;
-    let mut cur = out.as_slice();
-    let mut result = Vec::with_capacity(len);
-    for _ in 0..len {
-        result.push(take_f64(&mut cur, "allreduce_sum_f64 result")?);
-    }
-    Ok(result)
+    decode_words(&broadcast(comm, 0, reduced)?, len, from_le, what[1])
+}
+
+/// All-gather a fixed-size slice of words from every rank: the
+/// concatenation in rank order (`size() * mine.len()` values) on all
+/// ranks. Every rank must contribute the same number of values.
+fn allgather<C: Comm, T: Copy>(
+    comm: &C,
+    mine: &[T],
+    to_le: fn(T) -> [u8; 8],
+    from_le: fn([u8; 8]) -> T,
+    what: [&'static str; 2],
+) -> CommResult<Vec<T>> {
+    let len = mine.len();
+    let packed = match gather(comm, 0, encode_words(mine, to_le))? {
+        Some(bufs) => {
+            let mut out = Vec::with_capacity(comm.size() * len * 8);
+            for b in bufs {
+                if b.len() != len * 8 {
+                    return Err(CommError::Malformed { what: what[0] });
+                }
+                out.extend_from_slice(&b);
+            }
+            Some(out)
+        }
+        None => None,
+    };
+    let out = broadcast(comm, 0, packed)?;
+    decode_words(&out, comm.size() * len, from_le, what[1])
+}
+
+/// All-reduce a vector of f64 by element-wise summation (charge
+/// boundary sums, density diagnostics).
+pub fn allreduce_sum_f64<C: Comm>(comm: &C, mine: &[f64]) -> CommResult<Vec<f64>> {
+    let what = ["allreduce_sum_f64 contribution", "allreduce_sum_f64 result"];
+    allreduce_sum(comm, mine, f64::to_le_bytes, f64::from_le_bytes, what)
 }
 
 /// Wire magic stamped on every [`alltoall_u64`] value frame, so a
@@ -173,93 +224,23 @@ pub fn alltoall_u64<C: Comm>(comm: &C, mine: &[u64]) -> CommResult<Vec<u64>> {
 /// (a count round-tripped through f64 silently loses precision past
 /// 2^53).
 pub fn allreduce_sum_u64<C: Comm>(comm: &C, mine: &[u64]) -> CommResult<Vec<u64>> {
-    let len = mine.len();
-    let bytes: Vec<u8> = mine.iter().flat_map(|v| v.to_le_bytes()).collect();
-    let gathered = gather(comm, 0, bytes)?;
-    let reduced = if let Some(bufs) = gathered {
-        let mut acc = vec![0u64; len];
-        for buf in bufs {
-            if buf.len() != len * 8 {
-                return Err(CommError::Malformed {
-                    what: "allreduce_sum_u64 contribution",
-                });
-            }
-            let mut cur = buf.as_slice();
-            for a in acc.iter_mut() {
-                *a += take_u64(&mut cur, "allreduce_sum_u64 element")?;
-            }
-        }
-        Some(acc.iter().flat_map(|v| v.to_le_bytes()).collect())
-    } else {
-        None
-    };
-    let out = broadcast(comm, 0, reduced)?;
-    let mut cur = out.as_slice();
-    let mut result = Vec::with_capacity(len);
-    for _ in 0..len {
-        result.push(take_u64(&mut cur, "allreduce_sum_u64 result")?);
-    }
-    Ok(result)
+    let what = ["allreduce_sum_u64 contribution", "allreduce_sum_u64 result"];
+    allreduce_sum(comm, mine, u64::to_le_bytes, u64::from_le_bytes, what)
 }
 
-/// All-gather a fixed-size slice of f64 from every rank. Returns the
-/// concatenation in rank order (`size() * mine.len()` values) on all
-/// ranks. Every rank must contribute the same number of values. Used
-/// to share measured per-rank phase times for the load-imbalance
-/// indicator.
+/// All-gather a fixed-size slice of f64 from every rank: the
+/// concatenation in rank order on all ranks. Used to share measured
+/// per-rank phase times for the load-imbalance indicator.
 pub fn allgather_f64<C: Comm>(comm: &C, mine: &[f64]) -> CommResult<Vec<f64>> {
-    let len = mine.len();
-    let bytes: Vec<u8> = mine.iter().flat_map(|v| v.to_le_bytes()).collect();
-    let gathered = gather(comm, 0, bytes)?;
-    let packed = if let Some(bufs) = gathered {
-        let mut out = Vec::with_capacity(comm.size() * len * 8);
-        for b in bufs {
-            if b.len() != len * 8 {
-                return Err(CommError::Malformed {
-                    what: "ragged allgather_f64 contribution",
-                });
-            }
-            out.extend_from_slice(&b);
-        }
-        Some(out)
-    } else {
-        None
-    };
-    let out = broadcast(comm, 0, packed)?;
-    let mut cur = out.as_slice();
-    let mut result = Vec::with_capacity(comm.size() * len);
-    for _ in 0..comm.size() * len {
-        result.push(take_f64(&mut cur, "allgather_f64 result")?);
-    }
-    Ok(result)
+    let what = ["ragged allgather_f64 contribution", "allgather_f64 result"];
+    allgather(comm, mine, f64::to_le_bytes, f64::from_le_bytes, what)
 }
 
 /// All-gather a u64 from every rank (returned in rank order on all
-/// ranks). Used for global particle counts and the load-imbalance
-/// indicator.
+/// ranks). Used for global particle counts and the Reindex scan.
 pub fn allgather_u64<C: Comm>(comm: &C, mine: u64) -> CommResult<Vec<u64>> {
-    let gathered = gather(comm, 0, mine.to_le_bytes().to_vec())?;
-    let packed = if let Some(bufs) = gathered {
-        let mut out = Vec::with_capacity(comm.size() * 8);
-        for b in bufs {
-            if b.len() != 8 {
-                return Err(CommError::Malformed {
-                    what: "allgather_u64 contribution",
-                });
-            }
-            out.extend_from_slice(&b);
-        }
-        Some(out)
-    } else {
-        None
-    };
-    let out = broadcast(comm, 0, packed)?;
-    let mut cur = out.as_slice();
-    let mut result = Vec::with_capacity(comm.size());
-    for _ in 0..comm.size() {
-        result.push(take_u64(&mut cur, "allgather_u64 result")?);
-    }
-    Ok(result)
+    let what = ["allgather_u64 contribution", "allgather_u64 result"];
+    allgather(comm, &[mine], u64::to_le_bytes, u64::from_le_bytes, what)
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 //! live trace: two tenants share the worker pool, an identical
 //! duplicate submission is served from one engine run, and the job
 //! metadata on each report shows who queued how long and who hit the
-//! cache (DESIGN.md §16).
+//! cache (DESIGN.md §14).
 //!
 //! ```bash
 //! cargo run --release --example job_server

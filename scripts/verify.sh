@@ -38,6 +38,28 @@ for setter in $(sed -nE '/^impl RunConfigBuilder \{/,/^\}/s/^    pub fn ([a-z0-9
     fi
 done
 
+echo "== duplicate-window lint (no 8 production lines of >= 200 chars written twice) =="
+# Per file: trim, drop blank and // lines, stop at the first
+# #[cfg(test)]; a window is 8 consecutive remaining lines, its length
+# counted with the 8 newlines.
+find crates/*/src src -name '*.rs' | sort | xargs awk '
+    FNR == 1 { n = 0; skip = 0 }
+    skip { next }
+    { line = $0; gsub(/^[ \t]+|[ \t]+$/, "", line) }
+    line ~ /^#\[cfg\(test\)\]/ { skip = 1; next }
+    line == "" || line ~ /^\/\// { next }
+    {
+        n++; text[n % 8] = line; at[n % 8] = FNR
+        if (n < 8) next
+        w = ""
+        for (i = n - 7; i <= n; i++) w = w text[i % 8] "\n"
+        if (length(w) < 200) next
+        here = FILENAME ":" at[(n - 7) % 8]
+        if (w in first) { print "duplicate window: " first[w] " == " here; dups++ }
+        else first[w] = here
+    }
+    END { if (dups) { print "verify: " dups " duplicated 8-line windows" > "/dev/stderr"; exit 1 } }'
+
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -1,5 +1,5 @@
 //! Regression guard for the pluggable balancing pipeline
-//! (DESIGN.md §15).
+//! (DESIGN.md §13).
 //!
 //! The default mode (paper WLM + unified decomposition) is pinned by
 //! `engine_guard`; these tests pin the two alternative modes. The

@@ -1,7 +1,7 @@
 //! Regression guard for the unified step-pipeline engine.
 //!
 //! The serial/threaded/modelled drivers all execute the one
-//! `StepPipeline`; these tests pin their outputs for a fixed seed to
+//! `run_step`; these tests pin their outputs for a fixed seed to
 //! the exact values the pre-engine (monolithic) drivers produced, so
 //! any refactor that perturbs the phase order, RNG consumption or
 //! exchange semantics shows up as a bitwise difference. The load
@@ -36,7 +36,7 @@ fn threaded_density_is_bitwise_pinned() {
     );
 }
 
-/// The hierarchical exchange (DESIGN.md §14) must be a pure transport
+/// The hierarchical exchange (DESIGN.md §11) must be a pure transport
 /// change: Hier with node grouping and pooled intra-rank workers has to
 /// reproduce the plain distributed run bit for bit. Any RNG draw or
 /// particle reorder smuggled into the exchange shows up here.
@@ -108,12 +108,12 @@ fn serial_and_modelled_drivers_agree_bitwise_on_the_shared_loop() {
     assert_eq!(serial.trace.len(), modelled.trace.len());
 }
 
-/// What the balance hook and the comm tally fill for the *threaded*
-/// driver (`tests/model_guard.rs` pins the modelled one): the canned
+/// What the balance hook and the report's fold of the step events
+/// fill for the *threaded* driver (`tests/model_guard.rs` pins the modelled one): the canned
 /// `jet` on 3 rank threads, paper WLM, threshold 0 at a fixed cadence
 /// `T = 3` — the trigger never depends on measured wall time, so the
 /// run is deterministic. Recorded before the drivers were
-/// consolidated behind one hook and one tally.
+/// consolidated behind one hook and one reporting channel.
 fn balanced_jet(strategy: vmpi::Strategy, decomposition: coupled::Decomposition) -> RunReport {
     let mut run = coupled::scenario::canned("jet")
         .expect("canned scenario lowers")
@@ -126,7 +126,7 @@ fn balanced_jet(strategy: vmpi::Strategy, decomposition: coupled::Decomposition)
         ..balance::RebalanceConfig::default()
     });
     let r = run_threaded(&run);
-    // the per-step comm marks telescope: trace sums are the totals
+    // the report folds the trace: trace sums are the totals
     // (the transaction and byte totals themselves are read off the
     // world-shared counter mid-flight and jitter by a few messages)
     let sum = |f: fn(&coupled::StepTrace) -> u64| r.trace.iter().map(f).sum::<u64>();

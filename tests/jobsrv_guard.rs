@@ -1,4 +1,4 @@
-//! Regression guard for the job server (DESIGN.md §16).
+//! Regression guard for the job server (DESIGN.md §14).
 //!
 //! Two properties are pinned:
 //!

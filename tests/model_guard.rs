@@ -1,4 +1,4 @@
-//! Regression guard for the modelled machine (DESIGN.md §18).
+//! Regression guard for the modelled machine (DESIGN.md §11).
 //!
 //! The cluster model's *decisions* — which rank owns which cell after
 //! every Kuhn–Munkres remap, which exchange strategy `Auto` picks,

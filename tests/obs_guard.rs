@@ -1,4 +1,4 @@
-//! Observability guard (DESIGN.md §11): turning on the metrics
+//! Observability guard (DESIGN.md §10): turning on the metrics
 //! registry and trace sinks must not perturb the physics by a single
 //! bit, and the structured trace must account for the report's
 //! communication totals exactly.
@@ -128,6 +128,7 @@ fn modelled_driver_trace_sums_match_totals() {
         .ranks(4)
         .seed(7)
         .steps(10)
+        .rebalance_every(4)
         .trace(TraceSpec::Memory(mem.clone()))
         .build()
         .unwrap();
@@ -137,6 +138,21 @@ fn modelled_driver_trace_sums_match_totals() {
     let sum_bytes: u64 = report.trace.iter().map(|t| t.bytes).sum();
     assert_eq!(sum_tx, report.transactions);
     assert_eq!(sum_bytes, report.bytes);
+    let sum_uses: [u64; 4] =
+        std::array::from_fn(|s| report.trace.iter().map(|t| t.strategy_uses[s]).sum());
+    assert_eq!(sum_uses, report.strategy_uses);
+    assert!(report.rebalances > 0, "the balancer must fire on the plume");
+    let fired = report.trace.iter().filter(|t| t.rebalanced).count();
+    assert_eq!(fired, report.rebalances);
+    let migrated: u64 = mem
+        .events()
+        .iter()
+        .filter_map(|e| match e {
+            TraceEvent::Rebalance(ev) => Some(ev.migrated),
+            _ => None,
+        })
+        .sum();
+    assert_eq!(migrated, report.rebalance_migrated);
     // exchange events carry the exact protocol prediction here, so
     // they account for the same totals
     let ev_bytes: u64 = mem

@@ -1,4 +1,4 @@
-//! Regression guard for the scenario subsystem (DESIGN.md §17).
+//! Regression guard for the scenario subsystem (DESIGN.md §15).
 //!
 //! Four properties are pinned:
 //!
