@@ -1,15 +1,15 @@
-//! Pluggable per-cell cost sources for the load balancer.
+//! Per-cell cost sources for the load balancer.
 //!
 //! Algorithm 1 originally hard-wired the analytic weighted load model
-//! (eq. 7) as the partitioner's vertex weights. This module turns the
-//! weight computation into a [`CostSource`] implementation so the same
-//! rebalance driver can run on:
+//! (eq. 7) as the partitioner's vertex weights. [`CostSource`] is the
+//! weight computation as a closed choice between the two sources the
+//! rebalance driver runs on:
 //!
-//! * [`PaperWlm`] — the paper's analytic `wlm = N + R·C + W_cell`,
-//!   the default, kept bitwise-identical to the pre-refactor path;
-//! * [`TimerAugmented`] — measured per-phase costs (DSMC move,
-//!   collide/react, PIC move), EWMA-smoothed across rebalance checks
-//!   and distributed over cells by each phase's natural per-cell
+//! * [`CostSource::PaperWlm`] — the paper's analytic
+//!   `wlm = N + R·C + W_cell`, the default;
+//! * [`CostSource::TimerAugmented`] — measured per-phase costs (DSMC
+//!   move, collide/react, PIC move), EWMA-smoothed across rebalance
+//!   checks and distributed over cells by each phase's natural per-cell
 //!   driver, after McDoniel & Bientinesi's timer-augmented cost
 //!   function. The quadratic collision term is what the linear
 //!   analytic model cannot express: a crowded cell selects
@@ -63,62 +63,60 @@ impl CostSourceKind {
     }
 }
 
-/// A strategy for turning per-cell particle counts (and optionally
-/// measured timings) into partitioner vertex weights.
-pub trait CostSource: std::fmt::Debug + Send {
-    /// Stable short name, used in trace events and report tables.
-    fn name(&self) -> &'static str;
+/// How per-cell particle counts (and optionally measured timings)
+/// become partitioner vertex weights: the stateful source behind a
+/// [`CostSourceKind`].
+#[derive(Debug, Clone, Copy)]
+pub enum CostSource {
+    /// The paper's analytic weighted load model (eq. 7):
+    /// `wlm_i = N_i + R·C_i + W_cell`.
+    PaperWlm(WlmParams),
+    /// EWMA-smoothed measured per-phase costs.
+    TimerAugmented(TimerAugmented),
+}
 
-    /// Offer one step's globally-reduced measured costs. Analytic
-    /// sources ignore it; measured sources fold it into their
+impl CostSource {
+    /// The source `kind` selects; `wlm` parameterises the analytic
+    /// model and the timer source's fallback.
+    pub fn new(kind: CostSourceKind, wlm: WlmParams) -> Self {
+        match kind {
+            CostSourceKind::PaperWlm => CostSource::PaperWlm(wlm),
+            CostSourceKind::TimerAugmented => CostSource::TimerAugmented(TimerAugmented::new(wlm)),
+        }
+    }
+
+    /// Offer one step's globally-reduced measured costs. The analytic
+    /// source ignores it; the measured source folds it into its
     /// smoothed state.
-    fn observe(&mut self, sample: &CostSample) {
-        let _ = sample;
+    pub fn observe(&mut self, sample: &CostSample) {
+        if let CostSource::TimerAugmented(timer) = self {
+            timer.observe(sample);
+        }
     }
 
     /// Whether this source wants [`CostSource::observe`] calls — lets
     /// drivers skip gathering timer samples (and keep the default
     /// path's wire traffic untouched) when the source is analytic.
-    fn wants_samples(&self) -> bool {
-        false
+    pub fn wants_samples(&self) -> bool {
+        matches!(self, CostSource::TimerAugmented(_))
     }
 
     /// Per-cell vertex weights for the k-way partitioner.
-    fn cell_weights(&self, neutral: &[u64], charged: &[u64]) -> Vec<i64>;
+    pub fn cell_weights(&self, neutral: &[u64], charged: &[u64]) -> Vec<i64> {
+        match self {
+            CostSource::PaperWlm(params) => weighted_load_model(neutral, charged, *params),
+            CostSource::TimerAugmented(timer) => timer.cell_weights(neutral, charged),
+        }
+    }
 
     /// The smoothed per-unit cost rates in seconds (per neutral move,
-    /// per collision pair, per charged move); zeros for analytic
-    /// sources. Surfaced into `RebalanceEvent` as timing taps.
-    fn cost_rates(&self) -> [f64; 3] {
-        [0.0; 3]
-    }
-
-    /// Clone into a box (object-safe `Clone`).
-    fn clone_box(&self) -> Box<dyn CostSource>;
-}
-
-impl Clone for Box<dyn CostSource> {
-    fn clone(&self) -> Self {
-        self.clone_box()
-    }
-}
-
-/// The paper's analytic weighted load model (eq. 7), bit-for-bit the
-/// pre-refactor weights: `wlm_i = N_i + R·C_i + W_cell`.
-#[derive(Debug, Clone, Copy)]
-pub struct PaperWlm(pub WlmParams);
-
-impl CostSource for PaperWlm {
-    fn name(&self) -> &'static str {
-        CostSourceKind::PaperWlm.name()
-    }
-
-    fn cell_weights(&self, neutral: &[u64], charged: &[u64]) -> Vec<i64> {
-        weighted_load_model(neutral, charged, self.0)
-    }
-
-    fn clone_box(&self) -> Box<dyn CostSource> {
-        Box::new(*self)
+    /// per collision pair, per charged move); zeros for the analytic
+    /// source. Surfaced into `RebalanceEvent` as timing taps.
+    pub fn cost_rates(&self) -> [f64; 3] {
+        match self {
+            CostSource::PaperWlm(_) => [0.0; 3],
+            CostSource::TimerAugmented(timer) => timer.rates.unwrap_or([0.0; 3]),
+        }
     }
 }
 
@@ -146,22 +144,12 @@ pub struct TimerAugmented {
 }
 
 impl TimerAugmented {
-    pub fn new(fallback: WlmParams) -> Self {
+    fn new(fallback: WlmParams) -> Self {
         TimerAugmented {
             alpha: 0.3,
             fallback,
             rates: None,
         }
-    }
-}
-
-impl CostSource for TimerAugmented {
-    fn name(&self) -> &'static str {
-        CostSourceKind::TimerAugmented.name()
-    }
-
-    fn wants_samples(&self) -> bool {
-        true
     }
 
     fn observe(&mut self, sample: &CostSample) {
@@ -209,14 +197,6 @@ impl CostSource for TimerAugmented {
             .map(|&r| (r / max * TIMER_WEIGHT_SCALE).round() as i64 + floor)
             .collect()
     }
-
-    fn cost_rates(&self) -> [f64; 3] {
-        self.rates.unwrap_or([0.0; 3])
-    }
-
-    fn clone_box(&self) -> Box<dyn CostSource> {
-        Box::new(*self)
-    }
 }
 
 #[cfg(test)]
@@ -228,7 +208,7 @@ mod tests {
         let n = [10u64, 0, 3];
         let c = [5u64, 2, 0];
         let params = WlmParams { r: 2, w_cell: 7 };
-        let src = PaperWlm(params);
+        let src = CostSource::PaperWlm(params);
         assert_eq!(
             src.cell_weights(&n, &c),
             weighted_load_model(&n, &c, params)
@@ -240,7 +220,7 @@ mod tests {
     #[test]
     fn timer_falls_back_until_first_sample() {
         let params = WlmParams::default();
-        let src = TimerAugmented::new(params);
+        let src = CostSource::new(CostSourceKind::TimerAugmented, params);
         assert_eq!(
             src.cell_weights(&[5, 0], &[1, 2]),
             weighted_load_model(&[5, 0], &[1, 2], params)
@@ -249,7 +229,7 @@ mod tests {
 
     #[test]
     fn timer_weights_crowded_cells_superlinearly() {
-        let mut src = TimerAugmented::new(WlmParams::default());
+        let mut src = CostSource::new(CostSourceKind::TimerAugmented, WlmParams::default());
         src.observe(&CostSample {
             dsmc_move_seconds: 1.0,
             colli_react_seconds: 4.0,
@@ -271,7 +251,7 @@ mod tests {
 
     #[test]
     fn ewma_smooths_toward_new_samples() {
-        let mut src = TimerAugmented::new(WlmParams::default());
+        let mut src = CostSource::new(CostSourceKind::TimerAugmented, WlmParams::default());
         let sample = |secs: f64| CostSample {
             dsmc_move_seconds: secs,
             neutral_total: 100,
@@ -286,7 +266,10 @@ mod tests {
 
     #[test]
     fn empty_cells_keep_a_movable_weight() {
-        let mut src = TimerAugmented::new(WlmParams { r: 2, w_cell: 3 });
+        let mut src = CostSource::new(
+            CostSourceKind::TimerAugmented,
+            WlmParams { r: 2, w_cell: 3 },
+        );
         src.observe(&CostSample {
             dsmc_move_seconds: 1.0,
             neutral_total: 10,

@@ -6,7 +6,7 @@
 //! re-partitioned with the weighted load model and remapped to ranks
 //! with (optionally) the KM algorithm.
 
-use crate::cost::{CostSample, CostSource, CostSourceKind, PaperWlm, TimerAugmented};
+use crate::cost::{CostSample, CostSource, CostSourceKind};
 use crate::remap::{remap_identity, remap_km};
 use crate::wlm::WlmParams;
 use partition::{part_graph_kway, Graph, KwayOptions};
@@ -66,26 +66,16 @@ pub struct Rebalancer {
     /// Number of re-decompositions performed.
     pub rebalance_count: usize,
     /// The cost source supplying partitioner vertex weights.
-    cost: Box<dyn CostSource>,
+    cost: CostSource,
 }
 
 impl Rebalancer {
     pub fn new(config: RebalanceConfig) -> Self {
-        let cost: Box<dyn CostSource> = match config.cost_source {
-            CostSourceKind::PaperWlm => Box::new(PaperWlm(config.wlm)),
-            CostSourceKind::TimerAugmented => Box::new(TimerAugmented::new(config.wlm)),
-        };
-        Rebalancer::with_cost_source(config, cost)
-    }
-
-    /// Build with a caller-supplied [`CostSource`] — the pluggable
-    /// entry point for sources beyond the two built-in kinds.
-    pub fn with_cost_source(config: RebalanceConfig, cost: Box<dyn CostSource>) -> Self {
         Rebalancer {
             config,
             iterations_since: 0,
             rebalance_count: 0,
-            cost,
+            cost: CostSource::new(config.cost_source, config.wlm),
         }
     }
 
@@ -104,7 +94,7 @@ impl Rebalancer {
 
     /// Stable name of the active cost source.
     pub fn cost_source_name(&self) -> &'static str {
-        self.cost.name()
+        self.config.cost_source.name()
     }
 
     /// Smoothed per-unit cost rates of the active source (zeros for
@@ -140,8 +130,7 @@ impl Rebalancer {
         }
 
         // Algorithm 1 lines 6-11: cost-source vertex weights -> k-way
-        // partition -> KM remap. (PaperWlm reproduces the original
-        // analytic weights bit for bit.)
+        // partition -> KM remap.
         let wlm = self.cost.cell_weights(neutral, charged);
         let graph = Graph::new(xadj.to_vec(), adjncy.to_vec(), wlm);
         let new_part = part_graph_kway(&graph, k, self.config.kway);

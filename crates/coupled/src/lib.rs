@@ -59,7 +59,7 @@ pub mod prelude {
     pub use vmpi::{FaultAction, FaultPlan, Strategy};
 }
 
-pub use balance::{CostSample, CostSource, CostSourceKind};
+pub use balance::{CostSample, CostSourceKind};
 pub use checkpoint::{checkpoint, checkpoint_rank, restore, restore_rank, CheckpointError};
 pub use cluster::{ClusterSim, ModelledBackend};
 pub use config::{

@@ -13,8 +13,5 @@ pub mod react;
 pub use collide::{CollideStats, CollisionEvent, CollisionModel};
 pub use cross::{CrossCollisionModel, CrossStats};
 pub use inject::Injector;
-pub use movepush::{
-    move_particles, move_particles_filtered, move_particles_pooled, move_particles_tracked,
-    MoveStats, Pump, EXITED,
-};
+pub use movepush::{move_particles_pooled, MoveStats, Pump, EXITED};
 pub use react::{ChemistryModel, ReactStats};

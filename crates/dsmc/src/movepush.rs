@@ -46,49 +46,15 @@ pub struct Pump<'a> {
 /// a crossing (avoids re-intersecting the same plane).
 const NUDGE: f64 = 1e-9;
 
-/// Move every particle in `buf` for `dt`, updating positions and cell
-/// ids in place and removing exited particles (order NOT preserved —
-/// removal is swap-based).
-///
-/// `wall_temp` drives diffuse reflection. Deterministic given `rng`.
-pub fn move_particles<R: Rng>(
-    mesh: &TetMesh,
-    buf: &mut ParticleBuffer,
-    species: &SpeciesTable,
-    dt: f64,
-    wall_temp: f64,
-    rng: &mut R,
-) -> MoveStats {
-    move_particles_filtered(mesh, buf, species, dt, wall_temp, rng, |_| true)
-}
-
-/// As [`move_particles`], but only particles whose species id
-/// satisfies `pred` are moved (PIC timesteps move charged particles
-/// only; DSMC timesteps move neutrals — paper §III-B).
-pub fn move_particles_filtered<R: Rng, P: Fn(u8) -> bool>(
-    mesh: &TetMesh,
-    buf: &mut ParticleBuffer,
-    species: &SpeciesTable,
-    dt: f64,
-    wall_temp: f64,
-    rng: &mut R,
-    pred: P,
-) -> MoveStats {
-    move_particles_tracked(mesh, buf, species, dt, wall_temp, rng, pred, None, None)
-}
-
 /// Sentinel `new_cell` value in a transition record meaning "left the
 /// domain".
 pub const EXITED: u32 = u32::MAX;
 
-/// Full-featured mover: as [`move_particles_filtered`], additionally
-/// appending one `(old_cell, new_cell)` record per moved particle to
-/// `transitions` (with `new_cell == EXITED` for particles that left).
-/// The cluster driver uses these records to attribute per-rank work
-/// and to build the migration byte matrix for the exchange cost
-/// model.
+/// The serial body of [`move_particles_pooled`]: walk `buf` in order on
+/// the caller's `rng`, removing exited particles as they leave (order
+/// NOT preserved — removal is swap-based).
 #[allow(clippy::too_many_arguments)]
-pub fn move_particles_tracked<R: Rng, P: Fn(u8) -> bool>(
+fn move_serial<R: Rng, P: Fn(u8) -> bool>(
     mesh: &TetMesh,
     buf: &mut ParticleBuffer,
     species: &SpeciesTable,
@@ -101,33 +67,6 @@ pub fn move_particles_tracked<R: Rng, P: Fn(u8) -> bool>(
 ) -> MoveStats {
     let mut stats = MoveStats::default();
     let nudge_len = mesh.mean_cell_size() * NUDGE;
-
-    // Lane sweep: precompute the straight-line candidate `p + v*dt`
-    // for every particle over the scalar SoA lanes. The expression
-    // `px + vx*dt` is exactly what the no-crossing branch of
-    // `advance_one` evaluates (`r += v * remaining` with
-    // `remaining == dt`), so accepting a candidate is bitwise
-    // identical to the scalar path. The candidates live in three
-    // plain `Vec<f64>` kept in lockstep with `buf` via `swap_remove`.
-    let mut cx: Vec<f64> = buf
-        .px
-        .iter()
-        .zip(&buf.vx)
-        .map(|(&p, &v)| p + v * dt)
-        .collect();
-    let mut cy: Vec<f64> = buf
-        .py
-        .iter()
-        .zip(&buf.vy)
-        .map(|(&p, &v)| p + v * dt)
-        .collect();
-    let mut cz: Vec<f64> = buf
-        .pz
-        .iter()
-        .zip(&buf.vz)
-        .map(|(&p, &v)| p + v * dt)
-        .collect();
-
     let mut i = 0usize;
     while i < buf.len() {
         if !pred(buf.species[i]) {
@@ -135,36 +74,24 @@ pub fn move_particles_tracked<R: Rng, P: Fn(u8) -> bool>(
             continue;
         }
         let old_cell = buf.cell[i];
-        let r = buf.pos(i);
-        let v = buf.vel(i);
-        // One scalar face-crossing test decides fast vs. slow path.
-        let outcome = match first_exit(mesh, old_cell as usize, r, v, dt) {
-            // Common case: no face crossed within dt — accept the
-            // precomputed candidate, velocity and cell unchanged.
-            None => Some((Vec3::new(cx[i], cy[i], cz[i]), v, old_cell)),
-            Some(fx) => advance_one(
-                mesh,
-                species,
-                buf.species[i],
-                dt,
-                wall_temp,
-                nudge_len,
-                rng,
-                r,
-                v,
-                old_cell as usize,
-                &mut stats,
-                fx,
-                pump.as_mut(),
-            ),
-        };
+        let outcome = advance_one(
+            mesh,
+            species,
+            buf.species[i],
+            dt,
+            wall_temp,
+            nudge_len,
+            rng,
+            buf.pos(i),
+            buf.vel(i),
+            old_cell as usize,
+            &mut stats,
+            pump.as_mut(),
+        );
         match outcome {
             None => {
                 // outlet (or inlet, flying backwards): particle left
                 buf.swap_remove(i);
-                cx.swap_remove(i);
-                cy.swap_remove(i);
-                cz.swap_remove(i);
                 if let Some(tr) = transitions.as_deref_mut() {
                     tr.push((old_cell, EXITED));
                 }
@@ -186,12 +113,9 @@ pub fn move_particles_tracked<R: Rng, P: Fn(u8) -> bool>(
 /// Advance a single particle for `dt`: straight flight with face
 /// crossings, diffuse wall reflection, loop capped to guard against
 /// degenerate geometry. Returns the final `(pos, vel, cell)` or
-/// `None` if the particle left the domain.
-///
-/// `first` is the caller's already-computed `first_exit` result for
-/// the initial `(cell, r, v, dt)` state — the caller tests it to
-/// route no-crossing particles down the lane-sweep fast path, so this
-/// slow path consumes it instead of re-intersecting.
+/// `None` if the particle left the domain. A particle that crosses no
+/// face lands on `r + v * dt` in the first iteration, cell and velocity
+/// untouched.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn advance_one<R: Rng>(
@@ -206,21 +130,15 @@ fn advance_one<R: Rng>(
     mut v: Vec3,
     mut cell: usize,
     stats: &mut MoveStats,
-    first: (f64, usize),
     mut pump: Option<&mut Pump<'_>>,
 ) -> Option<(Vec3, Vec3, u32)> {
     let mut remaining = dt;
-    let mut first = Some(first);
     // A particle can cross many faces per step; cap the loop.
     for _ in 0..10_000 {
         if remaining <= 0.0 {
             break;
         }
-        let exit = match first.take() {
-            Some(fx) => Some(fx),
-            None => first_exit(mesh, cell, r, v, remaining),
-        };
-        match exit {
+        match first_exit(mesh, cell, r, v, remaining) {
             None => {
                 r += v * remaining;
                 remaining = 0.0;
@@ -273,7 +191,16 @@ fn advance_one<R: Rng>(
     Some((r, v, cell as u32))
 }
 
-/// Chunked parallel mover. Particles are partitioned into one
+/// Move every particle of `buf` whose species id satisfies `pred` for
+/// `dt` (DSMC timesteps move neutrals, PIC timesteps charged particles
+/// — paper §III-B), updating positions, velocities and cell ids in
+/// place and removing the particles that left. `wall_temp` drives the
+/// diffuse reflection. Each moved particle appends one
+/// `(old_cell, new_cell)` record to `transitions` (`new_cell ==
+/// EXITED` if it left), from which the cluster driver attributes
+/// per-rank work and builds the migration byte matrix.
+///
+/// Particles are partitioned into one
 /// contiguous chunk per pool worker; each chunk walks its particles
 /// with an independent RNG stream forked off one draw from `rng`
 /// (wall reflections therefore differ from the serial path, exactly
@@ -281,8 +208,8 @@ fn advance_one<R: Rng>(
 /// Exited particles are marked per-chunk and removed in a single
 /// order-preserving compaction afterwards.
 ///
-/// With a serial pool this delegates to [`move_particles_tracked`]
-/// with the caller's `rng` — bit-identical to the serial kernel.
+/// With a serial pool the particles are walked in order on the
+/// caller's `rng` and exited ones are swap-removed as they leave.
 #[allow(clippy::too_many_arguments)]
 pub fn move_particles_pooled<R: Rng, P: Fn(u8) -> bool + Sync>(
     mesh: &TetMesh,
@@ -297,7 +224,7 @@ pub fn move_particles_pooled<R: Rng, P: Fn(u8) -> bool + Sync>(
     mut pump: Option<Pump<'_>>,
 ) -> MoveStats {
     if pool.is_serial() || buf.len() < 2 {
-        return move_particles_tracked(
+        return move_serial(
             mesh,
             buf,
             species,
@@ -358,49 +285,26 @@ pub fn move_particles_pooled<R: Rng, P: Fn(u8) -> bool + Sync>(
         let mut stats = MoveStats::default();
         let mut exited: Vec<u32> = Vec::new();
         let mut trans: Vec<(u32, u32)> = Vec::new();
-        // Per-chunk straight-line candidate sweep (see the serial
-        // mover for the bitwise-identity argument).
-        let cx: Vec<f64> = px
-            .iter()
-            .zip(vx.iter())
-            .map(|(&p, &v)| p + v * dt)
-            .collect();
-        let cy: Vec<f64> = py
-            .iter()
-            .zip(vy.iter())
-            .map(|(&p, &v)| p + v * dt)
-            .collect();
-        let cz: Vec<f64> = pz
-            .iter()
-            .zip(vz.iter())
-            .map(|(&p, &v)| p + v * dt)
-            .collect();
         for k in 0..px.len() {
             let gi = off + k;
             if !pred(species_arr[gi]) {
                 continue;
             }
             let old_cell = cell[k];
-            let r = Vec3::new(px[k], py[k], pz[k]);
-            let v = Vec3::new(vx[k], vy[k], vz[k]);
-            let outcome = match first_exit(mesh, old_cell as usize, r, v, dt) {
-                None => Some((Vec3::new(cx[k], cy[k], cz[k]), v, old_cell)),
-                Some(fx) => advance_one(
-                    mesh,
-                    species,
-                    species_arr[gi],
-                    dt,
-                    wall_temp,
-                    nudge_len,
-                    &mut rng,
-                    r,
-                    v,
-                    old_cell as usize,
-                    &mut stats,
-                    fx,
-                    chunk_pump.as_mut(),
-                ),
-            };
+            let outcome = advance_one(
+                mesh,
+                species,
+                species_arr[gi],
+                dt,
+                wall_temp,
+                nudge_len,
+                &mut rng,
+                Vec3::new(px[k], py[k], pz[k]),
+                Vec3::new(vx[k], vy[k], vz[k]),
+                old_cell as usize,
+                &mut stats,
+                chunk_pump.as_mut(),
+            );
             match outcome {
                 None => {
                     exited.push(gi as u32);
@@ -462,6 +366,19 @@ mod tests {
         (m, table)
     }
 
+    /// Move every particle on the serial pool (the in-order walk on the
+    /// caller's `rng`), no pump, no transition log.
+    fn move_all(
+        m: &TetMesh,
+        buf: &mut ParticleBuffer,
+        sp: &SpeciesTable,
+        dt: f64,
+        rng: &mut StdRng,
+    ) -> MoveStats {
+        let pool = Pool::serial();
+        move_particles_pooled(m, buf, sp, dt, 300.0, rng, &pool, |_| true, None, None)
+    }
+
     fn particle_at(m: &TetMesh, cell: usize, vel: Vec3) -> Particle {
         Particle {
             pos: m.centroids[cell],
@@ -479,7 +396,7 @@ mod tests {
         let mut buf = ParticleBuffer::new();
         buf.push(particle_at(&m, 0, Vec3::ZERO));
         let before = buf.get(0);
-        let stats = move_particles(&m, &mut buf, &sp, 1e-6, 300.0, &mut rng);
+        let stats = move_all(&m, &mut buf, &sp, 1e-6, &mut rng);
         assert_eq!(stats, MoveStats::default());
         assert_eq!(buf.get(0), before);
     }
@@ -492,11 +409,16 @@ mod tests {
         let cell = m.num_cells() / 2;
         let v = Vec3::new(0.0, 0.0, 1.0); // 1 m/s: moves 1e-9 m in 1 ns
         buf.push(particle_at(&m, cell, v));
-        move_particles(&m, &mut buf, &sp, 1e-9, 300.0, &mut rng);
+        let stats = move_all(&m, &mut buf, &sp, 1e-9, &mut rng);
         let p = buf.get(0);
         assert_eq!(p.cell as usize, cell);
         assert!((p.pos.z - (m.centroids[cell].z + 1e-9)).abs() < 1e-15);
         assert!(m.contains(cell, p.pos, 1e-9));
+        // no face crossed: the flight is exactly `p + v·dt`, bit for bit
+        assert_eq!(stats, MoveStats::default());
+        let bits = |a: Vec3| [a.x, a.y, a.z].map(f64::to_bits);
+        assert_eq!(bits(p.pos), bits(m.centroids[cell] + v * 1e-9));
+        assert_eq!(bits(p.vel), bits(v));
     }
 
     #[test]
@@ -507,7 +429,7 @@ mod tests {
         // near-axis cell, huge +z velocity: must fly out the outlet
         let cell = mesh::locate::locate_brute(&m, Vec3::new(0.0012, 0.0012, 0.001)).unwrap();
         buf.push(particle_at(&m, cell, Vec3::new(0.0, 0.0, 1e6)));
-        let stats = move_particles(&m, &mut buf, &sp, 1e-3, 300.0, &mut rng);
+        let stats = move_all(&m, &mut buf, &sp, 1e-3, &mut rng);
         assert_eq!(stats.exited, 1);
         assert!(buf.is_empty());
         assert!(stats.crossings > 1);
@@ -521,7 +443,7 @@ mod tests {
         // radial velocity towards the cylinder wall from mid-domain
         let cell = mesh::locate::locate_brute(&m, Vec3::new(0.0012, 0.0, 0.01)).unwrap();
         buf.push(particle_at(&m, cell, Vec3::new(5e4, 0.0, 0.0)));
-        let stats = move_particles(&m, &mut buf, &sp, 2e-7, 300.0, &mut rng);
+        let stats = move_all(&m, &mut buf, &sp, 2e-7, &mut rng);
         assert!(stats.wall_hits >= 1, "{stats:?}");
         assert_eq!(buf.len(), 1);
         let p = buf.get(0);
@@ -548,7 +470,7 @@ mod tests {
             );
             buf.push(particle_at(&m, cell, v));
         }
-        move_particles(&m, &mut buf, &sp, 2e-7, 300.0, &mut rng);
+        move_all(&m, &mut buf, &sp, 2e-7, &mut rng);
         for p in buf.iter() {
             assert!(
                 m.contains(p.cell as usize, p.pos, 1e-5),
@@ -578,7 +500,7 @@ mod tests {
         };
         let mut serial = make();
         let mut rng = StdRng::seed_from_u64(7);
-        let s_serial = move_particles(&m, &mut serial, &sp, 2e-8, 300.0, &mut rng);
+        let s_serial = move_all(&m, &mut serial, &sp, 2e-8, &mut rng);
         assert_eq!(s_serial.wall_hits, 0, "test premise: no RNG used");
         assert_eq!(s_serial.exited, 0);
         for workers in [2usize, 4, 7] {
@@ -591,7 +513,7 @@ mod tests {
                 2e-8,
                 300.0,
                 &mut rng,
-                &kernels::Pool::new(workers),
+                &Pool::new(workers),
                 |_| true,
                 None,
                 None,
@@ -601,42 +523,6 @@ mod tests {
             for i in 0..par.len() {
                 assert_eq!(par.get(i), serial.get(i), "workers={workers} i={i}");
             }
-        }
-    }
-
-    #[test]
-    fn pooled_serial_pool_is_bit_identical_path() {
-        let (m, sp) = setup();
-        let mut a = ParticleBuffer::new();
-        let mut b = ParticleBuffer::new();
-        for k in 0..60 {
-            let cell = (k * 31) % m.num_cells();
-            let p = particle_at(&m, cell, Vec3::new(4e4, 1e3, 2e3));
-            a.push(p);
-            b.push(p);
-        }
-        let mut rng_a = StdRng::seed_from_u64(11);
-        let mut rng_b = StdRng::seed_from_u64(11);
-        let sa = move_particles(&m, &mut a, &sp, 2e-7, 300.0, &mut rng_a);
-        let sb = move_particles_pooled(
-            &m,
-            &mut b,
-            &sp,
-            2e-7,
-            300.0,
-            &mut rng_b,
-            &kernels::Pool::serial(),
-            |_| true,
-            None,
-            None,
-        );
-        assert_eq!(sa, sb);
-        assert_eq!(
-            rng_a, rng_b,
-            "serial pool must consume the caller RNG identically"
-        );
-        for i in 0..a.len() {
-            assert_eq!(a.get(i), b.get(i));
         }
     }
 
@@ -666,7 +552,7 @@ mod tests {
             1e-3,
             300.0,
             &mut rng,
-            &kernels::Pool::new(4),
+            &Pool::new(4),
             |_| true,
             Some(&mut transitions),
             None,
@@ -696,13 +582,14 @@ mod tests {
         // radial velocity towards the cylinder wall from mid-domain
         let cell = mesh::locate::locate_brute(&m, Vec3::new(0.0012, 0.0, 0.01)).unwrap();
         buf.push(particle_at(&m, cell, Vec3::new(5e4, 0.0, 0.0)));
-        let stats = move_particles_tracked(
+        let stats = move_particles_pooled(
             &m,
             &mut buf,
             &sp,
             2e-7,
             300.0,
             &mut rng,
+            &Pool::serial(),
             |_| true,
             None,
             Some(Pump {
@@ -730,7 +617,7 @@ mod tests {
                 buf.push(p);
             }
         };
-        let run = |pump_on: bool, pool: &kernels::Pool| {
+        let run = |pump_on: bool, pool: &Pool| {
             let mut buf = ParticleBuffer::new();
             fill(&mut buf);
             let mut rng = StdRng::seed_from_u64(21);
@@ -753,7 +640,7 @@ mod tests {
             );
             (buf, stats, rng)
         };
-        for pool in [kernels::Pool::serial(), kernels::Pool::new(3)] {
+        for pool in [Pool::serial(), Pool::new(3)] {
             let (a, sa, rng_a) = run(false, &pool);
             let (b, sb, rng_b) = run(true, &pool);
             assert!(sa.wall_hits > 0, "test premise: walls were hit");
@@ -780,13 +667,14 @@ mod tests {
             }
             let mut rng = StdRng::seed_from_u64(31);
             let mut pump_rng = StdRng::seed_from_u64(seed);
-            let stats = move_particles_tracked(
+            let stats = move_particles_pooled(
                 &m,
                 &mut buf,
                 &sp,
                 4e-7,
                 300.0,
                 &mut rng,
+                &Pool::serial(),
                 |_| true,
                 None,
                 Some(Pump {
@@ -815,7 +703,7 @@ mod tests {
         let cell = mesh::locate::locate_brute(&m, Vec3::new(0.0, 0.0012, 0.005)).unwrap();
         let v = Vec3::new(0.0, 0.0, 9e3);
         buf.push(particle_at(&m, cell, v));
-        let stats = move_particles(&m, &mut buf, &sp, 1e-7, 300.0, &mut rng);
+        let stats = move_all(&m, &mut buf, &sp, 1e-7, &mut rng);
         assert_eq!(stats.wall_hits, 0);
         // velocity unchanged by pure advection
         assert_eq!(buf.get(0).vel, v);

@@ -198,18 +198,6 @@ impl JobHandle {
         st.jobs[&self.id.0].fanout.subscribe()
     }
 
-    /// The stamped report if the job already finished: `Some(Ok)` when
-    /// done, `Some(Err)` when failed, `None` while queued or running.
-    pub fn try_result(&self) -> Option<Result<Arc<RunReport>, JobError>> {
-        let st = self.shared.state.lock().unwrap();
-        let job = &st.jobs[&self.id.0];
-        match &job.status {
-            JobStatus::Done { .. } => Some(Ok(job.result.clone().expect("done job has report"))),
-            JobStatus::Failed { error } => Some(Err(JobError(error.clone()))),
-            _ => None,
-        }
-    }
-
     /// Block until the job reaches a terminal state and return its
     /// stamped report (or failure).
     pub fn wait(&self) -> Result<Arc<RunReport>, JobError> {

@@ -1,11 +1,10 @@
 //! Structure-of-arrays particle storage.
 //!
-//! Hot loops (move, collide, deposit, push) stream over one *scalar*
-//! field at a time: positions and velocities are stored as six
-//! independent `Vec<f64>` lanes (`px/py/pz`, `vx/vy/vz`), not as
-//! `Vec<Vec3>`. Interleaving x/y/z at stride 3 defeats
-//! autovectorization; with scalar lanes a sweep like
-//! `px[i] += vx[i] * dt` compiles to packed SIMD adds. The [`Particle`]
+//! Positions and velocities are stored as six independent `Vec<f64>`
+//! lanes (`px/py/pz`, `vx/vy/vz`), not as `Vec<Vec3>`: collide gathers
+//! one cell's velocity lanes, the emigrant pack streams one field at a
+//! time, and the pooled kernels carve exactly the lanes they write
+//! into disjoint per-worker chunks. The [`Particle`]
 //! value type remains the API boundary (and it keeps the per-particle
 //! wire format explicit — see [`crate::pack`]).
 

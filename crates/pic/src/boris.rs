@@ -36,101 +36,12 @@ pub fn boris_push(v: Vec3, e: Vec3, b: Vec3, qm: f64, dt: f64) -> Vec3 {
     v_plus + half_kick
 }
 
-/// Branch-free electrostatic Boris sweep over gathered scalar lanes:
-/// `v ← (v + h) + h` per component with per-particle half-kick
-/// `h = E·(q/m)(Δt/2)`. With `B = 0` the rotation is the identity and
-/// the update is fully componentwise, so each lane is an independent
-/// autovectorizable sweep — bitwise identical to [`boris_push`] with
-/// `b = Vec3::ZERO`, entry by entry.
-pub fn kick_lanes_electrostatic(v: [&mut [f64]; 3], h: [&[f64]; 3]) {
-    for (vl, hl) in v.into_iter().zip(h) {
-        for (vk, &hk) in vl.iter_mut().zip(hl) {
-            *vk = (*vk + hk) + hk;
-        }
-    }
-}
-
-/// Magnetized Boris sweep over gathered scalar lanes: half kick,
-/// rotation about uniform `b`, half kick. `f[k]` is the per-particle
-/// factor `(q/m)(Δt/2)` (it scales both the half-kick, already folded
-/// into `h`, and the rotation vector `t = B·f`). Every expression
-/// mirrors [`boris_push`] componentwise, so the sweep is bitwise
-/// identical to calling it per particle.
-#[allow(clippy::too_many_arguments)]
-pub fn kick_lanes_magnetized(
-    vx: &mut [f64],
-    vy: &mut [f64],
-    vz: &mut [f64],
-    hx: &[f64],
-    hy: &[f64],
-    hz: &[f64],
-    f: &[f64],
-    b: Vec3,
-) {
-    for k in 0..vx.len() {
-        // v⁻ = v + h
-        let vmx = vx[k] + hx[k];
-        let vmy = vy[k] + hy[k];
-        let vmz = vz[k] + hz[k];
-        // t = B·f, s = 2t/(1+|t|²)
-        let tx = b.x * f[k];
-        let ty = b.y * f[k];
-        let tz = b.z * f[k];
-        let sf = 2.0 / (1.0 + (tx * tx + ty * ty + tz * tz));
-        let sx = tx * sf;
-        let sy = ty * sf;
-        let sz = tz * sf;
-        // v′ = v⁻ + v⁻ × t
-        let vpx = vmx + (vmy * tz - vmz * ty);
-        let vpy = vmy + (vmz * tx - vmx * tz);
-        let vpz = vmz + (vmx * ty - vmy * tx);
-        // v⁺ = v⁻ + v′ × s, then the second half kick
-        vx[k] = (vmx + (vpy * sz - vpz * sy)) + hx[k];
-        vy[k] = (vmy + (vpz * sx - vpx * sz)) + hy[k];
-        vz[k] = (vmz + (vpx * sy - vpy * sx)) + hz[k];
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use particles::{MASS_H, QE};
 
     const QM: f64 = QE / MASS_H;
-
-    #[test]
-    fn lane_sweeps_match_scalar_push_bitwise() {
-        let n = 23usize;
-        let dt = 1e-7;
-        let mk = |k: usize, a: f64, c: f64| (k as f64 * a - c).sin() * 1e4;
-        let vx: Vec<f64> = (0..n).map(|k| mk(k, 1.3, 0.2)).collect();
-        let vy: Vec<f64> = (0..n).map(|k| mk(k, 0.7, 1.1)).collect();
-        let vz: Vec<f64> = (0..n).map(|k| mk(k, 2.1, 0.5)).collect();
-        // per-particle q/m (as if species differed) and E field
-        let qm: Vec<f64> = (0..n).map(|k| QM * (1.0 + (k % 3) as f64)).collect();
-        let e: Vec<Vec3> = (0..n)
-            .map(|k| Vec3::new(mk(k, 0.3, 2.0), mk(k, 1.9, 0.1), mk(k, 0.9, 0.9)) * 1e-2)
-            .collect();
-        // the factors exactly as the push kernel builds them
-        let f: Vec<f64> = (0..n).map(|k| qm[k] * dt * 0.5).collect();
-        let hx: Vec<f64> = (0..n).map(|k| e[k].x * f[k]).collect();
-        let hy: Vec<f64> = (0..n).map(|k| e[k].y * f[k]).collect();
-        let hz: Vec<f64> = (0..n).map(|k| e[k].z * f[k]).collect();
-        for b in [Vec3::ZERO, Vec3::new(0.02, -0.01, 0.005)] {
-            let (mut sx, mut sy, mut sz) = (vx.clone(), vy.clone(), vz.clone());
-            if b.norm2() == 0.0 {
-                kick_lanes_electrostatic([&mut sx, &mut sy, &mut sz], [&hx, &hy, &hz]);
-            } else {
-                kick_lanes_magnetized(&mut sx, &mut sy, &mut sz, &hx, &hy, &hz, &f, b);
-            }
-            for k in 0..n {
-                let want = boris_push(Vec3::new(vx[k], vy[k], vz[k]), e[k], b, qm[k], dt);
-                assert_eq!(sx[k].to_bits(), want.x.to_bits(), "k={k} b={b:?}");
-                assert_eq!(sy[k].to_bits(), want.y.to_bits(), "k={k} b={b:?}");
-                assert_eq!(sz[k].to_bits(), want.z.to_bits(), "k={k} b={b:?}");
-            }
-        }
-    }
 
     #[test]
     fn zero_field_is_identity() {

@@ -8,50 +8,27 @@
 
 use kernels::Pool;
 use mesh::NestedMesh;
-use particles::{ParticleBuffer, SpeciesTable};
+use particles::{ParticleBuffer, Species, SpeciesTable};
 
 /// Find the fine child cell of `coarse_cell` containing `pos`.
 /// Falls back to the child with the largest minimum barycentric
 /// weight (robust to roundoff on child faces).
 pub fn fine_cell_of(nm: &NestedMesh, coarse_cell: usize, pos: mesh::Vec3) -> usize {
-    let mut best = nm.children[coarse_cell][0] as usize;
-    let mut best_min = f64::NEG_INFINITY;
-    for &f in &nm.children[coarse_cell] {
-        let w = nm.fine.bary(f as usize, pos);
-        let wmin = w.iter().copied().fold(f64::INFINITY, f64::min);
-        if wmin > best_min {
-            best_min = wmin;
-            best = f as usize;
-        }
-    }
-    best
+    fine_cell_with_bary(nm, coarse_cell, pos).0
 }
 
 /// As [`fine_cell_of`], but also returning the winning barycentric
 /// weights: the search evaluates `bary` for every child anyway, so
-/// keeping the winner's weights spares the caller a second full
+/// keeping the winner's weights spares the deposit a second full
 /// evaluation (`bary` is pure, so the saved weights are bitwise the
 /// ones a recompute would produce).
-pub fn fine_cell_with_bary(
-    nm: &NestedMesh,
-    coarse_cell: usize,
-    pos: mesh::Vec3,
-) -> (usize, [f64; 4]) {
-    fine_cell_with_bary_in(&nm.fine, &nm.children[coarse_cell], pos)
-}
-
-/// [`fine_cell_with_bary`] over an already-fetched child list — the
-/// cell-blocked deposit hoists `nm.children[coarse]` once per block.
-fn fine_cell_with_bary_in(
-    fine: &mesh::TetMesh,
-    children: &[u32],
-    pos: mesh::Vec3,
-) -> (usize, [f64; 4]) {
+fn fine_cell_with_bary(nm: &NestedMesh, coarse_cell: usize, pos: mesh::Vec3) -> (usize, [f64; 4]) {
+    let children = &nm.children[coarse_cell];
     let mut best = children[0] as usize;
     let mut best_min = f64::NEG_INFINITY;
     let mut best_w: Option<[f64; 4]> = None;
     for &f in children {
-        let w = fine.bary(f as usize, pos);
+        let w = nm.fine.bary(f as usize, pos);
         let wmin = w.iter().copied().fold(f64::INFINITY, f64::min);
         if wmin > best_min {
             best_min = wmin;
@@ -59,29 +36,23 @@ fn fine_cell_with_bary_in(
             best_w = Some(w);
         }
     }
-    // all-NaN weights never update best_w; mirror the old two-call
-    // behavior (bary of children[0]) in that degenerate case
-    let w = best_w.unwrap_or_else(|| fine.bary(best, pos));
+    // all-NaN weights never update best_w: the winner is children[0]
+    let w = best_w.unwrap_or_else(|| nm.fine.bary(best, pos));
     (best, w)
 }
 
-/// Per-species deposit tables indexed by species id: `charged[s]` and
-/// the deposited macro-charge `q[s] = charge·weight` — hoists the
-/// per-particle `species.get()` lookup and `is_charged` branch out of
-/// the deposit loop.
-fn charge_tables(species: &SpeciesTable) -> (Vec<bool>, Vec<f64>) {
-    let mut charged = Vec::new();
-    let mut qw = Vec::new();
-    for (id, sp) in species.iter() {
-        let id = id as usize;
-        if charged.len() <= id {
-            charged.resize(id + 1, false);
-            qw.resize(id + 1, 0.0);
-        }
-        charged[id] = sp.is_charged();
-        qw[id] = sp.charge * sp.weight;
-    }
-    (charged, qw)
+/// Per-species table indexed by species id: `Some(value(species))` for
+/// a charged species, `None` for a neutral one — one lookup in the
+/// deposit and push loops answers both "is it charged" and "what is
+/// its factor".
+pub(crate) fn charged_table(
+    species: &SpeciesTable,
+    value: impl Fn(&Species) -> f64,
+) -> Vec<Option<f64>> {
+    species
+        .iter()
+        .map(|(_, sp)| sp.is_charged().then(|| value(sp)))
+        .collect()
 }
 
 /// Deposit all charged particles of `buf` onto the fine-grid nodes.
@@ -93,62 +64,42 @@ pub fn deposit_charge(nm: &NestedMesh, buf: &ParticleBuffer, species: &SpeciesTa
     node_charge
 }
 
-/// As [`deposit_charge`] but accumulating into an existing array
-/// (callers zero it when appropriate; ranks accumulate their local
-/// particles and then sum boundary nodes across ranks).
-///
-/// Cache-blocked: particles are walked in runs of equal coarse cell
-/// (the engine's counting sort makes these runs long) with the child
-/// list hoisted once per run. Accumulation stays in particle order,
-/// so the result is bitwise identical to the naive loop — unsorted
-/// buffers just degrade to runs of length 1.
-pub fn deposit_charge_into(
+/// The serial body of [`deposit_charge_pooled`]: accumulate into an
+/// existing array (callers zero it when appropriate; ranks accumulate
+/// their local particles and then sum boundary nodes across ranks).
+fn deposit_charge_into(
     nm: &NestedMesh,
     buf: &ParticleBuffer,
     species: &SpeciesTable,
     node_charge: &mut [f64],
 ) {
-    assert_eq!(node_charge.len(), nm.fine.num_nodes());
-    let (charged, qw) = charge_tables(species);
-    deposit_run(nm, buf, &charged, &qw, 0..buf.len(), &mut |node, dq| {
+    let qw = charged_table(species, |sp| sp.charge * sp.weight);
+    deposit_run(nm, buf, &qw, 0..buf.len(), &mut |node, dq| {
         node_charge[node as usize] += dq;
     });
 }
 
-/// Walk the particles of `range` cell-major and feed every
-/// `(node, Δq)` contribution to `emit` in particle order. Shared core
-/// of the serial deposit (which accumulates directly) and the pooled
-/// one (which logs for ordered replay).
+/// Feed the `(node, Δq)` contributions of the charged particles of
+/// `range` to `emit` in particle order; `qw` is the per-species
+/// deposited macro-charge `charge·weight`. Shared core of the serial
+/// deposit (which accumulates directly) and the pooled one (which
+/// logs for ordered replay).
 fn deposit_run(
     nm: &NestedMesh,
     buf: &ParticleBuffer,
-    charged: &[bool],
-    qw: &[f64],
+    qw: &[Option<f64>],
     range: std::ops::Range<usize>,
     emit: &mut impl FnMut(u32, f64),
 ) {
-    let mut i = range.start;
-    while i < range.end {
-        let coarse = buf.cell[i] as usize;
-        // extend the run of particles sharing this coarse cell
-        let mut j = i + 1;
-        while j < range.end && buf.cell[j] as usize == coarse {
-            j += 1;
+    for k in range {
+        let Some(q) = qw[buf.species[k] as usize] else {
+            continue;
+        };
+        let (fc, w) = fine_cell_with_bary(nm, buf.cell[k] as usize, buf.pos(k));
+        let tet = nm.fine.tets[fc];
+        for m in 0..4 {
+            emit(tet[m], q * w[m]);
         }
-        let children = &nm.children[coarse];
-        for k in i..j {
-            let s = buf.species[k] as usize;
-            if !charged[s] {
-                continue;
-            }
-            let q = qw[s];
-            let (fc, w) = fine_cell_with_bary_in(&nm.fine, children, buf.pos(k));
-            let tet = nm.fine.tets[fc];
-            for m in 0..4 {
-                emit(tet[m], q * w[m]);
-            }
-        }
-        i = j;
     }
 }
 
@@ -157,7 +108,7 @@ fn deposit_run(
 /// cell search and barycentric weights), then the caller thread
 /// replays the logs in particle order. The accumulation order is
 /// therefore exactly the serial loop's order, making the result
-/// **bitwise identical to [`deposit_charge_into`] for every worker
+/// **bitwise identical to [`deposit_charge`] for every worker
 /// count** — no f64 atomics, no per-worker grid copies to reduce.
 pub fn deposit_charge_pooled(
     nm: &NestedMesh,
@@ -170,12 +121,11 @@ pub fn deposit_charge_pooled(
     if pool.is_serial() || buf.len() < 2 {
         return deposit_charge_into(nm, buf, species, node_charge);
     }
-    let (charged, qw) = charge_tables(species);
-    let (charged, qw) = (&charged, &qw);
+    let qw = &charged_table(species, |sp| sp.charge * sp.weight);
     let ranges = kernels::chunk_ranges(buf.len(), pool.workers());
     let logs: Vec<Vec<(u32, f64)>> = pool.run_parts(ranges, |_, rg| {
         let mut log: Vec<(u32, f64)> = Vec::with_capacity(rg.len() * 4);
-        deposit_run(nm, buf, charged, qw, rg, &mut |node, dq| {
+        deposit_run(nm, buf, qw, rg, &mut |node, dq| {
             log.push((node, dq));
         });
         log
@@ -264,12 +214,18 @@ mod tests {
                 id: k,
             });
         }
-        let serial = deposit_charge(&nm, &buf, &table);
-        for workers in [1usize, 2, 4, 8] {
-            let mut pooled = vec![0.0; nm.fine.num_nodes()];
-            deposit_charge_pooled(&nm, &buf, &table, &mut pooled, &kernels::Pool::new(workers));
-            for (s, p) in serial.iter().zip(&pooled) {
-                assert_eq!(s.to_bits(), p.to_bits(), "workers={workers}");
+        // interleaved cells as built, then the same particles cell-sorted
+        let mut sorted = buf.clone();
+        sorted.sort_by_cell(nm.num_coarse(), &mut particles::SortScratch::default());
+        assert!(sorted.cell.windows(2).all(|w| w[0] <= w[1]));
+        for buf in [&buf, &sorted] {
+            let serial = deposit_charge(&nm, buf, &table);
+            for workers in [1usize, 2, 4, 8] {
+                let mut pooled = vec![0.0; nm.fine.num_nodes()];
+                deposit_charge_pooled(&nm, buf, &table, &mut pooled, &Pool::new(workers));
+                for (s, p) in serial.iter().zip(&pooled) {
+                    assert_eq!(s.to_bits(), p.to_bits(), "workers={workers}");
+                }
             }
         }
     }

@@ -1,46 +1,28 @@
 //! The velocity half of *PIC_Move*: gather the electric field at each
 //! charged particle and apply the Boris kick. Position advance (with
 //! cell tracking, walls and outflow) is shared with DSMC via
-//! `dsmc::move_particles_filtered`.
+//! `dsmc::move_particles_pooled`.
 
-use crate::boris::{kick_lanes_electrostatic, kick_lanes_magnetized};
+use crate::boris::boris_push;
+use crate::deposit::charged_table;
 use crate::field::ElectricField;
 use kernels::Pool;
 use mesh::{NestedMesh, Vec3};
 use particles::{ParticleBuffer, SpeciesTable};
 
-/// Per-species push tables: `charged[s]` and the Boris half-kick
-/// factor `(q/m)·Δt/2`, indexed by species id — hoists the
-/// per-particle `species.get()` lookup and `is_charged` branch out of
-/// the hot loop. The factor is built with the exact expression the
-/// scalar pusher evaluated (`(charge/mass) * dt * 0.5`).
-fn kick_tables(species: &SpeciesTable, dt: f64) -> (Vec<bool>, Vec<f64>) {
-    let mut charged = Vec::new();
-    let mut half = Vec::new();
-    for (id, sp) in species.iter() {
-        let id = id as usize;
-        if charged.len() <= id {
-            charged.resize(id + 1, false);
-            half.resize(id + 1, 0.0);
-        }
-        charged[id] = sp.is_charged();
-        half[id] = sp.charge / sp.mass * dt * 0.5;
-    }
-    (charged, half)
-}
-
-/// Gather the charged particles of `idx_range` into dense lanes,
-/// run the branch-free Boris sweep, scatter the results back.
-/// `vx/vy/vz` are the velocity lanes being updated (chunk or whole
-/// buffer), indexed chunk-locally; shared lanes are indexed globally
-/// via `off`. Returns the number of particles kicked.
+/// Kick every charged particle of one chunk in place: gather `E` at
+/// the particle, write [`boris_push`] back. `qm` is the per-species
+/// `q/m` table (`None` for neutrals, which stay bit-for-bit
+/// untouched). `vx/vy/vz` are the velocity lanes being updated (chunk
+/// or whole buffer), indexed chunk-locally; shared lanes are indexed
+/// globally via `off`. Returns the number of particles kicked.
 #[allow(clippy::too_many_arguments)]
 fn kick_chunk(
     nm: &NestedMesh,
     efield: &ElectricField,
     b: Vec3,
-    charged: &[bool],
-    half: &[f64],
+    qm: &[Option<f64>],
+    dt: f64,
     off: usize,
     vx: &mut [f64],
     vy: &mut [f64],
@@ -51,43 +33,18 @@ fn kick_chunk(
     cell: &[u32],
     spec: &[u8],
 ) -> usize {
-    let n = vx.len();
-    let mut idx: Vec<u32> = Vec::new();
-    let (mut gvx, mut gvy, mut gvz) = (Vec::new(), Vec::new(), Vec::new());
-    let (mut hx, mut hy, mut hz) = (Vec::new(), Vec::new(), Vec::new());
-    let mut f: Vec<f64> = Vec::new();
-    for k in 0..n {
+    let mut kicked = 0;
+    for k in 0..vx.len() {
         let gi = off + k;
-        let s = spec[gi] as usize;
-        if !charged[s] {
+        let Some(qm) = qm[spec[gi] as usize] else {
             continue;
-        }
-        // field gather stays scalar: it searches the nested mesh
+        };
         let e = efield.at(nm, cell[gi] as usize, Vec3::new(px[gi], py[gi], pz[gi]));
-        let fs = half[s];
-        idx.push(k as u32);
-        gvx.push(vx[k]);
-        gvy.push(vy[k]);
-        gvz.push(vz[k]);
-        hx.push(e.x * fs);
-        hy.push(e.y * fs);
-        hz.push(e.z * fs);
-        f.push(fs);
+        let v = boris_push(Vec3::new(vx[k], vy[k], vz[k]), e, b, qm, dt);
+        (vx[k], vy[k], vz[k]) = (v.x, v.y, v.z);
+        kicked += 1;
     }
-    // `b` is uniform, so the zero test is hoisted out of the loop;
-    // neutrals were never gathered, so they stay bit-for-bit untouched
-    if b.norm2() == 0.0 {
-        kick_lanes_electrostatic([&mut gvx, &mut gvy, &mut gvz], [&hx, &hy, &hz]);
-    } else {
-        kick_lanes_magnetized(&mut gvx, &mut gvy, &mut gvz, &hx, &hy, &hz, &f, b);
-    }
-    for (j, &k) in idx.iter().enumerate() {
-        let k = k as usize;
-        vx[k] = gvx[j];
-        vy[k] = gvy[j];
-        vz[k] = gvz[j];
-    }
-    idx.len()
+    kicked
 }
 
 /// Apply one Boris velocity update to every charged particle using
@@ -101,7 +58,7 @@ pub fn accelerate_charged(
     b: Vec3,
     dt: f64,
 ) -> usize {
-    let (charged, half) = kick_tables(species, dt);
+    let qm = charged_table(species, |sp| sp.charge / sp.mass);
     let ParticleBuffer {
         px,
         py,
@@ -114,7 +71,7 @@ pub fn accelerate_charged(
         ..
     } = buf;
     kick_chunk(
-        nm, efield, b, &charged, &half, 0, vx, vy, vz, px, py, pz, cell, spec,
+        nm, efield, b, &qm, dt, 0, vx, vy, vz, px, py, pz, cell, spec,
     )
 }
 
@@ -138,7 +95,7 @@ pub fn accelerate_charged_pooled(
     if pool.is_serial() || buf.len() < 2 {
         return accelerate_charged(nm, buf, species, efield, b, dt);
     }
-    let (charged, half) = kick_tables(species, dt);
+    let qm = &charged_table(species, |sp| sp.charge / sp.mass);
     let ranges = kernels::chunk_ranges(buf.len(), pool.workers());
     let vxc = kernels::carve_mut(&ranges, &mut buf.vx);
     let vyc = kernels::carve_mut(&ranges, &mut buf.vy);
@@ -152,10 +109,9 @@ pub fn accelerate_charged_pooled(
         parts.push((off, cvx, cvy, cvz));
         off += len;
     }
-    let (charged, half) = (&charged, &half);
     pool.run_parts(parts, |_, (off, vx, vy, vz)| {
         kick_chunk(
-            nm, efield, b, charged, half, off, vx, vy, vz, px, py, pz, cell, spec,
+            nm, efield, b, qm, dt, off, vx, vy, vz, px, py, pz, cell, spec,
         )
     })
     .into_iter()
@@ -227,23 +183,39 @@ mod tests {
             .map(|p| -500.0 * p.z + 200.0 * p.x)
             .collect();
         let ef = ElectricField::from_potential(&nm.fine, &phi);
-        let b = Vec3::new(0.0, 0.01, 0.0);
-        let mut serial = make();
-        let kicked_serial = accelerate_charged(&nm, &mut serial, &table, &ef, b, 1e-7);
-        for workers in [2usize, 4, 8] {
-            let mut par = make();
-            let kicked = accelerate_charged_pooled(
-                &nm,
-                &mut par,
-                &table,
-                &ef,
-                b,
-                1e-7,
-                &kernels::Pool::new(workers),
-            );
-            assert_eq!(kicked, kicked_serial);
-            for i in 0..serial.len() {
-                assert_eq!(serial.vel(i), par.vel(i), "workers={workers}");
+        let dt = 1e-7;
+        for b in [Vec3::ZERO, Vec3::new(0.0, 0.01, 0.0)] {
+            // scalar oracle: the kick is `boris_push` on the gathered
+            // field, neutrals bit-for-bit untouched
+            let before = make();
+            let want: Vec<Vec3> = (0..before.len())
+                .map(|i| match table.get(before.species[i]) {
+                    sp if sp.is_charged() => {
+                        let e = ef.at(&nm, before.cell[i] as usize, before.pos(i));
+                        boris_push(before.vel(i), e, b, sp.charge / sp.mass, dt)
+                    }
+                    _ => before.vel(i),
+                })
+                .collect();
+            let check = |kicked: usize, got: &ParticleBuffer, who: &str| {
+                assert_eq!(kicked, 225, "{who}");
+                for (i, w) in want.iter().enumerate() {
+                    let got = [got.vx[i], got.vy[i], got.vz[i]].map(f64::to_bits);
+                    assert_eq!(
+                        got,
+                        [w.x, w.y, w.z].map(f64::to_bits),
+                        "{who} i={i} b={b:?}"
+                    );
+                }
+            };
+            let mut serial = make();
+            let kicked = accelerate_charged(&nm, &mut serial, &table, &ef, b, dt);
+            check(kicked, &serial, "serial");
+            for workers in [1usize, 2, 4] {
+                let mut par = make();
+                let pool = Pool::new(workers);
+                let kicked = accelerate_charged_pooled(&nm, &mut par, &table, &ef, b, dt, &pool);
+                check(kicked, &par, &format!("workers={workers}"));
             }
         }
     }

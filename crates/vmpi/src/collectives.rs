@@ -145,6 +145,10 @@ pub fn allreduce_sum_f64<C: Comm>(comm: &C, mine: &[f64]) -> CommResult<Vec<f64>
 /// a faster peer posted for a *later* protocol phase.
 const ALLTOALL_MAGIC: u8 = 0xA2;
 
+/// Bytes of one [`alltoall_u64`] value frame, `[magic][epoch][value]`
+/// — what [`crate::traffic_all`] prices a sparse count message at.
+pub(crate) const ALLTOALL_FRAME: usize = 1 + 8 + 8;
+
 /// Probe one queued frame from `src` and keep it only if `accept`
 /// likes its header bytes. A frame that fails the predicate is
 /// returned to the front of `src`'s queue with [`Comm::pushback`] —
@@ -192,7 +196,7 @@ pub fn alltoall_u64<C: Comm>(comm: &C, mine: &[u64]) -> CommResult<Vec<u64>> {
     let epoch = comm.next_epoch();
     for (d, &v) in mine.iter().enumerate() {
         if d != me && v != 0 {
-            let mut frame = Vec::with_capacity(17);
+            let mut frame = Vec::with_capacity(ALLTOALL_FRAME);
             frame.push(ALLTOALL_MAGIC);
             frame.extend_from_slice(&epoch.to_le_bytes());
             frame.extend_from_slice(&v.to_le_bytes());
@@ -210,7 +214,9 @@ pub fn alltoall_u64<C: Comm>(comm: &C, mine: &[u64]) -> CommResult<Vec<u64>> {
         // at most one acceptable frame per source this round; per-pair
         // FIFO puts it ahead of anything the source posted afterwards
         let mine_this_round = |hdr: &[u8]| {
-            hdr.len() == 17 && hdr[0] == ALLTOALL_MAGIC && hdr[1..9] == epoch.to_le_bytes()
+            hdr.len() == ALLTOALL_FRAME
+                && hdr[0] == ALLTOALL_MAGIC
+                && hdr[1..9] == epoch.to_le_bytes()
         };
         if let Some(frame) = drain_tagged(comm, s, mine_this_round)? {
             *slot = take_u64(&mut &frame[9..], "alltoall_u64 value")?;

@@ -49,7 +49,7 @@
 //! [`CommError`] instead of a panic, so the coupled driver can tear
 //! the world down and restart from a checkpoint.
 
-use crate::collectives::{alltoall_u64, drain_tagged};
+use crate::collectives::{alltoall_u64, drain_tagged, ALLTOALL_FRAME};
 use crate::comm::Comm;
 use crate::error::{take_u32, take_u64, CommError, CommResult};
 
@@ -240,8 +240,18 @@ pub fn exchange_on_nodes<C: Comm>(
     incoming[me].extend_from_slice(&outgoing[me]);
     match strategy {
         Strategy::Centralized => exchange_centralized_into(comm, outgoing, incoming),
-        Strategy::Distributed => exchange_distributed_into(comm, outgoing, incoming),
-        Strategy::Sparse => exchange_sparse_into(comm, outgoing, incoming),
+        Strategy::Distributed => exchange_ordered_into(comm, outgoing, incoming, None),
+        Strategy::Sparse => {
+            // the counts round tells every rank which peers hold
+            // payload for it
+            let counts: Vec<u64> = outgoing
+                .iter()
+                .enumerate()
+                .map(|(d, b)| if d == me { 0 } else { b.len() as u64 })
+                .collect();
+            let expect = alltoall_u64(comm, &counts)?;
+            exchange_ordered_into(comm, outgoing, incoming, Some(&expect))
+        }
         Strategy::Hier => exchange_hier(comm, nodes, outgoing, incoming),
         Strategy::Auto => Err(CommError::AutoUnresolved),
     }
@@ -254,27 +264,73 @@ const HIER_INTRA: u8 = 0xE1;
 const HIER_TRUNK: u8 = 0xE2;
 const HIER_SCATTER: u8 = 0xE3;
 
-/// Walk `(src u32, dst u32, len u64, payload)` groups packed
-/// back-to-back in `cur`.
-fn for_each_group<'a>(
-    mut cur: &'a [u8],
-    n: usize,
-    mut f: impl FnMut(usize, usize, &'a [u8]) -> CommResult<()>,
-) -> CommResult<()> {
-    while !cur.is_empty() {
-        let src = take_u32(&mut cur, "hier group src")? as usize;
-        let dst = take_u32(&mut cur, "hier group dst")? as usize;
-        let len = take_u64(&mut cur, "hier group length")? as usize;
-        if src >= n || dst >= n || cur.len() < len {
-            return Err(CommError::Malformed {
-                what: "hier group body",
-            });
-        }
-        let (payload, rest) = cur.split_at(len);
-        cur = rest;
-        f(src, dst, payload)?;
+/// Header bytes of a frame that carries only its phase magic (the
+/// hierarchical trunk and scatter frames).
+const TAG_HEADER: u64 = 1;
+/// Header bytes of a hierarchical intra frame: the magic and the `u64`
+/// length of the direct payload (funneled groups follow it).
+const INTRA_HEADER: u64 = TAG_HEADER + 8;
+
+/// Header bytes of a *group* — one payload inside a larger frame,
+/// prefixed by `ids` little-endian `u32` rank ids and its `u64` length.
+const fn group_header(ids: usize) -> u64 {
+    4 * ids as u64 + 8
+}
+/// `(who, len)`: the centralized gather/scatter groups and the
+/// hierarchical scatter bundles name the one rank the frame does not.
+const ADDRESSED_HEADER: u64 = group_header(1);
+/// `(src, dst, len)`: the hierarchical funnel and trunk groups.
+const ROUTED_HEADER: u64 = group_header(2);
+
+/// What a group's fields are called in [`CommError::Malformed`].
+struct GroupNames<const K: usize> {
+    ids: [&'static str; K],
+    length: &'static str,
+    body: &'static str,
+}
+const HIER_GROUP: GroupNames<2> = GroupNames {
+    ids: ["hier group src", "hier group dst"],
+    length: "hier group length",
+    body: "hier group body",
+};
+const HIER_BUNDLE: GroupNames<1> = GroupNames {
+    ids: ["hier scatter src"],
+    length: "hier scatter length",
+    body: "hier scatter body",
+};
+const CENTRALIZED_GROUP: GroupNames<1> = GroupNames {
+    ids: ["centralized group header"],
+    length: "centralized group length",
+    body: "centralized group body",
+};
+
+/// Append one group to `buf`.
+fn put_group<const K: usize>(buf: &mut Vec<u8>, ids: [usize; K], payload: &[u8]) {
+    for id in ids {
+        buf.extend_from_slice(&(id as u32).to_le_bytes());
     }
-    Ok(())
+    buf.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    buf.extend_from_slice(payload);
+}
+
+/// Split the group [`put_group`] wrote off the front of `cur`; every
+/// id must be a rank of the `n`-rank world.
+fn take_group<'a, const K: usize>(
+    cur: &mut &'a [u8],
+    n: usize,
+    what: &GroupNames<K>,
+) -> CommResult<([usize; K], &'a [u8])> {
+    let mut ids = [0usize; K];
+    for (id, what) in ids.iter_mut().zip(what.ids) {
+        *id = take_u32(cur, what)? as usize;
+    }
+    let len = take_u64(cur, what.length)? as usize;
+    if ids.iter().any(|&id| id >= n) || cur.len() < len {
+        return Err(CommError::Malformed { what: what.body });
+    }
+    let (payload, rest) = cur.split_at(len);
+    *cur = rest;
+    Ok((ids, payload))
 }
 
 /// The three-phase hierarchical protocol (assumes the caller already
@@ -312,10 +368,7 @@ fn exchange_hier<C: Comm>(
     let mut funnel = Vec::new();
     for (dst, payload) in outgoing.iter().enumerate() {
         if dst != me && nodes.node_of(dst) != my_node && !payload.is_empty() {
-            funnel.extend_from_slice(&(me as u32).to_le_bytes());
-            funnel.extend_from_slice(&(dst as u32).to_le_bytes());
-            funnel.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            funnel.extend_from_slice(payload);
+            put_group(&mut funnel, [me, dst], payload);
         }
     }
     for q in nodes.members(my_node) {
@@ -327,7 +380,7 @@ fn exchange_hier<C: Comm>(
         if intra.is_empty() && tail.is_empty() {
             continue;
         }
-        let mut frame = Vec::with_capacity(9 + intra.len() + tail.len());
+        let mut frame = Vec::with_capacity(INTRA_HEADER as usize + intra.len() + tail.len());
         frame.push(HIER_INTRA);
         frame.extend_from_slice(&(intra.len() as u64).to_le_bytes());
         frame.extend_from_slice(intra);
@@ -339,21 +392,18 @@ fn exchange_hier<C: Comm>(
     // drain phase 1: everyone collects intra payloads; leaders also
     // bucket the funneled groups by destination node
     let mut trunk: Vec<Vec<u8>> = vec![Vec::new(); nodes.nodes()];
-    let bucket = |groups: &[u8], trunk: &mut Vec<Vec<u8>>| {
-        for_each_group(groups, n, |src, dst, payload| {
+    let bucket = |mut groups: &[u8], trunk: &mut Vec<Vec<u8>>| {
+        while !groups.is_empty() {
+            let ([src, dst], payload) = take_group(&mut groups, n, &HIER_GROUP)?;
             let to = nodes.node_of(dst);
             if to == my_node {
                 return Err(CommError::Malformed {
                     what: "hier funnel group already intra-node",
                 });
             }
-            let t = &mut trunk[to];
-            t.extend_from_slice(&(src as u32).to_le_bytes());
-            t.extend_from_slice(&(dst as u32).to_le_bytes());
-            t.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            t.extend_from_slice(payload);
-            Ok(())
-        })
+            put_group(&mut trunk[to], [src, dst], payload);
+        }
+        Ok(())
     };
     if me == my_leader && !funnel.is_empty() {
         bucket(&funnel, &mut trunk)?;
@@ -384,7 +434,7 @@ fn exchange_hier<C: Comm>(
             if b == my_node || groups.is_empty() {
                 continue;
             }
-            let mut frame = Vec::with_capacity(1 + groups.len());
+            let mut frame = Vec::with_capacity(TAG_HEADER as usize + groups.len());
             frame.push(HIER_TRUNK);
             frame.extend_from_slice(groups);
             comm.send(nodes.leader(b), frame)?;
@@ -402,7 +452,9 @@ fn exchange_hier<C: Comm>(
             }
             let lb = nodes.leader(b);
             if let Some(frame) = drain_tagged(comm, lb, |h| h.first() == Some(&HIER_TRUNK))? {
-                for_each_group(&frame[1..], n, |src, dst, payload| {
+                let mut cur = &frame[1..];
+                while !cur.is_empty() {
+                    let ([src, dst], payload) = take_group(&mut cur, n, &HIER_GROUP)?;
                     if nodes.node_of(dst) != my_node {
                         return Err(CommError::Malformed {
                             what: "hier trunk group for another node",
@@ -411,20 +463,16 @@ fn exchange_hier<C: Comm>(
                     if dst == me {
                         incoming[src].extend_from_slice(payload);
                     } else {
-                        let s = &mut scatter[dst];
-                        s.extend_from_slice(&(src as u32).to_le_bytes());
-                        s.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-                        s.extend_from_slice(payload);
+                        put_group(&mut scatter[dst], [src], payload);
                     }
-                    Ok(())
-                })?;
+                }
             }
         }
         for (q, bundles) in scatter.iter().enumerate() {
             if bundles.is_empty() {
                 continue;
             }
-            let mut frame = Vec::with_capacity(1 + bundles.len());
+            let mut frame = Vec::with_capacity(TAG_HEADER as usize + bundles.len());
             frame.push(HIER_SCATTER);
             frame.extend_from_slice(bundles);
             comm.send(q, frame)?;
@@ -437,15 +485,7 @@ fn exchange_hier<C: Comm>(
         if let Some(frame) = drain_tagged(comm, my_leader, |h| h.first() == Some(&HIER_SCATTER))? {
             let mut cur = &frame[1..];
             while !cur.is_empty() {
-                let src = take_u32(&mut cur, "hier scatter src")? as usize;
-                let len = take_u64(&mut cur, "hier scatter length")? as usize;
-                if src >= n || cur.len() < len {
-                    return Err(CommError::Malformed {
-                        what: "hier scatter body",
-                    });
-                }
-                let (payload, rest) = cur.split_at(len);
-                cur = rest;
+                let ([src], payload) = take_group(&mut cur, n, &HIER_BUNDLE)?;
                 incoming[src].extend_from_slice(payload);
             }
         }
@@ -456,75 +496,46 @@ fn exchange_hier<C: Comm>(
     Ok(())
 }
 
-/// Distributed strategy: all-pairs, two rounds, paper ordering.
+/// The paper's two-round ordered schedule, shared by Distributed
+/// (`expect` is `None`: every ordered pair exchanges one message) and
+/// Sparse (`expect[src]` is the byte count the counts round announced:
+/// every zero pair is skipped on both sides — the counts are symmetric
+/// knowledge, so the schedule stays deadlock-free).
 // index loops: the loop variable is the peer rank of an ordered
 // schedule, and the iteration bounds (`0..me`, `me+1..n`, reversed)
 // are the deadlock-freedom argument — keep them explicit
 #[allow(clippy::needless_range_loop)]
-fn exchange_distributed_into<C: Comm>(
+fn exchange_ordered_into<C: Comm>(
     comm: &C,
-    outgoing: &mut [Vec<u8>],
+    outgoing: &[Vec<u8>],
     incoming: &mut [Vec<u8>],
+    expect: Option<&[u64]>,
 ) -> CommResult<()> {
     let me = comm.rank();
     let n = comm.size();
+    let recv = |src: usize, incoming: &mut [Vec<u8>]| match expect {
+        Some(expect) if expect[src] == 0 => Ok(()),
+        _ => comm.recv_into(src, &mut incoming[src]),
+    };
+    let send = |dst: usize| match expect {
+        Some(_) if outgoing[dst].is_empty() => Ok(()),
+        _ => comm.send_from(dst, &outgoing[dst]),
+    };
     // Round 1: receive from every lower rank (ascending), then send to
     // every higher rank (ascending).
     for src in 0..me {
-        comm.recv_into(src, &mut incoming[src])?;
+        recv(src, incoming)?;
     }
     for dst in me + 1..n {
-        comm.send_from(dst, &outgoing[dst])?;
+        send(dst)?;
     }
     // Round 2: receive from every higher rank (descending), then send
     // to every lower rank (descending).
     for src in (me + 1..n).rev() {
-        comm.recv_into(src, &mut incoming[src])?;
+        recv(src, incoming)?;
     }
     for dst in (0..me).rev() {
-        comm.send_from(dst, &outgoing[dst])?;
-    }
-    Ok(())
-}
-
-/// Sparse strategy: a counts round tells every rank which peers hold
-/// payload for it, then the distributed two-round ordered schedule
-/// runs with every zero pair skipped on both sides (the counts are
-/// symmetric knowledge, so the schedule stays deadlock-free).
-// index loops: see exchange_distributed_into — same ordered schedule
-#[allow(clippy::needless_range_loop)]
-fn exchange_sparse_into<C: Comm>(
-    comm: &C,
-    outgoing: &mut [Vec<u8>],
-    incoming: &mut [Vec<u8>],
-) -> CommResult<()> {
-    let me = comm.rank();
-    let n = comm.size();
-    let counts: Vec<u64> = outgoing
-        .iter()
-        .enumerate()
-        .map(|(d, b)| if d == me { 0 } else { b.len() as u64 })
-        .collect();
-    let expect = alltoall_u64(comm, &counts)?;
-    for src in 0..me {
-        if expect[src] > 0 {
-            comm.recv_into(src, &mut incoming[src])?;
-        }
-    }
-    for dst in me + 1..n {
-        if !outgoing[dst].is_empty() {
-            comm.send_from(dst, &outgoing[dst])?;
-        }
-    }
-    for src in (me + 1..n).rev() {
-        if expect[src] > 0 {
-            comm.recv_into(src, &mut incoming[src])?;
-        }
-    }
-    for dst in (0..me).rev() {
-        if !outgoing[dst].is_empty() {
-            comm.send_from(dst, &outgoing[dst])?;
-        }
+        send(dst)?;
     }
     Ok(())
 }
@@ -542,32 +553,6 @@ fn exchange_centralized_into<C: Comm>(
     let me = comm.rank();
     let n = comm.size();
 
-    // pack (dst, payload) groups into one message, skipping self
-    let pack = |outgoing: &[Vec<u8>], me: usize, buf: &mut Vec<u8>| {
-        for (dst, payload) in outgoing.iter().enumerate() {
-            if dst == me || payload.is_empty() {
-                continue;
-            }
-            buf.extend_from_slice(&(dst as u32).to_le_bytes());
-            buf.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            buf.extend_from_slice(payload);
-        }
-    };
-
-    // split a (dst|src, len, payload) frame off the front of `cur`
-    fn take_group<'a>(cur: &mut &'a [u8], n: usize) -> CommResult<(usize, &'a [u8])> {
-        let who = take_u32(cur, "centralized group header")? as usize;
-        let len = take_u64(cur, "centralized group length")? as usize;
-        if who >= n || cur.len() < len {
-            return Err(CommError::Malformed {
-                what: "centralized group body",
-            });
-        }
-        let (payload, rest) = cur.split_at(len);
-        *cur = rest;
-        Ok((who, payload))
-    }
-
     if me == ROOT {
         // --- gather stage -------------------------------------------
         let mut gathered: Vec<Vec<u8>> = Vec::with_capacity(n);
@@ -576,17 +561,17 @@ fn exchange_centralized_into<C: Comm>(
             gathered.push(comm.recv(src)?);
         }
         // --- classify stage: borrowed (src, payload-slice) refs -----
-        let mut classified: Vec<Vec<(u32, &[u8])>> = vec![Vec::new(); n];
+        let mut classified: Vec<Vec<(usize, &[u8])>> = vec![Vec::new(); n];
         for (dst, payload) in outgoing.iter().enumerate() {
             if dst != ROOT && !payload.is_empty() {
-                classified[dst].push((ROOT as u32, payload.as_slice()));
+                classified[dst].push((ROOT, payload.as_slice()));
             }
         }
         for (src, buf) in gathered.iter().enumerate().skip(1) {
             let mut cur = buf.as_slice();
             while !cur.is_empty() {
-                let (dst, payload) = take_group(&mut cur, n)?;
-                classified[dst].push((src as u32, payload));
+                let ([dst], payload) = take_group(&mut cur, n, &CENTRALIZED_GROUP)?;
+                classified[dst].push((src, payload));
             }
         }
         // --- scatter stage: one copy per payload --------------------
@@ -594,26 +579,29 @@ fn exchange_centralized_into<C: Comm>(
         for (dst, groups) in classified.iter().enumerate() {
             if dst == ROOT {
                 for &(src, payload) in groups {
-                    incoming[src as usize].extend_from_slice(payload);
+                    incoming[src].extend_from_slice(payload);
                 }
             } else {
                 scatter.clear();
                 for &(src, payload) in groups {
-                    scatter.extend_from_slice(&src.to_le_bytes());
-                    scatter.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-                    scatter.extend_from_slice(payload);
+                    put_group(&mut scatter, [src], payload);
                 }
                 comm.send_from(dst, &scatter)?;
             }
         }
     } else {
+        // one message of (dst, payload) groups, skipping self
         let mut msg = Vec::new();
-        pack(outgoing, me, &mut msg);
+        for (dst, payload) in outgoing.iter().enumerate() {
+            if dst != me && !payload.is_empty() {
+                put_group(&mut msg, [dst], payload);
+            }
+        }
         comm.send(ROOT, msg)?;
         let buf = comm.recv(ROOT)?;
         let mut cur = buf.as_slice();
         while !cur.is_empty() {
-            let (src, payload) = take_group(&mut cur, n)?;
+            let ([src], payload) = take_group(&mut cur, n, &CENTRALIZED_GROUP)?;
             incoming[src].extend_from_slice(payload);
         }
     }
@@ -732,19 +720,21 @@ pub fn traffic(strategy: Strategy, matrix: &[Vec<u64>]) -> TrafficSummary {
 /// synchronization, not transactions):
 ///
 /// * **Centralized**: N−1 gathers + N−1 scatters through rank 0; a
-///   pair's payload and its 12-byte `(who, len)` group header cross
-///   the wire once per hop — twice unless source or destination is the
-///   root itself.
+///   pair's payload and its `(who, len)` group header cross the wire
+///   once per hop — twice unless source or destination is the root
+///   itself.
 /// * **Distributed**: every ordered pair exchanges exactly one
 ///   message; bytes move once.
-/// * **Sparse**: per nonzero pair one 17-byte tagged count frame (the
-///   sparse alltoall — zero entries cost no message) + one payload
-///   message.
-/// * **Hier** (grouped by `nodes`): phase-1 frames are `1 + 8 + intra`
-///   plus, toward the leader, `16 + payload` per funneled group;
-///   phase-2 trunk frames are `1` plus the aggregated groups of the
-///   node pair; phase-3 scatter frames are `1` plus `12 + payload` per
-///   bundle.
+/// * **Sparse**: per nonzero pair one tagged count frame (the sparse
+///   alltoall — zero entries cost no message) + one payload message.
+/// * **Hier** (grouped by `nodes`): phase-1 frames are the intra
+///   header and the direct payload plus, toward the leader, one routed
+///   group per funneled payload; phase-2 trunk frames are the magic
+///   plus the aggregated routed groups of the node pair; phase-3
+///   scatter frames are the magic plus one addressed group per bundle.
+///
+/// The header sizes are the constants the wire code above writes its
+/// frames by.
 pub fn traffic_all(nodes: &NodeMap, flows: &Flows) -> [TrafficSummary; 4] {
     let n = nodes.len();
     let nn = nodes.nodes();
@@ -790,28 +780,28 @@ pub fn traffic_all(nodes: &NodeMap, flows: &Flows) -> [TrafficSummary; 4] {
             rank_bytes[r] += b;
             rank_pairs[r] += 1;
         }
-        root_bytes += (12 + b) * (u64::from(s != 0) + u64::from(d != 0));
+        root_bytes += (ADDRESSED_HEADER + b) * (u64::from(s != 0) + u64::from(d != 0));
 
         let (from, to) = (nodes.node_of(s), nodes.node_of(d));
         let leader = nodes.leader(from);
         if from != to {
             if s != leader {
-                up[s] += 16 + b;
+                up[s] += ROUTED_HEADER + b;
             }
-            trunk[from * nn + to] += 16 + b;
+            trunk[from * nn + to] += ROUTED_HEADER + b;
             if d != nodes.leader(to) {
-                scatter[d] += 12 + b;
+                scatter[d] += ADDRESSED_HEADER + b;
             }
         } else if d == leader {
             up[s] += b;
         } else {
-            frame(s, d, 9 + b);
+            frame(s, d, INTRA_HEADER + b);
         }
     }
     // phase 1 toward the leader: one frame if there is anything to carry
     for (s, &bytes) in up.iter().enumerate() {
         if bytes > 0 {
-            frame(s, nodes.leader(nodes.node_of(s)), 9 + bytes);
+            frame(s, nodes.leader(nodes.node_of(s)), INTRA_HEADER + bytes);
         }
     }
     // phase 2: one frame per active ordered node pair
@@ -819,14 +809,18 @@ pub fn traffic_all(nodes: &NodeMap, flows: &Flows) -> [TrafficSummary; 4] {
     for (at, &groups) in trunk.iter().enumerate() {
         if groups > 0 {
             node_pairs += 1;
-            aggregated_bytes += 1 + groups;
-            frame(nodes.leader(at / nn), nodes.leader(at % nn), 1 + groups);
+            aggregated_bytes += TAG_HEADER + groups;
+            frame(
+                nodes.leader(at / nn),
+                nodes.leader(at % nn),
+                TAG_HEADER + groups,
+            );
         }
     }
     // phase 3: one frame per member with inbound inter-node bundles
     for (q, &bundles) in scatter.iter().enumerate() {
         if bundles > 0 {
-            frame(nodes.leader(nodes.node_of(q)), q, 1 + bundles);
+            frame(nodes.leader(nodes.node_of(q)), q, TAG_HEADER + bundles);
         }
     }
     hier.max_rank_bytes = hier_bytes.iter().copied().max().unwrap_or(0);
@@ -852,6 +846,7 @@ pub fn traffic_all(nodes: &NodeMap, flows: &Flows) -> [TrafficSummary; 4] {
             .unwrap_or(0)
     };
     let max_pairs = rank_pairs.iter().copied().max().unwrap_or(0);
+    let count_frame = ALLTOALL_FRAME as u64;
     [
         // the root is the serial bottleneck: everything passes through it
         TrafficSummary {
@@ -867,8 +862,8 @@ pub fn traffic_all(nodes: &NodeMap, flows: &Flows) -> [TrafficSummary; 4] {
         ),
         flat(
             2 * nonzero_pairs,
-            off_diag + 17 * nonzero_pairs,
-            busiest(17),
+            off_diag + count_frame * nonzero_pairs,
+            busiest(count_frame),
             2 * max_pairs,
             2,
         ),

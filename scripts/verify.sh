@@ -38,6 +38,21 @@ for setter in $(sed -nE '/^impl RunConfigBuilder \{/,/^\}/s/^    pub fn ([a-z0-9
     fi
 done
 
+echo "== uncalled-API lint (every pub fn outside crates/bench is named somewhere besides its definition) =="
+# A name counts as used when it occurs as a word on a non-comment line
+# of the workspace, the tests, the examples or the benchmark, the
+# `pub fn NAME` of its own definition aside.
+uncalled=$(comm -23 \
+    <(find crates/*/src -name '*.rs' -not -path 'crates/bench/*' |
+        xargs sed -nE 's/^\s*pub fn ([A-Za-z0-9_]+).*/\1/p' | sort -u) \
+    <(find crates src tests examples bench_ledger/src -name '*.rs' | xargs cat |
+        grep -vE '^\s*//' | sed -E 's/\bpub fn [A-Za-z0-9_]+//' |
+        grep -oE '[A-Za-z_][A-Za-z0-9_]*' | sort -u))
+if [ -n "$uncalled" ]; then
+    echo "verify: pub fn with no caller (an API nobody calls is deleted, not kept):" $uncalled >&2
+    exit 1
+fi
+
 echo "== duplicate-window lint (no 8 production lines of >= 200 chars written twice) =="
 # Per file: trim, drop blank and // lines, stop at the first
 # #[cfg(test)]; a window is 8 consecutive remaining lines, its length
