@@ -264,13 +264,8 @@ pub fn lii_trajectory(
 
 /// Human label for a strategy.
 pub fn strat_name(s: Strategy) -> &'static str {
-    match s {
-        Strategy::Distributed => "DC",
-        Strategy::Centralized => "CC",
-        Strategy::Sparse => "Sparse",
-        Strategy::Hier => "Hier",
-        Strategy::Auto => "Auto",
-    }
+    s.concrete_index()
+        .map_or("Auto", |i| obs::STRATEGY_NAMES[i])
 }
 
 #[cfg(test)]

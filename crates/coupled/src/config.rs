@@ -251,7 +251,8 @@ pub enum FaultPolicy {
     RestartFromCheckpoint,
 }
 
-/// Why a [`RunConfigBuilder`] rejected its inputs.
+/// Why [`RunConfig::validate`] rejected a configuration. Variants that
+/// cover several fields carry the offending field's name.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConfigError {
     /// `ranks` was 0 — every run needs at least one rank.
@@ -270,6 +271,21 @@ pub enum ConfigError {
     /// `sim.pump_prob` was set outside `[0, 1]` (or non-finite); it is
     /// a survival probability.
     InvalidPumpProb,
+    /// A length, scaling factor, temperature or timestep (`radius`,
+    /// `length`, `inlet_radius`, `weight_h`, `weight_hplus`,
+    /// `t_inject`, `t_wall`, `dt_dsmc`) was not a positive finite
+    /// number.
+    NotPositive(&'static str),
+    /// The injection flux would be negative: `density_h`,
+    /// `density_hplus` or `v_drift` was below zero (or non-finite).
+    NegativeFlux(&'static str),
+    /// The nozzle lattice was smaller than `nd = 2` by `nz = 1`.
+    DegenerateMesh,
+    /// `nozzle.inlet_radius` exceeded `nozzle.radius`.
+    InletExceedsRadius,
+    /// `sim.pic_per_dsmc` (`R`) was 0 — the PIC phases run at least
+    /// once per DSMC step.
+    ZeroPicPerDsmc,
 }
 
 impl std::fmt::Display for ConfigError {
@@ -288,6 +304,24 @@ impl std::fmt::Display for ConfigError {
             }
             ConfigError::InvalidPumpProb => {
                 write!(f, "pump_prob must lie in [0, 1]")
+            }
+            ConfigError::NotPositive(field) => {
+                write!(f, "{field} must be a positive finite number")
+            }
+            ConfigError::NegativeFlux(field) => {
+                write!(
+                    f,
+                    "negative injection flux: {field} must be finite and >= 0"
+                )
+            }
+            ConfigError::DegenerateMesh => {
+                write!(f, "the mesh needs nd >= 2 and nz >= 1")
+            }
+            ConfigError::InletExceedsRadius => {
+                write!(f, "inlet_radius must not exceed radius")
+            }
+            ConfigError::ZeroPicPerDsmc => {
+                write!(f, "pic_per_dsmc must be >= 1")
             }
         }
     }
@@ -389,6 +423,70 @@ impl RunConfig {
     /// `RunConfig::builder().ranks(8).strategy(Strategy::Auto).build()?`.
     pub fn builder() -> RunConfigBuilder {
         RunConfigBuilder::default()
+    }
+
+    /// Every range rule a run parameter must satisfy, in one list: the
+    /// builder, the scenario reader and the job server all call this
+    /// and nothing else, so "valid" means one thing at every door. The
+    /// fields are `pub`; call it again after editing a built config.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let sim = &self.sim;
+        let nozzle = &sim.nozzle;
+        for (field, v) in [
+            ("radius", nozzle.radius),
+            ("length", nozzle.length),
+            ("inlet_radius", nozzle.inlet_radius),
+            ("weight_h", sim.weight_h),
+            ("weight_hplus", sim.weight_hplus),
+            ("t_inject", sim.t_inject),
+            ("t_wall", sim.t_wall),
+            ("dt_dsmc", sim.dt_dsmc),
+        ] {
+            if !(v.is_finite() && v > 0.0) {
+                return Err(ConfigError::NotPositive(field));
+            }
+        }
+        if nozzle.nd < 2 || nozzle.nz < 1 {
+            return Err(ConfigError::DegenerateMesh);
+        }
+        if nozzle.inlet_radius > nozzle.radius {
+            return Err(ConfigError::InletExceedsRadius);
+        }
+        for (field, v) in [
+            ("density_h", sim.density_h),
+            ("density_hplus", sim.density_hplus),
+            ("v_drift", sim.v_drift),
+        ] {
+            if !(v.is_finite() && v >= 0.0) {
+                return Err(ConfigError::NegativeFlux(field));
+            }
+        }
+        if sim.pic_per_dsmc == 0 {
+            return Err(ConfigError::ZeroPicPerDsmc);
+        }
+        if sim.k_sub_dsmc == 0 {
+            return Err(ConfigError::ZeroDsmcSubcycle);
+        }
+        if let Some(p) = sim.pump_prob {
+            if !p.is_finite() || !(0.0..=1.0).contains(&p) {
+                return Err(ConfigError::InvalidPumpProb);
+            }
+        }
+        if self.ranks == 0 {
+            return Err(ConfigError::ZeroRanks);
+        }
+        if self.threads_per_rank == 0 {
+            return Err(ConfigError::ZeroThreads);
+        }
+        if let Some(rb) = &self.rebalance {
+            if rb.t_interval == 0 {
+                return Err(ConfigError::ZeroRebalanceInterval);
+            }
+            if !rb.threshold.is_finite() || rb.threshold < 0.0 {
+                return Err(ConfigError::InvalidRebalanceThreshold);
+            }
+        }
+        Ok(())
     }
 
     /// The canonical serialization of this configuration: every field
@@ -576,7 +674,7 @@ impl RunConfig {
     }
 }
 
-/// Builder for [`RunConfig`] with validation at [`build`] time.
+/// Builder for [`RunConfig`]; [`build`] runs [`RunConfig::validate`].
 ///
 /// Defaults: [`SimConfig::default`] physics, Distributed strategy,
 /// rebalancing on with default parameters, 1 rank, 100 steps, no cost
@@ -634,22 +732,6 @@ impl RunConfigBuilder {
         self
     }
 
-    /// DSMC subcycles per engine step (convenience for
-    /// `sim.k_sub_dsmc`). Validated at [`build`](Self::build): must be
-    /// >= 1; 1 is the bit-identical legacy path.
-    pub fn k_sub_dsmc(mut self, k: usize) -> Self {
-        self.run.sim.k_sub_dsmc = k;
-        self
-    }
-
-    /// Partial-pump wall survival probability (convenience for
-    /// `sim.pump_prob`): `0 = full pump, 1 = no pump`. Validated at
-    /// [`build`](Self::build): must lie in `[0, 1]`.
-    pub fn pump_prob(mut self, p: f64) -> Self {
-        self.run.sim.pump_prob = Some(p);
-        self
-    }
-
     /// Exchange strategy for every particle migration.
     pub fn strategy(mut self, strategy: Strategy) -> Self {
         self.run.strategy = strategy;
@@ -659,29 +741,6 @@ impl RunConfigBuilder {
     /// Dynamic load balancing settings (`None` disables).
     pub fn rebalance(mut self, rebalance: Option<RebalanceConfig>) -> Self {
         self.run.rebalance = rebalance;
-        self
-    }
-
-    /// Rebalance trigger cadence: check at most every `t` DSMC steps
-    /// (Algorithm 1's `T`). Enables balancing with defaults if it was
-    /// disabled. Validated at [`build`](Self::build): `t` must be
-    /// >= 1.
-    pub fn rebalance_every(mut self, t: usize) -> Self {
-        self.run
-            .rebalance
-            .get_or_insert_with(Default::default)
-            .t_interval = t;
-        self
-    }
-
-    /// Rebalance trigger threshold on the measured lii. Enables
-    /// balancing with defaults if it was disabled. Validated at
-    /// [`build`](Self::build): must be finite and >= 0.
-    pub fn rebalance_threshold(mut self, threshold: f64) -> Self {
-        self.run
-            .rebalance
-            .get_or_insert_with(Default::default)
-            .threshold = threshold;
         self
     }
 
@@ -756,30 +815,9 @@ impl RunConfigBuilder {
         self
     }
 
-    /// Validate and produce the [`RunConfig`].
+    /// [`RunConfig::validate`], then hand over the [`RunConfig`].
     pub fn build(self) -> Result<RunConfig, ConfigError> {
-        if self.run.ranks == 0 {
-            return Err(ConfigError::ZeroRanks);
-        }
-        if self.run.threads_per_rank == 0 {
-            return Err(ConfigError::ZeroThreads);
-        }
-        if let Some(rb) = &self.run.rebalance {
-            if rb.t_interval == 0 {
-                return Err(ConfigError::ZeroRebalanceInterval);
-            }
-            if !rb.threshold.is_finite() || rb.threshold < 0.0 {
-                return Err(ConfigError::InvalidRebalanceThreshold);
-            }
-        }
-        if self.run.sim.k_sub_dsmc == 0 {
-            return Err(ConfigError::ZeroDsmcSubcycle);
-        }
-        if let Some(p) = self.run.sim.pump_prob {
-            if !p.is_finite() || !(0.0..=1.0).contains(&p) {
-                return Err(ConfigError::InvalidPumpProb);
-            }
-        }
+        self.run.validate()?;
         Ok(self.run)
     }
 }
@@ -899,33 +937,34 @@ mod tests {
         assert_eq!(plain.ranks_per_node, 0);
     }
 
+    /// The default balancer with one trigger value replaced.
+    fn trigger(t_interval: usize, threshold: f64) -> Option<RebalanceConfig> {
+        Some(RebalanceConfig {
+            t_interval,
+            threshold,
+            ..RebalanceConfig::default()
+        })
+    }
+
     #[test]
     fn builder_validates_rebalance_trigger() {
         assert_eq!(
-            RunConfig::builder().rebalance_every(0).build().unwrap_err(),
+            RunConfig::builder()
+                .rebalance(trigger(0, 2.0))
+                .build()
+                .unwrap_err(),
             ConfigError::ZeroRebalanceInterval
         );
-        assert_eq!(
-            RunConfig::builder()
-                .rebalance_threshold(f64::NAN)
-                .build()
-                .unwrap_err(),
-            ConfigError::InvalidRebalanceThreshold
-        );
-        assert_eq!(
-            RunConfig::builder()
-                .rebalance_threshold(-1.0)
-                .build()
-                .unwrap_err(),
-            ConfigError::InvalidRebalanceThreshold
-        );
-        assert_eq!(
-            RunConfig::builder()
-                .rebalance_threshold(f64::INFINITY)
-                .build()
-                .unwrap_err(),
-            ConfigError::InvalidRebalanceThreshold
-        );
+        for bad in [f64::NAN, -1.0, f64::INFINITY] {
+            assert_eq!(
+                RunConfig::builder()
+                    .rebalance(trigger(20, bad))
+                    .build()
+                    .unwrap_err(),
+                ConfigError::InvalidRebalanceThreshold,
+                "threshold {bad} must be rejected"
+            );
+        }
         assert!(ConfigError::ZeroRebalanceInterval
             .to_string()
             .contains("t_interval"));
@@ -933,24 +972,21 @@ mod tests {
             .to_string()
             .contains("threshold"));
         // a zeroed trigger is fine when balancing is off entirely
-        let mut rc = RebalanceConfig {
-            t_interval: 0,
-            ..RebalanceConfig::default()
-        };
-        rc.threshold = f64::NAN;
         let off = RunConfig::builder()
-            .rebalance_every(0)
+            .rebalance(trigger(0, f64::NAN))
             .rebalance(None)
             .build();
         assert!(off.is_ok());
-        assert!(RunConfig::builder().rebalance(Some(rc)).build().is_err());
+        assert!(RunConfig::builder()
+            .rebalance(trigger(0, f64::NAN))
+            .build()
+            .is_err());
     }
 
     #[test]
     fn builder_carries_rebalance_trigger_and_modes() {
         let run = RunConfig::builder()
-            .rebalance_every(5)
-            .rebalance_threshold(1.3)
+            .rebalance(trigger(5, 1.3))
             .decomposition(Decomposition::EulLag)
             .build()
             .unwrap();
@@ -958,13 +994,6 @@ mod tests {
         assert_eq!(rb.t_interval, 5);
         assert_eq!(rb.threshold, 1.3);
         assert_eq!(run.decomposition, Decomposition::EulLag);
-        // the trigger setters enable balancing even after .rebalance(None)
-        let revived = RunConfig::builder()
-            .rebalance(None)
-            .rebalance_every(7)
-            .build()
-            .unwrap();
-        assert_eq!(revived.rebalance.unwrap().t_interval, 7);
         // defaults: paper wlm + unified, paper trigger values
         let plain = RunConfig::builder().build().unwrap();
         let prb = plain.rebalance.unwrap();
@@ -1062,54 +1091,48 @@ mod tests {
         assert_ne!(faulted.config_hash(), a.config_hash());
     }
 
+    /// The default physics with the two scenario-format knobs set.
+    fn knobs(k_sub_dsmc: usize, pump_prob: Option<f64>) -> SimConfig {
+        SimConfig {
+            k_sub_dsmc,
+            pump_prob,
+            ..SimConfig::default()
+        }
+    }
+
     #[test]
     fn builder_validates_subcycling_and_pump() {
+        let build = |sim: SimConfig| RunConfig::builder().sim(sim).build();
         assert_eq!(
-            RunConfig::builder().k_sub_dsmc(0).build().unwrap_err(),
+            build(knobs(0, None)).unwrap_err(),
             ConfigError::ZeroDsmcSubcycle
         );
         for bad in [-0.1, 1.1, f64::NAN, f64::INFINITY] {
             assert_eq!(
-                RunConfig::builder().pump_prob(bad).build().unwrap_err(),
+                build(knobs(1, Some(bad))).unwrap_err(),
                 ConfigError::InvalidPumpProb,
                 "pump_prob {bad} must be rejected"
             );
         }
-        let run = RunConfig::builder()
-            .k_sub_dsmc(3)
-            .pump_prob(0.25)
-            .build()
-            .unwrap();
+        let run = build(knobs(3, Some(0.25))).unwrap();
         assert_eq!(run.sim.k_sub_dsmc, 3);
         assert_eq!(run.sim.pump_prob, Some(0.25));
         // defaults: single subcycle, pump machinery absent
         let plain = RunConfig::builder().build().unwrap();
         assert_eq!(plain.sim.k_sub_dsmc, 1);
         assert!(plain.sim.pump_prob.is_none());
-        // boundary values are legal
-        assert!(RunConfig::builder().pump_prob(0.0).build().is_ok());
-        assert!(RunConfig::builder().pump_prob(1.0).build().is_ok());
         assert!(ConfigError::ZeroDsmcSubcycle
             .to_string()
             .contains("k_sub_dsmc"));
         assert!(ConfigError::InvalidPumpProb.to_string().contains("pump"));
         // both knobs move the canonical hash
-        let base = RunConfig::builder().build().unwrap();
         assert_ne!(
-            RunConfig::builder()
-                .k_sub_dsmc(2)
-                .build()
-                .unwrap()
-                .config_hash(),
-            base.config_hash()
+            build(knobs(2, None)).unwrap().config_hash(),
+            plain.config_hash()
         );
         assert_ne!(
-            RunConfig::builder()
-                .pump_prob(1.0)
-                .build()
-                .unwrap()
-                .config_hash(),
-            base.config_hash()
+            build(knobs(1, Some(1.0))).unwrap().config_hash(),
+            plain.config_hash()
         );
     }
 

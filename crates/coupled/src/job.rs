@@ -59,7 +59,8 @@ impl JobPriority {
 /// Build with [`JobSpec::new`] and the chainable setters.
 #[derive(Debug, Clone)]
 pub struct JobSpec {
-    /// The (builder-validated) run configuration. Its canonical hash
+    /// The run configuration; the server re-checks it with
+    /// [`RunConfig::validate`] at submission. Its canonical hash
     /// ([`RunConfig::config_hash`]) is the result-cache key.
     pub run: RunConfig,
     /// Fair-share tenant the job is accounted to.

@@ -4,12 +4,15 @@
 //! setup — domain geometry, species and injection flux, timestepping
 //! (including the DSMC subcycling factor `k_sub_dsmc`), partial-pump
 //! boundaries and run/diagnostic settings — that lowers into the
-//! validating [`RunConfig::builder`]. The parser is a hand-rolled
+//! validating [`RunConfig::builder`]; the key reference is the table
+//! under "Scenario files" in the README. The parser is a hand-rolled
 //! TOML subset in the spirit of [`obs::json`] (no external
 //! dependency): `[section]` tables, `key = value` scalars (strings,
 //! integers, floats, booleans) and `#` comments. Exactly the subset
 //! the format needs, parsed strictly — unknown sections or keys are
-//! typed errors, not silent no-ops.
+//! typed errors, not silent no-ops. Lowering names each key once, at
+//! the read, and checks no range: that is [`RunConfig::validate`]'s
+//! one list, shared with hand-built configs.
 //!
 //! Three canned scenarios ship embedded in the crate (so binaries
 //! resolve them from any working directory) and as editable files
@@ -28,7 +31,6 @@
 //! order, whitespace and comments in the TOML never matter.
 
 use crate::config::{ConfigError, RunConfig, SimConfig};
-use mesh::NozzleSpec;
 use std::collections::BTreeMap;
 
 /// The canned scenarios, embedded at compile time: `(name, TOML)`.
@@ -85,21 +87,12 @@ pub enum ScenarioError {
         expected: &'static str,
         got: &'static str,
     },
-    /// A value was out of its physical range (negative weight,
-    /// degenerate mesh, non-positive timestep, ...).
-    Invalid {
-        section: String,
-        key: String,
-        msg: String,
-    },
-    /// The injection flux would be negative: a species density or the
-    /// drift speed was below zero.
-    NegativeFlux { key: String },
     /// [`canned`] was asked for a name that is not shipped.
     UnknownScenario(String),
-    /// The lowered config failed [`RunConfig::builder`] validation
-    /// (`k_sub_dsmc = 0`, pump probability outside `[0, 1]`, zero
-    /// ranks, ...).
+    /// The lowered config failed [`RunConfig::validate`] — every range
+    /// rule (negative density, degenerate mesh, `k_sub_dsmc = 0`, pump
+    /// probability outside `[0, 1]`, zero ranks, ...) arrives here,
+    /// naming the field.
     Config(ConfigError),
     /// [`from_file`] could not read the path.
     Io(String),
@@ -119,12 +112,6 @@ impl std::fmt::Display for ScenarioError {
                 expected,
                 got,
             } => write!(f, "[{section}] {key}: expected {expected}, got {got}"),
-            ScenarioError::Invalid { section, key, msg } => {
-                write!(f, "[{section}] {key}: {msg}")
-            }
-            ScenarioError::NegativeFlux { key } => {
-                write!(f, "negative injection flux: `{key}` is below zero")
-            }
             ScenarioError::UnknownScenario(name) => {
                 write!(
                     f,
@@ -159,7 +146,7 @@ pub struct Scenario {
 
 /// Parse scenario TOML and lower it into a validated [`RunConfig`].
 pub fn parse(text: &str) -> Result<Scenario, ScenarioError> {
-    lower(&parse_toml(text)?)
+    lower(parse_toml(text)?)
 }
 
 /// Load a canned scenario by name (see [`CANNED`]).
@@ -298,273 +285,166 @@ pub fn parse_toml(text: &str) -> Result<Table, ScenarioError> {
 // Lowering
 // ---------------------------------------------------------------------
 
-/// Typed accessors over one parsed section.
-struct Section<'a> {
-    name: &'a str,
-    map: Option<&'a BTreeMap<String, Value>>,
+/// The parsed tables, handing out each value by its `(section, key)`
+/// address and forgetting it: whatever is left once lowering has read
+/// everything it knows is what the format does not define.
+struct Reader {
+    table: Table,
+    /// Sections lowering asked about — a leftover key in one of these
+    /// is an unknown key, any other leftover section is unknown itself.
+    known: Vec<&'static str>,
 }
 
-impl<'a> Section<'a> {
-    fn get(&self, key: &str) -> Option<&'a Value> {
-        self.map.and_then(|m| m.get(key))
-    }
+/// What a read yields: the converted value, `None` for an absent key,
+/// or the type error.
+type Read<T> = Result<Option<T>, ScenarioError>;
 
-    fn check_keys(&self, allowed: &[&str]) -> Result<(), ScenarioError> {
-        if let Some(m) = self.map {
-            for key in m.keys() {
-                if !allowed.contains(&key.as_str()) {
-                    return Err(ScenarioError::UnknownKey {
-                        section: self.name.to_string(),
-                        key: key.clone(),
-                    });
-                }
-            }
+impl Reader {
+    /// Remove and convert the value at `[section] key`; `expected`
+    /// names the type in the error when `convert` declines it.
+    fn take<T>(
+        &mut self,
+        section: &'static str,
+        key: &'static str,
+        expected: &'static str,
+        convert: impl FnOnce(&Value) -> Option<T>,
+    ) -> Read<T> {
+        if !self.known.contains(&section) {
+            self.known.push(section);
         }
-        Ok(())
-    }
-
-    fn type_err(&self, key: &str, expected: &'static str, got: &Value) -> ScenarioError {
-        ScenarioError::Type {
-            section: self.name.to_string(),
-            key: key.to_string(),
-            expected,
-            got: got.type_name(),
-        }
+        let Some(value) = self.table.get_mut(section).and_then(|m| m.remove(key)) else {
+            return Ok(None);
+        };
+        convert(&value)
+            .map(Some)
+            .ok_or_else(|| ScenarioError::Type {
+                section: section.to_string(),
+                key: key.to_string(),
+                expected,
+                got: value.type_name(),
+            })
     }
 
     /// Float-valued key; integers coerce (TOML writers often drop the
     /// decimal point).
-    fn f64_of(&self, key: &str) -> Result<Option<f64>, ScenarioError> {
-        match self.get(key) {
-            None => Ok(None),
-            Some(Value::Float(v)) => Ok(Some(*v)),
-            Some(Value::Int(v)) => Ok(Some(*v as f64)),
-            Some(other) => Err(self.type_err(key, "float", other)),
-        }
+    fn f64_of(&mut self, section: &'static str, key: &'static str) -> Read<f64> {
+        self.take(section, key, "float", |v| match v {
+            Value::Float(v) => Some(*v),
+            Value::Int(v) => Some(*v as f64),
+            _ => None,
+        })
     }
 
-    fn usize_of(&self, key: &str) -> Result<Option<usize>, ScenarioError> {
-        match self.get(key) {
-            None => Ok(None),
-            Some(Value::Int(v)) if *v >= 0 => Ok(Some(*v as usize)),
-            Some(other) => Err(self.type_err(key, "non-negative integer", other)),
-        }
+    fn usize_of(&mut self, section: &'static str, key: &'static str) -> Read<usize> {
+        self.take(section, key, "non-negative integer", |v| match v {
+            Value::Int(v) => usize::try_from(*v).ok(),
+            _ => None,
+        })
     }
 
-    fn u64_of(&self, key: &str) -> Result<Option<u64>, ScenarioError> {
-        match self.get(key) {
-            None => Ok(None),
-            Some(Value::Int(v)) if *v >= 0 => Ok(Some(*v as u64)),
-            Some(other) => Err(self.type_err(key, "non-negative integer", other)),
-        }
+    fn u64_of(&mut self, section: &'static str, key: &'static str) -> Read<u64> {
+        self.take(section, key, "non-negative integer", |v| match v {
+            Value::Int(v) => u64::try_from(*v).ok(),
+            _ => None,
+        })
     }
 
-    fn bool_of(&self, key: &str) -> Result<Option<bool>, ScenarioError> {
-        match self.get(key) {
-            None => Ok(None),
-            Some(Value::Bool(v)) => Ok(Some(*v)),
-            Some(other) => Err(self.type_err(key, "boolean", other)),
-        }
+    fn bool_of(&mut self, section: &'static str, key: &'static str) -> Read<bool> {
+        self.take(section, key, "boolean", |v| match v {
+            Value::Bool(v) => Some(*v),
+            _ => None,
+        })
     }
 
-    fn str_of(&self, key: &str) -> Result<Option<String>, ScenarioError> {
-        match self.get(key) {
-            None => Ok(None),
-            Some(Value::Str(v)) => Ok(Some(v.clone())),
-            Some(other) => Err(self.type_err(key, "string", other)),
-        }
+    fn str_of(&mut self, section: &'static str, key: &'static str) -> Read<String> {
+        self.take(section, key, "string", |v| match v {
+            Value::Str(v) => Some(v.clone()),
+            _ => None,
+        })
     }
 
-    /// A float that must be strictly positive when present.
-    fn positive_f64(&self, key: &str) -> Result<Option<f64>, ScenarioError> {
-        match self.f64_of(key)? {
-            Some(v) if !(v.is_finite() && v > 0.0) => Err(ScenarioError::Invalid {
-                section: self.name.to_string(),
-                key: key.to_string(),
-                msg: format!("must be a positive finite number, got {v}"),
-            }),
-            other => Ok(other),
+    /// The unknown-section / unknown-key report: the first thing no
+    /// accessor took.
+    fn finish(self) -> Result<(), ScenarioError> {
+        for (section, keys) in self.table {
+            if !self.known.contains(&section.as_str()) {
+                return Err(ScenarioError::UnknownSection(section));
+            }
+            if let Some(key) = keys.into_keys().next() {
+                return Err(ScenarioError::UnknownKey { section, key });
+            }
         }
+        Ok(())
     }
 }
 
-const SECTIONS: &[&str] = &[
-    "scenario",
-    "domain",
-    "species.h",
-    "species.hplus",
-    "injection",
-    "time",
-    "walls",
-    "run",
-    "diagnostics",
-];
+/// Overwrite a default with the scenario's value when the key is set.
+fn set<T>(slot: &mut T, value: Option<T>) {
+    if let Some(v) = value {
+        *slot = v;
+    }
+}
 
 /// Lower parsed tables into a [`Scenario`]. Every key is optional —
 /// absent keys keep the [`SimConfig::default`] / builder defaults —
-/// but present keys are validated strictly.
-pub fn lower(table: &Table) -> Result<Scenario, ScenarioError> {
-    for section in table.keys() {
-        if !SECTIONS.contains(&section.as_str()) {
-            return Err(ScenarioError::UnknownSection(section.clone()));
-        }
-    }
-    let section = |name: &'static str| Section {
-        name,
-        map: table.get(name),
+/// and lowering only reads and stores: whether a value is in range is
+/// [`RunConfig::validate`]'s call, the same one a hand-built config
+/// gets.
+pub fn lower(table: Table) -> Result<Scenario, ScenarioError> {
+    let mut r = Reader {
+        table,
+        known: Vec::new(),
     };
-
-    let meta = section("scenario");
-    meta.check_keys(&["name", "description"])?;
-    let name = meta.str_of("name")?.unwrap_or_default();
-    let description = meta.str_of("description")?.unwrap_or_default();
+    let name = r.str_of("scenario", "name")?.unwrap_or_default();
+    let description = r.str_of("scenario", "description")?.unwrap_or_default();
 
     let mut sim = SimConfig::default();
-
-    let domain = section("domain");
-    domain.check_keys(&["radius", "length", "inlet_radius", "nd", "nz"])?;
-    let mut nozzle = NozzleSpec::default();
-    if let Some(v) = domain.positive_f64("radius")? {
-        nozzle.radius = v;
-    }
-    if let Some(v) = domain.positive_f64("length")? {
-        nozzle.length = v;
-    }
-    if let Some(v) = domain.positive_f64("inlet_radius")? {
-        nozzle.inlet_radius = v;
-    }
-    if let Some(v) = domain.usize_of("nd")? {
-        nozzle.nd = v;
-    }
-    if let Some(v) = domain.usize_of("nz")? {
-        nozzle.nz = v;
-    }
-    if nozzle.nd < 2 || nozzle.nz < 1 {
-        return Err(ScenarioError::Invalid {
-            section: "domain".to_string(),
-            key: "nd".to_string(),
-            msg: format!(
-                "mesh needs nd >= 2 and nz >= 1, got {}x{}",
-                nozzle.nd, nozzle.nz
-            ),
-        });
-    }
-    if nozzle.inlet_radius > nozzle.radius {
-        return Err(ScenarioError::Invalid {
-            section: "domain".to_string(),
-            key: "inlet_radius".to_string(),
-            msg: format!(
-                "inlet radius {} exceeds the domain radius {}",
-                nozzle.inlet_radius, nozzle.radius
-            ),
-        });
-    }
-    sim.nozzle = nozzle;
-
-    let h = section("species.h");
-    h.check_keys(&["density", "weight"])?;
-    if let Some(v) = h.f64_of("density")? {
-        if !(v.is_finite() && v >= 0.0) {
-            return Err(ScenarioError::NegativeFlux {
-                key: "species.h.density".to_string(),
-            });
-        }
-        sim.density_h = v;
-    }
-    if let Some(v) = h.positive_f64("weight")? {
-        sim.weight_h = v;
-    }
-
-    let hp = section("species.hplus");
-    hp.check_keys(&["density", "weight"])?;
-    if let Some(v) = hp.f64_of("density")? {
-        if !(v.is_finite() && v >= 0.0) {
-            return Err(ScenarioError::NegativeFlux {
-                key: "species.hplus.density".to_string(),
-            });
-        }
-        sim.density_hplus = v;
-    }
-    if let Some(v) = hp.positive_f64("weight")? {
-        sim.weight_hplus = v;
-    }
-
-    let inj = section("injection");
-    inj.check_keys(&["v_drift", "t_inject"])?;
-    if let Some(v) = inj.f64_of("v_drift")? {
-        if !(v.is_finite() && v >= 0.0) {
-            return Err(ScenarioError::NegativeFlux {
-                key: "injection.v_drift".to_string(),
-            });
-        }
-        sim.v_drift = v;
-    }
-    if let Some(v) = inj.positive_f64("t_inject")? {
-        sim.t_inject = v;
-    }
-
-    let time = section("time");
-    time.check_keys(&["dt_dsmc", "pic_per_dsmc", "k_sub_dsmc", "steps"])?;
-    if let Some(v) = time.positive_f64("dt_dsmc")? {
-        sim.dt_dsmc = v;
-    }
-    if let Some(v) = time.usize_of("pic_per_dsmc")? {
-        if v == 0 {
-            return Err(ScenarioError::Invalid {
-                section: "time".to_string(),
-                key: "pic_per_dsmc".to_string(),
-                msg: "must be >= 1".to_string(),
-            });
-        }
-        sim.pic_per_dsmc = v;
-    }
-    if let Some(v) = time.usize_of("k_sub_dsmc")? {
-        // 0 is rejected by the builder (ConfigError::ZeroDsmcSubcycle)
-        sim.k_sub_dsmc = v;
-    }
-    let steps = time.usize_of("steps")?;
-
-    let walls = section("walls");
-    walls.check_keys(&["t_wall", "pump_prob"])?;
-    if let Some(v) = walls.positive_f64("t_wall")? {
-        sim.t_wall = v;
-    }
-    if let Some(v) = walls.f64_of("pump_prob")? {
-        // range check is the builder's (ConfigError::InvalidPumpProb)
-        sim.pump_prob = Some(v);
-    }
-
-    let run_s = section("run");
-    run_s.check_keys(&["seed", "ranks", "cross_collisions", "threads_per_rank"])?;
-    if let Some(v) = run_s.u64_of("seed")? {
-        sim.seed = v;
-    }
-    if let Some(v) = run_s.bool_of("cross_collisions")? {
-        sim.cross_collisions = v;
-    }
-
-    let diag = section("diagnostics");
-    diag.check_keys(&["avg_window"])?;
-    let avg_window = diag.usize_of("avg_window")?;
+    set(&mut sim.nozzle.radius, r.f64_of("domain", "radius")?);
+    set(&mut sim.nozzle.length, r.f64_of("domain", "length")?);
+    set(
+        &mut sim.nozzle.inlet_radius,
+        r.f64_of("domain", "inlet_radius")?,
+    );
+    set(&mut sim.nozzle.nd, r.usize_of("domain", "nd")?);
+    set(&mut sim.nozzle.nz, r.usize_of("domain", "nz")?);
+    set(&mut sim.density_h, r.f64_of("species.h", "density")?);
+    set(&mut sim.weight_h, r.f64_of("species.h", "weight")?);
+    set(
+        &mut sim.density_hplus,
+        r.f64_of("species.hplus", "density")?,
+    );
+    set(&mut sim.weight_hplus, r.f64_of("species.hplus", "weight")?);
+    set(&mut sim.v_drift, r.f64_of("injection", "v_drift")?);
+    set(&mut sim.t_inject, r.f64_of("injection", "t_inject")?);
+    set(&mut sim.dt_dsmc, r.f64_of("time", "dt_dsmc")?);
+    set(&mut sim.pic_per_dsmc, r.usize_of("time", "pic_per_dsmc")?);
+    set(&mut sim.k_sub_dsmc, r.usize_of("time", "k_sub_dsmc")?);
+    set(&mut sim.t_wall, r.f64_of("walls", "t_wall")?);
+    sim.pump_prob = r.f64_of("walls", "pump_prob")?;
+    set(&mut sim.seed, r.u64_of("run", "seed")?);
+    set(
+        &mut sim.cross_collisions,
+        r.bool_of("run", "cross_collisions")?,
+    );
 
     let mut builder = RunConfig::builder().sim(sim);
-    if let Some(v) = run_s.usize_of("ranks")? {
+    if let Some(v) = r.usize_of("run", "ranks")? {
         builder = builder.ranks(v);
     }
-    if let Some(v) = run_s.usize_of("threads_per_rank")? {
+    if let Some(v) = r.usize_of("run", "threads_per_rank")? {
         builder = builder.threads_per_rank(v);
     }
-    if let Some(v) = steps {
+    if let Some(v) = r.usize_of("time", "steps")? {
         builder = builder.steps(v);
     }
-    if let Some(w) = avg_window {
-        builder = builder.avg_window(w);
+    if let Some(v) = r.usize_of("diagnostics", "avg_window")? {
+        builder = builder.avg_window(v);
     }
-    let run = builder.build()?;
+    r.finish()?;
     Ok(Scenario {
         name,
         description,
-        run,
+        run: builder.build()?,
     })
 }
 
@@ -678,15 +558,15 @@ mod tests {
     #[test]
     fn typed_errors_surface() {
         let neg_flux = "[species.h]\ndensity = -1e18\n";
-        assert!(matches!(
-            parse(neg_flux),
-            Err(ScenarioError::NegativeFlux { .. })
-        ));
+        assert_eq!(
+            parse(neg_flux).unwrap_err(),
+            ScenarioError::Config(ConfigError::NegativeFlux("density_h"))
+        );
         let neg_drift = "[injection]\nv_drift = -10.0\n";
-        assert!(matches!(
-            parse(neg_drift),
-            Err(ScenarioError::NegativeFlux { .. })
-        ));
+        assert_eq!(
+            parse(neg_drift).unwrap_err(),
+            ScenarioError::Config(ConfigError::NegativeFlux("v_drift"))
+        );
         let zero_sub = "[time]\nk_sub_dsmc = 0\n";
         assert_eq!(
             parse(zero_sub).unwrap_err(),

@@ -79,21 +79,17 @@ fn resolve_strategy<C: Comm>(
     if configured != Strategy::Auto {
         return Ok(configured);
     }
-    let mut row = Vec::with_capacity(outgoing.len() * 8);
-    for b in outgoing {
-        row.extend_from_slice(&(b.len() as u64).to_le_bytes());
-    }
-    let choice = gather(comm, 0, row)?.map(|rows| {
-        let mut flows = Flows::new();
-        flows.assign(rows.iter().enumerate().flat_map(|(src, r)| {
-            r.chunks_exact(8).enumerate().map(move |(dst, c)| {
-                let mut w = [0u8; 8];
-                w.copy_from_slice(c);
-                (src as u32, dst as u32, u64::from_le_bytes(w))
-            })
-        }));
-        vec![cost.cheapest(&cost.traffic(&flows)) as u8]
-    });
+    let lens: Vec<u64> = outgoing.iter().map(|b| b.len() as u64).collect();
+    let choice = match gather(comm, 0, encode_words(&lens, u64::to_le_bytes))? {
+        None => None,
+        Some(rows) => {
+            let decode =
+                |row: &Vec<u8>| decode_words(row, comm.size(), u64::from_le_bytes, "auto byte row");
+            let matrix = rows.iter().map(decode).collect::<CommResult<Vec<_>>>()?;
+            let flows = Flows::from_matrix(&matrix);
+            Some(vec![cost.cheapest(&cost.traffic(&flows)) as u8])
+        }
+    };
     match broadcast(comm, 0, choice)?.first() {
         Some(&i) if (i as usize) < Strategy::CONCRETE.len() => Ok(Strategy::CONCRETE[i as usize]),
         _ => Err(CommError::Malformed {

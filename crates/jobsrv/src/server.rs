@@ -8,7 +8,7 @@
 use crate::cache::ResultCache;
 use crate::queue::FairQueue;
 use coupled::job::{JobId, JobMeta, JobSpec, JobStatus};
-use coupled::{EngineSession, RunReport};
+use coupled::{EngineSession, RunConfig, RunReport};
 use obs::{FanoutSink, Registry, TraceEvent, TraceSpec};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -158,13 +158,6 @@ struct Shared {
     metrics: Option<Registry>,
 }
 
-/// A clone of the stored report stamped with one job's provenance.
-fn stamp(report: &Arc<RunReport>, meta: JobMeta) -> Arc<RunReport> {
-    let mut r = (**report).clone();
-    r.job = Some(meta);
-    Arc::new(r)
-}
-
 /// Client-side handle to one submitted job: poll its status, stream
 /// its trace, or block for the report. Handles are cheap clones; the
 /// job keeps running if every handle is dropped.
@@ -265,6 +258,10 @@ impl JobServer {
     pub fn submit(&self, spec: JobSpec) -> JobHandle {
         let hash = spec.run.config_hash();
         let cost = (spec.run.ranks * spec.run.threads_per_rank).clamp(1, self.shared.thread_budget);
+        // `RunConfig`'s fields are public: a config edited after its
+        // builder checked it is checked again before any worker
+        // builds a mesh from it.
+        let invalid = spec.run.validate().err();
         let mut st = self.shared.state.lock().unwrap();
         let id = JobId(st.next_id);
         st.next_id += 1;
@@ -283,28 +280,18 @@ impl JobServer {
             error: None,
             followers: Vec::new(),
         };
-        if st.shutdown {
-            job.status = JobStatus::Failed {
-                error: "server shut down".to_string(),
-            };
+        let refusal = if st.shutdown {
+            Some("server shut down".to_string())
+        } else {
+            invalid.map(|e| format!("invalid config: {e}"))
+        };
+        if let Some(error) = refusal {
+            job.status = JobStatus::Failed { error };
             job.fanout.close();
             st.stats.failed += 1;
         } else if let Some(cached) = st.cache.get(hash) {
             st.stats.cache_hits += 1;
-            st.stats.completed += 1;
-            job.result = Some(stamp(
-                &cached,
-                JobMeta {
-                    job_id: id.0,
-                    config_hash: hash,
-                    cache_hit: true,
-                    queue_seconds: 0.0,
-                    run_seconds: 0.0,
-                    attempts: 0,
-                },
-            ));
-            job.status = JobStatus::Done { cache_hit: true };
-            job.fanout.close();
+            complete_job(&mut job, &mut st.stats, id, &cached, true, 0.0);
         } else if let Some(&leader) = st.in_flight.get(&hash) {
             st.stats.coalesced += 1;
             st.jobs
@@ -401,12 +388,50 @@ fn fail_job(st: &mut State, id: JobId, error: String) {
     }
 }
 
-/// One worker: claim the next job that fits the spare budget, run one
-/// engine attempt outside the lock, then complete / requeue / fail.
+/// Mark `job` (tracked as `id`) done: serve it a clone of the stored
+/// `report` stamped with its own provenance, close its trace stream
+/// and count it. A job that never ran (cache hit, follower) has zero
+/// `run_seconds` and `attempts` of its own.
+fn complete_job(
+    job: &mut Job,
+    stats: &mut ServerStats,
+    id: JobId,
+    report: &Arc<RunReport>,
+    cache_hit: bool,
+    queue_seconds: f64,
+) {
+    let mut stamped = (**report).clone();
+    stamped.job = Some(JobMeta {
+        job_id: id.0,
+        config_hash: job.hash,
+        cache_hit,
+        queue_seconds,
+        run_seconds: job.run_seconds,
+        attempts: job.attempts,
+    });
+    job.result = Some(Arc::new(stamped));
+    job.status = JobStatus::Done { cache_hit };
+    job.fanout.close();
+    stats.completed += 1;
+}
+
+/// What a claimed job starts its attempt from.
+enum Start {
+    /// The session an earlier attempt stashed, checkpoints inside.
+    Resume(EngineSession),
+    /// First attempt: the run config wired for serving; the session
+    /// (mesh, species, seed partition) is built from it off the lock.
+    Fresh(RunConfig),
+}
+
+/// One worker: claim the next job that fits the spare budget, set it
+/// up and run one engine attempt outside the lock, then complete /
+/// requeue / fail.
 fn worker_loop(shared: &Arc<Shared>) {
     loop {
-        // Claim work and assemble the session under the lock.
-        let (id, session, cost) = {
+        // Claim work under the lock; of the set-up only the fan-out and
+        // registry wiring happens here.
+        let (id, start, cost) = {
             let mut st = shared.state.lock().unwrap();
             let entry = loop {
                 if st.shutdown {
@@ -425,7 +450,8 @@ fn worker_loop(shared: &Arc<Shared>) {
             job.status = JobStatus::Running;
             job.attempts += 1;
             job.first_started.get_or_insert_with(Instant::now);
-            let session = job.session.take().map(Ok).unwrap_or_else(|| {
+            let resumed = job.session.take().map(|s| Ok(Start::Resume(s)));
+            let start = resumed.unwrap_or_else(|| {
                 // First attempt: rebuild the run config for execution —
                 // the engine traces into the job's fan-out (teeing the
                 // submitter's own sink) and, when the submitter brought
@@ -445,11 +471,11 @@ fn worker_loop(shared: &Arc<Shared>) {
                         run.obs.metrics = Some(reg.scoped(&id.to_string()));
                     }
                 }
-                Ok(EngineSession::new(&run))
+                Ok(Start::Fresh(run))
             });
-            (id, session, entry.cost)
+            (id, start, entry.cost)
         };
-        let mut session = match session {
+        let start = match start {
             Ok(s) => s,
             Err(error) => {
                 let mut guard = shared.state.lock().unwrap();
@@ -461,11 +487,18 @@ fn worker_loop(shared: &Arc<Shared>) {
             }
         };
 
-        // Run the attempt with the lock released so other workers keep
-        // scheduling. A panic here is this worker dying mid-job: the
-        // session (with its checkpoints) is still ours to stash.
+        // Set up and run the attempt with the lock released so other
+        // workers keep scheduling. A panic here — in set-up or mid-run
+        // — is this worker dying on one job; the server stays whole.
         let t0 = Instant::now();
-        let outcome = catch_unwind(AssertUnwindSafe(|| session.attempt()));
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let mut session = match start {
+                Start::Resume(session) => session,
+                Start::Fresh(run) => EngineSession::new(&run),
+            };
+            let result = session.attempt();
+            (session, result)
+        }));
         let elapsed = t0.elapsed().as_secs_f64();
 
         let mut guard = shared.state.lock().unwrap();
@@ -474,55 +507,25 @@ fn worker_loop(shared: &Arc<Shared>) {
         let job = st.jobs.get_mut(&id.0).expect("running job is tracked");
         job.run_seconds += elapsed;
         match outcome {
-            Ok(Ok(report)) => {
+            Ok((_, Ok(report))) => {
                 let queue_seconds = job
                     .first_started
                     .map(|t| t.duration_since(job.submitted).as_secs_f64())
                     .unwrap_or(0.0);
-                let run_seconds = job.run_seconds;
-                let attempts = job.attempts;
                 let followers = std::mem::take(&mut job.followers);
-                let hash = job.hash;
                 // The cache stores the unstamped report; every served
                 // copy is a stamped clone of it.
                 let cached = Arc::new(report);
-                st.cache.put(hash, cached.clone());
-                let job = st.jobs.get_mut(&id.0).expect("running job is tracked");
-                job.result = Some(stamp(
-                    &cached,
-                    JobMeta {
-                        job_id: id.0,
-                        config_hash: hash,
-                        cache_hit: false,
-                        queue_seconds,
-                        run_seconds,
-                        attempts,
-                    },
-                ));
-                job.status = JobStatus::Done { cache_hit: false };
-                job.fanout.close();
-                st.stats.completed += 1;
-                st.in_flight.remove(&hash);
+                st.cache.put(job.hash, cached.clone());
+                st.in_flight.remove(&job.hash);
+                complete_job(job, &mut st.stats, id, &cached, false, queue_seconds);
                 for f in followers {
-                    let now = Instant::now();
                     let fjob = st.jobs.get_mut(&f.0).expect("follower is tracked");
-                    fjob.result = Some(stamp(
-                        &cached,
-                        JobMeta {
-                            job_id: f.0,
-                            config_hash: hash,
-                            cache_hit: true,
-                            queue_seconds: now.duration_since(fjob.submitted).as_secs_f64(),
-                            run_seconds: 0.0,
-                            attempts: 0,
-                        },
-                    ));
-                    fjob.status = JobStatus::Done { cache_hit: true };
-                    fjob.fanout.close();
-                    st.stats.completed += 1;
+                    let waited = fjob.submitted.elapsed().as_secs_f64();
+                    complete_job(fjob, &mut st.stats, f, &cached, true, waited);
                 }
             }
-            Ok(Err(e)) => {
+            Ok((mut session, Err(e))) => {
                 let retry = session.can_retry_after(&e)
                     && job.attempts < shared.max_attempts
                     && !st.shutdown;

@@ -28,8 +28,11 @@ fn main() {
 
     // --- with the dynamic load balancer ------------------------------
     let with_lb = base
-        .rebalance_every(10)
-        .rebalance_threshold(1.5)
+        .rebalance(Some(balance::RebalanceConfig {
+            t_interval: 10,
+            threshold: 1.5,
+            ..Default::default()
+        }))
         .build()
         .expect("valid config");
     let t0 = std::time::Instant::now();

@@ -13,6 +13,27 @@ diff <(cargo run --release --quiet -p bench --bin repro -- list | cut -f1 | sort
     <( (sed -n '/^## 4\. /,/^## 5\. /p' DESIGN.md; cat EXPERIMENTS.md) |
         grep -oE '\b(fig|tab|ablation|chaos)[0-9a-z]*_[0-9a-z_]+\b' | sort -u)
 
+echo "== scenario-key lint (reader, README key table and shipped .toml files name one key set) =="
+# An address is the ("section", "key") pair of a Reader accessor call,
+# written section.key; the reader must name each exactly once.
+reader_keys=$(sed '/^#\[cfg(test)\]/,$d' crates/coupled/src/scenario.rs |
+    grep -oE '\("[a-z.]+", "[a-z_]+"\)' | sed -E 's/\("(.*)", "(.*)"\)/\1.\2/' | sort)
+if [ -n "$(uniq -d <<<"$reader_keys")" ]; then
+    echo "verify: scenario.rs reads an address twice:" $(uniq -d <<<"$reader_keys") >&2
+    exit 1
+fi
+diff <(echo "$reader_keys") \
+    <(sed -n '/^### Scenario files/,/^### Configuring/p' README.md |
+        sed -nE 's/^\| `([a-z.]+\.[a-z_]+)` \|.*/\1/p' | sort)
+unread=$(comm -13 <(echo "$reader_keys") \
+    <(awk '/^\[/ { gsub(/[][]|[ \t]*#.*/, ""); section = $0; next }
+           /^[a-z_]+[ \t]*=/ { sub(/[ \t]*=.*/, ""); print section "." $0 }' \
+        scenarios/*.toml bench_ledger/workloads/*.toml | sort -u))
+if [ -n "$unread" ]; then
+    echo "verify: a shipped scenario sets a key the reader does not read:" $unread >&2
+    exit 1
+fi
+
 echo "== tests (workspace: every unit, guard and golden-hash suite, once) =="
 cargo test --workspace -q
 

@@ -1,6 +1,6 @@
 //! Regression guard for the job server (DESIGN.md §14).
 //!
-//! Two properties are pinned:
+//! Three properties are pinned:
 //!
 //! 1. Serving a run as a job — concurrently with other jobs, through
 //!    the fair-share queue, with trace fan-out attached — is bitwise
@@ -11,6 +11,8 @@
 //!    checkpoint replay on a later dispatch and still matches the
 //!    pinned hash (`chaos_guard`'s recovery invariant, now across the
 //!    server's queue instead of inside one call).
+//! 3. A config no mesh can be built from fails its own job at
+//!    submission and leaves the server serving everyone else.
 
 use jobsrv::prelude::*;
 use jobsrv::JobPriority;
@@ -157,6 +159,33 @@ fn killed_worker_job_recovers_from_checkpoint_with_the_pinned_hash() {
         "each engine attempt re-announces itself: {metas}"
     );
     assert!(steps >= 8, "the full replayed tail is streamed: {steps}");
+}
+
+/// `RunConfig`'s fields are public, so a config can be edited into
+/// nonsense after its builder checked it. `nd = 1` used to panic in
+/// mesh generation while the worker held the server's state lock,
+/// poisoning `status()` and `stats()` for every tenant; now the job is
+/// refused at submission and the server carries on.
+#[test]
+fn a_config_that_cannot_build_a_mesh_fails_one_job_not_the_server() {
+    let srv = JobServer::start(ServerConfig::default().workers(1));
+    let mut bad = guard_config();
+    bad.sim.nozzle.nd = 1;
+    let h = srv.submit(JobSpec::new(bad).tenant("careless"));
+    match h.status() {
+        JobStatus::Failed { error } => {
+            assert!(error.starts_with("invalid config: "), "{error}")
+        }
+        other => panic!("the job must fail at submission, got {other:?}"),
+    }
+    assert!(h.wait().is_err());
+
+    let good = srv.submit(JobSpec::new(guard_config()).tenant("careful"));
+    good.wait().expect("the next valid job is served");
+    assert_eq!(good.status(), JobStatus::Done { cache_hit: false });
+    let stats = srv.stats();
+    assert_eq!((stats.submitted, stats.failed, stats.completed), (2, 1, 1));
+    assert_eq!(stats.attempts, 1, "the refused job never reached a worker");
 }
 
 /// Submitting by scenario name goes through the same canonical-hash

@@ -128,7 +128,10 @@ fn modelled_driver_trace_sums_match_totals() {
         .ranks(4)
         .seed(7)
         .steps(10)
-        .rebalance_every(4)
+        .rebalance(Some(balance::RebalanceConfig {
+            t_interval: 4,
+            ..Default::default()
+        }))
         .trace(TraceSpec::Memory(mem.clone()))
         .build()
         .unwrap();

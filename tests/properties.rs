@@ -397,3 +397,41 @@ proptest! {
         prop_assert!(partition::imbalance(&g, &part, k) < 1.8);
     }
 }
+
+/// ROADMAP item 4: every malformed input is a typed error. Each canned
+/// scenario is mutated one byte at a time (flip a bit, delete,
+/// duplicate) from a fixed seed; `scenario::parse` must answer every
+/// mutant with `Ok` or a `ScenarioError` and never panic. Parse only —
+/// no mesh is built, so a mutant asking for `nd = 912` costs nothing.
+#[test]
+fn mutated_scenarios_parse_or_fail_typed_and_never_panic() {
+    const MUTANTS: usize = 2_000;
+    let mut state = 0x5CE7A210u64;
+    let mut next = move || {
+        state = state.wrapping_add(0x9E3779B97F4A7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+        z ^ (z >> 31)
+    };
+    for &(name, text) in coupled::scenario::CANNED {
+        let (mut parsed, mut rejected) = (0, 0);
+        for i in 0..MUTANTS {
+            let mut bytes = text.as_bytes().to_vec();
+            let at = (next() % bytes.len() as u64) as usize;
+            match next() % 3 {
+                0 => bytes[at] ^= 1 << (next() % 8),
+                1 => drop(bytes.remove(at)),
+                _ => bytes.insert(at, bytes[at]),
+            }
+            let mutant = String::from_utf8_lossy(&bytes).into_owned();
+            match std::panic::catch_unwind(|| coupled::scenario::parse(&mutant).map(|_| ())) {
+                Ok(Ok(())) => parsed += 1,
+                Ok(Err(_)) => rejected += 1,
+                Err(_) => panic!("{name} mutant {i} panicked the scenario reader:\n{mutant}"),
+            }
+        }
+        // the loop reaches both verdicts, or it is testing nothing
+        assert!(parsed > 0 && rejected > 0, "{name}: {parsed} / {rejected}");
+    }
+}

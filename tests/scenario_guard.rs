@@ -1,6 +1,6 @@
 //! Regression guard for the scenario subsystem (DESIGN.md §15).
 //!
-//! Four properties are pinned:
+//! Five properties are pinned:
 //!
 //! 1. Each canned scenario (`scenarios/*.toml`) lowers and runs to a
 //!    bitwise-pinned end-of-run `density_h`, serial and 3-rank
@@ -17,9 +17,12 @@
 //! 4. The TOML parser is shape-insensitive (key order, whitespace,
 //!    comments never change the lowered canonical config) and rejects
 //!    bad physics with typed errors — checked property-style.
+//! 5. A value is judged by `RunConfig::validate` alone: the builder
+//!    and the scenario reader return the same `ConfigError` for the
+//!    same offending value, and the same config for a legal one.
 
 use coupled::scenario::{self, ScenarioError};
-use coupled::{run_serial, run_threaded, ConfigError, Dataset, RankEngine, RunConfig};
+use coupled::{run_serial, run_threaded, ConfigError, Dataset, RankEngine, RunConfig, SimConfig};
 use obs::fnv1a_f64;
 use proptest::prelude::*;
 
@@ -97,10 +100,8 @@ fn guard_builder() -> coupled::RunConfigBuilder {
 /// the `engine_guard` baselines.
 #[test]
 fn k_sub_one_is_bitwise_identical_to_the_pinned_engine() {
-    let run = guard_builder()
-        .k_sub_dsmc(1)
-        .build()
-        .expect("valid guard config");
+    let run = guard_builder().build().expect("valid guard config");
+    assert_eq!(run.sim.k_sub_dsmc, 1, "the guard config is not subcycled");
     assert_eq!(fnv1a_f64(&run_serial(&run).density_h), PINNED_SERIAL_HASH);
     assert_eq!(fnv1a_f64(&run_threaded(&run).density_h), PINNED_3RANK_HASH);
 }
@@ -111,10 +112,10 @@ fn k_sub_one_is_bitwise_identical_to_the_pinned_engine() {
 /// baselines, which never configure a pump.
 #[test]
 fn full_survival_pump_is_bitwise_identical_to_no_pump() {
-    let run = guard_builder()
-        .pump_prob(1.0)
-        .build()
-        .expect("valid guard config");
+    let mut run = guard_builder().build().expect("valid guard config");
+    run.sim.pump_prob = Some(1.0);
+    run.validate()
+        .expect("full survival is a legal probability");
     assert_eq!(fnv1a_f64(&run_serial(&run).density_h), PINNED_SERIAL_HASH);
     assert_eq!(fnv1a_f64(&run_threaded(&run).density_h), PINNED_3RANK_HASH);
 }
@@ -179,6 +180,150 @@ fn thermal_box_serial_run_fills_time_averaged_diagnostics() {
         r.density_h_avg.iter().any(|&d| d > 0.0),
         "averaged density is identically zero"
     );
+}
+
+// ---------------------------------------------------------------------
+// One validator behind both doors
+// ---------------------------------------------------------------------
+
+/// One value at one door: the scenario TOML that sets it, the same
+/// edit on a hand-built `SimConfig`, and what `RunConfig::validate`
+/// must say about it (`None` = a legal boundary value).
+type DoorCase = (&'static str, fn(&mut SimConfig), Option<ConfigError>);
+
+fn door_cases() -> Vec<DoorCase> {
+    use ConfigError::*;
+    vec![
+        // every rule that used to live in the scenario reader only
+        (
+            "[domain]\nradius = 0.0",
+            |s| s.nozzle.radius = 0.0,
+            Some(NotPositive("radius")),
+        ),
+        (
+            "[domain]\nlength = -1.0",
+            |s| s.nozzle.length = -1.0,
+            Some(NotPositive("length")),
+        ),
+        (
+            "[domain]\ninlet_radius = 0",
+            |s| s.nozzle.inlet_radius = 0.0,
+            Some(NotPositive("inlet_radius")),
+        ),
+        (
+            "[domain]\nnd = 1",
+            |s| s.nozzle.nd = 1,
+            Some(DegenerateMesh),
+        ),
+        (
+            "[domain]\nnz = 0",
+            |s| s.nozzle.nz = 0,
+            Some(DegenerateMesh),
+        ),
+        (
+            "[domain]\ninlet_radius = 6e-3",
+            |s| s.nozzle.inlet_radius = 6e-3,
+            Some(InletExceedsRadius),
+        ),
+        (
+            "[species.h]\ndensity = -1e18",
+            |s| s.density_h = -1e18,
+            Some(NegativeFlux("density_h")),
+        ),
+        (
+            "[species.h]\nweight = 0",
+            |s| s.weight_h = 0.0,
+            Some(NotPositive("weight_h")),
+        ),
+        (
+            "[species.hplus]\ndensity = -1.0",
+            |s| s.density_hplus = -1.0,
+            Some(NegativeFlux("density_hplus")),
+        ),
+        (
+            "[species.hplus]\nweight = -6000.0",
+            |s| s.weight_hplus = -6000.0,
+            Some(NotPositive("weight_hplus")),
+        ),
+        (
+            "[injection]\nv_drift = -10.0",
+            |s| s.v_drift = -10.0,
+            Some(NegativeFlux("v_drift")),
+        ),
+        (
+            "[injection]\nt_inject = 0.0",
+            |s| s.t_inject = 0.0,
+            Some(NotPositive("t_inject")),
+        ),
+        (
+            "[time]\ndt_dsmc = 0.0",
+            |s| s.dt_dsmc = 0.0,
+            Some(NotPositive("dt_dsmc")),
+        ),
+        // `1e999` parses to +inf: non-finite is out of range too
+        (
+            "[time]\ndt_dsmc = 1e999",
+            |s| s.dt_dsmc = f64::INFINITY,
+            Some(NotPositive("dt_dsmc")),
+        ),
+        (
+            "[time]\npic_per_dsmc = 0",
+            |s| s.pic_per_dsmc = 0,
+            Some(ZeroPicPerDsmc),
+        ),
+        (
+            "[walls]\nt_wall = -300.0",
+            |s| s.t_wall = -300.0,
+            Some(NotPositive("t_wall")),
+        ),
+        // boundary values that must still pass
+        ("[species.h]\ndensity = 0", |s| s.density_h = 0.0, None),
+        (
+            "[species.hplus]\ndensity = 0.0",
+            |s| s.density_hplus = 0.0,
+            None,
+        ),
+        ("[injection]\nv_drift = 0.0", |s| s.v_drift = 0.0, None),
+        (
+            "[walls]\npump_prob = 0.0",
+            |s| s.pump_prob = Some(0.0),
+            None,
+        ),
+        ("[walls]\npump_prob = 1", |s| s.pump_prob = Some(1.0), None),
+        (
+            "[domain]\ninlet_radius = 5e-3",
+            |s| s.nozzle.inlet_radius = 5e-3,
+            None,
+        ),
+    ]
+}
+
+/// `RunConfig::builder().sim(..).build()` and the same value in
+/// scenario TOML reach the same `RunConfig::validate`: the same
+/// `ConfigError` from both, or — for a legal value — the same config.
+#[test]
+fn builder_and_scenario_doors_give_the_same_verdict() {
+    for (toml, edit, expected) in door_cases() {
+        let mut sim = SimConfig::default();
+        edit(&mut sim);
+        let built = RunConfig::builder().sim(sim).build();
+        let parsed = scenario::parse(toml).map(|sc| sc.run);
+        match expected {
+            Some(e) => {
+                assert_eq!(built.unwrap_err(), e, "builder door: {toml:?}");
+                assert_eq!(
+                    parsed.unwrap_err(),
+                    ScenarioError::Config(e),
+                    "scenario door: {toml:?}"
+                );
+            }
+            None => assert_eq!(
+                built.expect("legal boundary value").canonical_string(),
+                parsed.expect("legal boundary value").canonical_string(),
+                "{toml:?}"
+            ),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -256,19 +401,19 @@ proptest! {
     #[test]
     fn negative_density_is_a_typed_flux_error(d in -1e22f64..-1e-3) {
         let text = format!("[species.h]\ndensity = {d:e}\n");
-        prop_assert!(matches!(
-            scenario::parse(&text),
-            Err(ScenarioError::NegativeFlux { .. })
-        ));
+        prop_assert_eq!(
+            scenario::parse(&text).unwrap_err(),
+            ScenarioError::Config(ConfigError::NegativeFlux("density_h"))
+        );
     }
 
     #[test]
     fn negative_drift_is_a_typed_flux_error(v in -1e6f64..-1e-3) {
         let text = format!("[injection]\nv_drift = {v:e}\n");
-        prop_assert!(matches!(
-            scenario::parse(&text),
-            Err(ScenarioError::NegativeFlux { .. })
-        ));
+        prop_assert_eq!(
+            scenario::parse(&text).unwrap_err(),
+            ScenarioError::Config(ConfigError::NegativeFlux("v_drift"))
+        );
     }
 
     #[test]
