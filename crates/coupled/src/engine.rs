@@ -98,6 +98,9 @@ pub struct RankEngine {
     /// Exchange scratch (used by communicating backends).
     pub exch: ExchangeScratch,
     events: Vec<CollisionEvent>,
+    /// PIC substep scratch, cleared and reused: the deposited node
+    /// charge (taken by `deposit`, handed back by `field_solve`).
+    node_charge: Vec<f64>,
 }
 
 /// Seed of the dedicated DSMC subcycle stream for a rank seeded with
@@ -185,6 +188,7 @@ impl RankEngine {
             pool,
             exch: ExchangeScratch::default(),
             events: Vec::new(),
+            node_charge: Vec::new(),
         }
     }
 
@@ -429,7 +433,9 @@ impl RankEngine {
 
     /// Deposit the local charge onto the fine-grid nodes.
     fn deposit(&mut self) -> Vec<f64> {
-        let mut node_charge = vec![0.0f64; self.nm.fine.num_nodes()];
+        let mut node_charge = std::mem::take(&mut self.node_charge);
+        node_charge.clear();
+        node_charge.resize(self.nm.fine.num_nodes(), 0.0);
         deposit_charge_pooled(
             &self.nm,
             &self.particles,
@@ -441,12 +447,13 @@ impl RankEngine {
     }
 
     /// Poisson_Solve on the (globally reduced) node charge, then
-    /// refresh E.
-    fn field_solve(&mut self, node_charge: &[f64], rec: &mut StepRecord) {
-        let (phi, stats) = self.poisson.solve_with(node_charge, &self.pool, None);
+    /// refresh E. The vector becomes the next deposit's scratch.
+    fn field_solve(&mut self, node_charge: Vec<f64>, rec: &mut StepRecord) {
+        let (phi, stats) = self.poisson.solve_with(&node_charge, &self.pool, None);
         self.efield = ElectricField::from_potential(&self.nm.fine, phi);
         rec.poisson_iters.push(stats.iterations);
         rec.poisson_unconverged += usize::from(!stats.converged);
+        self.node_charge = node_charge;
     }
 
     /// Reindex: renumber owned particles from this rank's global
@@ -629,7 +636,7 @@ pub fn run_step<B: Backend, O: Observer>(
         forward_exchange(carried, &mut trace, observer);
         let local = eng.deposit();
         let node_charge = be.reduce_charge(eng, local);
-        eng.field_solve(&node_charge, &mut rec);
+        eng.field_solve(node_charge, &mut rec);
         be.lap(Phase::PoissonSolve, sub, eng, &rec, &mut bd);
     }
 

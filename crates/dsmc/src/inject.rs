@@ -221,6 +221,42 @@ mod tests {
         assert!((mean_vz - 1e4).abs() < 200.0, "{mean_vz}");
     }
 
+    /// One injection of 400 particles from seed 9, as lane bits.
+    fn injected_bits(m: &TetMesh) -> (Vec<u64>, Vec<u32>) {
+        let mut inj = Injector::new(m);
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut buf = ParticleBuffer::new();
+        let sp = Species::hydrogen(1.0);
+        inj.inject(m, &mut buf, 0, &sp, 400.0, 1e4, 300.0, &mut rng);
+        assert_eq!(buf.len(), 400);
+        let lanes = [&buf.px, &buf.py, &buf.pz, &buf.vx, &buf.vy, &buf.vz]
+            .iter()
+            .flat_map(|lane| lane.iter().map(|x| x.to_bits()))
+            .chain([rng.gen::<u64>()])
+            .collect();
+        (lanes, buf.cell)
+    }
+
+    #[test]
+    fn face_plane_table_injects_bitwise_like_a_plain_mesh() {
+        let (plain, _) = setup();
+        let cached = plain.clone().with_face_planes();
+        assert_eq!(injected_bits(&plain), injected_bits(&cached));
+    }
+
+    #[test]
+    fn inject_reads_no_whole_mesh_reduction() {
+        // The per-particle loop may not sum over the mesh: with every
+        // cell volume poisoned after the build, a `total_volume()` (or
+        // anything derived from it at call time) would turn the nudge,
+        // and so every position, into NaN.
+        let (m, _) = setup();
+        let mut poisoned = m.clone();
+        poisoned.volumes.fill(f64::NAN);
+        assert!(poisoned.total_volume().is_nan());
+        assert_eq!(injected_bits(&m), injected_bits(&poisoned));
+    }
+
     #[test]
     fn flux_formula() {
         let (_m, inj) = setup();

@@ -133,6 +133,10 @@ fn advance_one<R: Rng>(
     mut pump: Option<&mut Pump<'_>>,
 ) -> Option<(Vec3, Vec3, u32)> {
     let mut remaining = dt;
+    // Unit direction of the current straight leg: `v` only changes at
+    // a wall hit, so it is computed at the leg's first interior
+    // crossing and dropped on reflection.
+    let mut dir: Option<Vec3> = None;
     // A particle can cross many faces per step; cap the loop.
     for _ in 0..10_000 {
         if remaining <= 0.0 {
@@ -152,7 +156,7 @@ fn advance_one<R: Rng>(
                         cell = o as usize;
                         // nudge across the face so the new cell's
                         // containment holds numerically
-                        r += v.normalized() * nudge_len;
+                        r += *dir.get_or_insert_with(|| v.normalized()) * nudge_len;
                     }
                     FaceTag::Boundary(BoundaryKind::Wall) => {
                         // Partial pump: the survival decision draws
@@ -178,6 +182,7 @@ fn advance_one<R: Rng>(
                         vnew -= inward * vn; // tangential part
                         vnew += inward * flux_normal_speed(rng, wall_temp, sp.mass);
                         v = vnew;
+                        dir = None;
                         r += inward * nudge_len;
                     }
                     FaceTag::Boundary(_) => {
@@ -651,6 +656,64 @@ mod tests {
             for i in 0..a.len() {
                 assert_eq!(a.get(i), b.get(i));
             }
+        }
+    }
+
+    #[test]
+    fn face_plane_table_moves_particles_bitwise_like_a_plain_mesh() {
+        let (plain, sp) = setup();
+        let cached = plain.clone().with_face_planes();
+        let near_outlet =
+            mesh::locate::locate_brute(&plain, Vec3::new(0.0012, 0.0012, 0.001)).unwrap();
+        let run = |m: &TetMesh, pool: &Pool| {
+            let mut buf = ParticleBuffer::new();
+            for k in 0..150usize {
+                // a third each: towards the wall, out of the outlet,
+                // slow interior flight
+                let (cell, vel) = match k % 3 {
+                    0 => ((k * 23) % m.num_cells(), Vec3::new(4e4, -1e3, 3e3)),
+                    1 => (near_outlet, Vec3::new(0.0, 0.0, 1e6)),
+                    _ => ((k * 13) % m.num_cells(), Vec3::new(40.0, -25.0, 300.0)),
+                };
+                let mut p = particle_at(m, cell, vel);
+                p.id = k as u64;
+                buf.push(p);
+            }
+            let mut rng = StdRng::seed_from_u64(21);
+            let mut pump_rng = StdRng::seed_from_u64(77);
+            let mut transitions = Vec::new();
+            let stats = move_particles_pooled(
+                m,
+                &mut buf,
+                &sp,
+                4e-7,
+                300.0,
+                &mut rng,
+                pool,
+                |_| true,
+                Some(&mut transitions),
+                Some(Pump {
+                    prob: 0.5,
+                    rng: &mut pump_rng,
+                }),
+            );
+            let lanes: Vec<u64> = [&buf.px, &buf.py, &buf.pz, &buf.vx, &buf.vy, &buf.vz]
+                .iter()
+                .flat_map(|lane| lane.iter().map(|x| x.to_bits()))
+                .collect();
+            let ids = (buf.cell.clone(), buf.species.clone(), buf.id.clone());
+            (lanes, ids, stats, transitions, rng, pump_rng)
+        };
+        for pool in [Pool::serial(), Pool::new(3)] {
+            let a = run(&plain, &pool);
+            let b = run(&cached, &pool);
+            let stats = a.2;
+            assert!(
+                stats.wall_hits > 0 && stats.pumped > 0 && stats.exited > 0,
+                "test premise: every outcome occurs, {stats:?}"
+            );
+            assert!(stats.crossings > stats.wall_hits + stats.exited);
+            assert_eq!(a, b);
         }
     }
 

@@ -15,7 +15,8 @@ use std::collections::HashMap;
 #[derive(Debug, Clone)]
 pub struct NestedMesh {
     /// Coarse grid (cell size ~ mean free path); DSMC runs here and
-    /// this is the unit of domain decomposition.
+    /// this is the unit of domain decomposition. Both particle movers
+    /// walk it, so it carries the face-plane table.
     pub coarse: TetMesh,
     /// Fine grid (cell size ~ Debye length); PIC runs here.
     pub fine: TetMesh,
@@ -44,7 +45,9 @@ impl NestedMesh {
         }
         debug_assert!(fill.iter().all(|&c| c == 8));
         NestedMesh {
-            coarse,
+            // particles walk the coarse mesh only, so it alone carries
+            // the face-plane table (the fine one has 8x the cells)
+            coarse: coarse.with_face_planes(),
             fine,
             fine_parent,
             children,
@@ -160,6 +163,14 @@ mod tests {
                 assert_eq!(nm.fine_parent[f as usize], c as u32);
             }
         }
+    }
+
+    #[test]
+    fn only_the_coarse_mesh_carries_face_planes() {
+        let nm = nested();
+        assert!(nm.coarse.has_face_planes());
+        assert!(nm.coarse.clone().has_face_planes());
+        assert!(!nm.fine.has_face_planes(), "8x the cells: no table");
     }
 
     #[test]

@@ -47,6 +47,13 @@ pub struct TetMesh {
     pub volumes: Vec<f64>,
     /// Cached cell centroids.
     pub centroids: Vec<Vec3>,
+    /// Cached [`TetMesh::mean_cell_size`].
+    mean_cell_size: f64,
+    /// `face_planes[t][f]` = the `(centroid, outward normal)` pair of
+    /// face `f` of tet `t`; empty unless [`TetMesh::with_face_planes`]
+    /// filled it (192 B per cell, so only the mesh particles walk
+    /// carries it).
+    face_planes: Vec<[(Vec3, Vec3); 4]>,
 }
 
 impl TetMesh {
@@ -102,6 +109,8 @@ impl TetMesh {
             neighbors,
             volumes: Vec::new(),
             centroids: Vec::new(),
+            mean_cell_size: 0.0,
+            face_planes: Vec::new(),
         };
         mesh.recompute_geometry();
         for (_key, (t, f)) in face_map {
@@ -125,6 +134,23 @@ impl TetMesh {
                 tet_centroid(p[0], p[1], p[2], p[3])
             })
             .collect();
+        self.mean_cell_size = (self.total_volume() / self.num_cells() as f64).cbrt();
+    }
+
+    /// The same mesh carrying the per-cell face-plane table, so
+    /// [`TetMesh::face_centroid_normal`] answers with a lookup — the
+    /// values are the ones it computes without the table, bit for bit.
+    pub fn with_face_planes(mut self) -> Self {
+        self.face_planes = (0..self.num_cells())
+            .map(|t| std::array::from_fn(|f| self.compute_face_plane(t, f)))
+            .collect();
+        self
+    }
+
+    /// Whether this mesh carries the face-plane table.
+    #[cfg(test)]
+    pub(crate) fn has_face_planes(&self) -> bool {
+        !self.face_planes.is_empty()
     }
 
     /// Number of cells (tets).
@@ -160,7 +186,16 @@ impl TetMesh {
     }
 
     /// Centroid and outward (unnormalized) normal of face `f` of tet `t`.
+    #[inline]
     pub fn face_centroid_normal(&self, t: usize, f: usize) -> (Vec3, Vec3) {
+        match self.face_planes.get(t) {
+            Some(planes) => planes[f],
+            None => self.compute_face_plane(t, f),
+        }
+    }
+
+    /// [`TetMesh::face_centroid_normal`] from the node table.
+    fn compute_face_plane(&self, t: usize, f: usize) -> (Vec3, Vec3) {
         let fnodes = self.face_nodes(t, f);
         let [a, b, c] = [
             self.nodes[fnodes[0] as usize],
@@ -248,9 +283,11 @@ impl TetMesh {
         (b - a).cross(c - a).norm() / 2.0
     }
 
-    /// Characteristic cell size: cube root of the mean cell volume.
+    /// Characteristic cell size: cube root of the mean cell volume
+    /// (cached at build time).
+    #[inline]
     pub fn mean_cell_size(&self) -> f64 {
-        (self.total_volume() / self.num_cells() as f64).cbrt()
+        self.mean_cell_size
     }
 }
 
@@ -323,6 +360,49 @@ mod tests {
                 assert!(n.dot(fc - m.centroids[t]) > 0.0);
             }
         }
+    }
+
+    fn nozzle() -> TetMesh {
+        crate::nozzle::NozzleSpec {
+            nd: 6,
+            nz: 10,
+            ..Default::default()
+        }
+        .generate()
+    }
+
+    fn bits((fc, n): (Vec3, Vec3)) -> [u64; 6] {
+        [fc.x, fc.y, fc.z, n.x, n.y, n.z].map(f64::to_bits)
+    }
+
+    #[test]
+    fn face_plane_table_equals_direct_computation_bitwise() {
+        let plain = nozzle();
+        assert!(!plain.has_face_planes());
+        let cached = plain.clone().with_face_planes();
+        assert!(cached.has_face_planes());
+        for t in 0..plain.num_cells() {
+            for f in 0..4 {
+                let direct = bits(plain.compute_face_plane(t, f));
+                assert_eq!(bits(cached.face_centroid_normal(t, f)), direct);
+                // a mesh without the table answers the same
+                assert_eq!(bits(plain.face_centroid_normal(t, f)), direct);
+                let (fc, n) = plain.face_centroid_normal(t, f);
+                assert!(n.dot(fc - plain.centroids[t]) > 0.0, "outward");
+            }
+        }
+    }
+
+    #[test]
+    fn mean_cell_size_is_cached_bitwise() {
+        let m = nozzle();
+        let direct = (m.total_volume() / m.num_cells() as f64).cbrt();
+        assert!(direct > 0.0);
+        assert_eq!(m.mean_cell_size().to_bits(), direct.to_bits());
+        assert_eq!(
+            m.clone().with_face_planes().mean_cell_size().to_bits(),
+            direct.to_bits()
+        );
     }
 
     #[test]

@@ -96,6 +96,19 @@ find crates/*/src src -name '*.rs' | sort | xargs awk '
     }
     END { if (dups) { print "verify: " dups " duplicated 8-line windows" > "/dev/stderr"; exit 1 } }'
 
+echo "== whole-mesh-reduction lint (no total_volume( / bbox( in the particle crates' production code) =="
+# O(cells) and O(nodes) sums: geometry a particle kernel reads is
+# cached on the mesh when it is built, never recomputed per particle.
+reductions=$(find crates/dsmc/src crates/pic/src crates/coupled/src -name '*.rs' | sort |
+    xargs awk 'FNR == 1 { skip = 0 }
+        /^[ \t]*#\[cfg\(test\)\]/ { skip = 1 }
+        !skip && !/^[ \t]*\/\// && /(total_volume|bbox)\(/ { print FILENAME ":" FNR ": " $0 }')
+if [ -n "$reductions" ]; then
+    echo "$reductions"
+    echo "verify: a whole-mesh reduction in a particle crate (cache it on the mesh instead)" >&2
+    exit 1
+fi
+
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
