@@ -27,7 +27,6 @@
 
 use crate::engine::RankEngine;
 use particles::{ParticleBuffer, PACKED_SIZE};
-use pic::ElectricField;
 use rand::rngs::StdRng;
 
 const MAGIC: &[u8; 4] = b"DPIC";
@@ -245,7 +244,7 @@ pub fn restore(sim: &mut RankEngine, data: &[u8]) -> Result<(), CheckpointError>
         inj.set_carry(carry);
     }
     sim.poisson.set_phi(&phi);
-    sim.efield = ElectricField::from_potential(&sim.nm.fine, &phi);
+    sim.efield.refresh(&sim.nm.fine, &phi);
     sim.collisions.set_sigma_g_max(&sigma);
     sim.rng_dsmc = StdRng::from_state(dsmc_state);
     sim.rng_pump = StdRng::from_state(pump_state);

@@ -450,7 +450,7 @@ impl RankEngine {
     /// refresh E. The vector becomes the next deposit's scratch.
     fn field_solve(&mut self, node_charge: Vec<f64>, rec: &mut StepRecord) {
         let (phi, stats) = self.poisson.solve_with(&node_charge, &self.pool, None);
-        self.efield = ElectricField::from_potential(&self.nm.fine, phi);
+        self.efield.refresh(&self.nm.fine, phi);
         rec.poisson_iters.push(stats.iterations);
         rec.poisson_unconverged += usize::from(!stats.converged);
         self.node_charge = node_charge;

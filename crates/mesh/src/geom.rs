@@ -177,6 +177,26 @@ pub fn barycentric(p: Vec3, a: Vec3, b: Vec3, c: Vec3, d: Vec3) -> [f64; 4] {
     [wa, wb, wc, wd]
 }
 
+/// Constant shape-function gradients of a linear tet: returns
+/// `[∇λ0, ∇λ1, ∇λ2, ∇λ3]`.
+pub fn shape_gradients(p: [Vec3; 4]) -> [Vec3; 4] {
+    // λ_i = 1 on vertex i, 0 on the opposite face; the gradient is
+    // the inward face normal scaled by 1/distance:
+    // ∇λ_i = n_face_i_area_vector / (3 V), pointing towards vertex i.
+    let v6 = (p[1] - p[0]).cross(p[2] - p[0]).dot(p[3] - p[0]); // 6V signed
+    let mut g = [Vec3::ZERO; 4];
+    // face opposite vertex i is formed by the other three vertices
+    const FACES: [[usize; 3]; 4] = [[1, 2, 3], [0, 3, 2], [0, 1, 3], [0, 2, 1]];
+    for i in 0..4 {
+        let [a, b, c] = FACES[i];
+        // area vector with orientation chosen so ∇λ_i points to vertex i
+        let n = (p[b] - p[a]).cross(p[c] - p[a]);
+        let n = if n.dot(p[i] - p[a]) > 0.0 { n } else { -n };
+        g[i] = n / v6.abs();
+    }
+    g
+}
+
 /// Whether `p` lies inside (or on the boundary of) tet `(a,b,c,d)`,
 /// with tolerance `eps` on the barycentric weights.
 pub fn tet_contains(p: Vec3, a: Vec3, b: Vec3, c: Vec3, d: Vec3, eps: f64) -> bool {
@@ -269,6 +289,29 @@ mod tests {
         assert!(!tet_contains(Vec3::new(0.9, 0.9, 0.9), A, B, C, D, 1e-12));
         // face point counts as inside
         assert!(tet_contains(Vec3::new(0.25, 0.25, 0.0), A, B, C, D, 1e-12));
+    }
+
+    #[test]
+    fn shape_gradients_partition_of_unity() {
+        let p = [
+            Vec3::new(0.1, 0.2, 0.3),
+            Vec3::new(1.3, 0.1, 0.2),
+            Vec3::new(0.2, 1.1, 0.4),
+            Vec3::new(0.3, 0.4, 1.5),
+        ];
+        let g = shape_gradients(p);
+        // gradients sum to zero (λ's sum to 1)
+        let sum = g[0] + g[1] + g[2] + g[3];
+        assert!(sum.norm() < 1e-12);
+        // ∇λ_i · (p_i − p_j) = 1 for any j ≠ i
+        for i in 0..4 {
+            for j in 0..4 {
+                if i != j {
+                    let d = g[i].dot(p[i] - p[j]);
+                    assert!((d - 1.0).abs() < 1e-10, "i={i} j={j}: {d}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -166,6 +166,28 @@ mod tests {
     }
 
     #[test]
+    fn corner_children_come_first_and_own_the_half_weight_region() {
+        let nm = nested();
+        for (c, ch) in nm.children.iter().enumerate() {
+            let parent = nm.coarse.tets[c];
+            for (i, &f) in ch.iter().enumerate() {
+                let lambda = nm.coarse.bary(c, nm.fine.centroids[f as usize]);
+                if i < 4 {
+                    // corner tet at the parent's vertex i
+                    assert!(nm.fine.tets[f as usize].contains(&parent[i]), "cell {c}");
+                    assert!(lambda[i] > 0.5, "cell {c} child {i}: {lambda:?}");
+                } else {
+                    // octahedron tet: no parent vertex dominates
+                    assert!(
+                        lambda.iter().all(|&l| l <= 0.5),
+                        "cell {c} child {i}: {lambda:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn only_the_coarse_mesh_carries_face_planes() {
         let nm = nested();
         assert!(nm.coarse.has_face_planes());

@@ -6,8 +6,11 @@
 //! another tet ([`FaceTag::Interior`]) or lies on the domain boundary
 //! with a physical tag ([`FaceTag::Boundary`]).
 
-use crate::geom::{barycentric, outward_face_normal, tet_centroid, tet_volume_signed, Vec3};
+use crate::geom::{
+    barycentric, outward_face_normal, shape_gradients, tet_centroid, tet_volume_signed, Vec3,
+};
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// Physical classification of a boundary face.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -54,6 +57,10 @@ pub struct TetMesh {
     /// filled it (192 B per cell, so only the mesh particles walk
     /// carries it).
     face_planes: Vec<[(Vec3, Vec3); 4]>,
+    /// `shape_grads[t]` = [`shape_gradients`] of tet `t`; filled by the
+    /// first [`TetMesh::shape_gradient_table`] call (96 B per cell, so
+    /// only the mesh a field is differentiated on ever carries it).
+    shape_grads: OnceLock<Vec<[Vec3; 4]>>,
 }
 
 impl TetMesh {
@@ -111,6 +118,7 @@ impl TetMesh {
             centroids: Vec::new(),
             mean_cell_size: 0.0,
             face_planes: Vec::new(),
+            shape_grads: OnceLock::new(),
         };
         mesh.recompute_geometry();
         for (_key, (t, f)) in face_map {
@@ -151,6 +159,25 @@ impl TetMesh {
     #[cfg(test)]
     pub(crate) fn has_face_planes(&self) -> bool {
         !self.face_planes.is_empty()
+    }
+
+    /// [`shape_gradients`] of every cell, computed on the first call
+    /// and kept: whoever differentiates a nodal field per step reads
+    /// them instead of re-deriving them. Filled on first use, not with
+    /// the mesh, so the table never sits under the transients of what
+    /// is assembled between building the mesh and running on it.
+    pub fn shape_gradient_table(&self) -> &[[Vec3; 4]] {
+        self.shape_grads.get_or_init(|| {
+            (0..self.num_cells())
+                .map(|t| shape_gradients(self.tet_pos(t)))
+                .collect()
+        })
+    }
+
+    /// Whether this mesh carries the shape-gradient table.
+    #[cfg(test)]
+    pub(crate) fn has_shape_gradient_table(&self) -> bool {
+        self.shape_grads.get().is_some()
     }
 
     /// Number of cells (tets).
@@ -362,13 +389,16 @@ mod tests {
         }
     }
 
-    fn nozzle() -> TetMesh {
+    fn nozzle_spec() -> crate::nozzle::NozzleSpec {
         crate::nozzle::NozzleSpec {
             nd: 6,
             nz: 10,
             ..Default::default()
         }
-        .generate()
+    }
+
+    fn nozzle() -> TetMesh {
+        nozzle_spec().generate()
     }
 
     fn bits((fc, n): (Vec3, Vec3)) -> [u64; 6] {
@@ -390,6 +420,28 @@ mod tests {
                 let (fc, n) = plain.face_centroid_normal(t, f);
                 assert!(n.dot(fc - plain.centroids[t]) > 0.0, "outward");
             }
+        }
+    }
+
+    #[test]
+    fn shape_gradient_table_equals_direct_computation_bitwise() {
+        let spec = nozzle_spec();
+        let coarse = spec.generate();
+        assert!(!coarse.has_shape_gradient_table());
+        let (refined, _) = crate::refine::refine_1_to_8(&coarse, |c, n| spec.classify(c, n));
+        assert!(!refined.has_shape_gradient_table());
+        let nm = crate::NestedMesh::from_coarse(coarse, move |c, n| spec.classify(c, n));
+        // nobody asked yet: neither mesh carries the table
+        assert!(!nm.coarse.has_shape_gradient_table());
+        assert!(!nm.fine.has_shape_gradient_table());
+        let table = nm.fine.shape_gradient_table();
+        assert!(nm.fine.has_shape_gradient_table());
+        assert!(!nm.coarse.has_shape_gradient_table(), "only the mesh asked");
+        assert_eq!(table.len(), nm.fine.num_cells());
+        let bits = |g: [Vec3; 4]| g.map(|v| [v.x, v.y, v.z].map(f64::to_bits));
+        for (t, row) in table.iter().enumerate() {
+            let direct = shape_gradients(nm.fine.tet_pos(t));
+            assert_eq!(bits(*row), bits(direct), "cell {t}");
         }
     }
 

@@ -17,12 +17,42 @@ pub fn fine_cell_of(nm: &NestedMesh, coarse_cell: usize, pos: mesh::Vec3) -> usi
     fine_cell_with_bary(nm, coarse_cell, pos).0
 }
 
+/// A child whose every weight exceeds this holds the point by a margin
+/// five orders above `bary`'s rounding error (weights are O(1) volume
+/// ratios of well-shaped tets, error ≈ 1e-14): the point is then
+/// outside every other child, so the exhaustive scan would have picked
+/// the same child and — `bary` being pure — the same weights.
+const CLEARLY_INSIDE: f64 = 1e-9;
+
 /// As [`fine_cell_of`], but also returning the winning barycentric
-/// weights: the search evaluates `bary` for every child anyway, so
-/// keeping the winner's weights spares the deposit a second full
-/// evaluation (`bary` is pure, so the saved weights are bitwise the
-/// ones a recompute would produce).
+/// weights, so the deposit needs no second evaluation.
+///
+/// Children `0..4` are the corner tets at the parent's vertices `0..4`
+/// and corner `i` holds exactly the points with parent weight
+/// `λ_i > ½`, so one parent `bary` names the only corner worth testing
+/// (or rules all four out, leaving the octahedron children `4..8`).
+/// The first candidate that is [`CLEARLY_INSIDE`] wins; a point near a
+/// child face, outside the parent or NaN is clearly inside none and
+/// takes the exhaustive scan.
 fn fine_cell_with_bary(nm: &NestedMesh, coarse_cell: usize, pos: mesh::Vec3) -> (usize, [f64; 4]) {
+    let children = &nm.children[coarse_cell];
+    let lambda = nm.coarse.bary(coarse_cell, pos);
+    let candidates = match lambda.iter().position(|&l| l > 0.5) {
+        Some(i) => &children[i..=i],
+        None => &children[4..],
+    };
+    for &f in candidates {
+        let w = nm.fine.bary(f as usize, pos);
+        if w.iter().all(|&wk| wk > CLEARLY_INSIDE) {
+            return (f as usize, w);
+        }
+    }
+    fine_cell_exhaustive(nm, coarse_cell, pos)
+}
+
+/// The child with the largest minimum barycentric weight, first one on
+/// ties (robust to roundoff on child faces), and its weights.
+fn fine_cell_exhaustive(nm: &NestedMesh, coarse_cell: usize, pos: mesh::Vec3) -> (usize, [f64; 4]) {
     let children = &nm.children[coarse_cell];
     let mut best = children[0] as usize;
     let mut best_min = f64::NEG_INFINITY;
@@ -169,6 +199,85 @@ mod tests {
                 assert!(nm.fine.contains(f, x, 1e-8));
             }
         }
+    }
+
+    #[test]
+    fn shortcut_lookup_equals_exhaustive_scan_bitwise() {
+        let nm = nested();
+        let mut rng = StdRng::seed_from_u64(7);
+        let h = nm.fine.mean_cell_size();
+        let mut checked = 0usize;
+        let mut check = |c: usize, x: Vec3| {
+            let (cell, w) = fine_cell_with_bary(&nm, c, x);
+            let (want_cell, want_w) = fine_cell_exhaustive(&nm, c, x);
+            assert_eq!(cell, want_cell, "coarse {c} at {x:?}");
+            assert_eq!(
+                w.map(f64::to_bits),
+                want_w.map(f64::to_bits),
+                "coarse {c} at {x:?}"
+            );
+            checked += 1;
+        };
+        for c in (0..nm.num_coarse()).step_by(5) {
+            let p = nm.coarse.tet_pos(c);
+            for _ in 0..40 {
+                check(
+                    c,
+                    particles::sample::point_in_tet(&mut rng, p[0], p[1], p[2], p[3]),
+                );
+            }
+            // on every child face: its vertices, edge midpoints and
+            // centroid, there and pushed off it along the normal by a
+            // rounding-sized and by a threshold-crossing step
+            for &f in &nm.children[c] {
+                for face in 0..4 {
+                    let [a, b, d] = nm
+                        .fine
+                        .face_nodes(f as usize, face)
+                        .map(|n| nm.fine.nodes[n as usize]);
+                    let normal = nm
+                        .fine
+                        .face_centroid_normal(f as usize, face)
+                        .1
+                        .normalized();
+                    let on_face = [
+                        a,
+                        b,
+                        d,
+                        (a + b) / 2.0,
+                        (a + d) / 2.0,
+                        (b + d) / 2.0,
+                        (a + b + d) / 3.0,
+                    ];
+                    for x in on_face {
+                        for step in [0.0, 1e-12, -1e-12, 1e-7, -1e-7] {
+                            check(c, x + normal * (step * h));
+                        }
+                    }
+                }
+            }
+            // just outside the parent, as the walk's roundoff leaves a particle
+            for face in 0..4 {
+                let (fc, n) = nm.coarse.face_centroid_normal(c, face);
+                let [a, b, d] = nm
+                    .coarse
+                    .face_nodes(c, face)
+                    .map(|n| nm.coarse.nodes[n as usize]);
+                for x in [
+                    fc,
+                    (a + fc) / 2.0,
+                    (b + fc) / 2.0,
+                    (d + fc) / 2.0,
+                    (a + b) / 2.0,
+                    a,
+                ] {
+                    check(c, x + n.normalized() * (1e-9 * h));
+                }
+            }
+            check(c, Vec3::new(f64::NAN, p[0].y, p[0].z));
+            check(c, Vec3::new(f64::NAN, f64::NAN, f64::NAN));
+        }
+        assert!(checked >= 20_000, "{checked} points");
     }
 
     #[test]

@@ -2,7 +2,6 @@
 //! piecewise constant per fine cell with linear elements, gathered to
 //! particles with the same shape functions used for deposition.
 
-use crate::poisson::shape_gradients;
 use mesh::{NestedMesh, TetMesh, Vec3};
 
 /// Per-fine-cell constant electric field.
@@ -24,18 +23,24 @@ impl ElectricField {
 
     /// Compute `E = −∇φ` on every fine cell.
     pub fn from_potential(fine: &TetMesh, phi: &[f64]) -> Self {
+        let mut field = Self::zeros(fine);
+        field.refresh(fine, phi);
+        field
+    }
+
+    /// Overwrite this field with `E = −∇φ`, reading the gradients from
+    /// the mesh's table ([`TetMesh::shape_gradient_table`]).
+    pub fn refresh(&mut self, fine: &TetMesh, phi: &[f64]) {
         assert_eq!(phi.len(), fine.num_nodes());
-        let mut e = vec![Vec3::ZERO; fine.num_cells()];
-        for (t, et) in e.iter_mut().enumerate() {
-            let g = shape_gradients(fine.tet_pos(t));
-            let tet = fine.tets[t];
+        assert_eq!(self.e.len(), fine.num_cells());
+        let table = fine.shape_gradient_table();
+        for ((et, g), tet) in self.e.iter_mut().zip(table).zip(&fine.tets) {
             let mut grad = Vec3::ZERO;
             for k in 0..4 {
                 grad += g[k] * phi[tet[k] as usize];
             }
             *et = -grad;
         }
-        ElectricField { e }
     }
 
     /// Field at a particle position inside coarse cell `coarse_cell`.
@@ -82,6 +87,40 @@ mod tests {
         let c = nm.num_coarse() / 2;
         let at = e.at(&nm, c, nm.coarse.centroids[c]);
         assert!((at.z + 100.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn table_read_equals_per_cell_recompute_bitwise() {
+        let spec = NozzleSpec {
+            nd: 6,
+            nz: 10,
+            ..NozzleSpec::default()
+        };
+        let nm = NestedMesh::from_coarse(spec.generate(), move |c, n| spec.classify(c, n));
+        let fine = &nm.fine;
+        let boundary = crate::PoissonSolver::new(fine, Default::default()).is_boundary;
+        let phi: Vec<f64> = (0..fine.num_nodes())
+            .map(|i| if boundary[i] { 0.0 } else { (i as f64).sin() })
+            .collect();
+        // a stale field refreshed in place and a fresh one agree with
+        // the gradient re-derived cell by cell
+        let mut stale = ElectricField::from_potential(fine, &vec![1.0; fine.num_nodes()]);
+        stale.refresh(fine, &phi);
+        let fresh = ElectricField::from_potential(fine, &phi);
+        for t in 0..fine.num_cells() {
+            let g = mesh::geom::shape_gradients(fine.tet_pos(t));
+            let tet = fine.tets[t];
+            let mut grad = Vec3::ZERO;
+            for k in 0..4 {
+                grad += g[k] * phi[tet[k] as usize];
+            }
+            let want = [-grad.x, -grad.y, -grad.z].map(f64::to_bits);
+            for e in [&fresh, &stale] {
+                let v = e.e[t];
+                assert_eq!([v.x, v.y, v.z].map(f64::to_bits), want, "cell {t}");
+            }
+        }
+        assert!(fresh.e.iter().any(|v| v.norm() > 0.0));
     }
 
     #[test]

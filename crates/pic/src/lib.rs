@@ -11,5 +11,6 @@ pub mod push;
 pub use boris::boris_push;
 pub use deposit::{deposit_charge, deposit_charge_pooled, fine_cell_of};
 pub use field::ElectricField;
-pub use poisson::{shape_gradients, PoissonSolver, EPS0};
+pub use mesh::geom::shape_gradients;
+pub use poisson::{PoissonSolver, EPS0};
 pub use push::{accelerate_charged, accelerate_charged_pooled};

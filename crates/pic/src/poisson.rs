@@ -7,31 +7,12 @@
 //! charges — exactly the deposition output of [`crate::deposit`].
 
 use kernels::Pool;
-use mesh::{FaceTag, TetMesh, Vec3};
-use sparse::{cg_with, CooBuilder, CsrMatrix, KrylovOptions, SolveStats};
+use mesh::geom::shape_gradients;
+use mesh::{FaceTag, TetMesh};
+use sparse::{CgWorkspace, CooBuilder, CsrMatrix, KrylovOptions, SolveStats};
 
 /// Vacuum permittivity (F/m).
 pub const EPS0: f64 = 8.854_187_812_8e-12;
-
-/// Constant shape-function gradients of a linear tet: returns
-/// `[∇λ0, ∇λ1, ∇λ2, ∇λ3]`.
-pub fn shape_gradients(p: [Vec3; 4]) -> [Vec3; 4] {
-    // λ_i = 1 on vertex i, 0 on the opposite face; the gradient is
-    // the inward face normal scaled by 1/distance:
-    // ∇λ_i = n_face_i_area_vector / (3 V), pointing towards vertex i.
-    let v6 = (p[1] - p[0]).cross(p[2] - p[0]).dot(p[3] - p[0]); // 6V signed
-    let mut g = [Vec3::ZERO; 4];
-    // face opposite vertex i is formed by the other three vertices
-    const FACES: [[usize; 3]; 4] = [[1, 2, 3], [0, 3, 2], [0, 1, 3], [0, 2, 1]];
-    for i in 0..4 {
-        let [a, b, c] = FACES[i];
-        // area vector with orientation chosen so ∇λ_i points to vertex i
-        let n = (p[b] - p[a]).cross(p[c] - p[a]);
-        let n = if n.dot(p[i] - p[a]) > 0.0 { n } else { -n };
-        g[i] = n / v6.abs();
-    }
-    g
-}
 
 /// Pre-assembled Poisson system on a fine grid with Dirichlet nodes
 /// grounded (φ = 0 on all inlet/outlet/wall nodes — conducting
@@ -45,6 +26,10 @@ pub struct PoissonSolver {
     /// change ρ slowly, so warm starting saves most iterations).
     phi: Vec<f64>,
     opts: KrylovOptions,
+    /// Solve scratch kept between solves (the matrix never changes):
+    /// the right-hand side and the CG preconditioner and work vectors.
+    b: Vec<f64>,
+    cg: CgWorkspace,
 }
 
 impl PoissonSolver {
@@ -90,11 +75,14 @@ impl PoissonSolver {
             }
         }
         let matrix = coo.build();
+        let cg = CgWorkspace::new(&matrix);
         PoissonSolver {
             matrix,
             is_boundary,
             phi: vec![0.0; n],
             opts,
+            b: vec![0.0; n],
+            cg,
         }
     }
 
@@ -118,13 +106,8 @@ impl PoissonSolver {
     ) -> (&[f64], SolveStats) {
         let n = self.phi.len();
         assert_eq!(node_charge.len(), n);
-        let mut b = vec![0.0f64; n];
-        for i in 0..n {
-            b[i] = if self.is_boundary[i] {
-                0.0
-            } else {
-                node_charge[i] / EPS0
-            };
+        for ((bi, &q), &grounded) in self.b.iter_mut().zip(node_charge).zip(&self.is_boundary) {
+            *bi = if grounded { 0.0 } else { q / EPS0 };
         }
         // warm start: boundary entries of phi must honour the BC
         for i in 0..n {
@@ -132,7 +115,14 @@ impl PoissonSolver {
                 self.phi[i] = 0.0;
             }
         }
-        let stats = cg_with(&self.matrix, &b, &mut self.phi, self.opts, pool, history);
+        let stats = self.cg.solve(
+            &self.matrix,
+            &self.b,
+            &mut self.phi,
+            self.opts,
+            pool,
+            history,
+        );
         (&self.phi, stats)
     }
 
@@ -217,6 +207,33 @@ mod tests {
     }
 
     #[test]
+    fn owned_scratch_leaks_nothing_between_solves() {
+        let fine = fine_mesh();
+        let opts = KrylovOptions::default();
+        let mut s = PoissonSolver::new(&fine, opts);
+        let n = fine.num_nodes();
+        let q1: Vec<f64> = (0..n).map(|i| 1e-15 * (i as f64).sin()).collect();
+        let q2: Vec<f64> = (0..n).map(|i| 3e-16 * (0.37 * i as f64).cos()).collect();
+        // the all-zero charge takes CG's `norm_b == 0` return; the
+        // solve after it must not see what the early return skipped
+        let charges = [&q1, &q2, &vec![0.0; n], &q1];
+        // reference: one-shot solves warm-started from the same iterates
+        let mut x = vec![0.0; n];
+        for (k, q) in charges.into_iter().enumerate() {
+            let b: Vec<f64> = (0..n)
+                .map(|i| if s.is_boundary[i] { 0.0 } else { q[i] / EPS0 })
+                .collect();
+            let want = sparse::cg_with(&s.matrix, &b, &mut x, opts, &Pool::serial(), None);
+            let (phi, stats) = s.solve(q);
+            assert_eq!(stats, want, "solve {k}");
+            assert_eq!(stats.iterations == 0, k == 2, "solve {k}: {stats:?}");
+            for (got, want) in phi.iter().zip(&x) {
+                assert_eq!(got.to_bits(), want.to_bits(), "solve {k}");
+            }
+        }
+    }
+
+    #[test]
     fn warm_start_reduces_iterations() {
         let fine = fine_mesh();
         let mut s = PoissonSolver::new(&fine, KrylovOptions::default());
@@ -228,28 +245,5 @@ mod tests {
         q[interior] *= 1.0001;
         let (_, warm) = s.solve(&q);
         assert!(warm.iterations < cold.iterations, "{warm:?} vs {cold:?}");
-    }
-
-    #[test]
-    fn shape_gradients_partition_of_unity() {
-        let p = [
-            Vec3::new(0.1, 0.2, 0.3),
-            Vec3::new(1.3, 0.1, 0.2),
-            Vec3::new(0.2, 1.1, 0.4),
-            Vec3::new(0.3, 0.4, 1.5),
-        ];
-        let g = shape_gradients(p);
-        // gradients sum to zero (λ's sum to 1)
-        let sum = g[0] + g[1] + g[2] + g[3];
-        assert!(sum.norm() < 1e-12);
-        // ∇λ_i · (p_i − p_j) = 1 for any j ≠ i
-        for i in 0..4 {
-            for j in 0..4 {
-                if i != j {
-                    let d = g[i].dot(p[i] - p[j]);
-                    assert!((d - 1.0).abs() < 1e-10, "i={i} j={j}: {d}");
-                }
-            }
-        }
     }
 }

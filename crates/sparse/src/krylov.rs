@@ -103,7 +103,9 @@ pub fn cg(a: &CsrMatrix, b: &[f64], x: &mut [f64], opts: KrylovOptions) -> Solve
 }
 
 /// Preconditioned Conjugate Gradient with an explicit worker [`Pool`]
-/// and optional residual-history capture.
+/// and optional residual-history capture: a one-shot
+/// [`CgWorkspace::solve`] (a caller solving on one matrix repeatedly
+/// keeps the workspace instead).
 ///
 /// SpMV is row-chunked across the pool (bitwise identical to serial)
 /// and every inner product goes through [`det_dot`] (fixed-block
@@ -117,76 +119,117 @@ pub fn cg_with(
     x: &mut [f64],
     opts: KrylovOptions,
     pool: &Pool,
-    mut history: Option<&mut Vec<f64>>,
+    history: Option<&mut Vec<f64>>,
 ) -> SolveStats {
-    let n = b.len();
-    assert_eq!(a.nrows(), n);
-    assert_eq!(x.len(), n);
-    let pre = Jacobi::new(a);
+    CgWorkspace::new(a).solve(a, b, x, opts, pool, history)
+}
 
-    let norm_b = det_dot(b, b, pool).sqrt();
-    if norm_b == 0.0 {
-        x.fill(0.0);
-        return SolveStats {
-            iterations: 0,
-            rel_residual: 0.0,
-            converged: true,
-        };
-    }
+/// What a CG solve on one matrix needs besides `b` and `x`: the Jacobi
+/// preconditioner (a scan of every non-zero) and the four work vectors.
+/// Every solve overwrites the vectors before reading them, so nothing
+/// carries over from one solve to the next.
+pub struct CgWorkspace {
+    pre: Jacobi,
+    r: Vec<f64>,
+    z: Vec<f64>,
+    p: Vec<f64>,
+    ap: Vec<f64>,
+}
 
-    let mut r = vec![0.0; n];
-    a.spmv_pooled(x, &mut r, pool);
-    for i in 0..n {
-        r[i] = b[i] - r[i];
-    }
-    let mut z = vec![0.0; n];
-    pre.apply(&r, &mut z);
-    let mut p = z.clone();
-    let mut rz = det_dot(&r, &z, pool);
-    let mut ap = vec![0.0; n];
-
-    for it in 0..opts.max_iters {
-        let res = det_dot(&r, &r, pool).sqrt() / norm_b;
-        if let Some(h) = history.as_mut() {
-            h.push(res);
+impl CgWorkspace {
+    /// Workspace for solves on `a`.
+    pub fn new(a: &CsrMatrix) -> Self {
+        let n = a.nrows();
+        CgWorkspace {
+            pre: Jacobi::new(a),
+            r: vec![0.0; n],
+            z: vec![0.0; n],
+            p: vec![0.0; n],
+            ap: vec![0.0; n],
         }
-        if res <= opts.rtol {
+    }
+
+    /// [`cg_with`] on `a`, which must be the matrix this workspace was
+    /// built for.
+    pub fn solve(
+        &mut self,
+        a: &CsrMatrix,
+        b: &[f64],
+        x: &mut [f64],
+        opts: KrylovOptions,
+        pool: &Pool,
+        mut history: Option<&mut Vec<f64>>,
+    ) -> SolveStats {
+        let n = b.len();
+        assert_eq!(a.nrows(), n);
+        assert_eq!(x.len(), n);
+        assert_eq!(self.r.len(), n, "workspace built for another matrix");
+        // slices of the one length `n`: the loops below index them unchecked
+        let pre = &self.pre;
+        let (r, z) = (&mut self.r[..n], &mut self.z[..n]);
+        let (p, ap) = (&mut self.p[..n], &mut self.ap[..n]);
+
+        let norm_b = det_dot(b, b, pool).sqrt();
+        if norm_b == 0.0 {
+            x.fill(0.0);
             return SolveStats {
-                iterations: it,
-                rel_residual: res,
+                iterations: 0,
+                rel_residual: 0.0,
                 converged: true,
             };
         }
-        a.spmv_pooled(&p, &mut ap, pool);
-        let pap = det_dot(&p, &ap, pool);
-        if pap <= 0.0 {
-            // matrix not SPD (or breakdown): report failure
-            return SolveStats {
-                iterations: it,
-                rel_residual: res,
-                converged: false,
-            };
-        }
-        let alpha = rz / pap;
-        axpy(alpha, &p, x);
-        axpy(-alpha, &ap, &mut r);
-        pre.apply(&r, &mut z);
-        let rz_new = det_dot(&r, &z, pool);
-        let beta = rz_new / rz;
-        rz = rz_new;
-        for i in 0..n {
-            p[i] = z[i] + beta * p[i];
-        }
-    }
 
-    let res = det_dot(&r, &r, pool).sqrt() / norm_b;
-    if let Some(h) = history.as_mut() {
-        h.push(res);
-    }
-    SolveStats {
-        iterations: opts.max_iters,
-        rel_residual: res,
-        converged: res <= opts.rtol,
+        a.spmv_pooled(x, r, pool);
+        for i in 0..n {
+            r[i] = b[i] - r[i];
+        }
+        pre.apply(r, z);
+        p.copy_from_slice(z);
+        let mut rz = det_dot(r, z, pool);
+
+        for it in 0..opts.max_iters {
+            let res = det_dot(r, r, pool).sqrt() / norm_b;
+            if let Some(h) = history.as_mut() {
+                h.push(res);
+            }
+            if res <= opts.rtol {
+                return SolveStats {
+                    iterations: it,
+                    rel_residual: res,
+                    converged: true,
+                };
+            }
+            a.spmv_pooled(p, ap, pool);
+            let pap = det_dot(p, ap, pool);
+            if pap <= 0.0 {
+                // matrix not SPD (or breakdown): report failure
+                return SolveStats {
+                    iterations: it,
+                    rel_residual: res,
+                    converged: false,
+                };
+            }
+            let alpha = rz / pap;
+            axpy(alpha, p, x);
+            axpy(-alpha, ap, r);
+            pre.apply(r, z);
+            let rz_new = det_dot(r, z, pool);
+            let beta = rz_new / rz;
+            rz = rz_new;
+            for i in 0..n {
+                p[i] = z[i] + beta * p[i];
+            }
+        }
+
+        let res = det_dot(r, r, pool).sqrt() / norm_b;
+        if let Some(h) = history.as_mut() {
+            h.push(res);
+        }
+        SolveStats {
+            iterations: opts.max_iters,
+            rel_residual: res,
+            converged: res <= opts.rtol,
+        }
     }
 }
 

@@ -96,16 +96,36 @@ find crates/*/src src -name '*.rs' | sort | xargs awk '
     }
     END { if (dups) { print "verify: " dups " duplicated 8-line windows" > "/dev/stderr"; exit 1 } }'
 
+# Production lines (up to the first #[cfg(test)], // lines aside) of the
+# .rs files under paths $2.. that call a function matching regex $1.
+production_calls() {
+    local pattern=$1
+    shift
+    find "$@" -name '*.rs' | sort |
+        xargs awk -v pattern="($pattern)\\(" 'FNR == 1 { skip = 0 }
+            /^[ \t]*#\[cfg\(test\)\]/ { skip = 1 }
+            !skip && !/^[ \t]*\/\// && $0 ~ pattern { print FILENAME ":" FNR ": " $0 }'
+}
+
 echo "== whole-mesh-reduction lint (no total_volume( / bbox( in the particle crates' production code) =="
 # O(cells) and O(nodes) sums: geometry a particle kernel reads is
 # cached on the mesh when it is built, never recomputed per particle.
-reductions=$(find crates/dsmc/src crates/pic/src crates/coupled/src -name '*.rs' | sort |
-    xargs awk 'FNR == 1 { skip = 0 }
-        /^[ \t]*#\[cfg\(test\)\]/ { skip = 1 }
-        !skip && !/^[ \t]*\/\// && /(total_volume|bbox)\(/ { print FILENAME ":" FNR ": " $0 }')
+reductions=$(production_calls 'total_volume|bbox' crates/dsmc/src crates/pic/src crates/coupled/src)
 if [ -n "$reductions" ]; then
     echo "$reductions"
     echo "verify: a whole-mesh reduction in a particle crate (cache it on the mesh instead)" >&2
+    exit 1
+fi
+
+echo "== per-step-gradient lint (no shape_gradients( where the PIC substep runs) =="
+# The field refresh reads the fine mesh's table; only the table's
+# builder (mesh) and the once-per-run assembly (pic/src/poisson.rs)
+# derive the gradients.
+gradients=$(production_calls 'shape_gradients' crates/pic/src/field.rs crates/pic/src/push.rs \
+    crates/pic/src/deposit.rs crates/coupled/src)
+if [ -n "$gradients" ]; then
+    echo "$gradients"
+    echo "verify: shape gradients re-derived per step (read TetMesh::shape_gradient_table instead)" >&2
     exit 1
 fi
 
