@@ -72,7 +72,7 @@ pub struct ModelledBackend {
 
 impl ModelledBackend {
     fn new(run: &RunConfig, profile: MachineProfile, world: Arc<World>) -> Self {
-        let ncoarse = world.nm.num_coarse();
+        let ncoarse = world.geometry.nm.num_coarse();
         let owner = world.owner0.clone();
         ModelledBackend {
             balance: BalanceHook::new(run, world, owner),

@@ -127,7 +127,7 @@ impl RankEngine {
     /// drivers): full injector, serial kernel pool, RNG seeded from
     /// `config.seed`.
     pub(crate) fn whole_domain(config: SimConfig, world: &World) -> Self {
-        let injector = Some(Injector::new(&world.nm.coarse));
+        let injector = Some(Injector::new(&world.geometry.nm.coarse));
         let seed = config.seed;
         Self::assemble(config, world, injector, seed, Pool::serial())
     }
@@ -157,11 +157,12 @@ impl RankEngine {
         seed: u64,
         pool: Pool,
     ) -> Self {
-        let (nm, species) = (world.nm.clone(), world.species.clone());
+        let (nm, species) = (world.geometry.nm.clone(), world.species.clone());
         let (h_id, hp_id) = (world.h_id, world.hp_id);
         let collisions = CollisionModel::new(nm.num_coarse(), &species, config.t_inject);
-        let poisson = PoissonSolver::new(
-            &nm.fine,
+        // the geometry's one operator: the first engine on it assembles
+        let poisson = PoissonSolver::on(
+            world.geometry.poisson(),
             KrylovOptions {
                 rtol: 1e-6,
                 max_iters: 1000,
@@ -464,7 +465,7 @@ impl RankEngine {
 }
 
 /// Work quantities of one DSMC iteration, for timing attribution.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StepRecord {
     /// Coarse cell of every particle injected this step.
     pub injected_cells: Vec<u32>,

@@ -114,8 +114,8 @@ impl BalanceHook {
             ..
         } = rb.step(
             lii,
-            &self.world.xadj,
-            &self.world.adjncy,
+            &self.world.geometry.graph.xadj,
+            &self.world.geometry.graph.adjncy,
             neutral,
             charged,
             &self.owner,

@@ -32,7 +32,7 @@ use crate::config::{FaultPolicy, RunConfig};
 use crate::engine::{run_step, RankEngine};
 use crate::report::{ReportBuilder, RunReport};
 use crate::threaded::ThreadedBackend;
-use crate::world::World;
+use crate::world::{Geometry, World};
 use obs::{Recorder, Tee};
 use std::sync::{Arc, Mutex};
 use vmpi::collectives::{allgather_u64, allreduce_sum_f64};
@@ -164,11 +164,19 @@ impl std::fmt::Debug for EngineSession {
 }
 
 impl EngineSession {
-    /// Build the immutable world for `run` (mesh hierarchy, species
+    /// A session for `run` on a geometry of its own: build it, then
+    /// [`EngineSession::on`].
+    pub fn new(run: &RunConfig) -> Self {
+        Self::on(Arc::new(Geometry::build(&run.sim.nozzle)), run)
+    }
+
+    /// Build the immutable world for `run` on `geometry` (species
     /// table, seed decomposition), the fault worlds and empty
     /// checkpoint slots. No simulation work happens until
-    /// [`EngineSession::attempt`].
-    pub fn new(run: &RunConfig) -> Self {
+    /// [`EngineSession::attempt`] — the Poisson operator of a geometry
+    /// no engine has run on yet is assembled there too, by the first
+    /// rank to ask for it.
+    pub fn on(geometry: Arc<Geometry>, run: &RunConfig) -> Self {
         let chaos = run
             .fault_plan
             .clone()
@@ -179,7 +187,7 @@ impl EngineSession {
             .then(|| ReliableWorld::new(run.ranks));
         EngineSession {
             run: run.clone(),
-            world: Arc::new(World::build(&run.sim, run.ranks)),
+            world: Arc::new(World::on(geometry, &run.sim, run.ranks)),
             chaos,
             reliable,
             store: (0..run.ranks).map(|_| Mutex::new(None)).collect(),
@@ -405,6 +413,15 @@ mod tests {
             chaotic.comm_retries > 0,
             "the pinned drop must force a retransmission"
         );
+    }
+
+    #[test]
+    fn rank_engines_of_a_session_share_one_operator() {
+        let run = quick(1, None).ranks(2).build().expect("valid test config");
+        let session = EngineSession::new(&run);
+        let [a, b] = [0, 1].map(|me| RankEngine::for_rank(run.sim.clone(), &session.world, me, 1));
+        assert!(Arc::ptr_eq(a.poisson.operator(), b.poisson.operator()));
+        assert!(Arc::ptr_eq(&a.nm, &b.nm));
     }
 
     #[test]

@@ -1,30 +1,30 @@
-//! Result cache keyed by the canonical config hash
-//! ([`coupled::RunConfig::config_hash`]). Sound because the engine is
-//! bitwise-deterministic for a fixed configuration — two submissions
-//! with equal canonical hashes would produce identical reports, so
-//! serving the stored one is indistinguishable from re-running.
+//! The server's two caches, one bookkeeping: completed reports keyed
+//! by the canonical config hash ([`coupled::RunConfig::config_hash`]),
+//! and built geometries keyed by the nozzle spec's exact bits
+//! (`NozzleSpec::key`). Both are sound because the engine is
+//! bitwise-deterministic: two submissions with equal canonical hashes
+//! would produce identical reports, and two specs with equal keys
+//! identical meshes, so serving the stored one is indistinguishable
+//! from re-running.
 
-use coupled::RunReport;
-use std::sync::Arc;
-
-/// LRU cache of completed reports. Stored reports are *unstamped*
-/// (`report.job == None`); the server stamps a per-job [`JobMeta`]
-/// onto a clone when serving, so cached bytes never leak one job's
-/// provenance into another's report.
+/// LRU cache of cheaply cloned values (`Arc`s here). Stored reports
+/// are *unstamped* (`report.job == None`); the server stamps a per-job
+/// [`JobMeta`] onto a clone when serving, so cached bytes never leak
+/// one job's provenance into another's report.
 ///
 /// [`JobMeta`]: coupled::JobMeta
 #[derive(Debug)]
-pub struct ResultCache {
+pub struct Lru<K, V> {
     /// Most-recently-used last.
-    entries: Vec<(u64, Arc<RunReport>)>,
+    entries: Vec<(K, V)>,
     capacity: usize,
     hits: u64,
     misses: u64,
 }
 
-impl ResultCache {
+impl<K: PartialEq, V: Clone> Lru<K, V> {
     pub fn new(capacity: usize) -> Self {
-        ResultCache {
+        Lru {
             entries: Vec::new(),
             capacity: capacity.max(1),
             hits: 0,
@@ -32,16 +32,15 @@ impl ResultCache {
         }
     }
 
-    /// Look up a report by canonical config hash, refreshing its LRU
-    /// position on a hit.
-    pub fn get(&mut self, hash: u64) -> Option<Arc<RunReport>> {
-        match self.entries.iter().position(|(h, _)| *h == hash) {
+    /// Look up a value by key, refreshing its LRU position on a hit.
+    pub fn get(&mut self, key: &K) -> Option<V> {
+        match self.entries.iter().position(|(k, _)| k == key) {
             Some(pos) => {
                 let entry = self.entries.remove(pos);
-                let report = entry.1.clone();
+                let value = entry.1.clone();
                 self.entries.push(entry);
                 self.hits += 1;
-                Some(report)
+                Some(value)
             }
             None => {
                 self.misses += 1;
@@ -50,16 +49,14 @@ impl ResultCache {
         }
     }
 
-    /// Store a completed (unstamped) report, evicting the least
-    /// recently used entry when full. Re-inserting an existing hash
-    /// replaces the stored report.
-    pub fn put(&mut self, hash: u64, report: Arc<RunReport>) {
-        debug_assert!(report.job.is_none(), "cache stores unstamped reports");
-        self.entries.retain(|(h, _)| *h != hash);
+    /// Store a value, evicting the least recently used entry when
+    /// full. Re-inserting an existing key replaces the stored value.
+    pub fn put(&mut self, key: K, value: V) {
+        self.entries.retain(|(k, _)| *k != key);
         if self.entries.len() >= self.capacity {
             self.entries.remove(0);
         }
-        self.entries.push((hash, report));
+        self.entries.push((key, value));
     }
 
     pub fn len(&self) -> usize {
@@ -79,6 +76,8 @@ impl ResultCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use coupled::RunReport;
+    use std::sync::Arc;
 
     fn report(population: usize) -> Arc<RunReport> {
         Arc::new(RunReport {
@@ -89,15 +88,15 @@ mod tests {
 
     #[test]
     fn lru_evicts_least_recently_used() {
-        let mut c = ResultCache::new(2);
+        let mut c = Lru::new(2);
         c.put(1, report(1));
         c.put(2, report(2));
         // Touch 1 so 2 becomes the LRU victim.
-        assert_eq!(c.get(1).unwrap().population, 1);
+        assert_eq!(c.get(&1).unwrap().population, 1);
         c.put(3, report(3));
-        assert!(c.get(2).is_none());
-        assert_eq!(c.get(1).unwrap().population, 1);
-        assert_eq!(c.get(3).unwrap().population, 3);
+        assert!(c.get(&2).is_none());
+        assert_eq!(c.get(&1).unwrap().population, 1);
+        assert_eq!(c.get(&3).unwrap().population, 3);
         assert_eq!(c.len(), 2);
         let (hits, misses) = c.stats();
         assert_eq!((hits, misses), (3, 1));
@@ -105,10 +104,10 @@ mod tests {
 
     #[test]
     fn reinsert_replaces_without_growing() {
-        let mut c = ResultCache::new(2);
+        let mut c = Lru::new(2);
         c.put(1, report(1));
         c.put(1, report(10));
         assert_eq!(c.len(), 1);
-        assert_eq!(c.get(1).unwrap().population, 10);
+        assert_eq!(c.get(&1).unwrap().population, 10);
     }
 }

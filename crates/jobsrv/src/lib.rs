@@ -33,7 +33,7 @@ pub mod cache;
 pub mod queue;
 pub mod server;
 
-pub use cache::ResultCache;
+pub use cache::Lru;
 pub use queue::{FairQueue, QueueEntry};
 pub use server::{JobError, JobHandle, JobServer, ServerConfig, ServerStats};
 

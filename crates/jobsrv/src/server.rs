@@ -2,17 +2,19 @@
 //! [`JobSpec`] submissions under a shared kernel-pool thread budget,
 //! with result caching by canonical config hash, in-flight
 //! coalescing of identical submissions, live trace fan-out to
-//! subscribers, and checkpoint-replay recovery when a worker dies
-//! mid-job (DESIGN.md §14).
+//! subscribers, a small cache of the geometries jobs repeat, and
+//! checkpoint-replay recovery when a worker dies mid-job (DESIGN.md
+//! §14).
 
-use crate::cache::ResultCache;
+use crate::cache::Lru;
 use crate::queue::FairQueue;
 use coupled::job::{JobId, JobMeta, JobSpec, JobStatus};
+use coupled::world::Geometry;
 use coupled::{EngineSession, RunConfig, RunReport};
 use obs::{FanoutSink, Registry, TraceEvent, TraceSpec};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -112,6 +114,13 @@ pub struct ServerStats {
     pub coalesced: u64,
     /// Engine attempts dispatched to workers (replays included).
     pub attempts: u64,
+    /// First attempts whose `[domain]` no cached geometry matched: the
+    /// worker built (or died building) the meshes itself.
+    pub geometry_builds: u64,
+    /// First attempts started on a geometry an earlier job built.
+    /// `geometry_builds + geometry_hits` = first attempts that reached
+    /// set-up.
+    pub geometry_hits: u64,
     pub queued: usize,
     pub running: usize,
 }
@@ -141,7 +150,7 @@ struct Job {
 struct State {
     jobs: HashMap<u64, Job>,
     queue: FairQueue,
-    cache: ResultCache,
+    cache: Lru<u64, Arc<RunReport>>,
     /// Canonical hash → leader job currently queued or running.
     in_flight: HashMap<u64, JobId>,
     budget_in_use: usize,
@@ -150,9 +159,20 @@ struct State {
     stats: ServerStats,
 }
 
+/// Geometries kept for the jobs that repeat a `[domain]` (LRU). A
+/// constant, not a [`ServerConfig`] field: one value is in use.
+const GEOMETRY_CAPACITY: usize = 8;
+
+type GeometryCache = Lru<[u64; 5], Arc<Geometry>>;
+
 struct Shared {
     state: Mutex<State>,
     cv: Condvar,
+    /// Built geometries by `NozzleSpec::key`, under a lock of
+    /// their own that is held for a look-up or an insert only — never
+    /// while a mesh is generated, refined or assembled, and never
+    /// together with `state`. Lives and dies with the server.
+    geometries: Mutex<GeometryCache>,
     thread_budget: usize,
     max_attempts: usize,
     metrics: Option<Registry>,
@@ -230,7 +250,7 @@ impl JobServer {
             state: Mutex::new(State {
                 jobs: HashMap::new(),
                 queue: FairQueue::new(cfg.starvation_limit),
-                cache: ResultCache::new(cfg.cache_capacity),
+                cache: Lru::new(cfg.cache_capacity),
                 in_flight: HashMap::new(),
                 budget_in_use: 0,
                 next_id: 0,
@@ -238,6 +258,7 @@ impl JobServer {
                 stats: ServerStats::default(),
             }),
             cv: Condvar::new(),
+            geometries: Mutex::new(Lru::new(GEOMETRY_CAPACITY)),
             thread_budget: cfg.thread_budget.max(1),
             max_attempts: cfg.max_attempts.max(1),
             metrics: cfg.metrics,
@@ -289,7 +310,7 @@ impl JobServer {
             job.status = JobStatus::Failed { error };
             job.fanout.close();
             st.stats.failed += 1;
-        } else if let Some(cached) = st.cache.get(hash) {
+        } else if let Some(cached) = st.cache.get(&hash) {
             st.stats.cache_hits += 1;
             complete_job(&mut job, &mut st.stats, id, &cached, true, 0.0);
         } else if let Some(&leader) = st.in_flight.get(&hash) {
@@ -328,10 +349,15 @@ impl JobServer {
 
     /// Current counters (queue depth and running cost are snapshots).
     pub fn stats(&self) -> ServerStats {
-        let st = self.shared.state.lock().unwrap();
-        let mut s = st.stats;
-        s.queued = st.queue.len();
-        s.running = st.budget_in_use;
+        let mut s = {
+            let st = self.shared.state.lock().unwrap();
+            ServerStats {
+                queued: st.queue.len(),
+                running: st.budget_in_use,
+                ..st.stats
+            }
+        };
+        (s.geometry_hits, s.geometry_builds) = self.shared.geometries().stats();
         s
     }
 
@@ -420,8 +446,30 @@ enum Start {
     /// The session an earlier attempt stashed, checkpoints inside.
     Resume(EngineSession),
     /// First attempt: the run config wired for serving; the session
-    /// (mesh, species, seed partition) is built from it off the lock.
+    /// (species, seed partition — and the geometry, when no earlier
+    /// job left it) is built from it off the lock.
     Fresh(RunConfig),
+}
+
+impl Shared {
+    fn geometries(&self) -> MutexGuard<'_, GeometryCache> {
+        // no panic can happen under this lock (a Vec scan, a push)
+        self.geometries.lock().expect("geometry cache lock")
+    }
+
+    /// The geometry of `run`'s nozzle: the cached one, or — on a miss
+    /// — one built here, outside every lock, and left for later jobs.
+    /// Two workers missing at once both build; the later insert
+    /// replaces the earlier, which lives on until its own job ends.
+    fn geometry_for(&self, run: &RunConfig) -> Arc<Geometry> {
+        let key = run.sim.nozzle.key();
+        let cached = self.geometries().get(&key);
+        cached.unwrap_or_else(|| {
+            let built = Arc::new(Geometry::build(&run.sim.nozzle));
+            self.geometries().put(key, built.clone());
+            built
+        })
+    }
 }
 
 /// One worker: claim the next job that fits the spare budget, set it
@@ -494,7 +542,7 @@ fn worker_loop(shared: &Arc<Shared>) {
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let mut session = match start {
                 Start::Resume(session) => session,
-                Start::Fresh(run) => EngineSession::new(&run),
+                Start::Fresh(run) => EngineSession::on(shared.geometry_for(&run), &run),
             };
             let result = session.attempt();
             (session, result)
@@ -515,6 +563,7 @@ fn worker_loop(shared: &Arc<Shared>) {
                 let followers = std::mem::take(&mut job.followers);
                 // The cache stores the unstamped report; every served
                 // copy is a stamped clone of it.
+                debug_assert!(report.job.is_none(), "cache stores unstamped reports");
                 let cached = Arc::new(report);
                 st.cache.put(job.hash, cached.clone());
                 st.in_flight.remove(&job.hash);

@@ -60,6 +60,19 @@ const KUHN_PERMS: [[usize; 3]; 6] = [
 ];
 
 impl NozzleSpec {
+    /// The spec's exact bits: two specs generate (and refine to) the
+    /// same meshes, bit for bit, exactly when their keys are equal —
+    /// the identity a cache of built geometries is keyed by.
+    pub fn key(&self) -> [u64; 5] {
+        [
+            self.radius.to_bits(),
+            self.length.to_bits(),
+            self.inlet_radius.to_bits(),
+            self.nd as u64,
+            self.nz as u64,
+        ]
+    }
+
     /// Lattice spacing in the radial plane.
     pub fn hx(&self) -> f64 {
         2.0 * self.radius / self.nd as f64
@@ -224,6 +237,48 @@ mod tests {
         for (t, f) in m.boundary_faces(BoundaryKind::Outlet) {
             let (fc, _n) = m.face_centroid_normal(t as usize, f as usize);
             assert!((fc.z - spec.length).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn key_separates_every_field_and_equates_copies() {
+        let base = NozzleSpec::default();
+        let copy = base;
+        assert_eq!(base.key(), copy.key());
+        let variants = [
+            NozzleSpec {
+                // one ulp, not one percent: the key is the exact bits
+                radius: f64::from_bits(base.radius.to_bits() + 1),
+                ..base
+            },
+            NozzleSpec {
+                length: base.length * 2.0,
+                ..base
+            },
+            NozzleSpec {
+                inlet_radius: base.inlet_radius * 0.5,
+                ..base
+            },
+            NozzleSpec {
+                nd: base.nd + 1,
+                ..base
+            },
+            NozzleSpec {
+                nz: base.nz + 1,
+                ..base
+            },
+            // swapping two fields' values is not the same spec
+            NozzleSpec {
+                nd: base.nz,
+                nz: base.nd,
+                ..base
+            },
+        ];
+        for (i, a) in variants.iter().enumerate() {
+            assert_ne!(a.key(), base.key(), "variant {i}");
+            for b in &variants[i + 1..] {
+                assert_ne!(a.key(), b.key(), "variant {i}");
+            }
         }
     }
 

@@ -98,7 +98,7 @@ mod tests {
         };
         let nm = NestedMesh::from_coarse(spec.generate(), move |c, n| spec.classify(c, n));
         let fine = &nm.fine;
-        let boundary = crate::PoissonSolver::new(fine, Default::default()).is_boundary;
+        let boundary = crate::PoissonOperator::assemble(fine).is_boundary;
         let phi: Vec<f64> = (0..fine.num_nodes())
             .map(|i| if boundary[i] { 0.0 } else { (i as f64).sin() })
             .collect();

@@ -12,5 +12,5 @@ pub use boris::boris_push;
 pub use deposit::{deposit_charge, deposit_charge_pooled, fine_cell_of};
 pub use field::ElectricField;
 pub use mesh::geom::shape_gradients;
-pub use poisson::{PoissonSolver, EPS0};
+pub use poisson::{PoissonOperator, PoissonSolver, EPS0};
 pub use push::{accelerate_charged, accelerate_charged_pooled};

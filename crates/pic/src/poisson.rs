@@ -10,32 +10,28 @@ use kernels::Pool;
 use mesh::geom::shape_gradients;
 use mesh::{FaceTag, TetMesh};
 use sparse::{CgWorkspace, CooBuilder, CsrMatrix, KrylovOptions, SolveStats};
+use std::sync::Arc;
 
 /// Vacuum permittivity (F/m).
 pub const EPS0: f64 = 8.854_187_812_8e-12;
 
-/// Pre-assembled Poisson system on a fine grid with Dirichlet nodes
-/// grounded (φ = 0 on all inlet/outlet/wall nodes — conducting
-/// nozzle).
-pub struct PoissonSolver {
+/// The assembled Poisson system of one fine grid: everything about
+/// `K φ = b` the mesh alone fixes. Immutable once built, so every
+/// solver on the grid — the rank threads of a decomposed run, the
+/// jobs of a server that share a geometry — reads one copy.
+#[derive(Debug)]
+pub struct PoissonOperator {
     /// Stiffness matrix with Dirichlet rows replaced by identity.
     pub matrix: CsrMatrix,
-    /// Dirichlet flags per node.
+    /// Dirichlet flags per node (φ = 0 on all inlet/outlet/wall nodes
+    /// — conducting nozzle).
     pub is_boundary: Vec<bool>,
-    /// Last solution, reused as the warm start (successive PIC steps
-    /// change ρ slowly, so warm starting saves most iterations).
-    phi: Vec<f64>,
-    opts: KrylovOptions,
-    /// Solve scratch kept between solves (the matrix never changes):
-    /// the right-hand side and the CG preconditioner and work vectors.
-    b: Vec<f64>,
-    cg: CgWorkspace,
 }
 
-impl PoissonSolver {
+impl PoissonOperator {
     /// Assemble the stiffness matrix of `fine`. O(cells); call once
     /// per mesh (topology never changes during a run).
-    pub fn new(fine: &TetMesh, opts: KrylovOptions) -> Self {
+    pub fn assemble(fine: &TetMesh) -> Self {
         let n = fine.num_nodes();
         let mut is_boundary = vec![false; n];
         for (t, nb) in fine.neighbors.iter().enumerate() {
@@ -74,16 +70,59 @@ impl PoissonSolver {
                 coo.add(i, i, 1.0);
             }
         }
-        let matrix = coo.build();
-        let cg = CgWorkspace::new(&matrix);
-        PoissonSolver {
-            matrix,
+        PoissonOperator {
+            matrix: coo.build(),
             is_boundary,
+        }
+    }
+}
+
+/// The per-engine state of the field solve over a (shared)
+/// [`PoissonOperator`], whose `matrix` and `is_boundary` the solver
+/// derefs to.
+pub struct PoissonSolver {
+    op: Arc<PoissonOperator>,
+    /// Last solution, reused as the warm start (successive PIC steps
+    /// change ρ slowly, so warm starting saves most iterations).
+    phi: Vec<f64>,
+    opts: KrylovOptions,
+    /// Solve scratch kept between solves (the matrix never changes):
+    /// the right-hand side and the CG preconditioner and work vectors.
+    b: Vec<f64>,
+    cg: CgWorkspace,
+}
+
+impl std::ops::Deref for PoissonSolver {
+    type Target = PoissonOperator;
+
+    fn deref(&self) -> &PoissonOperator {
+        &self.op
+    }
+}
+
+impl PoissonSolver {
+    /// A solver on an operator of its own, assembled from `fine`.
+    pub fn new(fine: &TetMesh, opts: KrylovOptions) -> Self {
+        Self::on(Arc::new(PoissonOperator::assemble(fine)), opts)
+    }
+
+    /// A solver on the already assembled `op`, starting from φ = 0.
+    pub fn on(op: Arc<PoissonOperator>, opts: KrylovOptions) -> Self {
+        let n = op.matrix.nrows();
+        let cg = CgWorkspace::new(&op.matrix);
+        PoissonSolver {
+            op,
             phi: vec![0.0; n],
             opts,
             b: vec![0.0; n],
             cg,
         }
+    }
+
+    /// The operator this solver reads (shared when built by
+    /// [`PoissonSolver::on`]).
+    pub fn operator(&self) -> &Arc<PoissonOperator> {
+        &self.op
     }
 
     /// Solve for the potential given the deposited *real* node charge
@@ -106,17 +145,17 @@ impl PoissonSolver {
     ) -> (&[f64], SolveStats) {
         let n = self.phi.len();
         assert_eq!(node_charge.len(), n);
-        for ((bi, &q), &grounded) in self.b.iter_mut().zip(node_charge).zip(&self.is_boundary) {
+        for ((bi, &q), &grounded) in self.b.iter_mut().zip(node_charge).zip(&self.op.is_boundary) {
             *bi = if grounded { 0.0 } else { q / EPS0 };
         }
         // warm start: boundary entries of phi must honour the BC
         for i in 0..n {
-            if self.is_boundary[i] {
+            if self.op.is_boundary[i] {
                 self.phi[i] = 0.0;
             }
         }
         let stats = self.cg.solve(
-            &self.matrix,
+            &self.op.matrix,
             &self.b,
             &mut self.phi,
             self.opts,
@@ -211,6 +250,14 @@ mod tests {
         let fine = fine_mesh();
         let opts = KrylovOptions::default();
         let mut s = PoissonSolver::new(&fine, opts);
+        // two more solvers on one shared operator, solved turn about:
+        // sharing the matrix shares no iterate and no scratch
+        let shared = Arc::new(PoissonOperator::assemble(&fine));
+        let mut on_shared = [shared.clone(), shared].map(|op| PoissonSolver::on(op, opts));
+        assert!(Arc::ptr_eq(
+            on_shared[0].operator(),
+            on_shared[1].operator()
+        ));
         let n = fine.num_nodes();
         let q1: Vec<f64> = (0..n).map(|i| 1e-15 * (i as f64).sin()).collect();
         let q2: Vec<f64> = (0..n).map(|i| 3e-16 * (0.37 * i as f64).cos()).collect();
@@ -229,6 +276,13 @@ mod tests {
             assert_eq!(stats.iterations == 0, k == 2, "solve {k}: {stats:?}");
             for (got, want) in phi.iter().zip(&x) {
                 assert_eq!(got.to_bits(), want.to_bits(), "solve {k}");
+            }
+            for other in &mut on_shared {
+                let (phi, stats) = other.solve(q);
+                assert_eq!(stats, want, "solve {k} on the shared operator");
+                for (got, want) in phi.iter().zip(&x) {
+                    assert_eq!(got.to_bits(), want.to_bits(), "solve {k}, shared");
+                }
             }
         }
     }

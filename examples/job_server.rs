@@ -90,6 +90,10 @@ fn main() {
     );
     let (cache_hits, cache_misses) = srv.cache_stats();
     println!("result cache: {cache_hits} hits, {cache_misses} misses");
+    println!(
+        "geometry cache: {} built, {} reused (one mesh per [domain], not per job)",
+        stats.geometry_builds, stats.geometry_hits
+    );
     let leader_hash = handles[0].wait().unwrap().job.as_ref().unwrap().config_hash;
     println!(
         "the duplicate of seed 1 reused its leader's engine run — identical canonical\n\

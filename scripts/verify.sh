@@ -129,6 +129,19 @@ if [ -n "$gradients" ]; then
     exit 1
 fi
 
+echo "== one-geometry lint (coupled builds meshes and operators in world.rs only; jobsrv workers go through the cache) =="
+# What a NozzleSpec fixes is built by Geometry (crates/coupled/src/world.rs)
+# and nowhere else in coupled; a job-server worker that built its own
+# world or session would bypass the geometry cache.
+rebuilds=$(production_calls 'NestedMesh::from_coarse|\.cell_graph|PoissonSolver::new|PoissonOperator::assemble' \
+    crates/coupled/src | grep -v '^crates/coupled/src/world\.rs:' || true)
+bypasses=$(production_calls 'World::build|EngineSession::new' crates/jobsrv/src)
+if [ -n "$rebuilds$bypasses" ]; then
+    echo "$rebuilds$bypasses"
+    echo "verify: geometry built outside Geometry, or a jobsrv worker bypassing the geometry cache" >&2
+    exit 1
+fi
+
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -12,7 +12,11 @@
 //!    pinned hash (`chaos_guard`'s recovery invariant, now across the
 //!    server's queue instead of inside one call).
 //! 3. A config no mesh can be built from fails its own job at
-//!    submission and leaves the server serving everyone else.
+//!    submission and leaves the server — its geometry cache included
+//!    — serving everyone else.
+//! 4. A job started on a geometry an earlier job built (or on one
+//!    rebuilt after eviction) is bitwise the solo run, and
+//!    `ServerStats` says which of the two happened.
 
 use jobsrv::prelude::*;
 use jobsrv::JobPriority;
@@ -159,6 +163,11 @@ fn killed_worker_job_recovers_from_checkpoint_with_the_pinned_hash() {
         "each engine attempt re-announces itself: {metas}"
     );
     assert!(steps >= 8, "the full replayed tail is streamed: {steps}");
+
+    // The replay resumed its stashed session: one set-up, not two.
+    let stats = srv.stats();
+    assert_eq!((stats.attempts, stats.geometry_builds), (2, 1));
+    assert_eq!(stats.geometry_hits, 0);
 }
 
 /// `RunConfig`'s fields are public, so a config can be edited into
@@ -186,6 +195,102 @@ fn a_config_that_cannot_build_a_mesh_fails_one_job_not_the_server() {
     let stats = srv.stats();
     assert_eq!((stats.submitted, stats.failed, stats.completed), (2, 1, 1));
     assert_eq!(stats.attempts, 1, "the refused job never reached a worker");
+    assert_eq!((stats.geometry_builds, stats.geometry_hits), (1, 0));
+
+    // ... and poisoned nothing: the next job on the good `[domain]`
+    // starts on the geometry the first one left.
+    let again = srv.submit(JobSpec::new(guard_builder().seed(1).build().unwrap()));
+    again
+        .wait()
+        .expect("a job on the cached geometry is served");
+    assert_eq!(
+        srv.status(again.id()),
+        Some(JobStatus::Done { cache_hit: false })
+    );
+    let stats = srv.stats();
+    assert_eq!((stats.submitted, stats.failed, stats.completed), (3, 1, 2));
+    assert_eq!((stats.geometry_builds, stats.geometry_hits), (1, 1));
+}
+
+/// A short 2-rank run on the guard nozzle stretched by `extra_nz`
+/// lattice cells: one `[domain]` per `extra_nz`.
+fn domain_config(extra_nz: usize, seed: u64) -> RunConfig {
+    let mut run = guard_builder()
+        .ranks(2)
+        .seed(seed)
+        .steps(3)
+        .build()
+        .expect("valid domain config");
+    run.sim.nozzle.nz += extra_nz;
+    run
+}
+
+/// What of a report its config fixes: final density bits, population,
+/// the strategies used and the per-step population shares. (Wall times
+/// do not repeat, nor — ROADMAP, the 224/225 `coupled.tx` item — does
+/// the last step's traffic count.)
+fn deterministic(r: &RunReport) -> impl PartialEq + std::fmt::Debug {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    let shares: Vec<_> = r.trace.iter().map(|t| bits(&t.share)).collect();
+    let density = (fnv1a_f64(&r.density_h), bits(&r.density_h));
+    (density, r.population, r.strategy_uses, shares)
+}
+
+fn solo(run: &RunConfig) -> RunReport {
+    EngineSession::new(run).attempt().expect("solo run")
+}
+
+#[test]
+fn jobs_on_a_shared_geometry_are_bitwise_the_solo_runs() {
+    let srv = JobServer::start(ServerConfig::default().workers(2).thread_budget(4));
+    // 2 `[domain]`s, 4 seeds each, interleaved so both workers meet both
+    let runs: Vec<RunConfig> = (0..8)
+        .map(|k| domain_config(k % 2, 100 + k as u64))
+        .collect();
+    let handles: Vec<_> = runs
+        .iter()
+        .map(|run| srv.submit(JobSpec::new(run.clone())))
+        .collect();
+    for (k, (run, h)) in runs.iter().zip(handles).enumerate() {
+        let served = h.wait().expect("job completes");
+        assert!(!served.job.as_ref().unwrap().cache_hit, "job {k} ran");
+        assert_eq!(deterministic(&served), deterministic(&solo(run)), "job {k}");
+    }
+    // One build per `[domain]`, plus at most one more per `[domain]`
+    // when both workers missed it at once.
+    let stats = srv.stats();
+    assert_eq!(stats.attempts, 8);
+    assert_eq!(stats.geometry_builds + stats.geometry_hits, 8);
+    assert!(
+        (2..=4).contains(&stats.geometry_builds),
+        "{} builds for 2 domains on 2 workers",
+        stats.geometry_builds
+    );
+}
+
+#[test]
+fn an_evicted_geometry_is_rebuilt_and_still_bitwise_the_solo_run() {
+    let srv = JobServer::start(ServerConfig::default().workers(1));
+    // 9 `[domain]`s through a cache of 8: the first is evicted
+    for d in 0..9 {
+        srv.submit(JobSpec::new(domain_config(d, 1)))
+            .wait()
+            .expect("job completes");
+    }
+    let stats = srv.stats();
+    assert_eq!((stats.geometry_builds, stats.geometry_hits), (9, 0));
+    // the second `[domain]` is still held, the first is built again
+    for (d, builds, hits) in [(1, 9, 1), (0, 10, 1)] {
+        let run = domain_config(d, 2);
+        let served = srv.submit(JobSpec::new(run.clone())).wait().unwrap();
+        assert_eq!(
+            deterministic(&served),
+            deterministic(&solo(&run)),
+            "domain {d}"
+        );
+        let stats = srv.stats();
+        assert_eq!((stats.geometry_builds, stats.geometry_hits), (builds, hits));
+    }
 }
 
 /// Submitting by scenario name goes through the same canonical-hash
