@@ -132,6 +132,29 @@ mod tests {
         }
     }
 
+    /// The partitioner counts a cell's assigned neighbours from the
+    /// neighbours' side (`partition::Graph`), which equals a recount
+    /// only if each `(v, u)` is in `u`'s list as often as in `v`'s.
+    #[test]
+    fn the_cell_graph_is_symmetric_entry_for_entry() {
+        let jet = crate::scenario::canned("jet").expect("canned scenario lowers");
+        for spec in [Dataset::D1.config(0.02).nozzle, jet.run.sim.nozzle] {
+            let g = Geometry::build(&spec).graph;
+            let times = |list: &[u32], x: usize| list.iter().filter(|&&y| y as usize == x).count();
+            for v in 0..g.num_vertices() {
+                for &u in g.neighbors(v) {
+                    let u = u as usize;
+                    assert_ne!(u, v, "self loop");
+                    assert_eq!(
+                        times(g.neighbors(v), u),
+                        times(g.neighbors(u), v),
+                        "({v}, {u})"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     #[should_panic(expected = "another nozzle's geometry")]
     fn a_world_on_the_wrong_geometry_is_refused() {

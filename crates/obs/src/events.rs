@@ -118,8 +118,14 @@ pub struct RebalanceEvent {
     pub lii: f64,
     /// Particles migrated by the re-decomposition.
     pub migrated: u64,
-    /// Wall seconds spent in the balancer (WLM + partition + KM
-    /// remap), as measured around the decision.
+    /// What the re-decomposition cost, in the currency of the backend
+    /// that wrote it. The threaded backend writes wall seconds,
+    /// measured on this rank from the start of the decision (WLM +
+    /// partition + KM remap) to the end of the migration exchange.
+    /// The modelled backend writes *modelled* seconds —
+    /// `CostModel::rebalance_time`: the priced partition, KM remap,
+    /// map broadcast and migration traffic on the profiled machine —
+    /// not the wall time its own call to the balancer took.
     pub remap_seconds: f64,
     /// Stable name of the cost source that produced the partition
     /// weights (`"paper_wlm"`, `"timer_augmented"`).

@@ -5,7 +5,6 @@
 //! aggregate their weights. This is the same scheme METIS uses.
 
 use crate::graph::Graph;
-use std::collections::HashMap;
 
 /// One level of the multilevel hierarchy: the coarse graph plus the
 /// fine→coarse vertex map.
@@ -33,8 +32,9 @@ pub fn coarsen(g: &Graph, seed: u64) -> CoarseLevel {
         order.swap(i, j);
     }
 
+    // `members[c]` = the one or two fine vertices matched into `c`.
     let mut matched = vec![u32::MAX; n];
-    let mut ncoarse = 0u32;
+    let mut members: Vec<(u32, Option<u32>)> = Vec::new();
     for &v in &order {
         let v = v as usize;
         if matched[v] != u32::MAX {
@@ -50,40 +50,39 @@ pub fn coarsen(g: &Graph, seed: u64) -> CoarseLevel {
                 best = Some((u, w));
             }
         }
-        let c = ncoarse;
-        ncoarse += 1;
+        let c = members.len() as u32;
+        let mate = best.map(|(u, _)| u);
         matched[v] = c;
-        if let Some((u, _)) = best {
+        if let Some(u) = mate {
             matched[u as usize] = c;
         }
+        members.push((v as u32, mate));
     }
 
-    // Aggregate coarse vertex weights and edges.
-    let mut vwgt = vec![0i64; ncoarse as usize];
+    // Aggregate coarse vertex weights and edges: per coarse vertex, its
+    // members' `(coarse neighbour, weight)` pairs, sorted, each run of
+    // one neighbour summed into its first pair.
+    let mut vwgt = vec![0i64; members.len()];
     for v in 0..n {
         vwgt[matched[v] as usize] += g.vwgt[v];
     }
-    let mut edge_acc: Vec<HashMap<u32, i64>> = vec![HashMap::new(); ncoarse as usize];
-    for v in 0..n {
-        let cv = matched[v];
-        for (u, w) in g.edges(v) {
-            let cu = matched[u as usize];
-            if cu != cv {
-                *edge_acc[cv as usize].entry(cu).or_insert(0) += w;
-            }
-        }
-    }
-    let mut xadj = Vec::with_capacity(ncoarse as usize + 1);
+    let mut xadj = vec![0u32];
     let mut adjncy = Vec::new();
     let mut ewgt = Vec::new();
-    xadj.push(0u32);
-    for acc in &edge_acc {
-        let mut items: Vec<(u32, i64)> = acc.iter().map(|(&u, &w)| (u, w)).collect();
-        items.sort_unstable();
-        for (u, w) in items {
-            adjncy.push(u);
-            ewgt.push(w);
+    let mut pairs: Vec<(u32, i64)> = Vec::new();
+    for (c, &(v, mate)) in members.iter().enumerate() {
+        for v in std::iter::once(v).chain(mate) {
+            let outside = g.edges(v as usize).map(|(u, w)| (matched[u as usize], w));
+            pairs.extend(outside.filter(|&(cu, _)| cu as usize != c));
         }
+        pairs.sort_unstable();
+        pairs.dedup_by(|next, kept| {
+            let same = next.0 == kept.0;
+            kept.1 += if same { next.1 } else { 0 };
+            same
+        });
+        adjncy.extend(pairs.iter().map(|&(cu, _)| cu));
+        ewgt.extend(pairs.drain(..).map(|(_, w)| w));
         xadj.push(adjncy.len() as u32);
     }
 

@@ -5,7 +5,10 @@
 //! (the weighted load model of §V-B) and edge weights.
 
 /// An undirected graph in CSR form. Every edge appears twice (once
-/// per endpoint), exactly as METIS expects.
+/// per endpoint, with the same weight), exactly as METIS expects:
+/// `u` occurs in `v`'s list as often as `v` in `u`'s. The partitioner
+/// relies on it — [`greedy_growing`](crate::initial::greedy_growing)
+/// counts a vertex's assigned neighbours from the neighbours' side.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Graph {
     /// Offsets into `adjncy`; length `n + 1`.

@@ -10,122 +10,256 @@ use crate::graph::Graph;
 /// Compute an initial `k`-way partition of `g`. Returns the part id
 /// per vertex. Assumes `g` is connected-ish; stray unassigned
 /// vertices are swept into the lightest part at the end.
+///
+/// Costs O(n) per seed plus the frontier scans of the growth itself:
+/// nothing is recounted and nothing `n`-long is allocated per part.
 pub fn greedy_growing(g: &Graph, k: usize) -> Vec<u32> {
     let n = g.num_vertices();
     assert!(k >= 1);
     let total = g.total_vwgt().max(1);
     let target = (total + k as i64 - 1) / k as i64;
 
-    let mut part = vec![u32::MAX; n];
-    let mut part_wgt = vec![0i64; k];
+    let mut grow = Growing {
+        g,
+        part: vec![u32::MAX; n],
+        part_wgt: vec![0i64; k],
+        assigned_nb: vec![0u32; n],
+        gain: vec![0i64; n],
+        in_frontier: vec![false; n],
+        frontier: Vec::new(),
+    };
 
     for p in 0..k {
         // Seed: unassigned vertex with the fewest assigned neighbours
-        // (prefers fresh territory), ties broken by smallest id.
+        // (prefers fresh territory), ties broken by smallest id — so
+        // the first one with none is it.
         let mut seed = None;
-        let mut best_key = (u32::MAX, u32::MAX);
+        let mut fewest = u32::MAX;
         for v in 0..n {
-            if part[v] != u32::MAX {
-                continue;
-            }
-            let assigned_nb = g
-                .neighbors(v)
-                .iter()
-                .filter(|&&u| part[u as usize] != u32::MAX)
-                .count() as u32;
-            let key = (assigned_nb, v as u32);
-            if key < best_key {
-                best_key = key;
+            if grow.part[v] == u32::MAX && grow.assigned_nb[v] < fewest {
+                fewest = grow.assigned_nb[v];
                 seed = Some(v);
+                if fewest == 0 {
+                    break;
+                }
             }
         }
         let Some(seed) = seed else { break };
 
         // Grow a region from the seed.
-        // gain[v] = total edge weight from v into the region.
-        let mut gain = vec![0i64; n];
-        let mut in_frontier = vec![false; n];
-        let mut frontier: Vec<u32> = Vec::new();
-
-        let absorb = |v: usize,
-                      part: &mut Vec<u32>,
-                      part_wgt: &mut Vec<i64>,
-                      gain: &mut Vec<i64>,
-                      in_frontier: &mut Vec<bool>,
-                      frontier: &mut Vec<u32>| {
-            part[v] = p as u32;
-            part_wgt[p] += g.vwgt[v];
-            for (u, w) in g.edges(v) {
-                let u = u as usize;
-                if part[u] == u32::MAX {
-                    gain[u] += w;
-                    if !in_frontier[u] {
-                        in_frontier[u] = true;
-                        frontier.push(u as u32);
-                    }
-                }
-            }
-        };
-
-        absorb(
-            seed,
-            &mut part,
-            &mut part_wgt,
-            &mut gain,
-            &mut in_frontier,
-            &mut frontier,
-        );
+        grow.absorb(seed, p);
 
         // Leave room for the remaining parts: stop at target even if
         // the frontier is rich.
-        while part_wgt[p] < target && p + 1 < k {
+        while grow.part_wgt[p] < target && p + 1 < k {
             // Pop the frontier vertex with max gain.
             let mut best: Option<(usize, i64)> = None;
             let mut best_idx = 0;
-            for (idx, &v) in frontier.iter().enumerate() {
+            for (idx, &v) in grow.frontier.iter().enumerate() {
                 let v = v as usize;
-                if part[v] != u32::MAX {
-                    continue;
-                }
-                if best.is_none_or(|(_, bg)| gain[v] > bg) {
-                    best = Some((v, gain[v]));
+                if best.is_none_or(|(_, bg)| grow.gain[v] > bg) {
+                    best = Some((v, grow.gain[v]));
                     best_idx = idx;
                 }
             }
             let Some((v, _)) = best else { break };
-            frontier.swap_remove(best_idx);
-            in_frontier[v] = false;
-            absorb(
-                v,
-                &mut part,
-                &mut part_wgt,
-                &mut gain,
-                &mut in_frontier,
-                &mut frontier,
-            );
+            grow.frontier.swap_remove(best_idx);
+            grow.in_frontier[v] = false;
+            grow.absorb(v, p);
+        }
+
+        // The next region starts from a clean slate: what is left in
+        // the frontier are the only unassigned vertices this one
+        // touched.
+        for u in grow.frontier.drain(..) {
+            grow.gain[u as usize] = 0;
+            grow.in_frontier[u as usize] = false;
         }
 
         // Final part absorbs everything left.
         if p + 1 == k {
-            for (v, pv) in part.iter_mut().enumerate() {
+            for (v, pv) in grow.part.iter_mut().enumerate() {
                 if *pv == u32::MAX {
                     *pv = p as u32;
-                    part_wgt[p] += g.vwgt[v];
+                    grow.part_wgt[p] += g.vwgt[v];
                 }
             }
         }
     }
 
     // Sweep stragglers (disconnected leftovers) into the lightest part.
-    for (v, pv) in part.iter_mut().enumerate() {
+    for (v, pv) in grow.part.iter_mut().enumerate() {
         if *pv == u32::MAX {
-            let p = (0..k).min_by_key(|&p| part_wgt[p]).unwrap();
+            let p = (0..k).min_by_key(|&p| grow.part_wgt[p]).unwrap();
             *pv = p as u32;
-            part_wgt[p] += g.vwgt[v];
+            grow.part_wgt[p] += g.vwgt[v];
         }
     }
 
-    part
+    grow.part
+}
+
+/// The state [`greedy_growing`] keeps across regions, allocated once.
+struct Growing<'a> {
+    g: &'a Graph,
+    part: Vec<u32>,
+    part_wgt: Vec<i64>,
+    /// Entries of `v`'s adjacency list whose vertex is assigned, kept
+    /// by [`Growing::absorb`]. Equal to a recount over `v`'s own list
+    /// because the CSR is symmetric (see [`Graph`]).
+    assigned_nb: Vec<u32>,
+    /// Total edge weight from an unassigned `v` into the region being
+    /// grown; nonzero only while `v` is in the frontier.
+    gain: Vec<i64>,
+    in_frontier: Vec<bool>,
+    /// Unassigned vertices adjacent to the region being grown.
+    frontier: Vec<u32>,
+}
+
+impl Growing<'_> {
+    /// Assign `v` to part `p` and put its unassigned neighbours on the
+    /// frontier.
+    fn absorb(&mut self, v: usize, p: usize) {
+        self.part[v] = p as u32;
+        self.part_wgt[p] += self.g.vwgt[v];
+        for (u, w) in self.g.edges(v) {
+            let u = u as usize;
+            self.assigned_nb[u] += 1;
+            if self.part[u] == u32::MAX {
+                self.gain[u] += w;
+                if !self.in_frontier[u] {
+                    self.in_frontier[u] = true;
+                    self.frontier.push(u as u32);
+                }
+            }
+        }
+    }
+}
+
+/// The kernel as it was before it kept `assigned_nb` and its scratch
+/// across regions: every seed recounts every vertex's assigned
+/// neighbours. The tests' reference for [`greedy_growing`].
+#[cfg(test)]
+pub(crate) mod oracle {
+    use crate::graph::Graph;
+
+    pub fn greedy_growing(g: &Graph, k: usize) -> Vec<u32> {
+        let n = g.num_vertices();
+        assert!(k >= 1);
+        let total = g.total_vwgt().max(1);
+        let target = (total + k as i64 - 1) / k as i64;
+
+        let mut part = vec![u32::MAX; n];
+        let mut part_wgt = vec![0i64; k];
+
+        for p in 0..k {
+            // Seed: unassigned vertex with the fewest assigned neighbours
+            // (prefers fresh territory), ties broken by smallest id.
+            let mut seed = None;
+            let mut best_key = (u32::MAX, u32::MAX);
+            for v in 0..n {
+                if part[v] != u32::MAX {
+                    continue;
+                }
+                let assigned_nb = g
+                    .neighbors(v)
+                    .iter()
+                    .filter(|&&u| part[u as usize] != u32::MAX)
+                    .count() as u32;
+                let key = (assigned_nb, v as u32);
+                if key < best_key {
+                    best_key = key;
+                    seed = Some(v);
+                }
+            }
+            let Some(seed) = seed else { break };
+
+            // Grow a region from the seed.
+            // gain[v] = total edge weight from v into the region.
+            let mut gain = vec![0i64; n];
+            let mut in_frontier = vec![false; n];
+            let mut frontier: Vec<u32> = Vec::new();
+
+            let absorb = |v: usize,
+                          part: &mut Vec<u32>,
+                          part_wgt: &mut Vec<i64>,
+                          gain: &mut Vec<i64>,
+                          in_frontier: &mut Vec<bool>,
+                          frontier: &mut Vec<u32>| {
+                part[v] = p as u32;
+                part_wgt[p] += g.vwgt[v];
+                for (u, w) in g.edges(v) {
+                    let u = u as usize;
+                    if part[u] == u32::MAX {
+                        gain[u] += w;
+                        if !in_frontier[u] {
+                            in_frontier[u] = true;
+                            frontier.push(u as u32);
+                        }
+                    }
+                }
+            };
+
+            absorb(
+                seed,
+                &mut part,
+                &mut part_wgt,
+                &mut gain,
+                &mut in_frontier,
+                &mut frontier,
+            );
+
+            // Leave room for the remaining parts: stop at target even if
+            // the frontier is rich.
+            while part_wgt[p] < target && p + 1 < k {
+                // Pop the frontier vertex with max gain.
+                let mut best: Option<(usize, i64)> = None;
+                let mut best_idx = 0;
+                for (idx, &v) in frontier.iter().enumerate() {
+                    let v = v as usize;
+                    if part[v] != u32::MAX {
+                        continue;
+                    }
+                    if best.is_none_or(|(_, bg)| gain[v] > bg) {
+                        best = Some((v, gain[v]));
+                        best_idx = idx;
+                    }
+                }
+                let Some((v, _)) = best else { break };
+                frontier.swap_remove(best_idx);
+                in_frontier[v] = false;
+                absorb(
+                    v,
+                    &mut part,
+                    &mut part_wgt,
+                    &mut gain,
+                    &mut in_frontier,
+                    &mut frontier,
+                );
+            }
+
+            // Final part absorbs everything left.
+            if p + 1 == k {
+                for (v, pv) in part.iter_mut().enumerate() {
+                    if *pv == u32::MAX {
+                        *pv = p as u32;
+                        part_wgt[p] += g.vwgt[v];
+                    }
+                }
+            }
+        }
+
+        // Sweep stragglers (disconnected leftovers) into the lightest part.
+        for (v, pv) in part.iter_mut().enumerate() {
+            if *pv == u32::MAX {
+                let p = (0..k).min_by_key(|&p| part_wgt[p]).unwrap();
+                *pv = p as u32;
+                part_wgt[p] += g.vwgt[v];
+            }
+        }
+
+        part
+    }
 }
 
 #[cfg(test)]

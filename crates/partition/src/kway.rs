@@ -2,9 +2,11 @@
 //! for `METIS_PartGraphKway` (paper §IV-A, §V-B).
 //!
 //! Pipeline: coarsen by heavy-edge matching until the graph is small,
-//! compute a greedy initial partition on the coarsest level, then
-//! project back level by level with boundary refinement, and finish
-//! with a balance fix-up.
+//! compute a greedy initial partition on the coarsest level and refine
+//! its boundary there, project it straight back to the input graph,
+//! refine again and finish with a balance fix-up. Refinement runs on
+//! the coarsest and on the original graph only, not at the levels
+//! between.
 
 use crate::coarsen::{coarsen, CoarseLevel};
 use crate::graph::Graph;
@@ -49,42 +51,29 @@ pub fn part_graph_kway(g: &Graph, k: usize, opts: KwayOptions) -> Vec<u32> {
         return (0..n).map(|v| (v % k) as u32).collect();
     }
 
-    // Phase 1: coarsen.
+    // Phase 1: coarsen; each level's input is the level before it.
     let mut levels: Vec<CoarseLevel> = Vec::new();
-    let mut current = g.clone();
     let stop = (opts.coarsen_to * k).max(2 * k);
-    let mut round = 0u64;
-    while current.num_vertices() > stop {
-        let lvl = coarsen(&current, opts.seed.wrapping_add(round));
-        round += 1;
+    let coarsest = loop {
+        let current = levels.last().map_or(g, |lvl| &lvl.graph);
+        if current.num_vertices() <= stop || levels.len() > 64 {
+            break current;
+        }
+        let lvl = coarsen(current, opts.seed.wrapping_add(levels.len() as u64));
         // Coarsening stalls when matching finds no pairs; bail out.
         if lvl.graph.num_vertices() as f64 > 0.95 * current.num_vertices() as f64 {
-            break;
+            break current;
         }
-        current = lvl.graph.clone();
         levels.push(lvl);
-        if round > 64 {
-            break;
-        }
-    }
+    };
 
     // Phase 2: initial partition on the coarsest graph.
-    let mut part = greedy_growing(&current, k);
-    refine_boundary(&current, &mut part, k, opts.refine_passes);
+    let mut part = greedy_growing(coarsest, k);
+    refine_boundary(coarsest, &mut part, k, opts.refine_passes);
 
-    // Phase 3: project back and refine at every level.
+    // Phase 3: project back through every level's fine→coarse map.
     for lvl in levels.iter().rev() {
-        let fine_n = lvl.map.len();
-        let mut fine_part = vec![0u32; fine_n];
-        for v in 0..fine_n {
-            fine_part[v] = part[lvl.map[v] as usize];
-        }
-        // The graph at this level is the *input* of the coarsening
-        // step; reconstruct it by walking down from g.
-        part = fine_part;
-        // We refine against the level's fine graph which we no longer
-        // hold; instead refine on the original graph only at the last
-        // level (cheap and effective for mesh-like graphs).
+        part = lvl.map.iter().map(|&c| part[c as usize]).collect();
     }
     debug_assert_eq!(part.len(), n);
 
@@ -92,19 +81,6 @@ pub fn part_graph_kway(g: &Graph, k: usize, opts: KwayOptions) -> Vec<u32> {
     force_balance(g, &mut part, k);
     refine_boundary(g, &mut part, k, 2);
     part
-}
-
-/// Convenience: partition with explicit vertex weights (the weighted
-/// load model), leaving `g` untouched.
-pub fn part_graph_kway_weighted(
-    xadj: &[u32],
-    adjncy: &[u32],
-    vwgt: &[i64],
-    k: usize,
-    opts: KwayOptions,
-) -> Vec<u32> {
-    let g = Graph::new(xadj.to_vec(), adjncy.to_vec(), vwgt.to_vec());
-    part_graph_kway(&g, k, opts)
 }
 
 #[cfg(test)]
@@ -186,6 +162,31 @@ mod tests {
         let tiny = Graph::from_edges(2, &[(0, 1)], vec![1, 1]);
         let p = part_graph_kway(&tiny, 4, KwayOptions::default());
         assert_eq!(p.len(), 2);
+    }
+
+    /// Recorded before `refine_boundary` and `greedy_growing` stopped
+    /// looping over all `k` parts (and before `coarsen` lost its hash
+    /// maps): the lattice has the jet's 2,304 cells, its weights the
+    /// jet's shape — a heavy head, a long unit tail — so k = 384 takes
+    /// the no-coarsening path and k ≤ 64 the multilevel one.
+    #[test]
+    fn skewed_lattice_partitions_are_pinned() {
+        let mut g = grid3d(6, 6, 64);
+        for (v, w) in g.vwgt.iter_mut().enumerate() {
+            let z = v / 36;
+            *w = 1 + (v as i64 * 7919 % 31) * if z < 8 { 40 } else { (z % 5 == 0) as i64 };
+        }
+        for (k, pinned) in [
+            (2usize, 0xc16b_e73e_c292_3cd5u64),
+            (4, 0xcd67_455d_ee37_b264),
+            (16, 0x4312_4796_af28_c02e),
+            (64, 0xa048_edcd_e16a_066c),
+            (384, 0x5ebc_e57f_e6eb_0025),
+        ] {
+            let part = part_graph_kway(&g, k, KwayOptions::default());
+            let hash = obs::fnv1a(part.iter().flat_map(|p| p.to_le_bytes()));
+            assert_eq!(hash, pinned, "k = {k}: {hash:#018x}");
+        }
     }
 
     #[test]

@@ -16,5 +16,5 @@ pub mod refine;
 pub use decomp::{block_owner, block_ranges, Decomposition};
 pub use graph::Graph;
 pub use hungarian::{max_weight_assignment, max_weight_assignment_sparse, min_cost_assignment};
-pub use kway::{part_graph_kway, part_graph_kway_weighted, KwayOptions};
+pub use kway::{part_graph_kway, KwayOptions};
 pub use metrics::{edge_cut, imbalance, part_weights};

@@ -13,6 +13,9 @@ pub const BALANCE_TOL: f64 = 1.05;
 
 /// Refine `part` in place. `k` = number of parts, `passes` = number of
 /// full sweeps. Returns the total cut-gain achieved.
+///
+/// A vertex costs its degree, not `k`: only the parts its edges reach
+/// are candidates, and only their `conn` entries are ever written.
 pub fn refine_boundary(g: &Graph, part: &mut [u32], k: usize, passes: usize) -> i64 {
     let n = g.num_vertices();
     let total = g.total_vwgt().max(1);
@@ -24,47 +27,57 @@ pub fn refine_boundary(g: &Graph, part: &mut [u32], k: usize, passes: usize) -> 
     }
 
     let mut total_gain = 0i64;
+    // Connectivity of the current vertex to each part; zero outside
+    // `touched`, the parts its edges reach (`seen` flags them).
     let mut conn = vec![0i64; k];
+    let mut seen = vec![false; k];
+    let mut touched: Vec<usize> = Vec::new();
     for _ in 0..passes {
         let mut moved = 0usize;
         for v in 0..n {
             let pv = part[v] as usize;
-            // Connectivity of v to each part.
-            for c in conn.iter_mut() {
-                *c = 0;
-            }
             let mut has_foreign = false;
             for (u, w) in g.edges(v) {
                 let pu = part[u as usize] as usize;
                 conn[pu] += w;
+                if !seen[pu] {
+                    seen[pu] = true;
+                    touched.push(pu);
+                }
                 if pu != pv {
                     has_foreign = true;
                 }
             }
-            if !has_foreign {
-                continue; // interior vertex
-            }
-            // Best destination by cut gain; require strict improvement
-            // or a tie that improves balance.
+            // Best destination of a boundary vertex by cut gain, the
+            // candidates in ascending part order; require strict
+            // improvement or a tie that improves balance.
             let mut best: Option<(usize, i64)> = None;
-            for p in 0..k {
-                if p == pv {
-                    continue;
+            if has_foreign {
+                touched.sort_unstable();
+                for &p in &touched {
+                    if p == pv {
+                        continue;
+                    }
+                    if conn[p] == 0 {
+                        continue; // only move along edges
+                    }
+                    if part_wgt[p] + g.vwgt[v] > max_wgt {
+                        continue;
+                    }
+                    let gain = conn[p] - conn[pv];
+                    let better = match best {
+                        None => gain > 0 || (gain == 0 && part_wgt[p] + g.vwgt[v] < part_wgt[pv]),
+                        Some((bp, bg)) => gain > bg || (gain == bg && part_wgt[p] < part_wgt[bp]),
+                    };
+                    if better && (gain > 0 || (gain == 0 && part_wgt[p] + g.vwgt[v] < part_wgt[pv]))
+                    {
+                        best = Some((p, gain));
+                    }
                 }
-                if conn[p] == 0 {
-                    continue; // only move along edges
-                }
-                if part_wgt[p] + g.vwgt[v] > max_wgt {
-                    continue;
-                }
-                let gain = conn[p] - conn[pv];
-                let better = match best {
-                    None => gain > 0 || (gain == 0 && part_wgt[p] + g.vwgt[v] < part_wgt[pv]),
-                    Some((bp, bg)) => gain > bg || (gain == bg && part_wgt[p] < part_wgt[bp]),
-                };
-                if better && (gain > 0 || (gain == 0 && part_wgt[p] + g.vwgt[v] < part_wgt[pv])) {
-                    best = Some((p, gain));
-                }
+            }
+            for p in touched.drain(..) {
+                conn[p] = 0;
+                seen[p] = false;
             }
             if let Some((p, gain)) = best {
                 part_wgt[pv] -= g.vwgt[v];
@@ -129,10 +142,90 @@ pub fn force_balance(g: &Graph, part: &mut [u32], k: usize) {
     }
 }
 
+/// The kernel as it was before it tracked the touched parts: every
+/// boundary vertex zeroes all `k` connectivities and tries all `k`
+/// parts. The tests' reference for [`refine_boundary`].
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::BALANCE_TOL;
+    use crate::graph::Graph;
+
+    pub fn refine_boundary(g: &Graph, part: &mut [u32], k: usize, passes: usize) -> i64 {
+        let n = g.num_vertices();
+        let total = g.total_vwgt().max(1);
+        let max_wgt = ((total as f64 / k as f64) * BALANCE_TOL).ceil() as i64;
+
+        let mut part_wgt = vec![0i64; k];
+        for v in 0..n {
+            part_wgt[part[v] as usize] += g.vwgt[v];
+        }
+
+        let mut total_gain = 0i64;
+        let mut conn = vec![0i64; k];
+        for _ in 0..passes {
+            let mut moved = 0usize;
+            for v in 0..n {
+                let pv = part[v] as usize;
+                // Connectivity of v to each part.
+                for c in conn.iter_mut() {
+                    *c = 0;
+                }
+                let mut has_foreign = false;
+                for (u, w) in g.edges(v) {
+                    let pu = part[u as usize] as usize;
+                    conn[pu] += w;
+                    if pu != pv {
+                        has_foreign = true;
+                    }
+                }
+                if !has_foreign {
+                    continue; // interior vertex
+                }
+                // Best destination by cut gain; require strict improvement
+                // or a tie that improves balance.
+                let mut best: Option<(usize, i64)> = None;
+                for p in 0..k {
+                    if p == pv {
+                        continue;
+                    }
+                    if conn[p] == 0 {
+                        continue; // only move along edges
+                    }
+                    if part_wgt[p] + g.vwgt[v] > max_wgt {
+                        continue;
+                    }
+                    let gain = conn[p] - conn[pv];
+                    let better = match best {
+                        None => gain > 0 || (gain == 0 && part_wgt[p] + g.vwgt[v] < part_wgt[pv]),
+                        Some((bp, bg)) => gain > bg || (gain == bg && part_wgt[p] < part_wgt[bp]),
+                    };
+                    if better && (gain > 0 || (gain == 0 && part_wgt[p] + g.vwgt[v] < part_wgt[pv]))
+                    {
+                        best = Some((p, gain));
+                    }
+                }
+                if let Some((p, gain)) = best {
+                    part_wgt[pv] -= g.vwgt[v];
+                    part_wgt[p] += g.vwgt[v];
+                    part[v] = p as u32;
+                    total_gain += gain;
+                    moved += 1;
+                }
+            }
+            if moved == 0 {
+                break;
+            }
+        }
+        total_gain
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::initial::greedy_growing;
     use crate::metrics::{edge_cut, imbalance};
+    use proptest::test_runner::TestRng;
 
     fn grid(nx: u32, ny: u32) -> Graph {
         let mut edges = Vec::new();
@@ -148,6 +241,66 @@ mod tests {
             }
         }
         Graph::from_edges((nx * ny) as usize, &edges, vec![1; (nx * ny) as usize])
+    }
+
+    /// A connected random graph: a path backbone over 2–300 vertices
+    /// plus random chords (never a self loop; a chord may repeat an
+    /// edge), vertex weights unit, mildly or wildly skewed, edge
+    /// weights unit or random in `0..4` — the same on both directions.
+    fn random_graph(rng: &mut TestRng) -> Graph {
+        let mut below = |m: u64| (rng.next_u64() % m) as u32;
+        let n = 2 + below(299);
+        let mut edges: Vec<(u32, u32)> = (1..n).map(|v| (v - 1, v)).collect();
+        for _ in 0..below(2 * n as u64) {
+            let (a, b) = (below(n as u64), below(n as u64));
+            if a != b {
+                edges.push((a, b));
+            }
+        }
+        let skew = [1u64, 4, 10_000][below(3) as usize];
+        let vwgt = (0..n).map(|_| 1 + below(skew) as i64).collect();
+        let mut g = Graph::from_edges(n as usize, &edges, vwgt);
+        if below(2) == 1 {
+            // `from_edges` fills both directions of edge `i` in list
+            // order, so walking the lists the same way finds them again
+            let mut fill = g.xadj.clone();
+            for &(a, b) in &edges {
+                let w = below(4) as i64;
+                for v in [a, b] {
+                    g.ewgt[fill[v as usize] as usize] = w;
+                    fill[v as usize] += 1;
+                }
+            }
+        }
+        g
+    }
+
+    /// The two kernels that stopped looping over all `k` parts decide
+    /// what their oracles decide: the same seeds and regions, the same
+    /// moves in the same order, the same gain — from the greedy start
+    /// and from a round-robin one (nearly every vertex on a boundary).
+    #[test]
+    fn kernels_decide_what_their_oracles_decide() {
+        let mut rng = TestRng::from_seed(24);
+        for case in 0..320 {
+            let g = random_graph(&mut rng);
+            for k in [2usize, 3, 7, 16, 64, 200] {
+                let grown = greedy_growing(&g, k);
+                assert_eq!(
+                    grown,
+                    crate::initial::oracle::greedy_growing(&g, k),
+                    "greedy_growing, case {case}, k = {k}"
+                );
+                let round_robin = (0..g.num_vertices()).map(|v| (v % k) as u32).collect();
+                for start in [grown, round_robin] {
+                    let (mut new, mut old) = (start.clone(), start);
+                    let gain = refine_boundary(&g, &mut new, k, 6);
+                    let oracle_gain = oracle::refine_boundary(&g, &mut old, k, 6);
+                    assert_eq!(new, old, "refine_boundary, case {case}, k = {k}");
+                    assert_eq!(gain, oracle_gain, "gain, case {case}, k = {k}");
+                }
+            }
+        }
     }
 
     #[test]

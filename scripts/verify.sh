@@ -62,11 +62,13 @@ done
 echo "== uncalled-API lint (every pub fn outside crates/bench is named somewhere besides its definition) =="
 # A name counts as used when it occurs as a word on a non-comment line
 # of the workspace, the tests, the examples or the benchmark, the
-# `pub fn NAME` of its own definition aside.
+# `pub fn NAME` of its own definition and `pub use` items (from
+# `pub use` to the line with its `;`) aside: a re-export is not a call.
 uncalled=$(comm -23 \
     <(find crates/*/src -name '*.rs' -not -path 'crates/bench/*' |
         xargs sed -nE 's/^\s*pub fn ([A-Za-z0-9_]+).*/\1/p' | sort -u) \
     <(find crates src tests examples bench_ledger/src -name '*.rs' | xargs cat |
+        awk '/^[ \t]*pub use / { reexport = 1 } reexport { if (/;/) reexport = 0; next } { print }' |
         grep -vE '^\s*//' | sed -E 's/\bpub fn [A-Za-z0-9_]+//' |
         grep -oE '[A-Za-z_][A-Za-z0-9_]*' | sort -u))
 if [ -n "$uncalled" ]; then
@@ -97,14 +99,20 @@ find crates/*/src src -name '*.rs' | sort | xargs awk '
     END { if (dups) { print "verify: " dups " duplicated 8-line windows" > "/dev/stderr"; exit 1 } }'
 
 # Production lines (up to the first #[cfg(test)], // lines aside) of the
-# .rs files under paths $2.. that call a function matching regex $1.
-production_calls() {
+# .rs files under paths $2.. that match regex $1.
+production_lines() {
     local pattern=$1
     shift
     find "$@" -name '*.rs' | sort |
-        xargs awk -v pattern="($pattern)\\(" 'FNR == 1 { skip = 0 }
+        xargs awk -v pattern="$pattern" 'FNR == 1 { skip = 0 }
             /^[ \t]*#\[cfg\(test\)\]/ { skip = 1 }
             !skip && !/^[ \t]*\/\// && $0 ~ pattern { print FILENAME ":" FNR ": " $0 }'
+}
+# ... that call a function matching regex $1.
+production_calls() {
+    local pattern=$1
+    shift
+    production_lines "($pattern)\\(" "$@"
 }
 
 echo "== whole-mesh-reduction lint (no total_volume( / bbox( in the particle crates' production code) =="
@@ -139,6 +147,16 @@ bypasses=$(production_calls 'World::build|EngineSession::new' crates/jobsrv/src)
 if [ -n "$rebuilds$bypasses" ]; then
     echo "$rebuilds$bypasses"
     echo "verify: geometry built outside Geometry, or a jobsrv worker bypassing the geometry cache" >&2
+    exit 1
+fi
+
+echo "== ordered-container lint (no HashMap / HashSet in the partitioner's and the balancer's production code) =="
+# Their decisions are pinned bitwise, and a hash container iterates in
+# an order that differs from process to process.
+hashed=$(production_lines 'HashMap|HashSet' crates/partition/src crates/balance/src)
+if [ -n "$hashed" ]; then
+    echo "$hashed"
+    echo "verify: a hash container where decisions are pinned (sort, or use a Vec / BTreeMap)" >&2
     exit 1
 fi
 

@@ -11,9 +11,9 @@
 //! balancer off it has to reproduce the unified run's pinned density
 //! bit for bit.
 
-use balance::{CostSourceKind, RebalanceConfig};
+use balance::{CostSourceKind, RebalanceConfig, RebalanceOutcome, Rebalancer};
 use coupled::{run_threaded, ClusterSim, Dataset, Decomposition, MachineProfile, RunConfig};
-use obs::fnv1a_f64;
+use obs::{fnv1a, fnv1a_f64};
 
 fn modelled_config(cost_source: CostSourceKind, decomposition: Decomposition) -> RunConfig {
     RunConfig::builder()
@@ -145,4 +145,46 @@ fn timer_augmented_threaded_fires_and_completes() {
     assert_eq!(r.trace.len(), 12);
     assert!(r.population > 0);
     assert!(r.rebalances > 0, "threshold 0 must trigger the balancer");
+}
+
+/// One `Rebalancer::step` — weighted k-way, then the Kuhn–Munkres
+/// remap — on the canned jet's per-cell counts at 384 ranks, where
+/// nothing coarsens and every part is a handful of cells. Recorded
+/// before the partitioner's kernels stopped looping over all `k`
+/// parts: a cheaper re-partition must be the same re-partition.
+#[test]
+fn one_rebalance_of_the_jet_on_384_ranks_is_pinned() {
+    let mut run = coupled::scenario::canned("jet")
+        .expect("canned scenario lowers")
+        .run;
+    run.ranks = 384;
+    run.rebalance = None;
+    let mut sim = ClusterSim::new(&run, MachineProfile::tianhe2());
+    for _ in 0..run.steps {
+        sim.step();
+    }
+    let (neutral, charged) = sim.state.counts_per_cell();
+    let (xadj, adjncy) = sim.state.nm.coarse.cell_graph();
+    let mut rebalancer = Rebalancer::new(RebalanceConfig {
+        t_interval: 1,
+        threshold: 0.0,
+        ..RebalanceConfig::default()
+    });
+    let outcome = rebalancer.step(9.0, &xadj, &adjncy, &neutral, &charged, sim.owner(), 384);
+    let RebalanceOutcome::Remapped {
+        new_owner,
+        migration_volume,
+        ..
+    } = outcome
+    else {
+        panic!("threshold 0 must remap, got {outcome:?}");
+    };
+    assert_eq!(
+        (
+            fnv1a(new_owner.iter().flat_map(|o| o.to_le_bytes())),
+            migration_volume
+        ),
+        (0xb555_ed85_eebc_861d, 742),
+        "the jet's re-decomposition drifted from the pinned baseline"
+    );
 }
