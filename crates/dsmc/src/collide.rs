@@ -8,7 +8,7 @@
 
 use kernels::{fork_rng, Pool};
 use mesh::TetMesh;
-use particles::{ParticleBuffer, Species, SpeciesTable};
+use particles::{ParticleBuffer, Species, SpeciesTable, Vhs};
 use rand::Rng;
 
 /// Persistent per-cell state of the NTC scheme (the running
@@ -57,7 +57,8 @@ impl CellScratch {
     /// The NTC kernel on one cell of `list.len() >= 2` neutrals
     /// (buffer indices into the `vel` lanes): draw the candidate
     /// count, pick pairs, accept against the pre-pass `sgm` snapshot
-    /// and VHS-scatter the accepted ones in the gathered lanes.
+    /// and VHS-scatter the accepted ones in the gathered lanes. `vhs`
+    /// is `sp.vhs()`, taken once per pass.
     /// Returns the adaptive `(σg)_max` (`sgm` unless a pair exceeded
     /// it; committing it late is value-identical — the ratchet only
     /// grows); the caller writes the `dirty` lanes back. The candidate
@@ -70,6 +71,7 @@ impl CellScratch {
         list: &[u32],
         vel: [&[f64]; 3],
         sp: &Species,
+        vhs: Vhs,
         sgm: f64,
         dt: f64,
         volume: f64,
@@ -112,7 +114,7 @@ impl CellScratch {
             let gy = lvy[a] - lvy[b];
             let gz = lvz[a] - lvz[b];
             let g = (gx * gx + gy * gy + gz * gz).sqrt();
-            let sigma_g = sp.vhs_cross_section(g) * g;
+            let sigma_g = vhs.cross_section(g) * g;
             if sigma_g > sgm_adapt {
                 sgm_adapt = sigma_g; // adaptive max
             }
@@ -156,7 +158,7 @@ impl CollisionModel {
     pub fn new(num_cells: usize, species: &SpeciesTable, t_init: f64) -> Self {
         let guess = species
             .iter()
-            .map(|(_, s)| s.vhs_cross_section(s.thermal_speed(t_init)) * s.thermal_speed(t_init))
+            .map(|(_, s)| s.vhs().cross_section(s.thermal_speed(t_init)) * s.thermal_speed(t_init))
             .fold(0.0f64, f64::max)
             .max(1e-20);
         CollisionModel {
@@ -205,6 +207,7 @@ impl CollisionModel {
         events: &mut Vec<CollisionEvent>,
     ) -> CollideStats {
         let sp = species.get(neutral_id);
+        let vhs = sp.vhs();
         self.bucket(buf, neutral_id);
 
         let mut stats = CollideStats::default();
@@ -216,7 +219,8 @@ impl CollisionModel {
             let sgm = self.sigma_g_max[c];
             let vel = [&buf.vx[..], &buf.vy[..], &buf.vz[..]];
             let volume = mesh.volumes[c];
-            let sgm_adapt = cell.collide(list, vel, sp, sgm, dt, volume, rng, &mut stats, events);
+            let sgm_adapt =
+                cell.collide(list, vel, sp, vhs, sgm, dt, volume, rng, &mut stats, events);
             // scatter modified velocities back and commit the ratchet
             for (k, &d) in cell.dirty.iter().enumerate() {
                 if d {
@@ -261,6 +265,7 @@ impl CollisionModel {
         }
         let base: u64 = rng.gen();
         let sp = species.get(neutral_id);
+        let vhs = sp.vhs();
         // serial: O(n) with no contention worth parallelising
         self.bucket(buf, neutral_id);
 
@@ -293,7 +298,7 @@ impl CollisionModel {
             for c in cells {
                 let (list, sgm, volume) = (&cell_lists[c], sigma_g_max[c], mesh.volumes[c]);
                 let sgm_adapt = cell.collide(
-                    list, vel, sp, sgm, dt, volume, &mut rng, &mut stats, &mut ev,
+                    list, vel, sp, vhs, sgm, dt, volume, &mut rng, &mut stats, &mut ev,
                 );
                 for (k, &d) in cell.dirty.iter().enumerate() {
                     if d {
@@ -325,12 +330,62 @@ impl CollisionModel {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use mesh::{NozzleSpec, Vec3};
     use particles::Particle;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// FNV-1a over every bit a collision pass writes: the velocity
+    /// lanes, the species ids, the events and the `(σg)_max` table.
+    pub(crate) fn pin(buf: &ParticleBuffer, events: &[CollisionEvent], sgm: &[f64]) -> u64 {
+        let lanes = [&buf.vx, &buf.vy, &buf.vz].into_iter().flatten();
+        let events = events.iter().flat_map(|e| {
+            [e.i.to_le_bytes(), e.j.to_le_bytes()]
+                .into_iter()
+                .flatten()
+                .chain(e.rel_speed.to_le_bytes())
+        });
+        obs::fnv1a(
+            lanes
+                .chain(sgm)
+                .flat_map(|v| v.to_le_bytes())
+                .chain(buf.species.iter().copied())
+                .chain(events),
+        )
+    }
+
+    /// FNV pin of five passes on the 200-particle cell at seed 11,
+    /// serial or on `pool`.
+    fn five_passes(pool: Option<&kernels::Pool>) -> u64 {
+        let (m, table, mut buf) = setup(1e12);
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut model = CollisionModel::new(m.num_cells(), &table, 300.0);
+        let mut ev = Vec::new();
+        for _ in 0..5 {
+            match pool {
+                Some(pool) => {
+                    model.collide_pooled(&m, &mut buf, &table, 0, 1e-5, &mut rng, &mut ev, pool)
+                }
+                None => model.collide(&m, &mut buf, &table, 0, 1e-5, &mut rng, &mut ev),
+            };
+        }
+        pin(&buf, &ev, model.sigma_g_max())
+    }
+
+    /// Recorded on the parent of the VHS-constants change, before the
+    /// kernel was touched: a bit that moves here moves every golden run.
+    #[test]
+    fn serial_kernel_is_pinned() {
+        assert_eq!(five_passes(None), 0xd65f_8eee_6801_42dc);
+    }
+
+    #[test]
+    fn pooled_kernel_is_pinned() {
+        let pool = kernels::Pool::new(2);
+        assert_eq!(five_passes(Some(&pool)), 0xecc8_788d_8a63_628a);
+    }
 
     fn setup(weight: f64) -> (TetMesh, SpeciesTable, ParticleBuffer) {
         let m = NozzleSpec {

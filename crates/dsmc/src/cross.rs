@@ -42,6 +42,11 @@ pub struct CrossStats {
     pub candidates: usize,
     pub mex: usize,
     pub cex: usize,
+    /// Candidates whose σ(g)·g exceeded the pass's fixed `(σg)_max`,
+    /// i.e. were accepted with a probability clipped to 1. Under VHS at
+    /// ω = 0.75 σg grows as √g, so that is every pair faster than
+    /// 4·g_ref (≈ 8.5 km/s for H); nothing ratchets the bound yet.
+    pub saturated: usize,
 }
 
 impl CrossCollisionModel {
@@ -66,6 +71,8 @@ impl CrossCollisionModel {
         // selected pair represents min-weight physics (standard
         // conservative choice for disparate weights).
         let f_n = n_sp.weight.max(i_sp.weight);
+        let vhs = n_sp.vhs();
+        let sigma_g_max = 2.0 * vhs.cross_section(vhs.g_ref) * vhs.g_ref;
 
         // bucket both species per cell
         let nc = mesh.num_cells();
@@ -87,8 +94,6 @@ impl CrossCollisionModel {
             if nn == 0 || ni == 0 {
                 continue;
             }
-            let g_ref = n_sp.thermal_speed(n_sp.t_ref);
-            let sigma_g_max = 2.0 * n_sp.vhs_cross_section(g_ref) * g_ref;
             let n_cand = nn as f64 * ni as f64 * f_n * sigma_g_max * dt / mesh.volumes[c];
             let n_cand = n_cand.floor() as usize + usize::from(rng.gen::<f64>() < n_cand.fract());
 
@@ -98,7 +103,8 @@ impl CrossCollisionModel {
                 let b = ions[c][rng.gen_range(0..ni)] as usize;
                 let g_vec = buf.vel(a) - buf.vel(b);
                 let g = g_vec.norm();
-                let sigma_g = n_sp.vhs_cross_section(g) * g;
+                let sigma_g = vhs.cross_section(g) * g;
+                stats.saturated += usize::from(sigma_g > sigma_g_max);
                 if rng.gen::<f64>() * sigma_g_max >= sigma_g {
                     continue;
                 }
@@ -225,6 +231,35 @@ mod tests {
         // conservation holds to that order
         assert!((mom(&buf) - p0).norm() < 1e-3 * p0.norm());
         assert!((energy(&buf) - e0).abs() < 1e-3 * e0);
+    }
+
+    #[test]
+    fn ions_at_twenty_km_s_saturate_the_fixed_bound() {
+        // setup's ions drift at 2 × 10⁴ m/s, past 4·g_ref ≈ 8.5 km/s
+        let (m, table, mut buf) = setup(150, 150);
+        let model = CrossCollisionModel::default();
+        let mut rng = StdRng::seed_from_u64(6);
+        let mut ev = Vec::new();
+        let stats = model.collide(&m, &mut buf, &table, 0, 1, 5e-6, &mut rng, &mut ev);
+        assert!(stats.saturated > 0, "{stats:?}");
+        assert!(stats.saturated <= stats.candidates);
+    }
+
+    /// Recorded on the parent of the VHS-constants change, before the
+    /// kernel was touched (five passes on the 150 + 150 cell).
+    #[test]
+    fn kernel_is_pinned() {
+        let (m, table, mut buf) = setup(150, 150);
+        let model = CrossCollisionModel { cex_fraction: 0.5 };
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut ev = Vec::new();
+        for _ in 0..5 {
+            model.collide(&m, &mut buf, &table, 0, 1, 5e-6, &mut rng, &mut ev);
+        }
+        assert_eq!(
+            crate::collide::tests::pin(&buf, &ev, &[]),
+            0x4958_40ae_9ea9_101b
+        );
     }
 
     #[test]

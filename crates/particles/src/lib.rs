@@ -14,4 +14,4 @@ pub use pack::{
     pack_index, pack_particle, pack_selected, pack_selected_into, unpack_all, unpack_particle,
     PACKED_SIZE,
 };
-pub use species::{Species, SpeciesTable, KB, MASS_H, QE};
+pub use species::{Species, SpeciesTable, Vhs, KB, MASS_H, QE};

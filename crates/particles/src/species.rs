@@ -72,19 +72,65 @@ impl Species {
         (2.0 * KB * t / self.mass).sqrt()
     }
 
-    /// VHS total collision cross-section at relative speed `g` (m²)
-    /// against a partner of the same species (Bird 1994, eq. 4.63).
-    pub fn vhs_cross_section(&self, g: f64) -> f64 {
+    /// This species' VHS law with its constants computed once; a
+    /// collision pass takes it once and evaluates it per candidate.
+    pub fn vhs(&self) -> Vhs {
         let d = self.diameter;
-        let sigma_ref = std::f64::consts::PI * d * d;
-        if g <= 0.0 {
-            return sigma_ref;
+        Vhs {
+            sigma_ref: std::f64::consts::PI * d * d,
+            g_ref: (2.0 * KB * self.t_ref / self.mass).sqrt(),
+            exponent: 2.0 * self.omega - 1.0,
         }
-        // σ(g) = σ_ref * (g_ref / g)^(2ω - 1); using the thermal speed
-        // at T_ref as the reference relative speed.
-        let g_ref = (2.0 * KB * self.t_ref / self.mass).sqrt();
-        sigma_ref * (g_ref / g).powf(2.0 * self.omega - 1.0)
     }
+}
+
+/// The VHS total collision cross-section against a partner of the
+/// same species (Bird 1994, eq. 4.63): σ(g) = σ_ref · (g_ref / g)^(2ω − 1),
+/// with the thermal speed at T_ref as the reference relative speed.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Vhs {
+    /// π d² (m²).
+    pub sigma_ref: f64,
+    /// Reference relative speed (m/s).
+    pub g_ref: f64,
+    /// 2ω − 1.
+    pub exponent: f64,
+}
+
+impl Vhs {
+    /// σ(g) in m²; `sigma_ref` for `g <= 0`. At ω = 0.75 (every species
+    /// here) the power is a square root, taken with `sqrt` wherever that
+    /// returns `powf`'s bits (`pow_half_is`); any other ω takes `powf`.
+    #[inline]
+    pub fn cross_section(&self, g: f64) -> f64 {
+        if g <= 0.0 {
+            return self.sigma_ref;
+        }
+        let x = self.g_ref / g;
+        let s = x.sqrt();
+        let p = if self.exponent == 0.5 && pow_half_is(x, s) {
+            s
+        } else {
+            x.powf(self.exponent)
+        };
+        self.sigma_ref * p
+    }
+}
+
+/// Whether `x.powf(0.5)` returns `s = x.sqrt()`, decided without
+/// calling it. `sqrt` is correctly rounded; glibc's `pow` is not (it
+/// errs by up to ≈ 0.52 ULP) and returns the other neighbour of the
+/// exact root on ≈ 0.08 % of inputs, each within 0.01 ULP of a rounding
+/// midpoint. So: "yes" when the exact root `s + (x − s²)/2s` is more
+/// than 0.03 ULP from a midpoint, where any `pow` within 0.53 ULP rounds
+/// to `s`; "no" (ask `powf`) on the other 6 % and below 10⁻²⁹⁰, where
+/// the fused `x − s²` stops being exact.
+#[inline]
+fn pow_half_is(x: f64, s: f64) -> bool {
+    const EXPONENT: u64 = 0x7ff0_0000_0000_0000;
+    // the spacing below s: ulp(s), or half of it at a power of two
+    let ulp = f64::from_bits(s.to_bits().wrapping_sub(1) & EXPONENT) * f64::EPSILON;
+    x >= 1e-290 && s.mul_add(-s, x).abs() < 0.94 * s * ulp
 }
 
 /// Indexed registry of all species in a simulation. Species ids are
@@ -163,12 +209,57 @@ mod tests {
     }
 
     #[test]
-    fn vhs_cross_section_decreases_with_speed() {
-        let h = Species::hydrogen(1.0);
-        let slow = h.vhs_cross_section(100.0);
-        let fast = h.vhs_cross_section(10000.0);
+    fn vhs_falls_with_speed() {
+        let vhs = Species::hydrogen(1.0).vhs();
+        let slow = vhs.cross_section(100.0);
+        let fast = vhs.cross_section(10000.0);
         assert!(slow > fast);
         assert!(fast > 0.0);
+    }
+
+    /// The VHS law as `Species` evaluated it per call before its
+    /// constants moved into [`Vhs`] — the oracle the new one is held to.
+    fn old_vhs_law(s: &Species, g: f64) -> f64 {
+        let d = s.diameter;
+        let sigma_ref = std::f64::consts::PI * d * d;
+        if g <= 0.0 {
+            return sigma_ref;
+        }
+        let g_ref = (2.0 * KB * s.t_ref / s.mass).sqrt();
+        sigma_ref * (g_ref / g).powf(2.0 * s.omega - 1.0)
+    }
+
+    /// Bitwise, on 10⁶ seeded speeds in (0, 10⁵] m/s (half uniform, half
+    /// log-uniform from 1 mm/s) and the edges, for ω = 0.75 (`sqrt`, and
+    /// `powf` near a midpoint — 697 of these speeds round differently
+    /// under a bare `sqrt`), 0.5 (exponent 0) and 0.81 (both `powf`).
+    #[test]
+    fn vhs_matches_the_old_law_bitwise() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(25);
+        let mut speeds: Vec<f64> = (0..1_000_000)
+            .map(|k| {
+                let u = 1.0 - rng.gen::<f64>(); // (0, 1]
+                if k % 2 == 0 {
+                    u * 1e5
+                } else {
+                    1e-3 * 1e8f64.powf(u)
+                }
+            })
+            .collect();
+        speeds.extend([0.0, -1.0, f64::from_bits(1), f64::MAX, f64::INFINITY]);
+        for omega in [0.75, 0.5, 0.81] {
+            let s = Species {
+                omega,
+                ..Species::hydrogen(1.0)
+            };
+            let vhs = s.vhs();
+            for &g in &speeds {
+                let (new, old) = (vhs.cross_section(g), old_vhs_law(&s, g));
+                assert_eq!(new.to_bits(), old.to_bits(), "ω = {omega}, g = {g:e}");
+            }
+        }
     }
 
     #[test]

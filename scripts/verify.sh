@@ -160,6 +160,22 @@ if [ -n "$hashed" ]; then
     exit 1
 fi
 
+echo "== one-VHS-law lint (no .powf( in the particle crates' production code outside impl Vhs, no vhs_cross_section( anywhere) =="
+# particles::Vhs computes the law's constants once per species and
+# skips powf at ω = 0.75; a powf per candidate elsewhere undoes that.
+powers=$(find crates/dsmc/src crates/particles/src crates/pic/src -name '*.rs' | sort |
+    xargs awk 'FNR == 1 { skip = 0; vhs = 0 }
+        /^[ \t]*#\[cfg\(test\)\]/ { skip = 1 }
+        /^impl Vhs \{/ { vhs = 1 }
+        vhs { if (/^\}/) vhs = 0; next }
+        !skip && !/^[ \t]*\/\// && /\.powf\(/ { print FILENAME ":" FNR ": " $0 }')
+renamed=$(grep -rnE 'vhs_cross_section\(' --include='*.rs' crates src tests examples bench_ledger/src || true)
+if [ -n "$powers$renamed" ]; then
+    echo "$powers$renamed"
+    echo "verify: a VHS law outside particles::Vhs (take Species::vhs() once, call Vhs::cross_section)" >&2
+    exit 1
+fi
+
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
