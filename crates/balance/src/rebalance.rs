@@ -23,8 +23,6 @@ pub struct RebalanceConfig {
     pub wlm: WlmParams,
     /// Whether to use KM remapping (Table V ablates this).
     pub use_km: bool,
-    /// Partitioner options.
-    pub kway: KwayOptions,
     /// Which cost source supplies the partitioner vertex weights.
     pub cost_source: CostSourceKind,
 }
@@ -36,7 +34,6 @@ impl Default for RebalanceConfig {
             threshold: 2.0,
             wlm: WlmParams::default(),
             use_km: true,
-            kway: KwayOptions::default(),
             cost_source: CostSourceKind::default(),
         }
     }
@@ -133,7 +130,7 @@ impl Rebalancer {
         // partition -> KM remap.
         let wlm = self.cost.cell_weights(neutral, charged);
         let graph = Graph::new(xadj.to_vec(), adjncy.to_vec(), wlm);
-        let new_part = part_graph_kway(&graph, k, self.config.kway);
+        let new_part = part_graph_kway(&graph, k, KwayOptions::default());
 
         // migration cost per cell = resident particles
         let load: Vec<u64> = neutral.iter().zip(charged).map(|(&n, &c)| n + c).collect();

@@ -3,13 +3,12 @@
 //! (the inlet rank starts with nearly all particles, fig. 5).
 //!
 //! Three modes over the same run:
-//! * `paper_wlm` — analytic weighted load model (eq. 7), unified
-//!   particle/field decomposition (the paper's configuration);
+//! * `paper_wlm` — analytic weighted load model (eq. 7), the paper's
+//!   configuration;
 //! * `timer_augmented` — EWMA-smoothed measured per-phase costs feed
 //!   the partition weights instead of the analytic model;
-//! * `eullag` — paper WLM weights, Eulerian/Lagrangian split (static
-//!   block-partitioned field grid, gather/scatter charge halo), so
-//!   the balancer moves particle work only.
+//! * `paper_wlm_wcell0` — paper WLM with `W_cell = 0`, so the balancer
+//!   weighs particle work only (a point on Table VI's `W_cell` axis).
 //!
 //! Expectation: the timer-augmented source tracks the true collision
 //! cost (quadratic in cell occupancy) and settles at a steady-state
@@ -18,21 +17,12 @@
 use crate::{lii_trajectory, steady_state_lii, steps, write_csv, Experiment};
 use balance::CostSourceKind;
 use coupled::report::table;
-use coupled::Decomposition;
 
 pub fn run() {
-    let modes: [(&str, CostSourceKind, Decomposition); 3] = [
-        (
-            "paper_wlm",
-            CostSourceKind::PaperWlm,
-            Decomposition::Unified,
-        ),
-        (
-            "timer_augmented",
-            CostSourceKind::TimerAugmented,
-            Decomposition::Unified,
-        ),
-        ("eullag", CostSourceKind::PaperWlm, Decomposition::EulLag),
+    let modes: [(&str, CostSourceKind, i64); 3] = [
+        ("paper_wlm", CostSourceKind::PaperWlm, 1),
+        ("timer_augmented", CostSourceKind::TimerAugmented, 1),
+        ("paper_wlm_wcell0", CostSourceKind::PaperWlm, 0),
     ];
 
     // the steady-state comparison is only meaningful once the jet has
@@ -42,13 +32,13 @@ pub fn run() {
 
     let mut csv_rows = Vec::new();
     let mut trajectories: Vec<(&str, Vec<f64>)> = Vec::new();
-    for (name, cost_source, decomposition) in modes {
+    for (name, cost_source, w_cell) in modes {
         let rep = Experiment {
             ranks: 8,
             t_interval: 10,
             threshold: 1.5,
             cost_source,
-            decomposition,
+            w_cell,
             steps: Some(horizon),
             ..Experiment::default()
         }

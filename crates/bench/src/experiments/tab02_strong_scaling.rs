@@ -9,48 +9,33 @@
 //!   (~40% at 48 ranks);
 //! * total time flattens (or regresses slightly) at 1536 ranks.
 
-use crate::{strat_name, write_csv, Experiment, RANK_LADDER};
-use coupled::report::{secs, table};
+use crate::{ladder_sweep, strat_name, total_time_point, Experiment, RANK_LADDER};
 use vmpi::Strategy;
 
 pub fn run() {
-    let mut rows = Vec::new();
-    let mut csv_rows = Vec::new();
-    let variants = [
-        (Strategy::Distributed, true, "DC+LB"),
-        (Strategy::Distributed, false, "DC-Only"),
-        (Strategy::Centralized, true, "CC+LB"),
-        (Strategy::Centralized, false, "CC-Only"),
-    ];
-    for (strategy, lb, name) in variants {
-        let mut row = vec![name.to_string()];
-        for &ranks in &RANK_LADDER {
-            let rep = Experiment {
-                ranks,
-                strategy,
-                load_balance: lb,
-                ..Experiment::default()
-            }
-            .run();
-            row.push(secs(rep.total_time));
-            csv_rows.push(vec![
-                strat_name(strategy).to_string(),
-                lb.to_string(),
-                ranks.to_string(),
-                format!("{:.3}", rep.total_time),
-            ]);
-            eprintln!("  {name} @ {ranks} ranks: {:.1}s", rep.total_time);
-        }
-        rows.push(row);
-    }
-
-    println!("\nTable II — total modelled execution time (s), Dataset 2, Tianhe-2");
-    let headers = ["variant", "24", "48", "96", "192", "384", "768", "1536"];
-    println!("{}", table(&headers, &rows));
-    write_csv(
-        "tab02_strong_scaling.csv",
-        &["strategy", "lb", "ranks", "total_s"],
-        &csv_rows,
+    let variant = |strategy: Strategy, load_balance: bool, name: &str| {
+        let experiment = Experiment {
+            strategy,
+            load_balance,
+            ..Experiment::default()
+        };
+        let key = vec![strat_name(strategy).to_string(), load_balance.to_string()];
+        (name.to_string(), key, experiment)
+    };
+    let rows = ladder_sweep(
+        "Table II — total modelled execution time (s), Dataset 2, Tianhe-2",
+        &RANK_LADDER,
+        (
+            "tab02_strong_scaling.csv",
+            &["strategy", "lb", "ranks", "total_s"],
+        ),
+        vec![
+            variant(Strategy::Distributed, true, "DC+LB"),
+            variant(Strategy::Distributed, false, "DC-Only"),
+            variant(Strategy::Centralized, true, "CC+LB"),
+            variant(Strategy::Centralized, false, "CC-Only"),
+        ],
+        total_time_point,
     );
 
     // headline checks, printed for EXPERIMENTS.md

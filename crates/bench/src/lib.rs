@@ -13,9 +13,7 @@
 //!   the designated run (see [`trace_spec`] and DESIGN.md §10).
 
 use balance::{CostSourceKind, RebalanceConfig};
-use coupled::{
-    ClusterSim, Dataset, Decomposition, MachineProfile, Placement, RunConfig, RunReport,
-};
+use coupled::{ClusterSim, Dataset, MachineProfile, Placement, RunConfig, RunReport};
 use obs::{MetricsSnapshot, TraceSpec};
 use std::path::PathBuf;
 use vmpi::Strategy;
@@ -127,9 +125,6 @@ pub struct Experiment {
     /// Where the balancer's partition weights come from (analytic
     /// paper WLM or the timer-augmented measured-cost source).
     pub cost_source: CostSourceKind,
-    /// Unified particle/field ownership or the Eulerian/Lagrangian
-    /// split decomposition.
-    pub decomposition: Decomposition,
     /// Steps to run; `None` uses the global [`steps`] knob.
     pub steps: Option<usize>,
     pub profile: fn() -> MachineProfile,
@@ -148,7 +143,6 @@ impl Default for Experiment {
             threshold: 2.0,
             w_cell: 1,
             cost_source: CostSourceKind::PaperWlm,
-            decomposition: Decomposition::Unified,
             steps: None,
             profile: MachineProfile::tianhe2,
             placement: Placement::InnerFrame,
@@ -163,7 +157,7 @@ impl Experiment {
             .paper(self.dataset, scale())
             .ranks(self.ranks)
             .strategy(self.strategy)
-            .rebalance(self.load_balance.then(|| RebalanceConfig {
+            .rebalance(self.load_balance.then_some(RebalanceConfig {
                 t_interval: self.t_interval,
                 threshold: self.threshold,
                 use_km: self.use_km,
@@ -172,9 +166,7 @@ impl Experiment {
                     w_cell: self.w_cell,
                 },
                 cost_source: self.cost_source,
-                ..RebalanceConfig::default()
             }))
-            .decomposition(self.decomposition)
             .build()
             .expect("valid experiment config");
         let mut sim = ClusterSim::new(&run, (self.profile)()).with_placement(self.placement);

@@ -24,7 +24,6 @@ use balance::load_imbalance_indicator;
 use dsmc::EXITED;
 use obs::{Breakdown, ExchangeEvent, NullObserver, Phase, RebalanceEvent};
 use particles::PACKED_SIZE;
-use partition::Decomposition;
 use std::sync::Arc;
 use vmpi::{Flows, Strategy, TrafficSummary};
 
@@ -40,10 +39,6 @@ pub struct ModelledBackend {
     balance: BalanceHook,
     strategy: Strategy,
     cost: CostModel,
-    /// Unified particle/field ownership (default) or the split
-    /// Eulerian/Lagrangian mode (statically block-partitioned field
-    /// grid, gather/scatter charge halo priced in the Poisson lap).
-    decomp: Decomposition,
     ranks: usize,
     /// Cost-model work multiplier per simulation particle (see
     /// `Dataset::work_boost`).
@@ -78,7 +73,6 @@ impl ModelledBackend {
             balance: BalanceHook::new(run, world, owner),
             strategy: run.strategy,
             cost: CostModel::new(profile, run.ranks),
-            decomp: run.decomposition,
             ranks: run.ranks,
             boost: run.work_boost.max(1.0),
             grid_boost: run
@@ -231,13 +225,7 @@ impl Backend for ModelledBackend {
                 let nnz = (eng.poisson.matrix.nnz() as f64 * gb) as usize;
                 let nodes = (eng.poisson.num_nodes() as f64 * gb) as usize;
                 let iters = (rec.poisson_iters[sub] as f64 * gb.cbrt()).ceil() as usize;
-                let mut t = self.cost.poisson_time(iters, nnz, nodes);
-                if self.decomp == Decomposition::EulLag {
-                    // split mode: the charge reduction preceding the
-                    // solve is the gather/scatter halo over the static
-                    // field blocks, not the flat allreduce
-                    t += self.cost.eullag_halo_time(nodes);
-                }
+                let t = self.cost.poisson_time(iters, nnz, nodes);
                 for bd in self.per_rank.iter_mut() {
                     bd[Phase::PoissonSolve] += t;
                 }

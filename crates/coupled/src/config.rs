@@ -10,7 +10,6 @@ use balance::RebalanceConfig;
 use mesh::NozzleSpec;
 use obs::json::{obj, Json};
 use obs::{Registry, TraceSpec};
-use partition::Decomposition;
 use vmpi::{FaultAction, FaultPlan, Strategy};
 
 /// Physics and numerics of one simulation.
@@ -265,6 +264,10 @@ pub enum ConfigError {
     /// The rebalance lii threshold was NaN or negative; `lii >= 1` by
     /// construction, so any finite value >= 0 is accepted.
     InvalidRebalanceThreshold,
+    /// A weighted-load-model weight (`rebalance.wlm.w_cell` or
+    /// `rebalance.wlm.r`) was negative; eq. 7 adds work, so 0 is the
+    /// least a cell or a charged particle can weigh.
+    NegativeWlmWeight(&'static str),
     /// `sim.k_sub_dsmc` was 0 — the DSMC phases run at least once per
     /// engine step.
     ZeroDsmcSubcycle,
@@ -299,6 +302,7 @@ impl std::fmt::Display for ConfigError {
             ConfigError::InvalidRebalanceThreshold => {
                 write!(f, "rebalance threshold must be finite and >= 0")
             }
+            ConfigError::NegativeWlmWeight(field) => write!(f, "{field} must be >= 0"),
             ConfigError::ZeroDsmcSubcycle => {
                 write!(f, "k_sub_dsmc must be >= 1")
             }
@@ -345,22 +349,8 @@ pub struct RunConfig {
     /// Dynamic load balancing on/off + parameters (trigger cadence,
     /// lii threshold, cost source, remap options).
     pub rebalance: Option<RebalanceConfig>,
-    /// How the run splits work across ranks: one unified
-    /// particle+field partition (paper default) or the
-    /// Eulerian/Lagrangian split with a statically block-partitioned
-    /// field grid. Under the split, the charge-density reduction runs
-    /// as a gather/scatter through the field owners (rank-ordered
-    /// sums, so results stay bitwise identical to the unified
-    /// reduction) and the balancer weighs particles only.
-    pub decomposition: Decomposition,
     /// Number of (virtual or threaded) ranks.
     pub ranks: usize,
-    /// Ranks per node for [`Strategy::Hier`]'s two-level aggregation
-    /// (consecutive ranks share a node). 0 = auto: split the world
-    /// into two equal halves ([`vmpi::NodeMap::default_for`]). Like
-    /// the strategy itself, the grouping only changes the message
-    /// schedule, never the delivered buffers.
-    pub ranks_per_node: usize,
     /// DSMC steps to run.
     pub steps: usize,
     /// Cost-model particle work boost (see [`Dataset::work_boost`]).
@@ -395,7 +385,7 @@ pub struct RunConfig {
 /// of serialized fields or their encoding changes — the tag is hashed
 /// along with the fields, so configs canonicalized under different
 /// schema versions can never collide in the result cache.
-pub const CONFIG_SCHEMA_VERSION: u32 = 3;
+pub const CONFIG_SCHEMA_VERSION: u32 = 4;
 
 /// Stable lowercase name of an exchange strategy for the canonical
 /// serialization (enum `Debug` output is not a schema).
@@ -485,6 +475,14 @@ impl RunConfig {
             if !rb.threshold.is_finite() || rb.threshold < 0.0 {
                 return Err(ConfigError::InvalidRebalanceThreshold);
             }
+            for (field, v) in [
+                ("rebalance.wlm.w_cell", rb.wlm.w_cell),
+                ("rebalance.wlm.r", rb.wlm.r),
+            ] {
+                if v < 0 {
+                    return Err(ConfigError::NegativeWlmWeight(field));
+                }
+            }
         }
         Ok(())
     }
@@ -547,14 +545,6 @@ impl RunConfig {
                     ]),
                 ),
                 ("use_km", Json::Bool(rb.use_km)),
-                (
-                    "kway",
-                    obj(vec![
-                        ("coarsen_to", Json::U64(rb.kway.coarsen_to as u64)),
-                        ("refine_passes", Json::U64(rb.kway.refine_passes as u64)),
-                        ("seed", Json::U64(rb.kway.seed)),
-                    ]),
-                ),
                 ("cost_source", Json::Str(rb.cost_source.name().to_string())),
             ]),
         };
@@ -621,12 +611,7 @@ impl RunConfig {
                 Json::Str(strategy_name(self.strategy).to_string()),
             ),
             ("rebalance", rebalance),
-            (
-                "decomposition",
-                Json::Str(self.decomposition.name().to_string()),
-            ),
             ("ranks", Json::U64(self.ranks as u64)),
-            ("ranks_per_node", Json::U64(self.ranks_per_node as u64)),
             ("steps", Json::U64(self.steps as u64)),
             ("work_boost", Json::Num(self.work_boost)),
             (
@@ -693,9 +678,7 @@ impl Default for RunConfigBuilder {
                 sim: SimConfig::default(),
                 strategy: Strategy::Distributed,
                 rebalance: Some(RebalanceConfig::default()),
-                decomposition: Decomposition::default(),
                 ranks: 1,
-                ranks_per_node: 0,
                 steps: 100,
                 work_boost: 1.0,
                 paper_cells: None,
@@ -744,13 +727,6 @@ impl RunConfigBuilder {
         self
     }
 
-    /// Decomposition mode: unified particle+field partition (default)
-    /// or the Eulerian/Lagrangian split.
-    pub fn decomposition(mut self, decomposition: Decomposition) -> Self {
-        self.run.decomposition = decomposition;
-        self
-    }
-
     /// Number of (virtual or threaded) ranks. Must be >= 1.
     pub fn ranks(mut self, ranks: usize) -> Self {
         self.run.ranks = ranks;
@@ -760,13 +736,6 @@ impl RunConfigBuilder {
     /// DSMC steps to run.
     pub fn steps(mut self, steps: usize) -> Self {
         self.run.steps = steps;
-        self
-    }
-
-    /// Ranks per node for the hierarchical exchange (0 = auto, two
-    /// equal halves).
-    pub fn ranks_per_node(mut self, rpn: usize) -> Self {
-        self.run.ranks_per_node = rpn;
         self
     }
 
@@ -923,20 +892,6 @@ mod tests {
         assert!(plain.fault_plan.is_none());
     }
 
-    #[test]
-    fn builder_carries_hier_settings() {
-        let run = RunConfig::builder()
-            .strategy(Strategy::Hier)
-            .ranks(4)
-            .ranks_per_node(2)
-            .build()
-            .unwrap();
-        assert_eq!(run.ranks_per_node, 2);
-        // default: auto node map
-        let plain = RunConfig::builder().build().unwrap();
-        assert_eq!(plain.ranks_per_node, 0);
-    }
-
     /// The default balancer with one trigger value replaced.
     fn trigger(t_interval: usize, threshold: f64) -> Option<RebalanceConfig> {
         Some(RebalanceConfig {
@@ -984,23 +939,51 @@ mod tests {
     }
 
     #[test]
+    fn builder_rejects_negative_wlm_weights() {
+        let weighted = |w_cell: i64, r: i64| {
+            RunConfig::builder()
+                .rebalance(Some(RebalanceConfig {
+                    wlm: balance::WlmParams { r, w_cell },
+                    ..RebalanceConfig::default()
+                }))
+                .build()
+        };
+        assert_eq!(
+            weighted(-1, 2).unwrap_err(),
+            ConfigError::NegativeWlmWeight("rebalance.wlm.w_cell")
+        );
+        assert_eq!(
+            weighted(1, -1).unwrap_err(),
+            ConfigError::NegativeWlmWeight("rebalance.wlm.r")
+        );
+        assert!(ConfigError::NegativeWlmWeight("rebalance.wlm.r")
+            .to_string()
+            .contains("wlm.r"));
+        // zero weights are legal: w_cell = 0 weighs particles only
+        assert!(weighted(0, 0).is_ok());
+        // like the trigger rules, checked only when balancing is on
+        let mut run = weighted(0, 0).unwrap();
+        run.rebalance.as_mut().unwrap().wlm.w_cell = -1;
+        assert!(run.validate().is_err());
+        run.rebalance = None;
+        assert!(run.validate().is_ok());
+    }
+
+    #[test]
     fn builder_carries_rebalance_trigger_and_modes() {
         let run = RunConfig::builder()
             .rebalance(trigger(5, 1.3))
-            .decomposition(Decomposition::EulLag)
             .build()
             .unwrap();
         let rb = run.rebalance.expect("balancing enabled");
         assert_eq!(rb.t_interval, 5);
         assert_eq!(rb.threshold, 1.3);
-        assert_eq!(run.decomposition, Decomposition::EulLag);
-        // defaults: paper wlm + unified, paper trigger values
+        // defaults: paper wlm, paper trigger values
         let plain = RunConfig::builder().build().unwrap();
         let prb = plain.rebalance.unwrap();
         assert_eq!(prb.cost_source, balance::CostSourceKind::PaperWlm);
         assert_eq!(prb.t_interval, 20);
         assert_eq!(prb.threshold, 2.0);
-        assert_eq!(plain.decomposition, Decomposition::Unified);
     }
 
     #[test]
@@ -1156,7 +1139,7 @@ mod tests {
 
     /// Pinned canonical hash of the guard config (see
     /// `config_hash_is_pinned_across_releases`). Re-pinned with
-    /// CONFIG_SCHEMA_VERSION 3 (two keys no run ever set left the
-    /// canonical serialization).
-    const PINNED_GUARD_CONFIG_HASH: u64 = 0xb9b097c4a720c9ce;
+    /// CONFIG_SCHEMA_VERSION 4 (`decomposition`, `ranks_per_node` and
+    /// `rebalance.kway` left the canonical serialization).
+    const PINNED_GUARD_CONFIG_HASH: u64 = 0xe425423c8821a882;
 }

@@ -55,7 +55,6 @@ pub mod prelude {
         FanoutSink, MemorySink, MetricsSnapshot, Observer, Registry, TraceEvent, TraceSpec,
         SCHEMA_VERSION,
     };
-    pub use partition::Decomposition;
     pub use vmpi::{FaultAction, FaultPlan, Strategy};
 }
 
@@ -72,7 +71,6 @@ pub use engine::{
 pub use job::{JobId, JobMeta, JobPriority, JobSpec, JobStatus};
 pub use machine::{CostModel, MachineProfile, Placement};
 pub use obs::{Breakdown, Phase};
-pub use partition::Decomposition;
 pub use report::{ReportBuilder, RunReport, StepTrace};
 pub use scenario::{Scenario, ScenarioError};
 pub use session::{run_threaded, run_threaded_result, EngineSession, RunError};

@@ -278,17 +278,6 @@ impl CostModel {
         iters as f64 * per_iter
     }
 
-    /// Wall time of the Eulerian/Lagrangian gather/scatter charge
-    /// reduction (DESIGN.md §13): each static field owner gathers
-    /// every rank's contribution to its `nodes/k` block, reduces it,
-    /// and broadcasts the reduced block back. Both rounds serialize
-    /// k−1 block-sized messages through each owner.
-    pub fn eullag_halo_time(&self, nodes: usize) -> f64 {
-        let k = self.ranks as f64;
-        let block = (nodes as f64 / k).max(1.0);
-        2.0 * (k - 1.0).max(0.0) * (self.alpha() + block * 8.0 / self.beta())
-    }
-
     /// Cost of one rebalance: serial partition on rank 0 + mapping
     /// broadcast + the particle migration's protocol traffic.
     pub fn rebalance_time(&self, cells: usize, migration: &TrafficSummary, use_km: bool) -> f64 {

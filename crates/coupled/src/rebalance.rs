@@ -6,15 +6,13 @@
 //! ([`crate::threaded`]) or modelled and whole-domain
 //! ([`crate::cluster`]) — and carries or prices the migration the hook
 //! decides on. Everything else about a rebalance lives here: the
-//! [`Rebalancer`], the ownership map, the split mode's "weigh
-//! particles only" rule, what a cost sample is made of, and the
-//! [`RebalanceEvent`] a remap is reported as.
+//! [`Rebalancer`], the ownership map, what a cost sample is made of,
+//! and the [`RebalanceEvent`] a remap is reported as.
 
 use crate::config::RunConfig;
 use crate::world::World;
 use balance::{CostSample, RebalanceOutcome, Rebalancer};
 use obs::RebalanceEvent;
-use partition::Decomposition;
 use std::sync::Arc;
 
 /// Decomposition state and rebalancing policy of one decomposed run
@@ -23,7 +21,6 @@ use std::sync::Arc;
 pub(crate) struct BalanceHook {
     world: Arc<World>,
     ranks: usize,
-    decomp: Decomposition,
     /// `None` when the run does not rebalance.
     rebalancer: Option<Rebalancer>,
     /// Current coarse-cell ownership: cell → rank.
@@ -34,20 +31,10 @@ impl BalanceHook {
     /// The hook of `run`, starting from ownership `owner` (the world's
     /// seed decomposition, or a checkpointed map).
     pub fn new(run: &RunConfig, world: Arc<World>, owner: Vec<u32>) -> Self {
-        let rebalancer = run.rebalance.map(|mut rc| {
-            if run.decomposition == Decomposition::EulLag {
-                // the field grid is statically block-partitioned under
-                // the split mode and can't migrate, so the balancer
-                // weighs particle work only (Sauget & Latu)
-                rc.wlm.w_cell = 0;
-            }
-            Rebalancer::new(rc)
-        });
         BalanceHook {
             world,
             ranks: run.ranks,
-            decomp: run.decomposition,
-            rebalancer,
+            rebalancer: run.rebalance.map(Rebalancer::new),
             owner,
         }
     }
@@ -130,7 +117,6 @@ impl BalanceHook {
             migrated: migration_volume,
             remap_seconds: 0.0,
             cost_source: rb.cost_source_name(),
-            decomposition: self.decomp.name(),
             cost_rates: rb.cost_rates(),
         };
         Some((event, std::mem::replace(&mut self.owner, new_owner)))

@@ -221,11 +221,6 @@ pub fn csv(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Format seconds with one decimal, like the paper's tables.
-pub fn secs(t: f64) -> String {
-    format!("{t:.1}")
-}
-
 /// Format a speedup/ratio with two decimals.
 pub fn ratio(r: f64) -> String {
     format!("{r:.2}")
@@ -299,7 +294,6 @@ mod tests {
             migrated: 42,
             remap_seconds: 0.01,
             cost_source: "paper_wlm",
-            decomposition: "unified",
             cost_rates: [0.0; 3],
         });
         b.phase(Phase::Rebalance, 0.25);

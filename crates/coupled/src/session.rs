@@ -346,6 +346,10 @@ fn rank_main<C: Comm>(comm: &C, session: &EngineSession) -> Result<RunReport, Ru
 
     // --- final diagnostics: global H density per coarse cell ---------
     let at_diag = |error| fail(run.steps, error);
+    // fence the last step boundary: without it a peer's diagnostics
+    // messages can reach the world counter before rank 0's last
+    // `end_step` reads it, and the run's wire totals jitter
+    comm.barrier().map_err(at_diag)?;
     let h_counts = allreduce_sum_f64(comm, &eng.h_counts()).map_err(at_diag)?;
     let pops = allgather_u64(comm, eng.particles.len() as u64).map_err(at_diag)?;
 

@@ -26,7 +26,6 @@ use crate::world::World;
 use balance::{load_imbalance_indicator, RankTimes};
 use obs::{Breakdown, ExchangeEvent, LapTimer, Phase, RebalanceEvent, StepTrace};
 use particles::{pack_index, unpack_all, ParticleBuffer};
-use partition::{block_ranges, Decomposition};
 use std::sync::Arc;
 use vmpi::collectives::{
     allgather_f64, allgather_u64, allreduce_sum_f64, allreduce_sum_u64, broadcast, decode_words,
@@ -116,14 +115,9 @@ pub struct ThreadedBackend<'a, C: Comm> {
     /// documented default; see [`resolve_strategy`] for why this can
     /// never change the physics.
     cost: CostModel,
-    /// Node grouping for [`Strategy::Hier`] (from
-    /// [`RunConfig::ranks_per_node`]; 0 = two equal halves).
+    /// Node grouping for [`Strategy::Hier`]: two equal halves
+    /// ([`NodeMap::default_for`]), built once per run.
     nodes: NodeMap,
-    /// Unified particle/field ownership (default) or the split
-    /// Eulerian/Lagrangian mode: the field grid stays statically
-    /// block-partitioned and the charge reduction becomes a per-owner
-    /// gather/scatter (see [`Backend::reduce_charge`]).
-    decomp: Decomposition,
     /// Decomposition state and rebalancing policy (Algorithm 1).
     balance: BalanceHook,
     /// The world's cumulative (transactions, bytes) at the last step
@@ -147,12 +141,7 @@ impl<'a, C: Comm> ThreadedBackend<'a, C> {
             comm,
             strategy: run.strategy,
             cost: CostModel::new(MachineProfile::tianhe2(), comm.size()),
-            nodes: if run.ranks_per_node == 0 {
-                NodeMap::default_for(comm.size())
-            } else {
-                NodeMap::grouped(comm.size(), run.ranks_per_node)
-            },
-            decomp: run.decomposition,
+            nodes: NodeMap::default_for(comm.size()),
             balance: BalanceHook::new(run, world.clone(), owner),
             wire_mark: (0, 0),
             clock: LapTimer::start(),
@@ -279,16 +268,8 @@ impl<C: Comm> Backend for ThreadedBackend<'_, C> {
             return node_charge;
         }
         // sum boundary/node charge across ranks (paper §IV-C
-        // reduction); every rank then solves the replicated system.
-        // Under the Eulerian/Lagrangian split each static field owner
-        // reduces its own block and scatters it back — the additions
-        // happen in the same rank order, so the result is bitwise
-        // identical to the allreduce.
-        let reduced = if self.decomp == Decomposition::EulLag {
-            eullag_reduce_charge(self.comm, &node_charge)
-        } else {
-            allreduce_sum_f64(self.comm, &node_charge)
-        };
+        // reduction); every rank then solves the replicated system
+        let reduced = allreduce_sum_f64(self.comm, &node_charge);
         self.ok_or_latch(reduced).unwrap_or(node_charge)
     }
 
@@ -395,44 +376,6 @@ impl<C: Comm> Backend for ThreadedBackend<'_, C> {
     }
 }
 
-/// Gather/scatter charge reduction of the Eulerian/Lagrangian split
-/// (DESIGN.md §13): the field grid is statically block-partitioned
-/// over ranks, each owner gathers every rank's contribution to its
-/// block, reduces them in rank order, and broadcasts the reduced
-/// block back so every rank can run the replicated Poisson solve.
-/// Summing per element in rank order makes the result bitwise
-/// identical to [`allreduce_sum_f64`] over the same inputs.
-fn eullag_reduce_charge<C: Comm>(comm: &C, node_charge: &[f64]) -> CommResult<Vec<f64>> {
-    let me = comm.rank();
-    let ranges = block_ranges(node_charge.len(), comm.size());
-    // phase 1: each owner gathers and reduces its block
-    let mut owned: Vec<f64> = Vec::new();
-    for (root, range) in ranges.iter().enumerate() {
-        let mine = encode_words(&node_charge[range.clone()], f64::to_le_bytes);
-        if let Some(parts) = gather(comm, root, mine)? {
-            let mut acc = vec![0.0f64; range.len()];
-            for part in &parts {
-                let block =
-                    decode_words(part, range.len(), f64::from_le_bytes, "eullag charge block")?;
-                for (a, v) in acc.iter_mut().zip(block) {
-                    *a += v;
-                }
-            }
-            owned = acc;
-        }
-    }
-    // phase 2: owners scatter the reduced blocks; every rank
-    // reassembles the full vector
-    let mut out = Vec::with_capacity(node_charge.len());
-    for (root, range) in ranges.iter().enumerate() {
-        let mine = (me == root).then(|| encode_words(&owned, f64::to_le_bytes));
-        let block = broadcast(comm, root, mine)?;
-        let what = "eullag reduced block";
-        out.extend(decode_words(&block, range.len(), f64::from_le_bytes, what)?);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -523,10 +466,10 @@ mod tests {
     #[test]
     fn hier_matches_distributed_exactly() {
         // the hierarchical schedule delivers the same buffers in the
-        // same source order as every flat strategy, with or without
-        // an explicit node map — the full pipeline must agree bitwise
+        // same source order as every flat strategy — the full pipeline
+        // must agree bitwise
         let dc = run(quick(4, Strategy::Distributed));
-        let hier = run(quick(4, Strategy::Hier).ranks_per_node(2));
+        let hier = run(quick(4, Strategy::Hier));
         assert_eq!(hier.population, dc.population);
         assert_eq!(hier.density_h, dc.density_h);
         let [_, _, _, hier_uses] = hier.strategy_uses;

@@ -130,9 +130,6 @@ pub struct RebalanceEvent {
     /// Stable name of the cost source that produced the partition
     /// weights (`"paper_wlm"`, `"timer_augmented"`).
     pub cost_source: &'static str,
-    /// Stable name of the decomposition mode (`"unified"`,
-    /// `"eullag"`).
-    pub decomposition: &'static str,
     /// Smoothed per-unit cost rates of the cost source at decision
     /// time: seconds per neutral move, per collision pair, per
     /// charged move. Zeros for analytic sources.
@@ -148,7 +145,6 @@ impl RebalanceEvent {
             ("migrated", Json::U64(self.migrated)),
             ("remap_seconds", Json::Num(self.remap_seconds)),
             ("cost_source", Json::Str(self.cost_source.into())),
-            ("decomposition", Json::Str(self.decomposition.into())),
             (
                 "cost_rates",
                 Json::Arr(self.cost_rates.iter().map(|&r| Json::Num(r)).collect()),
@@ -191,7 +187,6 @@ mod tests {
             migrated: 120,
             remap_seconds: 0.003,
             cost_source: "timer_augmented",
-            decomposition: "eullag",
             cost_rates: [1e-7, 2e-9, 3e-7],
         };
         let v = parse(&e.to_json().to_string()).unwrap();
@@ -200,7 +195,6 @@ mod tests {
             v.get("cost_source").unwrap().as_str(),
             Some("timer_augmented")
         );
-        assert_eq!(v.get("decomposition").unwrap().as_str(), Some("eullag"));
         let rates = v.get("cost_rates").unwrap().as_array().unwrap();
         assert_eq!(rates.len(), 3);
         assert_eq!(rates[1].as_f64(), Some(2e-9));

@@ -256,7 +256,6 @@ mod tests {
             migrated: 42,
             remap_seconds: 0.01,
             cost_source: "timer_augmented",
-            decomposition: "unified",
             cost_rates: [2e-8, 3e-10, 0.0],
         });
         rec.step(0, &StepTrace::default());

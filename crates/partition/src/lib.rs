@@ -1,11 +1,8 @@
-//! Multilevel k-way graph partitioning, Kuhn–Munkres assignment and
-//! decomposition modes — the workspace's replacement for METIS
-//! (`METIS_PartGraphKway`) and the KM remapping algorithm of the
-//! paper (§IV-A, §V-B, §V-C), plus the unified vs Eulerian/Lagrangian
-//! mode selector of the split-decomposition extension.
+//! Multilevel k-way graph partitioning and Kuhn–Munkres assignment —
+//! the workspace's replacement for METIS (`METIS_PartGraphKway`) and
+//! the KM remapping algorithm of the paper (§IV-A, §V-B, §V-C).
 
 pub mod coarsen;
-pub mod decomp;
 pub mod graph;
 pub mod hungarian;
 pub mod initial;
@@ -13,7 +10,6 @@ pub mod kway;
 pub mod metrics;
 pub mod refine;
 
-pub use decomp::{block_owner, block_ranges, Decomposition};
 pub use graph::Graph;
 pub use hungarian::{max_weight_assignment, max_weight_assignment_sparse, min_cost_assignment};
 pub use kway::{part_graph_kway, KwayOptions};

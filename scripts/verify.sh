@@ -176,6 +176,18 @@ if [ -n "$powers$renamed" ]; then
     exit 1
 fi
 
+echo "== deleted-names lint (one decomposition, the default node map, the default k-way options) =="
+# The Eulerian/Lagrangian split was the unified decomposition with
+# W_cell = 0 and more messages; RunConfig::ranks_per_node and
+# RebalanceConfig::kway were set only by tests. None comes back.
+deleted=$(grep -rnE 'EulLag|eullag|Decomposition::|\.decomposition\b|block_ranges|block_owner|\.ranks_per_node\b' \
+    --include='*.rs' crates src tests examples || true)
+if [ -n "$deleted" ]; then
+    echo "$deleted"
+    echo "verify: a deleted name is back (particle-only weighting is rebalance.wlm.w_cell = 0)" >&2
+    exit 1
+fi
+
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 

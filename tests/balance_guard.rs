@@ -1,21 +1,18 @@
 //! Regression guard for the pluggable balancing pipeline
 //! (DESIGN.md §13).
 //!
-//! The default mode (paper WLM + unified decomposition) is pinned by
-//! `engine_guard`; these tests pin the two alternative modes. The
+//! The default mode (paper WLM, `W_cell = 1`) is pinned by
+//! `engine_guard`; these tests pin the two alternative weightings. The
 //! modelled driver is fully deterministic — kernel "timings" are cost
 //! model evaluations — so the timer-augmented source and the
-//! Eulerian/Lagrangian split each get a bitwise-pinned lii
-//! trajectory. On the threaded driver the Eul/Lag gather/scatter
-//! charge reduction must be a pure transport change: with the
-//! balancer off it has to reproduce the unified run's pinned density
-//! bit for bit.
+//! particle-only weights (`W_cell = 0`) each get a bitwise-pinned lii
+//! trajectory.
 
-use balance::{CostSourceKind, RebalanceConfig, RebalanceOutcome, Rebalancer};
-use coupled::{run_threaded, ClusterSim, Dataset, Decomposition, MachineProfile, RunConfig};
+use balance::{CostSourceKind, RebalanceConfig, RebalanceOutcome, Rebalancer, WlmParams};
+use coupled::{run_threaded, ClusterSim, Dataset, MachineProfile, RunConfig};
 use obs::{fnv1a, fnv1a_f64};
 
-fn modelled_config(cost_source: CostSourceKind, decomposition: Decomposition) -> RunConfig {
+fn modelled_config(cost_source: CostSourceKind, w_cell: i64) -> RunConfig {
     RunConfig::builder()
         .paper(Dataset::D1, 0.02)
         .ranks(3)
@@ -25,26 +22,30 @@ fn modelled_config(cost_source: CostSourceKind, decomposition: Decomposition) ->
             t_interval: 3,
             threshold: 1.2,
             cost_source,
+            wlm: WlmParams {
+                w_cell,
+                ..WlmParams::default()
+            },
             ..RebalanceConfig::default()
         }))
-        .decomposition(decomposition)
         .build()
         .expect("valid guard config")
 }
 
-/// Modelled run → (lii-trajectory hash, rebalance count).
-fn modelled_lii(cost_source: CostSourceKind, decomposition: Decomposition) -> (u64, usize) {
-    let run = modelled_config(cost_source, decomposition);
+/// Modelled run → (lii-trajectory hash, rebalance count, particles
+/// migrated by them).
+fn modelled_lii(cost_source: CostSourceKind, w_cell: i64) -> (u64, usize, u64) {
+    let run = modelled_config(cost_source, w_cell);
     let rep = ClusterSim::new(&run, MachineProfile::tianhe2()).run(12);
     let lii: Vec<f64> = rep.trace.iter().map(|t| t.lii).collect();
     assert_eq!(lii.len(), 12);
-    (fnv1a_f64(&lii), rep.rebalances)
+    (fnv1a_f64(&lii), rep.rebalances, rep.rebalance_migrated)
 }
 
 #[test]
 fn timer_augmented_modelled_is_pinned() {
-    let (h1, reb1) = modelled_lii(CostSourceKind::TimerAugmented, Decomposition::Unified);
-    let (h2, _) = modelled_lii(CostSourceKind::TimerAugmented, Decomposition::Unified);
+    let (h1, reb1, _) = modelled_lii(CostSourceKind::TimerAugmented, 1);
+    let (h2, _, _) = modelled_lii(CostSourceKind::TimerAugmented, 1);
     assert_eq!(h1, h2, "timer-augmented modelled run is nondeterministic");
     assert!(reb1 > 0, "guard config never rebalanced");
     assert_eq!(
@@ -53,15 +54,19 @@ fn timer_augmented_modelled_is_pinned() {
     );
 }
 
+/// Particle-only weights decide what the removed Eulerian/Lagrangian
+/// split decided (same rebalances, same migration); the lii
+/// trajectory was re-pinned once, because the split also priced a
+/// charge halo into the modelled Poisson lap.
 #[test]
-fn eullag_modelled_is_pinned() {
-    let (h1, reb1) = modelled_lii(CostSourceKind::PaperWlm, Decomposition::EulLag);
-    let (h2, _) = modelled_lii(CostSourceKind::PaperWlm, Decomposition::EulLag);
-    assert_eq!(h1, h2, "eullag modelled run is nondeterministic");
-    assert!(reb1 > 0, "guard config never rebalanced");
+fn particle_only_weights_modelled_is_pinned() {
+    let (h1, reb1, migrated) = modelled_lii(CostSourceKind::PaperWlm, 0);
+    let (h2, _, _) = modelled_lii(CostSourceKind::PaperWlm, 0);
+    assert_eq!(h1, h2, "W_cell = 0 modelled run is nondeterministic");
+    assert_eq!((reb1, migrated), (3, 178), "rebalances / migrated");
     assert_eq!(
-        h1, 0xa870_696b_4179_946f,
-        "eullag lii trajectory drifted from the pinned baseline"
+        h1, 0xa288_5604_75ab_10f9,
+        "W_cell = 0 lii trajectory drifted from the pinned baseline"
     );
 }
 
@@ -94,32 +99,6 @@ fn freestream_scenario_timer_augmented_modelled_is_pinned() {
     assert_eq!(
         h1, 0x9f61362858d48efb,
         "freestream timer-augmented lii trajectory drifted from the pinned baseline"
-    );
-}
-
-/// With the balancer off, the Eul/Lag split only changes *how* the
-/// node charge is reduced (per-owner gather/scatter instead of the
-/// flat allreduce). The additions happen in the same rank order, so
-/// the physics must stay bitwise identical to `engine_guard`'s pinned
-/// unified run.
-#[test]
-fn eullag_threaded_matches_unified_pinned_density() {
-    let run = RunConfig::builder()
-        .paper(Dataset::D1, 0.02)
-        .ranks(3)
-        .seed(4242)
-        .steps(12)
-        .rebalance(None)
-        .decomposition(Decomposition::EulLag)
-        .build()
-        .expect("valid guard config");
-    let r = run_threaded(&run);
-    assert_eq!(r.population, 389, "population drifted");
-    assert_eq!(r.density_h.len(), 432);
-    assert_eq!(
-        fnv1a_f64(&r.density_h),
-        0x8e483db2789e1ad2,
-        "eullag charge reduction is not bitwise identical to the unified allreduce"
     );
 }
 

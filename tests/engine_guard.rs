@@ -60,7 +60,6 @@ fn hier_matches_distributed_bitwise() {
     let hier = run_threaded(
         &base
             .strategy(Strategy::Hier)
-            .ranks_per_node(2)
             .build()
             .expect("valid Hier guard config"),
     );
@@ -114,21 +113,22 @@ fn serial_and_modelled_drivers_agree_bitwise_on_the_shared_loop() {
 /// `T = 3` — the trigger never depends on measured wall time, so the
 /// run is deterministic. Recorded before the drivers were
 /// consolidated behind one hook and one reporting channel.
-fn balanced_jet(strategy: vmpi::Strategy, decomposition: coupled::Decomposition) -> RunReport {
+fn balanced_jet(strategy: vmpi::Strategy, w_cell: i64) -> RunReport {
     let mut run = coupled::scenario::canned("jet")
         .expect("canned scenario lowers")
         .run;
     run.strategy = strategy;
-    run.decomposition = decomposition;
     run.rebalance = Some(balance::RebalanceConfig {
         t_interval: 3,
         threshold: 0.0,
+        wlm: balance::WlmParams {
+            w_cell,
+            ..balance::WlmParams::default()
+        },
         ..balance::RebalanceConfig::default()
     });
     let r = run_threaded(&run);
     // the report folds the trace: trace sums are the totals
-    // (the transaction and byte totals themselves are read off the
-    // world-shared counter mid-flight and jitter by a few messages)
     let sum = |f: fn(&coupled::StepTrace) -> u64| r.trace.iter().map(f).sum::<u64>();
     assert_eq!(sum(|t| t.transactions), r.transactions);
     assert_eq!(sum(|t| t.bytes), r.bytes);
@@ -148,24 +148,40 @@ fn balanced_jet(strategy: vmpi::Strategy, decomposition: coupled::Decomposition)
 
 #[test]
 fn threaded_balance_and_comm_stats_are_pinned() {
-    use coupled::Decomposition::{EulLag, Unified};
     use vmpi::Strategy::{Auto, Distributed};
-    // per decomposition: rebalance_migrated, population, density_h
-    // digest (the exchange strategy never changes the physics) and
-    // the strategies `Auto` resolved to. The split mode weighs
-    // particles only (`w_cell = 0`), so its balancer cuts elsewhere:
-    // more migration, another owner map, another density.
-    for (decomposition, migrated, population, digest, auto_uses) in [
-        (Unified, 412, 1332, 0x3c98_0260_4fb4_f90d, [17, 0, 35, 0]),
-        (EulLag, 1097, 1329, 0x76f5_5484_2f15_b0e9, [22, 0, 30, 0]),
+    // per `W_cell`: rebalance_migrated, population, density_h digest
+    // (the exchange strategy never changes the physics), the
+    // strategies `Auto` resolved to and the (transactions, bytes) wire
+    // totals of the DC and the Auto run. `W_cell = 0` weighs particles
+    // only, so its balancer cuts elsewhere: more migration, another
+    // owner map, another density.
+    for (w_cell, migrated, population, digest, auto_uses, wires) in [
+        (
+            1,
+            412,
+            1332,
+            0x3c98_0260_4fb4_f90d,
+            [17, 0, 35, 0],
+            [(552, 4_765_044), (516, 4_823_141)],
+        ),
+        (
+            0,
+            1097,
+            1329,
+            0x76f5_5484_2f15_b0e9,
+            [22, 0, 30, 0],
+            [(552, 4_873_807), (536, 4_921_847)],
+        ),
     ] {
-        for (strategy, uses) in [(Distributed, [0, 52, 0, 0]), (Auto, auto_uses)] {
-            let r = balanced_jet(strategy, decomposition);
-            let what = format!("{strategy:?}/{decomposition:?}");
+        let runs = [(Distributed, [0, 52, 0, 0]), (Auto, auto_uses)];
+        for ((strategy, uses), wire) in runs.into_iter().zip(wires) {
+            let r = balanced_jet(strategy, w_cell);
+            let what = format!("{strategy:?}/W_cell={w_cell}");
             assert_eq!(r.rebalance_migrated, migrated, "{what}: migration volume");
             assert_eq!(r.strategy_uses, uses, "{what}: strategy tally");
             assert_eq!(r.population, population, "{what}: population");
             assert_eq!(fnv1a_f64(&r.density_h), digest, "{what}: density_h");
+            assert_eq!((r.transactions, r.bytes), wire, "{what}: wire totals");
         }
     }
 }
