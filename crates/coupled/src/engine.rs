@@ -95,6 +95,12 @@ pub struct RankEngine {
     /// Kernel worker pool for the pooled phase kernels (serial pools
     /// delegate to the scalar kernels bit-identically).
     pub pool: Pool,
+    /// Lanes of the field solve — the CG team and the E refresh, both
+    /// bitwise the same on any lane count: every core for a
+    /// whole-domain engine, one for a rank of a decomposed run, whose
+    /// sibling rank threads (or job-server workers) already fill the
+    /// cores.
+    pub field_lanes: Pool,
     /// Exchange scratch (used by communicating backends).
     pub exch: ExchangeScratch,
     events: Vec<CollisionEvent>,
@@ -124,12 +130,14 @@ impl RankEngine {
     }
 
     /// The whole-domain engine of `world` (the serial and modelled
-    /// drivers): full injector, serial kernel pool, RNG seeded from
-    /// `config.seed`.
+    /// drivers): full injector, serial kernel pool, a field lane per
+    /// core, RNG seeded from `config.seed`.
     pub(crate) fn whole_domain(config: SimConfig, world: &World) -> Self {
         let injector = Some(Injector::new(&world.geometry.nm.coarse));
         let seed = config.seed;
-        Self::assemble(config, world, injector, seed, Pool::serial())
+        let mut eng = Self::assemble(config, world, injector, seed, Pool::serial());
+        eng.field_lanes = Pool::new(std::thread::available_parallelism().map_or(1, |n| n.get()));
+        eng
     }
 
     /// Build the per-rank engine of a decomposed run: the world's
@@ -187,6 +195,7 @@ impl RankEngine {
             rng_pump: StdRng::seed_from_u64(pump_stream_seed(seed)),
             step_count: 0,
             pool,
+            field_lanes: Pool::serial(),
             exch: ExchangeScratch::default(),
             events: Vec::new(),
             node_charge: Vec::new(),
@@ -450,10 +459,13 @@ impl RankEngine {
     /// Poisson_Solve on the (globally reduced) node charge, then
     /// refresh E. The vector becomes the next deposit's scratch.
     fn field_solve(&mut self, node_charge: Vec<f64>, rec: &mut StepRecord) {
-        let (phi, stats) = self.poisson.solve_with(&node_charge, &self.pool, None);
-        self.efield.refresh(&self.nm.fine, phi);
+        let (phi, stats) = self
+            .poisson
+            .solve_with(&node_charge, &self.field_lanes, None);
+        self.efield.refresh(&self.nm.fine, phi, &self.field_lanes);
         rec.poisson_iters.push(stats.iterations);
         rec.poisson_unconverged += usize::from(!stats.converged);
+        rec.poisson_rel_residual_max = rec.poisson_rel_residual_max.max(stats.rel_residual);
         self.node_charge = node_charge;
     }
 
@@ -465,7 +477,7 @@ impl RankEngine {
 }
 
 /// Work quantities of one DSMC iteration, for timing attribution.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StepRecord {
     /// Coarse cell of every particle injected this step.
     pub injected_cells: Vec<u32>,
@@ -484,6 +496,9 @@ pub struct StepRecord {
     pub poisson_iters: Vec<usize>,
     /// Poisson solves that hit the iteration cap before converging.
     pub poisson_unconverged: usize,
+    /// Largest final relative residual ‖b − Kφ‖ / ‖b‖ of this step's
+    /// Poisson solves.
+    pub poisson_rel_residual_max: f64,
     /// Particles removed at the boundaries this step.
     pub exited: usize,
     /// Particles absorbed by the partial pump this step (disjoint
@@ -658,6 +673,7 @@ pub fn run_step<B: Backend, O: Observer>(
     trace.lii = lii;
     trace.rebalanced = rebalanced.is_some();
     trace.poisson_unconverged = rec.poisson_unconverged as u64;
+    trace.poisson_rel_residual_max = rec.poisson_rel_residual_max;
     be.end_step(eng, &mut bd, &mut trace);
     trace.step_time = bd.total();
     eng.step_count += 1;
@@ -855,8 +871,12 @@ mod tests {
         assert_eq!(rec.poisson_unconverged, solves);
         assert_eq!(trace.poisson_unconverged, solves as u64);
         assert_eq!(builder.finish().poisson_unconverged, solves as u64);
+        assert!(rec.poisson_rel_residual_max > capped.rtol, "{rec:?}");
+        assert_eq!(trace.poisson_rel_residual_max, rec.poisson_rel_residual_max);
         // the default solver converges on the same step
-        assert_eq!(small_state().dsmc_step().poisson_unconverged, 0);
+        let rec = small_state().dsmc_step();
+        assert_eq!(rec.poisson_unconverged, 0);
+        assert!(rec.poisson_rel_residual_max <= capped.rtol, "{rec:?}");
     }
 
     #[test]

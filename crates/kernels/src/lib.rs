@@ -1,6 +1,7 @@
 //! Intra-rank parallel kernel layer: a chunked scoped-thread worker
 //! pool shared by the hot DSMC/PIC kernels (move, collide, deposit,
-//! push, SpMV) plus deterministic reduction and RNG-forking helpers.
+//! push), the SPMD [`team`] region the CG solve runs in, and
+//! deterministic reduction and RNG-forking helpers.
 //!
 //! Design constraints (see DESIGN.md "Single-node performance"):
 //!
@@ -8,21 +9,24 @@
 //!   dependency list, so the pool is built directly on
 //!   `std::thread::scope` (stable since 1.63). Threads are spawned per
 //!   parallel region; at the 10⁴–10⁶-particle workloads of a paper-scale rank
-//!   the ~10 µs spawn cost is noise against ms-scale kernels.
+//!   the 41–48 µs a two-lane region costs (`kernels.dispatch_us`) is
+//!   small against ms-scale kernels. A loop of many short steps that
+//!   all need every lane — a CG solve — is one [`team`] region whose
+//!   lanes meet at a [`TeamBarrier`] instead of one region per step.
 //! * **Serial fallback is bit-identical.** A [`Pool`] with one worker
 //!   never spawns and callers route through the untouched serial
 //!   kernels, so `threads_per_rank = 1` (the default) reproduces the
 //!   pre-existing results exactly.
-//! * **Deterministic reductions.** [`Pool::par_map_reduce`] maps over
-//!   *fixed-size blocks* whose boundaries do not depend on the worker
-//!   count and folds block results in block-index order, so its output
-//!   is identical for any worker count (given a pure map function).
+//! * **Deterministic reductions.** A reduction over lanes sums fixed
+//!   blocks whose boundaries do not depend on the lane count and folds
+//!   the block sums in block order, so its output is identical for any
+//!   lane count (the CG's inner products, `sparse::krylov`).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Contiguous near-equal split of `0..n` into at most `parts` ranges
@@ -138,35 +142,6 @@ impl Pool {
         self.busy[lane.min(self.workers - 1)].fetch_add(ns, Ordering::Relaxed);
     }
 
-    /// Split `data` into one contiguous chunk per worker and run
-    /// `f(chunk_index, start_offset, chunk)` on each, returning the
-    /// per-chunk results in chunk order.
-    pub fn par_chunks_mut<T, R, F>(&self, data: &mut [T], f: F) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(usize, usize, &mut [T]) -> R + Sync,
-    {
-        let ranges = chunk_ranges(data.len(), self.workers);
-        if ranges.len() <= 1 {
-            let started = Instant::now();
-            let r = f(0, 0, data);
-            self.charge(0, started);
-            return vec![r];
-        }
-        // carve `data` into disjoint &mut chunks
-        let mut parts: Vec<(usize, &mut [T])> = Vec::with_capacity(ranges.len());
-        let mut rest = data;
-        let mut offset = 0usize;
-        for r in &ranges {
-            let (head, tail) = rest.split_at_mut(r.len());
-            parts.push((offset, head));
-            offset += r.len();
-            rest = tail;
-        }
-        self.run_parts(parts, |ci, (off, chunk)| f(ci, off, chunk))
-    }
-
     /// Run `f(part_index, part)` over an explicit list of parts
     /// (worker threads take contiguous groups); results in part order.
     pub fn run_parts<T, R, F>(&self, parts: Vec<T>, f: F) -> Vec<R>
@@ -222,43 +197,142 @@ impl Pool {
         }
         out.into_iter().map(|r| r.unwrap()).collect()
     }
+}
 
-    /// Deterministic parallel map-reduce over `0..n` in fixed-size
-    /// blocks: `map` runs on each block range (parallel, pure), `fold`
-    /// combines block results **in block-index order** on the caller
-    /// thread. Because block boundaries depend only on `block`, the
-    /// result is bitwise identical for every worker count.
-    pub fn par_map_reduce<R, A, M, F>(
-        &self,
-        n: usize,
-        block: usize,
-        map: M,
-        init: A,
-        mut fold: F,
-    ) -> A
-    where
-        R: Send,
-        M: Fn(Range<usize>) -> R + Sync,
-        F: FnMut(A, R) -> A,
-    {
-        assert!(block > 0);
-        let nblocks = n.div_ceil(block);
-        if self.workers == 1 || nblocks <= 1 {
-            let started = Instant::now();
-            let mut acc = init;
-            for b in 0..nblocks {
-                let r = b * block..((b + 1) * block).min(n);
-                acc = fold(acc, map(r));
-            }
-            self.charge(0, started);
-            return acc;
+/// Polls of [`TeamBarrier::wait`] before a waiting lane sleeps. A CG
+/// phase on a few thousand rows keeps the lanes within a few µs of
+/// each other, which this covers; a lane whose partner is descheduled
+/// (more lanes than free cores) stops burning the core after it.
+const BARRIER_SPINS: u32 = 1 << 12;
+
+/// The barrier the lanes of one [`team`] region meet at. A waiting
+/// lane polls `BARRIER_SPINS` times, then sleeps on a condvar until
+/// the last lane arrives.
+pub struct TeamBarrier {
+    lanes: usize,
+    arrived: AtomicUsize,
+    /// Bumped by the last arrival: a waiter leaves when it changes.
+    generation: AtomicUsize,
+    /// Set when a lane panicked: waiters panic instead of sleeping on.
+    poisoned: AtomicBool,
+    sleep: Mutex<()>,
+    wake: Condvar,
+}
+
+impl TeamBarrier {
+    fn new(lanes: usize) -> Self {
+        TeamBarrier {
+            lanes,
+            arrived: AtomicUsize::new(0),
+            generation: AtomicUsize::new(0),
+            poisoned: AtomicBool::new(false),
+            sleep: Mutex::new(()),
+            wake: Condvar::new(),
         }
-        let blocks: Vec<Range<usize>> = (0..nblocks)
-            .map(|b| b * block..((b + 1) * block).min(n))
-            .collect();
-        let results = self.run_parts(blocks, |_, r| map(r));
-        results.into_iter().fold(init, fold)
     }
+
+    /// The mutex guards no data (only the sleep/wake handshake), so a
+    /// panic while it was held leaves nothing to repair.
+    fn lock(&self) -> MutexGuard<'_, ()> {
+        self.sleep.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Block until every lane of the team has made as many `wait`
+    /// calls as this one. What a lane wrote before its call is visible
+    /// to every lane after theirs: each arrival's `AcqRel` increment
+    /// orders the earlier arrivals' writes before the last one's, whose
+    /// `Release` store of the generation pairs with every waiter's
+    /// `Acquire` load of it.
+    pub fn wait(&self) {
+        if self.lanes == 1 {
+            return;
+        }
+        let generation = self.generation.load(Ordering::Acquire);
+        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.lanes {
+            // the others leave only after the generation store, so
+            // none can arrive again before the count is reset
+            self.arrived.store(0, Ordering::Relaxed);
+            let _sleepers = self.lock();
+            self.generation
+                .store(generation.wrapping_add(1), Ordering::Release);
+            self.wake.notify_all();
+            return;
+        }
+        for _ in 0..BARRIER_SPINS {
+            if self.generation.load(Ordering::Acquire) != generation {
+                return;
+            }
+            std::hint::spin_loop();
+        }
+        // the last arrival stores the generation under the lock, so it
+        // cannot slip in between this check and the sleep
+        let mut sleepers = self.lock();
+        while self.generation.load(Ordering::Acquire) == generation {
+            if self.poisoned.load(Ordering::Acquire) {
+                drop(sleepers);
+                panic!("another lane of the team panicked");
+            }
+            sleepers = self
+                .wake
+                .wait(sleepers)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    fn poison(&self) {
+        self.poisoned.store(true, Ordering::Release);
+        let _sleepers = self.lock();
+        self.wake.notify_all();
+    }
+}
+
+/// Poisons the team's barrier when its lane unwinds, so the other
+/// lanes panic out of their waits instead of waiting forever.
+struct PoisonOnUnwind<'a>(&'a TeamBarrier);
+
+impl Drop for PoisonOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.poison();
+        }
+    }
+}
+
+/// One SPMD region: `f(lane, part, barrier)` runs on every part at
+/// once, the caller thread as lane 0 and one scoped thread per further
+/// part — `parts.len() − 1` spawns for the whole region, however many
+/// [`TeamBarrier::wait`]s `f` makes. Every lane must make the same
+/// number of waits. Results come back in part order; a panic in any
+/// lane reaches the caller.
+pub fn team<T, R, F>(parts: Vec<T>, f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(usize, T, &TeamBarrier) -> R + Sync,
+{
+    let barrier = TeamBarrier::new(parts.len());
+    let (barrier, f) = (&barrier, &f);
+    let lane = move |i: usize, part: T| {
+        let _poison = PoisonOnUnwind(barrier);
+        f(i, part, barrier)
+    };
+    let mut parts = parts.into_iter();
+    let Some(first) = parts.next() else {
+        return Vec::new();
+    };
+    std::thread::scope(|scope| {
+        let helpers: Vec<_> = parts
+            .enumerate()
+            .map(|(i, part)| scope.spawn(move || lane(i + 1, part)))
+            .collect();
+        let mut out = vec![lane(0, first)];
+        out.extend(
+            helpers
+                .into_iter()
+                .map(|h| h.join().expect("team lane panicked")),
+        );
+        out
+    })
 }
 
 #[cfg(test)]
@@ -309,62 +383,6 @@ mod tests {
     }
 
     #[test]
-    fn par_chunks_mut_equals_serial() {
-        let mut serial: Vec<u64> = (0..10_000).collect();
-        for v in serial.iter_mut() {
-            *v = v.wrapping_mul(3).wrapping_add(1);
-        }
-        for workers in [1usize, 2, 4, 7] {
-            let mut par: Vec<u64> = (0..10_000).collect();
-            let pool = Pool::new(workers);
-            let chunk_count = pool
-                .par_chunks_mut(&mut par, |_, _, chunk| {
-                    for v in chunk.iter_mut() {
-                        *v = v.wrapping_mul(3).wrapping_add(1);
-                    }
-                    chunk.len()
-                })
-                .len();
-            assert!(chunk_count <= workers.max(1));
-            assert_eq!(par, serial, "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn par_chunks_offsets_are_global() {
-        let mut data = vec![0usize; 1000];
-        Pool::new(4).par_chunks_mut(&mut data, |_, off, chunk| {
-            for (k, v) in chunk.iter_mut().enumerate() {
-                *v = off + k;
-            }
-        });
-        for (i, v) in data.iter().enumerate() {
-            assert_eq!(*v, i);
-        }
-    }
-
-    #[test]
-    fn map_reduce_is_worker_count_invariant() {
-        // floating-point sum: identical bits for every worker count
-        let xs: Vec<f64> = (0..40_000)
-            .map(|i| ((i * 37) % 1009) as f64 * 1e-3)
-            .collect();
-        let sum_with = |workers: usize| {
-            Pool::new(workers).par_map_reduce(
-                xs.len(),
-                1024,
-                |r| xs[r].iter().sum::<f64>(),
-                0.0f64,
-                |a, b| a + b,
-            )
-        };
-        let s1 = sum_with(1);
-        for w in [2usize, 3, 4, 8] {
-            assert_eq!(s1.to_bits(), sum_with(w).to_bits(), "workers={w}");
-        }
-    }
-
-    #[test]
     fn run_parts_preserves_order() {
         let parts: Vec<usize> = (0..37).collect();
         let out = Pool::new(5).run_parts(parts, |i, p| {
@@ -378,14 +396,12 @@ mod tests {
     fn busy_time_accumulates_per_lane() {
         let pool = Pool::new(3);
         assert_eq!(pool.busy_seconds(), vec![0.0; 3]);
-        let mut data = vec![1u64; 30_000];
-        pool.par_chunks_mut(&mut data, |_, _, chunk| {
-            for v in chunk.iter_mut() {
-                for _ in 0..50 {
-                    *v = v.wrapping_mul(6364136223846793005).wrapping_add(1);
-                }
-            }
+        let out = pool.run_parts(vec![10_000u64; 3], |_, n| {
+            (0..n * 50).fold(1u64, |v, _| {
+                v.wrapping_mul(6364136223846793005).wrapping_add(1)
+            })
         });
+        assert!(out.iter().all(|&v| v == out[0]));
         let busy = pool.busy_seconds();
         assert_eq!(busy.len(), 3);
         assert!(busy.iter().all(|&b| b > 0.0), "{busy:?}");
@@ -397,13 +413,37 @@ mod tests {
     }
 
     #[test]
-    fn serial_fast_paths_charge_lane_zero() {
-        let pool = Pool::serial();
-        let sum = pool.par_map_reduce(1000, 128, |r| r.len(), 0usize, |a, b| a + b);
-        assert_eq!(sum, 1000);
-        let busy = pool.busy_seconds();
-        assert_eq!(busy.len(), 1);
-        assert!(busy[0] > 0.0);
+    fn team_lanes_see_each_others_writes_across_barriers() {
+        // each round every lane writes its own slot, then reads all of
+        // them: a barrier that let a lane through early shows as a
+        // stale or torn sum
+        let lanes = 3;
+        let slots: Vec<AtomicU64> = (0..lanes).map(|_| AtomicU64::new(0)).collect();
+        let sums = team((0..lanes).collect(), |lane, part, barrier| {
+            assert_eq!(lane, part);
+            let mut seen = Vec::new();
+            for round in 1..=200u64 {
+                slots[lane].store(round * (lane as u64 + 1), Ordering::Relaxed);
+                barrier.wait();
+                seen.push(slots.iter().map(|s| s.load(Ordering::Relaxed)).sum::<u64>());
+                barrier.wait();
+            }
+            seen
+        });
+        let want: Vec<u64> = (1..=200u64).map(|round| round * 6).collect();
+        assert_eq!(sums, vec![want; lanes]);
+        assert!(team(Vec::<()>::new(), |_, (), _| 0).is_empty());
+    }
+
+    #[test]
+    fn a_panicking_lane_fails_the_region_instead_of_hanging_it() {
+        let result = std::panic::catch_unwind(|| {
+            team(vec![0, 1], |lane, _, barrier| {
+                assert_ne!(lane, 1, "lane 1 fails before the barrier");
+                barrier.wait();
+            })
+        });
+        assert!(result.is_err());
     }
 
     #[test]

@@ -33,6 +33,8 @@ pub struct StepTrace {
     /// Poisson solves of this step that hit the iteration cap before
     /// reaching the residual tolerance.
     pub poisson_unconverged: u64,
+    /// Largest final relative residual of this step's Poisson solves.
+    pub poisson_rel_residual_max: f64,
 }
 
 impl StepTrace {
@@ -55,6 +57,10 @@ impl StepTrace {
                 Json::Arr(self.strategy_uses.iter().map(|&u| Json::U64(u)).collect()),
             ),
             ("poisson_unconverged", Json::U64(self.poisson_unconverged)),
+            (
+                "poisson_rel_residual_max",
+                Json::Num(self.poisson_rel_residual_max),
+            ),
         ])
     }
 }
@@ -169,6 +175,7 @@ mod tests {
             bytes: 3456,
             strategy_uses: [0, 10, 2, 0],
             poisson_unconverged: 1,
+            poisson_rel_residual_max: 2.5e-7,
         };
         let v = parse(&t.to_json(7).to_string()).unwrap();
         assert_eq!(v.get("type").unwrap().as_str(), Some("step"));
@@ -176,6 +183,10 @@ mod tests {
         assert_eq!(v.get("transactions").unwrap().as_u64(), Some(12));
         assert_eq!(v.get("bytes").unwrap().as_u64(), Some(3456));
         assert_eq!(v.get("poisson_unconverged").unwrap().as_u64(), Some(1));
+        assert_eq!(
+            v.get("poisson_rel_residual_max").unwrap().as_f64(),
+            Some(2.5e-7)
+        );
         assert_eq!(v.get("share").unwrap().as_array().unwrap().len(), 2);
     }
 

@@ -28,6 +28,8 @@ struct Taps {
     step_time: TimeHist,
     lii: Gauge,
     poisson_unconverged: Counter,
+    /// Largest final relative residual of any Poisson solve so far.
+    poisson_rel_residual_max: Gauge,
     rebalances: Counter,
     rebalance_migrated: Counter,
     remap_time: TimeHist,
@@ -68,6 +70,7 @@ impl Taps {
             step_time: reg.time_hist("engine.step.seconds"),
             lii: reg.gauge("balance.lii"),
             poisson_unconverged: reg.counter("pic.poisson.unconverged"),
+            poisson_rel_residual_max: reg.gauge("pic.poisson.rel_residual_max"),
             rebalances: reg.counter("balance.rebalances"),
             rebalance_migrated: reg.counter("balance.migrated_particles"),
             remap_time: reg.time_hist("balance.remap.seconds"),
@@ -213,6 +216,8 @@ impl Observer for Recorder {
             taps.step_time.record(trace.step_time);
             taps.lii.set(trace.lii);
             taps.poisson_unconverged.add(trace.poisson_unconverged);
+            let worst = &taps.poisson_rel_residual_max;
+            worst.set(worst.get().max(trace.poisson_rel_residual_max));
         }
         self.sink.emit(&TraceEvent::Step {
             index,
@@ -258,7 +263,13 @@ mod tests {
             cost_source: "timer_augmented",
             cost_rates: [2e-8, 3e-10, 0.0],
         });
-        rec.step(0, &StepTrace::default());
+        for (index, residual) in [3e-7, 1e-7].into_iter().enumerate() {
+            let trace = StepTrace {
+                poisson_rel_residual_max: residual,
+                ..StepTrace::default()
+            };
+            rec.step(index, &trace);
+        }
         rec.fault_summary(1, 7, 3, 12);
         rec.finish();
 
@@ -274,9 +285,10 @@ mod tests {
         assert_eq!(snap.gauge("balance.cost.per_move.seconds"), Some(2e-8));
         assert_eq!(snap.gauge("balance.cost.per_pair.seconds"), Some(3e-10));
         assert_eq!(snap.gauge("balance.cost.per_charged.seconds"), Some(0.0));
-        assert_eq!(snap.counter("engine.steps"), Some(1));
-        // meta + exchange + rebalance + step + fault summary
-        assert_eq!(mem.len(), 5);
+        assert_eq!(snap.counter("engine.steps"), Some(2));
+        assert_eq!(snap.gauge("pic.poisson.rel_residual_max"), Some(3e-7));
+        // meta + exchange + rebalance + two steps + fault summary
+        assert_eq!(mem.len(), 6);
     }
 
     #[test]

@@ -132,11 +132,11 @@ impl PoissonSolver {
         self.solve_with(node_charge, &Pool::serial(), None)
     }
 
-    /// As [`PoissonSolver::solve`], with the CG inner products and
-    /// SpMV run on `pool` and an optional per-iteration residual
-    /// history capture. The CG reduction order is fixed (see
-    /// [`sparse::det_dot`]), so the solution is bitwise identical for
-    /// every worker count.
+    /// As [`PoissonSolver::solve`], with the CG run as one team of
+    /// `pool`'s workers ([`sparse::CgWorkspace::solve`]) and an optional
+    /// per-iteration residual history capture. The CG reduction order
+    /// is fixed (see [`sparse::DET_DOT_BLOCK`]), so the solution is
+    /// bitwise identical for every worker count.
     pub fn solve_with(
         &mut self,
         node_charge: &[f64],
@@ -270,7 +270,7 @@ mod tests {
             let b: Vec<f64> = (0..n)
                 .map(|i| if s.is_boundary[i] { 0.0 } else { q[i] / EPS0 })
                 .collect();
-            let want = sparse::cg_with(&s.matrix, &b, &mut x, opts, &Pool::serial(), None);
+            let want = sparse::cg(&s.matrix, &b, &mut x, opts);
             let (phi, stats) = s.solve(q);
             assert_eq!(stats, want, "solve {k}");
             assert_eq!(stats.iterations == 0, k == 2, "solve {k}: {stats:?}");

@@ -5,6 +5,8 @@
 //! [`CooBuilder`] (triplets with duplicate summation), which is the
 //! natural output of FEM element loops.
 
+use std::ops::Range;
+
 /// CSR sparse matrix with `f64` entries.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CsrMatrix {
@@ -45,36 +47,23 @@ impl CsrMatrix {
     pub fn spmv(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.ncols);
         assert_eq!(y.len(), self.nrows);
-        for (i, yi) in y.iter_mut().enumerate() {
+        self.spmv_rows(0..self.nrows, |j| x[j], y);
+    }
+
+    /// Rows `rows` of `y = A x` into `y` (which holds just those rows),
+    /// reading `x[j]` as `x(j)`. Each row is one left-to-right
+    /// accumulation, so any split of the rows gives [`CsrMatrix::spmv`]'s
+    /// bits.
+    #[inline]
+    pub(crate) fn spmv_rows(&self, rows: Range<usize>, x: impl Fn(usize) -> f64, y: &mut [f64]) {
+        assert_eq!(y.len(), rows.len());
+        for (yi, i) in y.iter_mut().zip(rows) {
             let mut acc = 0.0;
             for k in self.row_ptr[i]..self.row_ptr[i + 1] {
-                acc += self.values[k] * x[self.col_idx[k] as usize];
+                acc += self.values[k] * x(self.col_idx[k] as usize);
             }
             *yi = acc;
         }
-    }
-
-    /// Row-chunked parallel `y = A x` on `pool`. Each output row is
-    /// the same left-to-right accumulation as [`CsrMatrix::spmv`], so
-    /// the result is bitwise identical to the serial product for every
-    /// worker count.
-    pub fn spmv_pooled(&self, x: &[f64], y: &mut [f64], pool: &kernels::Pool) {
-        assert_eq!(x.len(), self.ncols);
-        assert_eq!(y.len(), self.nrows);
-        if pool.is_serial() {
-            return self.spmv(x, y);
-        }
-        let (row_ptr, col_idx, values) = (&self.row_ptr, &self.col_idx, &self.values);
-        pool.par_chunks_mut(y, |_, off, rows| {
-            for (k, yi) in rows.iter_mut().enumerate() {
-                let i = off + k;
-                let mut acc = 0.0;
-                for e in row_ptr[i]..row_ptr[i + 1] {
-                    acc += values[e] * x[col_idx[e] as usize];
-                }
-                *yi = acc;
-            }
-        });
     }
 
     /// Allocating variant of [`CsrMatrix::spmv`].

@@ -4,9 +4,21 @@
 //! (§IV-C). The FEM stiffness matrix with Dirichlet rows is symmetric
 //! positive definite, so CG with a Jacobi preconditioner is the
 //! canonical choice.
+//!
+//! A solve is one [`kernels::team`] region. Each lane owns a contiguous
+//! run of [`DET_DOT_BLOCK`]-row blocks and does everything row-wise for
+//! them — SpMV rows, axpys, the Jacobi apply, the `p` update — and
+//! writes its blocks' partial sums of every inner product. After a
+//! barrier every lane folds all partials in block order, so each lane
+//! takes the same branches on the same bits, and those bits are the
+//! serial solve's for any lane count. Three barriers per iteration:
+//! after the `p` update (every lane's SpMV reads all of `p`), after
+//! `p·Ap`, and after `r·z` and `r·r`.
 
 use crate::csr::CsrMatrix;
-use kernels::Pool;
+use kernels::{carve_mut, chunk_ranges, team, Pool, TeamBarrier};
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Convergence report of a Krylov solve.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -37,120 +49,93 @@ impl Default for KrylovOptions {
     }
 }
 
-/// Fixed block size of [`det_dot`]; boundaries depend only on this
-/// constant, never on the worker count.
+/// Rows per reduction block. Every inner product is the in-order sum,
+/// from `0.0`, of per-block partials, each the left-to-right sum of
+/// its block; the boundaries depend only on this constant, so a solve
+/// gives the same bits on any number of lanes, and below one block an
+/// inner product is the flat left-to-right sum.
 pub const DET_DOT_BLOCK: usize = 1024;
 
-/// Deterministic (worker-count-invariant) dot product: partial sums
-/// over fixed [`DET_DOT_BLOCK`]-sized blocks are computed in parallel
-/// and folded in block-index order, so the result is bitwise identical
-/// whether `pool` has 1 worker or 64. For `n ≤ DET_DOT_BLOCK` this is
-/// exactly the flat left-to-right sum.
-pub fn det_dot(a: &[f64], b: &[f64], pool: &Pool) -> f64 {
-    assert_eq!(a.len(), b.len());
-    pool.par_map_reduce(
-        a.len(),
-        DET_DOT_BLOCK,
-        |r| {
-            a[r.clone()]
-                .iter()
-                .zip(&b[r])
-                .map(|(x, y)| x * y)
-                .sum::<f64>()
-        },
-        0.0f64,
-        |acc, s| acc + s,
-    )
+/// Partial-sum slots of a block. `b·b` (folded before the first
+/// barrier that lets any lane on to `p·Ap`) shares the first with
+/// `p·Ap`; `r·z` and `r·r` are written in one phase and need two more.
+const PAP: usize = 0;
+const RZ: usize = 1;
+const RR: usize = 2;
+
+// What lanes share holds f64 bits in atomics, so a lane can write its
+// own rows or blocks while the others read all of them in a later phase
+// without unsafe code. `Relaxed` suffices: a value is read only after
+// the barrier that follows its write, and the barrier orders the two.
+#[inline]
+fn load(v: &AtomicU64) -> f64 {
+    f64::from_bits(v.load(Ordering::Relaxed))
 }
 
 #[inline]
-fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    for (yi, xi) in y.iter_mut().zip(x) {
-        *yi += alpha * xi;
-    }
+fn store(v: &AtomicU64, x: f64) {
+    v.store(x.to_bits(), Ordering::Relaxed);
 }
 
-/// Jacobi (diagonal) preconditioner: `z = D⁻¹ r`.
-pub struct Jacobi {
-    inv_diag: Vec<f64>,
+/// One block's partial: the left-to-right sum of the products.
+#[inline]
+fn dot(a: &[f64], b: &[f64]) -> f64 {
+    a.iter().zip(b).map(|(x, y)| x * y).sum::<f64>()
 }
 
-impl Jacobi {
-    /// Build from the matrix diagonal; zero diagonals become identity
-    /// rows in the preconditioner.
-    pub fn new(a: &CsrMatrix) -> Self {
-        let inv_diag = a
-            .diagonal()
-            .iter()
-            .map(|&d| if d.abs() > 0.0 { 1.0 / d } else { 1.0 })
-            .collect();
-        Jacobi { inv_diag }
-    }
-
-    #[inline]
-    fn apply(&self, r: &[f64], z: &mut [f64]) {
-        for ((zi, ri), di) in z.iter_mut().zip(r).zip(&self.inv_diag) {
-            *zi = ri * di;
-        }
-    }
-}
-
-/// Preconditioned Conjugate Gradient. `x` holds the initial guess on
-/// entry and the solution on exit. Serial convenience wrapper over
-/// [`cg_with`].
+/// Preconditioned Conjugate Gradient on one lane. `x` holds the
+/// initial guess on entry and the solution on exit.
 pub fn cg(a: &CsrMatrix, b: &[f64], x: &mut [f64], opts: KrylovOptions) -> SolveStats {
-    cg_with(a, b, x, opts, &Pool::serial(), None)
-}
-
-/// Preconditioned Conjugate Gradient with an explicit worker [`Pool`]
-/// and optional residual-history capture: a one-shot
-/// [`CgWorkspace::solve`] (a caller solving on one matrix repeatedly
-/// keeps the workspace instead).
-///
-/// SpMV is row-chunked across the pool (bitwise identical to serial)
-/// and every inner product goes through [`det_dot`] (fixed-block
-/// reduction order), so the iterates, residual history and solution
-/// are **bitwise identical for any worker count**. When `history` is
-/// given, the relative residual of every iteration (including the
-/// final one) is appended.
-pub fn cg_with(
-    a: &CsrMatrix,
-    b: &[f64],
-    x: &mut [f64],
-    opts: KrylovOptions,
-    pool: &Pool,
-    history: Option<&mut Vec<f64>>,
-) -> SolveStats {
-    CgWorkspace::new(a).solve(a, b, x, opts, pool, history)
+    CgWorkspace::new(a).solve(a, b, x, opts, &Pool::serial(), None)
 }
 
 /// What a CG solve on one matrix needs besides `b` and `x`: the Jacobi
-/// preconditioner (a scan of every non-zero) and the four work vectors.
-/// Every solve overwrites the vectors before reading them, so nothing
-/// carries over from one solve to the next.
+/// preconditioner (a scan of every non-zero), the work vectors and the
+/// partial sums. Every solve overwrites them before reading them, so
+/// nothing carries over from one solve to the next.
 pub struct CgWorkspace {
-    pre: Jacobi,
+    /// Jacobi preconditioner `D⁻¹` (1 on a row without a diagonal).
+    inv_diag: Vec<f64>,
     r: Vec<f64>,
     z: Vec<f64>,
     p: Vec<f64>,
     ap: Vec<f64>,
+    /// The vector every lane's SpMV reads in full: `x` for the initial
+    /// residual, then a copy of `p` that each lane refreshes its rows
+    /// of after updating them.
+    shared: Vec<AtomicU64>,
+    /// Per-block partial sums, one slot per reduction ([`PAP`]…).
+    partials: Vec<[AtomicU64; 3]>,
 }
 
 impl CgWorkspace {
     /// Workspace for solves on `a`.
     pub fn new(a: &CsrMatrix) -> Self {
         let n = a.nrows();
+        let inv_diag = a
+            .diagonal()
+            .iter()
+            .map(|&d| if d.abs() > 0.0 { 1.0 / d } else { 1.0 })
+            .collect();
         CgWorkspace {
-            pre: Jacobi::new(a),
+            inv_diag,
             r: vec![0.0; n],
             z: vec![0.0; n],
             p: vec![0.0; n],
             ap: vec![0.0; n],
+            shared: (0..n).map(|_| AtomicU64::new(0)).collect(),
+            partials: (0..n.div_ceil(DET_DOT_BLOCK).max(1))
+                .map(|_| Default::default())
+                .collect(),
         }
     }
 
-    /// [`cg_with`] on `a`, which must be the matrix this workspace was
-    /// built for.
+    /// Preconditioned CG on `a`, which must be the matrix this
+    /// workspace was built for, on `min(pool.workers(), blocks)` lanes
+    /// (one spawn per extra lane per solve). The iterates, the stats
+    /// and the residual history are bitwise the same for every lane
+    /// count. When `history` is given, the relative residual of every
+    /// iteration (including the final one) is appended.
     pub fn solve(
         &mut self,
         a: &CsrMatrix,
@@ -164,14 +149,125 @@ impl CgWorkspace {
         assert_eq!(a.nrows(), n);
         assert_eq!(x.len(), n);
         assert_eq!(self.r.len(), n, "workspace built for another matrix");
-        // slices of the one length `n`: the loops below index them unchecked
-        let pre = &self.pre;
-        let (r, z) = (&mut self.r[..n], &mut self.z[..n]);
-        let (p, ap) = (&mut self.p[..n], &mut self.ap[..n]);
+        let runs = chunk_ranges(self.partials.len(), pool.workers());
+        let rows: Vec<Range<usize>> = runs
+            .iter()
+            .map(|k| k.start * DET_DOT_BLOCK..(k.end * DET_DOT_BLOCK).min(n))
+            .collect();
+        let [xs, rs, zs, ps, aps] = [
+            x,
+            &mut self.r[..],
+            &mut self.z[..],
+            &mut self.p[..],
+            &mut self.ap[..],
+        ]
+        .map(|v| carve_mut(&rows, v));
+        let chunks = xs.into_iter().zip(rs).zip(zs.into_iter().zip(ps).zip(aps));
+        let lanes = runs
+            .into_iter()
+            .zip(rows.iter().cloned())
+            .zip(chunks)
+            .map(|((blocks, rows), ((x, r), ((z, p), ap)))| Lane {
+                blocks,
+                rows,
+                x,
+                r,
+                z,
+                p,
+                ap,
+                history: history.take(),
+            })
+            .collect();
+        let shared = Shared {
+            a,
+            b,
+            inv_diag: &self.inv_diag,
+            v: &self.shared,
+            partials: &self.partials,
+            opts,
+        };
+        team(lanes, |_, lane, barrier| lane.solve(&shared, barrier))[0]
+    }
+}
 
-        let norm_b = det_dot(b, b, pool).sqrt();
+/// What every lane of a solve reads.
+struct Shared<'a> {
+    a: &'a CsrMatrix,
+    b: &'a [f64],
+    inv_diag: &'a [f64],
+    v: &'a [AtomicU64],
+    partials: &'a [[AtomicU64; 3]],
+    opts: KrylovOptions,
+}
+
+impl Shared<'_> {
+    /// Reduction `slot`: every block's partial, in block order.
+    fn fold(&self, slot: usize) -> f64 {
+        self.partials
+            .iter()
+            .fold(0.0, |acc, p| acc + load(&p[slot]))
+    }
+
+    /// This lane's rows of `y = A v`.
+    fn spmv(&self, rows: Range<usize>, y: &mut [f64]) {
+        self.a.spmv_rows(rows, |j| load(&self.v[j]), y);
+    }
+}
+
+/// One lane's share of a solve: its blocks, their rows and its chunks
+/// of the row-wise vectors (the history goes to lane 0).
+struct Lane<'a> {
+    blocks: Range<usize>,
+    rows: Range<usize>,
+    x: &'a mut [f64],
+    r: &'a mut [f64],
+    z: &'a mut [f64],
+    p: &'a mut [f64],
+    ap: &'a mut [f64],
+    history: Option<&'a mut Vec<f64>>,
+}
+
+impl Lane<'_> {
+    /// Write this lane's partials of reduction `slot`; `block_dot`
+    /// gets each block's rows relative to the lane's first row.
+    fn put(&self, s: &Shared, slot: usize, block_dot: impl Fn(Range<usize>) -> f64) {
+        let first = self.rows.start;
+        for k in self.blocks.clone() {
+            let start = k * DET_DOT_BLOCK;
+            let local = start - first..(start + DET_DOT_BLOCK).min(self.rows.end) - first;
+            store(&s.partials[k][slot], block_dot(local));
+        }
+    }
+
+    /// `z = D⁻¹ r` on this lane's rows, then the partials of `r·z` and
+    /// `r·r`.
+    fn precondition(&mut self, s: &Shared, inv_diag: &[f64]) {
+        for ((zi, ri), di) in self.z.iter_mut().zip(&*self.r).zip(inv_diag) {
+            *zi = ri * di;
+        }
+        let (r, z) = (&*self.r, &*self.z);
+        self.put(s, RZ, |l| dot(&r[l.clone()], &z[l]));
+        self.put(s, RR, |l| dot(&r[l.clone()], &r[l]));
+    }
+
+    fn solve(mut self, s: &Shared, barrier: &TeamBarrier) -> SolveStats {
+        let rows = self.rows.clone();
+        let (b, inv_diag, shared) = (
+            &s.b[rows.clone()],
+            &s.inv_diag[rows.clone()],
+            &s.v[rows.clone()],
+        );
+        let opts = s.opts;
+
+        // publish x for every lane's first SpMV; ‖b‖
+        for (si, &xi) in shared.iter().zip(&*self.x) {
+            store(si, xi);
+        }
+        self.put(s, PAP, |l| dot(&b[l.clone()], &b[l]));
+        barrier.wait();
+        let norm_b = s.fold(PAP).sqrt();
         if norm_b == 0.0 {
-            x.fill(0.0);
+            self.x.fill(0.0);
             return SolveStats {
                 iterations: 0,
                 rel_residual: 0.0,
@@ -179,28 +275,45 @@ impl CgWorkspace {
             };
         }
 
-        a.spmv_pooled(x, r, pool);
-        for i in 0..n {
-            r[i] = b[i] - r[i];
+        s.spmv(rows.clone(), self.r);
+        for (ri, bi) in self.r.iter_mut().zip(b) {
+            *ri = bi - *ri;
         }
-        pre.apply(r, z);
-        p.copy_from_slice(z);
-        let mut rz = det_dot(r, z, pool);
+        self.precondition(s, inv_diag);
+        barrier.wait();
+        let (mut rz, mut rr) = (s.fold(RZ), s.fold(RR));
+        let mut beta = 0.0;
 
-        for it in 0..opts.max_iters {
-            let res = det_dot(r, r, pool).sqrt() / norm_b;
-            if let Some(h) = history.as_mut() {
+        let mut it = 0;
+        loop {
+            let res = rr.sqrt() / norm_b;
+            if let Some(h) = self.history.as_mut() {
                 h.push(res);
             }
-            if res <= opts.rtol {
+            if res <= opts.rtol || it == opts.max_iters {
                 return SolveStats {
                     iterations: it,
                     rel_residual: res,
-                    converged: true,
+                    converged: res <= opts.rtol,
                 };
             }
-            a.spmv_pooled(p, ap, pool);
-            let pap = det_dot(p, ap, pool);
+            if it == 0 {
+                self.p.copy_from_slice(self.z);
+            } else {
+                for (pi, zi) in self.p.iter_mut().zip(&*self.z) {
+                    *pi = zi + beta * *pi;
+                }
+            }
+            for (si, &pi) in shared.iter().zip(&*self.p) {
+                store(si, pi);
+            }
+            barrier.wait();
+
+            s.spmv(rows.clone(), self.ap);
+            let (p, ap) = (&*self.p, &*self.ap);
+            self.put(s, PAP, |l| dot(&p[l.clone()], &ap[l]));
+            barrier.wait();
+            let pap = s.fold(PAP);
             if pap <= 0.0 {
                 // matrix not SPD (or breakdown): report failure
                 return SolveStats {
@@ -209,26 +322,22 @@ impl CgWorkspace {
                     converged: false,
                 };
             }
-            let alpha = rz / pap;
-            axpy(alpha, p, x);
-            axpy(-alpha, ap, r);
-            pre.apply(r, z);
-            let rz_new = det_dot(r, z, pool);
-            let beta = rz_new / rz;
-            rz = rz_new;
-            for i in 0..n {
-                p[i] = z[i] + beta * p[i];
-            }
-        }
 
-        let res = det_dot(r, r, pool).sqrt() / norm_b;
-        if let Some(h) = history.as_mut() {
-            h.push(res);
-        }
-        SolveStats {
-            iterations: opts.max_iters,
-            rel_residual: res,
-            converged: res <= opts.rtol,
+            let alpha = rz / pap;
+            for (xi, pi) in self.x.iter_mut().zip(&*self.p) {
+                *xi += alpha * pi;
+            }
+            let neg_alpha = -alpha;
+            for (ri, api) in self.r.iter_mut().zip(&*self.ap) {
+                *ri += neg_alpha * api;
+            }
+            self.precondition(s, inv_diag);
+            barrier.wait();
+            let rz_new = s.fold(RZ);
+            rr = s.fold(RR);
+            beta = rz_new / rz;
+            rz = rz_new;
+            it += 1;
         }
     }
 }
@@ -250,75 +359,6 @@ mod tests {
             }
         }
         b.build()
-    }
-
-    #[test]
-    fn cg_with_pool_is_bitwise_worker_invariant() {
-        let n = 3000; // > DET_DOT_BLOCK so blocked reduction is exercised
-        let a = laplacian_1d(n);
-        let xs: Vec<f64> = (0..n).map(|i| (i as f64 * 0.01).sin()).collect();
-        let b = a.mul_vec(&xs);
-        let solve = |workers: usize| {
-            let mut x = vec![0.0; n];
-            let mut hist = Vec::new();
-            let opts = KrylovOptions {
-                rtol: 1e-10,
-                max_iters: 400,
-            };
-            let stats = cg_with(&a, &b, &mut x, opts, &Pool::new(workers), Some(&mut hist));
-            (x, hist, stats)
-        };
-        let (x1, h1, s1) = solve(1);
-        assert_eq!(h1.len(), s1.iterations + 1);
-        for w in [2usize, 4, 8] {
-            let (xw, hw, sw) = solve(w);
-            assert_eq!(s1.iterations, sw.iterations, "workers={w}");
-            assert_eq!(h1.len(), hw.len(), "workers={w}");
-            for (a, b) in h1.iter().zip(&hw) {
-                assert_eq!(a.to_bits(), b.to_bits(), "workers={w}");
-            }
-            for (a, b) in x1.iter().zip(&xw) {
-                assert_eq!(a.to_bits(), b.to_bits(), "workers={w}");
-            }
-        }
-    }
-
-    #[test]
-    fn spmv_pooled_matches_serial_bitwise() {
-        let n = 2500;
-        let a = laplacian_1d(n);
-        let x: Vec<f64> = (0..n)
-            .map(|i| ((i * 29) % 97) as f64 * 0.013 - 0.5)
-            .collect();
-        let mut y_serial = vec![0.0; n];
-        a.spmv(&x, &mut y_serial);
-        for w in [2usize, 3, 4, 8] {
-            let mut y = vec![0.0; n];
-            a.spmv_pooled(&x, &mut y, &Pool::new(w));
-            for (s, p) in y_serial.iter().zip(&y) {
-                assert_eq!(s.to_bits(), p.to_bits(), "workers={w}");
-            }
-        }
-    }
-
-    #[test]
-    fn det_dot_matches_flat_sum_small_and_is_invariant_large() {
-        let small: Vec<f64> = (0..600).map(|i| (i as f64).sqrt() * 0.1).collect();
-        let flat: f64 = small.iter().map(|v| v * v).sum();
-        assert_eq!(
-            det_dot(&small, &small, &Pool::serial()).to_bits(),
-            flat.to_bits()
-        );
-        let large: Vec<f64> = (0..10_000)
-            .map(|i| ((i * 13) % 701) as f64 * 1e-3)
-            .collect();
-        let d1 = det_dot(&large, &large, &Pool::new(1));
-        for w in [2usize, 4, 16] {
-            assert_eq!(
-                d1.to_bits(),
-                det_dot(&large, &large, &Pool::new(w)).to_bits()
-            );
-        }
     }
 
     #[test]

@@ -8,6 +8,4 @@ pub mod krylov;
 
 pub use csr::{CooBuilder, CsrMatrix};
 pub use dense::solve_dense;
-pub use krylov::{
-    cg, cg_with, det_dot, CgWorkspace, Jacobi, KrylovOptions, SolveStats, DET_DOT_BLOCK,
-};
+pub use krylov::{cg, CgWorkspace, KrylovOptions, SolveStats, DET_DOT_BLOCK};

@@ -37,6 +37,11 @@ fi
 echo "== tests (workspace: every unit, guard and golden-hash suite, once) =="
 cargo test --workspace -q
 
+echo "== team CG on one CPU (a barrier that spins instead of sleeping stalls a lane team here) =="
+# Lanes of a team that outnumber the free cores must hand theirs over
+# while they wait; a spinning barrier makes these tests ~100x slower.
+taskset -c 0 timeout 120 cargo test -q -p sparse team
+
 echo "== ledger smoke (every bench_ledger workload, both passes, every row present) =="
 cargo run --release --quiet --offline --manifest-path bench_ledger/Cargo.toml -- --smoke
 # cargo prunes the lock file's stale entries on every build; nothing
