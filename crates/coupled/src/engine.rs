@@ -93,14 +93,15 @@ pub struct RankEngine {
     /// DSMC iterations completed.
     pub step_count: usize,
     /// Kernel worker pool for the pooled phase kernels (serial pools
-    /// delegate to the scalar kernels bit-identically).
+    /// delegate to the scalar kernels bit-identically); a rank of a
+    /// decomposed run also moves its particles on it.
     pub pool: Pool,
-    /// Lanes of the field solve — the CG team and the E refresh, both
-    /// bitwise the same on any lane count: every core for a
-    /// whole-domain engine, one for a rank of a decomposed run, whose
-    /// sibling rank threads (or job-server workers) already fill the
-    /// cores.
-    pub field_lanes: Pool,
+    /// Lanes of the kernels that are bitwise the same on any lane
+    /// count — the neutral and ion moves, the CG team and the E
+    /// refresh: every core for a whole-domain engine, one for a rank of
+    /// a decomposed run, whose sibling rank threads (or job-server
+    /// workers) already fill the cores.
+    pub lanes: Pool,
     /// Exchange scratch (used by communicating backends).
     pub exch: ExchangeScratch,
     events: Vec<CollisionEvent>,
@@ -130,13 +131,13 @@ impl RankEngine {
     }
 
     /// The whole-domain engine of `world` (the serial and modelled
-    /// drivers): full injector, serial kernel pool, a field lane per
-    /// core, RNG seeded from `config.seed`.
+    /// drivers): full injector, serial kernel pool, a lane per core,
+    /// RNG seeded from `config.seed`.
     pub(crate) fn whole_domain(config: SimConfig, world: &World) -> Self {
         let injector = Some(Injector::new(&world.geometry.nm.coarse));
         let seed = config.seed;
         let mut eng = Self::assemble(config, world, injector, seed, Pool::serial());
-        eng.field_lanes = Pool::new(std::thread::available_parallelism().map_or(1, |n| n.get()));
+        eng.lanes = Pool::new(std::thread::available_parallelism().map_or(1, |n| n.get()));
         eng
     }
 
@@ -195,7 +196,7 @@ impl RankEngine {
             rng_pump: StdRng::seed_from_u64(pump_stream_seed(seed)),
             step_count: 0,
             pool,
-            field_lanes: Pool::serial(),
+            lanes: Pool::serial(),
             exch: ExchangeScratch::default(),
             events: Vec::new(),
             node_charge: Vec::new(),
@@ -340,13 +341,15 @@ impl RankEngine {
             dt,
             self.config.t_wall,
             rng,
-            &self.pool,
+            move_lanes(&self.lanes, &self.pool),
             |s| s == h_id,
             track.then_some(&mut rec.neutral_transitions),
             pump,
         );
         rec.exited += stats.exited;
         rec.pumped += stats.pumped;
+        rec.wall_hits += stats.wall_hits;
+        rec.crossings += stats.crossings;
     }
 
     /// Colli_React: NTC collisions, optional cross-species pass,
@@ -430,7 +433,7 @@ impl RankEngine {
             dt_pic,
             self.config.t_wall,
             &mut self.rng,
-            &self.pool,
+            move_lanes(&self.lanes, &self.pool),
             |s| s == hp_id,
             track.then_some(&mut tr),
             None,
@@ -459,10 +462,8 @@ impl RankEngine {
     /// Poisson_Solve on the (globally reduced) node charge, then
     /// refresh E. The vector becomes the next deposit's scratch.
     fn field_solve(&mut self, node_charge: Vec<f64>, rec: &mut StepRecord) {
-        let (phi, stats) = self
-            .poisson
-            .solve_with(&node_charge, &self.field_lanes, None);
-        self.efield.refresh(&self.nm.fine, phi, &self.field_lanes);
+        let (phi, stats) = self.poisson.solve_with(&node_charge, &self.lanes, None);
+        self.efield.refresh(&self.nm.fine, phi, &self.lanes);
         rec.poisson_iters.push(stats.iterations);
         rec.poisson_unconverged += usize::from(!stats.converged);
         rec.poisson_rel_residual_max = rec.poisson_rel_residual_max.max(stats.rel_residual);
@@ -473,6 +474,18 @@ impl RankEngine {
     /// offset.
     fn reindex(&mut self, start: u64) {
         self.particles.renumber(start);
+    }
+}
+
+/// The pool a move runs on. The move is the serial walk on any lane
+/// count, so it takes the wider of an engine's two: `lanes` on a
+/// whole-domain engine, the `threads_per_rank` pool on a rank of a
+/// decomposed run.
+fn move_lanes<'a>(lanes: &'a Pool, pool: &'a Pool) -> &'a Pool {
+    if lanes.workers() > pool.workers() {
+        lanes
+    } else {
+        pool
     }
 }
 
@@ -504,6 +517,10 @@ pub struct StepRecord {
     /// Particles absorbed by the partial pump this step (disjoint
     /// from `exited`; always 0 when `pump_prob` is unset).
     pub pumped: usize,
+    /// Diffuse wall reflections in this step's DSMC_Move subcycles.
+    pub wall_hits: usize,
+    /// Cell-face crossings in this step's DSMC_Move subcycles.
+    pub crossings: usize,
     /// Particle population after the step.
     pub population: usize,
 }
@@ -674,6 +691,8 @@ pub fn run_step<B: Backend, O: Observer>(
     trace.rebalanced = rebalanced.is_some();
     trace.poisson_unconverged = rec.poisson_unconverged as u64;
     trace.poisson_rel_residual_max = rec.poisson_rel_residual_max;
+    trace.wall_hits = rec.wall_hits as u64;
+    trace.crossings = rec.crossings as u64;
     be.end_step(eng, &mut bd, &mut trace);
     trace.step_time = bd.total();
     eng.step_count += 1;
@@ -963,6 +982,40 @@ mod tests {
         for i in 0..a.particles.len() {
             assert_eq!(a.particles.pos(i), b.particles.pos(i));
         }
+    }
+
+    #[test]
+    fn a_whole_domain_run_is_the_same_on_one_lane_and_two() {
+        // 100× the neutrals of `small_state`, and a pump: the last
+        // step moves enough neutrals for two lanes of the move's
+        // parallel pass (the golden guards stay below one), and walls
+        // are hit and particles pumped on the way
+        let run = |lanes: usize| {
+            let mut cfg = Dataset::D1.config(0.02);
+            cfg.seed = 7;
+            cfg.weight_h /= 100.0;
+            cfg.pump_prob = Some(0.5);
+            let mut eng = RankEngine::new(cfg);
+            eng.lanes = Pool::new(lanes);
+            let recs: Vec<StepRecord> = (0..4).map(|_| eng.dsmc_step()).collect();
+            let p = &eng.particles;
+            let bits: Vec<u64> = [&p.px, &p.py, &p.pz, &p.vx, &p.vy, &p.vz]
+                .iter()
+                .flat_map(|lane| lane.iter().map(|x| x.to_bits()))
+                .collect();
+            let ids = (p.cell.clone(), p.species.clone(), p.id.clone());
+            (bits, ids, recs, eng.rng, eng.rng_pump)
+        };
+        let one = run(1);
+        let last = one.2.last().unwrap();
+        assert!(
+            last.neutral_transitions.len() >= 2 * 4096,
+            "test premise: two lanes' worth of moved neutrals, {}",
+            last.neutral_transitions.len()
+        );
+        let (walls, pumped) = (last.wall_hits, last.pumped);
+        assert!(walls > 0 && pumped > 0, "walls {walls}, pumped {pumped}");
+        assert!(one == run(2), "two lanes moved the particles differently");
     }
 
     #[test]

@@ -7,12 +7,12 @@
 //! temperature, and leaving the domain through the outlet (or back
 //! through the inlet).
 
-use kernels::{fork_rng, Pool};
+use kernels::{carve_mut, chunk_ranges, team, Pool};
 use mesh::{first_exit, BoundaryKind, FaceTag, TetMesh, Vec3};
 use particles::sample::{flux_normal_speed, maxwellian};
 use particles::{ParticleBuffer, SpeciesTable};
 use rand::rngs::StdRng;
-use rand::Rng;
+use rand::{Rng, RngCore};
 
 /// Statistics of one move pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -27,6 +27,15 @@ pub struct MoveStats {
     /// Particles absorbed by the partial pump at a wall hit (not
     /// counted in `exited` or `wall_hits`).
     pub pumped: usize,
+}
+
+impl std::ops::AddAssign for MoveStats {
+    fn add_assign(&mut self, o: MoveStats) {
+        self.exited += o.exited;
+        self.wall_hits += o.wall_hits;
+        self.crossings += o.crossings;
+        self.pumped += o.pumped;
+    }
 }
 
 /// Partial-pump absorption at wall hits (scenario `pump_prob`:
@@ -50,95 +59,93 @@ const NUDGE: f64 = 1e-9;
 /// domain".
 pub const EXITED: u32 = u32::MAX;
 
-/// The serial body of [`move_particles_pooled`]: walk `buf` in order on
-/// the caller's `rng`, removing exited particles as they leave (order
-/// NOT preserved — removal is swap-based).
-#[allow(clippy::too_many_arguments)]
-fn move_serial<R: Rng, P: Fn(u8) -> bool>(
-    mesh: &TetMesh,
-    buf: &mut ParticleBuffer,
-    species: &SpeciesTable,
-    dt: f64,
-    wall_temp: f64,
-    rng: &mut R,
-    pred: P,
-    mut transitions: Option<&mut Vec<(u32, u32)>>,
-    mut pump: Option<Pump<'_>>,
-) -> MoveStats {
-    let mut stats = MoveStats::default();
-    let nudge_len = mesh.mean_cell_size() * NUDGE;
-    let mut i = 0usize;
-    while i < buf.len() {
-        if !pred(buf.species[i]) {
-            i += 1;
-            continue;
-        }
-        let old_cell = buf.cell[i];
-        let outcome = advance_one(
-            mesh,
-            species,
-            buf.species[i],
-            dt,
-            wall_temp,
-            nudge_len,
-            rng,
-            buf.pos(i),
-            buf.vel(i),
-            old_cell as usize,
-            &mut stats,
-            pump.as_mut(),
-        );
-        match outcome {
-            None => {
-                // outlet (or inlet, flying backwards): particle left
-                buf.swap_remove(i);
-                if let Some(tr) = transitions.as_deref_mut() {
-                    tr.push((old_cell, EXITED));
-                }
-            }
-            Some((r, v, cell)) => {
-                buf.set_pos(i, r);
-                buf.set_vel(i, v);
-                buf.cell[i] = cell;
-                if let Some(tr) = transitions.as_deref_mut() {
-                    tr.push((old_cell, cell));
-                }
-                i += 1;
-            }
-        }
-    }
-    stats
+/// Legs (loop iterations) a flight may take in one move before it
+/// stops where it is — a guard against degenerate geometry.
+const MAX_LEGS: usize = 10_000;
+
+/// Moved particles a lane of the parallel pass takes at least: a
+/// spawned lane costs 41–48 µs (`kernels.dispatch_us`), ≈ 4,096
+/// flights of ≈ 100–180 ns take several times that.
+const PARTICLES_PER_LANE: usize = 1 << 12;
+
+/// Where one call of [`advance`] left a particle.
+enum Flight {
+    /// Inside the domain at `(r, v, cell)`, its time used up.
+    Landed(Vec3, Vec3, u32),
+    /// Left through an open boundary, or absorbed by the pump.
+    Gone,
+    /// Stopped on wall face `face` of `cell` at `r`, before the pump
+    /// decision and any reflection draw, with `remaining` time still
+    /// to fly; the wall hit is its leg number `legs`. Its velocity is
+    /// the one it started with.
+    Paused {
+        r: Vec3,
+        cell: u32,
+        face: u8,
+        legs: u16,
+        remaining: f64,
+    },
 }
 
-/// Advance a single particle for `dt`: straight flight with face
-/// crossings, diffuse wall reflection, loop capped to guard against
-/// degenerate geometry. Returns the final `(pos, vel, cell)` or
-/// `None` if the particle left the domain. A particle that crosses no
-/// face lands on `r + v * dt` in the first iteration, cell and velocity
-/// untouched.
+/// Fly one particle for `remaining` seconds from leg `legs` on:
+/// straight legs with face crossings, diffuse wall reflection, at most
+/// [`MAX_LEGS`] legs in all. A particle that crosses no face lands on
+/// `r + v·remaining` in its first leg, cell and velocity untouched.
+///
+/// `PAUSE_AT_WALL` stops the flight at its first wall face instead
+/// (returning [`Flight::Paused`]), so such a flight draws nothing from
+/// `rng` or `pump`. A paused flight resumes under `RESUMED` with
+/// `wall: Some(face)`: the wall hit of leg `legs` first, then the legs
+/// after it, exactly as if it had never stopped.
+///
+/// One body, kept out of line (`#[inline]`, which LLVM declines here).
+/// Inlined into the walk loops (`#[inline(always)]`) the serial walk
+/// was 8–11 % slower; sharing one instance with the replay, whose
+/// `legs` and `wall` vary, ≈ 4 % (the serial walk's instance, called
+/// once with constants, sheds them).
 #[allow(clippy::too_many_arguments)]
 #[inline]
-fn advance_one<R: Rng>(
+fn advance<R: Rng, const PAUSE_AT_WALL: bool, const RESUMED: bool>(
     mesh: &TetMesh,
     species: &SpeciesTable,
     sp_id: u8,
-    dt: f64,
     wall_temp: f64,
     nudge_len: f64,
     rng: &mut R,
     mut r: Vec3,
     mut v: Vec3,
     mut cell: usize,
+    mut remaining: f64,
+    legs: usize,
+    wall: Option<usize>,
     stats: &mut MoveStats,
     mut pump: Option<&mut Pump<'_>>,
-) -> Option<(Vec3, Vec3, u32)> {
-    let mut remaining = dt;
+) -> Flight {
+    let mut first_leg = legs;
+    if let (true, Some(face)) = (RESUMED, wall) {
+        if !hit_wall(
+            mesh,
+            species,
+            sp_id,
+            wall_temp,
+            nudge_len,
+            rng,
+            &mut r,
+            &mut v,
+            cell,
+            face,
+            stats,
+            pump.as_deref_mut(),
+        ) {
+            return Flight::Gone;
+        }
+        first_leg += 1;
+    }
     // Unit direction of the current straight leg: `v` only changes at
     // a wall hit, so it is computed at the leg's first interior
     // crossing and dropped on reflection.
     let mut dir: Option<Vec3> = None;
-    // A particle can cross many faces per step; cap the loop.
-    for _ in 0..10_000 {
+    for leg in first_leg..MAX_LEGS {
         if remaining <= 0.0 {
             break;
         }
@@ -159,41 +166,156 @@ fn advance_one<R: Rng>(
                         r += *dir.get_or_insert_with(|| v.normalized()) * nudge_len;
                     }
                     FaceTag::Boundary(BoundaryKind::Wall) => {
-                        // Partial pump: the survival decision draws
-                        // from its dedicated stream BEFORE any
-                        // reflection sampling, so the main stream is
-                        // untouched for absorbed particles and
-                        // `prob == 1.0` never diverges from no-pump.
-                        if let Some(p) = pump.as_deref_mut() {
-                            if p.rng.gen::<f64>() >= p.prob {
-                                stats.pumped += 1;
-                                return None;
-                            }
+                        if PAUSE_AT_WALL {
+                            return Flight::Paused {
+                                r,
+                                cell: cell as u32,
+                                face: face as u8,
+                                legs: leg as u16,
+                                remaining,
+                            };
                         }
-                        stats.wall_hits += 1;
-                        let (_fc, n) = mesh.face_centroid_normal(cell, face);
-                        let inward = -n.normalized();
-                        let sp = species.get(sp_id);
-                        // diffuse reflection: fresh Maxwellian at
-                        // wall temperature, with a flux-weighted
-                        // inward normal component
-                        let mut vnew = maxwellian(rng, wall_temp, sp.mass, Vec3::ZERO);
-                        let vn = vnew.dot(inward);
-                        vnew -= inward * vn; // tangential part
-                        vnew += inward * flux_normal_speed(rng, wall_temp, sp.mass);
-                        v = vnew;
+                        if !hit_wall(
+                            mesh,
+                            species,
+                            sp_id,
+                            wall_temp,
+                            nudge_len,
+                            rng,
+                            &mut r,
+                            &mut v,
+                            cell,
+                            face,
+                            stats,
+                            pump.as_deref_mut(),
+                        ) {
+                            return Flight::Gone;
+                        }
                         dir = None;
-                        r += inward * nudge_len;
                     }
                     FaceTag::Boundary(_) => {
                         stats.exited += 1;
-                        return None;
+                        return Flight::Gone;
                     }
                 }
             }
         }
     }
-    Some((r, v, cell as u32))
+    Flight::Landed(r, v, cell as u32)
+}
+
+/// A wall hit at `r` on wall face `face` of `cell`. The partial pump
+/// decides survival on its dedicated stream BEFORE any reflection
+/// sampling, so the main stream is untouched for an absorbed particle
+/// (`false`) and `prob == 1.0` never diverges from no pump. A survivor
+/// reflects diffusely: `v` becomes a fresh Maxwellian at the wall
+/// temperature with a flux-weighted inward normal component, drawn
+/// from `rng`, and `r` is nudged off the wall.
+#[allow(clippy::too_many_arguments)]
+#[inline]
+fn hit_wall<R: Rng>(
+    mesh: &TetMesh,
+    species: &SpeciesTable,
+    sp_id: u8,
+    wall_temp: f64,
+    nudge_len: f64,
+    rng: &mut R,
+    r: &mut Vec3,
+    v: &mut Vec3,
+    cell: usize,
+    face: usize,
+    stats: &mut MoveStats,
+    pump: Option<&mut Pump<'_>>,
+) -> bool {
+    if let Some(p) = pump {
+        if p.rng.gen::<f64>() >= p.prob {
+            stats.pumped += 1;
+            return false;
+        }
+    }
+    stats.wall_hits += 1;
+    let (_fc, n) = mesh.face_centroid_normal(cell, face);
+    let inward = -n.normalized();
+    let sp = species.get(sp_id);
+    let mut vnew = maxwellian(rng, wall_temp, sp.mass, Vec3::ZERO);
+    let vn = vnew.dot(inward);
+    vnew -= inward * vn; // tangential part
+    vnew += inward * flux_normal_speed(rng, wall_temp, sp.mass);
+    *v = vnew;
+    *r += inward * nudge_len;
+    true
+}
+
+/// The RNG of the parallel pass. Its flights pause at their first
+/// wall, before the pump decision or any reflection draw, so nothing
+/// is ever drawn from it.
+struct NoDraws;
+
+impl RngCore for NoDraws {
+    fn next_u64(&mut self) -> u64 {
+        unreachable!("a flight paused at its first wall draws nothing")
+    }
+}
+
+/// Write where a finished flight left the particle at `i` into `buf`
+/// and log its `(old_cell, new_cell)` transition. A particle that left
+/// is swap-removed — the tail particle now at `i` is the walk's next —
+/// and `false` returned; a landed one is written in place.
+#[inline(always)]
+fn settle(
+    buf: &mut ParticleBuffer,
+    i: usize,
+    old_cell: u32,
+    flight: Flight,
+    transitions: Option<&mut Vec<(u32, u32)>>,
+) -> bool {
+    let new_cell = match flight {
+        Flight::Landed(r, v, cell) => {
+            buf.set_pos(i, r);
+            buf.set_vel(i, v);
+            buf.cell[i] = cell;
+            cell
+        }
+        Flight::Gone => {
+            buf.swap_remove(i);
+            EXITED
+        }
+        Flight::Paused { .. } => unreachable!("only the parallel pass pauses"),
+    };
+    if let Some(tr) = transitions {
+        tr.push((old_cell, new_cell));
+    }
+    new_cell != EXITED
+}
+
+/// What the parallel pass left at one buffer position for the replay;
+/// moved in lockstep with the particle by every swap-remove.
+#[derive(Clone, Copy)]
+enum Flown {
+    /// Not selected by the predicate.
+    Skipped,
+    /// Landed: position and cell written in place; from this cell.
+    Landed(u32),
+    /// Left through an open boundary from this cell; still in the
+    /// buffer.
+    Exited(u32),
+    /// Stopped at a wall: position and cell written in place, the rest
+    /// of the flight here.
+    Paused {
+        old_cell: u32,
+        face: u8,
+        legs: u16,
+        remaining: f64,
+    },
+}
+
+/// One lane's share of the parallel pass: the particles
+/// `start..start + flown.len()`, with the lanes it writes.
+struct Chunk<'a> {
+    start: usize,
+    pos: [&'a mut [f64]; 3],
+    cell: &'a mut [u32],
+    flown: &'a mut [Flown],
 }
 
 /// Move every particle of `buf` whose species id satisfies `pred` for
@@ -205,16 +327,25 @@ fn advance_one<R: Rng>(
 /// EXITED` if it left), from which the cluster driver attributes
 /// per-rank work and builds the migration byte matrix.
 ///
-/// Particles are partitioned into one
-/// contiguous chunk per pool worker; each chunk walks its particles
-/// with an independent RNG stream forked off one draw from `rng`
-/// (wall reflections therefore differ from the serial path, exactly
-/// like particles on different MPI ranks use different streams).
-/// Exited particles are marked per-chunk and removed in a single
-/// order-preserving compaction afterwards.
+/// The result is the serial walk's, bit for bit, on any pool: walk
+/// `buf` in order, draw reflections from `rng` (and pump decisions
+/// from the pump's stream) as the particles hit walls, swap-remove a
+/// particle that left — buffer order, positions, velocities, cells,
+/// [`MoveStats`], transitions and both RNG end states. With two or
+/// more workers and at least `PARTICLES_PER_LANE` moved particles per
+/// lane it runs in two passes:
 ///
-/// With a serial pool the particles are walked in order on the
-/// caller's `rng` and exited ones are swap-removed as they leave.
+/// 1. The lanes fly contiguous chunks of the buffer in parallel,
+///    each flight up to its first wall face only. A flight that hits
+///    no wall draws nothing, so it ends where the serial walk would
+///    end it: a landing is written in place, an exit is marked. A
+///    paused flight writes its position and cell and leaves the rest
+///    of its flight in scratch the caller allocated (helper lanes
+///    allocate nothing).
+/// 2. The caller replays the serial walk: exits are swap-removed,
+///    paused flights finish on `rng` and the pump stream in walk
+///    order, and transitions are pushed in walk order, the scratch
+///    swap-removed in lockstep with the buffer.
 #[allow(clippy::too_many_arguments)]
 pub fn move_particles_pooled<R: Rng, P: Fn(u8) -> bool + Sync>(
     mesh: &TetMesh,
@@ -225,129 +356,220 @@ pub fn move_particles_pooled<R: Rng, P: Fn(u8) -> bool + Sync>(
     rng: &mut R,
     pool: &Pool,
     pred: P,
+    transitions: Option<&mut Vec<(u32, u32)>>,
+    pump: Option<Pump<'_>>,
+) -> MoveStats {
+    move_with_floor(
+        mesh,
+        buf,
+        species,
+        dt,
+        wall_temp,
+        rng,
+        pool,
+        pred,
+        transitions,
+        pump,
+        PARTICLES_PER_LANE,
+    )
+}
+
+/// [`move_particles_pooled`] with `per_lane` as the lane floor (tests
+/// force many lanes on a small buffer through it).
+#[allow(clippy::too_many_arguments)]
+fn move_with_floor<R: Rng, P: Fn(u8) -> bool + Sync>(
+    mesh: &TetMesh,
+    buf: &mut ParticleBuffer,
+    species: &SpeciesTable,
+    dt: f64,
+    wall_temp: f64,
+    rng: &mut R,
+    pool: &Pool,
+    pred: P,
     mut transitions: Option<&mut Vec<(u32, u32)>>,
     mut pump: Option<Pump<'_>>,
+    per_lane: usize,
 ) -> MoveStats {
-    if pool.is_serial() || buf.len() < 2 {
-        return move_serial(
-            mesh,
-            buf,
-            species,
-            dt,
-            wall_temp,
-            rng,
-            pred,
-            transitions,
-            pump,
-        );
-    }
-    let base: u64 = rng.gen();
-    // The pump decision stream forks per chunk exactly like the main
-    // stream, off one draw from its own RNG — never from `rng`.
-    let pump_cfg: Option<(f64, u64)> = pump.as_mut().map(|p| (p.prob, p.rng.gen()));
     let nudge_len = mesh.mean_cell_size() * NUDGE;
-    let n = buf.len();
-    let ranges = kernels::chunk_ranges(n, pool.workers());
-
-    // Carve the six scalar lanes + cell ids into disjoint per-chunk
-    // mutable slices: (chunk offset, [px py pz vx vy vz], cells).
-    type SoaChunk<'a> = (usize, [&'a mut [f64]; 6], &'a mut [u32]);
-    let species_arr: &[u8] = &buf.species;
-    let px = kernels::carve_mut(&ranges, &mut buf.px);
-    let py = kernels::carve_mut(&ranges, &mut buf.py);
-    let pz = kernels::carve_mut(&ranges, &mut buf.pz);
-    let vx = kernels::carve_mut(&ranges, &mut buf.vx);
-    let vy = kernels::carve_mut(&ranges, &mut buf.vy);
-    let vz = kernels::carve_mut(&ranges, &mut buf.vz);
-    let cells = kernels::carve_mut(&ranges, &mut buf.cell);
-    let mut parts: Vec<SoaChunk<'_>> = Vec::with_capacity(ranges.len());
-    let mut off = 0usize;
-    let lanes = px
-        .into_iter()
-        .zip(py)
-        .zip(pz)
-        .zip(vx)
-        .zip(vy)
-        .zip(vz)
-        .zip(cells);
-    for ((((((cpx, cpy), cpz), cvx), cvy), cvz), cc) in lanes {
-        let len = cc.len();
-        parts.push((off, [cpx, cpy, cpz, cvx, cvy, cvz], cc));
-        off += len;
+    let mut stats = MoveStats::default();
+    let lanes = if pool.is_serial() {
+        1
+    } else {
+        let moved = buf.species.iter().filter(|&&s| pred(s)).count();
+        pool.workers().min(moved / per_lane)
+    };
+    if lanes < 2 {
+        let mut i = 0usize;
+        while i < buf.len() {
+            if !pred(buf.species[i]) {
+                i += 1;
+                continue;
+            }
+            let old_cell = buf.cell[i];
+            let flight = advance::<_, false, false>(
+                mesh,
+                species,
+                buf.species[i],
+                wall_temp,
+                nudge_len,
+                rng,
+                buf.pos(i),
+                buf.vel(i),
+                old_cell as usize,
+                dt,
+                0,
+                None,
+                &mut stats,
+                pump.as_mut(),
+            );
+            if settle(buf, i, old_cell, flight, transitions.as_deref_mut()) {
+                i += 1;
+            }
+        }
+        return stats;
     }
 
+    // --- pass 1: every lane flies its chunk up to the first wall ------
+    let n = buf.len();
+    let runs = chunk_ranges(n, lanes);
+    let mut flown = vec![Flown::Skipped; n];
+    let ParticleBuffer {
+        px,
+        py,
+        pz,
+        vx,
+        vy,
+        vz,
+        cell,
+        species: sp_ids,
+        ..
+    } = &mut *buf;
+    let vel: [&[f64]; 3] = [vx, vy, vz];
+    let sp_ids: &[u8] = sp_ids;
+    let chunks = runs
+        .iter()
+        .zip(carve_mut(&runs, px))
+        .zip(carve_mut(&runs, py))
+        .zip(carve_mut(&runs, pz))
+        .zip(carve_mut(&runs, cell))
+        .zip(carve_mut(&runs, &mut flown))
+        .map(|(((((run, x), y), z), cell), flown)| Chunk {
+            start: run.start,
+            pos: [x, y, z],
+            cell,
+            flown,
+        })
+        .collect();
     let pred = &pred;
-    let results = pool.run_parts(parts, |ci, (off, [px, py, pz, vx, vy, vz], cell)| {
-        let mut rng = fork_rng(base, ci as u64);
-        let mut chunk_pump_rng = pump_cfg.map(|(_, pb)| fork_rng(pb, ci as u64));
-        let mut chunk_pump = match (&pump_cfg, &mut chunk_pump_rng) {
-            (Some((prob, _)), Some(r)) => Some(Pump {
-                prob: *prob,
-                rng: r,
-            }),
-            _ => None,
-        };
+    let lane_stats = team(chunks, |_, chunk: Chunk<'_>, _| {
+        let Chunk {
+            start,
+            pos: [x, y, z],
+            cell,
+            flown,
+        } = chunk;
         let mut stats = MoveStats::default();
-        let mut exited: Vec<u32> = Vec::new();
-        let mut trans: Vec<(u32, u32)> = Vec::new();
-        for k in 0..px.len() {
-            let gi = off + k;
-            if !pred(species_arr[gi]) {
+        for k in 0..flown.len() {
+            let i = start + k;
+            if !pred(sp_ids[i]) {
                 continue;
             }
             let old_cell = cell[k];
-            let outcome = advance_one(
+            let flight = advance::<_, true, false>(
                 mesh,
                 species,
-                species_arr[gi],
-                dt,
+                sp_ids[i],
                 wall_temp,
                 nudge_len,
-                &mut rng,
-                Vec3::new(px[k], py[k], pz[k]),
-                Vec3::new(vx[k], vy[k], vz[k]),
+                &mut NoDraws,
+                Vec3::new(x[k], y[k], z[k]),
+                Vec3::new(vel[0][i], vel[1][i], vel[2][i]),
                 old_cell as usize,
+                dt,
+                0,
+                None,
                 &mut stats,
-                chunk_pump.as_mut(),
+                None,
             );
-            match outcome {
-                None => {
-                    exited.push(gi as u32);
-                    trans.push((old_cell, EXITED));
+            let mut put = |r: Vec3, c: u32| {
+                (x[k], y[k], z[k]) = (r.x, r.y, r.z);
+                cell[k] = c;
+            };
+            flown[k] = match flight {
+                Flight::Landed(r, _, c) => {
+                    put(r, c);
+                    Flown::Landed(old_cell)
                 }
-                Some((r, v, c)) => {
-                    px[k] = r.x;
-                    py[k] = r.y;
-                    pz[k] = r.z;
-                    vx[k] = v.x;
-                    vy[k] = v.y;
-                    vz[k] = v.z;
-                    cell[k] = c;
-                    trans.push((old_cell, c));
+                Flight::Gone => Flown::Exited(old_cell),
+                Flight::Paused {
+                    r,
+                    cell: c,
+                    face,
+                    legs,
+                    remaining,
+                } => {
+                    put(r, c);
+                    Flown::Paused {
+                        old_cell,
+                        face,
+                        legs,
+                        remaining,
+                    }
                 }
-            }
+            };
         }
-        (stats, exited, trans)
+        stats
     });
-
-    let mut stats = MoveStats::default();
-    let mut keep = vec![true; n];
-    let mut any_exit = false;
-    for (s, exited, trans) in results {
-        stats.exited += s.exited;
-        stats.wall_hits += s.wall_hits;
-        stats.crossings += s.crossings;
-        stats.pumped += s.pumped;
-        for gi in exited {
-            keep[gi as usize] = false;
-            any_exit = true;
-        }
-        if let Some(tr) = transitions.as_deref_mut() {
-            tr.extend(trans);
-        }
+    for s in lane_stats {
+        stats += s;
     }
-    if any_exit {
-        buf.compact(&keep);
+
+    // --- pass 2: the serial walk, replayed in order --------------------
+    let mut i = 0usize;
+    while i < buf.len() {
+        let (old_cell, flight) = match flown[i] {
+            Flown::Skipped => {
+                i += 1;
+                continue;
+            }
+            Flown::Landed(old_cell) => {
+                if let Some(tr) = transitions.as_deref_mut() {
+                    tr.push((old_cell, buf.cell[i]));
+                }
+                i += 1;
+                continue;
+            }
+            Flown::Exited(old_cell) => (old_cell, Flight::Gone),
+            Flown::Paused {
+                old_cell,
+                face,
+                legs,
+                remaining,
+            } => {
+                let flight = advance::<_, false, true>(
+                    mesh,
+                    species,
+                    buf.species[i],
+                    wall_temp,
+                    nudge_len,
+                    rng,
+                    buf.pos(i),
+                    buf.vel(i),
+                    buf.cell[i] as usize,
+                    remaining,
+                    legs as usize,
+                    Some(face as usize),
+                    &mut stats,
+                    pump.as_mut(),
+                );
+                (old_cell, flight)
+            }
+        };
+        if settle(buf, i, old_cell, flight, transitions.as_deref_mut()) {
+            i += 1;
+        } else {
+            flown.swap_remove(i);
+        }
     }
     stats
 }
@@ -484,49 +706,100 @@ mod tests {
         }
     }
 
+    /// Everything a move leaves behind, bit for bit: the six scalar
+    /// lanes, `cell`, `species`, `id` (in buffer order), the stats, the
+    /// transitions and both RNG end states.
+    type MoveResult = (
+        Vec<u64>,
+        (Vec<u32>, Vec<u8>, Vec<u64>),
+        MoveStats,
+        Vec<(u32, u32)>,
+        StdRng,
+        StdRng,
+    );
+
+    /// Move the neutrals (species 0) of `buf` for 4e-7 s on `lanes`
+    /// lanes of at least one moved particle each (1 = the serial walk),
+    /// logging transitions, with a 50 % pump when `pumped`.
+    fn move_on(
+        m: &TetMesh,
+        sp: &SpeciesTable,
+        mut buf: ParticleBuffer,
+        lanes: usize,
+        pumped: bool,
+    ) -> MoveResult {
+        let mut rng = StdRng::seed_from_u64(21);
+        let mut pump_rng = StdRng::seed_from_u64(77);
+        let mut transitions = Vec::new();
+        let pump = pumped.then_some(Pump {
+            prob: 0.5,
+            rng: &mut pump_rng,
+        });
+        let stats = move_with_floor(
+            m,
+            &mut buf,
+            sp,
+            4e-7,
+            300.0,
+            &mut rng,
+            &Pool::new(lanes),
+            |s| s == 0,
+            Some(&mut transitions),
+            pump,
+            1,
+        );
+        let bits = [&buf.px, &buf.py, &buf.pz, &buf.vx, &buf.vy, &buf.vz]
+            .iter()
+            .flat_map(|lane| lane.iter().map(|x| x.to_bits()))
+            .collect();
+        let ids = (buf.cell.clone(), buf.species.clone(), buf.id.clone());
+        (bits, ids, stats, transitions, rng, pump_rng)
+    }
+
     #[test]
-    fn pooled_matches_serial_without_wall_hits() {
-        // interior-only flight draws no random numbers, so the pooled
-        // mover must reproduce the serial result bitwise for every
-        // worker count
+    fn pooled_move_is_the_serial_walk_bit_for_bit() {
         let (m, sp) = setup();
-        let make = || {
-            let mut buf = ParticleBuffer::new();
-            for k in 0..200 {
-                let cell = (k * 13) % m.num_cells();
-                let v = Vec3::new(
-                    ((k % 11) as f64 - 5.0) * 40.0,
-                    ((k % 5) as f64 - 2.0) * 40.0,
-                    (k % 7) as f64 * 50.0,
-                );
-                buf.push(particle_at(&m, cell, v));
-            }
-            buf
+        let near_outlet = mesh::locate::locate_brute(&m, Vec3::new(0.0012, 0.0012, 0.001)).unwrap();
+        let mid = mesh::locate::locate_brute(&m, Vec3::new(0.0012, 0.0, 0.01)).unwrap();
+        let mut buf = ParticleBuffer::new();
+        let mut push = |cell: usize, vel: Vec3, species: u8| {
+            let mut p = particle_at(&m, cell, vel);
+            p.species = species;
+            p.id = buf.len() as u64;
+            buf.push(p);
         };
-        let mut serial = make();
-        let mut rng = StdRng::seed_from_u64(7);
-        let s_serial = move_all(&m, &mut serial, &sp, 2e-8, &mut rng);
-        assert_eq!(s_serial.wall_hits, 0, "test premise: no RNG used");
-        assert_eq!(s_serial.exited, 0);
-        for workers in [2usize, 4, 7] {
-            let mut par = make();
-            let mut rng = StdRng::seed_from_u64(7);
-            let s_par = move_particles_pooled(
-                &m,
-                &mut par,
-                &sp,
-                2e-8,
-                300.0,
-                &mut rng,
-                &Pool::new(workers),
-                |_| true,
-                None,
-                None,
+        for k in 0..160usize {
+            // a quarter each: towards the wall, out of the outlet, slow
+            // interior flight, and ions the predicate skips
+            match k % 4 {
+                0 => push((k * 23) % m.num_cells(), Vec3::new(4e4, -1e3, 3e3), 0),
+                1 => push(near_outlet, Vec3::new(0.0, 0.0, 1e6), 0),
+                2 => push((k * 13) % m.num_cells(), Vec3::new(40.0, -25.0, 300.0), 0),
+                _ => push((k * 7) % m.num_cells(), Vec3::new(4e4, 0.0, 0.0), 1),
+            }
+        }
+        // The walk's first exit (particle 1) swaps in the tail: an exit,
+        // then another exit, then a flight the lanes paused at the wall,
+        // which the replay resumes at position 1.
+        push(mid, Vec3::new(5e4, 0.0, 0.0), 0);
+        push(near_outlet, Vec3::new(0.0, 0.0, 1e6), 0);
+        push(near_outlet, Vec3::new(0.0, 0.0, 1e6), 0);
+        for pumped in [false, true] {
+            let serial = move_on(&m, &sp, buf.clone(), 1, pumped);
+            let stats = serial.2;
+            assert!(
+                stats.wall_hits > 0 && stats.exited > 0 && (stats.pumped > 0) == pumped,
+                "test premise: every outcome occurs, {stats:?}"
             );
-            assert_eq!(s_serial, s_par);
-            assert_eq!(par.len(), serial.len());
-            for i in 0..par.len() {
-                assert_eq!(par.get(i), serial.get(i), "workers={workers} i={i}");
+            assert!(stats.crossings > stats.wall_hits + stats.exited);
+            let walk = &serial.3;
+            assert!(
+                walk[1..4].iter().all(|&(_, c)| c == EXITED) && walk[4].0 == mid as u32,
+                "test premise: two exits, then the paused flight, swapped into position 1"
+            );
+            for lanes in 2..=7 {
+                let pooled = move_on(&m, &sp, buf.clone(), lanes, pumped);
+                assert!(pooled == serial, "lanes={lanes} pumped={pumped}");
             }
         }
     }
@@ -550,7 +823,7 @@ mod tests {
         }
         let mut rng = StdRng::seed_from_u64(13);
         let mut transitions = Vec::new();
-        let stats = move_particles_pooled(
+        let stats = move_with_floor(
             &m,
             &mut buf,
             &sp,
@@ -561,6 +834,7 @@ mod tests {
             |_| true,
             Some(&mut transitions),
             None,
+            1,
         );
         assert_eq!(stats.exited, 60, "{stats:?}");
         assert_eq!(buf.len(), 60);
@@ -622,7 +896,7 @@ mod tests {
                 buf.push(p);
             }
         };
-        let run = |pump_on: bool, pool: &Pool| {
+        let run = |pump_on: bool, lanes: usize| {
             let mut buf = ParticleBuffer::new();
             fill(&mut buf);
             let mut rng = StdRng::seed_from_u64(21);
@@ -631,23 +905,24 @@ mod tests {
                 prob: 1.0,
                 rng: &mut pump_rng,
             });
-            let stats = move_particles_pooled(
+            let stats = move_with_floor(
                 &m,
                 &mut buf,
                 &sp,
                 2e-7,
                 300.0,
                 &mut rng,
-                pool,
+                &Pool::new(lanes),
                 |_| true,
                 None,
                 pump,
+                1,
             );
             (buf, stats, rng)
         };
-        for pool in [Pool::serial(), Pool::new(3)] {
-            let (a, sa, rng_a) = run(false, &pool);
-            let (b, sb, rng_b) = run(true, &pool);
+        for lanes in [1, 3] {
+            let (a, sa, rng_a) = run(false, lanes);
+            let (b, sb, rng_b) = run(true, lanes);
             assert!(sa.wall_hits > 0, "test premise: walls were hit");
             assert_eq!(sa, sb);
             assert_eq!(sb.pumped, 0);
@@ -665,48 +940,22 @@ mod tests {
         let cached = plain.clone().with_face_planes();
         let near_outlet =
             mesh::locate::locate_brute(&plain, Vec3::new(0.0012, 0.0012, 0.001)).unwrap();
-        let run = |m: &TetMesh, pool: &Pool| {
-            let mut buf = ParticleBuffer::new();
-            for k in 0..150usize {
-                // a third each: towards the wall, out of the outlet,
-                // slow interior flight
-                let (cell, vel) = match k % 3 {
-                    0 => ((k * 23) % m.num_cells(), Vec3::new(4e4, -1e3, 3e3)),
-                    1 => (near_outlet, Vec3::new(0.0, 0.0, 1e6)),
-                    _ => ((k * 13) % m.num_cells(), Vec3::new(40.0, -25.0, 300.0)),
-                };
-                let mut p = particle_at(m, cell, vel);
-                p.id = k as u64;
-                buf.push(p);
-            }
-            let mut rng = StdRng::seed_from_u64(21);
-            let mut pump_rng = StdRng::seed_from_u64(77);
-            let mut transitions = Vec::new();
-            let stats = move_particles_pooled(
-                m,
-                &mut buf,
-                &sp,
-                4e-7,
-                300.0,
-                &mut rng,
-                pool,
-                |_| true,
-                Some(&mut transitions),
-                Some(Pump {
-                    prob: 0.5,
-                    rng: &mut pump_rng,
-                }),
-            );
-            let lanes: Vec<u64> = [&buf.px, &buf.py, &buf.pz, &buf.vx, &buf.vy, &buf.vz]
-                .iter()
-                .flat_map(|lane| lane.iter().map(|x| x.to_bits()))
-                .collect();
-            let ids = (buf.cell.clone(), buf.species.clone(), buf.id.clone());
-            (lanes, ids, stats, transitions, rng, pump_rng)
-        };
-        for pool in [Pool::serial(), Pool::new(3)] {
-            let a = run(&plain, &pool);
-            let b = run(&cached, &pool);
+        let mut buf = ParticleBuffer::new();
+        for k in 0..150usize {
+            // a third each: towards the wall, out of the outlet, slow
+            // interior flight
+            let (cell, vel) = match k % 3 {
+                0 => ((k * 23) % plain.num_cells(), Vec3::new(4e4, -1e3, 3e3)),
+                1 => (near_outlet, Vec3::new(0.0, 0.0, 1e6)),
+                _ => ((k * 13) % plain.num_cells(), Vec3::new(40.0, -25.0, 300.0)),
+            };
+            let mut p = particle_at(&plain, cell, vel);
+            p.id = k as u64;
+            buf.push(p);
+        }
+        for lanes in [1, 3] {
+            let a = move_on(&plain, &sp, buf.clone(), lanes, true);
+            let b = move_on(&cached, &sp, buf.clone(), lanes, true);
             let stats = a.2;
             assert!(
                 stats.wall_hits > 0 && stats.pumped > 0 && stats.exited > 0,

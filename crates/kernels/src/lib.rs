@@ -1,7 +1,7 @@
 //! Intra-rank parallel kernel layer: a chunked scoped-thread worker
-//! pool shared by the hot DSMC/PIC kernels (move, collide, deposit,
-//! push), the SPMD [`team`] region the CG solve runs in, and
-//! deterministic reduction and RNG-forking helpers.
+//! pool shared by the hot DSMC/PIC kernels (collide, deposit, push),
+//! the SPMD [`team`] region the CG solve and the particle move run in,
+//! and deterministic reduction and RNG-forking helpers.
 //!
 //! Design constraints (see DESIGN.md "Single-node performance"):
 //!
@@ -21,6 +21,13 @@
 //!   blocks whose boundaries do not depend on the lane count and folds
 //!   the block sums in block order, so its output is identical for any
 //!   lane count (the CG's inner products, `sparse::krylov`).
+//! * **Lane-invariant kernels.** The CG solve, the E refresh, the
+//!   deposit and the particle move give the same bits on any lane
+//!   count; the move does so by flying each particle up to its first
+//!   wall in parallel and replaying the wall hits in order on the
+//!   caller's RNG (`dsmc::move_particles_pooled`). Only collide forks
+//!   per-lane streams ([`fork_rng`]), so only its result depends on
+//!   the worker count.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -66,9 +73,10 @@ pub fn carve_mut<'a, T>(ranges: &[Range<usize>], data: &'a mut [T]) -> Vec<&'a m
 }
 
 /// Deterministically fork an independent RNG stream for a worker
-/// chunk. Distinct `(base, lane)` pairs give well-separated streams;
-/// the same pair always gives the same stream, so chunked kernels
-/// stay reproducible for a fixed worker count.
+/// chunk (the pooled collide's lanes). Distinct `(base, lane)` pairs
+/// give well-separated streams; the same pair always gives the same
+/// stream, so a chunked kernel stays reproducible for a fixed worker
+/// count.
 pub fn fork_rng(base: u64, lane: u64) -> StdRng {
     // golden-ratio mixing keeps lanes far apart even for small bases
     let mixed = base

@@ -35,6 +35,11 @@ pub struct StepTrace {
     pub poisson_unconverged: u64,
     /// Largest final relative residual of this step's Poisson solves.
     pub poisson_rel_residual_max: f64,
+    /// Diffuse wall reflections in this step's neutral move (DSMC_Move)
+    /// — the flights the move replays in order on the caller's lane.
+    pub wall_hits: u64,
+    /// Cell-face crossings in this step's neutral move.
+    pub crossings: u64,
 }
 
 impl StepTrace {
@@ -61,6 +66,8 @@ impl StepTrace {
                 "poisson_rel_residual_max",
                 Json::Num(self.poisson_rel_residual_max),
             ),
+            ("wall_hits", Json::U64(self.wall_hits)),
+            ("crossings", Json::U64(self.crossings)),
         ])
     }
 }
@@ -176,6 +183,8 @@ mod tests {
             strategy_uses: [0, 10, 2, 0],
             poisson_unconverged: 1,
             poisson_rel_residual_max: 2.5e-7,
+            wall_hits: 4,
+            crossings: 90,
         };
         let v = parse(&t.to_json(7).to_string()).unwrap();
         assert_eq!(v.get("type").unwrap().as_str(), Some("step"));
@@ -183,6 +192,8 @@ mod tests {
         assert_eq!(v.get("transactions").unwrap().as_u64(), Some(12));
         assert_eq!(v.get("bytes").unwrap().as_u64(), Some(3456));
         assert_eq!(v.get("poisson_unconverged").unwrap().as_u64(), Some(1));
+        assert_eq!(v.get("wall_hits").unwrap().as_u64(), Some(4));
+        assert_eq!(v.get("crossings").unwrap().as_u64(), Some(90));
         assert_eq!(
             v.get("poisson_rel_residual_max").unwrap().as_f64(),
             Some(2.5e-7)

@@ -30,6 +30,11 @@ struct Taps {
     poisson_unconverged: Counter,
     /// Largest final relative residual of any Poisson solve so far.
     poisson_rel_residual_max: Gauge,
+    /// Wall reflections and face crossings of the neutral move. Wall
+    /// hits per moved particle bound the share of flights a parallel
+    /// move replays in order on the caller's lane.
+    move_wall_hits: Counter,
+    move_crossings: Counter,
     rebalances: Counter,
     rebalance_migrated: Counter,
     remap_time: TimeHist,
@@ -71,6 +76,8 @@ impl Taps {
             lii: reg.gauge("balance.lii"),
             poisson_unconverged: reg.counter("pic.poisson.unconverged"),
             poisson_rel_residual_max: reg.gauge("pic.poisson.rel_residual_max"),
+            move_wall_hits: reg.counter("dsmc.move.wall_hits"),
+            move_crossings: reg.counter("dsmc.move.crossings"),
             rebalances: reg.counter("balance.rebalances"),
             rebalance_migrated: reg.counter("balance.migrated_particles"),
             remap_time: reg.time_hist("balance.remap.seconds"),
@@ -218,6 +225,8 @@ impl Observer for Recorder {
             taps.poisson_unconverged.add(trace.poisson_unconverged);
             let worst = &taps.poisson_rel_residual_max;
             worst.set(worst.get().max(trace.poisson_rel_residual_max));
+            taps.move_wall_hits.add(trace.wall_hits);
+            taps.move_crossings.add(trace.crossings);
         }
         self.sink.emit(&TraceEvent::Step {
             index,
@@ -266,6 +275,8 @@ mod tests {
         for (index, residual) in [3e-7, 1e-7].into_iter().enumerate() {
             let trace = StepTrace {
                 poisson_rel_residual_max: residual,
+                wall_hits: 3,
+                crossings: 50,
                 ..StepTrace::default()
             };
             rec.step(index, &trace);
@@ -287,6 +298,8 @@ mod tests {
         assert_eq!(snap.gauge("balance.cost.per_charged.seconds"), Some(0.0));
         assert_eq!(snap.counter("engine.steps"), Some(2));
         assert_eq!(snap.gauge("pic.poisson.rel_residual_max"), Some(3e-7));
+        assert_eq!(snap.counter("dsmc.move.wall_hits"), Some(6));
+        assert_eq!(snap.counter("dsmc.move.crossings"), Some(100));
         // meta + exchange + rebalance + two steps + fault summary
         assert_eq!(mem.len(), 6);
     }

@@ -37,10 +37,11 @@ fi
 echo "== tests (workspace: every unit, guard and golden-hash suite, once) =="
 cargo test --workspace -q
 
-echo "== team CG on one CPU (a barrier that spins instead of sleeping stalls a lane team here) =="
+echo "== lane teams on one CPU (the team CG and the parallel move, more lanes than cores) =="
 # Lanes of a team that outnumber the free cores must hand theirs over
-# while they wait; a spinning barrier makes these tests ~100x slower.
+# while they wait; a spinning barrier makes the CG tests ~100x slower.
 taskset -c 0 timeout 120 cargo test -q -p sparse team
+taskset -c 0 timeout 120 cargo test -q -p dsmc pooled_move_is_the_serial_walk
 
 echo "== ledger smoke (every bench_ledger workload, both passes, every row present) =="
 cargo run --release --quiet --offline --manifest-path bench_ledger/Cargo.toml -- --smoke
@@ -190,6 +191,18 @@ deleted=$(grep -rnE 'EulLag|eullag|Decomposition::|\.decomposition\b|block_range
 if [ -n "$deleted" ]; then
     echo "$deleted"
     echo "verify: a deleted name is back (particle-only weighting is rebalance.wlm.w_cell = 0)" >&2
+    exit 1
+fi
+
+echo "== forked-stream lint (fork_rng( in production code only in the pooled collide and its definition) =="
+# The move is the serial walk on any lane count; only the pooled
+# collide forks per-lane streams, so only its result depends on the
+# worker count.
+forks=$(production_calls 'fork_rng' crates/*/src src |
+    grep -v '^crates/dsmc/src/collide\.rs:' | grep -v '^crates/kernels/src/lib\.rs:[0-9]*: pub fn fork_rng(' || true)
+if [ -n "$forks" ]; then
+    echo "$forks"
+    echo "verify: a kernel besides collide forks per-lane RNG streams (keep it lane-invariant)" >&2
     exit 1
 fi
 
