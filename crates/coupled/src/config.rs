@@ -219,7 +219,7 @@ impl Dataset {
 #[derive(Debug, Clone, Default)]
 pub struct ObsConfig {
     /// Metrics registry the run taps (phase times, exchange traffic,
-    /// rebalances, kernel-pool busy time). Keep a clone to read the
+    /// rebalances, solver and move counters). Keep a clone to read the
     /// snapshot after the run; `None` records no metrics.
     pub metrics: Option<Registry>,
     /// Where the structured trace (one event per step, exchange and
@@ -256,8 +256,6 @@ pub enum FaultPolicy {
 pub enum ConfigError {
     /// `ranks` was 0 — every run needs at least one rank.
     ZeroRanks,
-    /// `threads_per_rank` was 0 — kernel pools need at least one lane.
-    ZeroThreads,
     /// The rebalance cadence (`t_interval`) was 0 — Algorithm 1 checks
     /// at most once per step, so the interval must be >= 1.
     ZeroRebalanceInterval,
@@ -295,7 +293,6 @@ impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ConfigError::ZeroRanks => write!(f, "ranks must be >= 1"),
-            ConfigError::ZeroThreads => write!(f, "threads_per_rank must be >= 1"),
             ConfigError::ZeroRebalanceInterval => {
                 write!(f, "rebalance t_interval must be >= 1")
             }
@@ -358,11 +355,6 @@ pub struct RunConfig {
     /// Paper-scale fine (PIC) cell count for the cost model's grid
     /// work (Poisson, partitioner); `None` disables grid boosting.
     pub paper_cells: Option<usize>,
-    /// Intra-rank worker threads for the hot kernels (move, collide,
-    /// deposit, push, SpMV). The default of 1 routes every kernel
-    /// through the untouched serial code path with the rank's own RNG,
-    /// reproducing pre-existing results bit for bit.
-    pub threads_per_rank: usize,
     /// Observability: metrics registry + trace sink selection.
     pub obs: ObsConfig,
     /// Take an in-memory per-rank checkpoint every this many DSMC
@@ -385,7 +377,7 @@ pub struct RunConfig {
 /// of serialized fields or their encoding changes — the tag is hashed
 /// along with the fields, so configs canonicalized under different
 /// schema versions can never collide in the result cache.
-pub const CONFIG_SCHEMA_VERSION: u32 = 4;
+pub const CONFIG_SCHEMA_VERSION: u32 = 5;
 
 /// Stable lowercase name of an exchange strategy for the canonical
 /// serialization (enum `Debug` output is not a schema).
@@ -464,9 +456,6 @@ impl RunConfig {
         }
         if self.ranks == 0 {
             return Err(ConfigError::ZeroRanks);
-        }
-        if self.threads_per_rank == 0 {
-            return Err(ConfigError::ZeroThreads);
         }
         if let Some(rb) = &self.rebalance {
             if rb.t_interval == 0 {
@@ -618,7 +607,6 @@ impl RunConfig {
                 "paper_cells",
                 self.paper_cells.map_or(Json::Null, |c| Json::U64(c as u64)),
             ),
-            ("threads_per_rank", Json::U64(self.threads_per_rank as u64)),
             ("checkpoint_every", Json::U64(self.checkpoint_every as u64)),
             (
                 "on_fault",
@@ -663,7 +651,7 @@ impl RunConfig {
 ///
 /// Defaults: [`SimConfig::default`] physics, Distributed strategy,
 /// rebalancing on with default parameters, 1 rank, 100 steps, no cost
-/// boosts, 1 thread per rank, no observability.
+/// boosts, no observability.
 ///
 /// [`build`]: RunConfigBuilder::build
 #[derive(Debug, Clone)]
@@ -682,7 +670,6 @@ impl Default for RunConfigBuilder {
                 steps: 100,
                 work_boost: 1.0,
                 paper_cells: None,
-                threads_per_rank: 1,
                 obs: ObsConfig::default(),
                 checkpoint_every: 0,
                 on_fault: FaultPolicy::default(),
@@ -736,13 +723,6 @@ impl RunConfigBuilder {
     /// DSMC steps to run.
     pub fn steps(mut self, steps: usize) -> Self {
         self.run.steps = steps;
-        self
-    }
-
-    /// Intra-rank worker threads for the hot kernels. Must be >= 1
-    /// (1 = the bit-identical serial code path).
-    pub fn threads_per_rank(mut self, threads: usize) -> Self {
-        self.run.threads_per_rank = threads;
         self
     }
 
@@ -844,7 +824,6 @@ mod tests {
             .paper(Dataset::D1, 0.02)
             .ranks(3)
             .strategy(Strategy::Auto)
-            .threads_per_rank(4)
             .steps(12)
             .build()
             .unwrap();
@@ -852,24 +831,16 @@ mod tests {
         assert_eq!(built.paper_cells, Some(Dataset::D1.paper_pic_cells()));
         assert_eq!(built.ranks, 3);
         assert_eq!(built.strategy, Strategy::Auto);
-        assert_eq!(built.threads_per_rank, 4);
         assert_eq!(built.steps, 12);
         assert!(built.obs.metrics.is_none());
         assert!(built.obs.trace.is_off());
     }
 
     #[test]
-    fn builder_rejects_zero_ranks_and_threads() {
+    fn builder_rejects_zero_ranks() {
         assert_eq!(
             RunConfig::builder().ranks(0).build().unwrap_err(),
             ConfigError::ZeroRanks
-        );
-        assert_eq!(
-            RunConfig::builder()
-                .threads_per_rank(0)
-                .build()
-                .unwrap_err(),
-            ConfigError::ZeroThreads
         );
         assert!(ConfigError::ZeroRanks.to_string().contains("ranks"));
     }
@@ -1139,7 +1110,7 @@ mod tests {
 
     /// Pinned canonical hash of the guard config (see
     /// `config_hash_is_pinned_across_releases`). Re-pinned with
-    /// CONFIG_SCHEMA_VERSION 4 (`decomposition`, `ranks_per_node` and
-    /// `rebalance.kway` left the canonical serialization).
-    const PINNED_GUARD_CONFIG_HASH: u64 = 0xe425423c8821a882;
+    /// CONFIG_SCHEMA_VERSION 5 (the per-rank thread count left the
+    /// canonical serialization).
+    const PINNED_GUARD_CONFIG_HASH: u64 = 0x4b35907136b6c3e8;
 }

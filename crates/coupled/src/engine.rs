@@ -7,7 +7,7 @@
 //!
 //! * [`RankEngine`] owns all per-rank simulation state — particle
 //!   buffer, RNG stream, (filtered) injector, field solver, exchange
-//!   scratch, kernel pool — with one method per physics phase.
+//!   scratch, kernel lanes — with one method per physics phase.
 //! * [`run_step`] is the phase sequence. Nothing else in the crate
 //!   orders the phases.
 //! * [`Backend`] supplies the execution context between the physics
@@ -38,7 +38,7 @@ use obs::{
     Tee,
 };
 use particles::{ParticleBuffer, SpeciesTable};
-use pic::{accelerate_charged_pooled, deposit_charge_pooled, ElectricField, PoissonSolver};
+use pic::{accelerate_charged, deposit_charge_into, ElectricField, PoissonSolver};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sparse::KrylovOptions;
@@ -92,15 +92,11 @@ pub struct RankEngine {
     pub rng_pump: StdRng,
     /// DSMC iterations completed.
     pub step_count: usize,
-    /// Kernel worker pool for the pooled phase kernels (serial pools
-    /// delegate to the scalar kernels bit-identically); a rank of a
-    /// decomposed run also moves its particles on it.
-    pub pool: Pool,
-    /// Lanes of the kernels that are bitwise the same on any lane
-    /// count — the neutral and ion moves, the CG team and the E
-    /// refresh: every core for a whole-domain engine, one for a rank of
-    /// a decomposed run, whose sibling rank threads (or job-server
-    /// workers) already fill the cores.
+    /// Lanes of the neutral and ion moves, the CG team and the E
+    /// refresh, each bitwise the same on any lane count: every core
+    /// for a whole-domain engine, one for a rank of a decomposed run,
+    /// whose sibling rank threads (or job-server workers) already fill
+    /// the cores.
     pub lanes: Pool,
     /// Exchange scratch (used by communicating backends).
     pub exch: ExchangeScratch,
@@ -131,23 +127,22 @@ impl RankEngine {
     }
 
     /// The whole-domain engine of `world` (the serial and modelled
-    /// drivers): full injector, serial kernel pool, a lane per core,
-    /// RNG seeded from `config.seed`.
+    /// drivers): full injector, a lane per core, RNG seeded from
+    /// `config.seed`.
     pub(crate) fn whole_domain(config: SimConfig, world: &World) -> Self {
         let injector = Some(Injector::new(&world.geometry.nm.coarse));
         let seed = config.seed;
-        let mut eng = Self::assemble(config, world, injector, seed, Pool::serial());
-        eng.lanes = Pool::new(std::thread::available_parallelism().map_or(1, |n| n.get()));
-        eng
+        let lanes = Pool::new(std::thread::available_parallelism().map_or(1, |n| n.get()));
+        Self::assemble(config, world, injector, seed, lanes)
     }
 
     /// Build the per-rank engine of a decomposed run: the world's
     /// shared meshes and species table, the inlet cells rank `me` owns
     /// under the seed decomposition, and an independent RNG stream
-    /// (`seed + 1 + me`, the paper's per-rank seeding).
-    pub(crate) fn for_rank(config: SimConfig, world: &World, me: usize, threads: usize) -> Self {
+    /// (`seed + 1 + me`, the paper's per-rank seeding), on one lane.
+    pub(crate) fn for_rank(config: SimConfig, world: &World, me: usize) -> Self {
         let seed = config.seed.wrapping_add(1 + me as u64);
-        let mut eng = Self::assemble(config, world, None, seed, Pool::new(threads));
+        let mut eng = Self::assemble(config, world, None, seed, Pool::serial());
         eng.claim_inlet(&world.owner0, me);
         eng
     }
@@ -164,7 +159,7 @@ impl RankEngine {
         world: &World,
         injector: Option<Injector>,
         seed: u64,
-        pool: Pool,
+        lanes: Pool,
     ) -> Self {
         let (nm, species) = (world.geometry.nm.clone(), world.species.clone());
         let (h_id, hp_id) = (world.h_id, world.hp_id);
@@ -195,8 +190,7 @@ impl RankEngine {
             rng_dsmc: StdRng::seed_from_u64(dsmc_stream_seed(seed)),
             rng_pump: StdRng::seed_from_u64(pump_stream_seed(seed)),
             step_count: 0,
-            pool,
-            lanes: Pool::serial(),
+            lanes,
             exch: ExchangeScratch::default(),
             events: Vec::new(),
             node_charge: Vec::new(),
@@ -260,18 +254,6 @@ impl RankEngine {
     pub(crate) fn h_counts(&self) -> Vec<f64> {
         let (neutral, _) = self.counts_per_cell();
         neutral.iter().map(|&c| c as f64).collect()
-    }
-
-    /// Export the kernel pool's per-worker busy time as
-    /// `kernels.rank{rank}.worker{w}.busy_seconds` gauges (the registry
-    /// is shared across rank threads, hence the rank-qualified names).
-    pub(crate) fn export_pool_busy(&self, obs: &ObsConfig, rank: usize) {
-        if let Some(reg) = &obs.metrics {
-            for (w, b) in self.pool.busy_seconds().iter().enumerate() {
-                reg.gauge(&format!("kernels.rank{rank}.worker{w}.busy_seconds"))
-                    .set(*b);
-            }
-        }
     }
 
     /// Execute one full DSMC iteration through the unified pipeline
@@ -341,7 +323,7 @@ impl RankEngine {
             dt,
             self.config.t_wall,
             rng,
-            move_lanes(&self.lanes, &self.pool),
+            &self.lanes,
             |s| s == h_id,
             track.then_some(&mut rec.neutral_transitions),
             pump,
@@ -363,7 +345,7 @@ impl RankEngine {
         } else {
             &mut self.rng
         };
-        let cstats = self.collisions.collide_pooled(
+        let cstats = self.collisions.collide(
             &self.nm.coarse,
             &mut self.particles,
             &self.species,
@@ -371,7 +353,6 @@ impl RankEngine {
             dt,
             rng,
             &mut self.events,
-            &self.pool,
         );
         rec.collision_candidates += cstats.candidates;
         rec.collisions += cstats.collisions;
@@ -415,14 +396,13 @@ impl RankEngine {
     /// electric field of the previous timestep").
     fn pic_move(&mut self, rec: &mut StepRecord, track: bool) {
         let dt_pic = self.config.dt_pic();
-        accelerate_charged_pooled(
+        accelerate_charged(
             &self.nm,
             &mut self.particles,
             &self.species,
             &self.efield,
             self.config.b_field,
             dt_pic,
-            &self.pool,
         );
         let hp_id = self.hp_id;
         let mut tr = Vec::new();
@@ -433,7 +413,7 @@ impl RankEngine {
             dt_pic,
             self.config.t_wall,
             &mut self.rng,
-            move_lanes(&self.lanes, &self.pool),
+            &self.lanes,
             |s| s == hp_id,
             track.then_some(&mut tr),
             None,
@@ -449,13 +429,7 @@ impl RankEngine {
         let mut node_charge = std::mem::take(&mut self.node_charge);
         node_charge.clear();
         node_charge.resize(self.nm.fine.num_nodes(), 0.0);
-        deposit_charge_pooled(
-            &self.nm,
-            &self.particles,
-            &self.species,
-            &mut node_charge,
-            &self.pool,
-        );
+        deposit_charge_into(&self.nm, &self.particles, &self.species, &mut node_charge);
         node_charge
     }
 
@@ -474,18 +448,6 @@ impl RankEngine {
     /// offset.
     fn reindex(&mut self, start: u64) {
         self.particles.renumber(start);
-    }
-}
-
-/// The pool a move runs on. The move is the serial walk on any lane
-/// count, so it takes the wider of an engine's two: `lanes` on a
-/// whole-domain engine, the `threads_per_rank` pool on a rank of a
-/// decomposed run.
-fn move_lanes<'a>(lanes: &'a Pool, pool: &'a Pool) -> &'a Pool {
-    if lanes.workers() > pool.workers() {
-        lanes
-    } else {
-        pool
     }
 }
 
@@ -750,9 +712,7 @@ pub(crate) fn run_whole_domain<B: Backend>(
 /// breakdown and per-step trace as the decomposed drivers.
 pub fn run_serial(run: &RunConfig) -> RunReport {
     let mut eng = RankEngine::new(run.sim.clone());
-    let report = run_whole_domain(&mut eng, &mut SerialBackend::new(), &run.obs, 1, run.steps);
-    eng.export_pool_busy(&run.obs, 0);
-    report
+    run_whole_domain(&mut eng, &mut SerialBackend::new(), &run.obs, 1, run.steps)
 }
 
 /// Single-rank backend: no communication, full work record, real

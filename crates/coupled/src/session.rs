@@ -291,7 +291,7 @@ fn rank_main<C: Comm>(comm: &C, session: &EngineSession) -> Result<RunReport, Ru
         error,
         recoveries: session.recoveries,
     };
-    let mut eng = RankEngine::for_rank(run.sim.clone(), world, me, run.threads_per_rank);
+    let mut eng = RankEngine::for_rank(run.sim.clone(), world, me);
     // Resume from the last consistently committed checkpoint, if one
     // exists (a recovery replay); otherwise start from step 0.
     let (start_step, owner) = match session.checkpoint_of(me) {
@@ -342,7 +342,6 @@ fn rank_main<C: Comm>(comm: &C, session: &EngineSession) -> Result<RunReport, Ru
             }
         }
     }
-    eng.export_pool_busy(&run.obs, me);
 
     // --- final diagnostics: global H density per coarse cell ---------
     let at_diag = |error| fail(run.steps, error);
@@ -423,7 +422,7 @@ mod tests {
     fn rank_engines_of_a_session_share_one_operator() {
         let run = quick(1, None).ranks(2).build().expect("valid test config");
         let session = EngineSession::new(&run);
-        let [a, b] = [0, 1].map(|me| RankEngine::for_rank(run.sim.clone(), &session.world, me, 1));
+        let [a, b] = [0, 1].map(|me| RankEngine::for_rank(run.sim.clone(), &session.world, me));
         assert!(Arc::ptr_eq(a.poisson.operator(), b.poisson.operator()));
         assert!(Arc::ptr_eq(&a.nm, &b.nm));
     }

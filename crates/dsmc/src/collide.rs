@@ -6,7 +6,7 @@
 //! with probability `σ(g)·g / (σg)_max`; accepted pairs scatter
 //! isotropically (VHS), conserving momentum and energy exactly.
 
-use kernels::{fork_rng, Pool};
+use kernels::Pool;
 use mesh::TetMesh;
 use particles::{ParticleBuffer, Species, SpeciesTable, Vhs};
 use rand::Rng;
@@ -237,17 +237,8 @@ impl CollisionModel {
         stats
     }
 
-    /// Pooled NTC pass: cells are striped across workers (cell `c`
-    /// goes to lane `c mod workers`, which spreads the spatially
-    /// clustered plume cells evenly) and each lane collides its cells
-    /// with an RNG stream forked off one draw from `rng`. Lanes write
-    /// velocity updates for disjoint particle sets (cell lists
-    /// partition the neutrals), applied on the caller thread along
-    /// with the adaptive `(σg)_max` updates, so no synchronisation on
-    /// the buffer is needed.
-    ///
-    /// With a serial pool this delegates to [`CollisionModel::collide`]
-    /// with the caller's `rng` — bit-identical to the serial kernel.
+    /// [`CollisionModel::collide`]; `_pool` is unused. Kept for the
+    /// benchmark ledger's pinned kernel API.
     #[allow(clippy::too_many_arguments)]
     pub fn collide_pooled<R: Rng>(
         &mut self,
@@ -258,74 +249,9 @@ impl CollisionModel {
         dt: f64,
         rng: &mut R,
         events: &mut Vec<CollisionEvent>,
-        pool: &Pool,
+        _pool: &Pool,
     ) -> CollideStats {
-        if pool.is_serial() {
-            return self.collide(mesh, buf, species, neutral_id, dt, rng, events);
-        }
-        let base: u64 = rng.gen();
-        let sp = species.get(neutral_id);
-        let vhs = sp.vhs();
-        // serial: O(n) with no contention worth parallelising
-        self.bucket(buf, neutral_id);
-
-        let workers = pool.workers();
-        let parts: Vec<Vec<usize>> = (0..workers)
-            .map(|lane| {
-                (lane..self.cell_lists.len())
-                    .step_by(workers)
-                    .filter(|&c| self.cell_lists[c].len() >= 2)
-                    .collect()
-            })
-            .collect();
-        let cell_lists = &self.cell_lists;
-        let sigma_g_max = &self.sigma_g_max;
-        let vel = [&buf.vx[..], &buf.vy[..], &buf.vz[..]];
-
-        type LaneOut = (
-            CollideStats,
-            Vec<CollisionEvent>,
-            Vec<(u32, mesh::Vec3)>,
-            Vec<(usize, f64)>,
-        );
-        let results: Vec<LaneOut> = pool.run_parts(parts, |lane, cells| {
-            let mut rng = fork_rng(base, lane as u64);
-            let mut stats = CollideStats::default();
-            let mut ev: Vec<CollisionEvent> = Vec::new();
-            let mut vel_updates: Vec<(u32, mesh::Vec3)> = Vec::new();
-            let mut sigma_updates: Vec<(usize, f64)> = Vec::new();
-            let mut cell = CellScratch::default();
-            for c in cells {
-                let (list, sgm, volume) = (&cell_lists[c], sigma_g_max[c], mesh.volumes[c]);
-                let sgm_adapt = cell.collide(
-                    list, vel, sp, vhs, sgm, dt, volume, &mut rng, &mut stats, &mut ev,
-                );
-                for (k, &d) in cell.dirty.iter().enumerate() {
-                    if d {
-                        let v = mesh::Vec3::new(cell.vx[k], cell.vy[k], cell.vz[k]);
-                        vel_updates.push((list[k], v));
-                    }
-                }
-                if sgm_adapt > sgm {
-                    sigma_updates.push((c, sgm_adapt));
-                }
-            }
-            (stats, ev, vel_updates, sigma_updates)
-        });
-
-        let mut stats = CollideStats::default();
-        for (s, ev, vel_updates, sigma_updates) in results {
-            stats.candidates += s.candidates;
-            stats.collisions += s.collisions;
-            events.extend(ev);
-            for (i, v) in vel_updates {
-                buf.set_vel(i as usize, v);
-            }
-            for (c, sg) in sigma_updates {
-                self.sigma_g_max[c] = sg;
-            }
-        }
-        stats
+        self.collide(mesh, buf, species, neutral_id, dt, rng, events)
     }
 }
 
@@ -356,20 +282,14 @@ pub(crate) mod tests {
         )
     }
 
-    /// FNV pin of five passes on the 200-particle cell at seed 11,
-    /// serial or on `pool`.
-    fn five_passes(pool: Option<&kernels::Pool>) -> u64 {
+    /// FNV pin of five passes on the 200-particle cell at seed 11.
+    fn five_passes() -> u64 {
         let (m, table, mut buf) = setup(1e12);
         let mut rng = StdRng::seed_from_u64(11);
         let mut model = CollisionModel::new(m.num_cells(), &table, 300.0);
         let mut ev = Vec::new();
         for _ in 0..5 {
-            match pool {
-                Some(pool) => {
-                    model.collide_pooled(&m, &mut buf, &table, 0, 1e-5, &mut rng, &mut ev, pool)
-                }
-                None => model.collide(&m, &mut buf, &table, 0, 1e-5, &mut rng, &mut ev),
-            };
+            model.collide(&m, &mut buf, &table, 0, 1e-5, &mut rng, &mut ev);
         }
         pin(&buf, &ev, model.sigma_g_max())
     }
@@ -378,13 +298,7 @@ pub(crate) mod tests {
     /// kernel was touched: a bit that moves here moves every golden run.
     #[test]
     fn serial_kernel_is_pinned() {
-        assert_eq!(five_passes(None), 0xd65f_8eee_6801_42dc);
-    }
-
-    #[test]
-    fn pooled_kernel_is_pinned() {
-        let pool = kernels::Pool::new(2);
-        assert_eq!(five_passes(Some(&pool)), 0xecc8_788d_8a63_628a);
+        assert_eq!(five_passes(), 0xd65f_8eee_6801_42dc);
     }
 
     fn setup(weight: f64) -> (TetMesh, SpeciesTable, ParticleBuffer) {
@@ -431,52 +345,6 @@ pub(crate) mod tests {
         let en_after: f64 = buf.iter().map(|p| p.vel.norm2()).sum();
         assert!((mom_before - mom_after).norm() < 1e-6 * mom_before.norm().max(1.0));
         assert!((en_before - en_after).abs() < 1e-9 * en_before);
-    }
-
-    #[test]
-    fn pooled_conserves_momentum_energy_and_matches_serial_rates() {
-        let (m, table, base_buf) = setup(1e12);
-        // serial reference collision count
-        let serial_collisions = {
-            let mut buf = base_buf.clone();
-            let mut rng = StdRng::seed_from_u64(21);
-            let mut model = CollisionModel::new(m.num_cells(), &table, 300.0);
-            let mut ev = Vec::new();
-            model
-                .collide(&m, &mut buf, &table, 0, 1e-5, &mut rng, &mut ev)
-                .collisions
-        };
-        for workers in [2usize, 4] {
-            let mut buf = base_buf.clone();
-            let mut rng = StdRng::seed_from_u64(21);
-            let mut model = CollisionModel::new(m.num_cells(), &table, 300.0);
-            let mut ev = Vec::new();
-            let mom_before: Vec3 = buf.iter().fold(Vec3::ZERO, |acc, p| acc + p.vel);
-            let en_before: f64 = buf.iter().map(|p| p.vel.norm2()).sum();
-            let stats = model.collide_pooled(
-                &m,
-                &mut buf,
-                &table,
-                0,
-                1e-5,
-                &mut rng,
-                &mut ev,
-                &kernels::Pool::new(workers),
-            );
-            assert!(stats.collisions > 0, "workers={workers}: {stats:?}");
-            assert_eq!(stats.collisions, ev.len());
-            let mom_after: Vec3 = buf.iter().fold(Vec3::ZERO, |acc, p| acc + p.vel);
-            let en_after: f64 = buf.iter().map(|p| p.vel.norm2()).sum();
-            assert!((mom_before - mom_after).norm() < 1e-6 * mom_before.norm().max(1.0));
-            assert!((en_before - en_after).abs() < 1e-9 * en_before);
-            // statistically equivalent rate (different stream, same physics)
-            let ratio = stats.collisions as f64 / serial_collisions.max(1) as f64;
-            assert!(
-                (0.3..3.0).contains(&ratio),
-                "workers={workers}: pooled {} vs serial {serial_collisions}",
-                stats.collisions
-            );
-        }
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //!
 //! Submit a [`coupled::RunConfig`] wrapped in a [`JobSpec`], get a
 //! [`JobHandle`] back; the server queues it with tenant fair share and
-//! priority aging, runs it on a worker under a shared kernel-pool
-//! thread budget, streams its step trace to any number of
-//! subscribers, and serves repeated submissions of the same canonical
-//! configuration from a result cache — sound because the engine is
+//! priority aging, runs it on a worker under a shared thread budget,
+//! streams its step trace to any number of subscribers, and serves
+//! repeated submissions of the same canonical configuration from a
+//! result cache — sound because the engine is
 //! bitwise-deterministic per config (the cached report is
 //! indistinguishable from a re-run). If a worker dies mid-job, the
 //! job's [`coupled::EngineSession`] — which outlives any worker —

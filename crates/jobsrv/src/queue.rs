@@ -1,13 +1,13 @@
 //! Fair-share job queue: round-robin across tenants, priority with
 //! anti-starvation aging within a tenant, and budget-aware popping so
-//! wide jobs wait for kernel-pool capacity without blocking narrow
-//! ones (DESIGN.md §14).
+//! wide jobs wait for thread capacity without blocking narrow ones
+//! (DESIGN.md §14).
 
 use coupled::job::{JobId, JobPriority};
 
-/// One queued entry. `cost` is the job's kernel-pool demand in
-/// threads (ranks × threads_per_rank, clamped to the pool size by the
-/// server), so `pop` can skip entries the remaining budget can't run.
+/// One queued entry. `cost` is the job's demand in threads (one per
+/// rank, clamped to the budget by the server), so `pop` can skip
+/// entries the remaining budget can't run.
 #[derive(Debug, Clone)]
 pub struct QueueEntry {
     pub id: JobId,

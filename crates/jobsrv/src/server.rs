@@ -1,5 +1,5 @@
 //! The job server: worker threads draining a [`FairQueue`] of
-//! [`JobSpec`] submissions under a shared kernel-pool thread budget,
+//! [`JobSpec`] submissions under a shared thread budget,
 //! with result caching by canonical config hash, in-flight
 //! coalescing of identical submissions, live trace fan-out to
 //! subscribers, a small cache of the geometries jobs repeat, and
@@ -25,9 +25,9 @@ pub struct ServerConfig {
     /// Worker threads draining the queue — the maximum number of
     /// simulations in flight at once.
     pub workers: usize,
-    /// Shared kernel-pool budget in threads. A job costs
-    /// `ranks * threads_per_rank` (clamped to the budget), and jobs
-    /// only start while the sum of running costs fits.
+    /// Shared budget in threads. A job costs one thread per rank
+    /// (`ranks`, clamped to the budget), and jobs only start while
+    /// the sum of running costs fits.
     pub thread_budget: usize,
     /// Completed reports kept for cache service (LRU).
     pub cache_capacity: usize,
@@ -278,7 +278,7 @@ impl JobServer {
     /// worker, in that order of preference.
     pub fn submit(&self, spec: JobSpec) -> JobHandle {
         let hash = spec.run.config_hash();
-        let cost = (spec.run.ranks * spec.run.threads_per_rank).clamp(1, self.shared.thread_budget);
+        let cost = spec.run.ranks.clamp(1, self.shared.thread_budget);
         // `RunConfig`'s fields are public: a config edited after its
         // builder checked it is checked again before any worker
         // builds a mesh from it.

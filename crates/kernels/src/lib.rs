@@ -1,40 +1,32 @@
-//! Intra-rank parallel kernel layer: a chunked scoped-thread worker
-//! pool shared by the hot DSMC/PIC kernels (collide, deposit, push),
-//! the SPMD [`team`] region the CG solve and the particle move run in,
-//! and deterministic reduction and RNG-forking helpers.
+//! Intra-rank parallel kernel layer: the lane count of a rank's
+//! engine ([`Pool`]), the SPMD [`team`] region the CG solve, the E
+//! refresh and the particle move run in, and the chunking helpers
+//! they share.
 //!
 //! Design constraints (see DESIGN.md "Single-node performance"):
 //!
 //! * **No external threading runtime.** rayon is not on the approved
-//!   dependency list, so the pool is built directly on
-//!   `std::thread::scope` (stable since 1.63). Threads are spawned per
-//!   parallel region; at the 10⁴–10⁶-particle workloads of a paper-scale rank
-//!   the 41–48 µs a two-lane region costs (`kernels.dispatch_us`) is
-//!   small against ms-scale kernels. A loop of many short steps that
-//!   all need every lane — a CG solve — is one [`team`] region whose
-//!   lanes meet at a [`TeamBarrier`] instead of one region per step.
-//! * **Serial fallback is bit-identical.** A [`Pool`] with one worker
-//!   never spawns and callers route through the untouched serial
-//!   kernels, so `threads_per_rank = 1` (the default) reproduces the
-//!   pre-existing results exactly.
+//!   dependency list, so a region is built directly on
+//!   `std::thread::scope` (stable since 1.63): the caller is lane 0
+//!   and each further lane is one scoped spawn. At the
+//!   10⁴–10⁶-particle workloads of a paper-scale rank the tens of µs
+//!   a two-lane region costs (`kernels.dispatch_us`) are small against
+//!   ms-scale kernels. A loop of many short steps that all need every
+//!   lane — a CG solve — is one [`team`] region whose lanes meet at a
+//!   [`TeamBarrier`] instead of one region per step.
 //! * **Deterministic reductions.** A reduction over lanes sums fixed
 //!   blocks whose boundaries do not depend on the lane count and folds
 //!   the block sums in block order, so its output is identical for any
 //!   lane count (the CG's inner products, `sparse::krylov`).
-//! * **Lane-invariant kernels.** The CG solve, the E refresh, the
-//!   deposit and the particle move give the same bits on any lane
-//!   count; the move does so by flying each particle up to its first
-//!   wall in parallel and replaying the wall hits in order on the
-//!   caller's RNG (`dsmc::move_particles_pooled`). Only collide forks
-//!   per-lane streams ([`fork_rng`]), so only its result depends on
-//!   the worker count.
+//! * **Lane-invariant kernels.** Every kernel that takes lanes gives
+//!   the same bits on any lane count; the move does so by flying each
+//!   particle up to its first wall in parallel and replaying the wall
+//!   hits in order on the caller's RNG (`dsmc::move_particles_pooled`).
+//!   Collide, push and deposit run serially on the caller's thread.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::Instant;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Contiguous near-equal split of `0..n` into at most `parts` ranges
 /// (fewer when `n < parts`; never empty ranges).
@@ -72,29 +64,12 @@ pub fn carve_mut<'a, T>(ranges: &[Range<usize>], data: &'a mut [T]) -> Vec<&'a m
     out
 }
 
-/// Deterministically fork an independent RNG stream for a worker
-/// chunk (the pooled collide's lanes). Distinct `(base, lane)` pairs
-/// give well-separated streams; the same pair always gives the same
-/// stream, so a chunked kernel stays reproducible for a fixed worker
-/// count.
-pub fn fork_rng(base: u64, lane: u64) -> StdRng {
-    // golden-ratio mixing keeps lanes far apart even for small bases
-    let mixed = base
-        .wrapping_mul(0x9E3779B97F4A7C15)
-        .wrapping_add(lane.wrapping_mul(0xD1B54A32D192ED03))
-        .rotate_left(29)
-        ^ lane;
-    StdRng::seed_from_u64(mixed)
-}
-
-/// Scoped-thread worker pool of a fixed width. Clones share the
-/// per-lane busy-time accounting.
+/// A lane count for the kernels that split their work: the CG
+/// [`team`], the E refresh and the particle move take at most
+/// [`Pool::workers`] lanes each, and give the same bits on any count.
 #[derive(Debug, Clone)]
 pub struct Pool {
     workers: usize,
-    /// Cumulative busy nanoseconds per lane (lane = chunk/group
-    /// index; serial fast paths charge lane 0).
-    busy: Arc<Vec<AtomicU64>>,
 }
 
 impl Default for Pool {
@@ -106,14 +81,12 @@ impl Default for Pool {
 impl Pool {
     /// Pool with `workers` lanes (clamped to ≥ 1).
     pub fn new(workers: usize) -> Self {
-        let workers = workers.max(1);
         Pool {
-            workers,
-            busy: Arc::new((0..workers).map(|_| AtomicU64::new(0)).collect()),
+            workers: workers.max(1),
         }
     }
 
-    /// Single-lane pool: every `par_*` call runs inline on the caller
+    /// Single-lane pool: every kernel runs inline on the caller
     /// thread with no spawns.
     pub fn serial() -> Self {
         Pool::new(1)
@@ -127,83 +100,31 @@ impl Pool {
         self.workers == 1
     }
 
-    /// Cumulative busy time per lane, in seconds — kernel work only
-    /// (spawn/join overhead and idle tail-wait excluded), so the
-    /// spread across lanes shows intra-rank imbalance.
-    pub fn busy_seconds(&self) -> Vec<f64> {
-        self.busy
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed) as f64 * 1e-9)
-            .collect()
-    }
-
-    /// Reset the per-lane busy counters.
-    pub fn reset_busy(&self) {
-        for b in self.busy.iter() {
-            b.store(0, Ordering::Relaxed);
-        }
-    }
-
-    #[inline]
-    fn charge(&self, lane: usize, started: Instant) {
-        let ns = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        self.busy[lane.min(self.workers - 1)].fetch_add(ns, Ordering::Relaxed);
-    }
-
-    /// Run `f(part_index, part)` over an explicit list of parts
-    /// (worker threads take contiguous groups); results in part order.
+    /// Run `f(part_index, part)` over an explicit list of parts, one
+    /// [`team`] region whose lanes take contiguous groups; results in
+    /// part order. Kept for the benchmark ledger's dispatch row.
     pub fn run_parts<T, R, F>(&self, parts: Vec<T>, f: F) -> Vec<R>
     where
         T: Send,
         R: Send,
         F: Fn(usize, T) -> R + Sync,
     {
-        let n = parts.len();
-        if self.workers == 1 || n <= 1 {
-            let started = Instant::now();
-            let out = parts
+        let groups = chunk_ranges(parts.len(), self.workers);
+        let mut it = parts.into_iter();
+        let groups: Vec<_> = groups
+            .into_iter()
+            .map(|g| (g.start, (&mut it).take(g.len()).collect::<Vec<T>>()))
+            .collect();
+        team(groups, |_, (start, group), _| {
+            group
                 .into_iter()
                 .enumerate()
-                .map(|(i, p)| f(i, p))
-                .collect();
-            self.charge(0, started);
-            return out;
-        }
-        let groups = chunk_ranges(n, self.workers);
-        let mut indexed: Vec<Vec<(usize, T)>> = Vec::with_capacity(groups.len());
-        let mut it = parts.into_iter().enumerate();
-        for g in &groups {
-            indexed.push((&mut it).take(g.len()).collect());
-        }
-        let f = &f;
-        let grouped: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = indexed
-                .into_iter()
-                .enumerate()
-                .map(|(lane, group)| {
-                    scope.spawn(move || {
-                        let started = Instant::now();
-                        let out = group
-                            .into_iter()
-                            .map(|(i, p)| (i, f(i, p)))
-                            .collect::<Vec<_>>();
-                        self.charge(lane, started);
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("kernel worker panicked"))
-                .collect()
-        });
-        let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
-        for group in grouped {
-            for (i, r) in group {
-                out[i] = Some(r);
-            }
-        }
-        out.into_iter().map(|r| r.unwrap()).collect()
+                .map(|(k, p)| f(start + k, p))
+                .collect::<Vec<R>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect()
     }
 }
 
@@ -346,7 +267,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::Rng;
+    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn chunk_ranges_cover_everything() {
@@ -401,26 +322,6 @@ mod tests {
     }
 
     #[test]
-    fn busy_time_accumulates_per_lane() {
-        let pool = Pool::new(3);
-        assert_eq!(pool.busy_seconds(), vec![0.0; 3]);
-        let out = pool.run_parts(vec![10_000u64; 3], |_, n| {
-            (0..n * 50).fold(1u64, |v, _| {
-                v.wrapping_mul(6364136223846793005).wrapping_add(1)
-            })
-        });
-        assert!(out.iter().all(|&v| v == out[0]));
-        let busy = pool.busy_seconds();
-        assert_eq!(busy.len(), 3);
-        assert!(busy.iter().all(|&b| b > 0.0), "{busy:?}");
-        // clones share the accounting
-        let clone = pool.clone();
-        assert_eq!(clone.busy_seconds(), busy);
-        pool.reset_busy();
-        assert_eq!(clone.busy_seconds(), vec![0.0; 3]);
-    }
-
-    #[test]
     fn team_lanes_see_each_others_writes_across_barriers() {
         // each round every lane writes its own slot, then reads all of
         // them: a barrier that let a lane through early shows as a
@@ -452,17 +353,5 @@ mod tests {
             })
         });
         assert!(result.is_err());
-    }
-
-    #[test]
-    fn fork_rng_deterministic_and_distinct() {
-        let mut a = fork_rng(42, 0);
-        let mut a2 = fork_rng(42, 0);
-        let mut b = fork_rng(42, 1);
-        let xs: Vec<u64> = (0..16).map(|_| a.gen()).collect();
-        let xs2: Vec<u64> = (0..16).map(|_| a2.gen()).collect();
-        let ys: Vec<u64> = (0..16).map(|_| b.gen()).collect();
-        assert_eq!(xs, xs2);
-        assert_ne!(xs, ys);
     }
 }

@@ -3,10 +3,10 @@
 //! Positions and velocities are stored as six independent `Vec<f64>`
 //! lanes (`px/py/pz`, `vx/vy/vz`), not as `Vec<Vec3>`: collide gathers
 //! one cell's velocity lanes, the emigrant pack streams one field at a
-//! time, and the pooled kernels carve exactly the lanes they write
-//! into disjoint per-worker chunks. The [`Particle`]
-//! value type remains the API boundary (and it keeps the per-particle
-//! wire format explicit — see [`crate::pack`]).
+//! time, and the parallel move carves exactly the lanes it writes
+//! into disjoint per-lane chunks. The [`Particle`] value type remains
+//! the API boundary (and it keeps the per-particle wire format
+//! explicit — see [`crate::pack`]).
 
 use mesh::Vec3;
 

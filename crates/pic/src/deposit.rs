@@ -94,78 +94,40 @@ pub fn deposit_charge(nm: &NestedMesh, buf: &ParticleBuffer, species: &SpeciesTa
     node_charge
 }
 
-/// The serial body of [`deposit_charge_pooled`]: accumulate into an
-/// existing array (callers zero it when appropriate; ranks accumulate
-/// their local particles and then sum boundary nodes across ranks).
-fn deposit_charge_into(
+/// Accumulate the charge of `buf`'s charged particles into an
+/// existing array of the fine grid's node count (callers zero it when
+/// appropriate; ranks accumulate their local particles and then sum
+/// boundary nodes across ranks).
+pub fn deposit_charge_into(
     nm: &NestedMesh,
     buf: &ParticleBuffer,
     species: &SpeciesTable,
     node_charge: &mut [f64],
 ) {
+    assert_eq!(node_charge.len(), nm.fine.num_nodes());
     let qw = charged_table(species, |sp| sp.charge * sp.weight);
-    deposit_run(nm, buf, &qw, 0..buf.len(), &mut |node, dq| {
-        node_charge[node as usize] += dq;
-    });
-}
-
-/// Feed the `(node, Δq)` contributions of the charged particles of
-/// `range` to `emit` in particle order; `qw` is the per-species
-/// deposited macro-charge `charge·weight`. Shared core of the serial
-/// deposit (which accumulates directly) and the pooled one (which
-/// logs for ordered replay).
-fn deposit_run(
-    nm: &NestedMesh,
-    buf: &ParticleBuffer,
-    qw: &[Option<f64>],
-    range: std::ops::Range<usize>,
-    emit: &mut impl FnMut(u32, f64),
-) {
-    for k in range {
+    for k in 0..buf.len() {
         let Some(q) = qw[buf.species[k] as usize] else {
             continue;
         };
         let (fc, w) = fine_cell_with_bary(nm, buf.cell[k] as usize, buf.pos(k));
         let tet = nm.fine.tets[fc];
         for m in 0..4 {
-            emit(tet[m], q * w[m]);
+            node_charge[tet[m] as usize] += q * w[m];
         }
     }
 }
 
-/// Pooled deposition with *contribution-log replay*: worker chunks
-/// compute `(node, Δq)` logs in parallel (the expensive part — fine
-/// cell search and barycentric weights), then the caller thread
-/// replays the logs in particle order. The accumulation order is
-/// therefore exactly the serial loop's order, making the result
-/// **bitwise identical to [`deposit_charge`] for every worker
-/// count** — no f64 atomics, no per-worker grid copies to reduce.
+/// [`deposit_charge_into`]; `_pool` is unused. Kept for the benchmark
+/// ledger's pinned kernel API.
 pub fn deposit_charge_pooled(
     nm: &NestedMesh,
     buf: &ParticleBuffer,
     species: &SpeciesTable,
     node_charge: &mut [f64],
-    pool: &Pool,
+    _pool: &Pool,
 ) {
-    assert_eq!(node_charge.len(), nm.fine.num_nodes());
-    if pool.is_serial() || buf.len() < 2 {
-        return deposit_charge_into(nm, buf, species, node_charge);
-    }
-    let qw = &charged_table(species, |sp| sp.charge * sp.weight);
-    let ranges = kernels::chunk_ranges(buf.len(), pool.workers());
-    let logs: Vec<Vec<(u32, f64)>> = pool.run_parts(ranges, |_, rg| {
-        let mut log: Vec<(u32, f64)> = Vec::with_capacity(rg.len() * 4);
-        deposit_run(nm, buf, qw, rg, &mut |node, dq| {
-            log.push((node, dq));
-        });
-        log
-    });
-    // replay in particle order (chunks are contiguous and in order)
-    for log in logs {
-        for (node, dq) in log {
-            node_charge[node as usize] += dq;
-        }
-    }
+    deposit_charge_into(nm, buf, species, node_charge)
 }
 
 #[cfg(test)]
@@ -329,12 +291,10 @@ mod tests {
         assert!(sorted.cell.windows(2).all(|w| w[0] <= w[1]));
         for buf in [&buf, &sorted] {
             let serial = deposit_charge(&nm, buf, &table);
-            for workers in [1usize, 2, 4, 8] {
-                let mut pooled = vec![0.0; nm.fine.num_nodes()];
-                deposit_charge_pooled(&nm, buf, &table, &mut pooled, &Pool::new(workers));
-                for (s, p) in serial.iter().zip(&pooled) {
-                    assert_eq!(s.to_bits(), p.to_bits(), "workers={workers}");
-                }
+            let mut pooled = vec![0.0; nm.fine.num_nodes()];
+            deposit_charge_pooled(&nm, buf, &table, &mut pooled, &Pool::serial());
+            for (s, p) in serial.iter().zip(&pooled) {
+                assert_eq!(s.to_bits(), p.to_bits());
             }
         }
     }

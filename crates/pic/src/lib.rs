@@ -9,7 +9,7 @@ pub mod poisson;
 pub mod push;
 
 pub use boris::boris_push;
-pub use deposit::{deposit_charge, deposit_charge_pooled, fine_cell_of};
+pub use deposit::{deposit_charge, deposit_charge_into, deposit_charge_pooled, fine_cell_of};
 pub use field::ElectricField;
 pub use mesh::geom::shape_gradients;
 pub use poisson::{PoissonOperator, PoissonSolver, EPS0};

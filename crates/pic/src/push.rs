@@ -10,46 +10,10 @@ use kernels::Pool;
 use mesh::{NestedMesh, Vec3};
 use particles::{ParticleBuffer, SpeciesTable};
 
-/// Kick every charged particle of one chunk in place: gather `E` at
-/// the particle, write [`boris_push`] back. `qm` is the per-species
-/// `q/m` table (`None` for neutrals, which stay bit-for-bit
-/// untouched). `vx/vy/vz` are the velocity lanes being updated (chunk
-/// or whole buffer), indexed chunk-locally; shared lanes are indexed
-/// globally via `off`. Returns the number of particles kicked.
-#[allow(clippy::too_many_arguments)]
-fn kick_chunk(
-    nm: &NestedMesh,
-    efield: &ElectricField,
-    b: Vec3,
-    qm: &[Option<f64>],
-    dt: f64,
-    off: usize,
-    vx: &mut [f64],
-    vy: &mut [f64],
-    vz: &mut [f64],
-    px: &[f64],
-    py: &[f64],
-    pz: &[f64],
-    cell: &[u32],
-    spec: &[u8],
-) -> usize {
-    let mut kicked = 0;
-    for k in 0..vx.len() {
-        let gi = off + k;
-        let Some(qm) = qm[spec[gi] as usize] else {
-            continue;
-        };
-        let e = efield.at(nm, cell[gi] as usize, Vec3::new(px[gi], py[gi], pz[gi]));
-        let v = boris_push(Vec3::new(vx[k], vy[k], vz[k]), e, b, qm, dt);
-        (vx[k], vy[k], vz[k]) = (v.x, v.y, v.z);
-        kicked += 1;
-    }
-    kicked
-}
-
 /// Apply one Boris velocity update to every charged particle using
-/// the per-fine-cell field `efield` and uniform magnetic field `b`.
-/// Returns the number of particles kicked.
+/// the per-fine-cell field `efield` and uniform magnetic field `b`:
+/// gather `E` at the particle, write [`boris_push`] back. Neutrals stay
+/// bit-for-bit untouched. Returns the number of particles kicked.
 pub fn accelerate_charged(
     nm: &NestedMesh,
     buf: &mut ParticleBuffer,
@@ -70,19 +34,21 @@ pub fn accelerate_charged(
         species: spec,
         ..
     } = buf;
-    kick_chunk(
-        nm, efield, b, &qm, dt, 0, vx, vy, vz, px, py, pz, cell, spec,
-    )
+    let mut kicked = 0;
+    for k in 0..vx.len() {
+        let Some(qm) = qm[spec[k] as usize] else {
+            continue;
+        };
+        let e = efield.at(nm, cell[k] as usize, Vec3::new(px[k], py[k], pz[k]));
+        let v = boris_push(Vec3::new(vx[k], vy[k], vz[k]), e, b, qm, dt);
+        (vx[k], vy[k], vz[k]) = (v.x, v.y, v.z);
+        kicked += 1;
+    }
+    kicked
 }
 
-/// One worker's share of the velocity lanes: the chunk's global
-/// offset plus its `vx`/`vy`/`vz` slices.
-type VelChunk<'a> = (usize, &'a mut [f64], &'a mut [f64], &'a mut [f64]);
-
-/// Pooled Boris kick: the velocity lanes are split into one
-/// contiguous chunk per worker (field gather + push is pure
-/// per-particle work), so the result is bitwise identical to
-/// [`accelerate_charged`] for every worker count.
+/// [`accelerate_charged`]; `_pool` is unused. Kept for the benchmark
+/// ledger's pinned kernel API.
 pub fn accelerate_charged_pooled(
     nm: &NestedMesh,
     buf: &mut ParticleBuffer,
@@ -90,32 +56,9 @@ pub fn accelerate_charged_pooled(
     efield: &ElectricField,
     b: Vec3,
     dt: f64,
-    pool: &Pool,
+    _pool: &Pool,
 ) -> usize {
-    if pool.is_serial() || buf.len() < 2 {
-        return accelerate_charged(nm, buf, species, efield, b, dt);
-    }
-    let qm = &charged_table(species, |sp| sp.charge / sp.mass);
-    let ranges = kernels::chunk_ranges(buf.len(), pool.workers());
-    let vxc = kernels::carve_mut(&ranges, &mut buf.vx);
-    let vyc = kernels::carve_mut(&ranges, &mut buf.vy);
-    let vzc = kernels::carve_mut(&ranges, &mut buf.vz);
-    let (px, py, pz) = (&buf.px, &buf.py, &buf.pz);
-    let (cell, spec) = (&buf.cell, &buf.species);
-    let mut parts: Vec<VelChunk> = Vec::with_capacity(ranges.len());
-    let mut off = 0usize;
-    for ((cvx, cvy), cvz) in vxc.into_iter().zip(vyc).zip(vzc) {
-        let len = cvx.len();
-        parts.push((off, cvx, cvy, cvz));
-        off += len;
-    }
-    pool.run_parts(parts, |_, (off, vx, vy, vz)| {
-        kick_chunk(
-            nm, efield, b, qm, dt, off, vx, vy, vz, px, py, pz, cell, spec,
-        )
-    })
-    .into_iter()
-    .sum()
+    accelerate_charged(nm, buf, species, efield, b, dt)
 }
 
 #[cfg(test)]
@@ -197,25 +140,14 @@ mod tests {
                     _ => before.vel(i),
                 })
                 .collect();
-            let check = |kicked: usize, got: &ParticleBuffer, who: &str| {
-                assert_eq!(kicked, 225, "{who}");
-                for (i, w) in want.iter().enumerate() {
-                    let got = [got.vx[i], got.vy[i], got.vz[i]].map(f64::to_bits);
-                    assert_eq!(
-                        got,
-                        [w.x, w.y, w.z].map(f64::to_bits),
-                        "{who} i={i} b={b:?}"
-                    );
-                }
-            };
-            let mut serial = make();
-            let kicked = accelerate_charged(&nm, &mut serial, &table, &ef, b, dt);
-            check(kicked, &serial, "serial");
-            for workers in [1usize, 2, 4] {
-                let mut par = make();
-                let pool = Pool::new(workers);
-                let kicked = accelerate_charged_pooled(&nm, &mut par, &table, &ef, b, dt, &pool);
-                check(kicked, &par, &format!("workers={workers}"));
+            let mut got = make();
+            assert_eq!(accelerate_charged(&nm, &mut got, &table, &ef, b, dt), 225);
+            for (i, w) in want.iter().enumerate() {
+                assert_eq!(
+                    [got.vx[i], got.vy[i], got.vz[i]].map(f64::to_bits),
+                    [w.x, w.y, w.z].map(f64::to_bits),
+                    "i={i} b={b:?}"
+                );
             }
         }
     }

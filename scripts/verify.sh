@@ -182,27 +182,17 @@ if [ -n "$powers$renamed" ]; then
     exit 1
 fi
 
-echo "== deleted-names lint (one decomposition, the default node map, the default k-way options) =="
+echo "== deleted-names lint (one decomposition, one lane count per engine, no forked streams) =="
 # The Eulerian/Lagrangian split was the unified decomposition with
 # W_cell = 0 and more messages; RunConfig::ranks_per_node and
-# RebalanceConfig::kway were set only by tests. None comes back.
-deleted=$(grep -rnE 'EulLag|eullag|Decomposition::|\.decomposition\b|block_ranges|block_owner|\.ranks_per_node\b' \
+# RebalanceConfig::kway were set only by tests. RunConfig::threads_per_rank
+# sized a second kernel pool whose collide forked per-lane RNG streams;
+# every kernel now gives the same bits on any lane count. None comes back.
+deleted=$(grep -rnE 'EulLag|eullag|Decomposition::|\.decomposition\b|block_ranges|block_owner|\.ranks_per_node\b|fork_rng|threads_per_rank|ZeroThreads|busy_seconds|export_pool_busy|move_lanes' \
     --include='*.rs' crates src tests examples || true)
 if [ -n "$deleted" ]; then
     echo "$deleted"
-    echo "verify: a deleted name is back (particle-only weighting is rebalance.wlm.w_cell = 0)" >&2
-    exit 1
-fi
-
-echo "== forked-stream lint (fork_rng( in production code only in the pooled collide and its definition) =="
-# The move is the serial walk on any lane count; only the pooled
-# collide forks per-lane streams, so only its result depends on the
-# worker count.
-forks=$(production_calls 'fork_rng' crates/*/src src |
-    grep -v '^crates/dsmc/src/collide\.rs:' | grep -v '^crates/kernels/src/lib\.rs:[0-9]*: pub fn fork_rng(' || true)
-if [ -n "$forks" ]; then
-    echo "$forks"
-    echo "verify: a kernel besides collide forks per-lane RNG streams (keep it lane-invariant)" >&2
+    echo "verify: a deleted name is back (particle-only weighting is rebalance.wlm.w_cell = 0; an engine has one Pool, RankEngine::lanes)" >&2
     exit 1
 fi
 

@@ -37,8 +37,8 @@ fn threaded_density_is_bitwise_pinned() {
 }
 
 /// The hierarchical exchange (DESIGN.md §11) must be a pure transport
-/// change: Hier with node grouping and pooled intra-rank workers has to
-/// reproduce the plain distributed run bit for bit. Any RNG draw or
+/// change: Hier with node grouping has to reproduce the plain
+/// distributed run bit for bit. Any RNG draw or
 /// particle reorder smuggled into the exchange shows up here.
 #[test]
 fn hier_matches_distributed_bitwise() {
@@ -48,7 +48,6 @@ fn hier_matches_distributed_bitwise() {
         .ranks(4)
         .seed(4242)
         .steps(12)
-        .threads_per_rank(2)
         .rebalance(None);
     let dc = run_threaded(
         &base
