@@ -74,7 +74,7 @@ impl ModelledBackend {
             strategy: run.strategy,
             cost: CostModel::new(profile, run.ranks),
             ranks: run.ranks,
-            boost: run.work_boost.max(1.0),
+            boost: run.work_boost,
             grid_boost: run
                 .paper_cells
                 .map(|pc| (pc as f64 / (8.0 * ncoarse as f64)).max(1.0))

@@ -287,6 +287,9 @@ pub enum ConfigError {
     /// `sim.pic_per_dsmc` (`R`) was 0 — the PIC phases run at least
     /// once per DSMC step.
     ZeroPicPerDsmc,
+    /// `work_boost` was NaN, infinite or below 1 — each simulation
+    /// particle stands for at least one paper-scale particle.
+    InvalidWorkBoost,
 }
 
 impl std::fmt::Display for ConfigError {
@@ -323,6 +326,9 @@ impl std::fmt::Display for ConfigError {
             }
             ConfigError::ZeroPicPerDsmc => {
                 write!(f, "pic_per_dsmc must be >= 1")
+            }
+            ConfigError::InvalidWorkBoost => {
+                write!(f, "work_boost must be finite and >= 1")
             }
         }
     }
@@ -456,6 +462,9 @@ impl RunConfig {
         }
         if self.ranks == 0 {
             return Err(ConfigError::ZeroRanks);
+        }
+        if !(self.work_boost.is_finite() && self.work_boost >= 1.0) {
+            return Err(ConfigError::InvalidWorkBoost);
         }
         if let Some(rb) = &self.rebalance {
             if rb.t_interval == 0 {
@@ -834,6 +843,19 @@ mod tests {
         assert_eq!(built.steps, 12);
         assert!(built.obs.metrics.is_none());
         assert!(built.obs.trace.is_off());
+        // a boost below 1 would run like 1 under another config hash
+        for bad in [f64::NAN, 0.0, -2.0, 0.5, f64::INFINITY] {
+            let mut run = built.clone();
+            run.work_boost = bad;
+            assert_eq!(
+                run.validate().unwrap_err(),
+                ConfigError::InvalidWorkBoost,
+                "work_boost {bad} must be rejected"
+            );
+        }
+        assert!(ConfigError::InvalidWorkBoost
+            .to_string()
+            .contains("work_boost"));
     }
 
     #[test]

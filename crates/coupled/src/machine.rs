@@ -131,20 +131,27 @@ pub struct CostModel {
     pub profile: MachineProfile,
     pub placement: Placement,
     pub ranks: usize,
-    /// The rank → node grouping this machine implies for the
-    /// hierarchical strategy, built once for (`profile`, `ranks`):
-    /// contiguous blocks of `cores_per_node` ranks per node, the way
-    /// schedulers hand out rank ranges.
+    /// The rank → node grouping the hierarchical strategy is priced
+    /// on, fixed at construction.
     nodes: NodeMap,
 }
 
 impl CostModel {
+    /// The model of `ranks` ranks on the machine `profile` implies:
+    /// contiguous blocks of `cores_per_node` ranks per node, the way
+    /// schedulers hand out rank ranges.
     pub fn new(profile: MachineProfile, ranks: usize) -> Self {
+        CostModel::on_nodes(profile, NodeMap::grouped(ranks, profile.cores_per_node))
+    }
+
+    /// The model of `nodes.len()` ranks grouped into nodes by `nodes`
+    /// (a backend that runs Hier on its own map prices it there too).
+    pub fn on_nodes(profile: MachineProfile, nodes: NodeMap) -> Self {
         CostModel {
             profile,
             placement: Placement::InnerFrame,
-            ranks,
-            nodes: NodeMap::grouped(ranks, profile.cores_per_node),
+            ranks: nodes.len(),
+            nodes,
         }
     }
 
@@ -210,7 +217,7 @@ impl CostModel {
     }
 
     /// The rank → node grouping the hierarchical strategy is priced
-    /// with (not the wire's two-node default).
+    /// with.
     pub fn node_map(&self) -> &NodeMap {
         &self.nodes
     }

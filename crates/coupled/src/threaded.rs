@@ -97,6 +97,15 @@ fn resolve_strategy<C: Comm>(
     }
 }
 
+/// The threaded backend's cost model for `ranks` ranks. It has no
+/// real α/β of its own, so the Tianhe-2 profile is the documented
+/// default; see [`resolve_strategy`] for why this can never change the
+/// physics. Hier is priced on the node map the wire runs it on: two
+/// equal halves ([`NodeMap::default_for`]).
+fn wire_cost(ranks: usize) -> CostModel {
+    CostModel::on_nodes(MachineProfile::tianhe2(), NodeMap::default_for(ranks))
+}
+
 /// Real-communication backend: `vmpi` collectives between the phases,
 /// measured [`LapTimer`] timing, measured-lii rebalancing
 /// (Algorithm 1).
@@ -110,14 +119,9 @@ fn resolve_strategy<C: Comm>(
 pub struct ThreadedBackend<'a, C: Comm> {
     comm: &'a C,
     strategy: Strategy,
-    /// Parameters for the Auto decision rule. The threaded backend
-    /// has no real α/β of its own, so the Tianhe-2 profile is the
-    /// documented default; see [`resolve_strategy`] for why this can
-    /// never change the physics.
+    /// Parameters for the Auto decision rule, and the node grouping
+    /// [`Strategy::Hier`] runs on; see [`wire_cost`].
     cost: CostModel,
-    /// Node grouping for [`Strategy::Hier`]: two equal halves
-    /// ([`NodeMap::default_for`]), built once per run.
-    nodes: NodeMap,
     /// Decomposition state and rebalancing policy (Algorithm 1).
     balance: BalanceHook,
     /// The world's cumulative (transactions, bytes) at the last step
@@ -140,8 +144,7 @@ impl<'a, C: Comm> ThreadedBackend<'a, C> {
         ThreadedBackend {
             comm,
             strategy: run.strategy,
-            cost: CostModel::new(MachineProfile::tianhe2(), comm.size()),
-            nodes: NodeMap::default_for(comm.size()),
+            cost: wire_cost(comm.size()),
             balance: BalanceHook::new(run, world.clone(), owner),
             wire_mark: (0, 0),
             clock: LapTimer::start(),
@@ -200,7 +203,7 @@ impl<'a, C: Comm> ThreadedBackend<'a, C> {
         exchange_on_nodes(
             comm,
             strategy,
-            &self.nodes,
+            self.cost.node_map(),
             &mut exch.outgoing,
             &mut exch.incoming,
         )?;
@@ -474,6 +477,25 @@ mod tests {
         assert_eq!(hier.density_h, dc.density_h);
         let [_, _, _, hier_uses] = hier.strategy_uses;
         assert!(hier_uses > 0, "hier never carried an exchange");
+    }
+
+    #[test]
+    fn hier_is_priced_on_the_node_map_it_runs_on() {
+        let hier = Strategy::Hier.concrete_index().unwrap();
+        for n in [3, 4, 7, 30] {
+            let bytes = |i: usize, j: usize| u64::from(i != j) * 64 * (1 + (i * 7 + j) as u64 % 5);
+            let m: Vec<Vec<u64>> = (0..n)
+                .map(|i| (0..n).map(|j| bytes(i, j)).collect())
+                .collect();
+            let flows = Flows::from_matrix(&m);
+            let priced = wire_cost(n).traffic(&flows)[hier];
+            assert_eq!(priced, vmpi::traffic(Strategy::Hier, &m), "ranks={n}");
+            let machine = CostModel::new(MachineProfile::tianhe2(), n).traffic(&flows)[hier];
+            assert_ne!(
+                priced, machine,
+                "test premise: the machine's nodes differ, ranks={n}"
+            );
+        }
     }
 
     #[test]

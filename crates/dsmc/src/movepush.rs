@@ -68,44 +68,43 @@ const MAX_LEGS: usize = 10_000;
 /// flights of ≈ 100–180 ns take several times that.
 const PARTICLES_PER_LANE: usize = 1 << 12;
 
+/// Parallel-pass marks in the replay's per-particle scratch, beside
+/// [`EXITED`]; any other entry is the cell a flight landed in.
+/// `AT_WALL`: the flight reached a wall and is flown again by the
+/// replay. `SKIPPED`: not selected by the predicate.
+const AT_WALL: u32 = u32::MAX - 1;
+const SKIPPED: u32 = u32::MAX - 2;
+
 /// Where one call of [`advance`] left a particle.
 enum Flight {
     /// Inside the domain at `(r, v, cell)`, its time used up.
     Landed(Vec3, Vec3, u32),
     /// Left through an open boundary, or absorbed by the pump.
     Gone,
-    /// Stopped on wall face `face` of `cell` at `r`, before the pump
-    /// decision and any reflection draw, with `remaining` time still
-    /// to fly; the wall hit is its leg number `legs`. Its velocity is
-    /// the one it started with.
-    Paused {
-        r: Vec3,
-        cell: u32,
-        face: u8,
-        legs: u16,
-        remaining: f64,
-    },
+    /// Reached a wall face and was dropped there (`STOP_AT_WALL` only).
+    AtWall,
 }
 
-/// Fly one particle for `remaining` seconds from leg `legs` on:
-/// straight legs with face crossings, diffuse wall reflection, at most
-/// [`MAX_LEGS`] legs in all. A particle that crosses no face lands on
-/// `r + v·remaining` in its first leg, cell and velocity untouched.
+/// Fly one particle for `remaining` seconds: straight legs with face
+/// crossings, at most [`MAX_LEGS`] of them. A particle that crosses no
+/// face lands on `r + v·remaining` in its first leg, cell and velocity
+/// untouched.
 ///
-/// `PAUSE_AT_WALL` stops the flight at its first wall face instead
-/// (returning [`Flight::Paused`]), so such a flight draws nothing from
-/// `rng` or `pump`. A paused flight resumes under `RESUMED` with
-/// `wall: Some(face)`: the wall hit of leg `legs` first, then the legs
-/// after it, exactly as if it had never stopped.
+/// At a wall face the partial pump first decides survival on its
+/// dedicated stream, before any reflection draw, so the main stream is
+/// untouched for an absorbed particle and `prob == 1.0` never diverges
+/// from no pump. A survivor reflects diffusely: `v` becomes a fresh
+/// Maxwellian at the wall temperature with a flux-weighted inward
+/// normal component, drawn from `rng`, and `r` is nudged off the wall.
+/// Under `STOP_AT_WALL` the flight returns [`Flight::AtWall`] there
+/// instead, so it draws nothing from `rng` or `pump`.
 ///
-/// One body, kept out of line (`#[inline]`, which LLVM declines here).
-/// Inlined into the walk loops (`#[inline(always)]`) the serial walk
-/// was 8–11 % slower; sharing one instance with the replay, whose
-/// `legs` and `wall` vary, ≈ 4 % (the serial walk's instance, called
-/// once with constants, sheds them).
+/// Kept out of line (`#[inline]`, which LLVM declines here): inlined
+/// into the walk loop (`#[inline(always)]`) the serial walk was 8–11 %
+/// slower.
 #[allow(clippy::too_many_arguments)]
 #[inline]
-fn advance<R: Rng, const PAUSE_AT_WALL: bool, const RESUMED: bool>(
+fn advance<R: Rng, const STOP_AT_WALL: bool>(
     mesh: &TetMesh,
     species: &SpeciesTable,
     sp_id: u8,
@@ -116,36 +115,14 @@ fn advance<R: Rng, const PAUSE_AT_WALL: bool, const RESUMED: bool>(
     mut v: Vec3,
     mut cell: usize,
     mut remaining: f64,
-    legs: usize,
-    wall: Option<usize>,
     stats: &mut MoveStats,
     mut pump: Option<&mut Pump<'_>>,
 ) -> Flight {
-    let mut first_leg = legs;
-    if let (true, Some(face)) = (RESUMED, wall) {
-        if !hit_wall(
-            mesh,
-            species,
-            sp_id,
-            wall_temp,
-            nudge_len,
-            rng,
-            &mut r,
-            &mut v,
-            cell,
-            face,
-            stats,
-            pump.as_deref_mut(),
-        ) {
-            return Flight::Gone;
-        }
-        first_leg += 1;
-    }
     // Unit direction of the current straight leg: `v` only changes at
     // a wall hit, so it is computed at the leg's first interior
     // crossing and dropped on reflection.
     let mut dir: Option<Vec3> = None;
-    for leg in first_leg..MAX_LEGS {
+    for _ in 0..MAX_LEGS {
         if remaining <= 0.0 {
             break;
         }
@@ -166,31 +143,23 @@ fn advance<R: Rng, const PAUSE_AT_WALL: bool, const RESUMED: bool>(
                         r += *dir.get_or_insert_with(|| v.normalized()) * nudge_len;
                     }
                     FaceTag::Boundary(BoundaryKind::Wall) => {
-                        if PAUSE_AT_WALL {
-                            return Flight::Paused {
-                                r,
-                                cell: cell as u32,
-                                face: face as u8,
-                                legs: leg as u16,
-                                remaining,
-                            };
+                        if STOP_AT_WALL {
+                            return Flight::AtWall;
                         }
-                        if !hit_wall(
-                            mesh,
-                            species,
-                            sp_id,
-                            wall_temp,
-                            nudge_len,
-                            rng,
-                            &mut r,
-                            &mut v,
-                            cell,
-                            face,
-                            stats,
-                            pump.as_deref_mut(),
-                        ) {
-                            return Flight::Gone;
+                        if let Some(p) = pump.as_deref_mut() {
+                            if p.rng.gen::<f64>() >= p.prob {
+                                stats.pumped += 1;
+                                return Flight::Gone;
+                            }
                         }
+                        stats.wall_hits += 1;
+                        let (_fc, n) = mesh.face_centroid_normal(cell, face);
+                        let inward = -n.normalized();
+                        let sp = species.get(sp_id);
+                        v = maxwellian(rng, wall_temp, sp.mass, Vec3::ZERO);
+                        v -= inward * v.dot(inward); // tangential part
+                        v += inward * flux_normal_speed(rng, wall_temp, sp.mass);
+                        r += inward * nudge_len;
                         dir = None;
                     }
                     FaceTag::Boundary(_) => {
@@ -204,109 +173,15 @@ fn advance<R: Rng, const PAUSE_AT_WALL: bool, const RESUMED: bool>(
     Flight::Landed(r, v, cell as u32)
 }
 
-/// A wall hit at `r` on wall face `face` of `cell`. The partial pump
-/// decides survival on its dedicated stream BEFORE any reflection
-/// sampling, so the main stream is untouched for an absorbed particle
-/// (`false`) and `prob == 1.0` never diverges from no pump. A survivor
-/// reflects diffusely: `v` becomes a fresh Maxwellian at the wall
-/// temperature with a flux-weighted inward normal component, drawn
-/// from `rng`, and `r` is nudged off the wall.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn hit_wall<R: Rng>(
-    mesh: &TetMesh,
-    species: &SpeciesTable,
-    sp_id: u8,
-    wall_temp: f64,
-    nudge_len: f64,
-    rng: &mut R,
-    r: &mut Vec3,
-    v: &mut Vec3,
-    cell: usize,
-    face: usize,
-    stats: &mut MoveStats,
-    pump: Option<&mut Pump<'_>>,
-) -> bool {
-    if let Some(p) = pump {
-        if p.rng.gen::<f64>() >= p.prob {
-            stats.pumped += 1;
-            return false;
-        }
-    }
-    stats.wall_hits += 1;
-    let (_fc, n) = mesh.face_centroid_normal(cell, face);
-    let inward = -n.normalized();
-    let sp = species.get(sp_id);
-    let mut vnew = maxwellian(rng, wall_temp, sp.mass, Vec3::ZERO);
-    let vn = vnew.dot(inward);
-    vnew -= inward * vn; // tangential part
-    vnew += inward * flux_normal_speed(rng, wall_temp, sp.mass);
-    *v = vnew;
-    *r += inward * nudge_len;
-    true
-}
-
-/// The RNG of the parallel pass. Its flights pause at their first
+/// The RNG of the parallel pass. Its flights stop at their first
 /// wall, before the pump decision or any reflection draw, so nothing
 /// is ever drawn from it.
 struct NoDraws;
 
 impl RngCore for NoDraws {
     fn next_u64(&mut self) -> u64 {
-        unreachable!("a flight paused at its first wall draws nothing")
+        unreachable!("a flight stopped at its first wall draws nothing")
     }
-}
-
-/// Write where a finished flight left the particle at `i` into `buf`
-/// and log its `(old_cell, new_cell)` transition. A particle that left
-/// is swap-removed — the tail particle now at `i` is the walk's next —
-/// and `false` returned; a landed one is written in place.
-#[inline(always)]
-fn settle(
-    buf: &mut ParticleBuffer,
-    i: usize,
-    old_cell: u32,
-    flight: Flight,
-    transitions: Option<&mut Vec<(u32, u32)>>,
-) -> bool {
-    let new_cell = match flight {
-        Flight::Landed(r, v, cell) => {
-            buf.set_pos(i, r);
-            buf.set_vel(i, v);
-            buf.cell[i] = cell;
-            cell
-        }
-        Flight::Gone => {
-            buf.swap_remove(i);
-            EXITED
-        }
-        Flight::Paused { .. } => unreachable!("only the parallel pass pauses"),
-    };
-    if let Some(tr) = transitions {
-        tr.push((old_cell, new_cell));
-    }
-    new_cell != EXITED
-}
-
-/// What the parallel pass left at one buffer position for the replay;
-/// moved in lockstep with the particle by every swap-remove.
-#[derive(Clone, Copy)]
-enum Flown {
-    /// Not selected by the predicate.
-    Skipped,
-    /// Landed: position and cell written in place; from this cell.
-    Landed(u32),
-    /// Left through an open boundary from this cell; still in the
-    /// buffer.
-    Exited(u32),
-    /// Stopped at a wall: position and cell written in place, the rest
-    /// of the flight here.
-    Paused {
-        old_cell: u32,
-        face: u8,
-        legs: u16,
-        remaining: f64,
-    },
 }
 
 /// One lane's share of the parallel pass: the particles
@@ -314,8 +189,7 @@ enum Flown {
 struct Chunk<'a> {
     start: usize,
     pos: [&'a mut [f64]; 3],
-    cell: &'a mut [u32],
-    flown: &'a mut [Flown],
+    flown: &'a mut [u32],
 }
 
 /// Move every particle of `buf` whose species id satisfies `pred` for
@@ -335,17 +209,17 @@ struct Chunk<'a> {
 /// more workers and at least `PARTICLES_PER_LANE` moved particles per
 /// lane it runs in two passes:
 ///
-/// 1. The lanes fly contiguous chunks of the buffer in parallel,
-///    each flight up to its first wall face only. A flight that hits
-///    no wall draws nothing, so it ends where the serial walk would
-///    end it: a landing is written in place, an exit is marked. A
-///    paused flight writes its position and cell and leaves the rest
-///    of its flight in scratch the caller allocated (helper lanes
-///    allocate nothing).
-/// 2. The caller replays the serial walk: exits are swap-removed,
-///    paused flights finish on `rng` and the pump stream in walk
-///    order, and transitions are pushed in walk order, the scratch
-///    swap-removed in lockstep with the buffer.
+/// 1. The lanes fly contiguous chunks of the buffer in parallel, on
+///    an RNG that is never drawn. A flight that hits no wall ends
+///    where the serial walk would end it: a landing writes its
+///    position in place and its cell to a 4-byte scratch entry the
+///    caller allocated (helper lanes allocate nothing), an exit is
+///    marked there. A flight that reaches a wall is dropped and
+///    marked, its crossings uncounted.
+/// 2. The caller's in-order walk gives landings their cell,
+///    swap-removes exits (the scratch in lockstep with the buffer) and
+///    flies every marked wall flight again from its start, with the
+///    serial walk's own code on `rng` and the pump stream.
 #[allow(clippy::too_many_arguments)]
 pub fn move_particles_pooled<R: Rng, P: Fn(u8) -> bool + Sync>(
     mesh: &TetMesh,
@@ -398,15 +272,99 @@ fn move_with_floor<R: Rng, P: Fn(u8) -> bool + Sync>(
         let moved = buf.species.iter().filter(|&&s| pred(s)).count();
         pool.workers().min(moved / per_lane)
     };
-    if lanes < 2 {
-        let mut i = 0usize;
-        while i < buf.len() {
-            if !pred(buf.species[i]) {
+    // The parallel pass's entry per particle; empty for the serial walk.
+    let mut flown: Vec<u32> = Vec::new();
+    if lanes >= 2 {
+        let runs = chunk_ranges(buf.len(), lanes);
+        flown = vec![SKIPPED; buf.len()];
+        let ParticleBuffer {
+            px,
+            py,
+            pz,
+            vx,
+            vy,
+            vz,
+            cell,
+            species: sp_ids,
+            ..
+        } = &mut *buf;
+        let (vel, cell, sp_ids): ([&[f64]; 3], &[u32], &[u8]) = ([vx, vy, vz], cell, sp_ids);
+        let chunks = runs
+            .iter()
+            .zip(carve_mut(&runs, px))
+            .zip(carve_mut(&runs, py))
+            .zip(carve_mut(&runs, pz))
+            .zip(carve_mut(&runs, &mut flown))
+            .map(|((((run, x), y), z), flown)| Chunk {
+                start: run.start,
+                pos: [x, y, z],
+                flown,
+            })
+            .collect();
+        let pred = &pred;
+        let lane_stats = team(chunks, |_, chunk: Chunk<'_>, _| {
+            let Chunk {
+                start,
+                pos: [x, y, z],
+                flown,
+            } = chunk;
+            let mut stats = MoveStats::default();
+            for (k, entry) in flown.iter_mut().enumerate() {
+                let i = start + k;
+                if !pred(sp_ids[i]) {
+                    continue;
+                }
+                let mut own = MoveStats::default();
+                *entry = match advance::<_, true>(
+                    mesh,
+                    species,
+                    sp_ids[i],
+                    wall_temp,
+                    nudge_len,
+                    &mut NoDraws,
+                    Vec3::new(x[k], y[k], z[k]),
+                    Vec3::new(vel[0][i], vel[1][i], vel[2][i]),
+                    cell[i] as usize,
+                    dt,
+                    &mut own,
+                    None,
+                ) {
+                    Flight::Landed(r, _, c) => {
+                        (x[k], y[k], z[k]) = (r.x, r.y, r.z);
+                        c
+                    }
+                    Flight::Gone => EXITED,
+                    // flown again from its start by the walk, which
+                    // counts all its crossings
+                    Flight::AtWall => {
+                        *entry = AT_WALL;
+                        continue;
+                    }
+                };
+                stats += own;
+            }
+            stats
+        });
+        for s in lane_stats {
+            stats += s;
+        }
+    }
+
+    // The serial walk; after the parallel pass, its in-order replay.
+    let mut i = 0usize;
+    while i < buf.len() {
+        let entry = match flown.get(i) {
+            Some(&entry) => entry,
+            None if pred(buf.species[i]) => AT_WALL,
+            None => SKIPPED,
+        };
+        let old_cell = buf.cell[i];
+        let new_cell = match entry {
+            SKIPPED => {
                 i += 1;
                 continue;
             }
-            let old_cell = buf.cell[i];
-            let flight = advance::<_, false, false>(
+            AT_WALL => match advance::<_, false>(
                 mesh,
                 species,
                 buf.species[i],
@@ -417,158 +375,31 @@ fn move_with_floor<R: Rng, P: Fn(u8) -> bool + Sync>(
                 buf.vel(i),
                 old_cell as usize,
                 dt,
-                0,
-                None,
                 &mut stats,
                 pump.as_mut(),
-            );
-            if settle(buf, i, old_cell, flight, transitions.as_deref_mut()) {
-                i += 1;
-            }
-        }
-        return stats;
-    }
-
-    // --- pass 1: every lane flies its chunk up to the first wall ------
-    let n = buf.len();
-    let runs = chunk_ranges(n, lanes);
-    let mut flown = vec![Flown::Skipped; n];
-    let ParticleBuffer {
-        px,
-        py,
-        pz,
-        vx,
-        vy,
-        vz,
-        cell,
-        species: sp_ids,
-        ..
-    } = &mut *buf;
-    let vel: [&[f64]; 3] = [vx, vy, vz];
-    let sp_ids: &[u8] = sp_ids;
-    let chunks = runs
-        .iter()
-        .zip(carve_mut(&runs, px))
-        .zip(carve_mut(&runs, py))
-        .zip(carve_mut(&runs, pz))
-        .zip(carve_mut(&runs, cell))
-        .zip(carve_mut(&runs, &mut flown))
-        .map(|(((((run, x), y), z), cell), flown)| Chunk {
-            start: run.start,
-            pos: [x, y, z],
-            cell,
-            flown,
-        })
-        .collect();
-    let pred = &pred;
-    let lane_stats = team(chunks, |_, chunk: Chunk<'_>, _| {
-        let Chunk {
-            start,
-            pos: [x, y, z],
-            cell,
-            flown,
-        } = chunk;
-        let mut stats = MoveStats::default();
-        for k in 0..flown.len() {
-            let i = start + k;
-            if !pred(sp_ids[i]) {
-                continue;
-            }
-            let old_cell = cell[k];
-            let flight = advance::<_, true, false>(
-                mesh,
-                species,
-                sp_ids[i],
-                wall_temp,
-                nudge_len,
-                &mut NoDraws,
-                Vec3::new(x[k], y[k], z[k]),
-                Vec3::new(vel[0][i], vel[1][i], vel[2][i]),
-                old_cell as usize,
-                dt,
-                0,
-                None,
-                &mut stats,
-                None,
-            );
-            let mut put = |r: Vec3, c: u32| {
-                (x[k], y[k], z[k]) = (r.x, r.y, r.z);
-                cell[k] = c;
-            };
-            flown[k] = match flight {
-                Flight::Landed(r, _, c) => {
-                    put(r, c);
-                    Flown::Landed(old_cell)
+            ) {
+                Flight::Landed(r, v, c) => {
+                    buf.set_pos(i, r);
+                    buf.set_vel(i, v);
+                    c
                 }
-                Flight::Gone => Flown::Exited(old_cell),
-                Flight::Paused {
-                    r,
-                    cell: c,
-                    face,
-                    legs,
-                    remaining,
-                } => {
-                    put(r, c);
-                    Flown::Paused {
-                        old_cell,
-                        face,
-                        legs,
-                        remaining,
-                    }
-                }
-            };
-        }
-        stats
-    });
-    for s in lane_stats {
-        stats += s;
-    }
-
-    // --- pass 2: the serial walk, replayed in order --------------------
-    let mut i = 0usize;
-    while i < buf.len() {
-        let (old_cell, flight) = match flown[i] {
-            Flown::Skipped => {
-                i += 1;
-                continue;
-            }
-            Flown::Landed(old_cell) => {
-                if let Some(tr) = transitions.as_deref_mut() {
-                    tr.push((old_cell, buf.cell[i]));
-                }
-                i += 1;
-                continue;
-            }
-            Flown::Exited(old_cell) => (old_cell, Flight::Gone),
-            Flown::Paused {
-                old_cell,
-                face,
-                legs,
-                remaining,
-            } => {
-                let flight = advance::<_, false, true>(
-                    mesh,
-                    species,
-                    buf.species[i],
-                    wall_temp,
-                    nudge_len,
-                    rng,
-                    buf.pos(i),
-                    buf.vel(i),
-                    buf.cell[i] as usize,
-                    remaining,
-                    legs as usize,
-                    Some(face as usize),
-                    &mut stats,
-                    pump.as_mut(),
-                );
-                (old_cell, flight)
-            }
+                Flight::Gone => EXITED,
+                Flight::AtWall => unreachable!("only the parallel pass stops at a wall"),
+            },
+            landed_or_exited => landed_or_exited,
         };
-        if settle(buf, i, old_cell, flight, transitions.as_deref_mut()) {
-            i += 1;
+        if let Some(tr) = transitions.as_deref_mut() {
+            tr.push((old_cell, new_cell));
+        }
+        if new_cell == EXITED {
+            // the tail particle now at `i` is the walk's next
+            buf.swap_remove(i);
+            if !flown.is_empty() {
+                flown.swap_remove(i);
+            }
         } else {
-            flown.swap_remove(i);
+            buf.cell[i] = new_cell;
+            i += 1;
         }
     }
     stats
@@ -718,13 +549,15 @@ mod tests {
         StdRng,
     );
 
-    /// Move the neutrals (species 0) of `buf` for 4e-7 s on `lanes`
-    /// lanes of at least one moved particle each (1 = the serial walk),
-    /// logging transitions, with a 50 % pump when `pumped`.
+    /// Move the particles of species `moved` in `buf` for 4e-7 s on
+    /// `lanes` lanes of at least one moved particle each (1 = the
+    /// serial walk), logging transitions, with a 50 % pump when
+    /// `pumped`.
     fn move_on(
         m: &TetMesh,
         sp: &SpeciesTable,
         mut buf: ParticleBuffer,
+        moved: u8,
         lanes: usize,
         pumped: bool,
     ) -> MoveResult {
@@ -743,7 +576,7 @@ mod tests {
             300.0,
             &mut rng,
             &Pool::new(lanes),
-            |s| s == 0,
+            |s| s == moved,
             Some(&mut transitions),
             pump,
             1,
@@ -779,13 +612,17 @@ mod tests {
             }
         }
         // The walk's first exit (particle 1) swaps in the tail: an exit,
-        // then another exit, then a flight the lanes paused at the wall,
-        // which the replay resumes at position 1.
+        // then another exit, then a flight the lanes dropped at the wall,
+        // which the replay flies again at position 1.
         push(mid, Vec3::new(5e4, 0.0, 0.0), 0);
         push(near_outlet, Vec3::new(0.0, 0.0, 1e6), 0);
         push(near_outlet, Vec3::new(0.0, 0.0, 1e6), 0);
-        for pumped in [false, true] {
-            let serial = move_on(&m, &sp, buf.clone(), 1, pumped);
+        // PIC_Move's call shape: the same flights as ions (species 1),
+        // the neutrals skipped, no pump, reflections on the main RNG.
+        let mut ions = buf.clone();
+        ions.species.iter_mut().for_each(|s| *s ^= 1);
+        for (buf, moved, pumped) in [(&buf, 0, false), (&buf, 0, true), (&ions, 1, false)] {
+            let serial = move_on(&m, &sp, buf.clone(), moved, 1, pumped);
             let stats = serial.2;
             assert!(
                 stats.wall_hits > 0 && stats.exited > 0 && (stats.pumped > 0) == pumped,
@@ -795,11 +632,14 @@ mod tests {
             let walk = &serial.3;
             assert!(
                 walk[1..4].iter().all(|&(_, c)| c == EXITED) && walk[4].0 == mid as u32,
-                "test premise: two exits, then the paused flight, swapped into position 1"
+                "test premise: two exits, then the wall flight, swapped into position 1"
             );
             for lanes in 2..=7 {
-                let pooled = move_on(&m, &sp, buf.clone(), lanes, pumped);
-                assert!(pooled == serial, "lanes={lanes} pumped={pumped}");
+                let pooled = move_on(&m, &sp, buf.clone(), moved, lanes, pumped);
+                assert!(
+                    pooled == serial,
+                    "lanes={lanes} pumped={pumped} moved={moved}"
+                );
             }
         }
     }
@@ -954,8 +794,8 @@ mod tests {
             buf.push(p);
         }
         for lanes in [1, 3] {
-            let a = move_on(&plain, &sp, buf.clone(), lanes, true);
-            let b = move_on(&cached, &sp, buf.clone(), lanes, true);
+            let a = move_on(&plain, &sp, buf.clone(), 0, lanes, true);
+            let b = move_on(&cached, &sp, buf.clone(), 0, lanes, true);
             let stats = a.2;
             assert!(
                 stats.wall_hits > 0 && stats.pumped > 0 && stats.exited > 0,

@@ -20,8 +20,9 @@
 //!   lane count (the CG's inner products, `sparse::krylov`).
 //! * **Lane-invariant kernels.** Every kernel that takes lanes gives
 //!   the same bits on any lane count; the move does so by flying each
-//!   particle up to its first wall in parallel and replaying the wall
-//!   hits in order on the caller's RNG (`dsmc::move_particles_pooled`).
+//!   particle in parallel, dropping every flight that reaches a wall,
+//!   and flying those again from their start, in order, on the
+//!   caller's RNG (`dsmc::move_particles_pooled`).
 //!   Collide, push and deposit run serially on the caller's thread.
 
 use std::ops::Range;

@@ -35,8 +35,10 @@ pub struct StepTrace {
     pub poisson_unconverged: u64,
     /// Largest final relative residual of this step's Poisson solves.
     pub poisson_rel_residual_max: f64,
-    /// Diffuse wall reflections in this step's neutral move (DSMC_Move)
-    /// — the flights the move replays in order on the caller's lane.
+    /// Diffuse wall reflections in this step's neutral move (DSMC_Move).
+    /// A flight with at least one is flown on the caller's lane, in
+    /// order — a second time when a parallel pass dropped it at the
+    /// wall.
     pub wall_hits: u64,
     /// Cell-face crossings in this step's neutral move.
     pub crossings: u64,

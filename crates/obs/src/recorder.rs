@@ -32,7 +32,8 @@ struct Taps {
     poisson_rel_residual_max: Gauge,
     /// Wall reflections and face crossings of the neutral move. Wall
     /// hits per moved particle bound the share of flights a parallel
-    /// move replays in order on the caller's lane.
+    /// move flies twice: dropped at the wall on a lane, then flown
+    /// again from the start in order on the caller's lane.
     move_wall_hits: Counter,
     move_crossings: Counter,
     rebalances: Counter,

@@ -182,17 +182,21 @@ if [ -n "$powers$renamed" ]; then
     exit 1
 fi
 
-echo "== deleted-names lint (one decomposition, one lane count per engine, no forked streams) =="
+echo "== deleted-names lint (one decomposition, one lane count per engine, no forked streams, no resumable flight) =="
 # The Eulerian/Lagrangian split was the unified decomposition with
 # W_cell = 0 and more messages; RunConfig::ranks_per_node and
 # RebalanceConfig::kway were set only by tests. RunConfig::threads_per_rank
 # sized a second kernel pool whose collide forked per-lane RNG streams;
-# every kernel now gives the same bits on any lane count. None comes back.
-deleted=$(grep -rnE 'EulLag|eullag|Decomposition::|\.decomposition\b|block_ranges|block_owner|\.ranks_per_node\b|fork_rng|threads_per_rank|ZeroThreads|busy_seconds|export_pool_busy|move_lanes' \
+# every kernel now gives the same bits on any lane count. The parallel
+# move paused a flight at its first wall and resumed it later (the
+# RESUMED flight instance, the Flown scratch, Flight::Paused); it now
+# drops that flight and the in-order walk flies it again from its start.
+# None comes back.
+deleted=$(grep -rnE 'EulLag|eullag|Decomposition::|\.decomposition\b|block_ranges|block_owner|\.ranks_per_node\b|fork_rng|threads_per_rank|ZeroThreads|busy_seconds|export_pool_busy|move_lanes|RESUMED|Flown|Paused' \
     --include='*.rs' crates src tests examples || true)
 if [ -n "$deleted" ]; then
     echo "$deleted"
-    echo "verify: a deleted name is back (particle-only weighting is rebalance.wlm.w_cell = 0; an engine has one Pool, RankEngine::lanes)" >&2
+    echo "verify: a deleted name is back (particle-only weighting is rebalance.wlm.w_cell = 0; an engine has one Pool, RankEngine::lanes; a wall-bound parallel flight is dropped and flown again, never paused)" >&2
     exit 1
 fi
 
