@@ -27,6 +27,12 @@ use particles::PACKED_SIZE;
 use std::sync::Arc;
 use vmpi::{Flows, Strategy, TrafficSummary};
 
+/// How the coarse level's envelope Cholesky factor grows with its
+/// unknowns `n` when the grid is refined in every direction: the
+/// natural-order envelope of a lattice numbered along its axis is one
+/// cross-section wide, so it holds `n^{5/3}` entries.
+const COARSE_FACTOR_GROWTH: f64 = 5.0 / 3.0;
+
 pub use crate::report::StepTrace;
 
 /// Attribution backend: no real communication, modelled per-rank
@@ -217,15 +223,23 @@ impl Backend for ModelledBackend {
                 }
             }
             // Poisson_Solve: grid work at paper scale — more cells
-            // mean proportionally more non-zeros and (for CG on a 3-D
-            // Laplacian) iterations growing with the 1-D resolution
-            // ratio.
+            // mean proportionally more non-zeros, nodes and coarse
+            // unknowns. The two-level CG's iteration count does not
+            // grow with the grid, and the coarse level's envelope
+            // factor grows as its unknowns to the power
+            // `COARSE_FACTOR_GROWTH` (both measured:
+            // `tests::poisson_lap_grows_as_measured`).
             Phase::PoissonSolve => {
                 let gb = self.grid_boost;
                 let nnz = (eng.poisson.matrix.nnz() as f64 * gb) as usize;
                 let nodes = (eng.poisson.num_nodes() as f64 * gb) as usize;
-                let iters = (rec.poisson_iters[sub] as f64 * gb.cbrt()).ceil() as usize;
-                let t = self.cost.poisson_time(iters, nnz, nodes);
+                let pre = &eng.poisson.preconditioner;
+                let coarse = self.cost.coarse_correction_time(
+                    pre.coarse_unknowns() as f64 * gb,
+                    pre.factor_entries() as f64 * gb.powf(COARSE_FACTOR_GROWTH),
+                );
+                let iters = rec.poisson_iters[sub];
+                let t = self.cost.poisson_time(iters, nnz, nodes) + iters as f64 * coarse;
                 for bd in self.per_rank.iter_mut() {
                     bd[Phase::PoissonSolve] += t;
                 }
@@ -408,6 +422,72 @@ mod tests {
             .steps(20)
             .build()
             .expect("valid test config")
+    }
+
+    /// The Poisson lap's extrapolation to paper scale, checked on the
+    /// jet and `field_serial` lattices and on `field_serial` refined
+    /// 1.5× in every direction: the two-level CG's iteration count
+    /// stays flat while the fine nodes grow 8×, and the coarse factor
+    /// grows as its unknowns to the power `COARSE_FACTOR_GROWTH` (the
+    /// exponent rises towards it as the lattice grows).
+    #[test]
+    fn poisson_lap_grows_as_measured() {
+        use mesh::{NestedMesh, NozzleSpec};
+        use pic::PoissonSolver;
+        use sparse::KrylovOptions;
+        let lattices = [(6, 12, 0.8e-3), (8, 20, 3e-3), (12, 30, 3e-3)];
+        let mut levels = Vec::new();
+        for (nd, nz, inlet_radius) in lattices {
+            let spec = NozzleSpec {
+                radius: 5e-3,
+                length: 20e-3,
+                inlet_radius,
+                nd,
+                nz,
+            };
+            let nm = NestedMesh::from_coarse(spec.generate(), move |c, n| spec.classify(c, n));
+            let opts = KrylovOptions {
+                rtol: 1e-6,
+                max_iters: 1000,
+            };
+            let mut solver = PoissonSolver::new(&nm.fine, opts);
+            // a charge blob on the axis, as the plume deposits it
+            let charge: Vec<f64> = nm
+                .fine
+                .nodes
+                .iter()
+                .map(|p| {
+                    let dz = p.z - 6e-3;
+                    1e-15 * (-(p.x * p.x + p.y * p.y + dz * dz) / 4e-6).exp()
+                })
+                .collect();
+            let iters = solver.solve(&charge).1.iterations;
+            let pre = &solver.preconditioner;
+            let (unknowns, entries) = (pre.coarse_unknowns(), pre.factor_entries());
+            eprintln!(
+                "nd {nd}, nz {nz}: {} fine nodes, {iters} iterations, \
+                 {unknowns} coarse unknowns, {entries} factor entries",
+                solver.num_nodes()
+            );
+            levels.push((solver.num_nodes(), iters, unknowns, entries));
+        }
+        let (first, last) = (levels[0], levels[2]);
+        assert!(last.0 > 7 * first.0, "{levels:?}");
+        let iters: Vec<usize> = levels.iter().map(|l| l.1).collect();
+        let (lo, hi) = (iters.iter().min().unwrap(), iters.iter().max().unwrap());
+        assert!(4 * hi <= 5 * lo, "iterations grow with the grid: {iters:?}");
+        let growth: Vec<f64> = levels
+            .windows(2)
+            .map(|w| (w[1].3 as f64 / w[0].3 as f64).ln() / (w[1].2 as f64 / w[0].2 as f64).ln())
+            .collect();
+        assert!(
+            growth[0] < growth[1] && growth[1] <= COARSE_FACTOR_GROWTH,
+            "factor growth exponents {growth:?}"
+        );
+        assert!(
+            COARSE_FACTOR_GROWTH - growth[1] < 0.05,
+            "factor growth exponents {growth:?}"
+        );
     }
 
     #[test]

@@ -285,6 +285,19 @@ impl CostModel {
         iters as f64 * per_iter
     }
 
+    /// Wall time of one CG iteration's coarse-grid correction on a
+    /// coarse level of `unknowns` unknowns whose Cholesky factor holds
+    /// `factor_entries` entries: a log-depth allreduce of the
+    /// restricted residual (a double per unknown, at the collective
+    /// overhead of [`CostModel::poisson_time`]), then the coarse solve
+    /// every rank repeats — two sweeps over the factor at the SpMV's
+    /// rate per entry. It shrinks with no rank count.
+    pub fn coarse_correction_time(&self, unknowns: f64, factor_entries: f64) -> f64 {
+        let depth = (self.ranks as f64).log2().max(1.0);
+        depth * (10.0 * self.alpha() + unknowns * 8.0 / self.beta())
+            + 2.0 * factor_entries / self.profile.spmv_rate
+    }
+
     /// Cost of one rebalance: serial partition on rank 0 + mapping
     /// broadcast + the particle migration's protocol traffic.
     pub fn rebalance_time(&self, cells: usize, migration: &TrafficSummary, use_km: bool) -> f64 {

@@ -66,13 +66,15 @@ impl NestedMesh {
 }
 
 /// Split every tet of `coarse` into 8, deduplicating edge-midpoint
-/// nodes between neighbouring tets. Returns the fine mesh and the
-/// fine→coarse parent map.
+/// nodes between neighbouring tets. Returns the fine mesh, which
+/// records the edge each midpoint bisects ([`TetMesh::bisected`]), and
+/// the fine→coarse parent map.
 pub fn refine_1_to_8<F>(coarse: &TetMesh, classify: F) -> (TetMesh, Vec<u32>)
 where
     F: Fn(Vec3, Vec3) -> BoundaryKind,
 {
     let mut nodes = coarse.nodes.clone();
+    let mut bisected: Vec<[u32; 2]> = Vec::new();
     let mut midpoint: HashMap<(u32, u32), u32> = HashMap::new();
     let mut mid = |a: u32, b: u32, nodes: &mut Vec<Vec3>| -> u32 {
         let key = (a.min(b), a.max(b));
@@ -80,6 +82,7 @@ where
             let id = nodes.len() as u32;
             let p = (nodes[a as usize] + nodes[b as usize]) / 2.0;
             nodes.push(p);
+            bisected.push([key.0, key.1]);
             id
         })
     };
@@ -134,7 +137,9 @@ where
         }
     }
 
-    (TetMesh::build(nodes, tets, classify), parent)
+    let mut fine = TetMesh::build(nodes, tets, classify);
+    fine.bisected = bisected;
+    (fine, parent)
 }
 
 #[cfg(test)]
@@ -251,6 +256,46 @@ mod tests {
         let ca = area(&nm.coarse, BoundaryKind::Inlet);
         let fa = area(&nm.fine, BoundaryKind::Inlet);
         assert!((ca - fa).abs() < 1e-12 * ca.max(1e-300));
+    }
+
+    #[test]
+    fn every_midpoint_records_the_coarse_edge_it_bisects() {
+        let nm = nested();
+        let (fine, coarse) = (&nm.fine, &nm.coarse);
+        let nc = coarse.num_nodes();
+        assert_eq!(fine.num_nodes(), nc + fine.bisected.len());
+        assert!(
+            coarse.bisected.is_empty(),
+            "the coarse mesh is no refinement"
+        );
+        assert_eq!(
+            fine.nodes[..nc],
+            coarse.nodes[..],
+            "coarse nodes come first"
+        );
+        let mut edges: Vec<[u32; 2]> = coarse
+            .tets
+            .iter()
+            .flat_map(|t| {
+                [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+                    .map(|(i, j)| [t[i].min(t[j]), t[i].max(t[j])])
+            })
+            .collect();
+        edges.sort_unstable();
+        edges.dedup();
+        let mut recorded = fine.bisected.clone();
+        recorded.sort_unstable();
+        assert_eq!(recorded, edges, "one midpoint per coarse edge");
+        for (k, &[a, b]) in fine.bisected.iter().enumerate() {
+            let (pa, pb) = (coarse.nodes[a as usize], coarse.nodes[b as usize]);
+            let m = fine.nodes[nc + k];
+            let want = (pa + pb) / 2.0;
+            assert_eq!(
+                [m.x, m.y, m.z].map(f64::to_bits),
+                [want.x, want.y, want.z].map(f64::to_bits),
+                "midpoint {k}"
+            );
+        }
     }
 
     #[test]

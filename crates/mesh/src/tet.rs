@@ -50,6 +50,12 @@ pub struct TetMesh {
     pub volumes: Vec<f64>,
     /// Cached cell centroids.
     pub centroids: Vec<Vec3>,
+    /// The nesting a 1:8 refinement leaves on the fine mesh: node
+    /// `num_nodes() − bisected.len() + k` is the midpoint of the coarse
+    /// edge `bisected[k]`, and the nodes before the first midpoint are
+    /// the coarse nodes, numbered as on the coarse mesh. Empty on a
+    /// mesh no refinement made.
+    pub bisected: Vec<[u32; 2]>,
     /// Cached [`TetMesh::mean_cell_size`].
     mean_cell_size: f64,
     /// `face_planes[t][f]` = the `(centroid, outward normal)` pair of
@@ -116,6 +122,7 @@ impl TetMesh {
             neighbors,
             volumes: Vec::new(),
             centroids: Vec::new(),
+            bisected: Vec::new(),
             mean_cell_size: 0.0,
             face_planes: Vec::new(),
             shape_grads: OnceLock::new(),

@@ -1,7 +1,9 @@
 //! Finite-element Poisson solver on the fine tetrahedral grid
 //! (paper §III-C, eq. 4–5): assemble `K φ = b` with linear tet
 //! elements, grounded Dirichlet boundaries, CSR storage and a Krylov
-//! solve (the paper uses PETSc KSP; we use Jacobi-preconditioned CG).
+//! solve (the paper uses PETSc KSP; we use CG preconditioned by Jacobi
+//! plus a Galerkin correction on the coarse DSMC mesh the fine mesh
+//! refines, [`sparse::TwoLevel`]).
 //!
 //! `−∇²φ = ρ/ε₀` with `b_i = (1/ε₀) Σ_k q_k λ_i(x_k)` for point
 //! charges — exactly the deposition output of [`crate::deposit`].
@@ -9,7 +11,7 @@
 use kernels::Pool;
 use mesh::geom::shape_gradients;
 use mesh::{FaceTag, TetMesh};
-use sparse::{CgWorkspace, CooBuilder, CsrMatrix, KrylovOptions, SolveStats};
+use sparse::{CgWorkspace, CooBuilder, CsrMatrix, KrylovOptions, SolveStats, TwoLevel};
 use std::sync::Arc;
 
 /// Vacuum permittivity (F/m).
@@ -26,11 +28,15 @@ pub struct PoissonOperator {
     /// Dirichlet flags per node (φ = 0 on all inlet/outlet/wall nodes
     /// — conducting nozzle).
     pub is_boundary: Vec<bool>,
+    /// The CG preconditioner: Jacobi plus the coarse-grid correction
+    /// on the mesh `fine` refines (Jacobi alone if it refines none).
+    pub preconditioner: TwoLevel,
 }
 
 impl PoissonOperator {
-    /// Assemble the stiffness matrix of `fine`. O(cells); call once
-    /// per mesh (topology never changes during a run).
+    /// Assemble the stiffness matrix of `fine` and its preconditioner.
+    /// O(cells); call once per mesh (topology never changes during a
+    /// run).
     pub fn assemble(fine: &TetMesh) -> Self {
         let n = fine.num_nodes();
         let mut is_boundary = vec![false; n];
@@ -70,9 +76,12 @@ impl PoissonOperator {
                 coo.add(i, i, 1.0);
             }
         }
+        let matrix = coo.build();
+        let preconditioner = TwoLevel::new(&matrix, &is_boundary, &fine.bisected);
         PoissonOperator {
-            matrix: coo.build(),
+            matrix,
             is_boundary,
+            preconditioner,
         }
     }
 }
@@ -87,7 +96,7 @@ pub struct PoissonSolver {
     phi: Vec<f64>,
     opts: KrylovOptions,
     /// Solve scratch kept between solves (the matrix never changes):
-    /// the right-hand side and the CG preconditioner and work vectors.
+    /// the right-hand side and the CG work vectors.
     b: Vec<f64>,
     cg: CgWorkspace,
 }
@@ -109,7 +118,7 @@ impl PoissonSolver {
     /// A solver on the already assembled `op`, starting from φ = 0.
     pub fn on(op: Arc<PoissonOperator>, opts: KrylovOptions) -> Self {
         let n = op.matrix.nrows();
-        let cg = CgWorkspace::new(&op.matrix);
+        let cg = CgWorkspace::new(n);
         PoissonSolver {
             op,
             phi: vec![0.0; n],
@@ -156,6 +165,7 @@ impl PoissonSolver {
         }
         let stats = self.cg.solve(
             &self.op.matrix,
+            &self.op.preconditioner,
             &self.b,
             &mut self.phi,
             self.opts,
@@ -264,13 +274,23 @@ mod tests {
         // the all-zero charge takes CG's `norm_b == 0` return; the
         // solve after it must not see what the early return skipped
         let charges = [&q1, &q2, &vec![0.0; n], &q1];
-        // reference: one-shot solves warm-started from the same iterates
+        // reference: a throw-away workspace per solve on the same
+        // operator (coarse level included), warm-started from the same
+        // iterates
         let mut x = vec![0.0; n];
         for (k, q) in charges.into_iter().enumerate() {
             let b: Vec<f64> = (0..n)
                 .map(|i| if s.is_boundary[i] { 0.0 } else { q[i] / EPS0 })
                 .collect();
-            let want = sparse::cg(&s.matrix, &b, &mut x, opts);
+            let want = CgWorkspace::new(n).solve(
+                &s.matrix,
+                &s.preconditioner,
+                &b,
+                &mut x,
+                opts,
+                &Pool::serial(),
+                None,
+            );
             let (phi, stats) = s.solve(q);
             assert_eq!(stats, want, "solve {k}");
             assert_eq!(stats.iterations == 0, k == 2, "solve {k}: {stats:?}");

@@ -18,6 +18,25 @@ pub struct CsrMatrix {
 }
 
 impl CsrMatrix {
+    /// The square `n × n` matrix whose row `i` holds columns
+    /// `col_idx[row_ptr[i]..row_ptr[i + 1]]` (ascending) with `values`.
+    pub(crate) fn from_rows(
+        n: usize,
+        row_ptr: Vec<usize>,
+        col_idx: Vec<u32>,
+        values: Vec<f64>,
+    ) -> Self {
+        debug_assert_eq!(row_ptr.len(), n + 1);
+        debug_assert_eq!(col_idx.len(), values.len());
+        CsrMatrix {
+            nrows: n,
+            ncols: n,
+            row_ptr,
+            col_idx,
+            values,
+        }
+    }
+
     /// Number of rows.
     pub fn nrows(&self) -> usize {
         self.nrows

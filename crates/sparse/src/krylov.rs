@@ -2,20 +2,26 @@
 //!
 //! Stand-in for the PETSc KSP solver the paper uses for `K φ = b`
 //! (§IV-C). The FEM stiffness matrix with Dirichlet rows is symmetric
-//! positive definite, so CG with a Jacobi preconditioner is the
-//! canonical choice.
+//! positive definite, so CG is the canonical choice; its preconditioner
+//! is [`TwoLevel`]: Jacobi plus a coarse-grid correction on the coarse
+//! DSMC mesh the fine PIC mesh refines.
 //!
 //! A solve is one [`kernels::team`] region. Each lane owns a contiguous
 //! run of [`DET_DOT_BLOCK`]-row blocks and does everything row-wise for
-//! them — SpMV rows, axpys, the Jacobi apply, the `p` update — and
-//! writes its blocks' partial sums of every inner product. After a
-//! barrier every lane folds all partials in block order, so each lane
-//! takes the same branches on the same bits, and those bits are the
-//! serial solve's for any lane count. Three barriers per iteration:
-//! after the `p` update (every lane's SpMV reads all of `p`), after
-//! `p·Ap`, and after `r·z` and `r·r`.
+//! them — SpMV rows, axpys, `D⁻¹r + Pe`, the `p` update — and writes
+//! its blocks' partial sums of every inner product. After a barrier
+//! every lane folds all partials in block order, so each lane takes the
+//! same branches on the same bits. The coarse correction needs all of
+//! `r`: every lane restricts it and solves the coarse system itself,
+//! redundantly, so every lane holds the same coarse bits and prolongs
+//! them onto its own rows. The bits are the serial solve's for any lane
+//! count. Four barriers per iteration: after the `p` update (every
+//! lane's SpMV reads all of `p`), after `p·Ap`, after the `r` update
+//! (every lane's restriction reads all of `r`), and after `r·z` and
+//! `r·r`.
 
 use crate::csr::CsrMatrix;
+use crate::twolevel::TwoLevel;
 use kernels::{carve_mut, chunk_ranges, team, Pool, TeamBarrier};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -83,42 +89,38 @@ fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum::<f64>()
 }
 
-/// Preconditioned Conjugate Gradient on one lane. `x` holds the
-/// initial guess on entry and the solution on exit.
+/// Conjugate Gradient on one lane, preconditioned by Jacobi (a bare
+/// matrix has no coarse grid). `x` holds the initial guess on entry and
+/// the solution on exit.
 pub fn cg(a: &CsrMatrix, b: &[f64], x: &mut [f64], opts: KrylovOptions) -> SolveStats {
-    CgWorkspace::new(a).solve(a, b, x, opts, &Pool::serial(), None)
+    let m = TwoLevel::new(a, &[], &[]);
+    CgWorkspace::new(a.nrows()).solve(a, &m, b, x, opts, &Pool::serial(), None)
 }
 
-/// What a CG solve on one matrix needs besides `b` and `x`: the Jacobi
-/// preconditioner (a scan of every non-zero), the work vectors and the
-/// partial sums. Every solve overwrites them before reading them, so
-/// nothing carries over from one solve to the next.
+/// What a CG solve on one matrix needs besides the matrix, its
+/// preconditioner, `b` and `x`: the work vectors, the partial sums and
+/// each lane's coarse vector. Every solve overwrites them before
+/// reading them, so nothing carries over from one solve to the next.
 pub struct CgWorkspace {
-    /// Jacobi preconditioner `D⁻¹` (1 on a row without a diagonal).
-    inv_diag: Vec<f64>,
     r: Vec<f64>,
     z: Vec<f64>,
     p: Vec<f64>,
     ap: Vec<f64>,
-    /// The vector every lane's SpMV reads in full: `x` for the initial
-    /// residual, then a copy of `p` that each lane refreshes its rows
-    /// of after updating them.
+    /// The vector every lane reads in full: `x` for the initial
+    /// residual, then `p` for each SpMV and `r` for each restriction,
+    /// each lane writing its own rows.
     shared: Vec<AtomicU64>,
     /// Per-block partial sums, one slot per reduction ([`PAP`]…).
     partials: Vec<[AtomicU64; 3]>,
+    /// One coarse vector per lane, its zero slot last; carved by the
+    /// caller, so no helper lane allocates.
+    coarse: Vec<f64>,
 }
 
 impl CgWorkspace {
-    /// Workspace for solves on `a`.
-    pub fn new(a: &CsrMatrix) -> Self {
-        let n = a.nrows();
-        let inv_diag = a
-            .diagonal()
-            .iter()
-            .map(|&d| if d.abs() > 0.0 { 1.0 / d } else { 1.0 })
-            .collect();
+    /// Workspace for solves on an `n`-row matrix.
+    pub fn new(n: usize) -> Self {
         CgWorkspace {
-            inv_diag,
             r: vec![0.0; n],
             z: vec![0.0; n],
             p: vec![0.0; n],
@@ -127,18 +129,23 @@ impl CgWorkspace {
             partials: (0..n.div_ceil(DET_DOT_BLOCK).max(1))
                 .map(|_| Default::default())
                 .collect(),
+            coarse: Vec::new(),
         }
     }
 
-    /// Preconditioned CG on `a`, which must be the matrix this
-    /// workspace was built for, on `min(pool.workers(), blocks)` lanes
-    /// (one spawn per extra lane per solve). The iterates, the stats
-    /// and the residual history are bitwise the same for every lane
-    /// count. When `history` is given, the relative residual of every
-    /// iteration (including the final one) is appended.
+    /// CG on `a`, preconditioned by `m` (built for `a`), on
+    /// `min(pool.workers(), blocks)` lanes (one spawn per extra lane per
+    /// solve). The iterates, the stats and the residual history are
+    /// bitwise the same for every lane count. When `history` is given,
+    /// the relative residual of every iteration (including the final
+    /// one) is appended.
+    // the system, its preconditioner, the right-hand side, the iterate,
+    // and how far and on how many lanes to iterate
+    #[allow(clippy::too_many_arguments)]
     pub fn solve(
         &mut self,
         a: &CsrMatrix,
+        m: &TwoLevel,
         b: &[f64],
         x: &mut [f64],
         opts: KrylovOptions,
@@ -147,6 +154,7 @@ impl CgWorkspace {
     ) -> SolveStats {
         let n = b.len();
         assert_eq!(a.nrows(), n);
+        assert_eq!(m.nrows(), n, "preconditioner built for another matrix");
         assert_eq!(x.len(), n);
         assert_eq!(self.r.len(), n, "workspace built for another matrix");
         let runs = chunk_ranges(self.partials.len(), pool.workers());
@@ -154,6 +162,9 @@ impl CgWorkspace {
             .iter()
             .map(|k| k.start * DET_DOT_BLOCK..(k.end * DET_DOT_BLOCK).min(n))
             .collect();
+        let slots = m.coarse_unknowns() + 1;
+        self.coarse.resize(runs.len() * slots, 0.0);
+        let coarse = self.coarse.chunks_exact_mut(slots);
         let [xs, rs, zs, ps, aps] = [
             x,
             &mut self.r[..],
@@ -166,8 +177,8 @@ impl CgWorkspace {
         let lanes = runs
             .into_iter()
             .zip(rows.iter().cloned())
-            .zip(chunks)
-            .map(|((blocks, rows), ((x, r), ((z, p), ap)))| Lane {
+            .zip(chunks.zip(coarse))
+            .map(|((blocks, rows), (((x, r), ((z, p), ap)), e))| Lane {
                 blocks,
                 rows,
                 x,
@@ -175,13 +186,14 @@ impl CgWorkspace {
                 z,
                 p,
                 ap,
+                e,
                 history: history.take(),
             })
             .collect();
         let shared = Shared {
             a,
+            m,
             b,
-            inv_diag: &self.inv_diag,
             v: &self.shared,
             partials: &self.partials,
             opts,
@@ -193,8 +205,8 @@ impl CgWorkspace {
 /// What every lane of a solve reads.
 struct Shared<'a> {
     a: &'a CsrMatrix,
+    m: &'a TwoLevel,
     b: &'a [f64],
-    inv_diag: &'a [f64],
     v: &'a [AtomicU64],
     partials: &'a [[AtomicU64; 3]],
     opts: KrylovOptions,
@@ -214,8 +226,9 @@ impl Shared<'_> {
     }
 }
 
-/// One lane's share of a solve: its blocks, their rows and its chunks
-/// of the row-wise vectors (the history goes to lane 0).
+/// One lane's share of a solve: its blocks, their rows, its chunks of
+/// the row-wise vectors and its own coarse vector (the history goes to
+/// lane 0).
 struct Lane<'a> {
     blocks: Range<usize>,
     rows: Range<usize>,
@@ -224,6 +237,7 @@ struct Lane<'a> {
     z: &'a mut [f64],
     p: &'a mut [f64],
     ap: &'a mut [f64],
+    e: &'a mut [f64],
     history: Option<&'a mut Vec<f64>>,
 }
 
@@ -239,12 +253,18 @@ impl Lane<'_> {
         }
     }
 
-    /// `z = D⁻¹ r` on this lane's rows, then the partials of `r·z` and
-    /// `r·r`.
-    fn precondition(&mut self, s: &Shared, inv_diag: &[f64]) {
-        for ((zi, ri), di) in self.z.iter_mut().zip(&*self.r).zip(inv_diag) {
-            *zi = ri * di;
+    /// Publish this lane's rows of `r`; once every lane has, restrict
+    /// all of it and solve the coarse system (every lane, the same
+    /// bits), then `z = D⁻¹ r + P e` on this lane's rows and the
+    /// partials of `r·z` and `r·r`.
+    fn precondition(&mut self, s: &Shared, barrier: &TeamBarrier) {
+        for (vi, &ri) in s.v[self.rows.clone()].iter().zip(&*self.r) {
+            store(vi, ri);
         }
+        barrier.wait();
+        s.m.restrict(|i| load(&s.v[i]), self.e);
+        s.m.coarse_solve(self.e);
+        s.m.apply_rows(self.rows.clone(), self.r, self.e, self.z);
         let (r, z) = (&*self.r, &*self.z);
         self.put(s, RZ, |l| dot(&r[l.clone()], &z[l]));
         self.put(s, RR, |l| dot(&r[l.clone()], &r[l]));
@@ -252,11 +272,7 @@ impl Lane<'_> {
 
     fn solve(mut self, s: &Shared, barrier: &TeamBarrier) -> SolveStats {
         let rows = self.rows.clone();
-        let (b, inv_diag, shared) = (
-            &s.b[rows.clone()],
-            &s.inv_diag[rows.clone()],
-            &s.v[rows.clone()],
-        );
+        let (b, shared) = (&s.b[rows.clone()], &s.v[rows.clone()]);
         let opts = s.opts;
 
         // publish x for every lane's first SpMV; ‖b‖
@@ -279,7 +295,9 @@ impl Lane<'_> {
         for (ri, bi) in self.r.iter_mut().zip(b) {
             *ri = bi - *ri;
         }
-        self.precondition(s, inv_diag);
+        // every lane has read x before r takes its place
+        barrier.wait();
+        self.precondition(s, barrier);
         barrier.wait();
         let (mut rz, mut rr) = (s.fold(RZ), s.fold(RR));
         let mut beta = 0.0;
@@ -331,7 +349,7 @@ impl Lane<'_> {
             for (ri, api) in self.r.iter_mut().zip(&*self.ap) {
                 *ri += neg_alpha * api;
             }
-            self.precondition(s, inv_diag);
+            self.precondition(s, barrier);
             barrier.wait();
             let rz_new = s.fold(RZ);
             rr = s.fold(RR);
