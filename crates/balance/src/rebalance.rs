@@ -6,9 +6,8 @@
 //! re-partitioned with the weighted load model and remapped to ranks
 //! with (optionally) the KM algorithm.
 
-use crate::cost::{CostSample, CostSource, CostSourceKind};
 use crate::remap::{remap_identity, remap_km};
-use crate::wlm::WlmParams;
+use crate::wlm::{weighted_load_model, WlmParams};
 use partition::{part_graph_kway, Graph, KwayOptions};
 
 /// Balancer configuration (paper defaults: `Threshold = 2.0`,
@@ -23,8 +22,6 @@ pub struct RebalanceConfig {
     pub wlm: WlmParams,
     /// Whether to use KM remapping (Table V ablates this).
     pub use_km: bool,
-    /// Which cost source supplies the partitioner vertex weights.
-    pub cost_source: CostSourceKind,
 }
 
 impl Default for RebalanceConfig {
@@ -34,7 +31,6 @@ impl Default for RebalanceConfig {
             threshold: 2.0,
             wlm: WlmParams::default(),
             use_km: true,
-            cost_source: CostSourceKind::default(),
         }
     }
 }
@@ -62,8 +58,6 @@ pub struct Rebalancer {
     iterations_since: usize,
     /// Number of re-decompositions performed.
     pub rebalance_count: usize,
-    /// The cost source supplying partitioner vertex weights.
-    cost: CostSource,
 }
 
 impl Rebalancer {
@@ -72,32 +66,7 @@ impl Rebalancer {
             config,
             iterations_since: 0,
             rebalance_count: 0,
-            cost: CostSource::new(config.cost_source, config.wlm),
         }
-    }
-
-    /// Whether the active cost source consumes measured samples —
-    /// drivers skip gathering timers (and keep the default path's
-    /// wire traffic untouched) when this is false.
-    pub fn wants_samples(&self) -> bool {
-        self.cost.wants_samples()
-    }
-
-    /// Offer one step's globally-reduced measured costs to the
-    /// active cost source.
-    pub fn observe(&mut self, sample: &CostSample) {
-        self.cost.observe(sample);
-    }
-
-    /// Stable name of the active cost source.
-    pub fn cost_source_name(&self) -> &'static str {
-        self.config.cost_source.name()
-    }
-
-    /// Smoothed per-unit cost rates of the active source (zeros for
-    /// analytic sources).
-    pub fn cost_rates(&self) -> [f64; 3] {
-        self.cost.cost_rates()
     }
 
     /// Offer one DSMC iteration's measurements to the balancer.
@@ -126,9 +95,9 @@ impl Rebalancer {
             return RebalanceOutcome::Balanced { lii };
         }
 
-        // Algorithm 1 lines 6-11: cost-source vertex weights -> k-way
+        // Algorithm 1 lines 6-11: eq. 7 vertex weights -> k-way
         // partition -> KM remap.
-        let wlm = self.cost.cell_weights(neutral, charged);
+        let wlm = weighted_load_model(neutral, charged, self.config.wlm);
         let graph = Graph::new(xadj.to_vec(), adjncy.to_vec(), wlm);
         let new_part = part_graph_kway(&graph, k, KwayOptions::default());
 
@@ -265,70 +234,5 @@ mod tests {
             }
         };
         assert!(run(true) <= run(false));
-    }
-
-    #[test]
-    fn timer_source_narrows_partition_around_crowded_cells() {
-        use crate::cost::{CostSample, CostSourceKind};
-        // one very crowded cell: quadratic pair cost dominates
-        let ncells = 12;
-        let (xadj, adj) = line(ncells);
-        let mut neutral = vec![4u64; ncells];
-        neutral[0] = 100;
-        let charged = vec![0u64; ncells];
-        let pairs: u64 = neutral.iter().map(|&n| n * n.saturating_sub(1)).sum();
-        let old_owner: Vec<u32> = (0..ncells).map(|c| (c / 6) as u32).collect();
-        let owned = |owner: &[u32], r: u32| owner.iter().filter(|&&o| o == r).count();
-
-        let run = |kind: CostSourceKind| {
-            let mut rb = Rebalancer::new(RebalanceConfig {
-                t_interval: 1,
-                cost_source: kind,
-                ..RebalanceConfig::default()
-            });
-            rb.observe(&CostSample {
-                dsmc_move_seconds: 0.1,
-                colli_react_seconds: 10.0,
-                neutral_total: neutral.iter().sum(),
-                pair_total: pairs,
-                ..CostSample::default()
-            });
-            match rb.step(10.0, &xadj, &adj, &neutral, &charged, &old_owner, 2) {
-                RebalanceOutcome::Remapped { new_owner, .. } => new_owner,
-                o => panic!("{o:?}"),
-            }
-        };
-        let timer_owner = run(CostSourceKind::TimerAugmented);
-        let crowded = timer_owner[0];
-        assert!(
-            owned(&timer_owner, crowded) < ncells / 2,
-            "measured quadratic cost should shrink the crowded rank's share: {timer_owner:?}"
-        );
-    }
-
-    #[test]
-    fn paper_source_ignores_samples_and_stays_analytic() {
-        use crate::cost::CostSample;
-        let (xadj, adj) = line(8);
-        let neutral = vec![10u64; 8];
-        let charged = vec![0u64; 8];
-        let owner = vec![0u32, 0, 0, 0, 1, 1, 1, 1];
-        let step = |observe: bool| {
-            let mut rb = Rebalancer::new(RebalanceConfig {
-                t_interval: 1,
-                ..RebalanceConfig::default()
-            });
-            assert!(!rb.wants_samples());
-            assert_eq!(rb.cost_source_name(), "paper_wlm");
-            if observe {
-                rb.observe(&CostSample {
-                    dsmc_move_seconds: 99.0,
-                    neutral_total: 80,
-                    ..CostSample::default()
-                });
-            }
-            rb.step(10.0, &xadj, &adj, &neutral, &charged, &owner, 2)
-        };
-        assert_eq!(step(false), step(true));
     }
 }

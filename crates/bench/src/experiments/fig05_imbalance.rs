@@ -11,7 +11,7 @@ use coupled::report::table;
 pub fn run() {
     let exp = Experiment {
         ranks: 4,
-        load_balance: false,
+        rebalance: None,
         ..Experiment::default()
     };
     // the paper plots 200 PIC steps = 100 DSMC steps; honour

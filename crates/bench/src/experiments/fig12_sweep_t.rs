@@ -6,11 +6,15 @@
 //! small (minutes-level totals separated by a few percent).
 
 use crate::{ladder_sweep, total_time_point, Experiment, RANK_LADDER};
+use balance::RebalanceConfig;
 
 pub fn run() {
     let variant = |t_interval: usize| {
         let experiment = Experiment {
-            t_interval,
+            rebalance: Some(RebalanceConfig {
+                t_interval,
+                ..RebalanceConfig::default()
+            }),
             ..Experiment::default()
         };
         (

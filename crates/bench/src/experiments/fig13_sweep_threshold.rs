@@ -6,11 +6,15 @@
 //! ranks the threshold has little effect.
 
 use crate::{ladder_sweep, total_time_point, Experiment, RANK_LADDER};
+use balance::RebalanceConfig;
 
 pub fn run() {
     let variant = |threshold: f64| {
         let experiment = Experiment {
-            threshold,
+            rebalance: Some(RebalanceConfig {
+                threshold,
+                ..RebalanceConfig::default()
+            }),
             ..Experiment::default()
         };
         (

@@ -1,6 +1,6 @@
 //! Scenario imbalance comparison (DESIGN.md §15): lii trajectories of
 //! the three canned scenarios on the modelled cluster driver, with
-//! the timer-augmented balancer active.
+//! the balancer (eq. 7 weights) active.
 //!
 //! The scenarios span the imbalance spectrum by construction:
 //! * `freestream` — near-uniform inflow across the whole duct, the
@@ -16,7 +16,7 @@
 //! trajectory stays near 1 throughout.
 
 use crate::{lii_trajectory, steady_state_lii, steps, write_csv};
-use balance::{CostSourceKind, RebalanceConfig};
+use balance::RebalanceConfig;
 use coupled::report::table;
 use coupled::{ClusterSim, MachineProfile};
 
@@ -34,7 +34,6 @@ pub fn run() {
         run.rebalance = Some(RebalanceConfig {
             t_interval: 5,
             threshold: 1.2,
-            cost_source: CostSourceKind::TimerAugmented,
             ..RebalanceConfig::default()
         });
         let rep = ClusterSim::new(&run, MachineProfile::tianhe2()).run(horizon);
@@ -49,7 +48,7 @@ pub fn run() {
         ]);
     }
 
-    println!("scenario imbalance, timer-augmented balancer, {horizon} modelled steps\n");
+    println!("scenario imbalance, eq. 7 balancer, {horizon} modelled steps\n");
     println!(
         "{}",
         table(

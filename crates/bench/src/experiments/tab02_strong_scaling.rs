@@ -10,13 +10,14 @@
 //! * total time flattens (or regresses slightly) at 1536 ranks.
 
 use crate::{ladder_sweep, strat_name, total_time_point, Experiment, RANK_LADDER};
+use balance::RebalanceConfig;
 use vmpi::Strategy;
 
 pub fn run() {
     let variant = |strategy: Strategy, load_balance: bool, name: &str| {
         let experiment = Experiment {
             strategy,
-            load_balance,
+            rebalance: load_balance.then(RebalanceConfig::default),
             ..Experiment::default()
         };
         let key = vec![strat_name(strategy).to_string(), load_balance.to_string()];

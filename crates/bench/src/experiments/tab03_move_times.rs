@@ -5,13 +5,14 @@
 //! third of the unbalanced implementation at small rank counts.
 
 use crate::{ladder_sweep, Experiment, RANK_LADDER};
+use balance::RebalanceConfig;
 use coupled::Phase;
 
 pub fn run() {
     let variant = |load_balance: bool| {
         let name = if load_balance { "LB" } else { "No-LB" };
         let experiment = Experiment {
-            load_balance,
+            rebalance: load_balance.then(RebalanceConfig::default),
             ..Experiment::default()
         };
         (name.to_string(), vec![name.to_string()], experiment)

@@ -7,6 +7,7 @@
 //! migration traffic funnels through the root.
 
 use crate::{ladder_sweep, Experiment, RANK_LADDER};
+use balance::RebalanceConfig;
 use coupled::Phase;
 use vmpi::Strategy;
 
@@ -14,7 +15,10 @@ pub fn run() {
     let variant = |strategy: Strategy, use_km: bool, name: &str| {
         let experiment = Experiment {
             strategy,
-            use_km,
+            rebalance: Some(RebalanceConfig {
+                use_km,
+                ..RebalanceConfig::default()
+            }),
             ..Experiment::default()
         };
         (name.to_string(), vec![name.to_string()], experiment)

@@ -7,11 +7,18 @@
 //! particles; effects fade at large rank counts (≤10%).
 
 use crate::{ladder_sweep, total_time_point, Experiment, RANK_LADDER};
+use balance::{RebalanceConfig, WlmParams};
 
 pub fn run() {
     let variant = |w_cell: i64| {
         let experiment = Experiment {
-            w_cell,
+            rebalance: Some(RebalanceConfig {
+                wlm: WlmParams {
+                    w_cell,
+                    ..WlmParams::default()
+                },
+                ..RebalanceConfig::default()
+            }),
             ..Experiment::default()
         };
         (

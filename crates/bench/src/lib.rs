@@ -12,7 +12,7 @@
 //! * `REPRO_TRACE` / `--trace-out <path>` — structured JSONL trace of
 //!   the designated run (see [`trace_spec`] and DESIGN.md §10).
 
-use balance::{CostSourceKind, RebalanceConfig};
+use balance::RebalanceConfig;
 use coupled::{ClusterSim, Dataset, MachineProfile, Placement, RunConfig, RunReport};
 use obs::{MetricsSnapshot, TraceSpec};
 use std::path::PathBuf;
@@ -117,14 +117,8 @@ pub struct Experiment {
     pub dataset: Dataset,
     pub ranks: usize,
     pub strategy: Strategy,
-    pub load_balance: bool,
-    pub use_km: bool,
-    pub t_interval: usize,
-    pub threshold: f64,
-    pub w_cell: i64,
-    /// Where the balancer's partition weights come from (analytic
-    /// paper WLM or the timer-augmented measured-cost source).
-    pub cost_source: CostSourceKind,
+    /// The balancer's settings; `None` runs without load balancing.
+    pub rebalance: Option<RebalanceConfig>,
     /// Steps to run; `None` uses the global [`steps`] knob.
     pub steps: Option<usize>,
     pub profile: fn() -> MachineProfile,
@@ -137,12 +131,7 @@ impl Default for Experiment {
             dataset: Dataset::D2,
             ranks: 24,
             strategy: Strategy::Distributed,
-            load_balance: true,
-            use_km: true,
-            t_interval: 20,
-            threshold: 2.0,
-            w_cell: 1,
-            cost_source: CostSourceKind::PaperWlm,
+            rebalance: Some(RebalanceConfig::default()),
             steps: None,
             profile: MachineProfile::tianhe2,
             placement: Placement::InnerFrame,
@@ -157,16 +146,7 @@ impl Experiment {
             .paper(self.dataset, scale())
             .ranks(self.ranks)
             .strategy(self.strategy)
-            .rebalance(self.load_balance.then_some(RebalanceConfig {
-                t_interval: self.t_interval,
-                threshold: self.threshold,
-                use_km: self.use_km,
-                wlm: balance::WlmParams {
-                    r: 2,
-                    w_cell: self.w_cell,
-                },
-                cost_source: self.cost_source,
-            }))
+            .rebalance(self.rebalance)
             .build()
             .expect("valid experiment config");
         let mut sim = ClusterSim::new(&run, (self.profile)()).with_placement(self.placement);

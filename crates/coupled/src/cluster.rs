@@ -305,18 +305,8 @@ impl Backend for ModelledBackend {
         if !self.balance.armed() {
             return (lii, None, None);
         }
-        // the modelled kernel seconds are deterministic, so the
-        // timer-augmented source stays reproducible here
-        let kernel_seconds = if self.balance.wants_samples() {
-            [Phase::DsmcMove, Phase::ColliReact, Phase::PicMove]
-                .map(|p| self.per_rank.iter().map(|bd| bd[p]).sum::<f64>())
-        } else {
-            [0.0; 3]
-        };
         let (neutral, charged) = eng.counts_per_cell();
-        let remapped = self
-            .balance
-            .step(eng.step_count, lii, kernel_seconds, &neutral, &charged);
+        let remapped = self.balance.step(eng.step_count, lii, &neutral, &charged);
         let Some((mut event, old_owner)) = remapped else {
             return (lii, None, None);
         };

@@ -350,7 +350,7 @@ pub struct RunConfig {
     /// so outputs are bitwise independent of this field.
     pub strategy: Strategy,
     /// Dynamic load balancing on/off + parameters (trigger cadence,
-    /// lii threshold, cost source, remap options).
+    /// lii threshold, eq. 7 weights, KM remap).
     pub rebalance: Option<RebalanceConfig>,
     /// Number of (virtual or threaded) ranks.
     pub ranks: usize,
@@ -383,7 +383,7 @@ pub struct RunConfig {
 /// of serialized fields or their encoding changes — the tag is hashed
 /// along with the fields, so configs canonicalized under different
 /// schema versions can never collide in the result cache.
-pub const CONFIG_SCHEMA_VERSION: u32 = 5;
+pub const CONFIG_SCHEMA_VERSION: u32 = 6;
 
 /// Stable lowercase name of an exchange strategy for the canonical
 /// serialization (enum `Debug` output is not a schema).
@@ -543,7 +543,6 @@ impl RunConfig {
                     ]),
                 ),
                 ("use_km", Json::Bool(rb.use_km)),
-                ("cost_source", Json::Str(rb.cost_source.name().to_string())),
             ]),
         };
         let fault_plan = match &self.fault_plan {
@@ -974,7 +973,6 @@ mod tests {
         // defaults: paper wlm, paper trigger values
         let plain = RunConfig::builder().build().unwrap();
         let prb = plain.rebalance.unwrap();
-        assert_eq!(prb.cost_source, balance::CostSourceKind::PaperWlm);
         assert_eq!(prb.t_interval, 20);
         assert_eq!(prb.threshold, 2.0);
     }
@@ -1132,7 +1130,7 @@ mod tests {
 
     /// Pinned canonical hash of the guard config (see
     /// `config_hash_is_pinned_across_releases`). Re-pinned with
-    /// CONFIG_SCHEMA_VERSION 5 (the per-rank thread count left the
-    /// canonical serialization).
-    const PINNED_GUARD_CONFIG_HASH: u64 = 0x4b35907136b6c3e8;
+    /// CONFIG_SCHEMA_VERSION 6 (a rebalancing config's cost source
+    /// left the canonical serialization).
+    const PINNED_GUARD_CONFIG_HASH: u64 = 0x267f_a450_3cc3_84bf;
 }

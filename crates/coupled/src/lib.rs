@@ -50,7 +50,6 @@ pub mod prelude {
     pub use crate::report::{ReportBuilder, RunReport, StepTrace};
     pub use crate::scenario::{Scenario, ScenarioError};
     pub use crate::session::{run_threaded, run_threaded_result, EngineSession, RunError};
-    pub use balance::CostSourceKind;
     pub use obs::{
         FanoutSink, MemorySink, MetricsSnapshot, Observer, Registry, TraceEvent, TraceSpec,
         SCHEMA_VERSION,
@@ -58,7 +57,6 @@ pub mod prelude {
     pub use vmpi::{FaultAction, FaultPlan, Strategy};
 }
 
-pub use balance::{CostSample, CostSourceKind};
 pub use checkpoint::{checkpoint, checkpoint_rank, restore, restore_rank, CheckpointError};
 pub use cluster::{ClusterSim, ModelledBackend};
 pub use config::{

@@ -6,12 +6,12 @@
 //! ([`crate::threaded`]) or modelled and whole-domain
 //! ([`crate::cluster`]) — and carries or prices the migration the hook
 //! decides on. Everything else about a rebalance lives here: the
-//! [`Rebalancer`], the ownership map, what a cost sample is made of,
-//! and the [`RebalanceEvent`] a remap is reported as.
+//! [`Rebalancer`], the ownership map and the [`RebalanceEvent`] a
+//! remap is reported as.
 
 use crate::config::RunConfig;
 use crate::world::World;
-use balance::{CostSample, RebalanceOutcome, Rebalancer};
+use balance::{RebalanceOutcome, Rebalancer};
 use obs::RebalanceEvent;
 use std::sync::Arc;
 
@@ -50,15 +50,6 @@ impl BalanceHook {
         self.rebalancer.is_some()
     }
 
-    /// Whether the cost source consumes per-kernel seconds (backends
-    /// skip gathering them, and keep the default path's wire traffic
-    /// untouched, when it does not).
-    pub fn wants_samples(&self) -> bool {
-        self.rebalancer
-            .as_ref()
-            .is_some_and(|rb| rb.wants_samples())
-    }
-
     /// Whether a remap runs Kuhn–Munkres (the modelled machine prices
     /// it).
     pub fn use_km(&self) -> bool {
@@ -66,10 +57,8 @@ impl BalanceHook {
     }
 
     /// One step of Algorithm 1 (DSMC step `step`) on the world-wide
-    /// measurements: `lii`, the seconds the DSMC_Move / Colli_React /
-    /// PIC_Move kernels took summed over ranks (read only when
-    /// [`Self::wants_samples`]) and the global neutral / charged counts
-    /// per coarse cell. On a remap the hook switches to the new
+    /// measurements: `lii` and the global neutral / charged counts per
+    /// coarse cell. On a remap the hook switches to the new
     /// ownership and returns the event describing it with the map it
     /// replaced; carrying the migration — and timing it into the
     /// event's `remap_seconds` — is the backend's.
@@ -77,24 +66,10 @@ impl BalanceHook {
         &mut self,
         step: usize,
         lii: f64,
-        kernel_seconds: [f64; 3],
         neutral: &[u64],
         charged: &[u64],
     ) -> Option<(RebalanceEvent, Vec<u32>)> {
         let rb = self.rebalancer.as_mut()?;
-        if rb.wants_samples() {
-            // a McDoniel–Bientinesi timer sample: kernel seconds and
-            // the global work units they covered
-            let [dsmc_move_seconds, colli_react_seconds, pic_move_seconds] = kernel_seconds;
-            rb.observe(&CostSample {
-                dsmc_move_seconds,
-                colli_react_seconds,
-                pic_move_seconds,
-                neutral_total: neutral.iter().sum(),
-                pair_total: neutral.iter().map(|&n| n * n.saturating_sub(1)).sum(),
-                charged_total: charged.iter().sum(),
-            });
-        }
         let RebalanceOutcome::Remapped {
             new_owner,
             migration_volume,
@@ -116,8 +91,6 @@ impl BalanceHook {
             lii,
             migrated: migration_volume,
             remap_seconds: 0.0,
-            cost_source: rb.cost_source_name(),
-            cost_rates: rb.cost_rates(),
         };
         Some((event, std::mem::replace(&mut self.owner, new_owner)))
     }

@@ -293,8 +293,6 @@ mod tests {
             lii: 1.7,
             migrated: 42,
             remap_seconds: 0.01,
-            cost_source: "paper_wlm",
-            cost_rates: [0.0; 3],
         });
         b.phase(Phase::Rebalance, 0.25);
         b.step(

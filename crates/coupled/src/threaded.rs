@@ -297,46 +297,20 @@ impl<C: Comm> Backend for ThreadedBackend<'_, C> {
         if self.fault.is_some() {
             return (0.0, None, None);
         }
-        // share measured times: (total, migration, poisson) triples —
-        // extended with the per-phase kernel times when the
-        // timer-augmented cost source wants samples (the wire layout
-        // stays the 3-float triple otherwise, so the default path's
-        // message stream is untouched)
-        let sampling = self.balance.wants_samples();
-        let mine: Vec<f64> = if sampling {
-            vec![
-                bd.total(),
-                bd.migration(),
-                bd.poisson(),
-                bd[Phase::DsmcMove],
-                bd[Phase::ColliReact],
-                bd[Phase::PicMove],
-            ]
-        } else {
-            vec![bd.total(), bd.migration(), bd.poisson()]
-        };
-        let width = mine.len();
+        // share measured times: (total, migration, poisson) triples
+        let mine = [bd.total(), bd.migration(), bd.poisson()];
         let all = allgather_f64(self.comm, &mine);
         let Some(all) = self.ok_or_latch(all) else {
             return (0.0, None, None);
         };
         let times: Vec<RankTimes> = all
-            .chunks_exact(width)
+            .chunks_exact(3)
             .map(|c| RankTimes {
                 total: c[0],
                 migration: c[1],
                 poisson: c[2],
             })
             .collect();
-        // world-wide kernel seconds, summed in rank order
-        let mut kernel_seconds = [0.0; 3];
-        if sampling {
-            for c in all.chunks_exact(width) {
-                for (s, &t) in kernel_seconds.iter_mut().zip(&c[3..]) {
-                    *s += t;
-                }
-            }
-        }
         let lii = load_imbalance_indicator(&times);
         if !self.balance.armed() {
             return (lii, None, None);
@@ -352,9 +326,7 @@ impl<C: Comm> Backend for ThreadedBackend<'_, C> {
         // every rank runs the (deterministic) algorithm on the same
         // inputs => identical new ownership everywhere
         let remap_started = std::time::Instant::now();
-        let remapped = self
-            .balance
-            .step(eng.step_count, lii, kernel_seconds, neutral, charged);
+        let remapped = self.balance.step(eng.step_count, lii, neutral, charged);
         let Some((mut event, _)) = remapped else {
             return (lii, None, None);
         };

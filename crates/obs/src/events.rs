@@ -142,13 +142,6 @@ pub struct RebalanceEvent {
     /// map broadcast and migration traffic on the profiled machine —
     /// not the wall time its own call to the balancer took.
     pub remap_seconds: f64,
-    /// Stable name of the cost source that produced the partition
-    /// weights (`"paper_wlm"`, `"timer_augmented"`).
-    pub cost_source: &'static str,
-    /// Smoothed per-unit cost rates of the cost source at decision
-    /// time: seconds per neutral move, per collision pair, per
-    /// charged move. Zeros for analytic sources.
-    pub cost_rates: [f64; 3],
 }
 
 impl RebalanceEvent {
@@ -159,11 +152,6 @@ impl RebalanceEvent {
             ("lii", Json::Num(self.lii)),
             ("migrated", Json::U64(self.migrated)),
             ("remap_seconds", Json::Num(self.remap_seconds)),
-            ("cost_source", Json::Str(self.cost_source.into())),
-            (
-                "cost_rates",
-                Json::Arr(self.cost_rates.iter().map(|&r| Json::Num(r)).collect()),
-            ),
         ])
     }
 }
@@ -204,24 +192,19 @@ mod tests {
     }
 
     #[test]
-    fn rebalance_event_json_carries_modes_and_rates() {
+    fn rebalance_event_json_carries_its_fields() {
         let e = RebalanceEvent {
             step: 21,
             lii: 2.4,
             migrated: 120,
             remap_seconds: 0.003,
-            cost_source: "timer_augmented",
-            cost_rates: [1e-7, 2e-9, 3e-7],
         };
         let v = parse(&e.to_json().to_string()).unwrap();
         assert_eq!(v.get("type").unwrap().as_str(), Some("rebalance"));
-        assert_eq!(
-            v.get("cost_source").unwrap().as_str(),
-            Some("timer_augmented")
-        );
-        let rates = v.get("cost_rates").unwrap().as_array().unwrap();
-        assert_eq!(rates.len(), 3);
-        assert_eq!(rates[1].as_f64(), Some(2e-9));
+        assert_eq!(v.get("step").unwrap().as_u64(), Some(21));
+        assert_eq!(v.get("lii").unwrap().as_f64(), Some(2.4));
+        assert_eq!(v.get("migrated").unwrap().as_u64(), Some(120));
+        assert_eq!(v.get("remap_seconds").unwrap().as_f64(), Some(0.003));
     }
 
     #[test]

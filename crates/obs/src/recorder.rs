@@ -39,10 +39,6 @@ struct Taps {
     rebalances: Counter,
     rebalance_migrated: Counter,
     remap_time: TimeHist,
-    /// Smoothed per-cell timing taps of the timer-augmented cost
-    /// source: seconds per neutral move / collision pair / charged
-    /// move at the latest rebalance (zero under analytic sources).
-    cost_rates: [Gauge; 3],
     comm_retries: Counter,
     comm_dedup_dropped: Counter,
     comm_faults_injected: Counter,
@@ -82,12 +78,6 @@ impl Taps {
             rebalances: reg.counter("balance.rebalances"),
             rebalance_migrated: reg.counter("balance.migrated_particles"),
             remap_time: reg.time_hist("balance.remap.seconds"),
-            cost_rates: {
-                const RATE_NAMES: [&str; 3] = ["move", "pair", "charged"];
-                std::array::from_fn(|i| {
-                    reg.gauge(&format!("balance.cost.per_{}.seconds", RATE_NAMES[i]))
-                })
-            },
             comm_retries: reg.counter("comm.retries"),
             comm_dedup_dropped: reg.counter("comm.dedup_dropped"),
             comm_faults_injected: reg.counter("comm.faults_injected"),
@@ -211,9 +201,6 @@ impl Observer for Recorder {
             taps.rebalances.inc();
             taps.rebalance_migrated.add(ev.migrated);
             taps.remap_time.record(ev.remap_seconds);
-            for (gauge, &rate) in taps.cost_rates.iter().zip(&ev.cost_rates) {
-                gauge.set(rate);
-            }
         }
         self.sink.emit(&TraceEvent::Rebalance(*ev));
     }
@@ -270,8 +257,6 @@ mod tests {
             lii: 1.8,
             migrated: 42,
             remap_seconds: 0.01,
-            cost_source: "timer_augmented",
-            cost_rates: [2e-8, 3e-10, 0.0],
         });
         for (index, residual) in [3e-7, 1e-7].into_iter().enumerate() {
             let trace = StepTrace {
@@ -294,9 +279,6 @@ mod tests {
         assert_eq!(snap.counter("vmpi.exchange.DC.bytes"), Some(640));
         assert_eq!(snap.counter("balance.rebalances"), Some(1));
         assert_eq!(snap.counter("balance.migrated_particles"), Some(42));
-        assert_eq!(snap.gauge("balance.cost.per_move.seconds"), Some(2e-8));
-        assert_eq!(snap.gauge("balance.cost.per_pair.seconds"), Some(3e-10));
-        assert_eq!(snap.gauge("balance.cost.per_charged.seconds"), Some(0.0));
         assert_eq!(snap.counter("engine.steps"), Some(2));
         assert_eq!(snap.gauge("pic.poisson.rel_residual_max"), Some(3e-7));
         assert_eq!(snap.counter("dsmc.move.wall_hits"), Some(6));

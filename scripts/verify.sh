@@ -182,7 +182,7 @@ if [ -n "$powers$renamed" ]; then
     exit 1
 fi
 
-echo "== deleted-names lint (one decomposition, one lane count per engine, no forked streams, no resumable flight) =="
+echo "== deleted-names lint (one decomposition, one lane count per engine, no forked streams, no resumable flight, one partition weight) =="
 # The Eulerian/Lagrangian split was the unified decomposition with
 # W_cell = 0 and more messages; RunConfig::ranks_per_node and
 # RebalanceConfig::kway were set only by tests. RunConfig::threads_per_rank
@@ -191,12 +191,13 @@ echo "== deleted-names lint (one decomposition, one lane count per engine, no fo
 # move paused a flight at its first wall and resumed it later (the
 # RESUMED flight instance, the Flown scratch, Flight::Paused); it now
 # drops that flight and the in-order walk flies it again from its start.
-# None comes back.
-deleted=$(grep -rnE 'EulLag|eullag|Decomposition::|\.decomposition\b|block_ranges|block_owner|\.ranks_per_node\b|fork_rng|threads_per_rank|ZeroThreads|busy_seconds|export_pool_busy|move_lanes|RESUMED|Flown|Paused' \
+# Eq. 7 is the only partition weight: the timer-augmented cost source
+# and its sampling fork are gone. None comes back.
+deleted=$(grep -rnE 'EulLag|eullag|Decomposition::|\.decomposition\b|block_ranges|block_owner|\.ranks_per_node\b|fork_rng|threads_per_rank|ZeroThreads|busy_seconds|export_pool_busy|move_lanes|RESUMED|Flown|Paused|CostSource|CostSample|TimerAugmented|wants_samples|cost_rates|timer_augmented|balance\.cost\.' \
     --include='*.rs' crates src tests examples || true)
 if [ -n "$deleted" ]; then
     echo "$deleted"
-    echo "verify: a deleted name is back (particle-only weighting is rebalance.wlm.w_cell = 0; an engine has one Pool, RankEngine::lanes; a wall-bound parallel flight is dropped and flown again, never paused)" >&2
+    echo "verify: a deleted name is back (particle-only weighting is rebalance.wlm.w_cell = 0; an engine has one Pool, RankEngine::lanes; a wall-bound parallel flight is dropped and flown again, never paused; cells are weighed by eq. 7 only)" >&2
     exit 1
 fi
 

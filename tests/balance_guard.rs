@@ -1,18 +1,17 @@
-//! Regression guard for the pluggable balancing pipeline
-//! (DESIGN.md §13).
+//! Regression guard for the balancing pipeline (DESIGN.md §13).
 //!
-//! The default mode (paper WLM, `W_cell = 1`) is pinned by
-//! `engine_guard`; these tests pin the two alternative weightings. The
-//! modelled driver is fully deterministic — kernel "timings" are cost
-//! model evaluations — so the timer-augmented source and the
-//! particle-only weights (`W_cell = 0`) each get a bitwise-pinned lii
+//! The default weighting (paper WLM, `W_cell = 1`) is pinned by
+//! `engine_guard`; these tests pin the particle-only weights
+//! (`W_cell = 0`), a scenario-lowered balancer and one re-partition.
+//! The modelled driver is fully deterministic — kernel "timings" are
+//! cost model evaluations — so each run gets a bitwise-pinned lii
 //! trajectory.
 
-use balance::{CostSourceKind, RebalanceConfig, RebalanceOutcome, Rebalancer, WlmParams};
-use coupled::{run_threaded, ClusterSim, Dataset, MachineProfile, RunConfig};
+use balance::{RebalanceConfig, RebalanceOutcome, Rebalancer, WlmParams};
+use coupled::{ClusterSim, Dataset, MachineProfile, RunConfig};
 use obs::{fnv1a, fnv1a_f64};
 
-fn modelled_config(cost_source: CostSourceKind, w_cell: i64) -> RunConfig {
+fn modelled_config(w_cell: i64) -> RunConfig {
     RunConfig::builder()
         .paper(Dataset::D1, 0.02)
         .ranks(3)
@@ -21,7 +20,6 @@ fn modelled_config(cost_source: CostSourceKind, w_cell: i64) -> RunConfig {
         .rebalance(Some(RebalanceConfig {
             t_interval: 3,
             threshold: 1.2,
-            cost_source,
             wlm: WlmParams {
                 w_cell,
                 ..WlmParams::default()
@@ -34,24 +32,12 @@ fn modelled_config(cost_source: CostSourceKind, w_cell: i64) -> RunConfig {
 
 /// Modelled run → (lii-trajectory hash, rebalance count, particles
 /// migrated by them).
-fn modelled_lii(cost_source: CostSourceKind, w_cell: i64) -> (u64, usize, u64) {
-    let run = modelled_config(cost_source, w_cell);
+fn modelled_lii(w_cell: i64) -> (u64, usize, u64) {
+    let run = modelled_config(w_cell);
     let rep = ClusterSim::new(&run, MachineProfile::tianhe2()).run(12);
     let lii: Vec<f64> = rep.trace.iter().map(|t| t.lii).collect();
     assert_eq!(lii.len(), 12);
     (fnv1a_f64(&lii), rep.rebalances, rep.rebalance_migrated)
-}
-
-#[test]
-fn timer_augmented_modelled_is_pinned() {
-    let (h1, reb1, _) = modelled_lii(CostSourceKind::TimerAugmented, 1);
-    let (h2, _, _) = modelled_lii(CostSourceKind::TimerAugmented, 1);
-    assert_eq!(h1, h2, "timer-augmented modelled run is nondeterministic");
-    assert!(reb1 > 0, "guard config never rebalanced");
-    assert_eq!(
-        h1, 0x1aa2_463d_b1d6_a8fe,
-        "timer-augmented lii trajectory drifted from the pinned baseline"
-    );
 }
 
 /// Particle-only weights decide what the removed Eulerian/Lagrangian
@@ -63,8 +49,8 @@ fn timer_augmented_modelled_is_pinned() {
 /// allreduce and coarse solve).
 #[test]
 fn particle_only_weights_modelled_is_pinned() {
-    let (h1, reb1, migrated) = modelled_lii(CostSourceKind::PaperWlm, 0);
-    let (h2, _, _) = modelled_lii(CostSourceKind::PaperWlm, 0);
+    let (h1, reb1, migrated) = modelled_lii(0);
+    let (h2, _, _) = modelled_lii(0);
     assert_eq!(h1, h2, "W_cell = 0 modelled run is nondeterministic");
     assert_eq!((reb1, migrated), (3, 178), "rebalances / migrated");
     assert_eq!(
@@ -74,11 +60,11 @@ fn particle_only_weights_modelled_is_pinned() {
 }
 
 /// A scenario-lowered config drives the balancer exactly like a
-/// hand-built one: the high-imbalance jet scenario under the
-/// timer-augmented source on the modelled driver gets its own pinned
-/// lii trajectory, and the freestream scenario must rebalance too.
+/// hand-built one: the freestream scenario under the eq. 7 balancer on
+/// the modelled driver must rebalance, and gets its own pinned lii
+/// trajectory.
 #[test]
-fn freestream_scenario_timer_augmented_modelled_is_pinned() {
+fn freestream_scenario_balancer_modelled_is_pinned() {
     let lii_of = |name: &str| {
         let mut run = coupled::scenario::canned(name)
             .expect("canned scenario lowers")
@@ -86,7 +72,6 @@ fn freestream_scenario_timer_augmented_modelled_is_pinned() {
         run.rebalance = Some(RebalanceConfig {
             t_interval: 3,
             threshold: 1.2,
-            cost_source: CostSourceKind::TimerAugmented,
             ..RebalanceConfig::default()
         });
         let steps = run.steps;
@@ -100,33 +85,9 @@ fn freestream_scenario_timer_augmented_modelled_is_pinned() {
     assert_eq!(h1, h2, "scenario modelled run is nondeterministic");
     assert!(reb1 > 0, "freestream scenario never rebalanced");
     assert_eq!(
-        h1, 0x76b2_08e2_8d6a_4c4c,
-        "freestream timer-augmented lii trajectory drifted from the pinned baseline"
+        h1, 0xae31_b0e6_2cb3_5bdc,
+        "freestream balancer lii trajectory drifted from the pinned baseline"
     );
-}
-
-/// The timer-augmented source on the threaded driver feeds measured
-/// wall-clock kernel times, so its trajectory is not pinnable — but
-/// the run must complete, rebalance, and report the mode it ran.
-#[test]
-fn timer_augmented_threaded_fires_and_completes() {
-    let run = RunConfig::builder()
-        .paper(Dataset::D1, 0.02)
-        .ranks(3)
-        .seed(4242)
-        .steps(12)
-        .rebalance(Some(RebalanceConfig {
-            t_interval: 3,
-            threshold: 0.0,
-            cost_source: CostSourceKind::TimerAugmented,
-            ..RebalanceConfig::default()
-        }))
-        .build()
-        .expect("valid guard config");
-    let r = run_threaded(&run);
-    assert_eq!(r.trace.len(), 12);
-    assert!(r.population > 0);
-    assert!(r.rebalances > 0, "threshold 0 must trigger the balancer");
 }
 
 /// One `Rebalancer::step` — weighted k-way, then the Kuhn–Munkres
