@@ -45,6 +45,10 @@ pub enum RebalanceOutcome {
     /// Rebalanced: new cell→rank ownership.
     Remapped {
         lii: f64,
+        /// The granularity floor `max(1, k · max_c wlm_c / Σ_c wlm_c)`
+        /// of the eq. 7 weights it partitioned: no partition's
+        /// imbalance is below it.
+        lii_floor: f64,
         new_owner: Vec<u32>,
         /// Particles that must migrate under the new mapping.
         migration_volume: u64,
@@ -98,6 +102,7 @@ impl Rebalancer {
         // Algorithm 1 lines 6-11: eq. 7 vertex weights -> k-way
         // partition -> KM remap.
         let wlm = weighted_load_model(neutral, charged, self.config.wlm);
+        let lii_floor = lii_floor(&wlm, k);
         let graph = Graph::new(xadj.to_vec(), adjncy.to_vec(), wlm);
         let new_part = part_graph_kway(&graph, k, KwayOptions::default());
 
@@ -114,6 +119,7 @@ impl Rebalancer {
         self.rebalance_count += 1;
         RebalanceOutcome::Remapped {
             lii,
+            lii_floor,
             new_owner,
             migration_volume,
         }
@@ -125,9 +131,21 @@ impl Rebalancer {
     }
 }
 
+/// The granularity floor `max(1, k · max_c w_c / Σ_c w_c)` of cell
+/// weights `w` on `k` ranks: some rank holds the heaviest cell, so no
+/// partition's imbalance (`partition::imbalance`, the same ratio of
+/// the heaviest part) is below it.
+fn lii_floor(w: &[i64], k: usize) -> f64 {
+    let max = w.iter().copied().max().unwrap_or(0);
+    let total = w.iter().sum::<i64>().max(1);
+    (max as f64 * k as f64 / total as f64).max(1.0)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use partition::imbalance;
+    use proptest::prelude::*;
 
     /// Line graph CSR of n cells.
     fn line(n: usize) -> (Vec<u32>, Vec<u32>) {
@@ -234,5 +252,53 @@ mod tests {
             }
         };
         assert!(run(true) <= run(false));
+    }
+
+    #[test]
+    fn lii_floor_is_the_heaviest_cell_against_the_mean() {
+        // 8 cells of total 40 on 4 ranks: the mean rank carries 10,
+        // the cell of 16 alone puts 16 on one rank
+        let w = [16, 2, 2, 4, 4, 4, 4, 4];
+        assert_eq!(lii_floor(&w, 4), 1.6);
+        // on 2 ranks the mean (20) already exceeds the heaviest cell
+        assert_eq!(lii_floor(&w, 2), 1.0);
+        assert_eq!(lii_floor(&[0, 0], 3), 1.0);
+        // the same floor rides on the outcome: eq. 7 with R = 2 and
+        // W_cell = 1 weighs these cells 1 + 2 + 1 = 4, 1, 1 and 2
+        let (xadj, adj) = line(4);
+        let mut rb = Rebalancer::new(RebalanceConfig {
+            t_interval: 1,
+            ..RebalanceConfig::default()
+        });
+        match rb.step(9.0, &xadj, &adj, &[1, 0, 0, 1], &[1, 0, 0, 0], &[0; 4], 2) {
+            RebalanceOutcome::Remapped { lii_floor, .. } => assert_eq!(lii_floor, 1.0),
+            o => panic!("{o:?}"),
+        }
+        match rb.step(9.0, &xadj, &adj, &[1, 0, 0, 1], &[1, 0, 0, 0], &[0; 4], 4) {
+            RebalanceOutcome::Remapped { lii_floor, .. } => assert_eq!(lii_floor, 2.0),
+            o => panic!("{o:?}"),
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn no_kway_partition_is_below_the_floor(
+            n in 2usize..64,
+            k in 1usize..9,
+            flat in proptest::collection::vec(0i64..1000, 64usize..65),
+            spike in 0i64..100_000,
+            at in 0usize..64,
+        ) {
+            // a line of n cells with one spike somewhere: the floor
+            // ranges from 1 to k
+            let mut w: Vec<i64> = flat[..n].iter().map(|&x| x + 1).collect();
+            w[at % n] += spike;
+            let (xadj, adj) = line(n);
+            let graph = Graph::new(xadj, adj, w);
+            let floor = lii_floor(&graph.vwgt, k);
+            let part = part_graph_kway(&graph, k, KwayOptions::default());
+            let achieved = imbalance(&graph, &part, k);
+            prop_assert!(achieved >= floor, "imbalance {} < floor {}", achieved, floor);
+        }
     }
 }

@@ -244,7 +244,7 @@ pub fn restore(sim: &mut RankEngine, data: &[u8]) -> Result<(), CheckpointError>
         inj.set_carry(carry);
     }
     sim.poisson.set_phi(&phi);
-    sim.efield.refresh(&sim.nm.fine, &phi, &sim.lanes);
+    sim.efield.refresh(&sim.nm.fine, &phi);
     sim.collisions.set_sigma_g_max(&sigma);
     sim.rng_dsmc = StdRng::from_state(dsmc_state);
     sim.rng_pump = StdRng::from_state(pump_state);

@@ -92,8 +92,8 @@ pub struct RankEngine {
     pub rng_pump: StdRng,
     /// DSMC iterations completed.
     pub step_count: usize,
-    /// Lanes of the neutral and ion moves, the CG team and the E
-    /// refresh, each bitwise the same on any lane count: every core
+    /// Lanes of the neutral and ion moves and the CG team, each
+    /// bitwise the same on any lane count: every core
     /// for a whole-domain engine, one for a rank of a decomposed run,
     /// whose sibling rank threads (or job-server workers) already fill
     /// the cores.
@@ -433,11 +433,12 @@ impl RankEngine {
         node_charge
     }
 
-    /// Poisson_Solve on the (globally reduced) node charge, then
-    /// refresh E. The vector becomes the next deposit's scratch.
+    /// Poisson_Solve on the (globally reduced) node charge, then hand
+    /// φ to E, which the next push gathers at the ions. The vector
+    /// becomes the next deposit's scratch.
     fn field_solve(&mut self, node_charge: Vec<f64>, rec: &mut StepRecord) {
         let (phi, stats) = self.poisson.solve_with(&node_charge, &self.lanes, None);
-        self.efield.refresh(&self.nm.fine, phi, &self.lanes);
+        self.efield.refresh(&self.nm.fine, phi);
         rec.poisson_iters.push(stats.iterations);
         rec.poisson_unconverged += usize::from(!stats.converged);
         rec.poisson_rel_residual_max = rec.poisson_rel_residual_max.max(stats.rel_residual);

@@ -71,6 +71,7 @@ impl BalanceHook {
     ) -> Option<(RebalanceEvent, Vec<u32>)> {
         let rb = self.rebalancer.as_mut()?;
         let RebalanceOutcome::Remapped {
+            lii_floor,
             new_owner,
             migration_volume,
             ..
@@ -89,6 +90,7 @@ impl BalanceHook {
         let event = RebalanceEvent {
             step,
             lii,
+            lii_floor,
             migrated: migration_volume,
             remap_seconds: 0.0,
         };

@@ -291,6 +291,7 @@ mod tests {
         b.rebalance(&RebalanceEvent {
             step: 1,
             lii: 1.7,
+            lii_floor: 1.0,
             migrated: 42,
             remap_seconds: 0.01,
         });

@@ -1,7 +1,6 @@
 //! Intra-rank parallel kernel layer: the lane count of a rank's
-//! engine ([`Pool`]), the SPMD [`team`] region the CG solve, the E
-//! refresh and the particle move run in, and the chunking helpers
-//! they share.
+//! engine ([`Pool`]), the SPMD [`team`] region the CG solve and the
+//! particle move run in, and the chunking helpers they share.
 //!
 //! Design constraints (see DESIGN.md "Single-node performance"):
 //!
@@ -66,8 +65,8 @@ pub fn carve_mut<'a, T>(ranges: &[Range<usize>], data: &'a mut [T]) -> Vec<&'a m
 }
 
 /// A lane count for the kernels that split their work: the CG
-/// [`team`], the E refresh and the particle move take at most
-/// [`Pool::workers`] lanes each, and give the same bits on any count.
+/// [`team`] and the particle move take at most [`Pool::workers`] lanes
+/// each, and give the same bits on any count.
 #[derive(Debug, Clone)]
 pub struct Pool {
     workers: usize,

@@ -131,6 +131,10 @@ pub struct RebalanceEvent {
     pub step: usize,
     /// The load-imbalance indicator that triggered it.
     pub lii: f64,
+    /// The granularity floor of the eq. 7 weights it partitioned,
+    /// `max(1, k · max_c wlm_c / Σ_c wlm_c)`: the heaviest cell alone
+    /// keeps every partition's imbalance at or above it.
+    pub lii_floor: f64,
     /// Particles migrated by the re-decomposition.
     pub migrated: u64,
     /// What the re-decomposition cost, in the currency of the backend
@@ -150,6 +154,7 @@ impl RebalanceEvent {
             ("type", Json::Str("rebalance".into())),
             ("step", Json::U64(self.step as u64)),
             ("lii", Json::Num(self.lii)),
+            ("lii_floor", Json::Num(self.lii_floor)),
             ("migrated", Json::U64(self.migrated)),
             ("remap_seconds", Json::Num(self.remap_seconds)),
         ])
@@ -196,6 +201,7 @@ mod tests {
         let e = RebalanceEvent {
             step: 21,
             lii: 2.4,
+            lii_floor: 1.25,
             migrated: 120,
             remap_seconds: 0.003,
         };
@@ -203,6 +209,7 @@ mod tests {
         assert_eq!(v.get("type").unwrap().as_str(), Some("rebalance"));
         assert_eq!(v.get("step").unwrap().as_u64(), Some(21));
         assert_eq!(v.get("lii").unwrap().as_f64(), Some(2.4));
+        assert_eq!(v.get("lii_floor").unwrap().as_f64(), Some(1.25));
         assert_eq!(v.get("migrated").unwrap().as_u64(), Some(120));
         assert_eq!(v.get("remap_seconds").unwrap().as_f64(), Some(0.003));
     }

@@ -37,6 +37,8 @@ struct Taps {
     move_wall_hits: Counter,
     move_crossings: Counter,
     rebalances: Counter,
+    /// The last rebalance's granularity floor.
+    lii_floor: Gauge,
     rebalance_migrated: Counter,
     remap_time: TimeHist,
     comm_retries: Counter,
@@ -76,6 +78,7 @@ impl Taps {
             move_wall_hits: reg.counter("dsmc.move.wall_hits"),
             move_crossings: reg.counter("dsmc.move.crossings"),
             rebalances: reg.counter("balance.rebalances"),
+            lii_floor: reg.gauge("balance.lii_floor"),
             rebalance_migrated: reg.counter("balance.migrated_particles"),
             remap_time: reg.time_hist("balance.remap.seconds"),
             comm_retries: reg.counter("comm.retries"),
@@ -199,6 +202,7 @@ impl Observer for Recorder {
     fn rebalance(&mut self, ev: &RebalanceEvent) {
         if let Some(taps) = &self.taps {
             taps.rebalances.inc();
+            taps.lii_floor.set(ev.lii_floor);
             taps.rebalance_migrated.add(ev.migrated);
             taps.remap_time.record(ev.remap_seconds);
         }
@@ -255,6 +259,7 @@ mod tests {
         rec.rebalance(&RebalanceEvent {
             step: 0,
             lii: 1.8,
+            lii_floor: 1.2,
             migrated: 42,
             remap_seconds: 0.01,
         });
@@ -278,6 +283,7 @@ mod tests {
         assert_eq!(snap.counter("vmpi.exchange.DC.transactions"), Some(6));
         assert_eq!(snap.counter("vmpi.exchange.DC.bytes"), Some(640));
         assert_eq!(snap.counter("balance.rebalances"), Some(1));
+        assert_eq!(snap.gauge("balance.lii_floor"), Some(1.2));
         assert_eq!(snap.counter("balance.migrated_particles"), Some(42));
         assert_eq!(snap.counter("engine.steps"), Some(2));
         assert_eq!(snap.gauge("pic.poisson.rel_residual_max"), Some(3e-7));

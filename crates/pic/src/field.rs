@@ -1,73 +1,59 @@
 //! Electric field from the potential: `E = −∇φ` (paper eq. 3),
-//! piecewise constant per fine cell with linear elements, gathered to
-//! particles with the same shape functions used for deposition.
+//! piecewise constant per fine cell with linear elements. The field
+//! keeps the potential of the last solve and gathers `E` at each
+//! charged particle from its fine cell's shape gradients, so a solve
+//! costs one copy of φ and only cells that hold ions are ever
+//! differentiated.
 
-use kernels::{carve_mut, chunk_ranges, team, Pool};
 use mesh::{NestedMesh, TetMesh, Vec3};
-use std::ops::Range;
 
-/// Fine cells a refresh lane takes at least: about 100 µs of work at
-/// ≈ 6 ns per cell, against the 41–48 µs a spawned lane costs
-/// (`kernels.dispatch_us`). The `field_serial` lattice (49,920 cells)
-/// gets two lanes, the jet's (18,432) one.
-const CELLS_PER_LANE: usize = 1 << 14;
-
-/// Per-fine-cell constant electric field.
+/// `E = −∇φ` of the potential it was last refreshed from.
 #[derive(Debug, Clone)]
 pub struct ElectricField {
-    /// `e[f]` = field in fine cell `f` (V/m).
-    pub e: Vec<Vec3>,
+    /// Node potential (V), copied in place on each refresh; empty
+    /// before the first one, when the field is zero everywhere.
+    phi: Vec<f64>,
 }
 
 impl ElectricField {
     /// Zero field (used before the first Poisson solve: the paper
     /// drives particles "by the electric field of the previous
     /// timestep").
-    pub fn zeros(fine: &TetMesh) -> Self {
-        ElectricField {
-            e: vec![Vec3::ZERO; fine.num_cells()],
-        }
+    pub fn zeros(_fine: &TetMesh) -> Self {
+        ElectricField { phi: Vec::new() }
     }
 
-    /// Compute `E = −∇φ` on every fine cell.
+    /// The field `E = −∇φ` of the potential `phi` on `fine`'s nodes.
     pub fn from_potential(fine: &TetMesh, phi: &[f64]) -> Self {
         let mut field = Self::zeros(fine);
-        field.refresh(fine, phi, &Pool::serial());
+        field.refresh(fine, phi);
         field
     }
 
-    /// Overwrite this field with `E = −∇φ`, reading the gradients from
-    /// the mesh's table ([`TetMesh::shape_gradient_table`]). Cells are
-    /// independent: up to `pool.workers()` lanes of at least
-    /// `CELLS_PER_LANE` cells each take contiguous runs of them, with
-    /// the same bits for any lane count.
-    pub fn refresh(&mut self, fine: &TetMesh, phi: &[f64], pool: &Pool) {
+    /// Overwrite this field with `E = −∇φ`: copy `phi` into the kept
+    /// potential, reusing its allocation.
+    pub fn refresh(&mut self, fine: &TetMesh, phi: &[f64]) {
         assert_eq!(phi.len(), fine.num_nodes());
-        assert_eq!(self.e.len(), fine.num_cells());
-        let table = fine.shape_gradient_table();
-        let n = self.e.len();
-        let runs = chunk_ranges(n, pool.workers().min(n / CELLS_PER_LANE));
-        let lanes = runs
-            .iter()
-            .cloned()
-            .zip(carve_mut(&runs, &mut self.e))
-            .collect();
-        team(lanes, |_, (cells, e): (Range<usize>, &mut [Vec3]), _| {
-            let cells = table[cells.clone()].iter().zip(&fine.tets[cells]);
-            for (et, (g, tet)) in e.iter_mut().zip(cells) {
-                let mut grad = Vec3::ZERO;
-                for k in 0..4 {
-                    grad += g[k] * phi[tet[k] as usize];
-                }
-                *et = -grad;
-            }
-        });
+        self.phi.clear();
+        self.phi.extend_from_slice(phi);
     }
 
-    /// Field at a particle position inside coarse cell `coarse_cell`.
+    /// Field at a particle position inside coarse cell `coarse_cell`:
+    /// `−Σ_k g_k φ_k` over the vertices of the fine cell holding `pos`,
+    /// the gradients `g_k` read from the fine mesh's table
+    /// ([`TetMesh::shape_gradient_table`], filled on its first call).
     pub fn at(&self, nm: &NestedMesh, coarse_cell: usize, pos: Vec3) -> Vec3 {
+        if self.phi.is_empty() {
+            return Vec3::ZERO;
+        }
         let f = crate::deposit::fine_cell_of(nm, coarse_cell, pos);
-        self.e[f]
+        let g = &nm.fine.shape_gradient_table()[f];
+        let tet = nm.fine.tets[f];
+        let mut grad = Vec3::ZERO;
+        for k in 0..4 {
+            grad += g[k] * self.phi[tet[k] as usize];
+        }
+        -grad
     }
 }
 
@@ -86,12 +72,31 @@ mod tests {
         NestedMesh::from_coarse(coarse, move |c, n| spec.classify(c, n))
     }
 
+    /// The field gathered at every fine cell's centroid, located
+    /// through its coarse parent.
+    fn gathered(e: &ElectricField, nm: &NestedMesh) -> Vec<Vec3> {
+        (0..nm.fine.num_cells())
+            .map(|f| e.at(nm, nm.fine_parent[f] as usize, nm.fine.centroids[f]))
+            .collect()
+    }
+
+    fn bits(v: Vec3) -> [u64; 3] {
+        [v.x, v.y, v.z].map(f64::to_bits)
+    }
+
     #[test]
     fn zero_potential_zero_field() {
         let nm = nested();
         let phi = vec![0.0; nm.fine.num_nodes()];
         let e = ElectricField::from_potential(&nm.fine, &phi);
-        assert!(e.e.iter().all(|v| v.norm() == 0.0));
+        assert!(gathered(&e, &nm).iter().all(|v| v.norm() == 0.0));
+        // a never-refreshed field gathers +0.0; one refreshed from
+        // φ ≡ 0 gathers −(0 + Σ g·0) = −0.0, as the per-cell pass wrote
+        let plus = bits(Vec3::ZERO);
+        let minus = bits(-Vec3::ZERO);
+        let never = ElectricField::zeros(&nm.fine);
+        assert!(gathered(&never, &nm).into_iter().all(|v| bits(v) == plus));
+        assert!(gathered(&e, &nm).into_iter().all(|v| bits(v) == minus));
     }
 
     #[test]
@@ -100,7 +105,7 @@ mod tests {
         // φ = 100 · z  =>  E = (0, 0, −100)
         let phi: Vec<f64> = nm.fine.nodes.iter().map(|p| 100.0 * p.z).collect();
         let e = ElectricField::from_potential(&nm.fine, &phi);
-        for v in &e.e {
+        for v in gathered(&e, &nm) {
             assert!((v.z + 100.0).abs() < 1e-6, "{v:?}");
             assert!(v.x.abs() < 1e-6 && v.y.abs() < 1e-6);
         }
@@ -126,47 +131,23 @@ mod tests {
         // a stale field refreshed in place and a fresh one agree with
         // the gradient re-derived cell by cell
         let mut stale = ElectricField::from_potential(fine, &vec![1.0; fine.num_nodes()]);
-        stale.refresh(fine, &phi, &Pool::serial());
+        stale.refresh(fine, &phi);
         let fresh = ElectricField::from_potential(fine, &phi);
+        let (fresh_at, stale_at) = (gathered(&fresh, &nm), gathered(&stale, &nm));
         for t in 0..fine.num_cells() {
+            let parent = nm.fine_parent[t] as usize;
+            assert_eq!(crate::fine_cell_of(&nm, parent, fine.centroids[t]), t);
             let g = mesh::geom::shape_gradients(fine.tet_pos(t));
             let tet = fine.tets[t];
             let mut grad = Vec3::ZERO;
             for k in 0..4 {
                 grad += g[k] * phi[tet[k] as usize];
             }
-            let want = [-grad.x, -grad.y, -grad.z].map(f64::to_bits);
-            for e in [&fresh, &stale] {
-                let v = e.e[t];
-                assert_eq!([v.x, v.y, v.z].map(f64::to_bits), want, "cell {t}");
-            }
+            let want = bits(-grad);
+            assert_eq!(bits(fresh_at[t]), want, "cell {t}");
+            assert_eq!(bits(stale_at[t]), want, "cell {t}");
         }
-        assert!(fresh.e.iter().any(|v| v.norm() > 0.0));
-    }
-
-    #[test]
-    fn refresh_on_two_lanes_equals_one_lane_bitwise() {
-        let spec = NozzleSpec {
-            nd: 8,
-            nz: 20,
-            ..NozzleSpec::default()
-        };
-        let nm = NestedMesh::from_coarse(spec.generate(), move |c, n| spec.classify(c, n));
-        let fine = &nm.fine;
-        assert!(fine.num_cells() >= 2 * CELLS_PER_LANE, "two lanes' worth");
-        let phi: Vec<f64> = (0..fine.num_nodes())
-            .map(|i| (0.3 * i as f64).cos())
-            .collect();
-        let one = ElectricField::from_potential(fine, &phi);
-        let mut two = ElectricField::zeros(fine);
-        two.refresh(fine, &phi, &Pool::new(2));
-        let bits = |f: &ElectricField| -> Vec<[u64; 3]> {
-            f.e.iter()
-                .map(|v| [v.x, v.y, v.z].map(f64::to_bits))
-                .collect()
-        };
-        assert_eq!(bits(&one), bits(&two));
-        assert!(one.e.iter().any(|v| v.norm() > 0.0));
+        assert!(fresh_at.iter().any(|v| v.norm() > 0.0));
     }
 
     #[test]
@@ -175,7 +156,7 @@ mod tests {
         // φ increasing along +x => E points along −x
         let phi: Vec<f64> = nm.fine.nodes.iter().map(|p| 50.0 * p.x).collect();
         let e = ElectricField::from_potential(&nm.fine, &phi);
-        for v in &e.e {
+        for v in gathered(&e, &nm) {
             assert!(v.x < 0.0);
         }
     }

@@ -1,6 +1,7 @@
 //! Particle-in-Cell on the fine tetrahedral grid (paper §III-C):
-//! charge deposition, FEM Poisson solve (`K φ = b`), electric-field
-//! reconstruction `E = −∇φ` and the Boris pusher.
+//! charge deposition, FEM Poisson solve (`K φ = b`), the electric
+//! field `E = −∇φ` gathered at each ion from its fine cell, and the
+//! Boris pusher.
 
 pub mod boris;
 pub mod deposit;

@@ -11,8 +11,9 @@ use mesh::{NestedMesh, Vec3};
 use particles::{ParticleBuffer, SpeciesTable};
 
 /// Apply one Boris velocity update to every charged particle using
-/// the per-fine-cell field `efield` and uniform magnetic field `b`:
-/// gather `E` at the particle, write [`boris_push`] back. Neutrals stay
+/// the field `efield` and uniform magnetic field `b`: gather `E` at
+/// the particle from its fine cell's gradient of φ, write
+/// [`boris_push`] back. Neutrals stay
 /// bit-for-bit untouched. Returns the number of particles kicked.
 pub fn accelerate_charged(
     nm: &NestedMesh,

@@ -132,7 +132,7 @@ if [ -n "$reductions" ]; then
 fi
 
 echo "== per-step-gradient lint (no shape_gradients( where the PIC substep runs) =="
-# The field refresh reads the fine mesh's table; only the table's
+# The field gather reads the fine mesh's table; only the table's
 # builder (mesh) and the once-per-run assembly (pic/src/poisson.rs)
 # derive the gradients.
 gradients=$(production_calls 'shape_gradients' crates/pic/src/field.rs crates/pic/src/push.rs \
@@ -140,6 +140,15 @@ gradients=$(production_calls 'shape_gradients' crates/pic/src/field.rs crates/pi
 if [ -n "$gradients" ]; then
     echo "$gradients"
     echo "verify: shape gradients re-derived per step (read TetMesh::shape_gradient_table instead)" >&2
+    exit 1
+fi
+
+echo "== gathered-field lint (no Vec<Vec3> in the production part of pic/src/field.rs) =="
+# E is gathered at the ions from φ; no per-fine-cell field array comes back.
+arrays=$(production_lines 'Vec<Vec3>' crates/pic/src/field.rs)
+if [ -n "$arrays" ]; then
+    echo "$arrays"
+    echo "verify: a per-cell field array in pic::field (keep φ and gather E at the ions)" >&2
     exit 1
 fi
 

@@ -131,3 +131,38 @@ fn one_rebalance_of_the_jet_on_384_ranks_is_pinned() {
         "the jet's re-decomposition drifted from the pinned baseline"
     );
 }
+
+/// Every re-decomposition of the jet on 384 modelled ranks (rebalance
+/// every 2 steps, as the ledger's `jet_modelled384` runs it) reports
+/// its granularity floor, and the floor is a ratio of the heaviest
+/// cell to the mean rank: at least 1, at most the rank count.
+#[test]
+fn every_rebalance_of_the_jet_on_384_ranks_reports_its_floor() {
+    let mem = obs::MemorySink::new();
+    let mut run = coupled::scenario::canned("jet")
+        .expect("canned scenario lowers")
+        .run;
+    run.ranks = 384;
+    run.rebalance = Some(RebalanceConfig {
+        t_interval: 2,
+        threshold: 0.0,
+        ..RebalanceConfig::default()
+    });
+    run.obs.trace = obs::TraceSpec::Memory(mem.clone());
+    let steps = run.steps;
+    let rep = ClusterSim::new(&run, MachineProfile::tianhe2()).run(steps);
+    let floors: Vec<f64> = mem
+        .events()
+        .iter()
+        .filter_map(|e| match e {
+            obs::TraceEvent::Rebalance(ev) => Some(ev.lii_floor),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(floors.len(), rep.rebalances);
+    assert!(!floors.is_empty(), "threshold 0 must rebalance");
+    assert!(
+        floors.iter().all(|f| (1.0..=384.0).contains(f)),
+        "{floors:?}"
+    );
+}
