@@ -45,6 +45,10 @@ pub struct RunReport {
     pub rebalances: usize,
     /// Total particles migrated by rebalancing.
     pub rebalance_migrated: u64,
+    /// The largest granularity floor ([`RebalanceEvent::lii_floor`]) of
+    /// the run's rebalances: the imbalance no partition of the mesh
+    /// could get below at the worst of them. 0 when none ran.
+    pub lii_floor_max: f64,
     /// Exchanges carried per concrete strategy, indexed by
     /// [`vmpi::Strategy::CONCRETE`] order (CC, DC, Sparse, Hier).
     /// Under [`vmpi::Strategy::Auto`] the per-exchange decision rule
@@ -97,6 +101,7 @@ impl RunReport {
             ("bytes", Json::U64(self.bytes)),
             ("rebalances", Json::U64(self.rebalances as u64)),
             ("rebalance_migrated", Json::U64(self.rebalance_migrated)),
+            ("lii_floor_max", Json::Num(self.lii_floor_max)),
             (
                 "strategy_uses",
                 obj(obs::STRATEGY_NAMES
@@ -162,6 +167,7 @@ impl Observer for ReportBuilder {
     fn rebalance(&mut self, ev: &RebalanceEvent) {
         self.report.rebalances += 1;
         self.report.rebalance_migrated += ev.migrated;
+        self.report.lii_floor_max = self.report.lii_floor_max.max(ev.lii_floor);
     }
 
     fn step(&mut self, _index: usize, trace: &StepTrace) {
@@ -314,6 +320,7 @@ mod tests {
         assert_eq!(r.bytes, 1130);
         assert_eq!(r.strategy_uses, [0, 2, 1, 0]);
         assert_eq!((r.rebalances, r.rebalance_migrated), (1, 42));
+        assert_eq!(r.lii_floor_max, 1.0);
         assert_eq!(r.poisson_unconverged, 2);
         assert_eq!(r.total_time, 0.75);
         assert_eq!(r.breakdown[Phase::Rebalance], 0.25);
@@ -372,6 +379,18 @@ mod tests {
         assert_eq!(v.get("comm_retries").unwrap().as_u64(), Some(17));
         assert_eq!(v.get("comm_dedup_dropped").unwrap().as_u64(), Some(5));
         assert_eq!(v.get("faults_injected").unwrap().as_u64(), Some(31));
+    }
+
+    #[test]
+    fn report_json_carries_the_largest_floor() {
+        let report = RunReport {
+            lii_floor_max: 6.25,
+            ..RunReport::default()
+        };
+        let v = obs::json::parse(&report.to_json(None).to_string()).unwrap();
+        assert_eq!(v.get("lii_floor_max").unwrap().as_f64(), Some(6.25));
+        let v = obs::json::parse(&RunReport::default().to_json(None).to_string()).unwrap();
+        assert_eq!(v.get("lii_floor_max").unwrap().as_f64(), Some(0.0));
     }
 
     #[test]

@@ -8,7 +8,10 @@
 //! * the cylindrical-nozzle mesh generator standing in for
 //!   SALOME-produced grids ([`nozzle`]),
 //! * nested 1:8 refinement producing the fine PIC grid from the
-//!   coarse DSMC grid ([`refine`]),
+//!   coarse DSMC grid ([`refine`]); it records the octahedron diagonal
+//!   it cuts in each coarse cell, so the fine cell holding a point is
+//!   read off the parent's barycentrics
+//!   ([`NestedMesh::child_at`](refine::NestedMesh::child_at)),
 //! * point location and in-cell ray tracing used by the particle
 //!   movers ([`locate`]).
 

@@ -5,7 +5,10 @@
 //! interior octahedron along its shortest diagonal. The fine grid is
 //! therefore *entirely nested* in the coarse grid, which is the
 //! property the paper exploits: only the coarse grid is decomposed
-//! across ranks, and fine cells inherit their parent's owner.
+//! across ranks, and fine cells inherit their parent's owner. It also
+//! makes the child holding a point a function of the parent's
+//! barycentrics alone ([`NestedMesh::child_at`]), so locating a
+//! particle on the fine grid tests no fine tet.
 
 use crate::geom::Vec3;
 use crate::tet::{BoundaryKind, TetMesh};
@@ -22,9 +25,21 @@ pub struct NestedMesh {
     pub fine: TetMesh,
     /// `fine_parent[f]` = coarse cell containing fine cell `f`.
     pub fine_parent: Vec<u32>,
-    /// `children[c]` = the 8 fine cells nested in coarse cell `c`.
+    /// `children[c]` = the 8 fine cells nested in coarse cell `c`:
+    /// the corner tets at its vertices `0..4`, then the four
+    /// octahedron tets around the cut diagonal.
     pub children: Vec<[u32; 8]>,
+    /// `diagonal[c]` = the octahedron diagonal cut in coarse cell `c`:
+    /// 0 = m01–m23, 1 = m02–m13, 2 = m03–m12 (`mij` the midpoint of the
+    /// edge between its vertices `i` and `j`).
+    pub diagonal: Vec<u8>,
 }
+
+/// A child whose every affine weight exceeds this holds the point by a
+/// margin five orders above the rounding error of weights computed from
+/// the parent's barycentrics or by `TetMesh::bary` (both O(1) volume
+/// ratios of well-shaped tets, error ≈ 1e-14).
+const CLEARLY_INSIDE: f64 = 1e-9;
 
 impl NestedMesh {
     /// Refine `coarse` 1:8. `classify` tags fine boundary faces (use
@@ -34,7 +49,7 @@ impl NestedMesh {
     where
         F: Fn(Vec3, Vec3) -> BoundaryKind,
     {
-        let (fine, fine_parent) = refine_1_to_8(&coarse, classify);
+        let (fine, fine_parent, diagonal) = refine_1_to_8(&coarse, classify);
         let nc = coarse.num_cells();
         let mut children = vec![[0u32; 8]; nc];
         let mut fill = vec![0usize; nc];
@@ -51,7 +66,58 @@ impl NestedMesh {
             fine,
             fine_parent,
             children,
+            diagonal,
         }
+    }
+
+    /// The child of `coarse_cell` that clearly holds `pos`, read off the
+    /// parent's barycentrics `λ` alone (no fine tet is tested), or
+    /// `None` where no child holds it with every weight above `1e-9`:
+    /// near a child face, outside the parent, NaN.
+    ///
+    /// `λ_k = g_k·(p − v₀)` for `k = 1..3` from the coarse mesh's
+    /// [`TetMesh::shape_gradient_table`], and `λ₀ = 1 − Σ`. Corner
+    /// child `i` is `{λ_i > ½}`; its weights are `2λ_i − 1` at the
+    /// parent's vertex and `2λ_j` at the midpoints. The octahedron
+    /// children are the sign quadrants of two of `F1 = λ₀+λ₁−λ₂−λ₃`,
+    /// `F2 = λ₀−λ₁+λ₂−λ₃`, `F3 = λ₀−λ₁−λ₂+λ₃` (the forms vanishing on
+    /// the planes through the cut diagonal); their weights are `|A|`,
+    /// `|B|` and two at the diagonal's ends of at least `2·min λ` and
+    /// `1 − 2·max λ`.
+    #[inline]
+    pub fn child_at(&self, coarse_cell: usize, pos: Vec3) -> Option<usize> {
+        let g = &self.coarse.shape_gradient_table()[coarse_cell];
+        let d = pos - self.coarse.nodes[self.coarse.tets[coarse_cell][0] as usize];
+        let (l1, l2, l3) = (g[1].dot(d), g[2].dot(d), g[3].dot(d));
+        let l = [1.0 - l1 - l2 - l3, l1, l2, l3];
+        let children = &self.children[coarse_cell];
+        // every comparison is false on NaN: a NaN weight declines
+        if let Some(i) = l.iter().position(|&li| li > 0.5) {
+            let inside = (0..4).all(|j| {
+                let w = if j == i { 2.0 * l[j] - 1.0 } else { 2.0 * l[j] };
+                w > CLEARLY_INSIDE
+            });
+            return inside.then_some(children[i] as usize);
+        }
+        let f1 = l[0] + l[1] - l[2] - l[3];
+        let f2 = l[0] - l[1] + l[2] - l[3];
+        let f3 = l[0] - l[1] - l[2] + l[3];
+        let (a, b) = match self.diagonal[coarse_cell] {
+            0 => (f3, f2),
+            1 => (f3, f1),
+            _ => (f2, f1),
+        };
+        let k = match (a > 0.0, b > 0.0) {
+            (true, true) => 4,
+            (true, false) => 5,
+            (false, false) => 6,
+            (false, true) => 7,
+        };
+        let inside = a.abs() > CLEARLY_INSIDE
+            && b.abs() > CLEARLY_INSIDE
+            && l.iter()
+                .all(|&li| 2.0 * li > CLEARLY_INSIDE && 1.0 - 2.0 * li > CLEARLY_INSIDE);
+        inside.then_some(children[k] as usize)
     }
 
     /// Number of coarse cells.
@@ -67,9 +133,10 @@ impl NestedMesh {
 
 /// Split every tet of `coarse` into 8, deduplicating edge-midpoint
 /// nodes between neighbouring tets. Returns the fine mesh, which
-/// records the edge each midpoint bisects ([`TetMesh::bisected`]), and
-/// the fine→coarse parent map.
-pub fn refine_1_to_8<F>(coarse: &TetMesh, classify: F) -> (TetMesh, Vec<u32>)
+/// records the edge each midpoint bisects ([`TetMesh::bisected`]), the
+/// fine→coarse parent map and the octahedron diagonal cut in each
+/// coarse cell ([`NestedMesh::diagonal`]).
+pub fn refine_1_to_8<F>(coarse: &TetMesh, classify: F) -> (TetMesh, Vec<u32>, Vec<u8>)
 where
     F: Fn(Vec3, Vec3) -> BoundaryKind,
 {
@@ -89,6 +156,7 @@ where
 
     let mut tets: Vec<[u32; 4]> = Vec::with_capacity(coarse.num_cells() * 8);
     let mut parent: Vec<u32> = Vec::with_capacity(coarse.num_cells() * 8);
+    let mut diagonal: Vec<u8> = Vec::with_capacity(coarse.num_cells());
 
     for (c, tet) in coarse.tets.iter().enumerate() {
         let [v0, v1, v2, v3] = *tet;
@@ -118,6 +186,7 @@ where
             .min_by(|&i, &j| lens[i].partial_cmp(&lens[j]).unwrap())
             .unwrap();
         let (p, q) = diags[best];
+        diagonal.push(best as u8);
         // Equatorial cycle: the four non-diagonal vertices ordered so
         // that consecutive ones are octahedron-adjacent (never an
         // opposite pair).
@@ -139,7 +208,7 @@ where
 
     let mut fine = TetMesh::build(nodes, tets, classify);
     fine.bisected = bisected;
-    (fine, parent)
+    (fine, parent, diagonal)
 }
 
 #[cfg(test)]
@@ -188,6 +257,38 @@ mod tests {
                         "cell {c} child {i}: {lambda:?}"
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn recorded_diagonal_leads_every_inner_child_and_classifies_it() {
+        let nm = nested();
+        let nc = nm.coarse.num_nodes();
+        let midpoint: HashMap<[u32; 2], u32> = nm
+            .fine
+            .bisected
+            .iter()
+            .enumerate()
+            .map(|(k, &edge)| (edge, (nc + k) as u32))
+            .collect();
+        assert_eq!(nm.diagonal.len(), nm.num_coarse());
+        for (c, ch) in nm.children.iter().enumerate() {
+            let v = nm.coarse.tets[c];
+            let m = |i: usize, j: usize| midpoint[&[v[i].min(v[j]), v[i].max(v[j])]];
+            let (p, q) = match nm.diagonal[c] {
+                0 => (m(0, 1), m(2, 3)),
+                1 => (m(0, 2), m(1, 3)),
+                2 => (m(0, 3), m(1, 2)),
+                d => panic!("cell {c}: diagonal {d}"),
+            };
+            for &f in &ch[4..] {
+                let tet = nm.fine.tets[f as usize];
+                assert_eq!([tet[0], tet[1]], [p, q], "cell {c} child {f}");
+            }
+            for &f in ch {
+                let centroid = nm.fine.centroids[f as usize];
+                assert_eq!(nm.child_at(c, centroid), Some(f as usize), "cell {c}");
             }
         }
     }

@@ -435,7 +435,7 @@ mod tests {
         let spec = nozzle_spec();
         let coarse = spec.generate();
         assert!(!coarse.has_shape_gradient_table());
-        let (refined, _) = crate::refine::refine_1_to_8(&coarse, |c, n| spec.classify(c, n));
+        let (refined, ..) = crate::refine::refine_1_to_8(&coarse, |c, n| spec.classify(c, n));
         assert!(!refined.has_shape_gradient_table());
         let nm = crate::NestedMesh::from_coarse(coarse, move |c, n| spec.classify(c, n));
         // nobody asked yet: neither mesh carries the table

@@ -40,8 +40,9 @@ pub mod sink;
 /// hash, cache-hit flag, queue/run wall times). v2 is a strict
 /// superset of v1 — every v1 key is still present with the same
 /// meaning, so v1 readers that look fields up by name keep working.
-/// Rebalance lines gained `lii_floor` within v2: an added key, so a
-/// reader that looks fields up by name is unaffected.
+/// Rebalance lines gained `lii_floor` within v2, and run reports
+/// `lii_floor_max` (the largest of them): added keys, so a reader that
+/// looks fields up by name is unaffected.
 pub const SCHEMA_VERSION: u32 = 2;
 
 /// FNV-1a (64-bit) over a byte stream: the one digest the guard tests

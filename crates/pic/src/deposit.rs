@@ -10,44 +10,25 @@ use kernels::Pool;
 use mesh::NestedMesh;
 use particles::{ParticleBuffer, Species, SpeciesTable};
 
-/// Find the fine child cell of `coarse_cell` containing `pos`.
-/// Falls back to the child with the largest minimum barycentric
-/// weight (robust to roundoff on child faces).
+/// Find the fine child cell of `coarse_cell` containing `pos`: read off
+/// the parent's barycentrics ([`NestedMesh::child_at`], no fine tet
+/// tested) or, where that declines, the exhaustive scan's answer.
 pub fn fine_cell_of(nm: &NestedMesh, coarse_cell: usize, pos: mesh::Vec3) -> usize {
-    fine_cell_with_bary(nm, coarse_cell, pos).0
+    nm.child_at(coarse_cell, pos)
+        .unwrap_or_else(|| fine_cell_exhaustive(nm, coarse_cell, pos).0)
 }
 
-/// A child whose every weight exceeds this holds the point by a margin
-/// five orders above `bary`'s rounding error (weights are O(1) volume
-/// ratios of well-shaped tets, error ≈ 1e-14): the point is then
-/// outside every other child, so the exhaustive scan would have picked
-/// the same child and — `bary` being pure — the same weights.
-const CLEARLY_INSIDE: f64 = 1e-9;
-
-/// As [`fine_cell_of`], but also returning the winning barycentric
-/// weights, so the deposit needs no second evaluation.
-///
-/// Children `0..4` are the corner tets at the parent's vertices `0..4`
-/// and corner `i` holds exactly the points with parent weight
-/// `λ_i > ½`, so one parent `bary` names the only corner worth testing
-/// (or rules all four out, leaving the octahedron children `4..8`).
-/// The first candidate that is [`CLEARLY_INSIDE`] wins; a point near a
-/// child face, outside the parent or NaN is clearly inside none and
-/// takes the exhaustive scan.
+/// As [`fine_cell_of`], but also returning the child's barycentric
+/// weights: one `bary`, of the child [`NestedMesh::child_at`] names.
+/// Where it names one, the point is clearly inside that child and
+/// outside every other, so the exhaustive scan would have picked the
+/// same child and — `bary` being pure — the same weights; where it
+/// declines (near a child face, outside the parent, NaN) the scan runs.
 fn fine_cell_with_bary(nm: &NestedMesh, coarse_cell: usize, pos: mesh::Vec3) -> (usize, [f64; 4]) {
-    let children = &nm.children[coarse_cell];
-    let lambda = nm.coarse.bary(coarse_cell, pos);
-    let candidates = match lambda.iter().position(|&l| l > 0.5) {
-        Some(i) => &children[i..=i],
-        None => &children[4..],
-    };
-    for &f in candidates {
-        let w = nm.fine.bary(f as usize, pos);
-        if w.iter().all(|&wk| wk > CLEARLY_INSIDE) {
-            return (f as usize, w);
-        }
+    match nm.child_at(coarse_cell, pos) {
+        Some(f) => (f, nm.fine.bary(f, pos)),
+        None => fine_cell_exhaustive(nm, coarse_cell, pos),
     }
-    fine_cell_exhaustive(nm, coarse_cell, pos)
 }
 
 /// The child with the largest minimum barycentric weight, first one on
@@ -136,7 +117,7 @@ mod tests {
     use mesh::{NozzleSpec, Vec3};
     use particles::{Particle, QE};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn nested() -> NestedMesh {
         let spec = NozzleSpec {
@@ -163,15 +144,30 @@ mod tests {
         }
     }
 
+    /// `(nd, nz)` of the canned scenarios (`thermal_box`, `freestream`,
+    /// `jet`) and of the benchmark's two lattices (6/12, 8/20).
+    const LATTICES: [(usize, usize); 4] = [(4, 6), (4, 8), (6, 12), (8, 20)];
+
     #[test]
     fn shortcut_lookup_equals_exhaustive_scan_bitwise() {
-        let nm = nested();
-        let mut rng = StdRng::seed_from_u64(7);
+        for (seed, (nd, nz)) in (7..).zip(LATTICES) {
+            let spec = NozzleSpec {
+                nd,
+                nz,
+                ..NozzleSpec::default()
+            };
+            let nm = NestedMesh::from_coarse(spec.generate(), move |c, n| spec.classify(c, n));
+            lookup_equals_exhaustive_scan_on(&nm, seed);
+        }
+    }
+
+    fn lookup_equals_exhaustive_scan_on(nm: &NestedMesh, seed: u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
         let h = nm.fine.mean_cell_size();
         let mut checked = 0usize;
         let mut check = |c: usize, x: Vec3| {
-            let (cell, w) = fine_cell_with_bary(&nm, c, x);
-            let (want_cell, want_w) = fine_cell_exhaustive(&nm, c, x);
+            let (cell, w) = fine_cell_with_bary(nm, c, x);
+            let (want_cell, want_w) = fine_cell_exhaustive(nm, c, x);
             assert_eq!(cell, want_cell, "coarse {c} at {x:?}");
             assert_eq!(
                 w.map(f64::to_bits),
@@ -180,14 +176,25 @@ mod tests {
             );
             checked += 1;
         };
-        for c in (0..nm.num_coarse()).step_by(5) {
+        // uniform interior points of every coarse cell: the λ path
+        // answers all but a vanishing shell of them
+        let (mut uniform, mut answered) = (0usize, 0usize);
+        for c in 0..nm.num_coarse() {
             let p = nm.coarse.tet_pos(c);
-            for _ in 0..40 {
-                check(
-                    c,
-                    particles::sample::point_in_tet(&mut rng, p[0], p[1], p[2], p[3]),
-                );
+            for _ in 0..8 {
+                let x = particles::sample::point_in_tet(&mut rng, p[0], p[1], p[2], p[3]);
+                uniform += 1;
+                answered += usize::from(nm.child_at(c, x).is_some());
+                check(c, x);
             }
+        }
+        assert!(
+            answered * 1000 >= uniform * 999,
+            "{answered} of {uniform} uniform points took the λ path"
+        );
+        let stride = (nm.num_coarse() / 70).max(1);
+        for c in (0..nm.num_coarse()).step_by(stride) {
+            let p = nm.coarse.tet_pos(c);
             // on every child face: its vertices, edge midpoints and
             // centroid, there and pushed off it along the normal by a
             // rounding-sized and by a threshold-crossing step
@@ -215,6 +222,35 @@ mod tests {
                         for step in [0.0, 1e-12, -1e-12, 1e-7, -1e-7] {
                             check(c, x + normal * (step * h));
                         }
+                    }
+                }
+            }
+            // on the planes the λ classification cuts along — λ_i = ½
+            // (a corner child's inner face, its first vertex repeated to
+            // make the quad) and F1/F2/F3 = 0 (through the octahedron's
+            // diagonals) — and pushed off each
+            let g = mesh::geom::shape_gradients(p);
+            let mid = |i: usize, j: usize| (p[i] + p[j]) / 2.0;
+            let mut planes: Vec<([Vec3; 4], Vec3)> = (0..4)
+                .map(|i| {
+                    let [j, k, l] = mesh::tet::FACE_NODES[i];
+                    ([mid(i, j), mid(i, k), mid(i, l), mid(i, j)], g[i])
+                })
+                .collect();
+            // F1 = 0 holds m02, m03, m12, m13; F2 = 0 and F3 = 0 likewise
+            for (x, y, z, w) in [(0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2)] {
+                let on = [mid(x, z), mid(x, w), mid(y, z), mid(y, w)];
+                planes.push((on, g[x] + g[y] - g[z] - g[w]));
+            }
+            for (on, grad) in planes {
+                let normal = grad.normalized();
+                for _ in 0..4 {
+                    let (s, t) = (rng.gen::<f64>(), rng.gen::<f64>());
+                    let x = (on[0] * (1.0 - s) + on[1] * s) * (1.0 - t)
+                        + (on[2] * (1.0 - s) + on[3] * s) * t;
+                    for step in [0.0, 1e-15, 1e-12, 1e-9, 1e-7] {
+                        check(c, x + normal * (step * h));
+                        check(c, x - normal * (step * h));
                     }
                 }
             }

@@ -1,7 +1,10 @@
 //! Particle-in-Cell on the fine tetrahedral grid (paper §III-C):
 //! charge deposition, FEM Poisson solve (`K φ = b`), the electric
 //! field `E = −∇φ` gathered at each ion from its fine cell, and the
-//! Boris pusher.
+//! Boris pusher. Both the deposit and the gather read an ion's fine
+//! cell off its coarse parent's barycentrics
+//! ([`mesh::NestedMesh::child_at`]); only a point that no child
+//! clearly holds takes the exhaustive scan over the eight children.
 
 pub mod boris;
 pub mod deposit;

@@ -156,6 +156,12 @@ impl CooBuilder {
 
     /// Finalize into CSR, summing duplicates and dropping explicit
     /// zeros produced by cancellation.
+    ///
+    /// Duplicates are summed in the order `sort_unstable_by_key` leaves
+    /// them, which the key does not fix: the last bits of an entry built
+    /// from three or more triplets (the Poisson matrix's) depend on the
+    /// toolchain's unstable sort. Summing in insertion order would pin
+    /// them, and moves φ's last bits once.
     pub fn build(mut self) -> CsrMatrix {
         self.entries
             .sort_unstable_by_key(|&(i, j, _)| ((i as u64) << 32) | j as u64);

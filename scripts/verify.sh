@@ -143,6 +143,26 @@ if [ -n "$gradients" ]; then
     exit 1
 fi
 
+echo "== located-once lint (no fine-tet test in pic's production code but the deposit's weights and the fallback scan) =="
+# NestedMesh::child_at reads an ion's fine cell off its parent's
+# barycentrics. A fine-mesh .bary( call may appear only in deposit.rs:
+# anywhere in fine_cell_exhaustive (the fallback), and elsewhere only
+# outside a loop (the one bary of the child the deposit weighs with).
+tested=$(find crates/pic/src -name '*.rs' | sort |
+    xargs awk 'FNR == 1 { skip = 0; fn = ""; depth = 0; loop = -1 }
+        /^[ \t]*#\[cfg\(test\)\]/ { skip = 1 }
+        skip || /^[ \t]*\/\// { next }
+        match($0, /fn [a-z0-9_]+/) { fn = substr($0, RSTART + 3, RLENGTH - 3) }
+        loop < 0 && /^[ \t]*(for |while |loop \{)/ { loop = depth }
+        /fine\.bary\(/ && !(FILENAME ~ /\/deposit\.rs$/ && (fn == "fine_cell_exhaustive" || loop < 0)) {
+            print FILENAME ":" FNR ": " $0 }
+        { depth += gsub(/\{/, "{") - gsub(/\}/, "}"); if (loop >= 0 && depth <= loop) loop = -1 }')
+if [ -n "$tested" ]; then
+    echo "$tested"
+    echo "verify: a fine tet tested to locate a particle (read the child off the parent: NestedMesh::child_at)" >&2
+    exit 1
+fi
+
 echo "== gathered-field lint (no Vec<Vec3> in the production part of pic/src/field.rs) =="
 # E is gathered at the ions from φ; no per-fine-cell field array comes back.
 arrays=$(production_lines 'Vec<Vec3>' crates/pic/src/field.rs)

@@ -135,7 +135,8 @@ fn one_rebalance_of_the_jet_on_384_ranks_is_pinned() {
 /// Every re-decomposition of the jet on 384 modelled ranks (rebalance
 /// every 2 steps, as the ledger's `jet_modelled384` runs it) reports
 /// its granularity floor, and the floor is a ratio of the heaviest
-/// cell to the mean rank: at least 1, at most the rank count.
+/// cell to the mean rank: at least 1, at most the rank count. The
+/// report carries the largest of them.
 #[test]
 fn every_rebalance_of_the_jet_on_384_ranks_reports_its_floor() {
     let mem = obs::MemorySink::new();
@@ -165,4 +166,6 @@ fn every_rebalance_of_the_jet_on_384_ranks_reports_its_floor() {
         floors.iter().all(|f| (1.0..=384.0).contains(f)),
         "{floors:?}"
     );
+    let max = floors.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    assert_eq!(rep.lii_floor_max.to_bits(), max.to_bits(), "{floors:?}");
 }
