@@ -91,12 +91,8 @@ impl Rebalancer {
         old_owner: &[u32],
         k: usize,
     ) -> RebalanceOutcome {
-        self.iterations_since += 1;
-        if self.iterations_since < self.config.t_interval {
-            return RebalanceOutcome::TooSoon;
-        }
-        if lii <= self.config.threshold {
-            return RebalanceOutcome::Balanced { lii };
+        if let Some(outcome) = self.hold(lii) {
+            return outcome;
         }
 
         // Algorithm 1 lines 6-11: eq. 7 vertex weights -> k-way
@@ -123,6 +119,32 @@ impl Rebalancer {
             new_owner,
             migration_volume,
         }
+    }
+
+    /// Whether [`Rebalancer::step`] with this `lii` re-decomposes —
+    /// the only outcome that reads the per-cell counts, so a
+    /// decomposed backend gathers them only then. It is `step`'s own
+    /// early returns, tried on a copy: a NaN `lii` is due once the
+    /// cadence has passed (`NaN <= threshold` is false).
+    pub fn due(&self, lii: f64) -> bool {
+        self.clone().hold(lii).is_none()
+    }
+
+    /// Algorithm 1's early returns: count this iteration and return
+    /// the outcome when no re-decomposition follows (fewer than `T`
+    /// iterations since the last, or `lii` at most the threshold);
+    /// `None` when one is due. An iteration on which
+    /// [`Rebalancer::due`] is false is fully played by this call, so
+    /// it needs no counts and no `step`.
+    pub fn hold(&mut self, lii: f64) -> Option<RebalanceOutcome> {
+        self.iterations_since += 1;
+        if self.iterations_since < self.config.t_interval {
+            return Some(RebalanceOutcome::TooSoon);
+        }
+        if lii <= self.config.threshold {
+            return Some(RebalanceOutcome::Balanced { lii });
+        }
+        None
     }
 
     /// Iterations since the last re-decomposition.
@@ -299,6 +321,52 @@ mod tests {
             let part = part_graph_kway(&graph, k, KwayOptions::default());
             let achieved = imbalance(&graph, &part, k);
             prop_assert!(achieved >= floor, "imbalance {} < floor {}", achieved, floor);
+        }
+
+        #[test]
+        fn due_says_whether_step_remaps(
+            t_interval in 0usize..6,
+            threshold in 0.0f64..4.0,
+            draws in proptest::collection::vec((0u8..4, 0.0f64..8.0), 1usize..40),
+        ) {
+            // every iteration offered twice: to a balancer that always
+            // steps, and to one that steps only when due and otherwise
+            // holds, as the decomposed backends do
+            let (xadj, adj) = line(8);
+            let owner = [0u32, 0, 0, 0, 1, 1, 1, 1];
+            let (neutral, charged) = ([5u64, 40, 3, 9, 1, 1, 2, 7], [0u64; 8]);
+            let config = RebalanceConfig { t_interval, threshold, ..RebalanceConfig::default() };
+            let (mut always, mut gated) = (Rebalancer::new(config), Rebalancer::new(config));
+            // Algorithm 1: at least T iterations since the last
+            // re-decomposition and lii above the threshold (NaN counts
+            // as above: it is not at most the threshold)
+            let mut since = 0;
+            for (code, x) in draws {
+                let lii = match code {
+                    0 => f64::NAN,
+                    1 => threshold,
+                    2 => x,
+                    _ => threshold + x,
+                };
+                since += 1;
+                let due = always.due(lii);
+                prop_assert_eq!(due, since >= t_interval && (lii.is_nan() || lii > threshold));
+                prop_assert_eq!(gated.due(lii), due);
+                if due {
+                    since = 0;
+                }
+                let out = always.step(lii, &xadj, &adj, &neutral, &charged, &owner, 2);
+                prop_assert_eq!(due, matches!(out, RebalanceOutcome::Remapped { .. }));
+                let held = if due {
+                    gated.step(lii, &xadj, &adj, &neutral, &charged, &owner, 2)
+                } else {
+                    gated.hold(lii).expect("an iteration that is not due is held")
+                };
+                // NaN: Balanced { lii: NaN } is never == itself
+                prop_assert_eq!(format!("{held:?}"), format!("{out:?}"));
+                prop_assert_eq!(gated.iterations_since(), always.iterations_since());
+                prop_assert_eq!(gated.rebalance_count, always.rebalance_count);
+            }
         }
     }
 }

@@ -302,7 +302,7 @@ impl Backend for ModelledBackend {
             })
             .collect();
         let lii = load_imbalance_indicator(&times);
-        if !self.balance.armed() {
+        if !self.balance.due(lii) {
             return (lii, None, None);
         }
         let (neutral, charged) = eng.counts_per_cell();

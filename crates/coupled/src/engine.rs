@@ -100,6 +100,7 @@ pub struct RankEngine {
     pub lanes: Pool,
     /// Exchange scratch (used by communicating backends).
     pub exch: ExchangeScratch,
+    /// Colli_React scratch: this subcycle's reaction candidates.
     events: Vec<CollisionEvent>,
     /// PIC substep scratch, cleared and reused: the deposited node
     /// charge (taken by `deposit`, handed back by `field_solve`).
@@ -257,9 +258,10 @@ impl RankEngine {
     }
 
     /// Execute one full DSMC iteration through the unified pipeline
-    /// with the serial backend (no communication, full record).
+    /// with the serial backend (no communication, full record: the
+    /// injected cells and both transition lists are filled).
     pub fn dsmc_step(&mut self) -> StepRecord {
-        let (rec, _, _) = run_step(self, &mut SerialBackend::new(), &mut NullObserver);
+        let (rec, _, _) = run_step(self, &mut SerialBackend::recording(), &mut NullObserver);
         rec
     }
 
@@ -335,11 +337,14 @@ impl RankEngine {
     }
 
     /// Colli_React: NTC collisions, optional cross-species pass,
-    /// chemistry — over one subcycle of `dt`. Record fields
-    /// accumulate so subcycles sum (a single subcycle writes the
-    /// identical totals the pre-subcycling assignment did).
+    /// chemistry — over one subcycle of `dt`. Both passes record only
+    /// the pairs that pass the chemistry's dissociation test, the
+    /// only ones `react_collisions` acts on. Record fields accumulate
+    /// so subcycles sum (a single subcycle writes the identical
+    /// totals the pre-subcycling assignment did).
     fn colli_react(&mut self, rec: &mut StepRecord, dt: f64) {
         self.events.clear();
+        let reactive = self.chemistry.dissociation_test(&self.species, self.h_id);
         let rng = if self.config.k_sub_dsmc > 1 {
             &mut self.rng_dsmc
         } else {
@@ -353,6 +358,7 @@ impl RankEngine {
             dt,
             rng,
             &mut self.events,
+            reactive,
         );
         rec.collision_candidates += cstats.candidates;
         rec.collisions += cstats.collisions;
@@ -366,6 +372,7 @@ impl RankEngine {
                 dt,
                 rng,
                 &mut self.events,
+                reactive,
             );
             rec.collision_candidates += xstats.candidates;
             rec.collisions += xstats.mex + xstats.cex;
@@ -716,16 +723,29 @@ pub fn run_serial(run: &RunConfig) -> RunReport {
     run_whole_domain(&mut eng, &mut SerialBackend::new(), &run.obs, 1, run.steps)
 }
 
-/// Single-rank backend: no communication, full work record, real
-/// wall-clock timing through the shared gap-free [`LapTimer`].
+/// Single-rank backend: no communication, real wall-clock timing
+/// through the shared gap-free [`LapTimer`]. It records the
+/// per-particle work (injected cells, cell transitions) only for
+/// [`RankEngine::dsmc_step`], whose caller reads the record;
+/// [`run_serial`] drops it.
 pub struct SerialBackend {
     clock: LapTimer,
+    track: bool,
 }
 
 impl SerialBackend {
     pub fn new() -> Self {
         SerialBackend {
             clock: LapTimer::start(),
+            track: false,
+        }
+    }
+
+    /// The backend of [`RankEngine::dsmc_step`]: the full record.
+    fn recording() -> Self {
+        SerialBackend {
+            track: true,
+            ..Self::new()
         }
     }
 }
@@ -738,7 +758,7 @@ impl Default for SerialBackend {
 
 impl Backend for SerialBackend {
     fn track(&self) -> bool {
-        true
+        self.track
     }
 
     /// Discard the time since the last lap (inter-step gaps belong to
@@ -766,7 +786,7 @@ impl Backend for SerialBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Dataset;
+    use crate::config::{Dataset, SimConfig};
 
     fn small_state() -> RankEngine {
         let mut cfg = Dataset::D1.config(0.02);
@@ -784,6 +804,110 @@ mod tests {
         assert_eq!(rec.charged_transitions.len(), eng.config.pic_per_dsmc);
         assert_eq!(rec.population, eng.particles.len());
         assert_eq!(eng.step_count, 1);
+    }
+
+    #[test]
+    fn run_serial_steps_are_dsmc_steps_without_the_record() {
+        // run_serial's backend records no per-particle work; the
+        // particles and both RNG streams take the same bits
+        let (mut tracked, mut untracked) = (small_state(), small_state());
+        for _ in 0..3 {
+            let full = tracked.dsmc_step();
+            let (rec, _, _) =
+                run_step(&mut untracked, &mut SerialBackend::new(), &mut NullObserver);
+            assert!(!full.injected_cells.is_empty() && !full.neutral_transitions.is_empty());
+            assert!(rec.injected_cells.is_empty() && rec.neutral_transitions.is_empty());
+            assert!(rec.charged_transitions.is_empty());
+            assert_eq!(rec.collisions, full.collisions);
+            assert_eq!(rec.population, full.population);
+        }
+        let bits = |e: &RankEngine| {
+            let p = &e.particles;
+            let lanes = [&p.px, &p.py, &p.pz, &p.vx, &p.vy, &p.vz];
+            let bits: Vec<u64> = lanes
+                .iter()
+                .flat_map(|l| l.iter().map(|x| x.to_bits()))
+                .collect();
+            (bits, p.cell.clone(), p.species.clone(), e.rng.clone())
+        };
+        assert!(bits(&tracked) == bits(&untracked));
+    }
+
+    #[test]
+    fn colli_react_keeps_exactly_the_accepted_pairs_above_the_threshold() {
+        // a dense cold gas, as the collide_serial workload: most
+        // accepted pairs are far below the activation energy
+        let mut eng = RankEngine::new(SimConfig {
+            nozzle: mesh::NozzleSpec {
+                nd: 4,
+                nz: 6,
+                ..mesh::NozzleSpec::default()
+            },
+            density_h: 6e23,
+            weight_h: 3e11,
+            v_drift: 500.0,
+            t_inject: 120.0,
+            t_wall: 120.0,
+            dt_dsmc: 1e-7,
+            cross_collisions: true,
+            seed: 3,
+            ..SimConfig::default()
+        });
+        for _ in 0..3 {
+            eng.dsmc_step();
+        }
+        // replay the two passes from the same state, every accepted
+        // pair recorded
+        let dt = eng.config.dt_dsmc;
+        let (mut buf, mut rng, mut ntc) = (
+            eng.particles.clone(),
+            eng.rng.clone(),
+            eng.collisions.clone(),
+        );
+        let mut all = Vec::new();
+        let every_pair = |_: f64| true;
+        let coarse = &eng.nm.coarse;
+        ntc.collide(
+            coarse,
+            &mut buf,
+            &eng.species,
+            eng.h_id,
+            dt,
+            &mut rng,
+            &mut all,
+            every_pair,
+        );
+        let (h, hp) = (eng.h_id, eng.hp_id);
+        let cross = eng.cross;
+        cross.collide(
+            coarse,
+            &mut buf,
+            &eng.species,
+            h,
+            hp,
+            dt,
+            &mut rng,
+            &mut all,
+            every_pair,
+        );
+
+        let mut rec = StepRecord::default();
+        eng.colli_react(&mut rec, dt);
+        assert_eq!(all.len(), rec.collisions, "every accepted pair replayed");
+        let reactive = eng.chemistry.dissociation_test(&eng.species, eng.h_id);
+        let above: Vec<CollisionEvent> = all
+            .iter()
+            .filter(|e| reactive(e.rel_speed))
+            .copied()
+            .collect();
+        assert_eq!(eng.events, above);
+        assert_eq!(buf.vx, eng.particles.vx);
+        assert!(
+            !above.is_empty() && above.len() * 20 < all.len(),
+            "premise: a cold gas, few candidates: {} of {}",
+            above.len(),
+            all.len()
+        );
     }
 
     #[test]

@@ -44,10 +44,22 @@ impl BalanceHook {
         &self.owner
     }
 
-    /// Whether the run rebalances at all (backends skip gathering the
-    /// per-cell counts when it does not).
-    pub fn armed(&self) -> bool {
-        self.rebalancer.is_some()
+    /// Whether this step re-decomposes ([`Rebalancer::due`]; never
+    /// when the run does not rebalance). A backend gathers the global
+    /// per-cell counts and calls [`BalanceHook::step`] only then; when
+    /// it does not, the step's check is played here — Algorithm 1
+    /// counts the iteration toward its cadence. Every rank of a
+    /// threaded run decides alike (replicated cadence, allgathered
+    /// `lii`), so the counts' collective stays matched.
+    pub fn due(&mut self, lii: f64) -> bool {
+        let Some(rb) = self.rebalancer.as_mut() else {
+            return false;
+        };
+        if rb.due(lii) {
+            return true;
+        }
+        rb.hold(lii);
+        false
     }
 
     /// Whether a remap runs Kuhn–Munkres (the modelled machine prices

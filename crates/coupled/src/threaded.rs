@@ -312,7 +312,7 @@ impl<C: Comm> Backend for ThreadedBackend<'_, C> {
             })
             .collect();
         let lii = load_imbalance_indicator(&times);
-        if !self.balance.armed() {
+        if !self.balance.due(lii) {
             return (lii, None, None);
         }
         // global per-cell counts (needed by the load model)

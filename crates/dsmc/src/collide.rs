@@ -6,6 +6,7 @@
 //! with probability `σ(g)·g / (σg)_max`; accepted pairs scatter
 //! isotropically (VHS), conserving momentum and energy exactly.
 
+use crate::react::ChemistryModel;
 use kernels::Pool;
 use mesh::TetMesh;
 use particles::{ParticleBuffer, Species, SpeciesTable, Vhs};
@@ -30,8 +31,10 @@ pub struct CollideStats {
     pub collisions: usize,
 }
 
-/// An accepted collision: buffer indices of the two partners and
-/// their post-collision relative speed (used by the chemistry model).
+/// An accepted collision that can react: buffer indices of the two
+/// partners and their relative speed, recorded only when it passes
+/// the dissociation test (`ChemistryModel::dissociation_test`) —
+/// every other accepted pair is a no-op for the chemistry model.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CollisionEvent {
     pub i: u32,
@@ -57,8 +60,9 @@ impl CellScratch {
     /// The NTC kernel on one cell of `list.len() >= 2` neutrals
     /// (buffer indices into the `vel` lanes): draw the candidate
     /// count, pick pairs, accept against the pre-pass `sgm` snapshot
-    /// and VHS-scatter the accepted ones in the gathered lanes. `vhs`
-    /// is `sp.vhs()`, taken once per pass.
+    /// and VHS-scatter the accepted ones in the gathered lanes,
+    /// recording those that pass `reactive`. `vhs` is `sp.vhs()`,
+    /// taken once per pass.
     /// Returns the adaptive `(σg)_max` (`sgm` unless a pair exceeded
     /// it; committing it late is value-identical — the ratchet only
     /// grows); the caller writes the `dirty` lanes back. The candidate
@@ -78,6 +82,7 @@ impl CellScratch {
         rng: &mut R,
         stats: &mut CollideStats,
         events: &mut Vec<CollisionEvent>,
+        reactive: &impl Fn(f64) -> bool,
     ) -> f64 {
         let CellScratch {
             vx: lvx,
@@ -141,11 +146,13 @@ impl CellScratch {
                 lvz[b] = cmz - dz * fb;
                 dirty[a] = true;
                 dirty[b] = true;
-                events.push(CollisionEvent {
-                    i: list[a],
-                    j: list[b],
-                    rel_speed: g,
-                });
+                if reactive(g) {
+                    events.push(CollisionEvent {
+                        i: list[a],
+                        j: list[b],
+                        rel_speed: g,
+                    });
+                }
             }
         }
         sgm_adapt
@@ -194,7 +201,9 @@ impl CollisionModel {
 
     /// Perform one NTC collision pass over the *neutral* particles of
     /// `buf` (species id `neutral_id`). Returns statistics and pushes
-    /// every accepted collision into `events` for the chemistry step.
+    /// each accepted collision whose relative speed passes `reactive`
+    /// (the chemistry's dissociation test) into `events` for the
+    /// chemistry step.
     #[allow(clippy::too_many_arguments)]
     pub fn collide<R: Rng>(
         &mut self,
@@ -205,6 +214,7 @@ impl CollisionModel {
         dt: f64,
         rng: &mut R,
         events: &mut Vec<CollisionEvent>,
+        reactive: impl Fn(f64) -> bool,
     ) -> CollideStats {
         let sp = species.get(neutral_id);
         let vhs = sp.vhs();
@@ -219,8 +229,9 @@ impl CollisionModel {
             let sgm = self.sigma_g_max[c];
             let vel = [&buf.vx[..], &buf.vy[..], &buf.vz[..]];
             let volume = mesh.volumes[c];
-            let sgm_adapt =
-                cell.collide(list, vel, sp, vhs, sgm, dt, volume, rng, &mut stats, events);
+            let sgm_adapt = cell.collide(
+                list, vel, sp, vhs, sgm, dt, volume, rng, &mut stats, events, &reactive,
+            );
             // scatter modified velocities back and commit the ratchet
             for (k, &d) in cell.dirty.iter().enumerate() {
                 if d {
@@ -237,8 +248,10 @@ impl CollisionModel {
         stats
     }
 
-    /// [`CollisionModel::collide`]; `_pool` is unused. Kept for the
-    /// benchmark ledger's pinned kernel API.
+    /// [`CollisionModel::collide`] recording the pairs that pass the
+    /// default chemistry's dissociation test (the kernel the step
+    /// runs); `_pool` is unused. Kept for the benchmark ledger's
+    /// pinned kernel API.
     #[allow(clippy::too_many_arguments)]
     pub fn collide_pooled<R: Rng>(
         &mut self,
@@ -251,7 +264,8 @@ impl CollisionModel {
         events: &mut Vec<CollisionEvent>,
         _pool: &Pool,
     ) -> CollideStats {
-        self.collide(mesh, buf, species, neutral_id, dt, rng, events)
+        let reactive = ChemistryModel::default().dissociation_test(species, neutral_id);
+        self.collide(mesh, buf, species, neutral_id, dt, rng, events, reactive)
     }
 }
 
@@ -262,6 +276,13 @@ pub(crate) mod tests {
     use particles::Particle;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The keep-every-pair test: a pass driven with it records every
+    /// accepted pair, as the kernel did before it recorded only
+    /// reaction candidates.
+    pub(crate) fn every_pair(_g: f64) -> bool {
+        true
+    }
 
     /// FNV-1a over every bit a collision pass writes: the velocity
     /// lanes, the species ids, the events and the `(σg)_max` table.
@@ -289,13 +310,15 @@ pub(crate) mod tests {
         let mut model = CollisionModel::new(m.num_cells(), &table, 300.0);
         let mut ev = Vec::new();
         for _ in 0..5 {
-            model.collide(&m, &mut buf, &table, 0, 1e-5, &mut rng, &mut ev);
+            model.collide(&m, &mut buf, &table, 0, 1e-5, &mut rng, &mut ev, every_pair);
         }
         pin(&buf, &ev, model.sigma_g_max())
     }
 
     /// Recorded on the parent of the VHS-constants change, before the
     /// kernel was touched: a bit that moves here moves every golden run.
+    /// The passes record every accepted pair, so the pin still covers
+    /// each one's indices and relative speed.
     #[test]
     fn serial_kernel_is_pinned() {
         assert_eq!(five_passes(), 0xd65f_8eee_6801_42dc);
@@ -339,7 +362,16 @@ pub(crate) mod tests {
         let mom_before: Vec3 = buf.iter().fold(Vec3::ZERO, |acc, p| acc + p.vel);
         let en_before: f64 = buf.iter().map(|p| p.vel.norm2()).sum();
         let mut events = Vec::new();
-        let stats = model.collide(&m, &mut buf, &table, 0, 1e-5, &mut rng, &mut events);
+        let stats = model.collide(
+            &m,
+            &mut buf,
+            &table,
+            0,
+            1e-5,
+            &mut rng,
+            &mut events,
+            every_pair,
+        );
         assert!(stats.collisions > 0, "no collisions happened: {stats:?}");
         let mom_after: Vec3 = buf.iter().fold(Vec3::ZERO, |acc, p| acc + p.vel);
         let en_after: f64 = buf.iter().map(|p| p.vel.norm2()).sum();
@@ -367,7 +399,8 @@ pub(crate) mod tests {
                     &kernels::Pool::serial(),
                 )
             } else {
-                model.collide(&m, &mut buf, &table, 0, 1e-5, &mut rng, &mut ev)
+                let reactive = ChemistryModel::default().dissociation_test(&table, 0);
+                model.collide(&m, &mut buf, &table, 0, 1e-5, &mut rng, &mut ev, reactive)
             };
             (stats, (buf.vx.clone(), buf.vy.clone(), buf.vz.clone()), ev)
         };
@@ -389,13 +422,13 @@ pub(crate) mod tests {
             let mut model = CollisionModel::new(m.num_cells(), &table, 300.0);
             let mut ev = Vec::new();
             total_short += model
-                .collide(&m, &mut b, &table, 0, 1e-6, &mut rng, &mut ev)
+                .collide(&m, &mut b, &table, 0, 1e-6, &mut rng, &mut ev, every_pair)
                 .candidates;
             let mut rng = StdRng::seed_from_u64(seed);
             let mut b = buf.clone();
             let mut model = CollisionModel::new(m.num_cells(), &table, 300.0);
             total_long += model
-                .collide(&m, &mut b, &table, 0, 4e-6, &mut rng, &mut ev)
+                .collide(&m, &mut b, &table, 0, 4e-6, &mut rng, &mut ev, every_pair)
                 .candidates;
         }
         // 4x dt => ~4x candidates
@@ -417,7 +450,7 @@ pub(crate) mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let mut model = CollisionModel::new(m.num_cells(), &table, 300.0);
         let mut ev = Vec::new();
-        let stats = model.collide(&m, &mut buf, &table, 0, 1e-5, &mut rng, &mut ev);
+        let stats = model.collide(&m, &mut buf, &table, 0, 1e-5, &mut rng, &mut ev, every_pair);
         assert_eq!(stats, CollideStats::default());
         assert!(ev.is_empty());
     }
@@ -432,7 +465,7 @@ pub(crate) mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mut model = CollisionModel::new(m.num_cells(), &table, 300.0);
         let mut ev = Vec::new();
-        let stats = model.collide(&m, &mut buf, &table, 0, 1e-5, &mut rng, &mut ev);
+        let stats = model.collide(&m, &mut buf, &table, 0, 1e-5, &mut rng, &mut ev, every_pair);
         assert_eq!(stats.candidates, 0);
     }
 
@@ -442,7 +475,7 @@ pub(crate) mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let mut model = CollisionModel::new(m.num_cells(), &table, 300.0);
         let mut ev = Vec::new();
-        model.collide(&m, &mut buf, &table, 0, 1e-5, &mut rng, &mut ev);
+        model.collide(&m, &mut buf, &table, 0, 1e-5, &mut rng, &mut ev, every_pair);
         for e in &ev {
             assert!((e.i as usize) < buf.len());
             assert!((e.j as usize) < buf.len());

@@ -50,8 +50,10 @@ pub struct CrossStats {
 }
 
 impl CrossCollisionModel {
-    /// One NTC pass over neutral–ion pairs. Appends accepted events
-    /// (for diagnostics) to `events`.
+    /// One NTC pass over neutral–ion pairs. Appends each accepted
+    /// pair whose relative speed passes `reactive` (the chemistry's
+    /// dissociation test: a later CEX can leave both partners neutral)
+    /// to `events`.
     #[allow(clippy::too_many_arguments)]
     pub fn collide<R: Rng>(
         &self,
@@ -63,6 +65,7 @@ impl CrossCollisionModel {
         dt: f64,
         rng: &mut R,
         events: &mut Vec<CollisionEvent>,
+        reactive: impl Fn(f64) -> bool,
     ) -> CrossStats {
         let n_sp = species.get(neutral_id);
         let i_sp = species.get(ion_id);
@@ -128,11 +131,13 @@ impl CrossCollisionModel {
                     buf.set_vel(b, cm - dir * (g * m1 / (m1 + m2)));
                     stats.mex += 1;
                 }
-                events.push(CollisionEvent {
-                    i: a as u32,
-                    j: b as u32,
-                    rel_speed: g,
-                });
+                if reactive(g) {
+                    events.push(CollisionEvent {
+                        i: a as u32,
+                        j: b as u32,
+                        rel_speed: g,
+                    });
+                }
             }
         }
         stats
@@ -142,6 +147,7 @@ impl CrossCollisionModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::collide::tests::every_pair;
     use mesh::{NozzleSpec, Vec3};
     use particles::Particle;
     use rand::rngs::StdRng;
@@ -183,7 +189,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let mut ev = Vec::new();
         let before_ions = buf.species.iter().filter(|&&s| s == 1).count();
-        let stats = model.collide(&m, &mut buf, &table, 0, 1, 5e-6, &mut rng, &mut ev);
+        let stats = model.collide(
+            &m, &mut buf, &table, 0, 1, 5e-6, &mut rng, &mut ev, every_pair,
+        );
         assert!(stats.candidates > 0, "no candidates drawn");
         let after_ions = buf.species.iter().filter(|&&s| s == 1).count();
         // CEX swaps identities pairwise: totals unchanged
@@ -205,7 +213,9 @@ mod tests {
             vs.iter().sum::<f64>() / vs.len() as f64
         };
         let neutral_vz_before = mean_vz(&buf, 0);
-        let stats = model.collide(&m, &mut buf, &table, 0, 1, 2e-5, &mut rng, &mut ev);
+        let stats = model.collide(
+            &m, &mut buf, &table, 0, 1, 2e-5, &mut rng, &mut ev, every_pair,
+        );
         assert!(stats.cex > 5, "need CEX events, got {stats:?}");
         assert_eq!(stats.mex, 0);
         let neutral_vz_after = mean_vz(&buf, 0);
@@ -225,7 +235,9 @@ mod tests {
         let mom = |buf: &ParticleBuffer| buf.iter().fold(Vec3::ZERO, |acc, p| acc + p.vel);
         let energy = |buf: &ParticleBuffer| -> f64 { buf.iter().map(|p| p.vel.norm2()).sum() };
         let (p0, e0) = (mom(&buf), energy(&buf));
-        let stats = model.collide(&m, &mut buf, &table, 0, 1, 5e-6, &mut rng, &mut ev);
+        let stats = model.collide(
+            &m, &mut buf, &table, 0, 1, 5e-6, &mut rng, &mut ev, every_pair,
+        );
         assert!(stats.mex > 0);
         // H and H+ masses differ by one electron mass (~0.05%), so
         // conservation holds to that order
@@ -240,13 +252,16 @@ mod tests {
         let model = CrossCollisionModel::default();
         let mut rng = StdRng::seed_from_u64(6);
         let mut ev = Vec::new();
-        let stats = model.collide(&m, &mut buf, &table, 0, 1, 5e-6, &mut rng, &mut ev);
+        let stats = model.collide(
+            &m, &mut buf, &table, 0, 1, 5e-6, &mut rng, &mut ev, every_pair,
+        );
         assert!(stats.saturated > 0, "{stats:?}");
         assert!(stats.saturated <= stats.candidates);
     }
 
     /// Recorded on the parent of the VHS-constants change, before the
-    /// kernel was touched (five passes on the 150 + 150 cell).
+    /// kernel was touched (five passes on the 150 + 150 cell, every
+    /// accepted pair recorded).
     #[test]
     fn kernel_is_pinned() {
         let (m, table, mut buf) = setup(150, 150);
@@ -254,7 +269,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         let mut ev = Vec::new();
         for _ in 0..5 {
-            model.collide(&m, &mut buf, &table, 0, 1, 5e-6, &mut rng, &mut ev);
+            model.collide(
+                &m, &mut buf, &table, 0, 1, 5e-6, &mut rng, &mut ev, every_pair,
+            );
         }
         assert_eq!(
             crate::collide::tests::pin(&buf, &ev, &[]),
@@ -268,7 +285,9 @@ mod tests {
         let model = CrossCollisionModel::default();
         let mut rng = StdRng::seed_from_u64(5);
         let mut ev = Vec::new();
-        let stats = model.collide(&m, &mut buf, &table, 0, 1, 1e-5, &mut rng, &mut ev);
+        let stats = model.collide(
+            &m, &mut buf, &table, 0, 1, 1e-5, &mut rng, &mut ev, every_pair,
+        );
         assert_eq!(stats, CrossStats::default());
     }
 }

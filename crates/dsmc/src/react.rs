@@ -52,6 +52,22 @@ pub struct ReactStats {
 }
 
 impl ChemistryModel {
+    /// The dissociation test at relative speed `g` (m/s): whether an
+    /// H–H pair's relative kinetic energy `½ μ g²` (`μ = m_H / 2`, the
+    /// reduced mass of identical partners) reaches the activation
+    /// energy. A pair that fails it draws nothing and changes nothing
+    /// in [`ChemistryModel::react_collisions`], so the collision
+    /// passes record only the pairs that pass it.
+    pub fn dissociation_test(
+        &self,
+        species: &SpeciesTable,
+        h_id: u8,
+    ) -> impl Fn(f64) -> bool + Copy {
+        let mu = species.get(h_id).mass / 2.0;
+        let e_activation = self.e_activation;
+        move |g| 0.5 * mu * g * g >= e_activation
+    }
+
     /// Process the collision events of this step: H–H pairs above the
     /// activation energy dissociate (one partner becomes H⁺).
     pub fn react_collisions<R: Rng>(
@@ -63,16 +79,14 @@ impl ChemistryModel {
         events: &[CollisionEvent],
         rng: &mut R,
     ) -> ReactStats {
-        let m_h = species.get(h_id).mass;
-        let mu = m_h / 2.0; // reduced mass of identical partners
+        let reactive = self.dissociation_test(species, h_id);
         let mut stats = ReactStats::default();
         for e in events {
             let (i, j) = (e.i as usize, e.j as usize);
             if buf.species[i] != h_id || buf.species[j] != h_id {
                 continue;
             }
-            let energy = 0.5 * mu * e.rel_speed * e.rel_speed;
-            if energy >= self.e_activation && rng.gen::<f64>() < self.p_steric {
+            if reactive(e.rel_speed) && rng.gen::<f64>() < self.p_steric {
                 // the faster partner ionises
                 let k = if buf.vel(i).norm2() >= buf.vel(j).norm2() {
                     i
@@ -127,6 +141,8 @@ impl ChemistryModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::collide::tests::every_pair;
+    use crate::{CollideStats, CollisionModel, CrossCollisionModel, CrossStats};
     use mesh::{NozzleSpec, Vec3};
     use particles::Particle;
     use rand::rngs::StdRng;
@@ -214,6 +230,125 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let stats = chem.react_collisions(&mut buf, &table, 0, 1, &events, &mut rng);
         assert_eq!(stats.dissociations, 0);
+    }
+
+    /// A cell of 200 H at temperature `t` (K) and 100 H⁺ drifting at
+    /// `ion_drift` (m/s) along z.
+    fn gas(m: &TetMesh, t: f64, ion_drift: f64) -> ParticleBuffer {
+        let mut rng = StdRng::seed_from_u64(8);
+        let mut buf = ParticleBuffer::new();
+        for k in 0..300u64 {
+            let (species, drift) = if k < 200 {
+                (0, Vec3::ZERO)
+            } else {
+                (1, Vec3::new(0.0, 0.0, ion_drift))
+            };
+            buf.push(Particle {
+                pos: m.centroids[0],
+                vel: particles::sample::maxwellian(&mut rng, t, particles::MASS_H, drift),
+                cell: 0,
+                species,
+                id: k,
+            });
+        }
+        buf
+    }
+
+    /// Three rounds of Colli_React of `dt` on `buf` (NTC, MEX/CEX, then
+    /// dissociation), the passes recording the pairs `keep` passes:
+    /// every bit the rounds write and draw, and the recorded lists.
+    #[allow(clippy::type_complexity)]
+    fn colli_react(
+        m: &TetMesh,
+        table: &SpeciesTable,
+        mut buf: ParticleBuffer,
+        dt: f64,
+        keep: impl Fn(f64) -> bool + Copy,
+    ) -> (
+        ParticleBuffer,
+        Vec<(CollideStats, CrossStats, ReactStats)>,
+        Vec<f64>,
+        StdRng,
+        Vec<CollisionEvent>,
+    ) {
+        let chem = ChemistryModel::default();
+        let cross = CrossCollisionModel::default();
+        let mut ntc = CollisionModel::new(m.num_cells(), table, 300.0);
+        let mut rng = StdRng::seed_from_u64(21);
+        let (mut stats, mut recorded) = (Vec::new(), Vec::new());
+        for _ in 0..3 {
+            let mut ev = Vec::new();
+            let c = ntc.collide(m, &mut buf, table, 0, dt, &mut rng, &mut ev, keep);
+            let x = cross.collide(m, &mut buf, table, 0, 1, dt, &mut rng, &mut ev, keep);
+            let r = chem.react_collisions(&mut buf, table, 0, 1, &ev, &mut rng);
+            eprintln!(
+                "DBG {c:?} {x:?} {r:?} ev {} ions {}",
+                ev.len(),
+                buf.species.iter().filter(|&&s| s == 1).count()
+            );
+            stats.push((c, x, r));
+            recorded.extend(ev);
+        }
+        (buf, stats, ntc.sigma_g_max().to_vec(), rng, recorded)
+    }
+
+    #[test]
+    fn reaction_candidates_react_as_every_accepted_pair() {
+        let m = NozzleSpec {
+            nd: 4,
+            nz: 4,
+            ..NozzleSpec::default()
+        }
+        .generate();
+        let (table, _, _) = SpeciesTable::hydrogen_plasma(1e12, 1e12);
+        let reactive = ChemistryModel::default().dissociation_test(&table, 0);
+        // a hot cell with fast ions, and a cold one; a step short
+        // enough that most particles collide at most once in a round
+        for (t, ion_drift, dt, hot) in [(1500.0, 1e4, 2e-7, true), (40.0, 0.0, 5e-6, false)] {
+            let buf = gas(&m, t, ion_drift);
+            let (fbuf, fstats, fsgm, frng, candidates) =
+                colli_react(&m, &table, buf.clone(), dt, reactive);
+            let (abuf, astats, asgm, arng, every) = colli_react(&m, &table, buf, dt, every_pair);
+            let bits = |b: &ParticleBuffer| {
+                let lanes = [&b.vx, &b.vy, &b.vz].into_iter().flatten();
+                (
+                    lanes.map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    b.species.clone(),
+                )
+            };
+            assert!(bits(&fbuf) == bits(&abuf), "T = {t}: particles");
+            assert_eq!(fstats, astats, "T = {t}: pass statistics");
+            assert_eq!(fsgm, asgm, "T = {t}: (σg)_max");
+            assert!(frng == arng, "T = {t}: RNG end state");
+            let kept: Vec<CollisionEvent> = every
+                .iter()
+                .filter(|e| reactive(e.rel_speed))
+                .copied()
+                .collect();
+            assert_eq!(candidates, kept, "T = {t}: the full list filtered in order");
+
+            let accepted: usize = astats
+                .iter()
+                .map(|(c, x, _)| c.collisions + x.mex + x.cex)
+                .sum();
+            assert_eq!(every.len(), accepted);
+            let dissociations: usize = astats.iter().map(|(_, _, r)| r.dissociations).sum();
+            if hot {
+                assert!(
+                    4 * candidates.len() >= every.len() && dissociations > 0,
+                    "premise: {} of {} accepted pairs clear the threshold, {dissociations} react",
+                    candidates.len(),
+                    every.len()
+                );
+            } else {
+                assert!(
+                    every.len() > 100 && 100 * candidates.len() <= every.len(),
+                    "premise: {} of {} accepted pairs clear the threshold",
+                    candidates.len(),
+                    every.len()
+                );
+            }
+        }
     }
 
     #[test]

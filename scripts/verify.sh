@@ -163,6 +163,25 @@ if [ -n "$tested" ]; then
     exit 1
 fi
 
+echo "== reaction-candidate lint (dsmc's collision passes record a CollisionEvent only inside the reaction test) =="
+# A pair below the dissociation threshold is a no-op for the chemistry
+# model, so the NTC and MEX/CEX passes push an event only inside an
+# `if reactive(` block (the test ChemistryModel::dissociation_test
+# returns); an unconditional push stores every accepted pair again.
+pushes=$(awk 'FNR == 1 { skip = 0; depth = 0; test = -1 }
+        /^[ \t]*#\[cfg\(test\)\]/ { skip = 1 }
+        skip || /^[ \t]*\/\// { next }
+        test < 0 && /if reactive\(/ { test = depth }
+        (/(push|extend)\(/ && /(CollisionEvent|events)/ || /CollisionEvent \{/) && !/struct CollisionEvent/ && test < 0 {
+            print FILENAME ":" FNR ": " $0 }
+        { depth += gsub(/\{/, "{") - gsub(/\}/, "}"); if (test >= 0 && depth <= test) test = -1 }' \
+    crates/dsmc/src/collide.rs crates/dsmc/src/cross.rs)
+if [ -n "$pushes" ]; then
+    echo "$pushes"
+    echo "verify: a collision event recorded outside the reaction test (push only pairs that pass reactive)" >&2
+    exit 1
+fi
+
 echo "== gathered-field lint (no Vec<Vec3> in the production part of pic/src/field.rs) =="
 # E is gathered at the ions from φ; no per-fine-cell field array comes back.
 arrays=$(production_lines 'Vec<Vec3>' crates/pic/src/field.rs)

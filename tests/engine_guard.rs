@@ -153,7 +153,11 @@ fn threaded_balance_and_comm_stats_are_pinned() {
     // strategies `Auto` resolved to and the (transactions, bytes) wire
     // totals of the DC and the Auto run. `W_cell = 0` weighs particles
     // only, so its balancer cuts elsewhere: more migration, another
-    // owner map, another density.
+    // owner map, another density. The per-cell counts are allreduced
+    // only on the 4 steps a rebalance is due, not on all 12: each wire
+    // total is its earlier pin less 8 allreduces of 4 messages
+    // (gather and broadcast over 3 ranks) of 2 × 2,304 cells × 8 B,
+    // i.e. 32 messages and 1,179,648 bytes.
     for (w_cell, migrated, population, digest, auto_uses, wires) in [
         (
             1,
@@ -161,7 +165,7 @@ fn threaded_balance_and_comm_stats_are_pinned() {
             1332,
             0x3c98_0260_4fb4_f90d,
             [17, 0, 35, 0],
-            [(552, 4_765_044), (516, 4_823_141)],
+            [(520, 3_585_396), (484, 3_643_493)],
         ),
         (
             0,
@@ -169,7 +173,7 @@ fn threaded_balance_and_comm_stats_are_pinned() {
             1329,
             0x76f5_5484_2f15_b0e9,
             [22, 0, 30, 0],
-            [(552, 4_873_807), (536, 4_921_847)],
+            [(520, 3_694_159), (504, 3_742_199)],
         ),
     ] {
         let runs = [(Distributed, [0, 52, 0, 0]), (Auto, auto_uses)];
