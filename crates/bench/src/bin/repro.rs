@@ -20,7 +20,7 @@ macro_rules! experiments {
 }
 
 /// Every experiment, in `all` order.
-const EXPERIMENTS: [(&str, &str, fn()); 18] = experiments![
+const EXPERIMENTS: [(&str, &str, fn()); 17] = experiments![
     fig05_imbalance: "Fig. 5",
     fig08_contours: "Fig. 8",
     fig09_validation: "Fig. 9",
@@ -36,7 +36,6 @@ const EXPERIMENTS: [(&str, &str, fn()); 18] = experiments![
     fig15_portability: "Fig. 15",
     fig_hier_crossover: "extension, DESIGN.md §11",
     ablation_autotune: "§V-A",
-    fig_balance_modes: "extension, DESIGN.md §13",
     fig_scenario_imbalance: "extension, DESIGN.md §15",
     chaos_run: "DESIGN.md §12",
 ];

@@ -31,7 +31,6 @@ pub mod experiments {
     pub mod fig13_sweep_threshold;
     pub mod fig14_placement;
     pub mod fig15_portability;
-    pub mod fig_balance_modes;
     pub mod fig_hier_crossover;
     pub mod fig_scenario_imbalance;
     pub mod tab02_strong_scaling;

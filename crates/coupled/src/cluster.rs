@@ -24,6 +24,7 @@ use balance::load_imbalance_indicator;
 use dsmc::EXITED;
 use obs::{Breakdown, ExchangeEvent, NullObserver, Phase, RebalanceEvent};
 use particles::PACKED_SIZE;
+use std::convert::Infallible;
 use std::sync::Arc;
 use vmpi::{Flows, Strategy, TrafficSummary};
 
@@ -146,6 +147,8 @@ impl ModelledBackend {
 }
 
 impl Backend for ModelledBackend {
+    type Error = Infallible;
+
     fn track(&self) -> bool {
         true
     }
@@ -267,7 +270,7 @@ impl Backend for ModelledBackend {
         phase: Phase,
         sub: usize,
         rec: &StepRecord,
-    ) -> Option<ExchangeEvent> {
+    ) -> Result<Option<ExchangeEvent>, Infallible> {
         let tr: &[(u32, u32)] = if phase == Phase::DsmcExchange {
             let mark = self.neutral_mark;
             self.neutral_mark = rec.neutral_transitions.len();
@@ -278,7 +281,7 @@ impl Backend for ModelledBackend {
         self.load_migration(tr);
         let (tf, event) = self.price(eng.step_count, phase, sub);
         self.exchange_seconds = self.cost.exchange_time(&tf);
-        Some(event)
+        Ok(Some(event))
     }
 
     fn rebalance(
@@ -286,7 +289,7 @@ impl Backend for ModelledBackend {
         eng: &mut RankEngine,
         _bd: &Breakdown,
         _rec: &StepRecord,
-    ) -> (f64, Option<RebalanceEvent>, Option<ExchangeEvent>) {
+    ) -> Result<(f64, Option<RebalanceEvent>, Option<ExchangeEvent>), Infallible> {
         // lii (paper eq. 6) subtracts the components that are "largely
         // constant" across ranks. In this model Inject is cooperative
         // and rank-constant (like the exchanges and the Poisson
@@ -303,12 +306,12 @@ impl Backend for ModelledBackend {
             .collect();
         let lii = load_imbalance_indicator(&times);
         if !self.balance.due(lii) {
-            return (lii, None, None);
+            return Ok((lii, None, None));
         }
         let (neutral, charged) = eng.counts_per_cell();
         let remapped = self.balance.step(eng.step_count, lii, &neutral, &charged);
         let Some((mut event, old_owner)) = remapped else {
-            return (lii, None, None);
+            return Ok((lii, None, None));
         };
         // migration byte matrix: every particle in a cell changing
         // hands moves once
@@ -332,7 +335,7 @@ impl Backend for ModelledBackend {
             bd[Phase::Rebalance] += t_reb;
         }
         event.remap_seconds = t_reb;
-        (lii, Some(event), Some(migration))
+        Ok((lii, Some(event), Some(migration)))
     }
 
     /// Step wall time: per phase, the slowest rank holds everyone up
@@ -382,7 +385,7 @@ impl ClusterSim {
 
     /// Run one DSMC iteration and return the per-step trace.
     pub fn step(&mut self) -> (StepTrace, Breakdown) {
-        let (_, trace, bd) = run_step(&mut self.state, &mut self.backend, &mut NullObserver);
+        let Ok((_, trace, bd)) = run_step(&mut self.state, &mut self.backend, &mut NullObserver);
         (trace, bd)
     }
 

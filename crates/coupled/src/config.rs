@@ -234,8 +234,8 @@ pub struct ObsConfig {
 }
 
 /// What the threaded driver does when a rank dies mid-run (a
-/// [`vmpi::CommError`] latched by any rank: a chaos-injected kill, an
-/// exhausted retry budget, or a genuinely wedged peer).
+/// [`vmpi::CommError`] that ends any rank's step: a chaos-injected
+/// kill, an exhausted retry budget, or a genuinely wedged peer).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FaultPolicy {
     /// Tear the world down and surface the failure to the caller

@@ -42,6 +42,7 @@ use pic::{accelerate_charged, deposit_charge_into, ElectricField, PoissonSolver}
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sparse::KrylovOptions;
+use std::convert::Infallible;
 use std::sync::Arc;
 
 /// Per-rank scratch state for the exchange phases, reused across
@@ -261,7 +262,7 @@ impl RankEngine {
     /// with the serial backend (no communication, full record: the
     /// injected cells and both transition lists are filled).
     pub fn dsmc_step(&mut self) -> StepRecord {
-        let (rec, _, _) = run_step(self, &mut SerialBackend::recording(), &mut NullObserver);
+        let Ok((rec, _, _)) = run_step(self, &mut SerialBackend::recording(), &mut NullObserver);
         rec
     }
 
@@ -499,7 +500,16 @@ pub struct StepRecord {
 /// particles and charge move between ranks, and what the Rebalance
 /// phase does. The physics phases themselves live on [`RankEngine`]
 /// and are identical under every backend.
+///
+/// The four communicating methods are fallible: a failed exchange or
+/// collective ends the step ([`run_step`] returns the error at once,
+/// like MPI's abort-on-error), and nothing is substituted for the
+/// value it would have produced. A backend with no wire has
+/// `Error = std::convert::Infallible`.
 pub trait Backend {
+    /// What a failed communication reports.
+    type Error;
+
     /// Whether the engine should record per-particle work quantities
     /// (injection cells, cell transitions) into the [`StepRecord`].
     /// Attribution backends need them; real-time backends skip the
@@ -536,20 +546,24 @@ pub trait Backend {
         _phase: Phase,
         _sub: usize,
         _rec: &StepRecord,
-    ) -> Option<ExchangeEvent> {
-        None
+    ) -> Result<Option<ExchangeEvent>, Self::Error> {
+        Ok(None)
     }
 
     /// Sum the node charge across ranks (paper §IV-C reduction);
     /// identity without real decomposition.
-    fn reduce_charge(&mut self, _eng: &RankEngine, node_charge: Vec<f64>) -> Vec<f64> {
-        node_charge
+    fn reduce_charge(
+        &mut self,
+        _eng: &RankEngine,
+        node_charge: Vec<f64>,
+    ) -> Result<Vec<f64>, Self::Error> {
+        Ok(node_charge)
     }
 
     /// Global base index for Reindex (exclusive scan of per-rank
     /// populations; 0 without real decomposition).
-    fn reindex_base(&mut self, _eng: &RankEngine) -> u64 {
-        0
+    fn reindex_base(&mut self, _eng: &RankEngine) -> Result<u64, Self::Error> {
+        Ok(0)
     }
 
     /// The Rebalance phase: measure the load-imbalance indicator
@@ -562,8 +576,8 @@ pub trait Backend {
         _eng: &mut RankEngine,
         _bd: &Breakdown,
         _rec: &StepRecord,
-    ) -> (f64, Option<RebalanceEvent>, Option<ExchangeEvent>) {
-        (0.0, None, None)
+    ) -> Result<(f64, Option<RebalanceEvent>, Option<ExchangeEvent>), Self::Error> {
+        Ok((0.0, None, None))
     }
 
     /// The step is complete: write the per-rank particle `share` into
@@ -595,12 +609,14 @@ fn forward_exchange<O: Observer>(
 /// The phase sequence is defined here exactly once: every driver —
 /// [`run_serial`], `run_threaded`, `ClusterSim` — iterates this.
 /// Returns the work record, the step trace and the per-phase time
-/// breakdown.
+/// breakdown, or the backend's first communication error: the step
+/// stops at the failed exchange or collective, and the observer sees
+/// no `phase` or `step` signal for it.
 pub fn run_step<B: Backend, O: Observer>(
     eng: &mut RankEngine,
     be: &mut B,
     observer: &mut O,
-) -> (StepRecord, StepTrace, Breakdown) {
+) -> Result<(StepRecord, StepTrace, Breakdown), B::Error> {
     let step = eng.step_count;
     let mut rec = StepRecord::default();
     let mut bd = Breakdown::new();
@@ -622,7 +638,7 @@ pub fn run_step<B: Backend, O: Observer>(
     for sc in 0..k_sub {
         eng.dsmc_move(&mut rec, track, dt_sub);
         be.lap(Phase::DsmcMove, sc, eng, &rec, &mut bd);
-        let carried = be.exchange(eng, Phase::DsmcExchange, sc, &rec);
+        let carried = be.exchange(eng, Phase::DsmcExchange, sc, &rec)?;
         be.lap(Phase::DsmcExchange, sc, eng, &rec, &mut bd);
         forward_exchange(carried, &mut trace, observer);
 
@@ -634,22 +650,22 @@ pub fn run_step<B: Backend, O: Observer>(
     for sub in 0..eng.config.pic_per_dsmc {
         eng.pic_move(&mut rec, track);
         be.lap(Phase::PicMove, sub, eng, &rec, &mut bd);
-        let carried = be.exchange(eng, Phase::PicExchange, sub, &rec);
+        let carried = be.exchange(eng, Phase::PicExchange, sub, &rec)?;
         be.lap(Phase::PicExchange, sub, eng, &rec, &mut bd);
         forward_exchange(carried, &mut trace, observer);
         let local = eng.deposit();
-        let node_charge = be.reduce_charge(eng, local);
+        let node_charge = be.reduce_charge(eng, local)?;
         eng.field_solve(node_charge, &mut rec);
         be.lap(Phase::PoissonSolve, sub, eng, &rec, &mut bd);
     }
 
     // --- Reindex ------------------------------------------------------
-    let base = be.reindex_base(eng);
+    let base = be.reindex_base(eng)?;
     eng.reindex(base);
     be.lap(Phase::Reindex, 0, eng, &rec, &mut bd);
 
     // --- Rebalance (Algorithm 1) --------------------------------------
-    let (lii, rebalanced, migration) = be.rebalance(eng, &bd, &rec);
+    let (lii, rebalanced, migration) = be.rebalance(eng, &bd, &rec)?;
     be.lap(Phase::Rebalance, 0, eng, &rec, &mut bd);
     // rebalance migration is also an exchange
     forward_exchange(migration, &mut trace, observer);
@@ -672,7 +688,7 @@ pub fn run_step<B: Backend, O: Observer>(
         observer.phase(p, bd[p]);
     }
     observer.step(step, &trace);
-    (rec, trace, bd)
+    Ok((rec, trace, bd))
 }
 
 /// The run loop of the two whole-domain drivers (`run_serial` and
@@ -682,7 +698,7 @@ pub fn run_step<B: Backend, O: Observer>(
 /// the trace, the breakdown, the folded totals, the final and
 /// time-averaged diagnostics and the population. `ranks` labels the
 /// trace's metadata record.
-pub(crate) fn run_whole_domain<B: Backend>(
+pub(crate) fn run_whole_domain<B: Backend<Error = Infallible>>(
     eng: &mut RankEngine,
     be: &mut B,
     obs: &ObsConfig,
@@ -694,7 +710,7 @@ pub(crate) fn run_whole_domain<B: Backend>(
     let mut rec = Recorder::new(obs.metrics.as_ref(), sink).with_time_average(obs.avg_window);
     rec.meta(ranks, steps);
     for _ in 0..steps {
-        run_step(eng, be, &mut Tee(&mut builder, &mut rec));
+        let Ok(_) = run_step(eng, be, &mut Tee(&mut builder, &mut rec));
         // time-averaged diagnostics are read-only taps: sampling
         // never perturbs the physics, and with avg_window == 0 the
         // samples are dropped before they are even computed
@@ -757,6 +773,8 @@ impl Default for SerialBackend {
 }
 
 impl Backend for SerialBackend {
+    type Error = Infallible;
+
     fn track(&self) -> bool {
         self.track
     }
@@ -813,7 +831,7 @@ mod tests {
         let (mut tracked, mut untracked) = (small_state(), small_state());
         for _ in 0..3 {
             let full = tracked.dsmc_step();
-            let (rec, _, _) =
+            let Ok((rec, _, _)) =
                 run_step(&mut untracked, &mut SerialBackend::new(), &mut NullObserver);
             assert!(!full.injected_cells.is_empty() && !full.neutral_transitions.is_empty());
             assert!(rec.injected_cells.is_empty() && rec.neutral_transitions.is_empty());
@@ -914,7 +932,7 @@ mod tests {
     fn serial_backend_breakdown_tiles_the_step() {
         let mut eng = small_state();
         let mut be = SerialBackend::new();
-        let (_, trace, bd) = run_step(&mut eng, &mut be, &mut NullObserver);
+        let Ok((_, trace, bd)) = run_step(&mut eng, &mut be, &mut NullObserver);
         assert!(bd.total() > 0.0, "laps must measure wall time");
         assert_eq!(trace.step_time, bd.total());
         assert_eq!(trace.share, vec![1.0]);
@@ -944,7 +962,7 @@ mod tests {
         let mut be = SerialBackend::new();
         let mut counting = Counting::default();
         for _ in 0..3 {
-            run_step(&mut eng, &mut be, &mut counting);
+            let Ok(_) = run_step(&mut eng, &mut be, &mut counting);
         }
         assert_eq!(counting.steps, 3);
         assert_eq!(counting.phases, 3 * Phase::ALL.len());
@@ -954,7 +972,7 @@ mod tests {
     fn serial_trace_carries_no_traffic() {
         let mut eng = small_state();
         let mut be = SerialBackend::new();
-        let (_, trace, _) = run_step(&mut eng, &mut be, &mut NullObserver);
+        let Ok((_, trace, _)) = run_step(&mut eng, &mut be, &mut NullObserver);
         assert_eq!(trace.transactions, 0);
         assert_eq!(trace.bytes, 0);
         assert_eq!(trace.strategy_uses, [0; 4]);
@@ -970,7 +988,7 @@ mod tests {
         };
         eng.poisson = PoissonSolver::new(&eng.nm.fine, capped);
         let mut builder = ReportBuilder::new();
-        let (rec, trace, _) = run_step(&mut eng, &mut SerialBackend::new(), &mut builder);
+        let Ok((rec, trace, _)) = run_step(&mut eng, &mut SerialBackend::new(), &mut builder);
         let solves = eng.config.pic_per_dsmc;
         assert_eq!(rec.poisson_unconverged, solves);
         assert_eq!(trace.poisson_unconverged, solves as u64);

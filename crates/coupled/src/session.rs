@@ -2,16 +2,18 @@
 //! attempt — and, after a rank death, replay from checkpoints — until
 //! the run completes or the fault policy says stop. An attempt is one
 //! `rank_main` per rank thread: the decomposed run loop, with its
-//! fault latching, barrier-fenced checkpoints and collective
+//! one fault exit, barrier-fenced checkpoints and collective
 //! end-of-run diagnostics (the whole-domain drivers' loop is
 //! `engine::run_whole_domain`).
 //!
 //! # Faults and recovery (DESIGN.md §12)
 //!
-//! Every communication call is fallible ([`vmpi::CommError`]); the
-//! [`crate::threaded::ThreadedBackend`] latches the first error it
-//! sees, aborts its rank so peers collapse promptly instead of waiting
-//! out timeouts, and the rank surfaces the failure.
+//! Every communication call is fallible ([`vmpi::CommError`]). The
+//! [`crate::threaded::ThreadedBackend`] returns the first error it
+//! sees, [`crate::engine::run_step`] stops the step at that exchange
+//! or collective, and `rank_main` — the one place that handles it —
+//! aborts the rank's comm so peers collapse promptly instead of
+//! waiting out timeouts, and surfaces the failure.
 //! [`run_threaded_result`] is the recovering entry point: with a
 //! [`vmpi::FaultPlan`] installed each rank's transport is wrapped in
 //! [`vmpi::ChaosComm`] (deterministic drop/duplicate/delay/stall/kill
@@ -51,7 +53,7 @@ pub enum RunError {
     /// a wedged peer — and the policy was [`FaultPolicy::Abort`], or
     /// the bounded recovery budget was already spent.
     RankFailure {
-        /// First failing rank (lowest rank id when several latch).
+        /// First failing rank (lowest rank id when several fail).
         rank: usize,
         /// DSMC step the failure surfaced at (`steps` = during the
         /// end-of-run diagnostics collectives).
@@ -322,11 +324,14 @@ fn rank_main<C: Comm>(comm: &C, session: &EngineSession) -> Result<RunReport, Ru
         if let Err(error) = comm.on_step(step) {
             return Err(fail(step, error));
         }
-        match recorder.as_mut() {
+        let stepped = match recorder.as_mut() {
             Some(rec) => run_step(&mut eng, &mut be, &mut Tee(&mut builder, rec)),
             None => run_step(&mut eng, &mut be, &mut builder),
         };
-        if let Some(error) = be.fault() {
+        if let Err(error) = stepped {
+            // collapse the peers blocked on this rank at once instead
+            // of leaving them to wait out their timeouts
+            comm.abort();
             return Err(fail(step, error));
         }
         // Consistent checkpoint: the barrier proves every rank

@@ -10,7 +10,9 @@
 //!
 //! The step itself is the one [`crate::engine::run_step`]; this
 //! module supplies [`ThreadedBackend`] — real `vmpi` communication
-//! plus measured [`LapTimer`] timing. The run loop around it is the
+//! plus measured [`LapTimer`] timing. A failed exchange or collective
+//! is returned as the backend's [`CommError`], which ends the step;
+//! the run loop around it, and its one abort on that error, are the
 //! session's ([`crate::session`]).
 //!
 //! Determinism note: each rank owns an independent RNG stream, so a
@@ -110,12 +112,9 @@ fn wire_cost(ranks: usize) -> CostModel {
 /// measured [`LapTimer`] timing, measured-lii rebalancing
 /// (Algorithm 1).
 ///
-/// The [`Backend`] trait is infallible, so communication errors are
-/// *latched*: the first [`CommError`] is stored, the rank aborts its
-/// comm (collapsing peers' blocking operations promptly), and every
-/// later comm-touching backend call short-circuits to a local
-/// fallback. The run harness checks [`ThreadedBackend::fault`] after
-/// each step and discards the poisoned rank state.
+/// Its [`Backend::Error`] is the first [`CommError`] a collective or
+/// exchange returns; [`crate::engine::run_step`] stops there, and the
+/// rank's run loop aborts the comm and discards the rank's state.
 pub struct ThreadedBackend<'a, C: Comm> {
     comm: &'a C,
     strategy: Strategy,
@@ -131,9 +130,6 @@ pub struct ThreadedBackend<'a, C: Comm> {
     /// Per-rank populations from the Reindex allgather (reused for
     /// the step trace's share).
     pops: Vec<u64>,
-    /// First communication error observed; once set, comm-touching
-    /// calls short-circuit (the rank's state is already condemned).
-    fault: Option<CommError>,
 }
 
 impl<'a, C: Comm> ThreadedBackend<'a, C> {
@@ -149,13 +145,7 @@ impl<'a, C: Comm> ThreadedBackend<'a, C> {
             wire_mark: (0, 0),
             clock: LapTimer::start(),
             pops: Vec::new(),
-            fault: None,
         }
-    }
-
-    /// The first communication error this backend latched, if any.
-    pub fn fault(&self) -> Option<CommError> {
-        self.fault
     }
 
     /// The coarse-cell ownership map the backend is running under
@@ -164,25 +154,10 @@ impl<'a, C: Comm> ThreadedBackend<'a, C> {
         self.balance.owner()
     }
 
-    /// Latch the first fault and abort this rank's comm so peers
-    /// blocked on it collapse with [`CommError::PeerDead`] instead of
-    /// waiting out their timeouts.
-    fn latch(&mut self, error: CommError) {
-        if self.fault.is_none() {
-            self.fault = Some(error);
-            self.comm.abort();
-        }
-    }
-
     /// This world's cumulative (transactions, bytes) counters.
     fn wire(&self) -> (u64, u64) {
         let stats = self.comm.stats();
         (stats.transactions(), stats.bytes())
-    }
-
-    /// `result`'s value, or `None` with its error latched.
-    fn ok_or_latch<T>(&mut self, result: CommResult<T>) -> Option<T> {
-        result.map_err(|e| self.latch(e)).ok()
     }
 
     /// One full particle migration: pack emigrants, resolve the
@@ -215,6 +190,8 @@ impl<'a, C: Comm> ThreadedBackend<'a, C> {
 }
 
 impl<C: Comm> Backend for ThreadedBackend<'_, C> {
+    type Error = CommError;
+
     /// Discard the time since the last lap (inter-step gaps belong to
     /// no phase).
     fn begin_step(&mut self, _eng: &RankEngine) {
@@ -242,15 +219,11 @@ impl<C: Comm> Backend for ThreadedBackend<'_, C> {
         phase: Phase,
         sub: usize,
         _rec: &StepRecord,
-    ) -> Option<ExchangeEvent> {
-        if self.fault.is_some() {
-            return None;
-        }
+    ) -> CommResult<Option<ExchangeEvent>> {
         let before = self.wire();
-        let carried = self.migrate(eng);
-        let strategy = self.ok_or_latch(carried)?;
+        let strategy = self.migrate(eng)?;
         let after = self.wire();
-        Some(ExchangeEvent {
+        Ok(Some(ExchangeEvent {
             step: eng.step_count,
             phase,
             sub,
@@ -263,29 +236,18 @@ impl<C: Comm> Backend for ThreadedBackend<'_, C> {
             max_rank_msgs: 0,
             node_pairs: 0,
             aggregated_bytes: 0,
-        })
+        }))
     }
 
-    fn reduce_charge(&mut self, _eng: &RankEngine, node_charge: Vec<f64>) -> Vec<f64> {
-        if self.fault.is_some() {
-            return node_charge;
-        }
-        // sum boundary/node charge across ranks (paper §IV-C
-        // reduction); every rank then solves the replicated system
-        let reduced = allreduce_sum_f64(self.comm, &node_charge);
-        self.ok_or_latch(reduced).unwrap_or(node_charge)
+    /// Sum boundary/node charge across ranks (paper §IV-C reduction);
+    /// every rank then solves the replicated system.
+    fn reduce_charge(&mut self, _eng: &RankEngine, node_charge: Vec<f64>) -> CommResult<Vec<f64>> {
+        allreduce_sum_f64(self.comm, &node_charge)
     }
 
-    fn reindex_base(&mut self, eng: &RankEngine) -> u64 {
-        if self.fault.is_some() {
-            return 0;
-        }
-        let pops = allgather_u64(self.comm, eng.particles.len() as u64);
-        let Some(pops) = self.ok_or_latch(pops) else {
-            return 0;
-        };
-        self.pops = pops;
-        self.pops[..self.comm.rank()].iter().sum()
+    fn reindex_base(&mut self, eng: &RankEngine) -> CommResult<u64> {
+        self.pops = allgather_u64(self.comm, eng.particles.len() as u64)?;
+        Ok(self.pops[..self.comm.rank()].iter().sum())
     }
 
     fn rebalance(
@@ -293,16 +255,10 @@ impl<C: Comm> Backend for ThreadedBackend<'_, C> {
         eng: &mut RankEngine,
         bd: &Breakdown,
         rec: &StepRecord,
-    ) -> (f64, Option<RebalanceEvent>, Option<ExchangeEvent>) {
-        if self.fault.is_some() {
-            return (0.0, None, None);
-        }
+    ) -> CommResult<(f64, Option<RebalanceEvent>, Option<ExchangeEvent>)> {
         // share measured times: (total, migration, poisson) triples
         let mine = [bd.total(), bd.migration(), bd.poisson()];
-        let all = allgather_f64(self.comm, &mine);
-        let Some(all) = self.ok_or_latch(all) else {
-            return (0.0, None, None);
-        };
+        let all = allgather_f64(self.comm, &mine)?;
         let times: Vec<RankTimes> = all
             .chunks_exact(3)
             .map(|c| RankTimes {
@@ -313,14 +269,11 @@ impl<C: Comm> Backend for ThreadedBackend<'_, C> {
             .collect();
         let lii = load_imbalance_indicator(&times);
         if !self.balance.due(lii) {
-            return (lii, None, None);
+            return Ok((lii, None, None));
         }
         // global per-cell counts (needed by the load model)
         let (neutral, charged) = eng.counts_per_cell();
-        let global = allreduce_sum_u64(self.comm, &[neutral, charged].concat());
-        let Some(global) = self.ok_or_latch(global) else {
-            return (lii, None, None);
-        };
+        let global = allreduce_sum_u64(self.comm, &[neutral, charged].concat())?;
         let (neutral, charged) = global.split_at(eng.nm.num_coarse());
 
         // every rank runs the (deterministic) algorithm on the same
@@ -328,12 +281,12 @@ impl<C: Comm> Backend for ThreadedBackend<'_, C> {
         let remap_started = std::time::Instant::now();
         let remapped = self.balance.step(eng.step_count, lii, neutral, charged);
         let Some((mut event, _)) = remapped else {
-            return (lii, None, None);
+            return Ok((lii, None, None));
         };
         eng.claim_inlet(self.balance.owner(), self.comm.rank());
-        let migration = self.exchange(eng, Phase::Rebalance, 0, rec);
+        let migration = self.exchange(eng, Phase::Rebalance, 0, rec)?;
         event.remap_seconds = remap_started.elapsed().as_secs_f64();
-        (lii, Some(event), migration)
+        Ok((lii, Some(event), migration))
     }
 
     /// Share from the Reindex allgather's populations; traffic from
@@ -355,9 +308,10 @@ impl<C: Comm> Backend for ThreadedBackend<'_, C> {
 mod tests {
     use super::*;
     use crate::config::{Dataset, RunConfigBuilder};
-    use crate::engine::run_serial;
+    use crate::engine::{run_serial, run_step};
     use crate::report::RunReport;
     use crate::session::run_threaded;
+    use vmpi::run_world;
 
     /// The small fixed-seed run every test here varies.
     fn quick(ranks: usize, strategy: Strategy) -> RunConfigBuilder {
@@ -484,6 +438,42 @@ mod tests {
         let dc = run(quick(3, Strategy::Distributed));
         assert_eq!(a.population, dc.population);
         assert_eq!(a.density_h, dc.density_h);
+    }
+
+    #[test]
+    fn a_dead_peer_ends_the_step_at_the_failed_collective() {
+        #[derive(Default)]
+        struct Counting {
+            phases: usize,
+            steps: usize,
+        }
+        impl obs::Observer for Counting {
+            fn phase(&mut self, _p: Phase, _s: f64) {
+                self.phases += 1;
+            }
+            fn step(&mut self, _i: usize, _t: &StepTrace) {
+                self.steps += 1;
+            }
+        }
+        let run = quick(2, Strategy::Distributed)
+            .build()
+            .expect("valid test config");
+        let world = Arc::new(World::build(&run.sim, run.ranks));
+        let got = run_world(2, |comm| {
+            if comm.rank() == 1 {
+                comm.abort();
+                return None;
+            }
+            let mut eng = RankEngine::for_rank(run.sim.clone(), &world, 0);
+            let mut be = ThreadedBackend::new(&comm, &run, &world, world.owner0.clone());
+            let mut counting = Counting::default();
+            let stepped = run_step(&mut eng, &mut be, &mut counting).map(|_| ());
+            Some((stepped, eng.step_count, counting.phases, counting.steps))
+        });
+        let (stepped, step_count, phases, steps) = got[0].expect("rank 0 ran");
+        assert_eq!(stepped, Err(CommError::PeerDead { peer: 1 }));
+        assert_eq!(step_count, 0, "a failed step is not counted");
+        assert_eq!((phases, steps), (0, 0), "the observer hears nothing");
     }
 
     #[test]

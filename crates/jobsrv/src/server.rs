@@ -31,12 +31,6 @@ pub struct ServerConfig {
     pub thread_budget: usize,
     /// Completed reports kept for cache service (LRU).
     pub cache_capacity: usize,
-    /// Engine attempts per job before it is failed: 1 clean try plus
-    /// checkpoint replays after worker deaths.
-    pub max_attempts: usize,
-    /// Queue pass-overs before an entry jumps the schedule (see
-    /// [`FairQueue`]).
-    pub starvation_limit: usize,
     /// Server-side metrics registry. Jobs that bring no registry of
     /// their own get this one scoped to `"job-<id>."`, so one
     /// snapshot shows every job's engine counters side by side.
@@ -49,8 +43,6 @@ impl Default for ServerConfig {
             workers: 2,
             thread_budget: 8,
             cache_capacity: 32,
-            max_attempts: 3,
-            starvation_limit: 4,
             metrics: None,
         }
     }
@@ -69,16 +61,6 @@ impl ServerConfig {
 
     pub fn cache_capacity(mut self, n: usize) -> Self {
         self.cache_capacity = n;
-        self
-    }
-
-    pub fn max_attempts(mut self, n: usize) -> Self {
-        self.max_attempts = n.max(1);
-        self
-    }
-
-    pub fn starvation_limit(mut self, n: usize) -> Self {
-        self.starvation_limit = n;
         self
     }
 
@@ -159,9 +141,18 @@ struct State {
     stats: ServerStats,
 }
 
-/// Geometries kept for the jobs that repeat a `[domain]` (LRU). A
-/// constant, not a [`ServerConfig`] field: one value is in use.
+/// Geometries kept for the jobs that repeat a `[domain]` (LRU). This
+/// and the two below are constants, not [`ServerConfig`] fields: one
+/// value of each is in use.
 const GEOMETRY_CAPACITY: usize = 8;
+
+/// Engine attempts per job before it is failed: 1 clean try plus
+/// checkpoint replays after worker deaths.
+const MAX_ATTEMPTS: usize = 3;
+
+/// Queue pass-overs before an entry jumps the schedule (see
+/// [`FairQueue`]).
+const STARVATION_LIMIT: usize = 4;
 
 type GeometryCache = Lru<[u64; 5], Arc<Geometry>>;
 
@@ -174,7 +165,6 @@ struct Shared {
     /// together with `state`. Lives and dies with the server.
     geometries: Mutex<GeometryCache>,
     thread_budget: usize,
-    max_attempts: usize,
     metrics: Option<Registry>,
 }
 
@@ -249,7 +239,7 @@ impl JobServer {
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
                 jobs: HashMap::new(),
-                queue: FairQueue::new(cfg.starvation_limit),
+                queue: FairQueue::new(STARVATION_LIMIT),
                 cache: Lru::new(cfg.cache_capacity),
                 in_flight: HashMap::new(),
                 budget_in_use: 0,
@@ -260,7 +250,6 @@ impl JobServer {
             cv: Condvar::new(),
             geometries: Mutex::new(Lru::new(GEOMETRY_CAPACITY)),
             thread_budget: cfg.thread_budget.max(1),
-            max_attempts: cfg.max_attempts.max(1),
             metrics: cfg.metrics,
         });
         let workers = (0..cfg.workers.max(1))
@@ -575,9 +564,8 @@ fn worker_loop(shared: &Arc<Shared>) {
                 }
             }
             Ok((mut session, Err(e))) => {
-                let retry = session.can_retry_after(&e)
-                    && job.attempts < shared.max_attempts
-                    && !st.shutdown;
+                let retry =
+                    session.can_retry_after(&e) && job.attempts < MAX_ATTEMPTS && !st.shutdown;
                 if retry {
                     session.prepare_retry();
                     job.session = Some(session);

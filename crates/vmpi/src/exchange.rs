@@ -90,72 +90,27 @@ impl Strategy {
     }
 }
 
-/// Grouping of the world's ranks into nodes for [`Strategy::Hier`].
+/// Grouping of the world's ranks into nodes for [`Strategy::Hier`]:
+/// consecutive blocks of `per_node` ranks (the last node may be
+/// short), matching how schedulers hand out contiguous rank ranges
+/// per host.
 ///
 /// The node of rank `r` is `node_of(r)`; the *leader* of a node is its
 /// lowest-numbered member and carries that node's share of the
 /// aggregated inter-node traffic. Mirrors the machine placement in
 /// `coupled::machine`: ranks on one node talk over the cheap
 /// inner-frame tier, node pairs over the expensive inter-rack tier.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NodeMap {
-    node_of: Vec<usize>,
-    /// `leader[node]`: the node's lowest member rank.
-    leader: Vec<usize>,
-    /// Ranks grouped by node, ascending within a node: node `a` holds
-    /// `members[member_start[a]..member_start[a + 1]]`.
-    members: Vec<usize>,
-    member_start: Vec<usize>,
+    ranks: usize,
+    per_node: usize,
 }
 
 impl NodeMap {
-    /// Build from an explicit rank → node assignment. Node ids must be
-    /// dense (`0..nodes`, every node nonempty); panics otherwise —
-    /// that is caller misconfiguration, not a communication fault.
-    pub fn new(node_of: Vec<usize>) -> Self {
-        assert!(!node_of.is_empty(), "a node map needs at least one rank");
-        let nodes = node_of.iter().max().copied().unwrap_or(0) + 1;
-        assert!(
-            nodes <= node_of.len(),
-            "node {} has no ranks (node ids must be dense)",
-            nodes - 1
-        );
-        // counting sort of the ranks by node
-        let mut member_start = vec![0usize; nodes + 1];
-        for &node in &node_of {
-            member_start[node + 1] += 1;
-        }
-        for node in 0..nodes {
-            assert!(
-                member_start[node + 1] > 0,
-                "node {node} has no ranks (node ids must be dense)"
-            );
-            member_start[node + 1] += member_start[node];
-        }
-        let mut next = member_start.clone();
-        let mut members = vec![0usize; node_of.len()];
-        for (r, &node) in node_of.iter().enumerate() {
-            members[next[node]] = r;
-            next[node] += 1;
-        }
-        let leader = member_start[..nodes]
-            .iter()
-            .map(|&at| members[at])
-            .collect();
-        NodeMap {
-            node_of,
-            leader,
-            members,
-            member_start,
-        }
-    }
-
-    /// Consecutive blocks of `ranks_per_node` ranks (the last node may
-    /// be short), matching how schedulers hand out contiguous rank
-    /// ranges per host.
-    pub fn grouped(n_ranks: usize, ranks_per_node: usize) -> Self {
-        assert!(ranks_per_node > 0, "ranks_per_node must be positive");
-        Self::new((0..n_ranks).map(|r| r / ranks_per_node).collect())
+    /// `ranks` ranks in nodes of `per_node`.
+    pub fn grouped(ranks: usize, per_node: usize) -> Self {
+        assert!(per_node > 0, "ranks_per_node must be positive");
+        NodeMap { ranks, per_node }
     }
 
     /// Default grouping when the caller gave none: two equal halves —
@@ -166,40 +121,37 @@ impl NodeMap {
 
     /// Number of ranks mapped.
     pub fn len(&self) -> usize {
-        self.node_of.len()
+        self.ranks
     }
 
-    /// Whether the map covers zero ranks (never true for a
-    /// constructed map; present for API completeness).
+    /// Whether the map covers no ranks (`grouped(0, _)`).
     pub fn is_empty(&self) -> bool {
-        self.node_of.is_empty()
+        self.ranks == 0
     }
 
     /// Number of nodes.
     pub fn nodes(&self) -> usize {
-        self.leader.len()
+        self.ranks.div_ceil(self.per_node)
     }
 
     /// The node rank `r` lives on.
     pub fn node_of(&self, r: usize) -> usize {
-        self.node_of[r]
+        r / self.per_node
     }
 
     /// The leader (lowest member rank) of `node`.
     pub fn leader(&self, node: usize) -> usize {
-        self.leader[node]
+        node * self.per_node
     }
 
     /// Whether `r` is its node's leader.
     pub fn is_leader(&self, r: usize) -> bool {
-        self.leader[self.node_of[r]] == r
+        r.is_multiple_of(self.per_node)
     }
 
     /// The member ranks of `node`, ascending.
-    pub fn members(&self, node: usize) -> impl Iterator<Item = usize> + '_ {
-        self.members[self.member_start[node]..self.member_start[node + 1]]
-            .iter()
-            .copied()
+    pub fn members(&self, node: usize) -> std::ops::Range<usize> {
+        self.leader(node)..self.leader(node + 1).min(self.ranks)
     }
 }
 
@@ -1083,6 +1035,31 @@ mod tests {
             assert_eq!(solo.node_of(r), r);
             assert_eq!(solo.leader(r), r);
             assert!(solo.is_leader(r));
+        }
+    }
+
+    #[test]
+    fn grouped_partitions_the_world_into_led_contiguous_blocks() {
+        for n in 1..=64 {
+            for per_node in 1..=n + 2 {
+                let m = NodeMap::grouped(n, per_node);
+                let mut next = 0;
+                for node in 0..m.nodes() {
+                    let members: Vec<usize> = m.members(node).collect();
+                    assert!(!members.is_empty(), "n={n} per_node={per_node} node={node}");
+                    assert_eq!(m.leader(node), next, "led by its lowest member");
+                    for (i, &r) in members.iter().enumerate() {
+                        assert_eq!(r, next + i, "ascending and contiguous");
+                        assert_eq!(m.node_of(r), node);
+                        assert_eq!(m.is_leader(r), i == 0);
+                    }
+                    next += members.len();
+                }
+                assert_eq!(next, n, "every rank on exactly one node");
+                let distinct: std::collections::BTreeSet<usize> =
+                    (0..n).map(|r| m.node_of(r)).collect();
+                assert_eq!(m.nodes(), distinct.len(), "n={n} per_node={per_node}");
+            }
         }
     }
 

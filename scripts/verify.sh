@@ -54,16 +54,34 @@ if [ -n "$(git status --porcelain -- bench_ledger BENCHMARK.json)" ]; then
     exit 1
 fi
 
-echo "== unset-option lint (every RunConfigBuilder setter has a caller outside config.rs) =="
-config=crates/coupled/src/config.rs
-for setter in $(sed -nE '/^impl RunConfigBuilder \{/,/^\}/s/^    pub fn ([a-z0-9_]+)\(mut self.*/\1/p' "$config"); do
-    callers=$(grep -rlE "\.$setter\(" --include='*.rs' crates src tests examples bench_ledger/src |
-        grep -vx "$config" || true)
-    if [ -z "$callers" ]; then
-        echo "verify: RunConfigBuilder::$setter has no caller outside $config" >&2
-        exit 1
-    fi
+echo "== unset-option lint (every RunConfigBuilder / ServerConfig setter has a caller outside its file) =="
+# An option nobody sets is a constant: delete the setter, keep the value.
+unset=0
+for pair in RunConfigBuilder:crates/coupled/src/config.rs ServerConfig:crates/jobsrv/src/server.rs; do
+    ty=${pair%%:*} file=${pair#*:}
+    for setter in $(sed -nE "/^impl $ty \{/,/^\}/s/^    pub fn ([a-z0-9_]+)\(mut self.*/\1/p" "$file"); do
+        callers=$(grep -rlE "\.$setter\(" --include='*.rs' crates src tests examples bench_ledger/src |
+            grep -vx "$file" || true)
+        if [ -z "$callers" ]; then
+            echo "verify: $ty::$setter has no caller outside $file" >&2
+            unset=1
+        fi
+    done
 done
+[ "$unset" = 0 ] || exit 1
+
+echo "== one-error-path lint (a failed collective ends the step; coupled latches no CommError) =="
+# Backend methods return their CommError and run_step stops there;
+# production code under crates/coupled/src keeps no Option<CommError>
+# (a field, binding or parameter) to carry one past the failed call.
+latched=$(for f in crates/coupled/src/*.rs; do
+    awk '/^#\[cfg\(test\)\]/ { exit } /:[ \t]*Option<CommError>/ { print FILENAME ":" FNR ": " $0 }' "$f"
+done)
+if [ -n "$latched" ]; then
+    echo "$latched" >&2
+    echo "verify: coupled declares an Option<CommError> (return the error instead)" >&2
+    exit 1
+fi
 
 echo "== uncalled-API lint (every pub fn outside crates/bench is named somewhere besides its definition) =="
 # A name counts as used when it occurs as a word on a non-comment line

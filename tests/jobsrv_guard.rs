@@ -129,7 +129,7 @@ fn killed_worker_job_recovers_from_checkpoint_with_the_pinned_hash() {
         .build()
         .expect("valid recovery config");
 
-    let srv = JobServer::start(ServerConfig::default().workers(1).max_attempts(3));
+    let srv = JobServer::start(ServerConfig::default().workers(1));
     let h = srv.submit(JobSpec::new(run).tenant("chaos").label("kill mid-run"));
     let rx = h.subscribe();
     let report = h.wait().expect("job must recover and complete");
