@@ -28,8 +28,8 @@ use crate::config::{ObsConfig, RunConfig, SimConfig};
 use crate::report::{ReportBuilder, RunReport, StepTrace};
 use crate::world::World;
 use dsmc::{
-    move_particles_pooled, ChemistryModel, CollisionEvent, CollisionModel, CrossCollisionModel,
-    Injector, Pump, ReactStats,
+    collision_key, move_particles_pooled, ChemistryModel, CollisionEvent, CollisionModel,
+    CrossCollisionModel, Injector, Pump, ReactStats,
 };
 use kernels::Pool;
 use mesh::NestedMesh;
@@ -82,8 +82,9 @@ pub struct RankEngine {
     pub efield: ElectricField,
     pub rng: StdRng,
     /// Dedicated DSMC stream for subcycled runs: when
-    /// `config.k_sub_dsmc > 1` the neutral move/collide/react phases
-    /// draw from this stream instead of `rng`, so changing the
+    /// `config.k_sub_dsmc > 1` the neutral move and the reactions draw
+    /// from this stream instead of `rng` (the collision passes draw
+    /// from keyed per-cell streams), so changing the
     /// subcycle count never perturbs the PIC draws on `rng`. At
     /// `k_sub_dsmc == 1` it is never consumed and the engine keeps
     /// the legacy single-stream behaviour bit for bit.
@@ -93,8 +94,8 @@ pub struct RankEngine {
     pub rng_pump: StdRng,
     /// DSMC iterations completed.
     pub step_count: usize,
-    /// Lanes of the neutral and ion moves and the CG team, each
-    /// bitwise the same on any lane count: every core
+    /// Lanes of the neutral and ion moves, the two collision passes
+    /// and the CG team, each bitwise the same on any lane count: every core
     /// for a whole-domain engine, one for a rank of a decomposed run,
     /// whose sibling rank threads (or job-server workers) already fill
     /// the cores.
@@ -338,26 +339,27 @@ impl RankEngine {
     }
 
     /// Colli_React: NTC collisions, optional cross-species pass,
-    /// chemistry — over one subcycle of `dt`. Both passes record only
-    /// the pairs that pass the chemistry's dissociation test, the
-    /// only ones `react_collisions` acts on. Record fields accumulate
-    /// so subcycles sum (a single subcycle writes the identical
-    /// totals the pre-subcycling assignment did).
-    fn colli_react(&mut self, rec: &mut StepRecord, dt: f64) {
+    /// chemistry — over DSMC subcycle `subcycle`, of `dt`. Both
+    /// collision passes run on [`RankEngine::lanes`], each cell drawing
+    /// from its own stream keyed by the run seed (`config.seed`, the
+    /// same on every rank), the step, the subcycle, the pass and the
+    /// global coarse cell ([`dsmc::collision_key`]); they record only
+    /// the pairs that pass the chemistry's dissociation test, the only
+    /// ones `react_collisions` acts on. The reactions draw from the
+    /// engine's stream (`rng_dsmc` when subcycling). Record fields
+    /// accumulate so subcycles sum.
+    fn colli_react(&mut self, rec: &mut StepRecord, dt: f64, subcycle: usize) {
         self.events.clear();
         let reactive = self.chemistry.dissociation_test(&self.species, self.h_id);
-        let rng = if self.config.k_sub_dsmc > 1 {
-            &mut self.rng_dsmc
-        } else {
-            &mut self.rng
-        };
+        let key = collision_key(self.config.seed, self.step_count as u64, subcycle as u64);
         let cstats = self.collisions.collide(
             &self.nm.coarse,
             &mut self.particles,
             &self.species,
             self.h_id,
             dt,
-            rng,
+            key,
+            &self.lanes,
             &mut self.events,
             reactive,
         );
@@ -371,13 +373,19 @@ impl RankEngine {
                 self.h_id,
                 self.hp_id,
                 dt,
-                rng,
+                key,
+                &self.lanes,
                 &mut self.events,
                 reactive,
             );
             rec.collision_candidates += xstats.candidates;
             rec.collisions += xstats.mex + xstats.cex;
         }
+        let rng = if self.config.k_sub_dsmc > 1 {
+            &mut self.rng_dsmc
+        } else {
+            &mut self.rng
+        };
         let r1 = self.chemistry.react_collisions(
             &mut self.particles,
             &self.species,
@@ -642,7 +650,7 @@ pub fn run_step<B: Backend, O: Observer>(
         be.lap(Phase::DsmcExchange, sc, eng, &rec, &mut bd);
         forward_exchange(carried, &mut trace, observer);
 
-        eng.colli_react(&mut rec, dt_sub);
+        eng.colli_react(&mut rec, dt_sub, sc);
         be.lap(Phase::ColliReact, sc, eng, &rec, &mut bd);
     }
 
@@ -874,24 +882,22 @@ mod tests {
         for _ in 0..3 {
             eng.dsmc_step();
         }
-        // replay the two passes from the same state, every accepted
-        // pair recorded
+        // replay the two passes from the same state on one lane, every
+        // accepted pair recorded
         let dt = eng.config.dt_dsmc;
-        let (mut buf, mut rng, mut ntc) = (
-            eng.particles.clone(),
-            eng.rng.clone(),
-            eng.collisions.clone(),
-        );
+        let key = collision_key(eng.config.seed, eng.step_count as u64, 0);
+        let (mut buf, mut ntc) = (eng.particles.clone(), eng.collisions.clone());
         let mut all = Vec::new();
         let every_pair = |_: f64| true;
-        let coarse = &eng.nm.coarse;
+        let (coarse, serial) = (&eng.nm.coarse, Pool::serial());
         ntc.collide(
             coarse,
             &mut buf,
             &eng.species,
             eng.h_id,
             dt,
-            &mut rng,
+            key,
+            &serial,
             &mut all,
             every_pair,
         );
@@ -904,13 +910,14 @@ mod tests {
             h,
             hp,
             dt,
-            &mut rng,
+            key,
+            &serial,
             &mut all,
             every_pair,
         );
 
         let mut rec = StepRecord::default();
-        eng.colli_react(&mut rec, dt);
+        eng.colli_react(&mut rec, dt, 0);
         assert_eq!(all.len(), rec.collisions, "every accepted pair replayed");
         let reactive = eng.chemistry.dissociation_test(&eng.species, eng.h_id);
         let above: Vec<CollisionEvent> = all

@@ -6,11 +6,15 @@
 //! with probability `σ(g)·g / (σg)_max`; accepted pairs scatter
 //! isotropically (VHS), conserving momentum and energy exactly.
 
+use crate::keyed::{
+    cell_ranges, cell_rng, on_cells, pass_key, Pass, SharedParticles, CANDIDATES_PER_LANE,
+};
 use crate::react::ChemistryModel;
 use kernels::Pool;
-use mesh::TetMesh;
+use mesh::{TetMesh, Vec3};
 use particles::{ParticleBuffer, Species, SpeciesTable, Vhs};
 use rand::Rng;
+use std::ops::Range;
 
 /// Persistent per-cell state of the NTC scheme (the running
 /// `(σg)_max` estimate) plus scratch buffers.
@@ -57,28 +61,37 @@ struct CellScratch {
 }
 
 impl CellScratch {
+    /// Scratch for cells of up to `n` particles (reserved by the
+    /// caller, so a helper lane that takes it allocates nothing).
+    fn with_capacity(n: usize) -> Self {
+        CellScratch {
+            vx: Vec::with_capacity(n),
+            vy: Vec::with_capacity(n),
+            vz: Vec::with_capacity(n),
+            dirty: Vec::with_capacity(n),
+        }
+    }
+
     /// The NTC kernel on one cell of `list.len() >= 2` neutrals
-    /// (buffer indices into the `vel` lanes): draw the candidate
-    /// count, pick pairs, accept against the pre-pass `sgm` snapshot
-    /// and VHS-scatter the accepted ones in the gathered lanes,
-    /// recording those that pass `reactive`. `vhs` is `sp.vhs()`,
-    /// taken once per pass.
-    /// Returns the adaptive `(σg)_max` (`sgm` unless a pair exceeded
-    /// it; committing it late is value-identical — the ratchet only
-    /// grows); the caller writes the `dirty` lanes back. The candidate
-    /// draw compares list *positions* instead of buffer indices —
-    /// equivalent (the cell lists hold distinct indices) and identical
-    /// RNG consumption.
+    /// (buffer indices into `buf`), drawing from the cell's own stream
+    /// `rng`: round the `expected` candidate count, pick pairs, accept
+    /// against the pre-pass `sgm` and VHS-scatter the accepted ones in
+    /// the gathered lanes, recording those that pass `reactive`, then
+    /// write the rewritten velocities back. `vhs` is `sp.vhs()`, taken
+    /// once per pass. Returns the adaptive `(σg)_max` (`sgm` unless a
+    /// pair exceeded it; committing it late is value-identical — the
+    /// ratchet only grows). The candidate draw compares list
+    /// *positions* instead of buffer indices — equivalent, as the cell
+    /// lists hold distinct indices.
     #[allow(clippy::too_many_arguments)]
     fn collide<R: Rng>(
         &mut self,
         list: &[u32],
-        vel: [&[f64]; 3],
+        buf: &SharedParticles<'_>,
         sp: &Species,
         vhs: Vhs,
         sgm: f64,
-        dt: f64,
-        volume: f64,
+        expected: f64,
         rng: &mut R,
         stats: &mut CollideStats,
         events: &mut Vec<CollisionEvent>,
@@ -90,20 +103,19 @@ impl CellScratch {
             vz: lvz,
             dirty,
         } = self;
-        dirty.clear();
         let n = list.len();
         let mut sgm_adapt = sgm;
-        let n_cand = 0.5 * n as f64 * (n as f64 - 1.0) * sp.weight * sgm * dt / volume;
         // probabilistic rounding of the fractional candidate count
-        let n_cand = n_cand.floor() as usize + usize::from(rng.gen::<f64>() < n_cand.fract());
+        let n_cand = expected.floor() as usize + usize::from(rng.gen::<f64>() < expected.fract());
         if n_cand == 0 {
             return sgm;
         }
 
-        for (lane, src) in [&mut *lvx, &mut *lvy, &mut *lvz].into_iter().zip(vel) {
+        for (k, lane) in [&mut *lvx, &mut *lvy, &mut *lvz].into_iter().enumerate() {
             lane.clear();
-            lane.extend(list.iter().map(|&i| src[i as usize]));
+            lane.extend(list.iter().map(|&i| buf.vel_component(k, i as usize)));
         }
+        dirty.clear();
         dirty.resize(n, false);
 
         stats.candidates += n_cand;
@@ -155,6 +167,11 @@ impl CellScratch {
                 }
             }
         }
+        for (k, &d) in dirty.iter().enumerate() {
+            if d {
+                buf.set_vel(list[k] as usize, Vec3::new(lvx[k], lvy[k], lvz[k]));
+            }
+        }
         sgm_adapt
     }
 }
@@ -200,58 +217,123 @@ impl CollisionModel {
     }
 
     /// Perform one NTC collision pass over the *neutral* particles of
-    /// `buf` (species id `neutral_id`). Returns statistics and pushes
-    /// each accepted collision whose relative speed passes `reactive`
-    /// (the chemistry's dissociation test) into `events` for the
-    /// chemistry step.
+    /// `buf` (species id `neutral_id`). Each occupied cell draws from
+    /// its own stream, keyed by `key` ([`crate::collision_key`]) and the
+    /// cell, so the pass gives the same bits on any `lanes`: it runs on
+    /// contiguous cell ranges balanced by the expected candidate count
+    /// `½ N (N−1) F_N (σg)_max Δt / V`, one lane per
+    /// `CANDIDATES_PER_LANE` expected candidates at most. Returns
+    /// statistics and pushes each accepted collision whose relative
+    /// speed passes `reactive` (the chemistry's dissociation test) into
+    /// `events` for the chemistry step, in cell order.
     #[allow(clippy::too_many_arguments)]
-    pub fn collide<R: Rng>(
+    pub fn collide(
         &mut self,
         mesh: &TetMesh,
         buf: &mut ParticleBuffer,
         species: &SpeciesTable,
         neutral_id: u8,
         dt: f64,
-        rng: &mut R,
+        key: u64,
+        lanes: &Pool,
         events: &mut Vec<CollisionEvent>,
-        reactive: impl Fn(f64) -> bool,
+        reactive: impl Fn(f64) -> bool + Sync,
+    ) -> CollideStats {
+        self.collide_with_floor(
+            mesh,
+            buf,
+            species,
+            neutral_id,
+            dt,
+            key,
+            lanes,
+            events,
+            reactive,
+            CANDIDATES_PER_LANE,
+        )
+    }
+
+    /// [`CollisionModel::collide`] with `per_lane` as the lane floor
+    /// (tests force many lanes on a few cells through it).
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn collide_with_floor(
+        &mut self,
+        mesh: &TetMesh,
+        buf: &mut ParticleBuffer,
+        species: &SpeciesTable,
+        neutral_id: u8,
+        dt: f64,
+        key: u64,
+        lanes: &Pool,
+        events: &mut Vec<CollisionEvent>,
+        reactive: impl Fn(f64) -> bool + Sync,
+        per_lane: f64,
     ) -> CollideStats {
         let sp = species.get(neutral_id);
         let vhs = sp.vhs();
         self.bucket(buf, neutral_id);
-
-        let mut stats = CollideStats::default();
-        let mut cell = CellScratch::default();
-        for (c, list) in self.cell_lists.iter().enumerate() {
-            if list.len() < 2 {
-                continue;
-            }
-            let sgm = self.sigma_g_max[c];
-            let vel = [&buf.vx[..], &buf.vy[..], &buf.vz[..]];
-            let volume = mesh.volumes[c];
-            let sgm_adapt = cell.collide(
-                list, vel, sp, vhs, sgm, dt, volume, rng, &mut stats, events, &reactive,
-            );
-            // scatter modified velocities back and commit the ratchet
-            for (k, &d) in cell.dirty.iter().enumerate() {
-                if d {
-                    let i = list[k] as usize;
-                    buf.vx[i] = cell.vx[k];
-                    buf.vy[i] = cell.vy[k];
-                    buf.vz[i] = cell.vz[k];
+        let CollisionModel {
+            sigma_g_max,
+            cell_lists,
+        } = self;
+        let cell_lists = &*cell_lists;
+        let expected = |c: usize, sgm: f64| {
+            let n = cell_lists[c].len() as f64;
+            0.5 * n * (n - 1.0) * sp.weight * sgm * dt / mesh.volumes[c]
+        };
+        let ranges = cell_ranges(
+            cell_lists.len(),
+            |c| match cell_lists[c].len() {
+                0 | 1 => 0.0,
+                _ => expected(c, sigma_g_max[c]),
+            },
+            lanes,
+            per_lane,
+        );
+        let largest = |cells: &Range<usize>| cell_lists[cells.clone()].iter().map(Vec::len).max();
+        let buf = SharedParticles::new(buf);
+        let (buf, reactive, key) = (&buf, &reactive, pass_key(key, Pass::Ntc));
+        on_cells(
+            ranges,
+            sigma_g_max,
+            |cells| CellScratch::with_capacity(largest(cells).unwrap_or(0)),
+            events,
+            |cells, sgm, mut scratch, events| {
+                let mut stats = CollideStats::default();
+                for (c, sgm) in cells.zip(sgm) {
+                    let list = &cell_lists[c];
+                    if list.len() < 2 {
+                        continue;
+                    }
+                    let mut rng = cell_rng(key, c);
+                    let adapt = scratch.collide(
+                        list,
+                        buf,
+                        sp,
+                        vhs,
+                        *sgm,
+                        expected(c, *sgm),
+                        &mut rng,
+                        &mut stats,
+                        events,
+                        reactive,
+                    );
+                    *sgm = sgm.max(adapt);
                 }
-            }
-            if sgm_adapt > sgm {
-                self.sigma_g_max[c] = sgm_adapt;
-            }
-        }
-        stats
+                stats
+            },
+        )
+        .into_iter()
+        .fold(CollideStats::default(), |a, b| CollideStats {
+            candidates: a.candidates + b.candidates,
+            collisions: a.collisions + b.collisions,
+        })
     }
 
     /// [`CollisionModel::collide`] recording the pairs that pass the
     /// default chemistry's dissociation test (the kernel the step
-    /// runs); `_pool` is unused. Kept for the benchmark ledger's
-    /// pinned kernel API.
+    /// runs), keyed by a draw from `rng`. Kept for the benchmark
+    /// ledger's pinned kernel API.
     #[allow(clippy::too_many_arguments)]
     pub fn collide_pooled<R: Rng>(
         &mut self,
@@ -262,16 +344,20 @@ impl CollisionModel {
         dt: f64,
         rng: &mut R,
         events: &mut Vec<CollisionEvent>,
-        _pool: &Pool,
+        pool: &Pool,
     ) -> CollideStats {
         let reactive = ChemistryModel::default().dissociation_test(species, neutral_id);
-        self.collide(mesh, buf, species, neutral_id, dt, rng, events, reactive)
+        let key = rng.gen();
+        self.collide(
+            mesh, buf, species, neutral_id, dt, key, pool, events, reactive,
+        )
     }
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::collision_key;
     use mesh::{NozzleSpec, Vec3};
     use particles::Particle;
     use rand::rngs::StdRng;
@@ -303,75 +389,116 @@ pub(crate) mod tests {
         )
     }
 
-    /// FNV pin of five passes on the 200-particle cell at seed 11.
-    fn five_passes() -> u64 {
-        let (m, table, mut buf) = setup(1e12);
-        let mut rng = StdRng::seed_from_u64(11);
-        let mut model = CollisionModel::new(m.num_cells(), &table, 300.0);
-        let mut ev = Vec::new();
-        for _ in 0..5 {
-            model.collide(&m, &mut buf, &table, 0, 1e-5, &mut rng, &mut ev, every_pair);
-        }
-        pin(&buf, &ev, model.sigma_g_max())
-    }
-
-    /// Recorded on the parent of the VHS-constants change, before the
-    /// kernel was touched: a bit that moves here moves every golden run.
-    /// The passes record every accepted pair, so the pin still covers
-    /// each one's indices and relative speed.
-    #[test]
-    fn serial_kernel_is_pinned() {
-        assert_eq!(five_passes(), 0xd65f_8eee_6801_42dc);
-    }
-
-    fn setup(weight: f64) -> (TetMesh, SpeciesTable, ParticleBuffer) {
-        let m = NozzleSpec {
+    /// The test lattice: 4 × 4 nozzle cells.
+    pub(crate) fn lattice() -> TetMesh {
+        NozzleSpec {
             nd: 4,
             nz: 4,
             ..NozzleSpec::default()
         }
-        .generate();
+        .generate()
+    }
+
+    /// `n` particles of species `sp` in each of `cells`, at random
+    /// points of their cell, Maxwellian at `t` (K) around `drift`,
+    /// drawn from `rng`.
+    pub(crate) fn fill(
+        m: &TetMesh,
+        buf: &mut ParticleBuffer,
+        cells: std::ops::Range<usize>,
+        n: usize,
+        (sp, t, drift): (u8, f64, Vec3),
+        rng: &mut StdRng,
+    ) {
+        for c in cells {
+            let [a, b, cc, d] = m.tet_pos(c);
+            for _ in 0..n {
+                buf.push(Particle {
+                    pos: particles::sample::point_in_tet(rng, a, b, cc, d),
+                    vel: particles::sample::maxwellian(rng, t, particles::MASS_H, drift),
+                    cell: c as u32,
+                    species: sp,
+                    id: buf.len() as u64,
+                });
+            }
+        }
+    }
+
+    /// FNV pin of five passes (steps 0–4 of seed 11) on the
+    /// 200-particle cell.
+    fn five_passes() -> u64 {
+        let (m, table, mut buf) = setup(1e12);
+        let mut model = CollisionModel::new(m.num_cells(), &table, 300.0);
+        let mut ev = Vec::new();
+        for step in 0..5 {
+            let key = collision_key(11, step, 0);
+            model.collide(
+                &m,
+                &mut buf,
+                &table,
+                0,
+                1e-5,
+                key,
+                &Pool::serial(),
+                &mut ev,
+                every_pair,
+            );
+        }
+        pin(&buf, &ev, model.sigma_g_max())
+    }
+
+    /// Re-pinned when the pass moved to keyed per-cell streams
+    /// (`ntc_rate_matches_the_maxwellian_rate` checks the acceptance
+    /// law on both streams): a bit that moves here moves every golden
+    /// run. The passes record every accepted pair, so the pin also
+    /// covers each one's indices and relative speed.
+    #[test]
+    fn serial_kernel_is_pinned() {
+        assert_eq!(five_passes(), 0x4ae5_a6bf_7554_9b16);
+    }
+
+    fn setup(weight: f64) -> (TetMesh, SpeciesTable, ParticleBuffer) {
+        let m = lattice();
         let (table, h, _) = SpeciesTable::hydrogen_plasma(weight, weight);
         let mut buf = ParticleBuffer::new();
         let mut rng = StdRng::seed_from_u64(9);
         // fill cell 0 with thermal particles
-        for k in 0..200u64 {
-            let pos = particles::sample::point_in_tet(
-                &mut rng,
-                m.tet_pos(0)[0],
-                m.tet_pos(0)[1],
-                m.tet_pos(0)[2],
-                m.tet_pos(0)[3],
-            );
-            buf.push(Particle {
-                pos,
-                vel: particles::sample::maxwellian(&mut rng, 300.0, particles::MASS_H, Vec3::ZERO),
-                cell: 0,
-                species: h,
-                id: k,
-            });
-        }
+        fill(&m, &mut buf, 0..1, 200, (h, 300.0, Vec3::ZERO), &mut rng);
         (m, table, buf)
+    }
+
+    /// One pass of `dt` on one lane, keyed `key`, recording every
+    /// accepted pair.
+    fn pass(
+        model: &mut CollisionModel,
+        m: &TetMesh,
+        table: &SpeciesTable,
+        buf: &mut ParticleBuffer,
+        dt: f64,
+        key: u64,
+    ) -> (CollideStats, Vec<CollisionEvent>) {
+        let mut ev = Vec::new();
+        let stats = model.collide(
+            m,
+            buf,
+            table,
+            0,
+            dt,
+            key,
+            &Pool::serial(),
+            &mut ev,
+            every_pair,
+        );
+        (stats, ev)
     }
 
     #[test]
     fn momentum_and_energy_conserved() {
         let (m, table, mut buf) = setup(1e12);
-        let mut rng = StdRng::seed_from_u64(1);
         let mut model = CollisionModel::new(m.num_cells(), &table, 300.0);
         let mom_before: Vec3 = buf.iter().fold(Vec3::ZERO, |acc, p| acc + p.vel);
         let en_before: f64 = buf.iter().map(|p| p.vel.norm2()).sum();
-        let mut events = Vec::new();
-        let stats = model.collide(
-            &m,
-            &mut buf,
-            &table,
-            0,
-            1e-5,
-            &mut rng,
-            &mut events,
-            every_pair,
-        );
+        let (stats, _) = pass(&mut model, &m, &table, &mut buf, 1e-5, 1);
         assert!(stats.collisions > 0, "no collisions happened: {stats:?}");
         let mom_after: Vec3 = buf.iter().fold(Vec3::ZERO, |acc, p| acc + p.vel);
         let en_after: f64 = buf.iter().map(|p| p.vel.norm2()).sum();
@@ -379,36 +506,109 @@ pub(crate) mod tests {
         assert!((en_before - en_after).abs() < 1e-9 * en_before);
     }
 
+    /// Accepted collisions against the equilibrium NTC rate: R seeds of
+    /// a few cells of Maxwellian gas at T, one short pass each, with
+    /// `(σg)_max` set above σg at six thermal speeds so no pair ratchets
+    /// it. The expected count is `½ N (N−1) F_N ⟨σg⟩ Δt / V` per cell,
+    /// with ⟨σg⟩ = σ_ref g_ref^½ ⟨g^½⟩ under VHS at ω = 0.75 and
+    /// ⟨g^a⟩ = (2kT/μ)^(a/2) Γ((3+a)/2) / Γ(3/2), μ = m/2; the count
+    /// must land within 3σ of its counting error.
     #[test]
-    fn pooled_with_serial_pool_is_bit_identical() {
-        let (m, table, base_buf) = setup(1e12);
-        let run = |pooled: bool| {
-            let mut buf = base_buf.clone();
+    fn ntc_rate_matches_the_maxwellian_rate() {
+        const GAMMA_7_4: f64 = 0.919_062_526_848_883_2;
+        const GAMMA_3_2: f64 = 0.886_226_925_452_758;
+        let (t, n, cells, dt, seeds) = (300.0, 400, 0..6, 1.5e-9, 0..24u64);
+        let m = lattice();
+        let (table, h, _) = SpeciesTable::hydrogen_plasma(1e12, 1e12);
+        let sp = table.get(h);
+        let vhs = sp.vhs();
+        assert_eq!(vhs.exponent, 0.5, "premise: σg = σ_ref g_ref^½ g^½");
+        let g_max = 6.0 * sp.thermal_speed(t);
+        let mu = sp.mass / 2.0;
+        let mean_sqrt_g = (2.0 * particles::KB * t / mu).powf(0.25) * GAMMA_7_4 / GAMMA_3_2;
+        let mean_sigma_g = vhs.sigma_ref * vhs.g_ref.sqrt() * mean_sqrt_g;
+        let per_pass: f64 = cells
+            .clone()
+            .map(|c| 0.5 * (n * (n - 1)) as f64 * sp.weight * mean_sigma_g * dt / m.volumes[c])
+            .sum();
+        let expected = per_pass * seeds.clone().count() as f64;
+        let mut accepted = 0;
+        for seed in seeds {
+            let mut rng = StdRng::seed_from_u64(100 + seed);
+            let mut buf = ParticleBuffer::new();
+            fill(&m, &mut buf, cells.clone(), n, (h, t, Vec3::ZERO), &mut rng);
+            let mut model = CollisionModel::new(m.num_cells(), &table, t);
+            model.set_sigma_g_max(&vec![vhs.cross_section(g_max) * g_max; m.num_cells()]);
+            let (stats, _) = pass(&mut model, &m, &table, &mut buf, dt, seed);
+            assert!(model
+                .sigma_g_max()
+                .iter()
+                .all(|&s| s == vhs.cross_section(g_max) * g_max));
+            accepted += stats.collisions;
+        }
+        let sigma = expected.sqrt();
+        assert!(
+            expected > 1000.0 && per_pass < 0.05 * (n * cells.len()) as f64,
+            "premise: a counted rate, a short pass: {expected} over the seeds, {per_pass} a pass"
+        );
+        assert!(
+            (accepted as f64 - expected).abs() < 3.0 * sigma,
+            "{accepted} accepted, {expected:.1} ± {sigma:.1} expected"
+        );
+    }
+
+    #[test]
+    fn pooled_equals_collide_on_any_pool() {
+        // dense enough for three lanes at the production floor
+        let m = lattice();
+        let (table, h, _) = SpeciesTable::hydrogen_plasma(1e12, 1e12);
+        let mut buf = ParticleBuffer::new();
+        let mut rng = StdRng::seed_from_u64(9);
+        fill(&m, &mut buf, 0..12, 400, (h, 300.0, Vec3::ZERO), &mut rng);
+        let dt = 2e-5;
+        let reactive = ChemistryModel::default().dissociation_test(&table, h);
+        let run = |pooled: Option<usize>| {
+            let mut buf = buf.clone();
             let mut rng = StdRng::seed_from_u64(5);
             let mut model = CollisionModel::new(m.num_cells(), &table, 300.0);
             let mut ev = Vec::new();
-            let stats = if pooled {
-                model.collide_pooled(
+            let stats = match pooled {
+                Some(lanes) => model.collide_pooled(
                     &m,
                     &mut buf,
                     &table,
-                    0,
-                    1e-5,
+                    h,
+                    dt,
                     &mut rng,
                     &mut ev,
-                    &kernels::Pool::serial(),
-                )
-            } else {
-                let reactive = ChemistryModel::default().dissociation_test(&table, 0);
-                model.collide(&m, &mut buf, &table, 0, 1e-5, &mut rng, &mut ev, reactive)
+                    &Pool::new(lanes),
+                ),
+                None => {
+                    let key = rng.gen();
+                    model.collide(
+                        &m,
+                        &mut buf,
+                        &table,
+                        h,
+                        dt,
+                        key,
+                        &Pool::serial(),
+                        &mut ev,
+                        reactive,
+                    )
+                }
             };
-            (stats, (buf.vx.clone(), buf.vy.clone(), buf.vz.clone()), ev)
+            (stats, pin(&buf, &ev, model.sigma_g_max()), rng)
         };
-        let (sa, va, ea) = run(false);
-        let (sb, vb, eb) = run(true);
-        assert_eq!(sa, sb);
-        assert_eq!(va, vb);
-        assert_eq!(ea, eb);
+        let serial = run(None);
+        assert!(
+            serial.0.candidates as f64 > 3.0 * CANDIDATES_PER_LANE,
+            "premise: three lanes' worth of candidates, {:?}",
+            serial.0
+        );
+        for lanes in 1..=3 {
+            assert!(run(Some(lanes)) == serial, "{lanes} lanes");
+        }
     }
 
     #[test]
@@ -417,18 +617,15 @@ pub(crate) mod tests {
         let mut total_short = 0usize;
         let mut total_long = 0usize;
         for seed in 0..5 {
-            let mut rng = StdRng::seed_from_u64(seed);
             let mut b = buf.clone();
             let mut model = CollisionModel::new(m.num_cells(), &table, 300.0);
-            let mut ev = Vec::new();
-            total_short += model
-                .collide(&m, &mut b, &table, 0, 1e-6, &mut rng, &mut ev, every_pair)
+            total_short += pass(&mut model, &m, &table, &mut b, 1e-6, seed)
+                .0
                 .candidates;
-            let mut rng = StdRng::seed_from_u64(seed);
             let mut b = buf.clone();
             let mut model = CollisionModel::new(m.num_cells(), &table, 300.0);
-            total_long += model
-                .collide(&m, &mut b, &table, 0, 4e-6, &mut rng, &mut ev, every_pair)
+            total_long += pass(&mut model, &m, &table, &mut b, 4e-6, seed)
+                .0
                 .candidates;
         }
         // 4x dt => ~4x candidates
@@ -447,10 +644,8 @@ pub(crate) mod tests {
             species: 0,
             id: 0,
         });
-        let mut rng = StdRng::seed_from_u64(2);
         let mut model = CollisionModel::new(m.num_cells(), &table, 300.0);
-        let mut ev = Vec::new();
-        let stats = model.collide(&m, &mut buf, &table, 0, 1e-5, &mut rng, &mut ev, every_pair);
+        let (stats, ev) = pass(&mut model, &m, &table, &mut buf, 1e-5, 2);
         assert_eq!(stats, CollideStats::default());
         assert!(ev.is_empty());
     }
@@ -462,20 +657,16 @@ pub(crate) mod tests {
         for s in buf.species.iter_mut() {
             *s = 1;
         }
-        let mut rng = StdRng::seed_from_u64(3);
         let mut model = CollisionModel::new(m.num_cells(), &table, 300.0);
-        let mut ev = Vec::new();
-        let stats = model.collide(&m, &mut buf, &table, 0, 1e-5, &mut rng, &mut ev, every_pair);
+        let (stats, _) = pass(&mut model, &m, &table, &mut buf, 1e-5, 3);
         assert_eq!(stats.candidates, 0);
     }
 
     #[test]
     fn events_reference_valid_particles() {
         let (m, table, mut buf) = setup(1e12);
-        let mut rng = StdRng::seed_from_u64(4);
         let mut model = CollisionModel::new(m.num_cells(), &table, 300.0);
-        let mut ev = Vec::new();
-        model.collide(&m, &mut buf, &table, 0, 1e-5, &mut rng, &mut ev, every_pair);
+        let (_, ev) = pass(&mut model, &m, &table, &mut buf, 1e-5, 4);
         for e in &ev {
             assert!((e.i as usize) < buf.len());
             assert!((e.j as usize) < buf.len());

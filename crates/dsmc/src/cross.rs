@@ -17,6 +17,10 @@
 //!   dominant process shaping thruster-plume wings.
 
 use crate::collide::CollisionEvent;
+use crate::keyed::{
+    cell_ranges, cell_rng, on_cells, pass_key, Pass, SharedParticles, CANDIDATES_PER_LANE,
+};
+use kernels::Pool;
 use mesh::TetMesh;
 use particles::{ParticleBuffer, SpeciesTable};
 use rand::Rng;
@@ -50,12 +54,16 @@ pub struct CrossStats {
 }
 
 impl CrossCollisionModel {
-    /// One NTC pass over neutral–ion pairs. Appends each accepted
-    /// pair whose relative speed passes `reactive` (the chemistry's
+    /// One NTC pass over neutral–ion pairs. Each occupied cell draws
+    /// from its own stream, keyed by `key` ([`crate::collision_key`])
+    /// and the cell, so the pass gives the same bits on any `lanes`,
+    /// over contiguous cell ranges as
+    /// [`crate::CollisionModel::collide`]. Appends each accepted pair
+    /// whose relative speed passes `reactive` (the chemistry's
     /// dissociation test: a later CEX can leave both partners neutral)
-    /// to `events`.
+    /// to `events`, in cell order.
     #[allow(clippy::too_many_arguments)]
-    pub fn collide<R: Rng>(
+    pub fn collide(
         &self,
         mesh: &TetMesh,
         buf: &mut ParticleBuffer,
@@ -63,9 +71,41 @@ impl CrossCollisionModel {
         neutral_id: u8,
         ion_id: u8,
         dt: f64,
-        rng: &mut R,
+        key: u64,
+        lanes: &Pool,
         events: &mut Vec<CollisionEvent>,
-        reactive: impl Fn(f64) -> bool,
+        reactive: impl Fn(f64) -> bool + Sync,
+    ) -> CrossStats {
+        self.collide_with_floor(
+            mesh,
+            buf,
+            species,
+            [neutral_id, ion_id],
+            dt,
+            key,
+            lanes,
+            events,
+            reactive,
+            CANDIDATES_PER_LANE,
+        )
+    }
+
+    /// [`CrossCollisionModel::collide`] on the `[neutral, ion]` species
+    /// ids with `per_lane` as the lane floor (tests force many lanes on
+    /// a few cells through it).
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn collide_with_floor(
+        &self,
+        mesh: &TetMesh,
+        buf: &mut ParticleBuffer,
+        species: &SpeciesTable,
+        [neutral_id, ion_id]: [u8; 2],
+        dt: f64,
+        key: u64,
+        lanes: &Pool,
+        events: &mut Vec<CollisionEvent>,
+        reactive: impl Fn(f64) -> bool + Sync,
+        per_lane: f64,
     ) -> CrossStats {
         let n_sp = species.get(neutral_id);
         let i_sp = species.get(ion_id);
@@ -76,71 +116,98 @@ impl CrossCollisionModel {
         let f_n = n_sp.weight.max(i_sp.weight);
         let vhs = n_sp.vhs();
         let sigma_g_max = 2.0 * vhs.cross_section(vhs.g_ref) * vhs.g_ref;
+        let (m1, m2) = (n_sp.mass, i_sp.mass);
 
-        // bucket both species per cell
+        // bucket both species per cell: [neutrals, ions]
         let nc = mesh.num_cells();
-        let mut neutrals: Vec<Vec<u32>> = vec![Vec::new(); nc];
-        let mut ions: Vec<Vec<u32>> = vec![Vec::new(); nc];
+        let mut buckets: Vec<[Vec<u32>; 2]> = vec![[Vec::new(), Vec::new()]; nc];
         for i in 0..buf.len() {
             let c = buf.cell[i] as usize;
             if buf.species[i] == neutral_id {
-                neutrals[c].push(i as u32);
+                buckets[c][0].push(i as u32);
             } else if buf.species[i] == ion_id {
-                ions[c].push(i as u32);
+                buckets[c][1].push(i as u32);
             }
         }
+        let expected = |c: usize, [nn, ni]: [usize; 2]| {
+            nn as f64 * ni as f64 * f_n * sigma_g_max * dt / mesh.volumes[c]
+        };
+        let ranges = cell_ranges(
+            nc,
+            |c| expected(c, buckets[c].each_ref().map(Vec::len)),
+            lanes,
+            per_lane,
+        );
 
-        let mut stats = CrossStats::default();
-        for c in 0..nc {
-            let nn = neutrals[c].len();
-            let ni = ions[c].len();
-            if nn == 0 || ni == 0 {
-                continue;
-            }
-            let n_cand = nn as f64 * ni as f64 * f_n * sigma_g_max * dt / mesh.volumes[c];
-            let n_cand = n_cand.floor() as usize + usize::from(rng.gen::<f64>() < n_cand.fract());
-
-            for _ in 0..n_cand {
-                stats.candidates += 1;
-                let a = neutrals[c][rng.gen_range(0..nn)] as usize;
-                let b = ions[c][rng.gen_range(0..ni)] as usize;
-                let g_vec = buf.vel(a) - buf.vel(b);
-                let g = g_vec.norm();
-                let sigma_g = vhs.cross_section(g) * g;
-                stats.saturated += usize::from(sigma_g > sigma_g_max);
-                if rng.gen::<f64>() * sigma_g_max >= sigma_g {
-                    continue;
+        let buf = SharedParticles::new(buf);
+        let (buf, reactive, key) = (&buf, &reactive, pass_key(key, Pass::Cross));
+        let cex_fraction = self.cex_fraction;
+        on_cells(
+            ranges,
+            &mut buckets,
+            |_| (),
+            events,
+            |cells, buckets, (), events| {
+                let mut stats = CrossStats::default();
+                for (c, [neutrals, ions]) in cells.zip(buckets) {
+                    if neutrals.is_empty() || ions.is_empty() {
+                        continue;
+                    }
+                    let mut rng = cell_rng(key, c);
+                    let expected = expected(c, [neutrals.len(), ions.len()]);
+                    let n_cand = expected.floor() as usize
+                        + usize::from(rng.gen::<f64>() < expected.fract());
+                    for _ in 0..n_cand {
+                        stats.candidates += 1;
+                        let ka = rng.gen_range(0..neutrals.len());
+                        let kb = rng.gen_range(0..ions.len());
+                        let (a, b) = (neutrals[ka] as usize, ions[kb] as usize);
+                        let (va, vb) = (buf.vel(a), buf.vel(b));
+                        let g = (va - vb).norm();
+                        let sigma_g = vhs.cross_section(g) * g;
+                        stats.saturated += usize::from(sigma_g > sigma_g_max);
+                        if rng.gen::<f64>() * sigma_g_max >= sigma_g {
+                            continue;
+                        }
+                        if rng.gen::<f64>() < cex_fraction {
+                            // CEX: identities swap, velocities stay — the
+                            // electron hops, momentum of each *body* is
+                            // untouched. The pair swaps lists too, so a
+                            // partner drawn again acts in its new role.
+                            buf.set_species(a, ion_id);
+                            buf.set_species(b, neutral_id);
+                            (neutrals[ka], ions[kb]) = (b as u32, a as u32);
+                            stats.cex += 1;
+                        } else {
+                            // MEX: elastic isotropic VHS scattering
+                            let cm = (va * m1 + vb * m2) / (m1 + m2);
+                            let cos_t = 2.0 * rng.gen::<f64>() - 1.0;
+                            let sin_t = (1.0 - cos_t * cos_t).sqrt();
+                            let phi = 2.0 * std::f64::consts::PI * rng.gen::<f64>();
+                            let dir = mesh::Vec3::new(sin_t * phi.cos(), sin_t * phi.sin(), cos_t);
+                            buf.set_vel(a, cm + dir * (g * m2 / (m1 + m2)));
+                            buf.set_vel(b, cm - dir * (g * m1 / (m1 + m2)));
+                            stats.mex += 1;
+                        }
+                        if reactive(g) {
+                            events.push(CollisionEvent {
+                                i: a as u32,
+                                j: b as u32,
+                                rel_speed: g,
+                            });
+                        }
+                    }
                 }
-                if rng.gen::<f64>() < self.cex_fraction {
-                    // CEX: identities swap, velocities stay — the
-                    // electron hops, momentum of each *body* is
-                    // untouched.
-                    buf.species[a] = ion_id;
-                    buf.species[b] = neutral_id;
-                    stats.cex += 1;
-                } else {
-                    // MEX: elastic isotropic VHS scattering
-                    let m1 = n_sp.mass;
-                    let m2 = i_sp.mass;
-                    let cm = (buf.vel(a) * m1 + buf.vel(b) * m2) / (m1 + m2);
-                    let cos_t = 2.0 * rng.gen::<f64>() - 1.0;
-                    let sin_t = (1.0 - cos_t * cos_t).sqrt();
-                    let phi = 2.0 * std::f64::consts::PI * rng.gen::<f64>();
-                    let dir = mesh::Vec3::new(sin_t * phi.cos(), sin_t * phi.sin(), cos_t);
-                    buf.set_vel(a, cm + dir * (g * m2 / (m1 + m2)));
-                    buf.set_vel(b, cm - dir * (g * m1 / (m1 + m2)));
-                    stats.mex += 1;
-                }
-                if reactive(g) {
-                    events.push(CollisionEvent {
-                        i: a as u32,
-                        j: b as u32,
-                        rel_speed: g,
-                    });
-                }
-            }
-        }
-        stats
+                stats
+            },
+        )
+        .into_iter()
+        .fold(CrossStats::default(), |a, b| CrossStats {
+            candidates: a.candidates + b.candidates,
+            mex: a.mex + b.mex,
+            cex: a.cex + b.cex,
+            saturated: a.saturated + b.saturated,
+        })
     }
 }
 
@@ -148,6 +215,7 @@ impl CrossCollisionModel {
 mod tests {
     use super::*;
     use crate::collide::tests::every_pair;
+    use crate::collision_key;
     use mesh::{NozzleSpec, Vec3};
     use particles::Particle;
     use rand::rngs::StdRng;
@@ -186,11 +254,20 @@ mod tests {
     fn conserves_species_totals() {
         let (m, table, mut buf) = setup(150, 150);
         let model = CrossCollisionModel::default();
-        let mut rng = StdRng::seed_from_u64(1);
+        let key = 1;
         let mut ev = Vec::new();
         let before_ions = buf.species.iter().filter(|&&s| s == 1).count();
         let stats = model.collide(
-            &m, &mut buf, &table, 0, 1, 5e-6, &mut rng, &mut ev, every_pair,
+            &m,
+            &mut buf,
+            &table,
+            0,
+            1,
+            5e-6,
+            key,
+            &Pool::serial(),
+            &mut ev,
+            every_pair,
         );
         assert!(stats.candidates > 0, "no candidates drawn");
         let after_ions = buf.species.iter().filter(|&&s| s == 1).count();
@@ -203,7 +280,7 @@ mod tests {
     fn cex_transfers_drift_to_neutrals() {
         let (m, table, mut buf) = setup(200, 200);
         let model = CrossCollisionModel { cex_fraction: 1.0 };
-        let mut rng = StdRng::seed_from_u64(2);
+        let key = 2;
         let mut ev = Vec::new();
         let mean_vz = |buf: &ParticleBuffer, sp: u8| {
             let vs: Vec<f64> = (0..buf.len())
@@ -214,7 +291,16 @@ mod tests {
         };
         let neutral_vz_before = mean_vz(&buf, 0);
         let stats = model.collide(
-            &m, &mut buf, &table, 0, 1, 2e-5, &mut rng, &mut ev, every_pair,
+            &m,
+            &mut buf,
+            &table,
+            0,
+            1,
+            2e-5,
+            key,
+            &Pool::serial(),
+            &mut ev,
+            every_pair,
         );
         assert!(stats.cex > 5, "need CEX events, got {stats:?}");
         assert_eq!(stats.mex, 0);
@@ -230,13 +316,22 @@ mod tests {
     fn mex_conserves_momentum_and_energy() {
         let (m, table, mut buf) = setup(150, 150);
         let model = CrossCollisionModel { cex_fraction: 0.0 };
-        let mut rng = StdRng::seed_from_u64(4);
+        let key = 4;
         let mut ev = Vec::new();
         let mom = |buf: &ParticleBuffer| buf.iter().fold(Vec3::ZERO, |acc, p| acc + p.vel);
         let energy = |buf: &ParticleBuffer| -> f64 { buf.iter().map(|p| p.vel.norm2()).sum() };
         let (p0, e0) = (mom(&buf), energy(&buf));
         let stats = model.collide(
-            &m, &mut buf, &table, 0, 1, 5e-6, &mut rng, &mut ev, every_pair,
+            &m,
+            &mut buf,
+            &table,
+            0,
+            1,
+            5e-6,
+            key,
+            &Pool::serial(),
+            &mut ev,
+            every_pair,
         );
         assert!(stats.mex > 0);
         // H and H+ masses differ by one electron mass (~0.05%), so
@@ -250,43 +345,99 @@ mod tests {
         // setup's ions drift at 2 × 10⁴ m/s, past 4·g_ref ≈ 8.5 km/s
         let (m, table, mut buf) = setup(150, 150);
         let model = CrossCollisionModel::default();
-        let mut rng = StdRng::seed_from_u64(6);
+        let key = 6;
         let mut ev = Vec::new();
         let stats = model.collide(
-            &m, &mut buf, &table, 0, 1, 5e-6, &mut rng, &mut ev, every_pair,
+            &m,
+            &mut buf,
+            &table,
+            0,
+            1,
+            5e-6,
+            key,
+            &Pool::serial(),
+            &mut ev,
+            every_pair,
         );
         assert!(stats.saturated > 0, "{stats:?}");
         assert!(stats.saturated <= stats.candidates);
     }
 
-    /// Recorded on the parent of the VHS-constants change, before the
-    /// kernel was touched (five passes on the 150 + 150 cell, every
-    /// accepted pair recorded).
+    /// Five passes (steps 0–4 of seed 11) on the 150 + 150 cell, every
+    /// accepted pair recorded. Re-pinned when the pass moved to keyed
+    /// per-cell streams and a CEX began to swap the pair's buckets
+    /// (`cex_keeps_the_ion_count_of_an_asymmetric_cell`).
     #[test]
     fn kernel_is_pinned() {
         let (m, table, mut buf) = setup(150, 150);
         let model = CrossCollisionModel { cex_fraction: 0.5 };
-        let mut rng = StdRng::seed_from_u64(11);
         let mut ev = Vec::new();
-        for _ in 0..5 {
+        for step in 0..5 {
+            let key = collision_key(11, step, 0);
             model.collide(
-                &m, &mut buf, &table, 0, 1, 5e-6, &mut rng, &mut ev, every_pair,
+                &m,
+                &mut buf,
+                &table,
+                0,
+                1,
+                5e-6,
+                key,
+                &Pool::serial(),
+                &mut ev,
+                every_pair,
             );
         }
         assert_eq!(
             crate::collide::tests::pin(&buf, &ev, &[]),
-            0x4958_40ae_9ea9_101b
+            0xbea5_b6ed_95af_1bd3
         );
+    }
+
+    /// 200 H and 100 H⁺ at 2 × 10⁴ m/s in one cell, all CEX: a particle
+    /// drawn again after a swap must act in its new role, so the ion
+    /// count stays 100 (it drifted when the buckets kept the old roles).
+    #[test]
+    fn cex_keeps_the_ion_count_of_an_asymmetric_cell() {
+        let (m, table, base) = setup(200, 100);
+        let model = CrossCollisionModel { cex_fraction: 1.0 };
+        let ions = |buf: &ParticleBuffer| buf.species.iter().filter(|&&s| s == 1).count();
+        for key in 0..4 {
+            let mut buf = base.clone();
+            let mut ev = Vec::new();
+            let stats = model.collide(
+                &m,
+                &mut buf,
+                &table,
+                0,
+                1,
+                1e-6,
+                key,
+                &Pool::serial(),
+                &mut ev,
+                every_pair,
+            );
+            assert!(stats.cex > 100, "premise: partners drawn again, {stats:?}");
+            assert_eq!(ions(&buf), 100, "key {key}: {stats:?}");
+        }
     }
 
     #[test]
     fn no_partners_no_collisions() {
         let (m, table, mut buf) = setup(100, 0);
         let model = CrossCollisionModel::default();
-        let mut rng = StdRng::seed_from_u64(5);
+        let key = 5;
         let mut ev = Vec::new();
         let stats = model.collide(
-            &m, &mut buf, &table, 0, 1, 1e-5, &mut rng, &mut ev, every_pair,
+            &m,
+            &mut buf,
+            &table,
+            0,
+            1,
+            1e-5,
+            key,
+            &Pool::serial(),
+            &mut ev,
+            every_pair,
         );
         assert_eq!(stats, CrossStats::default());
     }

@@ -7,11 +7,13 @@
 pub mod collide;
 pub mod cross;
 pub mod inject;
+mod keyed;
 pub mod movepush;
 pub mod react;
 
 pub use collide::{CollideStats, CollisionEvent, CollisionModel};
 pub use cross::{CrossCollisionModel, CrossStats};
 pub use inject::Injector;
+pub use keyed::collision_key;
 pub use movepush::{move_particles_pooled, MoveStats, Pump, EXITED};
 pub use react::{ChemistryModel, ReactStats};

@@ -141,8 +141,9 @@ impl ChemistryModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collide::tests::every_pair;
+    use crate::collide::tests::{every_pair, fill, lattice};
     use crate::{CollideStats, CollisionModel, CrossCollisionModel, CrossStats};
+    use kernels::Pool;
     use mesh::{NozzleSpec, Vec3};
     use particles::Particle;
     use rand::rngs::StdRng;
@@ -255,15 +256,18 @@ mod tests {
     }
 
     /// Three rounds of Colli_React of `dt` on `buf` (NTC, MEX/CEX, then
-    /// dissociation), the passes recording the pairs `keep` passes:
-    /// every bit the rounds write and draw, and the recorded lists.
+    /// dissociation), the passes keyed by steps 0–2 of seed 21 and
+    /// recording the pairs `keep` passes, on `lanes` at a floor of
+    /// `per_lane` candidates a lane: every bit the rounds write and
+    /// draw, and the recorded lists.
     #[allow(clippy::type_complexity)]
-    fn colli_react(
+    fn colli_react_on(
         m: &TetMesh,
         table: &SpeciesTable,
         mut buf: ParticleBuffer,
         dt: f64,
-        keep: impl Fn(f64) -> bool + Copy,
+        keep: impl Fn(f64) -> bool + Copy + Sync,
+        (lanes, per_lane): (&Pool, f64),
     ) -> (
         ParticleBuffer,
         Vec<(CollideStats, CrossStats, ReactStats)>,
@@ -276,20 +280,162 @@ mod tests {
         let mut ntc = CollisionModel::new(m.num_cells(), table, 300.0);
         let mut rng = StdRng::seed_from_u64(21);
         let (mut stats, mut recorded) = (Vec::new(), Vec::new());
-        for _ in 0..3 {
+        for step in 0..3 {
+            let key = crate::collision_key(21, step, 0);
             let mut ev = Vec::new();
-            let c = ntc.collide(m, &mut buf, table, 0, dt, &mut rng, &mut ev, keep);
-            let x = cross.collide(m, &mut buf, table, 0, 1, dt, &mut rng, &mut ev, keep);
-            let r = chem.react_collisions(&mut buf, table, 0, 1, &ev, &mut rng);
-            eprintln!(
-                "DBG {c:?} {x:?} {r:?} ev {} ions {}",
-                ev.len(),
-                buf.species.iter().filter(|&&s| s == 1).count()
+            let c = ntc.collide_with_floor(
+                m, &mut buf, table, 0, dt, key, lanes, &mut ev, keep, per_lane,
             );
+            let x = cross.collide_with_floor(
+                m,
+                &mut buf,
+                table,
+                [0, 1],
+                dt,
+                key,
+                lanes,
+                &mut ev,
+                keep,
+                per_lane,
+            );
+            let r = chem.react_collisions(&mut buf, table, 0, 1, &ev, &mut rng);
             stats.push((c, x, r));
             recorded.extend(ev);
         }
         (buf, stats, ntc.sigma_g_max().to_vec(), rng, recorded)
+    }
+
+    /// [`colli_react_on`] on one lane.
+    #[allow(clippy::type_complexity)]
+    fn colli_react(
+        m: &TetMesh,
+        table: &SpeciesTable,
+        buf: ParticleBuffer,
+        dt: f64,
+        keep: impl Fn(f64) -> bool + Copy + Sync,
+    ) -> (
+        ParticleBuffer,
+        Vec<(CollideStats, CrossStats, ReactStats)>,
+        Vec<f64>,
+        StdRng,
+        Vec<CollisionEvent>,
+    ) {
+        colli_react_on(m, table, buf, dt, keep, (&Pool::serial(), f64::INFINITY))
+    }
+
+    /// Every bit of a buffer's velocity lanes, and its species ids.
+    fn bits(b: &ParticleBuffer) -> (Vec<u64>, Vec<u8>) {
+        let lanes = [&b.vx, &b.vy, &b.vz].into_iter().flatten();
+        (
+            lanes.map(|v| v.to_bits()).collect::<Vec<_>>(),
+            b.species.clone(),
+        )
+    }
+
+    /// Ten cells of 60 H at 1500 K and 30 H⁺ drifting at 10 km/s.
+    fn hot_cells(m: &TetMesh) -> ParticleBuffer {
+        let mut rng = StdRng::seed_from_u64(8);
+        let mut buf = ParticleBuffer::new();
+        fill(m, &mut buf, 0..10, 60, (0, 1500.0, Vec3::ZERO), &mut rng);
+        fill(
+            m,
+            &mut buf,
+            0..10,
+            30,
+            (1, 1500.0, Vec3::new(0.0, 0.0, 1e4)),
+            &mut rng,
+        );
+        // interleave the cells, as a moved buffer holds them
+        let mut order: Vec<usize> = (0..buf.len()).collect();
+        order.sort_by_key(|&i| (i * 7919) % buf.len());
+        let mut mixed = ParticleBuffer::new();
+        for i in order {
+            mixed.push(buf.get(i));
+        }
+        mixed
+    }
+
+    #[test]
+    fn colli_react_is_the_same_on_any_lane_count() {
+        let m = lattice();
+        let (table, _, _) = SpeciesTable::hydrogen_plasma(1e12, 1e12);
+        let reactive = ChemistryModel::default().dissociation_test(&table, 0);
+        let buf = hot_cells(&m);
+        let run = |lanes: usize| {
+            let (buf, stats, sgm, rng, events) = colli_react_on(
+                &m,
+                &table,
+                buf.clone(),
+                2e-7,
+                reactive,
+                (&Pool::new(lanes), 1.0),
+            );
+            (bits(&buf), stats, sgm, rng, events)
+        };
+        let one = run(1);
+        let (cex, dissociations): (usize, usize) = one
+            .1
+            .iter()
+            .fold((0, 0), |(c, d), (_, x, r)| (c + x.cex, d + r.dissociations));
+        assert!(
+            cex > 0 && dissociations > 0 && !one.4.is_empty(),
+            "premise: swaps, candidates and reactions, {:?}",
+            one.1
+        );
+        for lanes in 2..=3 {
+            assert!(run(lanes) == one, "{lanes} lanes");
+        }
+    }
+
+    #[test]
+    fn a_cell_outcome_ignores_the_other_cells() {
+        let m = lattice();
+        let (table, _, _) = SpeciesTable::hydrogen_plasma(1e12, 1e12);
+        // the two keyed passes of one Colli_React, every accepted pair
+        // recorded: the buffer, the (σg)_max table and the pairs
+        let passes = |mut buf: ParticleBuffer| {
+            let mut ntc = CollisionModel::new(m.num_cells(), &table, 300.0);
+            let (key, serial, mut ev) =
+                (crate::collision_key(21, 0, 0), Pool::serial(), Vec::new());
+            ntc.collide(
+                &m, &mut buf, &table, 0, 2e-7, key, &serial, &mut ev, every_pair,
+            );
+            let cross = CrossCollisionModel::default();
+            cross.collide(
+                &m, &mut buf, &table, 0, 1, 2e-7, key, &serial, &mut ev, every_pair,
+            );
+            (buf, ntc.sigma_g_max().to_vec(), ev)
+        };
+        let full = hot_cells(&m);
+        let (done, sgm, events) = passes(full.clone());
+        for c in [0u32, 3, 9] {
+            // the cell alone, its particles in their buffer order
+            let mut alone = ParticleBuffer::new();
+            for i in (0..full.len()).filter(|&i| full.cell[i] == c) {
+                alone.push(full.get(i));
+            }
+            let (done_alone, sgm_alone, events_alone) = passes(alone);
+            let mine: Vec<_> = done.iter().filter(|p| p.cell == c).collect();
+            assert!(mine == done_alone.iter().collect::<Vec<_>>(), "cell {c}");
+            assert_eq!(sgm[c as usize].to_bits(), sgm_alone[c as usize].to_bits());
+            // the same pairs (by particle id), relative speeds and order
+            let pairs = |buf: &ParticleBuffer, events: &[CollisionEvent]| {
+                events
+                    .iter()
+                    .filter(|e| buf.cell[e.i as usize] == c)
+                    .map(|e| {
+                        (
+                            buf.id[e.i as usize],
+                            buf.id[e.j as usize],
+                            e.rel_speed.to_bits(),
+                        )
+                    })
+                    .collect::<Vec<_>>()
+            };
+            let pairs_alone = pairs(&done_alone, &events_alone);
+            assert!(!pairs_alone.is_empty(), "premise: cell {c} collides");
+            assert_eq!(pairs(&done, &events), pairs_alone, "cell {c}");
+        }
     }
 
     #[test]
@@ -309,13 +455,6 @@ mod tests {
             let (fbuf, fstats, fsgm, frng, candidates) =
                 colli_react(&m, &table, buf.clone(), dt, reactive);
             let (abuf, astats, asgm, arng, every) = colli_react(&m, &table, buf, dt, every_pair);
-            let bits = |b: &ParticleBuffer| {
-                let lanes = [&b.vx, &b.vy, &b.vz].into_iter().flatten();
-                (
-                    lanes.map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    b.species.clone(),
-                )
-            };
             assert!(bits(&fbuf) == bits(&abuf), "T = {t}: particles");
             assert_eq!(fstats, astats, "T = {t}: pass statistics");
             assert_eq!(fsgm, asgm, "T = {t}: (σg)_max");

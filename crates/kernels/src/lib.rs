@@ -21,8 +21,10 @@
 //!   the same bits on any lane count; the move does so by flying each
 //!   particle in parallel, dropping every flight that reaches a wall,
 //!   and flying those again from their start, in order, on the
-//!   caller's RNG (`dsmc::move_particles_pooled`).
-//!   Collide, push and deposit run serially on the caller's thread.
+//!   caller's RNG (`dsmc::move_particles_pooled`); the collision
+//!   passes by drawing each cell's pairs from a stream keyed by the
+//!   cell (`dsmc::collision_key`) over contiguous cell ranges. Push and
+//!   deposit run serially on the caller's thread.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -65,8 +67,8 @@ pub fn carve_mut<'a, T>(ranges: &[Range<usize>], data: &'a mut [T]) -> Vec<&'a m
 }
 
 /// A lane count for the kernels that split their work: the CG
-/// [`team`] and the particle move take at most [`Pool::workers`] lanes
-/// each, and give the same bits on any count.
+/// [`team`], the particle move and the collision passes take at most
+/// [`Pool::workers`] lanes each, and give the same bits on any count.
 #[derive(Debug, Clone)]
 pub struct Pool {
     workers: usize,

@@ -37,11 +37,12 @@ fi
 echo "== tests (workspace: every unit, guard and golden-hash suite, once) =="
 cargo test --workspace -q
 
-echo "== lane teams on one CPU (the team CG and the parallel move, more lanes than cores) =="
+echo "== lane teams on one CPU (the team CG, the parallel move and Colli_React, more lanes than cores) =="
 # Lanes of a team that outnumber the free cores must hand theirs over
 # while they wait; a spinning barrier makes the CG tests ~100x slower.
 taskset -c 0 timeout 120 cargo test -q -p sparse team
 taskset -c 0 timeout 120 cargo test -q -p dsmc pooled_move_is_the_serial_walk
+taskset -c 0 timeout 120 cargo test -q -p dsmc colli_react_is_the_same_on_any_lane_count
 
 echo "== ledger smoke (every bench_ledger workload, both passes, every row present) =="
 cargo run --release --quiet --offline --manifest-path bench_ledger/Cargo.toml -- --smoke
@@ -197,6 +198,38 @@ pushes=$(awk 'FNR == 1 { skip = 0; depth = 0; test = -1 }
 if [ -n "$pushes" ]; then
     echo "$pushes"
     echo "verify: a collision event recorded outside the reaction test (push only pairs that pass reactive)" >&2
+    exit 1
+fi
+
+echo "== keyed-collision lint (no collision pass is handed an engine stream) =="
+# Each cell of the NTC and MEX/CEX passes draws from its own stream,
+# keyed by (run seed, step, subcycle, pass, cell), so the passes run on
+# any lane count and give the owner's bits on any rank; a production
+# call of CollisionModel::collide / CrossCollisionModel::collide handed
+# self.rng, self.rng_dsmc or colli_react's `rng` would tie them to one
+# stream drawn in cell order again.
+streams=$(find crates/*/src -name '*.rs' | sort |
+    xargs awk 'FNR == 1 { skip = 0; fn = ""; at = "" }
+        /^[ \t]*#\[cfg\(test\)\]/ { skip = 1 }
+        skip || /^[ \t]*\/\// { next }
+        match($0, /fn [a-z0-9_]+/) { fn = substr($0, RSTART + 3, RLENGTH - 3) }
+        # a call: its text from the opening parenthesis to the closing one
+        at == "" && /\.collide\(/ {
+            at = FILENAME ":" FNR ": " $0; args = ""; depth = 0
+            $0 = substr($0, index($0, ".collide(") + 8)
+        }
+        at != "" {
+            args = args " " $0
+            depth += gsub(/\(/, "(") - gsub(/\)/, ")")
+            if (depth <= 0) {
+                if (args ~ /self\.rng(_dsmc)?([^a-z_]|$)/ || (fn == "colli_react" && args ~ /(^|[^a-z_.])rng([^a-z_]|$)/))
+                    print at
+                at = ""
+            }
+        }')
+if [ -n "$streams" ]; then
+    echo "$streams"
+    echo "verify: a collision pass handed an engine stream (key it: dsmc::collision_key)" >&2
     exit 1
 fi
 

@@ -10,10 +10,12 @@ fn cross_collisions_preserve_population_and_charge() {
     let mut cfg = Dataset::D1.config(0.03);
     cfg.cross_collisions = true;
     cfg.seed = 77;
+    // dense enough for neutral-ion encounters
+    cfg.density_hplus = 3e11;
     let mut st = RankEngine::new(cfg);
     let mut injected = 0usize;
     let mut exited = 0usize;
-    for _ in 0..25 {
+    for _ in 0..10 {
         let rec = st.dsmc_step();
         injected += rec.injected_cells.len();
         exited += rec.exited;
@@ -24,6 +26,32 @@ fn cross_collisions_preserve_population_and_charge() {
     for p in st.particles.iter() {
         assert!(st.nm.coarse.contains(p.cell as usize, p.pos, 1e-5));
     }
+    // ... and a cross pass over the grown plume leaves the ion count as
+    // it found it, even one 1,000 steps long, in which swapped
+    // partners are drawn again many times
+    let ions = |st: &RankEngine| {
+        st.particles
+            .species
+            .iter()
+            .filter(|&&s| s == st.hp_id)
+            .count()
+    };
+    let (before, population) = (ions(&st), st.particles.len());
+    let cross = st.cross;
+    let stats = cross.collide(
+        &st.nm.coarse,
+        &mut st.particles,
+        &st.species,
+        st.h_id,
+        st.hp_id,
+        1000.0 * st.config.dt_dsmc,
+        dsmc::collision_key(77, 10, 0),
+        &st.lanes,
+        &mut Vec::new(),
+        |_| false,
+    );
+    assert!(stats.cex > 100, "premise: many swaps, {stats:?}");
+    assert_eq!((ions(&st), st.particles.len()), (before, population));
 }
 
 #[test]

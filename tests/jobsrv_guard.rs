@@ -23,7 +23,7 @@ use jobsrv::JobPriority;
 use obs::fnv1a_f64;
 
 /// `engine_guard`'s pinned threaded baseline for `guard_config`.
-const PINNED_3RANK_HASH: u64 = 0x8e483db2789e1ad2;
+const PINNED_3RANK_HASH: u64 = 0xe1f39b21588a2aeb;
 
 fn guard_builder() -> RunConfigBuilder {
     RunConfig::builder()
@@ -300,7 +300,7 @@ fn an_evicted_geometry_is_rebuilt_and_still_bitwise_the_solo_run() {
 #[test]
 fn scenario_name_submissions_share_one_engine_run() {
     /// `scenario_guard`'s pinned 3-rank threaded jet digest.
-    const GOLDEN_JET_3RANK: u64 = 0xc47aa5e2c2986cc3;
+    const GOLDEN_JET_3RANK: u64 = 0x003604844bca4850;
     let srv = JobServer::start(ServerConfig::default().workers(2));
 
     let spec = |tenant: &str| {

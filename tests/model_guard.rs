@@ -71,13 +71,13 @@ fn jet_on_384_ranks_decisions_are_pinned() {
     assert_eq!(
         jet_on_384_ranks(),
         Decisions {
-            owner_hash: 0x540b_bc6f_3cab_2d57,
-            total_time_bits: 0x3fc0_90c4_01fe_edbe,
+            owner_hash: 0xb424_1778_b94b_0723,
+            total_time_bits: 0x3fcb_aab3_7b71_40a2,
             strategy_uses: [0, 0, 45, 0],
-            transactions: 3122,
-            bytes: 292_802,
+            transactions: 3124,
+            bytes: 293_063,
             rebalances: 5,
-            rebalance_migrated: 584,
+            rebalance_migrated: 587,
         },
         "the modelled machine decided differently than the pinned baseline"
     );
