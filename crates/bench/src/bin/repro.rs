@@ -1,5 +1,5 @@
 //! The one reproduction binary: every table/figure experiment of
-//! EXPERIMENTS.md (and the chaos demonstration) behind one table.
+//! EXPERIMENTS.md (and the rank-failure demonstration) behind one table.
 //!
 //! ```text
 //! cargo run --release -p bench --bin repro -- list

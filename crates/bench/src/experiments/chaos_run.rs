@@ -1,25 +1,23 @@
-//! Chaos demonstration run: execute the threaded solver over a
-//! deterministically faulty transport and prove bitwise recovery.
+//! Rank-failure demonstration run: kill (or stall) ranks of the
+//! threaded solver and prove bitwise recovery.
 //!
-//! Runs the same configuration twice — once on a clean wire, once
-//! under the supplied fault plan — and compares the final `density_h`
-//! fingerprints. With a kill event in the plan, add a checkpoint
-//! cadence and the restart policy to watch engine-level recovery
-//! replay the run to the identical result.
+//! Runs the same configuration twice — once clean, once under the
+//! supplied fault plan — and compares the final `density_h`
+//! fingerprints. With a checkpoint cadence and the restart policy, a
+//! killed rank's run is replayed from the last checkpoint to the
+//! identical result.
 //!
 //! ```text
 //! cargo run --release -p bench --bin repro -- chaos_run \
-//!     --fault-plan seed=7,drop=30,dup=20,delay=25/4,kill=1@5 \
+//!     --fault-plan kill=1@5 \
 //!     --ranks 3 --steps 12 --checkpoint-every 4 --on-fault restart
 //! ```
 //!
-//! Plan grammar (see `vmpi::FaultPlan::parse`): `seed=N`, `drop=`/
-//! `dup=`/`delay=` per-mille rates (`delay=R/S` with max span `S`),
-//! `kill=RANK@STEP`, `stall=RANK@STEP/MILLIS`.
+//! Plan grammar (see `coupled::FaultPlan::parse`): `kill=RANK@STEP`,
+//! `stall=RANK@STEP/MILLIS`.
 
-use coupled::{run_threaded, run_threaded_result, Dataset, FaultPolicy, RunConfig};
+use coupled::{run_threaded, run_threaded_result, Dataset, FaultPlan, FaultPolicy, RunConfig};
 use obs::fnv1a_f64;
-use vmpi::FaultPlan;
 
 struct Cli {
     plan: FaultPlan,
@@ -32,7 +30,7 @@ struct Cli {
 
 fn parse_cli() -> Result<Cli, String> {
     let mut cli = Cli {
-        plan: FaultPlan::seeded(7).drops(30).dups(20).delays(25, 4),
+        plan: FaultPlan::default().kill(1, 5),
         ranks: 3,
         steps: 12,
         checkpoint_every: 4,
@@ -88,7 +86,7 @@ pub fn run() {
             .expect("valid run config")
     };
 
-    println!("== clean wire ==");
+    println!("== clean run ==");
     let clean = run_threaded(&config(None));
     let clean_hash = fnv1a_f64(&clean.density_h);
     println!(
@@ -96,19 +94,16 @@ pub fn run() {
         clean.population
     );
 
-    println!("== chaotic wire: {:?} ==", cli.plan);
+    println!("== faulted run: {:?} ==", cli.plan);
     match run_threaded_result(&config(Some(cli.plan))) {
         Ok(r) => {
             let hash = fnv1a_f64(&r.density_h);
             println!("population={} density_h fnv1a={hash:#018x}", r.population);
-            println!(
-                "faults_injected={} comm_retries={} comm_dedup_dropped={} recoveries={}",
-                r.faults_injected, r.comm_retries, r.comm_dedup_dropped, r.recoveries
-            );
+            println!("recoveries={}", r.recoveries);
             if hash == clean_hash {
-                println!("BITWISE MATCH: chaotic run reproduced the clean result exactly");
+                println!("BITWISE MATCH: faulted run reproduced the clean result exactly");
             } else {
-                println!("MISMATCH: chaotic {hash:#018x} vs clean {clean_hash:#018x}");
+                println!("MISMATCH: faulted {hash:#018x} vs clean {clean_hash:#018x}");
                 std::process::exit(1);
             }
         }

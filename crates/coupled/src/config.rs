@@ -10,7 +10,7 @@ use balance::RebalanceConfig;
 use mesh::NozzleSpec;
 use obs::json::{obj, Json};
 use obs::{Registry, TraceSpec};
-use vmpi::{FaultAction, FaultPlan, Strategy};
+use vmpi::Strategy;
 
 /// Physics and numerics of one simulation.
 #[derive(Debug, Clone)]
@@ -234,8 +234,8 @@ pub struct ObsConfig {
 }
 
 /// What the threaded driver does when a rank dies mid-run (a
-/// [`vmpi::CommError`] that ends any rank's step: a chaos-injected
-/// kill, an exhausted retry budget, or a genuinely wedged peer).
+/// [`vmpi::CommError`] that ends any rank's step: a scheduled kill, a
+/// dead peer, or a receive that timed out on a wedged one).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FaultPolicy {
     /// Tear the world down and surface the failure to the caller
@@ -248,6 +248,88 @@ pub enum FaultPolicy {
     /// progress past the first faulty step; see DESIGN.md §12 for the
     /// bitwise-determinism argument.
     RestartFromCheckpoint,
+}
+
+/// A scheduled in-place sleep of one rank at one engine step.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StallEvent {
+    /// Which rank stalls.
+    pub rank: usize,
+    /// At the start of which engine step.
+    pub step: usize,
+    /// For how long.
+    pub millis: u64,
+}
+
+/// A scheduled death of one rank at one engine step. A rank dies at
+/// most once per session: the recovery replay passes the same step
+/// again, and re-killing would loop forever.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KillEvent {
+    /// Which rank dies.
+    pub rank: usize,
+    /// At the start of which engine step.
+    pub step: usize,
+}
+
+/// The rank failures to inject into a threaded run, by engine step.
+/// The rank fires them itself at the top of the step (DESIGN.md §12);
+/// the wire is never touched, so a run with a plan sends exactly the
+/// clean run's messages.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct FaultPlan {
+    /// Scheduled rank stalls.
+    pub stalls: Vec<StallEvent>,
+    /// Scheduled rank kills.
+    pub kills: Vec<KillEvent>,
+}
+
+impl FaultPlan {
+    /// Stall `rank` for `millis` ms at the start of engine step `step`.
+    pub fn stall(mut self, rank: usize, step: usize, millis: u64) -> Self {
+        self.stalls.push(StallEvent { rank, step, millis });
+        self
+    }
+
+    /// Kill `rank` at the start of engine step `step`.
+    pub fn kill(mut self, rank: usize, step: usize) -> Self {
+        self.kills.push(KillEvent { rank, step });
+        self
+    }
+
+    /// Parse the compact CLI form `kill=1@5,stall=2@3/50`
+    /// (`kill=rank@step`; `stall=rank@step/millis`, 10 ms when the
+    /// duration is left out). Unknown or malformed fields are an
+    /// error.
+    pub fn parse(spec: &str) -> Result<Self, String> {
+        let mut plan = FaultPlan::default();
+        for field in spec.split(',').filter(|f| !f.is_empty()) {
+            let (key, val) = field
+                .split_once('=')
+                .ok_or_else(|| format!("fault-plan field without '=': {field:?}"))?;
+            let num = |s: &str| -> Result<u64, String> {
+                s.parse::<u64>()
+                    .map_err(|_| format!("fault-plan: bad number {s:?} in {field:?}"))
+            };
+            match key {
+                "kill" => {
+                    let (rank, step) = val
+                        .split_once('@')
+                        .ok_or_else(|| format!("fault-plan: kill needs rank@step: {field:?}"))?;
+                    plan = plan.kill(num(rank)? as usize, num(step)? as usize);
+                }
+                "stall" => {
+                    let (rank, rest) = val.split_once('@').ok_or_else(|| {
+                        format!("fault-plan: stall needs rank@step/ms: {field:?}")
+                    })?;
+                    let (step, ms) = rest.split_once('/').unwrap_or((rest, "10"));
+                    plan = plan.stall(num(rank)? as usize, num(step)? as usize, num(ms)?);
+                }
+                other => return Err(format!("fault-plan: unknown field {other:?}")),
+            }
+        }
+        Ok(plan)
+    }
 }
 
 /// Why [`RunConfig::validate`] rejected a configuration. Variants that
@@ -370,11 +452,8 @@ pub struct RunConfig {
     pub checkpoint_every: usize,
     /// Reaction to a detected rank death (see [`FaultPolicy`]).
     pub on_fault: FaultPolicy,
-    /// Deterministic fault injection for the threaded driver: when
-    /// set, every rank's transport is wrapped in
-    /// [`vmpi::ChaosComm`] (applying this plan) under
-    /// [`vmpi::ReliableComm`] (recovering from it). `None` runs on the
-    /// raw transport, bit-identical to pre-chaos builds.
+    /// Scheduled rank stalls and kills for the threaded driver, fired
+    /// by each rank at the top of a step. `None` schedules nothing.
     pub fault_plan: Option<FaultPlan>,
 }
 
@@ -383,7 +462,7 @@ pub struct RunConfig {
 /// of serialized fields or their encoding changes — the tag is hashed
 /// along with the fields, so configs canonicalized under different
 /// schema versions can never collide in the result cache.
-pub const CONFIG_SCHEMA_VERSION: u32 = 6;
+pub const CONFIG_SCHEMA_VERSION: u32 = 7;
 
 /// Stable lowercase name of an exchange strategy for the canonical
 /// serialization (enum `Debug` output is not a schema).
@@ -394,15 +473,6 @@ fn strategy_name(s: Strategy) -> &'static str {
         Strategy::Sparse => "sparse",
         Strategy::Hier => "hier",
         Strategy::Auto => "auto",
-    }
-}
-
-fn fault_action_json(a: FaultAction) -> Json {
-    match a {
-        FaultAction::Deliver => Json::Str("deliver".to_string()),
-        FaultAction::Drop => Json::Str("drop".to_string()),
-        FaultAction::Duplicate => Json::Str("duplicate".to_string()),
-        FaultAction::Delay(span) => obj(vec![("delay", Json::U64(span as u64))]),
     }
 }
 
@@ -548,27 +618,6 @@ impl RunConfig {
         let fault_plan = match &self.fault_plan {
             None => Json::Null,
             Some(plan) => obj(vec![
-                ("seed", Json::U64(plan.seed)),
-                ("drop_per_mille", Json::U64(plan.drop_per_mille as u64)),
-                ("dup_per_mille", Json::U64(plan.dup_per_mille as u64)),
-                ("delay_per_mille", Json::U64(plan.delay_per_mille as u64)),
-                ("max_delay_span", Json::U64(plan.max_delay_span as u64)),
-                (
-                    "explicit",
-                    Json::Arr(
-                        plan.explicit
-                            .iter()
-                            .map(|&(src, dst, idx, action)| {
-                                obj(vec![
-                                    ("src", Json::U64(src as u64)),
-                                    ("dst", Json::U64(dst as u64)),
-                                    ("index", Json::U64(idx)),
-                                    ("action", fault_action_json(action)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
                 (
                     "stalls",
                     Json::Arr(
@@ -765,8 +814,8 @@ impl RunConfigBuilder {
         self
     }
 
-    /// Inject this deterministic fault plan into every rank's
-    /// transport (threaded driver only; `None` = clean wire).
+    /// Schedule these rank stalls and kills (threaded driver only;
+    /// `None` = none).
     pub fn fault_plan(mut self, plan: Option<FaultPlan>) -> Self {
         self.run.fault_plan = plan;
         self
@@ -871,17 +920,46 @@ mod tests {
         let run = RunConfig::builder()
             .checkpoint_every(4)
             .on_fault(FaultPolicy::RestartFromCheckpoint)
-            .fault_plan(Some(FaultPlan::seeded(7).drops(30)))
+            .fault_plan(Some(FaultPlan::default().kill(1, 3)))
             .build()
             .unwrap();
         assert_eq!(run.checkpoint_every, 4);
         assert_eq!(run.on_fault, FaultPolicy::RestartFromCheckpoint);
         assert!(run.fault_plan.is_some());
-        // defaults: no checkpoints, abort on fault, clean wire
+        // defaults: no checkpoints, abort on fault, no scheduled fault
         let plain = RunConfig::builder().build().unwrap();
         assert_eq!(plain.checkpoint_every, 0);
         assert_eq!(plain.on_fault, FaultPolicy::Abort);
         assert!(plain.fault_plan.is_none());
+    }
+
+    #[test]
+    fn fault_plan_parses_kills_and_stalls_only() {
+        let plan = FaultPlan::parse("kill=1@5,stall=2@3/50,stall=0@1").unwrap();
+        assert_eq!(plan.kills, vec![KillEvent { rank: 1, step: 5 }]);
+        assert_eq!(
+            plan.stalls,
+            vec![
+                StallEvent {
+                    rank: 2,
+                    step: 3,
+                    millis: 50
+                },
+                StallEvent {
+                    rank: 0,
+                    step: 1,
+                    millis: 10
+                }
+            ]
+        );
+        // the transport is reliable: no message fault is in the grammar
+        for gone in ["seed=7", "drop=30", "dup=20", "delay=25/4"] {
+            let err = FaultPlan::parse(gone).unwrap_err();
+            assert!(err.contains("unknown field"), "{gone}: {err}");
+        }
+        assert!(FaultPlan::parse("kill=x@1").is_err());
+        assert!(FaultPlan::parse("kill=3").is_err());
+        assert!(FaultPlan::parse("stall").is_err());
     }
 
     /// The default balancer with one trigger value replaced.
@@ -998,13 +1076,7 @@ mod tests {
             .ranks(3)
             .seed(4242)
             .steps(12)
-            .fault_plan(Some(
-                vmpi::FaultPlan::seeded(7)
-                    .drops(10)
-                    .action(0, 1, 3, vmpi::FaultAction::Delay(2))
-                    .stall(1, 4, 5)
-                    .kill(2, 6),
-            ))
+            .fault_plan(Some(FaultPlan::default().stall(1, 4, 5).kill(2, 6)))
             .on_fault(FaultPolicy::RestartFromCheckpoint)
             .build()
             .unwrap();
@@ -1059,7 +1131,7 @@ mod tests {
         let strat = base().strategy(Strategy::Sparse).build().unwrap();
         assert_ne!(strat.config_hash(), a.config_hash());
         let faulted = base()
-            .fault_plan(Some(vmpi::FaultPlan::seeded(1).kill(0, 2)))
+            .fault_plan(Some(FaultPlan::default().kill(0, 2)))
             .build()
             .unwrap();
         assert_ne!(faulted.config_hash(), a.config_hash());
@@ -1130,7 +1202,7 @@ mod tests {
 
     /// Pinned canonical hash of the guard config (see
     /// `config_hash_is_pinned_across_releases`). Re-pinned with
-    /// CONFIG_SCHEMA_VERSION 6 (a rebalancing config's cost source
-    /// left the canonical serialization).
-    const PINNED_GUARD_CONFIG_HASH: u64 = 0x267f_a450_3cc3_84bf;
+    /// CONFIG_SCHEMA_VERSION 7 (the fault plan's canonical form kept
+    /// only its kills and stalls).
+    const PINNED_GUARD_CONFIG_HASH: u64 = 0x35e4_e716_b5a6_d156;
 }

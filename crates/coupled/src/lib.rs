@@ -41,8 +41,8 @@ pub mod world;
 pub mod prelude {
     pub use crate::cluster::ClusterSim;
     pub use crate::config::{
-        ConfigError, Dataset, FaultPolicy, ObsConfig, RunConfig, RunConfigBuilder, SimConfig,
-        CONFIG_SCHEMA_VERSION,
+        ConfigError, Dataset, FaultPlan, FaultPolicy, ObsConfig, RunConfig, RunConfigBuilder,
+        SimConfig, CONFIG_SCHEMA_VERSION,
     };
     pub use crate::engine::run_serial;
     pub use crate::job::{JobId, JobMeta, JobPriority, JobSpec, JobStatus};
@@ -54,14 +54,14 @@ pub mod prelude {
         FanoutSink, MemorySink, MetricsSnapshot, Observer, Registry, TraceEvent, TraceSpec,
         SCHEMA_VERSION,
     };
-    pub use vmpi::{FaultAction, FaultPlan, Strategy};
+    pub use vmpi::Strategy;
 }
 
 pub use checkpoint::{checkpoint, checkpoint_rank, restore, restore_rank, CheckpointError};
 pub use cluster::{ClusterSim, ModelledBackend};
 pub use config::{
-    ConfigError, Dataset, FaultPolicy, ObsConfig, RunConfig, RunConfigBuilder, SimConfig,
-    CONFIG_SCHEMA_VERSION,
+    ConfigError, Dataset, FaultPlan, FaultPolicy, ObsConfig, RunConfig, RunConfigBuilder,
+    SimConfig, CONFIG_SCHEMA_VERSION,
 };
 pub use engine::{
     run_serial, run_step, Backend, ExchangeScratch, RankEngine, SerialBackend, StepRecord,

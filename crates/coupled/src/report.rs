@@ -61,16 +61,6 @@ pub struct RunReport {
     /// ([`crate::config::FaultPolicy::RestartFromCheckpoint`]); 0 on a
     /// fault-free run.
     pub recoveries: usize,
-    /// Journal retransmissions the reliability sublayer performed to
-    /// recover dropped or late messages (threaded runs under a
-    /// [`vmpi::FaultPlan`]; 0 on a clean wire).
-    pub comm_retries: u64,
-    /// Duplicate frames the reliability sublayer discarded by
-    /// sequence-number dedup.
-    pub comm_dedup_dropped: u64,
-    /// Faults the chaos layer injected (drops + duplicates + delays,
-    /// cumulative across recovery replays).
-    pub faults_injected: u64,
     /// Per-step traces.
     pub trace: Vec<StepTrace>,
     /// Provenance stamp when the report was served by the job server
@@ -112,9 +102,6 @@ impl RunReport {
             ),
             ("poisson_unconverged", Json::U64(self.poisson_unconverged)),
             ("recoveries", Json::U64(self.recoveries as u64)),
-            ("comm_retries", Json::U64(self.comm_retries)),
-            ("comm_dedup_dropped", Json::U64(self.comm_dedup_dropped)),
-            ("faults_injected", Json::U64(self.faults_injected)),
             ("steps", Json::U64(self.trace.len() as u64)),
             (
                 "density_h",
@@ -369,16 +356,10 @@ mod tests {
     fn report_json_carries_fault_counters() {
         let report = RunReport {
             recoveries: 2,
-            comm_retries: 17,
-            comm_dedup_dropped: 5,
-            faults_injected: 31,
             ..RunReport::default()
         };
         let v = obs::json::parse(&report.to_json(None).to_string()).unwrap();
         assert_eq!(v.get("recoveries").unwrap().as_u64(), Some(2));
-        assert_eq!(v.get("comm_retries").unwrap().as_u64(), Some(17));
-        assert_eq!(v.get("comm_dedup_dropped").unwrap().as_u64(), Some(5));
-        assert_eq!(v.get("faults_injected").unwrap().as_u64(), Some(31));
     }
 
     #[test]
@@ -396,7 +377,8 @@ mod tests {
     #[test]
     fn schema_v2_adds_job_as_strict_superset_of_v1() {
         // Every key a v1 document had (frozen list — do not derive it
-        // from the code, the point is catching accidental removals).
+        // from the code, the point is catching accidental removals),
+        // less the three wire-fault counters schema v3 removed.
         const V1_KEYS: &[&str] = &[
             "schema_version",
             "population",
@@ -408,21 +390,18 @@ mod tests {
             "rebalance_migrated",
             "strategy_uses",
             "recoveries",
-            "comm_retries",
-            "comm_dedup_dropped",
-            "faults_injected",
             "steps",
             "density_h",
         ];
         let plain = RunReport::default();
         let v = obs::json::parse(&plain.to_json(None).to_string()).unwrap();
         for key in V1_KEYS {
-            assert!(v.get(key).is_some(), "v1 key {key} missing from v2");
+            assert!(v.get(key).is_some(), "v1 key {key} missing from v3");
         }
         // A direct engine run omits the job key entirely, so a v1
         // consumer that iterates known keys sees exactly what it did.
         assert!(v.get("job").is_none());
-        assert_eq!(v.get("schema_version").unwrap().as_u64(), Some(2));
+        assert_eq!(v.get("schema_version").unwrap().as_u64(), Some(3));
 
         // A server-stamped report adds the job object on top.
         let served = RunReport {
@@ -438,7 +417,7 @@ mod tests {
         };
         let v = obs::json::parse(&served.to_json(None).to_string()).unwrap();
         for key in V1_KEYS {
-            assert!(v.get(key).is_some(), "v1 key {key} missing from v2");
+            assert!(v.get(key).is_some(), "v1 key {key} missing from v3");
         }
         let job = v.get("job").unwrap();
         assert_eq!(job.get("id").unwrap().as_u64(), Some(7));

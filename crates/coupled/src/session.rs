@@ -6,28 +6,26 @@
 //! end-of-run diagnostics (the whole-domain drivers' loop is
 //! `engine::run_whole_domain`).
 //!
-//! # Faults and recovery (DESIGN.md §12)
+//! # Rank failures and recovery (DESIGN.md §12)
 //!
 //! Every communication call is fallible ([`vmpi::CommError`]). The
 //! [`crate::threaded::ThreadedBackend`] returns the first error it
 //! sees, [`crate::engine::run_step`] stops the step at that exchange
 //! or collective, and `rank_main` — the one place that handles it —
 //! aborts the rank's comm so peers collapse promptly instead of
-//! waiting out timeouts, and surfaces the failure.
-//! [`run_threaded_result`] is the recovering entry point: with a
-//! [`vmpi::FaultPlan`] installed each rank's transport is wrapped in
-//! [`vmpi::ChaosComm`] (deterministic drop/duplicate/delay/stall/kill
-//! injection) under [`vmpi::ReliableComm`] (sequence numbers, dedup
-//! and journal retransmission), and under
-//! [`FaultPolicy::RestartFromCheckpoint`] a detected rank death tears
-//! the world down, restores every rank from the last consistent
-//! in-memory checkpoint (taken every
+//! waiting out timeouts, and surfaces the failure. A
+//! [`crate::config::FaultPlan`] schedules rank stalls and kills, which
+//! `rank_main` fires itself at the top of a step; the wire is the raw
+//! transport either way. [`run_threaded_result`] is the recovering
+//! entry point: under [`FaultPolicy::RestartFromCheckpoint`] a
+//! detected rank death tears the world down, restores every rank from
+//! the last consistent in-memory checkpoint (taken every
 //! [`RunConfig::checkpoint_every`] steps, only at fault-free
-//! boundaries) and replays to completion. Because the reliability
-//! sublayer delivers exactly the clean run's per-pair payloads in
-//! order, and checkpoints capture the whole evolving per-rank state,
-//! the recovered run finishes **bitwise identical** to the clean one;
-//! the trace of a recovered run contains only the replayed steps.
+//! boundaries) and replays to completion. Because the transport
+//! delivers every message once and in order per pair, and checkpoints
+//! capture the whole evolving per-rank state, the recovered run
+//! finishes **bitwise identical** to the clean one; the trace of a
+//! recovered run contains only the replayed steps.
 
 use crate::checkpoint::{checkpoint_rank, restore_rank, CheckpointError};
 use crate::config::{FaultPolicy, RunConfig};
@@ -36,9 +34,11 @@ use crate::report::{ReportBuilder, RunReport};
 use crate::threaded::ThreadedBackend;
 use crate::world::{Geometry, World};
 use obs::{Recorder, Tee};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 use vmpi::collectives::{allgather_u64, allreduce_sum_f64};
-use vmpi::{run_world, ChaosComm, ChaosWorld, Comm, CommError, ReliableComm, ReliableWorld};
+use vmpi::{run_world, Comm, CommError};
 
 /// Recovery replays attempted before a fault is surfaced to the
 /// caller — a backstop against fault plans (or genuinely broken
@@ -49,9 +49,10 @@ const MAX_RECOVERIES: usize = 8;
 /// Why a threaded run failed (see [`run_threaded_result`]).
 #[derive(Debug)]
 pub enum RunError {
-    /// A rank died — a fault-plan kill, an exhausted retry budget, or
-    /// a wedged peer — and the policy was [`FaultPolicy::Abort`], or
-    /// the bounded recovery budget was already spent.
+    /// A rank died — a fault-plan kill, a dead peer, or a receive
+    /// that timed out on a wedged one — and the policy was
+    /// [`FaultPolicy::Abort`], or the bounded recovery budget was
+    /// already spent.
     RankFailure {
         /// First failing rank (lowest rank id when several fail).
         rank: usize,
@@ -65,6 +66,10 @@ pub enum RunError {
     /// A recovery replay could not restore a stored checkpoint; never
     /// recoverable, surfaced under every policy.
     Checkpoint(CheckpointError),
+    /// Rank 0 could not create the configured trace sink (say, an
+    /// unwritable [`obs::TraceSpec::Jsonl`] path). No rank died and a
+    /// replay would fail the same way, so it is never retried.
+    TraceSink(std::io::Error),
 }
 
 impl std::fmt::Display for RunError {
@@ -80,6 +85,7 @@ impl std::fmt::Display for RunError {
                 "rank {rank} failed at step {step}: {error} (after {recoveries} recoveries)"
             ),
             RunError::Checkpoint(e) => write!(f, "recovery checkpoint unusable: {e}"),
+            RunError::TraceSink(e) => write!(f, "trace sink unusable: {e}"),
         }
     }
 }
@@ -104,13 +110,8 @@ pub fn run_threaded(run: &RunConfig) -> RunReport {
 }
 
 /// Run the coupled solver on `run.ranks` OS threads, applying the
-/// configured fault plan and recovery policy.
-///
-/// With [`RunConfig::fault_plan`] set, each rank's transport becomes
-/// `ReliableComm<ChaosComm<ThreadComm>>`; the chaos and reliability
-/// worlds are shared across recovery attempts, so kill events stay
-/// one-shot and the injected/retry counters in the returned report
-/// are cumulative over replays.
+/// configured fault plan and recovery policy. A scheduled kill fires
+/// once per run: the recovery replay passes its step unharmed.
 ///
 /// This is the one-shot wrapper around [`EngineSession`]: build a
 /// session, attempt until done or the retry policy says stop. Hold an
@@ -133,9 +134,9 @@ pub fn run_threaded_result(run: &RunConfig) -> Result<RunReport, RunError> {
 }
 
 /// Engine lifecycle detached from process (and call) lifecycle: mesh,
-/// species, initial decomposition, fault-injection worlds and the
+/// species, initial decomposition, the per-rank kill flags and the
 /// checkpoint store built once, then any number of [`attempt`]s run
-/// against them. Checkpoints and the one-shot fault state live in the
+/// against them. Checkpoints and the one-shot kill flags live in the
 /// session, so an attempt that dies mid-run (worker crash, fault-plan
 /// kill) can be resumed later — even from a different thread — by
 /// calling [`attempt`] again after [`prepare_retry`].
@@ -149,8 +150,9 @@ pub fn run_threaded_result(run: &RunConfig) -> Result<RunReport, RunError> {
 pub struct EngineSession {
     run: RunConfig,
     world: Arc<World>,
-    chaos: Option<Arc<ChaosWorld>>,
-    reliable: Option<Arc<ReliableWorld>>,
+    /// Per rank: whether its scheduled kill has fired. Set once and
+    /// kept across attempts, so the replay is not killed again.
+    killed: Vec<AtomicBool>,
     store: CheckpointStore,
     recoveries: usize,
 }
@@ -173,25 +175,16 @@ impl EngineSession {
     }
 
     /// Build the immutable world for `run` on `geometry` (species
-    /// table, seed decomposition), the fault worlds and empty
+    /// table, seed decomposition), the kill flags and empty
     /// checkpoint slots. No simulation work happens until
     /// [`EngineSession::attempt`] — the Poisson operator of a geometry
     /// no engine has run on yet is assembled there too, by the first
     /// rank to ask for it.
     pub fn on(geometry: Arc<Geometry>, run: &RunConfig) -> Self {
-        let chaos = run
-            .fault_plan
-            .clone()
-            .map(|plan| ChaosWorld::new(plan, run.ranks));
-        let reliable = run
-            .fault_plan
-            .is_some()
-            .then(|| ReliableWorld::new(run.ranks));
         EngineSession {
             run: run.clone(),
             world: Arc::new(World::on(geometry, &run.sim, run.ranks)),
-            chaos,
-            reliable,
+            killed: (0..run.ranks).map(|_| AtomicBool::new(false)).collect(),
             store: (0..run.ranks).map(|_| Mutex::new(None)).collect(),
             recoveries: 0,
         }
@@ -215,24 +208,16 @@ impl EngineSession {
     /// and [`EngineSession::prepare_retry`] to replay.
     pub fn attempt(&mut self) -> Result<RunReport, RunError> {
         let session = &*self;
-        let results = run_world(self.run.ranks, |comm| {
-            match (&session.chaos, &session.reliable) {
-                (Some(cw), Some(rw)) => {
-                    let comm = ReliableComm::new(ChaosComm::new(comm, cw.clone()), rw.clone());
-                    rank_main(&comm, session)
-                }
-                _ => rank_main(&comm, session),
-            }
-        });
+        let results = run_world(self.run.ranks, |comm| rank_main(&comm, session));
 
         // rank 0's report, unless a rank failed: then the lowest failing
-        // rank's error, an unusable checkpoint (never retryable) first
+        // rank's error, one that is never retryable first
         let (mut rank0, mut failure) = (None, None);
         for (rank, result) in results.into_iter().enumerate() {
             match result {
                 Ok(report) if rank == 0 => rank0 = Some(report),
                 Ok(_) => {}
-                Err(e @ RunError::Checkpoint(_)) => return Err(e),
+                Err(e @ (RunError::Checkpoint(_) | RunError::TraceSink(_))) => return Err(e),
                 Err(e) => failure = failure.or(Some(e)),
             }
         }
@@ -257,26 +242,41 @@ impl EngineSession {
 
     /// Whether the configured policy permits replaying after `err`:
     /// a rank failure under [`FaultPolicy::RestartFromCheckpoint`]
-    /// with recovery budget left. Checkpoint-restore errors are never
-    /// retryable.
+    /// with recovery budget left. Checkpoint-restore and trace-sink
+    /// errors are never retryable.
     pub fn can_retry_after(&self, err: &RunError) -> bool {
         matches!(err, RunError::RankFailure { .. })
             && self.run.on_fault == FaultPolicy::RestartFromCheckpoint
             && self.recoveries < MAX_RECOVERIES
     }
 
-    /// Arm the next replay: count the recovery and flush the failed
-    /// attempt's in-flight chaos holds and reliability journals
-    /// (counters stay cumulative). One-shot kill events have already
-    /// fired and stay fired, so the replay runs past the kill step.
+    /// Arm the next replay: count the recovery. One-shot kill events
+    /// have already fired and stay fired, so the replay runs past the
+    /// kill step.
     pub fn prepare_retry(&mut self) {
         self.recoveries += 1;
-        if let Some(cw) = &self.chaos {
-            cw.reset_pairs();
+    }
+
+    /// Fire rank `me`'s scheduled faults at the top of engine step
+    /// `step`: a stall sleeps in place; a kill, at most once per rank
+    /// and session, fails the step with [`CommError::Killed`] (the
+    /// caller aborts the comm like after any failed step).
+    fn fire_faults(&self, me: usize, step: usize) -> Result<(), CommError> {
+        let Some(plan) = &self.run.fault_plan else {
+            return Ok(());
+        };
+        for stall in plan
+            .stalls
+            .iter()
+            .filter(|s| s.rank == me && s.step == step)
+        {
+            std::thread::sleep(Duration::from_millis(stall.millis));
         }
-        if let Some(rw) = &self.reliable {
-            rw.reset();
+        let due = plan.kills.iter().any(|k| k.rank == me && k.step == step);
+        if due && !self.killed[me].swap(true, Ordering::SeqCst) {
+            return Err(CommError::Killed { rank: me });
         }
+        Ok(())
     }
 }
 
@@ -309,9 +309,10 @@ fn rank_main<C: Comm>(comm: &C, session: &EngineSession) -> Result<RunReport, Ru
     // Recorder taps the shared metrics registry and streams events to
     // the configured trace sink. Other ranks observe nothing.
     let mut recorder = if me == 0 {
-        let sink = run.obs.trace.make_sink().map_err(|_| {
-            let what = "trace sink creation";
-            fail(start_step, CommError::Malformed { what })
+        let sink = run.obs.trace.make_sink().map_err(|e| {
+            // no peer can finish without rank 0: collapse them now
+            comm.abort();
+            RunError::TraceSink(e)
         })?;
         let mut rec = Recorder::new(run.obs.metrics.as_ref(), sink);
         rec.meta(run.ranks, run.steps);
@@ -320,14 +321,12 @@ fn rank_main<C: Comm>(comm: &C, session: &EngineSession) -> Result<RunReport, Ru
         None
     };
     for step in start_step..run.steps {
-        // fire scheduled stall/kill events for this rank, if any
-        if let Err(error) = comm.on_step(step) {
-            return Err(fail(step, error));
-        }
-        let stepped = match recorder.as_mut() {
-            Some(rec) => run_step(&mut eng, &mut be, &mut Tee(&mut builder, rec)),
-            None => run_step(&mut eng, &mut be, &mut builder),
-        };
+        let stepped = session
+            .fire_faults(me, step)
+            .and_then(|()| match recorder.as_mut() {
+                Some(rec) => run_step(&mut eng, &mut be, &mut Tee(&mut builder, rec)),
+                None => run_step(&mut eng, &mut be, &mut builder),
+            });
         if let Err(error) = stepped {
             // collapse the peers blocked on this rank at once instead
             // of leaving them to wait out their timeouts
@@ -357,21 +356,10 @@ fn rank_main<C: Comm>(comm: &C, session: &EngineSession) -> Result<RunReport, Ru
     let h_counts = allreduce_sum_f64(comm, &eng.h_counts()).map_err(at_diag)?;
     let pops = allgather_u64(comm, eng.particles.len() as u64).map_err(at_diag)?;
 
-    // counters read *after* the diagnostics collectives so faults
-    // injected into them are counted too (cumulative across replays:
-    // the fault worlds outlive the attempt)
-    let faults_injected = session.chaos.as_ref().map_or(0, |c| c.injected_total());
-    let comm_retries = session.reliable.as_ref().map_or(0, |r| r.retries());
-    let comm_dedup_dropped = session.reliable.as_ref().map_or(0, |r| r.dedup_dropped());
     if let Some(rec) = recorder.as_mut() {
         // a summary only when faults were possible (a plan installed)
-        if session.chaos.is_some() || session.recoveries > 0 {
-            rec.fault_summary(
-                session.recoveries,
-                comm_retries,
-                comm_dedup_dropped,
-                faults_injected,
-            );
+        if run.fault_plan.is_some() || session.recoveries > 0 {
+            rec.fault_summary(session.recoveries);
         }
         rec.finish();
     }
@@ -380,17 +368,13 @@ fn rank_main<C: Comm>(comm: &C, session: &EngineSession) -> Result<RunReport, Ru
     report.density_h = eng.density_h(&h_counts);
     report.population = pops.iter().sum::<u64>() as usize;
     report.recoveries = session.recoveries;
-    report.comm_retries = comm_retries;
-    report.comm_dedup_dropped = comm_dedup_dropped;
-    report.faults_injected = faults_injected;
     Ok(report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{Dataset, RunConfigBuilder};
-    use vmpi::{FaultAction, FaultPlan};
+    use crate::config::{Dataset, FaultPlan, RunConfigBuilder};
 
     /// The small fixed-seed 3-rank run every test here injects faults
     /// into.
@@ -405,25 +389,6 @@ mod tests {
     }
 
     #[test]
-    fn lossy_transport_matches_the_clean_run_bitwise() {
-        let base = |plan| quick(12, plan).build().expect("valid test config");
-        let clean = run_threaded(&base(None));
-        let plan = FaultPlan::seeded(0xFA11)
-            .drops(40)
-            .dups(40)
-            .delays(40, 3)
-            .action(1, 0, 0, FaultAction::Drop);
-        let chaotic = run_threaded_result(&base(Some(plan))).expect("reliable layer recovers");
-        assert_eq!(chaotic.density_h, clean.density_h);
-        assert_eq!(chaotic.population, clean.population);
-        assert!(chaotic.faults_injected > 0, "plan must have injected");
-        assert!(
-            chaotic.comm_retries > 0,
-            "the pinned drop must force a retransmission"
-        );
-    }
-
-    #[test]
     fn rank_engines_of_a_session_share_one_operator() {
         let run = quick(1, None).ranks(2).build().expect("valid test config");
         let session = EngineSession::new(&run);
@@ -434,7 +399,7 @@ mod tests {
 
     #[test]
     fn abort_policy_surfaces_a_kill() {
-        let run = quick(8, Some(FaultPlan::seeded(1).kill(1, 3)))
+        let run = quick(8, Some(FaultPlan::default().kill(1, 3)))
             .build()
             .expect("valid test config");
         match run_threaded_result(&run) {
@@ -459,7 +424,7 @@ mod tests {
         };
         let clean = run_threaded(&base(None));
         let killed =
-            run_threaded_result(&base(Some(FaultPlan::seeded(2).kill(2, 6)))).expect("recovers");
+            run_threaded_result(&base(Some(FaultPlan::default().kill(2, 6)))).expect("recovers");
         assert_eq!(killed.recoveries, 1, "exactly one replay");
         assert_eq!(killed.density_h, clean.density_h, "recovery is bitwise");
         assert_eq!(killed.population, clean.population);

@@ -4,9 +4,9 @@
 //! velocity and species lanes shared by those ranges.
 //!
 //! Each occupied cell of a pass draws from its own `StdRng`, seeded
-//! through SplitMix64 (as `vmpi::chaos` keys its fault rolls) from the
-//! step's [`collision_key`], the pass and the global coarse cell, and
-//! reads and writes only the particles its bucket list holds. So a
+//! through SplitMix64 (the standard 64-bit finalizer-style mixer) from
+//! the step's [`collision_key`], the pass and the global coarse cell,
+//! and reads and writes only the particles its bucket list holds. So a
 //! cell's outcome depends on neither the other cells, nor the lane that
 //! runs it, nor the rank that owns it: a pass gives the same bits on
 //! any lane count, and its reaction candidates come back in cell order.

@@ -42,8 +42,10 @@ pub mod sink;
 /// meaning, so v1 readers that look fields up by name keep working.
 /// Rebalance lines gained `lii_floor` within v2, and run reports
 /// `lii_floor_max` (the largest of them): added keys, so a reader that
-/// looks fields up by name is unaffected.
-pub const SCHEMA_VERSION: u32 = 2;
+/// looks fields up by name is unaffected. v3 removes the three
+/// wire-fault counters from run reports and every `fault_summary` key
+/// but `recoveries`: the transport is reliable, so nothing fills them.
+pub const SCHEMA_VERSION: u32 = 3;
 
 /// FNV-1a (64-bit) over a byte stream: the one digest the guard tests
 /// pin, the canonical config is keyed by and the experiment binaries

@@ -41,9 +41,6 @@ struct Taps {
     lii_floor: Gauge,
     rebalance_migrated: Counter,
     remap_time: TimeHist,
-    comm_retries: Counter,
-    comm_dedup_dropped: Counter,
-    comm_faults_injected: Counter,
     recoveries: Counter,
 }
 
@@ -81,9 +78,6 @@ impl Taps {
             lii_floor: reg.gauge("balance.lii_floor"),
             rebalance_migrated: reg.counter("balance.migrated_particles"),
             remap_time: reg.time_hist("balance.remap.seconds"),
-            comm_retries: reg.counter("comm.retries"),
-            comm_dedup_dropped: reg.counter("comm.dedup_dropped"),
-            comm_faults_injected: reg.counter("comm.faults_injected"),
             recoveries: reg.counter("engine.recoveries"),
         }
     }
@@ -143,30 +137,14 @@ impl Recorder {
         self.sink.emit(&TraceEvent::Meta { ranks, steps });
     }
 
-    /// Emit the trailing fault/recovery summary of a run executed
-    /// over a faulty transport (call at most once, before
-    /// [`Recorder::finish`]), and mirror the counters into the
-    /// registry under `comm.retries`, `comm.dedup_dropped`,
-    /// `comm.faults_injected` and `engine.recoveries`.
-    pub fn fault_summary(
-        &mut self,
-        recoveries: usize,
-        retries: u64,
-        dedup_dropped: u64,
-        injected: u64,
-    ) {
+    /// Emit the trailing recovery summary of a run that could fail
+    /// (call at most once, before [`Recorder::finish`]), and mirror
+    /// the count into the registry under `engine.recoveries`.
+    pub fn fault_summary(&mut self, recoveries: usize) {
         if let Some(taps) = &self.taps {
-            taps.comm_retries.add(retries);
-            taps.comm_dedup_dropped.add(dedup_dropped);
-            taps.comm_faults_injected.add(injected);
             taps.recoveries.add(recoveries as u64);
         }
-        self.sink.emit(&TraceEvent::FaultSummary {
-            recoveries,
-            retries,
-            dedup_dropped,
-            injected,
-        });
+        self.sink.emit(&TraceEvent::FaultSummary { recoveries });
     }
 
     /// Flush the sink (call once, after the run).
@@ -272,13 +250,10 @@ mod tests {
             };
             rec.step(index, &trace);
         }
-        rec.fault_summary(1, 7, 3, 12);
+        rec.fault_summary(1);
         rec.finish();
 
         let snap = reg.snapshot();
-        assert_eq!(snap.counter("comm.retries"), Some(7));
-        assert_eq!(snap.counter("comm.dedup_dropped"), Some(3));
-        assert_eq!(snap.counter("comm.faults_injected"), Some(12));
         assert_eq!(snap.counter("engine.recoveries"), Some(1));
         assert_eq!(snap.counter("vmpi.exchange.DC.transactions"), Some(6));
         assert_eq!(snap.counter("vmpi.exchange.DC.bytes"), Some(640));

@@ -4,7 +4,8 @@
 //! [`Comm`] is the per-rank endpoint of an in-process message-passing
 //! world. Algorithms (collectives, the two particle-exchange
 //! strategies) are written against the trait so they run unchanged on
-//! the threaded backend, under the chaos wrappers and in tests.
+//! the threaded backend and in tests. Like MPI's, the transport is
+//! reliable and FIFO per ordered pair of ranks.
 //!
 //! Every operation is fallible: a dead peer, a stuck receive or a
 //! poisoned shared structure surfaces as a [`CommError`] value instead
@@ -63,21 +64,11 @@ pub trait Comm {
     /// has failed: a dead rank can never arrive, so a broken barrier
     /// reports the failure instead of hanging).
     fn barrier(&self) -> CommResult<()>;
-    /// Fault-tolerance hook: a new engine step begins. Transports with
-    /// a fault plan fire their scheduled per-step events here (rank
-    /// stall sleeps in place and returns `Ok`; rank kill declares this
-    /// endpoint dead and returns [`CommError::Killed`]). The default
-    /// transport has no scheduled faults and does nothing.
-    fn on_step(&self, step: usize) -> CommResult<()> {
-        let _ = step;
-        Ok(())
-    }
-    /// Fault-tolerance hook: declare this rank dead to the rest of the
-    /// world (peers' pending and future operations involving it fail
-    /// promptly with [`CommError::PeerDead`] instead of hanging).
-    /// Called when a rank latches an unrecoverable fault so the world
-    /// collapses deterministically. Default: no-op.
-    fn abort(&self) {}
+    /// Declare this rank dead to the rest of the world (peers' pending
+    /// and future operations involving it fail promptly with
+    /// [`CommError::PeerDead`] instead of hanging). Called when a rank
+    /// fails, so the world collapses deterministically.
+    fn abort(&self);
     /// Shared traffic statistics for the whole world.
     fn stats(&self) -> &CommStats;
 
@@ -92,11 +83,8 @@ pub trait Comm {
     /// epoch and advances it. Matched collectives call this exactly
     /// once per rank per round, so all endpoints stay in lockstep and
     /// an early frame from round `E+1` can be told apart from round
-    /// `E`'s. Stateless transports may return a constant, which only
-    /// forfeits the cross-round discrimination.
-    fn next_epoch(&self) -> u64 {
-        0
-    }
+    /// `E`'s.
+    fn next_epoch(&self) -> u64;
 }
 
 /// World-wide traffic counters (lock-free).

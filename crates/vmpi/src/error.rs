@@ -12,27 +12,28 @@ pub type CommResult<T> = Result<T, CommError>;
 /// Why a communication operation failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CommError {
-    /// The peer rank is dead: it was killed by a fault plan, its
-    /// thread exited, or its channel endpoints were dropped.
+    /// The peer rank is dead: it aborted, its thread exited, or its
+    /// channel endpoints were dropped.
     PeerDead {
         /// The rank that is gone.
         peer: usize,
     },
-    /// This rank itself has been killed (by a fault-plan kill event);
-    /// every subsequent operation on its endpoint fails with this.
+    /// This rank itself has been killed (it aborted, e.g. at a
+    /// scheduled kill); every subsequent operation on its endpoint
+    /// fails with this.
     Killed {
         /// The killed rank (the caller).
         rank: usize,
     },
-    /// A receive exhausted its timeout/retry budget with no message.
+    /// A receive waited out its timeout with no message: the peer is
+    /// alive but stuck.
     Timeout {
         /// The source rank the receive was matched against.
         from: usize,
-        /// Sequence number (per-pair delivery ordinal) of the message
-        /// the receive was waiting for: for the raw transport, the
-        /// count of messages already delivered from `from`; for the
-        /// reliable layer, the expected retransmission sequence. Lets
-        /// operators see *which* message in the stream stalled.
+        /// Per-pair delivery ordinal of the message the receive was
+        /// waiting for (the count of messages already delivered from
+        /// `from`). Lets operators see *which* message in the stream
+        /// stalled.
         seq: u64,
     },
     /// A shared communication structure (channel or world state) was

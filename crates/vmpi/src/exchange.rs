@@ -301,9 +301,9 @@ fn take_group<'a, const K: usize>(
 ///
 /// Every phase is sends → barrier → single-try tagged drain from
 /// the known source set (same fence-and-drain as the sparse counts
-/// round, so [`crate::ReliableComm`]'s journal truth applies and the
-/// protocol survives chaos). A trailing barrier keeps a fast rank's
-/// post-exchange traffic out of a slow peer's final drain.
+/// round: after the fence, per-pair FIFO delivery guarantees every
+/// frame of the phase is queued). A trailing barrier keeps a fast
+/// rank's post-exchange traffic out of a slow peer's final drain.
 fn exchange_hier<C: Comm>(
     comm: &C,
     nodes: &NodeMap,

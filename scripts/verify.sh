@@ -300,6 +300,20 @@ if [ -n "$deleted" ]; then
     exit 1
 fi
 
+echo "== wire deleted-names lint (the transport is reliable and FIFO per pair; a fault is a rank failure) =="
+# MPI delivers every message once and in order per pair, so the lossy-
+# wire simulator and the reliability layer that undid it are gone with
+# their counters; a FaultPlan schedules only rank stalls and kills,
+# which session::rank_main fires itself at the top of a step. None
+# comes back, comments included.
+wire=$(grep -rnE 'ChaosComm|ChaosWorld|ReliableComm|ReliableWorld|FaultAction|comm_retries|comm_dedup_dropped|faults_injected|fn on_step' \
+    --include='*.rs' crates src tests examples || true)
+if [ -n "$wire" ]; then
+    echo "$wire"
+    echo "verify: a deleted wire-fault name is back (the wire is the raw transport; a FaultPlan holds kills and stalls only)" >&2
+    exit 1
+fi
+
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 

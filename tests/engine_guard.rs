@@ -40,44 +40,59 @@ fn threaded_density_is_bitwise_pinned() {
     );
 }
 
-/// The hierarchical exchange (DESIGN.md §11) must be a pure transport
-/// change: Hier with node grouping has to reproduce the plain
-/// distributed run bit for bit. Any RNG draw or
-/// particle reorder smuggled into the exchange shows up here.
+/// Every exchange protocol (DESIGN.md §11) must be a pure transport
+/// change: CC, Sparse, Auto and Hier (two nodes) each reproduce the
+/// plain distributed run bit for bit, at 3 and at 4 ranks. Any RNG
+/// draw or particle reorder smuggled into an exchange shows up here.
 #[test]
 fn hier_matches_distributed_bitwise() {
     use vmpi::Strategy;
-    let base = RunConfig::builder()
-        .paper(Dataset::D1, 0.02)
-        .ranks(4)
-        .seed(4242)
-        .steps(12)
-        .rebalance(None);
-    let dc = run_threaded(
-        &base
-            .clone()
-            .strategy(Strategy::Distributed)
-            .build()
-            .expect("valid DC guard config"),
-    );
-    let hier = run_threaded(
-        &base
-            .strategy(Strategy::Hier)
-            .build()
-            .expect("valid Hier guard config"),
-    );
-    assert_eq!(hier.population, dc.population, "population diverged");
-    assert_eq!(
-        fnv1a_f64(&hier.density_h),
-        fnv1a_f64(&dc.density_h),
-        "Hier density_h is not bitwise identical to DC"
-    );
-    let [_, dc_uses, _, _] = dc.strategy_uses;
-    let [_, _, _, hier_uses] = hier.strategy_uses;
-    assert!(
-        dc_uses > 0 && hier_uses > 0,
-        "guards ran the wrong protocol"
-    );
+    for ranks in [3, 4] {
+        let run = |strategy| {
+            run_threaded(
+                &RunConfig::builder()
+                    .paper(Dataset::D1, 0.02)
+                    .ranks(ranks)
+                    .seed(4242)
+                    .steps(12)
+                    .rebalance(None)
+                    .strategy(strategy)
+                    .build()
+                    .expect("valid guard config"),
+            )
+        };
+        let dc = run(Strategy::Distributed);
+        let dc_index = Strategy::Distributed
+            .concrete_index()
+            .expect("DC is concrete");
+        assert!(
+            dc.strategy_uses[dc_index] > 0,
+            "DC guard ran the wrong protocol"
+        );
+        for strategy in [
+            Strategy::Centralized,
+            Strategy::Sparse,
+            Strategy::Auto,
+            Strategy::Hier,
+        ] {
+            let r = run(strategy);
+            assert_eq!(
+                r.population, dc.population,
+                "{strategy:?} at {ranks} ranks: population diverged"
+            );
+            assert_eq!(
+                fnv1a_f64(&r.density_h),
+                fnv1a_f64(&dc.density_h),
+                "{strategy:?} at {ranks} ranks: density_h is not bitwise identical to DC"
+            );
+            if let Some(i) = strategy.concrete_index() {
+                assert!(
+                    r.strategy_uses[i] > 0,
+                    "{strategy:?} guard ran the wrong protocol"
+                );
+            }
+        }
+    }
 }
 
 #[test]

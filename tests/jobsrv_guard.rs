@@ -125,7 +125,7 @@ fn killed_worker_job_recovers_from_checkpoint_with_the_pinned_hash() {
     let run = guard_builder()
         .checkpoint_every(4)
         .on_fault(FaultPolicy::RestartFromCheckpoint)
-        .fault_plan(Some(FaultPlan::seeded(2).kill(2, 6)))
+        .fault_plan(Some(FaultPlan::default().kill(2, 6)))
         .build()
         .expect("valid recovery config");
 
