@@ -37,7 +37,7 @@ use obs::{
     Breakdown, ExchangeEvent, LapTimer, NullObserver, Observer, Phase, RebalanceEvent, Recorder,
     Tee,
 };
-use particles::{ParticleBuffer, SpeciesTable};
+use particles::{CellIndex, ParticleBuffer, SpeciesTable};
 use pic::{accelerate_charged, deposit_charge_into, ElectricField, PoissonSolver};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -104,6 +104,10 @@ pub struct RankEngine {
     pub exch: ExchangeScratch,
     /// Colli_React scratch: this subcycle's reaction candidates.
     events: Vec<CollisionEvent>,
+    /// Colli_React scratch: this subcycle's particles by cell, neutrals
+    /// in slot 0 and (with cross collisions) ions in slot 1, built once
+    /// for both collision passes.
+    index: CellIndex,
     /// PIC substep scratch, cleared and reused: the deposited node
     /// charge (taken by `deposit`, handed back by `field_solve`).
     node_charge: Vec<f64>,
@@ -196,6 +200,7 @@ impl RankEngine {
             lanes,
             exch: ExchangeScratch::default(),
             events: Vec::new(),
+            index: CellIndex::default(),
             node_charge: Vec::new(),
         }
     }
@@ -345,18 +350,25 @@ impl RankEngine {
     /// same on every rank), the step, the subcycle, the pass and the
     /// global coarse cell ([`dsmc::collision_key`]); they record only
     /// the pairs that pass the chemistry's dissociation test, the only
-    /// ones `react_collisions` acts on. The reactions draw from the
-    /// engine's stream (`rng_dsmc` when subcycling). Record fields
-    /// accumulate so subcycles sum.
+    /// ones `react_collisions` acts on. Both read one [`CellIndex`] of
+    /// the subcycle's particles (NTC changes only velocities, and a CEX
+    /// moves its pair between the index's segments). The reactions draw
+    /// from the engine's stream (`rng_dsmc` when subcycling). Record
+    /// fields accumulate so subcycles sum.
     fn colli_react(&mut self, rec: &mut StepRecord, dt: f64, subcycle: usize) {
         self.events.clear();
         let reactive = self.chemistry.dissociation_test(&self.species, self.h_id);
         let key = collision_key(self.config.seed, self.step_count as u64, subcycle as u64);
+        let (ids, nc) = ([self.h_id, self.hp_id], self.nm.coarse.num_cells());
+        let slots = 1 + usize::from(self.config.cross_collisions);
+        let slot = |s| ids[..slots].iter().position(|&id| id == s);
+        self.index.build(&self.particles, nc, slots, slot);
         let cstats = self.collisions.collide(
             &self.nm.coarse,
             &mut self.particles,
             &self.species,
             self.h_id,
+            &self.index,
             dt,
             key,
             &self.lanes,
@@ -372,6 +384,7 @@ impl RankEngine {
                 &self.species,
                 self.h_id,
                 self.hp_id,
+                &mut self.index,
                 dt,
                 key,
                 &self.lanes,
@@ -890,18 +903,23 @@ mod tests {
         let mut all = Vec::new();
         let every_pair = |_: f64| true;
         let (coarse, serial) = (&eng.nm.coarse, Pool::serial());
+        let (h, hp) = (eng.h_id, eng.hp_id);
+        let mut index = CellIndex::default();
+        index.build(&buf, coarse.num_cells(), 2, |s| {
+            [h, hp].iter().position(|&id| id == s)
+        });
         ntc.collide(
             coarse,
             &mut buf,
             &eng.species,
             eng.h_id,
+            &index,
             dt,
             key,
             &serial,
             &mut all,
             every_pair,
         );
-        let (h, hp) = (eng.h_id, eng.hp_id);
         let cross = eng.cross;
         cross.collide(
             coarse,
@@ -909,6 +927,7 @@ mod tests {
             &eng.species,
             h,
             hp,
+            &mut index,
             dt,
             key,
             &serial,

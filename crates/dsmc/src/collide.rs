@@ -12,18 +12,16 @@ use crate::keyed::{
 use crate::react::ChemistryModel;
 use kernels::Pool;
 use mesh::{TetMesh, Vec3};
-use particles::{ParticleBuffer, Species, SpeciesTable, Vhs};
+use particles::{CellIndex, ParticleBuffer, Species, SpeciesTable, Vhs};
 use rand::Rng;
 use std::ops::Range;
 
-/// Persistent per-cell state of the NTC scheme (the running
-/// `(σg)_max` estimate) plus scratch buffers.
+/// Persistent per-cell state of the NTC scheme: the running
+/// `(σg)_max` estimate.
 #[derive(Debug, Clone)]
 pub struct CollisionModel {
     /// Running maximum of σ(g)·g per cell (m³/s).
     sigma_g_max: Vec<f64>,
-    /// Scratch: particle indices per cell.
-    cell_lists: Vec<Vec<u32>>,
 }
 
 /// Outcome of one collision pass.
@@ -81,8 +79,8 @@ impl CellScratch {
     /// once per pass. Returns the adaptive `(σg)_max` (`sgm` unless a
     /// pair exceeded it; committing it late is value-identical — the
     /// ratchet only grows). The candidate draw compares list
-    /// *positions* instead of buffer indices — equivalent, as the cell
-    /// lists hold distinct indices.
+    /// *positions* instead of buffer indices — equivalent, as an index
+    /// segment holds distinct indices.
     #[allow(clippy::too_many_arguments)]
     fn collide<R: Rng>(
         &mut self,
@@ -187,19 +185,6 @@ impl CollisionModel {
             .max(1e-20);
         CollisionModel {
             sigma_g_max: vec![guess; num_cells],
-            cell_lists: vec![Vec::new(); num_cells],
-        }
-    }
-
-    /// Bucket the neutrals of `buf` by cell (indices ascending).
-    fn bucket(&mut self, buf: &ParticleBuffer, neutral_id: u8) {
-        for l in self.cell_lists.iter_mut() {
-            l.clear();
-        }
-        for i in 0..buf.len() {
-            if buf.species[i] == neutral_id {
-                self.cell_lists[buf.cell[i] as usize].push(i as u32);
-            }
         }
     }
 
@@ -217,7 +202,8 @@ impl CollisionModel {
     }
 
     /// Perform one NTC collision pass over the *neutral* particles of
-    /// `buf` (species id `neutral_id`). Each occupied cell draws from
+    /// `buf` (species id `neutral_id`), which `index` (built on `buf`)
+    /// lists in slot 0 of their cells. Each occupied cell draws from
     /// its own stream, keyed by `key` ([`crate::collision_key`]) and the
     /// cell, so the pass gives the same bits on any `lanes`: it runs on
     /// contiguous cell ranges balanced by the expected candidate count
@@ -233,6 +219,7 @@ impl CollisionModel {
         buf: &mut ParticleBuffer,
         species: &SpeciesTable,
         neutral_id: u8,
+        index: &CellIndex,
         dt: f64,
         key: u64,
         lanes: &Pool,
@@ -244,6 +231,7 @@ impl CollisionModel {
             buf,
             species,
             neutral_id,
+            index,
             dt,
             key,
             lanes,
@@ -262,6 +250,7 @@ impl CollisionModel {
         buf: &mut ParticleBuffer,
         species: &SpeciesTable,
         neutral_id: u8,
+        index: &CellIndex,
         dt: f64,
         key: u64,
         lanes: &Pool,
@@ -271,37 +260,25 @@ impl CollisionModel {
     ) -> CollideStats {
         let sp = species.get(neutral_id);
         let vhs = sp.vhs();
-        self.bucket(buf, neutral_id);
-        let CollisionModel {
-            sigma_g_max,
-            cell_lists,
-        } = self;
-        let cell_lists = &*cell_lists;
+        let sigma_g_max = &mut self.sigma_g_max[..];
         let expected = |c: usize, sgm: f64| {
-            let n = cell_lists[c].len() as f64;
+            let n = index.segment(c, 0).len() as f64;
             0.5 * n * (n - 1.0) * sp.weight * sgm * dt / mesh.volumes[c]
         };
-        let ranges = cell_ranges(
-            cell_lists.len(),
-            |c| match cell_lists[c].len() {
-                0 | 1 => 0.0,
-                _ => expected(c, sigma_g_max[c]),
-            },
-            lanes,
-            per_lane,
-        );
-        let largest = |cells: &Range<usize>| cell_lists[cells.clone()].iter().map(Vec::len).max();
+        let load = |c: usize| expected(c, sigma_g_max[c]);
+        let ranges = cell_ranges(sigma_g_max.len(), load, lanes, per_lane);
+        let largest = |cells: &Range<usize>| cells.clone().map(|c| index.segment(c, 0).len()).max();
         let buf = SharedParticles::new(buf);
         let (buf, reactive, key) = (&buf, &reactive, pass_key(key, Pass::Ntc));
         on_cells(
             ranges,
-            sigma_g_max,
+            (sigma_g_max, Range::clone),
             |cells| CellScratch::with_capacity(largest(cells).unwrap_or(0)),
             events,
             |cells, sgm, mut scratch, events| {
                 let mut stats = CollideStats::default();
                 for (c, sgm) in cells.zip(sgm) {
-                    let list = &cell_lists[c];
+                    let list = index.segment(c, 0);
                     if list.len() < 2 {
                         continue;
                     }
@@ -332,8 +309,8 @@ impl CollisionModel {
 
     /// [`CollisionModel::collide`] recording the pairs that pass the
     /// default chemistry's dissociation test (the kernel the step
-    /// runs), keyed by a draw from `rng`. Kept for the benchmark
-    /// ledger's pinned kernel API.
+    /// runs), keyed by a draw from `rng`, on an index it builds. Kept
+    /// for the benchmark ledger's pinned kernel API.
     #[allow(clippy::too_many_arguments)]
     pub fn collide_pooled<R: Rng>(
         &mut self,
@@ -348,8 +325,10 @@ impl CollisionModel {
     ) -> CollideStats {
         let reactive = ChemistryModel::default().dissociation_test(species, neutral_id);
         let key = rng.gen();
+        let mut index = CellIndex::default();
+        index.build(buf, mesh.num_cells(), 1, |s| (s == neutral_id).then_some(0));
         self.collide(
-            mesh, buf, species, neutral_id, dt, key, pool, events, reactive,
+            mesh, buf, species, neutral_id, &index, dt, key, pool, events, reactive,
         )
     }
 }
@@ -368,6 +347,14 @@ pub(crate) mod tests {
     /// reaction candidates.
     pub(crate) fn every_pair(_g: f64) -> bool {
         true
+    }
+
+    /// `buf` indexed on `m` for the passes: species 0 (the neutral) in
+    /// slot 0, species 1 (the ion) in slot 1.
+    pub(crate) fn indexed(m: &TetMesh, buf: &ParticleBuffer) -> CellIndex {
+        let mut index = CellIndex::default();
+        index.build(buf, m.num_cells(), 2, |s| (s < 2).then_some(s.into()));
+        index
     }
 
     /// FNV-1a over every bit a collision pass writes: the velocity
@@ -432,11 +419,13 @@ pub(crate) mod tests {
         let mut ev = Vec::new();
         for step in 0..5 {
             let key = collision_key(11, step, 0);
+            let index = indexed(&m, &buf);
             model.collide(
                 &m,
                 &mut buf,
                 &table,
                 0,
+                &index,
                 1e-5,
                 key,
                 &Pool::serial(),
@@ -478,11 +467,13 @@ pub(crate) mod tests {
         key: u64,
     ) -> (CollideStats, Vec<CollisionEvent>) {
         let mut ev = Vec::new();
+        let index = indexed(m, buf);
         let stats = model.collide(
             m,
             buf,
             table,
             0,
+            &index,
             dt,
             key,
             &Pool::serial(),
@@ -585,11 +576,13 @@ pub(crate) mod tests {
                 ),
                 None => {
                     let key = rng.gen();
+                    let index = indexed(&m, &buf);
                     model.collide(
                         &m,
                         &mut buf,
                         &table,
                         h,
+                        &index,
                         dt,
                         key,
                         &Pool::serial(),

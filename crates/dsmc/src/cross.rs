@@ -22,7 +22,7 @@ use crate::keyed::{
 };
 use kernels::Pool;
 use mesh::TetMesh;
-use particles::{ParticleBuffer, SpeciesTable};
+use particles::{CellIndex, ParticleBuffer, SpeciesTable};
 use rand::Rng;
 
 /// Cross-collision parameters.
@@ -54,11 +54,13 @@ pub struct CrossStats {
 }
 
 impl CrossCollisionModel {
-    /// One NTC pass over neutral–ion pairs. Each occupied cell draws
-    /// from its own stream, keyed by `key` ([`crate::collision_key`])
-    /// and the cell, so the pass gives the same bits on any `lanes`,
-    /// over contiguous cell ranges as
-    /// [`crate::CollisionModel::collide`]. Appends each accepted pair
+    /// One NTC pass over neutral–ion pairs, which `index` (built on
+    /// `buf`, two slots) lists in slot 0 (neutrals) and slot 1 (ions)
+    /// of their cells; a CEX moves its pair between the two, so the
+    /// index stays true to `buf`. Each occupied cell draws from its own
+    /// stream, keyed by `key` ([`crate::collision_key`]) and the cell,
+    /// so the pass gives the same bits on any `lanes`, over contiguous
+    /// cell ranges as [`crate::CollisionModel::collide`]. Appends each accepted pair
     /// whose relative speed passes `reactive` (the chemistry's
     /// dissociation test: a later CEX can leave both partners neutral)
     /// to `events`, in cell order.
@@ -70,6 +72,7 @@ impl CrossCollisionModel {
         species: &SpeciesTable,
         neutral_id: u8,
         ion_id: u8,
+        index: &mut CellIndex,
         dt: f64,
         key: u64,
         lanes: &Pool,
@@ -81,6 +84,7 @@ impl CrossCollisionModel {
             buf,
             species,
             [neutral_id, ion_id],
+            index,
             dt,
             key,
             lanes,
@@ -100,6 +104,7 @@ impl CrossCollisionModel {
         buf: &mut ParticleBuffer,
         species: &SpeciesTable,
         [neutral_id, ion_id]: [u8; 2],
+        index: &mut CellIndex,
         dt: f64,
         key: u64,
         lanes: &Pool,
@@ -118,43 +123,34 @@ impl CrossCollisionModel {
         let sigma_g_max = 2.0 * vhs.cross_section(vhs.g_ref) * vhs.g_ref;
         let (m1, m2) = (n_sp.mass, i_sp.mass);
 
-        // bucket both species per cell: [neutrals, ions]
-        let nc = mesh.num_cells();
-        let mut buckets: Vec<[Vec<u32>; 2]> = vec![[Vec::new(), Vec::new()]; nc];
-        for i in 0..buf.len() {
-            let c = buf.cell[i] as usize;
-            if buf.species[i] == neutral_id {
-                buckets[c][0].push(i as u32);
-            } else if buf.species[i] == ion_id {
-                buckets[c][1].push(i as u32);
-            }
-        }
-        let expected = |c: usize, [nn, ni]: [usize; 2]| {
-            nn as f64 * ni as f64 * f_n * sigma_g_max * dt / mesh.volumes[c]
+        let (at, order) = index.split_mut();
+        // where cell c's [neutrals, ions] begin and end in the order
+        let bounds = |c: usize| [0, 1, 2].map(|slot| at(c, slot));
+        let expected = |c: usize| {
+            let [lo, mid, hi] = bounds(c);
+            (mid - lo) as f64 * (hi - mid) as f64 * f_n * sigma_g_max * dt / mesh.volumes[c]
         };
-        let ranges = cell_ranges(
-            nc,
-            |c| expected(c, buckets[c].each_ref().map(Vec::len)),
-            lanes,
-            per_lane,
-        );
+        let ranges = cell_ranges(mesh.num_cells(), expected, lanes, per_lane);
 
         let buf = SharedParticles::new(buf);
         let (buf, reactive, key) = (&buf, &reactive, pass_key(key, Pass::Cross));
         let cex_fraction = self.cex_fraction;
         on_cells(
             ranges,
-            &mut buckets,
+            (order, |cells| at(cells.start, 0)..at(cells.end, 0)),
             |_| (),
             events,
-            |cells, buckets, (), events| {
+            |cells, order, (), events| {
                 let mut stats = CrossStats::default();
-                for (c, [neutrals, ions]) in cells.zip(buckets) {
+                let base = at(cells.start, 0);
+                for c in cells {
+                    let [lo, mid, hi] = bounds(c).map(|p| p - base);
+                    let (neutrals, ions) = order[lo..hi].split_at_mut(mid - lo);
                     if neutrals.is_empty() || ions.is_empty() {
                         continue;
                     }
                     let mut rng = cell_rng(key, c);
-                    let expected = expected(c, [neutrals.len(), ions.len()]);
+                    let expected = expected(c);
                     let n_cand = expected.floor() as usize
                         + usize::from(rng.gen::<f64>() < expected.fract());
                     for _ in 0..n_cand {
@@ -172,7 +168,7 @@ impl CrossCollisionModel {
                         if rng.gen::<f64>() < cex_fraction {
                             // CEX: identities swap, velocities stay — the
                             // electron hops, momentum of each *body* is
-                            // untouched. The pair swaps lists too, so a
+                            // untouched. The pair swaps segments too, so a
                             // partner drawn again acts in its new role.
                             buf.set_species(a, ion_id);
                             buf.set_species(b, neutral_id);
@@ -214,7 +210,7 @@ impl CrossCollisionModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collide::tests::every_pair;
+    use crate::collide::tests::{every_pair, indexed};
     use crate::collision_key;
     use mesh::{NozzleSpec, Vec3};
     use particles::Particle;
@@ -257,12 +253,14 @@ mod tests {
         let key = 1;
         let mut ev = Vec::new();
         let before_ions = buf.species.iter().filter(|&&s| s == 1).count();
+        let mut index = indexed(&m, &buf);
         let stats = model.collide(
             &m,
             &mut buf,
             &table,
             0,
             1,
+            &mut index,
             5e-6,
             key,
             &Pool::serial(),
@@ -290,12 +288,14 @@ mod tests {
             vs.iter().sum::<f64>() / vs.len() as f64
         };
         let neutral_vz_before = mean_vz(&buf, 0);
+        let mut index = indexed(&m, &buf);
         let stats = model.collide(
             &m,
             &mut buf,
             &table,
             0,
             1,
+            &mut index,
             2e-5,
             key,
             &Pool::serial(),
@@ -321,12 +321,14 @@ mod tests {
         let mom = |buf: &ParticleBuffer| buf.iter().fold(Vec3::ZERO, |acc, p| acc + p.vel);
         let energy = |buf: &ParticleBuffer| -> f64 { buf.iter().map(|p| p.vel.norm2()).sum() };
         let (p0, e0) = (mom(&buf), energy(&buf));
+        let mut index = indexed(&m, &buf);
         let stats = model.collide(
             &m,
             &mut buf,
             &table,
             0,
             1,
+            &mut index,
             5e-6,
             key,
             &Pool::serial(),
@@ -347,12 +349,14 @@ mod tests {
         let model = CrossCollisionModel::default();
         let key = 6;
         let mut ev = Vec::new();
+        let mut index = indexed(&m, &buf);
         let stats = model.collide(
             &m,
             &mut buf,
             &table,
             0,
             1,
+            &mut index,
             5e-6,
             key,
             &Pool::serial(),
@@ -374,12 +378,14 @@ mod tests {
         let mut ev = Vec::new();
         for step in 0..5 {
             let key = collision_key(11, step, 0);
+            let mut index = indexed(&m, &buf);
             model.collide(
                 &m,
                 &mut buf,
                 &table,
                 0,
                 1,
+                &mut index,
                 5e-6,
                 key,
                 &Pool::serial(),
@@ -404,12 +410,14 @@ mod tests {
         for key in 0..4 {
             let mut buf = base.clone();
             let mut ev = Vec::new();
+            let mut index = indexed(&m, &buf);
             let stats = model.collide(
                 &m,
                 &mut buf,
                 &table,
                 0,
                 1,
+                &mut index,
                 1e-6,
                 key,
                 &Pool::serial(),
@@ -421,18 +429,55 @@ mod tests {
         }
     }
 
+    /// A CEX moves its pair between the cell's index segments: after a
+    /// pass of many swaps, the neutral segment holds only neutrals, the
+    /// ion segment only ions, and the two together the cell's particles.
     #[test]
-    fn no_partners_no_collisions() {
-        let (m, table, mut buf) = setup(100, 0);
-        let model = CrossCollisionModel::default();
-        let key = 5;
-        let mut ev = Vec::new();
+    fn cex_keeps_the_index_true_to_the_buffer() {
+        let (m, table, mut buf) = setup(200, 100);
+        let model = CrossCollisionModel { cex_fraction: 1.0 };
+        let mut index = indexed(&m, &buf);
         let stats = model.collide(
             &m,
             &mut buf,
             &table,
             0,
             1,
+            &mut index,
+            1e-6,
+            7,
+            &Pool::serial(),
+            &mut Vec::new(),
+            every_pair,
+        );
+        assert!(stats.cex > 100, "premise: partners drawn again, {stats:?}");
+        for c in 0..m.num_cells() {
+            let (neutrals, ions) = (index.segment(c, 0), index.segment(c, 1));
+            assert!(neutrals.iter().all(|&i| buf.species[i as usize] == 0));
+            assert!(ions.iter().all(|&i| buf.species[i as usize] == 1));
+            let mut both = [neutrals, ions].concat();
+            both.sort_unstable();
+            let mine: Vec<u32> = (0..buf.len() as u32)
+                .filter(|&i| buf.cell[i as usize] as usize == c)
+                .collect();
+            assert_eq!(both, mine, "cell {c}");
+        }
+    }
+
+    #[test]
+    fn no_partners_no_collisions() {
+        let (m, table, mut buf) = setup(100, 0);
+        let model = CrossCollisionModel::default();
+        let key = 5;
+        let mut ev = Vec::new();
+        let mut index = indexed(&m, &buf);
+        let stats = model.collide(
+            &m,
+            &mut buf,
+            &table,
+            0,
+            1,
+            &mut index,
             1e-5,
             key,
             &Pool::serial(),

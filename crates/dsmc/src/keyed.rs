@@ -6,7 +6,9 @@
 //! Each occupied cell of a pass draws from its own `StdRng`, seeded
 //! through SplitMix64 (the standard 64-bit finalizer-style mixer) from
 //! the step's [`collision_key`], the pass and the global coarse cell,
-//! and reads and writes only the particles its bucket list holds. So a
+//! and reads and writes only the particles its segments of the
+//! subcycle's [`particles::CellIndex`] hold (one counting sort by cell
+//! and species slot, built by the caller once for both passes). So a
 //! cell's outcome depends on neither the other cells, nor the lane that
 //! runs it, nor the rank that owns it: a pass gives the same bits on
 //! any lane count, and its reaction candidates come back in cell order.
@@ -115,7 +117,9 @@ pub(crate) fn cell_ranges(
 
 /// One pass over the cell `ranges` of [`cell_ranges`], one lane each:
 /// `pass(cells, data, scratch, events)` runs on each range with the
-/// range's entries of `data` (one per cell). The caller's thread takes
+/// range's part of `data`, `span(range)` (the `(σg)_max` entries of its
+/// cells, or its cells' span of a [`particles::CellIndex`] order; the
+/// spans of consecutive ranges tile `data`). The caller's thread takes
 /// the first range with a default `scratch` and appends to `events`
 /// itself. Each further lane takes a `scratch(range)` and appends to a
 /// vector reserved for its range's candidate bound, both made by the
@@ -124,7 +128,7 @@ pub(crate) fn cell_ranges(
 /// results in range order.
 pub(crate) fn on_cells<T: Send, X: Send + Default, S: Send>(
     ranges: Vec<(Range<usize>, usize)>,
-    data: &mut [T],
+    (data, span): (&mut [T], impl Fn(&Range<usize>) -> Range<usize>),
     scratch: impl Fn(&Range<usize>) -> X,
     events: &mut Vec<CollisionEvent>,
     pass: impl Fn(Range<usize>, &mut [T], X, &mut Vec<CollisionEvent>) -> S + Sync,
@@ -135,9 +139,10 @@ pub(crate) fn on_cells<T: Send, X: Send + Default, S: Send>(
     let (cells, bounds): (Vec<_>, Vec<_>) = ranges.into_iter().unzip();
     let mut spare: Vec<_> = bounds[1..].iter().map(|&b| Vec::with_capacity(b)).collect();
     let lists = std::iter::once(&mut *events).chain(spare.iter_mut());
+    let spans: Vec<_> = cells.iter().map(span).collect();
     let parts: Vec<_> = cells
         .iter()
-        .zip(carve_mut(&cells, data))
+        .zip(carve_mut(&spans, data))
         .zip(lists)
         .enumerate()
         .map(|(k, ((cells, data), events))| {
@@ -182,7 +187,9 @@ impl<'a> SharedParticles<'a> {
         // exclusive borrow of `buf` keeps every non-atomic access out
         // for `'a`. The lanes of a pass touch these elements
         // concurrently, but only the particles of their own cells: the
-        // bucket lists partition the particles, so no element is read
+        // segments of the pass's `CellIndex` partition the particles
+        // (its order holds each buffer index at most once, and a lane
+        // reads only its own cells' span of it), so no element is read
         // by one lane and written by another, and the bits written do
         // not depend on how the lanes are scheduled.
         unsafe {

@@ -141,7 +141,7 @@ impl ChemistryModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collide::tests::{every_pair, fill, lattice};
+    use crate::collide::tests::{every_pair, fill, indexed, lattice};
     use crate::{CollideStats, CollisionModel, CrossCollisionModel, CrossStats};
     use kernels::Pool;
     use mesh::{NozzleSpec, Vec3};
@@ -283,14 +283,16 @@ mod tests {
         for step in 0..3 {
             let key = crate::collision_key(21, step, 0);
             let mut ev = Vec::new();
+            let mut index = indexed(m, &buf);
             let c = ntc.collide_with_floor(
-                m, &mut buf, table, 0, dt, key, lanes, &mut ev, keep, per_lane,
+                m, &mut buf, table, 0, &index, dt, key, lanes, &mut ev, keep, per_lane,
             );
             let x = cross.collide_with_floor(
                 m,
                 &mut buf,
                 table,
                 [0, 1],
+                &mut index,
                 dt,
                 key,
                 lanes,
@@ -397,12 +399,13 @@ mod tests {
             let mut ntc = CollisionModel::new(m.num_cells(), &table, 300.0);
             let (key, serial, mut ev) =
                 (crate::collision_key(21, 0, 0), Pool::serial(), Vec::new());
+            let mut index = indexed(&m, &buf);
             ntc.collide(
-                &m, &mut buf, &table, 0, 2e-7, key, &serial, &mut ev, every_pair,
+                &m, &mut buf, &table, 0, &index, 2e-7, key, &serial, &mut ev, every_pair,
             );
             let cross = CrossCollisionModel::default();
             cross.collide(
-                &m, &mut buf, &table, 0, 1, 2e-7, key, &serial, &mut ev, every_pair,
+                &m, &mut buf, &table, 0, 1, &mut index, 2e-7, key, &serial, &mut ev, every_pair,
             );
             (buf, ntc.sigma_g_max().to_vec(), ev)
         };

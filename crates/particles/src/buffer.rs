@@ -8,6 +8,7 @@
 //! the API boundary (and it keeps the per-particle wire format
 //! explicit — see [`crate::pack`]).
 
+use crate::CellIndex;
 use mesh::Vec3;
 
 /// One particle, as a value type (used at API boundaries; storage is
@@ -38,22 +39,15 @@ pub struct ParticleBuffer {
     pub id: Vec<u64>,
 }
 
-/// Reusable scratch for [`ParticleBuffer::sort_by_cell`]. Keeping one
-/// per rank amortises the allocations: after the first sort every
-/// subsequent call is allocation-free (the sorted arrays are swapped
-/// with the scratch arrays, which stay at capacity).
+/// Reusable scratch for [`ParticleBuffer::sort_by_cell`]: a one-slot
+/// [`CellIndex`] and a spare buffer the sorted lanes are gathered into.
+/// Keeping one per rank amortises the allocations: after the first
+/// sort every subsequent call is allocation-free (each sorted lane is
+/// swapped with the spare's, which stay at capacity).
 #[derive(Debug, Clone, Default)]
 pub struct SortScratch {
-    offsets: Vec<usize>,
-    px: Vec<f64>,
-    py: Vec<f64>,
-    pz: Vec<f64>,
-    vx: Vec<f64>,
-    vy: Vec<f64>,
-    vz: Vec<f64>,
-    cell: Vec<u32>,
-    species: Vec<u8>,
-    id: Vec<u64>,
+    index: CellIndex,
+    spare: ParticleBuffer,
 }
 
 impl ParticleBuffer {
@@ -243,62 +237,24 @@ impl ParticleBuffer {
             && self.id.len() == n
     }
 
-    /// Count particles per coarse cell into `counts` (indexed by
-    /// global cell id); `counts` is not cleared first.
-    pub fn count_per_cell(&self, counts: &mut [u64]) {
-        for &c in &self.cell {
-            counts[c as usize] += 1;
-        }
-    }
-
-    /// Stable counting sort by cell id, O(n + num_cells). Restores
+    /// Stable counting sort by cell id, O(n + num_cells): the order of
+    /// a one-slot [`CellIndex`], gathered lane by lane. Restores
     /// cell-coherent memory order after many move/exchange steps have
     /// scrambled it, so the per-cell loops of collide and deposit
     /// stream contiguous memory again. `num_cells` must exceed every
     /// stored cell id.
     pub fn sort_by_cell(&mut self, num_cells: usize, scratch: &mut SortScratch) {
-        let n = self.len();
-        scratch.offsets.clear();
-        scratch.offsets.resize(num_cells + 1, 0);
-        for &c in &self.cell {
-            debug_assert!((c as usize) < num_cells);
-            scratch.offsets[c as usize + 1] += 1;
-        }
-        for i in 0..num_cells {
-            scratch.offsets[i + 1] += scratch.offsets[i];
-        }
-        scratch.px.resize(n, 0.0);
-        scratch.py.resize(n, 0.0);
-        scratch.pz.resize(n, 0.0);
-        scratch.vx.resize(n, 0.0);
-        scratch.vy.resize(n, 0.0);
-        scratch.vz.resize(n, 0.0);
-        scratch.cell.resize(n, 0);
-        scratch.species.resize(n, 0);
-        scratch.id.resize(n, 0);
-        for i in 0..n {
-            let c = self.cell[i] as usize;
-            let dst = scratch.offsets[c];
-            scratch.offsets[c] += 1;
-            scratch.px[dst] = self.px[i];
-            scratch.py[dst] = self.py[i];
-            scratch.pz[dst] = self.pz[i];
-            scratch.vx[dst] = self.vx[i];
-            scratch.vy[dst] = self.vy[i];
-            scratch.vz[dst] = self.vz[i];
-            scratch.cell[dst] = self.cell[i];
-            scratch.species[dst] = self.species[i];
-            scratch.id[dst] = self.id[i];
-        }
-        std::mem::swap(&mut self.px, &mut scratch.px);
-        std::mem::swap(&mut self.py, &mut scratch.py);
-        std::mem::swap(&mut self.pz, &mut scratch.pz);
-        std::mem::swap(&mut self.vx, &mut scratch.vx);
-        std::mem::swap(&mut self.vy, &mut scratch.vy);
-        std::mem::swap(&mut self.vz, &mut scratch.vz);
-        std::mem::swap(&mut self.cell, &mut scratch.cell);
-        std::mem::swap(&mut self.species, &mut scratch.species);
-        std::mem::swap(&mut self.id, &mut scratch.id);
+        scratch.index.build(self, num_cells, 1, |_| Some(0));
+        let (order, spare) = (&scratch.index.order, &mut scratch.spare);
+        gather(&mut self.px, &mut spare.px, order);
+        gather(&mut self.py, &mut spare.py, order);
+        gather(&mut self.pz, &mut spare.pz, order);
+        gather(&mut self.vx, &mut spare.vx, order);
+        gather(&mut self.vy, &mut spare.vy, order);
+        gather(&mut self.vz, &mut spare.vz, order);
+        gather(&mut self.cell, &mut spare.cell, order);
+        gather(&mut self.species, &mut spare.species, order);
+        gather(&mut self.id, &mut spare.id, order);
     }
 
     /// Renumber particle ids sequentially starting at `start`;
@@ -311,6 +267,14 @@ impl ParticleBuffer {
         }
         start + self.len() as u64
     }
+}
+
+/// Put `lane` in `order` (buffer indices), through `spare`, which takes
+/// the old lane.
+fn gather<T: Copy>(lane: &mut Vec<T>, spare: &mut Vec<T>, order: &[u32]) {
+    spare.clear();
+    spare.extend(order.iter().map(|&i| lane[i as usize]));
+    std::mem::swap(lane, spare);
 }
 
 #[cfg(test)]
@@ -396,17 +360,6 @@ mod tests {
         assert_eq!(a.len(), 3);
         assert!(b.is_empty());
         assert!(a.lanes_consistent() && b.lanes_consistent());
-    }
-
-    #[test]
-    fn per_cell_counts() {
-        let mut b = ParticleBuffer::new();
-        for i in [0u64, 0, 1, 2, 2, 2] {
-            b.push(p(i));
-        }
-        let mut counts = vec![0u64; 4];
-        b.count_per_cell(&mut counts);
-        assert_eq!(counts, vec![2, 1, 3, 0]);
     }
 
     #[test]

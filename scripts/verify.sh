@@ -233,6 +233,18 @@ if [ -n "$streams" ]; then
     exit 1
 fi
 
+echo "== indexed-once lint (no per-cell Vec<u32> lists in dsmc's production code) =="
+# Colli_React buckets a subcycle's particles once, into the flat
+# particles::CellIndex both collision passes read (a counting sort whose
+# arrays keep their capacity); a pass that grows a Vec per cell again
+# pays an allocation per occupied cell and a sweep of every cell's list.
+lists=$(production_lines 'Vec<Vec<u32>>|[[]Vec<u32>; 2[]]' crates/dsmc/src)
+if [ -n "$lists" ]; then
+    echo "$lists"
+    echo "verify: per-cell particle lists in dsmc (read the subcycle's particles::CellIndex instead)" >&2
+    exit 1
+fi
+
 echo "== gathered-field lint (no Vec<Vec3> in the production part of pic/src/field.rs) =="
 # E is gathered at the ions from φ; no per-fine-cell field array comes back.
 arrays=$(production_lines 'Vec<Vec3>' crates/pic/src/field.rs)

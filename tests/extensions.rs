@@ -38,12 +38,17 @@ fn cross_collisions_preserve_population_and_charge() {
     };
     let (before, population) = (ions(&st), st.particles.len());
     let cross = st.cross;
+    let (h, hp) = (st.h_id, st.hp_id);
+    let mut index = particles::CellIndex::default();
+    let slot = |s| [h, hp].iter().position(|&id| id == s);
+    index.build(&st.particles, st.nm.coarse.num_cells(), 2, slot);
     let stats = cross.collide(
         &st.nm.coarse,
         &mut st.particles,
         &st.species,
         st.h_id,
         st.hp_id,
+        &mut index,
         1000.0 * st.config.dt_dsmc,
         dsmc::collision_key(77, 10, 0),
         &st.lanes,
