@@ -24,37 +24,6 @@ impl std::fmt::Display for JobId {
     }
 }
 
-/// Scheduling priority of a job *within its tenant*. Across tenants
-/// the fair-share queue round-robins regardless of priority, so one
-/// tenant's `High` flood cannot starve another tenant's `Low` job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
-pub enum JobPriority {
-    Low,
-    #[default]
-    Normal,
-    High,
-}
-
-impl JobPriority {
-    /// Numeric rank for scheduling comparisons (higher runs first).
-    pub fn rank(self) -> u8 {
-        match self {
-            JobPriority::Low => 0,
-            JobPriority::Normal => 1,
-            JobPriority::High => 2,
-        }
-    }
-
-    /// Stable short name, used in demo tables and logs.
-    pub fn name(self) -> &'static str {
-        match self {
-            JobPriority::Low => "low",
-            JobPriority::Normal => "normal",
-            JobPriority::High => "high",
-        }
-    }
-}
-
 /// One submission: the run to execute plus scheduling attributes.
 /// Build with [`JobSpec::new`] and the chainable setters.
 #[derive(Debug, Clone)]
@@ -65,20 +34,17 @@ pub struct JobSpec {
     pub run: RunConfig,
     /// Fair-share tenant the job is accounted to.
     pub tenant: String,
-    /// Priority within the tenant.
-    pub priority: JobPriority,
     /// Free-form label for humans; never affects scheduling or the
     /// cache key.
     pub label: String,
 }
 
 impl JobSpec {
-    /// A spec for `run` under the default tenant at normal priority.
+    /// A spec for `run` under the default tenant.
     pub fn new(run: RunConfig) -> Self {
         JobSpec {
             run,
             tenant: "default".to_string(),
-            priority: JobPriority::default(),
             label: String::new(),
         }
     }
@@ -96,12 +62,6 @@ impl JobSpec {
     /// Account the job to this fair-share tenant.
     pub fn tenant(mut self, tenant: impl Into<String>) -> Self {
         self.tenant = tenant.into();
-        self
-    }
-
-    /// Schedule at this priority within the tenant.
-    pub fn priority(mut self, priority: JobPriority) -> Self {
-        self.priority = priority;
         self
     }
 
@@ -192,22 +152,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn priorities_order_and_name() {
-        assert!(JobPriority::High.rank() > JobPriority::Normal.rank());
-        assert!(JobPriority::Normal.rank() > JobPriority::Low.rank());
-        assert_eq!(JobPriority::default(), JobPriority::Normal);
-        assert_eq!(JobPriority::High.name(), "high");
-    }
-
-    #[test]
     fn spec_setters_chain() {
         let run = RunConfig::builder().build().unwrap();
-        let spec = JobSpec::new(run)
-            .tenant("team-a")
-            .priority(JobPriority::High)
-            .label("smoke");
+        let spec = JobSpec::new(run).tenant("team-a").label("smoke");
         assert_eq!(spec.tenant, "team-a");
-        assert_eq!(spec.priority, JobPriority::High);
         assert_eq!(spec.label, "smoke");
         assert_eq!(JobSpec::new(spec.run.clone()).tenant, "default");
     }

@@ -45,7 +45,7 @@ pub mod prelude {
         SimConfig, CONFIG_SCHEMA_VERSION,
     };
     pub use crate::engine::run_serial;
-    pub use crate::job::{JobId, JobMeta, JobPriority, JobSpec, JobStatus};
+    pub use crate::job::{JobId, JobMeta, JobSpec, JobStatus};
     pub use crate::machine::MachineProfile;
     pub use crate::report::{ReportBuilder, RunReport, StepTrace};
     pub use crate::scenario::{Scenario, ScenarioError};
@@ -66,7 +66,7 @@ pub use config::{
 pub use engine::{
     run_serial, run_step, Backend, ExchangeScratch, RankEngine, SerialBackend, StepRecord,
 };
-pub use job::{JobId, JobMeta, JobPriority, JobSpec, JobStatus};
+pub use job::{JobId, JobMeta, JobSpec, JobStatus};
 pub use machine::{CostModel, MachineProfile, Placement};
 pub use obs::{Breakdown, Phase};
 pub use report::{ReportBuilder, RunReport, StepTrace};

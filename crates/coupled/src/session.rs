@@ -284,7 +284,7 @@ impl EngineSession {
 /// the shared world, resume from its checkpoint slot if one is
 /// committed, step to the end under a [`ThreadedBackend`], and return
 /// the report with the global end-of-run diagnostics.
-fn rank_main<C: Comm>(comm: &C, session: &EngineSession) -> Result<RunReport, RunError> {
+fn rank_main(comm: &Comm, session: &EngineSession) -> Result<RunReport, RunError> {
     let (run, world) = (&session.run, &session.world);
     let me = comm.rank();
     let fail = |step, error| RunError::RankFailure {

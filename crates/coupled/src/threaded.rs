@@ -71,8 +71,8 @@ fn pack_emigrants(
 /// changes the message schedule — every strategy delivers identical
 /// buffers — so the machine profile behind `cost` can never affect
 /// physics.
-fn resolve_strategy<C: Comm>(
-    comm: &C,
+fn resolve_strategy(
+    comm: &Comm,
     configured: Strategy,
     outgoing: &[Vec<u8>],
     cost: &CostModel,
@@ -115,8 +115,8 @@ fn wire_cost(ranks: usize) -> CostModel {
 /// Its [`Backend::Error`] is the first [`CommError`] a collective or
 /// exchange returns; [`crate::engine::run_step`] stops there, and the
 /// rank's run loop aborts the comm and discards the rank's state.
-pub struct ThreadedBackend<'a, C: Comm> {
-    comm: &'a C,
+pub struct ThreadedBackend<'a> {
+    comm: &'a Comm,
     strategy: Strategy,
     /// Parameters for the Auto decision rule, and the node grouping
     /// [`Strategy::Hier`] runs on; see [`wire_cost`].
@@ -132,11 +132,11 @@ pub struct ThreadedBackend<'a, C: Comm> {
     pops: Vec<u64>,
 }
 
-impl<'a, C: Comm> ThreadedBackend<'a, C> {
+impl<'a> ThreadedBackend<'a> {
     /// The backend of rank `comm.rank()` for `run`, resuming under the
     /// ownership map `owner` (the world's seed decomposition, or a
     /// checkpointed one).
-    pub fn new(comm: &'a C, run: &RunConfig, world: &Arc<World>, owner: Vec<u32>) -> Self {
+    pub fn new(comm: &'a Comm, run: &RunConfig, world: &Arc<World>, owner: Vec<u32>) -> Self {
         ThreadedBackend {
             comm,
             strategy: run.strategy,
@@ -189,7 +189,7 @@ impl<'a, C: Comm> ThreadedBackend<'a, C> {
     }
 }
 
-impl<C: Comm> Backend for ThreadedBackend<'_, C> {
+impl Backend for ThreadedBackend<'_> {
     type Error = CommError;
 
     /// Discard the time since the last lap (inter-step gaps belong to

@@ -2,8 +2,8 @@
 //! engine (DESIGN.md §14).
 //!
 //! Submit a [`coupled::RunConfig`] wrapped in a [`JobSpec`], get a
-//! [`JobHandle`] back; the server queues it with tenant fair share and
-//! priority aging, runs it on a worker under a shared thread budget,
+//! [`JobHandle`] back; the server queues it with tenant fair share,
+//! runs it on a worker under a shared thread budget,
 //! streams its step trace to any number of subscribers, and serves
 //! repeated submissions of the same canonical configuration from a
 //! result cache — sound because the engine is
@@ -39,7 +39,7 @@ pub use server::{JobError, JobHandle, JobServer, ServerConfig, ServerStats};
 
 // The job vocabulary is `coupled`'s (shared with report consumers);
 // re-export it so `jobsrv` alone is a complete client surface.
-pub use coupled::job::{JobId, JobMeta, JobPriority, JobSpec, JobStatus};
+pub use coupled::job::{JobId, JobMeta, JobSpec, JobStatus};
 
 /// One-stop imports for job-server clients: everything from
 /// [`coupled::prelude`] plus the server types.

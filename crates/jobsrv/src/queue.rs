@@ -1,9 +1,8 @@
-//! Fair-share job queue: round-robin across tenants, priority with
-//! anti-starvation aging within a tenant, and budget-aware popping so
-//! wide jobs wait for thread capacity without blocking narrow ones
-//! (DESIGN.md §14).
+//! Fair-share job queue: round-robin across tenants, FIFO within a
+//! tenant, and budget-aware popping so wide jobs wait for thread
+//! capacity without blocking narrow ones (DESIGN.md §14).
 
-use coupled::job::{JobId, JobPriority};
+use coupled::job::JobId;
 
 /// One queued entry. `cost` is the job's demand in threads (one per
 /// rank, clamped to the budget by the server), so `pop` can skip
@@ -12,54 +11,32 @@ use coupled::job::{JobId, JobPriority};
 pub struct QueueEntry {
     pub id: JobId,
     pub tenant: String,
-    pub priority: JobPriority,
     pub cost: usize,
-    /// Submission sequence number — the global FIFO tiebreak.
+    /// Submission sequence number — the FIFO order within a tenant.
     pub seq: u64,
-    /// Times this entry was eligible but passed over by `pop`. Once
-    /// it reaches the starvation limit the entry jumps the entire
-    /// schedule, bounding how long priority and round-robin skew can
-    /// delay any single job.
-    pub passed: usize,
 }
 
-/// Tenant-fair, priority-aware, budget-aware queue.
+/// Tenant-fair, budget-aware queue.
 ///
-/// `pop(budget)` picks among entries with `cost <= budget`:
-///
-/// 1. Any entry passed over `starvation_limit`+ times runs first
-///    (oldest such entry), regardless of tenant or priority.
-/// 2. Otherwise tenants take turns in round-robin order (a cursor
-///    advances past each served tenant), so a tenant submitting 10×
-///    faster than another still gets at most alternate turns while
-///    both have eligible work.
-/// 3. Within the chosen tenant: highest [`JobPriority`], then lowest
-///    sequence number (FIFO).
-///
-/// Every eligible entry that was *not* chosen gets its `passed`
-/// counter bumped, which feeds rule 1.
-#[derive(Debug)]
+/// `pop(budget)` picks among entries with `cost <= budget`: tenants
+/// take turns in round-robin order (a cursor advances past each served
+/// tenant), so a tenant submitting 10× faster than another still gets
+/// at most alternate turns while both have eligible work; within the
+/// chosen tenant, the lowest sequence number (FIFO).
+#[derive(Debug, Default)]
 pub struct FairQueue {
     entries: Vec<QueueEntry>,
     /// Tenant round-robin ring, in first-appearance order. Tenants
     /// stay in the ring while queued entries remain.
     ring: Vec<String>,
     cursor: usize,
-    starvation_limit: usize,
     next_seq: u64,
 }
 
 impl FairQueue {
-    /// An empty queue whose anti-starvation rule fires after an entry
-    /// has been passed over `starvation_limit` times.
-    pub fn new(starvation_limit: usize) -> Self {
-        FairQueue {
-            entries: Vec::new(),
-            ring: Vec::new(),
-            cursor: 0,
-            starvation_limit: starvation_limit.max(1),
-            next_seq: 0,
-        }
+    /// An empty queue.
+    pub fn new() -> Self {
+        FairQueue::default()
     }
 
     pub fn len(&self) -> usize {
@@ -71,7 +48,7 @@ impl FairQueue {
     }
 
     /// Enqueue a job; returns the sequence number assigned.
-    pub fn push(&mut self, id: JobId, tenant: &str, priority: JobPriority, cost: usize) -> u64 {
+    pub fn push(&mut self, id: JobId, tenant: &str, cost: usize) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
         if !self.ring.iter().any(|t| t == tenant) {
@@ -80,10 +57,8 @@ impl FairQueue {
         self.entries.push(QueueEntry {
             id,
             tenant: tenant.to_string(),
-            priority,
             cost,
             seq,
-            passed: 0,
         });
         seq
     }
@@ -110,36 +85,18 @@ impl FairQueue {
             return None;
         }
 
-        // Rule 1: starved entries jump the schedule, oldest first.
-        let starved = eligible
+        // The next tenant in the ring (from the cursor) that has an
+        // eligible entry, and its oldest eligible entry.
+        let tenant = (0..self.ring.len())
+            .map(|off| &self.ring[(self.cursor + off) % self.ring.len()])
+            .find(|t| eligible.iter().any(|&i| &&self.entries[i].tenant == t))
+            .expect("eligible entry implies its tenant is in the ring");
+        let chosen = eligible
             .iter()
             .copied()
-            .filter(|&i| self.entries[i].passed >= self.starvation_limit)
-            .min_by_key(|&i| self.entries[i].seq);
-
-        let chosen = starved.unwrap_or_else(|| {
-            // Rule 2: next tenant in the ring (from the cursor) that
-            // has an eligible entry.
-            let tenant = (0..self.ring.len())
-                .map(|off| &self.ring[(self.cursor + off) % self.ring.len()])
-                .find(|t| eligible.iter().any(|&i| &&self.entries[i].tenant == t))
-                .cloned()
-                .expect("eligible entry implies its tenant is in the ring");
-            // Rule 3: within the tenant, max priority then FIFO.
-            eligible
-                .iter()
-                .copied()
-                .filter(|&i| self.entries[i].tenant == tenant)
-                .max_by_key(|&i| (self.entries[i].priority.rank(), !self.entries[i].seq))
-                .expect("tenant chosen from eligible set")
-        });
-
-        // Aging: every eligible entry not chosen was passed over.
-        for &i in &eligible {
-            if i != chosen {
-                self.entries[i].passed += 1;
-            }
-        }
+            .filter(|&i| &self.entries[i].tenant == tenant)
+            .min_by_key(|&i| self.entries[i].seq)
+            .expect("tenant chosen from eligible set");
 
         let entry = self.entries.swap_remove(chosen);
         // Advance the cursor past the served tenant so the next pop
@@ -163,10 +120,6 @@ impl FairQueue {
 mod tests {
     use super::*;
 
-    fn q(limit: usize) -> FairQueue {
-        FairQueue::new(limit)
-    }
-
     fn id(n: u64) -> JobId {
         JobId(n)
     }
@@ -176,12 +129,12 @@ mod tests {
         // Tenant a submits 10 jobs, tenant b only 2 — the classic
         // noisy-neighbour skew. Fair share must interleave b's jobs
         // near the front instead of draining a first.
-        let mut fq = q(4);
+        let mut fq = FairQueue::new();
         for n in 0..10 {
-            fq.push(id(n), "a", JobPriority::Normal, 1);
+            fq.push(id(n), "a", 1);
         }
-        fq.push(id(100), "b", JobPriority::Normal, 1);
-        fq.push(id(101), "b", JobPriority::Normal, 1);
+        fq.push(id(100), "b", 1);
+        fq.push(id(101), "b", 1);
         let order: Vec<u64> = std::iter::from_fn(|| fq.pop(8)).map(|e| e.id.0).collect();
         assert_eq!(order.len(), 12);
         let pos_b0 = order.iter().position(|&j| j == 100).unwrap();
@@ -199,45 +152,30 @@ mod tests {
     }
 
     #[test]
-    fn priority_wins_within_tenant_but_not_across() {
-        let mut fq = q(8);
-        fq.push(id(1), "a", JobPriority::Low, 1);
-        fq.push(id(2), "a", JobPriority::High, 1);
-        fq.push(id(3), "b", JobPriority::Low, 1);
-        // Tenant a is first in the ring; its High job runs before its
-        // Low one. Tenant b's Low job still gets the second turn —
-        // a's High priority does not leak across tenants.
-        assert_eq!(fq.pop(8).unwrap().id, id(2));
-        assert_eq!(fq.pop(8).unwrap().id, id(3));
-        assert_eq!(fq.pop(8).unwrap().id, id(1));
-    }
-
-    #[test]
-    fn starved_low_priority_job_is_promoted() {
-        // One tenant keeps submitting High jobs; its own early Low job
-        // must still run after at most `limit` pass-overs.
-        let limit = 3;
-        let mut fq = q(limit);
-        fq.push(id(0), "a", JobPriority::Low, 1);
-        for n in 1..=10 {
-            fq.push(id(n), "a", JobPriority::High, 1);
+    fn two_tenants_alternate_until_one_runs_dry() {
+        // Six jobs each: while both tenants have work, every pop
+        // switches tenant, and each tenant's jobs run in submission
+        // order — no entry jumps the turns however long it waited.
+        let mut fq = FairQueue::new();
+        for n in 0..6 {
+            fq.push(id(n), "a", 1);
         }
-        let mut popped = Vec::new();
-        for _ in 0..=limit {
-            popped.push(fq.pop(8).unwrap().id.0);
+        for n in 0..6 {
+            fq.push(id(100 + n), "b", 1);
         }
-        // Pops 1..limit are High jobs; pop limit+1 is the aged Low job.
-        assert!(popped[..limit].iter().all(|&j| j != 0), "{popped:?}");
-        assert_eq!(popped[limit], 0, "{popped:?}");
+        let order: Vec<u64> = std::iter::from_fn(|| fq.pop(8)).map(|e| e.id.0).collect();
+        let want: Vec<u64> = (0..6).flat_map(|n| [n, 100 + n]).collect();
+        assert_eq!(order, want);
     }
 
     #[test]
     fn budget_filters_wide_jobs_without_blocking_narrow() {
-        let mut fq = q(4);
-        fq.push(id(1), "a", JobPriority::Normal, 6); // wide
-        fq.push(id(2), "a", JobPriority::Normal, 2); // narrow
-                                                     // Only 3 threads free: the wide head-of-line job must not
-                                                     // block the narrow one.
+        let mut fq = FairQueue::new();
+        fq.push(id(1), "a", 6); // wide
+        fq.push(id(2), "a", 2); // narrow
+
+        // Only 3 threads free: the wide head-of-line job must not
+        // block the narrow one.
         assert_eq!(fq.pop(3).unwrap().id, id(2));
         // Nothing fits in 3 now; the wide job waits...
         assert!(fq.pop(3).is_none());
@@ -249,9 +187,9 @@ mod tests {
 
     #[test]
     fn remove_drops_entry_and_empty_tenants_leave_ring() {
-        let mut fq = q(4);
-        fq.push(id(1), "a", JobPriority::Normal, 1);
-        fq.push(id(2), "b", JobPriority::Normal, 1);
+        let mut fq = FairQueue::new();
+        fq.push(id(1), "a", 1);
+        fq.push(id(2), "b", 1);
         assert!(fq.remove(id(1)));
         assert!(!fq.remove(id(1)));
         assert_eq!(fq.pop(8).unwrap().id, id(2));

@@ -142,17 +142,13 @@ struct State {
 }
 
 /// Geometries kept for the jobs that repeat a `[domain]` (LRU). This
-/// and the two below are constants, not [`ServerConfig`] fields: one
+/// and the one below are constants, not [`ServerConfig`] fields: one
 /// value of each is in use.
 const GEOMETRY_CAPACITY: usize = 8;
 
 /// Engine attempts per job before it is failed: 1 clean try plus
 /// checkpoint replays after worker deaths.
 const MAX_ATTEMPTS: usize = 3;
-
-/// Queue pass-overs before an entry jumps the schedule (see
-/// [`FairQueue`]).
-const STARVATION_LIMIT: usize = 4;
 
 type GeometryCache = Lru<[u64; 5], Arc<Geometry>>;
 
@@ -239,7 +235,7 @@ impl JobServer {
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
                 jobs: HashMap::new(),
-                queue: FairQueue::new(STARVATION_LIMIT),
+                queue: FairQueue::new(),
                 cache: Lru::new(cfg.cache_capacity),
                 in_flight: HashMap::new(),
                 budget_in_use: 0,
@@ -311,7 +307,7 @@ impl JobServer {
                 .push(id);
         } else {
             st.in_flight.insert(hash, id);
-            st.queue.push(id, &job.spec.tenant, job.spec.priority, cost);
+            st.queue.push(id, &job.spec.tenant, cost);
         }
         st.jobs.insert(id.0, job);
         drop(st);
@@ -570,8 +566,7 @@ fn worker_loop(shared: &Arc<Shared>) {
                     session.prepare_retry();
                     job.session = Some(session);
                     job.status = JobStatus::Queued;
-                    let (tenant, priority) = (job.spec.tenant.clone(), job.spec.priority);
-                    st.queue.push(id, &tenant, priority, cost);
+                    st.queue.push(id, &job.spec.tenant, cost);
                 } else {
                     fail_job(st, id, format!("engine attempt failed: {e}"));
                 }

@@ -1,6 +1,6 @@
 //! Collective operations built on point-to-point messaging.
 //!
-//! The coupled solver needs: barrier (inherited from [`Comm`]),
+//! The coupled solver needs: barrier ([`Comm::barrier`]),
 //! gather through a root, broadcast, and an all-reduce for
 //! charge-density boundary sums and residual norms in the distributed
 //! Poisson solve.
@@ -40,7 +40,7 @@ pub fn decode_words<T>(
 /// Gather each rank's buffer at `root`. Returns `Some(buffers)` (in
 /// rank order, including the root's own) on the root, `None`
 /// elsewhere.
-pub fn gather<C: Comm>(comm: &C, root: usize, mine: Vec<u8>) -> CommResult<Option<Vec<Vec<u8>>>> {
+pub fn gather(comm: &Comm, root: usize, mine: Vec<u8>) -> CommResult<Option<Vec<Vec<u8>>>> {
     if comm.rank() == root {
         let mut all = vec![Vec::new(); comm.size()];
         all[root] = mine;
@@ -60,7 +60,7 @@ pub fn gather<C: Comm>(comm: &C, root: usize, mine: Vec<u8>) -> CommResult<Optio
 /// every rank).
 ///
 /// Panics if the root passes `None` — API misuse, not a comm fault.
-pub fn broadcast<C: Comm>(comm: &C, root: usize, msg: Option<Vec<u8>>) -> CommResult<Vec<u8>> {
+pub fn broadcast(comm: &Comm, root: usize, msg: Option<Vec<u8>>) -> CommResult<Vec<u8>> {
     if comm.rank() == root {
         let msg = msg.expect("root must provide the message");
         for r in 0..comm.size() {
@@ -79,8 +79,8 @@ pub fn broadcast<C: Comm>(comm: &C, root: usize, msg: Option<Vec<u8>>) -> CommRe
 /// through rank 0 — the topology-oblivious scheme, adequate for the
 /// rank counts the threaded backend runs at.) `what` names a
 /// malformed contribution and a malformed result.
-fn allreduce_sum<C: Comm, T: Copy + Default + AddAssign>(
-    comm: &C,
+fn allreduce_sum<T: Copy + Default + AddAssign>(
+    comm: &Comm,
     mine: &[T],
     to_le: fn(T) -> [u8; 8],
     from_le: fn([u8; 8]) -> T,
@@ -108,8 +108,8 @@ fn allreduce_sum<C: Comm, T: Copy + Default + AddAssign>(
 /// All-gather a fixed-size slice of words from every rank: the
 /// concatenation in rank order (`size() * mine.len()` values) on all
 /// ranks. Every rank must contribute the same number of values.
-fn allgather<C: Comm, T: Copy>(
-    comm: &C,
+fn allgather<T: Copy>(
+    comm: &Comm,
     mine: &[T],
     to_le: fn(T) -> [u8; 8],
     from_le: fn([u8; 8]) -> T,
@@ -135,7 +135,7 @@ fn allgather<C: Comm, T: Copy>(
 
 /// All-reduce a vector of f64 by element-wise summation (charge
 /// boundary sums, density diagnostics).
-pub fn allreduce_sum_f64<C: Comm>(comm: &C, mine: &[f64]) -> CommResult<Vec<f64>> {
+pub fn allreduce_sum_f64(comm: &Comm, mine: &[f64]) -> CommResult<Vec<f64>> {
     let what = ["allreduce_sum_f64 contribution", "allreduce_sum_f64 result"];
     allreduce_sum(comm, mine, f64::to_le_bytes, f64::from_le_bytes, what)
 }
@@ -149,47 +149,20 @@ const ALLTOALL_MAGIC: u8 = 0xA2;
 /// — what [`crate::traffic_all`] prices a sparse count message at.
 pub(crate) const ALLTOALL_FRAME: usize = 1 + 8 + 8;
 
-/// Probe one queued frame from `src` and keep it only if `accept`
-/// likes its header bytes. A frame that fails the predicate is
-/// returned to the front of `src`'s queue with [`Comm::pushback`] —
-/// it belongs to a later round or phase and must be seen again by
-/// that round's drain. `Ok(None)` means "nothing acceptable queued",
-/// which fence-and-drain protocols read as "this source posted
-/// nothing this round".
-///
-/// Shared by the sparse counts round ([`alltoall_u64`]) and the
-/// hierarchical exchange's per-phase drains
-/// ([`crate::Strategy::Hier`]): every fence-and-drain in the crate
-/// funnels through this one helper.
-pub(crate) fn drain_tagged<C: Comm>(
-    comm: &C,
-    src: usize,
-    accept: impl Fn(&[u8]) -> bool,
-) -> CommResult<Option<Vec<u8>>> {
-    match comm.try_recv(src)? {
-        Some(frame) if accept(&frame) => Ok(Some(frame)),
-        Some(frame) => {
-            comm.pushback(src, frame);
-            Ok(None)
-        }
-        None => Ok(None),
-    }
-}
-
 /// Sparse all-to-all of one `u64` per destination: rank `d` receives
 /// `mine[d]` of every source, as `out[src]` (the column of the
 /// world-wide matrix addressed to it). **Zero entries cost no
 /// message**: senders send only the nonzero values, tagged
 /// `[magic][epoch][value]`, one barrier fences the round, and
-/// receivers drain queued frames with the tagged drain — absence of
-/// an acceptable frame *is* the zero. The per-endpoint
-/// [`Comm::next_epoch`] stamp replaces the old trailing barrier: a
-/// peer that races into the next round posts frames carrying the next
-/// epoch, which the drain pushes back unread instead of mistaking for
-/// this round's value. This is the counts-first round of the sparse
-/// exchange (§IV-B): on a quiet step its transaction count is
-/// proportional to the nonzero pairs, not to `N²`.
-pub fn alltoall_u64<C: Comm>(comm: &C, mine: &[u64]) -> CommResult<Vec<u64>> {
+/// receivers drain queued frames with [`Comm::try_recv_if`] — absence
+/// of an acceptable frame *is* the zero. The per-endpoint epoch stamp
+/// replaces the old trailing barrier: a peer that races into the next
+/// round posts frames carrying the next epoch, which the drain
+/// declines unread instead of mistaking for this round's value. This
+/// is the counts-first round of the sparse exchange (§IV-B): on a
+/// quiet step its transaction count is proportional to the nonzero
+/// pairs, not to `N²`.
+pub fn alltoall_u64(comm: &Comm, mine: &[u64]) -> CommResult<Vec<u64>> {
     let me = comm.rank();
     let n = comm.size();
     assert_eq!(mine.len(), n);
@@ -218,7 +191,7 @@ pub fn alltoall_u64<C: Comm>(comm: &C, mine: &[u64]) -> CommResult<Vec<u64>> {
                 && hdr[0] == ALLTOALL_MAGIC
                 && hdr[1..9] == epoch.to_le_bytes()
         };
-        if let Some(frame) = drain_tagged(comm, s, mine_this_round)? {
+        if let Some(frame) = comm.try_recv_if(s, mine_this_round)? {
             *slot = take_u64(&mut &frame[9..], "alltoall_u64 value")?;
         }
     }
@@ -229,7 +202,7 @@ pub fn alltoall_u64<C: Comm>(comm: &C, mine: &[u64]) -> CommResult<Vec<u64>> {
 /// lossless counterpart of [`allreduce_sum_f64`] for particle counts
 /// (a count round-tripped through f64 silently loses precision past
 /// 2^53).
-pub fn allreduce_sum_u64<C: Comm>(comm: &C, mine: &[u64]) -> CommResult<Vec<u64>> {
+pub fn allreduce_sum_u64(comm: &Comm, mine: &[u64]) -> CommResult<Vec<u64>> {
     let what = ["allreduce_sum_u64 contribution", "allreduce_sum_u64 result"];
     allreduce_sum(comm, mine, u64::to_le_bytes, u64::from_le_bytes, what)
 }
@@ -237,14 +210,14 @@ pub fn allreduce_sum_u64<C: Comm>(comm: &C, mine: &[u64]) -> CommResult<Vec<u64>
 /// All-gather a fixed-size slice of f64 from every rank: the
 /// concatenation in rank order on all ranks. Used to share measured
 /// per-rank phase times for the load-imbalance indicator.
-pub fn allgather_f64<C: Comm>(comm: &C, mine: &[f64]) -> CommResult<Vec<f64>> {
+pub fn allgather_f64(comm: &Comm, mine: &[f64]) -> CommResult<Vec<f64>> {
     let what = ["ragged allgather_f64 contribution", "allgather_f64 result"];
     allgather(comm, mine, f64::to_le_bytes, f64::from_le_bytes, what)
 }
 
 /// All-gather a u64 from every rank (returned in rank order on all
 /// ranks). Used for global particle counts and the Reindex scan.
-pub fn allgather_u64<C: Comm>(comm: &C, mine: u64) -> CommResult<Vec<u64>> {
+pub fn allgather_u64(comm: &Comm, mine: u64) -> CommResult<Vec<u64>> {
     let what = ["allgather_u64 contribution", "allgather_u64 result"];
     allgather(comm, &[mine], u64::to_le_bytes, u64::from_le_bytes, what)
 }

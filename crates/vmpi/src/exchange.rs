@@ -37,19 +37,21 @@
 //! from lower ranks then sends to higher ranks; round 2 receives from
 //! higher ranks then sends to lower ranks.
 //!
-//! [`exchange_on_nodes`] is the one entry point, and it is
-//! allocation-free for the flat strategies: outgoing buffers are sent
-//! from borrowed slices ([`Comm::send_from`]) and incoming buffers are
-//! refilled in place ([`Comm::recv_into`]), so a steady state reuses
-//! the same capacity step after step. [`exchange_into`] is the same
-//! call under the default two-node grouping.
+//! [`exchange_on_nodes`] is the one entry point; [`exchange_into`] is
+//! the same call under the default two-node grouping. The caller's
+//! `outgoing` buffers are only borrowed and keep their capacity for
+//! the next step's packing, so each payload is copied once, into the
+//! message [`Comm::send`] takes. On the receive side the flat
+//! strategies move each delivered message into `incoming[src]`
+//! uncopied; Centralized and Hier copy the payload out of the frame
+//! that carried it.
 //!
 //! Every strategy is fallible end to end: a dead peer, a timed-out
 //! receive or a malformed gathered frame surfaces as a
 //! [`CommError`] instead of a panic, so the coupled driver can tear
 //! the world down and restart from a checkpoint.
 
-use crate::collectives::{alltoall_u64, drain_tagged, ALLTOALL_FRAME};
+use crate::collectives::{alltoall_u64, ALLTOALL_FRAME};
 use crate::comm::Comm;
 use crate::error::{take_u32, take_u64, CommError, CommResult};
 
@@ -157,8 +159,8 @@ impl NodeMap {
 
 /// Exchange under the default node grouping
 /// ([`NodeMap::default_for`]); see [`exchange_on_nodes`].
-pub fn exchange_into<C: Comm>(
-    comm: &C,
+pub fn exchange_into(
+    comm: &Comm,
     strategy: Strategy,
     outgoing: &mut [Vec<u8>],
     incoming: &mut Vec<Vec<u8>>,
@@ -168,15 +170,16 @@ pub fn exchange_into<C: Comm>(
 }
 
 /// Exchange `outgoing[dest]` buffers between all ranks: fills
-/// `incoming[src]` (resized to world size, buffers cleared and
-/// refilled in place) from `outgoing[dest]`, which is only borrowed —
-/// its buffers keep their contents and capacity, ready to be cleared
-/// and repacked next step. `outgoing[comm.rank()]` is delivered
-/// straight to `incoming[comm.rank()]` without touching the network.
+/// `incoming[src]` (resized to world size, every buffer cleared, then
+/// filled with what `src` sent) from `outgoing[dest]`, which is only
+/// borrowed — its buffers keep their contents and capacity, ready to
+/// be cleared and repacked next step. `outgoing[comm.rank()]` is
+/// delivered straight to `incoming[comm.rank()]` without touching the
+/// network.
 /// `nodes` groups the ranks for [`Strategy::Hier`]; the flat
 /// strategies ignore it.
-pub fn exchange_on_nodes<C: Comm>(
-    comm: &C,
+pub fn exchange_on_nodes(
+    comm: &Comm,
     strategy: Strategy,
     nodes: &NodeMap,
     outgoing: &mut [Vec<u8>],
@@ -210,8 +213,9 @@ pub fn exchange_on_nodes<C: Comm>(
 }
 
 /// Wire magics for the three hierarchical phases. Distinct per phase
-/// so a fence-and-drain that probes a frame posted early for a later
-/// phase can push it back instead of misparsing it.
+/// so a fence-and-drain that meets a frame posted early for a later
+/// phase can decline it ([`Comm::try_recv_if`]) instead of misparsing
+/// it.
 const HIER_INTRA: u8 = 0xE1;
 const HIER_TRUNK: u8 = 0xE2;
 const HIER_SCATTER: u8 = 0xE3;
@@ -299,13 +303,13 @@ fn take_group<'a, const K: usize>(
 ///    groups by destination rank and forwards `(src, len, payload)`
 ///    bundles to its members; its own groups are delivered locally.
 ///
-/// Every phase is sends → barrier → single-try tagged drain from
+/// Every phase is sends → barrier → single-try filtered drain from
 /// the known source set (same fence-and-drain as the sparse counts
 /// round: after the fence, per-pair FIFO delivery guarantees every
 /// frame of the phase is queued). A trailing barrier keeps a fast
 /// rank's post-exchange traffic out of a slow peer's final drain.
-fn exchange_hier<C: Comm>(
-    comm: &C,
+fn exchange_hier(
+    comm: &Comm,
     nodes: &NodeMap,
     outgoing: &[Vec<u8>],
     incoming: &mut [Vec<u8>],
@@ -364,7 +368,7 @@ fn exchange_hier<C: Comm>(
         if q == me {
             continue;
         }
-        if let Some(frame) = drain_tagged(comm, q, |h| h.first() == Some(&HIER_INTRA))? {
+        if let Some(frame) = comm.try_recv_if(q, |h| h.first() == Some(&HIER_INTRA))? {
             let mut cur = &frame[1..];
             let intra_len = take_u64(&mut cur, "hier intra length")? as usize;
             if cur.len() < intra_len {
@@ -403,7 +407,7 @@ fn exchange_hier<C: Comm>(
                 continue;
             }
             let lb = nodes.leader(b);
-            if let Some(frame) = drain_tagged(comm, lb, |h| h.first() == Some(&HIER_TRUNK))? {
+            if let Some(frame) = comm.try_recv_if(lb, |h| h.first() == Some(&HIER_TRUNK))? {
                 let mut cur = &frame[1..];
                 while !cur.is_empty() {
                     let ([src, dst], payload) = take_group(&mut cur, n, &HIER_GROUP)?;
@@ -434,7 +438,7 @@ fn exchange_hier<C: Comm>(
 
     // drain phase 3 (non-leader members)
     if me != my_leader {
-        if let Some(frame) = drain_tagged(comm, my_leader, |h| h.first() == Some(&HIER_SCATTER))? {
+        if let Some(frame) = comm.try_recv_if(my_leader, |h| h.first() == Some(&HIER_SCATTER))? {
             let mut cur = &frame[1..];
             while !cur.is_empty() {
                 let ([src], payload) = take_group(&mut cur, n, &HIER_BUNDLE)?;
@@ -457,21 +461,23 @@ fn exchange_hier<C: Comm>(
 // schedule, and the iteration bounds (`0..me`, `me+1..n`, reversed)
 // are the deadlock-freedom argument — keep them explicit
 #[allow(clippy::needless_range_loop)]
-fn exchange_ordered_into<C: Comm>(
-    comm: &C,
+fn exchange_ordered_into(
+    comm: &Comm,
     outgoing: &[Vec<u8>],
     incoming: &mut [Vec<u8>],
     expect: Option<&[u64]>,
 ) -> CommResult<()> {
     let me = comm.rank();
     let n = comm.size();
+    // the received message moves in; the caller keeps `outgoing`, so
+    // its buffer is copied into the message `send` takes
     let recv = |src: usize, incoming: &mut [Vec<u8>]| match expect {
         Some(expect) if expect[src] == 0 => Ok(()),
-        _ => comm.recv_into(src, &mut incoming[src]),
+        _ => comm.recv(src).map(|msg| incoming[src] = msg),
     };
     let send = |dst: usize| match expect {
         Some(_) if outgoing[dst].is_empty() => Ok(()),
-        _ => comm.send_from(dst, &outgoing[dst]),
+        _ => comm.send(dst, outgoing[dst].clone()),
     };
     // Round 1: receive from every lower rank (ascending), then send to
     // every higher rank (ascending).
@@ -496,8 +502,8 @@ fn exchange_ordered_into<C: Comm>(
 /// scatter. Classification borrows byte ranges of the gathered
 /// messages — each payload is copied exactly once into its scatter
 /// buffer, not staged through intermediate per-payload `Vec`s.
-fn exchange_centralized_into<C: Comm>(
-    comm: &C,
+fn exchange_centralized_into(
+    comm: &Comm,
     outgoing: &mut [Vec<u8>],
     incoming: &mut [Vec<u8>],
 ) -> CommResult<()> {
@@ -526,19 +532,20 @@ fn exchange_centralized_into<C: Comm>(
                 classified[dst].push((src, payload));
             }
         }
-        // --- scatter stage: one copy per payload --------------------
-        let mut scatter = Vec::new();
+        // --- scatter stage: one copy per payload, into a fresh frame
+        // that moves into `send` --------------------------------------
         for (dst, groups) in classified.iter().enumerate() {
             if dst == ROOT {
                 for &(src, payload) in groups {
                     incoming[src].extend_from_slice(payload);
                 }
             } else {
-                scatter.clear();
+                let group_len = |&(_, p): &(usize, &[u8])| ADDRESSED_HEADER as usize + p.len();
+                let mut scatter = Vec::with_capacity(groups.iter().map(group_len).sum());
                 for &(src, payload) in groups {
                     put_group(&mut scatter, [src], payload);
                 }
-                comm.send_from(dst, &scatter)?;
+                comm.send(dst, scatter)?;
             }
         }
     } else {
@@ -834,8 +841,8 @@ mod tests {
     }
 
     /// Owned-buffer form of [`exchange_into`] for one-shot test worlds.
-    fn exchange<C: Comm>(
-        comm: &C,
+    fn exchange(
+        comm: &Comm,
         strategy: Strategy,
         mut outgoing: Vec<Vec<u8>>,
     ) -> CommResult<Vec<Vec<u8>>> {
@@ -1119,7 +1126,7 @@ mod tests {
     fn exchange_into_reuses_buffers_across_steps() {
         // two consecutive exchanges through the same scratch buffers:
         // outgoing keeps its contents (borrowed sends), incoming is
-        // cleared and refilled in place.
+        // cleared and refilled.
         for strategy in Strategy::CONCRETE {
             let results = run_world(3, move |c| {
                 let mut outgoing: Vec<Vec<u8>> =

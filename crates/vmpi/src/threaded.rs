@@ -1,6 +1,7 @@
 //! Threaded world: each rank is an OS thread, transport is a full
 //! mesh of `std::sync::mpsc` channels (one per ordered rank pair, so
-//! each endpoint is the only reader of its queues).
+//! each endpoint is the only reader of its queues). [`run_world`]
+//! builds the mesh and hands each rank thread its [`Comm`].
 //!
 //! This is the *functional* backend used for real parallel runs
 //! (examples, validation, threaded benches). Large-scale experiments
@@ -8,30 +9,18 @@
 //! the `coupled` crate instead, with identical exchange semantics.
 //!
 //! Fault tolerance: the world carries a control plane — a per-rank
-//! dead flag plus a breakable fault barrier — so a rank that
-//! latches an unrecoverable fault can [`Comm::abort`] and the rest of
-//! the world fails *promptly* with [`CommError::PeerDead`] instead of
-//! hanging in a receive or a barrier a dead rank can never reach.
-//! Receives are bounded by a configurable timeout
-//! ([`ThreadComm::set_recv_timeout`]) as the backstop for genuinely
-//! stuck peers.
+//! dead flag plus a breakable fault barrier — so a rank that fails can
+//! [`Comm::abort`] and the rest of the world fails *promptly* with
+//! [`CommError::PeerDead`] instead of hanging in a receive or a
+//! barrier a dead rank can never reach. Receives are bounded by a
+//! configurable timeout ([`Comm::set_recv_timeout`]) as the backstop
+//! for genuinely stuck peers.
 
 use crate::comm::{Comm, CommStats};
 use crate::error::{CommError, CommResult};
-use std::cell::{Cell, RefCell};
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
-
-/// Default bound on a blocking receive. Generous: the clean path never
-/// waits anywhere near this long, and fault tests shorten it.
-pub const DEFAULT_RECV_TIMEOUT: Duration = Duration::from_secs(30);
-
-/// Granularity of the receive poll loop: how often a blocked receive
-/// re-checks the control plane (peer death) and its deadline.
-const POLL_SLICE: Duration = Duration::from_millis(1);
 
 /// Shared per-world control plane: which ranks are dead.
 #[derive(Debug)]
@@ -46,11 +35,11 @@ impl WorldControl {
         })
     }
 
-    fn mark_dead(&self, rank: usize) {
+    pub(crate) fn mark_dead(&self, rank: usize) {
         self.dead[rank].store(true, Ordering::SeqCst);
     }
 
-    fn is_dead(&self, rank: usize) -> bool {
+    pub(crate) fn is_dead(&self, rank: usize) -> bool {
         self.dead[rank].load(Ordering::SeqCst)
     }
 }
@@ -86,7 +75,7 @@ impl FaultBarrier {
         })
     }
 
-    fn wait(&self) -> CommResult<()> {
+    pub(crate) fn wait(&self) -> CommResult<()> {
         let mut st = self.state.lock().map_err(|_| CommError::Poisoned)?;
         if let Some(peer) = st.broken_by {
             return Err(CommError::PeerDead { peer });
@@ -113,184 +102,13 @@ impl FaultBarrier {
         }
     }
 
-    fn break_all(&self, by: usize) {
+    pub(crate) fn break_all(&self, by: usize) {
         if let Ok(mut st) = self.state.lock() {
             if st.broken_by.is_none() {
                 st.broken_by = Some(by);
             }
         }
         self.cv.notify_all();
-    }
-}
-
-/// Per-rank endpoint of a threaded world.
-pub struct ThreadComm {
-    rank: usize,
-    size: usize,
-    /// `to[j]` sends to rank `j` (our dedicated (i→j) channel).
-    to: Vec<Sender<Vec<u8>>>,
-    /// `from[j]` receives messages rank `j` sent us.
-    from: Vec<Receiver<Vec<u8>>>,
-    barrier: Arc<FaultBarrier>,
-    control: Arc<WorldControl>,
-    stats: Arc<CommStats>,
-    recv_timeout: Duration,
-    /// Per-source unexpected-message queue ([`Comm::pushback`]):
-    /// consulted *before* the channel, so a parked frame is re-matched
-    /// first (front = oldest). Endpoint-local, hence `RefCell`.
-    parked: Vec<RefCell<VecDeque<Vec<u8>>>>,
-    /// Messages delivered per source so far — the per-pair sequence
-    /// ordinal a stalled receive reports in [`CommError::Timeout`].
-    recvd: Vec<Cell<u64>>,
-    /// Collective-epoch counter ([`Comm::next_epoch`]). Endpoint
-    /// state, *not* [`CommStats`]: the stats block is shared by the
-    /// whole world, while epochs advance per rank.
-    epoch: Cell<u64>,
-}
-
-impl ThreadComm {
-    /// Bound every blocking receive on this endpoint by `timeout`
-    /// (default [`DEFAULT_RECV_TIMEOUT`]). Past the bound, `recv`
-    /// returns [`CommError::Timeout`] instead of blocking forever.
-    pub fn set_recv_timeout(&mut self, timeout: Duration) {
-        self.recv_timeout = timeout;
-    }
-
-    fn check_alive(&self, peer: usize) -> CommResult<()> {
-        if self.control.is_dead(self.rank) {
-            return Err(CommError::Killed { rank: self.rank });
-        }
-        if self.control.is_dead(peer) {
-            return Err(CommError::PeerDead { peer });
-        }
-        Ok(())
-    }
-
-    /// Pop the oldest parked (pushed-back) message from `from`, if any,
-    /// bumping the delivery ordinal.
-    fn take_parked(&self, from: usize) -> Option<Vec<u8>> {
-        let msg = self.parked[from].borrow_mut().pop_front();
-        if msg.is_some() {
-            self.recvd[from].set(self.recvd[from].get() + 1);
-        }
-        msg
-    }
-
-    /// Record a channel delivery from `from`.
-    fn note_delivery(&self, from: usize) {
-        self.recvd[from].set(self.recvd[from].get() + 1);
-    }
-}
-
-impl Comm for ThreadComm {
-    fn rank(&self) -> usize {
-        self.rank
-    }
-
-    fn size(&self) -> usize {
-        self.size
-    }
-
-    fn send(&self, to: usize, msg: Vec<u8>) -> CommResult<()> {
-        self.check_alive(to)?;
-        self.stats.record(msg.len());
-        self.to[to]
-            .send(msg)
-            .map_err(|_| CommError::PeerDead { peer: to })
-    }
-
-    fn recv(&self, from: usize) -> CommResult<Vec<u8>> {
-        if let Some(m) = self.take_parked(from) {
-            return Ok(m);
-        }
-        let deadline = Instant::now() + self.recv_timeout;
-        loop {
-            // a queued message wins even over a freshly-dead peer: it
-            // was sent while the peer was alive
-            match self.from[from].try_recv() {
-                Ok(m) => {
-                    self.note_delivery(from);
-                    return Ok(m);
-                }
-                Err(TryRecvError::Empty) => {}
-                Err(TryRecvError::Disconnected) => return Err(CommError::PeerDead { peer: from }),
-            }
-            self.check_alive(from)?;
-            if Instant::now() >= deadline {
-                return Err(CommError::Timeout {
-                    from,
-                    seq: self.recvd[from].get(),
-                });
-            }
-            match self.from[from].recv_timeout(POLL_SLICE) {
-                Ok(m) => {
-                    self.note_delivery(from);
-                    return Ok(m);
-                }
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(CommError::PeerDead { peer: from })
-                }
-            }
-        }
-    }
-
-    fn try_recv(&self, from: usize) -> CommResult<Option<Vec<u8>>> {
-        if let Some(m) = self.take_parked(from) {
-            return Ok(Some(m));
-        }
-        match self.from[from].try_recv() {
-            Ok(m) => {
-                self.note_delivery(from);
-                Ok(Some(m))
-            }
-            Err(TryRecvError::Empty) => {
-                if self.control.is_dead(from) {
-                    Err(CommError::PeerDead { peer: from })
-                } else {
-                    Ok(None)
-                }
-            }
-            // normal exit of the peer thread with nothing queued: for
-            // the fenced sparse-counts drain this *is* the zero
-            Err(TryRecvError::Disconnected) => {
-                if self.control.is_dead(from) {
-                    Err(CommError::PeerDead { peer: from })
-                } else {
-                    Ok(None)
-                }
-            }
-        }
-    }
-
-    fn pushback(&self, from: usize, msg: Vec<u8>) {
-        // the message goes back to the *front* of the matched queue,
-        // and its delivery is retracted from the ordinal
-        self.parked[from].borrow_mut().push_front(msg);
-        let n = self.recvd[from].get();
-        self.recvd[from].set(n.saturating_sub(1));
-    }
-
-    fn next_epoch(&self) -> u64 {
-        let e = self.epoch.get();
-        self.epoch.set(e.wrapping_add(1));
-        e
-    }
-
-    fn barrier(&self) -> CommResult<()> {
-        if self.control.is_dead(self.rank) {
-            return Err(CommError::Killed { rank: self.rank });
-        }
-        self.barrier.wait()
-    }
-
-    fn abort(&self) {
-        self.control.mark_dead(self.rank);
-        self.barrier.break_all(self.rank);
-    }
-
-    fn stats(&self) -> &CommStats {
-        &self.stats
     }
 }
 
@@ -301,7 +119,7 @@ impl Comm for ThreadComm {
 pub fn run_world<R, F>(n: usize, f: F) -> Vec<R>
 where
     R: Send,
-    F: Fn(ThreadComm) -> R + Sync,
+    F: Fn(Comm) -> R + Sync,
 {
     assert!(n >= 1);
     let stats = CommStats::new();
@@ -322,26 +140,17 @@ where
         senders.push(row);
     }
 
-    let mut comms: Vec<ThreadComm> = Vec::with_capacity(n);
-    for (rank, (to, from)) in senders.into_iter().zip(receivers).enumerate() {
-        comms.push(ThreadComm {
-            rank,
-            size: n,
-            to,
-            from,
-            barrier: barrier.clone(),
-            control: control.clone(),
-            stats: stats.clone(),
-            recv_timeout: DEFAULT_RECV_TIMEOUT,
-            parked: (0..n).map(|_| RefCell::new(VecDeque::new())).collect(),
-            recvd: (0..n).map(|_| Cell::new(0)).collect(),
-            epoch: Cell::new(0),
-        });
-    }
-
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(n);
-        for comm in comms {
+        for (rank, (to, from)) in senders.into_iter().zip(receivers).enumerate() {
+            let comm = Comm::new(
+                rank,
+                to,
+                from,
+                barrier.clone(),
+                control.clone(),
+                stats.clone(),
+            );
             let f = &f;
             handles.push(scope.spawn(move || f(comm)));
         }
@@ -358,6 +167,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn ranks_see_their_ids() {
@@ -491,22 +301,36 @@ mod tests {
     }
 
     #[test]
-    fn pushback_requeues_at_the_front() {
-        let got = run_world(2, |c| {
+    fn a_declined_frame_stays_ahead_of_later_frames() {
+        // rank 1 declines frame 1 twice; both the blocking recv and an
+        // accepting try_recv_if must then see it before frame 2, and
+        // the declines must not count as deliveries
+        let got = run_world(2, |mut c| {
+            c.set_recv_timeout(Duration::from_millis(10));
             if c.rank() == 0 {
                 c.send(1, vec![1]).unwrap();
                 c.send(1, vec![2]).unwrap();
+                c.send(1, vec![3]).unwrap();
+                c.barrier().unwrap();
+                c.barrier().unwrap();
                 Vec::new()
             } else {
+                c.barrier().unwrap(); // all three frames are queued
+                let reject = |m: &[u8]| m[0] != 1;
+                assert_eq!(c.try_recv_if(0, reject), Ok(None));
+                assert_eq!(c.try_recv_if(0, reject), Ok(None));
                 let first = c.recv(0).unwrap();
-                c.pushback(0, first); // unreceive
-                                      // both recv and try_recv must see the parked frame first
-                let again = c.try_recv(0).unwrap().unwrap();
-                let second = c.recv(0).unwrap();
-                vec![again[0], second[0]]
+                assert_eq!(c.try_recv_if(0, |m| m[0] != 2), Ok(None));
+                let second = c.try_recv_if(0, |_| true).unwrap().unwrap();
+                let third = c.recv(0).unwrap();
+                // three delivered, so a fourth receive stalls at seq 3
+                let stalled = c.recv(0);
+                c.barrier().unwrap();
+                assert_eq!(stalled, Err(CommError::Timeout { from: 0, seq: 3 }));
+                vec![first[0], second[0], third[0]]
             }
         });
-        assert_eq!(got[1], vec![1, 2]);
+        assert_eq!(got[1], vec![1, 2, 3]);
     }
 
     #[test]

@@ -9,7 +9,6 @@
 //! ```
 
 use jobsrv::prelude::*;
-use jobsrv::JobPriority;
 
 fn main() {
     let srv = JobServer::start(ServerConfig::default().workers(2).thread_budget(8));
@@ -29,18 +28,12 @@ fn main() {
             srv.submit(
                 JobSpec::new(run)
                     .tenant("team-a")
-                    .priority(JobPriority::Normal)
                     .label(format!("sweep seed {seed}")),
             ),
         );
     }
     let b_run = base.clone().seed(9).build().expect("valid config");
-    let b_job = srv.submit(
-        JobSpec::new(b_run)
-            .tenant("team-b")
-            .priority(JobPriority::High)
-            .label("tenant-b run"),
-    );
+    let b_job = srv.submit(JobSpec::new(b_run).tenant("team-b").label("tenant-b run"));
     let dup_run = base.clone().seed(1).build().expect("valid config");
     let dup = srv.submit(
         JobSpec::new(dup_run)

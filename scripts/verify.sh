@@ -326,6 +326,22 @@ if [ -n "$wire" ]; then
     exit 1
 fi
 
+echo "== one-transport lint (vmpi::Comm is the one concrete endpoint; the queue has no priorities) =="
+# The endpoint trait had one implementation, so it and its bounds are
+# gone with the copy shims and the un-receive: a payload is copied once
+# at send, and a fence-and-drain declines a frame with try_recv_if. Job
+# priorities and the starvation aging that bounded their skew went with
+# it. Code only: comment text after // is dropped before matching.
+transport=$(find crates src tests examples -name '*.rs' | sort |
+    xargs awk '{ line = $0; sub(/\/\/.*/, "", line) }
+        line ~ /trait Comm([^A-Za-z0-9_]|$)|impl Comm for|(^|[^:]):[ \t]*Comm([^A-Za-z0-9_]|$)|ThreadComm|send_from|recv_into|\.pushback\(|drain_tagged|JobPriority|STARVATION_LIMIT/ {
+            print FILENAME ":" FNR ": " $0 }')
+if [ -n "$transport" ]; then
+    echo "$transport"
+    echo "verify: a second transport surface or a job priority is back (take &vmpi::Comm; send owns its Vec; decline with try_recv_if; the queue is round-robin + FIFO)" >&2
+    exit 1
+fi
+
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -19,7 +19,6 @@
 //!    `ServerStats` says which of the two happened.
 
 use jobsrv::prelude::*;
-use jobsrv::JobPriority;
 use obs::fnv1a_f64;
 
 /// `engine_guard`'s pinned threaded baseline for `guard_config`.
@@ -43,11 +42,7 @@ fn served_jobs_are_bitwise_identical_to_solo_runs_and_cache_deduplicates() {
     let srv = JobServer::start(ServerConfig::default().workers(2).thread_budget(16));
 
     // Two tenants submit the identical config; a third job differs.
-    let a = srv.submit(
-        JobSpec::new(guard_config())
-            .tenant("team-a")
-            .priority(JobPriority::High),
-    );
+    let a = srv.submit(JobSpec::new(guard_config()).tenant("team-a"));
     let b = srv.submit(JobSpec::new(guard_config()).tenant("team-b"));
     let c = srv.submit(
         JobSpec::new(

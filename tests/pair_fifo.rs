@@ -1,5 +1,5 @@
 //! Property tests for per-pair FIFO delivery on the point-to-point
-//! surface (`send` / `try_recv` / `recv`): however receive polls and
+//! surface (`send` / `try_recv_if` / `recv`): however receive polls and
 //! blocking receives are interleaved across sources, each ordered
 //! (source, destination) pair must deliver its messages in send
 //! order. The hierarchical exchange's funnel/trunk/scatter drains and
@@ -16,10 +16,10 @@ fn payload(src: usize, dst: usize, k: usize) -> Vec<u8> {
 
 /// Every rank sends `msgs` numbered messages to every peer (sends
 /// interleaved across peers), then receives each expected message
-/// with a proptest-driven mix of `try_recv` polling and blocking
-/// `recv`. Returns, per rank, the sequence numbers seen from each
-/// source in completion order.
-fn world_run<C: Comm>(comm: &C, msgs: usize, polls: &[u32]) -> vmpi::CommResult<Vec<Vec<u8>>> {
+/// with a proptest-driven mix of accept-all `try_recv_if` polling and
+/// blocking `recv`. Returns, per rank, the sequence numbers seen from
+/// each source in completion order.
+fn world_run(comm: &Comm, msgs: usize, polls: &[u32]) -> vmpi::CommResult<Vec<Vec<u8>>> {
     let me = comm.rank();
     let n = comm.size();
     for k in 0..msgs {
@@ -49,7 +49,7 @@ fn world_run<C: Comm>(comm: &C, msgs: usize, polls: &[u32]) -> vmpi::CommResult<
         let msg = if poll {
             // not ready: move to the next source — this is the
             // completion interleaving
-            comm.try_recv(src)?
+            comm.try_recv_if(src, |_| true)?
         } else {
             Some(comm.recv(src)?)
         };
@@ -63,7 +63,7 @@ fn world_run<C: Comm>(comm: &C, msgs: usize, polls: &[u32]) -> vmpi::CommResult<
 }
 
 proptest! {
-    /// Bare `ThreadComm`: the transport itself is FIFO per pair, and
+    /// Bare `Comm`: the transport itself is FIFO per pair, and
     /// no interleaving of polls and blocking receives can reorder it.
     #[test]
     fn interleaved_completions_preserve_pair_fifo(

@@ -15,8 +15,8 @@ use sparse::{cg, solve_dense, CooBuilder, KrylovOptions};
 use vmpi::{exchange_into, run_world, traffic, Comm, CommResult, Strategy as CommStrategy};
 
 /// One exchange of owned buffers: what every rank received, by source.
-fn exchange<C: Comm>(
-    comm: &C,
+fn exchange(
+    comm: &Comm,
     strategy: CommStrategy,
     mut outgoing: Vec<Vec<u8>>,
 ) -> CommResult<Vec<Vec<u8>>> {
