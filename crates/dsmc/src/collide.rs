@@ -7,7 +7,7 @@
 //! isotropically (VHS), conserving momentum and energy exactly.
 
 use crate::keyed::{
-    cell_ranges, cell_rng, on_cells, pass_key, Pass, SharedParticles, CANDIDATES_PER_LANE,
+    cell_ranges, on_cells, pass_key, stream, Pass, SharedParticles, CANDIDATES_PER_LANE,
 };
 use crate::react::ChemistryModel;
 use kernels::Pool;
@@ -282,7 +282,7 @@ impl CollisionModel {
                     if list.len() < 2 {
                         continue;
                     }
-                    let mut rng = cell_rng(key, c);
+                    let mut rng = stream(key, c);
                     let adapt = scratch.collide(
                         list,
                         buf,

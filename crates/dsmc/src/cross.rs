@@ -18,7 +18,7 @@
 
 use crate::collide::CollisionEvent;
 use crate::keyed::{
-    cell_ranges, cell_rng, on_cells, pass_key, Pass, SharedParticles, CANDIDATES_PER_LANE,
+    cell_ranges, on_cells, pass_key, stream, Pass, SharedParticles, CANDIDATES_PER_LANE,
 };
 use kernels::Pool;
 use mesh::TetMesh;
@@ -149,7 +149,7 @@ impl CrossCollisionModel {
                     if neutrals.is_empty() || ions.is_empty() {
                         continue;
                     }
-                    let mut rng = cell_rng(key, c);
+                    let mut rng = stream(key, c);
                     let expected = expected(c);
                     let n_cand = expected.floor() as usize
                         + usize::from(rng.gen::<f64>() < expected.fract());

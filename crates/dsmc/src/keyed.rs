@@ -1,7 +1,8 @@
 //! What the two per-cell passes of Colli_React (NTC and MEX/CEX)
 //! share to run on lanes: a keyed stream per cell, contiguous cell
 //! ranges balanced by the pass's candidate estimate, and the buffer's
-//! velocity and species lanes shared by those ranges.
+//! velocity and species lanes shared by those ranges. The move keys
+//! its flights' wall draws through the same [`stream`].
 //!
 //! Each occupied cell of a pass draws from its own `StdRng`, seeded
 //! through SplitMix64 (the standard 64-bit finalizer-style mixer) from
@@ -51,15 +52,16 @@ pub fn collision_key(seed: u64, step: u64, subcycle: u64) -> u64 {
         .fold(splitmix64(seed), |key, x| splitmix64(key ^ x))
 }
 
-/// The key a pass's cells draw under: [`cell_rng`] takes it per cell.
+/// The key a pass's cells draw under: [`stream`] takes it per cell.
 pub(crate) fn pass_key(key: u64, pass: Pass) -> u64 {
     splitmix64(key ^ pass as u64)
 }
 
-/// The stream global coarse cell `cell` draws from in the pass keyed
-/// `pass_key`.
-pub(crate) fn cell_rng(pass_key: u64, cell: usize) -> StdRng {
-    StdRng::seed_from_u64(splitmix64(pass_key ^ cell as u64))
+/// The stream of item `index` under `key`: a collision pass's global
+/// coarse cell under its [`pass_key`], or a flight of one move, by its
+/// buffer index, under that move's key.
+pub(crate) fn stream(key: u64, index: usize) -> StdRng {
+    StdRng::seed_from_u64(splitmix64(key ^ index as u64))
 }
 
 /// The `n` cells of a pass split for `pool`: contiguous ranges covering
@@ -263,7 +265,7 @@ mod tests {
     #[test]
     fn streams_differ_by_cell_pass_step_and_subcycle() {
         use rand::Rng;
-        let draw = |key, pass, cell| cell_rng(pass_key(key, pass), cell).gen::<u64>();
+        let draw = |key, pass, cell| stream(pass_key(key, pass), cell).gen::<u64>();
         let key = collision_key(7, 3, 0);
         let draws = [
             draw(key, Pass::Ntc, 5),

@@ -7,12 +7,13 @@
 //! temperature, and leaving the domain through the outlet (or back
 //! through the inlet).
 
+use crate::keyed::stream;
 use kernels::{carve_mut, chunk_ranges, team, Pool};
 use mesh::{first_exit, BoundaryKind, FaceTag, TetMesh, Vec3};
 use particles::sample::{flux_normal_speed, maxwellian};
 use particles::{ParticleBuffer, SpeciesTable};
 use rand::rngs::StdRng;
-use rand::{Rng, RngCore};
+use rand::Rng;
 
 /// Statistics of one move pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -39,15 +40,19 @@ impl std::ops::AddAssign for MoveStats {
 }
 
 /// Partial-pump absorption at wall hits (scenario `pump_prob`:
-/// `0 = full pump, 1 = no pump`). Each wall hit first decides
-/// survival on the dedicated `rng` stream — a survivor reflects
-/// diffusely exactly as without pumping, an absorbed particle is
-/// removed. Because the decision never touches the mover's main RNG,
-/// `prob == 1.0` is bitwise identical to running with no pump at all.
+/// `0 = full pump, 1 = no pump`). A move keys its survival decisions
+/// by one `u64` of `rng`; each wall hit of a flight first decides
+/// survival on the flight's own stream under that key — a survivor
+/// reflects diffusely exactly as without pumping, an absorbed particle
+/// is removed. Because the decisions never touch the reflection draws
+/// or the mover's main RNG, `prob == 1.0` is bitwise identical to
+/// running with no pump at all.
 pub struct Pump<'a> {
     /// Survival probability per wall hit, in `[0, 1]`.
     pub prob: f64,
-    /// Dedicated decision stream (never the mover's main RNG).
+    /// Dedicated stream (never the mover's main RNG): one key per move
+    /// that reaches a wall; a move with no wall hit leaves it as it
+    /// was.
     pub rng: &'a mut StdRng,
 }
 
@@ -63,133 +68,120 @@ pub const EXITED: u32 = u32::MAX;
 /// stops where it is — a guard against degenerate geometry.
 const MAX_LEGS: usize = 10_000;
 
-/// Moved particles a lane of the parallel pass takes at least: a
-/// spawned lane costs 41–48 µs (`kernels.dispatch_us`), ≈ 4,096
-/// flights of ≈ 100–180 ns take several times that.
+/// Moved particles a lane takes at least: a spawned lane costs
+/// 41–48 µs (`kernels.dispatch_us`), ≈ 4,096 flights of ≈ 100–180 ns
+/// take several times that.
 const PARTICLES_PER_LANE: usize = 1 << 12;
 
-/// Parallel-pass marks in the replay's per-particle scratch, beside
-/// [`EXITED`]; any other entry is the cell a flight landed in.
-/// `AT_WALL`: the flight reached a wall and is flown again by the
-/// replay. `SKIPPED`: not selected by the predicate.
-const AT_WALL: u32 = u32::MAX - 1;
-const SKIPPED: u32 = u32::MAX - 2;
-
-/// Where one call of [`advance`] left a particle.
-enum Flight {
-    /// Inside the domain at `(r, v, cell)`, its time used up.
-    Landed(Vec3, Vec3, u32),
-    /// Left through an open boundary, or absorbed by the pump.
-    Gone,
-    /// Reached a wall face and was dropped there (`STOP_AT_WALL` only).
-    AtWall,
-}
-
-/// Fly one particle for `remaining` seconds: straight legs with face
-/// crossings, at most [`MAX_LEGS`] of them. A particle that crosses no
-/// face lands on `r + v·remaining` in its first leg, cell and velocity
-/// untouched.
-///
-/// At a wall face the partial pump first decides survival on its
-/// dedicated stream, before any reflection draw, so the main stream is
-/// untouched for an absorbed particle and `prob == 1.0` never diverges
-/// from no pump. A survivor reflects diffusely: `v` becomes a fresh
-/// Maxwellian at the wall temperature with a flux-weighted inward
-/// normal component, drawn from `rng`, and `r` is nudged off the wall.
-/// Under `STOP_AT_WALL` the flight returns [`Flight::AtWall`] there
-/// instead, so it draws nothing from `rng` or `pump`.
-///
-/// Kept out of line (`#[inline]`, which LLVM declines here): inlined
-/// into the walk loop (`#[inline(always)]`) the serial walk was 8–11 %
-/// slower.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn advance<R: Rng, const STOP_AT_WALL: bool>(
-    mesh: &TetMesh,
-    species: &SpeciesTable,
-    sp_id: u8,
+/// What every flight of one move shares.
+struct Flights<'a> {
+    mesh: &'a TetMesh,
+    species: &'a SpeciesTable,
+    dt: f64,
     wall_temp: f64,
     nudge_len: f64,
-    rng: &mut R,
-    mut r: Vec3,
-    mut v: Vec3,
-    mut cell: usize,
-    mut remaining: f64,
-    stats: &mut MoveStats,
-    mut pump: Option<&mut Pump<'_>>,
-) -> Flight {
-    // Unit direction of the current straight leg: `v` only changes at
-    // a wall hit, so it is computed at the leg's first interior
-    // crossing and dropped on reflection.
-    let mut dir: Option<Vec3> = None;
-    for _ in 0..MAX_LEGS {
-        if remaining <= 0.0 {
-            break;
-        }
-        match first_exit(mesh, cell, r, v, remaining) {
-            None => {
-                r += v * remaining;
-                remaining = 0.0;
+    /// Key of the reflection draws: the flight of the particle at
+    /// buffer index `i` draws from `stream(wall_key, i)`.
+    wall_key: u64,
+    /// The pump's survival probability and the key of its decisions,
+    /// drawn per flight like the reflections.
+    pump: Option<(f64, u64)>,
+}
+
+impl Flights<'_> {
+    /// Fly particle `i` (species `sp_id`, at `r`, `v` in `cell`) for
+    /// `dt`: straight legs with face crossings, at most [`MAX_LEGS`] of
+    /// them. A particle that crosses no face lands on `r + v·dt` in its
+    /// first leg, cell and velocity untouched. Returns where it landed,
+    /// or `None` when it left the domain or was pumped.
+    ///
+    /// At a wall face the partial pump first decides survival, before
+    /// any reflection draw. A survivor reflects diffusely: `v` becomes
+    /// a fresh Maxwellian at the wall temperature with a flux-weighted
+    /// inward normal component, and `r` is nudged off the wall. Both
+    /// draw from streams keyed by the particle's index, made at the
+    /// flight's first wall hit, so a flight's draws depend on neither
+    /// the other flights nor the lane that flies it.
+    ///
+    /// Kept out of line (`#[inline]`, which LLVM declines here): an
+    /// `#[inline(always)]` flight body made the serial walk this loop
+    /// replaced 8–11 % slower.
+    #[inline]
+    fn fly(
+        &self,
+        i: usize,
+        sp_id: u8,
+        mut r: Vec3,
+        mut v: Vec3,
+        mut cell: usize,
+        stats: &mut MoveStats,
+    ) -> Option<(Vec3, Vec3, u32)> {
+        let (mesh, mut remaining) = (self.mesh, self.dt);
+        // Unit direction of the current straight leg: `v` only changes at
+        // a wall hit, so it is computed at the leg's first interior
+        // crossing and dropped on reflection.
+        let mut dir: Option<Vec3> = None;
+        let (mut reflect, mut survive): (Option<StdRng>, Option<StdRng>) = (None, None);
+        for _ in 0..MAX_LEGS {
+            if remaining <= 0.0 {
+                break;
             }
-            Some((tc, face)) => {
-                r += v * tc;
-                remaining -= tc;
-                stats.crossings += 1;
-                match mesh.neighbors[cell][face] {
-                    FaceTag::Interior(o) => {
-                        cell = o as usize;
-                        // nudge across the face so the new cell's
-                        // containment holds numerically
-                        r += *dir.get_or_insert_with(|| v.normalized()) * nudge_len;
-                    }
-                    FaceTag::Boundary(BoundaryKind::Wall) => {
-                        if STOP_AT_WALL {
-                            return Flight::AtWall;
+            match first_exit(mesh, cell, r, v, remaining) {
+                None => {
+                    r += v * remaining;
+                    remaining = 0.0;
+                }
+                Some((tc, face)) => {
+                    r += v * tc;
+                    remaining -= tc;
+                    stats.crossings += 1;
+                    match mesh.neighbors[cell][face] {
+                        FaceTag::Interior(o) => {
+                            cell = o as usize;
+                            // nudge across the face so the new cell's
+                            // containment holds numerically
+                            r += *dir.get_or_insert_with(|| v.normalized()) * self.nudge_len;
                         }
-                        if let Some(p) = pump.as_deref_mut() {
-                            if p.rng.gen::<f64>() >= p.prob {
-                                stats.pumped += 1;
-                                return Flight::Gone;
+                        FaceTag::Boundary(BoundaryKind::Wall) => {
+                            if let Some((prob, key)) = self.pump {
+                                let rng = survive.get_or_insert_with(|| stream(key, i));
+                                if rng.gen::<f64>() >= prob {
+                                    stats.pumped += 1;
+                                    return None;
+                                }
                             }
+                            stats.wall_hits += 1;
+                            let rng = reflect.get_or_insert_with(|| stream(self.wall_key, i));
+                            let (_fc, n) = mesh.face_centroid_normal(cell, face);
+                            let inward = -n.normalized();
+                            let mass = self.species.get(sp_id).mass;
+                            v = maxwellian(rng, self.wall_temp, mass, Vec3::ZERO);
+                            v -= inward * v.dot(inward); // tangential part
+                            v += inward * flux_normal_speed(rng, self.wall_temp, mass);
+                            r += inward * self.nudge_len;
+                            dir = None;
                         }
-                        stats.wall_hits += 1;
-                        let (_fc, n) = mesh.face_centroid_normal(cell, face);
-                        let inward = -n.normalized();
-                        let sp = species.get(sp_id);
-                        v = maxwellian(rng, wall_temp, sp.mass, Vec3::ZERO);
-                        v -= inward * v.dot(inward); // tangential part
-                        v += inward * flux_normal_speed(rng, wall_temp, sp.mass);
-                        r += inward * nudge_len;
-                        dir = None;
-                    }
-                    FaceTag::Boundary(_) => {
-                        stats.exited += 1;
-                        return Flight::Gone;
+                        FaceTag::Boundary(_) => {
+                            stats.exited += 1;
+                            return None;
+                        }
                     }
                 }
             }
         }
-    }
-    Flight::Landed(r, v, cell as u32)
-}
-
-/// The RNG of the parallel pass. Its flights stop at their first
-/// wall, before the pump decision or any reflection draw, so nothing
-/// is ever drawn from it.
-struct NoDraws;
-
-impl RngCore for NoDraws {
-    fn next_u64(&mut self) -> u64 {
-        unreachable!("a flight stopped at its first wall draws nothing")
+        Some((r, v, cell as u32))
     }
 }
 
-/// One lane's share of the parallel pass: the particles
-/// `start..start + flown.len()`, with the lanes it writes.
+/// One lane's share of the move: the particles `start..start +
+/// cell.len()`, with the lanes it writes, and the transitions of its
+/// moved particles.
 struct Chunk<'a> {
     start: usize,
-    pos: [&'a mut [f64]; 3],
-    flown: &'a mut [u32],
+    /// Position x, y, z, then velocity x, y, z.
+    rv: [&'a mut [f64]; 6],
+    cell: &'a mut [u32],
+    transitions: &'a mut [(u32, u32)],
 }
 
 /// Move every particle of `buf` whose species id satisfies `pred` for
@@ -198,28 +190,20 @@ struct Chunk<'a> {
 /// place and removing the particles that left. `wall_temp` drives the
 /// diffuse reflection. Each moved particle appends one
 /// `(old_cell, new_cell)` record to `transitions` (`new_cell ==
-/// EXITED` if it left), from which the cluster driver attributes
-/// per-rank work and builds the migration byte matrix.
+/// EXITED` if it left), in buffer order, from which the cluster driver
+/// attributes per-rank work and builds the migration byte matrix.
 ///
-/// The result is the serial walk's, bit for bit, on any pool: walk
-/// `buf` in order, draw reflections from `rng` (and pump decisions
-/// from the pump's stream) as the particles hit walls, swap-remove a
-/// particle that left — buffer order, positions, velocities, cells,
-/// [`MoveStats`], transitions and both RNG end states. With two or
-/// more workers and at least `PARTICLES_PER_LANE` moved particles per
-/// lane it runs in two passes:
-///
-/// 1. The lanes fly contiguous chunks of the buffer in parallel, on
-///    an RNG that is never drawn. A flight that hits no wall ends
-///    where the serial walk would end it: a landing writes its
-///    position in place and its cell to a 4-byte scratch entry the
-///    caller allocated (helper lanes allocate nothing), an exit is
-///    marked there. A flight that reaches a wall is dropped and
-///    marked, its crossings uncounted.
-/// 2. The caller's in-order walk gives landings their cell,
-///    swap-removes exits (the scratch in lockstep with the buffer) and
-///    flies every marked wall flight again from its start, with the
-///    serial walk's own code on `rng` and the pump stream.
+/// The move draws one key from `rng` (and, when a flight reaches a
+/// wall, one from the pump's stream), and each flight draws its wall
+/// hits from streams keyed by it and the particle's buffer index. So
+/// the result is the same, bit for bit, on any pool — buffer order,
+/// positions, velocities, cells, [`MoveStats`], transitions and both
+/// RNG end states. It is one `kernels::team` region: each lane flies a
+/// contiguous chunk of the buffer to the end, writing every landing in
+/// place and chaining every exit through the dead particle's cell
+/// entry, and the caller then swap-removes the exits, the highest index
+/// first. A lane takes at least `PARTICLES_PER_LANE` moved particles; a
+/// serial pool is one chunk.
 #[allow(clippy::too_many_arguments)]
 pub fn move_particles_pooled<R: Rng, P: Fn(u8) -> bool + Sync>(
     mesh: &TetMesh,
@@ -260,147 +244,122 @@ fn move_with_floor<R: Rng, P: Fn(u8) -> bool + Sync>(
     rng: &mut R,
     pool: &Pool,
     pred: P,
-    mut transitions: Option<&mut Vec<(u32, u32)>>,
-    mut pump: Option<Pump<'_>>,
+    transitions: Option<&mut Vec<(u32, u32)>>,
+    pump: Option<Pump<'_>>,
     per_lane: usize,
 ) -> MoveStats {
-    let nudge_len = mesh.mean_cell_size() * NUDGE;
-    let mut stats = MoveStats::default();
+    let flights = Flights {
+        mesh,
+        species,
+        dt,
+        wall_temp,
+        nudge_len: mesh.mean_cell_size() * NUDGE,
+        wall_key: rng.gen(),
+        // peeked: taken from the stream below once a wall is reached
+        pump: pump.as_ref().map(|p| (p.prob, p.rng.clone().gen())),
+    };
     let lanes = if pool.is_serial() {
         1
     } else {
         let moved = buf.species.iter().filter(|&&s| pred(s)).count();
-        pool.workers().min(moved / per_lane)
+        pool.workers().min(moved / per_lane).max(1)
     };
-    // The parallel pass's entry per particle; empty for the serial walk.
-    let mut flown: Vec<u32> = Vec::new();
-    if lanes >= 2 {
-        let runs = chunk_ranges(buf.len(), lanes);
-        flown = vec![SKIPPED; buf.len()];
-        let ParticleBuffer {
-            px,
-            py,
-            pz,
-            vx,
-            vy,
-            vz,
-            cell,
-            species: sp_ids,
-            ..
-        } = &mut *buf;
-        let (vel, cell, sp_ids): ([&[f64]; 3], &[u32], &[u8]) = ([vx, vy, vz], cell, sp_ids);
-        let chunks = runs
-            .iter()
-            .zip(carve_mut(&runs, px))
-            .zip(carve_mut(&runs, py))
-            .zip(carve_mut(&runs, pz))
-            .zip(carve_mut(&runs, &mut flown))
-            .map(|((((run, x), y), z), flown)| Chunk {
-                start: run.start,
-                pos: [x, y, z],
-                flown,
-            })
-            .collect();
-        let pred = &pred;
-        let lane_stats = team(chunks, |_, chunk: Chunk<'_>, _| {
-            let Chunk {
-                start,
-                pos: [x, y, z],
-                flown,
-            } = chunk;
-            let mut stats = MoveStats::default();
-            for (k, entry) in flown.iter_mut().enumerate() {
-                let i = start + k;
-                if !pred(sp_ids[i]) {
-                    continue;
-                }
-                let mut own = MoveStats::default();
-                *entry = match advance::<_, true>(
-                    mesh,
-                    species,
-                    sp_ids[i],
-                    wall_temp,
-                    nudge_len,
-                    &mut NoDraws,
-                    Vec3::new(x[k], y[k], z[k]),
-                    Vec3::new(vel[0][i], vel[1][i], vel[2][i]),
-                    cell[i] as usize,
-                    dt,
-                    &mut own,
-                    None,
-                ) {
-                    Flight::Landed(r, _, c) => {
-                        (x[k], y[k], z[k]) = (r.x, r.y, r.z);
-                        c
-                    }
-                    Flight::Gone => EXITED,
-                    // flown again from its start by the walk, which
-                    // counts all its crossings
-                    Flight::AtWall => {
-                        *entry = AT_WALL;
-                        continue;
-                    }
-                };
-                stats += own;
+    let runs = chunk_ranges(buf.len(), lanes);
+    // The caller logs each moved particle's old cell, chunk by chunk;
+    // the lanes fill in the new ones (helper lanes allocate nothing).
+    let mut log = transitions.map(|tr| (tr.len(), tr));
+    let log_runs: Vec<_> = runs
+        .iter()
+        .map(|run| match &mut log {
+            Some((_, tr)) => {
+                let start = tr.len();
+                let moved = run.clone().filter(|&i| pred(buf.species[i]));
+                tr.extend(moved.map(|i| (buf.cell[i], EXITED)));
+                start..tr.len()
             }
-            stats
-        });
-        for s in lane_stats {
-            stats += s;
-        }
-    }
-
-    // The serial walk; after the parallel pass, its in-order replay.
-    let mut i = 0usize;
-    while i < buf.len() {
-        let entry = match flown.get(i) {
-            Some(&entry) => entry,
-            None if pred(buf.species[i]) => AT_WALL,
-            None => SKIPPED,
-        };
-        let old_cell = buf.cell[i];
-        let new_cell = match entry {
-            SKIPPED => {
-                i += 1;
+            None => 0..0,
+        })
+        .collect();
+    let log: &mut [(u32, u32)] = match log {
+        Some((first, tr)) => &mut tr[first..],
+        None => &mut [],
+    };
+    let ParticleBuffer {
+        px,
+        py,
+        pz,
+        vx,
+        vy,
+        vz,
+        cell,
+        species: sp_ids,
+        ..
+    } = &mut *buf;
+    let sp_ids: &[u8] = sp_ids;
+    let mut rv = [px, py, pz, vx, vy, vz].map(|lane| carve_mut(&runs, lane).into_iter());
+    let chunks = runs
+        .iter()
+        .zip(carve_mut(&runs, cell))
+        .zip(carve_mut(&log_runs, log))
+        .map(|((run, cell), transitions)| Chunk {
+            start: run.start,
+            rv: rv
+                .each_mut()
+                .map(|lane| lane.next().expect("a slice per run")),
+            cell,
+            transitions,
+        })
+        .collect();
+    let (pred, flights) = (&pred, &flights);
+    let lane_out = team(chunks, |_, chunk: Chunk<'_>, _| {
+        let Chunk {
+            start,
+            rv: [x, y, z, vx, vy, vz],
+            cell,
+            transitions,
+        } = chunk;
+        let mut stats = MoveStats::default();
+        // the chunk's last exit; each exit's cell entry holds the one
+        // before it (EXITED ends the chain)
+        let mut exits = EXITED;
+        let mut transitions = transitions.iter_mut();
+        for (k, c) in cell.iter_mut().enumerate() {
+            let i = start + k;
+            if !pred(sp_ids[i]) {
                 continue;
             }
-            AT_WALL => match advance::<_, false>(
-                mesh,
-                species,
-                buf.species[i],
-                wall_temp,
-                nudge_len,
-                rng,
-                buf.pos(i),
-                buf.vel(i),
-                old_cell as usize,
-                dt,
-                &mut stats,
-                pump.as_mut(),
-            ) {
-                Flight::Landed(r, v, c) => {
-                    buf.set_pos(i, r);
-                    buf.set_vel(i, v);
-                    c
+            let (r, v) = (Vec3::new(x[k], y[k], z[k]), Vec3::new(vx[k], vy[k], vz[k]));
+            let new_cell = match flights.fly(i, sp_ids[i], r, v, *c as usize, &mut stats) {
+                Some((r, v, new_cell)) => {
+                    (x[k], y[k], z[k]) = (r.x, r.y, r.z);
+                    (vx[k], vy[k], vz[k]) = (v.x, v.y, v.z);
+                    *c = new_cell;
+                    new_cell
                 }
-                Flight::Gone => EXITED,
-                Flight::AtWall => unreachable!("only the parallel pass stops at a wall"),
-            },
-            landed_or_exited => landed_or_exited,
-        };
-        if let Some(tr) = transitions.as_deref_mut() {
-            tr.push((old_cell, new_cell));
-        }
-        if new_cell == EXITED {
-            // the tail particle now at `i` is the walk's next
-            buf.swap_remove(i);
-            if !flown.is_empty() {
-                flown.swap_remove(i);
+                None => {
+                    (*c, exits) = (exits, i as u32);
+                    EXITED
+                }
+            };
+            if let Some(tr) = transitions.next() {
+                tr.1 = new_cell;
             }
-        } else {
-            buf.cell[i] = new_cell;
-            i += 1;
         }
+        (stats, exits)
+    });
+    // Highest index first: the tail particle a swap-remove moves into
+    // an exit's place is never an exit still to remove.
+    let mut stats = MoveStats::default();
+    for (lane, mut i) in lane_out.into_iter().rev() {
+        stats += lane;
+        while i != EXITED {
+            let next = buf.cell[i as usize];
+            buf.swap_remove(i as usize);
+            i = next;
+        }
+    }
+    if let Some(p) = pump.filter(|_| stats.wall_hits + stats.pumped > 0) {
+        p.rng.gen::<u64>();
     }
     stats
 }
@@ -424,8 +383,8 @@ mod tests {
         (m, table)
     }
 
-    /// Move every particle on the serial pool (the in-order walk on the
-    /// caller's `rng`), no pump, no transition log.
+    /// Move every particle on the serial pool, no pump, no transition
+    /// log.
     fn move_all(
         m: &TetMesh,
         buf: &mut ParticleBuffer,
@@ -550,9 +509,8 @@ mod tests {
     );
 
     /// Move the particles of species `moved` in `buf` for 4e-7 s on
-    /// `lanes` lanes of at least one moved particle each (1 = the
-    /// serial walk), logging transitions, with a 50 % pump when
-    /// `pumped`.
+    /// `lanes` lanes of at least one moved particle each, logging
+    /// transitions, with a 50 % pump when `pumped`.
     fn move_on(
         m: &TetMesh,
         sp: &SpeciesTable,
@@ -590,7 +548,7 @@ mod tests {
     }
 
     #[test]
-    fn pooled_move_is_the_serial_walk_bit_for_bit() {
+    fn the_move_is_the_same_on_any_lane_count() {
         let (m, sp) = setup();
         let near_outlet = mesh::locate::locate_brute(&m, Vec3::new(0.0012, 0.0012, 0.001)).unwrap();
         let mid = mesh::locate::locate_brute(&m, Vec3::new(0.0012, 0.0, 0.01)).unwrap();
@@ -611,37 +569,122 @@ mod tests {
                 _ => push((k * 7) % m.num_cells(), Vec3::new(4e4, 0.0, 0.0), 1),
             }
         }
-        // The walk's first exit (particle 1) swaps in the tail: an exit,
-        // then another exit, then a flight the lanes dropped at the wall,
-        // which the replay flies again at position 1.
+        // a wall flight, then two exits at the tail: the first exits
+        // removed are the buffer's last particles
         push(mid, Vec3::new(5e4, 0.0, 0.0), 0);
         push(near_outlet, Vec3::new(0.0, 0.0, 1e6), 0);
         push(near_outlet, Vec3::new(0.0, 0.0, 1e6), 0);
         // PIC_Move's call shape: the same flights as ions (species 1),
-        // the neutrals skipped, no pump, reflections on the main RNG.
+        // the neutrals skipped, no pump, reflections keyed off the main RNG.
         let mut ions = buf.clone();
         ions.species.iter_mut().for_each(|s| *s ^= 1);
         for (buf, moved, pumped) in [(&buf, 0, false), (&buf, 0, true), (&ions, 1, false)] {
-            let serial = move_on(&m, &sp, buf.clone(), moved, 1, pumped);
-            let stats = serial.2;
+            let one = move_on(&m, &sp, buf.clone(), moved, 1, pumped);
+            let stats = one.2;
             assert!(
                 stats.wall_hits > 0 && stats.exited > 0 && (stats.pumped > 0) == pumped,
                 "test premise: every outcome occurs, {stats:?}"
             );
             assert!(stats.crossings > stats.wall_hits + stats.exited);
-            let walk = &serial.3;
-            assert!(
-                walk[1..4].iter().all(|&(_, c)| c == EXITED) && walk[4].0 == mid as u32,
-                "test premise: two exits, then the wall flight, swapped into position 1"
+            // one transition per moved particle, in buffer order
+            let old: Vec<u32> = (0..buf.len())
+                .filter(|&i| buf.species[i] == moved)
+                .map(|i| buf.cell[i])
+                .collect();
+            assert_eq!(one.3.iter().map(|&(c, _)| c).collect::<Vec<_>>(), old);
+            // one key from the main stream, and one from the pump's
+            // stream when a wall is reached under a pump
+            let after = |seed, keys| {
+                let mut rng = StdRng::seed_from_u64(seed);
+                for _ in 0..keys {
+                    rng.gen::<u64>();
+                }
+                rng
+            };
+            assert_eq!(
+                (&one.4, &one.5),
+                (&after(21, 1), &after(77, usize::from(pumped)))
             );
             for lanes in 2..=7 {
                 let pooled = move_on(&m, &sp, buf.clone(), moved, lanes, pumped);
-                assert!(
-                    pooled == serial,
-                    "lanes={lanes} pumped={pumped} moved={moved}"
-                );
+                assert!(pooled == one, "lanes={lanes} pumped={pumped} moved={moved}");
             }
         }
+    }
+
+    #[test]
+    fn keyed_wall_reflection_has_the_diffuse_wall_moments() {
+        let (m, sp) = setup();
+        // a wall face on the cylinder (its normal nearly radial), and
+        // its cell: a flight from the cell's centroid to the face's
+        // centroid crosses that face first
+        let (cell, face) = (0..m.num_cells())
+            .flat_map(|c| (0..4).map(move |f| (c, f)))
+            .find(|&(c, f)| {
+                let n = m.face_centroid_normal(c, f).1;
+                m.neighbors[c][f] == FaceTag::Boundary(BoundaryKind::Wall)
+                    && n.z.abs() < 0.1 * n.norm()
+            })
+            .expect("a cylinder wall face");
+        let (fc, n) = m.face_centroid_normal(cell, face);
+        let inward = -n.normalized();
+        let to_wall = fc - m.centroids[cell];
+        // 1e5 m/s at the wall; a millionth of the flight is left after
+        // the hit, far too little to reach another face
+        let (speed, n_particles) = (1e5, 4000);
+        let dt = to_wall.norm() / speed * (1.0 + 1e-6);
+        let reflect = |seed: u64| {
+            let mut buf = ParticleBuffer::new();
+            for k in 0..n_particles {
+                let mut p = particle_at(&m, cell, to_wall.normalized() * speed);
+                p.id = k;
+                buf.push(p);
+            }
+            let mut rng = StdRng::seed_from_u64(seed);
+            let stats = move_all(&m, &mut buf, &sp, dt, &mut rng);
+            assert_eq!(stats.wall_hits, n_particles as usize, "{stats:?}");
+            assert_eq!(buf.len(), n_particles as usize);
+            (0..buf.len()).map(|i| buf.vel(i)).collect::<Vec<Vec3>>()
+        };
+        let vels = reflect(8);
+        let n = vels.len() as f64;
+        let sigma2 = particles::KB * 300.0 / sp.get(0).mass;
+        // inward normal speed: Rayleigh of scale σ, mean σ√(π/2)
+        let normal: Vec<f64> = vels.iter().map(|v| v.dot(inward)).collect();
+        assert!(normal.iter().all(|&s| s > 0.0));
+        let mean = normal.iter().sum::<f64>() / n;
+        let expected = (std::f64::consts::PI * sigma2 / 2.0).sqrt();
+        let sd = (sigma2 * (4.0 - std::f64::consts::PI) / 2.0).sqrt();
+        assert!(
+            (mean - expected).abs() < 3.0 * sd / n.sqrt(),
+            "mean normal speed {mean} vs {expected}"
+        );
+        // each tangential component: normal, variance σ²
+        let t1 = inward.cross(Vec3::new(0.0, 0.0, 1.0)).normalized();
+        let t2 = inward.cross(t1);
+        for t in [t1, t2] {
+            let c: Vec<f64> = vels.iter().map(|v| v.dot(t)).collect();
+            let mean = c.iter().sum::<f64>() / n;
+            let var = c.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1.0);
+            assert!(
+                (var - sigma2).abs() < 3.0 * sigma2 * (2.0 / (n - 1.0)).sqrt(),
+                "tangential variance {var} vs {sigma2}"
+            );
+        }
+        // each flight draws its own numbers: a key that ignored the
+        // particle index would reflect every particle alike
+        let bits = |v: &Vec3| [v.x, v.y, v.z].map(f64::to_bits);
+        let mut distinct: Vec<_> = vels.iter().map(bits).collect();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(
+            distinct.len(),
+            vels.len(),
+            "two reflections share a velocity"
+        );
+        // and another move key reflects differently
+        let again = reflect(9);
+        assert!(vels.iter().zip(&again).all(|(a, b)| bits(a) != bits(b)));
     }
 
     #[test]

@@ -18,12 +18,13 @@
 //!   the block sums in block order, so its output is identical for any
 //!   lane count (the CG's inner products, `sparse::krylov`).
 //! * **Lane-invariant kernels.** Every kernel that takes lanes gives
-//!   the same bits on any lane count; the move does so by flying each
-//!   particle in parallel, dropping every flight that reaches a wall,
-//!   and flying those again from their start, in order, on the
-//!   caller's RNG (`dsmc::move_particles_pooled`); the collision
-//!   passes by drawing each cell's pairs from a stream keyed by the
-//!   cell (`dsmc::collision_key`) over contiguous cell ranges. Push and
+//!   the same bits on any lane count, because it draws from streams
+//!   keyed by what it acts on, not by the lane: the move's flights
+//!   draw their wall hits from a stream keyed by the move and the
+//!   particle's buffer index, so each lane flies its contiguous chunk
+//!   to the end (`dsmc::move_particles_pooled`); the collision passes
+//!   draw each cell's pairs from a stream keyed by the cell
+//!   (`dsmc::collision_key`) over contiguous cell ranges. Push and
 //!   deposit run serially on the caller's thread.
 
 use std::ops::Range;

@@ -30,10 +30,11 @@ struct Taps {
     poisson_unconverged: Counter,
     /// Largest final relative residual of any Poisson solve so far.
     poisson_rel_residual_max: Gauge,
-    /// Wall reflections and face crossings of the neutral move. Wall
-    /// hits per moved particle bound the share of flights a parallel
-    /// move flies twice: dropped at the wall on a lane, then flown
-    /// again from the start in order on the caller's lane.
+    /// Wall reflections and face crossings of the neutral move. Each
+    /// flight that reaches a wall seeds its keyed reflection stream
+    /// once (and its pump stream once when pumping), so wall hits per
+    /// moved particle bound the share of flights that pay for a keyed
+    /// stream.
     move_wall_hits: Counter,
     move_crossings: Counter,
     rebalances: Counter,

@@ -154,39 +154,51 @@ impl CooBuilder {
         }
     }
 
-    /// Finalize into CSR, summing duplicates and dropping explicit
-    /// zeros produced by cancellation.
-    ///
-    /// Duplicates are summed in the order `sort_unstable_by_key` leaves
-    /// them, which the key does not fix: the last bits of an entry built
-    /// from three or more triplets (the Poisson matrix's) depend on the
-    /// toolchain's unstable sort. Summing in insertion order would pin
-    /// them, and moves φ's last bits once.
-    pub fn build(mut self) -> CsrMatrix {
-        self.entries
-            .sort_unstable_by_key(|&(i, j, _)| ((i as u64) << 32) | j as u64);
-        let mut row_ptr = vec![0usize; self.nrows + 1];
-        let mut col_idx = Vec::with_capacity(self.entries.len());
-        let mut values: Vec<f64> = Vec::with_capacity(self.entries.len());
-
-        let mut k = 0usize;
-        while k < self.entries.len() {
-            let (i, j, mut v) = self.entries[k];
-            k += 1;
-            while k < self.entries.len() && self.entries[k].0 == i && self.entries[k].1 == j {
-                v += self.entries[k].2;
-                k += 1;
-            }
-            col_idx.push(j);
-            values.push(v);
-            row_ptr[i as usize + 1] += 1;
+    /// Finalize into CSR, summing duplicates in the order they were
+    /// added. Each row's triplets are linked into a list in insertion
+    /// order, through the row field the list makes redundant; each row
+    /// is then sorted by column (stably, in a buffer of one row) and its
+    /// duplicates folded. Beyond the triplets and the CSR arrays it
+    /// holds one list head per row.
+    pub fn build(self) -> CsrMatrix {
+        const END: u32 = u32::MAX;
+        let CooBuilder {
+            nrows,
+            ncols,
+            mut entries,
+        } = self;
+        // a link is a triplet's index, `END` ends a list
+        assert!(
+            entries.len() < END as usize,
+            "a CooBuilder holds fewer than 2^32 - 1 triplets"
+        );
+        let mut head = vec![END; nrows];
+        for k in (0..entries.len()).rev() {
+            let i = entries[k].0 as usize;
+            (entries[k].0, head[i]) = (head[i], k as u32);
         }
-        for i in 0..self.nrows {
-            row_ptr[i + 1] += row_ptr[i];
+        let mut row_ptr = Vec::with_capacity(nrows + 1);
+        row_ptr.push(0);
+        let mut col_idx = Vec::with_capacity(entries.len());
+        let mut values: Vec<f64> = Vec::with_capacity(entries.len());
+        let mut row = Vec::new();
+        for mut k in head {
+            row.clear();
+            while k != END {
+                let (next, j, v) = entries[k as usize];
+                row.push((j, v));
+                k = next;
+            }
+            row.sort_by_key(|&(j, _)| j);
+            for dup in row.chunk_by(|a, b| a.0 == b.0) {
+                col_idx.push(dup[0].0);
+                values.push(dup[1..].iter().fold(dup[0].1, |sum, &(_, v)| sum + v));
+            }
+            row_ptr.push(values.len());
         }
         CsrMatrix {
-            nrows: self.nrows,
-            ncols: self.ncols,
+            nrows,
+            ncols,
             row_ptr,
             col_idx,
             values,
@@ -231,6 +243,42 @@ mod tests {
         assert_eq!(a.get(1, 0), -1.0);
         assert_eq!(a.get(1, 1), 0.0);
         assert_eq!(a.nnz(), 2);
+    }
+
+    #[test]
+    fn duplicates_sum_in_insertion_order() {
+        // 40 entries of 24–47 triplets each, interleaved, of mixed
+        // magnitudes: a sum in any other order rounds differently
+        let (n, mut state) = (8, 0x2545_f491_4f6c_dd1du64);
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut triplets = Vec::new();
+        for key in 0..40 {
+            let count = 24 + next() % 24;
+            for _ in 0..count {
+                let x = (next() >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
+                triplets.push((key / n, key % n, x * 10f64.powi((next() % 12) as i32)));
+            }
+        }
+        for k in (1..triplets.len()).rev() {
+            triplets.swap(k, next() as usize % (k + 1));
+        }
+        let mut b = CooBuilder::new(5, n);
+        let mut fold = vec![None::<f64>; 5 * n];
+        for &(i, j, v) in &triplets {
+            b.add(i, j, v);
+            let sum = &mut fold[i * n + j];
+            *sum = Some(sum.map_or(v, |s| s + v));
+        }
+        let a = b.build();
+        for (key, sum) in fold.iter().enumerate() {
+            let got = a.get(key / n, key % n);
+            assert_eq!(got.to_bits(), sum.unwrap().to_bits(), "entry {key}");
+        }
     }
 
     #[test]

@@ -41,7 +41,7 @@ echo "== lane teams on one CPU (the team CG, the parallel move and Colli_React, 
 # Lanes of a team that outnumber the free cores must hand theirs over
 # while they wait; a spinning barrier makes the CG tests ~100x slower.
 taskset -c 0 timeout 120 cargo test -q -p sparse team
-taskset -c 0 timeout 120 cargo test -q -p dsmc pooled_move_is_the_serial_walk
+taskset -c 0 timeout 120 cargo test -q -p dsmc the_move_is_the_same_on_any_lane_count
 taskset -c 0 timeout 120 cargo test -q -p dsmc colli_react_is_the_same_on_any_lane_count
 
 echo "== ledger smoke (every bench_ledger workload, both passes, every row present) =="
@@ -293,22 +293,28 @@ if [ -n "$powers$renamed" ]; then
     exit 1
 fi
 
-echo "== deleted-names lint (one decomposition, one lane count per engine, no forked streams, no resumable flight, one partition weight) =="
+echo "== deleted-names lint (one decomposition, one lane count per engine, no forked streams, no resumable or replayed flight, one partition weight) =="
 # The Eulerian/Lagrangian split was the unified decomposition with
 # W_cell = 0 and more messages; RunConfig::ranks_per_node and
 # RebalanceConfig::kway were set only by tests. RunConfig::threads_per_rank
 # sized a second kernel pool whose collide forked per-lane RNG streams;
 # every kernel now gives the same bits on any lane count. The parallel
 # move paused a flight at its first wall and resumed it later (the
-# RESUMED flight instance, the Flown scratch, Flight::Paused); it now
-# drops that flight and the in-order walk flies it again from its start.
+# RESUMED flight instance, the Flown scratch, Flight::Paused), then
+# dropped it there on an RNG never drawn (NoDraws, STOP_AT_WALL) and
+# flew it again in order (the AT_WALL / SKIPPED scratch marks); each
+# flight now draws its wall hits from a stream keyed by the move and
+# the particle, and its lane flies it to the end.
 # Eq. 7 is the only partition weight: the timer-augmented cost source
 # and its sampling fork are gone. None comes back.
 deleted=$(grep -rnE 'EulLag|eullag|Decomposition::|\.decomposition\b|block_ranges|block_owner|\.ranks_per_node\b|fork_rng|threads_per_rank|ZeroThreads|busy_seconds|export_pool_busy|move_lanes|RESUMED|Flown|Paused|CostSource|CostSample|TimerAugmented|wants_samples|cost_rates|timer_augmented|balance\.cost\.' \
     --include='*.rs' crates src tests examples || true)
-if [ -n "$deleted" ]; then
-    echo "$deleted"
-    echo "verify: a deleted name is back (particle-only weighting is rebalance.wlm.w_cell = 0; an engine has one Pool, RankEngine::lanes; a wall-bound parallel flight is dropped and flown again, never paused; cells are weighed by eq. 7 only)" >&2
+replay=$(awk 'FNR == 1 { skip = 0 }
+        /^[ \t]*#\[cfg\(test\)\]/ { skip = 1 }
+        !skip && /NoDraws|STOP_AT_WALL|AT_WALL|SKIPPED/ { print FILENAME ":" FNR ": " $0 }' crates/dsmc/src/*.rs)
+if [ -n "$deleted$replay" ]; then
+    echo "$deleted$replay"
+    echo "verify: a deleted name is back (particle-only weighting is rebalance.wlm.w_cell = 0; an engine has one Pool, RankEngine::lanes; a lane flies each flight to the end on its keyed wall stream, never paused or flown twice; cells are weighed by eq. 7 only)" >&2
     exit 1
 fi
 

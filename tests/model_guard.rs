@@ -71,13 +71,13 @@ fn jet_on_384_ranks_decisions_are_pinned() {
     assert_eq!(
         jet_on_384_ranks(),
         Decisions {
-            owner_hash: 0xb424_1778_b94b_0723,
-            total_time_bits: 0x3fcb_aab3_7b71_40a2,
+            owner_hash: 0xe3ab_be4a_6c75_26c6,
+            total_time_bits: 0x3fd0_181a_a436_ee19,
             strategy_uses: [0, 0, 45, 0],
-            transactions: 3124,
-            bytes: 293_063,
+            transactions: 3106,
+            bytes: 302_365,
             rebalances: 5,
-            rebalance_migrated: 587,
+            rebalance_migrated: 611,
         },
         "the modelled machine decided differently than the pinned baseline"
     );

@@ -28,7 +28,7 @@ fn observed_threaded_run_is_bitwise_identical_to_baseline() {
     assert_eq!(r.population, 389, "population drifted under observation");
     assert_eq!(
         fnv1a_f64(&r.density_h),
-        0xe1f39b21588a2aeb,
+        0x568c9328daa59038,
         "metrics/trace observation changed the threaded physics"
     );
     // ... while the registry really recorded the run
@@ -49,7 +49,7 @@ fn observed_serial_run_is_bitwise_identical_to_baseline() {
     assert_eq!(r.population, 389, "population drifted under observation");
     assert_eq!(
         fnv1a_f64(&r.density_h),
-        0x23d1aa6e79c3c5ed,
+        0x8376dbaf0de773e5,
         "metrics observation changed the serial physics"
     );
     assert_eq!(reg.snapshot().counter("engine.steps"), Some(12));
