@@ -28,7 +28,7 @@ use crate::config::{ObsConfig, RunConfig, SimConfig};
 use crate::report::{ReportBuilder, RunReport, StepTrace};
 use crate::world::World;
 use dsmc::{
-    collision_key, move_particles_pooled, ChemistryModel, CollisionEvent, CollisionModel,
+    collision_key, move_particles_pooled, CellScratch, ChemistryModel, ColliReact, CollisionModel,
     CrossCollisionModel, Injector, Pump, ReactStats,
 };
 use kernels::Pool;
@@ -40,7 +40,7 @@ use obs::{
 use particles::{CellIndex, ParticleBuffer, SpeciesTable};
 use pic::{accelerate_charged, deposit_charge_into, ElectricField, PoissonSolver};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use sparse::KrylovOptions;
 use std::convert::Infallible;
 use std::sync::Arc;
@@ -82,18 +82,22 @@ pub struct RankEngine {
     pub efield: ElectricField,
     pub rng: StdRng,
     /// Dedicated DSMC stream for subcycled runs: when
-    /// `config.k_sub_dsmc > 1` the neutral move and the reactions draw
-    /// from this stream instead of `rng` (the collision passes draw
-    /// from keyed per-cell streams), so changing the
-    /// subcycle count never perturbs the PIC draws on `rng`. At
-    /// `k_sub_dsmc == 1` it is never consumed and the engine keeps
-    /// the legacy single-stream behaviour bit for bit.
+    /// `config.k_sub_dsmc > 1` the neutral move takes its key from this
+    /// stream instead of `rng` (Colli_React draws from keyed per-cell
+    /// streams only), so changing the subcycle count never perturbs the
+    /// PIC draws on `rng`. At `k_sub_dsmc == 1` it is never consumed
+    /// and the engine keeps the legacy single-stream behaviour bit for
+    /// bit.
     pub rng_dsmc: StdRng,
     /// Dedicated stream for partial-pump wall absorption decisions
-    /// (`config.pump_prob`): it supplies one key per neutral move that
-    /// reaches a wall, under which each flight decides on its own
-    /// stream; never consumed when pumping is off.
+    /// (`config.pump_prob`): one draw per step seeds that step's
+    /// `pump_step`, whatever the subcycle count and the wall hits;
+    /// never consumed when pumping is off.
     pub rng_pump: StdRng,
+    /// The step's pump stream, seeded at subcycle 0 from `rng_pump`:
+    /// each subcycle's move takes one key from it per move that reaches
+    /// a wall, under which each flight decides on its own stream.
+    pump_step: StdRng,
     /// DSMC iterations completed.
     pub step_count: usize,
     /// Lanes of the neutral and ion moves, the two collision passes
@@ -104,12 +108,12 @@ pub struct RankEngine {
     pub lanes: Pool,
     /// Exchange scratch (used by communicating backends).
     pub exch: ExchangeScratch,
-    /// Colli_React scratch: this subcycle's reaction candidates.
-    events: Vec<CollisionEvent>,
     /// Colli_React scratch: this subcycle's particles by cell, neutrals
-    /// in slot 0 and (with cross collisions) ions in slot 1, built once
-    /// for both collision passes.
+    /// in slot 0 and ions in slot 1, built once on the lanes for the
+    /// whole pass.
     index: CellIndex,
+    /// Colli_React scratch: one per lane, kept from pass to pass.
+    scratch: Vec<CellScratch>,
     /// PIC substep scratch, cleared and reused: the deposited node
     /// charge (taken by `deposit`, handed back by `field_solve`).
     node_charge: Vec<f64>,
@@ -198,11 +202,12 @@ impl RankEngine {
             rng: StdRng::seed_from_u64(seed),
             rng_dsmc: StdRng::seed_from_u64(dsmc_stream_seed(seed)),
             rng_pump: StdRng::seed_from_u64(pump_stream_seed(seed)),
+            pump_step: StdRng::seed_from_u64(0),
             step_count: 0,
             lanes,
             exch: ExchangeScratch::default(),
-            events: Vec::new(),
             index: CellIndex::default(),
+            scratch: Vec::new(),
             node_charge: Vec::new(),
         }
     }
@@ -311,17 +316,21 @@ impl RankEngine {
         }
     }
 
-    /// DSMC_Move: advect the neutrals for one subcycle of `dt`
-    /// (`dt_dsmc / k_sub_dsmc`; the full `dt_dsmc` when not
+    /// DSMC_Move: advect the neutrals for DSMC subcycle `subcycle`, of
+    /// `dt` (`dt_dsmc / k_sub_dsmc`; the full `dt_dsmc` when not
     /// subcycling). The move keys its wall draws by one draw from the
     /// engine's stream (the dedicated [`RankEngine::rng_dsmc`] when
     /// subcycling); the optional partial pump keys its decisions by one
-    /// from [`RankEngine::rng_pump`].
-    fn dsmc_move(&mut self, rec: &mut StepRecord, track: bool, dt: f64) {
+    /// from the step's pump stream, which subcycle 0 seeds with one
+    /// draw from [`RankEngine::rng_pump`].
+    fn dsmc_move(&mut self, rec: &mut StepRecord, track: bool, dt: f64, subcycle: usize) {
         let h_id = self.h_id;
+        if self.config.pump_prob.is_some() && subcycle == 0 {
+            self.pump_step = StdRng::seed_from_u64(self.rng_pump.gen());
+        }
         let pump = self.config.pump_prob.map(|prob| Pump {
             prob,
-            rng: &mut self.rng_pump,
+            rng: &mut self.pump_step,
         });
         let rng = if self.config.k_sub_dsmc > 1 {
             &mut self.rng_dsmc
@@ -346,81 +355,42 @@ impl RankEngine {
         rec.crossings += stats.crossings;
     }
 
-    /// Colli_React: NTC collisions, optional cross-species pass,
-    /// chemistry — over DSMC subcycle `subcycle`, of `dt`. Both
-    /// collision passes run on [`RankEngine::lanes`], each cell drawing
-    /// from its own stream keyed by the run seed (`config.seed`, the
-    /// same on every rank), the step, the subcycle, the pass and the
-    /// global coarse cell ([`dsmc::collision_key`]); they record only
-    /// the pairs that pass the chemistry's dissociation test, the only
-    /// ones `react_collisions` acts on. Both read one [`CellIndex`] of
-    /// the subcycle's particles (NTC changes only velocities, and a CEX
-    /// moves its pair between the index's segments). The reactions draw
-    /// from the engine's stream (`rng_dsmc` when subcycling). Record
-    /// fields accumulate so subcycles sum.
+    /// Colli_React over DSMC subcycle `subcycle`, of `dt`: one
+    /// [`ColliReact`] pass on [`RankEngine::lanes`] — in each cell NTC,
+    /// the optional MEX/CEX, the cell's dissociations and its
+    /// recombination, each on a stream keyed by the run seed
+    /// (`config.seed`, the same on every rank), the step, the subcycle,
+    /// the part and the global coarse cell ([`dsmc::collision_key`]). It
+    /// reads one [`CellIndex`] of the subcycle's particles, neutrals in
+    /// slot 0 and ions in slot 1, built on the same lanes, and draws
+    /// nothing from the engine's streams. Record fields accumulate so
+    /// subcycles sum.
     fn colli_react(&mut self, rec: &mut StepRecord, dt: f64, subcycle: usize) {
-        self.events.clear();
-        let reactive = self.chemistry.dissociation_test(&self.species, self.h_id);
         let key = collision_key(self.config.seed, self.step_count as u64, subcycle as u64);
-        let (ids, nc) = ([self.h_id, self.hp_id], self.nm.coarse.num_cells());
-        let slots = 1 + usize::from(self.config.cross_collisions);
-        let slot = |s| ids[..slots].iter().position(|&id| id == s);
-        self.index.build(&self.particles, nc, slots, slot);
-        let cstats = self.collisions.collide(
-            &self.nm.coarse,
-            &mut self.particles,
-            &self.species,
-            self.h_id,
-            &self.index,
+        let ids = [self.h_id, self.hp_id];
+        let slot = |s| ids.iter().position(|&id| id == s);
+        let nc = self.nm.coarse.num_cells();
+        self.index.build(&self.particles, nc, 2, slot, &self.lanes);
+        let stats = ColliReact {
+            mesh: &self.nm.coarse,
+            species: &self.species,
+            ids,
             dt,
             key,
-            &self.lanes,
-            &mut self.events,
-            reactive,
-        );
-        rec.collision_candidates += cstats.candidates;
-        rec.collisions += cstats.collisions;
-        if self.config.cross_collisions {
-            let xstats = self.cross.collide(
-                &self.nm.coarse,
-                &mut self.particles,
-                &self.species,
-                self.h_id,
-                self.hp_id,
-                &mut self.index,
-                dt,
-                key,
-                &self.lanes,
-                &mut self.events,
-                reactive,
-            );
-            rec.collision_candidates += xstats.candidates;
-            rec.collisions += xstats.mex + xstats.cex;
+            ntc: Some(&mut self.collisions),
+            cross: self.config.cross_collisions.then_some(&self.cross),
+            chemistry: Some(&self.chemistry),
         }
-        let rng = if self.config.k_sub_dsmc > 1 {
-            &mut self.rng_dsmc
-        } else {
-            &mut self.rng
-        };
-        let r1 = self.chemistry.react_collisions(
+        .run(
             &mut self.particles,
-            &self.species,
-            self.h_id,
-            self.hp_id,
-            &self.events,
-            rng,
+            &mut self.index,
+            &self.lanes,
+            &mut self.scratch,
         );
-        let r2 = self.chemistry.recombine(
-            &self.nm.coarse,
-            &mut self.particles,
-            &self.species,
-            self.h_id,
-            self.hp_id,
-            dt,
-            rng,
-        );
-        rec.reactions.dissociations += r1.dissociations + r2.dissociations;
-        rec.reactions.recombinations += r1.recombinations + r2.recombinations;
+        rec.collision_candidates += stats.ntc.candidates + stats.cross.candidates;
+        rec.collisions += stats.ntc.collisions + stats.cross.mex + stats.cross.cex;
+        rec.reactions.dissociations += stats.react.dissociations;
+        rec.reactions.recombinations += stats.react.recombinations;
     }
 
     /// PIC_Move: kick with the *previous* substep's field, then
@@ -660,7 +630,7 @@ pub fn run_step<B: Backend, O: Observer>(
     let k_sub = eng.config.k_sub_dsmc;
     let dt_sub = eng.config.dt_dsmc / k_sub as f64;
     for sc in 0..k_sub {
-        eng.dsmc_move(&mut rec, track, dt_sub);
+        eng.dsmc_move(&mut rec, track, dt_sub, sc);
         be.lap(Phase::DsmcMove, sc, eng, &rec, &mut bd);
         let carried = be.exchange(eng, Phase::DsmcExchange, sc, &rec)?;
         be.lap(Phase::DsmcExchange, sc, eng, &rec, &mut bd);
@@ -876,9 +846,9 @@ mod tests {
     }
 
     #[test]
-    fn colli_react_keeps_exactly_the_accepted_pairs_above_the_threshold() {
-        // a dense cold gas, as the collide_serial workload: most
-        // accepted pairs are far below the activation energy
+    fn colli_react_draws_nothing_from_the_engine_streams() {
+        // a dense cold gas, as the collide_serial workload, with cross
+        // collisions and a chemistry that reacts both ways
         let mut eng = RankEngine::new(SimConfig {
             nozzle: mesh::NozzleSpec {
                 nd: 4,
@@ -895,65 +865,23 @@ mod tests {
             seed: 3,
             ..SimConfig::default()
         });
+        eng.chemistry.k_recomb = 1.0;
         for _ in 0..3 {
             eng.dsmc_step();
         }
-        // replay the two passes from the same state on one lane, every
-        // accepted pair recorded
-        let dt = eng.config.dt_dsmc;
-        let key = collision_key(eng.config.seed, eng.step_count as u64, 0);
-        let (mut buf, mut ntc) = (eng.particles.clone(), eng.collisions.clone());
-        let mut all = Vec::new();
-        let every_pair = |_: f64| true;
-        let (coarse, serial) = (&eng.nm.coarse, Pool::serial());
-        let (h, hp) = (eng.h_id, eng.hp_id);
-        let mut index = CellIndex::default();
-        index.build(&buf, coarse.num_cells(), 2, |s| {
-            [h, hp].iter().position(|&id| id == s)
-        });
-        ntc.collide(
-            coarse,
-            &mut buf,
-            &eng.species,
-            eng.h_id,
-            &index,
-            dt,
-            key,
-            &serial,
-            &mut all,
-            every_pair,
-        );
-        let cross = eng.cross;
-        cross.collide(
-            coarse,
-            &mut buf,
-            &eng.species,
-            h,
-            hp,
-            &mut index,
-            dt,
-            key,
-            &serial,
-            &mut all,
-            every_pair,
-        );
-
+        let streams = |e: &RankEngine| (e.rng.clone(), e.rng_dsmc.clone(), e.rng_pump.clone());
+        let before = (streams(&eng), eng.particles.vx.clone());
         let mut rec = StepRecord::default();
-        eng.colli_react(&mut rec, dt, 0);
-        assert_eq!(all.len(), rec.collisions, "every accepted pair replayed");
-        let reactive = eng.chemistry.dissociation_test(&eng.species, eng.h_id);
-        let above: Vec<CollisionEvent> = all
-            .iter()
-            .filter(|e| reactive(e.rel_speed))
-            .copied()
-            .collect();
-        assert_eq!(eng.events, above);
-        assert_eq!(buf.vx, eng.particles.vx);
+        eng.colli_react(&mut rec, eng.config.dt_dsmc, 0);
         assert!(
-            !above.is_empty() && above.len() * 20 < all.len(),
-            "premise: a cold gas, few candidates: {} of {}",
-            above.len(),
-            all.len()
+            streams(&eng) == before.0,
+            "Colli_React drew an engine stream"
+        );
+        assert_ne!(eng.particles.vx, before.1);
+        let r = rec.reactions;
+        assert!(
+            rec.collisions > 0 && r.dissociations > 0 && r.recombinations > 0,
+            "premise: collisions and reactions both ways, {rec:?}"
         );
     }
 

@@ -4,24 +4,26 @@
 //! Per coarse cell, the no-time-counter scheme draws
 //! `½ N (N−1) F_N (σg)_max Δt / V_c` candidate pairs and accepts each
 //! with probability `σ(g)·g / (σg)_max`; accepted pairs scatter
-//! isotropically (VHS), conserving momentum and energy exactly.
+//! isotropically (VHS), conserving momentum and energy exactly. The
+//! test runs on `g²` ([`particles::Vhs::acceptance`]) and the direction
+//! is drawn by disc rejection ([`particles::sample::isotropic_direction`]),
+//! so a rejected candidate takes no root and an accepted one no
+//! trigonometry.
 
-use crate::keyed::{
-    cell_ranges, on_cells, pass_key, stream, Pass, SharedParticles, CANDIDATES_PER_LANE,
-};
-use crate::react::ChemistryModel;
+use crate::colli_react::ColliReact;
+use crate::keyed::SharedParticles;
 use kernels::Pool;
 use mesh::{TetMesh, Vec3};
-use particles::{CellIndex, ParticleBuffer, Species, SpeciesTable, Vhs};
+use particles::sample::isotropic_direction;
+use particles::{CellIndex, ParticleBuffer, SpeciesTable};
 use rand::Rng;
-use std::ops::Range;
 
 /// Persistent per-cell state of the NTC scheme: the running
 /// `(σg)_max` estimate.
 #[derive(Debug, Clone)]
 pub struct CollisionModel {
     /// Running maximum of σ(g)·g per cell (m³/s).
-    sigma_g_max: Vec<f64>,
+    pub(crate) sigma_g_max: Vec<f64>,
 }
 
 /// Outcome of one collision pass.
@@ -33,80 +35,68 @@ pub struct CollideStats {
     pub collisions: usize,
 }
 
-/// An accepted collision that can react: buffer indices of the two
-/// partners and their relative speed, recorded only when it passes
-/// the dissociation test (`ChemistryModel::dissociation_test`) —
-/// every other accepted pair is a no-op for the chemistry model.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CollisionEvent {
-    pub i: u32,
-    pub j: u32,
-    /// Relative speed at impact (m/s).
-    pub rel_speed: f64,
-}
-
-/// Per-cell scratch of the NTC kernel: the cell's velocities gathered
-/// into three contiguous scalar lanes, so the relative-speed /
-/// scattering arithmetic runs on dense local arrays instead of
-/// striding through the whole buffer, plus which entries a collision
-/// rewrote.
-#[derive(Default)]
-struct CellScratch {
+/// Per-lane scratch of Colli_React: a cell's neutral velocities
+/// gathered into three contiguous scalar lanes, so the relative-speed /
+/// scattering arithmetic runs on dense local arrays instead of striding
+/// through the whole buffer, which entries a collision rewrote, and the
+/// cell's accepted pairs that pass the dissociation test. The caller
+/// keeps one per lane from pass to pass and reserves a helper lane's
+/// before the region, so no lane allocates once the capacity is there.
+#[derive(Debug, Clone, Default)]
+pub struct CellScratch {
     vx: Vec<f64>,
     vy: Vec<f64>,
     vz: Vec<f64>,
     dirty: Vec<bool>,
+    /// Buffer indices of the pairs that may dissociate, in acceptance
+    /// order.
+    pub(crate) pairs: Vec<(u32, u32)>,
 }
 
 impl CellScratch {
-    /// Scratch for cells of up to `n` particles (reserved by the
-    /// caller, so a helper lane that takes it allocates nothing).
-    fn with_capacity(n: usize) -> Self {
-        CellScratch {
-            vx: Vec::with_capacity(n),
-            vy: Vec::with_capacity(n),
-            vz: Vec::with_capacity(n),
-            dirty: Vec::with_capacity(n),
+    /// Room for a cell of `n` neutrals and `pairs` reaction candidates.
+    pub(crate) fn reserve(&mut self, n: usize, pairs: usize) {
+        for lane in [&mut self.vx, &mut self.vy, &mut self.vz] {
+            lane.reserve(n.saturating_sub(lane.len()));
         }
+        self.dirty.reserve(n.saturating_sub(self.dirty.len()));
+        self.pairs.reserve(pairs.saturating_sub(self.pairs.len()));
     }
 
-    /// The NTC kernel on one cell of `list.len() >= 2` neutrals
-    /// (buffer indices into `buf`), drawing from the cell's own stream
-    /// `rng`: round the `expected` candidate count, pick pairs, accept
-    /// against the pre-pass `sgm` and VHS-scatter the accepted ones in
-    /// the gathered lanes, recording those that pass `reactive`, then
-    /// write the rewritten velocities back. `vhs` is `sp.vhs()`, taken
-    /// once per pass. Returns the adaptive `(σg)_max` (`sgm` unless a
-    /// pair exceeded it; committing it late is value-identical — the
-    /// ratchet only grows). The candidate draw compares list
-    /// *positions* instead of buffer indices — equivalent, as an index
-    /// segment holds distinct indices.
+    /// The NTC kernel on one cell of `list.len() >= 2` neutrals (buffer
+    /// indices into `buf`), drawing from the cell's own stream `rng`:
+    /// round the `expected` candidate count, pick pairs, accept against
+    /// the pre-pass `sgm` through `accepts` ([`particles::Vhs::acceptance`])
+    /// and scatter the accepted ones in the gathered lanes (equal
+    /// masses: about the pair's mean velocity), appending to `pairs`
+    /// those whose `g²` passes `reactive`, then write the rewritten
+    /// velocities back. Returns the largest `g²` among the candidates,
+    /// from which the caller ratchets `(σg)_max`. The candidate draw
+    /// compares list *positions* instead of buffer indices — equivalent,
+    /// as an index segment holds distinct indices.
     #[allow(clippy::too_many_arguments)]
-    fn collide<R: Rng>(
+    pub(crate) fn collide<R: Rng>(
         &mut self,
         list: &[u32],
         buf: &SharedParticles<'_>,
-        sp: &Species,
-        vhs: Vhs,
-        sgm: f64,
-        expected: f64,
+        accepts: impl Fn(f64, f64) -> bool,
+        (sgm, expected): (f64, f64),
         rng: &mut R,
         stats: &mut CollideStats,
-        events: &mut Vec<CollisionEvent>,
-        reactive: &impl Fn(f64) -> bool,
+        reactive: Option<impl Fn(f64) -> bool>,
     ) -> f64 {
         let CellScratch {
             vx: lvx,
             vy: lvy,
             vz: lvz,
             dirty,
+            pairs,
         } = self;
         let n = list.len();
-        let mut sgm_adapt = sgm;
         // probabilistic rounding of the fractional candidate count
         let n_cand = expected.floor() as usize + usize::from(rng.gen::<f64>() < expected.fract());
         if n_cand == 0 {
-            return sgm;
+            return 0.0;
         }
 
         for (k, lane) in [&mut *lvx, &mut *lvy, &mut *lvz].into_iter().enumerate() {
@@ -117,6 +107,7 @@ impl CellScratch {
         dirty.resize(n, false);
 
         stats.candidates += n_cand;
+        let mut g2_max = 0.0f64;
         for _ in 0..n_cand {
             let a = rng.gen_range(0..n);
             let b = loop {
@@ -128,41 +119,22 @@ impl CellScratch {
             let gx = lvx[a] - lvx[b];
             let gy = lvy[a] - lvy[b];
             let gz = lvz[a] - lvz[b];
-            let g = (gx * gx + gy * gy + gz * gz).sqrt();
-            let sigma_g = vhs.cross_section(g) * g;
-            if sigma_g > sgm_adapt {
-                sgm_adapt = sigma_g; // adaptive max
+            let g2 = gx * gx + gy * gy + gz * gz;
+            g2_max = g2_max.max(g2);
+            if !accepts(rng.gen::<f64>() * sgm, g2) {
+                continue;
             }
-            if rng.gen::<f64>() * sgm < sigma_g {
-                stats.collisions += 1;
-                // VHS isotropic scattering, equal masses here but
-                // written for the general two-mass case
-                let m1 = sp.mass;
-                let m2 = sp.mass;
-                let cmx = (lvx[a] * m1 + lvx[b] * m2) / (m1 + m2);
-                let cmy = (lvy[a] * m1 + lvy[b] * m2) / (m1 + m2);
-                let cmz = (lvz[a] * m1 + lvz[b] * m2) / (m1 + m2);
-                let cos_t = 2.0 * rng.gen::<f64>() - 1.0;
-                let sin_t = (1.0 - cos_t * cos_t).sqrt();
-                let phi = 2.0 * std::f64::consts::PI * rng.gen::<f64>();
-                let (dx, dy, dz) = (sin_t * phi.cos(), sin_t * phi.sin(), cos_t);
-                let fa = g * m2 / (m1 + m2);
-                let fb = g * m1 / (m1 + m2);
-                lvx[a] = cmx + dx * fa;
-                lvy[a] = cmy + dy * fa;
-                lvz[a] = cmz + dz * fa;
-                lvx[b] = cmx - dx * fb;
-                lvy[b] = cmy - dy * fb;
-                lvz[b] = cmz - dz * fb;
-                dirty[a] = true;
-                dirty[b] = true;
-                if reactive(g) {
-                    events.push(CollisionEvent {
-                        i: list[a],
-                        j: list[b],
-                        rel_speed: g,
-                    });
-                }
+            stats.collisions += 1;
+            let cmx = 0.5 * (lvx[a] + lvx[b]);
+            let cmy = 0.5 * (lvy[a] + lvy[b]);
+            let cmz = 0.5 * (lvz[a] + lvz[b]);
+            let d = isotropic_direction(rng) * (0.5 * g2.sqrt());
+            (lvx[a], lvy[a], lvz[a]) = (cmx + d.x, cmy + d.y, cmz + d.z);
+            (lvx[b], lvy[b], lvz[b]) = (cmx - d.x, cmy - d.y, cmz - d.z);
+            dirty[a] = true;
+            dirty[b] = true;
+            if reactive.as_ref().is_some_and(|r| r(g2)) {
+                pairs.push((list[a], list[b]));
             }
         }
         for (k, &d) in dirty.iter().enumerate() {
@@ -170,7 +142,7 @@ impl CellScratch {
                 buf.set_vel(list[k] as usize, Vec3::new(lvx[k], lvy[k], lvz[k]));
             }
         }
-        sgm_adapt
+        g2_max
     }
 }
 
@@ -201,17 +173,10 @@ impl CollisionModel {
         self.sigma_g_max.copy_from_slice(table);
     }
 
-    /// Perform one NTC collision pass over the *neutral* particles of
-    /// `buf` (species id `neutral_id`), which `index` (built on `buf`)
-    /// lists in slot 0 of their cells. Each occupied cell draws from
-    /// its own stream, keyed by `key` ([`crate::collision_key`]) and the
-    /// cell, so the pass gives the same bits on any `lanes`: it runs on
-    /// contiguous cell ranges balanced by the expected candidate count
-    /// `½ N (N−1) F_N (σg)_max Δt / V`, one lane per
-    /// `CANDIDATES_PER_LANE` expected candidates at most. Returns
-    /// statistics and pushes each accepted collision whose relative
-    /// speed passes `reactive` (the chemistry's dissociation test) into
-    /// `events` for the chemistry step, in cell order.
+    /// One NTC pass over the *neutral* particles of `buf` (species id
+    /// `neutral_id`), which `index` (built on `buf`) lists in slot 0 of
+    /// their cells: [`ColliReact`] with NTC alone, on `lanes`, each
+    /// lane on a `scratch` entry.
     #[allow(clippy::too_many_arguments)]
     pub fn collide(
         &mut self,
@@ -219,98 +184,30 @@ impl CollisionModel {
         buf: &mut ParticleBuffer,
         species: &SpeciesTable,
         neutral_id: u8,
-        index: &CellIndex,
+        index: &mut CellIndex,
         dt: f64,
         key: u64,
         lanes: &Pool,
-        events: &mut Vec<CollisionEvent>,
-        reactive: impl Fn(f64) -> bool + Sync,
+        scratch: &mut Vec<CellScratch>,
     ) -> CollideStats {
-        self.collide_with_floor(
+        ColliReact {
             mesh,
-            buf,
             species,
-            neutral_id,
-            index,
+            ids: [neutral_id, neutral_id],
             dt,
             key,
-            lanes,
-            events,
-            reactive,
-            CANDIDATES_PER_LANE,
-        )
+            ntc: Some(self),
+            cross: None,
+            chemistry: None,
+        }
+        .run(buf, index, lanes, scratch)
+        .ntc
     }
 
-    /// [`CollisionModel::collide`] with `per_lane` as the lane floor
-    /// (tests force many lanes on a few cells through it).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn collide_with_floor(
-        &mut self,
-        mesh: &TetMesh,
-        buf: &mut ParticleBuffer,
-        species: &SpeciesTable,
-        neutral_id: u8,
-        index: &CellIndex,
-        dt: f64,
-        key: u64,
-        lanes: &Pool,
-        events: &mut Vec<CollisionEvent>,
-        reactive: impl Fn(f64) -> bool + Sync,
-        per_lane: f64,
-    ) -> CollideStats {
-        let sp = species.get(neutral_id);
-        let vhs = sp.vhs();
-        let sigma_g_max = &mut self.sigma_g_max[..];
-        let expected = |c: usize, sgm: f64| {
-            let n = index.segment(c, 0).len() as f64;
-            0.5 * n * (n - 1.0) * sp.weight * sgm * dt / mesh.volumes[c]
-        };
-        let load = |c: usize| expected(c, sigma_g_max[c]);
-        let ranges = cell_ranges(sigma_g_max.len(), load, lanes, per_lane);
-        let largest = |cells: &Range<usize>| cells.clone().map(|c| index.segment(c, 0).len()).max();
-        let buf = SharedParticles::new(buf);
-        let (buf, reactive, key) = (&buf, &reactive, pass_key(key, Pass::Ntc));
-        on_cells(
-            ranges,
-            (sigma_g_max, Range::clone),
-            |cells| CellScratch::with_capacity(largest(cells).unwrap_or(0)),
-            events,
-            |cells, sgm, mut scratch, events| {
-                let mut stats = CollideStats::default();
-                for (c, sgm) in cells.zip(sgm) {
-                    let list = index.segment(c, 0);
-                    if list.len() < 2 {
-                        continue;
-                    }
-                    let mut rng = stream(key, c);
-                    let adapt = scratch.collide(
-                        list,
-                        buf,
-                        sp,
-                        vhs,
-                        *sgm,
-                        expected(c, *sgm),
-                        &mut rng,
-                        &mut stats,
-                        events,
-                        reactive,
-                    );
-                    *sgm = sgm.max(adapt);
-                }
-                stats
-            },
-        )
-        .into_iter()
-        .fold(CollideStats::default(), |a, b| CollideStats {
-            candidates: a.candidates + b.candidates,
-            collisions: a.collisions + b.collisions,
-        })
-    }
-
-    /// [`CollisionModel::collide`] recording the pairs that pass the
-    /// default chemistry's dissociation test (the kernel the step
-    /// runs), keyed by a draw from `rng`, on an index it builds. Kept
-    /// for the benchmark ledger's pinned kernel API.
+    /// [`CollisionModel::collide`] keyed by a draw from `rng`, on an
+    /// index of the neutrals it builds on `pool`, with the caller's
+    /// per-lane `scratch`. Kept for the benchmark ledger's pinned
+    /// kernel API.
     #[allow(clippy::too_many_arguments)]
     pub fn collide_pooled<R: Rng>(
         &mut self,
@@ -320,15 +217,15 @@ impl CollisionModel {
         neutral_id: u8,
         dt: f64,
         rng: &mut R,
-        events: &mut Vec<CollisionEvent>,
+        scratch: &mut Vec<CellScratch>,
         pool: &Pool,
     ) -> CollideStats {
-        let reactive = ChemistryModel::default().dissociation_test(species, neutral_id);
         let key = rng.gen();
         let mut index = CellIndex::default();
-        index.build(buf, mesh.num_cells(), 1, |s| (s == neutral_id).then_some(0));
+        let slot = |s| (s == neutral_id).then_some(0);
+        index.build(buf, mesh.num_cells(), 1, slot, pool);
         self.collide(
-            mesh, buf, species, neutral_id, &index, dt, key, pool, events, reactive,
+            mesh, buf, species, neutral_id, &mut index, dt, key, pool, scratch,
         )
     }
 }
@@ -337,42 +234,35 @@ impl CollisionModel {
 pub(crate) mod tests {
     use super::*;
     use crate::collision_key;
+    use crate::keyed::CANDIDATES_PER_LANE;
     use mesh::{NozzleSpec, Vec3};
     use particles::Particle;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    /// The keep-every-pair test: a pass driven with it records every
-    /// accepted pair, as the kernel did before it recorded only
-    /// reaction candidates.
-    pub(crate) fn every_pair(_g: f64) -> bool {
-        true
-    }
-
     /// `buf` indexed on `m` for the passes: species 0 (the neutral) in
     /// slot 0, species 1 (the ion) in slot 1.
     pub(crate) fn indexed(m: &TetMesh, buf: &ParticleBuffer) -> CellIndex {
         let mut index = CellIndex::default();
-        index.build(buf, m.num_cells(), 2, |s| (s < 2).then_some(s.into()));
+        index.build(
+            buf,
+            m.num_cells(),
+            2,
+            |s| (s < 2).then_some(s.into()),
+            &Pool::serial(),
+        );
         index
     }
 
-    /// FNV-1a over every bit a collision pass writes: the velocity
-    /// lanes, the species ids, the events and the `(σg)_max` table.
-    pub(crate) fn pin(buf: &ParticleBuffer, events: &[CollisionEvent], sgm: &[f64]) -> u64 {
+    /// FNV-1a over every bit a Colli_React pass writes: the velocity
+    /// lanes, the species ids and the `(σg)_max` table.
+    pub(crate) fn pin(buf: &ParticleBuffer, sgm: &[f64]) -> u64 {
         let lanes = [&buf.vx, &buf.vy, &buf.vz].into_iter().flatten();
-        let events = events.iter().flat_map(|e| {
-            [e.i.to_le_bytes(), e.j.to_le_bytes()]
-                .into_iter()
-                .flatten()
-                .chain(e.rel_speed.to_le_bytes())
-        });
         obs::fnv1a(
             lanes
                 .chain(sgm)
                 .flat_map(|v| v.to_le_bytes())
-                .chain(buf.species.iter().copied())
-                .chain(events),
+                .chain(buf.species.iter().copied()),
         )
     }
 
@@ -416,34 +306,32 @@ pub(crate) mod tests {
     fn five_passes() -> u64 {
         let (m, table, mut buf) = setup(1e12);
         let mut model = CollisionModel::new(m.num_cells(), &table, 300.0);
-        let mut ev = Vec::new();
         for step in 0..5 {
             let key = collision_key(11, step, 0);
-            let index = indexed(&m, &buf);
+            let mut index = indexed(&m, &buf);
             model.collide(
                 &m,
                 &mut buf,
                 &table,
                 0,
-                &index,
+                &mut index,
                 1e-5,
                 key,
                 &Pool::serial(),
-                &mut ev,
-                every_pair,
+                &mut Vec::new(),
             );
         }
-        pin(&buf, &ev, model.sigma_g_max())
+        pin(&buf, model.sigma_g_max())
     }
 
     /// Re-pinned when the pass moved to keyed per-cell streams
     /// (`ntc_rate_matches_the_maxwellian_rate` checks the acceptance
-    /// law on both streams): a bit that moves here moves every golden
-    /// run. The passes record every accepted pair, so the pin also
-    /// covers each one's indices and relative speed.
+    /// law on both streams), and again when it began to accept in g²
+    /// and scatter by disc rejection: a bit that moves here moves every
+    /// golden run.
     #[test]
     fn serial_kernel_is_pinned() {
-        assert_eq!(five_passes(), 0x4ae5_a6bf_7554_9b16);
+        assert_eq!(five_passes(), 0x7cec_0826_fa48_d235);
     }
 
     fn setup(weight: f64) -> (TetMesh, SpeciesTable, ParticleBuffer) {
@@ -456,8 +344,7 @@ pub(crate) mod tests {
         (m, table, buf)
     }
 
-    /// One pass of `dt` on one lane, keyed `key`, recording every
-    /// accepted pair.
+    /// One pass of `dt` on one lane, keyed `key`.
     fn pass(
         model: &mut CollisionModel,
         m: &TetMesh,
@@ -465,22 +352,20 @@ pub(crate) mod tests {
         buf: &mut ParticleBuffer,
         dt: f64,
         key: u64,
-    ) -> (CollideStats, Vec<CollisionEvent>) {
-        let mut ev = Vec::new();
-        let index = indexed(m, buf);
-        let stats = model.collide(
+    ) -> CollideStats {
+        let mut index = indexed(m, buf);
+        let serial = Pool::serial();
+        model.collide(
             m,
             buf,
             table,
             0,
-            &index,
+            &mut index,
             dt,
             key,
-            &Pool::serial(),
-            &mut ev,
-            every_pair,
-        );
-        (stats, ev)
+            &serial,
+            &mut Vec::new(),
+        )
     }
 
     #[test]
@@ -489,7 +374,7 @@ pub(crate) mod tests {
         let mut model = CollisionModel::new(m.num_cells(), &table, 300.0);
         let mom_before: Vec3 = buf.iter().fold(Vec3::ZERO, |acc, p| acc + p.vel);
         let en_before: f64 = buf.iter().map(|p| p.vel.norm2()).sum();
-        let (stats, _) = pass(&mut model, &m, &table, &mut buf, 1e-5, 1);
+        let stats = pass(&mut model, &m, &table, &mut buf, 1e-5, 1);
         assert!(stats.collisions > 0, "no collisions happened: {stats:?}");
         let mom_after: Vec3 = buf.iter().fold(Vec3::ZERO, |acc, p| acc + p.vel);
         let en_after: f64 = buf.iter().map(|p| p.vel.norm2()).sum();
@@ -530,7 +415,7 @@ pub(crate) mod tests {
             fill(&m, &mut buf, cells.clone(), n, (h, t, Vec3::ZERO), &mut rng);
             let mut model = CollisionModel::new(m.num_cells(), &table, t);
             model.set_sigma_g_max(&vec![vhs.cross_section(g_max) * g_max; m.num_cells()]);
-            let (stats, _) = pass(&mut model, &m, &table, &mut buf, dt, seed);
+            let stats = pass(&mut model, &m, &table, &mut buf, dt, seed);
             assert!(model
                 .sigma_g_max()
                 .iter()
@@ -557,12 +442,11 @@ pub(crate) mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         fill(&m, &mut buf, 0..12, 400, (h, 300.0, Vec3::ZERO), &mut rng);
         let dt = 2e-5;
-        let reactive = ChemistryModel::default().dissociation_test(&table, h);
         let run = |pooled: Option<usize>| {
             let mut buf = buf.clone();
             let mut rng = StdRng::seed_from_u64(5);
             let mut model = CollisionModel::new(m.num_cells(), &table, 300.0);
-            let mut ev = Vec::new();
+            let mut scratch = Vec::new();
             let stats = match pooled {
                 Some(lanes) => model.collide_pooled(
                     &m,
@@ -571,27 +455,26 @@ pub(crate) mod tests {
                     h,
                     dt,
                     &mut rng,
-                    &mut ev,
+                    &mut scratch,
                     &Pool::new(lanes),
                 ),
                 None => {
                     let key = rng.gen();
-                    let index = indexed(&m, &buf);
+                    let mut index = indexed(&m, &buf);
                     model.collide(
                         &m,
                         &mut buf,
                         &table,
                         h,
-                        &index,
+                        &mut index,
                         dt,
                         key,
                         &Pool::serial(),
-                        &mut ev,
-                        reactive,
+                        &mut scratch,
                     )
                 }
             };
-            (stats, pin(&buf, &ev, model.sigma_g_max()), rng)
+            (stats, pin(&buf, model.sigma_g_max()), rng)
         };
         let serial = run(None);
         assert!(
@@ -612,14 +495,10 @@ pub(crate) mod tests {
         for seed in 0..5 {
             let mut b = buf.clone();
             let mut model = CollisionModel::new(m.num_cells(), &table, 300.0);
-            total_short += pass(&mut model, &m, &table, &mut b, 1e-6, seed)
-                .0
-                .candidates;
+            total_short += pass(&mut model, &m, &table, &mut b, 1e-6, seed).candidates;
             let mut b = buf.clone();
             let mut model = CollisionModel::new(m.num_cells(), &table, 300.0);
-            total_long += pass(&mut model, &m, &table, &mut b, 4e-6, seed)
-                .0
-                .candidates;
+            total_long += pass(&mut model, &m, &table, &mut b, 4e-6, seed).candidates;
         }
         // 4x dt => ~4x candidates
         let ratio = total_long as f64 / total_short.max(1) as f64;
@@ -638,9 +517,8 @@ pub(crate) mod tests {
             id: 0,
         });
         let mut model = CollisionModel::new(m.num_cells(), &table, 300.0);
-        let (stats, ev) = pass(&mut model, &m, &table, &mut buf, 1e-5, 2);
+        let stats = pass(&mut model, &m, &table, &mut buf, 1e-5, 2);
         assert_eq!(stats, CollideStats::default());
-        assert!(ev.is_empty());
     }
 
     #[test]
@@ -651,20 +529,7 @@ pub(crate) mod tests {
             *s = 1;
         }
         let mut model = CollisionModel::new(m.num_cells(), &table, 300.0);
-        let (stats, _) = pass(&mut model, &m, &table, &mut buf, 1e-5, 3);
+        let stats = pass(&mut model, &m, &table, &mut buf, 1e-5, 3);
         assert_eq!(stats.candidates, 0);
-    }
-
-    #[test]
-    fn events_reference_valid_particles() {
-        let (m, table, mut buf) = setup(1e12);
-        let mut model = CollisionModel::new(m.num_cells(), &table, 300.0);
-        let (_, ev) = pass(&mut model, &m, &table, &mut buf, 1e-5, 4);
-        for e in &ev {
-            assert!((e.i as usize) < buf.len());
-            assert!((e.j as usize) < buf.len());
-            assert_ne!(e.i, e.j);
-            assert!(e.rel_speed >= 0.0);
-        }
     }
 }

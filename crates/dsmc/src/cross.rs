@@ -16,12 +16,12 @@
 //!   neutral and a slow neutral becomes a slow ion. This is the
 //!   dominant process shaping thruster-plume wings.
 
-use crate::collide::CollisionEvent;
-use crate::keyed::{
-    cell_ranges, on_cells, pass_key, stream, Pass, SharedParticles, CANDIDATES_PER_LANE,
-};
+use crate::colli_react::ColliReact;
+use crate::collide::CellScratch;
+use crate::keyed::SharedParticles;
 use kernels::Pool;
 use mesh::TetMesh;
+use particles::sample::isotropic_direction;
 use particles::{CellIndex, ParticleBuffer, SpeciesTable};
 use rand::Rng;
 
@@ -53,17 +53,25 @@ pub struct CrossStats {
     pub saturated: usize,
 }
 
+/// What every cell of one MEX/CEX pass shares.
+pub(crate) struct CrossPass<F> {
+    /// `[neutral, ion]` species ids.
+    ids: [u8; 2],
+    /// `[neutral, ion]` masses (kg).
+    masses: [f64; 2],
+    /// The pairing weight `F_N` times the fixed `(σg)_max` and `Δt`.
+    rate: f64,
+    sigma_g_max: f64,
+    cex_fraction: f64,
+    accepts: F,
+}
+
 impl CrossCollisionModel {
     /// One NTC pass over neutral–ion pairs, which `index` (built on
     /// `buf`, two slots) lists in slot 0 (neutrals) and slot 1 (ions)
     /// of their cells; a CEX moves its pair between the two, so the
-    /// index stays true to `buf`. Each occupied cell draws from its own
-    /// stream, keyed by `key` ([`crate::collision_key`]) and the cell,
-    /// so the pass gives the same bits on any `lanes`, over contiguous
-    /// cell ranges as [`crate::CollisionModel::collide`]. Appends each accepted pair
-    /// whose relative speed passes `reactive` (the chemistry's
-    /// dissociation test: a later CEX can leave both partners neutral)
-    /// to `events`, in cell order.
+    /// index stays true to `buf`: [`ColliReact`] with MEX/CEX alone, on
+    /// `lanes`.
     #[allow(clippy::too_many_arguments)]
     pub fn collide(
         &self,
@@ -76,141 +84,104 @@ impl CrossCollisionModel {
         dt: f64,
         key: u64,
         lanes: &Pool,
-        events: &mut Vec<CollisionEvent>,
-        reactive: impl Fn(f64) -> bool + Sync,
     ) -> CrossStats {
-        self.collide_with_floor(
+        ColliReact {
             mesh,
-            buf,
             species,
-            [neutral_id, ion_id],
-            index,
+            ids: [neutral_id, ion_id],
             dt,
             key,
-            lanes,
-            events,
-            reactive,
-            CANDIDATES_PER_LANE,
-        )
+            ntc: None,
+            cross: Some(self),
+            chemistry: None,
+        }
+        .run(buf, index, lanes, &mut Vec::<CellScratch>::new())
+        .cross
     }
 
-    /// [`CrossCollisionModel::collide`] on the `[neutral, ion]` species
-    /// ids with `per_lane` as the lane floor (tests force many lanes on
-    /// a few cells through it).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn collide_with_floor(
+    /// The pass's constants for the `[neutral, ion]` species `ids` over
+    /// a subcycle of `dt`. The ion scaling factor is usually far smaller
+    /// than the neutral one; NTC pairing uses the larger weight so every
+    /// selected pair represents min-weight physics (standard
+    /// conservative choice for disparate weights). `(σg)_max` is fixed
+    /// at twice σg at `g_ref`.
+    pub(crate) fn pass(
         &self,
-        mesh: &TetMesh,
-        buf: &mut ParticleBuffer,
         species: &SpeciesTable,
-        [neutral_id, ion_id]: [u8; 2],
-        index: &mut CellIndex,
+        ids: [u8; 2],
         dt: f64,
-        key: u64,
-        lanes: &Pool,
-        events: &mut Vec<CollisionEvent>,
-        reactive: impl Fn(f64) -> bool + Sync,
-        per_lane: f64,
-    ) -> CrossStats {
-        let n_sp = species.get(neutral_id);
-        let i_sp = species.get(ion_id);
-        // The ion scaling factor is usually far smaller than the
-        // neutral one; NTC pairing uses the larger weight so every
-        // selected pair represents min-weight physics (standard
-        // conservative choice for disparate weights).
-        let f_n = n_sp.weight.max(i_sp.weight);
+    ) -> CrossPass<impl Fn(f64, f64) -> bool + Copy + Sync> {
+        let [n_sp, i_sp] = ids.map(|id| species.get(id));
         let vhs = n_sp.vhs();
         let sigma_g_max = 2.0 * vhs.cross_section(vhs.g_ref) * vhs.g_ref;
-        let (m1, m2) = (n_sp.mass, i_sp.mass);
+        CrossPass {
+            ids,
+            masses: [n_sp.mass, i_sp.mass],
+            rate: n_sp.weight.max(i_sp.weight) * sigma_g_max * dt,
+            sigma_g_max,
+            cex_fraction: self.cex_fraction,
+            accepts: vhs.acceptance(),
+        }
+    }
+}
 
-        let (at, order) = index.split_mut();
-        // where cell c's [neutrals, ions] begin and end in the order
-        let bounds = |c: usize| [0, 1, 2].map(|slot| at(c, slot));
-        let expected = |c: usize| {
-            let [lo, mid, hi] = bounds(c);
-            (mid - lo) as f64 * (hi - mid) as f64 * f_n * sigma_g_max * dt / mesh.volumes[c]
-        };
-        let ranges = cell_ranges(mesh.num_cells(), expected, lanes, per_lane);
+impl<F: Fn(f64, f64) -> bool> CrossPass<F> {
+    /// Expected candidates of a cell of `n` neutrals and `m` ions of
+    /// volume `volume`: `N_n N_i F_N (σg)_max Δt / V`.
+    pub(crate) fn expected(&self, n: usize, m: usize, volume: f64) -> f64 {
+        n as f64 * m as f64 * self.rate / volume
+    }
 
-        let buf = SharedParticles::new(buf);
-        let (buf, reactive, key) = (&buf, &reactive, pass_key(key, Pass::Cross));
-        let cex_fraction = self.cex_fraction;
-        on_cells(
-            ranges,
-            (order, |cells| at(cells.start, 0)..at(cells.end, 0)),
-            |_| (),
-            events,
-            |cells, order, (), events| {
-                let mut stats = CrossStats::default();
-                let base = at(cells.start, 0);
-                for c in cells {
-                    let [lo, mid, hi] = bounds(c).map(|p| p - base);
-                    let (neutrals, ions) = order[lo..hi].split_at_mut(mid - lo);
-                    if neutrals.is_empty() || ions.is_empty() {
-                        continue;
-                    }
-                    let mut rng = stream(key, c);
-                    let expected = expected(c);
-                    let n_cand = expected.floor() as usize
-                        + usize::from(rng.gen::<f64>() < expected.fract());
-                    for _ in 0..n_cand {
-                        stats.candidates += 1;
-                        let ka = rng.gen_range(0..neutrals.len());
-                        let kb = rng.gen_range(0..ions.len());
-                        let (a, b) = (neutrals[ka] as usize, ions[kb] as usize);
-                        let (va, vb) = (buf.vel(a), buf.vel(b));
-                        let g = (va - vb).norm();
-                        let sigma_g = vhs.cross_section(g) * g;
-                        stats.saturated += usize::from(sigma_g > sigma_g_max);
-                        if rng.gen::<f64>() * sigma_g_max >= sigma_g {
-                            continue;
-                        }
-                        if rng.gen::<f64>() < cex_fraction {
-                            // CEX: identities swap, velocities stay — the
-                            // electron hops, momentum of each *body* is
-                            // untouched. The pair swaps segments too, so a
-                            // partner drawn again acts in its new role.
-                            buf.set_species(a, ion_id);
-                            buf.set_species(b, neutral_id);
-                            (neutrals[ka], ions[kb]) = (b as u32, a as u32);
-                            stats.cex += 1;
-                        } else {
-                            // MEX: elastic isotropic VHS scattering
-                            let cm = (va * m1 + vb * m2) / (m1 + m2);
-                            let cos_t = 2.0 * rng.gen::<f64>() - 1.0;
-                            let sin_t = (1.0 - cos_t * cos_t).sqrt();
-                            let phi = 2.0 * std::f64::consts::PI * rng.gen::<f64>();
-                            let dir = mesh::Vec3::new(sin_t * phi.cos(), sin_t * phi.sin(), cos_t);
-                            buf.set_vel(a, cm + dir * (g * m2 / (m1 + m2)));
-                            buf.set_vel(b, cm - dir * (g * m1 / (m1 + m2)));
-                            stats.mex += 1;
-                        }
-                        if reactive(g) {
-                            events.push(CollisionEvent {
-                                i: a as u32,
-                                j: b as u32,
-                                rel_speed: g,
-                            });
-                        }
-                    }
-                }
-                stats
-            },
-        )
-        .into_iter()
-        .fold(CrossStats::default(), |a, b| CrossStats {
-            candidates: a.candidates + b.candidates,
-            mex: a.mex + b.mex,
-            cex: a.cex + b.cex,
-            saturated: a.saturated + b.saturated,
-        })
+    /// The MEX/CEX kernel on one cell with `neutrals` and `ions` (its
+    /// index segments, both non-empty), drawing from the cell's own
+    /// stream `rng`. A CEX swaps its pair between the two segments, so
+    /// a partner drawn again acts in its new role.
+    pub(crate) fn collide<R: Rng>(
+        &self,
+        (neutrals, ions): (&mut [u32], &mut [u32]),
+        buf: &SharedParticles<'_>,
+        expected: f64,
+        rng: &mut R,
+        stats: &mut CrossStats,
+    ) {
+        let ([neutral_id, ion_id], [m1, m2]) = (self.ids, self.masses);
+        let n_cand = expected.floor() as usize + usize::from(rng.gen::<f64>() < expected.fract());
+        for _ in 0..n_cand {
+            stats.candidates += 1;
+            let ka = rng.gen_range(0..neutrals.len());
+            let kb = rng.gen_range(0..ions.len());
+            let (a, b) = (neutrals[ka] as usize, ions[kb] as usize);
+            let (va, vb) = (buf.vel(a), buf.vel(b));
+            let g2 = (va - vb).norm2();
+            stats.saturated += usize::from((self.accepts)(self.sigma_g_max, g2));
+            if !(self.accepts)(rng.gen::<f64>() * self.sigma_g_max, g2) {
+                continue;
+            }
+            if rng.gen::<f64>() < self.cex_fraction {
+                // CEX: identities swap, velocities stay — the electron
+                // hops, momentum of each *body* is untouched. The pair
+                // swaps segments too, so a partner drawn again acts in
+                // its new role.
+                buf.set_species(a, ion_id);
+                buf.set_species(b, neutral_id);
+                (neutrals[ka], ions[kb]) = (b as u32, a as u32);
+                stats.cex += 1;
+            } else {
+                // MEX: elastic isotropic VHS scattering
+                let cm = (va * m1 + vb * m2) / (m1 + m2);
+                let dir = isotropic_direction(rng) * g2.sqrt();
+                buf.set_vel(a, cm + dir * (m2 / (m1 + m2)));
+                buf.set_vel(b, cm - dir * (m1 / (m1 + m2)));
+                stats.mex += 1;
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collide::tests::{every_pair, indexed};
+    use crate::collide::tests::indexed;
     use crate::collision_key;
     use mesh::{NozzleSpec, Vec3};
     use particles::Particle;
@@ -251,7 +222,6 @@ mod tests {
         let (m, table, mut buf) = setup(150, 150);
         let model = CrossCollisionModel::default();
         let key = 1;
-        let mut ev = Vec::new();
         let before_ions = buf.species.iter().filter(|&&s| s == 1).count();
         let mut index = indexed(&m, &buf);
         let stats = model.collide(
@@ -264,8 +234,6 @@ mod tests {
             5e-6,
             key,
             &Pool::serial(),
-            &mut ev,
-            every_pair,
         );
         assert!(stats.candidates > 0, "no candidates drawn");
         let after_ions = buf.species.iter().filter(|&&s| s == 1).count();
@@ -279,7 +247,6 @@ mod tests {
         let (m, table, mut buf) = setup(200, 200);
         let model = CrossCollisionModel { cex_fraction: 1.0 };
         let key = 2;
-        let mut ev = Vec::new();
         let mean_vz = |buf: &ParticleBuffer, sp: u8| {
             let vs: Vec<f64> = (0..buf.len())
                 .filter(|&i| buf.species[i] == sp)
@@ -299,8 +266,6 @@ mod tests {
             2e-5,
             key,
             &Pool::serial(),
-            &mut ev,
-            every_pair,
         );
         assert!(stats.cex > 5, "need CEX events, got {stats:?}");
         assert_eq!(stats.mex, 0);
@@ -317,7 +282,6 @@ mod tests {
         let (m, table, mut buf) = setup(150, 150);
         let model = CrossCollisionModel { cex_fraction: 0.0 };
         let key = 4;
-        let mut ev = Vec::new();
         let mom = |buf: &ParticleBuffer| buf.iter().fold(Vec3::ZERO, |acc, p| acc + p.vel);
         let energy = |buf: &ParticleBuffer| -> f64 { buf.iter().map(|p| p.vel.norm2()).sum() };
         let (p0, e0) = (mom(&buf), energy(&buf));
@@ -332,8 +296,6 @@ mod tests {
             5e-6,
             key,
             &Pool::serial(),
-            &mut ev,
-            every_pair,
         );
         assert!(stats.mex > 0);
         // H and H+ masses differ by one electron mass (~0.05%), so
@@ -348,7 +310,6 @@ mod tests {
         let (m, table, mut buf) = setup(150, 150);
         let model = CrossCollisionModel::default();
         let key = 6;
-        let mut ev = Vec::new();
         let mut index = indexed(&m, &buf);
         let stats = model.collide(
             &m,
@@ -360,22 +321,20 @@ mod tests {
             5e-6,
             key,
             &Pool::serial(),
-            &mut ev,
-            every_pair,
         );
         assert!(stats.saturated > 0, "{stats:?}");
         assert!(stats.saturated <= stats.candidates);
     }
 
-    /// Five passes (steps 0–4 of seed 11) on the 150 + 150 cell, every
-    /// accepted pair recorded. Re-pinned when the pass moved to keyed
-    /// per-cell streams and a CEX began to swap the pair's buckets
-    /// (`cex_keeps_the_ion_count_of_an_asymmetric_cell`).
+    /// Five passes (steps 0–4 of seed 11) on the 150 + 150 cell.
+    /// Re-pinned when the pass moved to keyed per-cell streams and a CEX
+    /// began to swap the pair's buckets
+    /// (`cex_keeps_the_ion_count_of_an_asymmetric_cell`), and again when
+    /// it began to accept in g² and scatter by disc rejection.
     #[test]
     fn kernel_is_pinned() {
         let (m, table, mut buf) = setup(150, 150);
         let model = CrossCollisionModel { cex_fraction: 0.5 };
-        let mut ev = Vec::new();
         for step in 0..5 {
             let key = collision_key(11, step, 0);
             let mut index = indexed(&m, &buf);
@@ -389,14 +348,9 @@ mod tests {
                 5e-6,
                 key,
                 &Pool::serial(),
-                &mut ev,
-                every_pair,
             );
         }
-        assert_eq!(
-            crate::collide::tests::pin(&buf, &ev, &[]),
-            0xbea5_b6ed_95af_1bd3
-        );
+        assert_eq!(crate::collide::tests::pin(&buf, &[]), 0x0171_53b9_a1c9_8c90);
     }
 
     /// 200 H and 100 H⁺ at 2 × 10⁴ m/s in one cell, all CEX: a particle
@@ -409,7 +363,6 @@ mod tests {
         let ions = |buf: &ParticleBuffer| buf.species.iter().filter(|&&s| s == 1).count();
         for key in 0..4 {
             let mut buf = base.clone();
-            let mut ev = Vec::new();
             let mut index = indexed(&m, &buf);
             let stats = model.collide(
                 &m,
@@ -421,8 +374,6 @@ mod tests {
                 1e-6,
                 key,
                 &Pool::serial(),
-                &mut ev,
-                every_pair,
             );
             assert!(stats.cex > 100, "premise: partners drawn again, {stats:?}");
             assert_eq!(ions(&buf), 100, "key {key}: {stats:?}");
@@ -447,8 +398,6 @@ mod tests {
             1e-6,
             7,
             &Pool::serial(),
-            &mut Vec::new(),
-            every_pair,
         );
         assert!(stats.cex > 100, "premise: partners drawn again, {stats:?}");
         for c in 0..m.num_cells() {
@@ -469,7 +418,6 @@ mod tests {
         let (m, table, mut buf) = setup(100, 0);
         let model = CrossCollisionModel::default();
         let key = 5;
-        let mut ev = Vec::new();
         let mut index = indexed(&m, &buf);
         let stats = model.collide(
             &m,
@@ -481,8 +429,6 @@ mod tests {
             1e-5,
             key,
             &Pool::serial(),
-            &mut ev,
-            every_pair,
         );
         assert_eq!(stats, CrossStats::default());
     }

@@ -1,21 +1,20 @@
-//! What the two per-cell passes of Colli_React (NTC and MEX/CEX)
-//! share to run on lanes: a keyed stream per cell, contiguous cell
-//! ranges balanced by the pass's candidate estimate, and the buffer's
-//! velocity and species lanes shared by those ranges. The move keys
-//! its flights' wall draws through the same [`stream`].
+//! What the parts of Colli_React share to run on lanes: a keyed
+//! stream per cell and part, contiguous cell ranges balanced by the
+//! collision passes' candidate estimate, and the buffer's velocity and
+//! species lanes shared by those ranges. The move keys its flights'
+//! wall draws through the same [`stream`].
 //!
-//! Each occupied cell of a pass draws from its own `StdRng`, seeded
-//! through SplitMix64 (the standard 64-bit finalizer-style mixer) from
-//! the step's [`collision_key`], the pass and the global coarse cell,
-//! and reads and writes only the particles its segments of the
-//! subcycle's [`particles::CellIndex`] hold (one counting sort by cell
-//! and species slot, built by the caller once for both passes). So a
-//! cell's outcome depends on neither the other cells, nor the lane that
-//! runs it, nor the rank that owns it: a pass gives the same bits on
-//! any lane count, and its reaction candidates come back in cell order.
+//! Each occupied cell draws from one `StdRng` per part (NTC, MEX/CEX,
+//! dissociation, recombination), seeded through SplitMix64 (the
+//! standard 64-bit finalizer-style mixer) from the step's
+//! [`collision_key`], the part and the global coarse cell, and reads and
+//! writes only the particles its segments of the subcycle's
+//! [`particles::CellIndex`] hold (one counting sort by cell and species
+//! slot, built once for the whole pass). So a cell's outcome depends on
+//! neither the other cells, nor the lane that runs it, nor the rank
+//! that owns it: Colli_React gives the same bits on any lane count.
 
-use crate::collide::CollisionEvent;
-use kernels::{carve_mut, team, Pool};
+use kernels::{atomic_f64s, atomic_u8s, Pool};
 use mesh::Vec3;
 use particles::ParticleBuffer;
 use rand::rngs::StdRng;
@@ -28,11 +27,13 @@ use std::sync::atomic::{AtomicU64, AtomicU8, Ordering::Relaxed};
 /// 60–80 ns each take about three times that.
 pub(crate) const CANDIDATES_PER_LANE: f64 = 2048.0;
 
-/// The per-cell passes, each keyed apart from the other.
+/// The parts of Colli_React in a cell, each keyed apart from the others.
 #[derive(Clone, Copy)]
 pub(crate) enum Pass {
     Ntc = 0,
     Cross = 1,
+    Dissociation = 2,
+    Recombination = 3,
 }
 
 /// splitmix64 — the standard 64-bit finalizer-style mixer.
@@ -66,24 +67,23 @@ pub(crate) fn stream(key: u64, index: usize) -> StdRng {
 
 /// The `n` cells of a pass split for `pool`: contiguous ranges covering
 /// every cell, one per lane, of near-equal summed `load(c)` (the pass's
-/// expected candidate count in cell `c`), each with the most candidates
-/// its cells can draw (a cell draws `⌊load⌋` or `⌊load⌋ + 1`). One range
-/// unless `pool` has two or more workers and the total reaches two
-/// lanes of `per_lane`; `load` is not evaluated on a serial pool.
+/// expected candidate count in cell `c`). One range unless `pool` has
+/// two or more workers and the total reaches two lanes of `per_lane`;
+/// `load` is not evaluated on a serial pool.
 pub(crate) fn cell_ranges(
     n: usize,
     load: impl Fn(usize) -> f64,
     pool: &Pool,
     per_lane: f64,
-) -> Vec<(Range<usize>, usize)> {
+) -> Vec<Range<usize>> {
     if pool.is_serial() {
-        return vec![(0..n, 0)];
+        return std::iter::once(0..n).collect();
     }
     let load: Vec<f64> = (0..n).map(load).collect();
     let total: f64 = load.iter().sum();
     let lanes = pool.workers().min((total / per_lane) as usize);
     if lanes < 2 {
-        return vec![(0..n, 0)];
+        return std::iter::once(0..n).collect();
     }
     let mut ends = Vec::with_capacity(lanes);
     let mut sum = 0.0;
@@ -107,73 +107,23 @@ pub(crate) fn cell_ranges(
         .map(|end| {
             let cells = start..end;
             start = end;
-            let bound = load[cells.clone()]
-                .iter()
-                .filter(|&&l| l > 0.0)
-                .map(|&l| l as usize + 1)
-                .sum();
-            (cells, bound)
+            cells
         })
         .collect()
 }
 
-/// One pass over the cell `ranges` of [`cell_ranges`], one lane each:
-/// `pass(cells, data, scratch, events)` runs on each range with the
-/// range's part of `data`, `span(range)` (the `(σg)_max` entries of its
-/// cells, or its cells' span of a [`particles::CellIndex`] order; the
-/// spans of consecutive ranges tile `data`). The caller's thread takes
-/// the first range with a default `scratch` and appends to `events`
-/// itself. Each further lane takes a `scratch(range)` and appends to a
-/// vector reserved for its range's candidate bound, both made by the
-/// caller (so no helper lane allocates), and its vector is appended to
-/// `events` after the region, in range order. Returns the per-range
-/// results in range order.
-pub(crate) fn on_cells<T: Send, X: Send + Default, S: Send>(
-    ranges: Vec<(Range<usize>, usize)>,
-    (data, span): (&mut [T], impl Fn(&Range<usize>) -> Range<usize>),
-    scratch: impl Fn(&Range<usize>) -> X,
-    events: &mut Vec<CollisionEvent>,
-    pass: impl Fn(Range<usize>, &mut [T], X, &mut Vec<CollisionEvent>) -> S + Sync,
-) -> Vec<S> {
-    if let [(cells, _)] = &ranges[..] {
-        return vec![pass(cells.clone(), data, X::default(), events)];
-    }
-    let (cells, bounds): (Vec<_>, Vec<_>) = ranges.into_iter().unzip();
-    let mut spare: Vec<_> = bounds[1..].iter().map(|&b| Vec::with_capacity(b)).collect();
-    let lists = std::iter::once(&mut *events).chain(spare.iter_mut());
-    let spans: Vec<_> = cells.iter().map(span).collect();
-    let parts: Vec<_> = cells
-        .iter()
-        .zip(carve_mut(&spans, data))
-        .zip(lists)
-        .enumerate()
-        .map(|(k, ((cells, data), events))| {
-            let scratch = if k == 0 { X::default() } else { scratch(cells) };
-            (cells.clone(), data, scratch, events)
-        })
-        .collect();
-    let out = team(parts, |_, (cells, data, scratch, events), _| {
-        pass(cells, data, scratch, events)
-    });
-    for list in spare {
-        events.extend_from_slice(&list);
-    }
-    out
-}
-
 /// The velocity and species lanes of a [`ParticleBuffer`], shared by
-/// the lanes of one pass. Every access is a `Relaxed` atomic, a plain
-/// load or store on the targets this runs on; no stronger order is
-/// needed, because each element is touched by one lane only and the
-/// region's join orders every lane's stores before the caller's next
-/// access to the buffer.
+/// the lanes of one pass as atomics ([`kernels::atomic_f64s`]). The
+/// lanes touch these elements concurrently, but only the particles of
+/// their own cells: the segments of the pass's `CellIndex` partition
+/// the particles (its order holds each buffer index at most once, and a
+/// lane reads only its own cells' span of it), so no element is read by
+/// one lane and written by another, and the bits written do not depend
+/// on how the lanes are scheduled.
 pub(crate) struct SharedParticles<'a> {
     vel: [&'a [AtomicU64]; 3],
     species: &'a [AtomicU8],
 }
-
-// the cast below reinterprets f64 lanes as AtomicU64 ones
-const _: () = assert!(std::mem::align_of::<AtomicU64>() == std::mem::align_of::<f64>());
 
 impl<'a> SharedParticles<'a> {
     pub(crate) fn new(buf: &'a mut ParticleBuffer) -> Self {
@@ -184,22 +134,9 @@ impl<'a> SharedParticles<'a> {
             species,
             ..
         } = buf;
-        // SAFETY: `AtomicU64` and `AtomicU8` have the size, alignment
-        // (asserted above) and bit validity of `f64` and `u8`, and the
-        // exclusive borrow of `buf` keeps every non-atomic access out
-        // for `'a`. The lanes of a pass touch these elements
-        // concurrently, but only the particles of their own cells: the
-        // segments of the pass's `CellIndex` partition the particles
-        // (its order holds each buffer index at most once, and a lane
-        // reads only its own cells' span of it), so no element is read
-        // by one lane and written by another, and the bits written do
-        // not depend on how the lanes are scheduled.
-        unsafe {
-            SharedParticles {
-                vel: [vx, vy, vz]
-                    .map(|l| &*(l.as_mut_slice() as *mut [f64] as *const [AtomicU64])),
-                species: &*(species.as_mut_slice() as *mut [u8] as *const [AtomicU8]),
-            }
+        SharedParticles {
+            vel: [vx, vy, vz].map(|lane| atomic_f64s(lane)),
+            species: atomic_u8s(species),
         }
     }
 
@@ -222,6 +159,10 @@ impl<'a> SharedParticles<'a> {
         }
     }
 
+    pub(crate) fn species(&self, i: usize) -> u8 {
+        self.species[i].load(Relaxed)
+    }
+
     pub(crate) fn set_species(&self, i: usize, s: u8) {
         self.species[i].store(s, Relaxed);
     }
@@ -241,14 +182,10 @@ mod tests {
             let ranges = split(workers, 1.0);
             assert_eq!(ranges.len(), workers);
             let mut next = 0;
-            for (r, bound) in &ranges {
+            for r in &ranges {
                 assert_eq!(r.start, next);
                 next = r.end;
                 let sum: f64 = load[r.clone()].iter().sum();
-                let occupied = load[r.clone()].iter().filter(|&&l| l > 0.0).count();
-                if workers > 1 {
-                    assert_eq!(*bound, sum as usize + occupied);
-                }
                 // a range misses its share by at most one cell
                 assert!(
                     (sum - total / workers as f64).abs() <= 1000.0,
@@ -258,8 +195,8 @@ mod tests {
             assert_eq!(next, load.len());
         }
         // below two lanes' floor, one range
-        assert_eq!(split(4, total / 1.5), vec![(0..100, 0)]);
-        assert_eq!(cell_ranges(0, |_| 1.0, &Pool::new(4), 1.0), vec![(0..0, 0)]);
+        assert_eq!(split(4, total / 1.5), vec![0..100]);
+        assert_eq!(cell_ranges(0, |_| 1.0, &Pool::new(4), 1.0), vec![0..0]);
     }
 
     #[test]
@@ -271,6 +208,8 @@ mod tests {
             draw(key, Pass::Ntc, 5),
             draw(key, Pass::Ntc, 6),
             draw(key, Pass::Cross, 5),
+            draw(key, Pass::Dissociation, 5),
+            draw(key, Pass::Recombination, 5),
             draw(collision_key(7, 4, 0), Pass::Ntc, 5),
             draw(collision_key(7, 3, 1), Pass::Ntc, 5),
             draw(collision_key(8, 3, 0), Pass::Ntc, 5),

@@ -4,6 +4,7 @@
 //! with the VHS model, and hydrogen dissociation/recombination
 //! chemistry.
 
+pub mod colli_react;
 pub mod collide;
 pub mod cross;
 pub mod inject;
@@ -11,7 +12,8 @@ mod keyed;
 pub mod movepush;
 pub mod react;
 
-pub use collide::{CollideStats, CollisionEvent, CollisionModel};
+pub use colli_react::{ColliReact, ColliReactStats};
+pub use collide::{CellScratch, CollideStats, CollisionModel};
 pub use cross::{CrossCollisionModel, CrossStats};
 pub use inject::Injector;
 pub use keyed::collision_key;

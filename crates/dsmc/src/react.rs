@@ -12,12 +12,15 @@
 //!   `1 − exp(−k_r · n_i · Δt)` where `n_i` is the local real ion
 //!   density (three-body recombination with the implicit electron
 //!   fluid, quasi-neutrality `n_e ≈ n_i`).
+//!
+//! Both run per cell inside [`crate::ColliReact`], after the cell's
+//! collisions, each on the cell's own keyed stream: the dissociations
+//! over the cell's accepted H–H pairs that pass the test, then the
+//! recombination over the ions the index lists in the cell.
 
-use mesh::TetMesh;
-use particles::{ParticleBuffer, SpeciesTable};
+use crate::keyed::SharedParticles;
+use particles::SpeciesTable;
 use rand::Rng;
-
-use crate::collide::CollisionEvent;
 
 /// Reaction-model parameters.
 #[derive(Debug, Clone, Copy)]
@@ -52,277 +55,199 @@ pub struct ReactStats {
 }
 
 impl ChemistryModel {
-    /// The dissociation test at relative speed `g` (m/s): whether an
-    /// H–H pair's relative kinetic energy `½ μ g²` (`μ = m_H / 2`, the
-    /// reduced mass of identical partners) reaches the activation
-    /// energy. A pair that fails it draws nothing and changes nothing
-    /// in [`ChemistryModel::react_collisions`], so the collision
-    /// passes record only the pairs that pass it.
+    /// The dissociation test at squared relative speed `g2` (m²/s²):
+    /// whether an H–H pair's relative kinetic energy `½ μ g²`
+    /// (`μ = m_H / 2`, the reduced mass of identical partners) reaches
+    /// the activation energy. The NTC kernel keeps the accepted pairs
+    /// that pass it for the cell's dissociations.
     pub fn dissociation_test(
         &self,
         species: &SpeciesTable,
         h_id: u8,
-    ) -> impl Fn(f64) -> bool + Copy {
+    ) -> impl Fn(f64) -> bool + Copy + Send + Sync {
         let mu = species.get(h_id).mass / 2.0;
         let e_activation = self.e_activation;
-        move |g| 0.5 * mu * g * g >= e_activation
+        move |g2| 0.5 * mu * g2 >= e_activation
     }
 
-    /// Process the collision events of this step: H–H pairs above the
-    /// activation energy dissociate (one partner becomes H⁺).
-    pub fn react_collisions<R: Rng>(
+    /// Dissociate a cell's reaction candidates, `pairs` of buffer
+    /// indices in acceptance order, drawing from the cell's own `rng`:
+    /// a pair still H–H (neither partner reacted or charge-exchanged
+    /// since) reacts with probability `p_steric`, its faster partner
+    /// becoming H⁺. Returns the dissociations.
+    pub(crate) fn dissociate<R: Rng>(
         &self,
-        buf: &mut ParticleBuffer,
-        species: &SpeciesTable,
-        h_id: u8,
-        hplus_id: u8,
-        events: &[CollisionEvent],
+        pairs: &[(u32, u32)],
+        buf: &SharedParticles<'_>,
+        [h_id, hplus_id]: [u8; 2],
         rng: &mut R,
-    ) -> ReactStats {
-        let reactive = self.dissociation_test(species, h_id);
-        let mut stats = ReactStats::default();
-        for e in events {
-            let (i, j) = (e.i as usize, e.j as usize);
-            if buf.species[i] != h_id || buf.species[j] != h_id {
+    ) -> usize {
+        let mut born = 0;
+        for &(i, j) in pairs {
+            let (i, j) = (i as usize, j as usize);
+            if buf.species(i) != h_id || buf.species(j) != h_id {
                 continue;
             }
-            if reactive(e.rel_speed) && rng.gen::<f64>() < self.p_steric {
+            if rng.gen::<f64>() < self.p_steric {
                 // the faster partner ionises
                 let k = if buf.vel(i).norm2() >= buf.vel(j).norm2() {
                     i
                 } else {
                     j
                 };
-                buf.species[k] = hplus_id;
-                stats.dissociations += 1;
+                buf.set_species(k, hplus_id);
+                born += 1;
             }
         }
-        stats
+        born
     }
 
-    /// Recombination pass: every H⁺ reverts to H with a probability
-    /// set by the local ion density.
-    #[allow(clippy::too_many_arguments)]
-    pub fn recombine<R: Rng>(
+    /// Recombine a cell's `ions` (its index segment), drawing from the
+    /// cell's own `rng`: each reverts to H (`h_id`) with probability
+    /// `1 − exp(−k_r · n_i · Δt)`, `n_i` the cell's real ion density
+    /// (`density`, m⁻³). Returns the recombinations.
+    pub(crate) fn recombine<R: Rng>(
         &self,
-        mesh: &TetMesh,
-        buf: &mut ParticleBuffer,
-        species: &SpeciesTable,
+        ions: &[u32],
+        buf: &SharedParticles<'_>,
+        (density, dt): (f64, f64),
         h_id: u8,
-        hplus_id: u8,
-        dt: f64,
         rng: &mut R,
-    ) -> ReactStats {
-        // local real ion density per cell
-        let w_ion = species.get(hplus_id).weight;
-        let mut ions_per_cell = vec![0u64; mesh.num_cells()];
-        for i in 0..buf.len() {
-            if buf.species[i] == hplus_id {
-                ions_per_cell[buf.cell[i] as usize] += 1;
-            }
+    ) -> usize {
+        let p = 1.0 - (-self.k_recomb * density * dt).exp();
+        if p <= 0.0 {
+            return 0;
         }
-        let mut stats = ReactStats::default();
-        for i in 0..buf.len() {
-            if buf.species[i] != hplus_id {
-                continue;
-            }
-            let c = buf.cell[i] as usize;
-            let n_i = ions_per_cell[c] as f64 * w_ion / mesh.volumes[c];
-            let p = 1.0 - (-self.k_recomb * n_i * dt).exp();
+        let mut recombined = 0;
+        for &i in ions {
             if rng.gen::<f64>() < p {
-                buf.species[i] = h_id;
-                stats.recombinations += 1;
+                buf.set_species(i as usize, h_id);
+                recombined += 1;
             }
         }
-        stats
+        recombined
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collide::tests::{every_pair, fill, indexed, lattice};
-    use crate::{CollideStats, CollisionModel, CrossCollisionModel, CrossStats};
+    use crate::collide::tests::{fill, indexed, lattice, pin};
+    use crate::{CellScratch, ColliReact, ColliReactStats, CollisionModel, CrossCollisionModel};
     use kernels::Pool;
-    use mesh::{NozzleSpec, Vec3};
-    use particles::Particle;
+    use mesh::{TetMesh, Vec3};
+    use particles::{Particle, ParticleBuffer};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn setup() -> (TetMesh, SpeciesTable) {
-        let m = NozzleSpec {
-            nd: 4,
-            nz: 4,
-            ..NozzleSpec::default()
-        }
-        .generate();
         let (t, _, _) = SpeciesTable::hydrogen_plasma(1e12, 6000.0);
-        (m, t)
+        (lattice(), t)
     }
 
-    fn two_particles(speed: f64) -> ParticleBuffer {
+    /// Rounds of Colli_React of `dt` on `buf`, keyed by steps `0..rounds`
+    /// of seed 21 — NTC, MEX/CEX when `cross`, then the chemistry `chem`
+    /// — on `lanes` at a floor of `per_lane` candidates a lane, the index
+    /// rebuilt each round: the buffer, each round's statistics and the
+    /// `(σg)_max` table.
+    #[allow(clippy::too_many_arguments)]
+    fn colli_react_on(
+        m: &TetMesh,
+        table: &SpeciesTable,
+        mut buf: ParticleBuffer,
+        (dt, rounds): (f64, u64),
+        cross: bool,
+        chem: Option<&ChemistryModel>,
+        (lanes, per_lane): (&Pool, f64),
+    ) -> (ParticleBuffer, Vec<ColliReactStats>, Vec<f64>) {
+        let cross_model = CrossCollisionModel::default();
+        let mut ntc = CollisionModel::new(m.num_cells(), table, 300.0);
+        let mut scratch: Vec<CellScratch> = Vec::new();
+        let mut stats = Vec::new();
+        for step in 0..rounds {
+            let mut index = indexed(m, &buf);
+            let pass = ColliReact {
+                mesh: m,
+                species: table,
+                ids: [0, 1],
+                dt,
+                key: crate::collision_key(21, step, 0),
+                ntc: Some(&mut ntc),
+                cross: cross.then_some(&cross_model),
+                chemistry: chem,
+            };
+            stats.push(pass.run_with_floor(&mut buf, &mut index, lanes, &mut scratch, per_lane));
+        }
+        (buf, stats, ntc.sigma_g_max().to_vec())
+    }
+
+    /// [`colli_react_on`]: one round on one lane.
+    fn one_round(
+        m: &TetMesh,
+        table: &SpeciesTable,
+        buf: ParticleBuffer,
+        dt: f64,
+        cross: bool,
+        chem: &ChemistryModel,
+    ) -> (ParticleBuffer, ColliReactStats) {
+        let serial = (&Pool::serial(), f64::INFINITY);
+        let (buf, stats, _) = colli_react_on(m, table, buf, (dt, 1), cross, Some(chem), serial);
+        (buf, stats[0])
+    }
+
+    /// A cell-0 buffer of H (species 0) at ±`speed` along x, the second
+    /// of `species`.
+    fn two_particles(m: &TetMesh, speed: f64, species: u8) -> ParticleBuffer {
         let mut buf = ParticleBuffer::new();
-        for (k, v) in [speed, -speed].iter().enumerate() {
+        for (k, (v, sp)) in [(speed, 0), (-speed, species)].into_iter().enumerate() {
             buf.push(Particle {
-                pos: Vec3::ZERO,
-                vel: Vec3::new(*v, 0.0, 0.0),
+                pos: m.centroids[0],
+                vel: Vec3::new(v, 0.0, 0.0),
                 cell: 0,
-                species: 0,
+                species: sp,
                 id: k as u64,
             });
         }
         buf
     }
 
+    /// Every reaction of these tests is certain once the threshold is
+    /// met; nothing recombines.
+    const SURE: ChemistryModel = ChemistryModel {
+        e_activation: 8.0e-21,
+        p_steric: 1.0,
+        k_recomb: 0.0,
+    };
+
     #[test]
     fn fast_collisions_dissociate() {
-        let (_m, table) = setup();
-        let chem = ChemistryModel {
-            p_steric: 1.0,
-            ..ChemistryModel::default()
-        };
-        // relative speed 20 km/s: energy = 0.5 * (m/2) * g² ≈ 1.7e-19 J >> threshold
-        let mut buf = two_particles(1e4);
-        let events = [CollisionEvent {
-            i: 0,
-            j: 1,
-            rel_speed: 2e4,
-        }];
-        let mut rng = StdRng::seed_from_u64(1);
-        let stats = chem.react_collisions(&mut buf, &table, 0, 1, &events, &mut rng);
-        assert_eq!(stats.dissociations, 1);
+        let (m, table) = setup();
+        // relative speed 20 km/s: energy = 0.5 * (m/2) * g² ≈ 1.7e-19 J >> threshold;
+        // the pair collides many times, but only its first collision
+        // finds both partners neutral
+        let (buf, stats) = one_round(&m, &table, two_particles(&m, 1e4, 0), 1e-3, false, &SURE);
+        assert!(stats.ntc.collisions > 1, "premise: {stats:?}");
+        assert_eq!(stats.react.dissociations, 1);
         let n_ions = buf.species.iter().filter(|&&s| s == 1).count();
         assert_eq!(n_ions, 1);
     }
 
     #[test]
     fn slow_collisions_do_not_react() {
-        let (_m, table) = setup();
-        let chem = ChemistryModel {
-            p_steric: 1.0,
-            ..ChemistryModel::default()
-        };
-        let mut buf = two_particles(10.0);
-        let events = [CollisionEvent {
-            i: 0,
-            j: 1,
-            rel_speed: 20.0,
-        }];
-        let mut rng = StdRng::seed_from_u64(2);
-        let stats = chem.react_collisions(&mut buf, &table, 0, 1, &events, &mut rng);
-        assert_eq!(stats.dissociations, 0);
+        let (m, table) = setup();
+        let (buf, stats) = one_round(&m, &table, two_particles(&m, 10.0, 0), 1e-3, false, &SURE);
+        assert!(stats.ntc.collisions > 0, "premise: {stats:?}");
+        assert_eq!(stats.react.dissociations, 0);
         assert!(buf.species.iter().all(|&s| s == 0));
     }
 
     #[test]
     fn non_hh_pairs_skipped() {
-        let (_m, table) = setup();
-        let chem = ChemistryModel {
-            p_steric: 1.0,
-            ..ChemistryModel::default()
-        };
-        let mut buf = two_particles(1e4);
-        buf.species[1] = 1; // H-H+ pair
-        let events = [CollisionEvent {
-            i: 0,
-            j: 1,
-            rel_speed: 2e4,
-        }];
-        let mut rng = StdRng::seed_from_u64(3);
-        let stats = chem.react_collisions(&mut buf, &table, 0, 1, &events, &mut rng);
-        assert_eq!(stats.dissociations, 0);
-    }
-
-    /// A cell of 200 H at temperature `t` (K) and 100 H⁺ drifting at
-    /// `ion_drift` (m/s) along z.
-    fn gas(m: &TetMesh, t: f64, ion_drift: f64) -> ParticleBuffer {
-        let mut rng = StdRng::seed_from_u64(8);
-        let mut buf = ParticleBuffer::new();
-        for k in 0..300u64 {
-            let (species, drift) = if k < 200 {
-                (0, Vec3::ZERO)
-            } else {
-                (1, Vec3::new(0.0, 0.0, ion_drift))
-            };
-            buf.push(Particle {
-                pos: m.centroids[0],
-                vel: particles::sample::maxwellian(&mut rng, t, particles::MASS_H, drift),
-                cell: 0,
-                species,
-                id: k,
-            });
-        }
-        buf
-    }
-
-    /// Three rounds of Colli_React of `dt` on `buf` (NTC, MEX/CEX, then
-    /// dissociation), the passes keyed by steps 0–2 of seed 21 and
-    /// recording the pairs `keep` passes, on `lanes` at a floor of
-    /// `per_lane` candidates a lane: every bit the rounds write and
-    /// draw, and the recorded lists.
-    #[allow(clippy::type_complexity)]
-    fn colli_react_on(
-        m: &TetMesh,
-        table: &SpeciesTable,
-        mut buf: ParticleBuffer,
-        dt: f64,
-        keep: impl Fn(f64) -> bool + Copy + Sync,
-        (lanes, per_lane): (&Pool, f64),
-    ) -> (
-        ParticleBuffer,
-        Vec<(CollideStats, CrossStats, ReactStats)>,
-        Vec<f64>,
-        StdRng,
-        Vec<CollisionEvent>,
-    ) {
-        let chem = ChemistryModel::default();
-        let cross = CrossCollisionModel::default();
-        let mut ntc = CollisionModel::new(m.num_cells(), table, 300.0);
-        let mut rng = StdRng::seed_from_u64(21);
-        let (mut stats, mut recorded) = (Vec::new(), Vec::new());
-        for step in 0..3 {
-            let key = crate::collision_key(21, step, 0);
-            let mut ev = Vec::new();
-            let mut index = indexed(m, &buf);
-            let c = ntc.collide_with_floor(
-                m, &mut buf, table, 0, &index, dt, key, lanes, &mut ev, keep, per_lane,
-            );
-            let x = cross.collide_with_floor(
-                m,
-                &mut buf,
-                table,
-                [0, 1],
-                &mut index,
-                dt,
-                key,
-                lanes,
-                &mut ev,
-                keep,
-                per_lane,
-            );
-            let r = chem.react_collisions(&mut buf, table, 0, 1, &ev, &mut rng);
-            stats.push((c, x, r));
-            recorded.extend(ev);
-        }
-        (buf, stats, ntc.sigma_g_max().to_vec(), rng, recorded)
-    }
-
-    /// [`colli_react_on`] on one lane.
-    #[allow(clippy::type_complexity)]
-    fn colli_react(
-        m: &TetMesh,
-        table: &SpeciesTable,
-        buf: ParticleBuffer,
-        dt: f64,
-        keep: impl Fn(f64) -> bool + Copy + Sync,
-    ) -> (
-        ParticleBuffer,
-        Vec<(CollideStats, CrossStats, ReactStats)>,
-        Vec<f64>,
-        StdRng,
-        Vec<CollisionEvent>,
-    ) {
-        colli_react_on(m, table, buf, dt, keep, (&Pool::serial(), f64::INFINITY))
+        let (m, table) = setup();
+        // an H-H+ pair: it cross-collides, but never dissociates
+        let (_, stats) = one_round(&m, &table, two_particles(&m, 1e4, 1), 1e-3, true, &SURE);
+        assert!(stats.cross.mex + stats.cross.cex > 0, "premise: {stats:?}");
+        assert_eq!(stats.react.dissociations, 0);
     }
 
     /// Every bit of a buffer's velocity lanes, and its species ids.
@@ -357,34 +282,41 @@ mod tests {
         mixed
     }
 
+    /// The default chemistry with a recombination rate that reverts
+    /// about one ion in ten a round of `dt` in the cells of [`hot_cells`].
+    fn both_ways(m: &TetMesh, table: &SpeciesTable, dt: f64) -> ChemistryModel {
+        let density = 30.0 * table.get(1).weight / m.volumes[0];
+        ChemistryModel {
+            k_recomb: 0.1 / (density * dt),
+            ..ChemistryModel::default()
+        }
+    }
+
     #[test]
     fn colli_react_is_the_same_on_any_lane_count() {
         let m = lattice();
         let (table, _, _) = SpeciesTable::hydrogen_plasma(1e12, 1e12);
-        let reactive = ChemistryModel::default().dissociation_test(&table, 0);
+        let dt = 2e-7;
+        let chem = both_ways(&m, &table, dt);
         let buf = hot_cells(&m);
         let run = |lanes: usize| {
-            let (buf, stats, sgm, rng, events) = colli_react_on(
-                &m,
-                &table,
-                buf.clone(),
-                2e-7,
-                reactive,
-                (&Pool::new(lanes), 1.0),
-            );
-            (bits(&buf), stats, sgm, rng, events)
+            let on = (&Pool::new(lanes), 1.0);
+            let (buf, stats, sgm) =
+                colli_react_on(&m, &table, buf.clone(), (dt, 3), true, Some(&chem), on);
+            (bits(&buf), stats, sgm)
         };
         let one = run(1);
-        let (cex, dissociations): (usize, usize) = one
+        let total = one
             .1
             .iter()
-            .fold((0, 0), |(c, d), (_, x, r)| (c + x.cex, d + r.dissociations));
+            .copied()
+            .fold(ColliReactStats::default(), ColliReactStats::add);
         assert!(
-            cex > 0 && dissociations > 0 && !one.4.is_empty(),
-            "premise: swaps, candidates and reactions, {:?}",
+            total.cross.cex > 0 && total.react.dissociations > 0 && total.react.recombinations > 0,
+            "premise: swaps and reactions both ways, {:?}",
             one.1
         );
-        for lanes in 2..=3 {
+        for lanes in 2..=4 {
             assert!(run(lanes) == one, "{lanes} lanes");
         }
     }
@@ -393,103 +325,130 @@ mod tests {
     fn a_cell_outcome_ignores_the_other_cells() {
         let m = lattice();
         let (table, _, _) = SpeciesTable::hydrogen_plasma(1e12, 1e12);
-        // the two keyed passes of one Colli_React, every accepted pair
-        // recorded: the buffer, the (σg)_max table and the pairs
-        let passes = |mut buf: ParticleBuffer| {
-            let mut ntc = CollisionModel::new(m.num_cells(), &table, 300.0);
-            let (key, serial, mut ev) =
-                (crate::collision_key(21, 0, 0), Pool::serial(), Vec::new());
-            let mut index = indexed(&m, &buf);
-            ntc.collide(
-                &m, &mut buf, &table, 0, &index, 2e-7, key, &serial, &mut ev, every_pair,
-            );
-            let cross = CrossCollisionModel::default();
-            cross.collide(
-                &m, &mut buf, &table, 0, 1, &mut index, 2e-7, key, &serial, &mut ev, every_pair,
-            );
-            (buf, ntc.sigma_g_max().to_vec(), ev)
+        let dt = 2e-7;
+        let chem = both_ways(&m, &table, dt);
+        // one Colli_React round: the buffer and the (σg)_max table
+        let round = |buf: ParticleBuffer| {
+            let serial = (&Pool::serial(), f64::INFINITY);
+            let (buf, stats, sgm) =
+                colli_react_on(&m, &table, buf, (dt, 1), true, Some(&chem), serial);
+            (buf, stats[0], sgm)
         };
         let full = hot_cells(&m);
-        let (done, sgm, events) = passes(full.clone());
+        let (done, _, sgm) = round(full.clone());
         for c in [0u32, 3, 9] {
             // the cell alone, its particles in their buffer order
             let mut alone = ParticleBuffer::new();
             for i in (0..full.len()).filter(|&i| full.cell[i] == c) {
                 alone.push(full.get(i));
             }
-            let (done_alone, sgm_alone, events_alone) = passes(alone);
+            let (done_alone, stats, sgm_alone) = round(alone);
+            assert!(
+                stats.ntc.collisions > 0 && stats.react != ReactStats::default(),
+                "premise: cell {c} collides and reacts, {stats:?}"
+            );
             let mine: Vec<_> = done.iter().filter(|p| p.cell == c).collect();
             assert!(mine == done_alone.iter().collect::<Vec<_>>(), "cell {c}");
             assert_eq!(sgm[c as usize].to_bits(), sgm_alone[c as usize].to_bits());
-            // the same pairs (by particle id), relative speeds and order
-            let pairs = |buf: &ParticleBuffer, events: &[CollisionEvent]| {
-                events
-                    .iter()
-                    .filter(|e| buf.cell[e.i as usize] == c)
-                    .map(|e| {
-                        (
-                            buf.id[e.i as usize],
-                            buf.id[e.j as usize],
-                            e.rel_speed.to_bits(),
-                        )
-                    })
-                    .collect::<Vec<_>>()
-            };
-            let pairs_alone = pairs(&done_alone, &events_alone);
-            assert!(!pairs_alone.is_empty(), "premise: cell {c} collides");
-            assert_eq!(pairs(&done, &events), pairs_alone, "cell {c}");
         }
     }
 
+    /// One Colli_React round of the plain parts, each on its own, in the
+    /// order the pass runs them, gives the bits of the pass: NTC, then
+    /// MEX/CEX, each over every cell, is the pass without chemistry.
     #[test]
-    fn reaction_candidates_react_as_every_accepted_pair() {
-        let m = NozzleSpec {
-            nd: 4,
-            nz: 4,
-            ..NozzleSpec::default()
-        }
-        .generate();
+    fn the_pass_without_chemistry_is_ntc_then_cross() {
+        let m = lattice();
         let (table, _, _) = SpeciesTable::hydrogen_plasma(1e12, 1e12);
-        let reactive = ChemistryModel::default().dissociation_test(&table, 0);
-        // a hot cell with fast ions, and a cold one; a step short
-        // enough that most particles collide at most once in a round
-        for (t, ion_drift, dt, hot) in [(1500.0, 1e4, 2e-7, true), (40.0, 0.0, 5e-6, false)] {
-            let buf = gas(&m, t, ion_drift);
-            let (fbuf, fstats, fsgm, frng, candidates) =
-                colli_react(&m, &table, buf.clone(), dt, reactive);
-            let (abuf, astats, asgm, arng, every) = colli_react(&m, &table, buf, dt, every_pair);
-            assert!(bits(&fbuf) == bits(&abuf), "T = {t}: particles");
-            assert_eq!(fstats, astats, "T = {t}: pass statistics");
-            assert_eq!(fsgm, asgm, "T = {t}: (σg)_max");
-            assert!(frng == arng, "T = {t}: RNG end state");
-            let kept: Vec<CollisionEvent> = every
-                .iter()
-                .filter(|e| reactive(e.rel_speed))
-                .copied()
-                .collect();
-            assert_eq!(candidates, kept, "T = {t}: the full list filtered in order");
+        let buf = hot_cells(&m);
+        let serial = (&Pool::serial(), f64::INFINITY);
+        let (whole, _, sgm) =
+            colli_react_on(&m, &table, buf.clone(), (2e-7, 1), true, None, serial);
+        let mut parts = buf;
+        let mut ntc = CollisionModel::new(m.num_cells(), &table, 300.0);
+        let key = crate::collision_key(21, 0, 0);
+        let mut index = indexed(&m, &parts);
+        let pool = Pool::serial();
+        ntc.collide(
+            &m,
+            &mut parts,
+            &table,
+            0,
+            &mut index,
+            2e-7,
+            key,
+            &pool,
+            &mut Vec::new(),
+        );
+        CrossCollisionModel::default()
+            .collide(&m, &mut parts, &table, 0, 1, &mut index, 2e-7, key, &pool);
+        assert_eq!(pin(&whole, &sgm), pin(&parts, ntc.sigma_g_max()));
+    }
 
-            let accepted: usize = astats
-                .iter()
-                .map(|(c, x, _)| c.collisions + x.mex + x.cex)
-                .sum();
-            assert_eq!(every.len(), accepted);
-            let dissociations: usize = astats.iter().map(|(_, _, r)| r.dissociations).sum();
-            if hot {
-                assert!(
-                    4 * candidates.len() >= every.len() && dissociations > 0,
-                    "premise: {} of {} accepted pairs clear the threshold, {dissociations} react",
-                    candidates.len(),
-                    every.len()
-                );
-            } else {
-                assert!(
-                    every.len() > 100 && 100 * candidates.len() <= every.len(),
-                    "premise: {} of {} accepted pairs clear the threshold",
-                    candidates.len(),
-                    every.len()
-                );
+    /// `n` H⁺ at rest in each cell of `cells`.
+    fn ions(m: &TetMesh, cells: &[(usize, usize)]) -> ParticleBuffer {
+        let mut buf = ParticleBuffer::new();
+        for &(c, n) in cells {
+            for _ in 0..n {
+                buf.push(Particle {
+                    pos: m.centroids[c],
+                    vel: Vec3::ZERO,
+                    cell: c as u32,
+                    species: 1,
+                    id: buf.len() as u64,
+                });
             }
+        }
+        buf
+    }
+
+    /// Recombinations per cell over R rounds of ion-only cells (no
+    /// neutral collides, nothing dissociates): each cell of N ions
+    /// reverts `N·(1 − exp(−k_r·n_i·Δt))` in expectation,
+    /// `n_i = N·w⁺/V`, and the count over the rounds lands within 4σ of
+    /// its binomial spread.
+    #[test]
+    fn recombination_counts_match_the_rate() {
+        let (m, table) = setup();
+        let cells = [(0, 10), (1, 40), (2, 120), (5, 300)];
+        let (dt, rounds) = (1e-6, 40);
+        let chem = ChemistryModel {
+            k_recomb: 0.2 * m.volumes[2] / (120.0 * table.get(1).weight * dt),
+            ..ChemistryModel::default()
+        };
+        let buf = ions(&m, &cells);
+        let mut reverted = vec![0usize; m.num_cells()];
+        for round in 0..rounds {
+            let (mut done, mut index) = (buf.clone(), indexed(&m, &buf));
+            ColliReact {
+                mesh: &m,
+                species: &table,
+                ids: [0, 1],
+                dt,
+                key: crate::collision_key(4, round, 0),
+                ntc: None,
+                cross: None,
+                chemistry: Some(&chem),
+            }
+            .run(&mut done, &mut index, &Pool::serial(), &mut Vec::new());
+            for i in (0..done.len()).filter(|&i| done.species[i] == 0) {
+                reverted[done.cell[i] as usize] += 1;
+            }
+        }
+        for (c, n) in cells {
+            let density = n as f64 * table.get(1).weight / m.volumes[c];
+            let p = 1.0 - (-chem.k_recomb * density * dt).exp();
+            let expected = (rounds as usize * n) as f64 * p;
+            let sigma = (expected * (1.0 - p)).sqrt();
+            assert!(
+                p > 0.005 && p < 0.9,
+                "premise: a counted rate in cell {c}, p = {p}"
+            );
+            assert!(
+                (reverted[c] as f64 - expected).abs() < 4.0 * sigma,
+                "cell {c}: {} recombined, {expected:.1} ± {sigma:.1} expected",
+                reverted[c]
+            );
         }
     }
 
@@ -502,37 +461,12 @@ mod tests {
             k_recomb: 1.5e-9,
             ..ChemistryModel::default()
         };
-        let mut rng = StdRng::seed_from_u64(4);
-        // dense ion cloud in cell 0
-        let mut dense = ParticleBuffer::new();
-        for k in 0..400u64 {
-            dense.push(Particle {
-                pos: m.centroids[0],
-                vel: Vec3::ZERO,
-                cell: 0,
-                species: 1,
-                id: k,
-            });
-        }
-        let stats_dense = chem.recombine(&m, &mut dense, &table, 0, 1, 1e-6, &mut rng);
-        // sparse cloud: 4 ions
-        let mut sparse = ParticleBuffer::new();
-        for k in 0..4u64 {
-            sparse.push(Particle {
-                pos: m.centroids[0],
-                vel: Vec3::ZERO,
-                cell: 0,
-                species: 1,
-                id: k,
-            });
-        }
-        let stats_sparse = chem.recombine(&m, &mut sparse, &table, 0, 1, 1e-6, &mut rng);
-        let frac_dense = stats_dense.recombinations as f64 / 400.0;
-        let frac_sparse = stats_sparse.recombinations as f64 / 4.0;
-        assert!(
-            frac_dense > frac_sparse,
-            "dense {frac_dense} vs sparse {frac_sparse}"
-        );
+        let fraction = |n: usize| {
+            let (_, stats) = one_round(&m, &table, ions(&m, &[(0, n)]), 1e-6, false, &chem);
+            stats.react.recombinations as f64 / n as f64
+        };
+        let (dense, sparse) = (fraction(400), fraction(4));
+        assert!(dense > sparse, "dense {dense} vs sparse {sparse}");
     }
 
     #[test]
@@ -542,18 +476,7 @@ mod tests {
             k_recomb: 0.0,
             ..ChemistryModel::default()
         };
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut buf = ParticleBuffer::new();
-        for k in 0..50u64 {
-            buf.push(Particle {
-                pos: m.centroids[0],
-                vel: Vec3::ZERO,
-                cell: 0,
-                species: 1,
-                id: k,
-            });
-        }
-        let stats = chem.recombine(&m, &mut buf, &table, 0, 1, 1e-6, &mut rng);
-        assert_eq!(stats.recombinations, 0);
+        let (_, stats) = one_round(&m, &table, ions(&m, &[(0, 50)]), 1e-6, false, &chem);
+        assert_eq!(stats.react.recombinations, 0);
     }
 }

@@ -28,7 +28,7 @@
 //!   deposit run serially on the caller's thread.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Contiguous near-equal split of `0..n` into at most `parts` ranges
@@ -65,6 +65,33 @@ pub fn carve_mut<'a, T>(ranges: &[Range<usize>], data: &'a mut [T]) -> Vec<&'a m
     }
     debug_assert!(rest.is_empty(), "ranges must cover the whole slice");
     out
+}
+
+/// Lanes that store into disjoint but interleaved elements of one
+/// slice — a counting sort's scatter, a collision pass's cells — share
+/// it as atomics: these are the views, each what the still unstable
+/// `Atomic*::from_mut_slice` returns. A `Relaxed` access is a plain
+/// load or store on the targets this runs on; the region's join orders
+/// every lane's stores before the caller's next access.
+pub fn atomic_u32s(data: &mut [u32]) -> &[AtomicU32] {
+    // SAFETY: `AtomicU32` has the size, alignment and bit validity of
+    // `u32`, and the exclusive borrow keeps every non-atomic access out
+    // while the view lives.
+    unsafe { &*(data as *mut [u32] as *const [AtomicU32]) }
+}
+
+/// [`atomic_u32s`] for the bits of an `f64` slice.
+pub fn atomic_f64s(data: &mut [f64]) -> &[AtomicU64] {
+    const _: () = assert!(std::mem::align_of::<AtomicU64>() == std::mem::align_of::<f64>());
+    // SAFETY: as in `atomic_u32s`: `AtomicU64` has the size, alignment
+    // (asserted above) and bit validity of `f64`'s bits.
+    unsafe { &*(data as *mut [f64] as *const [AtomicU64]) }
+}
+
+/// [`atomic_u32s`] for a `u8` slice.
+pub fn atomic_u8s(data: &mut [u8]) -> &[AtomicU8] {
+    // SAFETY: as in `atomic_u32s`.
+    unsafe { &*(data as *mut [u8] as *const [AtomicU8]) }
 }
 
 /// A lane count for the kernels that split their work: the CG
@@ -232,7 +259,8 @@ impl Drop for PoisonOnUnwind<'_> {
 
 /// One SPMD region: `f(lane, part, barrier)` runs on every part at
 /// once, the caller thread as lane 0 and one scoped thread per further
-/// part — `parts.len() − 1` spawns for the whole region, however many
+/// part — `parts.len() − 1` spawns for the whole region (one part runs
+/// on the caller alone, no scope opened), however many
 /// [`TeamBarrier::wait`]s `f` makes. Every lane must make the same
 /// number of waits. Results come back in part order; a panic in any
 /// lane reaches the caller.
@@ -252,6 +280,9 @@ where
     let Some(first) = parts.next() else {
         return Vec::new();
     };
+    if parts.len() == 0 {
+        return vec![lane(0, first)];
+    }
     std::thread::scope(|scope| {
         let helpers: Vec<_> = parts
             .enumerate()

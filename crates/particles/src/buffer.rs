@@ -9,6 +9,7 @@
 //! explicit — see [`crate::pack`]).
 
 use crate::CellIndex;
+use kernels::Pool;
 use mesh::Vec3;
 
 /// One particle, as a value type (used at API boundaries; storage is
@@ -244,7 +245,9 @@ impl ParticleBuffer {
     /// stream contiguous memory again. `num_cells` must exceed every
     /// stored cell id.
     pub fn sort_by_cell(&mut self, num_cells: usize, scratch: &mut SortScratch) {
-        scratch.index.build(self, num_cells, 1, |_| Some(0));
+        scratch
+            .index
+            .build(self, num_cells, 1, |_| Some(0), &Pool::serial());
         let (order, spare) = (&scratch.index.order, &mut scratch.spare);
         gather(&mut self.px, &mut spare.px, order);
         gather(&mut self.py, &mut spare.py, order);

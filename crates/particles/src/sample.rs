@@ -11,28 +11,51 @@ use rand::Rng;
 
 use crate::species::KB;
 
-/// Standard normal variate via Box–Muller (keeps us off external
-/// distribution crates).
-pub fn standard_normal<R: Rng>(rng: &mut R) -> f64 {
+/// Two independent standard normal variates by Marsaglia's polar
+/// method: `(u, w)` uniform in the unit disc, `q = u² + w²`, and both
+/// coordinates scaled by `√(−2 ln q / q)`. One `ln` and one `sqrt` a
+/// pair, no trigonometry; a point is kept with probability π/4.
+pub fn normal_pair<R: Rng>(rng: &mut R) -> (f64, f64) {
     loop {
-        let u1: f64 = rng.gen();
-        if u1 <= f64::MIN_POSITIVE {
-            continue;
+        let (u, w, q) = in_unit_disc(rng);
+        if q > 0.0 {
+            let f = (-2.0 * q.ln() / q).sqrt();
+            return (u * f, w * f);
         }
-        let u2: f64 = rng.gen();
-        return (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
     }
 }
 
+/// A point `(u, w)` uniform in the open unit disc and its `q = u² + w²`,
+/// by rejection from the square.
+fn in_unit_disc<R: Rng>(rng: &mut R) -> (f64, f64, f64) {
+    loop {
+        let u = 2.0 * rng.gen::<f64>() - 1.0;
+        let w = 2.0 * rng.gen::<f64>() - 1.0;
+        let q = u * u + w * w;
+        if q < 1.0 {
+            return (u, w, q);
+        }
+    }
+}
+
+/// An isotropic unit vector by Marsaglia's disc rejection (1972): `(u,
+/// w)` uniform in the unit disc, `q = u² + w²`, and
+/// `d = (2u√(1−q), 2w√(1−q), 1−2q)`, so `|d|² = 4q(1−q) + (1−2q)² = 1`
+/// and `d_z` is uniform on (−1, 1]. One `sqrt`, no trigonometry.
+pub fn isotropic_direction<R: Rng>(rng: &mut R) -> Vec3 {
+    let (u, w, q) = in_unit_disc(rng);
+    let s = 2.0 * (1.0 - q).sqrt();
+    Vec3::new(u * s, w * s, 1.0 - 2.0 * q)
+}
+
 /// Sample a velocity from a drifting Maxwellian with temperature `t`
-/// (K), particle mass `m` (kg) and drift velocity `drift`.
+/// (K), particle mass `m` (kg) and drift velocity `drift`: three of the
+/// four normals of two [`normal_pair`]s.
 pub fn maxwellian<R: Rng>(rng: &mut R, t: f64, m: f64, drift: Vec3) -> Vec3 {
     let sigma = (KB * t / m).sqrt();
-    Vec3::new(
-        drift.x + sigma * standard_normal(rng),
-        drift.y + sigma * standard_normal(rng),
-        drift.z + sigma * standard_normal(rng),
-    )
+    let (x, y) = normal_pair(rng);
+    let (z, _) = normal_pair(rng);
+    drift + Vec3::new(x, y, z) * sigma
 }
 
 /// Sample the *inward* normal speed of a particle crossing a surface
@@ -89,21 +112,64 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// Over 2·10⁵ normals (10⁵ pairs), the sample mean, variance and
+    /// fourth moment are within 4σ of 0, 1 and 3, σ the standard error
+    /// of each (1/√n, √(2/n) and √(96/n): Var x² = 2, Var x⁴ = 105 − 9),
+    /// and the mean product of a pair's halves is within 4σ of 0
+    /// (σ = √(2/n), over n/2 pairs).
     #[test]
-    fn normal_variates_have_unit_variance() {
+    fn polar_normals_have_the_gaussian_moments() {
         let mut rng = StdRng::seed_from_u64(1);
-        let n = 20000;
-        let mut sum = 0.0;
-        let mut sum2 = 0.0;
-        for _ in 0..n {
-            let x = standard_normal(&mut rng);
-            sum += x;
-            sum2 += x * x;
+        let pairs: Vec<(f64, f64)> = (0..100_000).map(|_| normal_pair(&mut rng)).collect();
+        let xs: Vec<f64> = pairs.iter().flat_map(|&(a, b)| [a, b]).collect();
+        let n = xs.len() as f64;
+        let moment = |k: i32| xs.iter().map(|x| x.powi(k)).sum::<f64>() / n;
+        let cross = pairs.iter().map(|(a, b)| a * b).sum::<f64>() / (n / 2.0);
+        for (what, got, want, sd) in [
+            ("mean", moment(1), 0.0, 1.0),
+            ("variance", moment(2), 1.0, 2f64.sqrt()),
+            ("fourth moment", moment(4), 3.0, 96f64.sqrt()),
+            ("pair correlation", cross, 0.0, 2f64.sqrt()),
+        ] {
+            let sigma = sd / n.sqrt();
+            assert!(
+                (got - want).abs() < 4.0 * sigma,
+                "{what}: {got} against {want} ± {sigma}"
+            );
         }
-        let mean = sum / n as f64;
-        let var = sum2 / n as f64 - mean * mean;
-        assert!(mean.abs() < 0.05, "mean {mean}");
-        assert!((var - 1.0).abs() < 0.05, "var {var}");
+    }
+
+    /// 10⁵ disc-rejection directions: each is a unit vector within 4
+    /// ulp, and each ⟨d_i⟩ and ⟨d_i d_j⟩ − δ_ij/3 is within 4σ of 0 (σ the
+    /// standard error: 1/√(3n) for a mean, √(4/45n) for a diagonal and
+    /// 1/√(15n) for an off-diagonal second moment of the uniform sphere).
+    #[test]
+    fn disc_rejection_directions_are_isotropic_unit_vectors() {
+        let mut rng = StdRng::seed_from_u64(6);
+        let n = 100_000;
+        let dirs: Vec<[f64; 3]> = (0..n)
+            .map(|_| {
+                let d = isotropic_direction(&mut rng);
+                [d.x, d.y, d.z]
+            })
+            .collect();
+        for d in &dirs {
+            let norm = (d[0] * d[0] + d[1] * d[1] + d[2] * d[2]).sqrt();
+            assert!((norm - 1.0).abs() <= 4.0 * f64::EPSILON, "|d| = {norm}");
+        }
+        let n = n as f64;
+        let mean = |f: &dyn Fn(&[f64; 3]) -> f64| dirs.iter().map(f).sum::<f64>() / n;
+        for i in 0..3 {
+            let m = mean(&|d| d[i]);
+            let sigma = (1.0 / (3.0 * n)).sqrt();
+            assert!(m.abs() < 4.0 * sigma, "<d{i}> = {m}");
+            for j in i..3 {
+                let m = mean(&|d| d[i] * d[j]) - if i == j { 1.0 / 3.0 } else { 0.0 };
+                let var = if i == j { 4.0 / 45.0 } else { 1.0 / 15.0 };
+                let sigma = (var / n).sqrt();
+                assert!(m.abs() < 4.0 * sigma, "<d{i} d{j}> - δ/3 = {m}");
+            }
+        }
     }
 
     #[test]

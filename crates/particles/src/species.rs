@@ -98,39 +98,38 @@ pub struct Vhs {
 }
 
 impl Vhs {
-    /// σ(g) in m²; `sigma_ref` for `g <= 0`. At ω = 0.75 (every species
-    /// here) the power is a square root, taken with `sqrt` wherever that
-    /// returns `powf`'s bits (`pow_half_is`); any other ω takes `powf`.
+    /// σ(g) in m²; `sigma_ref` for `g <= 0`.
     #[inline]
     pub fn cross_section(&self, g: f64) -> f64 {
         if g <= 0.0 {
             return self.sigma_ref;
         }
-        let x = self.g_ref / g;
-        let s = x.sqrt();
-        let p = if self.exponent == 0.5 && pow_half_is(x, s) {
-            s
-        } else {
-            x.powf(self.exponent)
-        };
-        self.sigma_ref * p
+        self.sigma_ref * (self.g_ref / g).powf(self.exponent)
     }
-}
 
-/// Whether `x.powf(0.5)` returns `s = x.sqrt()`, decided without
-/// calling it. `sqrt` is correctly rounded; glibc's `pow` is not (it
-/// errs by up to ≈ 0.52 ULP) and returns the other neighbour of the
-/// exact root on ≈ 0.08 % of inputs, each within 0.01 ULP of a rounding
-/// midpoint. So: "yes" when the exact root `s + (x − s²)/2s` is more
-/// than 0.03 ULP from a midpoint, where any `pow` within 0.53 ULP rounds
-/// to `s`; "no" (ask `powf`) on the other 6 % and below 10⁻²⁹⁰, where
-/// the fused `x − s²` stops being exact.
-#[inline]
-fn pow_half_is(x: f64, s: f64) -> bool {
-    const EXPONENT: u64 = 0x7ff0_0000_0000_0000;
-    // the spacing below s: ulp(s), or half of it at a power of two
-    let ulp = f64::from_bits(s.to_bits().wrapping_sub(1) & EXPONENT) * f64::EPSILON;
-    x >= 1e-290 && s.mul_add(-s, x).abs() < 0.94 * s * ulp
+    /// The NTC acceptance test of this law, its constant computed once:
+    /// `accepts(x, g²)` is whether `x < σ(g)·g` for a pair at squared
+    /// relative speed `g²` (`x = U·(σg)_max` decides a candidate; `x =
+    /// (σg)_max` asks whether the pair exceeds the bound). σ(g)·g is
+    /// `K·(g²)^((1−e)/2)` with `K = σ_ref·g_ref^e`, `e = 2ω − 1`. At
+    /// ω = ¾, the value of every species here, `(σg)⁴ = σ_ref⁴·g_ref²·g²`
+    /// and the test is `x⁴ < K⁴·g²`: no root and no power, so only an
+    /// accepted pair takes `√g²`. Any other ω takes one `powf` of `g²`.
+    pub fn acceptance(&self) -> impl Fn(f64, f64) -> bool + Copy + Send + Sync {
+        let quartic = self.exponent == 0.5;
+        let s2 = self.sigma_ref * self.sigma_ref;
+        let k4 = s2 * s2 * (self.g_ref * self.g_ref);
+        let k = self.sigma_ref * self.g_ref.powf(self.exponent);
+        let power = 0.5 - 0.5 * self.exponent;
+        move |x: f64, g2: f64| {
+            if quartic {
+                let x2 = x * x;
+                x2 * x2 < k4 * g2
+            } else {
+                x < k * g2.powf(power)
+            }
+        }
+    }
 }
 
 /// Indexed registry of all species in a simulation. Species ids are
@@ -230,9 +229,8 @@ mod tests {
     }
 
     /// Bitwise, on 10⁶ seeded speeds in (0, 10⁵] m/s (half uniform, half
-    /// log-uniform from 1 mm/s) and the edges, for ω = 0.75 (`sqrt`, and
-    /// `powf` near a midpoint — 697 of these speeds round differently
-    /// under a bare `sqrt`), 0.5 (exponent 0) and 0.81 (both `powf`).
+    /// log-uniform from 1 mm/s) and the edges, for ω = 0.75, 0.5
+    /// (exponent 0) and 0.81.
     #[test]
     fn vhs_matches_the_old_law_bitwise() {
         use rand::rngs::StdRng;
@@ -258,6 +256,36 @@ mod tests {
             for &g in &speeds {
                 let (new, old) = (vhs.cross_section(g), old_vhs_law(&s, g));
                 assert_eq!(new.to_bits(), old.to_bits(), "ω = {omega}, g = {g:e}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// The g² test decides a candidate as `U·(σg)_max < σ(g)·g` does,
+        /// for ω ∈ {0.5, 0.75, 0.81}, wherever the two sides are more than
+        /// 1e-12 apart relative to σ(g)·g (within that band the roundings
+        /// of `√`, `powf` and the fourth power may disagree). `g` is
+        /// log-uniform over 1 mm/s – 100 km/s and `(σg)_max` over 10⁻³ –
+        /// 10³ times σg at `g_ref`.
+        #[test]
+        fn the_g2_test_decides_like_the_vhs_law(
+            log_g in -3.0f64..5.0,
+            u in 0.0f64..1.0,
+            log_bound in -3.0f64..3.0,
+        ) {
+            let g = 10f64.powf(log_g);
+            for omega in [0.5, 0.75, 0.81] {
+                let vhs = Species { omega, ..Species::hydrogen(1.0) }.vhs();
+                let accepts = vhs.acceptance();
+                let sigma_g = vhs.cross_section(g) * g;
+                let bound = 10f64.powf(log_bound) * vhs.cross_section(vhs.g_ref) * vhs.g_ref;
+                let x = u * bound;
+                if (x - sigma_g).abs() > 1e-12 * sigma_g {
+                    proptest::prop_assert!(
+                        accepts(x, g * g) == (x < sigma_g),
+                        "ω = {omega}, g = {g:e}: x {x:e}, σg {sigma_g:e}"
+                    );
+                }
             }
         }
     }

@@ -182,25 +182,6 @@ if [ -n "$tested" ]; then
     exit 1
 fi
 
-echo "== reaction-candidate lint (dsmc's collision passes record a CollisionEvent only inside the reaction test) =="
-# A pair below the dissociation threshold is a no-op for the chemistry
-# model, so the NTC and MEX/CEX passes push an event only inside an
-# `if reactive(` block (the test ChemistryModel::dissociation_test
-# returns); an unconditional push stores every accepted pair again.
-pushes=$(awk 'FNR == 1 { skip = 0; depth = 0; test = -1 }
-        /^[ \t]*#\[cfg\(test\)\]/ { skip = 1 }
-        skip || /^[ \t]*\/\// { next }
-        test < 0 && /if reactive\(/ { test = depth }
-        (/(push|extend)\(/ && /(CollisionEvent|events)/ || /CollisionEvent \{/) && !/struct CollisionEvent/ && test < 0 {
-            print FILENAME ":" FNR ": " $0 }
-        { depth += gsub(/\{/, "{") - gsub(/\}/, "}"); if (test >= 0 && depth <= test) test = -1 }' \
-    crates/dsmc/src/collide.rs crates/dsmc/src/cross.rs)
-if [ -n "$pushes" ]; then
-    echo "$pushes"
-    echo "verify: a collision event recorded outside the reaction test (push only pairs that pass reactive)" >&2
-    exit 1
-fi
-
 echo "== keyed-collision lint (no collision pass is handed an engine stream) =="
 # Each cell of the NTC and MEX/CEX passes draws from its own stream,
 # keyed by (run seed, step, subcycle, pass, cell), so the passes run on
@@ -230,6 +211,18 @@ streams=$(find crates/*/src -name '*.rs' | sort |
 if [ -n "$streams" ]; then
     echo "$streams"
     echo "verify: a collision pass handed an engine stream (key it: dsmc::collision_key)" >&2
+    exit 1
+fi
+
+echo "== no-trig lint (no .sin( / .cos( / sin_cos in the production part of dsmc's collision passes and particles::sample) =="
+# An isotropic direction is Marsaglia's disc rejection and a normal pair
+# his polar method: a collision or a Maxwellian takes one sqrt (and a
+# normal pair one ln), never the cos and sin of a uniform angle.
+trig=$(production_lines '[.](sin|cos)[(]|sin_cos' crates/dsmc/src/collide.rs crates/dsmc/src/cross.rs \
+    crates/particles/src/sample.rs)
+if [ -n "$trig" ]; then
+    echo "$trig"
+    echo "verify: trigonometry in a collision pass or a sampler (draw by disc rejection: particles::sample)" >&2
     exit 1
 fi
 
@@ -278,8 +271,9 @@ if [ -n "$hashed" ]; then
 fi
 
 echo "== one-VHS-law lint (no .powf( in the particle crates' production code outside impl Vhs, no vhs_cross_section( anywhere) =="
-# particles::Vhs computes the law's constants once per species and
-# skips powf at ω = 0.75; a powf per candidate elsewhere undoes that.
+# particles::Vhs computes the law's constants once per pass, and its
+# acceptance test takes no powf at ω = 0.75; a powf per candidate
+# elsewhere undoes that.
 powers=$(find crates/dsmc/src crates/particles/src crates/pic/src -name '*.rs' | sort |
     xargs awk 'FNR == 1 { skip = 0; vhs = 0 }
         /^[ \t]*#\[cfg\(test\)\]/ { skip = 1 }
@@ -293,7 +287,7 @@ if [ -n "$powers$renamed" ]; then
     exit 1
 fi
 
-echo "== deleted-names lint (one decomposition, one lane count per engine, no forked streams, no resumable or replayed flight, one partition weight) =="
+echo "== deleted-names lint (one decomposition, one lane count per engine, no forked streams, no resumable or replayed flight, one partition weight, no collision-event list) =="
 # The Eulerian/Lagrangian split was the unified decomposition with
 # W_cell = 0 and more messages; RunConfig::ranks_per_node and
 # RebalanceConfig::kway were set only by tests. RunConfig::threads_per_rank
@@ -306,15 +300,21 @@ echo "== deleted-names lint (one decomposition, one lane count per engine, no fo
 # flight now draws its wall hits from a stream keyed by the move and
 # the particle, and its lane flies it to the end.
 # Eq. 7 is the only partition weight: the timer-augmented cost source
-# and its sampling fork are gone. None comes back.
-deleted=$(grep -rnE 'EulLag|eullag|Decomposition::|\.decomposition\b|block_ranges|block_owner|\.ranks_per_node\b|fork_rng|threads_per_rank|ZeroThreads|busy_seconds|export_pool_busy|move_lanes|RESUMED|Flown|Paused|CostSource|CostSample|TimerAugmented|wants_samples|cost_rates|timer_augmented|balance\.cost\.' \
+# and its sampling fork are gone. Colli_React reacts inside its per-cell
+# pass: the collision-event list (CollisionEvent, the engine's events
+# field), the event walk of react_collisions and recombination's
+# buffer-wide ions_per_cell are gone, and so is pow_half_is, which kept
+# a per-candidate sqrt on powf's bits. None comes back.
+deleted=$(grep -rnE 'EulLag|eullag|Decomposition::|\.decomposition\b|block_ranges|block_owner|\.ranks_per_node\b|fork_rng|threads_per_rank|ZeroThreads|busy_seconds|export_pool_busy|move_lanes|RESUMED|Flown|Paused|CostSource|CostSample|TimerAugmented|wants_samples|cost_rates|timer_augmented|balance\.cost\.|CollisionEvent|react_collisions|ions_per_cell|pow_half_is' \
     --include='*.rs' crates src tests examples || true)
+# the engine's per-subcycle event list (an `events` field of RankEngine)
+events=$(grep -nE '\b(self|eng)\.events\b|^\s*(pub )?events:' crates/coupled/src/engine.rs || true)
 replay=$(awk 'FNR == 1 { skip = 0 }
         /^[ \t]*#\[cfg\(test\)\]/ { skip = 1 }
         !skip && /NoDraws|STOP_AT_WALL|AT_WALL|SKIPPED/ { print FILENAME ":" FNR ": " $0 }' crates/dsmc/src/*.rs)
-if [ -n "$deleted$replay" ]; then
-    echo "$deleted$replay"
-    echo "verify: a deleted name is back (particle-only weighting is rebalance.wlm.w_cell = 0; an engine has one Pool, RankEngine::lanes; a lane flies each flight to the end on its keyed wall stream, never paused or flown twice; cells are weighed by eq. 7 only)" >&2
+if [ -n "$deleted$replay$events" ]; then
+    echo "$deleted$replay$events"
+    echo "verify: a deleted name is back (particle-only weighting is rebalance.wlm.w_cell = 0; an engine has one Pool, RankEngine::lanes; a lane flies each flight to the end on its keyed wall stream, never paused or flown twice; cells are weighed by eq. 7 only; a cell reacts inside dsmc::ColliReact)" >&2
     exit 1
 fi
 

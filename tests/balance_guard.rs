@@ -55,9 +55,9 @@ fn particle_only_weights_modelled_is_pinned() {
     let (h1, reb1, migrated) = modelled_lii(0);
     let (h2, _, _) = modelled_lii(0);
     assert_eq!(h1, h2, "W_cell = 0 modelled run is nondeterministic");
-    assert_eq!((reb1, migrated), (3, 168), "rebalances / migrated");
+    assert_eq!((reb1, migrated), (3, 195), "rebalances / migrated");
     assert_eq!(
-        h1, 0xe5cf_73be_5466_48b9,
+        h1, 0x23fd_d275_a769_57c4,
         "W_cell = 0 lii trajectory drifted from the pinned baseline"
     );
 }
@@ -88,7 +88,7 @@ fn freestream_scenario_balancer_modelled_is_pinned() {
     assert_eq!(h1, h2, "scenario modelled run is nondeterministic");
     assert!(reb1 > 0, "freestream scenario never rebalanced");
     assert_eq!(
-        h1, 0x350d_7bad_f15b_bb21,
+        h1, 0x1808_4daf_4270_c29b,
         "freestream balancer lii trajectory drifted from the pinned baseline"
     );
 }
@@ -130,7 +130,7 @@ fn one_rebalance_of_the_jet_on_384_ranks_is_pinned() {
             fnv1a(new_owner.iter().flat_map(|o| o.to_le_bytes())),
             migration_volume
         ),
-        (0x4594_0ba5_bf22_4a2c, 746),
+        (0x53cd_e6fa_e984_94e1, 750),
         "the jet's re-decomposition drifted from the pinned baseline"
     );
 }

@@ -19,7 +19,7 @@ use coupled::{run_threaded_result, FaultPolicy};
 use obs::fnv1a_f64;
 
 /// The `engine_guard` pinned fingerprint of the clean 3-rank run.
-const PINNED_3RANK_HASH: u64 = 0x568c9328daa59038;
+const PINNED_3RANK_HASH: u64 = 0xea0a09cc40cc0ccd;
 
 /// `engine_guard`'s guard configuration (3 ranks, DC) under `plan`.
 fn config(plan: Option<FaultPlan>) -> RunConfig {
@@ -73,7 +73,7 @@ fn rank_kill_restarts_from_checkpoint_and_matches_the_pinned_hash() {
 #[test]
 fn freestream_scenario_kill_recovers_to_the_golden_hash() {
     /// `scenario_guard`'s pinned 3-rank threaded freestream digest.
-    const GOLDEN_FREESTREAM_3RANK: u64 = 0x1d330557d99f9fd4;
+    const GOLDEN_FREESTREAM_3RANK: u64 = 0x5c1350fc742e94a6;
     let mut run = coupled::scenario::canned("freestream")
         .expect("canned scenario lowers")
         .run;

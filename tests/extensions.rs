@@ -41,7 +41,7 @@ fn cross_collisions_preserve_population_and_charge() {
     let (h, hp) = (st.h_id, st.hp_id);
     let mut index = particles::CellIndex::default();
     let slot = |s| [h, hp].iter().position(|&id| id == s);
-    index.build(&st.particles, st.nm.coarse.num_cells(), 2, slot);
+    index.build(&st.particles, st.nm.coarse.num_cells(), 2, slot, &st.lanes);
     let stats = cross.collide(
         &st.nm.coarse,
         &mut st.particles,
@@ -52,8 +52,6 @@ fn cross_collisions_preserve_population_and_charge() {
         1000.0 * st.config.dt_dsmc,
         dsmc::collision_key(77, 10, 0),
         &st.lanes,
-        &mut Vec::new(),
-        |_| false,
     );
     assert!(stats.cex > 100, "premise: many swaps, {stats:?}");
     assert_eq!((ions(&st), st.particles.len()), (before, population));

@@ -22,7 +22,7 @@ use jobsrv::prelude::*;
 use obs::fnv1a_f64;
 
 /// `engine_guard`'s pinned threaded baseline for `guard_config`.
-const PINNED_3RANK_HASH: u64 = 0x568c9328daa59038;
+const PINNED_3RANK_HASH: u64 = 0xea0a09cc40cc0ccd;
 
 fn guard_builder() -> RunConfigBuilder {
     RunConfig::builder()
@@ -295,7 +295,7 @@ fn an_evicted_geometry_is_rebuilt_and_still_bitwise_the_solo_run() {
 #[test]
 fn scenario_name_submissions_share_one_engine_run() {
     /// `scenario_guard`'s pinned 3-rank threaded jet digest.
-    const GOLDEN_JET_3RANK: u64 = 0x335a0c8e8d363933;
+    const GOLDEN_JET_3RANK: u64 = 0x298db846a7caabd7;
     let srv = JobServer::start(ServerConfig::default().workers(2));
 
     let spec = |tenant: &str| {

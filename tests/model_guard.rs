@@ -71,13 +71,13 @@ fn jet_on_384_ranks_decisions_are_pinned() {
     assert_eq!(
         jet_on_384_ranks(),
         Decisions {
-            owner_hash: 0xe3ab_be4a_6c75_26c6,
-            total_time_bits: 0x3fd0_181a_a436_ee19,
+            owner_hash: 0xf18e_18c6_25c7_ebf0,
+            total_time_bits: 0x3fc0_89bd_d55e_747c,
             strategy_uses: [0, 0, 45, 0],
-            transactions: 3106,
-            bytes: 302_365,
+            transactions: 3048,
+            bytes: 290_099,
             rebalances: 5,
-            rebalance_migrated: 611,
+            rebalance_migrated: 547,
         },
         "the modelled machine decided differently than the pinned baseline"
     );

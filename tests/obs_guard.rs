@@ -28,7 +28,7 @@ fn observed_threaded_run_is_bitwise_identical_to_baseline() {
     assert_eq!(r.population, 389, "population drifted under observation");
     assert_eq!(
         fnv1a_f64(&r.density_h),
-        0x568c9328daa59038,
+        0xea0a09cc40cc0ccd,
         "metrics/trace observation changed the threaded physics"
     );
     // ... while the registry really recorded the run
@@ -49,7 +49,7 @@ fn observed_serial_run_is_bitwise_identical_to_baseline() {
     assert_eq!(r.population, 389, "population drifted under observation");
     assert_eq!(
         fnv1a_f64(&r.density_h),
-        0x8376dbaf0de773e5,
+        0x0c0ab64071966466,
         "metrics observation changed the serial physics"
     );
     assert_eq!(reg.snapshot().counter("engine.steps"), Some(12));
