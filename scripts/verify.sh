@@ -348,6 +348,22 @@ if [ -n "$transport" ]; then
     exit 1
 fi
 
+echo "== solo-run lint (the recovery, serving and observation guards pin no physics) =="
+# chaos_guard, jobsrv_guard and obs_guard hold each run bitwise to the
+# solo run of its config (tests/common: threaded_baseline,
+# serial_baseline, assert_same_physics). A digest or a population
+# constant there would make every physics change re-pin them too.
+solo_guards="tests/chaos_guard.rs tests/jobsrv_guard.rs tests/obs_guard.rs"
+pins=$({
+    grep -nE '0x[0-9a-fA-F_]{16,}' $solo_guards
+    grep -lPz 'population,\s*[0-9]' $solo_guards
+} || true)
+if [ -n "$pins" ]; then
+    echo "$pins"
+    echo "verify: a physics pin in a recovery/serving/observation guard; pin physics in tests/engine_guard.rs (or scenario_guard.rs) and compare with the solo run here" >&2
+    exit 1
+fi
+
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -1,95 +1,108 @@
-//! Regression guard for the balancing pipeline (DESIGN.md §13).
+//! Regression guard for the balancing pipeline (DESIGN.md §13): what
+//! the eq. 7 k-way + Kuhn–Munkres balancer decides, pinned on frozen
+//! inputs (`common::frozen`).
 //!
-//! The default weighting (paper WLM, `W_cell = 1`) is pinned by
-//! `engine_guard`; these tests pin the particle-only weights
-//! (`W_cell = 0`), a scenario-lowered balancer and one re-partition.
-//! The modelled driver is fully deterministic — kernel "timings" are
-//! cost model evaluations — so each run gets a bitwise-pinned lii
-//! trajectory.
+//! Three recorded modelled runs are replayed here: the guard config
+//! under particle-only weights (`W_cell = 0`), the freestream scenario
+//! under the paper weights, and one re-partition of the jet on 384
+//! ranks (`model_guard` replays the fourth, the jet rebalanced every 2
+//! steps). Each pins the steps that fired, the owner map each chose
+//! and the particles each migrated, plus the FNV-1a of the recorded
+//! `lii` trajectory — the value the stepped run's own pin read when
+//! the fixture was recorded. The physics never moves these pins: the
+//! end-to-end modelled run is pinned once, in `engine_guard`.
 
-use balance::{RebalanceConfig, RebalanceOutcome, Rebalancer, WlmParams};
-use coupled::{ClusterSim, Dataset, MachineProfile, RunConfig};
-use obs::{fnv1a, fnv1a_f64};
+mod common;
 
-fn modelled_config(w_cell: i64) -> RunConfig {
-    RunConfig::builder()
-        .paper(Dataset::D1, 0.02)
-        .ranks(3)
-        .seed(4242)
-        .steps(12)
-        .rebalance(Some(RebalanceConfig {
-            t_interval: 3,
-            threshold: 1.2,
-            wlm: WlmParams {
-                w_cell,
-                ..WlmParams::default()
-            },
-            ..RebalanceConfig::default()
-        }))
-        .build()
-        .expect("valid guard config")
-}
+use balance::RebalanceConfig;
+use common::frozen::{self, Remap, Replay};
+use coupled::{ClusterSim, MachineProfile};
 
-/// Modelled run → (lii-trajectory hash, rebalance count, particles
-/// migrated by them).
-fn modelled_lii(w_cell: i64) -> (u64, usize, u64) {
-    let run = modelled_config(w_cell);
-    let rep = ClusterSim::new(&run, MachineProfile::tianhe2()).run(12);
-    let lii: Vec<f64> = rep.trace.iter().map(|t| t.lii).collect();
-    assert_eq!(lii.len(), 12);
-    (fnv1a_f64(&lii), rep.rebalances, rep.rebalance_migrated)
+/// Writes the four fixtures from stepped modelled runs and prints what
+/// their replays decide, for re-pinning. A physics change never needs
+/// it: only a change to the mesh, the seed decomposition or the
+/// modelled timing does.
+#[test]
+#[ignore = "maintenance helper: re-records tests/fixtures/ and prints the replays"]
+fn record_frozen_inputs() {
+    for run in frozen::all() {
+        let owner = frozen::record(&run);
+        let replay = frozen::replay(&run);
+        let last = replay.remaps.last().map(|r| r.owner_hash);
+        assert_eq!(last, Some(frozen::owner_hash(&owner)), "{}", run.name);
+        println!("{}: lii_hash {:#018x}", run.name, replay.lii_hash);
+        for r in &replay.remaps {
+            println!(
+                "    Remap {{ step: {}, owner_hash: {:#018x}, migrated: {} }},",
+                r.step, r.owner_hash, r.migrated
+            );
+        }
+    }
 }
 
 /// Particle-only weights decide what the removed Eulerian/Lagrangian
-/// split decided (same rebalances, same migration); the lii
-/// trajectory was re-pinned once, because the split also priced a
-/// charge halo into the modelled Poisson lap, and once more when the
-/// field solve took its coarse-grid correction (fewer CG iterations,
-/// no longer grown with the grid, each priced with the correction's
-/// allreduce and coarse solve). The rebalances, migration and lii were
-/// re-pinned when the collision passes moved to keyed per-cell streams
-/// (other collisions, other particle counts per cell), and again when
-/// the move keyed each flight's wall draws (other reflections).
+/// split decided: 3 rebalances, 195 particles migrated (55 + 54 + 86).
 #[test]
 fn particle_only_weights_modelled_is_pinned() {
-    let (h1, reb1, migrated) = modelled_lii(0);
-    let (h2, _, _) = modelled_lii(0);
-    assert_eq!(h1, h2, "W_cell = 0 modelled run is nondeterministic");
-    assert_eq!((reb1, migrated), (3, 195), "rebalances / migrated");
     assert_eq!(
-        h1, 0x23fd_d275_a769_57c4,
-        "W_cell = 0 lii trajectory drifted from the pinned baseline"
+        frozen::replay(&frozen::guard_particle_only()),
+        Replay {
+            lii_hash: 0x23fd_d275_a769_57c4,
+            remaps: vec![
+                Remap {
+                    step: 2,
+                    owner_hash: 0xaef9_ef68_0e55_e604,
+                    migrated: 55,
+                },
+                Remap {
+                    step: 5,
+                    owner_hash: 0x97a8_392f_1577_8cd5,
+                    migrated: 54,
+                },
+                Remap {
+                    step: 8,
+                    owner_hash: 0x4f85_5c5a_8484_da05,
+                    migrated: 86,
+                },
+            ],
+        },
+        "W_cell = 0 decisions drifted from the pinned baseline"
     );
 }
 
 /// A scenario-lowered config drives the balancer exactly like a
-/// hand-built one: the freestream scenario under the eq. 7 balancer on
-/// the modelled driver must rebalance, and gets its own pinned lii
-/// trajectory.
+/// hand-built one: the freestream scenario under the eq. 7 balancer
+/// rebalances.
 #[test]
 fn freestream_scenario_balancer_modelled_is_pinned() {
-    let lii_of = |name: &str| {
-        let mut run = coupled::scenario::canned(name)
-            .expect("canned scenario lowers")
-            .run;
-        run.rebalance = Some(RebalanceConfig {
-            t_interval: 3,
-            threshold: 1.2,
-            ..RebalanceConfig::default()
-        });
-        let steps = run.steps;
-        let rep = ClusterSim::new(&run, MachineProfile::tianhe2()).run(steps);
-        let lii: Vec<f64> = rep.trace.iter().map(|t| t.lii).collect();
-        assert_eq!(lii.len(), steps);
-        (fnv1a_f64(&lii), rep.rebalances)
-    };
-    let (h1, reb1) = lii_of("freestream");
-    let (h2, _) = lii_of("freestream");
-    assert_eq!(h1, h2, "scenario modelled run is nondeterministic");
-    assert!(reb1 > 0, "freestream scenario never rebalanced");
     assert_eq!(
-        h1, 0x1808_4daf_4270_c29b,
-        "freestream balancer lii trajectory drifted from the pinned baseline"
+        frozen::replay(&frozen::freestream_every_3()),
+        Replay {
+            lii_hash: 0x1808_4daf_4270_c29b,
+            remaps: vec![
+                Remap {
+                    step: 2,
+                    owner_hash: 0xb1bd_968e_e500_a914,
+                    migrated: 9,
+                },
+                Remap {
+                    step: 5,
+                    owner_hash: 0x623c_d3fc_0486_9c77,
+                    migrated: 49,
+                },
+                Remap {
+                    step: 8,
+                    owner_hash: 0xd87c_cd7b_faea_c9a6,
+                    migrated: 25,
+                },
+                Remap {
+                    step: 11,
+                    owner_hash: 0x1d4c_dfb5_de22_99e4,
+                    migrated: 15,
+                },
+            ],
+        },
+        "freestream balancer decisions drifted from the pinned baseline"
     );
 }
 
@@ -100,37 +113,14 @@ fn freestream_scenario_balancer_modelled_is_pinned() {
 /// parts: a cheaper re-partition must be the same re-partition.
 #[test]
 fn one_rebalance_of_the_jet_on_384_ranks_is_pinned() {
-    let mut run = coupled::scenario::canned("jet")
-        .expect("canned scenario lowers")
-        .run;
-    run.ranks = 384;
-    run.rebalance = None;
-    let mut sim = ClusterSim::new(&run, MachineProfile::tianhe2());
-    for _ in 0..run.steps {
-        sim.step();
-    }
-    let (neutral, charged) = sim.state.counts_per_cell();
-    let (xadj, adjncy) = sim.state.nm.coarse.cell_graph();
-    let mut rebalancer = Rebalancer::new(RebalanceConfig {
-        t_interval: 1,
-        threshold: 0.0,
-        ..RebalanceConfig::default()
-    });
-    let outcome = rebalancer.step(9.0, &xadj, &adjncy, &neutral, &charged, sim.owner(), 384);
-    let RebalanceOutcome::Remapped {
-        new_owner,
-        migration_volume,
-        ..
-    } = outcome
-    else {
-        panic!("threshold 0 must remap, got {outcome:?}");
-    };
+    let replay = frozen::replay(&frozen::jet_384_once());
     assert_eq!(
-        (
-            fnv1a(new_owner.iter().flat_map(|o| o.to_le_bytes())),
-            migration_volume
-        ),
-        (0x53cd_e6fa_e984_94e1, 750),
+        replay.remaps,
+        [Remap {
+            step: 11,
+            owner_hash: 0x53cd_e6fa_e984_94e1,
+            migrated: 750,
+        }],
         "the jet's re-decomposition drifted from the pinned baseline"
     );
 }

@@ -3,102 +3,71 @@
 //! from checkpoints (DESIGN.md §12).
 //!
 //! Every scenario schedules stalls or kills with a `FaultPlan` and
-//! asserts the final `density_h` field hashes to exactly the clean
-//! run's value — for the 3-rank guard configuration, the same pinned
-//! constant `engine_guard` protects — while the report's recovery
-//! count proves the kill actually happened and was recovered. A plan
-//! never touches the wire: a run with one sends exactly the clean
-//! run's messages.
+//! asserts that the final population and `density_h` bits are the
+//! clean solo run's (`common::threaded_baseline` for the guard config),
+//! while the report's recovery count proves the kill actually happened
+//! and was recovered. A plan never touches the wire: a run with one
+//! sends exactly the clean run's messages. The physics itself is
+//! pinned in `engine_guard` and `scenario_guard`, never here.
 //!
 //! The load balancer stays off throughout: its trigger is measured
 //! wall time, which is nondeterministic across runs regardless of the
 //! transport.
 
+mod common;
+
+use common::{assert_same_physics, guard_builder, threaded_baseline};
 use coupled::prelude::*;
 use coupled::{run_threaded_result, FaultPolicy};
-use obs::fnv1a_f64;
 
-/// The `engine_guard` pinned fingerprint of the clean 3-rank run.
-const PINNED_3RANK_HASH: u64 = 0xea0a09cc40cc0ccd;
-
-/// `engine_guard`'s guard configuration (3 ranks, DC) under `plan`.
-fn config(plan: Option<FaultPlan>) -> RunConfig {
-    RunConfig::builder()
-        .paper(Dataset::D1, 0.02)
-        .ranks(3)
-        .seed(4242)
-        .steps(12)
-        .rebalance(None)
-        .fault_plan(plan)
-        .build()
-        .expect("valid fault config")
+/// The guard config (3 ranks, DC) killed at step 6 of rank 2,
+/// recovering from checkpoints every 4 steps.
+fn killed_mid_run() -> RunConfigBuilder {
+    guard_builder()
+        .checkpoint_every(4)
+        .on_fault(FaultPolicy::RestartFromCheckpoint)
+        .fault_plan(Some(FaultPlan::default().kill(2, 6)))
 }
 
 #[test]
 fn a_stalled_rank_changes_nothing_but_time() {
     let plan = FaultPlan::default().stall(1, 3, 40).stall(2, 7, 40);
-    let r = run_threaded_result(&config(Some(plan))).expect("stalls must never fail a run");
-    assert_eq!(fnv1a_f64(&r.density_h), PINNED_3RANK_HASH);
+    let run = guard_builder().fault_plan(Some(plan)).build().unwrap();
+    let r = run_threaded_result(&run).expect("stalls must never fail a run");
+    assert_same_physics(&r, threaded_baseline(), "stalled run");
     assert_eq!(r.recoveries, 0);
 }
 
 #[test]
 fn rank_kill_restarts_from_checkpoint_and_matches_the_pinned_hash() {
-    let plan = FaultPlan::default().kill(2, 6);
-    let run = RunConfig::builder()
-        .paper(Dataset::D1, 0.02)
-        .ranks(3)
-        .seed(4242)
-        .steps(12)
-        .rebalance(None)
-        .checkpoint_every(4)
-        .on_fault(FaultPolicy::RestartFromCheckpoint)
-        .fault_plan(Some(plan))
-        .build()
-        .expect("valid recovery config");
+    let run = killed_mid_run().build().expect("valid recovery config");
     let r = run_threaded_result(&run).expect("recovery must complete the run");
     assert_eq!(r.recoveries, 1, "exactly one replay after the kill");
-    assert_eq!(r.population, 389, "population drifted under recovery");
-    assert_eq!(
-        fnv1a_f64(&r.density_h),
-        PINNED_3RANK_HASH,
-        "recovered run no longer bitwise identical to the pinned baseline"
-    );
+    assert_same_physics(&r, threaded_baseline(), "recovered run");
 }
 
 /// Scenario-lowered configs recover exactly like hand-built ones: the
-/// freestream scenario, killed mid-run, must
-/// replay from its checkpoint to the same digest `scenario_guard`
-/// pins for the clean threaded run.
+/// freestream scenario, killed mid-run, must replay from its
+/// checkpoint to the clean run's density.
 #[test]
 fn freestream_scenario_kill_recovers_to_the_golden_hash() {
-    /// `scenario_guard`'s pinned 3-rank threaded freestream digest.
-    const GOLDEN_FREESTREAM_3RANK: u64 = 0x5c1350fc742e94a6;
-    let mut run = coupled::scenario::canned("freestream")
+    let clean = coupled::scenario::canned("freestream")
         .expect("canned scenario lowers")
         .run;
+    let mut run = clean.clone();
     run.checkpoint_every = 4;
     run.on_fault = FaultPolicy::RestartFromCheckpoint;
     run.fault_plan = Some(FaultPlan::default().kill(2, 6));
     let r = run_threaded_result(&run).expect("recovery must complete the run");
     assert_eq!(r.recoveries, 1, "exactly one replay after the kill");
-    assert_eq!(
-        fnv1a_f64(&r.density_h),
-        GOLDEN_FREESTREAM_3RANK,
-        "recovered freestream run diverged from the scenario golden hash"
-    );
+    assert_same_physics(&r, &run_threaded(&clean), "recovered freestream run");
 }
 
 #[test]
 fn kill_without_checkpoints_replays_from_scratch() {
     // no cadence: the store stays empty, so recovery restarts the
     // whole run from step 0 — still bitwise identical.
-    let run = RunConfig::builder()
-        .paper(Dataset::D1, 0.02)
-        .ranks(3)
-        .seed(4242)
-        .steps(12)
-        .rebalance(None)
+    let run = guard_builder()
         .on_fault(FaultPolicy::RestartFromCheckpoint)
         .fault_plan(Some(FaultPlan::default().kill(0, 2)))
         .build()
@@ -106,24 +75,16 @@ fn kill_without_checkpoints_replays_from_scratch() {
     let r = run_threaded_result(&run).expect("scratch replay must complete");
     assert_eq!(r.recoveries, 1);
     assert_eq!(r.trace.len(), 12, "full rerun re-traces every step");
-    assert_eq!(fnv1a_f64(&r.density_h), PINNED_3RANK_HASH);
+    assert_same_physics(&r, threaded_baseline(), "replayed run");
 }
 
 #[test]
 fn fault_counters_reach_the_metrics_registry_and_trace() {
     let reg = Registry::new();
     let mem = MemorySink::new();
-    let run = RunConfig::builder()
-        .paper(Dataset::D1, 0.02)
-        .ranks(3)
-        .seed(4242)
-        .steps(12)
-        .rebalance(None)
+    let run = killed_mid_run()
         .metrics(reg.clone())
         .trace(TraceSpec::Memory(mem.clone()))
-        .checkpoint_every(4)
-        .on_fault(FaultPolicy::RestartFromCheckpoint)
-        .fault_plan(Some(FaultPlan::default().kill(2, 6)))
         .build()
         .expect("valid config");
     let r = run_threaded_result(&run).expect("recovery must complete the run");
@@ -145,10 +106,11 @@ fn fault_counters_reach_the_metrics_registry_and_trace() {
 /// exactly the clean run's messages and bytes.
 #[test]
 fn a_fault_plan_leaves_the_wire_totals_alone() {
-    let clean = run_threaded(&config(None));
+    let clean = threaded_baseline();
     let plan = FaultPlan::default().stall(1, 3, 1);
-    let stalled = run_threaded_result(&config(Some(plan))).expect("stalls must never fail a run");
-    assert_eq!(fnv1a_f64(&stalled.density_h), PINNED_3RANK_HASH);
+    let run = guard_builder().fault_plan(Some(plan)).build().unwrap();
+    let stalled = run_threaded_result(&run).expect("stalls must never fail a run");
+    assert_same_physics(&stalled, clean, "stalled run");
     assert_eq!(
         (stalled.transactions, stalled.bytes),
         (clean.transactions, clean.bytes),
@@ -163,12 +125,7 @@ fn an_unwritable_trace_fails_once_and_is_not_retried() {
     let missing = std::env::temp_dir()
         .join(format!("no-such-dir-{}", std::process::id()))
         .join("trace.jsonl");
-    let run = RunConfig::builder()
-        .paper(Dataset::D1, 0.02)
-        .ranks(3)
-        .seed(4242)
-        .steps(12)
-        .rebalance(None)
+    let run = guard_builder()
         .checkpoint_every(4)
         .on_fault(FaultPolicy::RestartFromCheckpoint)
         .trace(TraceSpec::Jsonl(missing))

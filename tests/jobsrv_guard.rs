@@ -1,15 +1,16 @@
 //! Regression guard for the job server (DESIGN.md §14).
 //!
-//! Three properties are pinned:
+//! Four properties are pinned:
 //!
 //! 1. Serving a run as a job — concurrently with other jobs, through
 //!    the fair-share queue, with trace fan-out attached — is bitwise
-//!    identical to running the engine solo (`engine_guard`'s pinned
-//!    hash), and an identical second submission is served from ONE
-//!    engine run with the cache hit observable in the job metadata.
+//!    identical to running the engine solo (the solo run of the same
+//!    config, `common::threaded_baseline`), and an identical second
+//!    submission is served from ONE engine run with the cache hit
+//!    observable in the job metadata.
 //! 2. A job whose worker dies mid-run (fault-plan kill) completes via
 //!    checkpoint replay on a later dispatch and still matches the
-//!    pinned hash (`chaos_guard`'s recovery invariant, now across the
+//!    solo run (`chaos_guard`'s recovery invariant, now across the
 //!    server's queue instead of inside one call).
 //! 3. A config no mesh can be built from fails its own job at
 //!    submission and leaves the server — its geometry cache included
@@ -17,25 +18,15 @@
 //! 4. A job started on a geometry an earlier job built (or on one
 //!    rebuilt after eviction) is bitwise the solo run, and
 //!    `ServerStats` says which of the two happened.
+//!
+//! The physics itself is pinned in `engine_guard` and
+//! `scenario_guard`, never here.
 
+mod common;
+
+use common::{assert_same_physics, guard_builder, guard_config, threaded_baseline};
 use jobsrv::prelude::*;
 use obs::fnv1a_f64;
-
-/// `engine_guard`'s pinned threaded baseline for `guard_config`.
-const PINNED_3RANK_HASH: u64 = 0xea0a09cc40cc0ccd;
-
-fn guard_builder() -> RunConfigBuilder {
-    RunConfig::builder()
-        .paper(Dataset::D1, 0.02)
-        .ranks(3)
-        .seed(4242)
-        .steps(12)
-        .rebalance(None)
-}
-
-fn guard_config() -> RunConfig {
-    guard_builder().build().expect("valid guard config")
-}
 
 #[test]
 fn served_jobs_are_bitwise_identical_to_solo_runs_and_cache_deduplicates() {
@@ -59,13 +50,7 @@ fn served_jobs_are_bitwise_identical_to_solo_runs_and_cache_deduplicates() {
     let rc = c.wait().expect("variant job completes");
 
     // The served report is bitwise the solo engine result.
-    assert_eq!(ra.population, 389, "population drifted through the server");
-    assert_eq!(ra.density_h.len(), 432);
-    assert_eq!(
-        fnv1a_f64(&ra.density_h),
-        PINNED_3RANK_HASH,
-        "served report no longer bitwise identical to the solo engine baseline"
-    );
+    assert_same_physics(&ra, threaded_baseline(), "served report");
 
     // The duplicate was served without a second engine run: bitwise
     // equal (density AND trace), cache hit visible in the metadata.
@@ -130,12 +115,7 @@ fn killed_worker_job_recovers_from_checkpoint_with_the_pinned_hash() {
     let report = h.wait().expect("job must recover and complete");
 
     assert_eq!(report.recoveries, 1, "exactly one replay after the kill");
-    assert_eq!(report.population, 389, "population drifted under recovery");
-    assert_eq!(
-        fnv1a_f64(&report.density_h),
-        PINNED_3RANK_HASH,
-        "recovered served report no longer matches the pinned baseline"
-    );
+    assert_same_physics(&report, threaded_baseline(), "recovered served report");
     // The trace holds only the replayed tail: resume at 4, run to 12.
     assert_eq!(report.trace.len(), 8, "replay must resume from step 4");
     let meta = report.job.as_ref().expect("served report is stamped");
@@ -220,10 +200,10 @@ fn domain_config(extra_nz: usize, seed: u64) -> RunConfig {
     run
 }
 
-/// What of a report its config fixes: final density bits, population,
-/// the strategies used and the per-step population shares. (Wall times
-/// do not repeat, nor — ROADMAP, the 224/225 `coupled.tx` item — does
-/// the last step's traffic count.)
+/// What of a report its config fixes and these tests compare: final
+/// density bits, population, the strategies used and the per-step
+/// population shares (not the measured wall times, which do not
+/// repeat).
 fn deterministic(r: &RunReport) -> impl PartialEq + std::fmt::Debug {
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
     let shares: Vec<_> = r.trace.iter().map(|t| bits(&t.share)).collect();
@@ -290,12 +270,10 @@ fn an_evicted_geometry_is_rebuilt_and_still_bitwise_the_solo_run() {
 
 /// Submitting by scenario name goes through the same canonical-hash
 /// cache as hand-built configs: the second submission of the same
-/// name never runs the engine, and the served density matches the
-/// `scenario_guard` golden digest for the jet scenario.
+/// name never runs the engine, and the served report is bitwise the
+/// solo run of the lowered jet scenario.
 #[test]
 fn scenario_name_submissions_share_one_engine_run() {
-    /// `scenario_guard`'s pinned 3-rank threaded jet digest.
-    const GOLDEN_JET_3RANK: u64 = 0x298db846a7caabd7;
     let srv = JobServer::start(ServerConfig::default().workers(2));
 
     let spec = |tenant: &str| {
@@ -309,11 +287,8 @@ fn scenario_name_submissions_share_one_engine_run() {
     let ra = a.wait().expect("leader scenario job completes");
     let rb = b.wait().expect("duplicate scenario job completes");
 
-    assert_eq!(
-        fnv1a_f64(&ra.density_h),
-        GOLDEN_JET_3RANK,
-        "served jet report diverged from the scenario golden hash"
-    );
+    let jet = coupled::scenario::canned("jet").unwrap().run;
+    assert_same_physics(&ra, &solo(&jet), "served jet report");
     assert_eq!(ra.density_h, rb.density_h);
     assert!(!ra.job.as_ref().unwrap().cache_hit, "the leader ran");
     assert!(
@@ -322,7 +297,7 @@ fn scenario_name_submissions_share_one_engine_run() {
     );
     assert_eq!(
         ra.job.as_ref().unwrap().config_hash,
-        coupled::scenario::canned("jet").unwrap().run.config_hash(),
+        jet.config_hash(),
         "the cache key is the lowered config's canonical hash"
     );
     assert_eq!(srv.stats().attempts, 1, "one engine run for both jobs");

@@ -1,84 +1,62 @@
 //! Regression guard for the modelled machine (DESIGN.md §11).
 //!
 //! The cluster model's *decisions* — which rank owns which cell after
-//! every Kuhn–Munkres remap, which exchange strategy `Auto` picks,
-//! how much traffic and modelled time each step is charged — are
-//! pinned here so the solver and the pricing can be made cheaper
-//! without being made different:
+//! every Kuhn–Munkres remap and which exchange strategy `Auto` picks —
+//! are pinned here without the physics, so the solver and the pricing
+//! can be made cheaper without being made different:
 //!
-//! 1. The canned `jet` on 384 virtual ranks under `Strategy::Auto`,
-//!    rebalancing every 2 steps (the shape of the benchmark's
-//!    `jet_modelled384`), ends on a bitwise-pinned owner map, total
-//!    modelled time and traffic totals. The hashes were recorded with
-//!    the dense O(k³) Hungarian and the per-strategy dense traffic
-//!    forms, before either was replaced.
+//! 1. The canned `jet` on 384 virtual ranks, rebalancing every 2 steps
+//!    (the shape of the benchmark's `jet_modelled384`), is replayed on
+//!    its frozen balancer inputs (`common::frozen`) to pinned owner
+//!    maps and migration volumes. The hashes were recorded with the
+//!    dense O(k³) Hungarian, before it was replaced. What only a
+//!    stepped run shows — its `lii`, modelled time, `Auto` tally and
+//!    traffic — is pinned once, in `engine_guard`.
 //! 2. The one-pass sparse pricing equals four independent dense
 //!    closed forms (kept below as the oracle) field by field, and
 //!    `pick_strategy` is the first minimum in `Strategy::CONCRETE`
 //!    order, exact ties included.
 
-use balance::RebalanceConfig;
-use coupled::{ClusterSim, CostModel, MachineProfile};
+mod common;
+
+use common::frozen::{self, Remap};
+use coupled::{CostModel, MachineProfile};
 use proptest::prelude::*;
 use vmpi::{Flows, NodeMap, Strategy, TrafficSummary};
 
-const GUARD_STEPS: usize = 10;
-
-/// Everything the model decides in one guard run.
-#[derive(Debug, PartialEq, Eq)]
-struct Decisions {
-    owner_hash: u64,
-    total_time_bits: u64,
-    strategy_uses: [u64; 4],
-    transactions: u64,
-    bytes: u64,
-    rebalances: usize,
-    rebalance_migrated: u64,
-}
-
-fn jet_on_384_ranks() -> Decisions {
-    let mut run = coupled::scenario::canned("jet")
-        .expect("canned scenario lowers")
-        .run;
-    run.ranks = 384;
-    run.strategy = Strategy::Auto;
-    run.rebalance = Some(RebalanceConfig {
-        t_interval: 2,
-        threshold: 0.0,
-        ..RebalanceConfig::default()
-    });
-    let mut sim = ClusterSim::new(&run, MachineProfile::tianhe2());
-    let rep = sim.run(GUARD_STEPS);
-    Decisions {
-        owner_hash: obs::fnv1a(sim.owner().iter().flat_map(|v| v.to_le_bytes())),
-        total_time_bits: rep.total_time.to_bits(),
-        strategy_uses: rep.strategy_uses,
-        transactions: rep.transactions,
-        bytes: rep.bytes,
-        rebalances: rep.rebalances,
-        rebalance_migrated: rep.rebalance_migrated,
-    }
-}
-
-#[test]
-#[ignore = "maintenance helper: prints the pinned decisions for re-pinning"]
-fn print_golden_decisions() {
-    println!("{:#x?}", jet_on_384_ranks());
-}
-
+/// Five rebalances, 547 particles migrated, ending on owner map
+/// `0xf18e_18c6_25c7_ebf0`.
 #[test]
 fn jet_on_384_ranks_decisions_are_pinned() {
     assert_eq!(
-        jet_on_384_ranks(),
-        Decisions {
-            owner_hash: 0xf18e_18c6_25c7_ebf0,
-            total_time_bits: 0x3fc0_89bd_d55e_747c,
-            strategy_uses: [0, 0, 45, 0],
-            transactions: 3048,
-            bytes: 290_099,
-            rebalances: 5,
-            rebalance_migrated: 547,
-        },
+        frozen::replay(&frozen::jet_384_every_2()).remaps,
+        [
+            Remap {
+                step: 1,
+                owner_hash: 0x0808_9f86_1203_3d79,
+                migrated: 84,
+            },
+            Remap {
+                step: 3,
+                owner_hash: 0x7048_38db_ad36_52c6,
+                migrated: 58,
+            },
+            Remap {
+                step: 5,
+                owner_hash: 0xc7b8_8186_7ccb_c745,
+                migrated: 93,
+            },
+            Remap {
+                step: 7,
+                owner_hash: 0x306c_72f1_0593_f696,
+                migrated: 149,
+            },
+            Remap {
+                step: 9,
+                owner_hash: 0xf18e_18c6_25c7_ebf0,
+                migrated: 163,
+            },
+        ],
         "the modelled machine decided differently than the pinned baseline"
     );
 }

@@ -1,20 +1,13 @@
 //! Observability guard (DESIGN.md §10): turning on the metrics
 //! registry and trace sinks must not perturb the physics by a single
-//! bit, and the structured trace must account for the report's
-//! communication totals exactly.
+//! bit — an observed run is bitwise the unobserved solo run of the
+//! guard config — and the structured trace must account for the
+//! report's communication totals exactly.
 
+mod common;
+
+use common::{assert_same_physics, guard_builder, serial_baseline, threaded_baseline};
 use coupled::prelude::*;
-use obs::fnv1a_f64;
-
-/// The engine_guard configuration, ready for observability add-ons.
-fn guard_builder() -> RunConfigBuilder {
-    RunConfig::builder()
-        .paper(Dataset::D1, 0.02)
-        .ranks(3)
-        .seed(4242)
-        .steps(12)
-        .rebalance(None)
-}
 
 #[test]
 fn observed_threaded_run_is_bitwise_identical_to_baseline() {
@@ -25,12 +18,7 @@ fn observed_threaded_run_is_bitwise_identical_to_baseline() {
         .build()
         .unwrap();
     let r = run_threaded(&run);
-    assert_eq!(r.population, 389, "population drifted under observation");
-    assert_eq!(
-        fnv1a_f64(&r.density_h),
-        0xea0a09cc40cc0ccd,
-        "metrics/trace observation changed the threaded physics"
-    );
+    assert_same_physics(&r, threaded_baseline(), "metrics/trace observation");
     // ... while the registry really recorded the run
     let snap = reg.snapshot();
     assert_eq!(snap.counter("engine.steps"), Some(12));
@@ -46,12 +34,7 @@ fn observed_serial_run_is_bitwise_identical_to_baseline() {
     let reg = Registry::new();
     let run = guard_builder().metrics(reg.clone()).build().unwrap();
     let r = run_serial(&run);
-    assert_eq!(r.population, 389, "population drifted under observation");
-    assert_eq!(
-        fnv1a_f64(&r.density_h),
-        0x0c0ab64071966466,
-        "metrics observation changed the serial physics"
-    );
+    assert_same_physics(&r, serial_baseline(), "metrics observation");
     assert_eq!(reg.snapshot().counter("engine.steps"), Some(12));
     // serial runs never touch the wire
     assert_eq!(r.transactions, 0);

@@ -7,10 +7,10 @@
 //!    threaded. Any drift in the TOML parser, the lowering, the
 //!    subcycled DSMC phase or the partial-pump boundary shows up as a
 //!    digest mismatch.
-//! 2. The new physics knobs are strict opt-ins: `k_sub_dsmc = 1`
-//!    reproduces the pre-subcycling engine bit for bit (the
-//!    `engine_guard` pinned hashes), and `pump_prob = 1.0` (every
-//!    wall hit survives) is bitwise identical to no pump at all.
+//! 2. The pump is a strict opt-in: `pump_prob = 1.0` (every wall hit
+//!    survives) is bitwise identical to no pump at all — the solo runs
+//!    of the guard config, which `engine_guard` pins (with
+//!    `k_sub_dsmc = 1`, the unsubcycled engine).
 //! 3. Subcycled DSMC draws from its own RNG stream: changing `k_sub`
 //!    never perturbs the main (inject/PIC) stream or the pump stream,
 //!    so another species' physics is untouched.
@@ -21,19 +21,20 @@
 //!    and the scenario reader return the same `ConfigError` for the
 //!    same offending value, and the same config for a legal one.
 
+mod common;
+
+use common::{assert_same_physics, guard_config, serial_baseline, threaded_baseline};
 use coupled::scenario::{self, ScenarioError};
 use coupled::{run_serial, run_threaded, ConfigError, Dataset, RankEngine, RunConfig, SimConfig};
 use obs::fnv1a_f64;
 use proptest::prelude::*;
 
-/// `engine_guard`'s pinned baselines for its guard config.
-const PINNED_SERIAL_HASH: u64 = 0x0c0ab64071966466;
-const PINNED_3RANK_HASH: u64 = 0xea0a09cc40cc0ccd;
-
 /// Golden digests of the canned scenarios: (name, serial fnv1a,
-/// 3-rank threaded fnv1a) of end-of-run `density_h`. Re-pin with
-/// `cargo test --test scenario_guard -- --ignored --nocapture`; last
-/// re-pinned when the move keyed each flight's wall draws.
+/// 3-rank threaded fnv1a) of end-of-run `density_h`. With
+/// `engine_guard` these are the physics pins: `cargo test --test
+/// engine_guard --test scenario_guard -- --ignored --nocapture` prints
+/// every one. Last re-pinned when the move keyed each flight's wall
+/// draws.
 const GOLDEN: &[(&str, u64, u64)] = &[
     ("freestream", 0xbbc7d5cc6068d0b2, 0x5c1350fc742e94a6),
     ("thermal_box", 0x80bd902cc5bb006e, 0x262e7c037eea5fa9),
@@ -87,38 +88,26 @@ fn canned_scenarios_threaded_density_is_bitwise_pinned() {
     }
 }
 
-fn guard_builder() -> coupled::RunConfigBuilder {
-    RunConfig::builder()
-        .paper(Dataset::D1, 0.02)
-        .ranks(3)
-        .seed(4242)
-        .steps(12)
-        .rebalance(None)
-}
-
-/// `k_sub_dsmc = 1` must be the engine that existed before
-/// subcycling: same shared RNG stream, same phase schedule, bitwise
-/// the `engine_guard` baselines.
-#[test]
-fn k_sub_one_is_bitwise_identical_to_the_pinned_engine() {
-    let run = guard_builder().build().expect("valid guard config");
-    assert_eq!(run.sim.k_sub_dsmc, 1, "the guard config is not subcycled");
-    assert_eq!(fnv1a_f64(&run_serial(&run).density_h), PINNED_SERIAL_HASH);
-    assert_eq!(fnv1a_f64(&run_threaded(&run).density_h), PINNED_3RANK_HASH);
-}
-
 /// `pump_prob = 1.0` means every wall hit survives; the survival
 /// draws come from the dedicated pump stream, so the run must be
-/// bitwise identical to no pump at all — including the pinned
-/// baselines, which never configure a pump.
+/// bitwise identical to the same config with no pump at all.
 #[test]
 fn full_survival_pump_is_bitwise_identical_to_no_pump() {
-    let mut run = guard_builder().build().expect("valid guard config");
+    let mut run = guard_config();
+    assert_eq!(run.sim.pump_prob, None, "the guard config has no pump");
     run.sim.pump_prob = Some(1.0);
     run.validate()
         .expect("full survival is a legal probability");
-    assert_eq!(fnv1a_f64(&run_serial(&run).density_h), PINNED_SERIAL_HASH);
-    assert_eq!(fnv1a_f64(&run_threaded(&run).density_h), PINNED_3RANK_HASH);
+    assert_same_physics(
+        &run_serial(&run),
+        serial_baseline(),
+        "serial, full survival",
+    );
+    assert_same_physics(
+        &run_threaded(&run),
+        threaded_baseline(),
+        "threaded, full survival",
+    );
 }
 
 /// Subcycled DSMC must draw from its dedicated stream only: with
