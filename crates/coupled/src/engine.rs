@@ -153,7 +153,7 @@ impl RankEngine {
     /// shared meshes and species table, the inlet cells rank `me` owns
     /// under the seed decomposition, and an independent RNG stream
     /// (`seed + 1 + me`, the paper's per-rank seeding), on one lane.
-    pub(crate) fn for_rank(config: SimConfig, world: &World, me: usize) -> Self {
+    pub fn for_rank(config: SimConfig, world: &World, me: usize) -> Self {
         let seed = config.seed.wrapping_add(1 + me as u64);
         let mut eng = Self::assemble(config, world, None, seed, Pool::serial());
         eng.claim_inlet(&world.owner0, me);

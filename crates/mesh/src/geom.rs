@@ -203,20 +203,6 @@ pub fn tet_contains(p: Vec3, a: Vec3, b: Vec3, c: Vec3, d: Vec3, eps: f64) -> bo
     barycentric(p, a, b, c, d).iter().all(|&w| w >= -eps)
 }
 
-/// Intersection of the ray `r(t) = origin + t * dir` with the plane
-/// through `p0` with (not necessarily unit) normal `n`.
-///
-/// Returns the parameter `t`, or `None` if the ray is parallel to the
-/// plane.
-#[inline]
-pub fn ray_plane(origin: Vec3, dir: Vec3, p0: Vec3, n: Vec3) -> Option<f64> {
-    let denom = dir.dot(n);
-    if denom.abs() < 1e-300 {
-        return None;
-    }
-    Some((p0 - origin).dot(n) / denom)
-}
-
 /// Outward normal (unnormalized) of the triangle `(a, b, c)` as seen
 /// from the opposite vertex `opp`: the returned vector points away
 /// from `opp`.
@@ -312,15 +298,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn ray_plane_intersection() {
-        // plane z = 1 with normal +z, ray from origin along +z
-        let t = ray_plane(Vec3::ZERO, D, D, D).unwrap();
-        assert!((t - 1.0).abs() < 1e-15);
-        // parallel ray
-        assert!(ray_plane(Vec3::ZERO, B, D, D).is_none());
     }
 
     #[test]

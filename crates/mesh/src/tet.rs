@@ -35,6 +35,18 @@ pub enum FaceTag {
 /// Local node ids of the face opposite each vertex.
 pub const FACE_NODES: [[usize; 3]; 4] = [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]];
 
+/// The four face planes of one tet, structure of arrays: lane `f` of
+/// every row is face `f` (opposite local vertex `f`), so the exit
+/// search tests all four faces with the same arithmetic at once. Six
+/// rows of four `f64`, 192 B.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct CellPlanes {
+    /// Face centroids: the x, y and z rows.
+    pub(crate) c: [[f64; 4]; 3],
+    /// Outward (unnormalized) face normals: the x, y and z rows.
+    pub(crate) n: [[f64; 4]; 3],
+}
+
 /// An unstructured tetrahedral mesh with precomputed topology and
 /// per-cell geometry caches.
 #[derive(Debug, Clone)]
@@ -58,11 +70,10 @@ pub struct TetMesh {
     pub bisected: Vec<[u32; 2]>,
     /// Cached [`TetMesh::mean_cell_size`].
     mean_cell_size: f64,
-    /// `face_planes[t][f]` = the `(centroid, outward normal)` pair of
-    /// face `f` of tet `t`; empty unless [`TetMesh::with_face_planes`]
-    /// filled it (192 B per cell, so only the mesh particles walk
-    /// carries it).
-    face_planes: Vec<[(Vec3, Vec3); 4]>,
+    /// `planes[t]` = the four face planes of tet `t`; empty unless
+    /// [`TetMesh::with_face_planes`] filled it (192 B per cell, so only
+    /// the mesh particles walk carries it).
+    planes: Vec<CellPlanes>,
     /// `shape_grads[t]` = [`shape_gradients`] of tet `t`; filled by the
     /// first [`TetMesh::shape_gradient_table`] call (96 B per cell, so
     /// only the mesh a field is differentiated on ever carries it).
@@ -124,7 +135,7 @@ impl TetMesh {
             centroids: Vec::new(),
             bisected: Vec::new(),
             mean_cell_size: 0.0,
-            face_planes: Vec::new(),
+            planes: Vec::new(),
             shape_grads: OnceLock::new(),
         };
         mesh.recompute_geometry();
@@ -153,11 +164,12 @@ impl TetMesh {
     }
 
     /// The same mesh carrying the per-cell face-plane table, so
-    /// [`TetMesh::face_centroid_normal`] answers with a lookup — the
-    /// values are the ones it computes without the table, bit for bit.
+    /// [`TetMesh::face_centroid_normal`] and
+    /// [`first_exit`](crate::locate::first_exit) answer with a lookup —
+    /// the values are the ones computed without the table, bit for bit.
     pub fn with_face_planes(mut self) -> Self {
-        self.face_planes = (0..self.num_cells())
-            .map(|t| std::array::from_fn(|f| self.compute_face_plane(t, f)))
+        self.planes = (0..self.num_cells())
+            .map(|t| self.compute_cell_planes(t))
             .collect();
         self
     }
@@ -165,7 +177,25 @@ impl TetMesh {
     /// Whether this mesh carries the face-plane table.
     #[cfg(test)]
     pub(crate) fn has_face_planes(&self) -> bool {
-        !self.face_planes.is_empty()
+        !self.planes.is_empty()
+    }
+
+    /// The face planes of tet `t`: a row of the table when the mesh
+    /// carries it ([`TetMesh::with_face_planes`]), else `None`.
+    #[inline]
+    pub(crate) fn cell_planes(&self, t: usize) -> Option<&CellPlanes> {
+        self.planes.get(t)
+    }
+
+    /// The table's row for tet `t`, computed from the node table.
+    pub(crate) fn compute_cell_planes(&self, t: usize) -> CellPlanes {
+        let mut p = CellPlanes::default();
+        for f in 0..4 {
+            let (c, n) = self.compute_face_plane(t, f);
+            [p.c[0][f], p.c[1][f], p.c[2][f]] = [c.x, c.y, c.z];
+            [p.n[0][f], p.n[1][f], p.n[2][f]] = [n.x, n.y, n.z];
+        }
+        p
     }
 
     /// [`shape_gradients`] of every cell, computed on the first call
@@ -222,8 +252,11 @@ impl TetMesh {
     /// Centroid and outward (unnormalized) normal of face `f` of tet `t`.
     #[inline]
     pub fn face_centroid_normal(&self, t: usize, f: usize) -> (Vec3, Vec3) {
-        match self.face_planes.get(t) {
-            Some(planes) => planes[f],
+        match self.planes.get(t) {
+            Some(p) => (
+                Vec3::new(p.c[0][f], p.c[1][f], p.c[2][f]),
+                Vec3::new(p.n[0][f], p.n[1][f], p.n[2][f]),
+            ),
             None => self.compute_face_plane(t, f),
         }
     }

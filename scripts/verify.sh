@@ -318,6 +318,22 @@ if [ -n "$deleted$replay$events" ]; then
     exit 1
 fi
 
+echo "== one-plane-table lint (one per-cell face-plane table, one exit search) =="
+# The coarse mesh's face planes are one structure-of-arrays row per cell
+# (mesh::tet::CellPlanes), which the branch-free exit search reads for
+# all four faces at once. The array-of-structs face_planes table it
+# replaced and the per-face ray_plane loop survive only as the search's
+# test oracle; neither comes back.
+planes=$({
+    grep -rnw 'face_planes' --include='*.rs' crates || true
+    production_lines 'ray_plane' crates
+})
+if [ -n "$planes" ]; then
+    echo "$planes"
+    echo "verify: a second face-plane table or the per-face exit loop is back (read TetMesh's CellPlanes rows through mesh::first_exit)" >&2
+    exit 1
+fi
+
 echo "== wire deleted-names lint (the transport is reliable and FIFO per pair; a fault is a rank failure) =="
 # MPI delivers every message once and in order per pair, so the lossy-
 # wire simulator and the reliability layer that undid it are gone with

@@ -18,14 +18,22 @@
 //! (`dsmc::movepush::tests::keyed_wall_reflection_has_the_diffuse_wall_moments`
 //! checks those against the diffuse wall's moments). The threaded runs
 //! rebalance only at a fixed cadence: the measured-time trigger does
-//! not repeat across runs.
+//! not repeat across runs. The 3-rank guard run's cells rarely hold two
+//! particles, so a second 3-rank pin, at 40× the inlet density, is the
+//! one whose Colli_React accepts collisions.
 
 mod common;
 
 use balance::RebalanceConfig;
 use common::{guard_builder, guard_config, serial_baseline, threaded_baseline};
-use coupled::{run_threaded, ClusterSim, MachineProfile, Phase, RunReport};
-use obs::fnv1a_f64;
+use coupled::world::World;
+use coupled::{
+    run_step, run_threaded, ClusterSim, MachineProfile, Phase, RankEngine, RunConfig, RunReport,
+    ThreadedBackend,
+};
+use obs::{fnv1a_f64, NullObserver};
+use std::sync::Arc;
+use vmpi::run_world;
 use vmpi::Strategy::{self, Auto, Distributed};
 
 /// A 64-bit digest, printed in hex.
@@ -59,6 +67,10 @@ fn density(r: &RunReport) -> Density {
 fn print_golden_pins() {
     println!("serial: {:?}", density(serial_baseline()));
     println!("threaded: {:?}", density(threaded_baseline()));
+    println!(
+        "threaded, occupied cells: {:?}",
+        density(&run_threaded(&occupied_config()))
+    );
     for w_cell in [1, 0] {
         println!(
             "balanced jet, W_cell = {w_cell}: {:?}",
@@ -78,6 +90,53 @@ fn threaded_density_is_bitwise_pinned() {
             digest: Hex(0xea0a_09cc_40cc_0ccd),
         },
         "threaded run no longer bitwise identical to the pinned baseline"
+    );
+}
+
+/// The guard config at 40× the neutral inlet density: the guard run's
+/// 389 particles in 432 cells rarely meet, so its threaded Colli_React
+/// accepts nothing and its pin does not move with the collision
+/// kernels or their keys. Here 14,182 particles collide on the ranks
+/// that hold the plume.
+fn occupied_config() -> RunConfig {
+    let mut run = guard_config();
+    run.sim.density_h *= 40.0;
+    run
+}
+
+/// Accepted collisions per rank of `run`'s threaded step loop: the
+/// ranks of `session::rank_main`, stepped by hand to read each step's
+/// record, which the report does not carry.
+fn threaded_collisions(run: &RunConfig) -> Vec<usize> {
+    let world = Arc::new(World::build(&run.sim, run.ranks));
+    run_world(run.ranks, |comm| {
+        let mut eng = RankEngine::for_rank(run.sim.clone(), &world, comm.rank());
+        let mut be = ThreadedBackend::new(&comm, run, &world, world.owner0.clone());
+        (0..run.steps)
+            .map(|_| {
+                let (rec, ..) = run_step(&mut eng, &mut be, &mut NullObserver).expect("no fault");
+                rec.collisions
+            })
+            .sum()
+    })
+}
+
+#[test]
+fn threaded_colli_react_is_bitwise_pinned() {
+    let run = occupied_config();
+    let collisions = threaded_collisions(&run);
+    assert!(
+        collisions.iter().sum::<usize>() > 100,
+        "premise: the threaded run accepts collisions, {collisions:?} per rank"
+    );
+    assert_eq!(
+        density(&run_threaded(&run)),
+        Density {
+            population: 14_182,
+            cells: 432,
+            digest: Hex(0xcffe_bd19_7307_0086),
+        },
+        "threaded run with occupied cells no longer bitwise identical to the pinned baseline"
     );
 }
 

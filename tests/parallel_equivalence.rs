@@ -9,7 +9,7 @@ use particles::{sample, Particle, ParticleBuffer, SpeciesTable};
 use pic::{deposit_charge_pooled, PoissonSolver};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sparse::KrylovOptions;
+use sparse::{KrylovOptions, DET_DOT_BLOCK};
 use vmpi::Strategy;
 
 fn base_run(ranks: usize) -> RunConfig {
@@ -140,12 +140,18 @@ fn transaction_counts_reflect_strategy() {
 #[test]
 fn worker_count_invariant_deposit_and_cg_history() {
     let spec = NozzleSpec {
-        nd: 5,
-        nz: 6,
+        nd: 8,
+        nz: 20,
         ..NozzleSpec::default()
     };
     let coarse = spec.generate();
     let nm = NestedMesh::from_coarse(coarse, move |c, n| spec.classify(c, n));
+    // the field solve gives a lane four blocks at least
+    assert!(
+        nm.fine.num_nodes() > 8 * DET_DOT_BLOCK,
+        "test premise: blocks for two CG lanes, {} nodes",
+        nm.fine.num_nodes()
+    );
     let (table, h, hp) = SpeciesTable::hydrogen_plasma(1.0, 100.0);
 
     // mixed population: charged ions among neutral background
