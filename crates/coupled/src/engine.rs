@@ -101,10 +101,10 @@ pub struct RankEngine {
     /// DSMC iterations completed.
     pub step_count: usize,
     /// Lanes of the neutral and ion moves, the two collision passes
-    /// and the CG team, each bitwise the same on any lane count: every core
-    /// for a whole-domain engine, one for a rank of a decomposed run,
-    /// whose sibling rank threads (or job-server workers) already fill
-    /// the cores.
+    /// and their cell index, each bitwise the same on any lane count
+    /// (the field solve runs on one): every core for a whole-domain
+    /// engine, one for a rank of a decomposed run, whose sibling rank
+    /// threads (or job-server workers) already fill the cores.
     pub lanes: Pool,
     /// Exchange scratch (used by communicating backends).
     pub exch: ExchangeScratch,
@@ -439,7 +439,7 @@ impl RankEngine {
     /// φ to E, which the next push gathers at the ions. The vector
     /// becomes the next deposit's scratch.
     fn field_solve(&mut self, node_charge: Vec<f64>, rec: &mut StepRecord) {
-        let (phi, stats) = self.poisson.solve_with(&node_charge, &self.lanes, None);
+        let (phi, stats) = self.poisson.solve(&node_charge);
         self.efield.refresh(&self.nm.fine, phi);
         rec.poisson_iters.push(stats.iterations);
         rec.poisson_unconverged += usize::from(!stats.converged);

@@ -175,7 +175,7 @@ impl ColliReact<'_> {
         ]
         .map(|pass| pass_key(key, pass));
         let ion_density = |c: usize, n: usize| n as f64 * ion.weight / mesh.volumes[c];
-        team(parts, |_, (((cells, sgm), order), scratch), _| {
+        team(parts, |_, (((cells, sgm), order), scratch)| {
             let mut stats = ColliReactStats::default();
             let (first, base) = (cells.start, at(cells.start, 0));
             for c in cells {

@@ -311,7 +311,7 @@ fn move_with_floor<R: Rng, P: Fn(u8) -> bool + Sync>(
         })
         .collect();
     let (pred, flights) = (&pred, &flights);
-    let lane_out = team(chunks, |_, chunk: Chunk<'_>, _| {
+    let lane_out = team(chunks, |_, chunk: Chunk<'_>| {
         let Chunk {
             start,
             rv: [x, y, z, vx, vy, vz],

@@ -1,6 +1,7 @@
 //! Intra-rank parallel kernel layer: the lane count of a rank's
-//! engine ([`Pool`]), the SPMD [`team`] region the CG solve and the
-//! particle move run in, and the chunking helpers they share.
+//! engine ([`Pool`]), the [`team`] region the particle moves, the
+//! collision passes and the cell index run in, and the chunking helpers
+//! they share. The field solve (CG) has no lanes.
 //!
 //! Design constraints (see DESIGN.md "Single-node performance"):
 //!
@@ -10,13 +11,7 @@
 //!   and each further lane is one scoped spawn. At the
 //!   10⁴–10⁶-particle workloads of a paper-scale rank the tens of µs
 //!   a two-lane region costs (`kernels.dispatch_us`) are small against
-//!   ms-scale kernels. A loop of many short steps that all need every
-//!   lane — a CG solve — is one [`team`] region whose lanes meet at a
-//!   [`TeamBarrier`] instead of one region per step.
-//! * **Deterministic reductions.** A reduction over lanes sums fixed
-//!   blocks whose boundaries do not depend on the lane count and folds
-//!   the block sums in block order, so its output is identical for any
-//!   lane count (the CG's inner products, `sparse::krylov`).
+//!   ms-scale kernels.
 //! * **Lane-invariant kernels.** Every kernel that takes lanes gives
 //!   the same bits on any lane count, because it draws from streams
 //!   keyed by what it acts on, not by the lane: the move's flights
@@ -28,8 +23,7 @@
 //!   deposit run serially on the caller's thread.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8};
 
 /// Contiguous near-equal split of `0..n` into at most `parts` ranges
 /// (fewer when `n < parts`; never empty ranges).
@@ -94,8 +88,8 @@ pub fn atomic_u8s(data: &mut [u8]) -> &[AtomicU8] {
     unsafe { &*(data as *mut [u8] as *const [AtomicU8]) }
 }
 
-/// A lane count for the kernels that split their work: the CG
-/// [`team`], the particle move and the collision passes take at most
+/// A lane count for the kernels that split their work: the particle
+/// move, the collision passes and the cell index take at most
 /// [`Pool::workers`] lanes each, and give the same bits on any count.
 #[derive(Debug, Clone)]
 pub struct Pool {
@@ -145,7 +139,7 @@ impl Pool {
             .into_iter()
             .map(|g| (g.start, (&mut it).take(g.len()).collect::<Vec<T>>()))
             .collect();
-        team(groups, |_, (start, group), _| {
+        team(groups, |_, (start, group)| {
             group
                 .into_iter()
                 .enumerate()
@@ -158,137 +152,31 @@ impl Pool {
     }
 }
 
-/// Polls of [`TeamBarrier::wait`] before a waiting lane sleeps. A CG
-/// phase on a few thousand rows keeps the lanes within a few µs of
-/// each other, which this covers; a lane whose partner is descheduled
-/// (more lanes than free cores) stops burning the core after it.
-const BARRIER_SPINS: u32 = 1 << 12;
-
-/// The barrier the lanes of one [`team`] region meet at. A waiting
-/// lane polls `BARRIER_SPINS` times, then sleeps on a condvar until
-/// the last lane arrives.
-pub struct TeamBarrier {
-    lanes: usize,
-    arrived: AtomicUsize,
-    /// Bumped by the last arrival: a waiter leaves when it changes.
-    generation: AtomicUsize,
-    /// Set when a lane panicked: waiters panic instead of sleeping on.
-    poisoned: AtomicBool,
-    sleep: Mutex<()>,
-    wake: Condvar,
-}
-
-impl TeamBarrier {
-    fn new(lanes: usize) -> Self {
-        TeamBarrier {
-            lanes,
-            arrived: AtomicUsize::new(0),
-            generation: AtomicUsize::new(0),
-            poisoned: AtomicBool::new(false),
-            sleep: Mutex::new(()),
-            wake: Condvar::new(),
-        }
-    }
-
-    /// The mutex guards no data (only the sleep/wake handshake), so a
-    /// panic while it was held leaves nothing to repair.
-    fn lock(&self) -> MutexGuard<'_, ()> {
-        self.sleep.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Block until every lane of the team has made as many `wait`
-    /// calls as this one. What a lane wrote before its call is visible
-    /// to every lane after theirs: each arrival's `AcqRel` increment
-    /// orders the earlier arrivals' writes before the last one's, whose
-    /// `Release` store of the generation pairs with every waiter's
-    /// `Acquire` load of it.
-    pub fn wait(&self) {
-        if self.lanes == 1 {
-            return;
-        }
-        let generation = self.generation.load(Ordering::Acquire);
-        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.lanes {
-            // the others leave only after the generation store, so
-            // none can arrive again before the count is reset
-            self.arrived.store(0, Ordering::Relaxed);
-            let _sleepers = self.lock();
-            self.generation
-                .store(generation.wrapping_add(1), Ordering::Release);
-            self.wake.notify_all();
-            return;
-        }
-        for _ in 0..BARRIER_SPINS {
-            if self.generation.load(Ordering::Acquire) != generation {
-                return;
-            }
-            std::hint::spin_loop();
-        }
-        // the last arrival stores the generation under the lock, so it
-        // cannot slip in between this check and the sleep
-        let mut sleepers = self.lock();
-        while self.generation.load(Ordering::Acquire) == generation {
-            if self.poisoned.load(Ordering::Acquire) {
-                drop(sleepers);
-                panic!("another lane of the team panicked");
-            }
-            sleepers = self
-                .wake
-                .wait(sleepers)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    fn poison(&self) {
-        self.poisoned.store(true, Ordering::Release);
-        let _sleepers = self.lock();
-        self.wake.notify_all();
-    }
-}
-
-/// Poisons the team's barrier when its lane unwinds, so the other
-/// lanes panic out of their waits instead of waiting forever.
-struct PoisonOnUnwind<'a>(&'a TeamBarrier);
-
-impl Drop for PoisonOnUnwind<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.poison();
-        }
-    }
-}
-
-/// One SPMD region: `f(lane, part, barrier)` runs on every part at
-/// once, the caller thread as lane 0 and one scoped thread per further
-/// part — `parts.len() − 1` spawns for the whole region (one part runs
-/// on the caller alone, no scope opened), however many
-/// [`TeamBarrier::wait`]s `f` makes. Every lane must make the same
-/// number of waits. Results come back in part order; a panic in any
-/// lane reaches the caller.
+/// One parallel region: `f(lane, part)` runs on every part at once,
+/// the caller thread as lane 0 and one scoped thread per further part
+/// — `parts.len() − 1` spawns (one part runs on the caller alone, no
+/// scope opened). Results come back in part order; a panic in any lane
+/// reaches the caller.
 pub fn team<T, R, F>(parts: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
-    F: Fn(usize, T, &TeamBarrier) -> R + Sync,
+    F: Fn(usize, T) -> R + Sync,
 {
-    let barrier = TeamBarrier::new(parts.len());
-    let (barrier, f) = (&barrier, &f);
-    let lane = move |i: usize, part: T| {
-        let _poison = PoisonOnUnwind(barrier);
-        f(i, part, barrier)
-    };
+    let f = &f;
     let mut parts = parts.into_iter();
     let Some(first) = parts.next() else {
         return Vec::new();
     };
     if parts.len() == 0 {
-        return vec![lane(0, first)];
+        return vec![f(0, first)];
     }
     std::thread::scope(|scope| {
         let helpers: Vec<_> = parts
             .enumerate()
-            .map(|(i, part)| scope.spawn(move || lane(i + 1, part)))
+            .map(|(i, part)| scope.spawn(move || f(i + 1, part)))
             .collect();
-        let mut out = vec![lane(0, first)];
+        let mut out = vec![f(0, first)];
         out.extend(
             helpers
                 .into_iter()
@@ -301,7 +189,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn chunk_ranges_cover_everything() {
@@ -356,34 +243,17 @@ mod tests {
     }
 
     #[test]
-    fn team_lanes_see_each_others_writes_across_barriers() {
-        // each round every lane writes its own slot, then reads all of
-        // them: a barrier that let a lane through early shows as a
-        // stale or torn sum
-        let lanes = 3;
-        let slots: Vec<AtomicU64> = (0..lanes).map(|_| AtomicU64::new(0)).collect();
-        let sums = team((0..lanes).collect(), |lane, part, barrier| {
-            assert_eq!(lane, part);
-            let mut seen = Vec::new();
-            for round in 1..=200u64 {
-                slots[lane].store(round * (lane as u64 + 1), Ordering::Relaxed);
-                barrier.wait();
-                seen.push(slots.iter().map(|s| s.load(Ordering::Relaxed)).sum::<u64>());
-                barrier.wait();
-            }
-            seen
-        });
-        let want: Vec<u64> = (1..=200u64).map(|round| round * 6).collect();
-        assert_eq!(sums, vec![want; lanes]);
-        assert!(team(Vec::<()>::new(), |_, (), _| 0).is_empty());
+    fn team_returns_each_lane_its_part_in_part_order() {
+        let out = team((0..3).collect(), |lane, part: usize| (lane, part * 10));
+        assert_eq!(out, [(0, 0), (1, 10), (2, 20)]);
+        assert!(team(Vec::<()>::new(), |_, ()| 0).is_empty());
     }
 
     #[test]
     fn a_panicking_lane_fails_the_region_instead_of_hanging_it() {
         let result = std::panic::catch_unwind(|| {
-            team(vec![0, 1], |lane, _, barrier| {
-                assert_ne!(lane, 1, "lane 1 fails before the barrier");
-                barrier.wait();
+            team(vec![0, 1], |lane, _| {
+                assert_ne!(lane, 1, "lane 1 fails");
             })
         });
         assert!(result.is_err());

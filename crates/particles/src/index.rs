@@ -76,7 +76,7 @@ impl CellIndex {
         counts.resize(runs.len() * segments, 0);
         let per_run: Vec<_> = runs.iter().map(|_| 0..segments).collect();
         let parts: Vec<_> = runs.iter().zip(carve_mut(&per_run, counts)).collect();
-        team(parts, |_, (run, counts), _| {
+        team(parts, |_, (run, counts)| {
             for (_, (&c, &s)) in particles(run) {
                 if let Some(k) = key(c, s) {
                     counts[k] += 1;
@@ -101,7 +101,7 @@ impl CellIndex {
         // the prefix sum made disjoint
         let shared = atomic_u32s(order);
         let parts: Vec<_> = runs.iter().zip(carve_mut(&per_run, counts)).collect();
-        team(parts, |_, (run, ends), _| {
+        team(parts, |_, (run, ends)| {
             for (i, (&c, &s)) in particles(run).rev() {
                 if let Some(k) = key(c, s) {
                     ends[k] -= 1;

@@ -3,7 +3,8 @@
 //! elements, grounded Dirichlet boundaries, CSR storage and a Krylov
 //! solve (the paper uses PETSc KSP; we use CG preconditioned by Jacobi
 //! plus a Galerkin correction on the coarse DSMC mesh the fine mesh
-//! refines, [`sparse::TwoLevel`]).
+//! refines, [`sparse::TwoLevel`], iterating on the non-grounded nodes
+//! only, [`sparse::Interior`]).
 //!
 //! `−∇²φ = ρ/ε₀` with `b_i = (1/ε₀) Σ_k q_k λ_i(x_k)` for point
 //! charges — exactly the deposition output of [`crate::deposit`].
@@ -11,21 +12,11 @@
 use kernels::Pool;
 use mesh::geom::shape_gradients;
 use mesh::{FaceTag, TetMesh};
-use sparse::{
-    CgWorkspace, CooBuilder, CsrMatrix, KrylovOptions, SolveStats, TwoLevel, DET_DOT_BLOCK,
-};
+use sparse::{CgWorkspace, CooBuilder, CsrMatrix, Interior, KrylovOptions, SolveStats};
 use std::sync::Arc;
 
 /// Vacuum permittivity (F/m).
 pub const EPS0: f64 = 8.854_187_812_8e-12;
-
-/// [`DET_DOT_BLOCK`]-row blocks a CG lane takes at least. A second lane
-/// waits at a team barrier on every reduction; on a shared 2-vCPU VM
-/// that wait ran to tens of µs whenever the lanes were not co-scheduled,
-/// against a few µs of work per block and iteration. On a 4-block
-/// operator (3,825 rows, 22 iterations) the median solve took 1.5–1.7
-/// ms on one lane and 1.3–8.1 ms on two.
-const BLOCKS_PER_LANE: usize = 4;
 
 /// The assembled Poisson system of one fine grid: everything about
 /// `K φ = b` the mesh alone fixes. Immutable once built, so every
@@ -38,9 +29,11 @@ pub struct PoissonOperator {
     /// Dirichlet flags per node (φ = 0 on all inlet/outlet/wall nodes
     /// — conducting nozzle).
     pub is_boundary: Vec<bool>,
-    /// The CG preconditioner: Jacobi plus the coarse-grid correction
-    /// on the mesh `fine` refines (Jacobi alone if it refines none).
-    pub preconditioner: TwoLevel,
+    /// What the CG iterates on: the stiffness matrix of the other
+    /// nodes and its preconditioner, Jacobi plus the coarse-grid
+    /// correction on the mesh `fine` refines (Jacobi alone if it
+    /// refines none).
+    pub interior: Interior,
 }
 
 impl PoissonOperator {
@@ -60,7 +53,17 @@ impl PoissonOperator {
             }
         }
 
-        let mut coo = CooBuilder::new(n, n);
+        // the stiffness matrix of the interior nodes, numbered compactly
+        let mut interior_nodes = 0;
+        let compact: Vec<usize> = is_boundary
+            .iter()
+            .map(|&grounded| {
+                let k = interior_nodes;
+                interior_nodes += usize::from(!grounded);
+                k
+            })
+            .collect();
+        let mut coo = CooBuilder::new(interior_nodes, interior_nodes);
         for t in 0..fine.num_cells() {
             let p = fine.tet_pos(t);
             let g = shape_gradients(p);
@@ -69,7 +72,7 @@ impl PoissonOperator {
             for i in 0..4 {
                 let gi = tet[i] as usize;
                 if is_boundary[gi] {
-                    continue; // row replaced by identity below
+                    continue; // row replaced by identity
                 }
                 for j in 0..4 {
                     let gj = tet[j] as usize;
@@ -77,21 +80,15 @@ impl PoissonOperator {
                         // grounded boundary (φ=0): column drops out
                         continue;
                     }
-                    coo.add(gi, gj, vol * g[i].dot(g[j]));
+                    coo.add(compact[gi], compact[gj], vol * g[i].dot(g[j]));
                 }
             }
         }
-        for (i, &b) in is_boundary.iter().enumerate() {
-            if b {
-                coo.add(i, i, 1.0);
-            }
-        }
-        let matrix = coo.build();
-        let preconditioner = TwoLevel::new(&matrix, &is_boundary, &fine.bisected);
+        let interior = Interior::new(coo.build(), &is_boundary, &fine.bisected);
         PoissonOperator {
-            matrix,
+            matrix: interior.full_matrix(),
             is_boundary,
-            preconditioner,
+            interior,
         }
     }
 }
@@ -105,9 +102,11 @@ pub struct PoissonSolver {
     /// change ρ slowly, so warm starting saves most iterations).
     phi: Vec<f64>,
     opts: KrylovOptions,
-    /// Solve scratch kept between solves (the matrix never changes):
-    /// the right-hand side and the CG work vectors.
+    /// Solve scratch kept between solves (the matrix never changes),
+    /// over the interior nodes: the right-hand side, the iterate and
+    /// the CG work vectors.
     b: Vec<f64>,
+    x: Vec<f64>,
     cg: CgWorkspace,
 }
 
@@ -127,14 +126,14 @@ impl PoissonSolver {
 
     /// A solver on the already assembled `op`, starting from φ = 0.
     pub fn on(op: Arc<PoissonOperator>, opts: KrylovOptions) -> Self {
-        let n = op.matrix.nrows();
-        let cg = CgWorkspace::new(n);
+        let interior = op.interior.rows().len();
         PoissonSolver {
-            op,
-            phi: vec![0.0; n],
+            phi: vec![0.0; op.matrix.nrows()],
             opts,
-            b: vec![0.0; n],
-            cg,
+            b: vec![0.0; interior],
+            x: vec![0.0; interior],
+            cg: CgWorkspace::new(&op.interior),
+            op,
         }
     }
 
@@ -151,40 +150,35 @@ impl PoissonSolver {
         self.solve_with(node_charge, &Pool::serial(), None)
     }
 
-    /// As [`PoissonSolver::solve`], with the CG run as one team of at
-    /// most `pool`'s workers ([`sparse::CgWorkspace::solve`]), each lane
-    /// taking at least `BLOCKS_PER_LANE` blocks, and an optional
-    /// per-iteration residual history capture. The CG reduction order
-    /// is fixed (see [`DET_DOT_BLOCK`]), so the solution is bitwise
-    /// identical for every worker count.
+    /// As [`PoissonSolver::solve`], with an optional per-iteration
+    /// residual history capture. The CG runs on one lane over the
+    /// interior nodes: it gathers `b` and the warm start there, and φ
+    /// is scattered back with every grounded node at `+0.0`. `_pool`
+    /// is unused; the benchmark ledger's call pins the signature.
     pub fn solve_with(
         &mut self,
         node_charge: &[f64],
-        pool: &Pool,
+        _pool: &Pool,
         history: Option<&mut Vec<f64>>,
     ) -> (&[f64], SolveStats) {
-        let n = self.phi.len();
-        assert_eq!(node_charge.len(), n);
-        for ((bi, &q), &grounded) in self.b.iter_mut().zip(node_charge).zip(&self.op.is_boundary) {
-            *bi = if grounded { 0.0 } else { q / EPS0 };
+        let op = &*self.op;
+        assert_eq!(node_charge.len(), self.phi.len());
+        let rows = op.interior.rows();
+        for ((bi, xi), &i) in self.b.iter_mut().zip(&mut self.x).zip(rows) {
+            *bi = node_charge[i as usize] / EPS0;
+            *xi = self.phi[i as usize];
         }
-        // warm start: boundary entries of phi must honour the BC
-        for i in 0..n {
-            if self.op.is_boundary[i] {
-                self.phi[i] = 0.0;
+        let stats = self
+            .cg
+            .solve(&op.interior, &self.b, &mut self.x, self.opts, history);
+        for (phi, &grounded) in self.phi.iter_mut().zip(&op.is_boundary) {
+            if grounded {
+                *phi = 0.0;
             }
         }
-        let blocks = n.div_ceil(DET_DOT_BLOCK);
-        let lanes = Pool::new(pool.workers().min(blocks / BLOCKS_PER_LANE));
-        let stats = self.cg.solve(
-            &self.op.matrix,
-            &self.op.preconditioner,
-            &self.b,
-            &mut self.phi,
-            self.opts,
-            &lanes,
-            history,
-        );
+        for (&xi, &i) in self.x.iter().zip(rows) {
+            self.phi[i as usize] = xi;
+        }
         (&self.phi, stats)
     }
 
@@ -288,32 +282,29 @@ mod tests {
         // solve after it must not see what the early return skipped
         let charges = [&q1, &q2, &vec![0.0; n], &q1];
         // reference: a throw-away workspace per solve on the same
-        // operator (coarse level included), warm-started from the same
-        // iterates
-        let mut x = vec![0.0; n];
+        // interior system (coarse level included), warm-started from
+        // the same iterates, scattered over grounded zeros
+        let op = s.operator().clone();
+        let sys = &op.interior;
+        let rows = sys.rows();
+        let mut x = vec![0.0; rows.len()];
         for (k, q) in charges.into_iter().enumerate() {
-            let b: Vec<f64> = (0..n)
-                .map(|i| if s.is_boundary[i] { 0.0 } else { q[i] / EPS0 })
-                .collect();
-            let want = CgWorkspace::new(n).solve(
-                &s.matrix,
-                &s.preconditioner,
-                &b,
-                &mut x,
-                opts,
-                &Pool::serial(),
-                None,
-            );
+            let b: Vec<f64> = rows.iter().map(|&i| q[i as usize] / EPS0).collect();
+            let want = CgWorkspace::new(sys).solve(sys, &b, &mut x, opts, None);
+            let mut want_phi = vec![0.0; n];
+            for (&i, &xi) in rows.iter().zip(&x) {
+                want_phi[i as usize] = xi;
+            }
             let (phi, stats) = s.solve(q);
             assert_eq!(stats, want, "solve {k}");
             assert_eq!(stats.iterations == 0, k == 2, "solve {k}: {stats:?}");
-            for (got, want) in phi.iter().zip(&x) {
+            for (got, want) in phi.iter().zip(&want_phi) {
                 assert_eq!(got.to_bits(), want.to_bits(), "solve {k}");
             }
             for other in &mut on_shared {
                 let (phi, stats) = other.solve(q);
                 assert_eq!(stats, want, "solve {k} on the shared operator");
-                for (got, want) in phi.iter().zip(&x) {
+                for (got, want) in phi.iter().zip(&want_phi) {
                     assert_eq!(got.to_bits(), want.to_bits(), "solve {k}, shared");
                 }
             }

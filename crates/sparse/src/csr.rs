@@ -5,8 +5,6 @@
 //! [`CooBuilder`] (triplets with duplicate summation), which is the
 //! natural output of FEM element loops.
 
-use std::ops::Range;
-
 /// CSR sparse matrix with `f64` entries.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CsrMatrix {
@@ -62,26 +60,17 @@ impl CsrMatrix {
             .zip(self.values[r].iter().copied())
     }
 
-    /// Matrix–vector product `y = A x`.
+    /// Matrix–vector product `y = A x`: each row one left-to-right
+    /// accumulation from `0.0`.
     pub fn spmv(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.ncols);
         assert_eq!(y.len(), self.nrows);
-        self.spmv_rows(0..self.nrows, |j| x[j], y);
-    }
-
-    /// Rows `rows` of `y = A x` into `y` (which holds just those rows),
-    /// reading `x[j]` as `x(j)`. Each row is one left-to-right
-    /// accumulation, so any split of the rows gives [`CsrMatrix::spmv`]'s
-    /// bits.
-    #[inline]
-    pub(crate) fn spmv_rows(&self, rows: Range<usize>, x: impl Fn(usize) -> f64, y: &mut [f64]) {
-        assert_eq!(y.len(), rows.len());
-        for (yi, i) in y.iter_mut().zip(rows) {
-            let mut acc = 0.0;
-            for k in self.row_ptr[i]..self.row_ptr[i + 1] {
-                acc += self.values[k] * x(self.col_idx[k] as usize);
-            }
-            *yi = acc;
+        for (yi, w) in y.iter_mut().zip(self.row_ptr.windows(2)) {
+            let (cols, vals) = (&self.col_idx[w[0]..w[1]], &self.values[w[0]..w[1]]);
+            *yi = cols
+                .iter()
+                .zip(vals)
+                .fold(0.0, |acc, (&j, &v)| acc + v * x[j as usize]);
         }
     }
 

@@ -3,28 +3,19 @@
 //! Stand-in for the PETSc KSP solver the paper uses for `K φ = b`
 //! (§IV-C). The FEM stiffness matrix with Dirichlet rows is symmetric
 //! positive definite, so CG is the canonical choice; its preconditioner
-//! is [`TwoLevel`]: Jacobi plus a coarse-grid correction on the coarse
-//! DSMC mesh the fine PIC mesh refines.
+//! is [`TwoLevel`](crate::TwoLevel): Jacobi plus a coarse-grid
+//! correction on the coarse DSMC mesh the fine PIC mesh refines.
 //!
-//! A solve is one [`kernels::team`] region. Each lane owns a contiguous
-//! run of [`DET_DOT_BLOCK`]-row blocks and does everything row-wise for
-//! them — SpMV rows, axpys, `D⁻¹r + Pe`, the `p` update — and writes
-//! its blocks' partial sums of every inner product. After a barrier
-//! every lane folds all partials in block order, so each lane takes the
-//! same branches on the same bits. The coarse correction needs all of
-//! `r`: every lane restricts it and solves the coarse system itself,
-//! redundantly, so every lane holds the same coarse bits and prolongs
-//! them onto its own rows. The bits are the serial solve's for any lane
-//! count. Four barriers per iteration: after the `p` update (every
-//! lane's SpMV reads all of `p`), after `p·Ap`, after the `r` update
-//! (every lane's restriction reads all of `r`), and after `r·z` and
-//! `r·r`.
+//! A solve runs on one lane over plain vectors of the interior system
+//! ([`Interior`]): the grounded identity rows, whose `b` and `x` stay 0
+//! for the whole solve, are not iterated on. Every inner product is the
+//! in-order fold, from `0.0`, of one partial per [`DET_DOT_BLOCK`] block
+//! of the full row index, so the iterates, the stats and the residual
+//! history are bitwise those of the whole-vector CG that keeps the
+//! grounded rows.
 
 use crate::csr::CsrMatrix;
-use crate::twolevel::TwoLevel;
-use kernels::{carve_mut, chunk_ranges, team, Pool, TeamBarrier};
-use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::interior::Interior;
 
 /// Convergence report of a Krylov solve.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -55,235 +46,74 @@ impl Default for KrylovOptions {
     }
 }
 
-/// Rows per reduction block. Every inner product is the in-order sum,
-/// from `0.0`, of per-block partials, each the left-to-right sum of
-/// its block; the boundaries depend only on this constant, so a solve
-/// gives the same bits on any number of lanes, and below one block an
-/// inner product is the flat left-to-right sum.
+/// Rows of the full row index per reduction block. Every inner product
+/// is the in-order sum, from `0.0`, of per-block partials, each the
+/// left-to-right sum of its block's interior rows; below one block an
+/// inner product is the flat left-to-right sum. This is the summation
+/// order every pinned field solve was computed in.
 pub const DET_DOT_BLOCK: usize = 1024;
 
-/// Partial-sum slots of a block. `b·b` (folded before the first
-/// barrier that lets any lane on to `p·Ap`) shares the first with
-/// `p·Ap`; `r·z` and `r·r` are written in one phase and need two more.
-const PAP: usize = 0;
-const RZ: usize = 1;
-const RR: usize = 2;
-
-// What lanes share holds f64 bits in atomics, so a lane can write its
-// own rows or blocks while the others read all of them in a later phase
-// without unsafe code. `Relaxed` suffices: a value is read only after
-// the barrier that follows its write, and the barrier orders the two.
-#[inline]
-fn load(v: &AtomicU64) -> f64 {
-    f64::from_bits(v.load(Ordering::Relaxed))
-}
-
-#[inline]
-fn store(v: &AtomicU64, x: f64) {
-    v.store(x.to_bits(), Ordering::Relaxed);
-}
-
-/// One block's partial: the left-to-right sum of the products.
-#[inline]
-fn dot(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(x, y)| x * y).sum::<f64>()
-}
-
-/// Conjugate Gradient on one lane, preconditioned by Jacobi (a bare
-/// matrix has no coarse grid). `x` holds the initial guess on entry and
-/// the solution on exit.
+/// Conjugate Gradient preconditioned by Jacobi (a bare matrix has no
+/// grounded rows and no coarse grid). `x` holds the initial guess on
+/// entry and the solution on exit.
 pub fn cg(a: &CsrMatrix, b: &[f64], x: &mut [f64], opts: KrylovOptions) -> SolveStats {
-    let m = TwoLevel::new(a, &[], &[]);
-    CgWorkspace::new(a.nrows()).solve(a, &m, b, x, opts, &Pool::serial(), None)
+    let sys = Interior::new(a.clone(), &vec![false; a.nrows()], &[]);
+    CgWorkspace::new(&sys).solve(&sys, b, x, opts, None)
 }
 
-/// What a CG solve on one matrix needs besides the matrix, its
-/// preconditioner, `b` and `x`: the work vectors, the partial sums and
-/// each lane's coarse vector. Every solve overwrites them before
-/// reading them, so nothing carries over from one solve to the next.
+/// What a CG solve on one interior system needs besides the system,
+/// `b` and `x`: the work vectors and the coarse vector. Every solve
+/// overwrites them before reading them, so nothing carries over from
+/// one solve to the next.
 pub struct CgWorkspace {
     r: Vec<f64>,
     z: Vec<f64>,
     p: Vec<f64>,
     ap: Vec<f64>,
-    /// The vector every lane reads in full: `x` for the initial
-    /// residual, then `p` for each SpMV and `r` for each restriction,
-    /// each lane writing its own rows.
-    shared: Vec<AtomicU64>,
-    /// Per-block partial sums, one slot per reduction ([`PAP`]…).
-    partials: Vec<[AtomicU64; 3]>,
-    /// One coarse vector per lane, its zero slot last; carved by the
-    /// caller, so no helper lane allocates.
+    /// The coarse unknowns, then the zero slot.
     coarse: Vec<f64>,
 }
 
 impl CgWorkspace {
-    /// Workspace for solves on an `n`-row matrix.
-    pub fn new(n: usize) -> Self {
+    /// Workspace for solves on `sys`.
+    pub fn new(sys: &Interior) -> Self {
+        let n = sys.matrix.nrows();
         CgWorkspace {
             r: vec![0.0; n],
             z: vec![0.0; n],
             p: vec![0.0; n],
             ap: vec![0.0; n],
-            shared: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            partials: (0..n.div_ceil(DET_DOT_BLOCK).max(1))
-                .map(|_| Default::default())
-                .collect(),
-            coarse: Vec::new(),
+            coarse: vec![0.0; sys.preconditioner.coarse_unknowns() + 1],
         }
     }
 
-    /// CG on `a`, preconditioned by `m` (built for `a`), on
-    /// `min(pool.workers(), blocks)` lanes (one spawn per extra lane per
-    /// solve). The iterates, the stats and the residual history are
-    /// bitwise the same for every lane count. When `history` is given,
-    /// the relative residual of every iteration (including the final
-    /// one) is appended.
-    // the system, its preconditioner, the right-hand side, the iterate,
-    // and how far and on how many lanes to iterate
-    #[allow(clippy::too_many_arguments)]
+    /// CG on `sys`, whose rows `b` and `x` hold. When `history` is
+    /// given, the relative residual of every iteration (including the
+    /// final one) is appended.
     pub fn solve(
         &mut self,
-        a: &CsrMatrix,
-        m: &TwoLevel,
+        sys: &Interior,
         b: &[f64],
         x: &mut [f64],
         opts: KrylovOptions,
-        pool: &Pool,
         mut history: Option<&mut Vec<f64>>,
     ) -> SolveStats {
+        let (a, m) = (&sys.matrix, &sys.preconditioner);
         let n = b.len();
         assert_eq!(a.nrows(), n);
-        assert_eq!(m.nrows(), n, "preconditioner built for another matrix");
         assert_eq!(x.len(), n);
-        assert_eq!(self.r.len(), n, "workspace built for another matrix");
-        let runs = chunk_ranges(self.partials.len(), pool.workers());
-        let rows: Vec<Range<usize>> = runs
-            .iter()
-            .map(|k| k.start * DET_DOT_BLOCK..(k.end * DET_DOT_BLOCK).min(n))
-            .collect();
-        let slots = m.coarse_unknowns() + 1;
-        self.coarse.resize(runs.len() * slots, 0.0);
-        let coarse = self.coarse.chunks_exact_mut(slots);
-        let [xs, rs, zs, ps, aps] = [
-            x,
-            &mut self.r[..],
-            &mut self.z[..],
-            &mut self.p[..],
-            &mut self.ap[..],
-        ]
-        .map(|v| carve_mut(&rows, v));
-        let chunks = xs.into_iter().zip(rs).zip(zs.into_iter().zip(ps).zip(aps));
-        let lanes = runs
-            .into_iter()
-            .zip(rows.iter().cloned())
-            .zip(chunks.zip(coarse))
-            .map(|((blocks, rows), (((x, r), ((z, p), ap)), e))| Lane {
-                blocks,
-                rows,
-                x,
-                r,
-                z,
-                p,
-                ap,
-                e,
-                history: history.take(),
-            })
-            .collect();
-        let shared = Shared {
-            a,
-            m,
-            b,
-            v: &self.shared,
-            partials: &self.partials,
-            opts,
-        };
-        team(lanes, |_, lane, barrier| lane.solve(&shared, barrier))[0]
-    }
-}
+        assert_eq!(self.r.len(), n, "workspace built for another system");
+        let CgWorkspace {
+            r,
+            z,
+            p,
+            ap,
+            coarse: e,
+        } = self;
 
-/// What every lane of a solve reads.
-struct Shared<'a> {
-    a: &'a CsrMatrix,
-    m: &'a TwoLevel,
-    b: &'a [f64],
-    v: &'a [AtomicU64],
-    partials: &'a [[AtomicU64; 3]],
-    opts: KrylovOptions,
-}
-
-impl Shared<'_> {
-    /// Reduction `slot`: every block's partial, in block order.
-    fn fold(&self, slot: usize) -> f64 {
-        self.partials
-            .iter()
-            .fold(0.0, |acc, p| acc + load(&p[slot]))
-    }
-
-    /// This lane's rows of `y = A v`.
-    fn spmv(&self, rows: Range<usize>, y: &mut [f64]) {
-        self.a.spmv_rows(rows, |j| load(&self.v[j]), y);
-    }
-}
-
-/// One lane's share of a solve: its blocks, their rows, its chunks of
-/// the row-wise vectors and its own coarse vector (the history goes to
-/// lane 0).
-struct Lane<'a> {
-    blocks: Range<usize>,
-    rows: Range<usize>,
-    x: &'a mut [f64],
-    r: &'a mut [f64],
-    z: &'a mut [f64],
-    p: &'a mut [f64],
-    ap: &'a mut [f64],
-    e: &'a mut [f64],
-    history: Option<&'a mut Vec<f64>>,
-}
-
-impl Lane<'_> {
-    /// Write this lane's partials of reduction `slot`; `block_dot`
-    /// gets each block's rows relative to the lane's first row.
-    fn put(&self, s: &Shared, slot: usize, block_dot: impl Fn(Range<usize>) -> f64) {
-        let first = self.rows.start;
-        for k in self.blocks.clone() {
-            let start = k * DET_DOT_BLOCK;
-            let local = start - first..(start + DET_DOT_BLOCK).min(self.rows.end) - first;
-            store(&s.partials[k][slot], block_dot(local));
-        }
-    }
-
-    /// Publish this lane's rows of `r`; once every lane has, restrict
-    /// all of it and solve the coarse system (every lane, the same
-    /// bits), then `z = D⁻¹ r + P e` on this lane's rows and the
-    /// partials of `r·z` and `r·r`.
-    fn precondition(&mut self, s: &Shared, barrier: &TeamBarrier) {
-        for (vi, &ri) in s.v[self.rows.clone()].iter().zip(&*self.r) {
-            store(vi, ri);
-        }
-        barrier.wait();
-        s.m.restrict(|i| load(&s.v[i]), self.e);
-        s.m.coarse_solve(self.e);
-        s.m.apply_rows(self.rows.clone(), self.r, self.e, self.z);
-        let (r, z) = (&*self.r, &*self.z);
-        self.put(s, RZ, |l| dot(&r[l.clone()], &z[l]));
-        self.put(s, RR, |l| dot(&r[l.clone()], &r[l]));
-    }
-
-    fn solve(mut self, s: &Shared, barrier: &TeamBarrier) -> SolveStats {
-        let rows = self.rows.clone();
-        let (b, shared) = (&s.b[rows.clone()], &s.v[rows.clone()]);
-        let opts = s.opts;
-
-        // publish x for every lane's first SpMV; ‖b‖
-        for (si, &xi) in shared.iter().zip(&*self.x) {
-            store(si, xi);
-        }
-        self.put(s, PAP, |l| dot(&b[l.clone()], &b[l]));
-        barrier.wait();
-        let norm_b = s.fold(PAP).sqrt();
+        let norm_b = sys.dot(b, b).sqrt();
         if norm_b == 0.0 {
-            self.x.fill(0.0);
+            x.fill(0.0);
             return SolveStats {
                 iterations: 0,
                 rel_residual: 0.0,
@@ -291,21 +121,18 @@ impl Lane<'_> {
             };
         }
 
-        s.spmv(rows.clone(), self.r);
-        for (ri, bi) in self.r.iter_mut().zip(b) {
+        a.spmv(x, r);
+        for (ri, bi) in r.iter_mut().zip(b) {
             *ri = bi - *ri;
         }
-        // every lane has read x before r takes its place
-        barrier.wait();
-        self.precondition(s, barrier);
-        barrier.wait();
-        let (mut rz, mut rr) = (s.fold(RZ), s.fold(RR));
+        m.apply(r, e, z);
+        let (mut rz, mut rr) = (sys.dot(r, z), sys.dot(r, r));
         let mut beta = 0.0;
 
         let mut it = 0;
         loop {
             let res = rr.sqrt() / norm_b;
-            if let Some(h) = self.history.as_mut() {
+            if let Some(h) = history.as_deref_mut() {
                 h.push(res);
             }
             if res <= opts.rtol || it == opts.max_iters {
@@ -316,22 +143,15 @@ impl Lane<'_> {
                 };
             }
             if it == 0 {
-                self.p.copy_from_slice(self.z);
+                p.copy_from_slice(z);
             } else {
-                for (pi, zi) in self.p.iter_mut().zip(&*self.z) {
+                for (pi, zi) in p.iter_mut().zip(&*z) {
                     *pi = zi + beta * *pi;
                 }
             }
-            for (si, &pi) in shared.iter().zip(&*self.p) {
-                store(si, pi);
-            }
-            barrier.wait();
 
-            s.spmv(rows.clone(), self.ap);
-            let (p, ap) = (&*self.p, &*self.ap);
-            self.put(s, PAP, |l| dot(&p[l.clone()], &ap[l]));
-            barrier.wait();
-            let pap = s.fold(PAP);
+            a.spmv(p, ap);
+            let pap = sys.dot(p, ap);
             if pap <= 0.0 {
                 // matrix not SPD (or breakdown): report failure
                 return SolveStats {
@@ -342,17 +162,16 @@ impl Lane<'_> {
             }
 
             let alpha = rz / pap;
-            for (xi, pi) in self.x.iter_mut().zip(&*self.p) {
+            for (xi, pi) in x.iter_mut().zip(&*p) {
                 *xi += alpha * pi;
             }
             let neg_alpha = -alpha;
-            for (ri, api) in self.r.iter_mut().zip(&*self.ap) {
+            for (ri, api) in r.iter_mut().zip(&*ap) {
                 *ri += neg_alpha * api;
             }
-            self.precondition(s, barrier);
-            barrier.wait();
-            let rz_new = s.fold(RZ);
-            rr = s.fold(RR);
+            m.apply(r, e, z);
+            let rz_new = sys.dot(r, z);
+            rr = sys.dot(r, r);
             beta = rz_new / rz;
             rz = rz_new;
             it += 1;

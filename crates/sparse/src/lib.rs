@@ -5,10 +5,12 @@
 
 pub mod csr;
 pub mod dense;
+pub mod interior;
 pub mod krylov;
 pub mod twolevel;
 
 pub use csr::{CooBuilder, CsrMatrix};
 pub use dense::solve_dense;
+pub use interior::Interior;
 pub use krylov::{cg, CgWorkspace, KrylovOptions, SolveStats, DET_DOT_BLOCK};
 pub use twolevel::TwoLevel;

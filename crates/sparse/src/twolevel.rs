@@ -15,23 +15,28 @@
 //! one restriction, two triangular sweeps and one prolongation. A
 //! matrix without nesting has no coarse unknowns; the same code then
 //! applies `D⁻¹ r` alone.
+//!
+//! The CG iterates on the interior rows only ([`crate::Interior`]), so
+//! everything per row here — `D⁻¹`, the slots `P` averages and the rows
+//! `Pᵀ` sums — is kept for those rows, in their compact numbering. A
+//! Dirichlet row names only the zero slot, so dropping it changes no
+//! sum.
 
 use crate::csr::CsrMatrix;
-use std::ops::Range;
 
-/// `D⁻¹ + P Ac⁻¹ Pᵀ` of one matrix, built once and read by every solve
-/// (and every lane) on it.
+/// `D⁻¹ + P Ac⁻¹ Pᵀ` of one interior system, built once and read by
+/// every solve on it.
 #[derive(Debug)]
 pub struct TwoLevel {
     /// `D⁻¹` (1 on a row without a diagonal).
     inv_diag: Vec<f64>,
-    /// Per fine row, the two slots of the coarse vector whose mean is
-    /// `(P e)_i`: a coarse node names its own slot twice, a midpoint its
-    /// edge's two ends; a Dirichlet node, and a row without nesting,
+    /// Per interior row, the two slots of the coarse vector whose mean
+    /// is `(P e)_i`: a coarse node names its own slot twice, a midpoint
+    /// its edge's two ends; a Dirichlet end, and a row without nesting,
     /// name the zero slot, slot `nu` (one past the unknowns). Each name
     /// is a weight of ½.
     prolong: Vec<[u32; 2]>,
-    /// `Pᵀ` by rows: coarse unknown `j` is named by the fine rows
+    /// `Pᵀ` by rows: coarse unknown `j` is named by the interior rows
     /// `named[named_ptr[j]..named_ptr[j + 1]]`, ascending, a row that
     /// names it twice listed twice.
     named_ptr: Vec<u32>,
@@ -41,13 +46,18 @@ pub struct TwoLevel {
 }
 
 impl TwoLevel {
-    /// The preconditioner of `a`, the matrix of a mesh whose nodes are
-    /// nested as [`TwoLevel`] describes: the last `bisected.len()` rows
-    /// are the midpoints of the coarse edges `bisected`, `dirichlet`
-    /// flags every row replaced by identity. Empty `bisected` means no
-    /// nesting (`dirichlet` is not read then): Jacobi alone.
-    pub fn new(a: &CsrMatrix, dirichlet: &[bool], bisected: &[[u32; 2]]) -> Self {
-        let n = a.nrows();
+    /// The preconditioner of `a`, the interior rows of a matrix whose
+    /// nodes are nested as [`TwoLevel`] describes: compact row `k` is
+    /// full row `rows[k]`, the last `bisected.len()` full rows are the
+    /// midpoints of the coarse edges `bisected`, and `dirichlet` flags
+    /// the full rows left out. Empty `bisected` means no nesting:
+    /// Jacobi alone.
+    pub(crate) fn new(
+        a: &CsrMatrix,
+        rows: &[u32],
+        dirichlet: &[bool],
+        bisected: &[[u32; 2]],
+    ) -> Self {
         let inv_diag = a
             .diagonal()
             .iter()
@@ -56,7 +66,7 @@ impl TwoLevel {
         let nc = if bisected.is_empty() {
             0
         } else {
-            n - bisected.len()
+            dirichlet.len() - bisected.len()
         };
         // coarse node → its unknown, or the zero slot `nu`
         let nu = dirichlet[..nc].iter().filter(|&&d| !d).count() as u32;
@@ -72,10 +82,11 @@ impl TwoLevel {
                 }
             })
             .collect();
-        let prolong: Vec<[u32; 2]> = (0..n)
-            .map(|i| match i.checked_sub(nc) {
-                None => [slot[i]; 2],
-                Some(_) if bisected.is_empty() || dirichlet[i] => [nu; 2],
+        let prolong: Vec<[u32; 2]> = rows
+            .iter()
+            .map(|&i| match (i as usize).checked_sub(nc) {
+                None => [slot[i as usize]; 2],
+                Some(_) if bisected.is_empty() => [nu; 2],
                 Some(k) => bisected[k].map(|c| slot[c as usize]),
             })
             .collect();
@@ -108,11 +119,6 @@ impl TwoLevel {
         two
     }
 
-    /// Number of fine rows.
-    pub fn nrows(&self) -> usize {
-        self.inv_diag.len()
-    }
-
     /// Coarse unknowns (the non-Dirichlet coarse nodes).
     pub fn coarse_unknowns(&self) -> usize {
         self.named_ptr.len() - 1
@@ -124,24 +130,22 @@ impl TwoLevel {
         self.factor.values.len() + self.factor.inv_diag.len()
     }
 
-    /// The fine rows that name coarse unknown `j`.
+    /// The interior rows that name coarse unknown `j`.
     fn named(&self, j: usize) -> &[u32] {
         &self.named[self.named_ptr[j] as usize..self.named_ptr[j + 1] as usize]
     }
 
-    /// `e[..nu] = Pᵀ r`, reading `r[i]` as `r(i)`: each unknown sums,
-    /// from 0, the rows that name it in ascending order (one term per
-    /// name) and halves the sum. `e` has `nu + 1` entries; the zero slot
-    /// `e[nu]` is set to 0.
-    #[inline]
-    pub(crate) fn restrict(&self, r: impl Fn(usize) -> f64, e: &mut [f64]) {
+    /// `e[..nu] = Pᵀ r`: each unknown sums, from 0, the rows that name
+    /// it in ascending order (one term per name) and halves the sum.
+    /// `e` has `nu + 1` entries; the zero slot `e[nu]` is set to 0.
+    fn restrict(&self, r: &[f64], e: &mut [f64]) {
         let (e, zero) = e.split_at_mut(self.coarse_unknowns());
         for (j, ej) in e.iter_mut().enumerate() {
             *ej = 0.5
                 * self
                     .named(j)
                     .iter()
-                    .fold(0.0, |acc, &i| acc + r(i as usize));
+                    .fold(0.0, |acc, &i| acc + r[i as usize]);
         }
         zero[0] = 0.0;
     }
@@ -152,13 +156,13 @@ impl TwoLevel {
         self.factor.solve(&mut e[..self.coarse_unknowns()]);
     }
 
-    /// Rows `rows` of `z = D⁻¹ r + P e` into `z`, which (like `r`)
-    /// holds just those rows; `e` is the corrected coarse vector with
-    /// its zero slot.
-    #[inline]
-    pub(crate) fn apply_rows(&self, rows: Range<usize>, r: &[f64], e: &[f64], z: &mut [f64]) {
-        let pairs = self.prolong[rows.clone()].iter();
-        for (((zi, ri), di), &[s, t]) in z.iter_mut().zip(r).zip(&self.inv_diag[rows]).zip(pairs) {
+    /// `z = D⁻¹ r + P Ac⁻¹ Pᵀ r` over the interior rows; `e` is the
+    /// coarse vector's scratch (`nu + 1` entries).
+    pub(crate) fn apply(&self, r: &[f64], e: &mut [f64], z: &mut [f64]) {
+        self.restrict(r, e);
+        self.coarse_solve(e);
+        let rows = z.iter_mut().zip(r).zip(&self.inv_diag).zip(&self.prolong);
+        for (((zi, ri), di), &[s, t]) in rows {
             *zi = ri * di + 0.5 * (e[s as usize] + e[t as usize]);
         }
     }
@@ -297,42 +301,42 @@ impl Envelope {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::csr::CooBuilder;
     use crate::dense::solve_dense;
+    use crate::Interior;
 
     /// Nodes `0..=4` on a line, refined: midpoints `5..=8` of the four
     /// segments. Fine stiffness `tridiag(−1, 2, −1)` in fine order with
-    /// node 0 and node 4 Dirichlet.
-    fn nested_line() -> (CsrMatrix, Vec<bool>, Vec<[u32; 2]>) {
+    /// node 0 and node 4 Dirichlet: the interior rows are full rows
+    /// 1, 2, 3, 5, 6, 7, 8.
+    fn nested_line() -> Interior {
         let bisected = vec![[0, 1], [1, 2], [2, 3], [3, 4]];
         // fine position order: 0 5 1 6 2 7 3 8 4
         let order = [0usize, 5, 1, 6, 2, 7, 3, 8, 4];
         let dirichlet: Vec<bool> = (0..9).map(|i| i == 0 || i == 4).collect();
-        let mut b = CooBuilder::new(9, 9);
+        let compact = |i: usize| i - usize::from(i > 0) - usize::from(i > 4);
+        let mut b = CooBuilder::new(7, 7);
         for (p, &i) in order.iter().enumerate() {
             if dirichlet[i] {
-                b.add(i, i, 1.0);
                 continue;
             }
-            b.add(i, i, 2.0);
+            b.add(compact(i), compact(i), 2.0);
             for q in [p.wrapping_sub(1), p + 1] {
                 if let Some(&j) = order.get(q) {
                     if !dirichlet[j] {
-                        b.add(i, j, -1.0);
+                        b.add(compact(i), compact(j), -1.0);
                     }
                 }
             }
         }
-        (b.build(), dirichlet, bisected)
+        Interior::new(b.build(), &dirichlet, &bisected)
     }
 
     #[test]
     fn galerkin_operator_of_a_nested_line_is_the_coarse_stiffness() {
-        let (a, dirichlet, bisected) = nested_line();
-        let two = TwoLevel::new(&a, &dirichlet, &bisected);
+        let sys = nested_line();
         // coarse unknowns are nodes 1, 2, 3; Pᵀ A P = ½ tridiag(−1, 2, −1)
-        let ac = two.galerkin(&a);
+        let ac = sys.preconditioner.galerkin(&sys.matrix);
         assert_eq!(ac.nrows(), 3);
         for i in 0..3usize {
             for j in 0..3 {
@@ -348,9 +352,9 @@ mod tests {
 
     #[test]
     fn coarse_solve_inverts_the_coarse_operator() {
-        let (a, dirichlet, bisected) = nested_line();
-        let two = TwoLevel::new(&a, &dirichlet, &bisected);
-        let ac = two.galerkin(&a);
+        let sys = nested_line();
+        let two = &sys.preconditioner;
+        let ac = two.galerkin(&sys.matrix);
         let dense: Vec<Vec<f64>> = (0..3)
             .map(|i| (0..3).map(|j| ac.get(i, j)).collect())
             .collect();
@@ -366,33 +370,34 @@ mod tests {
 
     #[test]
     fn restriction_is_the_transpose_of_prolongation() {
-        let (a, dirichlet, bisected) = nested_line();
-        let two = TwoLevel::new(&a, &dirichlet, &bisected);
-        // eᵀ Pᵀ r = (P e)ᵀ r for a coarse e and a fine r
-        let r: Vec<f64> = (0..9).map(|i| (i as f64 * 0.7).sin()).collect();
+        let sys = nested_line();
+        let two = &sys.preconditioner;
+        // eᵀ Pᵀ r = (P e)ᵀ r for a coarse e and an interior r
+        let r: Vec<f64> = (0..7).map(|i| (i as f64 * 0.7).sin()).collect();
         let mut rc = vec![0.0; 4];
-        two.restrict(|i| r[i], &mut rc);
+        two.restrict(&r, &mut rc);
         let e = [0.25, -0.5, 1.5, 0.0];
-        let mut pe = [0.0; 9];
+        let mut pe = [0.0; 7];
         for (i, &[s, t]) in two.prolong.iter().enumerate() {
             pe[i] = 0.5 * (e[s as usize] + e[t as usize]);
         }
         let lhs: f64 = e.iter().zip(&rc).map(|(x, y)| x * y).sum();
         let rhs: f64 = pe.iter().zip(&r).map(|(x, y)| x * y).sum();
         assert!((lhs - rhs).abs() < 1e-14, "{lhs} vs {rhs}");
-        assert_eq!(pe[0], 0.0, "Dirichlet rows get no correction");
-        assert_eq!(pe[5], 0.5 * e[0], "midpoint of (0, 1) sees only node 1");
+        // compact row 3 is full row 5
+        assert_eq!(pe[3], 0.5 * e[0], "midpoint of (0, 1) sees only node 1");
     }
 
     #[test]
     fn without_nesting_it_is_jacobi() {
-        let (a, _, _) = nested_line();
-        let two = TwoLevel::new(&a, &[], &[]);
+        let line = nested_line();
+        let sys = Interior::new(line.matrix.clone(), &[false; 7], &[]);
+        let two = &sys.preconditioner;
         assert_eq!(two.coarse_unknowns(), 0);
-        let r: Vec<f64> = (0..9).map(|i| i as f64 - 3.5).collect();
-        let mut z = vec![0.0; 9];
-        two.apply_rows(0..9, &r, &[0.0], &mut z);
-        for ((zi, ri), d) in z.iter().zip(&r).zip(a.diagonal()) {
+        let r: Vec<f64> = (0..7).map(|i| i as f64 - 3.5).collect();
+        let mut z = vec![0.0; 7];
+        two.apply(&r, &mut [0.0], &mut z);
+        for ((zi, ri), d) in z.iter().zip(&r).zip(sys.matrix.diagonal()) {
             assert_eq!(*zi, ri / d);
         }
     }

@@ -1,20 +1,21 @@
-//! The team CG is the serial CG, bit for bit: every lane count gives
-//! the iteration count, every residual-history entry and every bit of
-//! `x` that a single-threaded two-level CG (Jacobi plus the coarse-grid
-//! correction, whole vectors, block-ordered inner products) gives — on
-//! the Poisson operators the benchmark's lattices assemble and on the
-//! edge cases of the iteration. The two-level solution is also checked
-//! against the plain Jacobi-CG oracle and against its true residual,
-//! and the nesting it is built on against the coarse mesh.
-//!
-//! `scripts/verify.sh` also runs these pinned to one CPU: a barrier
-//! that spins instead of yielding the core shows up there as a timeout.
+//! The CG on the interior system is the whole-vector CG, bit for bit:
+//! one solve on the non-grounded rows gives the iteration count, every
+//! residual-history entry and every bit of `x` that a single-threaded
+//! two-level CG over the full matrix (Jacobi plus the coarse-grid
+//! correction, grounded identity rows kept, block-ordered inner
+//! products) gives — on the Poisson operators the benchmark's and the
+//! canned lattices assemble, on matrices whose grounded rows fill a
+//! whole reduction block or sit inside one, and on the edge cases of the
+//! iteration; every grounded entry of `x` stays `+0.0`. The two-level
+//! solution is also checked against the plain Jacobi-CG oracle and
+//! against its true residual, and the nesting it is built on against
+//! the coarse mesh.
 
-use kernels::Pool;
 use mesh::{NestedMesh, NozzleSpec};
 use pic::{PoissonOperator, EPS0};
 use sparse::{
-    CgWorkspace, CooBuilder, CsrMatrix, KrylovOptions, SolveStats, TwoLevel, DET_DOT_BLOCK,
+    CgWorkspace, CooBuilder, CsrMatrix, Interior, KrylovOptions, SolveStats, TwoLevel,
+    DET_DOT_BLOCK,
 };
 
 /// Inner product as the serial solver forms it: left-to-right within
@@ -196,35 +197,72 @@ fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
+/// One solve on `sys` of the full-length `b`, `x`: gather the interior
+/// rows, solve there, scatter `x` back over grounded zeros.
+fn solve_interior(
+    ws: &mut CgWorkspace,
+    sys: &Interior,
+    b: &[f64],
+    x: &mut [f64],
+    opts: KrylovOptions,
+    history: Option<&mut Vec<f64>>,
+) -> SolveStats {
+    let rows = sys.rows();
+    let bi: Vec<f64> = rows.iter().map(|&i| b[i as usize]).collect();
+    let mut xi: Vec<f64> = rows.iter().map(|&i| x[i as usize]).collect();
+    let stats = ws.solve(sys, &bi, &mut xi, opts, history);
+    x.fill(0.0);
+    for (&i, &v) in rows.iter().zip(&xi) {
+        x[i as usize] = v;
+    }
+    stats
+}
+
 /// Solve the sequence `rhs` (each warm-started from the last `x`,
-/// starting at `x0`) with the oracle and with a kept workspace on 1–4
-/// lanes; assert every lane count reproduces the oracle's stats,
-/// history and iterates. Returns the oracle's stats and solutions.
-fn assert_team_is_serial(
+/// starting at `x0`, grounded entries 0) with the oracle on the full
+/// matrix `a` and with one kept workspace on its interior system `sys`;
+/// assert the interior solve reproduces the oracle's stats, history and
+/// every bit of `x`, and that every grounded entry of `x` is `+0.0`
+/// after every solve. Returns the oracle's stats and solutions.
+fn assert_interior_is_whole(
     what: &str,
-    (a, two, nest): (&CsrMatrix, &TwoLevel, &Nesting),
+    (a, sys, nest): (&CsrMatrix, &Interior, &Nesting),
     rhs: &[Vec<f64>],
     x0: &[f64],
     opts: KrylovOptions,
 ) -> Vec<(SolveStats, Vec<f64>)> {
+    let grounded: Vec<usize> = {
+        let mut interior = vec![false; a.nrows()];
+        for &i in sys.rows() {
+            interior[i as usize] = true;
+        }
+        (0..a.nrows()).filter(|&i| !interior[i]).collect()
+    };
+    for &i in &grounded {
+        assert_eq!(x0[i].to_bits(), 0, "{what}: premise: x0 is grounded at {i}");
+        assert!(
+            rhs.iter().all(|b| b[i] == 0.0),
+            "{what}: premise: b = 0 at {i}"
+        );
+    }
     let mut x = x0.to_vec();
     let mut want = Vec::new();
     for b in rhs {
         let mut history = Vec::new();
-        let stats = serial_two_level(a, two, nest, b, &mut x, opts, &mut history);
+        let stats = serial_two_level(a, &sys.preconditioner, nest, b, &mut x, opts, &mut history);
         want.push((stats, bits(&history), x.clone()));
     }
-    for lanes in 1..=4 {
-        let pool = Pool::new(lanes);
-        let mut ws = CgWorkspace::new(a.nrows());
-        let mut x = x0.to_vec();
-        for (k, (b, (stats, history, xs))) in rhs.iter().zip(&want).enumerate() {
-            let mut got = Vec::new();
-            let got_stats = ws.solve(a, two, b, &mut x, opts, &pool, Some(&mut got));
-            let at = format!("{what}, solve {k}, {lanes} lanes");
-            assert_eq!(got_stats, *stats, "{at}");
-            assert_eq!(bits(&got), *history, "{at}: history");
-            assert_eq!(bits(&x), bits(xs), "{at}: x");
+    let mut ws = CgWorkspace::new(sys);
+    let mut x = x0.to_vec();
+    for (k, (b, (stats, history, xs))) in rhs.iter().zip(&want).enumerate() {
+        let mut got = Vec::new();
+        let got_stats = solve_interior(&mut ws, sys, b, &mut x, opts, Some(&mut got));
+        let at = format!("{what}, solve {k}");
+        assert_eq!(got_stats, *stats, "{at}");
+        assert_eq!(bits(&got), *history, "{at}: history");
+        assert_eq!(bits(&x), bits(xs), "{at}: x");
+        for &i in &grounded {
+            assert_eq!(xs[i].to_bits(), 0, "{at}: grounded x[{i}] = {:e}", xs[i]);
         }
     }
     want.into_iter().map(|(stats, _, x)| (stats, x)).collect()
@@ -281,16 +319,24 @@ const ENGINE: KrylovOptions = KrylovOptions {
     max_iters: 1000,
 };
 
+/// On the benchmark's lattices and on the canned `freestream` one,
+/// where more than half the rows are grounded.
 #[test]
-fn team_cg_is_serial_cg_on_the_benchmark_operators() {
-    for lattice in LATTICES {
+fn interior_cg_is_the_whole_vector_cg_on_the_benchmark_and_canned_operators() {
+    for lattice in LATTICES.into_iter().chain([CANNED[0]]) {
         let name = lattice.0;
         let nm = nested(lattice);
         let op = PoissonOperator::assemble(&nm.fine);
         let nest = Nesting::of(&op, &nm.fine.bisected);
-        let sys = (&op.matrix, &op.preconditioner, &nest);
+        let sys = (&op.matrix, &op.interior, &nest);
         let n = op.matrix.nrows();
-        assert!(n > 3 * DET_DOT_BLOCK, "{name}: {n} nodes fill four lanes");
+        let grounded = n - op.interior.rows().len();
+        eprintln!("{name}: {grounded} of {n} rows grounded");
+        if name == "freestream" {
+            assert!(2 * grounded > n, "{name}: {grounded} of {n} grounded");
+        } else {
+            assert!(n > 3 * DET_DOT_BLOCK, "{name}: {n} nodes span four blocks");
+        }
         // a drifting charge, as successive PIC substeps deposit: an
         // oscillating one, then the plume
         let wave = (0..3).map(|step| {
@@ -307,7 +353,7 @@ fn team_cg_is_serial_cg_on_the_benchmark_operators() {
         });
         let plume = (0..3).map(|step| plume_rhs(&nm, &op, step));
         let rhs: Vec<Vec<f64>> = wave.chain(plume).collect();
-        let solved = assert_team_is_serial(name, sys, &rhs, &vec![0.0; n], ENGINE);
+        let solved = assert_interior_is_whole(name, sys, &rhs, &vec![0.0; n], ENGINE);
         assert!(
             solved.iter().all(|(s, _)| s.converged && s.iterations > 0),
             "{name}: {solved:?}"
@@ -315,17 +361,17 @@ fn team_cg_is_serial_cg_on_the_benchmark_operators() {
         // b = 0 from a nonzero start, then a warm start that has
         // already converged
         let x0 = solved[5].1.clone();
-        let zero = assert_team_is_serial(name, sys, &[vec![0.0; n]], &x0, ENGINE);
+        let zero = assert_interior_is_whole(name, sys, &[vec![0.0; n]], &x0, ENGINE);
         assert_eq!(zero[0].0.iterations, 0);
         assert!(zero[0].1.iter().all(|&v| v == 0.0));
-        let again = assert_team_is_serial(name, sys, &rhs[5..], &x0, ENGINE);
+        let again = assert_interior_is_whole(name, sys, &rhs[5..], &x0, ENGINE);
         assert!(again[0].0.converged, "{name}: {again:?}");
         for max_iters in [0, 1, 7] {
             let capped = KrylovOptions {
                 rtol: 1e-14,
                 max_iters,
             };
-            let stats = assert_team_is_serial(name, sys, &rhs[..1], &vec![0.0; n], capped);
+            let stats = assert_interior_is_whole(name, sys, &rhs[..1], &vec![0.0; n], capped);
             assert_eq!(stats[0].0.iterations, max_iters, "{name}");
             assert!(!stats[0].0.converged, "{name}");
         }
@@ -372,19 +418,11 @@ fn interior_condition(op: &PoissonOperator) -> f64 {
         rtol: 1e-10,
         max_iters: 1000,
     };
-    let mut ws = CgWorkspace::new(n);
+    let mut ws = CgWorkspace::new(&op.interior);
     let mut v = start;
     for _ in 0..12 {
         let mut w = vec![0.0; n];
-        let stats = ws.solve(
-            a,
-            &op.preconditioner,
-            &v,
-            &mut w,
-            tight,
-            &Pool::serial(),
-            None,
-        );
+        let stats = solve_interior(&mut ws, &op.interior, &v, &mut w, tight, None);
         assert!(stats.converged);
         let s = norm(&w);
         v = w.iter().map(|x| x / s).collect();
@@ -393,7 +431,7 @@ fn interior_condition(op: &PoissonOperator) -> f64 {
 }
 
 #[test]
-fn team_cg_two_level_solutions_are_jacobi_solutions_in_a_third_of_the_iterations() {
+fn interior_cg_two_level_solutions_are_jacobi_solutions_in_a_third_of_the_iterations() {
     let mut jacobi_mean = Vec::new();
     for lattice in LATTICES {
         let name = lattice.0;
@@ -401,20 +439,12 @@ fn team_cg_two_level_solutions_are_jacobi_solutions_in_a_third_of_the_iterations
         let op = PoissonOperator::assemble(&nm.fine);
         let n = op.matrix.nrows();
         let kappa = interior_condition(&op);
-        let mut ws = CgWorkspace::new(n);
+        let mut ws = CgWorkspace::new(&op.interior);
         let (mut x, mut xj) = (vec![0.0; n], vec![0.0; n]);
         let (mut iters, mut iters_j) = (Vec::new(), Vec::new());
         for step in 0..4 {
             let b = plume_rhs(&nm, &op, step);
-            let stats = ws.solve(
-                &op.matrix,
-                &op.preconditioner,
-                &b,
-                &mut x,
-                ENGINE,
-                &Pool::serial(),
-                None,
-            );
+            let stats = solve_interior(&mut ws, &op.interior, &b, &mut x, ENGINE, None);
             let sj = serial_cg(&op.matrix, &b, &mut xj, ENGINE, &mut Vec::new());
             assert!(
                 stats.converged && sj.converged,
@@ -444,7 +474,7 @@ fn team_cg_two_level_solutions_are_jacobi_solutions_in_a_third_of_the_iterations
 }
 
 #[test]
-fn team_cg_coarse_level_is_the_coarse_mesh() {
+fn interior_cg_coarse_level_is_the_coarse_mesh() {
     for lattice in LATTICES.into_iter().chain(CANNED) {
         let name = lattice.0;
         let nm = nested(lattice);
@@ -461,7 +491,7 @@ fn team_cg_coarse_level_is_the_coarse_mesh() {
         // the interior rows: Ac⁻¹ K = I, column by column, to within
         // κ(Ac)·1e-12 — what a relative error of 1e-12 in Ac = Pᵀ A P
         // becomes through its inverse
-        let pre = &fine.preconditioner;
+        let pre = &fine.interior.preconditioner;
         let unknowns: Vec<usize> = (0..nc).filter(|&i| !coarse.is_boundary[i]).collect();
         let nu = unknowns.len();
         assert_eq!(pre.coarse_unknowns(), nu, "{name}");
@@ -552,22 +582,27 @@ const TIGHT: KrylovOptions = KrylovOptions {
     max_iters: 400,
 };
 
-/// `a` with no nesting: its preconditioner is Jacobi alone.
-fn bare(a: &CsrMatrix) -> (TwoLevel, Nesting) {
-    (TwoLevel::new(a, &[], &[]), Nesting::none(a.nrows()))
+/// `a` with no nesting and no grounded row: its interior system is
+/// all of it, its preconditioner Jacobi alone.
+fn bare(a: &CsrMatrix) -> (Interior, Nesting) {
+    let n = a.nrows();
+    (
+        Interior::new(a.clone(), &vec![false; n], &[]),
+        Nesting::none(n),
+    )
 }
 
 #[test]
-fn team_cg_is_serial_cg_below_one_block_and_off_the_block_grid() {
-    // one partial block; three blocks with a short last one (four
-    // lanes capped at three); exactly two full blocks
+fn interior_cg_is_the_whole_vector_cg_below_one_block_and_off_the_block_grid() {
+    // one partial block; three blocks with a short last one; exactly
+    // two full blocks
     for n in [700, 2500, 2 * DET_DOT_BLOCK] {
         let a = shifted_laplacian(n, 1.0);
-        let (two, nest) = bare(&a);
+        let (sys, nest) = bare(&a);
         let b = a.mul_vec(&wave(n, 0.01));
-        let stats = assert_team_is_serial(
+        let stats = assert_interior_is_whole(
             &format!("n = {n}"),
-            (&a, &two, &nest),
+            (&a, &sys, &nest),
             &[b],
             &vec![0.0; n],
             TIGHT,
@@ -577,85 +612,184 @@ fn team_cg_is_serial_cg_below_one_block_and_off_the_block_grid() {
 }
 
 #[test]
-fn team_cg_is_serial_cg_on_a_zero_rhs() {
+fn interior_cg_is_the_whole_vector_cg_on_a_zero_rhs() {
     let n = 3000;
     let a = shifted_laplacian(n, 1.0);
-    let (two, nest) = bare(&a);
+    let (sys, nest) = bare(&a);
     // a nonzero start, so the zeroing of x is what is checked
-    let stats = assert_team_is_serial(
+    let stats = assert_interior_is_whole(
         "b = 0",
-        (&a, &two, &nest),
+        (&a, &sys, &nest),
         &[vec![0.0; n]],
         &wave(n, 0.3),
         TIGHT,
     );
-    assert_eq!(
-        stats[0].0,
-        SolveStats {
-            iterations: 0,
-            rel_residual: 0.0,
-            converged: true
-        }
-    );
+    assert_eq!(stats[0].0, ZERO_RHS);
 }
 
+const ZERO_RHS: SolveStats = SolveStats {
+    iterations: 0,
+    rel_residual: 0.0,
+    converged: true,
+};
+
 #[test]
-fn team_cg_is_serial_cg_when_the_warm_start_has_converged() {
+fn interior_cg_is_the_whole_vector_cg_when_the_warm_start_has_converged() {
     let n = 3000;
     let a = shifted_laplacian(n, 1.0);
-    let (two, nest) = bare(&a);
+    let (sys, nest) = bare(&a);
     let x0 = wave(n, 0.02);
     let b = a.mul_vec(&x0);
-    let stats = assert_team_is_serial("converged start", (&a, &two, &nest), &[b], &x0, TIGHT);
+    let stats = assert_interior_is_whole("converged start", (&a, &sys, &nest), &[b], &x0, TIGHT);
     assert_eq!(stats[0].0.iterations, 0);
     assert!(stats[0].0.converged);
 }
 
 #[test]
-fn team_cg_is_serial_cg_at_a_breakdown() {
+fn interior_cg_is_the_whole_vector_cg_at_a_breakdown() {
     // negative definite: p·Ap < 0 on the first iteration
     let n = 3000;
     let a = shifted_laplacian(n, -1.0);
-    let (two, nest) = bare(&a);
+    let (sys, nest) = bare(&a);
     let b = wave(n, 0.05);
-    let stats = assert_team_is_serial("pap <= 0", (&a, &two, &nest), &[b], &vec![0.0; n], TIGHT);
+    let stats = assert_interior_is_whole("pap <= 0", (&a, &sys, &nest), &[b], &vec![0.0; n], TIGHT);
     assert!(!stats[0].0.converged, "{stats:?}");
     assert_eq!(stats[0].0.iterations, 0);
 }
 
 #[test]
-fn team_cg_is_serial_cg_at_the_iteration_cap() {
+fn interior_cg_is_the_whole_vector_cg_at_the_iteration_cap() {
     let n = 3000;
     let a = shifted_laplacian(n, 1.0);
-    let (two, nest) = bare(&a);
+    let (sys, nest) = bare(&a);
     let b = a.mul_vec(&wave(n, 0.01));
     for max_iters in [0, 1, 7] {
         let opts = KrylovOptions {
             rtol: 1e-14,
             max_iters,
         };
-        let sys = (&a, &two, &nest);
+        let sys = (&a, &sys, &nest);
         let stats =
-            assert_team_is_serial("capped", sys, std::slice::from_ref(&b), &vec![0.0; n], opts);
+            assert_interior_is_whole("capped", sys, std::slice::from_ref(&b), &vec![0.0; n], opts);
         assert_eq!(stats[0].0.iterations, max_iters);
         assert!(!stats[0].0.converged);
     }
 }
 
 #[test]
-fn team_cg_is_serial_cg_over_many_short_iterations() {
-    // four blocks, a few µs of work per lane per phase and 1,500
-    // iterations: nearly all of the solve is barrier crossings, which
-    // is where a team with more lanes than free cores spends its time
+fn interior_cg_is_the_whole_vector_cg_over_many_iterations() {
+    // four blocks and 1,500 iterations: the recurrences stay on the
+    // whole-vector bits long after they stop converging
     let n = 3 * DET_DOT_BLOCK + 1;
     let a = shifted_laplacian(n, 1.0);
-    let (two, nest) = bare(&a);
+    let (sys, nest) = bare(&a);
     let b = a.mul_vec(&wave(n, 0.01));
     let opts = KrylovOptions {
         rtol: 0.0,
         max_iters: 1500,
     };
-    let sys = (&a, &two, &nest);
-    let stats = assert_team_is_serial("1,500 iterations", sys, &[b], &vec![0.0; n], opts);
+    let sys = (&a, &sys, &nest);
+    let stats = assert_interior_is_whole("1,500 iterations", sys, &[b], &vec![0.0; n], opts);
     assert_eq!(stats[0].0.iterations, 1500, "{stats:?}");
+}
+
+/// Rows of an `n`-row matrix to ground: all of reduction block 1 (so
+/// its compact range is empty), both ends, and every fifth row
+/// elsewhere (interleaved inside the blocks).
+fn grounded_rows(n: usize) -> Vec<bool> {
+    (0..n)
+        .map(|i| (DET_DOT_BLOCK..2 * DET_DOT_BLOCK).contains(&i) || i % 5 == 3 || i == n - 1)
+        .collect()
+}
+
+/// `scale` times a diagonally dominant band — 4.5 on the diagonal, −1
+/// at offsets ±1 and ±6, so grounding every fifth row does not cut it
+/// into small blocks — grounded as assembly grounds a node: each
+/// flagged row replaced by identity and its column dropped. The full
+/// matrix, and its interior system assembled on the compact numbering.
+fn grounded_band(scale: f64, grounded: &[bool]) -> (CsrMatrix, Interior) {
+    let n = grounded.len();
+    let mut compact = vec![usize::MAX; n];
+    let mut k = 0;
+    for i in (0..n).filter(|&i| !grounded[i]) {
+        compact[i] = k;
+        k += 1;
+    }
+    let (mut full, mut interior) = (CooBuilder::new(n, n), CooBuilder::new(k, k));
+    for i in 0..n {
+        if grounded[i] {
+            full.add(i, i, 1.0);
+            continue;
+        }
+        for (d, v) in [-6, -1, 0, 1, 6].map(|d| (d, if d == 0 { 4.5 } else { -1.0 })) {
+            let j = i.wrapping_add_signed(d);
+            if j < n && !grounded[j] {
+                full.add(i, j, scale * v);
+                interior.add(compact[i], compact[j], scale * v);
+            }
+        }
+    }
+    let sys = Interior::new(interior.build(), grounded, &[]);
+    let full = full.build();
+    assert_eq!(sys.full_matrix(), full, "the interior system's full matrix");
+    (full, sys)
+}
+
+/// `v` with its grounded entries set to 0, as a deposit's `b` is.
+fn grounded(mut v: Vec<f64>, flags: &[bool]) -> Vec<f64> {
+    for (vi, _) in v.iter_mut().zip(flags).filter(|(_, &g)| g) {
+        *vi = 0.0;
+    }
+    v
+}
+
+#[test]
+fn interior_cg_is_the_whole_vector_cg_with_grounded_rows() {
+    let n = 4 * DET_DOT_BLOCK + 77;
+    let flags = grounded_rows(n);
+    let (a, sys) = grounded_band(1.0, &flags);
+    let nest = Nesting::none(n);
+    let sys = (&a, &sys, &nest);
+    // a warm-started sequence
+    let rhs: Vec<Vec<f64>> = (0..3)
+        .map(|k| grounded(a.mul_vec(&wave(n, 0.01 + 0.003 * k as f64)), &flags))
+        .collect();
+    let solved = assert_interior_is_whole("grounded rows", sys, &rhs, &vec![0.0; n], TIGHT);
+    assert!(
+        solved.iter().all(|(s, _)| s.converged && s.iterations > 0),
+        "{solved:?}"
+    );
+    // b = 0 from a nonzero start, then the iteration cap
+    let zero =
+        assert_interior_is_whole("grounded, b = 0", sys, &[vec![0.0; n]], &solved[2].1, TIGHT);
+    assert_eq!(zero[0].0, ZERO_RHS);
+    for max_iters in [0, 1, 7] {
+        let capped = KrylovOptions {
+            rtol: 1e-14,
+            max_iters,
+        };
+        let stats =
+            assert_interior_is_whole("grounded, capped", sys, &rhs[..1], &vec![0.0; n], capped);
+        assert_eq!(stats[0].0.iterations, max_iters);
+        assert!(!stats[0].0.converged);
+    }
+}
+
+#[test]
+fn interior_cg_is_the_whole_vector_cg_at_a_breakdown_with_grounded_rows() {
+    // negative definite off the grounded rows: p·Ap < 0 at once
+    let n = 4 * DET_DOT_BLOCK + 77;
+    let flags = grounded_rows(n);
+    let (a, sys) = grounded_band(-1.0, &flags);
+    let nest = Nesting::none(n);
+    let b = grounded(wave(n, 0.05), &flags);
+    let stats = assert_interior_is_whole(
+        "grounded, pap <= 0",
+        (&a, &sys, &nest),
+        &[b],
+        &vec![0.0; n],
+        TIGHT,
+    );
+    assert!(!stats[0].0.converged, "{stats:?}");
+    assert_eq!(stats[0].0.iterations, 0);
 }

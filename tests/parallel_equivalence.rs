@@ -146,10 +146,10 @@ fn worker_count_invariant_deposit_and_cg_history() {
     };
     let coarse = spec.generate();
     let nm = NestedMesh::from_coarse(coarse, move |c, n| spec.classify(c, n));
-    // the field solve gives a lane four blocks at least
+    // the field solve's inner products fold many reduction blocks
     assert!(
         nm.fine.num_nodes() > 8 * DET_DOT_BLOCK,
-        "test premise: blocks for two CG lanes, {} nodes",
+        "test premise: more than eight reduction blocks, {} nodes",
         nm.fine.num_nodes()
     );
     let (table, h, hp) = SpeciesTable::hydrogen_plasma(1.0, 100.0);
