@@ -227,7 +227,7 @@ pub struct ObsConfig {
     pub trace: TraceSpec,
     /// Trailing window (in engine steps) for time-averaged field
     /// diagnostics (`density_h`, `phi`) kept by the serial and
-    /// modelled drivers' [`obs::Recorder`]. 0 (the default) disables
+    /// modelled drivers' run loop ([`obs::TimeAverage`]). 0 (the default) disables
     /// sampling entirely; like the rest of `ObsConfig`, the value
     /// never feeds back into the physics.
     pub avg_window: usize,

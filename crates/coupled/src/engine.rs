@@ -35,7 +35,7 @@ use kernels::Pool;
 use mesh::NestedMesh;
 use obs::{
     Breakdown, ExchangeEvent, LapTimer, NullObserver, Observer, Phase, RebalanceEvent, Recorder,
-    Tee,
+    Tee, TimeAverage,
 };
 use particles::{CellIndex, ParticleBuffer, SpeciesTable};
 use pic::{accelerate_charged, deposit_charge_into, ElectricField, PoissonSolver};
@@ -688,10 +688,11 @@ pub fn run_step<B: Backend, O: Observer>(
 /// The run loop of the two whole-domain drivers (`run_serial` and
 /// `ClusterSim::run`): `steps` iterations of the pipeline on the one
 /// engine owning every cell, observed by a [`ReportBuilder`] and an
-/// [`obs::Recorder`] set up from `obs`. The returned report carries
-/// the trace, the breakdown, the folded totals, the final and
-/// time-averaged diagnostics and the population. `ranks` labels the
-/// trace's metadata record.
+/// [`obs::Recorder`] set up from `obs`, keeping the trailing
+/// [`TimeAverage`] of `density_h` and φ over `obs.avg_window` steps.
+/// The returned report carries the trace, the breakdown, the folded
+/// totals, the final and time-averaged diagnostics and the
+/// population. `ranks` labels the trace's metadata record.
 pub(crate) fn run_whole_domain<B: Backend<Error = Infallible>>(
     eng: &mut RankEngine,
     be: &mut B,
@@ -701,26 +702,25 @@ pub(crate) fn run_whole_domain<B: Backend<Error = Infallible>>(
 ) -> RunReport {
     let mut builder = ReportBuilder::new();
     let sink = obs.trace.make_sink().expect("open trace sink");
-    let mut rec = Recorder::new(obs.metrics.as_ref(), sink).with_time_average(obs.avg_window);
+    let mut rec = Recorder::new(obs.metrics.as_ref(), sink);
+    let mut avg = TimeAverage::new(obs.avg_window);
     rec.meta(ranks, steps);
     for _ in 0..steps {
         let Ok(_) = run_step(eng, be, &mut Tee(&mut builder, &mut rec));
         // time-averaged diagnostics are read-only taps: sampling
         // never perturbs the physics, and with avg_window == 0 the
-        // samples are dropped before they are even computed
+        // samples are not even computed
         if obs.avg_window > 0 {
-            rec.field_sample("density_h", &eng.density_h(&eng.h_counts()));
-            rec.field_sample("phi", eng.poisson.phi());
+            avg.push("density_h", &eng.density_h(&eng.h_counts()));
+            avg.push("phi", eng.poisson.phi());
         }
     }
     rec.finish();
     let mut report = builder.finish();
     report.density_h = eng.density_h(&eng.h_counts());
     report.population = eng.particles.len();
-    if let Some(avg) = rec.time_average() {
-        report.density_h_avg = avg.mean("density_h").unwrap_or_default();
-        report.phi_avg = avg.mean("phi").unwrap_or_default();
-    }
+    report.density_h_avg = avg.mean("density_h").unwrap_or_default();
+    report.phi_avg = avg.mean("phi").unwrap_or_default();
     report
 }
 

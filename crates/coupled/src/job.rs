@@ -8,8 +8,8 @@
 //! schedules them — so a report consumer can read job metadata
 //! without depending on the server, and `coupled::prelude` exports
 //! the whole job vocabulary in one import. The server machinery
-//! (queueing, fair share, caching, recovery supervision) is
-//! `jobsrv`'s.
+//! (queueing, fair share, caching) is `jobsrv`'s; a run's recovery is
+//! its [`crate::EngineSession`]'s.
 
 use crate::config::RunConfig;
 use obs::json::{obj, Json};
@@ -78,7 +78,8 @@ pub enum JobStatus {
     /// Waiting in the fair-share queue (or coalesced behind an
     /// identical in-flight job).
     Queued,
-    /// An engine attempt is executing on a worker.
+    /// The engine runs on a worker (its checkpoint replays, if any,
+    /// included).
     Running,
     /// Finished with a report. `cache_hit` is true when the report
     /// was served from the result cache or coalesced onto another
@@ -87,21 +88,15 @@ pub enum JobStatus {
         /// Served without an engine run of its own.
         cache_hit: bool,
     },
-    /// Gave up: the engine attempt(s) failed and the retry budget (or
-    /// the job's fault policy) forbade another replay.
+    /// Gave up: the config or the server refused the job, its worker
+    /// died, or its engine run failed after every replay its fault
+    /// policy allowed.
     Failed {
         /// Human-readable cause (the final [`RunError`] or panic).
         ///
         /// [`RunError`]: crate::session::RunError
         error: String,
     },
-}
-
-impl JobStatus {
-    /// Whether the job has reached a final state.
-    pub fn is_terminal(&self) -> bool {
-        matches!(self, JobStatus::Done { .. } | JobStatus::Failed { .. })
-    }
 }
 
 /// Provenance stamp on a served [`RunReport`]: which job produced it,
@@ -119,13 +114,14 @@ pub struct JobMeta {
     /// True when the report was served from the cache (or coalesced
     /// onto an identical in-flight run) instead of running the engine.
     pub cache_hit: bool,
-    /// Wall time from submission to the first engine attempt (or to
-    /// cache service).
+    /// Wall time from submission to the job's dispatch (or to cache
+    /// service).
     pub queue_seconds: f64,
-    /// Wall time executing engine attempts (0 for a cache hit).
+    /// Wall time of the job's one engine run, replays included (0 for
+    /// a cache hit).
     pub run_seconds: f64,
-    /// Engine attempts performed (1 = clean run; more = worker-death
-    /// replays from checkpoints; 0 = cache hit).
+    /// Engine attempts performed: 1 + the report's `recoveries` (the
+    /// checkpoint replays after rank deaths); 0 = cache hit.
     pub attempts: usize,
 }
 
@@ -158,17 +154,6 @@ mod tests {
         assert_eq!(spec.tenant, "team-a");
         assert_eq!(spec.label, "smoke");
         assert_eq!(JobSpec::new(spec.run.clone()).tenant, "default");
-    }
-
-    #[test]
-    fn status_terminality() {
-        assert!(!JobStatus::Queued.is_terminal());
-        assert!(!JobStatus::Running.is_terminal());
-        assert!(JobStatus::Done { cache_hit: false }.is_terminal());
-        assert!(JobStatus::Failed {
-            error: "x".to_string()
-        }
-        .is_terminal());
     }
 
     #[test]

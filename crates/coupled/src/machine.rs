@@ -185,12 +185,15 @@ impl CostModel {
     /// bare link latency and every migrated byte crosses the wire
     /// twice through it.
     ///
-    /// Sparse: two barrier fences bracket the counts round, then only
-    /// the busiest rank's nonzero pairs pay per-operation latency
-    /// (one count message + one payload message per partner) — the
-    /// latency bill scales with actual migration, not with N².
+    /// Sparse: one barrier fences the counts round (`alltoall_u64`'s
+    /// epoch stamp replaced the trailing one), priced as a barrier's
+    /// two log-depth sweeps; then only the busiest rank's nonzero
+    /// pairs pay per-operation latency (one count message + one
+    /// payload message per partner) — the latency bill scales with
+    /// actual migration, not with N².
     ///
-    /// Hier: three phase fences plus the trailing one, and the busiest
+    /// Hier: four barriers (three phase fences plus the trailing one,
+    /// eight sweeps), and the busiest
     /// rank — a node leader — pays per-operation latency for its funnel
     /// fan-in, trunk frames and scatter fan-out plus its aggregated
     /// bytes. The leader drains members in strict rank order, so skew

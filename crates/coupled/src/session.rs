@@ -16,16 +16,17 @@
 //! waiting out timeouts, and surfaces the failure. A
 //! [`crate::config::FaultPlan`] schedules rank stalls and kills, which
 //! `rank_main` fires itself at the top of a step; the wire is the raw
-//! transport either way. [`run_threaded_result`] is the recovering
-//! entry point: under [`FaultPolicy::RestartFromCheckpoint`] a
+//! transport either way. [`EngineSession::run`] is the one place that
+//! decides a replay: under [`FaultPolicy::RestartFromCheckpoint`] a
 //! detected rank death tears the world down, restores every rank from
 //! the last consistent in-memory checkpoint (taken every
 //! [`RunConfig::checkpoint_every`] steps, only at fault-free
-//! boundaries) and replays to completion. Because the transport
-//! delivers every message once and in order per pair, and checkpoints
-//! capture the whole evolving per-rank state, the recovered run
-//! finishes **bitwise identical** to the clean one; the trace of a
-//! recovered run contains only the replayed steps.
+//! boundaries) and replays to completion, at most `MAX_RECOVERIES` (8)
+//! times. Because the transport delivers every message once and in
+//! order per pair, and checkpoints capture the whole evolving per-rank
+//! state, the recovered run finishes **bitwise identical** to the
+//! clean one; the trace of a recovered run contains only the replayed
+//! steps.
 
 use crate::checkpoint::{checkpoint_rank, restore_rank, CheckpointError};
 use crate::config::{FaultPolicy, RunConfig};
@@ -46,7 +47,7 @@ use vmpi::{run_world, Comm, CommError};
 /// advance it.
 const MAX_RECOVERIES: usize = 8;
 
-/// Why a threaded run failed (see [`run_threaded_result`]).
+/// Why a threaded run failed (see [`EngineSession::run`]).
 #[derive(Debug)]
 pub enum RunError {
     /// A rank died — a fault-plan kill, a dead peer, or a receive
@@ -110,43 +111,25 @@ pub fn run_threaded(run: &RunConfig) -> RunReport {
 }
 
 /// Run the coupled solver on `run.ranks` OS threads, applying the
-/// configured fault plan and recovery policy. A scheduled kill fires
-/// once per run: the recovery replay passes its step unharmed.
-///
-/// This is the one-shot wrapper around [`EngineSession`]: build a
-/// session, attempt until done or the retry policy says stop. Hold an
-/// `EngineSession` directly when the engine's lifecycle must outlive
-/// one call — e.g. the job server re-attempts a crashed job from the
-/// session's checkpoints on another worker.
+/// configured fault plan and recovery policy: [`EngineSession::run`]
+/// on a session of its own. A scheduled kill fires once per run: the
+/// recovery replay passes its step unharmed.
 pub fn run_threaded_result(run: &RunConfig) -> Result<RunReport, RunError> {
-    let mut session = EngineSession::new(run);
-    loop {
-        match session.attempt() {
-            Ok(report) => return Ok(report),
-            Err(e) => {
-                if !session.can_retry_after(&e) {
-                    return Err(e);
-                }
-                session.prepare_retry();
-            }
-        }
-    }
+    EngineSession::new(run).run()
 }
 
-/// Engine lifecycle detached from process (and call) lifecycle: mesh,
-/// species, initial decomposition, the per-rank kill flags and the
-/// checkpoint store built once, then any number of [`attempt`]s run
-/// against them. Checkpoints and the one-shot kill flags live in the
-/// session, so an attempt that dies mid-run (worker crash, fault-plan
-/// kill) can be resumed later — even from a different thread — by
-/// calling [`attempt`] again after [`prepare_retry`].
+/// One threaded run's engine lifecycle: mesh, species, initial
+/// decomposition, the per-rank kill flags and the checkpoint store
+/// built once, then [`run`] — attempts, replayed from the checkpoints
+/// after a rank death while the fault policy allows. The session is
+/// the only owner of that decision: the job server hands each job's
+/// session to one worker, which calls [`run`] once.
 ///
-/// [`run_threaded_result`] is the simple driver: it owns a session
-/// for exactly one `loop { attempt / prepare_retry }`. The job server
-/// stashes sessions across worker deaths instead.
+/// [`attempt`] is one world pass on its own (what a benchmark times,
+/// or a test that wants the first failure unreplayed).
 ///
+/// [`run`]: EngineSession::run
 /// [`attempt`]: EngineSession::attempt
-/// [`prepare_retry`]: EngineSession::prepare_retry
 pub struct EngineSession {
     run: RunConfig,
     world: Arc<World>,
@@ -200,12 +183,31 @@ impl EngineSession {
         self.recoveries
     }
 
+    /// Run to completion: attempt, and while the error is a rank
+    /// failure under [`FaultPolicy::RestartFromCheckpoint`] with fewer
+    /// than `MAX_RECOVERIES` replays behind it, count a recovery and
+    /// replay from the checkpoints. Checkpoint-restore and trace-sink
+    /// errors are never replayed. One-shot kills have already fired
+    /// and stay fired, so a replay runs past its kill step.
+    pub fn run(&mut self) -> Result<RunReport, RunError> {
+        loop {
+            match self.attempt() {
+                Err(RunError::RankFailure { .. })
+                    if self.run.on_fault == FaultPolicy::RestartFromCheckpoint
+                        && self.recoveries < MAX_RECOVERIES =>
+                {
+                    self.recoveries += 1
+                }
+                result => return result,
+            }
+        }
+    }
+
     /// Run one world pass: every rank resumes from its checkpoint slot
     /// (step 0 when empty) and steps to completion. On success returns
     /// rank 0's report; on failure returns the first failing rank's
-    /// error, stamped with the session's recovery count. The session
-    /// stays usable after an error — call [`EngineSession::can_retry_after`]
-    /// and [`EngineSession::prepare_retry`] to replay.
+    /// error, stamped with the session's recovery count. Replays nothing
+    /// itself: that is [`EngineSession::run`]'s.
     pub fn attempt(&mut self) -> Result<RunReport, RunError> {
         let session = &*self;
         let results = run_world(self.run.ranks, |comm| rank_main(&comm, session));
@@ -238,23 +240,6 @@ impl EngineSession {
     /// `envelope`.
     fn commit_checkpoint(&self, me: usize, next_step: usize, envelope: Vec<u8>) {
         *self.store[me].lock().unwrap_or_else(|p| p.into_inner()) = Some((next_step, envelope));
-    }
-
-    /// Whether the configured policy permits replaying after `err`:
-    /// a rank failure under [`FaultPolicy::RestartFromCheckpoint`]
-    /// with recovery budget left. Checkpoint-restore and trace-sink
-    /// errors are never retryable.
-    pub fn can_retry_after(&self, err: &RunError) -> bool {
-        matches!(err, RunError::RankFailure { .. })
-            && self.run.on_fault == FaultPolicy::RestartFromCheckpoint
-            && self.recoveries < MAX_RECOVERIES
-    }
-
-    /// Arm the next replay: count the recovery. One-shot kill events
-    /// have already fired and stay fired, so the replay runs past the
-    /// kill step.
-    pub fn prepare_retry(&mut self) {
-        self.recoveries += 1;
     }
 
     /// Fire rank `me`'s scheduled faults at the top of engine step

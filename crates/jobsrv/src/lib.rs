@@ -8,10 +8,10 @@
 //! repeated submissions of the same canonical configuration from a
 //! result cache — sound because the engine is
 //! bitwise-deterministic per config (the cached report is
-//! indistinguishable from a re-run). If a worker dies mid-job, the
-//! job's [`coupled::EngineSession`] — which outlives any worker —
-//! replays from the engine's periodic checkpoints on the next
-//! dispatch.
+//! indistinguishable from a re-run). A job is one dispatch: its worker
+//! runs the job's [`coupled::EngineSession`] once, and the session
+//! replays a rank death from the engine's periodic checkpoints as its
+//! fault policy allows; a worker that panics fails its job.
 //!
 //! ```
 //! use jobsrv::prelude::*;

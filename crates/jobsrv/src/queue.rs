@@ -63,14 +63,6 @@ impl FairQueue {
         seq
     }
 
-    /// Remove a queued entry by id (e.g. a follower whose leader
-    /// failed). Returns true when something was removed.
-    pub fn remove(&mut self, id: JobId) -> bool {
-        let before = self.entries.len();
-        self.entries.retain(|e| e.id != id);
-        self.entries.len() != before
-    }
-
     /// Pick the next job runnable within `budget` spare threads, per
     /// the policy above. Returns `None` when nothing eligible fits.
     pub fn pop(&mut self, budget: usize) -> Option<QueueEntry> {
@@ -183,16 +175,5 @@ mod tests {
         // ...and runs when capacity frees up.
         assert_eq!(fq.pop(6).unwrap().id, id(1));
         assert!(fq.is_empty());
-    }
-
-    #[test]
-    fn remove_drops_entry_and_empty_tenants_leave_ring() {
-        let mut fq = FairQueue::new();
-        fq.push(id(1), "a", 1);
-        fq.push(id(2), "b", 1);
-        assert!(fq.remove(id(1)));
-        assert!(!fq.remove(id(1)));
-        assert_eq!(fq.pop(8).unwrap().id, id(2));
-        assert!(fq.pop(8).is_none());
     }
 }

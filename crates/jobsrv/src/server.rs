@@ -2,9 +2,10 @@
 //! [`JobSpec`] submissions under a shared thread budget,
 //! with result caching by canonical config hash, in-flight
 //! coalescing of identical submissions, live trace fan-out to
-//! subscribers, a small cache of the geometries jobs repeat, and
-//! checkpoint-replay recovery when a worker dies mid-job (DESIGN.md
-//! §14).
+//! subscribers and a small cache of the geometries jobs repeat. A job
+//! is one dispatch: its worker builds the engine session and runs it
+//! once, and the session replays a rank death from its own
+//! checkpoints (DESIGN.md §14).
 
 use crate::cache::Lru;
 use crate::queue::FairQueue;
@@ -94,13 +95,14 @@ pub struct ServerStats {
     pub cache_hits: u64,
     /// Submissions coalesced onto an identical in-flight run.
     pub coalesced: u64,
-    /// Engine attempts dispatched to workers (replays included).
+    /// Engine attempts run: one per dispatched job, plus the
+    /// checkpoint replays its session ran.
     pub attempts: u64,
-    /// First attempts whose `[domain]` no cached geometry matched: the
+    /// Dispatches whose `[domain]` no cached geometry matched: the
     /// worker built (or died building) the meshes itself.
     pub geometry_builds: u64,
-    /// First attempts started on a geometry an earlier job built.
-    /// `geometry_builds + geometry_hits` = first attempts that reached
+    /// Dispatches started on a geometry an earlier job built.
+    /// `geometry_builds + geometry_hits` = dispatches that reached
     /// set-up.
     pub geometry_hits: u64,
     pub queued: usize,
@@ -115,16 +117,9 @@ struct Job {
     /// so subscribers follow the job across checkpoint replays.
     fanout: FanoutSink,
     hash: u64,
-    /// The engine lifecycle, detached from any worker: stashed here
-    /// between attempts so checkpoints and one-shot fault state
-    /// survive the death of the thread that ran them.
-    session: Option<EngineSession>,
-    attempts: usize,
     submitted: Instant,
-    first_started: Option<Instant>,
     run_seconds: f64,
     result: Option<Arc<RunReport>>,
-    error: Option<String>,
     /// Identical submissions coalesced behind this leader.
     followers: Vec<JobId>,
 }
@@ -141,14 +136,9 @@ struct State {
     stats: ServerStats,
 }
 
-/// Geometries kept for the jobs that repeat a `[domain]` (LRU). This
-/// and the one below are constants, not [`ServerConfig`] fields: one
-/// value of each is in use.
+/// Geometries kept for the jobs that repeat a `[domain]` (LRU). A
+/// constant, not a [`ServerConfig`] field: one value is in use.
 const GEOMETRY_CAPACITY: usize = 8;
-
-/// Engine attempts per job before it is failed: 1 clean try plus
-/// checkpoint replays after worker deaths.
-const MAX_ATTEMPTS: usize = 3;
 
 type GeometryCache = Lru<[u64; 5], Arc<Geometry>>;
 
@@ -277,13 +267,9 @@ impl JobServer {
             status: JobStatus::Queued,
             fanout: FanoutSink::new(),
             hash,
-            session: None,
-            attempts: 0,
             submitted: Instant::now(),
-            first_started: None,
             run_seconds: 0.0,
             result: None,
-            error: None,
             followers: Vec::new(),
         };
         let refusal = if st.shutdown {
@@ -352,7 +338,8 @@ impl JobServer {
     }
 
     /// Stop accepting work, fail everything still queued, finish the
-    /// attempts currently running, and join the workers. Idempotent.
+    /// jobs currently running (their checkpoint replays included), and
+    /// join the workers. Idempotent.
     pub fn shutdown(&mut self) {
         {
             let mut st = self.shared.state.lock().unwrap();
@@ -383,7 +370,6 @@ fn fail_job(st: &mut State, id: JobId, error: String) {
         job.status = JobStatus::Failed {
             error: error.clone(),
         };
-        job.error = Some(error.clone());
         job.fanout.close();
         std::mem::take(&mut job.followers)
     };
@@ -402,7 +388,8 @@ fn fail_job(st: &mut State, id: JobId, error: String) {
 /// Mark `job` (tracked as `id`) done: serve it a clone of the stored
 /// `report` stamped with its own provenance, close its trace stream
 /// and count it. A job that never ran (cache hit, follower) has zero
-/// `run_seconds` and `attempts` of its own.
+/// `run_seconds` and `attempts` of its own; the one that ran made one
+/// attempt plus the report's `recoveries`.
 fn complete_job(
     job: &mut Job,
     stats: &mut ServerStats,
@@ -418,22 +405,12 @@ fn complete_job(
         cache_hit,
         queue_seconds,
         run_seconds: job.run_seconds,
-        attempts: job.attempts,
+        attempts: if cache_hit { 0 } else { 1 + report.recoveries },
     });
     job.result = Some(Arc::new(stamped));
     job.status = JobStatus::Done { cache_hit };
     job.fanout.close();
     stats.completed += 1;
-}
-
-/// What a claimed job starts its attempt from.
-enum Start {
-    /// The session an earlier attempt stashed, checkpoints inside.
-    Resume(EngineSession),
-    /// First attempt: the run config wired for serving; the session
-    /// (species, seed partition — and the geometry, when no earlier
-    /// job left it) is built from it off the lock.
-    Fresh(RunConfig),
 }
 
 impl Shared {
@@ -457,14 +434,14 @@ impl Shared {
     }
 }
 
-/// One worker: claim the next job that fits the spare budget, set it
-/// up and run one engine attempt outside the lock, then complete /
-/// requeue / fail.
+/// One worker: claim the next job that fits the spare budget, build
+/// its session and run it to the end outside the lock, then complete
+/// or fail it.
 fn worker_loop(shared: &Arc<Shared>) {
     loop {
         // Claim work under the lock; of the set-up only the fan-out and
         // registry wiring happens here.
-        let (id, start, cost) = {
+        let (id, run, cost, queue_seconds) = {
             let mut st = shared.state.lock().unwrap();
             let entry = loop {
                 if st.shutdown {
@@ -481,35 +458,12 @@ fn worker_loop(shared: &Arc<Shared>) {
             st.stats.attempts += 1;
             let job = st.jobs.get_mut(&id.0).expect("queued job is tracked");
             job.status = JobStatus::Running;
-            job.attempts += 1;
-            job.first_started.get_or_insert_with(Instant::now);
-            let resumed = job.session.take().map(|s| Ok(Start::Resume(s)));
-            let start = resumed.unwrap_or_else(|| {
-                // First attempt: rebuild the run config for execution —
-                // the engine traces into the job's fan-out (teeing the
-                // submitter's own sink) and, when the submitter brought
-                // no registry, meters into the server registry scoped
-                // by job id.
-                let mut run = job.spec.run.clone();
-                let user_trace = std::mem::replace(&mut run.obs.trace, TraceSpec::Off);
-                if !user_trace.is_off() {
-                    match user_trace.make_sink() {
-                        Ok(sink) => job.fanout.tee_into(sink),
-                        Err(e) => return Err(format!("trace sink creation failed: {e}")),
-                    }
-                }
-                run.obs.trace = TraceSpec::Fanout(job.fanout.clone());
-                if run.obs.metrics.is_none() {
-                    if let Some(reg) = &shared.metrics {
-                        run.obs.metrics = Some(reg.scoped(&id.to_string()));
-                    }
-                }
-                Ok(Start::Fresh(run))
-            });
-            (id, start, entry.cost)
+            let queue_seconds = job.submitted.elapsed().as_secs_f64();
+            let run = serving_config(job, id, shared);
+            (id, run, entry.cost, queue_seconds)
         };
-        let start = match start {
-            Ok(s) => s,
+        let run = match run {
+            Ok(run) => run,
             Err(error) => {
                 let mut guard = shared.state.lock().unwrap();
                 guard.budget_in_use -= cost;
@@ -520,31 +474,27 @@ fn worker_loop(shared: &Arc<Shared>) {
             }
         };
 
-        // Set up and run the attempt with the lock released so other
+        // Set up and run the session with the lock released so other
         // workers keep scheduling. A panic here — in set-up or mid-run
         // — is this worker dying on one job; the server stays whole.
         let t0 = Instant::now();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let mut session = match start {
-                Start::Resume(session) => session,
-                Start::Fresh(run) => EngineSession::on(shared.geometry_for(&run), &run),
-            };
-            let result = session.attempt();
-            (session, result)
+            let mut session = EngineSession::on(shared.geometry_for(&run), &run);
+            let result = session.run();
+            (session.recoveries(), result)
         }));
         let elapsed = t0.elapsed().as_secs_f64();
 
         let mut guard = shared.state.lock().unwrap();
         let st = &mut *guard;
         st.budget_in_use -= cost;
+        if let Ok((recoveries, _)) = &outcome {
+            st.stats.attempts += *recoveries as u64;
+        }
         let job = st.jobs.get_mut(&id.0).expect("running job is tracked");
-        job.run_seconds += elapsed;
+        job.run_seconds = elapsed;
         match outcome {
             Ok((_, Ok(report))) => {
-                let queue_seconds = job
-                    .first_started
-                    .map(|t| t.duration_since(job.submitted).as_secs_f64())
-                    .unwrap_or(0.0);
                 let followers = std::mem::take(&mut job.followers);
                 // The cache stores the unstamped report; every served
                 // copy is a stamped clone of it.
@@ -559,18 +509,7 @@ fn worker_loop(shared: &Arc<Shared>) {
                     complete_job(fjob, &mut st.stats, f, &cached, true, waited);
                 }
             }
-            Ok((mut session, Err(e))) => {
-                let retry =
-                    session.can_retry_after(&e) && job.attempts < MAX_ATTEMPTS && !st.shutdown;
-                if retry {
-                    session.prepare_retry();
-                    job.session = Some(session);
-                    job.status = JobStatus::Queued;
-                    st.queue.push(id, &job.spec.tenant, cost);
-                } else {
-                    fail_job(st, id, format!("engine attempt failed: {e}"));
-                }
-            }
+            Ok((_, Err(e))) => fail_job(st, id, format!("engine run failed: {e}")),
             Err(panic) => {
                 let msg = panic
                     .downcast_ref::<&str>()
@@ -583,6 +522,28 @@ fn worker_loop(shared: &Arc<Shared>) {
         drop(guard);
         shared.cv.notify_all();
     }
+}
+
+/// `job`'s run config wired for serving: the engine traces into the
+/// job's fan-out (teeing the submitter's own sink) and, when the
+/// submitter brought no registry, meters into the server registry
+/// scoped by job id. Fails when the submitter's sink cannot be made.
+fn serving_config(job: &mut Job, id: JobId, shared: &Shared) -> Result<RunConfig, String> {
+    let mut run = job.spec.run.clone();
+    let user_trace = std::mem::replace(&mut run.obs.trace, TraceSpec::Off);
+    if !user_trace.is_off() {
+        let sink = user_trace
+            .make_sink()
+            .map_err(|e| format!("trace sink creation failed: {e}"))?;
+        job.fanout.tee_into(sink);
+    }
+    run.obs.trace = TraceSpec::Fanout(job.fanout.clone());
+    if run.obs.metrics.is_none() {
+        if let Some(reg) = &shared.metrics {
+            run.obs.metrics = Some(reg.scoped(&id.to_string()));
+        }
+    }
+    Ok(run)
 }
 
 #[cfg(test)]

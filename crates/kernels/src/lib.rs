@@ -3,7 +3,8 @@
 //! collision passes and the cell index run in, and the chunking helpers
 //! they share. The field solve (CG) has no lanes.
 //!
-//! Design constraints (see DESIGN.md "Single-node performance"):
+//! Design constraints (see DESIGN.md §9, "Kernels: particle layout,
+//! hot loops, the worker pool"):
 //!
 //! * **No external threading runtime.** rayon is not on the approved
 //!   dependency list, so a region is built directly on

@@ -16,8 +16,8 @@ struct FieldWindow {
     ring: VecDeque<Vec<f64>>,
 }
 
-/// Trailing-window mean of named field samples (see
-/// [`crate::Observer::field_sample`]).
+/// Trailing-window mean of named field samples (the whole-domain run
+/// loop pushes `density_h` and `phi` once per step).
 #[derive(Debug, Clone)]
 pub struct TimeAverage {
     window: usize,

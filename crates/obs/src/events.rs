@@ -36,9 +36,9 @@ pub struct StepTrace {
     /// Largest final relative residual of this step's Poisson solves.
     pub poisson_rel_residual_max: f64,
     /// Diffuse wall reflections in this step's neutral move (DSMC_Move).
-    /// A flight with at least one is flown on the caller's lane, in
-    /// order — a second time when a parallel pass dropped it at the
-    /// wall.
+    /// Each lane flies its chunk's flights to the end, a flight's wall
+    /// hits drawing from a stream keyed by the move and the particle,
+    /// so a flight that hits a wall is flown once like any other.
     pub wall_hits: u64,
     /// Cell-face crossings in this step's neutral move.
     pub crossings: u64,

@@ -32,14 +32,6 @@ pub trait Observer {
     fn step(&mut self, index: usize, trace: &StepTrace) {
         let _ = (index, trace);
     }
-
-    /// One sample of a named per-cell field (e.g. `"density_h"`,
-    /// `"phi"`), fed once per step by drivers that keep time-averaged
-    /// diagnostics. Purely observational — implementations must not
-    /// feed anything back into the physics.
-    fn field_sample(&mut self, name: &'static str, values: &[f64]) {
-        let _ = (name, values);
-    }
 }
 
 /// The do-nothing observer.
@@ -60,9 +52,6 @@ impl<O: Observer + ?Sized> Observer for &mut O {
     }
     fn step(&mut self, index: usize, trace: &StepTrace) {
         (**self).step(index, trace);
-    }
-    fn field_sample(&mut self, name: &'static str, values: &[f64]) {
-        (**self).field_sample(name, values);
     }
 }
 
@@ -87,10 +76,6 @@ impl<A: Observer, B: Observer> Observer for Tee<A, B> {
         self.0.step(index, trace);
         self.1.step(index, trace);
     }
-    fn field_sample(&mut self, name: &'static str, values: &[f64]) {
-        self.0.field_sample(name, values);
-        self.1.field_sample(name, values);
-    }
 }
 
 #[cfg(test)]
@@ -106,9 +91,6 @@ mod tests {
         fn step(&mut self, _i: usize, _t: &StepTrace) {
             self.0 += 10;
         }
-        fn field_sample(&mut self, _n: &'static str, _v: &[f64]) {
-            self.0 += 100;
-        }
     }
 
     #[test]
@@ -116,9 +98,8 @@ mod tests {
         let mut tee = Tee(Count::default(), Count::default());
         tee.phase(Phase::Inject, 0.1);
         tee.step(0, &StepTrace::default());
-        tee.field_sample("rho", &[1.0]);
-        assert_eq!(tee.0 .0, 111);
-        assert_eq!(tee.1 .0, 111);
+        assert_eq!(tee.0 .0, 11);
+        assert_eq!(tee.1 .0, 11);
     }
 
     #[test]

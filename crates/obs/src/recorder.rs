@@ -7,7 +7,6 @@
 //! degenerates to a handful of no-op calls, which is what keeps the
 //! default path bit-identical to an unobserved run.
 
-use crate::avg::TimeAverage;
 use crate::events::{ExchangeEvent, RebalanceEvent, StepTrace, STRATEGY_NAMES};
 use crate::metrics::{Counter, Gauge, Registry, TimeHist};
 use crate::observer::Observer;
@@ -88,17 +87,12 @@ impl Taps {
 pub struct Recorder {
     taps: Option<Taps>,
     sink: Box<dyn TraceSink>,
-    avg: Option<TimeAverage>,
 }
 
 impl std::fmt::Debug for Recorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Recorder")
             .field("metrics", &self.taps.is_some())
-            .field(
-                "avg_window",
-                &self.avg.as_ref().map_or(0, TimeAverage::window),
-            )
             .finish()
     }
 }
@@ -117,20 +111,7 @@ impl Recorder {
         Recorder {
             taps: registry.map(Taps::new),
             sink,
-            avg: None,
         }
-    }
-
-    /// Also keep trailing time averages of [`Observer::field_sample`]
-    /// signals over `window` samples (0 disables — the default).
-    pub fn with_time_average(mut self, window: usize) -> Self {
-        self.avg = (window > 0).then(|| TimeAverage::new(window));
-        self
-    }
-
-    /// The time-average accumulator, when enabled.
-    pub fn time_average(&self) -> Option<&TimeAverage> {
-        self.avg.as_ref()
     }
 
     /// Emit the leading metadata record (call once, before the run).
@@ -204,12 +185,6 @@ impl Observer for Recorder {
             trace: trace.clone(),
         });
     }
-
-    fn field_sample(&mut self, name: &'static str, values: &[f64]) {
-        if let Some(avg) = &mut self.avg {
-            avg.push(name, values);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -267,20 +242,6 @@ mod tests {
         assert_eq!(snap.counter("dsmc.move.crossings"), Some(100));
         // meta + exchange + rebalance + two steps + fault summary
         assert_eq!(mem.len(), 6);
-    }
-
-    #[test]
-    fn recorder_time_average_accumulates() {
-        let mut rec = Recorder::default().with_time_average(2);
-        rec.field_sample("density_h", &[1.0, 3.0]);
-        rec.field_sample("density_h", &[3.0, 5.0]);
-        rec.field_sample("density_h", &[5.0, 7.0]);
-        let avg = rec.time_average().unwrap();
-        assert_eq!(avg.mean("density_h"), Some(vec![4.0, 6.0]));
-        // disabled by default: samples are dropped on the floor
-        let mut plain = Recorder::default();
-        plain.field_sample("density_h", &[1.0]);
-        assert!(plain.time_average().is_none());
     }
 
     #[test]

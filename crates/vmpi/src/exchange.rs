@@ -595,9 +595,9 @@ pub struct TrafficSummary {
     pub aggregated_bytes: u64,
     /// Log-depth barrier sweeps the protocol synchronizes with — a
     /// latency the cost model charges on top of the messages (barriers
-    /// are not transactions): none for Centralized and Distributed, 2
-    /// for Sparse's fenced counts round, 8 for Hier's three phase
-    /// fences and trailing fence.
+    /// are not transactions), two per barrier: none for Centralized
+    /// and Distributed, 2 for the one barrier of Sparse's counts round,
+    /// 8 for Hier's three phase fences and trailing fence.
     pub fences: u64,
     /// Whether the busiest rank's operations queue at one root, one
     /// eager message after another (Centralized), instead of running

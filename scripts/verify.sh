@@ -378,6 +378,23 @@ if [ -n "$transport" ]; then
     exit 1
 fi
 
+echo "== one-retry-policy lint (the engine session alone decides a replay; the job server keeps no session) =="
+# EngineSession::run replays a rank death under RestartFromCheckpoint
+# at most MAX_RECOVERIES times, and a job-server worker calls it once
+# per job: no other production code reads the policy or a retry cap,
+# and no job-server type holds a session between attempts.
+second=$({
+    production_lines 'RestartFromCheckpoint|MAX_RECOVERIES|MAX_ATTEMPTS' \
+        $(ls -d crates/*/src | grep -v '^crates/bench/') |
+        grep -vE '^crates/coupled/src/(config|session)\.rs:' || true
+    production_lines '^[ \t]*((pub )?[a-z_][a-z0-9_]*:|[A-Z][A-Za-z0-9_]*\().*EngineSession' crates/jobsrv/src
+})
+if [ -n "$second" ]; then
+    echo "$second"
+    echo "verify: a second retry policy (replays are EngineSession::run's; a job is one dispatch)" >&2
+    exit 1
+fi
+
 echo "== solo-run lint (the recovery, serving and observation guards pin no physics) =="
 # chaos_guard, jobsrv_guard and obs_guard hold each run bitwise to the
 # solo run of its config (tests/common: threaded_baseline,

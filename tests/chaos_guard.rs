@@ -134,11 +134,11 @@ fn an_unwritable_trace_fails_once_and_is_not_retried() {
     let mut session = EngineSession::new(&run);
     let err = session.attempt().expect_err("the sink cannot be created");
     assert!(matches!(err, RunError::TraceSink(_)), "got {err:?}");
-    assert!(
-        !session.can_retry_after(&err),
-        "a sink failure must not be retried"
-    );
     assert_eq!(session.recoveries(), 0);
+    // the session's own replay loop does not retry it either
+    let err = session.run().expect_err("the sink still cannot be created");
+    assert!(matches!(err, RunError::TraceSink(_)), "got {err:?}");
+    assert_eq!(session.recoveries(), 0, "a sink failure is not retried");
     match run_threaded_result(&run) {
         Err(RunError::TraceSink(_)) => {}
         other => panic!("expected a trace-sink error, got {other:?}"),

@@ -8,10 +8,10 @@
 //!    config, `common::threaded_baseline`), and an identical second
 //!    submission is served from ONE engine run with the cache hit
 //!    observable in the job metadata.
-//! 2. A job whose worker dies mid-run (fault-plan kill) completes via
-//!    checkpoint replay on a later dispatch and still matches the
-//!    solo run (`chaos_guard`'s recovery invariant, now across the
-//!    server's queue instead of inside one call).
+//! 2. A job whose rank dies mid-run (fault-plan kill) completes via
+//!    checkpoint replay inside its one dispatch and still matches the
+//!    solo run (`chaos_guard`'s recovery invariant), with as many
+//!    replays as the same run gets when run directly.
 //! 3. A config no mesh can be built from fails its own job at
 //!    submission and leaves the server — its geometry cache included
 //!    — serving everyone else.
@@ -99,9 +99,9 @@ fn served_jobs_are_bitwise_identical_to_solo_runs_and_cache_deduplicates() {
 #[test]
 fn killed_worker_job_recovers_from_checkpoint_with_the_pinned_hash() {
     // Rank 2 dies at step 6; checkpoints every 4 steps. The first
-    // engine attempt fails, the job goes back through the queue, and
-    // the second attempt resumes from step 4 — completing with the
-    // exact solo-run density.
+    // engine attempt fails, and the job's session replays it in the
+    // same dispatch from step 4 — completing with the exact solo-run
+    // density.
     let run = guard_builder()
         .checkpoint_every(4)
         .on_fault(FaultPolicy::RestartFromCheckpoint)
@@ -122,7 +122,7 @@ fn killed_worker_job_recovers_from_checkpoint_with_the_pinned_hash() {
     assert_eq!(meta.attempts, 2, "one failed dispatch plus one replay");
     assert!(!meta.cache_hit);
 
-    // Subscribers followed the job across the worker death: a Meta
+    // Subscribers followed the job across the rank death: a Meta
     // event per attempt and every replayed step.
     let events: Vec<TraceEvent> = rx.iter().collect();
     let metas = events
@@ -139,10 +139,43 @@ fn killed_worker_job_recovers_from_checkpoint_with_the_pinned_hash() {
     );
     assert!(steps >= 8, "the full replayed tail is streamed: {steps}");
 
-    // The replay resumed its stashed session: one set-up, not two.
+    // The replay ran in the same dispatch: one set-up, not two.
     let stats = srv.stats();
     assert_eq!((stats.attempts, stats.geometry_builds), (2, 1));
     assert_eq!(stats.geometry_hits, 0);
+}
+
+/// Three rank deaths on three ranks (steps 3, 6 and 9, checkpoints
+/// every 2 steps): the run recovers three times whether it is run
+/// directly or served, because the session is the only place that
+/// decides a replay. A job is one dispatch: the served run makes its
+/// four attempts inside it.
+#[test]
+fn three_kills_recover_the_same_run_directly_and_served() {
+    let plan = FaultPlan::default().kill(0, 3).kill(1, 6).kill(2, 9);
+    let run = guard_builder()
+        .checkpoint_every(2)
+        .on_fault(FaultPolicy::RestartFromCheckpoint)
+        .fault_plan(Some(plan))
+        .build()
+        .expect("valid recovery config");
+
+    let direct = run_threaded_result(&run).expect("the direct run recovers");
+    assert_eq!(direct.recoveries, 3, "one replay per kill");
+    assert_same_physics(&direct, threaded_baseline(), "directly recovered run");
+
+    let srv = JobServer::start(ServerConfig::default().workers(1));
+    let served = srv
+        .submit(JobSpec::new(run).tenant("chaos").label("three kills"))
+        .wait()
+        .expect("the served job recovers like the direct run");
+    assert_eq!(served.recoveries, 3, "one replay per kill");
+    assert_same_physics(&served, threaded_baseline(), "served recovered run");
+    let meta = served.job.as_ref().expect("served report is stamped");
+    assert_eq!(meta.attempts, 4, "one clean attempt plus three replays");
+    let stats = srv.stats();
+    assert_eq!((stats.attempts, stats.completed, stats.failed), (4, 1, 0));
+    assert_eq!(stats.geometry_builds, 1, "one dispatch, one set-up");
 }
 
 /// `RunConfig`'s fields are public, so a config can be edited into
